@@ -11,7 +11,7 @@ from .lattice import Interval, ball, boundary_distances, cutoff, interior
 from .ffunction import (FFunctionSpec, WeightSpec, DerivedFSpec, f_norm,
                         norm_sum, convolution_constant, transform_f_phi,
                         f_zero, regroup_decay)
-from .operator_algebra import (LocalOperator, ParityError, embed, identity,
+from .operator_algebra import (LocalOperator, ParityError, embed,
                                operator_norm, parity_grade, spin_matrices,
                                conditional_expectation, delta_layer,
                                jordan_wigner, partial_trace)
@@ -23,16 +23,16 @@ from .spectra import (FrustrationError, RefinementError, diagonalize,
                       ground_projector, kernel_basis, gap_curve,
                       cluster_projector, resolution_family, sigma_projection,
                       higher_gap_track, sp0_diameter_scan)
-from .ltqo import (ltqo_witness, ltqo_profile, witness_tensor,
-                   exact_zero_certificate, ascent_lower_bound, fit_omega)
+from .ltqo import (ltqo_witness, witness_tensor, exact_zero_certificate,
+                   ascent_lower_bound)
 from .spectral_flow import (Window, flow_unitaries, eigenbasis_generator,
                             time_quadrature_generator, decompose_phi1,
                             split_phi1, theta_assembly,
                             filter_identity_residual)
 from .stability_bounds import (OmegaProfile, JConstants, j_constants,
                                BoundConstants, bound_constants,
-                               stability_threshold, form_bound_constants,
-                               verify_form_bound, fermion_constants,
+                               stability_threshold, verify_form_bound,
+                               fermion_constants,
                                higher_gap_bound, higher_gap_threshold,
                                edge_bulk_strengths, uniform_strengths,
                                calibrate_c, kappa_bound)

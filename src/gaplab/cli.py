@@ -19,15 +19,13 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
-    f_norm, f_zero, transform_f_phi
+    f_zero, transform_f_phi
 from .interaction import Interaction, fermion_to_spin, from_json, \
     local_hamiltonian, random_interaction, regroup_intervals, \
     split_edge_bulk, validate_unperturbed
@@ -36,9 +34,9 @@ from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, paired_orbital_model, random_even_perturbation, \
     validate_model
-from .operator_algebra import operator_norm
+from .operator_algebra import MAX_DENSE_DIM, kernel_count, operator_norm
 from .spectra import cluster_projector, gap_curve, higher_gap_track, \
-    kernel_threshold, resolution_family, sigma_projection, sp0_diameter_scan
+    resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, eigenbasis_generator, \
     filter_identity_residual, flow_unitaries, split_phi1, theta_assembly, \
     time_quadrature_generator
@@ -54,7 +52,7 @@ COMMANDS = ("validate", "ltqo", "flow", "bounds", "gapsweep", "highergaps",
 ENVELOPE = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
 
 DEFAULTS = {
-    "model": "orbital",          # orbital | aklt | file:<interaction.json>
+    "model": "orbital",          # orbital | file:<interaction.json>
     "lengths": [6, 8, 10, 12],
     "D": 3,                      # interior depth / profile cut-off
     "eps_grid": {"start": 0.0, "stop": 0.05, "steps": 11},
@@ -106,7 +104,10 @@ def _check_tree(value, default, path, errors):
     elif isinstance(default, bool):
         if not isinstance(value, bool):
             errors.append(f"{label}: expected true/false")
-    elif isinstance(default, (int, float)):
+    elif isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            errors.append(f"{label}: expected an integer")
+    elif isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{label}: expected a number")
     elif isinstance(default, str):
@@ -143,8 +144,18 @@ def merged_config(user: dict | None) -> dict:
         if cfg["gamma"] <= 0:
             errors.append("gamma: the tracking floor must be positive")
         model = cfg["model"]
-        if model not in ("orbital", "aklt") and not model.startswith("file:"):
+        if model != "orbital" and not model.startswith("file:"):
             errors.append(f"model: unknown model spec {model!r}")
+        for field, sizes, d in (
+                ("lengths", cfg["lengths"], 2),
+                ("flow.length", [cfg["flow"]["length"]], 2),
+                ("ltqo.length", [cfg["ltqo"]["length"]], 2),
+                ("ltqo.aklt_lengths", cfg["ltqo"]["aklt_lengths"], 3),
+                ("sp0.length", [cfg["sp0"]["length"]], 2)):
+            big = [n for n in sizes if d ** min(n, 64) > MAX_DENSE_DIM]
+            if big:
+                errors.append(f"{field}: chains of {big} sites exceed the "
+                              f"dense limit of {MAX_DENSE_DIM} states")
         cval = cfg["constants"]["C"]
         if cval is not None and (isinstance(cval, bool)
                                  or not isinstance(cval, (int, float))
@@ -173,7 +184,20 @@ def load_config(path: Path | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError("config root must be an object")
-    return merged_config(user)
+    cfg = merged_config(user)
+    if cfg["model"].startswith("file:"):
+        _model_file(cfg)
+    return cfg
+
+
+def _model_file(cfg: dict) -> Interaction:
+    """The interaction of a ``file:<interaction.json>`` model spec."""
+    path = Path(cfg["model"][len("file:"):])
+    try:
+        return from_json(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"model: cannot load {path}: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +278,6 @@ def _orbital(lam: Interval):
     return model, orbital_interaction(model, lam)
 
 
-def _build_eta(cfg: dict, lam: Interval) -> Interaction:
-    model = cfg["model"]
-    if model == "orbital":
-        return _orbital(lam)[1]
-    if model == "aklt":
-        return aklt_interaction(lam)
-    text = Path(model[len("file:"):]).read_text(encoding="utf-8")
-    return from_json(text).restricted(lam)
-
-
 def base_envelope(cfg: dict) -> FFunctionSpec:
     f = cfg["constants"]["F"]
     weight = WeightSpec("stretched", K=f["K"], s=f["s"])
@@ -272,6 +286,19 @@ def base_envelope(cfg: dict) -> FFunctionSpec:
 
 def _perturbation(lam: Interval, max_radius: int, seed: int) -> Interaction:
     return random_even_perturbation(lam, max_radius, ENVELOPE, seed)
+
+
+def _stability_lengths(cfg: dict) -> list[int]:
+    """The configured chain lengths whose diameter exceeds ``2 D``."""
+    return [n for n in cfg["lengths"] if n - 1 > max(2 * cfg["D"], 1)]
+
+
+def _volume(cfg: dict, length: int):
+    """Orbital chain on ``[1, length]`` with its seeded perturbation."""
+    lam = _window(length, 1)
+    model, eta = _orbital(lam)
+    pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
+    return lam, model, eta, pert
 
 
 def flow_bundle(cfg: dict, ctx: dict) -> dict:
@@ -323,10 +350,8 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
 
     # uniform strengths over the probe volumes (perturbation per volume)
     phi_for = {}
-    for length in cfg["lengths"]:
+    for length in _stability_lengths(cfg):
         lam = _window(length, 1)
-        if lam.diameter <= max(2 * depth, 1):
-            continue
         phi_for[lam] = _perturbation(lam, cfg["flow"]["max_radius"], seed)
     if not phi_for:
         raise ConfigError("lengths: no chain exceeds diameter 2 D for the "
@@ -353,38 +378,36 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
 # pipelines
 
 
-def cmd_validate(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
+_VALIDATE_HEADER = ["model", "length", "offset", "ground_energy", "gap",
+                    "kernel_dim", "kernel_expected", "aux_dim",
+                    "aux_interior_leak", "status"]
+
+
+def cmd_validate(cfg: dict, ctx: dict) -> Report:
     rep = Report("validate")
     rows = []
-    custom = cfg["model"].startswith("file:")
 
-    if cfg["model"] in ("orbital", "aklt") or custom:
-        pass  # the orbital/aklt fixtures below always run unless custom
-
-    if custom:
+    if cfg["model"].startswith("file:"):
         volumes = [_window(n) for n in cfg["lengths"]]
-        report = validate_unperturbed(lambda lam: _build_eta(cfg, lam),
-                                      volumes)
+        report = validate_unperturbed(_model_file(cfg).restricted, volumes)
         for r in report.rows:
             rows.append(("custom", len(r.lam), r.lam.a, r.ground_energy,
                          r.min_nonzero, r.kernel_dim, -1, -1, 0.0,
                          "ok" if r.frustration_free else "fail"))
             rep.check(f"custom ground energy on {r.lam}", r.frustration_free,
                       f"E0 = {r.ground_energy:.2e}")
-        rep.table("validate.csv",
-                  ["model", "length", "offset", "ground_energy", "gap",
-                   "kernel_dim", "kernel_expected", "aux_dim",
-                   "aux_interior_leak", "status"], rows)
+        rep.table("validate.csv", _VALIDATE_HEADER, rows)
         return rep
 
-    # paired-orbital model over both window alignments
+    # orbital chain on both window alignments; fermion/spin spectra to 10 sites
+    jw_rows = []
     for length in cfg["lengths"]:
         for offset in (0, 1):
             lam = _window(length, offset)
             model, eta = _orbital(lam)
             h = local_hamiltonian(eta, lam)
             evals = np.linalg.eigvalsh(h.matrix)
-            kdim = int(np.sum(evals <= kernel_threshold(evals)))
+            kdim = kernel_count(evals)
             gap = float(evals[kdim] - evals[kdim - 1])
             kexp, free = kernel_data(model, lam)
             aux = auxiliary_basis(model, lam)
@@ -403,6 +426,12 @@ def cmd_validate(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
             rep.check(f"orbital structure on {lam}", ok,
                       f"E0 = {evals[0]:.1e}, gap = {gap:.12f}, "
                       f"kernel {kdim}/{kexp}, leak = {leak:.1e}")
+            if length <= 10:
+                ev_s = np.linalg.eigvalsh(
+                    local_hamiltonian(fermion_to_spin(eta), lam).matrix)
+                dev = float(np.max(np.abs(np.sort(evals) - np.sort(ev_s))))
+                jw_rows.append((length, offset, dev,
+                                "ok" if dev <= 1e-10 else "fail"))
 
     # spin-1 projector chain
     for length in cfg["ltqo"]["aklt_lengths"]:
@@ -410,32 +439,17 @@ def cmd_validate(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
         eta = aklt_interaction(lam)
         h = local_hamiltonian(eta, lam)
         evals = np.linalg.eigvalsh(h.matrix)
-        kdim = int(np.sum(evals <= kernel_threshold(evals)))
+        kdim = kernel_count(evals)
         gap = float(evals[kdim] - evals[kdim - 1])
         ok = abs(evals[0]) <= 1e-10 and kdim == 4
         rows.append(("aklt", length, 0, float(evals[0]), gap, kdim, 4, -1,
                      0.0, "ok" if ok else "fail"))
         rep.check(f"aklt structure on {lam}", ok,
                   f"E0 = {evals[0]:.1e}, kernel {kdim}/4, gap = {gap:.6f}")
-    rep.table("validate.csv",
-              ["model", "length", "offset", "ground_energy", "gap",
-               "kernel_dim", "kernel_expected", "aux_dim",
-               "aux_interior_leak", "status"], rows)
-
-    # fermion/spin spectral agreement for the orbital chain
-    jw_rows = []
-    for length in [n for n in cfg["lengths"] if n <= 10]:
-        for offset in (0, 1):
-            lam = _window(length, offset)
-            _, eta = _orbital(lam)
-            spin = fermion_to_spin(eta)
-            ev_f = np.linalg.eigvalsh(local_hamiltonian(eta, lam).matrix)
-            ev_s = np.linalg.eigvalsh(local_hamiltonian(spin, lam).matrix)
-            dev = float(np.max(np.abs(np.sort(ev_f) - np.sort(ev_s))))
-            jw_rows.append((length, offset, dev,
-                            "ok" if dev <= 1e-10 else "fail"))
-            rep.check(f"fermion/spin spectra on {lam}", dev <= 1e-10,
-                      f"max deviation {dev:.2e}")
+    rep.table("validate.csv", _VALIDATE_HEADER, rows)
+    for length, offset, dev, _ in jw_rows:
+        rep.check(f"fermion/spin spectra on {_window(length, offset)}",
+                  dev <= 1e-10, f"max deviation {dev:.2e}")
     rep.table("jw.csv", ["length", "offset", "spectrum_deviation", "status"],
               jw_rows)
 
@@ -473,7 +487,7 @@ def cmd_validate(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
     return rep
 
 
-def cmd_ltqo(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
+def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
     rep = Report("ltqo")
     lc = cfg["ltqo"]
     depth = cfg["D"]
@@ -549,7 +563,7 @@ def cmd_ltqo(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
     return rep
 
 
-def cmd_flow(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
+def cmd_flow(cfg: dict, ctx: dict) -> Report:
     rep = Report("flow")
     fb = flow_bundle(cfg, ctx)
     flow, dec, p0 = fb["flow"], fb["dec"], fb["p0"]
@@ -611,13 +625,12 @@ def cmd_flow(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
 
     # collected two-sided pieces: diagonal identity and annihilation
     inner = interior(lam, 2)
+    families = {x: resolution_family(eta, lam, x) for x in inner}
     theta_rows = []
     ident_worst, annih_worst = 0.0, 0.0
-    for x in inner:
-        r_near, _ = boundary_distances(lam, x)
-        if r_near < 3:
+    for x, family in families.items():
+        if family.r_x < 3:
             continue
-        family = resolution_family(eta, lam, x)
         th = theta_assembly(dec, family)
         ident_worst = max(ident_worst, th.identity_error)
         annih_worst = max(annih_worst, th.annihilation_error)
@@ -638,8 +651,7 @@ def cmd_flow(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
     res_worst = 0.0
     dim = m0.shape[0]
     eye = np.eye(dim)
-    for x in inner:
-        family = resolution_family(eta, lam, x)
+    for x, family in families.items():
         es = family.E
         total = operator_norm(sum(es) - eye)
         res_worst = max(res_worst, total)
@@ -662,13 +674,9 @@ def cmd_flow(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
     for n in (1, 3):
         members = []
         for x in inner:
-            if (x - inner.a) % (2 * n + 1):
+            if (x - inner.a) % (2 * n + 1) or families[x].r_x < n:
                 continue
-            r_near, _ = boundary_distances(lam, x)
-            if r_near < n:
-                continue
-            family = resolution_family(eta, lam, x)
-            members.append((x, ball(lam, x, n), family.locals[n - 1]))
+            members.append((x, ball(lam, x, n), families[x].locals[n - 1]))
         if not members:
             continue
         xs = [x for x, _, _ in members]
@@ -720,7 +728,7 @@ _FORMULAS = {
 }
 
 
-def cmd_bounds(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
+def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     rep = Report("bounds")
     fb = flow_bundle(cfg, ctx)
     cb = constants_bundle(cfg, ctx)
@@ -781,15 +789,13 @@ def cmd_bounds(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
             continue
         family = resolution_family(fb["eta"], fb["lam"], x)
         th = theta_assembly(fb["dec"], family)
-        for n in sorted(th.theta_beta):
+        # the alpha part is listed as n = -1 and bounded at n = r_x
+        pieces = [(n, n, th.theta_beta[n]) for n in sorted(th.theta_beta)]
+        for label, n, piece in pieces + [(-1, family.r_x, th.theta_alpha)]:
             bound = kappa_bound(bc, n, flow.eps, phi_fnorm=psi_fnorm)
-            norm = operator_norm(th.theta_beta[n])
-            kappa_rows.append((x, n, norm, bound,
+            norm = operator_norm(piece)
+            kappa_rows.append((x, label, norm, bound,
                                "ok" if norm <= bound else "fail"))
-        bound = kappa_bound(bc, family.r_x, flow.eps, phi_fnorm=psi_fnorm)
-        norm = operator_norm(th.theta_alpha)
-        kappa_rows.append((x, -1, norm, bound,
-                           "ok" if norm <= bound else "fail"))
     rep.check("collected-piece norms below their certified bounds",
               all(r[-1] == "ok" for r in kappa_rows))
     rep.table("kappa.csv", ["x", "n", "theta_norm", "kappa_bound", "status"],
@@ -838,8 +844,8 @@ def cmd_bounds(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
             "delta": entry("delta", bc.delta),
             "beta": entry("beta", bc.beta),
             "alpha": entry("alpha", bc.alpha),
-            "p": entry("p", bc.p),
-            "q": entry("q", bc.q),
+            "p": entry("p", bc.beta),
+            "q": entry("q", bc.alpha),
             "m": entry("m", bc.m),
             "m_grouped": entry("m_grouped", thresholds["m_grouped"]),
             "m_grouped_far": entry("m_grouped_far",
@@ -877,44 +883,30 @@ def _sweep_grid(cfg: dict, bc) -> list[float]:
     return sorted(set(float(e) for e in grid))
 
 
-def cmd_gapsweep(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
+def _against_line(measured: float, bound: float) -> str:
+    """Status of a measured gap against a certified line (1e-9 slack)."""
+    if bound <= 0.0:
+        return "vacuous"
+    return "dominates" if measured >= bound - 1e-9 else "fail"
+
+
+def cmd_gapsweep(cfg: dict, ctx: dict) -> Report:
     rep = Report("gapsweep")
-    cb = constants_bundle(cfg, ctx)
-    bc = cb["bc"]
-    depth = cfg["D"]
+    bc = constants_bundle(cfg, ctx)["bc"]
     grid = _sweep_grid(cfg, bc)
-    lengths = [n for n in cfg["lengths"] if n - 1 > max(2 * depth, 1)]
-    if not lengths:
-        raise ConfigError("lengths: every chain is below the stability "
-                          "diameter threshold 2 D")
-
-    def sweep(length):
-        lam = _window(length, 1)
-        model, eta = _orbital(lam)
-        pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
-        kdim, _ = kernel_data(model, lam)
-        h0 = local_hamiltonian(eta, lam)
-        hp = local_hamiltonian(pert, lam)
-        return length, gap_curve(h0.matrix, hp.matrix, grid, cluster_dim=kdim)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            curves = list(pool.map(sweep, lengths))
-    else:
-        curves = [sweep(n) for n in lengths]
-
     rows = []
     all_open, all_dominated = True, True
-    for length, splits in curves:
+    for length in _stability_lengths(cfg):
+        lam, model, eta, pert = _volume(cfg, length)
+        kdim, _ = kernel_data(model, lam)
+        splits = gap_curve(local_hamiltonian(eta, lam).matrix,
+                           local_hamiltonian(pert, lam).matrix, grid,
+                           cluster_dim=kdim)
         for sp in splits:
             bound = float(bc.gap_lower_bound(sp.eps))
             measured = sp.gamma
-            if bound > 0.0:
-                dom = measured >= bound - 1e-9
-                status = "dominates" if dom else "fail"
-                all_dominated = all_dominated and dom
-            else:
-                status = "vacuous"
+            status = _against_line(measured, bound)
+            all_dominated = all_dominated and status != "fail"
             open_gap = measured > 0.0 or sp.eps == 0.0
             all_open = all_open and open_gap
             if not open_gap:
@@ -930,42 +922,23 @@ def cmd_gapsweep(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
     return rep
 
 
-def cmd_highergaps(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
+def cmd_highergaps(cfg: dict, ctx: dict) -> Report:
     rep = Report("highergaps")
-    cb = constants_bundle(cfg, ctx)
-    bc = cb["bc"]
+    bc = constants_bundle(cfg, ctx)["bc"]
     hc = cfg["higher"]
-    depth = cfg["D"]
     grid = _sweep_grid(cfg, bc)
-    lengths = [n for n in cfg["lengths"] if n - 1 > max(2 * depth, 1)]
     gamma_win = hc["mu"] - hc["nu"]
-
-    def track(length):
-        lam = _window(length, 1)
-        _, eta = _orbital(lam)
-        pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
-        h0 = local_hamiltonian(eta, lam)
-        hp = local_hamiltonian(pert, lam)
-        return length, higher_gap_track(h0.matrix, hp.matrix, grid,
-                                        hc["nu"], hc["mu"])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            tracks = list(pool.map(track, lengths))
-    else:
-        tracks = [track(n) for n in lengths]
-
     rows = []
     all_open, all_dominated = True, True
-    for length, pairs in tracks:
+    for length in _stability_lengths(cfg):
+        lam, _, eta, pert = _volume(cfg, length)
+        pairs = higher_gap_track(local_hamiltonian(eta, lam).matrix,
+                                 local_hamiltonian(pert, lam).matrix, grid,
+                                 hc["nu"], hc["mu"])
         for eps, measured in pairs:
             bound = float(higher_gap_bound(bc, gamma_win, hc["top"], eps))
-            if bound > 0.0:
-                dom = measured >= bound - 1e-9
-                status = "dominates" if dom else "fail"
-                all_dominated = all_dominated and dom
-            else:
-                status = "vacuous"
+            status = _against_line(measured, bound)
+            all_dominated = all_dominated and status != "fail"
             if measured <= 0.0 and eps > 0.0:
                 status = "closed"
                 all_open = False
@@ -981,12 +954,10 @@ def cmd_highergaps(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
     return rep
 
 
-def cmd_sp0scan(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
+def cmd_sp0scan(cfg: dict, ctx: dict) -> Report:
     rep = Report("sp0scan")
     sc = cfg["sp0"]
-    lam = _window(sc["length"], 1)
-    _, eta = _orbital(lam)
-    pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
+    lam, _, eta, pert = _volume(cfg, sc["length"])
     rows = []
     for eps in (0.0, sc["eps"]):
         for r in sp0_diameter_scan(eta, pert, lam, eps, sc["depths"]):
@@ -1007,9 +978,8 @@ def cmd_sp0scan(cfg: dict, ctx: dict, jobs: int = 1) -> Report:
     return rep
 
 
-def cmd_all(cfg: dict, ctx: dict, jobs: int = 1) -> list[Report]:
-    return [PIPELINES[name](cfg, ctx, jobs)
-            for name in COMMANDS if name != "all"]
+def cmd_all(cfg: dict, ctx: dict) -> list[Report]:
+    return [PIPELINES[name](cfg, ctx) for name in COMMANDS if name != "all"]
 
 
 PIPELINES = {
@@ -1023,15 +993,15 @@ PIPELINES = {
 }
 
 
-def run(cfg: dict, commands, out_dir, jobs: int = 1) -> list[Report]:
+def run(cfg: dict, commands, out_dir) -> list[Report]:
     """Execute the requested pipelines and write their artifacts."""
     ctx: dict = {}
     reports: list[Report] = []
     for name in commands:
         if name == "all":
-            reports.extend(cmd_all(cfg, ctx, jobs))
+            reports.extend(cmd_all(cfg, ctx))
         else:
-            reports.append(PIPELINES[name](cfg, ctx, jobs))
+            reports.append(PIPELINES[name](cfg, ctx))
     write_artifacts(reports, out_dir, cfg["outputs"]["formats"])
     return reports
 
@@ -1050,42 +1020,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config merged over the defaults")
     parser.add_argument("--out", type=Path, default=None,
                         help="artifact directory (default from config)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for per-length sweeps")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed list with one seed")
-    parser.add_argument("--check", action="store_true",
-                        help="run the acceptance test suite and exit")
     return parser
-
-
-def run_acceptance() -> int:
-    path = Path("tests") / "test_acceptance.py"
-    if not path.exists():
-        print("acceptance suite not found (run from the repository root)",
-              file=sys.stderr)
-        return 2
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-v", str(path)])
-    return 0 if proc.returncode == 0 else 1
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.check:
-        return run_acceptance()
     if args.command is None:
         parser.print_usage(sys.stderr)
-        print("gaplab: a command is required (or --check)", file=sys.stderr)
+        print("gaplab: a command is required", file=sys.stderr)
         return 2
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seeds"] = [args.seed]
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
         out_dir = args.out or Path(cfg["outputs"]["directory"])
-        reports = run(cfg, [args.command], out_dir, jobs=args.jobs)
+        reports = run(cfg, [args.command], out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Interval
 
 __all__ = [
     "WeightSpec",

@@ -19,20 +19,14 @@ import scipy.sparse as sp
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
-    LocalOperator, ParityError, embed, jordan_wigner, operator_norm,
-    parity_grade,
+    LocalOperator, ParityError, _check_dense, jordan_wigner, kernel_count,
+    kernel_mask, operator_norm, parity_grade,
 )
 
 
 def default_anchor(support: Interval) -> int:
     """Site nearest the support center; ties go left."""
     return (support.a + support.b) // 2
-
-
-def interval_as_ball(support: Interval) -> tuple[int, int]:
-    """Re-key an interval [p, q] as a ball: center ceil((p+q)/2), radius ceil((q-p)/2)."""
-    p, q = support.a, support.b
-    return -((-(p + q)) // 2), -((-(q - p)) // 2)
 
 
 @dataclass
@@ -132,6 +126,7 @@ def local_hamiltonian(phi: Interaction, lam: Interval, sparse: bool = False):
         acc = acc + block
     if sparse:
         return acc
+    _check_dense(dim)
     return LocalOperator(acc.toarray(), lam, lam, phi.kind, d)
 
 
@@ -153,14 +148,14 @@ class UnperturbedReport:
     passed: bool
 
 
-def validate_unperturbed(build, volumes, tol: float = 1e-10,
-                         kernel_tol: float = 1e-9) -> UnperturbedReport:
+def validate_unperturbed(build, volumes) -> UnperturbedReport:
     """Frustration-freeness report for a model over probe volumes.
 
     ``build(lam)`` returns the interaction on ``lam``.  A model failing the
-    ground-energy-zero test is reported, not raised.  The gap candidate is the
-    smallest nonzero eigenvalue over the probes whose diameter reaches the
-    interaction range.
+    ground-energy-zero test (``|E_0| <= 1e-10 max(1, max|lambda|)``) is
+    reported, not raised.  The gap candidate is the smallest eigenvalue above
+    the kernel scale over the probes whose diameter reaches the interaction
+    range.
     """
     rows = []
     rng_max, bound_max = 0, 0.0
@@ -173,10 +168,10 @@ def validate_unperturbed(build, volumes, tol: float = 1e-10,
         evals = np.linalg.eigvalsh(h.matrix)
         scale = max(1.0, float(np.max(np.abs(evals))))
         ground = float(evals[0])
-        kdim = int(np.sum(np.abs(evals) <= kernel_tol * scale))
-        nonzero = evals[np.abs(evals) > kernel_tol * scale]
+        kdim = kernel_count(evals)
+        nonzero = evals[~kernel_mask(evals)]
         min_nonzero = float(nonzero[0]) if nonzero.size else np.inf
-        ok = abs(ground) <= tol * scale and kdim >= 1
+        ok = abs(ground) <= 1e-10 * scale and kdim >= 1
         rows.append(VolumeReport(lam, ground, min_nonzero, kdim, ok))
         passed = passed and ok
     eligible = [r.min_nonzero for r in rows if r.lam.diameter >= rng_max]
@@ -211,20 +206,19 @@ def split_edge_bulk(phi: Interaction, lam: Interval, D: int) -> EdgeBulkSplit:
                          replace(phi, terms=bulk_terms), D)
 
 
-def regroup_intervals(psi: Interaction, base_decay=None) -> Interaction:
+def regroup_intervals(psi: Interaction) -> Interaction:
     """Merge all terms sharing a support interval into a single term.
 
-    Local Hamiltonians on every subinterval are unchanged.  When a base decay
-    function is supplied (or carried by ``psi``), the regrouped interaction
-    carries the associated regrouped decay function.
+    Local Hamiltonians on every subinterval are unchanged.  When ``psi``
+    carries a base decay function, the regrouped interaction carries the
+    associated regrouped decay function.
     """
     merged: dict[Interval, np.ndarray] = psi.grouped()
     terms = [Term(LocalOperator(m, supp, supp, psi.kind, psi.local_dim))
              for supp, m in sorted(merged.items())]
     decay = None
-    base = base_decay or psi.decay
-    if isinstance(base, ffunction.FFunctionSpec):
-        decay = ffunction.regroup_decay(base)
+    if isinstance(psi.decay, ffunction.FFunctionSpec):
+        decay = ffunction.regroup_decay(psi.decay)
     return Interaction(terms, psi.kind, psi.local_dim, decay=decay,
                        ball_keyed=False)
 
@@ -243,23 +237,21 @@ def fermion_to_spin(phi: Interaction) -> Interaction:
 
 
 def random_interaction(lam: Interval, seed: int, n_terms: int = 6,
-                       max_diameter: int = 2, local_dim: int = 2,
-                       decay=None, complex_entries: bool = True) -> Interaction:
-    """Seeded random Hermitian interaction with interval supports in ``lam``."""
+                       max_diameter: int = 2, decay=None) -> Interaction:
+    """Seeded random Hermitian spin-1/2 interaction on intervals in ``lam``."""
     rng = np.random.default_rng(seed)
     terms = []
     for _ in range(n_terms):
         diam = int(rng.integers(0, max_diameter + 1))
         a = int(rng.integers(lam.a, lam.b - diam + 1))
         supp = Interval(a, a + diam)
-        dim = local_dim ** len(supp)
-        m = rng.standard_normal((dim, dim))
-        if complex_entries:
-            m = m + 1j * rng.standard_normal((dim, dim))
+        dim = 2 ** len(supp)
+        m = rng.standard_normal((dim, dim)) \
+            + 1j * rng.standard_normal((dim, dim))
         m = (m + m.conj().T) / 2.0
         m /= max(1.0, operator_norm(m))
-        terms.append(Term(LocalOperator(m, supp, lam, "spin", local_dim)))
-    return Interaction(terms, "spin", local_dim, decay=decay)
+        terms.append(Term(LocalOperator(m, supp, lam, "spin")))
+    return Interaction(terms, "spin", decay=decay)
 
 
 # ---------------------------------------------------------------------------

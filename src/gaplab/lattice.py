@@ -31,9 +31,6 @@ class Interval:
     def diameter(self):
         return self.b - self.a
 
-    def sites(self):
-        return range(self.a, self.b + 1)
-
     def intersection(self, other: "Interval"):
         """Overlap of two intervals, or None when they are disjoint."""
         lo, hi = max(self.a, other.a), min(self.b, other.b)

@@ -1,4 +1,4 @@
-r"""Local indistinguishability of kernel states, measured and fitted.
+r"""Local indistinguishability of kernel states, measured.
 
 For a volume ``V`` with kernel projector ``P`` and an observable ``A``
 supported on a subregion ``X``, the witness is
@@ -21,7 +21,7 @@ whenever the exact-zero certificate holds (then ``w = 0`` for every ``A``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,13 +96,13 @@ def _gradient_matrix(wt: WitnessTensor, u: np.ndarray, sign: float) -> np.ndarra
 
 
 def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
-                       iters: int = 200, tol: float = 1e-8,
-                       even_only: bool = False):
+                       iters: int = 200, even_only: bool = False):
     """Best witness value found over unit-norm Hermitian observables.
 
     Alternating ascent between the top eigenvector of ``M(A) - omega(A) 1``
     and the extreme-point observable ``A = V sign(Lambda) V*`` of the
-    linearized objective.  Returns ``(value, A)``; the value is a certified
+    linearized objective, stopped once a step gains less than ``1e-8`` in
+    relative terms.  Returns ``(value, A)``; the value is a certified
     lower bound on the supremum since ``A`` is explicit.
     """
     rng = np.random.default_rng(seed)
@@ -134,7 +134,7 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
             a_new = zvec @ np.diag(np.sign(zev + 1e-300)) @ zvec.conj().T
             a_new = project(a_new)
             val_new = wt.value(a_new)
-            if val_new - val <= tol * max(1.0, abs(val)):
+            if val_new - val <= 1e-8 * max(1.0, abs(val)):
                 if val_new > val:
                     a, val = a_new, val_new
                 break
@@ -155,73 +155,14 @@ class WitnessRow:
 
 
 def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
-                 a: np.ndarray | None = None, seed: int = 0,
-                 even_only: bool = False, restarts: int = 20,
+                 seed: int = 0, even_only: bool = False, restarts: int = 20,
                  iters: int = 200) -> WitnessRow:
     """Witness for the ball pair ``b(x, k) inside b(x, n)`` within ``lam``."""
     vol = ball(lam, x, n)
     region = ball(lam, x, k)
     wt = witness_tensor(eta, vol, region)
-    if a is not None:
-        value = wt.value(a) / np.linalg.norm(a, 2)
-    else:
-        value, _ = ascent_lower_bound(wt, seed=seed, even_only=even_only,
-                                      restarts=restarts, iters=iters)
+    value, _ = ascent_lower_bound(wt, seed=seed, even_only=even_only,
+                                  restarts=restarts, iters=iters)
     sep = cutoff(lam, x, n) - k
     dev = exact_zero_certificate(wt, even_only=even_only)
     return WitnessRow(x, n, k, sep, value, dev)
-
-
-@dataclass
-class LTQOProfile:
-    rows: list[WitnessRow] = field(default_factory=list)
-    fit_kind: str = ""
-    fit_params: tuple = ()
-
-    def pairs(self):
-        return [(r.separation, r.value) for r in self.rows]
-
-
-def fit_omega(pairs, kind: str = "geometric", zero_tol: float = 1e-9):
-    """Fit a decay profile to (separation, value) pairs.
-
-    geometric: value = C q^r        -> (C, q)
-    power:     value = C r^-p       -> (C, p)
-    step:      value = v0 [r < D]   -> (v0, D)
-    """
-    pairs = sorted(pairs)
-    if kind == "step":
-        v0 = max(v for _, v in pairs)
-        dead = [r for r, v in pairs if v <= zero_tol]
-        d = min(dead) if dead else max(r for r, _ in pairs) + 1
-        return float(v0), int(d)
-    live = [(r, v) for r, v in pairs if v > zero_tol]
-    if len(live) < 2:
-        raise ValueError("need at least two live points to fit a decay")
-    r = np.array([p[0] for p in live], dtype=float)
-    v = np.log([p[1] for p in live])
-    if kind == "geometric":
-        slope, intercept = np.polyfit(r, v, 1)
-        return float(np.exp(intercept)), float(np.exp(slope))
-    if kind == "power":
-        if np.any(r <= 0):
-            raise ValueError("power fit needs positive separations")
-        slope, intercept = np.polyfit(np.log(r), v, 1)
-        return float(np.exp(intercept)), float(-slope)
-    raise ValueError(f"unknown fit kind {kind!r}")
-
-
-def ltqo_profile(eta: Interaction, lam: Interval, probes,
-                 fit_kind: str = "geometric", seed: int = 0,
-                 even_only: bool = False, restarts: int = 20,
-                 iters: int = 200) -> LTQOProfile:
-    """Run witness probes ``(x, n, k)`` and fit the requested decay."""
-    rows = [ltqo_witness(eta, lam, x, n, k, seed=seed + i, even_only=even_only,
-                         restarts=restarts, iters=iters)
-            for i, (x, n, k) in enumerate(probes)]
-    prof = LTQOProfile(rows=rows, fit_kind=fit_kind)
-    try:
-        prof.fit_params = fit_omega(prof.pairs(), kind=fit_kind)
-    except ValueError:
-        prof.fit_params = ()
-    return prof

@@ -83,12 +83,13 @@ def paired_orbital_model(window: Interval) -> OrbitalModel:
     return OrbitalModel(fs, gs, R=1, N0=2)
 
 
-def validate_model(model: OrbitalModel, window: Interval, tol: float = 1e-12):
-    """Check joint orthonormality, same-family ball disjointness and spanning."""
+def validate_model(model: OrbitalModel, window: Interval):
+    """Check joint orthonormality (to 1e-12), same-family ball disjointness
+    and spanning."""
     all_orbs = model.f_orbitals + model.g_orbitals
     mat = np.stack([o.vector(window) for o in all_orbs])
     gram = mat @ mat.T
-    if np.max(np.abs(gram - np.eye(len(all_orbs)))) > tol:
+    if np.max(np.abs(gram - np.eye(len(all_orbs)))) > 1e-12:
         raise ValueError("orbital family is not jointly orthonormal")
     for family in (model.f_orbitals, model.g_orbitals):
         balls = sorted((o.center - model.R, o.center + model.R) for o in family)
@@ -127,13 +128,14 @@ def orbital_interaction(model: OrbitalModel, lam: Interval) -> Interaction:
     return Interaction(terms, "fermion", 2)
 
 
-def auxiliary_basis(model: OrbitalModel, lam: Interval, tol: float = 1e-12) -> np.ndarray:
+def auxiliary_basis(model: OrbitalModel, lam: Interval) -> np.ndarray:
     """Orthonormal completion of the retained orbitals on ``lam``.
 
     Returns an ``(len(lam), n_aux)`` array whose columns complete the kept
     f/g vectors to an orthonormal basis of the one-particle space.  The
     completion always fits outside the depth-``3R`` interior and has at most
-    ``6R`` columns; volumes of diameter ``<= N0`` are rejected.
+    ``6R`` columns; volumes of diameter ``<= N0`` are rejected.  Singular
+    values and interior entries below 1e-12 count as zero.
     """
     if lam.diameter <= model.N0:
         raise ValueError(f"volume {lam} too small: diameter <= {model.N0}")
@@ -145,7 +147,7 @@ def auxiliary_basis(model: OrbitalModel, lam: Interval, tol: float = 1e-12) -> n
     if kept:
         mat = np.stack(kept)            # (n_orb, n)
         _, sing, vt = np.linalg.svd(mat, full_matrices=True)
-        rank = int(np.sum(sing > tol))
+        rank = int(np.sum(sing > 1e-12))
         aux = vt[rank:].T               # (n, n_aux)
     else:
         aux = np.eye(n)
@@ -154,7 +156,7 @@ def auxiliary_basis(model: OrbitalModel, lam: Interval, tol: float = 1e-12) -> n
     inner = interior(lam, 3 * model.R)
     if inner is not None and aux.size:
         rows = [s - lam.a for s in inner]
-        if np.max(np.abs(aux[rows, :])) > tol:
+        if np.max(np.abs(aux[rows, :])) > 1e-12:
             raise ValueError("completion vector reaches the interior")
     return aux
 

@@ -57,6 +57,23 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m), 2))
 
 
+def kernel_mask(evals) -> np.ndarray:
+    """Eigenvalues at the kernel scale, |lambda| <= 1e-9 max(1, max|lambda|).
+
+    The cut is two-sided, so an eigenvalue below zero by more than rounding
+    never counts as kernel; on the positive semidefinite operators of a
+    frustration-free model it agrees with the one-sided ``lambda <= cut``.
+    """
+    evals = np.asarray(evals)
+    scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
+    return np.abs(evals) <= 1e-9 * scale
+
+
+def kernel_count(evals) -> int:
+    """Number of eigenvalues at the kernel scale (see ``kernel_mask``)."""
+    return int(np.sum(kernel_mask(evals)))
+
+
 def _check_dense(dim):
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
@@ -99,8 +116,9 @@ class LocalOperator:
     def dagger(self):
         return replace(self, matrix=self.matrix.conj().T.copy())
 
-    def is_hermitian(self, tol=1e-12):
-        return np.allclose(self.matrix, self.matrix.conj().T, atol=tol * max(1.0, self.norm()))
+    def is_hermitian(self):
+        return np.allclose(self.matrix, self.matrix.conj().T,
+                           atol=1e-12 * max(1.0, self.norm()))
 
     def __add__(self, other):
         if not isinstance(other, LocalOperator):
@@ -120,34 +138,37 @@ class LocalOperator:
     __rmul__ = __mul__
 
 
-def identity(lam: Interval, kind="spin", local_dim=2, ambient=None) -> LocalOperator:
-    dim = local_dim ** len(lam)
-    _check_dense(dim)
-    return LocalOperator(np.eye(dim, dtype=complex), lam, ambient or lam,
-                         kind, local_dim)
+def as_matrix(a) -> np.ndarray:
+    """The matrix of a LocalOperator, or ``a`` itself as an array."""
+    return a.matrix if isinstance(a, LocalOperator) else np.asarray(a)
+
+
+def _popcount(n_sites: int) -> np.ndarray:
+    """Occupied sites of every basis state on n_sites (local dimension 2)."""
+    v = np.arange(2 ** n_sites)
+    pop = np.zeros_like(v)
+    while v.any():
+        pop += v & 1
+        v >>= 1
+    return pop
 
 
 def parity_matrix(n_sites: int) -> np.ndarray:
     """Diagonal of (-1)^(number of occupied sites) on n_sites, local dim 2."""
-    idx = np.arange(2 ** n_sites)
-    pop = np.zeros_like(idx)
-    v = idx.copy()
-    while v.any():
-        pop += v & 1
-        v >>= 1
-    return np.where(pop % 2 == 0, 1.0, -1.0)
+    return np.where(_popcount(n_sites) % 2 == 0, 1.0, -1.0)
 
 
-def parity_grade(op: LocalOperator, tol: float = 1e-12) -> str:
-    """Grade of a local-dimension-2 operator under the occupancy parity: even/odd/mixed."""
+def parity_grade(op: LocalOperator) -> str:
+    """Grade of a local-dimension-2 operator under the occupancy parity:
+    even/odd/mixed, to a relative 1e-12."""
     if op.local_dim != 2:
         raise ValueError("parity grading needs local dimension 2")
     p = parity_matrix(len(op.support))
     conj = p[:, None] * op.matrix * p[None, :]
     scale = max(1.0, op.norm())
-    if np.max(np.abs(conj - op.matrix)) <= tol * scale:
+    if np.max(np.abs(conj - op.matrix)) <= 1e-12 * scale:
         return "even"
-    if np.max(np.abs(conj + op.matrix)) <= tol * scale:
+    if np.max(np.abs(conj + op.matrix)) <= 1e-12 * scale:
         return "odd"
     return "mixed"
 
@@ -199,14 +220,8 @@ def mode_annihilator(lam: Interval, coeffs: dict) -> LocalOperator:
 
 def number_operator(lam: Interval) -> LocalOperator:
     """Total occupancy N = sum_x a*(x) a(x); diagonal popcount matrix."""
-    n = len(lam)
-    _check_dense(2 ** n)
-    idx = np.arange(2 ** n)
-    pop = np.zeros_like(idx)
-    v = idx.copy()
-    while v.any():
-        pop += v & 1
-        v >>= 1
+    _check_dense(2 ** len(lam))
+    pop = _popcount(len(lam))
     return LocalOperator(np.diag(pop.astype(complex)), lam, lam, "fermion")
 
 

@@ -17,7 +17,8 @@ import scipy.sparse.linalg as spla
 
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, local_hamiltonian
-from .operator_algebra import LocalOperator, operator_norm
+from .operator_algebra import LocalOperator, as_matrix, embed, kernel_count, \
+    kernel_mask, operator_norm
 
 
 class FrustrationError(ValueError):
@@ -28,44 +29,34 @@ class RefinementError(RuntimeError):
     """Eigenvalue clusters could not be tracked at the configured resolution."""
 
 
-def _as_matrix(h):
-    return h.matrix if isinstance(h, LocalOperator) else np.asarray(h)
+def diagonalize(h):
+    """Full eigendecomposition with a residual certificate.
 
-
-def diagonalize(h, residual_tol: float = 1e-10):
-    """Full eigendecomposition with a residual certificate."""
-    m = _as_matrix(h)
+    The residual ``max|H V - V Lambda|`` must stay within
+    ``1e-10 max(1, max|lambda|)``.
+    """
+    m = as_matrix(h)
     evals, evecs = np.linalg.eigh(m)
     scale = max(1.0, float(np.max(np.abs(evals))))
     resid = np.max(np.abs(m @ evecs - evecs * evals[None, :]))
-    if resid > residual_tol * scale:
+    if resid > 1e-10 * scale:
         raise RuntimeError(f"eigensolver residual {resid:.3e} above tolerance")
     return evals, evecs
 
 
-def kernel_threshold(evals) -> float:
-    scale = max(1.0, float(np.max(np.abs(evals)))) if len(evals) else 1.0
-    return 1e-9 * scale
-
-
-def ground_projector(h, tol: float | None = None) -> np.ndarray:
-    """Projector onto the kernel-scale eigenvalues of a frustration-free operator."""
+def kernel_basis_dense(h) -> np.ndarray:
+    """Orthonormal eigenvectors of the kernel-scale eigenvalues."""
     evals, evecs = diagonalize(h)
-    cut = tol if tol is not None else kernel_threshold(evals)
-    mask = evals <= cut
-    if not np.any(mask):
-        raise FrustrationError("no eigenvalue at the kernel scale")
-    v = evecs[:, mask]
-    return v @ v.conj().T
-
-
-def kernel_basis_dense(h, tol: float | None = None) -> np.ndarray:
-    evals, evecs = diagonalize(h)
-    cut = tol if tol is not None else kernel_threshold(evals)
-    mask = evals <= cut
+    mask = kernel_mask(evals)
     if not np.any(mask):
         raise FrustrationError("no eigenvalue at the kernel scale")
     return evecs[:, mask]
+
+
+def ground_projector(h) -> np.ndarray:
+    """Projector onto the kernel-scale eigenvalues of a frustration-free operator."""
+    v = kernel_basis_dense(h)
+    return v @ v.conj().T
 
 
 def kernel_basis(h, max_dense: int = 2500, expect: int = 8):
@@ -112,13 +103,13 @@ def gap_curve(h0, psi, eps_grid, cluster_dim: int | None = None,
     ``|step| * |psi| < (gamma_left + gamma_right)/2``; failing pairs are
     bisected up to ``max_depth`` halvings.
     """
-    m0 = _as_matrix(h0)
-    mp = _as_matrix(psi)
+    m0 = as_matrix(h0)
+    mp = as_matrix(psi)
     psi_norm = operator_norm(mp)
 
     ev0 = np.linalg.eigvalsh(m0)
     if cluster_dim is None:
-        cluster_dim = int(np.sum(ev0 <= kernel_threshold(ev0)))
+        cluster_dim = kernel_count(ev0)
         if cluster_dim == 0:
             raise FrustrationError("no kernel eigenvalues to track")
 
@@ -171,12 +162,6 @@ class ProjectorFamily:
         return len(self.locals)
 
 
-def _embed_projector(p_local: np.ndarray, supp: Interval, lam: Interval, d: int):
-    nl = supp.a - lam.a
-    nr = lam.b - supp.b
-    return np.kron(np.eye(d ** nl), np.kron(p_local, np.eye(d ** nr)))
-
-
 def resolution_family(eta: Interaction, lam: Interval, x: int) -> ProjectorFamily:
     """Ball kernel projectors around ``x`` and the telescoped resolution."""
     inner = interior(lam, 2)
@@ -189,7 +174,7 @@ def resolution_family(eta: Interaction, lam: Interval, x: int) -> ProjectorFamil
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)
         pb = ground_projector(local_hamiltonian(eta.restricted(b), b))
-        locals_.append(_embed_projector(pb, b, lam, d))
+        locals_.append(embed(LocalOperator(pb, b, lam, "spin", d), lam).matrix)
     dim = P.shape[0]
     E = [np.eye(dim) - locals_[0]]
     for n in range(2, r_x + 1):
@@ -226,8 +211,8 @@ def higher_gap_track(h0, psi, eps_grid, nu: float, mu: float):
     ``gamma(nu, mu, eps) = min{lam_i(eps): lam_i(0) >= mu}
     - max{lam_i(eps): lam_i(0) <= nu}``.
     """
-    m0 = _as_matrix(h0)
-    mp = _as_matrix(psi)
+    m0 = as_matrix(h0)
+    mp = as_matrix(psi)
     ev0 = np.linalg.eigvalsh(m0)
     lo = np.where(ev0 <= nu)[0]
     hi = np.where(ev0 >= mu)[0]
@@ -251,7 +236,7 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     """
     h0 = local_hamiltonian(eta, lam)
     ev0 = np.linalg.eigvalsh(h0.matrix)
-    kdim = int(np.sum(ev0 <= kernel_threshold(ev0)))
+    kdim = kernel_count(ev0)
     rows = []
     for depth in depths:
         inner = interior(lam, depth)

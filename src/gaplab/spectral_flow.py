@@ -36,8 +36,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, local_hamiltonian
-from .operator_algebra import (LocalOperator, conditional_expectation,
-                               delta_layer, embed, operator_norm)
+from .operator_algebra import (LocalOperator, as_matrix,
+                               conditional_expectation, delta_layer, embed,
+                               kernel_count, operator_norm)
 from .spectra import ProjectorFamily, cluster_projector, diagonalize
 
 
@@ -79,15 +80,16 @@ class Window:
 def eigenbasis_generator(h, psi, window: Window) -> np.ndarray:
     """D = sum_ij i wtilde(E_i - E_j) Psi_ij |i><j| in the computational basis."""
     evals, evecs = diagonalize(h)
-    psi_eig = evecs.conj().T @ _mat(psi) @ evecs
+    psi_eig = evecs.conj().T @ as_matrix(psi) @ evecs
     omega = evals[:, None] - evals[None, :]
     d_eig = 1j * window.weight(omega) * psi_eig
     return evecs @ d_eig @ evecs.conj().T
 
 
-def time_weight(s, window: Window, n_omega: int = 200):
-    """W(s) = 1/2 - (1/pi) int_0^{gamma/2} beta(w) sin(ws)/w dw (Gauss-Legendre)."""
-    x, wq = leggauss(n_omega)
+def time_weight(s, window: Window):
+    """W(s) = 1/2 - (1/pi) int_0^{gamma/2} beta(w) sin(ws)/w dw
+    (200-node Gauss-Legendre)."""
+    x, wq = leggauss(200)
     half = 0.5 * window.gamma
     nodes = 0.5 * half * (x + 1.0)
     weights = 0.5 * half * wq
@@ -98,18 +100,28 @@ def time_weight(s, window: Window, n_omega: int = 200):
     return 0.5 - integ / np.pi
 
 
-def filter_identity_residual(window: Window, omegas, t_max=None,
-                             panels_per_period: int = 6, nodes: int = 8):
-    """Max error of the s-quadrature of 2 int W(s) sin(ws) ds vs (1-beta(w))/w."""
-    omegas = np.asarray(omegas, dtype=float)
+def _time_panels(window: Window, omegas, t_max):
+    """Gauss-Legendre nodes and weights on [0, t_max] resolving ``omegas``.
+
+    Eight nodes per panel and at least six panels per period of the fastest
+    frequency (never fewer than 40 panels); ``t_max`` defaults to
+    ``60 / gamma``.
+    """
     t_max = t_max if t_max is not None else 60.0 / window.gamma
     wmax = max(float(np.max(np.abs(omegas))), window.gamma)
-    n_panels = max(40, int(np.ceil(t_max * wmax * panels_per_period / (2 * np.pi))))
-    x, wq = leggauss(nodes)
+    n_panels = max(40, int(np.ceil(t_max * wmax * 6 / (2 * np.pi))))
+    x, wq = leggauss(8)
     edges = np.linspace(0.0, t_max, n_panels + 1)
     mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     s_pts = (mids[:, None] + halfw[:, None] * x[None, :]).ravel()
     s_wts = (halfw[:, None] * wq[None, :]).ravel()
+    return s_pts, s_wts
+
+
+def filter_identity_residual(window: Window, omegas, t_max=None):
+    """Max error of the s-quadrature of 2 int W(s) sin(ws) ds vs (1-beta(w))/w."""
+    omegas = np.asarray(omegas, dtype=float)
+    s_pts, s_wts = _time_panels(window, omegas, t_max)
     w_vals = time_weight(s_pts, window)
     lhs = 2.0 * np.einsum("s,sw->w", s_wts * w_vals,
                           np.sin(np.outer(s_pts, omegas)))
@@ -117,21 +129,13 @@ def filter_identity_residual(window: Window, omegas, t_max=None,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def time_quadrature_generator(h, psi, window: Window, t_max=None,
-                              panels_per_period: int = 6,
-                              nodes: int = 8) -> np.ndarray:
+def time_quadrature_generator(h, psi, window: Window,
+                              t_max=None) -> np.ndarray:
     """D = int_0^T W(s)[tau_s(Psi) - tau_{-s}(Psi)] ds, panelwise Gauss-Legendre."""
     evals, evecs = diagonalize(h)
-    psi_eig = evecs.conj().T @ _mat(psi) @ evecs
+    psi_eig = evecs.conj().T @ as_matrix(psi) @ evecs
     omega = evals[:, None] - evals[None, :]
-    t_max = t_max if t_max is not None else 60.0 / window.gamma
-    wmax = max(float(np.max(np.abs(omega))), window.gamma)
-    n_panels = max(40, int(np.ceil(t_max * wmax * panels_per_period / (2 * np.pi))))
-    x, wq = leggauss(nodes)
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    s_pts = (mids[:, None] + halfw[:, None] * x[None, :]).ravel()
-    s_wts = (halfw[:, None] * wq[None, :]).ravel()
+    s_pts, s_wts = _time_panels(window, omega, t_max)
     w_vals = time_weight(s_pts, window)
     # [tau_s(Psi) - tau_{-s}(Psi)]_ij = 2i sin(omega_ij s) Psi_ij in eigenbasis
     coeff = s_wts * w_vals
@@ -143,10 +147,6 @@ def time_quadrature_generator(h, psi, window: Window, t_max=None,
             np.sin(s_pts[chunk, None, None] * omega[None, :, :]))
     d_eig = 2j * kernel * psi_eig
     return evecs @ d_eig @ evecs.conj().T
-
-
-def _mat(a):
-    return a.matrix if isinstance(a, LocalOperator) else np.asarray(a)
 
 
 def _polar_unitary(u: np.ndarray) -> np.ndarray:
@@ -175,28 +175,27 @@ class FlowResult:
     def transported_coupling(self, h0, psi) -> np.ndarray:
         """V(eps) = U* (H0 + eps Psi) U - H0, from the final unitary."""
         u = self.unitaries[-1]
-        h_eps = _mat(h0) + self.eps * _mat(psi)
-        return u.conj().T @ h_eps @ u - _mat(h0)
+        h_eps = as_matrix(h0) + self.eps * as_matrix(psi)
+        return u.conj().T @ h_eps @ u - as_matrix(h0)
 
 
 def flow_unitaries(h0, psi, eps: float, window: Window,
                    checkpoints: int = 33, cluster_dim: int | None = None,
-                   ode_tol: float = 1e-8, max_refine: int = 8) -> FlowResult:
+                   ode_tol: float = 1e-8) -> FlowResult:
     """Integrate U' = i D(s) U to ``eps`` with RK4, re-unitarizing each step.
 
-    The step count doubles until two consecutive refinements agree to
-    ``ode_tol`` at every checkpoint.  Along the way the tracked gap of
-    ``H(s)`` is monitored against the filter width and the transported
-    projector is compared with the spectral one.
+    The step count doubles, at most eight times, until two consecutive
+    refinements agree to ``ode_tol`` at every checkpoint.  Along the way
+    the tracked gap of ``H(s)`` is monitored against the filter width and
+    the transported projector is compared with the spectral one.
     """
-    m0, mp = _mat(h0), _mat(psi)
+    m0, mp = as_matrix(h0), as_matrix(psi)
     if checkpoints % 2 == 0:
         checkpoints += 1
     grid = np.linspace(0.0, eps, checkpoints)
 
     if cluster_dim is None:
-        ev0 = np.linalg.eigvalsh(m0)
-        cluster_dim = int(np.sum(ev0 <= 1e-9 * max(1.0, np.max(np.abs(ev0)))))
+        cluster_dim = kernel_count(np.linalg.eigvalsh(m0))
 
     gen_cache: dict[float, np.ndarray] = {}
 
@@ -226,7 +225,7 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
 
     substeps, prev = 1, integrate(1)
     err = np.inf
-    for _ in range(max_refine):
+    for _ in range(8):
         substeps *= 2
         cur = integrate(substeps)
         err = max(operator_norm(c - p) for c, p in zip(cur, prev))
@@ -301,7 +300,7 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
         raise ValueError("upto must be even so Simpson panels close")
     h0 = local_hamiltonian(eta, lam)
     hp = local_hamiltonian(psi, lam)
-    m0, mp = _mat(h0), _mat(hp)
+    m0, mp = h0.matrix, hp.matrix
     grid = flow.eps_grid[:upto + 1]
     dim = m0.shape[0]
 
@@ -413,8 +412,8 @@ class ThetaAssembly:
     annihilation_error: float   # max_n |P_{b(x,n)} Theta_beta(n)|
 
 
-def theta_assembly(dec: Phi1Decomposition, family: ProjectorFamily,
-                   omega_state: np.ndarray | None = None) -> ThetaAssembly:
+def theta_assembly(dec: Phi1Decomposition,
+                   family: ProjectorFamily) -> ThetaAssembly:
     """Regroup ``Q (Phi^1_x)_0 Q`` into ball-localized and boundary parts.
 
     With ``Phi^1_k = Phi^1(b_x(k)) - omega(Phi^1(b_x(k))) 1`` and the
@@ -440,8 +439,7 @@ def theta_assembly(dec: Phi1Decomposition, family: ProjectorFamily,
     p_full = family.P
     q_full = np.eye(dim) - p_full
 
-    if omega_state is None:
-        omega_state = p_full / np.trace(p_full).real
+    omega_state = p_full / np.trace(p_full).real
 
     balls = {n: family.locals[n - 1] for n in range(1, r_x + 1)}
     qs = {n: np.eye(dim) - balls[n] for n in range(1, r_x + 1)}

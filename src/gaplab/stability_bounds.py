@@ -37,6 +37,7 @@ import numpy as np
 from .ffunction import DerivedFSpec, geometric_tail, poly_tail
 from .interaction import Interaction, local_hamiltonian, split_edge_bulk
 from .lattice import Interval
+from .operator_algebra import as_matrix, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,11 @@ def _f0_values(f0, r):
     return f0(r)
 
 
+def _bracket(sq: OmegaProfile, f0, n):
+    """``sqrt(Omega)((n-1)/2) + F_0((n-3)/2)``, given ``sq = Omega.sqrt()``."""
+    return sq(0.5 * (n - 1)) + _f0_values(f0, 0.5 * (n - 3))
+
+
 # ---------------------------------------------------------------------------
 # the J series
 
@@ -135,12 +141,7 @@ class JConstants:
     j1: float
     j2: float
     j3: float
-    c: float
-    truncation: int
     tails: tuple
-
-    def bracket_sums(self):
-        return self.j1, self.j2, self.j3
 
 
 def j_constants(c: float, omega: OmegaProfile, f0,
@@ -157,7 +158,7 @@ def j_constants(c: float, omega: OmegaProfile, f0,
     n = np.arange(1, T + 1, dtype=float)
     sq = omega.sqrt()
 
-    bracket = sq(0.5 * (n - 1)) + _f0_values(f0, 0.5 * (n - 3))
+    bracket = _bracket(sq, f0, n)
     t1 = (_omega_tail(sq, 0.5, -1.0, T, 1) + _f0_tail(f0, 0.5, -3.0, T, 1))
     j1 = 40.0 * c * (float(np.sum(n * bracket)) + t1)
 
@@ -173,7 +174,7 @@ def j_constants(c: float, omega: OmegaProfile, f0,
     j3 = ((omega(0.0) + 2.0 * _f0_values(f0, 0.0))
           + 2.0 * (float(np.sum(body3)) + t3))
 
-    return JConstants(j1, j2, j3, c, T, (40.0 * c * t1, 40.0 * c * t2, 2.0 * t3))
+    return JConstants(j1, j2, j3, (40.0 * c * t1, 40.0 * c * t2, 2.0 * t3))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +193,7 @@ def edge_bulk_strengths(phi: Interaction, lam: Interval, depth: int,
     split = split_edge_bulk(phi, lam, depth)
     interior_fnorm = split.bulk.f_norm(fspec) if split.bulk.terms else 0.0
     if split.edge.terms:
-        edge_norm = float(np.linalg.norm(
-            local_hamiltonian(split.edge, lam).matrix, 2))
+        edge_norm = operator_norm(local_hamiltonian(split.edge, lam).matrix)
     else:
         edge_norm = 0.0
     return VolumeStrengths(lam, interior_fnorm, edge_norm)
@@ -239,26 +239,18 @@ class BoundConstants:
 
     @property
     def delta(self) -> float:
-        return self.j.j2 * self.strengths
+        return volume_form_constants(self, self.m_int)[0]
 
     @property
     def beta(self) -> float:
-        return 3.0 / self.gamma0 * self.j.j1 * self.strengths
+        """Also the slope ``p`` of the window-edge tilt: the uniform strength
+        already enters ``beta`` here."""
+        return volume_form_constants(self, self.m_int)[1]
 
     @property
     def alpha(self) -> float:
-        return self.c * self.strengths * (self.j.j3 + 4.0) + self.delta
-
-    @property
-    def p(self) -> float:
-        """Slope of the window-edge tilt; coincides with ``beta`` because the
-        uniform strength already enters ``beta`` here."""
-        return self.beta
-
-    @property
-    def q(self) -> float:
-        """Window-edge offset; coincides with ``alpha`` for the same reason."""
-        return self.alpha
+        """Also the window-edge offset ``q``, for the same reason."""
+        return volume_form_constants(self, self.m_int)[2]
 
     @property
     def m(self) -> float:
@@ -299,7 +291,7 @@ class BoundConstants:
         T = int(truncation)
         sq = self.omega.sqrt()
         n = np.arange(max(min_n, 1), T + 1, dtype=float)
-        bracket = sq(0.5 * (n - 1)) + _f0_values(self.f0, 0.5 * (n - 3))
+        bracket = _bracket(sq, self.f0, n)
         partial = float(np.sum((3.0 * n + 2.0) * bracket))
         t_deg1 = (_omega_tail(sq, 0.5, -1.0, T, 1)
                   + _f0_tail(self.f0, 0.5, -3.0, T, 1))
@@ -341,26 +333,24 @@ def kappa_bound(bc: BoundConstants, n: int, eps: float,
                 phi_fnorm: float | None = None) -> float:
     """kappa(n, eps), with the volume's own interior F-norm if supplied."""
     s = bc.eta_fnorm + (phi_fnorm if phi_fnorm is not None else bc.m_int)
-    sq = bc.omega.sqrt()
-    return 20.0 * bc.c * eps * s * (sq(0.5 * (n - 1))
-                                    + _f0_values(bc.f0, 0.5 * (n - 3)))
+    return 20.0 * bc.c * eps * s * _bracket(bc.omega.sqrt(), bc.f0, n)
 
 
 def fermion_constants(bc: BoundConstants):
     """The packaged chain constants: m' = m + 2 M_D, eps' = min{1, gamma0/m'}."""
-    m_prime = bc.m_total
-    return m_prime, min(1.0, bc.gamma0 / m_prime)
+    return bc.m_total, bc.eps_threshold
 
 
 def higher_gap_bound(bc: BoundConstants, gamma: float, top: float, eps):
-    """(1 - p eps) gamma - 2 (q + p T + M_D) eps for a window below ``top``."""
-    p, q = bc.p, bc.q
+    """(1 - p eps) gamma - 2 (q + p T + M_D) eps for a window below ``top``,
+    with ``p = beta`` and ``q = alpha``."""
+    p, q = bc.beta, bc.alpha
     eps = np.asarray(eps, dtype=float)
     return (1.0 - p * eps) * gamma - 2.0 * (q + p * top + bc.m_d) * eps
 
 
 def higher_gap_threshold(bc: BoundConstants, gamma: float, top: float) -> float:
-    p, q = bc.p, bc.q
+    p, q = bc.beta, bc.alpha
     return min(1.0, gamma / (p * gamma + 2.0 * (q + p * top + bc.m_d)))
 
 
@@ -405,8 +395,7 @@ def verify_form_bound(h0, phi2, delta: float, beta: float, eps: float,
     unperturbed Hamiltonian, reports margins with an additive ``1e-10``
     allowance.  Violations are counted, not raised.
     """
-    h = h0.matrix if hasattr(h0, "matrix") else np.asarray(h0)
-    p2 = phi2.matrix if hasattr(phi2, "matrix") else np.asarray(phi2)
+    h, p2 = as_matrix(h0), as_matrix(phi2)
     dim = h.shape[0]
     envelope = beta * eps * h + delta * eps * np.eye(dim)
     ev_plus = np.linalg.eigvalsh(envelope + p2)
@@ -433,12 +422,3 @@ def volume_form_constants(bc: BoundConstants, phi_int_fnorm: float):
     beta = 3.0 / bc.gamma0 * bc.j.j1 * s
     alpha = bc.c * s * (bc.j.j3 + 4.0) + delta
     return delta, beta, alpha
-
-
-def form_bound_constants(bc: BoundConstants, phi_int_fnorm: float = None):
-    """(delta, beta, alpha, p, q): the volume's form constants plus the
-    uniform window constants (the latter always use the supremum strength)."""
-    if phi_int_fnorm is None:
-        phi_int_fnorm = bc.m_int
-    delta, beta, alpha = volume_form_constants(bc, phi_int_fnorm)
-    return delta, beta, alpha, bc.p, bc.q

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per advertised package guarantee.
 
-Run with ``pytest -v tests/test_acceptance.py`` (or ``gaplab --check``) to get
-a single pass/fail line per guarantee.  The heavy shared fixtures — the
-spectral-flow bundle and the certified-constants bundle — are built once per
-module and reused by the later tests, so the whole file stays well inside a
-15-minute budget on a single core.
+Run with ``pytest -v tests/test_acceptance.py`` to get a single pass/fail
+line per guarantee.  The heavy shared fixtures — the spectral-flow bundle
+and the certified-constants bundle — are built once per module and reused
+by the later tests, so the whole file stays well inside a 15-minute budget
+on a single core.
 """
 
 import time
@@ -12,17 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from gaplab.cli import (_orbital, _perturbation, _window, base_envelope,
+from gaplab.cli import (_orbital, _volume, _window, base_envelope,
                         constants_bundle, flow_bundle, merged_config)
 from gaplab.interaction import (fermion_to_spin, local_hamiltonian,
                                 random_interaction, regroup_intervals)
 from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.ltqo import ltqo_witness
 from gaplab.models import aklt_interaction, auxiliary_basis, kernel_data
-from gaplab.operator_algebra import operator_norm, parity_grade
-from gaplab.spectra import (gap_curve, higher_gap_track, kernel_threshold,
-                            resolution_family, sigma_projection,
-                            sp0_diameter_scan)
+from gaplab.operator_algebra import kernel_count, operator_norm, parity_grade
+from gaplab.spectra import (gap_curve, higher_gap_track, resolution_family,
+                            sigma_projection, sp0_diameter_scan)
 from gaplab.spectral_flow import (decompose_phi1, eigenbasis_generator,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator)
@@ -49,7 +48,7 @@ def test_01_orbital_model_structure(cfg):
             lam = _window(length, offset)
             model, eta = _orbital(lam)
             evals = np.linalg.eigvalsh(local_hamiltonian(eta, lam).matrix)
-            kdim = int(np.sum(evals <= kernel_threshold(evals)))
+            kdim = kernel_count(evals)
             kexp, free = kernel_data(model, lam)
 
             assert abs(evals[0]) <= 1e-10, f"ground energy on {lam}"
@@ -108,7 +107,7 @@ def test_03_aklt_ltqo_decay(cfg):
         eta = aklt_interaction(lam)
         evals = np.linalg.eigvalsh(local_hamiltonian(eta, lam).matrix)
         assert abs(evals[0]) <= 1e-10, f"ground energy on {lam}"
-        kdim = int(np.sum(evals <= kernel_threshold(evals)))
+        kdim = kernel_count(evals)
         assert kdim == 4, f"kernel dimension on {lam}"
 
         x = (lam.a + lam.b) // 2
@@ -281,7 +280,7 @@ def test_10_constants_ledger_and_gap_non_closing(cfg, ctx):
     bc = cb["bc"]
 
     for value in (bc.j.j1, bc.j.j2, bc.j.j3, bc.m, bc.eps_threshold,
-                  bc.p, bc.q):
+                  bc.beta, bc.alpha):
         assert np.isfinite(value) and value > 0
     assert len(bc.j.tails) == 3
     assert all(np.isfinite(t) and t >= 0 for t in bc.j.tails)
@@ -297,9 +296,7 @@ def test_10_constants_ledger_and_gap_non_closing(cfg, ctx):
 
     n_positive = n_vacuous = 0
     for length in (8, 10, 12):
-        lam = _window(length, 1)
-        model, eta = _orbital(lam)
-        pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
+        lam, model, eta, pert = _volume(cfg, length)
         kdim, _ = kernel_data(model, lam)
         h0 = local_hamiltonian(eta, lam).matrix
         hp = local_hamiltonian(pert, lam).matrix
@@ -325,9 +322,7 @@ def test_11_low_cluster_diameter_trend(cfg):
     """With the perturbation pushed deeper into the interior, the diameter
     of the tracked low cluster never grows (1e-8 slack), and it is exactly
     zero at coupling zero."""
-    lam = _window(cfg["sp0"]["length"], 1)
-    _, eta = _orbital(lam)
-    pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
+    lam, _, eta, pert = _volume(cfg, cfg["sp0"]["length"])
     depths = cfg["sp0"]["depths"]
     assert list(depths) == [2, 3, 4, 5] and len(lam) == 12
 

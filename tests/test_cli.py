@@ -6,6 +6,9 @@ import pytest
 from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         load_config, main, merged_config, run, summary_lines,
                         write_artifacts)
+from gaplab.interaction import to_json
+from gaplab.lattice import Interval
+from gaplab.models import orbital_interaction, paired_orbital_model
 
 
 # --- configuration ------------------------------------------------------------------
@@ -34,6 +37,21 @@ def test_type_errors_are_reported():
         merged_config({"gamma": "wide"})
     with pytest.raises(ConfigError, match="expected a list"):
         merged_config({"lengths": 8})
+    with pytest.raises(ConfigError, match="D: expected an integer"):
+        merged_config({"D": True})
+    # every field whose default is an integer takes integers only
+    with pytest.raises(ConfigError) as err:
+        merged_config({"lengths": [6.5], "D": 3.0, "seeds": [7.5],
+                       "eps_grid": {"steps": 11.0},
+                       "constants": {"truncation": 2000.5},
+                       "flow": {"length": 8.0, "max_radius": 2.0,
+                                "checkpoints": 33.0},
+                       "ltqo": {"length": 8.0, "aklt_lengths": [6.0],
+                                "restarts": 6.0, "iters": 1.5e2},
+                       "sp0": {"length": 12.0, "depths": [2.5]}})
+    lines = str(err.value).splitlines()
+    assert len(lines) == 14
+    assert all(line.endswith(": expected an integer") for line in lines)
 
 
 def test_structural_errors_short_circuit_semantic_ones():
@@ -61,6 +79,12 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"constants": {"C": True}}, "positive number or null"),
     ({"flow": {"checkpoints": 2}}, "at least 3 grid points"),
     ({"outputs": {"formats": ["yaml"]}}, "unsupported"),
+    ({"model": "aklt"}, "unknown model spec"),
+    ({"lengths": [14, 15]}, r"lengths: chains of \[15\] sites exceed"),
+    ({"flow": {"length": 15}}, "flow.length: .* exceed the dense limit"),
+    ({"ltqo": {"length": 15}}, "ltqo.length: .* exceed the dense limit"),
+    ({"ltqo": {"aklt_lengths": [9, 10]}}, r"aklt_lengths: chains of \[10\]"),
+    ({"sp0": {"length": 15}}, "sp0.length: .* exceed the dense limit"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -136,7 +160,7 @@ def test_run_emits_byte_identical_artifacts(tmp_path):
     dirs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        reports = run(cfg, ["flow"], out, jobs=1)
+        reports = run(cfg, ["flow"], out)
         assert all(rep.passed for rep in reports)
         dirs.append(out)
     names = sorted(p.name for p in dirs[0].iterdir())
@@ -160,9 +184,32 @@ def test_main_flags_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_rejects_bad_jobs(capsys):
-    assert main(["validate", "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
+def test_main_rejects_unloadable_model_file(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json", encoding="utf-8")
+    no_terms = tmp_path / "no_terms.json"
+    no_terms.write_text(json.dumps({"kind": "spin"}), encoding="utf-8")
+    for model in (tmp_path / "missing.json", bad_json, no_terms):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": f"file:{model}"}),
+                       encoding="utf-8")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model: cannot load")
+        assert err.count("\n") == 1
+
+
+def test_main_validates_a_model_file(tmp_path, capsys):
+    lam = Interval(0, 5)
+    model = tmp_path / "orbital.json"
+    model.write_text(to_json(orbital_interaction(paired_orbital_model(lam),
+                                                 lam)), encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": f"file:{model}", "lengths": [4, 6]}),
+                   encoding="utf-8")
+    assert main(["validate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.count("[PASS] validate: custom") == 2
 
 
 def test_parser_rejects_unknown_command():

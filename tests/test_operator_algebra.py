@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from gaplab.lattice import Interval
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
                                      conditional_expectation, creator,
-                                     delta_layer, embed, identity,
-                                     jordan_wigner, mode_annihilator,
-                                     number_operator, operator_norm,
+                                     delta_layer, embed, jordan_wigner,
+                                     mode_annihilator, number_operator,
+                                     operator_norm,
                                      parity_grade, parity_matrix,
                                      partial_trace, spin_matrices)
 

@@ -7,8 +7,8 @@ from gaplab.models import random_even_perturbation
 from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      bound_constants, calibrate_c,
                                      edge_bulk_strengths, fermion_constants,
-                                     form_bound_constants, higher_gap_bound,
-                                     higher_gap_threshold, j_constants,
+                                     higher_gap_bound, higher_gap_threshold,
+                                     j_constants,
                                      kappa_bound, stability_threshold,
                                      uniform_strengths, verify_form_bound,
                                      volume_form_constants)
@@ -137,7 +137,6 @@ def test_constants_algebra(bc):
     assert bc.delta == pytest.approx(bc.j.j2 * s)
     assert bc.beta == pytest.approx(3.0 / bc.gamma0 * bc.j.j1 * s)
     assert bc.alpha == pytest.approx(bc.c * s * (bc.j.j3 + 4.0) + bc.delta)
-    assert bc.p == bc.beta and bc.q == bc.alpha
     assert bc.m == pytest.approx(
         (3.0 * bc.j.j1 + 2.0 * bc.j.j2 + bc.c * (bc.j.j3 + 8.0)) * s)
     assert bc.consistency_residual() <= 1e-12
@@ -188,8 +187,8 @@ def test_kappa_bound_formula(bc):
 def test_higher_gap_formulas(bc):
     gamma, top = 0.7, 2.0
     eps = 0.003
-    want = (1.0 - bc.p * eps) * gamma \
-        - 2.0 * (bc.q + bc.p * top + bc.m_d) * eps
+    want = (1.0 - bc.beta * eps) * gamma \
+        - 2.0 * (bc.alpha + bc.beta * top + bc.m_d) * eps
     assert higher_gap_bound(bc, gamma, top, eps) == pytest.approx(want)
     thr = higher_gap_threshold(bc, gamma, top)
     assert 0.0 < thr <= 1.0
@@ -210,8 +209,6 @@ def test_form_constants_use_volume_norm(bc):
     assert delta == pytest.approx(bc.j.j2 * s)
     assert beta == pytest.approx(3.0 / bc.gamma0 * bc.j.j1 * s)
     assert alpha == pytest.approx(bc.c * s * (bc.j.j3 + 4.0) + delta)
-    full = form_bound_constants(bc)
-    assert full == (bc.delta, bc.beta, bc.alpha, bc.p, bc.q)
 
 
 # --- direct form-bound verification -------------------------------------------------
