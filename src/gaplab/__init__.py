@@ -20,7 +20,7 @@ from .interaction import (Term, Interaction, local_hamiltonian,
                           regroup_intervals, fermion_to_spin,
                           random_interaction)
 from .spectra import (FrustrationError, RefinementError, diagonalize,
-                      ground_projector, kernel_basis, gap_curve,
+                      ground_projector, gap_curve,
                       cluster_projector, resolution_family, sigma_projection,
                       higher_gap_track, sp0_diameter_scan)
 from .ltqo import (ltqo_witness, witness_tensor, exact_zero_certificate,

@@ -11,7 +11,10 @@ interior depth) and ``all``.
 Identical config and seeds give byte-identical CSV files: floats are
 printed with ``repr`` (shortest round-trip decimal), rows follow fixed
 orders, and nothing time- or host-dependent is written.  Exit codes:
-0 all requested checks passed, 1 at least one failed, 2 config error.
+0 all requested checks passed, 1 at least one failed, 2 config error.  A
+numerical step that cannot be certified (a refinement, gap, ODE or
+eigensolver failure) is a failed check, ``[FAIL] <pipeline>: not
+certified`` with the reason, so it exits 1 with the artifacts written.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, paired_orbital_model, random_even_perturbation, \
     validate_model
 from .operator_algebra import MAX_DENSE_DIM, kernel_count, operator_norm
-from .spectra import cluster_projector, gap_curve, higher_gap_track, \
-    resolution_family, sigma_projection, sp0_diameter_scan
+from .spectra import FrustrationError, cluster_projector, gap_curve, \
+    higher_gap_track, resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, eigenbasis_generator, \
     filter_identity_residual, flow_unitaries, split_phi1, theta_assembly, \
     time_quadrature_generator
@@ -163,6 +166,12 @@ def merged_config(user: dict | None) -> dict:
             errors.append("constants.C: must be a positive number or null")
         if cfg["flow"]["checkpoints"] < 3:
             errors.append("flow.checkpoints: need at least 3 grid points")
+        for field in ("eps", "ode_tol"):
+            if cfg["flow"][field] <= 0:
+                errors.append(f"flow.{field}: must be positive")
+        for field in ("restarts", "iters"):
+            if cfg["ltqo"][field] < 1:
+                errors.append(f"ltqo.{field}: need at least 1")
         bad = [f for f in cfg["outputs"]["formats"] if f not in ("csv", "json")]
         if bad:
             errors.append(f"outputs.formats: unsupported {bad}")
@@ -319,9 +328,14 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
                           cluster_dim=kdim, ode_tol=fc["ode_tol"])
     p0 = cluster_projector(h0.matrix, kdim)
     dec = decompose_phi1(flow, eta, psi, lam, p0)
+    # ball resolutions two sites inside, collected pieces where r_x >= 3
+    families = {x: resolution_family(eta, lam, x) for x in interior(lam, 2)}
+    thetas = {x: theta_assembly(dec, family)
+              for x, family in families.items() if family.r_x >= 3}
     ctx["flow"] = {"lam": lam, "model": model, "eta": eta, "pert": pert,
                    "psi": psi, "h0": h0, "hp": hp, "kdim": kdim,
-                   "window": window, "flow": flow, "p0": p0, "dec": dec}
+                   "window": window, "flow": flow, "p0": p0, "dec": dec,
+                   "families": families, "thetas": thetas}
     return ctx["flow"]
 
 
@@ -447,9 +461,9 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
         rep.check(f"aklt structure on {lam}", ok,
                   f"E0 = {evals[0]:.1e}, kernel {kdim}/4, gap = {gap:.6f}")
     rep.table("validate.csv", _VALIDATE_HEADER, rows)
-    for length, offset, dev, _ in jw_rows:
+    for length, offset, dev, status in jw_rows:
         rep.check(f"fermion/spin spectra on {_window(length, offset)}",
-                  dev <= 1e-10, f"max deviation {dev:.2e}")
+                  status == "ok", f"max deviation {dev:.2e}")
     rep.table("jw.csv", ["length", "offset", "spectrum_deviation", "status"],
               jw_rows)
 
@@ -496,7 +510,8 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
     # paired-orbital chain: even-sector witnesses, exact zeros beyond depth
     lam = _window(lc["length"], 1)
     _, eta = _orbital(lam)
-    zero_worst, low_worst = 0.0, 0.0
+    worst = {"zero": 0.0, "ascent": 0.0}
+    holds = {"zero": True, "ascent": True}
     centre = (lam.a + lam.b) // 2
     for x in (centre, centre + 1):
         r_near, _ = boundary_distances(lam, x)
@@ -507,30 +522,26 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
                 if sep >= depth:
                     row = ltqo_witness(eta, lam, x, n, k, even_only=True,
                                        restarts=1, iters=1)
-                    bound = 1e-11
-                    ok = row.zero_deviation <= bound
-                    zero_worst = max(zero_worst, row.zero_deviation)
-                    value = row.zero_deviation
-                    kindtag = "zero"
+                    kindtag, value, bound = "zero", row.zero_deviation, 1e-11
+                    ok = value <= bound
                 else:
                     row = ltqo_witness(eta, lam, x, n, k, seed=cfg["seeds"][0],
                                        even_only=True,
                                        restarts=lc["restarts"],
                                        iters=lc["iters"])
-                    bound = 2.0
-                    value = row.value
+                    kindtag, value, bound = "ascent", row.value, 2.0
                     ok = value <= bound + 1e-9
-                    low_worst = max(low_worst, value)
-                    kindtag = "ascent"
+                worst[kindtag] = max(worst[kindtag], value)
+                holds[kindtag] = holds[kindtag] and ok
                 rows.append(("orbital", x, n, k, sep, kindtag, value, bound,
                              "ok" if ok else "fail"))
                 if not ok:
                     rep.check(f"orbital witness (x={x}, n={n}, k={k})", False,
                               f"value {value:.3e} over budget {bound:.1e}")
-    rep.check("orbital witnesses vanish beyond the cut-off",
-              zero_worst <= 1e-11, f"max zero deviation {zero_worst:.2e}")
+    rep.check("orbital witnesses vanish beyond the cut-off", holds["zero"],
+              f"max zero deviation {worst['zero']:.2e}")
     rep.check("orbital witnesses below amplitude inside the cut-off",
-              low_worst <= 2.0 + 1e-9, f"max lower bound {low_worst:.3f}")
+              holds["ascent"], f"max lower bound {worst['ascent']:.3f}")
 
     # spin-1 chain: geometric decay of the witness lower bounds
     geo_ok = True
@@ -567,7 +578,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     rep = Report("flow")
     fb = flow_bundle(cfg, ctx)
     flow, dec, p0 = fb["flow"], fb["dec"], fb["p0"]
-    lam, eta, window = fb["lam"], fb["eta"], fb["window"]
+    lam, window, families = fb["lam"], fb["window"], fb["families"]
     m0, mp = fb["h0"].matrix, fb["hp"].matrix
     rows = []
 
@@ -582,10 +593,9 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     rep.check("flow ODE self-consistent",
               record("ode_error", flow.ode_error, cfg["flow"]["ode_tol"]),
               f"Richardson error {flow.ode_error:.2e}")
-    record("gap_floor", flow.gap_floor, window.gamma,
-           ok=flow.gap_floor >= window.gamma)
     rep.check("tracked gap stays above the filter width",
-              flow.gap_floor >= window.gamma,
+              record("gap_floor", flow.gap_floor, window.gamma,
+                     ok=flow.gap_floor >= window.gamma),
               f"floor {flow.gap_floor:.4f} vs {window.gamma:.4f}")
 
     # the two generator routes agree
@@ -603,41 +613,35 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     omegas = np.linspace(0.0, float(evals0[-1] - evals0[0]) + 1.0, 401)
     resid = filter_identity_residual(window, omegas,
                                      t_max=120.0 / window.gamma)
-    record("filter_identity_residual", resid, 1e-6)
-    rep.check("weight reproduced by the time quadrature", resid <= 1e-6,
+    rep.check("weight reproduced by the time quadrature",
+              record("filter_identity_residual", resid, 1e-6),
               f"residual {resid:.2e}")
 
     # anchored commutation with the unperturbed kernel projector
-    record("max_kernel_commutator", dec.max_kernel_commutator, 1e-6)
     rep.check("anchored pieces commute with the kernel projector",
-              dec.max_kernel_commutator <= 1e-6,
+              record("max_kernel_commutator", dec.max_kernel_commutator,
+                     1e-6),
               f"max commutator {dec.max_kernel_commutator:.2e}")
     record("quadrature_residual", dec.quadrature_residual, 1e-6)
     record("cross_block_residual", dec.cross_residual, 1e-6)
 
     # interior/boundary split reconstructs the transported coupling
     split = split_phi1(dec, p0)
-    record("split_reconstruction", split.reconstruction_error, 1e-10)
     rep.check("interior/boundary split reconstructs the coupling",
-              split.reconstruction_error <= 1e-10,
+              record("split_reconstruction", split.reconstruction_error,
+                     1e-10),
               f"residual {split.reconstruction_error:.2e}")
     rows.append(("omega_value", split.omega_value, np.inf, "ok"))
 
     # collected two-sided pieces: diagonal identity and annihilation
-    inner = interior(lam, 2)
-    families = {x: resolution_family(eta, lam, x) for x in inner}
     theta_rows = []
     ident_worst, annih_worst = 0.0, 0.0
-    for x, family in families.items():
-        if family.r_x < 3:
-            continue
-        th = theta_assembly(dec, family)
+    for x, th in fb["thetas"].items():
         ident_worst = max(ident_worst, th.identity_error)
         annih_worst = max(annih_worst, th.annihilation_error)
         for n in sorted(th.theta_beta):
             theta_rows.append((x, n, operator_norm(th.theta_beta[n])))
-        theta_rows.append((x, family.r_x + 1,
-                           operator_norm(th.theta_alpha)))
+        theta_rows.append((x, th.r_x + 1, operator_norm(th.theta_alpha)))
         record(f"theta_identity_x{x}", th.identity_error, 1e-10)
         record(f"theta_annihilation_x{x}", th.annihilation_error, 1e-10)
     rep.check("collected pieces reproduce the diagonal block",
@@ -649,15 +653,13 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     # resolution families: completeness, partial sums, annihilation
     res_rows = []
     res_worst = 0.0
-    dim = m0.shape[0]
-    eye = np.eye(dim)
+    eye = np.eye(m0.shape[0])
     for x, family in families.items():
-        es = family.E
-        total = operator_norm(sum(es) - eye)
+        total = operator_norm(sum(family.E) - eye)
         res_worst = max(res_worst, total)
         res_rows.append((x, "sum_to_identity", total))
         partial = np.zeros_like(eye, dtype=complex)
-        for k, e_k in enumerate(es[:-2], start=1):
+        for k, e_k in enumerate(family.E[:-2], start=1):
             partial += e_k
             q_k = eye - family.locals[k - 1]
             dev = operator_norm(partial - q_k)
@@ -671,6 +673,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
 
     # sign-pattern projections: completeness and orthogonality
     sig_worst = 0.0
+    inner = interior(lam, 2)
     for n in (1, 3):
         members = []
         for x in inner:
@@ -761,8 +764,8 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
         upto = int(round(frac * n_check))
         if upto % 2 or upto == 0:
             continue
-        dec_e = decompose_phi1(flow, fb["eta"], fb["psi"], fb["lam"], p0,
-                               upto=upto)
+        dec_e = fb["dec"] if upto == n_check else decompose_phi1(
+            flow, fb["eta"], fb["psi"], fb["lam"], p0, upto=upto)
         phi2 = split_phi1(dec_e, p0).phi2
         fr = verify_form_bound(fb["h0"].matrix, phi2, delta_v, beta_v,
                                dec_e.eps, n_vectors=1000,
@@ -782,16 +785,10 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
 
     # collected-piece norms against their certified bounds
     kappa_rows = []
-    inner = interior(fb["lam"], 2)
-    for x in inner:
-        r_near, _ = boundary_distances(fb["lam"], x)
-        if r_near < 3:
-            continue
-        family = resolution_family(fb["eta"], fb["lam"], x)
-        th = theta_assembly(fb["dec"], family)
+    for x, th in fb["thetas"].items():
         # the alpha part is listed as n = -1 and bounded at n = r_x
         pieces = [(n, n, th.theta_beta[n]) for n in sorted(th.theta_beta)]
-        for label, n, piece in pieces + [(-1, family.r_x, th.theta_alpha)]:
+        for label, n, piece in pieces + [(-1, th.r_x, th.theta_alpha)]:
             bound = kappa_bound(bc, n, flow.eps, phi_fnorm=psi_fnorm)
             norm = operator_norm(piece)
             kappa_rows.append((x, label, norm, bound,
@@ -883,6 +880,26 @@ def _sweep_grid(cfg: dict, bc) -> list[float]:
     return sorted(set(float(e) for e in grid))
 
 
+def sweep_bundle(cfg: dict, ctx: dict) -> dict:
+    """The shared gap sweep: ``{length: gap_curve(...)}`` on the sweep grid.
+
+    Each volume's matrices are built and dropped inside the loop; only the
+    spectrum splits are kept, for ``gapsweep`` and ``highergaps`` alike.
+    """
+    if "sweep" in ctx:
+        return ctx["sweep"]
+    grid = _sweep_grid(cfg, constants_bundle(cfg, ctx)["bc"])
+    sweep = {}
+    for length in _stability_lengths(cfg):
+        lam, model, eta, pert = _volume(cfg, length)
+        kdim, _ = kernel_data(model, lam)
+        sweep[length] = gap_curve(local_hamiltonian(eta, lam).matrix,
+                                  local_hamiltonian(pert, lam).matrix, grid,
+                                  cluster_dim=kdim)
+    ctx["sweep"] = sweep
+    return sweep
+
+
 def _against_line(measured: float, bound: float) -> str:
     """Status of a measured gap against a certified line (1e-9 slack)."""
     if bound <= 0.0:
@@ -893,15 +910,9 @@ def _against_line(measured: float, bound: float) -> str:
 def cmd_gapsweep(cfg: dict, ctx: dict) -> Report:
     rep = Report("gapsweep")
     bc = constants_bundle(cfg, ctx)["bc"]
-    grid = _sweep_grid(cfg, bc)
     rows = []
     all_open, all_dominated = True, True
-    for length in _stability_lengths(cfg):
-        lam, model, eta, pert = _volume(cfg, length)
-        kdim, _ = kernel_data(model, lam)
-        splits = gap_curve(local_hamiltonian(eta, lam).matrix,
-                           local_hamiltonian(pert, lam).matrix, grid,
-                           cluster_dim=kdim)
+    for length, splits in sweep_bundle(cfg, ctx).items():
         for sp in splits:
             bound = float(bc.gap_lower_bound(sp.eps))
             measured = sp.gamma
@@ -926,16 +937,11 @@ def cmd_highergaps(cfg: dict, ctx: dict) -> Report:
     rep = Report("highergaps")
     bc = constants_bundle(cfg, ctx)["bc"]
     hc = cfg["higher"]
-    grid = _sweep_grid(cfg, bc)
     gamma_win = hc["mu"] - hc["nu"]
     rows = []
     all_open, all_dominated = True, True
-    for length in _stability_lengths(cfg):
-        lam, _, eta, pert = _volume(cfg, length)
-        pairs = higher_gap_track(local_hamiltonian(eta, lam).matrix,
-                                 local_hamiltonian(pert, lam).matrix, grid,
-                                 hc["nu"], hc["mu"])
-        for eps, measured in pairs:
+    for length, splits in sweep_bundle(cfg, ctx).items():
+        for eps, measured in higher_gap_track(splits, hc["nu"], hc["mu"]):
             bound = float(higher_gap_bound(bc, gamma_win, hc["top"], eps))
             status = _against_line(measured, bound)
             all_dominated = all_dominated and status != "fail"
@@ -978,10 +984,6 @@ def cmd_sp0scan(cfg: dict, ctx: dict) -> Report:
     return rep
 
 
-def cmd_all(cfg: dict, ctx: dict) -> list[Report]:
-    return [PIPELINES[name](cfg, ctx) for name in COMMANDS if name != "all"]
-
-
 PIPELINES = {
     "validate": cmd_validate,
     "ltqo": cmd_ltqo,
@@ -994,14 +996,23 @@ PIPELINES = {
 
 
 def run(cfg: dict, commands, out_dir) -> list[Report]:
-    """Execute the requested pipelines and write their artifacts."""
+    """Execute the requested pipelines and write their artifacts.
+
+    ``all`` runs every pipeline in order on one shared context.  A pipeline
+    whose numerical step cannot be certified (a ``RuntimeError`` or a
+    ``FrustrationError``) is reported as one failed check carrying the
+    reason, and the remaining pipelines still run.
+    """
     ctx: dict = {}
     reports: list[Report] = []
-    for name in commands:
-        if name == "all":
-            reports.extend(cmd_all(cfg, ctx))
-        else:
+    for name in [n for c in commands
+                 for n in (PIPELINES if c == "all" else [c])]:
+        try:
             reports.append(PIPELINES[name](cfg, ctx))
+        except (RuntimeError, FrustrationError) as exc:
+            rep = Report(name)
+            rep.check("not certified", False, str(exc))
+            reports.append(rep)
     write_artifacts(reports, out_dir, cfg["outputs"]["formats"])
     return reports
 

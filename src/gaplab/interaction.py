@@ -102,14 +102,14 @@ class Interaction:
         return ffunction.f_norm(self, spec)
 
 
-def local_hamiltonian(phi: Interaction, lam: Interval, sparse: bool = False):
+def local_hamiltonian(phi: Interaction, lam: Interval):
     """Sum of all terms supported inside ``lam``, as one operator on ``lam``.
 
-    Dense assembly preserves realness (real terms give a real symmetric
-    matrix); ``sparse=True`` returns a CSR matrix instead of a LocalOperator.
+    Assembly preserves realness (real terms give a real symmetric matrix).
     """
     d = phi.local_dim
     dim = d ** len(lam)
+    _check_dense(dim)
     terms = [t for t in phi.terms if t.support in lam]
     real = all(not np.iscomplexobj(t.op.matrix)
                or np.max(np.abs(t.op.matrix.imag)) == 0.0 for t in terms)
@@ -124,9 +124,6 @@ def local_hamiltonian(phi: Interaction, lam: Interval, sparse: bool = False):
                                 sp.identity(d ** nr, dtype=dtype, format="csr"),
                                 format="csr"), format="csr")
         acc = acc + block
-    if sparse:
-        return acc
-    _check_dense(dim)
     return LocalOperator(acc.toarray(), lam, lam, phi.kind, d)
 
 

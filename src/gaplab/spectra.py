@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, local_hamiltonian
@@ -57,25 +55,6 @@ def ground_projector(h) -> np.ndarray:
     """Projector onto the kernel-scale eigenvalues of a frustration-free operator."""
     v = kernel_basis_dense(h)
     return v @ v.conj().T
-
-
-def kernel_basis(h, max_dense: int = 2500, expect: int = 8):
-    """Kernel basis via dense or shift-inverted sparse diagonalization."""
-    if sp.issparse(h):
-        if h.shape[0] <= max_dense:
-            return kernel_basis_dense(h.toarray())
-        k = min(expect + 4, h.shape[0] - 2)
-        evals, evecs = spla.eigsh(h.tocsc(), k=k, sigma=-0.05, which="LM")
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-        cut = 1e-9 * max(1.0, float(spla.norm(h, np.inf)))
-        mask = evals <= cut
-        if not np.any(mask):
-            raise FrustrationError("no eigenvalue at the kernel scale")
-        if mask.all():
-            raise RefinementError("kernel may extend beyond the computed block")
-        return evecs[:, mask]
-    return kernel_basis_dense(h)
 
 
 @dataclass
@@ -204,26 +183,25 @@ def sigma_projection(members: list, sigma: dict) -> np.ndarray:
     return out
 
 
-def higher_gap_track(h0, psi, eps_grid, nu: float, mu: float):
+def higher_gap_track(splits: list[SpectrumSplit], nu: float, mu: float):
     """Gap between the eigenvalue groups below ``nu`` and above ``mu``.
 
-    Groups are fixed at coupling zero and followed by sorted index:
+    ``splits`` is a ``gap_curve`` sweep whose first split sits at coupling
+    zero; each full spectrum is ``sp0`` followed by ``sp1``.  Groups are
+    fixed at coupling zero and followed by sorted index:
     ``gamma(nu, mu, eps) = min{lam_i(eps): lam_i(0) >= mu}
     - max{lam_i(eps): lam_i(0) <= nu}``.
     """
-    m0 = as_matrix(h0)
-    mp = as_matrix(psi)
-    ev0 = np.linalg.eigvalsh(m0)
-    lo = np.where(ev0 <= nu)[0]
-    hi = np.where(ev0 >= mu)[0]
+    if splits[0].eps != 0.0:
+        raise ValueError("the sweep must start at coupling zero")
+    spectra = [np.concatenate((sp.sp0, sp.sp1)) for sp in splits]
+    lo = np.where(spectra[0] <= nu)[0]
+    hi = np.where(spectra[0] >= mu)[0]
     if lo.size == 0 or hi.size == 0:
         raise ValueError("no spectrum on one side of the window")
     i_lo, i_hi = int(lo.max()), int(hi.min())
-    out = []
-    for eps in eps_grid:
-        evals = np.linalg.eigvalsh(m0 + eps * mp) if eps != 0.0 else ev0
-        out.append((float(eps), float(evals[i_hi] - evals[i_lo])))
-    return out
+    return [(sp.eps, float(evals[i_hi] - evals[i_lo]))
+            for sp, evals in zip(splits, spectra)]
 
 
 def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,

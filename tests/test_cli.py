@@ -1,4 +1,7 @@
+import importlib
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +88,10 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"ltqo": {"length": 15}}, "ltqo.length: .* exceed the dense limit"),
     ({"ltqo": {"aklt_lengths": [9, 10]}}, r"aklt_lengths: chains of \[10\]"),
     ({"sp0": {"length": 15}}, "sp0.length: .* exceed the dense limit"),
+    ({"flow": {"eps": 0.0}}, "flow.eps: must be positive"),
+    ({"flow": {"ode_tol": 0.0}}, "flow.ode_tol: must be positive"),
+    ({"ltqo": {"restarts": 0}}, "ltqo.restarts: need at least 1"),
+    ({"ltqo": {"iters": 0}}, "ltqo.iters: need at least 1"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -210,6 +217,29 @@ def test_main_validates_a_model_file(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.count("[PASS] validate: custom") == 2
+
+
+def test_main_reports_an_uncertified_step_as_a_failed_check(tmp_path,
+                                                             capsys):
+    # a filter width above the tracked gap stops the flow before any check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 5.0, "flow": {
+        "length": 6, "max_radius": 1, "checkpoints": 5}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    assert "[FAIL] flow: not certified  (tracked gap" in stdout
+    assert (out / "summary.txt").read_text(encoding="utf-8") == \
+        stdout.splitlines()[0] + "\n"
+
+
+def test_tracer_layers_name_package_functions():
+    """Every span the benchmark tracer installs names a gaplab function."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for modname, names in runpy.run_path(str(path))["LAYERS"].items():
+        module = importlib.import_module(f"gaplab.{modname}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{modname}.{name}"
 
 
 def test_parser_rejects_unknown_command():

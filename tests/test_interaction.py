@@ -78,14 +78,6 @@ def test_local_hamiltonian_keeps_real_dtype():
     assert not np.iscomplexobj(h.matrix)
 
 
-def test_local_hamiltonian_sparse_agrees():
-    lam = Interval(0, 3)
-    phi = two_site_ising(lam)
-    dense = local_hamiltonian(phi, lam).matrix
-    sparse = local_hamiltonian(phi, lam, sparse=True).toarray()
-    np.testing.assert_allclose(dense, sparse, atol=1e-15)
-
-
 def test_validate_unperturbed_on_classical_chain():
     report = validate_unperturbed(two_site_ising,
                                   [Interval(0, 3), Interval(0, 4)])

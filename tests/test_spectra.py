@@ -7,9 +7,9 @@ from gaplab.lattice import Interval, ball
 from gaplab.operator_algebra import LocalOperator, operator_norm
 from gaplab.spectra import (FrustrationError, RefinementError,
                             cluster_projector, diagonalize, gap_curve,
-                            ground_projector, higher_gap_track, kernel_basis,
-                            kernel_basis_dense, resolution_family,
-                            sigma_projection, sp0_diameter_scan)
+                            ground_projector, higher_gap_track,
+                            resolution_family, sigma_projection,
+                            sp0_diameter_scan)
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -38,23 +38,6 @@ def test_ground_projector_rank():
 def test_ground_projector_needs_kernel():
     with pytest.raises(FrustrationError):
         ground_projector(np.diag([1.0, 2.0]))
-
-
-def test_kernel_basis_sparse_path():
-    lam = Interval(0, 11)
-    h = local_hamiltonian(ising(lam), lam, sparse=True)
-    basis = kernel_basis(h, max_dense=64, expect=2)
-    assert basis.shape == (4096, 2)
-    # columns orthonormal and annihilated by H
-    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-9)
-    assert operator_norm(h @ basis) <= 1e-8
-
-
-def test_kernel_basis_dense_small_sparse():
-    lam = Interval(0, 3)
-    h = local_hamiltonian(ising(lam), lam, sparse=True)
-    basis = kernel_basis(h, max_dense=64)
-    assert basis.shape[1] == 2
 
 
 # --- gap curves -------------------------------------------------------------
@@ -177,19 +160,28 @@ def test_higher_gap_track_analytic():
     h0 = np.diag([0.0, 1.0, 2.0, 3.0])
     psi = np.diag([0.0, 1.0, -1.0, 0.0])
     # window between 1 and 2: gamma(eps) = (2 - eps) - (1 + eps)
-    rows = higher_gap_track(h0, psi, [0.0, 0.1, 0.2], nu=1.0, mu=2.0)
+    rows = higher_gap_track(gap_curve(h0, psi, [0.0, 0.1, 0.2]),
+                            nu=1.0, mu=2.0)
     for eps, g in rows:
         assert g == pytest.approx(1.0 - 2.0 * eps, abs=1e-12)
 
 
 def test_higher_gap_track_window_must_be_populated():
-    with pytest.raises(ValueError):
-        higher_gap_track(np.diag([5.0, 6.0]), np.eye(2), [0.0], nu=1.0, mu=2.0)
+    with pytest.raises(ValueError, match="no spectrum"):
+        higher_gap_track(gap_curve(np.diag([5.0, 6.0]), np.eye(2), [0.0],
+                                   cluster_dim=1), nu=1.0, mu=2.0)
+
+
+def test_higher_gap_track_needs_coupling_zero_first():
+    with pytest.raises(ValueError, match="coupling zero"):
+        higher_gap_track(gap_curve(np.diag([0.0, 3.0]), np.eye(2), [0.1]),
+                         nu=1.0, mu=2.0)
 
 
 def test_higher_gap_identity_perturbation_is_constant():
     h0 = np.diag([0.0, 0.5, 2.0, 2.5])
-    rows = higher_gap_track(h0, np.eye(4), [0.0, 0.3, 0.7], nu=0.5, mu=2.0)
+    rows = higher_gap_track(gap_curve(h0, np.eye(4), [0.0, 0.3, 0.7]),
+                            nu=0.5, mu=2.0)
     for _, g in rows:
         assert g == pytest.approx(1.5, abs=1e-12)
 
