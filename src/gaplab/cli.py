@@ -37,9 +37,10 @@ from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, paired_orbital_model, random_even_perturbation, \
     validate_model
-from .operator_algebra import MAX_DENSE_DIM, kernel_count, operator_norm
-from .spectra import FrustrationError, cluster_projector, gap_curve, \
-    higher_gap_track, resolution_family, sigma_projection, sp0_diameter_scan
+from .operator_algebra import MAX_DENSE_DIM, eigenvalues, kernel_count, \
+    operator_norm
+from .spectra import FrustrationError, gap_curve, higher_gap_track, \
+    resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, eigenbasis_generator, \
     filter_identity_residual, flow_unitaries, split_phi1, theta_assembly, \
     time_quadrature_generator
@@ -172,6 +173,13 @@ def merged_config(user: dict | None) -> dict:
         for field in ("restarts", "iters"):
             if cfg["ltqo"][field] < 1:
                 errors.append(f"ltqo.{field}: need at least 1")
+        sp0 = cfg["sp0"]
+        if not sp0["depths"]:
+            errors.append("sp0.depths: need at least one depth")
+        if any(d < 0 for d in sp0["depths"]):
+            errors.append("sp0.depths: depths must be non-negative")
+        if sp0["eps"] <= 0:
+            errors.append("sp0.eps: must be positive")
         bad = [f for f in cfg["outputs"]["formats"] if f not in ("csv", "json")]
         if bad:
             errors.append(f"outputs.formats: unsupported {bad}")
@@ -326,7 +334,7 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     flow = flow_unitaries(h0.matrix, hp.matrix, fc["eps"], window,
                           checkpoints=fc["checkpoints"],
                           cluster_dim=kdim, ode_tol=fc["ode_tol"])
-    p0 = cluster_projector(h0.matrix, kdim)
+    p0 = flow.p0
     dec = decompose_phi1(flow, eta, psi, lam, p0)
     # ball resolutions two sites inside, collected pieces where r_x >= 3
     families = {x: resolution_family(eta, lam, x) for x in interior(lam, 2)}
@@ -420,7 +428,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
             lam = _window(length, offset)
             model, eta = _orbital(lam)
             h = local_hamiltonian(eta, lam)
-            evals = np.linalg.eigvalsh(h.matrix)
+            evals = eigenvalues(h.matrix)
             kdim = kernel_count(evals)
             gap = float(evals[kdim] - evals[kdim - 1])
             kexp, free = kernel_data(model, lam)
@@ -441,7 +449,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
                       f"E0 = {evals[0]:.1e}, gap = {gap:.12f}, "
                       f"kernel {kdim}/{kexp}, leak = {leak:.1e}")
             if length <= 10:
-                ev_s = np.linalg.eigvalsh(
+                ev_s = eigenvalues(
                     local_hamiltonian(fermion_to_spin(eta), lam).matrix)
                 dev = float(np.max(np.abs(np.sort(evals) - np.sort(ev_s))))
                 jw_rows.append((length, offset, dev,
@@ -452,7 +460,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
         lam = _window(length)
         eta = aklt_interaction(lam)
         h = local_hamiltonian(eta, lam)
-        evals = np.linalg.eigvalsh(h.matrix)
+        evals = eigenvalues(h.matrix)
         kdim = kernel_count(evals)
         gap = float(evals[kdim] - evals[kdim - 1])
         ok = abs(evals[0]) <= 1e-10 and kdim == 4
@@ -609,7 +617,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
         record(f"generator_agreement_eps_{_cell(float(s))}", diff, 1e-6)
     rep.check("filter and time-quadrature generators agree",
               agree_worst <= 1e-6, f"max difference {agree_worst:.2e}")
-    evals0 = np.linalg.eigvalsh(m0)
+    evals0 = eigenvalues(m0)
     omegas = np.linspace(0.0, float(evals0[-1] - evals0[0]) + 1.0, 401)
     resid = filter_identity_residual(window, omegas,
                                      t_max=120.0 / window.gamma)
@@ -964,12 +972,10 @@ def cmd_sp0scan(cfg: dict, ctx: dict) -> Report:
     rep = Report("sp0scan")
     sc = cfg["sp0"]
     lam, _, eta, pert = _volume(cfg, sc["length"])
-    rows = []
-    for eps in (0.0, sc["eps"]):
-        for r in sp0_diameter_scan(eta, pert, lam, eps, sc["depths"]):
-            rows.append(("orbital", sc["length"], r["depth"], r["eps"],
-                         r["gamma"], r["sp0_min"], r["sp0_max"],
-                         r["sp0_diam"], r["sp1_min"]))
+    rows = [("orbital", sc["length"], r["depth"], r["eps"], r["gamma"],
+             r["sp0_min"], r["sp0_max"], r["sp0_diam"], r["sp1_min"])
+            for r in sp0_diameter_scan(eta, pert, lam, (0.0, sc["eps"]),
+                                       sc["depths"])]
     rep.table("sp0scan.csv",
               ["model", "length", "D", "eps", "gamma", "sp0_min", "sp0_max",
                "sp0_diam", "sp1_min"], rows)

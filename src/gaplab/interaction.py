@@ -19,8 +19,8 @@ import scipy.sparse as sp
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
-    LocalOperator, ParityError, _check_dense, jordan_wigner, kernel_count,
-    kernel_mask, operator_norm, parity_grade,
+    LocalOperator, ParityError, _check_dense, eigenvalues, jordan_wigner,
+    kernel_count, kernel_mask, operator_norm, parity_grade,
 )
 
 
@@ -162,7 +162,7 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         rng_max = max(rng_max, phi.range)
         bound_max = max(bound_max, phi.uniform_bound)
         h = local_hamiltonian(phi, lam)
-        evals = np.linalg.eigvalsh(h.matrix)
+        evals = eigenvalues(h.matrix)
         scale = max(1.0, float(np.max(np.abs(evals))))
         ground = float(evals[0])
         kdim = kernel_count(evals)

@@ -54,7 +54,21 @@ def spin_matrices(d: int):
 
 
 def operator_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m), 2))
+    """Largest singular value; for an exactly Hermitian matrix the largest
+    ``|eigenvalue|`` (see ``eigenvalues``), which is the same number."""
+    m = np.asarray(m)
+    if m.size and _exactly_hermitian(m):
+        return float(np.max(np.abs(eigenvalues(m))))
+    return float(np.linalg.norm(m, 2))
+
+
+def _exactly_hermitian(m: np.ndarray) -> bool:
+    """``m == m^H`` entry for entry, compared 256 rows at a time so no second
+    full-size matrix is built."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return all(np.array_equal(m[lo:lo + 256], m[:, lo:lo + 256].conj().T)
+               for lo in range(0, m.shape[0], 256))
 
 
 def kernel_mask(evals) -> np.ndarray:
@@ -156,6 +170,32 @@ def _popcount(n_sites: int) -> np.ndarray:
 def parity_matrix(n_sites: int) -> np.ndarray:
     """Diagonal of (-1)^(number of occupied sites) on n_sites, local dim 2."""
     return np.where(_popcount(n_sites) % 2 == 0, 1.0, -1.0)
+
+
+def eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, split by fermion parity.
+
+    When the side is a power of two, 2^n with n >= 1, and every entry
+    between the even and the odd occupancy sectors of ``parity_matrix(n)`` is
+    exactly zero, the matrix equals its block-diagonal part entry for entry,
+    and the two parity blocks are solved apart, once when they are equal
+    entry for entry (a parity-even operator that leaves an end site alone
+    has two equal blocks); otherwise the whole matrix is solved.  Every
+    Hamiltonian of the orbital chain takes the split; the spin-1 chain (side
+    3^n) and inputs that mix parities do not.
+    """
+    m = np.asarray(m)
+    side = m.shape[0] if m.ndim == 2 and m.shape[0] == m.shape[1] else 0
+    if side >= 2 and side & (side - 1) == 0:
+        even = parity_matrix(side.bit_length() - 1) > 0
+        ev, od = np.flatnonzero(even), np.flatnonzero(~even)
+        if not (m[np.ix_(ev, od)].any() or m[np.ix_(od, ev)].any()):
+            m_even, m_odd = m[np.ix_(ev, ev)], m[np.ix_(od, od)]
+            lo = np.linalg.eigvalsh(m_even)
+            hi = lo if np.array_equal(m_even, m_odd) \
+                else np.linalg.eigvalsh(m_odd)
+            return np.sort(np.concatenate((lo, hi)))
+    return np.linalg.eigvalsh(m)
 
 
 def parity_grade(op: LocalOperator) -> str:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, local_hamiltonian
-from .operator_algebra import LocalOperator, as_matrix, embed, kernel_count, \
-    kernel_mask, operator_norm
+from .operator_algebra import LocalOperator, as_matrix, eigenvalues, embed, \
+    kernel_count, kernel_mask, operator_norm
 
 
 class FrustrationError(ValueError):
@@ -86,14 +86,14 @@ def gap_curve(h0, psi, eps_grid, cluster_dim: int | None = None,
     mp = as_matrix(psi)
     psi_norm = operator_norm(mp)
 
-    ev0 = np.linalg.eigvalsh(m0)
+    ev0 = eigenvalues(m0)
     if cluster_dim is None:
         cluster_dim = kernel_count(ev0)
         if cluster_dim == 0:
             raise FrustrationError("no kernel eigenvalues to track")
 
     def split_at(eps):
-        evals = np.linalg.eigvalsh(m0 + eps * mp) if eps != 0.0 else ev0
+        evals = eigenvalues(m0 + eps * mp) if eps != 0.0 else ev0
         return SpectrumSplit(float(eps), evals[:cluster_dim], evals[cluster_dim:])
 
     def certified(left, right):
@@ -190,13 +190,16 @@ def higher_gap_track(splits: list[SpectrumSplit], nu: float, mu: float):
     zero; each full spectrum is ``sp0`` followed by ``sp1``.  Groups are
     fixed at coupling zero and followed by sorted index:
     ``gamma(nu, mu, eps) = min{lam_i(eps): lam_i(0) >= mu}
-    - max{lam_i(eps): lam_i(0) <= nu}``.
+    - max{lam_i(eps): lam_i(0) <= nu}``.  An eigenvalue within the
+    kernel-scale cut of ``nu`` or ``mu`` (see ``kernel_mask``) sits on it, so
+    rounding never splits a degenerate level at the edge of the window.
     """
     if splits[0].eps != 0.0:
         raise ValueError("the sweep must start at coupling zero")
     spectra = [np.concatenate((sp.sp0, sp.sp1)) for sp in splits]
-    lo = np.where(spectra[0] <= nu)[0]
-    hi = np.where(spectra[0] >= mu)[0]
+    ev0 = spectra[0]
+    lo = np.where((ev0 <= nu) | kernel_mask(ev0 - nu))[0]
+    hi = np.where((ev0 >= mu) | kernel_mask(ev0 - mu))[0]
     if lo.size == 0 or hi.size == 0:
         raise ValueError("no spectrum on one side of the window")
     i_lo, i_hi = int(lo.max()), int(hi.min())
@@ -205,31 +208,41 @@ def higher_gap_track(splits: list[SpectrumSplit], nu: float, mu: float):
 
 
 def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
-                      eps: float, depths) -> list[dict]:
+                      couplings, depths) -> list[dict]:
     """Low-cluster diameter as the perturbation retreats into the interior.
 
-    For each depth ``D`` the perturbation keeps only terms supported inside
-    ``Int_D``; the splitting of the kernel cluster is reported per depth,
-    with the coupling-zero diameter pinned to exactly zero.
+    For each coupling and each depth ``D`` the perturbation keeps only terms
+    supported inside ``Int_D``; the splitting of the kernel cluster is
+    reported per coupling and depth, in that order.  Each matrix is solved
+    once: a coupling-zero row, or a depth that keeps no term, reads the
+    spectrum of ``h0``.  The coupling-zero diameter is pinned to exactly
+    zero.
     """
-    h0 = local_hamiltonian(eta, lam)
-    ev0 = np.linalg.eigvalsh(h0.matrix)
+    h0 = local_hamiltonian(eta, lam).matrix
+    ev0 = eigenvalues(h0)
     kdim = kernel_count(ev0)
     rows = []
-    for depth in depths:
-        inner = interior(lam, depth)
-        kept = [t for t in pert.terms if inner is not None and t.support in inner]
-        if kept:
-            hp = local_hamiltonian(
-                Interaction(kept, pert.kind, pert.local_dim), lam)
-            evals = np.linalg.eigvalsh(h0.matrix + eps * hp.matrix)
-        else:
+    for eps in couplings:
+        for depth in depths:
+            inner = interior(lam, depth)
+            kept = [t for t in pert.terms
+                    if inner is not None and t.support in inner]
             evals = ev0
-        sp0, sp1 = evals[:kdim], evals[kdim:]
-        diam = 0.0 if eps == 0.0 else float(sp0.max() - sp0.min())
-        rows.append({"depth": int(depth), "eps": float(eps),
-                     "sp0_min": float(sp0.min()), "sp0_max": float(sp0.max()),
-                     "sp0_diam": diam,
-                     "sp1_min": float(sp1.min()) if sp1.size else np.inf,
-                     "gamma": float(sp1.min() - sp0.max()) if sp1.size else np.inf})
+            if kept and eps != 0.0:
+                # h0 + eps hp, formed in the buffer of hp
+                m = local_hamiltonian(
+                    Interaction(kept, pert.kind, pert.local_dim), lam).matrix
+                m = m.astype(np.result_type(h0, m), copy=False)
+                m *= eps
+                m += h0
+                evals = eigenvalues(m)
+                del m           # free before the next matrix is built
+            sp0, sp1 = evals[:kdim], evals[kdim:]
+            diam = 0.0 if eps == 0.0 else float(sp0.max() - sp0.min())
+            rows.append({"depth": int(depth), "eps": float(eps),
+                         "sp0_min": float(sp0.min()),
+                         "sp0_max": float(sp0.max()), "sp0_diam": diam,
+                         "sp1_min": float(sp1.min()) if sp1.size else np.inf,
+                         "gamma": (float(sp1.min() - sp0.max())
+                                   if sp1.size else np.inf)})
     return rows

@@ -37,8 +37,8 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, local_hamiltonian
 from .operator_algebra import (LocalOperator, as_matrix,
-                               conditional_expectation, delta_layer, embed,
-                               kernel_count, operator_norm)
+                               conditional_expectation, delta_layer,
+                               eigenvalues, embed, kernel_count, operator_norm)
 from .spectra import ProjectorFamily, cluster_projector, diagonalize
 
 
@@ -79,7 +79,11 @@ class Window:
 
 def eigenbasis_generator(h, psi, window: Window) -> np.ndarray:
     """D = sum_ij i wtilde(E_i - E_j) Psi_ij |i><j| in the computational basis."""
-    evals, evecs = diagonalize(h)
+    return _filtered(*diagonalize(h), psi, window)
+
+
+def _filtered(evals, evecs, psi, window: Window) -> np.ndarray:
+    """The eigenbasis generator from a decomposition already made."""
     psi_eig = evecs.conj().T @ as_matrix(psi) @ evecs
     omega = evals[:, None] - evals[None, :]
     d_eig = 1j * window.weight(omega) * psi_eig
@@ -167,6 +171,7 @@ class FlowResult:
     gap_floor: float                     # smallest tracked gap met on the grid
     projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
     ode_error: float                     # Richardson estimate from step halving
+    p0: np.ndarray                       # P(0): the tracked cluster of H0
 
     @property
     def eps(self) -> float:
@@ -185,9 +190,11 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     """Integrate U' = i D(s) U to ``eps`` with RK4, re-unitarizing each step.
 
     The step count doubles, at most eight times, until two consecutive
-    refinements agree to ``ode_tol`` at every checkpoint.  Along the way
-    the tracked gap of ``H(s)`` is monitored against the filter width and
-    the transported projector is compared with the spectral one.
+    refinements agree to ``ode_tol`` at every checkpoint.  At each
+    checkpoint the tracked gap of ``H(s)`` is compared with the filter width
+    and the transported projector with the spectral one, both read from the
+    eigendecomposition that built the generator there; the cluster projector
+    of ``H_0`` is computed once and returned as ``p0``.
     """
     m0, mp = as_matrix(h0), as_matrix(psi)
     if checkpoints % 2 == 0:
@@ -195,14 +202,22 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     grid = np.linspace(0.0, eps, checkpoints)
 
     if cluster_dim is None:
-        cluster_dim = kernel_count(np.linalg.eigvalsh(m0))
+        cluster_dim = kernel_count(eigenvalues(m0))
 
+    # One solve per coupling gives the generator and, at a checkpoint, the
+    # tracked gap and the cluster's eigenvectors (n x cluster_dim).
+    checkpoint_keys = {round(float(s), 15) for s in grid}
     gen_cache: dict[float, np.ndarray] = {}
+    tracked: dict[float, tuple[float, np.ndarray]] = {}
 
     def gen(s):
         key = round(float(s), 15)
         if key not in gen_cache:
-            gen_cache[key] = eigenbasis_generator(m0 + s * mp, mp, window)
+            evals, evecs = diagonalize(m0 + s * mp)
+            gen_cache[key] = _filtered(evals, evecs, mp, window)
+            if key in checkpoint_keys:
+                gap = float(evals[cluster_dim] - evals[cluster_dim - 1])
+                tracked[key] = (gap, evecs[:, :cluster_dim].copy())
         return gen_cache[key]
 
     def integrate(substeps):
@@ -236,19 +251,17 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
         raise RuntimeError(f"flow ODE failed to reach {ode_tol:.1e} (last {err:.1e})")
     unitaries = prev
 
-    gap_floor, drift = np.inf, 0.0
-    p0 = cluster_projector(m0, cluster_dim)
-    for s, u in zip(grid, unitaries):
-        evals = np.linalg.eigvalsh(m0 + s * mp)
-        gap_floor = min(gap_floor, float(evals[cluster_dim] - evals[cluster_dim - 1]))
-        p_spec = cluster_projector(m0 + s * mp, cluster_dim)
-        drift = max(drift, operator_norm(u @ p0 @ u.conj().T - p_spec))
+    generators = [gen(s) for s in grid]
+    gaps, vecs = zip(*(tracked[round(float(s), 15)] for s in grid))
+    gap_floor = min(gaps)
     if gap_floor < window.gamma:
         raise RuntimeError(
             f"tracked gap {gap_floor:.4f} fell below filter width {window.gamma:.4f}")
-
-    generators = [gen(s) for s in grid]
-    return FlowResult(window, grid, unitaries, generators, gap_floor, drift, err)
+    p0 = cluster_projector(m0, cluster_dim)
+    drift = max(operator_norm(u @ p0 @ u.conj().T - v @ v.conj().T)
+                for u, v in zip(unitaries, vecs))
+    return FlowResult(window, grid, unitaries, generators, gap_floor, drift,
+                      err, p0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from .ffunction import DerivedFSpec, geometric_tail, poly_tail
 from .interaction import Interaction, local_hamiltonian, split_edge_bulk
 from .lattice import Interval
-from .operator_algebra import as_matrix, operator_norm
+from .operator_algebra import as_matrix, eigenvalues, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +398,8 @@ def verify_form_bound(h0, phi2, delta: float, beta: float, eps: float,
     h, p2 = as_matrix(h0), as_matrix(phi2)
     dim = h.shape[0]
     envelope = beta * eps * h + delta * eps * np.eye(dim)
-    ev_plus = np.linalg.eigvalsh(envelope + p2)
-    ev_minus = np.linalg.eigvalsh(envelope - p2)
+    ev_plus = eigenvalues(envelope + p2)
+    ev_minus = eigenvalues(envelope - p2)
 
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((dim, n_vectors)) \

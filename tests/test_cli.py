@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
-                        load_config, main, merged_config, run, summary_lines,
-                        write_artifacts)
+                        cmd_sp0scan, load_config, main, merged_config, run,
+                        summary_lines, write_artifacts)
 from gaplab.interaction import to_json
 from gaplab.lattice import Interval
 from gaplab.models import orbital_interaction, paired_orbital_model
@@ -92,6 +92,9 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"flow": {"ode_tol": 0.0}}, "flow.ode_tol: must be positive"),
     ({"ltqo": {"restarts": 0}}, "ltqo.restarts: need at least 1"),
     ({"ltqo": {"iters": 0}}, "ltqo.iters: need at least 1"),
+    ({"sp0": {"depths": []}}, "sp0.depths: need at least one depth"),
+    ({"sp0": {"depths": [2, -1]}}, "sp0.depths: depths must be non-negative"),
+    ({"sp0": {"eps": 0.0}}, "sp0.eps: must be positive"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -240,6 +243,36 @@ def test_tracer_layers_name_package_functions():
         module = importlib.import_module(f"gaplab.{modname}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{modname}.{name}"
+
+
+def test_values_only_solves_go_through_the_spectral_layer():
+    """Only ``operator_algebra.eigenvalues`` calls ``np.linalg.eigvalsh``;
+    the witness ascent in ``ltqo.py`` keeps its own solves until it is
+    rewritten."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gaplab"
+    callers = {p.name for p in src.glob("*.py")
+               if "linalg.eigvalsh(" in p.read_text(encoding="utf-8")}
+    assert callers <= {"operator_algebra.py", "ltqo.py"}
+
+
+def test_sp0scan_solves_each_matrix_once(monkeypatch):
+    sides = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sides.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cfg = merged_config({"sp0": {"length": 8, "depths": [1, 2, 3]}})
+    assert cmd_sp0scan(cfg, {}).passed
+    # h0 and the matrices of depths 1 and 2, each once and never whole; depth
+    # 3 keeps no term and every coupling-0 row reads h0.  The chain leaves
+    # both end sites free, so each matrix has two equal parity blocks of 128
+    # and one block solve covers it.  The small solves are the term norms of
+    # the perturbation (at most 5 sites: blocks of 16).
+    assert sides.count(128) == 3
+    assert all(side <= 16 for side in sides if side != 128)
 
 
 def test_parser_rejects_unknown_command():

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from gaplab.lattice import Interval
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
                                      conditional_expectation, creator,
-                                     delta_layer, embed, jordan_wigner,
-                                     mode_annihilator, number_operator,
-                                     operator_norm,
+                                     delta_layer, eigenvalues, embed,
+                                     jordan_wigner, mode_annihilator,
+                                     number_operator, operator_norm,
                                      parity_grade, parity_matrix,
                                      partial_trace, spin_matrices)
 
@@ -245,3 +245,92 @@ def test_jordan_wigner_respects_products():
     assert parity_grade(hop) == "even"
     image = jordan_wigner(hop)
     np.testing.assert_allclose(image.matrix, lhs, atol=1e-15)
+
+
+# --- the values-only spectral layer --------------------------------------------------
+
+
+def random_hermitian(rng, side, complex_):
+    m = rng.standard_normal((side, side))
+    if complex_:
+        m = m + 1j * rng.standard_normal((side, side))
+    return (m + m.conj().T) / 2.0
+
+
+def parity_even(m):
+    """The even part of ``m`` under the occupancy parity: off-block entries 0."""
+    p = parity_matrix(m.shape[0].bit_length() - 1)
+    return np.where(p[:, None] == p[None, :], m, 0.0)
+
+
+def counting_eigvalsh(monkeypatch):
+    sides = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sides.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return sides
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_eigenvalues_match_the_dense_oracle_on_parity_even_input(k, complex_,
+                                                                 seed):
+    m = parity_even(random_hermitian(np.random.default_rng(seed), 2 ** k,
+                                     complex_))
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    np.testing.assert_allclose(eigenvalues(m), np.linalg.eigvalsh(m),
+                               rtol=0, atol=1e-12 * scale)
+
+
+def test_eigenvalues_split_by_parity_and_solve_equal_blocks_once(monkeypatch):
+    sides = counting_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(3)
+    eigenvalues(parity_even(random_hermitian(rng, 16, False)))
+    assert sides == [8, 8]
+    # an operator that leaves the last site alone has two equal blocks
+    sides.clear()
+    h = parity_even(random_hermitian(rng, 8, True))
+    eigenvalues(np.kron(h, np.eye(2)))
+    assert sides == [8]
+
+
+@pytest.mark.parametrize("side", [16, 27, 6])
+def test_eigenvalues_without_the_split_return_the_oracle_exactly(side,
+                                                                 monkeypatch):
+    m = random_hermitian(np.random.default_rng(side), side, False)
+    if side == 16:
+        m = parity_even(m)
+        m[1, 0] = m[0, 1] = 0.5          # one entry between the sectors
+    expected = np.linalg.eigvalsh(m)
+    sides = counting_eigvalsh(monkeypatch)
+    np.testing.assert_array_equal(eigenvalues(m), expected)
+    assert sides == [side]
+
+
+def test_operator_norm_takes_the_eigenvalue_route_for_hermitian_input(
+        monkeypatch):
+    sides = counting_eigvalsh(monkeypatch)
+    m = random_hermitian(np.random.default_rng(5), 6, True)
+    operator_norm(m)
+    assert sides == [6]
+    m[0, 1] += 1e-3                      # no longer exactly Hermitian
+    operator_norm(m)
+    assert sides == [6]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 64), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_hermitian_operator_norm_matches_the_svd_norm(side, complex_, even,
+                                                      seed):
+    if even:
+        side = 2 ** (side % 7 + 1)
+    m = random_hermitian(np.random.default_rng(seed), side, complex_)
+    if even:
+        m = parity_even(m)
+    svd_norm = float(np.linalg.norm(m, 2))
+    assert operator_norm(m) == pytest.approx(svd_norm, rel=1e-12)

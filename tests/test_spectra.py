@@ -3,8 +3,11 @@ import pytest
 
 from gaplab.interaction import Interaction, Term, local_hamiltonian, \
     random_interaction
-from gaplab.lattice import Interval, ball
-from gaplab.operator_algebra import LocalOperator, operator_norm
+from gaplab.lattice import Interval, ball, interior
+from gaplab.models import orbital_interaction, paired_orbital_model, \
+    random_even_perturbation
+from gaplab.operator_algebra import LocalOperator, kernel_count, \
+    operator_norm
 from gaplab.spectra import (FrustrationError, RefinementError,
                             cluster_projector, diagonalize, gap_curve,
                             ground_projector, higher_gap_track,
@@ -166,6 +169,16 @@ def test_higher_gap_track_analytic():
         assert g == pytest.approx(1.0 - 2.0 * eps, abs=1e-12)
 
 
+def test_higher_gap_track_keeps_rounded_levels_at_the_window_edges():
+    # each edge level is degenerate and straddles nu or mu by rounding
+    h0 = np.diag([0.0, 1.0 - 1e-15, 1.0 + 1e-15, 2.0 - 1e-15, 2.0 + 1e-15])
+    psi = np.diag([0.0, -1.0, 1.0, -1.0, 1.0])
+    rows = higher_gap_track(gap_curve(h0, psi, [0.0, 0.1, 0.2]),
+                            nu=1.0, mu=2.0)
+    for eps, g in rows:
+        assert g == pytest.approx(1.0 - 2.0 * eps, abs=1e-12)
+
+
 def test_higher_gap_track_window_must_be_populated():
     with pytest.raises(ValueError, match="no spectrum"):
         higher_gap_track(gap_curve(np.diag([5.0, 6.0]), np.eye(2), [0.0],
@@ -191,10 +204,10 @@ def test_sp0_scan_trivial_cases():
     eta = ising(lam)
     pert = random_interaction(lam, seed=1, n_terms=4, max_diameter=1)
     # depth swallowing the volume: perturbation drops out entirely
-    rows = sp0_diameter_scan(eta, pert, lam, 0.1, [6])
+    rows = sp0_diameter_scan(eta, pert, lam, [0.1], [6])
     assert rows[0]["sp0_diam"] == pytest.approx(0.0, abs=1e-12)
     # eps = 0: diameter pinned to exactly zero
-    rows = sp0_diameter_scan(eta, pert, lam, 0.0, [1, 2])
+    rows = sp0_diameter_scan(eta, pert, lam, [0.0], [1, 2])
     assert all(r["sp0_diam"] == 0.0 for r in rows)
 
 
@@ -202,6 +215,35 @@ def test_sp0_scan_reports_gamma():
     lam = Interval(0, 5)
     eta = ising(lam)
     pert = random_interaction(lam, seed=2, n_terms=4, max_diameter=1)
-    rows = sp0_diameter_scan(eta, pert, lam, 0.05, [1])
+    rows = sp0_diameter_scan(eta, pert, lam, [0.05], [1])
     assert rows[0]["gamma"] > 0.5
     assert rows[0]["sp1_min"] >= rows[0]["sp0_max"]
+
+
+def test_sp0_scan_matches_a_dense_recomputation():
+    lam = Interval(1, 8)
+    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
+                                             "kappa": 4.0}, seed=7)
+    couplings, depths = (0.0, 0.02, 0.05), (1, 2, 3)
+    rows = sp0_diameter_scan(eta, pert, lam, couplings, depths)
+    assert [(r["eps"], r["depth"]) for r in rows] == \
+        [(e, d) for e in couplings for d in depths]
+    h0 = local_hamiltonian(eta, lam).matrix
+    kdim = kernel_count(np.linalg.eigvalsh(h0))
+    for row in rows:
+        inner = interior(lam, row["depth"])
+        kept = Interaction([t for t in pert.terms if t.support in inner],
+                           pert.kind, pert.local_dim)
+        evals = np.linalg.eigvalsh(
+            h0 + row["eps"] * local_hamiltonian(kept, lam).matrix)
+        sp0, sp1 = evals[:kdim], evals[kdim:]
+        assert row["sp0_min"] == pytest.approx(sp0.min(), abs=1e-12)
+        assert row["sp0_max"] == pytest.approx(sp0.max(), abs=1e-12)
+        assert row["sp1_min"] == pytest.approx(sp1.min(), abs=1e-12)
+        assert row["gamma"] == pytest.approx(sp1.min() - sp0.max(), abs=1e-12)
+        if row["eps"] == 0.0:
+            assert row["sp0_diam"] == 0.0
+        else:
+            assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
+                                                    abs=1e-12)
