@@ -35,8 +35,8 @@ from .interaction import Interaction, fermion_to_spin, from_json, \
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
-    orbital_interaction, paired_orbital_model, random_even_perturbation, \
-    validate_model
+    orbital_interaction, orbital_spectrum, paired_orbital_model, \
+    random_even_perturbation, validate_model
 from .operator_algebra import MAX_DENSE_DIM, eigenvalues, kernel_count, \
     operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
@@ -305,11 +305,6 @@ def _perturbation(lam: Interval, max_radius: int, seed: int) -> Interaction:
     return random_even_perturbation(lam, max_radius, ENVELOPE, seed)
 
 
-def _stability_lengths(cfg: dict) -> list[int]:
-    """The configured chain lengths whose diameter exceeds ``2 D``."""
-    return [n for n in cfg["lengths"] if n - 1 > max(2 * cfg["D"], 1)]
-
-
 def _volume(cfg: dict, length: int):
     """Orbital chain on ``[1, length]`` with its seeded perturbation."""
     lam = _window(length, 1)
@@ -337,7 +332,8 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     p0 = flow.p0
     dec = decompose_phi1(flow, eta, psi, lam, p0)
     # ball resolutions two sites inside, collected pieces where r_x >= 3
-    families = {x: resolution_family(eta, lam, x) for x in interior(lam, 2)}
+    families = {x: resolution_family(eta, lam, x, p0)
+                for x in interior(lam, 2)}
     thetas = {x: theta_assembly(dec, family)
               for x, family in families.items() if family.r_x >= 3}
     ctx["flow"] = {"lam": lam, "model": model, "eta": eta, "pert": pert,
@@ -354,7 +350,6 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     fb = flow_bundle(cfg, ctx)
     base = base_envelope(cfg)
     depth = cfg["D"]
-    seed = cfg["seeds"][0]
     trunc = cfg["constants"]["truncation"]
 
     eta_fnorm = fb["eta"].f_norm(base)
@@ -370,14 +365,14 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     c_measured = calibrate_c(phi1_fnorm, fb["flow"].eps, eta_fnorm, psi_fnorm)
     c_used = float(c_user) if c_user is not None else max(c_measured, 1e-12)
 
-    # uniform strengths over the probe volumes (perturbation per volume)
-    phi_for = {}
-    for length in _stability_lengths(cfg):
-        lam = _window(length, 1)
-        phi_for[lam] = _perturbation(lam, cfg["flow"]["max_radius"], seed)
-    if not phi_for:
+    # uniform strengths over the probe volumes, the configured chains of
+    # diameter above 2 D, each built once and kept for the gap sweep
+    volumes = {n: _volume(cfg, n) for n in cfg["lengths"]
+               if n - 1 > max(2 * cfg["D"], 1)}
+    if not volumes:
         raise ConfigError("lengths: no chain exceeds diameter 2 D for the "
                           "stability pipelines")
+    phi_for = {lam: pert for lam, _, _, pert in volumes.values()}
     m_int, m_d, strength_rows = uniform_strengths(phi_for, depth, 1, base)
 
     report = validate_unperturbed(lambda lam: _orbital(lam)[1],
@@ -392,6 +387,7 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
         "c_user": c_user, "c_measured": c_measured, "c_used": c_used,
         "phi1_fnorm": phi1_fnorm, "m_int": m_int, "m_d": m_d,
         "strength_rows": strength_rows, "gamma0": gamma0,
+        "volumes": volumes,
     }
     return ctx["constants"]
 
@@ -421,7 +417,8 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
         rep.table("validate.csv", _VALIDATE_HEADER, rows)
         return rep
 
-    # orbital chain on both window alignments; fermion/spin spectra to 10 sites
+    # orbital chain on both window alignments; the spectrum of the spin
+    # image against the closed form, to 10 sites
     jw_rows = []
     for length in cfg["lengths"]:
         for offset in (0, 1):
@@ -451,7 +448,8 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
             if length <= 10:
                 ev_s = eigenvalues(
                     local_hamiltonian(fermion_to_spin(eta), lam).matrix)
-                dev = float(np.max(np.abs(np.sort(evals) - np.sort(ev_s))))
+                dev = float(np.max(np.abs(ev_s
+                                          - orbital_spectrum(model, lam))))
                 jw_rows.append((length, offset, dev,
                                 "ok" if dev <= 1e-10 else "fail"))
 
@@ -619,8 +617,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
               agree_worst <= 1e-6, f"max difference {agree_worst:.2e}")
     evals0 = eigenvalues(m0)
     omegas = np.linspace(0.0, float(evals0[-1] - evals0[0]) + 1.0, 401)
-    resid = filter_identity_residual(window, omegas,
-                                     t_max=120.0 / window.gamma)
+    resid = filter_identity_residual(window, omegas)
     rep.check("weight reproduced by the time quadrature",
               record("filter_identity_residual", resid, 1e-6),
               f"residual {resid:.2e}")
@@ -891,15 +888,16 @@ def _sweep_grid(cfg: dict, bc) -> list[float]:
 def sweep_bundle(cfg: dict, ctx: dict) -> dict:
     """The shared gap sweep: ``{length: gap_curve(...)}`` on the sweep grid.
 
-    Each volume's matrices are built and dropped inside the loop; only the
-    spectrum splits are kept, for ``gapsweep`` and ``highergaps`` alike.
+    The volumes are those ``constants_bundle`` built; each one's matrices
+    are built and dropped inside the loop, and only the spectrum splits are
+    kept, for ``gapsweep`` and ``highergaps`` alike.
     """
     if "sweep" in ctx:
         return ctx["sweep"]
-    grid = _sweep_grid(cfg, constants_bundle(cfg, ctx)["bc"])
+    cb = constants_bundle(cfg, ctx)
+    grid = _sweep_grid(cfg, cb["bc"])
     sweep = {}
-    for length in _stability_lengths(cfg):
-        lam, model, eta, pert = _volume(cfg, length)
+    for length, (lam, model, eta, pert) in cb["volumes"].items():
         kdim, _ = kernel_data(model, lam)
         sweep[length] = gap_curve(local_hamiltonian(eta, lam).matrix,
                                   local_hamiltonian(pert, lam).matrix, grid,

@@ -24,6 +24,7 @@ its open-chain kernel is four-dimensional and correlations decay with ratio
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -169,6 +170,19 @@ def kernel_data(model: OrbitalModel, lam: Interval):
             covered.update(o.sites)
     free = [s for s in lam if s not in covered]
     return 2 ** len(free), free
+
+
+def orbital_spectrum(model: OrbitalModel, lam: Interval) -> np.ndarray:
+    """Closed-form ascending spectrum of the projector chain on ``lam``.
+
+    The ``p`` pairs inside ``lam`` carry ``2p`` independent modes, each
+    charging one unit when its ``f`` is empty or its ``g`` occupied, so the
+    level ``e`` has multiplicity ``C(2p, e) 2^|free|``.
+    """
+    kdim, free = kernel_data(model, lam)
+    modes = len(lam) - len(free)          # two per pair
+    return np.repeat(np.arange(modes + 1, dtype=float),
+                     [comb(modes, e) * kdim for e in range(modes + 1)])
 
 
 # ---------------------------------------------------------------------------

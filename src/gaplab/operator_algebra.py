@@ -200,12 +200,12 @@ def eigenvalues(m) -> np.ndarray:
 
 def parity_grade(op: LocalOperator) -> str:
     """Grade of a local-dimension-2 operator under the occupancy parity:
-    even/odd/mixed, to a relative 1e-12."""
+    even/odd/mixed, to 1e-12 relative to its largest entry."""
     if op.local_dim != 2:
         raise ValueError("parity grading needs local dimension 2")
     p = parity_matrix(len(op.support))
     conj = p[:, None] * op.matrix * p[None, :]
-    scale = max(1.0, op.norm())
+    scale = max(1.0, float(np.max(np.abs(op.matrix))))
     if np.max(np.abs(conj - op.matrix)) <= 1e-12 * scale:
         return "even"
     if np.max(np.abs(conj + op.matrix)) <= 1e-12 * scale:

@@ -141,14 +141,15 @@ class ProjectorFamily:
         return len(self.locals)
 
 
-def resolution_family(eta: Interaction, lam: Interval, x: int) -> ProjectorFamily:
-    """Ball kernel projectors around ``x`` and the telescoped resolution."""
+def resolution_family(eta: Interaction, lam: Interval, x: int,
+                      P: np.ndarray) -> ProjectorFamily:
+    """Ball kernel projectors around ``x``, and the resolution they telescope
+    to ``P``, the kernel projector of the whole volume."""
     inner = interior(lam, 2)
     if inner is None or x not in inner:
         raise ValueError(f"site {x} not two sites deep inside {lam}")
     r_x, _ = boundary_distances(lam, x)
     d = eta.local_dim
-    P = ground_projector(local_hamiltonian(eta, lam))
     locals_ = []
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)

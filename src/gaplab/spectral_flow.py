@@ -18,9 +18,10 @@ An equivalent time-averaged form is kept for cross-validation:
     W(s) = 1/2 - (1/pi) int_0^{gamma/2} beta(w) sin(w s)/w dw,
 
 whose filter identity ``2 int_0^inf W(s) sin(w s) ds = (1 - beta(w))/w`` is
-what the quadrature has to reproduce.  Heisenberg evolution is evaluated in
-the eigenbasis; the independent content of this route is the oscillatory
-``s``-quadrature against the closed-form weight.
+what the quadrature on the one horizon ``[0, 120/gamma]`` has to reproduce.
+Both routes are one eigenbasis formula with a weight on ``E_i - E_j``:
+``wtilde``, or ``2 Im(Phi diag(c) Phi*)`` from the Heisenberg phases
+``Phi_ik = exp(i E_i s_k)`` and ``c_k = W(s_k)`` times the node weight.
 
 The transported coupling ``V(s) = U* H(s) U - H_0`` is then cut into anchored,
 block-diagonal pieces and telescoped over balls, producing an interaction
@@ -79,14 +80,15 @@ class Window:
 
 def eigenbasis_generator(h, psi, window: Window) -> np.ndarray:
     """D = sum_ij i wtilde(E_i - E_j) Psi_ij |i><j| in the computational basis."""
-    return _filtered(*diagonalize(h), psi, window)
+    evals, evecs = diagonalize(h)
+    return _filtered(evals, evecs, psi,
+                     window.weight(evals[:, None] - evals[None, :]))
 
 
-def _filtered(evals, evecs, psi, window: Window) -> np.ndarray:
-    """The eigenbasis generator from a decomposition already made."""
+def _filtered(evals, evecs, psi, weight) -> np.ndarray:
+    """sum_ij i weight_ij Psi_ij |i><j| from a decomposition already made."""
     psi_eig = evecs.conj().T @ as_matrix(psi) @ evecs
-    omega = evals[:, None] - evals[None, :]
-    d_eig = 1j * window.weight(omega) * psi_eig
+    d_eig = 1j * weight * psi_eig
     return evecs @ d_eig @ evecs.conj().T
 
 
@@ -104,15 +106,15 @@ def time_weight(s, window: Window):
     return 0.5 - integ / np.pi
 
 
-def _time_panels(window: Window, omegas, t_max):
-    """Gauss-Legendre nodes and weights on [0, t_max] resolving ``omegas``.
+def _time_panels(window: Window, wmax: float):
+    """Gauss-Legendre nodes and weights on [0, 120 / gamma] resolving
+    frequencies up to ``wmax``.
 
     Eight nodes per panel and at least six panels per period of the fastest
-    frequency (never fewer than 40 panels); ``t_max`` defaults to
-    ``60 / gamma``.
+    frequency (never fewer than 40 panels).
     """
-    t_max = t_max if t_max is not None else 60.0 / window.gamma
-    wmax = max(float(np.max(np.abs(omegas))), window.gamma)
+    t_max = 120.0 / window.gamma
+    wmax = max(float(wmax), window.gamma)
     n_panels = max(40, int(np.ceil(t_max * wmax * 6 / (2 * np.pi))))
     x, wq = leggauss(8)
     edges = np.linspace(0.0, t_max, n_panels + 1)
@@ -122,10 +124,10 @@ def _time_panels(window: Window, omegas, t_max):
     return s_pts, s_wts
 
 
-def filter_identity_residual(window: Window, omegas, t_max=None):
+def filter_identity_residual(window: Window, omegas):
     """Max error of the s-quadrature of 2 int W(s) sin(ws) ds vs (1-beta(w))/w."""
     omegas = np.asarray(omegas, dtype=float)
-    s_pts, s_wts = _time_panels(window, omegas, t_max)
+    s_pts, s_wts = _time_panels(window, np.max(np.abs(omegas)))
     w_vals = time_weight(s_pts, window)
     lhs = 2.0 * np.einsum("s,sw->w", s_wts * w_vals,
                           np.sin(np.outer(s_pts, omegas)))
@@ -133,24 +135,14 @@ def filter_identity_residual(window: Window, omegas, t_max=None):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def time_quadrature_generator(h, psi, window: Window,
-                              t_max=None) -> np.ndarray:
-    """D = int_0^T W(s)[tau_s(Psi) - tau_{-s}(Psi)] ds, panelwise Gauss-Legendre."""
+def time_quadrature_generator(h, psi, window: Window) -> np.ndarray:
+    """D = int_0^T W(s)[tau_s(Psi) - tau_{-s}(Psi)] ds as a phase product."""
     evals, evecs = diagonalize(h)
-    psi_eig = evecs.conj().T @ as_matrix(psi) @ evecs
-    omega = evals[:, None] - evals[None, :]
-    s_pts, s_wts = _time_panels(window, omega, t_max)
-    w_vals = time_weight(s_pts, window)
-    # [tau_s(Psi) - tau_{-s}(Psi)]_ij = 2i sin(omega_ij s) Psi_ij in eigenbasis
-    coeff = s_wts * w_vals
-    kernel = np.zeros_like(omega)
-    for lo in range(0, s_pts.size, 256):       # keep the sine block small
-        chunk = slice(lo, min(lo + 256, s_pts.size))
-        kernel += np.einsum(
-            "s,sij->ij", coeff[chunk],
-            np.sin(s_pts[chunk, None, None] * omega[None, :, :]))
-    d_eig = 2j * kernel * psi_eig
-    return evecs @ d_eig @ evecs.conj().T
+    s_pts, s_wts = _time_panels(window, np.ptp(evals))
+    phase = np.exp(1j * np.outer(evals, s_pts))
+    coeff = s_wts * time_weight(s_pts, window)
+    weight = 2.0 * ((phase * coeff) @ phase.conj().T).imag
+    return _filtered(evals, evecs, psi, weight)
 
 
 def _polar_unitary(u: np.ndarray) -> np.ndarray:
@@ -214,7 +206,8 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
         key = round(float(s), 15)
         if key not in gen_cache:
             evals, evecs = diagonalize(m0 + s * mp)
-            gen_cache[key] = _filtered(evals, evecs, mp, window)
+            weight = window.weight(evals[:, None] - evals[None, :])
+            gen_cache[key] = _filtered(evals, evecs, mp, weight)
             if key in checkpoint_keys:
                 gap = float(evals[cluster_dim] - evals[cluster_dim - 1])
                 tracked[key] = (gap, evecs[:, :cluster_dim].copy())

@@ -88,8 +88,9 @@ def test_03_aklt_ltqo_decay(done):
 
 
 def test_04_fermion_spin_spectral_equivalence(done):
-    """Sorted spectra of the fermionic chain and its spin image agree to
-    1e-10 on chains up to 10 sites; every transformed term is even."""
+    """The spectrum of the spin image of the fermionic chain agrees with the
+    closed-form free-fermion spectrum to 1e-10 on chains up to 10 sites;
+    every transformed term is even."""
     cfg, _, reports, _ = done
     short = [n for n in cfg["lengths"] if n <= 10]
     assert passed(reports["validate"], "fermion/spin spectra on ") \

@@ -4,10 +4,11 @@ import pytest
 from gaplab.interaction import local_hamiltonian
 from gaplab.lattice import Interval, interior
 from gaplab.models import (aklt_interaction, auxiliary_basis, kernel_data,
-                           orbital_interaction, pair_spin2_projector,
-                           paired_orbital_model, random_even_perturbation,
-                           validate_model)
-from gaplab.operator_algebra import operator_norm, parity_grade, spin_matrices
+                           orbital_interaction, orbital_spectrum,
+                           pair_spin2_projector, paired_orbital_model,
+                           random_even_perturbation, validate_model)
+from gaplab.operator_algebra import eigenvalues, operator_norm, \
+    parity_grade, spin_matrices
 
 
 def test_paired_model_covers_full_pairs_only():
@@ -54,6 +55,19 @@ def test_orbital_hamiltonian_spectrum_is_integer():
     np.testing.assert_allclose(evals, np.round(evals), atol=1e-10)
     assert evals[0] == pytest.approx(0.0, abs=1e-12)
     assert evals[1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("length", [4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_orbital_spectrum_closed_form(length, offset):
+    """Level e has multiplicity C(2p, e) 2^|free| for p pairs inside lam."""
+    lam = Interval(offset, offset + length - 1)
+    model = paired_orbital_model(lam)
+    h = local_hamiltonian(orbital_interaction(model, lam), lam)
+    closed = orbital_spectrum(model, lam)
+    assert closed.shape == (2 ** length,)
+    np.testing.assert_allclose(eigenvalues(h.matrix), closed, rtol=0.0,
+                               atol=1e-12)
 
 
 def test_orbital_terms_are_even_commuting_projectors():

@@ -91,6 +91,17 @@ def test_parity_grade_classification():
     assert parity_grade(num) == "even"
     mix = LocalOperator(a0.matrix + num.matrix, lam, lam, kind="fermion")
     assert parity_grade(mix) == "mixed"
+    # past norm 1 the tolerance is 1e-12 of the largest entry: 40 on the
+    # even block of 00 and 11 (norm 80), an odd part of 3e-11 is seen
+    block = np.zeros((4, 4), dtype=complex)
+    block[np.ix_([0, 3], [0, 3])] = 40.0
+    big = LocalOperator(block, lam, lam, kind="fermion")
+    assert big.norm() == pytest.approx(80.0)
+    assert parity_grade(big) == "even"
+    assert parity_grade(LocalOperator(40.0 * a0.matrix, lam, lam,
+                                      kind="fermion")) == "odd"
+    tilted = LocalOperator(block + 3e-11 * a0.matrix, lam, lam, kind="fermion")
+    assert parity_grade(tilted) == "mixed"
 
 
 # --- canonical anticommutation -----------------------------------------------

@@ -94,10 +94,14 @@ def test_cluster_projector():
 # --- resolution families ------------------------------------------------------
 
 
+def _volume_projector(eta, lam):
+    return ground_projector(local_hamiltonian(eta, lam))
+
+
 def test_resolution_family_identities():
     lam = Interval(0, 6)
     eta = ising(lam)
-    fam = resolution_family(eta, lam, 3)
+    fam = resolution_family(eta, lam, 3, _volume_projector(eta, lam))
     assert fam.r_x == 3
     dim = fam.P.shape[0]
     total = sum(fam.E)
@@ -118,10 +122,31 @@ def test_resolution_family_identities():
 def test_resolution_family_needs_interior_site():
     lam = Interval(0, 6)
     eta = ising(lam)
+    p = _volume_projector(eta, lam)
     with pytest.raises(ValueError):
-        resolution_family(eta, lam, 0)
+        resolution_family(eta, lam, 0, p)
     with pytest.raises(ValueError):
-        resolution_family(eta, lam, 6)
+        resolution_family(eta, lam, 6, p)
+
+
+def test_resolution_family_solves_only_its_balls(monkeypatch):
+    """The volume's kernel projector is the caller's: no eigensolve of the
+    volume's side, one per ball (the widest is [0, 6] of [0, 7])."""
+    lam = Interval(0, 7)
+    eta = ising(lam)
+    p = _volume_projector(eta, lam)
+    sides = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        sides.append(m.shape[0])
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    fam = resolution_family(eta, lam, 3, p)
+    assert fam.P is p
+    assert p.shape[0] not in sides
+    assert len(sides) == fam.r_x
 
 
 def test_sigma_projection_partition_of_identity():

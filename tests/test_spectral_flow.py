@@ -7,9 +7,9 @@ from gaplab.lattice import Interval
 from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
 from gaplab.operator_algebra import operator_norm
-from gaplab.spectra import cluster_projector, resolution_family
-from gaplab.spectral_flow import (Window, decompose_phi1,
-                                  eigenbasis_generator,
+from gaplab.spectra import cluster_projector, diagonalize, resolution_family
+from gaplab.spectral_flow import (Window, _filtered, _time_panels,
+                                  decompose_phi1, eigenbasis_generator,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
@@ -84,19 +84,42 @@ def test_time_weight_against_quadrature_oracle():
 def test_filter_identity_quadrature():
     w = Window(GAMMA)
     omegas = np.concatenate([np.linspace(0.05, 2.0, 40), [GAMMA / 2, GAMMA]])
-    res = filter_identity_residual(w, omegas, t_max=120.0 / GAMMA)
+    res = filter_identity_residual(w, omegas)
     assert res <= 1e-6
 
 
-def test_generator_routes_agree_on_random_pair():
+def _random_pair():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h, psi = a + a.conj().T, b + b.conj().T
+    return a + a.conj().T, b + b.conj().T
+
+
+def test_generator_routes_agree_on_random_pair():
+    h, psi = _random_pair()
     w = Window(GAMMA)
     d_eig = eigenbasis_generator(h, psi, w)
-    d_time = time_quadrature_generator(h, psi, w, t_max=120.0 / GAMMA)
+    d_time = time_quadrature_generator(h, psi, w)
     assert operator_norm(d_eig - d_time) <= 1e-6
+
+
+def test_phase_product_weight_matches_direct_sine_sum():
+    """2 Im(Phi diag(c) Phi*) is the sum 2 sum_s c_s sin((E_i - E_j) s)."""
+    h, psi = _random_pair()
+    w = Window(GAMMA)
+    evals, evecs = diagonalize(h)
+    s_pts, s_wts = _time_panels(w, np.ptp(evals))
+    coeff = s_wts * time_weight(s_pts, w)
+    omega = evals[:, None] - evals[None, :]
+    direct = np.zeros_like(omega)
+    for lo in range(0, s_pts.size, 256):       # the sine tensor, chunked
+        chunk = slice(lo, lo + 256)
+        direct += 2.0 * np.einsum(
+            "s,sij->ij", coeff[chunk],
+            np.sin(s_pts[chunk, None, None] * omega[None, :, :]))
+    np.testing.assert_allclose(_filtered(evals, evecs, psi, direct),
+                               time_quadrature_generator(h, psi, w),
+                               rtol=0.0, atol=1e-13)
 
 
 # --- the flow ODE ------------------------------------------------------------------
@@ -145,7 +168,19 @@ def bundle():
     p0 = cluster_projector(h0.matrix, kdim)
     dec = decompose_phi1(flow, eta, psi, lam, p0)
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow,
-            "p0": p0, "dec": dec}
+            "p0": p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix}
+
+
+def test_generator_routes_agree_on_the_default_horizon(bundle):
+    """On the chain (spectral width 8) the time quadrature, at the one
+    horizon it has, reproduces the eigenbasis filter to 1e-10."""
+    h0, hp = bundle["h0"], bundle["hp"]
+    assert np.ptp(np.linalg.eigvalsh(h0)) == pytest.approx(8.0)
+    w = Window(GAMMA)
+    for s in (0.0, bundle["flow"].eps):
+        h = h0 + s * hp
+        d_time = time_quadrature_generator(h, hp, w)
+        assert operator_norm(eigenbasis_generator(h, hp, w) - d_time) <= 1e-10
 
 
 def test_decomposition_reconstructs_exactly(bundle):
@@ -188,7 +223,7 @@ def test_split_separates_blocks(bundle):
 
 def test_theta_assembly_identities(bundle):
     lam, eta, dec = bundle["lam"], bundle["eta"], bundle["dec"]
-    family = resolution_family(eta, lam, 3)      # r_x = 3 here
+    family = resolution_family(eta, lam, 3, bundle["p0"])      # r_x = 3
     assembly = theta_assembly(dec, family)
     assert assembly.r_x == 3
     assert set(assembly.theta_beta) == {3}
