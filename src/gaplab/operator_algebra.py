@@ -16,7 +16,7 @@ dimension 2, 9 sites at local dimension 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,7 +95,11 @@ def _check_dense(dim):
 
 @dataclass
 class LocalOperator:
-    """A matrix acting on the sites of ``support`` inside the chain ``ambient``."""
+    """A matrix acting on the sites of ``support`` inside the chain ``ambient``.
+
+    The matrix is never changed in place once the operator is made (every
+    operation returns a new operator), so its norm is computed once.
+    """
 
     matrix: np.ndarray
     support: Interval
@@ -103,6 +107,8 @@ class LocalOperator:
     kind: str = "spin"
     local_dim: int = 2
     string_attached: bool = False
+    _norm: float | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.kind not in ("spin", "fermion"):
@@ -125,14 +131,12 @@ class LocalOperator:
         return self.matrix.shape[0]
 
     def norm(self) -> float:
-        return operator_norm(self.matrix)
+        if self._norm is None:
+            self._norm = operator_norm(self.matrix)
+        return self._norm
 
     def dagger(self):
         return replace(self, matrix=self.matrix.conj().T.copy())
-
-    def is_hermitian(self):
-        return np.allclose(self.matrix, self.matrix.conj().T,
-                           atol=1e-12 * max(1.0, self.norm()))
 
     def __add__(self, other):
         if not isinstance(other, LocalOperator):
@@ -243,10 +247,6 @@ def annihilator(lam: Interval, x: int) -> LocalOperator:
     return LocalOperator(m, lam, lam, "fermion")
 
 
-def creator(lam: Interval, x: int) -> LocalOperator:
-    return annihilator(lam, x).dagger()
-
-
 def mode_annihilator(lam: Interval, coeffs: dict) -> LocalOperator:
     """Annihilator of the mode sum_x coeffs[x] e_x (an orbital)."""
     out = None
@@ -256,13 +256,6 @@ def mode_annihilator(lam: Interval, coeffs: dict) -> LocalOperator:
     if out is None:
         raise ValueError("empty orbital")
     return out
-
-
-def number_operator(lam: Interval) -> LocalOperator:
-    """Total occupancy N = sum_x a*(x) a(x); diagonal popcount matrix."""
-    _check_dense(2 ** len(lam))
-    pop = _popcount(len(lam))
-    return LocalOperator(np.diag(pop.astype(complex)), lam, lam, "fermion")
 
 
 def partial_trace(op: LocalOperator, keep: Interval) -> LocalOperator:

@@ -12,6 +12,17 @@ unitary solving ``U'(s) = i D(s) U(s)``, ``U(0) = 1`` transports the low
 spectral cluster: ``P(s) = U(s) P(0) U(s)*`` whenever the gap between the
 tracked cluster and the rest never falls below ``gamma``.
 
+What is computed and stored is the anti-Hermitian generator
+
+    K(s) = i D(s) = -V (wtilde o V* Psi V) V*,      U' = K U,
+
+with ``V`` the eigenvectors of ``H(s)`` and ``o`` the entrywise product.  Its
+field follows the inputs: for real symmetric ``H_0`` and ``Psi`` the
+eigenvectors are real, ``K`` is real antisymmetric and ``U(s)`` real
+orthogonal, so the flow, its polar steps and the anchored decomposition run
+in real arithmetic; complex Hermitian inputs run the same code in complex
+arithmetic.
+
 An equivalent time-averaged form is kept for cross-validation:
 
     D = int_0^inf W(s) [tau_s(Psi) - tau_{-s}(Psi)] ds,
@@ -22,6 +33,7 @@ what the quadrature on the one horizon ``[0, 120/gamma]`` has to reproduce.
 Both routes are one eigenbasis formula with a weight on ``E_i - E_j``:
 ``wtilde``, or ``2 Im(Phi diag(c) Phi*)`` from the Heisenberg phases
 ``Phi_ik = exp(i E_i s_k)`` and ``c_k = W(s_k)`` times the node weight.
+Both take a decomposition already made.
 
 The transported coupling ``V(s) = U* H(s) U - H_0`` is then cut into anchored,
 block-diagonal pieces and telescoped over balls, producing an interaction
@@ -31,6 +43,7 @@ whose terms nearly commute with the unperturbed kernel projector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -55,13 +68,17 @@ class Window:
     kind: str = "bump"   # bump | cosine
 
     def beta(self, omega):
+        """The profile, evaluated only on the arguments inside the window
+        (most eigenvalue differences of a chain lie outside it)."""
         omega = np.asarray(omega, dtype=float)
         u = 2.0 * omega / self.gamma
         inside = np.abs(u) < 1.0
+        vals = np.zeros_like(u)
+        u_in = u[inside]
         if self.kind == "bump":
-            vals = np.where(inside, (1.0 - u * u) ** 8, 0.0)
+            vals[inside] = (1.0 - u_in * u_in) ** 8
         elif self.kind == "cosine":
-            vals = np.where(inside, np.cos(0.5 * np.pi * u) ** 2, 0.0)
+            vals[inside] = np.cos(0.5 * np.pi * u_in) ** 2
         else:
             raise ValueError(f"unknown window kind {self.kind!r}")
         return vals if vals.shape else float(vals)
@@ -78,24 +95,35 @@ class Window:
 # generator, two routes
 
 
-def eigenbasis_generator(h, psi, window: Window) -> np.ndarray:
-    """D = sum_ij i wtilde(E_i - E_j) Psi_ij |i><j| in the computational basis."""
-    evals, evecs = diagonalize(h)
+def eigenbasis_generator(evals, evecs, psi, window: Window) -> np.ndarray:
+    """K = i D = -sum_ij wtilde(E_i - E_j) Psi_ij |i><j| from the
+    decomposition ``(evals, evecs)`` of H."""
     return _filtered(evals, evecs, psi,
                      window.weight(evals[:, None] - evals[None, :]))
 
 
 def _filtered(evals, evecs, psi, weight) -> np.ndarray:
-    """sum_ij i weight_ij Psi_ij |i><j| from a decomposition already made."""
+    """-sum_ij weight_ij Psi_ij |i><j|: the real weight keeps the field of
+    ``evecs`` and ``psi``."""
     psi_eig = evecs.conj().T @ as_matrix(psi) @ evecs
-    d_eig = 1j * weight * psi_eig
-    return evecs @ d_eig @ evecs.conj().T
+    psi_eig *= weight
+    return -(evecs @ psi_eig @ evecs.conj().T)
+
+
+@cache
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, solved once
+    per node count (each rule is an eigensolve)."""
+    rule = leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def time_weight(s, window: Window):
     """W(s) = 1/2 - (1/pi) int_0^{gamma/2} beta(w) sin(ws)/w dw
     (200-node Gauss-Legendre)."""
-    x, wq = leggauss(200)
+    x, wq = _gauss_legendre(200)
     half = 0.5 * window.gamma
     nodes = 0.5 * half * (x + 1.0)
     weights = 0.5 * half * wq
@@ -116,7 +144,7 @@ def _time_panels(window: Window, wmax: float):
     t_max = 120.0 / window.gamma
     wmax = max(float(wmax), window.gamma)
     n_panels = max(40, int(np.ceil(t_max * wmax * 6 / (2 * np.pi))))
-    x, wq = leggauss(8)
+    x, wq = _gauss_legendre(8)
     edges = np.linspace(0.0, t_max, n_panels + 1)
     mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     s_pts = (mids[:, None] + halfw[:, None] * x[None, :]).ravel()
@@ -135,9 +163,10 @@ def filter_identity_residual(window: Window, omegas):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def time_quadrature_generator(h, psi, window: Window) -> np.ndarray:
-    """D = int_0^T W(s)[tau_s(Psi) - tau_{-s}(Psi)] ds as a phase product."""
-    evals, evecs = diagonalize(h)
+def time_quadrature_generator(evals, evecs, psi,
+                              window: Window) -> np.ndarray:
+    """K = i int_0^T W(s)[tau_s(Psi) - tau_{-s}(Psi)] ds as a phase product,
+    from the decomposition ``(evals, evecs)`` of H."""
     s_pts, s_wts = _time_panels(window, np.ptp(evals))
     phase = np.exp(1j * np.outer(evals, s_pts))
     coeff = s_wts * time_weight(s_pts, window)
@@ -159,34 +188,32 @@ class FlowResult:
     window: Window
     eps_grid: np.ndarray                 # checkpoint couplings, uniform, odd count
     unitaries: list[np.ndarray]          # U(eps_j)
-    generators: list[np.ndarray]         # D(eps_j)
+    generators: list[np.ndarray]         # K(eps_j) = i D(eps_j), in the
+                                         # field of H0 and Psi
     gap_floor: float                     # smallest tracked gap met on the grid
     projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
     ode_error: float                     # Richardson estimate from step halving
     p0: np.ndarray                       # P(0): the tracked cluster of H0
+    end_spectra: tuple                   # (evals, evecs) of H(0) and H(eps),
+                                         # the solves behind generators[0], [-1]
 
     @property
     def eps(self) -> float:
         return float(self.eps_grid[-1])
 
-    def transported_coupling(self, h0, psi) -> np.ndarray:
-        """V(eps) = U* (H0 + eps Psi) U - H0, from the final unitary."""
-        u = self.unitaries[-1]
-        h_eps = as_matrix(h0) + self.eps * as_matrix(psi)
-        return u.conj().T @ h_eps @ u - as_matrix(h0)
-
 
 def flow_unitaries(h0, psi, eps: float, window: Window,
                    checkpoints: int = 33, cluster_dim: int | None = None,
                    ode_tol: float = 1e-8) -> FlowResult:
-    """Integrate U' = i D(s) U to ``eps`` with RK4, re-unitarizing each step.
+    """Integrate U' = K(s) U to ``eps`` with RK4, re-unitarizing each step.
 
     The step count doubles, at most eight times, until two consecutive
     refinements agree to ``ode_tol`` at every checkpoint.  At each
     checkpoint the tracked gap of ``H(s)`` is compared with the filter width
     and the transported projector with the spectral one, both read from the
     eigendecomposition that built the generator there; the cluster projector
-    of ``H_0`` is computed once and returned as ``p0``.
+    of ``H_0`` is computed once and returned as ``p0``.  The unitaries are
+    real orthogonal when ``h0`` and ``psi`` are real.
     """
     m0, mp = as_matrix(h0), as_matrix(psi)
     if checkpoints % 2 == 0:
@@ -197,35 +224,39 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
         cluster_dim = kernel_count(eigenvalues(m0))
 
     # One solve per coupling gives the generator and, at a checkpoint, the
-    # tracked gap and the cluster's eigenvectors (n x cluster_dim).
+    # tracked gap and the cluster's eigenvectors (n x cluster_dim); the
+    # solves at both ends are kept whole.
     checkpoint_keys = {round(float(s), 15) for s in grid}
+    end_keys = (round(float(grid[0]), 15), round(float(grid[-1]), 15))
     gen_cache: dict[float, np.ndarray] = {}
     tracked: dict[float, tuple[float, np.ndarray]] = {}
+    ends: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def gen(s):
         key = round(float(s), 15)
         if key not in gen_cache:
             evals, evecs = diagonalize(m0 + s * mp)
-            weight = window.weight(evals[:, None] - evals[None, :])
-            gen_cache[key] = _filtered(evals, evecs, mp, weight)
+            gen_cache[key] = eigenbasis_generator(evals, evecs, mp, window)
             if key in checkpoint_keys:
                 gap = float(evals[cluster_dim] - evals[cluster_dim - 1])
                 tracked[key] = (gap, evecs[:, :cluster_dim].copy())
+            if key in end_keys:
+                ends[key] = (evals, evecs)
         return gen_cache[key]
 
     def integrate(substeps):
         dim = m0.shape[0]
-        u = np.eye(dim, dtype=complex)
+        u = np.eye(dim, dtype=gen(grid[0]).dtype)
         out = [u.copy()]
         for j in range(checkpoints - 1):
             a, b = grid[j], grid[j + 1]
             h_step = (b - a) / substeps
             for k in range(substeps):
                 s = a + k * h_step
-                k1 = 1j * gen(s) @ u
-                k2 = 1j * gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
-                k3 = 1j * gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
-                k4 = 1j * gen(s + h_step) @ (u + h_step * k3)
+                k1 = gen(s) @ u
+                k2 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
+                k3 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
+                k4 = gen(s + h_step) @ (u + h_step * k3)
                 u = u + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 u = _polar_unitary(u)
             out.append(u.copy())
@@ -254,7 +285,7 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     drift = max(operator_norm(u @ p0 @ u.conj().T - v @ v.conj().T)
                 for u, v in zip(unitaries, vecs))
     return FlowResult(window, grid, unitaries, generators, gap_floor, drift,
-                      err, p0)
+                      err, p0, (ends[end_keys[0]], ends[end_keys[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +316,9 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     """Cut V(eps) into anchored block-diagonal pieces and telescope over balls.
 
     Each anchor ``x`` receives ``v_x = int_0^eps U(s)* X_x(s) U(s) ds`` with
-    ``X_x(s) = psi_x - i [D(s), eta_x + s psi_x]`` (terms grouped by anchor),
-    evaluated by composite Simpson on the checkpoint grid.  Off-diagonal
+    ``X_x(s) = psi_x - [K(s), eta_x + s psi_x]`` (terms grouped by anchor),
+    evaluated by composite Simpson on the checkpoint grid, in the field of
+    the flow, the anchored terms and ``p_kernel``.  Off-diagonal
     blocks relative to the kernel projector are removed; the exact remainder
     ``V_true - sum_x v_x`` is re-distributed so that the sum reconstructs
     ``V(eps)`` to rounding: its diagonal blocks uniformly over anchors, its
@@ -315,22 +347,20 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     anchors = sorted(set(eta_anchored) | set(psi_anchored))
 
     def anchor_matrix(groups, x):
-        total = np.zeros((dim, dim), dtype=complex)
-        for t in groups.get(x, []):
-            total += embed(t.op, lam).matrix
-        return total
+        return sum((embed(t.op, lam).matrix for t in groups.get(x, [])),
+                   np.zeros((dim, dim)))
 
     eta_x = {x: anchor_matrix(eta_anchored, x) for x in anchors}
     psi_x = {x: anchor_matrix(psi_anchored, x) for x in anchors}
 
     weights = _simpson_weights(len(grid), grid[1] - grid[0]) if len(grid) > 1 \
         else np.array([0.0])
-    v = {x: np.zeros((dim, dim), dtype=complex) for x in anchors}
-    for j, (s, u, d_s) in enumerate(zip(grid, flow.unitaries, flow.generators)):
+    v = dict.fromkeys(anchors, 0.0)
+    for j, (s, u, k_s) in enumerate(zip(grid, flow.unitaries, flow.generators)):
         for x in anchors:
             h_xs = eta_x[x] + s * psi_x[x]
-            x_term = psi_x[x] - 1j * (d_s @ h_xs - h_xs @ d_s)
-            v[x] += weights[j] * (u.conj().T @ x_term @ u)
+            x_term = psi_x[x] - (k_s @ h_xs - h_xs @ k_s)
+            v[x] = v[x] + weights[j] * (u.conj().T @ x_term @ u)
 
     u_end = flow.unitaries[upto]
     eps_at = float(grid[-1])
@@ -386,13 +416,12 @@ def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
     lam = dec.lam
     inner = interior(lam, 2)
     dim = dec.v_true.shape[0]
-    phi_tilde = np.zeros((dim, dim), dtype=complex)
-    remainder = np.zeros((dim, dim), dtype=complex)
+    phi_tilde = remainder = np.zeros((dim, dim))
     for x, vx in dec.anchors.items():
         if inner is not None and x in inner:
-            phi_tilde += vx
+            phi_tilde = phi_tilde + vx
         else:
-            remainder += vx
+            remainder = remainder + vx
     rank = np.trace(p_kernel).real
     omega = float((np.trace(p_kernel @ phi_tilde) / rank).real)
     q = np.eye(dim) - p_kernel
@@ -457,30 +486,30 @@ def theta_assembly(dec: Phi1Decomposition,
     for k in range(1, big_r + 1):
         m = ball_term.get(k)
         if m is None:
-            m = np.zeros((dim, dim), dtype=complex)
+            m = np.zeros((dim, dim))
         omega_k = float(np.trace(omega_state @ m).real)
         phi1[k] = m - omega_k * np.eye(dim)
 
     n_x = r_x // 2
-    theta_beta = {n: np.zeros((dim, dim), dtype=complex)
-                  for n in range(3, r_x + 1)}
-    theta_alpha = np.zeros((dim, dim), dtype=complex)
+    theta_beta = {n: np.zeros((dim, dim)) for n in range(3, r_x + 1)}
+    theta_alpha = np.zeros((dim, dim))
 
     for k in range(1, n_x + 1):
         tau = qs[2 * k] @ phi1[k] @ qs[2 * k]
         if 2 * k == 2:
             if r_x >= 3:
-                theta_beta[3] += tau
+                theta_beta[3] = theta_beta[3] + tau
             else:
-                theta_alpha += tau
+                theta_alpha = theta_alpha + tau
         else:
-            theta_beta[2 * k] += tau
+            theta_beta[2 * k] = theta_beta[2 * k] + tau
         for n in range(2 * k + 1, r_x + 1):
-            theta_beta[n] += e[n] @ phi1[k] @ qs[n - 1] + qs[n] @ phi1[k] @ e[n]
+            theta_beta[n] = theta_beta[n] + (e[n] @ phi1[k] @ qs[n - 1]
+                                             + qs[n] @ phi1[k] @ e[n])
         nu = e[r_x + 1] @ phi1[k] @ qs[r_x] + q_full @ phi1[k] @ e[r_x + 1]
-        theta_alpha += nu
+        theta_alpha = theta_alpha + nu
     for k in range(n_x + 1, big_r + 1):
-        theta_alpha += q_full @ phi1[k] @ q_full
+        theta_alpha = theta_alpha + q_full @ phi1[k] @ q_full
 
     total = sum(phi1.values())
     lhs = q_full @ total @ q_full

@@ -407,8 +407,8 @@ def verify_form_bound(h0, phi2, delta: float, beta: float, eps: float,
     vs /= np.linalg.norm(vs, axis=0)
     _, h_vecs = np.linalg.eigh(h)
     vs = np.concatenate([vs, h_vecs.astype(complex)], axis=1)
-    quad_h = np.real(np.einsum("iv,ij,jv->v", vs.conj(), h, vs))
-    quad_p = np.real(np.einsum("iv,ij,jv->v", vs.conj(), p2, vs))
+    quad_h = np.einsum("iv,iv->v", vs.conj(), h @ vs).real
+    quad_p = np.einsum("iv,iv->v", vs.conj(), p2 @ vs).real
     margins = delta * eps + beta * eps * quad_h - np.abs(quad_p)
     return FormBoundReport(eps, delta, beta,
                            float(ev_plus[0]), float(ev_minus[0]),

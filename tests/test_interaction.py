@@ -8,8 +8,8 @@ from gaplab.interaction import (Interaction, Term, fermion_to_spin, from_json,
                                 regroup_intervals, split_edge_bulk, to_json,
                                 validate_unperturbed)
 from gaplab.lattice import Interval, interior
-from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
-                                     creator, number_operator)
+from gaplab.operator_algebra import LocalOperator, ParityError, annihilator
+from oracles import creator, is_hermitian, number_operator
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -164,6 +164,31 @@ def test_regroup_preserves_every_local_hamiltonian(seed):
             np.testing.assert_allclose(h0, h1, atol=1e-13)
 
 
+def test_term_norms_are_computed_once(monkeypatch):
+    """Each term's norm is solved on the first use and kept by the term:
+    a second F-norm, the uniform bound and a split view solve nothing."""
+    solves = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            solves.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    lam = Interval(0, 5)
+    phi = random_interaction(lam, seed=4, n_terms=8, decay=BASE)
+    solves.clear()
+    first = phi.f_norm()
+    n_first = len(solves)
+    assert n_first >= len(phi.terms)
+    assert phi.f_norm() == first
+    assert phi.uniform_bound == max(t.op.norm() for t in phi.terms)
+    split_edge_bulk(phi, lam, 1).bulk.f_norm()
+    assert len(solves) == n_first
+
+
 # --- fermion/spin dictionary -----------------------------------------------------
 
 
@@ -212,7 +237,7 @@ def test_random_interaction_terms_are_normalized_hermitian():
     lam = Interval(0, 5)
     phi = random_interaction(lam, seed=9, n_terms=10, max_diameter=2)
     for t in phi.terms:
-        assert t.op.is_hermitian()
+        assert is_hermitian(t.op)
         assert t.op.norm() <= 1.0 + 1e-12
         assert t.support in lam
         assert t.support.diameter <= 2

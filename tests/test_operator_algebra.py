@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from gaplab.lattice import Interval
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
-                                     conditional_expectation, creator,
-                                     delta_layer, eigenvalues, embed,
-                                     jordan_wigner, mode_annihilator,
-                                     number_operator, operator_norm,
+                                     conditional_expectation, delta_layer,
+                                     eigenvalues, embed, jordan_wigner,
+                                     mode_annihilator, operator_norm,
                                      parity_grade, parity_matrix,
                                      partial_trace, spin_matrices)
+from oracles import creator, number_operator
 
 
 def kron(*ms):

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gaplab.interaction import local_hamiltonian, split_edge_bulk
+from gaplab.interaction import (Interaction, Term, local_hamiltonian,
+                                split_edge_bulk)
 from gaplab.lattice import Interval
 from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
 from gaplab.operator_algebra import operator_norm
 from gaplab.spectra import cluster_projector, diagonalize, resolution_family
-from gaplab.spectral_flow import (Window, _filtered, _time_panels,
-                                  decompose_phi1, eigenbasis_generator,
+from gaplab.spectral_flow import (Window, _filtered, _polar_unitary,
+                                  _time_panels, decompose_phi1,
+                                  eigenbasis_generator,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
@@ -41,6 +45,31 @@ def test_window_is_flat_enough_at_the_edge():
     assert val <= (3.0 * delta) ** 8
 
 
+def _profile_everywhere(kind, omega):
+    """The window profile evaluated on every argument, then cut to the window."""
+    u = 2.0 * omega / GAMMA
+    vals = (1.0 - u * u) ** 8 if kind == "bump" \
+        else np.cos(0.5 * np.pi * u) ** 2
+    return np.where(np.abs(u) < 1.0, vals, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["bump", "cosine"])
+def test_window_beta_is_bit_identical_to_the_full_evaluation(kind):
+    """Evaluating the profile only inside the window changes no bit."""
+    w = Window(GAMMA, kind)
+    half = 0.5 * GAMMA
+    grid = np.concatenate([np.linspace(-1.3, 1.3, 2601),
+                           [0.0, half, -half, np.nextafter(half, 0.0),
+                            -np.nextafter(half, 0.0), 5.0, -7.5]])
+    square = grid[:60, None] - grid[None, -60:]           # an n x n argument
+    for omega in (grid, square):
+        oracle = _profile_everywhere(kind, omega)
+        got = w.beta(omega)
+        assert got.dtype == oracle.dtype
+        assert got.tobytes() == oracle.tobytes()
+    assert all(w.beta(x) == _profile_everywhere(kind, x) for x in grid[-7:])
+
+
 def test_window_cosine_and_unknown_kind():
     w = Window(GAMMA, kind="cosine")
     assert w.beta(0.0) == 1.0
@@ -62,12 +91,15 @@ def test_weight_is_odd_and_exact_outside():
 
 
 def test_eigenbasis_generator_two_level_oracle():
-    """H = diag(0, E) with a sigma^x coupling: D = wtilde(E) sigma^y."""
+    """H = diag(0, E) with a sigma^x coupling: D = wtilde(E) sigma^y, so the
+    stored K = i D = wtilde(E) i sigma^y is real."""
     w = Window(GAMMA)
     for energy in (1.3, 0.3):           # one outside the window, one inside
         h = np.diag([0.0, energy])
-        d = eigenbasis_generator(h, SX, w)
-        np.testing.assert_allclose(d, w.weight(energy) * SY, atol=1e-14)
+        k = eigenbasis_generator(*diagonalize(h), SX, w)
+        assert k.dtype == np.float64
+        np.testing.assert_allclose(k, w.weight(energy) * (1j * SY).real,
+                                   atol=1e-14)
 
 
 def test_time_weight_against_quadrature_oracle():
@@ -98,9 +130,10 @@ def _random_pair():
 def test_generator_routes_agree_on_random_pair():
     h, psi = _random_pair()
     w = Window(GAMMA)
-    d_eig = eigenbasis_generator(h, psi, w)
-    d_time = time_quadrature_generator(h, psi, w)
-    assert operator_norm(d_eig - d_time) <= 1e-6
+    evals, evecs = diagonalize(h)
+    k_eig = eigenbasis_generator(evals, evecs, psi, w)
+    k_time = time_quadrature_generator(evals, evecs, psi, w)
+    assert operator_norm(k_eig - k_time) <= 1e-6
 
 
 def test_phase_product_weight_matches_direct_sine_sum():
@@ -118,7 +151,7 @@ def test_phase_product_weight_matches_direct_sine_sum():
             "s,sij->ij", coeff[chunk],
             np.sin(s_pts[chunk, None, None] * omega[None, :, :]))
     np.testing.assert_allclose(_filtered(evals, evecs, psi, direct),
-                               time_quadrature_generator(h, psi, w),
+                               time_quadrature_generator(evals, evecs, psi, w),
                                rtol=0.0, atol=1e-13)
 
 
@@ -134,10 +167,40 @@ def test_flow_two_level_transport():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
     assert flow.projector_drift <= 1e-8
     assert flow.gap_floor == pytest.approx(1.0, abs=1e-12)   # sqrt(1+4s^2) >= 1
-    # conjugation preserves the spectrum
-    v = flow.transported_coupling(h0, SX)
+    # conjugation preserves the spectrum: V = U* H(eps) U - H0
+    u = flow.unitaries[-1]
+    v = u.conj().T @ (h0 + flow.eps * SX) @ u - h0
     np.testing.assert_allclose(np.linalg.eigvalsh(h0 + v),
                                np.linalg.eigvalsh(h0 + 0.1 * SX), atol=1e-10)
+
+
+def _assert_transports(flow, h0, psi, cluster_dim):
+    """Every U(s) is unitary to 1e-12 and carries P(0) to the cluster
+    projector of H(s), solved afresh."""
+    eye = np.eye(h0.shape[0])
+    for s, u in zip(flow.eps_grid, flow.unitaries):
+        np.testing.assert_allclose(u @ u.conj().T, eye, rtol=0, atol=1e-12)
+        vecs = np.linalg.eigh(h0 + s * psi)[1][:, :cluster_dim]
+        np.testing.assert_allclose(u @ flow.p0 @ u.conj().T,
+                                   vecs @ vecs.conj().T, rtol=0, atol=1e-8)
+
+
+def test_flow_runs_in_the_field_of_its_inputs():
+    """A real symmetric pair flows with real U and K; a complex Hermitian
+    pair, with the same code, in complex arithmetic."""
+    h6 = np.diag([0.0, 1.0, 1.2, 1.5, 2.0, 3.0])
+    cases = [(np.diag([0.0, 1.0]), SX, 0.1, np.float64),
+             (np.diag([0.0, 1.0]), SY, 0.1, np.complex128),
+             (h6, _random_pair()[1], 0.01, np.complex128),
+             (h6, _random_pair()[1].real, 0.01, np.float64)]
+    for h0, psi, eps, dtype in cases:
+        flow = flow_unitaries(h0, psi, eps, Window(GAMMA), checkpoints=5,
+                              cluster_dim=1)
+        assert all(u.dtype == dtype for u in flow.unitaries)
+        assert all(k.dtype == dtype for k in flow.generators)
+        for k in flow.generators:                    # K = iD is anti-Hermitian
+            np.testing.assert_allclose(k, -k.conj().T, rtol=0, atol=1e-14)
+        _assert_transports(flow, h0, psi, 1)
 
 
 def test_flow_rejects_closing_gap():
@@ -173,14 +236,74 @@ def bundle():
 
 def test_generator_routes_agree_on_the_default_horizon(bundle):
     """On the chain (spectral width 8) the time quadrature, at the one
-    horizon it has, reproduces the eigenbasis filter to 1e-10."""
-    h0, hp = bundle["h0"], bundle["hp"]
-    assert np.ptp(np.linalg.eigvalsh(h0)) == pytest.approx(8.0)
+    horizon it has, reproduces the generator the flow ran to 1e-10, on the
+    decompositions the flow kept at both ends."""
+    flow, hp = bundle["flow"], bundle["hp"]
+    assert np.ptp(np.linalg.eigvalsh(bundle["h0"])) == pytest.approx(8.0)
     w = Window(GAMMA)
-    for s in (0.0, bundle["flow"].eps):
-        h = h0 + s * hp
-        d_time = time_quadrature_generator(h, hp, w)
-        assert operator_norm(eigenbasis_generator(h, hp, w) - d_time) <= 1e-10
+    ends = zip((0.0, flow.eps), (flow.generators[0], flow.generators[-1]),
+               flow.end_spectra)
+    for s, k_flow, (evals, evecs) in ends:
+        h = bundle["h0"] + s * hp
+        np.testing.assert_array_equal(evals, diagonalize(h)[0])
+        np.testing.assert_array_equal(
+            k_flow, eigenbasis_generator(evals, evecs, hp, w))
+        d_time = time_quadrature_generator(evals, evecs, hp, w)
+        assert operator_norm(k_flow - d_time) <= 1e-10
+
+
+def _complex_rk4_flow(h0, psi, grid, window, ode_tol=1e-8):
+    """The flow in complex arithmetic: D from the eigenbasis filter,
+    U' = i D U, RK4 with a polar step after each step, substeps doubled
+    until two refinements agree to ``ode_tol``."""
+    cache = {}
+
+    def gen(s):
+        key = round(float(s), 15)
+        if key not in cache:
+            evals, evecs = diagonalize(h0 + s * psi)
+            psi_eig = evecs.conj().T @ psi @ evecs
+            weight = window.weight(evals[:, None] - evals[None, :])
+            cache[key] = evecs @ (1j * weight * psi_eig) @ evecs.conj().T
+        return cache[key]
+
+    def integrate(substeps):
+        u = np.eye(h0.shape[0], dtype=complex)
+        out = [u.copy()]
+        for a, b in zip(grid[:-1], grid[1:]):
+            h_step = (b - a) / substeps
+            for k in range(substeps):
+                s = a + k * h_step
+                k1 = 1j * gen(s) @ u
+                k2 = 1j * gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
+                k3 = 1j * gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
+                k4 = 1j * gen(s + h_step) @ (u + h_step * k3)
+                u = _polar_unitary(u + (h_step / 6.0)
+                                   * (k1 + 2 * k2 + 2 * k3 + k4))
+            out.append(u.copy())
+        return out
+
+    substeps, prev = 1, integrate(1)
+    for _ in range(8):
+        substeps *= 2
+        cur = integrate(substeps)
+        err = max(np.linalg.norm(c - p, 2) for c, p in zip(cur, prev))
+        prev = cur
+        if err <= ode_tol:
+            return prev
+    raise AssertionError("oracle flow did not converge")
+
+
+def test_real_flow_matches_the_complex_arithmetic_oracle(bundle):
+    flow = bundle["flow"]
+    assert all(u.dtype == np.float64 for u in flow.unitaries)
+    oracle = _complex_rk4_flow(bundle["h0"], bundle["hp"], flow.eps_grid,
+                               Window(GAMMA))
+    assert len(oracle) == len(flow.unitaries)
+    for u, u_ref in zip(flow.unitaries, oracle):
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
+    _assert_transports(flow, bundle["h0"], bundle["hp"],
+                       int(round(np.trace(bundle["p0"]))))
 
 
 def test_decomposition_reconstructs_exactly(bundle):
@@ -219,6 +342,40 @@ def test_split_separates_blocks(bundle):
     q = np.eye(p0.shape[0]) - p0
     assert operator_norm(q @ split.phi3) <= 1e-12
     assert isinstance(split.omega_value, float)
+
+
+def _complex_typed(phi):
+    """The same terms with their matrices stored as complex."""
+    return Interaction([Term(replace(t.op, matrix=t.op.matrix.astype(complex)),
+                             t.anchor, t.radius) for t in phi.terms],
+                       phi.kind, phi.local_dim, ball_keyed=phi.ball_keyed)
+
+
+def test_decomposition_of_complex_typed_real_terms(bundle):
+    """Terms stored as complex but holding real values (as ``from_json`` and
+    ``annihilator`` build them) assemble a real Hamiltonian, so the flow is
+    real while the anchored pieces are complex; the decomposition, split and
+    assembly still run and agree with the real-typed ones."""
+    lam, flow, p0 = bundle["lam"], bundle["flow"], bundle["p0"]
+    eta, psi = _complex_typed(bundle["eta"]), _complex_typed(bundle["psi"])
+    assert all(t.op.matrix.dtype == np.complex128 for t in psi.terms)
+    assert local_hamiltonian(psi, lam).matrix.dtype == np.float64
+    dec = decompose_phi1(flow, eta, psi, lam, p0)
+    ref = bundle["dec"]
+    np.testing.assert_array_equal(dec.v_true, ref.v_true)
+    for x, vx in dec.anchors.items():
+        assert np.max(np.abs(vx - ref.anchors[x])) <= 1e-12
+    split, split_ref = split_phi1(dec, p0), split_phi1(ref, p0)
+    assert split.reconstruction_error <= 1e-10
+    assert split.omega_value == pytest.approx(split_ref.omega_value,
+                                              rel=1e-12)
+    for name in ("phi_tilde", "phi2", "phi3", "remainder"):
+        assert np.max(np.abs(getattr(split, name)
+                             - getattr(split_ref, name))) <= 1e-12
+    family = resolution_family(eta, lam, 3, p0)
+    assembly = theta_assembly(dec, family)
+    assert assembly.identity_error <= 1e-10
+    assert assembly.annihilation_error <= 1e-10
 
 
 def test_theta_assembly_identities(bundle):

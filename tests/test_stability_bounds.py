@@ -240,6 +240,30 @@ def test_form_bound_margin_dominates_eigenvalues():
     assert rep.sampled_margin >= min(rep.min_eig_plus, rep.min_eig_minus) - 1e-12
 
 
+def test_form_bound_margins_match_the_triple_einsum_oracle():
+    """The sampled forms, taken as BLAS products, give the margins of the
+    direct sum ``sum_ij conj(v_i) m_ij v_j`` to 1e-12."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((32, 32))
+    h = a @ a.T / 32.0
+    b = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    for phi2 in (0.05 * (b + b.conj().T), 0.05 * (b + b.conj().T).real):
+        delta, beta, eps, seed = 0.5, 0.3, 0.4, 13
+        rep = verify_form_bound(h, phi2, delta, beta, eps, n_vectors=300,
+                                seed=seed)
+        gen =np.random.default_rng(seed)
+        vs = gen.standard_normal((32, 300)) + 1j * gen.standard_normal((32, 300))
+        vs /= np.linalg.norm(vs, axis=0)
+        vs = np.concatenate([vs, np.linalg.eigh(h)[1].astype(complex)], axis=1)
+        quad_h = np.real(np.einsum("iv,ij,jv->v", vs.conj(), h, vs))
+        quad_p = np.real(np.einsum("iv,ij,jv->v", vs.conj(), phi2, vs))
+        margins = delta * eps + beta * eps * quad_h - np.abs(quad_p)
+        assert rep.sampled_margin == pytest.approx(margins.min(), rel=0,
+                                                   abs=1e-12)
+        assert rep.violations == int(np.sum(margins < -1e-10))
+        assert 0 < rep.violations < 332              # some, not all, fail
+
+
 # --- volume strengths ---------------------------------------------------------------
 
 
