@@ -14,13 +14,12 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
     LocalOperator, ParityError, _check_dense, eigenvalues, jordan_wigner,
-    kernel_count, kernel_mask, operator_norm, parity_grade,
+    kernel_count, kernel_mask, operator_norm, parity_grade, placement,
 )
 
 
@@ -105,7 +104,8 @@ class Interaction:
 def local_hamiltonian(phi: Interaction, lam: Interval):
     """Sum of all terms supported inside ``lam``, as one operator on ``lam``.
 
-    Assembly preserves realness (real terms give a real symmetric matrix).
+    Terms are added, in order, into their ``placement`` views of one zeroed
+    matrix; real terms give a real symmetric matrix.
     """
     d = phi.local_dim
     dim = d ** len(lam)
@@ -113,18 +113,12 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
     terms = [t for t in phi.terms if t.support in lam]
     real = all(not np.iscomplexobj(t.op.matrix)
                or np.max(np.abs(t.op.matrix.imag)) == 0.0 for t in terms)
-    dtype = np.float64 if real else np.complex128
-    acc = sp.csr_matrix((dim, dim), dtype=dtype)
+    h = np.zeros((dim, dim), np.float64 if real else np.complex128)
     for t in terms:
-        nl = t.support.a - lam.a
-        nr = lam.b - t.support.b
-        m = t.op.matrix.real if real else t.op.matrix
-        block = sp.kron(sp.identity(d ** nl, dtype=dtype, format="csr"),
-                        sp.kron(sp.csr_matrix(m.astype(dtype)),
-                                sp.identity(d ** nr, dtype=dtype, format="csr"),
-                                format="csr"), format="csr")
-        acc = acc + block
-    return LocalOperator(acc.toarray(), lam, lam, phi.kind, d)
+        view = placement(h, d ** (t.support.a - lam.a),
+                         d ** (lam.b - t.support.b))
+        view += t.op.matrix.real if real else t.op.matrix
+    return LocalOperator(h, lam, lam, phi.kind, d)
 
 
 @dataclass

@@ -24,16 +24,8 @@ from .lattice import Interval
 
 MAX_DENSE_DIM = 3 ** 9
 
-# single-site constants (local dimension 2)
-ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# basis order (empty, occupied): lower = annihilate, raise = create
+# single-site annihilator in the basis order (empty, occupied)
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-RAISE = LOWER.T.copy()
-# string sign (-1)^n in the same basis
-STRING_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 class ParityError(ValueError):
@@ -218,16 +210,17 @@ def parity_grade(op: LocalOperator) -> str:
 
 
 def embed(op: LocalOperator, target: Interval) -> LocalOperator:
-    """Extend by identity onto ``target``; odd/mixed fermion parts are refused."""
+    """Extend by identity onto ``target``, written into the ``placement``
+    view of a zeroed matrix; odd/mixed fermion parts are refused."""
     if op.support not in target or target not in op.ambient:
         raise ValueError("target must contain the support and sit inside the ambient")
     if op.kind == "fermion" and parity_grade(op) != "even":
         raise ParityError("only even fermionic operators embed without a string")
     d = op.local_dim
-    nl = op.support.a - target.a
-    nr = target.b - op.support.b
     _check_dense(d ** len(target))
-    m = np.kron(np.eye(d ** nl), np.kron(op.matrix, np.eye(d ** nr)))
+    m = np.zeros((d ** len(target),) * 2, np.result_type(op.matrix, float))
+    placement(m, d ** (op.support.a - target.a),
+              d ** (target.b - op.support.b))[...] = op.matrix
     return LocalOperator(m, target, op.ambient, op.kind, d)
 
 
@@ -236,14 +229,9 @@ def annihilator(lam: Interval, x: int) -> LocalOperator:
     if x not in lam:
         raise ValueError(f"site {x} outside {lam}")
     _check_dense(2 ** len(lam))
-    m = np.eye(1, dtype=complex)
-    for site in lam:
-        if site < x:
-            m = np.kron(m, STRING_Z)
-        elif site == x:
-            m = np.kron(m, LOWER)
-        else:
-            m = np.kron(m, ID2)
+    m = np.zeros((2 ** len(lam),) * 2, complex)
+    string = parity_matrix(x - lam.a)[:, None, None, None]
+    placement(m, 2 ** (x - lam.a), 2 ** (lam.b - x))[...] = string * LOWER
     return LocalOperator(m, lam, lam, "fermion")
 
 
@@ -258,25 +246,36 @@ def mode_annihilator(lam: Interval, coeffs: dict) -> LocalOperator:
     return out
 
 
+def placement(h: np.ndarray, dl: int, dr: int) -> np.ndarray:
+    r"""The entries of ``1_dl (x) M (x) 1_dr`` inside the square ``h``, as the
+    view ``v[a, b, i, j] = h[(a, i, b), (a, j, b)]``.
+
+    For a C-contiguous ``h`` the view writes into ``h``: ``v[...] = M``
+    places ``M`` between the two identities and ``v += M`` adds it, without
+    forming the placed matrix.  Its adjoint is ``partial_trace``, which sums
+    the view over ``a`` and ``b``.
+    """
+    dt = h.shape[0] // (dl * dr)
+    return np.einsum("aibajb->abij", h.reshape(dl, dt, dr, dl, dt, dr))
+
+
 def partial_trace(op: LocalOperator, keep: Interval) -> LocalOperator:
     r"""Normalized partial trace onto the sites of ``keep``.
 
     Averages out the complement with the normalized trace, so the identity
     maps to the identity and the map is a conditional expectation onto the
-    observables of ``keep``.  Requires the spin kind (for fermions, take the
-    even part through the chain-algebra relabeling first).
+    observables of ``keep``.  It sums the ``placement`` view of the matrix
+    over the complement, so it is the adjoint of placing.  Requires the spin
+    kind (for fermions, take the even part through the chain-algebra
+    relabeling first).
     """
     if op.kind != "spin":
         raise ValueError("partial_trace acts on spin-kind operators")
     if keep not in op.support:
         raise ValueError(f"keep {keep} not inside support {op.support}")
     d = op.local_dim
-    nl = keep.a - op.support.a
-    nk = len(keep)
-    nr = op.support.b - keep.b
-    dl, dk, dr = d ** nl, d ** nk, d ** nr
-    m = op.matrix.reshape(dl, dk, dr, dl, dk, dr)
-    out = np.einsum("aibajb->ij", m) / (dl * dr)
+    dl, dr = d ** (keep.a - op.support.a), d ** (op.support.b - keep.b)
+    out = np.einsum("abij->ij", placement(op.matrix, dl, dr)) / (dl * dr)
     return LocalOperator(out, keep, op.ambient, op.kind, d)
 
 
@@ -335,8 +334,8 @@ def jordan_wigner(op: LocalOperator) -> LocalOperator:
     stretched = Interval(op.ambient.a, op.support.b)
     nl = op.support.a - stretched.a
     _check_dense(2 ** len(stretched))
-    ident = np.eye(2 ** nl, dtype=complex)
-    string = np.diag(parity_matrix(nl)).astype(complex)
-    m = np.kron(ident, even_part) + np.kron(string, odd_part)
+    m = np.zeros((2 ** len(stretched),) * 2, complex)
+    string = parity_matrix(nl)[:, None, None, None]
+    placement(m, 2 ** nl, 1)[...] = even_part + string * odd_part
     return LocalOperator(m, stretched, op.ambient, "spin",
                          string_attached=True)

@@ -42,7 +42,7 @@ whose terms nearly commute with the unperturbed kernel projector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -53,7 +53,7 @@ from .interaction import Interaction, Term, local_hamiltonian
 from .operator_algebra import (LocalOperator, as_matrix,
                                conditional_expectation, delta_layer,
                                eigenvalues, embed, kernel_count, operator_norm)
-from .spectra import ProjectorFamily, cluster_projector, diagonalize
+from .spectra import ProjectorFamily, diagonalize
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,8 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     refinements agree to ``ode_tol`` at every checkpoint.  At each
     checkpoint the tracked gap of ``H(s)`` is compared with the filter width
     and the transported projector with the spectral one, both read from the
-    eigendecomposition that built the generator there; the cluster projector
-    of ``H_0`` is computed once and returned as ``p0``.  The unitaries are
+    eigendecomposition that built the generator there, and ``p0``, the
+    cluster projector of ``H_0``, from the one at s = 0.  The unitaries are
     real orthogonal when ``h0`` and ``psi`` are real.
     """
     m0, mp = as_matrix(h0), as_matrix(psi)
@@ -281,7 +281,8 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     if gap_floor < window.gamma:
         raise RuntimeError(
             f"tracked gap {gap_floor:.4f} fell below filter width {window.gamma:.4f}")
-    p0 = cluster_projector(m0, cluster_dim)
+    v0 = ends[end_keys[0]][1][:, :cluster_dim]
+    p0 = v0 @ v0.conj().T
     drift = max(operator_norm(u @ p0 @ u.conj().T - v @ v.conj().T)
                 for u, v in zip(unitaries, vecs))
     return FlowResult(window, grid, unitaries, generators, gap_floor, drift,
@@ -346,12 +347,12 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     psi_anchored = psi.anchored()
     anchors = sorted(set(eta_anchored) | set(psi_anchored))
 
-    def anchor_matrix(groups, x):
-        return sum((embed(t.op, lam).matrix for t in groups.get(x, [])),
-                   np.zeros((dim, dim)))
+    def anchor_matrix(phi, groups, x):
+        return local_hamiltonian(replace(phi, terms=groups.get(x, [])),
+                                 lam).matrix
 
-    eta_x = {x: anchor_matrix(eta_anchored, x) for x in anchors}
-    psi_x = {x: anchor_matrix(psi_anchored, x) for x in anchors}
+    eta_x = {x: anchor_matrix(eta, eta_anchored, x) for x in anchors}
+    psi_x = {x: anchor_matrix(psi, psi_anchored, x) for x in anchors}
 
     weights = _simpson_weights(len(grid), grid[1] - grid[0]) if len(grid) > 1 \
         else np.array([0.0])

@@ -1,12 +1,17 @@
 import hashlib
 import importlib
 import json
+import os
 import runpy
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaplab.cli as cli
 from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         cmd_flow, cmd_sp0scan, cmd_validate, flow_bundle,
                         load_config, main, merged_config, run, summary_lines,
@@ -308,6 +313,39 @@ def test_flow_checks_solve_no_matrix_again(monkeypatch):
     in_flow_checks[0] = True
     assert cmd_flow(cfg, ctx).passed
     assert repeats == []
+
+
+def test_cli_import_loads_no_sparse_module():
+    """Hamiltonians are assembled dense, so importing the CLI loads no
+    part of ``scipy.sparse``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, gaplab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_validate_fails_a_spin_image_that_differs(monkeypatch):
+    """The fermion/spin rows compare the spin image's matrix with the
+    fermionic one entry for entry: a relative change of 1e-14 in one term,
+    far below the spectral tolerance, fails every row."""
+    original = cli.fermion_to_spin
+
+    def perturbed(phi):
+        spin = original(phi)
+        first = spin.terms[0]
+        op = replace(first.op, matrix=first.op.matrix * (1.0 + 1e-14))
+        return replace(spin, terms=[replace(first, op=op)] + spin.terms[1:])
+
+    monkeypatch.setattr(cli, "fermion_to_spin", perturbed)
+    cfg = merged_config({"lengths": [6], "ltqo": {"aklt_lengths": [4]}})
+    rep = cmd_validate(cfg, {})
+    _, rows = rep.tables["jw.csv"]
+    assert len(rows) == 2
+    assert all(row[2] <= 1e-10 and row[3] == "fail" for row in rows)
+    assert not rep.passed
 
 
 def test_parser_rejects_unknown_command():

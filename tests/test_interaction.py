@@ -9,7 +9,8 @@ from gaplab.interaction import (Interaction, Term, fermion_to_spin, from_json,
                                 validate_unperturbed)
 from gaplab.lattice import Interval, interior
 from gaplab.operator_algebra import LocalOperator, ParityError, annihilator
-from oracles import creator, is_hermitian, number_operator
+from oracles import (creator, is_hermitian, kron_placed, number_operator,
+                     random_matrix)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -54,13 +55,29 @@ def test_range_and_uniform_bound():
     assert phi.uniform_bound == pytest.approx(1.0)
 
 
-def test_local_hamiltonian_matches_manual_kron():
-    lam = Interval(0, 2)
-    phi = two_site_ising(lam)
-    h = local_hamiltonian(phi, lam)
-    zz = (np.eye(4) - np.kron(Z, Z)) / 2.0
-    manual = np.kron(zz, np.eye(2)) + np.kron(np.eye(2), zz)
-    np.testing.assert_allclose(h.matrix, manual, atol=1e-15)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 6), (3, 4)]), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_local_hamiltonian_matches_manual_kron(dim_sites, n_random, seed):
+    """Terms of random supports, real or complex, always with one on the
+    left edge site and one on the whole chain, assemble to the sum of their
+    Kronecker placements entry for entry."""
+    d, n_sites = dim_sites
+    lam = Interval(0, n_sites - 1)
+    rng = np.random.default_rng(seed)
+    supports = [Interval(0, 0), lam]
+    for _ in range(n_random):
+        a = int(rng.integers(0, n_sites))
+        supports.append(Interval(a, int(rng.integers(a, n_sites))))
+    terms, oracle = [], np.zeros((d ** n_sites,) * 2)
+    for supp in supports:
+        m = random_matrix(rng, d ** len(supp), bool(rng.integers(2)))
+        terms.append(Term(LocalOperator(m, supp, lam, "spin", d)))
+        oracle = oracle + kron_placed(m, d, supp.a - lam.a, lam.b - supp.b)
+    h = local_hamiltonian(Interaction(terms, "spin", d), lam)
+    assert h.matrix.dtype == (np.complex128 if np.iscomplexobj(oracle)
+                              else np.float64)
+    assert np.array_equal(h.matrix, oracle)
 
 
 def test_local_hamiltonian_restricts_to_volume():

@@ -9,7 +9,7 @@ from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
                                      mode_annihilator, operator_norm,
                                      parity_grade, parity_matrix,
                                      partial_trace, spin_matrices)
-from oracles import creator, number_operator
+from oracles import creator, kron_placed, number_operator, random_matrix
 
 
 def kron(*ms):
@@ -59,6 +59,28 @@ def test_embed_places_identity_factors():
     big = embed(op, Interval(1, 3))
     np.testing.assert_allclose(big.matrix, kron(np.eye(2), X, np.eye(2)))
     assert big.support == Interval(1, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 6), (3, 4)]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_embed_matches_kron_oracle(dim_sites, complex_, seed):
+    """A random support inside a random target, on a chain of local
+    dimension 2 or 3: the embedded matrix is the Kronecker placement entry
+    for entry, in the field of the operator."""
+    d, n_sites = dim_sites
+    rng = np.random.default_rng(seed)
+    ta = int(rng.integers(0, n_sites))
+    target = Interval(ta, int(rng.integers(ta, n_sites)))
+    sa = int(rng.integers(target.a, target.b + 1))
+    supp = Interval(sa, int(rng.integers(sa, target.b + 1)))
+    m = random_matrix(rng, d ** len(supp), complex_)
+    op = LocalOperator(m, supp, Interval(0, n_sites - 1), "spin", d)
+    big = embed(op, target)
+    oracle = kron_placed(m, d, supp.a - target.a, target.b - supp.b)
+    assert big.matrix.dtype == oracle.dtype
+    assert np.array_equal(big.matrix, oracle)
+    assert big.support == target
 
 
 def test_embed_refuses_odd_fermion():

@@ -10,7 +10,7 @@ from gaplab.lattice import Interval
 from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
 from gaplab.operator_algebra import operator_norm
-from gaplab.spectra import cluster_projector, diagonalize, resolution_family
+from gaplab.spectra import diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _polar_unitary,
                                   _time_panels, decompose_phi1,
                                   eigenbasis_generator,
@@ -203,6 +203,26 @@ def test_flow_runs_in_the_field_of_its_inputs():
         _assert_transports(flow, h0, psi, 1)
 
 
+def test_flow_solves_h0_once(monkeypatch):
+    """H(0) is diagonalized once, for the generator at s = 0; the cluster
+    projector p0 is read from that decomposition."""
+    h0 = np.diag([0.0, 1.0, 1.2, 1.5])
+    psi = _random_pair()[1][:4, :4]
+    solved = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(np.array(a, copy=True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    flow = flow_unitaries(h0, psi, 0.01, Window(GAMMA), checkpoints=5,
+                          cluster_dim=1)
+    assert sum(np.array_equal(h, h0) for h in solved) == 1
+    v0 = flow.end_spectra[0][1][:, :1]
+    np.testing.assert_array_equal(flow.p0, v0 @ v0.conj().T)
+
+
 def test_flow_rejects_closing_gap():
     h0 = np.diag([0.0, 1.0])
     psi = np.diag([1.0, -1.0])          # gap 1 - 2s collapses under the filter
@@ -228,7 +248,8 @@ def bundle():
     window = Window(GAMMA)
     flow = flow_unitaries(h0.matrix, hp.matrix, 0.02, window,
                           checkpoints=9, cluster_dim=kdim)
-    p0 = cluster_projector(h0.matrix, kdim)
+    v0 = diagonalize(h0.matrix)[1][:, :kdim]
+    p0 = v0 @ v0.conj().T
     dec = decompose_phi1(flow, eta, psi, lam, p0)
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow,
             "p0": p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix}

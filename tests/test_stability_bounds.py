@@ -217,12 +217,13 @@ def test_form_constants_use_volume_norm(bc):
 def test_form_bound_diagonal_oracle():
     h = np.diag([0.0, 1.0, 2.0])
     phi2 = np.diag([0.05, 0.2, 0.3])
-    rep = verify_form_bound(h, phi2, delta=1.0, beta=1.0, eps=0.1,
+    vecs = np.linalg.eigh(h)[1]
+    rep = verify_form_bound(h, vecs, phi2, delta=1.0, beta=1.0, eps=0.1,
                             n_vectors=200)
     assert rep.holds and rep.violations == 0
     assert rep.min_eig_plus >= -1e-10 and rep.min_eig_minus >= -1e-10
 
-    bad = verify_form_bound(h, np.diag([0.5, 0.0, 0.0]), delta=1.0,
+    bad = verify_form_bound(h, vecs, np.diag([0.5, 0.0, 0.0]), delta=1.0,
                             beta=1.0, eps=0.1, n_vectors=200)
     assert not bad.holds
     assert bad.violations >= 1                   # the ground eigenvector fails
@@ -235,8 +236,8 @@ def test_form_bound_margin_dominates_eigenvalues():
     h = a @ a.T                                   # nonnegative
     b = rng.standard_normal((8, 8))
     phi2 = 0.01 * (b + b.T)
-    rep = verify_form_bound(h, phi2, delta=0.5, beta=0.2, eps=0.05,
-                            n_vectors=500, seed=11)
+    rep = verify_form_bound(h, np.linalg.eigh(h)[1], phi2, delta=0.5,
+                            beta=0.2, eps=0.05, n_vectors=500, seed=11)
     assert rep.sampled_margin >= min(rep.min_eig_plus, rep.min_eig_minus) - 1e-12
 
 
@@ -249,8 +250,8 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
     b = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     for phi2 in (0.05 * (b + b.conj().T), 0.05 * (b + b.conj().T).real):
         delta, beta, eps, seed = 0.5, 0.3, 0.4, 13
-        rep = verify_form_bound(h, phi2, delta, beta, eps, n_vectors=300,
-                                seed=seed)
+        rep = verify_form_bound(h, np.linalg.eigh(h)[1], phi2, delta, beta,
+                                eps, n_vectors=300, seed=seed)
         gen =np.random.default_rng(seed)
         vs = gen.standard_normal((32, 300)) + 1j * gen.standard_normal((32, 300))
         vs /= np.linalg.norm(vs, axis=0)
@@ -262,6 +263,21 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
                                                    abs=1e-12)
         assert rep.violations == int(np.sum(margins < -1e-10))
         assert 0 < rep.violations < 332              # some, not all, fail
+
+
+def test_form_bound_solves_no_eigenvectors(monkeypatch):
+    """The eigenvectors of H0 come in as an argument; nothing re-solves
+    them."""
+    h = np.diag([0.0, 1.0, 2.0])
+    vecs = np.linalg.eigh(h)[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_form_bound called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rep = verify_form_bound(h, vecs, np.diag([0.05, 0.2, 0.3]), delta=1.0,
+                            beta=1.0, eps=0.1, n_vectors=200)
+    assert rep.holds
 
 
 # --- volume strengths ---------------------------------------------------------------
