@@ -313,6 +313,14 @@ def _volume(cfg: dict, length: int):
     return lam, model, eta, pert
 
 
+def _form_bound_checkpoints(n_check: int) -> list[int]:
+    """Checkpoint indices of the couplings at which the form bound is
+    checked: a quarter, half and all of the flow's ``n_check`` steps, each
+    kept when it is even and nonzero (so Simpson panels close)."""
+    uptos = (int(round(frac * n_check)) for frac in (0.25, 0.5, 1.0))
+    return [upto for upto in uptos if upto and upto % 2 == 0]
+
+
 def flow_bundle(cfg: dict, ctx: dict) -> dict:
     """The shared flow fixture: orbital chain + seeded bulk perturbation."""
     if "flow" in ctx:
@@ -330,7 +338,12 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
                           checkpoints=fc["checkpoints"],
                           cluster_dim=kdim, ode_tol=fc["ode_tol"])
     p0 = flow.p0
-    dec = decompose_phi1(flow, eta, psi, lam, p0)
+    # the form-bound couplings share one pass over the flow; the last is the
+    # decomposition at eps
+    n_check = len(flow.eps_grid) - 1
+    uptos = _form_bound_checkpoints(n_check)
+    decs = dict(zip(uptos, decompose_phi1(flow, eta, psi, lam, p0, uptos)))
+    dec = decs[n_check]
     # ball resolutions two sites inside, collected pieces where r_x >= 3
     families = {x: resolution_family(eta, lam, x, p0)
                 for x in interior(lam, 2)}
@@ -339,6 +352,7 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     ctx["flow"] = {"lam": lam, "model": model, "eta": eta, "pert": pert,
                    "psi": psi, "h0": h0, "hp": hp, "kdim": kdim,
                    "window": window, "flow": flow, "p0": p0, "dec": dec,
+                   "decs": decs,
                    "families": families, "thetas": thetas}
     return ctx["flow"]
 
@@ -766,13 +780,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     delta_v, beta_v, alpha_v = volume_form_constants(bc, psi_fnorm)
     fb_rows = []
     violations = 0
-    n_check = len(flow.eps_grid) - 1
-    for frac in (0.25, 0.5, 1.0):
-        upto = int(round(frac * n_check))
-        if upto % 2 or upto == 0:
-            continue
-        dec_e = fb["dec"] if upto == n_check else decompose_phi1(
-            flow, fb["eta"], fb["psi"], fb["lam"], p0, upto=upto)
+    for dec_e in fb["decs"].values():
         phi2 = split_phi1(dec_e, p0).phi2
         fr = verify_form_bound(fb["h0"].matrix, flow.end_spectra[0][1],
                                phi2, delta_v, beta_v, dec_e.eps,

@@ -205,8 +205,16 @@ def regroup_intervals(psi: Interaction) -> Interaction:
     associated regrouped decay function.
     """
     merged: dict[Interval, np.ndarray] = psi.grouped()
-    terms = [Term(LocalOperator(m, supp, supp, psi.kind, psi.local_dim))
-             for supp, m in sorted(merged.items())]
+    # a support holding one term holds that term's matrix, and its norm
+    alone = {}
+    for t in psi.terms:
+        alone[t.support] = None if t.support in alone else t.op
+    terms = []
+    for supp, m in sorted(merged.items()):
+        op = LocalOperator(m, supp, supp, psi.kind, psi.local_dim)
+        if alone[supp] is not None:
+            op._norm = alone[supp].norm()
+        terms.append(Term(op))
     decay = None
     if isinstance(psi.decay, ffunction.FFunctionSpec):
         decay = ffunction.regroup_decay(psi.decay)

@@ -168,30 +168,67 @@ def parity_matrix(n_sites: int) -> np.ndarray:
     return np.where(_popcount(n_sites) % 2 == 0, 1.0, -1.0)
 
 
+def parity_sectors(*mats) -> list[np.ndarray]:
+    """Index sets of the exact fermion-parity blocks shared by ``mats``.
+
+    When every matrix is square with one side 2^n, n >= 1, and has exactly
+    zero entries between the even and the odd occupancy sectors of
+    ``parity_matrix(n)``, the two sectors, even first: each matrix then
+    equals its block-diagonal part entry for entry.  Otherwise one sector
+    holding every index.  Every Hamiltonian of the orbital chain splits; the
+    spin-1 chain (side 3^n) and inputs that mix parities do not.
+    """
+    shape = np.shape(mats[0])
+    side = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    whole = [np.arange(side)]
+    if side < 2 or side & (side - 1):
+        return whole
+    even = parity_matrix(side.bit_length() - 1) > 0
+    ev, od = np.flatnonzero(even), np.flatnonzero(~even)
+    for m in map(np.asarray, mats):
+        if m.shape != shape or m[np.ix_(ev, od)].any() \
+                or m[np.ix_(od, ev)].any():
+            return whole
+    return [ev, od]
+
+
+def split_blocks(m, sectors) -> np.ndarray:
+    """The diagonal blocks of ``m`` on ``sectors`` (see ``parity_sectors``)
+    as a stack of shape (k, b, b); one sector gives a view of ``m``."""
+    m = np.asarray(m)
+    if len(sectors) == 1:
+        return m[None]
+    idx = np.asarray(sectors)
+    return m[idx[:, :, None], idx[:, None, :]]
+
+
+def join_blocks(blocks, sectors) -> np.ndarray:
+    """The block-diagonal matrix with the stack ``blocks`` on ``sectors``;
+    the inverse of ``split_blocks``."""
+    if len(sectors) == 1:
+        return blocks[0]
+    idx = np.asarray(sectors)
+    out = np.zeros((idx.size, idx.size), blocks.dtype)
+    out[idx[:, :, None], idx[:, None, :]] = blocks
+    return out
+
+
 def eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, split by fermion parity.
 
-    When the side is a power of two, 2^n with n >= 1, and every entry
-    between the even and the odd occupancy sectors of ``parity_matrix(n)`` is
-    exactly zero, the matrix equals its block-diagonal part entry for entry,
-    and the two parity blocks are solved apart, once when they are equal
-    entry for entry (a parity-even operator that leaves an end site alone
-    has two equal blocks); otherwise the whole matrix is solved.  Every
-    Hamiltonian of the orbital chain takes the split; the spin-1 chain (side
-    3^n) and inputs that mix parities do not.
+    The blocks of ``parity_sectors(m)`` are solved apart, once when the two
+    parity blocks are equal entry for entry (a parity-even operator that
+    leaves an end site alone has two equal blocks); a matrix that does not
+    split is solved whole.
     """
     m = np.asarray(m)
-    side = m.shape[0] if m.ndim == 2 and m.shape[0] == m.shape[1] else 0
-    if side >= 2 and side & (side - 1) == 0:
-        even = parity_matrix(side.bit_length() - 1) > 0
-        ev, od = np.flatnonzero(even), np.flatnonzero(~even)
-        if not (m[np.ix_(ev, od)].any() or m[np.ix_(od, ev)].any()):
-            m_even, m_odd = m[np.ix_(ev, ev)], m[np.ix_(od, od)]
-            lo = np.linalg.eigvalsh(m_even)
-            hi = lo if np.array_equal(m_even, m_odd) \
-                else np.linalg.eigvalsh(m_odd)
-            return np.sort(np.concatenate((lo, hi)))
-    return np.linalg.eigvalsh(m)
+    sectors = parity_sectors(m)
+    if len(sectors) == 1:
+        return np.linalg.eigvalsh(m)
+    even, odd = split_blocks(m, sectors)
+    lo = np.linalg.eigvalsh(even)
+    hi = lo if np.array_equal(even, odd) else np.linalg.eigvalsh(odd)
+    return np.sort(np.concatenate((lo, hi)))
 
 
 def parity_grade(op: LocalOperator) -> str:

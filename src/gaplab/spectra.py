@@ -31,12 +31,14 @@ def diagonalize(h):
     """Full eigendecomposition with a residual certificate.
 
     The residual ``max|H V - V Lambda|`` must stay within
-    ``1e-10 max(1, max|lambda|)``.
+    ``1e-10 max(1, max|lambda|)``.  A stack of blocks (k, b, b), as
+    ``operator_algebra.split_blocks`` makes it, is solved block by block
+    and certified as the block-diagonal matrix it stands for.
     """
     m = as_matrix(h)
     evals, evecs = np.linalg.eigh(m)
     scale = max(1.0, float(np.max(np.abs(evals))))
-    resid = np.max(np.abs(m @ evecs - evecs * evals[None, :]))
+    resid = np.max(np.abs(m @ evecs - evecs * evals[..., None, :]))
     if resid > 1e-10 * scale:
         raise RuntimeError(f"eigensolver residual {resid:.3e} above tolerance")
     return evals, evecs

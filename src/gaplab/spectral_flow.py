@@ -23,6 +23,14 @@ orthogonal, so the flow, its polar steps and the anchored decomposition run
 in real arithmetic; complex Hermitian inputs run the same code in complex
 arithmetic.
 
+The flow runs on the exact parity blocks of ``H_0`` and ``Psi``: the stack
+``(k, b, b)`` of ``operator_algebra.parity_sectors``, two blocks of half the
+side when both keep fermion parity exactly, and one block holding the whole
+matrix otherwise, through the same code.  ``K`` and ``U`` keep the blocks,
+so solves, products, polar steps and norms are taken block by block; the
+anchored decomposition splits by the same rule, and the results are the
+full block-diagonal matrices, assembled once.
+
 An equivalent time-averaged form is kept for cross-validation:
 
     D = int_0^inf W(s) [tau_s(Psi) - tau_{-s}(Psi)] ds,
@@ -32,8 +40,9 @@ whose filter identity ``2 int_0^inf W(s) sin(w s) ds = (1 - beta(w))/w`` is
 what the quadrature on the one horizon ``[0, 120/gamma]`` has to reproduce.
 Both routes are one eigenbasis formula with a weight on ``E_i - E_j``:
 ``wtilde``, or ``2 Im(Phi diag(c) Phi*)`` from the Heisenberg phases
-``Phi_ik = exp(i E_i s_k)`` and ``c_k = W(s_k)`` times the node weight.
-Both take a decomposition already made.
+``Phi_ik = exp(i E_i s_k)`` and ``c_k = W(s_k)`` times the node weight,
+formed in real arithmetic.  Both take a decomposition already made, of a
+matrix or of each block of a stack.
 
 The transported coupling ``V(s) = U* H(s) U - H_0`` is then cut into anchored,
 block-diagonal pieces and telescoped over balls, producing an interaction
@@ -52,7 +61,8 @@ from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, local_hamiltonian
 from .operator_algebra import (LocalOperator, as_matrix,
                                conditional_expectation, delta_layer,
-                               eigenvalues, embed, kernel_count, operator_norm)
+                               eigenvalues, embed, join_blocks, kernel_count,
+                               operator_norm, parity_sectors, split_blocks)
 from .spectra import ProjectorFamily, diagonalize
 
 
@@ -97,17 +107,18 @@ class Window:
 
 def eigenbasis_generator(evals, evecs, psi, window: Window) -> np.ndarray:
     """K = i D = -sum_ij wtilde(E_i - E_j) Psi_ij |i><j| from the
-    decomposition ``(evals, evecs)`` of H."""
+    decomposition ``(evals, evecs)`` of H, or of each block of a stack."""
     return _filtered(evals, evecs, psi,
-                     window.weight(evals[:, None] - evals[None, :]))
+                     window.weight(evals[..., :, None] - evals[..., None, :]))
 
 
 def _filtered(evals, evecs, psi, weight) -> np.ndarray:
     """-sum_ij weight_ij Psi_ij |i><j|: the real weight keeps the field of
     ``evecs`` and ``psi``."""
-    psi_eig = evecs.conj().T @ as_matrix(psi) @ evecs
+    evecs_h = evecs.conj().swapaxes(-1, -2)
+    psi_eig = evecs_h @ as_matrix(psi) @ evecs
     psi_eig *= weight
-    return -(evecs @ psi_eig @ evecs.conj().T)
+    return -(evecs @ psi_eig @ evecs_h)
 
 
 @cache
@@ -166,17 +177,51 @@ def filter_identity_residual(window: Window, omegas):
 def time_quadrature_generator(evals, evecs, psi,
                               window: Window) -> np.ndarray:
     """K = i int_0^T W(s)[tau_s(Psi) - tau_{-s}(Psi)] ds as a phase product,
-    from the decomposition ``(evals, evecs)`` of H."""
+    from the decomposition ``(evals, evecs)`` of H, or of each block of a
+    stack (the panels resolve the spread of the whole spectrum).
+
+    The weight ``2 Im(Phi diag(c) Phi*)`` is formed in real arithmetic as
+    ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``.
+    """
     s_pts, s_wts = _time_panels(window, np.ptp(evals))
-    phase = np.exp(1j * np.outer(evals, s_pts))
     coeff = s_wts * time_weight(s_pts, window)
-    weight = 2.0 * ((phase * coeff) @ phase.conj().T).imag
-    return _filtered(evals, evecs, psi, weight)
+    angle = evals[..., :, None] * s_pts
+    a = (np.sin(angle) * coeff) @ np.cos(angle).swapaxes(-1, -2)
+    return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
 
 
 def _polar_unitary(u: np.ndarray) -> np.ndarray:
     w, _, vh = np.linalg.svd(u)
     return w @ vh
+
+
+def _block_norm(blocks) -> float:
+    """Operator norm of the block-diagonal matrix with the stack ``blocks``:
+    the largest norm of a block."""
+    return max(operator_norm(b) for b in blocks)
+
+
+def _cluster(evals, evecs, dim: int):
+    """The gap above the ``dim`` lowest eigenvalues of a block stack's
+    merged spectrum, and each block's share of their eigenvectors."""
+    merged = np.sort(evals, axis=None)
+    lowest = np.argsort(evals, axis=None, kind="stable")[:dim]
+    counts = np.bincount(lowest // evals.shape[-1], minlength=len(evals))
+    return (float(merged[dim] - merged[dim - 1]),
+            [v[:, :c].copy() for v, c in zip(evecs, counts)])
+
+
+def _projector(vecs) -> np.ndarray:
+    """The block stack of projectors onto each block's vectors."""
+    return np.stack([v @ v.conj().T for v in vecs])
+
+
+def _merged(evals, evecs, sectors):
+    """A block stack's decomposition as one of the whole matrix: ascending
+    eigenvalues, and the block-diagonal eigenvectors in their order."""
+    order = np.argsort(evals, axis=None, kind="stable")
+    columns = np.concatenate(sectors)[order]
+    return evals.ravel()[order], join_blocks(evecs, sectors)[:, columns]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +259,13 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     eigendecomposition that built the generator there, and ``p0``, the
     cluster projector of ``H_0``, from the one at s = 0.  The unitaries are
     real orthogonal when ``h0`` and ``psi`` are real.
+
+    The flow runs on the block stack of ``parity_sectors(h0, psi)``: two
+    parity blocks when both keep fermion parity exactly, one block holding
+    the whole matrix otherwise.  K(s) and U(s) keep those blocks, so every
+    solve, product, polar step and norm is taken block by block (a norm as
+    the largest over blocks), and the tracked gap and cluster come from the
+    merged block spectra.  The result holds the block-diagonal matrices.
     """
     m0, mp = as_matrix(h0), as_matrix(psi)
     if checkpoints % 2 == 0:
@@ -222,31 +274,33 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
 
     if cluster_dim is None:
         cluster_dim = kernel_count(eigenvalues(m0))
+    sectors = parity_sectors(m0, mp)
+    b0, bp = split_blocks(m0, sectors), split_blocks(mp, sectors)
 
     # One solve per coupling gives the generator and, at a checkpoint, the
-    # tracked gap and the cluster's eigenvectors (n x cluster_dim); the
-    # solves at both ends are kept whole.
+    # tracked gap and each block's cluster eigenvectors; the solves at both
+    # ends are kept whole.
     checkpoint_keys = {round(float(s), 15) for s in grid}
     end_keys = (round(float(grid[0]), 15), round(float(grid[-1]), 15))
     gen_cache: dict[float, np.ndarray] = {}
-    tracked: dict[float, tuple[float, np.ndarray]] = {}
+    tracked: dict[float, tuple[float, list]] = {}
     ends: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def gen(s):
         key = round(float(s), 15)
         if key not in gen_cache:
-            evals, evecs = diagonalize(m0 + s * mp)
-            gen_cache[key] = eigenbasis_generator(evals, evecs, mp, window)
+            evals, evecs = diagonalize(b0 + s * bp)
+            gen_cache[key] = eigenbasis_generator(evals, evecs, bp, window)
             if key in checkpoint_keys:
-                gap = float(evals[cluster_dim] - evals[cluster_dim - 1])
-                tracked[key] = (gap, evecs[:, :cluster_dim].copy())
+                tracked[key] = _cluster(evals, evecs, cluster_dim)
             if key in end_keys:
                 ends[key] = (evals, evecs)
         return gen_cache[key]
 
     def integrate(substeps):
-        dim = m0.shape[0]
-        u = np.eye(dim, dtype=gen(grid[0]).dtype)
+        n_blocks, side = b0.shape[:2]
+        u = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
+                            (n_blocks, side, side)).copy()
         out = [u.copy()]
         for j in range(checkpoints - 1):
             a, b = grid[j], grid[j + 1]
@@ -267,26 +321,26 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     for _ in range(8):
         substeps *= 2
         cur = integrate(substeps)
-        err = max(operator_norm(c - p) for c, p in zip(cur, prev))
+        err = max(_block_norm(c - p) for c, p in zip(cur, prev))
         prev = cur
         if err <= ode_tol:
             break
     else:
         raise RuntimeError(f"flow ODE failed to reach {ode_tol:.1e} (last {err:.1e})")
-    unitaries = prev
 
-    generators = [gen(s) for s in grid]
     gaps, vecs = zip(*(tracked[round(float(s), 15)] for s in grid))
     gap_floor = min(gaps)
     if gap_floor < window.gamma:
         raise RuntimeError(
             f"tracked gap {gap_floor:.4f} fell below filter width {window.gamma:.4f}")
-    v0 = ends[end_keys[0]][1][:, :cluster_dim]
-    p0 = v0 @ v0.conj().T
-    drift = max(operator_norm(u @ p0 @ u.conj().T - v @ v.conj().T)
-                for u, v in zip(unitaries, vecs))
-    return FlowResult(window, grid, unitaries, generators, gap_floor, drift,
-                      err, p0, (ends[end_keys[0]], ends[end_keys[1]]))
+    p0 = _projector(vecs[0])
+    drift = max(_block_norm(u @ p0 @ u.conj().swapaxes(-1, -2) - _projector(v))
+                for u, v in zip(prev, vecs))
+    return FlowResult(window, grid,
+                      [join_blocks(u, sectors) for u in prev],
+                      [join_blocks(gen(s), sectors) for s in grid],
+                      gap_floor, drift, err, join_blocks(p0, sectors),
+                      tuple(_merged(*ends[key], sectors) for key in end_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +367,7 @@ def _simpson_weights(n_points: int, h: float) -> np.ndarray:
 
 def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
                    lam: Interval, p_kernel: np.ndarray,
-                   upto: int | None = None) -> Phi1Decomposition:
+                   uptos: list[int] | None = None) -> list[Phi1Decomposition]:
     """Cut V(eps) into anchored block-diagonal pieces and telescope over balls.
 
     Each anchor ``x`` receives ``v_x = int_0^eps U(s)* X_x(s) U(s) ds`` with
@@ -327,21 +381,25 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     falls into the boundary remainder.  Finally every ``v_x`` is telescoped
     into ball increments ``Phi^1(b_x(n))``.
 
-    ``upto`` stops the integral at an earlier checkpoint (an even index, so
-    the composite rule stays valid), giving the decomposition at the smaller
-    coupling from the same flow.
+    ``uptos`` lists checkpoint indices (even, so the composite rule closes)
+    at which the integral stops, default the last; one decomposition per
+    index is returned, in that order.  The integrand is evaluated once per
+    checkpoint up to the largest index, and the Simpson sum at each index is
+    kept as it passes.  Everything up to the assembled ``v_x`` runs on the
+    block stack of ``parity_sectors`` of the flow, the anchored terms and
+    ``p_kernel``.
     """
-    if upto is None:
-        upto = len(flow.eps_grid) - 1
-    if not 0 < upto < len(flow.eps_grid):
-        raise ValueError("upto must be a checkpoint index")
-    if upto % 2:
-        raise ValueError("upto must be even so Simpson panels close")
-    h0 = local_hamiltonian(eta, lam)
-    hp = local_hamiltonian(psi, lam)
-    m0, mp = h0.matrix, hp.matrix
-    grid = flow.eps_grid[:upto + 1]
-    dim = m0.shape[0]
+    last_index = len(flow.eps_grid) - 1
+    uptos = [last_index] if uptos is None else [int(u) for u in uptos]
+    for upto in uptos:
+        if not 0 < upto <= last_index:
+            raise ValueError("upto must be a checkpoint index")
+        if upto % 2:
+            raise ValueError("upto must be even so Simpson panels close")
+    last = max(uptos)
+    m0 = local_hamiltonian(eta, lam).matrix
+    mp = local_hamiltonian(psi, lam).matrix
+    grid = flow.eps_grid[:last + 1]
 
     eta_anchored = eta.anchored()
     psi_anchored = psi.anchored()
@@ -353,52 +411,76 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
 
     eta_x = {x: anchor_matrix(eta, eta_anchored, x) for x in anchors}
     psi_x = {x: anchor_matrix(psi, psi_anchored, x) for x in anchors}
+    unitaries, generators = flow.unitaries[:last + 1], flow.generators[:last + 1]
+    sectors = parity_sectors(m0, mp, p_kernel, *eta_x.values(),
+                             *psi_x.values(), *unitaries, *generators)
 
-    weights = _simpson_weights(len(grid), grid[1] - grid[0]) if len(grid) > 1 \
-        else np.array([0.0])
+    def blocks(m):
+        return split_blocks(m, sectors)
+
+    b0, bp, p = blocks(m0), blocks(mp), blocks(p_kernel)
+    q = np.eye(p.shape[-1]) - p
+    eta_x = {x: blocks(m) for x, m in eta_x.items()}
+    psi_x = {x: blocks(m) for x, m in psi_x.items()}
+
+    # the Simpson sum up to each requested index: the running sum of the
+    # rule on the whole grid, plus the end-point weight at that index
+    weights = _simpson_weights(len(grid), grid[1] - grid[0])
+    stops = set(uptos)
     v = dict.fromkeys(anchors, 0.0)
-    for j, (s, u, k_s) in enumerate(zip(grid, flow.unitaries, flow.generators)):
+    sums = {}
+    for j, (s, u, k_s) in enumerate(zip(grid, unitaries, generators)):
+        u, k_s = blocks(u), blocks(k_s)
+        u_h = u.conj().swapaxes(-1, -2)
+        closing = {}
         for x in anchors:
             h_xs = eta_x[x] + s * psi_x[x]
             x_term = psi_x[x] - (k_s @ h_xs - h_xs @ k_s)
-            v[x] = v[x] + weights[j] * (u.conj().T @ x_term @ u)
-
-    u_end = flow.unitaries[upto]
-    eps_at = float(grid[-1])
-    v_true = u_end.conj().T @ (m0 + eps_at * mp) @ u_end - m0
-    q = np.eye(dim) - p_kernel
+            f = u_h @ x_term @ u
+            if j in stops:
+                closing[x] = v[x] + weights[0] * f
+            v[x] = v[x] + weights[j] * f
+        if closing:
+            sums[j] = closing
 
     def blockdiag(a):
-        return p_kernel @ a @ p_kernel + q @ a @ q
+        return p @ a @ p + q @ a @ q
 
-    v_tilde = {x: blockdiag(v[x]) for x in anchors}
-    rho = v_true - sum(v_tilde.values())
-    quad_res = operator_norm(rho)
-    rho_diag = blockdiag(rho)
-    rho_cross = rho - rho_diag
-    for x in anchors:
-        v_tilde[x] = v_tilde[x] + rho_diag / len(anchors)
-    edge = min(anchors)
-    v_tilde[edge] = v_tilde[edge] + rho_cross
+    def decomposition(upto):
+        u_end = blocks(flow.unitaries[upto])
+        eps_at = float(grid[upto])
+        v_true = u_end.conj().swapaxes(-1, -2) @ (b0 + eps_at * bp) @ u_end \
+            - b0
+        v_tilde = {x: blockdiag(sums[upto][x]) for x in anchors}
+        rho = v_true - sum(v_tilde.values())
+        quad_res = _block_norm(rho)
+        rho_diag = blockdiag(rho)
+        rho_cross = rho - rho_diag
+        for x in anchors:
+            v_tilde[x] = v_tilde[x] + rho_diag / len(anchors)
+        edge = min(anchors)
+        v_tilde[edge] = v_tilde[edge] + rho_cross
+        max_comm = max(_block_norm(p @ v_tilde[x] - v_tilde[x] @ p)
+                       for x in anchors)
 
-    max_comm = 0.0
-    for x in anchors:
-        c = p_kernel @ v_tilde[x] - v_tilde[x] @ p_kernel
-        max_comm = max(max_comm, operator_norm(c))
+        pieces = {x: join_blocks(v_tilde[x], sectors) for x in anchors}
+        terms = []
+        for x in anchors:
+            op = LocalOperator(pieces[x], lam, lam, kind="spin",
+                               local_dim=eta.local_dim)
+            _, big_r = boundary_distances(lam, x)
+            terms.append(Term(conditional_expectation(op, ball(lam, x, 1)),
+                              anchor=x, radius=1))
+            for n in range(2, big_r + 1):
+                terms.append(Term(delta_layer(op, lam, x, n), anchor=x,
+                                  radius=n))
+        ball_terms = Interaction(terms, kind="spin", local_dim=eta.local_dim,
+                                 ball_keyed=True)
+        return Phi1Decomposition(lam, eps_at, pieces, ball_terms,
+                                 join_blocks(v_true, sectors), quad_res,
+                                 _block_norm(rho_cross), max_comm)
 
-    terms = []
-    for x in anchors:
-        op = LocalOperator(v_tilde[x], lam, lam, kind="spin",
-                           local_dim=eta.local_dim)
-        _, big_r = boundary_distances(lam, x)
-        terms.append(Term(conditional_expectation(op, ball(lam, x, 1)),
-                          anchor=x, radius=1))
-        for n in range(2, big_r + 1):
-            terms.append(Term(delta_layer(op, lam, x, n), anchor=x, radius=n))
-    ball_terms = Interaction(terms, kind="spin", local_dim=eta.local_dim,
-                             ball_keyed=True)
-    return Phi1Decomposition(lam, eps_at, v_tilde, ball_terms, v_true,
-                             quad_res, operator_norm(rho_cross), max_comm)
+    return [decomposition(upto) for upto in uptos]
 
 
 @dataclass

@@ -3,7 +3,8 @@
 import numpy as np
 
 from gaplab.lattice import Interval
-from gaplab.operator_algebra import LocalOperator, annihilator, operator_norm
+from gaplab.operator_algebra import (LocalOperator, annihilator, operator_norm,
+                                     parity_matrix)
 
 
 def creator(lam: Interval, x: int) -> LocalOperator:
@@ -34,3 +35,15 @@ def random_matrix(rng, dim: int, complex_: bool) -> np.ndarray:
     """A seeded dim x dim Gaussian matrix, real or with an imaginary part."""
     m = rng.standard_normal((dim, dim))
     return m + 1j * rng.standard_normal((dim, dim)) if complex_ else m
+
+
+def random_hermitian(rng, side: int, complex_: bool) -> np.ndarray:
+    """A seeded side x side Hermitian matrix, real or complex."""
+    m = random_matrix(rng, side, complex_)
+    return (m + m.conj().T) / 2.0
+
+
+def parity_even(m) -> np.ndarray:
+    """The even part of ``m`` under the occupancy parity: off-block entries 0."""
+    p = parity_matrix(m.shape[0].bit_length() - 1)
+    return np.where(p[:, None] == p[None, :], m, 0.0)

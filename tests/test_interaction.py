@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaplab import operator_algebra
 from gaplab.ffunction import FFunctionSpec, WeightSpec
 from gaplab.interaction import (Interaction, Term, fermion_to_spin, from_json,
                                 local_hamiltonian, random_interaction,
@@ -179,6 +182,31 @@ def test_regroup_preserves_every_local_hamiltonian(seed):
             h0 = local_hamiltonian(psi, sub).matrix
             h1 = local_hamiltonian(grouped, sub).matrix
             np.testing.assert_allclose(h0, h1, atol=1e-13)
+
+
+def test_regrouping_keeps_the_norm_of_a_support_with_one_term(monkeypatch):
+    """A support that holds one term carries that term's norm: once the
+    original terms' norms are known, the regrouped F-norm solves only the
+    merged supports, and every regrouped norm is its matrix's norm."""
+    lam = Interval(0, 5)
+    psi = random_interaction(lam, seed=4, n_terms=8, decay=BASE)
+    psi.f_norm()
+    counts = Counter(t.support for t in psi.terms)
+    merged = sum(1 for n in counts.values() if n > 1)
+    assert 0 < merged < len(counts)
+    solved = []
+    original = operator_algebra.operator_norm
+
+    def counted(m):
+        solved.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(operator_algebra, "operator_norm", counted)
+    grouped = regroup_intervals(psi)
+    grouped.f_norm()
+    assert len(solved) == merged
+    for t in grouped.terms:
+        assert t.op.norm() == original(t.op.matrix)
 
 
 def test_term_norms_are_computed_once(monkeypatch):

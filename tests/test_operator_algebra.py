@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 from gaplab.lattice import Interval
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
                                      conditional_expectation, delta_layer,
-                                     eigenvalues, embed, jordan_wigner,
-                                     mode_annihilator, operator_norm,
-                                     parity_grade, parity_matrix,
-                                     partial_trace, spin_matrices)
-from oracles import creator, kron_placed, number_operator, random_matrix
+                                     eigenvalues, embed, join_blocks,
+                                     jordan_wigner, mode_annihilator,
+                                     operator_norm, parity_grade,
+                                     parity_matrix, parity_sectors,
+                                     partial_trace, spin_matrices,
+                                     split_blocks)
+from oracles import (creator, kron_placed, number_operator, parity_even,
+                     random_hermitian, random_matrix)
 
 
 def kron(*ms):
@@ -283,19 +286,6 @@ def test_jordan_wigner_respects_products():
 # --- the values-only spectral layer --------------------------------------------------
 
 
-def random_hermitian(rng, side, complex_):
-    m = rng.standard_normal((side, side))
-    if complex_:
-        m = m + 1j * rng.standard_normal((side, side))
-    return (m + m.conj().T) / 2.0
-
-
-def parity_even(m):
-    """The even part of ``m`` under the occupancy parity: off-block entries 0."""
-    p = parity_matrix(m.shape[0].bit_length() - 1)
-    return np.where(p[:, None] == p[None, :], m, 0.0)
-
-
 def counting_eigvalsh(monkeypatch):
     sides = []
     original = np.linalg.eigvalsh
@@ -367,3 +357,38 @@ def test_hermitian_operator_norm_matches_the_svd_norm(side, complex_, even,
         m = parity_even(m)
     svd_norm = float(np.linalg.norm(m, 2))
     assert operator_norm(m) == pytest.approx(svd_norm, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_parity_blocks_split_and_join_back(k, complex_, seed):
+    rng = np.random.default_rng(seed)
+    m = parity_even(random_hermitian(rng, 2 ** k, complex_))
+    other = parity_even(random_hermitian(rng, 2 ** k, complex_))
+    sectors = parity_sectors(m, other)
+    even = parity_matrix(k) > 0
+    assert len(sectors) == 2
+    assert even[sectors[0]].all() and not even[sectors[1]].any()
+    blocks = split_blocks(m, sectors)
+    assert blocks.shape == (2, 2 ** (k - 1), 2 ** (k - 1))
+    np.testing.assert_array_equal(blocks[1], m[np.ix_(~even, ~even)])
+    np.testing.assert_array_equal(join_blocks(blocks, sectors), m)
+
+
+def test_parity_sectors_keep_one_sector_unless_every_matrix_splits():
+    rng = np.random.default_rng(8)
+    even = parity_even(random_hermitian(rng, 16, True))
+    mixed = even.copy()
+    mixed[1, 0] = mixed[0, 1] = 0.5          # one entry between the sectors
+    cases = [(mixed,), (even, mixed), (even, np.eye(8)),
+             (random_hermitian(rng, 27, False),),
+             (random_hermitian(rng, 6, False),)]
+    for mats in cases:
+        sectors = parity_sectors(*mats)
+        side = mats[0].shape[0]
+        assert len(sectors) == 1
+        np.testing.assert_array_equal(sectors[0], np.arange(side))
+        blocks = split_blocks(mats[0], sectors)
+        assert blocks.shape == (1, side, side)
+        assert np.shares_memory(blocks, mats[0])
+        np.testing.assert_array_equal(join_blocks(blocks, sectors), mats[0])

@@ -31,6 +31,18 @@ def test_diagonalize_residual_certificate():
     np.testing.assert_allclose(evecs @ evecs.conj().T, np.eye(3), atol=1e-12)
 
 
+def test_diagonalize_solves_and_certifies_a_block_stack():
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((2, 8, 8))
+    stack = m + m.swapaxes(-1, -2)
+    evals, evecs = diagonalize(stack)
+    assert evals.shape == (2, 8) and evecs.shape == (2, 8, 8)
+    for block, ev, vecs in zip(stack, evals, evecs):
+        np.testing.assert_array_equal(ev, np.linalg.eigh(block)[0])
+        np.testing.assert_allclose(block @ vecs, vecs * ev, rtol=0,
+                                   atol=1e-12)
+
+
 def test_ground_projector_rank():
     lam = Interval(0, 3)
     p = ground_projector(local_hamiltonian(ising(lam), lam))

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gaplab.interaction import (Interaction, Term, local_hamiltonian,
@@ -9,7 +11,10 @@ from gaplab.interaction import (Interaction, Term, local_hamiltonian,
 from gaplab.lattice import Interval
 from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
-from gaplab.operator_algebra import operator_norm
+from gaplab import spectral_flow
+from gaplab.operator_algebra import (join_blocks, operator_norm,
+                                     parity_matrix, parity_sectors,
+                                     split_blocks)
 from gaplab.spectra import diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _polar_unitary,
                                   _time_panels, decompose_phi1,
@@ -17,6 +22,7 @@ from gaplab.spectral_flow import (Window, _filtered, _polar_unitary,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
+from oracles import parity_even, random_hermitian, random_matrix
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -203,11 +209,45 @@ def test_flow_runs_in_the_field_of_its_inputs():
         _assert_transports(flow, h0, psi, 1)
 
 
+def _even_pair(rng, side, complex_):
+    """A parity-even pair on a side 2^n: ``H0`` with one kernel vector per
+    parity block and the rest of its spectrum in [1.5, 3], and a coupling of
+    norm 1."""
+    half = side // 2
+    h0 = np.zeros((side, side), complex if complex_ else float)
+    even = parity_matrix(side.bit_length() - 1) > 0
+    for sector in (np.flatnonzero(even), np.flatnonzero(~even)):
+        q, _ = np.linalg.qr(random_matrix(rng, half, complex_))
+        levels = np.concatenate(([0.0], rng.uniform(1.5, 3.0, half - 1)))
+        h0[np.ix_(sector, sector)] = (q * levels) @ q.conj().T
+    h0 = (h0 + h0.conj().T) / 2.0
+    psi = parity_even(random_hermitian(rng, side, complex_))
+    return h0, psi / np.linalg.norm(psi, 2)
+
+
+def _one_block(*mats):
+    """``parity_sectors`` as if no matrix kept parity: one sector."""
+    return [np.arange(np.shape(mats[0])[0])]
+
+
+def _counting(monkeypatch, name, record):
+    original = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        record.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+
+
 def test_flow_solves_h0_once(monkeypatch):
-    """H(0) is diagonalized once, for the generator at s = 0; the cluster
-    projector p0 is read from that decomposition."""
+    """H(0) is diagonalized once, as its stack of parity blocks, for the
+    generator at s = 0; the cluster projector p0 is read from that
+    decomposition."""
     h0 = np.diag([0.0, 1.0, 1.2, 1.5])
-    psi = _random_pair()[1][:4, :4]
+    psi = parity_even(_random_pair()[1][:4, :4])
+    sectors = parity_sectors(h0, psi)
+    assert len(sectors) == 2
     solved = []
     original = np.linalg.eigh
 
@@ -218,9 +258,43 @@ def test_flow_solves_h0_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     flow = flow_unitaries(h0, psi, 0.01, Window(GAMMA), checkpoints=5,
                           cluster_dim=1)
-    assert sum(np.array_equal(h, h0) for h in solved) == 1
+    h0_blocks = split_blocks(h0, sectors)
+    assert sum(np.array_equal(h, h0_blocks) for h in solved) == 1
     v0 = flow.end_spectra[0][1][:, :1]
     np.testing.assert_array_equal(flow.p0, v0 @ v0.conj().T)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
+    """The flow of a parity-even pair, run on its two parity blocks, agrees
+    with the same flow run on one block holding the whole matrix, and keeps
+    the blocks exactly."""
+    h0, psi = _even_pair(np.random.default_rng(seed), 2 ** k, complex_)
+    args = (h0, psi, 0.05, Window(GAMMA))
+    blocked = flow_unitaries(*args, checkpoints=5, cluster_dim=2)
+    with patch.object(spectral_flow, "parity_sectors", _one_block):
+        whole = flow_unitaries(*args, checkpoints=5, cluster_dim=2)
+    pairs = list(zip(blocked.unitaries + blocked.generators + [blocked.p0],
+                     whole.unitaries + whole.generators + [whole.p0]))
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(parity_even(a), a)
+    assert blocked.gap_floor == pytest.approx(whole.gap_floor, abs=1e-12)
+    assert blocked.projector_drift == pytest.approx(whole.projector_drift,
+                                                    abs=1e-12)
+
+
+def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
+    h0, psi = _even_pair(np.random.default_rng(4), 8, False)
+    psi[0, 1] = psi[1, 0] = 0.1          # couples the two parity sectors
+    shapes = []
+    _counting(monkeypatch, "eigh", shapes)
+    flow = flow_unitaries(h0, psi, 0.05, Window(GAMMA), checkpoints=5,
+                          cluster_dim=2)
+    assert shapes and set(shapes) == {(1, 8, 8)}
+    assert flow.unitaries[-1][0, 1] != 0.0
 
 
 def test_flow_rejects_closing_gap():
@@ -250,7 +324,7 @@ def bundle():
                           checkpoints=9, cluster_dim=kdim)
     v0 = diagonalize(h0.matrix)[1][:, :kdim]
     p0 = v0 @ v0.conj().T
-    dec = decompose_phi1(flow, eta, psi, lam, p0)
+    dec, = decompose_phi1(flow, eta, psi, lam, p0)
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow,
             "p0": p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix}
 
@@ -258,17 +332,24 @@ def bundle():
 def test_generator_routes_agree_on_the_default_horizon(bundle):
     """On the chain (spectral width 8) the time quadrature, at the one
     horizon it has, reproduces the generator the flow ran to 1e-10, on the
-    decompositions the flow kept at both ends."""
+    decompositions the flow kept at both ends: the solves of the two parity
+    blocks, merged."""
     flow, hp = bundle["flow"], bundle["hp"]
     assert np.ptp(np.linalg.eigvalsh(bundle["h0"])) == pytest.approx(8.0)
+    sectors = parity_sectors(bundle["h0"], hp)
+    assert len(sectors) == 2
     w = Window(GAMMA)
     ends = zip((0.0, flow.eps), (flow.generators[0], flow.generators[-1]),
                flow.end_spectra)
     for s, k_flow, (evals, evecs) in ends:
         h = bundle["h0"] + s * hp
-        np.testing.assert_array_equal(evals, diagonalize(h)[0])
+        block_evals, block_evecs = diagonalize(split_blocks(h, sectors))
+        np.testing.assert_array_equal(evals, np.sort(block_evals, axis=None))
+        assert np.max(np.abs(h @ evecs - evecs * evals)) <= 1e-12
         np.testing.assert_array_equal(
-            k_flow, eigenbasis_generator(evals, evecs, hp, w))
+            k_flow, join_blocks(eigenbasis_generator(
+                block_evals, block_evecs, split_blocks(hp, sectors), w),
+                sectors))
         d_time = time_quadrature_generator(evals, evecs, hp, w)
         assert operator_norm(k_flow - d_time) <= 1e-10
 
@@ -345,13 +426,62 @@ def test_ball_telescopes_close(bundle):
 
 
 def test_upto_argument_is_validated(bundle):
-    dec2 = decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"],
-                          bundle["lam"], bundle["p0"], upto=4)
+    dec2, = decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"],
+                           bundle["lam"], bundle["p0"], uptos=[4])
     assert dec2.eps == pytest.approx(bundle["flow"].eps_grid[4])
     for bad in (0, 3, 40):
         with pytest.raises(ValueError):
             decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"],
-                           bundle["lam"], bundle["p0"], upto=bad)
+                           bundle["lam"], bundle["p0"], uptos=[4, bad])
+
+
+def test_decomposition_on_parity_blocks_matches_one_block(bundle):
+    """With the flow's own p0 the decomposition splits into parity blocks;
+    it agrees with the same decomposition on one block, and the decompositions
+    at several couplings from one pass are those of separate passes, bit for
+    bit."""
+    flow, lam = bundle["flow"], bundle["lam"]
+    args = (flow, bundle["eta"], bundle["psi"], lam, flow.p0)
+    blocked = decompose_phi1(*args, uptos=[4, 8])
+    with patch.object(spectral_flow, "parity_sectors", _one_block):
+        whole = decompose_phi1(*args, uptos=[4, 8])
+    for dec, ref in zip(blocked, whole):
+        assert dec.eps == ref.eps
+        np.testing.assert_allclose(dec.v_true, ref.v_true, rtol=0, atol=1e-12)
+        for x, vx in dec.anchors.items():
+            np.testing.assert_allclose(vx, ref.anchors[x], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(parity_even(vx), vx)
+        for name in ("quadrature_residual", "cross_residual",
+                     "max_kernel_commutator"):
+            assert getattr(dec, name) == pytest.approx(getattr(ref, name),
+                                                       abs=1e-12)
+    alone, = decompose_phi1(*args, uptos=[4])
+    for x, vx in alone.anchors.items():
+        np.testing.assert_array_equal(vx, blocked[0].anchors[x])
+    np.testing.assert_array_equal(alone.v_true, blocked[0].v_true)
+
+
+def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
+        bundle, monkeypatch):
+    """On the L = 8 chain (side 256) every eigensolve, SVD and 2-norm of the
+    flow and of its decomposition is taken on a parity block of side 128."""
+    shapes = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        _counting(monkeypatch, name, shapes)
+    original_norm = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(x))
+        return original_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    kdim = int(round(np.trace(bundle["p0"])))
+    flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
+                          checkpoints=9, cluster_dim=kdim)
+    decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"], flow.p0)
+    assert (2, 128, 128) in shapes
+    assert max(shape[-1] for shape in shapes) == 128
 
 
 def test_split_separates_blocks(bundle):
@@ -381,7 +511,7 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
     eta, psi = _complex_typed(bundle["eta"]), _complex_typed(bundle["psi"])
     assert all(t.op.matrix.dtype == np.complex128 for t in psi.terms)
     assert local_hamiltonian(psi, lam).matrix.dtype == np.float64
-    dec = decompose_phi1(flow, eta, psi, lam, p0)
+    dec, = decompose_phi1(flow, eta, psi, lam, p0)
     ref = bundle["dec"]
     np.testing.assert_array_equal(dec.v_true, ref.v_true)
     for x, vx in dec.anchors.items():
