@@ -27,9 +27,9 @@ The flow runs on the exact parity blocks of ``H_0`` and ``Psi``: the stack
 ``(k, b, b)`` of ``operator_algebra.parity_sectors``, two blocks of half the
 side when both keep fermion parity exactly, and one block holding the whole
 matrix otherwise, through the same code.  ``K`` and ``U`` keep the blocks,
-so solves, products, polar steps and norms are taken block by block; the
-anchored decomposition splits by the same rule, and the results are the
-full block-diagonal matrices, assembled once.
+so solves, products, polar steps and norms are taken block by block.  The
+stack is the one format of the flow's state, which ``FlowResult`` hands on
+whole but for ``p0``; the anchored decomposition splits only its terms.
 
 An equivalent time-averaged form is kept for cross-validation:
 
@@ -52,7 +52,7 @@ whose terms nearly commute with the unperturbed kernel projector.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -77,6 +77,10 @@ class Window:
     gamma: float
     kind: str = "bump"   # bump | cosine
 
+    def __post_init__(self):
+        if self.kind not in ("bump", "cosine"):
+            raise ValueError(f"unknown window kind {self.kind!r}")
+
     def beta(self, omega):
         """The profile, evaluated only on the arguments inside the window
         (most eigenvalue differences of a chain lie outside it)."""
@@ -87,10 +91,8 @@ class Window:
         u_in = u[inside]
         if self.kind == "bump":
             vals[inside] = (1.0 - u_in * u_in) ** 8
-        elif self.kind == "cosine":
-            vals[inside] = np.cos(0.5 * np.pi * u_in) ** 2
         else:
-            raise ValueError(f"unknown window kind {self.kind!r}")
+            vals[inside] = np.cos(0.5 * np.pi * u_in) ** 2
         return vals if vals.shape else float(vals)
 
     def weight(self, omega):
@@ -145,31 +147,34 @@ def time_weight(s, window: Window):
     return 0.5 - integ / np.pi
 
 
-def _time_panels(window: Window, wmax: float):
-    """Gauss-Legendre nodes and weights on [0, 120 / gamma] resolving
-    frequencies up to ``wmax``.
-
-    Eight nodes per panel and at least six panels per period of the fastest
-    frequency (never fewer than 40 panels).
-    """
+def _time_rule(window: Window, wmax: float):
+    """Nodes ``s_k`` and coefficients ``c_k = w_k W(s_k)`` on [0, 120 / gamma]:
+    eight Gauss-Legendre nodes per panel, at least six panels per period of
+    the fastest frequency ``wmax`` (never fewer than 40)."""
     t_max = 120.0 / window.gamma
     wmax = max(float(wmax), window.gamma)
-    n_panels = max(40, int(np.ceil(t_max * wmax * 6 / (2 * np.pi))))
+    return _panel_rule(window, t_max,
+                       max(40, int(np.ceil(t_max * wmax * 6 / (2 * np.pi)))))
+
+
+@cache
+def _panel_rule(window: Window, t_max: float, n_panels: int):
+    """The rule on ``n_panels`` panels, read-only, formed once."""
     x, wq = _gauss_legendre(8)
     edges = np.linspace(0.0, t_max, n_panels + 1)
     mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     s_pts = (mids[:, None] + halfw[:, None] * x[None, :]).ravel()
-    s_wts = (halfw[:, None] * wq[None, :]).ravel()
-    return s_pts, s_wts
+    coeff = (halfw[:, None] * wq[None, :]).ravel() * time_weight(s_pts, window)
+    for a in (s_pts, coeff):
+        a.flags.writeable = False
+    return s_pts, coeff
 
 
 def filter_identity_residual(window: Window, omegas):
     """Max error of the s-quadrature of 2 int W(s) sin(ws) ds vs (1-beta(w))/w."""
     omegas = np.asarray(omegas, dtype=float)
-    s_pts, s_wts = _time_panels(window, np.max(np.abs(omegas)))
-    w_vals = time_weight(s_pts, window)
-    lhs = 2.0 * np.einsum("s,sw->w", s_wts * w_vals,
-                          np.sin(np.outer(s_pts, omegas)))
+    s_pts, coeff = _time_rule(window, np.max(np.abs(omegas)))
+    lhs = 2.0 * np.einsum("s,sw->w", coeff, np.sin(np.outer(s_pts, omegas)))
     rhs = window.weight(omegas)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -183,8 +188,7 @@ def time_quadrature_generator(evals, evecs, psi,
     The weight ``2 Im(Phi diag(c) Phi*)`` is formed in real arithmetic as
     ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``.
     """
-    s_pts, s_wts = _time_panels(window, np.ptp(evals))
-    coeff = s_wts * time_weight(s_pts, window)
+    s_pts, coeff = _time_rule(window, np.ptp(evals))
     angle = evals[..., :, None] * s_pts
     a = (np.sin(angle) * coeff) @ np.cos(angle).swapaxes(-1, -2)
     return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
@@ -216,31 +220,28 @@ def _projector(vecs) -> np.ndarray:
     return np.stack([v @ v.conj().T for v in vecs])
 
 
-def _merged(evals, evecs, sectors):
-    """A block stack's decomposition as one of the whole matrix: ascending
-    eigenvalues, and the block-diagonal eigenvectors in their order."""
-    order = np.argsort(evals, axis=None, kind="stable")
-    columns = np.concatenate(sectors)[order]
-    return evals.ravel()[order], join_blocks(evecs, sectors)[:, columns]
-
-
 # ---------------------------------------------------------------------------
 # the flow ODE
 
 
 @dataclass
 class FlowResult:
+    """Block stacks ``(k, b, b)`` on ``sectors``, but for the whole ``p0``."""
+
     window: Window
     eps_grid: np.ndarray                 # checkpoint couplings, uniform, odd count
+    sectors: list[np.ndarray]            # parity_sectors(H0, Psi)
+    h0: np.ndarray                       # H0, as a block stack
+    psi: np.ndarray                      # Psi, as a block stack
     unitaries: list[np.ndarray]          # U(eps_j)
     generators: list[np.ndarray]         # K(eps_j) = i D(eps_j), in the
                                          # field of H0 and Psi
     gap_floor: float                     # smallest tracked gap met on the grid
     projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
     ode_error: float                     # Richardson estimate from step halving
-    p0: np.ndarray                       # P(0): the tracked cluster of H0
-    end_spectra: tuple                   # (evals, evecs) of H(0) and H(eps),
-                                         # the solves behind generators[0], [-1]
+    p0: np.ndarray                       # P(0): the tracked cluster of H0, whole
+    end_spectra: tuple                   # (evals, evecs) stacks of H(0) and
+                                         # H(eps), behind generators[0], [-1]
 
     @property
     def eps(self) -> float:
@@ -260,12 +261,11 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     cluster projector of ``H_0``, from the one at s = 0.  The unitaries are
     real orthogonal when ``h0`` and ``psi`` are real.
 
-    The flow runs on the block stack of ``parity_sectors(h0, psi)``: two
-    parity blocks when both keep fermion parity exactly, one block holding
-    the whole matrix otherwise.  K(s) and U(s) keep those blocks, so every
-    solve, product, polar step and norm is taken block by block (a norm as
-    the largest over blocks), and the tracked gap and cluster come from the
-    merged block spectra.  The result holds the block-diagonal matrices.
+    The flow runs on the block stack of ``parity_sectors(h0, psi)`` (one
+    block when either mixes parity): every solve, product, polar step and
+    norm is taken block by block (a norm as the largest over blocks), the
+    tracked gap and cluster come from the merged block spectra, and the
+    result keeps the stacks; only ``p0`` is joined.
     """
     m0, mp = as_matrix(h0), as_matrix(psi)
     if checkpoints % 2 == 0:
@@ -279,7 +279,7 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
 
     # One solve per coupling gives the generator and, at a checkpoint, the
     # tracked gap and each block's cluster eigenvectors; the solves at both
-    # ends are kept whole.
+    # ends are kept.
     checkpoint_keys = {round(float(s), 15) for s in grid}
     end_keys = (round(float(grid[0]), 15), round(float(grid[-1]), 15))
     gen_cache: dict[float, np.ndarray] = {}
@@ -336,11 +336,10 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     p0 = _projector(vecs[0])
     drift = max(_block_norm(u @ p0 @ u.conj().swapaxes(-1, -2) - _projector(v))
                 for u, v in zip(prev, vecs))
-    return FlowResult(window, grid,
-                      [join_blocks(u, sectors) for u in prev],
-                      [join_blocks(gen(s), sectors) for s in grid],
-                      gap_floor, drift, err, join_blocks(p0, sectors),
-                      tuple(_merged(*ends[key], sectors) for key in end_keys))
+    return FlowResult(window, grid, sectors, b0, bp, prev,
+                      [gen(s) for s in grid], gap_floor, drift, err,
+                      join_blocks(p0, sectors),
+                      tuple(ends[key] for key in end_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +351,28 @@ class Phi1Decomposition:
     lam: Interval
     eps: float
     anchors: dict                        # x -> block-diagonal v_x (ndarray)
-    ball_terms: Interaction              # Phi^1(b_x(n)) terms, ball-keyed
     v_true: np.ndarray
     quadrature_residual: float           # |V_true - sum_x v_x| before correction
     cross_residual: float                # |P rho Q + Q rho P| routed to the edge
     max_kernel_commutator: float         # max_x |[P, v_x]| over all anchors
+    local_dim: int
+
+    @cached_property
+    def ball_terms(self) -> Interaction:
+        """Phi^1(b_x(n)) terms, ball-keyed, built when first read."""
+        terms = []
+        for x, piece in self.anchors.items():
+            op = LocalOperator(piece, self.lam, self.lam, kind="spin",
+                               local_dim=self.local_dim)
+            _, big_r = boundary_distances(self.lam, x)
+            terms.append(Term(conditional_expectation(op,
+                                                      ball(self.lam, x, 1)),
+                              anchor=x, radius=1))
+            for n in range(2, big_r + 1):
+                terms.append(Term(delta_layer(op, self.lam, x, n), anchor=x,
+                                  radius=n))
+        return Interaction(terms, kind="spin", local_dim=self.local_dim,
+                           ball_keyed=True)
 
 
 def _simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -366,28 +382,29 @@ def _simpson_weights(n_points: int, h: float) -> np.ndarray:
 
 
 def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
-                   lam: Interval, p_kernel: np.ndarray,
+                   lam: Interval,
                    uptos: list[int] | None = None) -> list[Phi1Decomposition]:
     """Cut V(eps) into anchored block-diagonal pieces and telescope over balls.
 
+    ``eta`` and ``psi`` give the flow's ``H_0`` and ``Psi`` on ``lam``.
     Each anchor ``x`` receives ``v_x = int_0^eps U(s)* X_x(s) U(s) ds`` with
     ``X_x(s) = psi_x - [K(s), eta_x + s psi_x]`` (terms grouped by anchor),
     evaluated by composite Simpson on the checkpoint grid, in the field of
-    the flow, the anchored terms and ``p_kernel``.  Off-diagonal
-    blocks relative to the kernel projector are removed; the exact remainder
+    the flow and the anchored terms.  Off-diagonal blocks relative to the
+    kernel projector ``flow.p0`` are removed; the exact remainder
     ``V_true - sum_x v_x`` is re-distributed so that the sum reconstructs
     ``V(eps)`` to rounding: its diagonal blocks uniformly over anchors, its
     off-diagonal blocks entirely to the anchor at the left edge, which later
-    falls into the boundary remainder.  Finally every ``v_x`` is telescoped
-    into ball increments ``Phi^1(b_x(n))``.
+    falls into the boundary remainder.  Every ``v_x`` telescopes into ball
+    increments ``Phi^1(b_x(n))`` (``ball_terms``).
 
     ``uptos`` lists checkpoint indices (even, so the composite rule closes)
     at which the integral stops, default the last; one decomposition per
     index is returned, in that order.  The integrand is evaluated once per
     checkpoint up to the largest index, and the Simpson sum at each index is
-    kept as it passes.  Everything up to the assembled ``v_x`` runs on the
-    block stack of ``parity_sectors`` of the flow, the anchored terms and
-    ``p_kernel``.
+    kept as it passes.  All of it runs on the flow's block stacks; the
+    anchored terms are split on its sectors (``ValueError`` if they break
+    them), and only ``v_x`` and ``V_true`` are joined.
     """
     last_index = len(flow.eps_grid) - 1
     uptos = [last_index] if uptos is None else [int(u) for u in uptos]
@@ -397,8 +414,6 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
         if upto % 2:
             raise ValueError("upto must be even so Simpson panels close")
     last = max(uptos)
-    m0 = local_hamiltonian(eta, lam).matrix
-    mp = local_hamiltonian(psi, lam).matrix
     grid = flow.eps_grid[:last + 1]
 
     eta_anchored = eta.anchored()
@@ -411,17 +426,13 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
 
     eta_x = {x: anchor_matrix(eta, eta_anchored, x) for x in anchors}
     psi_x = {x: anchor_matrix(psi, psi_anchored, x) for x in anchors}
-    unitaries, generators = flow.unitaries[:last + 1], flow.generators[:last + 1]
-    sectors = parity_sectors(m0, mp, p_kernel, *eta_x.values(),
-                             *psi_x.values(), *unitaries, *generators)
-
-    def blocks(m):
-        return split_blocks(m, sectors)
-
-    b0, bp, p = blocks(m0), blocks(mp), blocks(p_kernel)
+    sectors = flow.sectors
+    if len(parity_sectors(*eta_x.values(), *psi_x.values())) < len(sectors):
+        raise ValueError("anchored terms break the parity blocks of the flow")
+    eta_x = {x: split_blocks(m, sectors) for x, m in eta_x.items()}
+    psi_x = {x: split_blocks(m, sectors) for x, m in psi_x.items()}
+    b0, bp, p = flow.h0, flow.psi, split_blocks(flow.p0, sectors)
     q = np.eye(p.shape[-1]) - p
-    eta_x = {x: blocks(m) for x, m in eta_x.items()}
-    psi_x = {x: blocks(m) for x, m in psi_x.items()}
 
     # the Simpson sum up to each requested index: the running sum of the
     # rule on the whole grid, plus the end-point weight at that index
@@ -429,8 +440,8 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     stops = set(uptos)
     v = dict.fromkeys(anchors, 0.0)
     sums = {}
-    for j, (s, u, k_s) in enumerate(zip(grid, unitaries, generators)):
-        u, k_s = blocks(u), blocks(k_s)
+    for j, (s, u, k_s) in enumerate(zip(grid, flow.unitaries,
+                                        flow.generators)):
         u_h = u.conj().swapaxes(-1, -2)
         closing = {}
         for x in anchors:
@@ -447,7 +458,7 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
         return p @ a @ p + q @ a @ q
 
     def decomposition(upto):
-        u_end = blocks(flow.unitaries[upto])
+        u_end = flow.unitaries[upto]
         eps_at = float(grid[upto])
         v_true = u_end.conj().swapaxes(-1, -2) @ (b0 + eps_at * bp) @ u_end \
             - b0
@@ -462,23 +473,10 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
         v_tilde[edge] = v_tilde[edge] + rho_cross
         max_comm = max(_block_norm(p @ v_tilde[x] - v_tilde[x] @ p)
                        for x in anchors)
-
-        pieces = {x: join_blocks(v_tilde[x], sectors) for x in anchors}
-        terms = []
-        for x in anchors:
-            op = LocalOperator(pieces[x], lam, lam, kind="spin",
-                               local_dim=eta.local_dim)
-            _, big_r = boundary_distances(lam, x)
-            terms.append(Term(conditional_expectation(op, ball(lam, x, 1)),
-                              anchor=x, radius=1))
-            for n in range(2, big_r + 1):
-                terms.append(Term(delta_layer(op, lam, x, n), anchor=x,
-                                  radius=n))
-        ball_terms = Interaction(terms, kind="spin", local_dim=eta.local_dim,
-                                 ball_keyed=True)
-        return Phi1Decomposition(lam, eps_at, pieces, ball_terms,
-                                 join_blocks(v_true, sectors), quad_res,
-                                 _block_norm(rho_cross), max_comm)
+        return Phi1Decomposition(
+            lam, eps_at, {x: join_blocks(v_tilde[x], sectors) for x in anchors},
+            join_blocks(v_true, sectors), quad_res, _block_norm(rho_cross),
+            max_comm, eta.local_dim)
 
     return [decomposition(upto) for upto in uptos]
 

@@ -102,6 +102,28 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"sp0": {"depths": []}}, "sp0.depths: need at least one depth"),
     ({"sp0": {"depths": [2, -1]}}, "sp0.depths: depths must be non-negative"),
     ({"sp0": {"eps": 0.0}}, "sp0.eps: must be positive"),
+    ({"flow": {"window": "triangle"}},
+     "flow.window: unknown window kind 'triangle'"),
+    ({"constants": {"F": {"kappa": 2}}}, "constants.F: kappa must exceed 2"),
+    ({"constants": {"F": {"s": 2}}}, r"constants.F: .* s in \(0, 1\]"),
+    ({"constants": {"F": {"K": -1}}}, "constants.F: .* needs K >= 0"),
+    ({"constants": {"F": {"c": 0}}}, "constants.F: L and c must be positive"),
+    ({"constants": {"F": {"L": 0}}}, "constants.F: L and c must be positive"),
+    ({"constants": {"truncation": 1}},
+     "constants.truncation: truncation does not clear the step profile"),
+    ({"constants": {"truncation": 5}},
+     "constants.truncation: truncation does not clear the step profile"),
+    ({"flow": {"max_radius": -1}}, "flow.max_radius: must be non-negative"),
+    ({"flow": {"length": 3}}, r"flow.length: chains of \[3\] sites are too"),
+    ({"flow": {"length": 4}}, r"flow.length: chains of \[4\] sites are too"),
+    ({"lengths": [2]}, r"lengths: chains of \[2\] sites are too short"),
+    ({"lengths": [3]}, r"lengths: chains of \[3\] sites are too short"),
+    ({"sp0": {"length": 2}}, r"sp0.length: chains of \[2\] sites are too"),
+    ({"ltqo": {"length": 2}}, r"ltqo.length: chains of \[2\] sites are too"),
+    ({"ltqo": {"aklt_lengths": [1]}},
+     r"aklt_lengths: chains of \[1\] sites are too short"),
+    ({"constants": {"F": {"K": 0}}},
+     "constants.F: gamma, nu, K must be positive"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):

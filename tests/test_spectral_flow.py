@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 import numpy as np
@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from gaplab.interaction import (Interaction, Term, local_hamiltonian,
                                 split_edge_bulk)
-from gaplab.lattice import Interval
+from gaplab.lattice import Interval, boundary_distances
 from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
 from gaplab import spectral_flow
@@ -16,8 +16,8 @@ from gaplab.operator_algebra import (join_blocks, operator_norm,
                                      parity_matrix, parity_sectors,
                                      split_blocks)
 from gaplab.spectra import diagonalize, resolution_family
-from gaplab.spectral_flow import (Window, _filtered, _polar_unitary,
-                                  _time_panels, decompose_phi1,
+from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
+                                  _polar_unitary, _time_rule, decompose_phi1,
                                   eigenbasis_generator,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
@@ -147,8 +147,7 @@ def test_phase_product_weight_matches_direct_sine_sum():
     h, psi = _random_pair()
     w = Window(GAMMA)
     evals, evecs = diagonalize(h)
-    s_pts, s_wts = _time_panels(w, np.ptp(evals))
-    coeff = s_wts * time_weight(s_pts, w)
+    s_pts, coeff = _time_rule(w, np.ptp(evals))
     omega = evals[:, None] - evals[None, :]
     direct = np.zeros_like(omega)
     for lo in range(0, s_pts.size, 256):       # the sine tensor, chunked
@@ -161,6 +160,33 @@ def test_phase_product_weight_matches_direct_sine_sum():
                                rtol=0.0, atol=1e-13)
 
 
+def test_time_rule_is_formed_once_per_panel_count(monkeypatch):
+    """Both generator routes and the filter identity read one read-only rule
+    ``(s_k, w_k W(s_k))`` per window and panel count: W is evaluated once
+    for spectra of the same width."""
+    h, psi = _random_pair()
+    w = Window(GAMMA)
+    evals, evecs = diagonalize(h)
+    calls = []
+    original = spectral_flow.time_weight
+
+    def counted(s, window):
+        calls.append(np.size(s))
+        return original(s, window)
+
+    monkeypatch.setattr(spectral_flow, "time_weight", counted)
+    _panel_rule.cache_clear()
+    first = time_quadrature_generator(evals, evecs, psi, w)
+    second = time_quadrature_generator(evals, evecs, psi, w)
+    np.testing.assert_array_equal(first, second)
+    assert len(calls) == 1
+    s_pts, coeff = _time_rule(w, np.ptp(evals))
+    assert not s_pts.flags.writeable and not coeff.flags.writeable
+    filter_identity_residual(w, np.linspace(0.0, np.ptp(evals), 11))
+    assert len(calls) == 1
+    _panel_rule.cache_clear()
+
+
 # --- the flow ODE ------------------------------------------------------------------
 
 
@@ -169,12 +195,14 @@ def test_flow_two_level_transport():
     flow = flow_unitaries(h0, SX, 0.1, Window(GAMMA), checkpoints=8)
     assert len(flow.eps_grid) % 2 == 1          # even count is bumped
     assert flow.eps == pytest.approx(0.1)
+    assert len(flow.sectors) == 1               # sigma^x flips the parity
     for u in flow.unitaries:
+        u = join_blocks(u, flow.sectors)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
     assert flow.projector_drift <= 1e-8
     assert flow.gap_floor == pytest.approx(1.0, abs=1e-12)   # sqrt(1+4s^2) >= 1
     # conjugation preserves the spectrum: V = U* H(eps) U - H0
-    u = flow.unitaries[-1]
+    u = join_blocks(flow.unitaries[-1], flow.sectors)
     v = u.conj().T @ (h0 + flow.eps * SX) @ u - h0
     np.testing.assert_allclose(np.linalg.eigvalsh(h0 + v),
                                np.linalg.eigvalsh(h0 + 0.1 * SX), atol=1e-10)
@@ -185,6 +213,7 @@ def _assert_transports(flow, h0, psi, cluster_dim):
     projector of H(s), solved afresh."""
     eye = np.eye(h0.shape[0])
     for s, u in zip(flow.eps_grid, flow.unitaries):
+        u = join_blocks(u, flow.sectors)
         np.testing.assert_allclose(u @ u.conj().T, eye, rtol=0, atol=1e-12)
         vecs = np.linalg.eigh(h0 + s * psi)[1][:, :cluster_dim]
         np.testing.assert_allclose(u @ flow.p0 @ u.conj().T,
@@ -205,6 +234,7 @@ def test_flow_runs_in_the_field_of_its_inputs():
         assert all(u.dtype == dtype for u in flow.unitaries)
         assert all(k.dtype == dtype for k in flow.generators)
         for k in flow.generators:                    # K = iD is anti-Hermitian
+            k = join_blocks(k, flow.sectors)
             np.testing.assert_allclose(k, -k.conj().T, rtol=0, atol=1e-14)
         _assert_transports(flow, h0, psi, 1)
 
@@ -260,8 +290,12 @@ def test_flow_solves_h0_once(monkeypatch):
                           cluster_dim=1)
     h0_blocks = split_blocks(h0, sectors)
     assert sum(np.array_equal(h, h0_blocks) for h in solved) == 1
-    v0 = flow.end_spectra[0][1][:, :1]
-    np.testing.assert_array_equal(flow.p0, v0 @ v0.conj().T)
+    evals, evecs = flow.end_spectra[0]
+    block, col = np.unravel_index(np.argmin(evals), evals.shape)
+    v0 = evecs[block][:, [col]]
+    p0 = np.zeros_like(evecs)
+    p0[block] = v0 @ v0.conj().T
+    np.testing.assert_array_equal(flow.p0, join_blocks(p0, flow.sectors))
 
 
 @settings(max_examples=12, deadline=None)
@@ -275,9 +309,11 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     blocked = flow_unitaries(*args, checkpoints=5, cluster_dim=2)
     with patch.object(spectral_flow, "parity_sectors", _one_block):
         whole = flow_unitaries(*args, checkpoints=5, cluster_dim=2)
-    pairs = list(zip(blocked.unitaries + blocked.generators + [blocked.p0],
-                     whole.unitaries + whole.generators + [whole.p0]))
-    for a, b in pairs:
+    assert len(blocked.sectors) == 2 and len(whole.sectors) == 1
+    pairs = [(join_blocks(a, blocked.sectors), join_blocks(b, whole.sectors))
+             for a, b in zip(blocked.unitaries + blocked.generators,
+                             whole.unitaries + whole.generators)]
+    for a, b in pairs + [(blocked.p0, whole.p0)]:
         assert a.dtype == b.dtype
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(parity_even(a), a)
@@ -294,7 +330,8 @@ def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     flow = flow_unitaries(h0, psi, 0.05, Window(GAMMA), checkpoints=5,
                           cluster_dim=2)
     assert shapes and set(shapes) == {(1, 8, 8)}
-    assert flow.unitaries[-1][0, 1] != 0.0
+    assert len(flow.sectors) == 1
+    assert join_blocks(flow.unitaries[-1], flow.sectors)[0, 1] != 0.0
 
 
 def test_flow_rejects_closing_gap():
@@ -322,36 +359,41 @@ def bundle():
     window = Window(GAMMA)
     flow = flow_unitaries(h0.matrix, hp.matrix, 0.02, window,
                           checkpoints=9, cluster_dim=kdim)
-    v0 = diagonalize(h0.matrix)[1][:, :kdim]
-    p0 = v0 @ v0.conj().T
-    dec, = decompose_phi1(flow, eta, psi, lam, p0)
+    dec, = decompose_phi1(flow, eta, psi, lam)
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow,
-            "p0": p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix}
+            "p0": flow.p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix}
 
 
 def test_generator_routes_agree_on_the_default_horizon(bundle):
     """On the chain (spectral width 8) the time quadrature, at the one
     horizon it has, reproduces the generator the flow ran to 1e-10, on the
     decompositions the flow kept at both ends: the solves of the two parity
-    blocks, merged."""
+    blocks."""
     flow, hp = bundle["flow"], bundle["hp"]
     assert np.ptp(np.linalg.eigvalsh(bundle["h0"])) == pytest.approx(8.0)
     sectors = parity_sectors(bundle["h0"], hp)
     assert len(sectors) == 2
+    for mine, ref in zip(flow.sectors, sectors):
+        np.testing.assert_array_equal(mine, ref)
+    np.testing.assert_array_equal(flow.psi, split_blocks(hp, sectors))
     w = Window(GAMMA)
     ends = zip((0.0, flow.eps), (flow.generators[0], flow.generators[-1]),
                flow.end_spectra)
     for s, k_flow, (evals, evecs) in ends:
         h = bundle["h0"] + s * hp
         block_evals, block_evecs = diagonalize(split_blocks(h, sectors))
-        np.testing.assert_array_equal(evals, np.sort(block_evals, axis=None))
-        assert np.max(np.abs(h @ evecs - evecs * evals)) <= 1e-12
+        np.testing.assert_array_equal(evals, block_evals)
+        np.testing.assert_array_equal(evecs, block_evecs)
+        whole_evals = np.empty(h.shape[0])
+        whole_evals[np.concatenate(sectors)] = evals.ravel()
+        whole_evecs = join_blocks(evecs, sectors)
+        assert np.max(np.abs(h @ whole_evecs
+                             - whole_evecs * whole_evals)) <= 1e-12
         np.testing.assert_array_equal(
-            k_flow, join_blocks(eigenbasis_generator(
-                block_evals, block_evecs, split_blocks(hp, sectors), w),
-                sectors))
-        d_time = time_quadrature_generator(evals, evecs, hp, w)
-        assert operator_norm(k_flow - d_time) <= 1e-10
+            k_flow, eigenbasis_generator(block_evals, block_evecs,
+                                         split_blocks(hp, sectors), w))
+        d_time = time_quadrature_generator(evals, evecs, flow.psi, w)
+        assert operator_norm(join_blocks(k_flow - d_time, sectors)) <= 1e-10
 
 
 def _complex_rk4_flow(h0, psi, grid, window, ode_tol=1e-8):
@@ -403,7 +445,7 @@ def test_real_flow_matches_the_complex_arithmetic_oracle(bundle):
                                Window(GAMMA))
     assert len(oracle) == len(flow.unitaries)
     for u, u_ref in zip(flow.unitaries, oracle):
-        assert np.max(np.abs(u - u_ref)) <= 1e-12
+        assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
     _assert_transports(flow, bundle["h0"], bundle["hp"],
                        int(round(np.trace(bundle["p0"]))))
 
@@ -427,24 +469,34 @@ def test_ball_telescopes_close(bundle):
 
 def test_upto_argument_is_validated(bundle):
     dec2, = decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"],
-                           bundle["lam"], bundle["p0"], uptos=[4])
+                           bundle["lam"], uptos=[4])
     assert dec2.eps == pytest.approx(bundle["flow"].eps_grid[4])
     for bad in (0, 3, 40):
         with pytest.raises(ValueError):
             decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"],
-                           bundle["lam"], bundle["p0"], uptos=[4, bad])
+                           bundle["lam"], uptos=[4, bad])
+
+
+def _as_one_block(flow):
+    """The same flow with each of its block stacks joined into one block."""
+    def one(m):
+        return join_blocks(m, flow.sectors)[None]
+
+    return replace(flow, sectors=[np.arange(flow.p0.shape[0])],
+                   h0=one(flow.h0), psi=one(flow.psi),
+                   unitaries=[one(u) for u in flow.unitaries],
+                   generators=[one(k) for k in flow.generators])
 
 
 def test_decomposition_on_parity_blocks_matches_one_block(bundle):
-    """With the flow's own p0 the decomposition splits into parity blocks;
-    it agrees with the same decomposition on one block, and the decompositions
+    """On the flow's parity blocks the decomposition agrees with the same
+    decomposition of the same flow held as one block, and the decompositions
     at several couplings from one pass are those of separate passes, bit for
     bit."""
     flow, lam = bundle["flow"], bundle["lam"]
-    args = (flow, bundle["eta"], bundle["psi"], lam, flow.p0)
-    blocked = decompose_phi1(*args, uptos=[4, 8])
-    with patch.object(spectral_flow, "parity_sectors", _one_block):
-        whole = decompose_phi1(*args, uptos=[4, 8])
+    terms = (bundle["eta"], bundle["psi"], lam)
+    blocked = decompose_phi1(flow, *terms, uptos=[4, 8])
+    whole = decompose_phi1(_as_one_block(flow), *terms, uptos=[4, 8])
     for dec, ref in zip(blocked, whole):
         assert dec.eps == ref.eps
         np.testing.assert_allclose(dec.v_true, ref.v_true, rtol=0, atol=1e-12)
@@ -455,7 +507,7 @@ def test_decomposition_on_parity_blocks_matches_one_block(bundle):
                      "max_kernel_commutator"):
             assert getattr(dec, name) == pytest.approx(getattr(ref, name),
                                                        abs=1e-12)
-    alone, = decompose_phi1(*args, uptos=[4])
+    alone, = decompose_phi1(flow, *terms, uptos=[4])
     for x, vx in alone.anchors.items():
         np.testing.assert_array_equal(vx, blocked[0].anchors[x])
     np.testing.assert_array_equal(alone.v_true, blocked[0].v_true)
@@ -479,9 +531,95 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
     kdim = int(round(np.trace(bundle["p0"])))
     flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
                           checkpoints=9, cluster_dim=kdim)
-    decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"], flow.p0)
+    decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
     assert (2, 128, 128) in shapes
     assert max(shape[-1] for shape in shapes) == 128
+
+
+def _arrays(value):
+    """Every array in ``value``, a list or tuple of them, or an array."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
+        bundle, monkeypatch):
+    """On the L = 8 chain (side 256) the flow holds no array of side 256 but
+    ``p0``.  Its decomposition assembles no Hamiltonian of the whole volume,
+    only one matrix per anchor and interaction, and tests parity only on
+    those anchored matrices, never on a matrix of the flow."""
+    flow, eta, psi = bundle["flow"], bundle["eta"], bundle["psi"]
+    held = []
+    for field in fields(flow):
+        for a in _arrays(getattr(flow, field.name)):
+            if field.name == "p0":
+                assert a.shape == (256, 256)
+            else:
+                assert 256 not in a.shape, field.name
+                held.append(a)
+    assembled, tested = [], []
+    original_assembly = spectral_flow.local_hamiltonian
+    original_sectors = spectral_flow.parity_sectors
+
+    def assembly(phi, lam):
+        assembled.append({t.anchor for t in phi.terms})
+        return original_assembly(phi, lam)
+
+    def sectors(*mats):
+        tested.append(mats)
+        return original_sectors(*mats)
+
+    monkeypatch.setattr(spectral_flow, "local_hamiltonian", assembly)
+    monkeypatch.setattr(spectral_flow, "parity_sectors", sectors)
+    decompose_phi1(flow, eta, psi, bundle["lam"])
+    anchors = set(eta.anchored()) | set(psi.anchored())
+    assert len(assembled) == 2 * len(anchors)
+    assert all(len(group) <= 1 for group in assembled)
+    assert len(tested) == 1 and len(tested[0]) == 2 * len(anchors)
+    assert not any(m is a for m in tested[0] for a in held + [flow.p0])
+
+
+def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
+        bundle):
+    """An odd term and its negative at two anchors leave Psi as it was, but
+    each anchored sum breaks the parity blocks the flow ran on."""
+    psi = bundle["psi"]
+    term = psi.terms[0]
+    odd = np.kron(SX, np.eye(term.op.matrix.shape[0] // 2))
+    a, b = sorted(psi.anchored())[:2]
+    broken = replace(psi, terms=psi.terms + [
+        replace(term, op=replace(term.op, matrix=m), anchor=x)
+        for m, x in ((odd, a), (-odd, b))])
+    with pytest.raises(ValueError, match="parity blocks"):
+        decompose_phi1(bundle["flow"], bundle["eta"], broken, bundle["lam"])
+
+
+def test_ball_telescope_is_built_once_when_read(bundle, monkeypatch):
+    """The decompositions of one pass build no ball telescope; reading one's
+    ``ball_terms`` builds its own, once: one conditional expectation and
+    ``R_x - 1`` layers per anchor."""
+    calls = []
+    for name in ("conditional_expectation", "delta_layer"):
+        def counted(*args, _name=name,
+                    _original=getattr(spectral_flow, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_flow, name, counted)
+    lam = bundle["lam"]
+    decs = decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"], lam,
+                          uptos=[4, 8])
+    assert calls == []
+    terms = decs[1].ball_terms
+    anchors = decs[1].anchors
+    layers = sum(boundary_distances(lam, x)[1] - 1 for x in anchors)
+    assert calls.count("conditional_expectation") == len(anchors)
+    assert calls.count("delta_layer") == layers
+    assert decs[1].ball_terms is terms
+    assert len(calls) == len(terms.terms) == len(anchors) + layers
 
 
 def test_split_separates_blocks(bundle):
@@ -511,7 +649,7 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
     eta, psi = _complex_typed(bundle["eta"]), _complex_typed(bundle["psi"])
     assert all(t.op.matrix.dtype == np.complex128 for t in psi.terms)
     assert local_hamiltonian(psi, lam).matrix.dtype == np.float64
-    dec, = decompose_phi1(flow, eta, psi, lam, p0)
+    dec, = decompose_phi1(flow, eta, psi, lam)
     ref = bundle["dec"]
     np.testing.assert_array_equal(dec.v_true, ref.v_true)
     for x, vx in dec.anchors.items():
