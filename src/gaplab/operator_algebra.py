@@ -46,12 +46,27 @@ def spin_matrices(d: int):
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; for an exactly Hermitian matrix the largest
-    ``|eigenvalue|`` (see ``eigenvalues``), which is the same number."""
+    """Largest singular value, from one values-only ``eigenvalues`` solve.
+
+    An exactly Hermitian matrix gives its largest ``|eigenvalue|``.  Any
+    other matrix gives ``sqrt(lambda_max(G))`` of its Gram matrix
+    ``G = a^H a`` (or ``a a^H``, the smaller side), formed from
+    ``a = m / 2^k`` with ``2^k`` near ``max|m|``: the scaling is exact and
+    keeps ``G`` clear of underflow and overflow.  ``G`` keeps the parity
+    blocks of ``m``, and ``sigma_max`` keeps a relative accuracy of order
+    ``n u``, the order of an SVD's.
+    """
     m = np.asarray(m)
     if m.size and _exactly_hermitian(m):
         return float(np.max(np.abs(eigenvalues(m))))
-    return float(np.linalg.norm(m, 2))
+    top = float(np.max(np.abs(m), initial=0.0))
+    if top == 0.0:
+        return 0.0
+    scale = np.ldexp(1.0, np.frexp(top)[1])
+    a = m / scale
+    a_h = a.conj().T
+    gram = a_h @ a if a.shape[0] >= a.shape[1] else a @ a_h
+    return float(scale * np.sqrt(max(eigenvalues(gram)[-1], 0.0)))
 
 
 def _exactly_hermitian(m: np.ndarray) -> bool:
@@ -186,10 +201,22 @@ def parity_sectors(*mats) -> list[np.ndarray]:
     even = parity_matrix(side.bit_length() - 1) > 0
     ev, od = np.flatnonzero(even), np.flatnonzero(~even)
     for m in map(np.asarray, mats):
-        if m.shape != shape or m[np.ix_(ev, od)].any() \
-                or m[np.ix_(od, ev)].any():
+        if m.shape != shape or _couples_parities(m, even, ev, od):
             return whole
     return [ev, od]
+
+
+def _couples_parities(m: np.ndarray, even, ev, od) -> bool:
+    """Some entry of ``m`` between the even and the odd sector is nonzero;
+    tested 64 rows at a time, so neither off-parity quarter is built (at
+    side 4096 a slab's copies stay under 1 MB, small enough to leave the
+    peak memory of a solve where it was)."""
+    for lo in range(0, len(even), 64):
+        rows, is_even = m[lo:lo + 64], even[lo:lo + 64]
+        if rows[is_even].take(od, axis=1).any() \
+                or rows[~is_even].take(ev, axis=1).any():
+            return True
+    return False
 
 
 def split_blocks(m, sectors) -> np.ndarray:

@@ -43,6 +43,13 @@ def random_hermitian(rng, side: int, complex_: bool) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def svd_polar(u) -> np.ndarray:
+    """The unitary polar factor ``W V*`` of ``u = W S V*`` (or of each
+    matrix of a stack), from LAPACK's SVD."""
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
+
+
 def parity_even(m) -> np.ndarray:
     """The even part of ``m`` under the occupancy parity: off-block entries 0."""
     p = parity_matrix(m.shape[0].bit_length() - 1)

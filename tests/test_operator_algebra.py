@@ -336,13 +336,21 @@ def test_eigenvalues_without_the_split_return_the_oracle_exactly(side,
 
 def test_operator_norm_takes_the_eigenvalue_route_for_hermitian_input(
         monkeypatch):
+    """A Hermitian matrix is solved itself; any other matrix through its
+    Gram matrix of the same side, and neither calls an SVD."""
     sides = counting_eigvalsh(monkeypatch)
+    svds = []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: svds.append(args))
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda *args, **kwargs: svds.append(args))
     m = random_hermitian(np.random.default_rng(5), 6, True)
     operator_norm(m)
     assert sides == [6]
     m[0, 1] += 1e-3                      # no longer exactly Hermitian
     operator_norm(m)
-    assert sides == [6]
+    assert sides == [6, 6]
+    assert svds == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,6 +365,29 @@ def test_hermitian_operator_norm_matches_the_svd_norm(side, complex_, even,
         m = parity_even(m)
     svd_norm = float(np.linalg.norm(m, 2))
     assert operator_norm(m) == pytest.approx(svd_norm, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.booleans(),
+       st.sampled_from(["plain", "even", "zero"]), st.sampled_from([0, 600, -600]),
+       st.integers(0, 2 ** 32 - 1))
+def test_operator_norm_matches_the_svd_norm(rows, cols, complex_, kind,
+                                            exponent, seed):
+    """Real and complex, square and rectangular, parity-even, all-zero and
+    scaled far from 1: the Gram route gives the SVD's largest singular
+    value to 1e-12."""
+    rng = np.random.default_rng(seed)
+    if kind == "even":
+        rows = cols = 2 ** (rows % 6 + 1)
+    m = random_matrix(rng, max(rows, cols), complex_)[:rows, :cols]
+    if kind == "even":
+        m = parity_even(m)
+        assert len(parity_sectors(m)) == 2
+    elif kind == "zero":
+        m = np.zeros_like(m)
+    m = m * 2.0 ** exponent
+    assert operator_norm(m) == pytest.approx(float(np.linalg.norm(m, 2)),
+                                             rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,7 +22,7 @@ from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import parity_even, random_hermitian, random_matrix
+from oracles import parity_even, random_hermitian, random_matrix, svd_polar
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -341,6 +341,32 @@ def test_flow_rejects_closing_gap():
         flow_unitaries(h0, psi, 0.45, Window(GAMMA), checkpoints=9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 16), st.booleans(),
+       st.floats(0.0, 0.045), st.integers(0, 2 ** 32 - 1))
+def test_polar_step_gives_the_svd_polar_factor(blocks, side, complex_,
+                                               size, seed):
+    """On near-unitary stacks (Frobenius defect up to about 0.1) the
+    Newton-Schulz step agrees with the SVD's polar factor to 1e-13 and is
+    unitary to 1e-14."""
+    rng = np.random.default_rng(seed)
+    q = np.stack([np.linalg.qr(random_matrix(rng, side, complex_))[0]
+                  for _ in range(blocks)])
+    e = np.stack([random_matrix(rng, side, complex_) for _ in range(blocks)])
+    u = q + size * e / np.linalg.norm(e)
+    got = _polar_unitary(u)
+    assert got.dtype == u.dtype
+    assert np.max(np.abs(got - svd_polar(u))) <= 1e-13
+    gram = got.conj().swapaxes(-1, -2) @ got
+    assert np.max(np.abs(gram - np.eye(side))) <= 1e-14
+
+
+def test_polar_step_refuses_a_defect_outside_its_radius():
+    """From 2 I the iteration would reach -I, not the polar factor I."""
+    with pytest.raises(RuntimeError, match="polar step not certified"):
+        _polar_unitary(2.0 * np.eye(3))
+
+
 # --- anchored decomposition on a small chain ---------------------------------------
 
 
@@ -422,8 +448,8 @@ def _complex_rk4_flow(h0, psi, grid, window, ode_tol=1e-8):
                 k2 = 1j * gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
                 k3 = 1j * gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
                 k4 = 1j * gen(s + h_step) @ (u + h_step * k3)
-                u = _polar_unitary(u + (h_step / 6.0)
-                                   * (k1 + 2 * k2 + 2 * k3 + k4))
+                u = svd_polar(u + (h_step / 6.0)
+                              * (k1 + 2 * k2 + 2 * k3 + k4))
             out.append(u.copy())
         return out
 
@@ -515,16 +541,19 @@ def test_decomposition_on_parity_blocks_matches_one_block(bundle):
 
 def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
         bundle, monkeypatch):
-    """On the L = 8 chain (side 256) every eigensolve, SVD and 2-norm of the
-    flow and of its decomposition is taken on a parity block of side 128."""
-    shapes = []
-    for name in ("eigh", "eigvalsh", "svd"):
+    """On the L = 8 chain (side 256) every eigensolve of the flow and of its
+    decomposition is taken on a parity block of side 128, and neither calls
+    an SVD or a matrix 2-norm (a values-only SVD): the polar steps are
+    Newton-Schulz products and every norm is an eigensolve."""
+    shapes, svds = [], []
+    for name in ("eigh", "eigvalsh"):
         _counting(monkeypatch, name, shapes)
+    _counting(monkeypatch, "svd", svds)
     original_norm = np.linalg.norm
 
     def norm(x, ord=None, *args, **kwargs):
         if ord == 2:
-            shapes.append(np.shape(x))
+            svds.append(np.shape(x))
         return original_norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", norm)
@@ -534,6 +563,7 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
     decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
     assert (2, 128, 128) in shapes
     assert max(shape[-1] for shape in shapes) == 128
+    assert svds == []
 
 
 def _arrays(value):
