@@ -10,9 +10,13 @@ basis ``v_1 .. v_m`` reshaped over (left, X, right) factors, the tensor
 
     K[a, i, b, j] = sum_{L,R} conj(v_a[L, i, R]) v_b[L, j, R]
 
-determines ``P A P`` on the kernel as the m-by-m matrix
-``M(A) = sum_{ij} K[:, i, :, j] A[i, j]``, so ``w(A) = |M(A) - omega(A) 1|_2``
-with no operator on the full volume ever formed.
+determines ``P A P`` on the kernel, and the centred map
+
+    D[(a, b), (i, j)] = K[a, i, b, j] - delta_ab omega_ij
+
+takes ``vec A`` to ``vec(M(A) - omega(A) 1)`` with ``M(A)`` the m-by-m
+kernel block of ``P A P``, so ``w(A)`` is the 2-norm of one matrix-vector
+product and no operator on the full volume is ever formed.
 
 The supremum over ``|A| <= 1`` is approached from below by alternating
 ascent over Hermitian sign matrices; a matching upper transfer is available
@@ -21,11 +25,12 @@ whenever the exact-zero certificate holds (then ``w = 0`` for every ``A``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Interval, ball, cutoff
+from .lattice import Interval, ball
 from .interaction import Interaction, local_hamiltonian
 from .operator_algebra import parity_matrix
 from .spectra import kernel_basis_dense
@@ -33,39 +38,35 @@ from .spectra import kernel_basis_dense
 
 @dataclass
 class WitnessTensor:
-    """Kernel-compressed action of observables on a subregion."""
+    """The centred map ``D`` of the kernel on a subregion, ``(m², d_X²)``."""
 
-    K: np.ndarray          # (m, dX, m, dX)
+    D: np.ndarray
     rank: int
-    local_dim: int
     region: Interval
 
-    @property
-    def omega_matrix(self) -> np.ndarray:
-        """r with omega(A) = sum_ij r[i,j] A[i,j] (reduced state, transposed)."""
-        return np.einsum("aiaj->ij", self.K) / self.rank
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        return np.einsum("aibj,ij->ab", self.K, a)
+    def centred(self, a: np.ndarray) -> np.ndarray:
+        """``M(A) - omega(A) 1`` for an observable ``A`` on the region."""
+        return (self.D @ a.ravel()).reshape(self.rank, self.rank)
 
     def value(self, a: np.ndarray) -> float:
-        m = self.apply(a)
-        omega = np.einsum("ij,ij->", self.omega_matrix, a)
-        return float(np.linalg.norm(m - omega * np.eye(self.rank), 2))
+        return float(np.linalg.norm(self.centred(a), 2))
 
 
-def witness_tensor(eta: Interaction, vol: Interval, region: Interval) -> WitnessTensor:
+def witness_tensor(basis: np.ndarray, local_dim: int, vol: Interval,
+                   region: Interval) -> WitnessTensor:
+    """The centred map of the kernel ``basis`` (columns, over ``vol``) on
+    ``region``; ``omega`` is formed once here."""
     if region.intersection(vol) != region:
         raise ValueError(f"{region} not inside {vol}")
-    d = eta.local_dim
-    basis = kernel_basis_dense(local_hamiltonian(eta.restricted(vol), vol))
-    m = basis.shape[1]
-    dl = d ** (region.a - vol.a)
+    d, m = local_dim, basis.shape[1]
     dx = d ** len(region)
-    dr = d ** (vol.b - region.b)
-    v = basis.T.reshape(m, dl, dx, dr)
+    v = basis.T.reshape(m, d ** (region.a - vol.a), dx, d ** (vol.b - region.b))
     k = np.einsum("alir,bljr->aibj", v.conj(), v)
-    return WitnessTensor(k, m, d, region)
+    omega = np.einsum("aiaj->ij", k) / m
+    dev = k - np.einsum("ab,ij->aibj", np.eye(m), omega)
+    # complex, as the observables are: a real D would be cast on every product
+    d = dev.transpose(0, 2, 1, 3).reshape(m * m, dx * dx).astype(complex)
+    return WitnessTensor(d, m, region)
 
 
 def _parity_mask(n_sites: int) -> np.ndarray:
@@ -74,39 +75,28 @@ def _parity_mask(n_sites: int) -> np.ndarray:
 
 
 def exact_zero_certificate(wt: WitnessTensor, even_only: bool = False) -> float:
-    """Max deviation of K from ``delta_ab * omega``; 0 means w(A) = 0 for all A.
+    """``max|D|``; 0 means w(A) = 0 for all A.
 
-    With ``even_only`` the deviation is only measured on parity-preserving
-    matrix entries, certifying the witness for even observables.
+    With ``even_only`` only the columns of parity-preserving matrix entries
+    are read, certifying the witness for even observables.
     """
-    m, dx = wt.rank, wt.K.shape[1]
-    dev = wt.K - np.einsum("ab,ij->aibj", np.eye(m), wt.omega_matrix)
-    if even_only:
-        mask = _parity_mask(len(wt.region))
-        dev = dev * mask[None, :, None, :]
-    return float(np.max(np.abs(dev)))
-
-
-def _gradient_matrix(wt: WitnessTensor, u: np.ndarray, sign: float) -> np.ndarray:
-    # linearization of A -> sign * <u, (M(A) - omega(A) 1) u> as tr(Z A)
-    g = np.einsum("a,aibj,b->ij", u.conj(), wt.K, u)
-    w = sign * (g - wt.omega_matrix)
-    z = w.T
-    return 0.5 * (z + z.conj().T)
+    cols = _parity_mask(len(wt.region)).ravel() if even_only else slice(None)
+    return float(np.max(np.abs(wt.D[:, cols])))
 
 
 def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
                        iters: int = 200, even_only: bool = False):
     """Best witness value found over unit-norm Hermitian observables.
 
-    Alternating ascent between the top eigenvector of ``M(A) - omega(A) 1``
-    and the extreme-point observable ``A = V sign(Lambda) V*`` of the
-    linearized objective, stopped once a step gains less than ``1e-8`` in
+    Alternating ascent between the top eigenvector ``u`` of
+    ``M(A) - omega(A) 1`` and the extreme-point observable
+    ``A = V sign(Lambda) V*`` of the linearized objective, whose gradient is
+    ``(conj(u) ⊗ u) D``, stopped once a step gains less than ``1e-8`` in
     relative terms.  Returns ``(value, A)``; the value is a certified
     lower bound on the supremum since ``A`` is explicit.
     """
     rng = np.random.default_rng(seed)
-    dx = wt.K.shape[1]
+    dx = math.isqrt(wt.D.shape[1])
     mask = _parity_mask(len(wt.region)) if even_only else None
 
     def project(a):
@@ -120,49 +110,54 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
     for _ in range(restarts):
         a = project(rng.standard_normal((dx, dx))
                     + 1j * rng.standard_normal((dx, dx)))
-        val = wt.value(a)
+        b = wt.centred(a)
+        val = float(np.linalg.norm(b, 2))
         for _ in range(iters):
-            b = wt.apply(a) - np.einsum("ij,ij->", wt.omega_matrix, a) * np.eye(wt.rank)
             evals, evecs = np.linalg.eigh(b)
             idx = int(np.argmax(np.abs(evals)))
             u, sign = evecs[:, idx], np.sign(evals[idx]) or 1.0
-            z = _gradient_matrix(wt, u, sign)
+            # A -> sign <u, (M(A) - omega(A) 1) u> linearized as tr(Z A)
+            z = sign * (np.outer(u.conj(), u).ravel() @ wt.D).reshape(dx, dx).T
+            z = 0.5 * (z + z.conj().T)
             if mask is not None:
                 z = np.where(mask, z, 0.0)
-                z = 0.5 * (z + z.conj().T)
             zev, zvec = np.linalg.eigh(z)
-            a_new = zvec @ np.diag(np.sign(zev + 1e-300)) @ zvec.conj().T
-            a_new = project(a_new)
-            val_new = wt.value(a_new)
+            a_new = project((zvec * np.sign(zev + 1e-300)) @ zvec.conj().T)
+            b_new = wt.centred(a_new)
+            val_new = float(np.linalg.norm(b_new, 2))
             if val_new - val <= 1e-8 * max(1.0, abs(val)):
                 if val_new > val:
                     a, val = a_new, val_new
                 break
-            a, val = a_new, val_new
+            a, val, b = a_new, val_new, b_new
         if val > best_val:
             best_val, best_a = val, a
     return best_val, best_a
 
 
-@dataclass
-class WitnessRow:
-    x: int
-    n: int
-    k: int
-    separation: int
-    value: float
-    zero_deviation: float
-
-
 def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
-                 seed: int = 0, even_only: bool = False, restarts: int = 20,
-                 iters: int = 200) -> WitnessRow:
-    """Witness for the ball pair ``b(x, k) inside b(x, n)`` within ``lam``."""
-    vol = ball(lam, x, n)
-    region = ball(lam, x, k)
-    wt = witness_tensor(eta, vol, region)
-    value, _ = ascent_lower_bound(wt, seed=seed, even_only=even_only,
-                                  restarts=restarts, iters=iters)
-    sep = cutoff(lam, x, n) - k
-    dev = exact_zero_certificate(wt, even_only=even_only)
-    return WitnessRow(x, n, k, sep, value, dev)
+                 seen: dict, even_only: bool = False,
+                 ascent: tuple | None = None) -> float:
+    """Witness for the ball pair ``b(x, k) inside b(x, n)`` within ``lam``.
+
+    The ascent's lower bound for ``ascent = (seed, restarts, iters)``, the
+    exact-zero certificate without one.  ``seen`` holds what the caller's
+    run has already computed: kernels by the volume's Hamiltonian, centred
+    maps by that and the region's placement in the volume, ascents by both
+    and their inputs, so each is computed once.
+    """
+    vol, region = ball(lam, x, n), ball(lam, x, k)
+    h = local_hamiltonian(eta.restricted(vol), vol)
+    volume = h.matrix.tobytes()
+    key = (volume, region.a - vol.a, len(region))
+    if volume not in seen:
+        seen[volume] = kernel_basis_dense(h)
+    if key not in seen:
+        seen[key] = witness_tensor(seen[volume], eta.local_dim, vol, region)
+    wt = seen[key]
+    if ascent is None:
+        return exact_zero_certificate(wt, even_only=even_only)
+    if (key, even_only, ascent) not in seen:
+        seen[key, even_only, ascent] = ascent_lower_bound(
+            wt, *ascent, even_only=even_only)[0]
+    return seen[key, even_only, ascent]

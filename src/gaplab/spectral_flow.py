@@ -192,11 +192,16 @@ def time_quadrature_generator(evals, evecs, psi,
     stack (the panels resolve the spread of the whole spectrum).
 
     The weight ``2 Im(Phi diag(c) Phi*)`` is formed in real arithmetic as
-    ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``.
+    ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``; the phases are
+    turned into ``sin(E s) o c`` in place, so two phase-sized arrays are the
+    largest temporaries.
     """
     s_pts, coeff = _time_rule(window, np.ptp(evals))
-    angle = evals[..., :, None] * s_pts
-    a = (np.sin(angle) * coeff) @ np.cos(angle).swapaxes(-1, -2)
+    sin = evals[..., :, None] * s_pts
+    cos = np.cos(sin)
+    np.sin(sin, out=sin)
+    sin *= coeff
+    a = sin @ cos.swapaxes(-1, -2)
     return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
 
 
