@@ -16,6 +16,7 @@ from .operator_algebra import (LocalOperator, ParityError, embed,
                                spin_matrices, conditional_expectation,
                                delta_layer, jordan_wigner, partial_trace)
 from .interaction import (Term, Interaction, local_hamiltonian,
+                          hamiltonian_eigenvalues,
                           validate_unperturbed, split_edge_bulk,
                           regroup_intervals, fermion_to_spin,
                           random_interaction)

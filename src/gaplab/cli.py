@@ -30,15 +30,15 @@ import numpy as np
 from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
     f_zero, transform_f_phi
 from .interaction import Interaction, fermion_to_spin, from_json, \
-    local_hamiltonian, random_interaction, regroup_intervals, \
-    split_edge_bulk, validate_unperturbed
+    hamiltonian_eigenvalues, local_hamiltonian, random_interaction, \
+    regroup_intervals, split_edge_bulk, validate_unperturbed
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, orbital_spectrum, paired_orbital_model, \
     random_even_perturbation, validate_model
-from .operator_algebra import MAX_DENSE_DIM, eigenvalues, join_blocks, \
-    kernel_count, operator_norm
+from .operator_algebra import MAX_DENSE_DIM, join_blocks, kernel_count, \
+    operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, \
@@ -508,8 +508,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
         for offset in (0, 1):
             lam = _window(length, offset)
             model, eta = _orbital(lam)
-            h = local_hamiltonian(eta, lam)
-            evals = eigenvalues(h.matrix)
+            evals = hamiltonian_eigenvalues(eta, lam)
             kdim = kernel_count(evals)
             gap = float(evals[kdim] - evals[kdim - 1])
             kexp, free = kernel_data(model, lam)
@@ -530,9 +529,11 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
                       f"E0 = {evals[0]:.1e}, gap = {gap:.12f}, "
                       f"kernel {kdim}/{kexp}, leak = {leak:.1e}")
             if length <= 10:
+                # both are 1 (x) H_span (x) 1 on lam, with the same span
+                span = eta.span
                 same = np.array_equal(
-                    local_hamiltonian(fermion_to_spin(eta), lam).matrix,
-                    h.matrix)
+                    local_hamiltonian(fermion_to_spin(eta), span).matrix,
+                    local_hamiltonian(eta, span).matrix)
                 dev = float(np.max(np.abs(evals
                                           - orbital_spectrum(model, lam))))
                 jw_rows.append((length, offset, dev,
@@ -542,8 +543,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
     for length in cfg["ltqo"]["aklt_lengths"]:
         lam = _window(length)
         eta = aklt_interaction(lam)
-        h = local_hamiltonian(eta, lam)
-        evals = eigenvalues(h.matrix)
+        evals = hamiltonian_eigenvalues(eta, lam)
         kdim = kernel_count(evals)
         gap = float(evals[kdim] - evals[kdim - 1])
         ok = abs(evals[0]) <= 1e-10 and kdim == 4

@@ -66,6 +66,14 @@ class Interaction:
         return max((t.support.diameter for t in self.terms), default=0)
 
     @property
+    def span(self) -> Interval | None:
+        """Smallest interval holding every term support; None without terms."""
+        if not self.terms:
+            return None
+        return Interval(min(t.support.a for t in self.terms),
+                        max(t.support.b for t in self.terms))
+
+    @property
     def uniform_bound(self) -> float:
         return max((t.op.norm() for t in self.terms), default=0.0)
 
@@ -121,6 +129,35 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
     return LocalOperator(h, lam, lam, phi.kind, d)
 
 
+def hamiltonian_eigenvalues(parts, lam: Interval) -> np.ndarray:
+    """Ascending eigenvalues of ``sum c * local_hamiltonian(phi, lam)``.
+
+    ``parts`` is an interaction, or a sequence of ``(c, phi)`` pairs of one
+    local dimension.  The sum is formed on the span of their terms inside
+    ``lam``, in the buffer of the first part, and solved there by
+    ``eigenvalues``.  ``placement`` adds the same terms, in the same order,
+    at the same offsets, so the matrix on ``lam`` is ``1 (x) H_span (x) 1``
+    entry for entry: each eigenvalue of the span is repeated
+    ``d^(len(lam) - len(span))`` times, and a repeat of a sorted array stays
+    sorted.  Without terms the spectrum is all zeros.
+    """
+    if isinstance(parts, Interaction):
+        parts = ((1.0, parts),)
+    parts = [(c, phi.restricted(lam)) for c, phi in parts]
+    d = parts[0][1].local_dim
+    spans = [phi.span for _, phi in parts if phi.terms]
+    if not spans:
+        return np.zeros(d ** len(lam))
+    span = Interval(min(s.a for s in spans), max(s.b for s in spans))
+    mats = [(c, local_hamiltonian(phi, span).matrix) for c, phi in parts]
+    m = mats[0][1].astype(np.result_type(*(x for part in mats for x in part)),
+                          copy=False)
+    m *= mats[0][0]
+    for c, h in mats[1:]:
+        m += c * h
+    return np.repeat(eigenvalues(m), d ** (len(lam) - len(span)))
+
+
 @dataclass
 class VolumeReport:
     lam: Interval
@@ -155,8 +192,7 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         phi = build(lam)
         rng_max = max(rng_max, phi.range)
         bound_max = max(bound_max, phi.uniform_bound)
-        h = local_hamiltonian(phi, lam)
-        evals = eigenvalues(h.matrix)
+        evals = hamiltonian_eigenvalues(phi, lam)
         scale = max(1.0, float(np.max(np.abs(evals))))
         ground = float(evals[0])
         kdim = kernel_count(evals)

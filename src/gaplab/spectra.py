@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, local_hamiltonian
+from .interaction import Interaction, hamiltonian_eigenvalues, \
+    local_hamiltonian
 from .operator_algebra import LocalOperator, as_matrix, eigenvalues, embed, \
     kernel_count, kernel_mask, operator_norm
 
@@ -217,12 +218,11 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     For each coupling and each depth ``D`` the perturbation keeps only terms
     supported inside ``Int_D``; the splitting of the kernel cluster is
     reported per coupling and depth, in that order.  Each matrix is solved
-    once: a coupling-zero row, or a depth that keeps no term, reads the
-    spectrum of ``h0``.  The coupling-zero diameter is pinned to exactly
-    zero.
+    once, on the span of its terms (``hamiltonian_eigenvalues``): a
+    coupling-zero row, or a depth that keeps no term, reads the spectrum of
+    ``h0``.  The coupling-zero diameter is pinned to exactly zero.
     """
-    h0 = local_hamiltonian(eta, lam).matrix
-    ev0 = eigenvalues(h0)
+    ev0 = hamiltonian_eigenvalues(eta, lam)
     kdim = kernel_count(ev0)
     rows = []
     for eps in couplings:
@@ -233,13 +233,8 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
             evals = ev0
             if kept and eps != 0.0:
                 # h0 + eps hp, formed in the buffer of hp
-                m = local_hamiltonian(
-                    Interaction(kept, pert.kind, pert.local_dim), lam).matrix
-                m = m.astype(np.result_type(h0, m), copy=False)
-                m *= eps
-                m += h0
-                evals = eigenvalues(m)
-                del m           # free before the next matrix is built
+                hp = Interaction(kept, pert.kind, pert.local_dim)
+                evals = hamiltonian_eigenvalues(((eps, hp), (1.0, eta)), lam)
             sp0, sp1 = evals[:kdim], evals[kdim:]
             diam = 0.0 if eps == 0.0 else float(sp0.max() - sp0.min())
             rows.append({"depth": int(depth), "eps": float(eps),

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -277,31 +278,39 @@ def test_tracer_layers_name_package_functions():
 def test_values_only_solves_go_through_the_spectral_layer():
     """Only ``operator_algebra.eigenvalues`` calls ``np.linalg.eigvalsh``;
     the witness ascent in ``ltqo.py`` keeps its own solves until it is
-    rewritten."""
+    rewritten.  ``cli.py`` calls no ``eigenvalues`` itself: every
+    values-only solve of a volume's Hamiltonian there goes through
+    ``hamiltonian_eigenvalues`` and so is made on the span of its terms."""
     src = Path(__file__).resolve().parents[1] / "src" / "gaplab"
     callers = {p.name for p in src.glob("*.py")
                if "linalg.eigvalsh(" in p.read_text(encoding="utf-8")}
     assert callers <= {"operator_algebra.py", "ltqo.py"}
+    cli_text = (src / "cli.py").read_text(encoding="utf-8")
+    assert not re.search(r"\beigenvalues\(", cli_text)
+    assert "hamiltonian_eigenvalues(" in cli_text
 
 
 def test_sp0scan_solves_each_matrix_once(monkeypatch):
-    sides = []
+    solves = []
     original = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
-        sides.append(np.shape(a)[0])
+        m = np.ascontiguousarray(a)
+        solves.append((m.shape[0], hashlib.blake2b(m.tobytes()).hexdigest()))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     cfg = merged_config({"sp0": {"length": 8, "depths": [1, 2, 3]}})
     assert cmd_sp0scan(cfg, {}).passed
-    # h0 and the matrices of depths 1 and 2, each once and never whole; depth
-    # 3 keeps no term and every coupling-0 row reads h0.  The chain leaves
-    # both end sites free, so each matrix has two equal parity blocks of 128
-    # and one block solve covers it.  The small solves are the term norms of
-    # the perturbation (at most 5 sites: blocks of 16).
-    assert sides.count(128) == 3
-    assert all(side <= 16 for side in sides if side != 128)
+    # h0 and the matrices of depths 1 and 2, each solved on the span [2, 7]
+    # of its terms (64 states), never on the volume [1, 8]: its two parity
+    # blocks of 32 differ, so each matrix takes two block solves and no
+    # block is solved twice.  Depth 3 keeps no term and every coupling-0
+    # row reads h0.  The small solves are the term norms of the
+    # perturbation (at most 5 sites: blocks of 16).
+    blocks = [s for s in solves if s[0] == 32]
+    assert len(blocks) == 6 and len(set(blocks)) == 6
+    assert all(side <= 16 for side, _ in solves if side != 32)
 
 
 def test_flow_checks_solve_no_matrix_again(monkeypatch):

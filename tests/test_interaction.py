@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from gaplab import operator_algebra
 from gaplab.ffunction import FFunctionSpec, WeightSpec
 from gaplab.interaction import (Interaction, Term, fermion_to_spin, from_json,
-                                local_hamiltonian, random_interaction,
-                                regroup_intervals, split_edge_bulk, to_json,
+                                hamiltonian_eigenvalues, local_hamiltonian,
+                                random_interaction, regroup_intervals,
+                                split_edge_bulk, to_json,
                                 validate_unperturbed)
 from gaplab.lattice import Interval, interior
-from gaplab.operator_algebra import LocalOperator, ParityError, annihilator
+from gaplab.operator_algebra import LocalOperator, ParityError, annihilator, \
+    kernel_count
 from oracles import (creator, is_hermitian, kron_placed, number_operator,
                      random_matrix)
 
@@ -81,6 +83,64 @@ def test_local_hamiltonian_matches_manual_kron(dim_sites, n_random, seed):
     assert h.matrix.dtype == (np.complex128 if np.iscomplexobj(oracle)
                               else np.float64)
     assert np.array_equal(h.matrix, oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 4), (3, 2)]), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_hamiltonian_is_its_span_between_identities(dim_core, n_left, n_right,
+                                                    n_terms, seed):
+    """Projector terms, real or complex, on a core of sites with 0, 1 or 2
+    untouched sites at each end, or no term at all: the volume's matrix is
+    ``1 (x) H_span (x) 1`` entry for entry, and the span's spectrum, each
+    eigenvalue repeated over the untouched sites, is the whole matrix's to
+    1e-12 of its scale, with the same kernel."""
+    d, core_max = dim_core
+    rng = np.random.default_rng(seed)
+    n_core = int(rng.integers(1, core_max + 1))
+    lam = Interval(1, n_left + n_core + n_right)
+    core = Interval(1 + n_left, n_left + n_core)
+    supports = []
+    if n_terms:
+        # one term on each end of the core, the rest anywhere inside it
+        supports = [Interval(core.a, int(rng.integers(core.a, core.b + 1))),
+                    Interval(int(rng.integers(core.a, core.b + 1)), core.b)]
+        for _ in range(n_terms - 1):
+            a = int(rng.integers(core.a, core.b + 1))
+            supports.append(Interval(a, int(rng.integers(a, core.b + 1))))
+    terms = []
+    for supp in supports:
+        dim = d ** len(supp)
+        q, _ = np.linalg.qr(random_matrix(rng, dim, bool(rng.integers(2))))
+        v = q[:, :int(rng.integers(1, dim))]
+        p = v @ v.conj().T
+        terms.append(Term(LocalOperator((p + p.conj().T) / 2.0, supp, lam,
+                                        "spin", d)))
+    phi = Interaction(terms, "spin", d)
+    whole = local_hamiltonian(phi, lam).matrix
+    if n_terms:
+        assert phi.span == core
+        assert np.array_equal(whole, kron_placed(
+            local_hamiltonian(phi, core).matrix, d, n_left, n_right))
+    else:
+        assert phi.span is None and not whole.any()
+    evals = hamiltonian_eigenvalues(phi, lam)
+    oracle = np.linalg.eigvalsh(whole)
+    scale = max(1.0, float(np.max(np.abs(oracle))))
+    assert np.max(np.abs(evals - oracle)) <= 1e-12 * scale
+    assert kernel_count(evals) == kernel_count(oracle)
+
+
+def test_hamiltonian_eigenvalues_of_a_weighted_sum():
+    """``(c, phi)`` parts give the spectrum of ``sum c H_phi`` on the union
+    of their spans, here a field term off the span of the chain."""
+    lam = Interval(0, 5)
+    ising = two_site_ising(Interval(1, 3))
+    field = Interaction([Term(LocalOperator(X, Interval(4, 4), lam))])
+    evals = hamiltonian_eigenvalues(((0.3, field), (1.0, ising)), lam)
+    whole = (0.3 * local_hamiltonian(field, lam).matrix
+             + local_hamiltonian(ising, lam).matrix)
+    np.testing.assert_allclose(evals, np.linalg.eigvalsh(whole), atol=1e-12)
 
 
 def test_local_hamiltonian_restricts_to_volume():

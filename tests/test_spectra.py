@@ -6,8 +6,8 @@ from gaplab.interaction import Interaction, Term, local_hamiltonian, \
 from gaplab.lattice import Interval, ball, interior
 from gaplab.models import orbital_interaction, paired_orbital_model, \
     random_even_perturbation
-from gaplab.operator_algebra import LocalOperator, kernel_count, \
-    operator_norm
+from gaplab.operator_algebra import LocalOperator, eigenvalues, \
+    kernel_count, operator_norm
 from gaplab.spectra import (FrustrationError, RefinementError,
                             cluster_projector, diagonalize, gap_curve,
                             ground_projector, higher_gap_track,
@@ -284,3 +284,35 @@ def test_sp0_scan_matches_a_dense_recomputation():
         else:
             assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
                                                     abs=1e-12)
+
+
+def test_sp0_scan_at_the_default_length_matches_the_whole_volume():
+    """At the default scan (12 sites, seed 7, depths 2-5, coupling 0.02) the
+    span solves agree with the parity-block solves of the whole 4096-state
+    matrices to 1e-12 of their scale.  The cluster of the span solve is one
+    eigenvalue repeated over the two free end sites, so its diameter is
+    exactly zero, and the whole-volume diameter is rounding."""
+    lam = Interval(1, 12)
+    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
+                                             "kappa": 4.0}, seed=7)
+    rows = sp0_diameter_scan(eta, pert, lam, (0.02,), (2, 3, 4, 5))
+    h0 = local_hamiltonian(eta, lam).matrix
+    kdim = kernel_count(eigenvalues(h0))
+    assert kdim == 4
+    for row in rows:
+        inner = interior(lam, row["depth"])
+        kept = Interaction([t for t in pert.terms if t.support in inner],
+                           pert.kind, pert.local_dim)
+        m = local_hamiltonian(kept, lam).matrix
+        m *= row["eps"]
+        m += h0
+        evals = eigenvalues(m)
+        del m
+        sp0, sp1 = evals[:kdim], evals[kdim:]
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(evals))))
+        assert row["sp0_min"] == pytest.approx(sp0.min(), abs=tol)
+        assert row["sp0_max"] == pytest.approx(sp0.max(), abs=tol)
+        assert row["sp1_min"] == pytest.approx(sp1.min(), abs=tol)
+        assert row["sp0_diam"] == 0.0
+        assert sp0.max() - sp0.min() <= tol
