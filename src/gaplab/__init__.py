@@ -33,7 +33,6 @@ from .spectral_flow import (Window, flow_unitaries, eigenbasis_generator,
 from .stability_bounds import (OmegaProfile, JConstants, j_constants,
                                BoundConstants, bound_constants,
                                stability_threshold, verify_form_bound,
-                               fermion_constants,
                                higher_gap_bound, higher_gap_threshold,
                                edge_bulk_strengths, uniform_strengths,
                                calibrate_c, kappa_bound)

@@ -45,7 +45,7 @@ from .spectral_flow import Window, decompose_phi1, \
     filter_identity_residual, flow_unitaries, split_phi1, theta_assembly, \
     time_quadrature_generator
 from .stability_bounds import OmegaProfile, bound_constants, calibrate_c, \
-    fermion_constants, higher_gap_bound, higher_gap_threshold, j_constants, \
+    higher_gap_bound, higher_gap_threshold, j_constants, \
     kappa_bound, stability_threshold, uniform_strengths, verify_form_bound, \
     volume_form_constants
 
@@ -145,6 +145,9 @@ def merged_config(user: dict | None) -> dict:
             errors.append("lengths: need chain lengths of at least 2 sites")
         if not cfg["seeds"]:
             errors.append("seeds: need at least one seed")
+        elif len(cfg["seeds"]) > 1:
+            errors.append(f"seeds: every pipeline reads one seed; got "
+                          f"{len(cfg['seeds'])}, run once per seed")
         if cfg["gamma"] <= 0:
             errors.append("gamma: the tracking floor must be positive")
         model = cfg["model"]
@@ -358,14 +361,13 @@ def _orbital(lam: Interval):
 
 def base_envelope(cfg: dict) -> FFunctionSpec:
     f = cfg["constants"]["F"]
-    weight = WeightSpec("stretched", K=f["K"], s=f["s"])
+    weight = WeightSpec(K=f["K"], s=f["s"])
     return FFunctionSpec(L=f["L"], c=f["c"], kappa=f["kappa"], weight=weight)
 
 
 def _transformed(base: FFunctionSpec, gamma: float, nu: float):
     """The fast-decay transform of ``base`` that weighs the flow's terms."""
-    return transform_f_phi(base, gamma=gamma, nu=nu, K=base.weight.K,
-                           t=base.weight.s, R=1)
+    return transform_f_phi(base, gamma=gamma, nu=nu, K=base.weight.K, R=1)
 
 
 def _step_profile(cfg: dict) -> OmegaProfile:
@@ -838,7 +840,6 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     flow = fb["flow"]
 
     thresholds = stability_threshold(bc, cfg["constants"]["truncation"])
-    m_ferm, eps_ferm = fermion_constants(bc)
 
     # the two arrangements of m agree up to the certified tails
     tail_slack = sum(bc.j.tails) * bc.strengths * 5.0 + 1e-9 * bc.m
@@ -941,10 +942,10 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
             "m_grouped": entry("m_grouped", thresholds["m_grouped"]),
             "m_grouped_far": entry("m_grouped_far",
                                    thresholds["m_grouped_far"]),
-            "m_fermion": entry("m_fermion", m_ferm),
+            "m_fermion": entry("m_fermion", bc.m_total),
             "eps_interior": entry("eps_interior", bc.eps_interior),
             "eps_star": entry("eps_star", bc.eps_threshold),
-            "eps_star_fermion": entry("eps_star_fermion", eps_ferm),
+            "eps_star_fermion": entry("eps_star_fermion", bc.eps_threshold),
         },
         "tails": {"J1": bc.j.tails[0], "J2": bc.j.tails[1],
                   "J3": bc.j.tails[2]},

@@ -6,17 +6,16 @@ A decay function has the form
 
     F(r) = e^{-h(r)} \frac{L}{(1 + c r)^{\kappa}}, \qquad L, c > 0,\ \kappa > 2,
 
-where the weight ``h`` is nonnegative, nondecreasing and subadditive with
-``h(0) = 0``.  Three weight families are supported: the zero-cost identity
-weight ``h(r) = r``, stretched weights ``h(r) = K r^s`` with ``s in (0, 1]``,
-and tabulated weights.
+where the weight is the stretched weight ``h(r) = K r^s`` with ``K >= 0`` and
+``s in (0, 1]``: nonnegative, nondecreasing and subadditive with ``h(0) = 0``
+(``K = s = 1`` is the identity weight ``h(r) = r``, ``K = 0`` no weight).
 
 The module provides
 
 - pointwise (log-space) evaluation with the negative-argument clamp
   ``F(r) = F(0)`` for ``r < 0``,
-- certified upper bounds for the lattice norm ``sum_x F(x)`` and for the
-  convolution constant ``C_F``,
+- a certified upper bound for the lattice norm ``sum_x F(x)`` and the
+  closed-form cap on the convolution constant ``C_F``,
 - the interaction norm ``|Phi|_F`` (supremum over ordered site pairs),
 - derived decay functions: the fast-decay transform used for dressed
   interactions, its polynomial envelope, and the decay function carried by
@@ -60,56 +59,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight ``h`` of a decay function.
+    """Stretched weight ``h(r) = K r^s`` of a decay function, ``K >= 0`` and
+    ``0 < s <= 1``; the default ``K = s = 1`` is ``h(r) = r``.  Every such
+    weight is subadditive, since ``(a + b)^s <= a^s + b^s``."""
 
-    Parameters
-    ----------
-    kind :
-        ``"identity"`` (``h(r) = r``), ``"stretched"`` (``h(r) = K r^s``) or
-        ``"table"`` (piecewise-linear interpolation of tabulated values,
-        constant beyond the table).
-    K, s :
-        Stretched-weight parameters; ``K >= 0``, ``0 < s <= 1``.
-    values :
-        Table of ``h(0), h(1), ...`` for ``kind="table"``.
-    """
-
-    kind: str = "identity"
     K: float = 1.0
     s: float = 1.0
-    values: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("identity", "stretched", "table"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "stretched":
-            if self.K < 0:
-                raise ValueError("stretched weight needs K >= 0")
-            if not 0.0 < self.s <= 1.0:
-                raise ValueError("stretched weight needs s in (0, 1]")
-        if self.kind == "table":
-            v = np.asarray(self.values, dtype=float)
-            if v.size == 0 or v[0] != 0.0:
-                raise ValueError("tabulated weight needs values starting at h(0)=0")
-            if np.any(np.diff(v) < 0):
-                raise ValueError("tabulated weight must be nondecreasing")
+        if self.K < 0:
+            raise ValueError("stretched weight needs K >= 0")
+        if not 0.0 < self.s <= 1.0:
+            raise ValueError("stretched weight needs s in (0, 1]")
 
     def __call__(self, r):
         r = np.maximum(np.asarray(r, dtype=float), 0.0)
-        if self.kind == "identity":
-            return r
-        if self.kind == "stretched":
-            return self.K * np.power(r, self.s)
-        v = np.asarray(self.values, dtype=float)
-        return np.interp(r, np.arange(v.size), v)
+        return self.K * np.power(r, self.s)
 
     @property
     def is_zero(self):
-        if self.kind == "identity":
-            return False
-        if self.kind == "stretched":
-            return self.K == 0.0
-        return all(x == 0.0 for x in self.values)
+        return self.K == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +103,7 @@ class FFunctionSpec:
     def bare(self):
         """The same polynomial envelope with the weight removed."""
         return FFunctionSpec(self.L, self.c, self.kappa,
-                             WeightSpec("stretched", K=0.0, s=1.0))
+                             WeightSpec(K=0.0, s=1.0))
 
     def __call__(self, r):
         return evaluate(self, r)
@@ -224,42 +193,20 @@ def norm_sum(spec: FFunctionSpec, truncation: int = 2000) -> NormSum:
     return NormSum(partial, tail)
 
 
-def _check_subadditive(weight: WeightSpec, upto: int):
-    r = np.arange(0, upto + 1)
-    h = weight(r)
-    for a in range(1, upto // 2 + 1):
-        bad = h[a + 1:upto + 1] > h[1:upto + 1 - a] + h[a] + 1e-12
-        if np.any(bad):
-            raise ValueError("weight is not subadditive; convolution bound invalid")
+def convolution_constant(spec: FFunctionSpec) -> float:
+    r"""Certified upper bound for ``C_F = sup_d sum_z F(|z|) F(|d-z|) / F(d)``:
+    the closed-form cap ``2^{kappa+1} |F_bare|``, with ``|F_bare|`` the
+    lattice norm of the unweighted envelope (Nachtergaele, Sims and Young,
+    J. Math. Phys. 60, 061101, 2019).
 
-
-def convolution_constant(spec: FFunctionSpec, truncation: int = 400) -> float:
-    r"""Certified upper bound for ``C_F = sup_d sum_z F(|z|) F(|d-z|) / F(d)``.
-
-    Small ``d`` are swept exactly with a tail cap; all remaining ``d`` are
-    covered by the subadditivity cap ``2^{kappa+1} |F_bare|`` (splitting each
-    product at the larger factor and absorbing the weight via
-    ``h(|z|) + h(|d-z|) >= h(d)``).
+    The weight drops out: ``h`` is nondecreasing and subadditive, so
+    ``h(d) <= h(|z|) + h(|d-z|)``.  The larger of ``|z|`` and ``|d-z|`` is at
+    least ``d/2``, so ``(1 + c d) / (1 + c max) <= 2`` and each summand is at
+    most ``2^kappa F_bare(min(|z|, |d-z|)) <= 2^kappa (F_bare(|z|) +
+    F_bare(|d-z|))``, whose sum over ``z`` is ``2^{kappa+1} |F_bare|`` at
+    every ``d``.
     """
-    T = int(truncation)
-    _check_subadditive(spec.weight, min(2 * T, 2000))
-    bare_norm = norm_sum(spec.bare(), truncation=max(T, 2000))
-    far_cap = 2.0 ** (spec.kappa + 1.0) * bare_norm.value
-
-    best = 0.0
-    zwin = 4 * T
-    z = np.arange(-zwin, zwin + 1)
-    fz = evaluate(spec, np.abs(z))
-    for d in range(0, T + 1):
-        fdz = evaluate(spec, np.abs(d - z))
-        core = float(np.dot(fz, fdz))
-        # |z| > zwin implies |z| - d >= zwin - d, both factors monotone:
-        wfac = math.exp(-float(spec.weight(zwin + 1 - d)))
-        tail = 2.0 * spec.L * poly_tail(spec.c, 1.0 - spec.c * d, spec.kappa,
-                                        zwin, degree=0,
-                                        scale=spec.L * wfac)
-        best = max(best, (core + tail) / float(evaluate(spec, d)))
-    return max(best, far_cap)
+    return 2.0 ** (spec.kappa + 1.0) * norm_sum(spec.bare()).value
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +275,6 @@ class DerivedFSpec:
     gamma: float = 1.0
     nu: float = 1.0
     K_filter: float = 0.25
-    t: float = 1.0
     C_phi: float = 0.0
     C_phi_tail: float = 0.0
 
@@ -356,25 +302,19 @@ class DerivedFSpec:
 
 
 def transform_f_phi(base: FFunctionSpec, gamma: float, nu: float,
-                    K: float, t: float, R: int) -> DerivedFSpec:
-    """Fast-decay transform of ``base`` for a filter with parameters (K, t, gamma).
+                    K: float, R: int) -> DerivedFSpec:
+    """Fast-decay transform of ``base`` for a filter with parameters (K, gamma).
 
-    ``nu`` is the propagation velocity of the dressed dynamics and ``R`` the
-    interaction range entering the argument rescaling.  ``t`` must match the
-    stretching exponent of the base weight.
+    The filter's stretching exponent is that of the base weight.  ``nu`` is
+    the propagation velocity of the dressed dynamics and ``R`` the
+    interaction range entering the argument rescaling.
     """
     if min(gamma, nu, K) <= 0:
         raise ValueError("gamma, nu, K must be positive")
-    if not 0.0 < t <= 1.0:
-        raise ValueError("t must lie in (0, 1]")
     if R < 0:
         raise ValueError("R must be nonnegative")
-    w = base.weight
-    s_eff = 1.0 if w.kind == "identity" else (w.s if w.kind == "stretched" else None)
-    if s_eff is not None and abs(s_eff - t) > 1e-12:
-        raise ValueError("t must equal the stretching exponent of the base weight")
     return DerivedFSpec("transformed", base, R=R, gamma=gamma, nu=nu,
-                        K_filter=K, t=t)
+                        K_filter=K)
 
 
 def f_zero(base: FFunctionSpec, R: int) -> DerivedFSpec:
@@ -392,16 +332,15 @@ def regroup_decay(base: FFunctionSpec, truncation: int = 2000) -> DerivedFSpec:
     alongside.  A weightless base has divergent ``C_phi`` and is rejected.
     """
     w = base.weight
-    if w.is_zero or w.kind == "table":
-        # bounded weights leave e^{-h/2} bounded below: n e^{-h(n)/2} is not
-        # summable, so no regrouped decay function exists.
+    if w.is_zero:
+        # no weight leaves e^{-h/2} = 1: n e^{-h(n)/2} is not summable, so
+        # no regrouped decay function exists.
         raise ValueError("regrouping needs an unbounded weight; "
                          "the prefactor series diverges")
     T = int(truncation)
     n = np.arange(1, T + 1)
     partial = float(base.L * np.sum(n * np.exp(-0.5 * w(n))))
-    lam = 0.5 * w.K if w.kind == "stretched" else 0.5
-    s = w.s if w.kind == "stretched" else 1.0
+    lam, s = 0.5 * w.K, w.s
     if s == 1.0:
         tail = geometric_tail(math.exp(-lam), T, degree=1, scale=base.L)
     else:

@@ -220,7 +220,7 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     reported per coupling and depth, in that order.  Each matrix is solved
     once, on the span of its terms (``hamiltonian_eigenvalues``): a
     coupling-zero row, or a depth that keeps no term, reads the spectrum of
-    ``h0``.  The coupling-zero diameter is pinned to exactly zero.
+    ``h0``.
     """
     ev0 = hamiltonian_eigenvalues(eta, lam)
     kdim = kernel_count(ev0)
@@ -236,10 +236,10 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
                 hp = Interaction(kept, pert.kind, pert.local_dim)
                 evals = hamiltonian_eigenvalues(((eps, hp), (1.0, eta)), lam)
             sp0, sp1 = evals[:kdim], evals[kdim:]
-            diam = 0.0 if eps == 0.0 else float(sp0.max() - sp0.min())
             rows.append({"depth": int(depth), "eps": float(eps),
                          "sp0_min": float(sp0.min()),
-                         "sp0_max": float(sp0.max()), "sp0_diam": diam,
+                         "sp0_max": float(sp0.max()),
+                         "sp0_diam": float(sp0.max() - sp0.min()),
                          "sp1_min": float(sp1.min()) if sp1.size else np.inf,
                          "gamma": (float(sp1.min() - sp0.max())
                                    if sp1.size else np.inf)})

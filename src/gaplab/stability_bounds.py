@@ -336,11 +336,6 @@ def kappa_bound(bc: BoundConstants, n: int, eps: float,
     return 20.0 * bc.c * eps * s * _bracket(bc.omega.sqrt(), bc.f0, n)
 
 
-def fermion_constants(bc: BoundConstants):
-    """The packaged chain constants: m' = m + 2 M_D, eps' = min{1, gamma0/m'}."""
-    return bc.m_total, bc.eps_threshold
-
-
 def higher_gap_bound(bc: BoundConstants, gamma: float, top: float, eps):
     """(1 - p eps) gamma - 2 (q + p T + M_D) eps for a window below ``top``,
     with ``p = beta`` and ``q = alpha``."""

@@ -125,6 +125,7 @@ def test_structural_errors_short_circuit_semantic_ones():
      r"aklt_lengths: chains of \[1\] sites are too short"),
     ({"constants": {"F": {"K": 0}}},
      "constants.F: gamma, nu, K must be positive"),
+    ({"seeds": [7, 11]}, "seeds: every pipeline reads one seed; got 2"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -266,6 +267,21 @@ def test_main_reports_an_uncertified_step_as_a_failed_check(tmp_path,
         stdout.splitlines()[0] + "\n"
 
 
+def test_bounds_runs_with_a_steep_weight(tmp_path):
+    """A weight whose decay function underflows within the lattice sums
+    (``K = 2``) still yields the constants, their checks and artifacts."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "lengths": [8], "constants": {"F": {"K": 2.0}},
+        "flow": {"length": 6, "max_radius": 1, "checkpoints": 5}}),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "summary.txt").read_text(encoding="utf-8").startswith(
+        "[PASS] bounds: ")
+    assert (out / "constants.json").exists()
+
+
 def test_tracer_layers_name_package_functions():
     """Every span the benchmark tracer installs names a gaplab function."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -273,6 +289,14 @@ def test_tracer_layers_name_package_functions():
         module = importlib.import_module(f"gaplab.{modname}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{modname}.{name}"
+
+
+def test_benchmark_workloads_merge_as_configs(tmp_path):
+    """Every benchmark workload's config passes the config rules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    bench = runpy.run_path(str(path))
+    for name in bench["WORKLOADS"]:
+        merged_config(bench["config_for"](name, 7, str(tmp_path)))
 
 
 def test_values_only_solves_go_through_the_spectral_layer():

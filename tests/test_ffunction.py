@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.ffunction import (DerivedFSpec, FFunctionSpec, WeightSpec,
-                              convolution_constant, evaluate, f_norm, f_zero,
-                              geometric_tail, norm_sum, poly_tail,
-                              regroup_decay, slow_growth, transform_f_phi)
+from gaplab.ffunction import (FFunctionSpec, WeightSpec, convolution_constant,
+                              evaluate, f_norm, f_zero, geometric_tail,
+                              log_evaluate, norm_sum, poly_tail, regroup_decay,
+                              slow_growth, transform_f_phi)
 from gaplab.lattice import Interval
 
 
 BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
-                     weight=WeightSpec("stretched", K=0.5, s=1.0))
+                     weight=WeightSpec(K=0.5, s=1.0))
 
 
 def test_spec_validation():
@@ -83,7 +83,7 @@ def test_norm_sum_certifies_lattice_norm():
 def test_convolution_constant_dominates_riemann_oracle():
     """Direct evaluation of sup_d sum_z F(|z|)F(|d-z|)/F(d) on a finite probe
     window must stay below the certified constant."""
-    cf = convolution_constant(BASE, truncation=60)
+    cf = convolution_constant(BASE)
     z = np.arange(-800, 801)
     fz = evaluate(BASE, np.abs(z))
     worst = 0.0
@@ -91,17 +91,27 @@ def test_convolution_constant_dominates_riemann_oracle():
         fdz = evaluate(BASE, np.abs(d - z))
         worst = max(worst, float(np.dot(fz, fdz)) / float(evaluate(BASE, d)))
     assert worst <= cf
-    # never looser than the analytic far-distance cap it falls back on
-    cap = 2.0 ** (BASE.kappa + 1.0) * norm_sum(BASE.bare()).value
-    assert cf <= cap * (1 + 1e-9)
+    # it is the closed-form cap of the bare envelope
+    assert cf == 2.0 ** (BASE.kappa + 1.0) * norm_sum(BASE.bare()).value
 
 
-def test_convolution_constant_rejects_superadditive_weight():
-    # a quadratically growing tabulated weight is not subadditive
-    quad = WeightSpec("table", values=tuple(float(n * n) for n in range(60)))
-    spec = FFunctionSpec(weight=quad)
-    with pytest.raises(ValueError):
-        convolution_constant(spec, truncation=20)
+@settings(max_examples=40, deadline=None)
+@given(kappa=st.floats(2.0, 6.0, exclude_min=True),
+       c=st.floats(0.1, 3.0), L=st.floats(0.1, 5.0),
+       K=st.floats(0.0, 3.0), s=st.floats(0.0, 1.0, exclude_min=True))
+def test_convolution_constant_is_the_cap_and_dominates_the_sum(kappa, c, L,
+                                                               K, s):
+    """For every stretched weight, however steep, C_F is the closed-form cap
+    and bounds the convolution sums, taken in log space so that no factor
+    underflows where F(d) does."""
+    spec = FFunctionSpec(L=L, c=c, kappa=kappa, weight=WeightSpec(K=K, s=s))
+    cf = convolution_constant(spec)
+    assert cf == 2.0 ** (kappa + 1.0) * norm_sum(spec.bare()).value
+    z = np.arange(-400, 401)
+    d = np.arange(0, 161)[:, None]
+    logs = (log_evaluate(spec, np.abs(z)) + log_evaluate(spec, np.abs(d - z))
+            - log_evaluate(spec, d))
+    assert float(np.exp(logs).sum(axis=1).max()) <= cf
 
 
 # --- interaction norm --------------------------------------------------------
@@ -151,15 +161,17 @@ def test_slow_growth_profile():
     assert slow_growth(big, kappa) == pytest.approx(big / math.log(big) ** kappa)
 
 
-def test_transform_requires_matching_exponent():
-    with pytest.raises(ValueError):
-        transform_f_phi(BASE, gamma=0.8, nu=1.0, K=0.25, t=0.5, R=1)
-    spec = transform_f_phi(BASE, gamma=0.8, nu=1.0, K=0.25, t=1.0, R=1)
+def test_transform_validates_its_parameters():
+    for bad in ({"gamma": 0.0}, {"nu": -1.0}, {"K": 0.0}, {"R": -1}):
+        with pytest.raises(ValueError):
+            transform_f_phi(BASE, **{"gamma": 0.8, "nu": 1.0, "K": 0.25,
+                                     "R": 1, **bad})
+    spec = transform_f_phi(BASE, gamma=0.8, nu=1.0, K=0.25, R=1)
     assert spec.kind == "transformed"
 
 
 def test_transform_plateau_and_decay():
-    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, K=0.25, t=1.0, R=1)
+    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, K=0.25, R=1)
     # constant on the rescaled-argument plateau r/18 - R - 3/2 <= 0
     plateau = 18 * (1 + 1.5)
     vals = spec(np.array([0.0, 10.0, plateau]))
@@ -180,14 +192,14 @@ def test_f_zero_is_the_bare_envelope_shifted():
         f0(r), evaluate(BASE.bare(), np.maximum(r / 18.0 - 2.5, 0.0)),
         rtol=1e-14)
     # the transformed function never exceeds its polynomial envelope
-    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, K=0.25, t=1.0, R=1)
+    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, K=0.25, R=1)
     r = np.linspace(0, 500, 251)
     assert np.all(spec(r) <= f0(r) * (1 + 1e-12))
 
 
 def test_regroup_decay_prefactor_closed_form():
     # identity weight: C_phi = L sum n e^{-n/2} = L e^{-1/2} / (1-e^{-1/2})^2
-    spec = FFunctionSpec(weight=WeightSpec("identity"))
+    spec = FFunctionSpec(weight=WeightSpec())
     got = regroup_decay(spec, truncation=200)
     q = math.exp(-0.5)
     assert got.C_phi == pytest.approx(q / (1 - q) ** 2, rel=1e-10)
@@ -196,7 +208,7 @@ def test_regroup_decay_prefactor_closed_form():
 
 def test_regroup_decay_rejects_bounded_weight():
     with pytest.raises(ValueError):
-        regroup_decay(FFunctionSpec(weight=WeightSpec("stretched", K=0.0, s=1.0)))
+        regroup_decay(FFunctionSpec(weight=WeightSpec(K=0.0, s=1.0)))
 
 
 def test_regroup_decay_evaluates():
@@ -208,10 +220,16 @@ def test_regroup_decay_evaluates():
 
 def test_weight_spec_validation():
     with pytest.raises(ValueError):
-        WeightSpec("stretched", K=-1.0, s=1.0)
+        WeightSpec(K=-1.0, s=1.0)
     with pytest.raises(ValueError):
-        WeightSpec("stretched", K=1.0, s=0.0)
+        WeightSpec(K=1.0, s=0.0)
     with pytest.raises(ValueError):
-        WeightSpec("nope")
-    assert WeightSpec("stretched", K=0.0, s=1.0).is_zero
-    assert not WeightSpec("identity").is_zero
+        WeightSpec(K=1.0, s=1.5)
+    assert WeightSpec(K=0.0, s=1.0).is_zero
+    assert not WeightSpec().is_zero
+
+
+def test_default_weight_is_the_identity_weight():
+    r = np.arange(5000.0)
+    for x in (r, r + 0.37):
+        assert np.array_equal(WeightSpec()(x), x)

@@ -20,7 +20,7 @@ from oracles import (creator, is_hermitian, kron_placed, number_operator,
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-BASE = FFunctionSpec(weight=WeightSpec("stretched", K=0.5, s=1.0))
+BASE = FFunctionSpec(weight=WeightSpec(K=0.5, s=1.0))
 
 
 def two_site_ising(lam):

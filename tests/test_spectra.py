@@ -243,9 +243,10 @@ def test_sp0_scan_trivial_cases():
     # depth swallowing the volume: perturbation drops out entirely
     rows = sp0_diameter_scan(eta, pert, lam, [0.1], [6])
     assert rows[0]["sp0_diam"] == pytest.approx(0.0, abs=1e-12)
-    # eps = 0: diameter pinned to exactly zero
+    # eps = 0: every depth reads the spectrum of h0 and its measured diameter
     rows = sp0_diameter_scan(eta, pert, lam, [0.0], [1, 2])
-    assert all(r["sp0_diam"] == 0.0 for r in rows)
+    assert all(r["sp0_diam"] == r["sp0_max"] - r["sp0_min"] for r in rows)
+    assert rows[0] == {**rows[1], "depth": 1}
 
 
 def test_sp0_scan_reports_gamma():
@@ -279,11 +280,8 @@ def test_sp0_scan_matches_a_dense_recomputation():
         assert row["sp0_max"] == pytest.approx(sp0.max(), abs=1e-12)
         assert row["sp1_min"] == pytest.approx(sp1.min(), abs=1e-12)
         assert row["gamma"] == pytest.approx(sp1.min() - sp0.max(), abs=1e-12)
-        if row["eps"] == 0.0:
-            assert row["sp0_diam"] == 0.0
-        else:
-            assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
-                                                    abs=1e-12)
+        assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
+                                                abs=1e-12)
 
 
 def test_sp0_scan_at_the_default_length_matches_the_whole_volume():

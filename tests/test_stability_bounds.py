@@ -6,7 +6,7 @@ from gaplab.lattice import Interval
 from gaplab.models import random_even_perturbation
 from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      bound_constants, calibrate_c,
-                                     edge_bulk_strengths, fermion_constants,
+                                     edge_bulk_strengths,
                                      higher_gap_bound, higher_gap_threshold,
                                      j_constants,
                                      kappa_bound, stability_threshold,
@@ -14,7 +14,7 @@ from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      volume_form_constants)
 
 BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
-                     weight=WeightSpec("stretched", K=0.5, s=1.0))
+                     weight=WeightSpec(K=0.5, s=1.0))
 ENV = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
 
 
@@ -150,8 +150,6 @@ def test_thresholds_and_gap_line(bc):
     assert bc.gap_lower_bound(0.0) == pytest.approx(bc.gamma0)
     if thr < 1.0:
         assert bc.gap_lower_bound(thr) == pytest.approx(0.0, abs=1e-12)
-    m_prime, eps_prime = fermion_constants(bc)
-    assert (m_prime, eps_prime) == (bc.m_total, thr)
 
 
 def test_grouped_sum_routes(bc):
