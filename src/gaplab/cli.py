@@ -699,7 +699,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
             (0.0, flow.eps), (flow.generators[0], flow.generators[-1]),
             flow.end_spectra):
         k_time = time_quadrature_generator(evals, evecs, flow.psi, window)
-        diff = max(operator_norm(d) for d in k_eig - k_time)
+        diff = operator_norm(k_eig - k_time)
         agree_worst = max(agree_worst, diff)
         record(f"generator_agreement_eps_{_cell(float(s))}", diff,
                agreement_budget)

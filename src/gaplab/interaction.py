@@ -134,9 +134,10 @@ def hamiltonian_eigenvalues(parts, lam: Interval) -> np.ndarray:
 
     ``parts`` is an interaction, or a sequence of ``(c, phi)`` pairs of one
     local dimension.  The sum is formed on the span of their terms inside
-    ``lam``, in the buffer of the first part, and solved there by
-    ``eigenvalues``.  ``placement`` adds the same terms, in the same order,
-    at the same offsets, so the matrix on ``lam`` is ``1 (x) H_span (x) 1``
+    ``lam``, in the buffer of the first part (each later part scaled in its
+    own buffer, unless ``c`` is 1), and solved there by ``eigenvalues``.
+    ``placement`` adds the same terms, in the same order, at the same
+    offsets, so the matrix on ``lam`` is ``1 (x) H_span (x) 1``
     entry for entry: each eigenvalue of the span is repeated
     ``d^(len(lam) - len(span))`` times, and a repeat of a sorted array stays
     sorted.  Without terms the spectrum is all zeros.
@@ -154,7 +155,10 @@ def hamiltonian_eigenvalues(parts, lam: Interval) -> np.ndarray:
                           copy=False)
     m *= mats[0][0]
     for c, h in mats[1:]:
-        m += c * h
+        if c != 1.0:
+            h = h.astype(m.dtype, copy=False)
+            h *= c
+        m += h
     return np.repeat(eigenvalues(m), d ** (len(lam) - len(span)))
 
 

@@ -54,9 +54,21 @@ def operator_norm(m) -> float:
     ``a = m / 2^k`` with ``2^k`` near ``max|m|``: the scaling is exact and
     keeps ``G`` clear of underflow and overflow.  ``G`` keeps the parity
     blocks of ``m``, and ``sigma_max`` keeps a relative accuracy of order
-    ``n u``, the order of an SVD's.
+    ``n u``, the order of an SVD's.  A stack (k, b, b) of diagonal blocks,
+    as ``split_blocks`` makes it, stands for its block-diagonal matrix:
+    exactly Hermitian blocks give the largest ``|eigenvalue|`` of the
+    stack, any others the largest norm of a block.
     """
     m = np.asarray(m)
+    if m.ndim == 3 and all(map(_exactly_hermitian, m)):
+        return float(np.max(np.abs(eigenvalues(m))))
+    if m.ndim == 3:
+        return max(map(_matrix_norm, m))
+    return _matrix_norm(m)
+
+
+def _matrix_norm(m: np.ndarray) -> float:
+    """``operator_norm`` of one matrix."""
     if m.size and _exactly_hermitian(m):
         return float(np.max(np.abs(eigenvalues(m))))
     top = float(np.max(np.abs(m), initial=0.0))
@@ -243,19 +255,34 @@ def join_blocks(blocks, sectors) -> np.ndarray:
 def eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, split by fermion parity.
 
-    The blocks of ``parity_sectors(m)`` are solved apart, once when the two
-    parity blocks are equal entry for entry (a parity-even operator that
-    leaves an end site alone has two equal blocks); a matrix that does not
-    split is solved whole.
+    The blocks of ``parity_sectors(m)`` are solved apart by
+    ``block_eigenvalues``, once when the two parity blocks are equal entry
+    for entry (a parity-even operator that leaves an end site alone has two
+    equal blocks); a matrix that does not split is solved whole.  A stack
+    (k, b, b) of diagonal blocks, as ``split_blocks`` makes it, is solved
+    the same way, block by block.
     """
     m = np.asarray(m)
-    sectors = parity_sectors(m)
-    if len(sectors) == 1:
-        return np.linalg.eigvalsh(m)
-    even, odd = split_blocks(m, sectors)
-    lo = np.linalg.eigvalsh(even)
-    hi = lo if np.array_equal(even, odd) else np.linalg.eigvalsh(odd)
-    return np.sort(np.concatenate((lo, hi)))
+    if m.ndim == 2:
+        sectors = parity_sectors(m)
+        if len(sectors) == 1:
+            return np.linalg.eigvalsh(m)
+        m = split_blocks(m, sectors)
+    return block_eigenvalues(m, len(m) == 2 and np.array_equal(m[0], m[1]))
+
+
+def block_eigenvalues(blocks, equal: bool) -> np.ndarray:
+    """Ascending eigenvalues of the block-diagonal matrix with ``blocks``.
+
+    Each block, one or two, is solved by ``eigvalsh`` as ``blocks`` yields
+    it, so an iterator forms one block at a time.  With ``equal`` the second
+    block is the first entry for entry: it is neither read nor solved, and
+    the first spectrum counts twice.
+    """
+    blocks = iter(blocks)
+    first = np.linalg.eigvalsh(next(blocks))
+    rest = [first] if equal else [np.linalg.eigvalsh(b) for b in blocks]
+    return np.sort(np.concatenate([first, *rest])) if rest else first
 
 
 def parity_grade(op: LocalOperator) -> str:

@@ -16,8 +16,9 @@ import numpy as np
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, hamiltonian_eigenvalues, \
     local_hamiltonian
-from .operator_algebra import LocalOperator, as_matrix, eigenvalues, embed, \
-    kernel_count, kernel_mask, operator_norm
+from .operator_algebra import LocalOperator, as_matrix, block_eigenvalues, \
+    eigenvalues, embed, kernel_count, kernel_mask, operator_norm, \
+    parity_sectors, split_blocks
 
 
 class FrustrationError(ValueError):
@@ -84,19 +85,29 @@ def gap_curve(h0, psi, eps_grid, cluster_dim: int | None = None,
     the cluster identity is certified with the perturbation bound
     ``|step| * |psi| < (gamma_left + gamma_right)/2``; failing pairs are
     bisected up to ``max_depth`` halvings.
-    """
-    m0 = as_matrix(h0)
-    mp = as_matrix(psi)
-    psi_norm = operator_norm(mp)
 
-    ev0 = eigenvalues(m0)
+    ``h0`` and ``psi`` are split once on their shared ``parity_sectors``;
+    ``|psi|`` and the spectrum at coupling zero are read from the blocks, and
+    every other coupling solves ``b0 + eps bp`` one block at a time, once
+    when both pairs of blocks are equal, so each ``eigvalsh`` sees the block
+    ``eigenvalues(h0 + eps psi)`` would solve.
+    """
+    m0, mp = as_matrix(h0), as_matrix(psi)
+    sectors = parity_sectors(m0, mp)
+    b0, bp = split_blocks(m0, sectors), split_blocks(mp, sectors)
+    psi_norm = operator_norm(bp)
+    ev0 = eigenvalues(b0)
+    # blocks equal in h0 and in psi are equal at every coupling
+    equal = len(b0) == 2 and np.array_equal(b0[0], b0[1]) \
+        and np.array_equal(bp[0], bp[1])
     if cluster_dim is None:
         cluster_dim = kernel_count(ev0)
         if cluster_dim == 0:
             raise FrustrationError("no kernel eigenvalues to track")
 
     def split_at(eps):
-        evals = eigenvalues(m0 + eps * mp) if eps != 0.0 else ev0
+        evals = ev0 if eps == 0.0 else block_eigenvalues(
+            (b + eps * p for b, p in zip(b0, bp)), equal)
         return SpectrumSplit(float(eps), evals[:cluster_dim], evals[cluster_dim:])
 
     def certified(left, right):
@@ -220,9 +231,14 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     reported per coupling and depth, in that order.  Each matrix is solved
     once, on the span of its terms (``hamiltonian_eigenvalues``): a
     coupling-zero row, or a depth that keeps no term, reads the spectrum of
-    ``h0``.
+    ``h0``.  ``eta``'s matrix on its span is assembled once and added into
+    the buffer of each perturbation that stays inside that span.
     """
-    ev0 = hamiltonian_eigenvalues(eta, lam)
+    eta = eta.restricted(lam)
+    span = eta.span or lam
+    h_eta = local_hamiltonian(eta, span).matrix
+    repeat = eta.local_dim ** (len(lam) - len(span))
+    ev0 = np.repeat(eigenvalues(h_eta), repeat)
     kdim = kernel_count(ev0)
     rows = []
     for eps in couplings:
@@ -232,9 +248,17 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
                     if inner is not None and t.support in inner]
             evals = ev0
             if kept and eps != 0.0:
-                # h0 + eps hp, formed in the buffer of hp
                 hp = Interaction(kept, pert.kind, pert.local_dim)
-                evals = hamiltonian_eigenvalues(((eps, hp), (1.0, eta)), lam)
+                if hp.span in span:
+                    # eps hp + h0 on eta's span, formed in the buffer of hp
+                    m = local_hamiltonian(hp, span).matrix
+                    m = m.astype(np.result_type(eps, m, h_eta), copy=False)
+                    m *= eps
+                    m += h_eta
+                    evals = np.repeat(eigenvalues(m), repeat)
+                else:
+                    evals = hamiltonian_eigenvalues(((eps, hp), (1.0, eta)),
+                                                    lam)
             sp0, sp1 = evals[:kdim], evals[kdim:]
             rows.append({"depth": int(depth), "eps": float(eps),
                          "sp0_min": float(sp0.min()),

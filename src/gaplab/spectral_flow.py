@@ -135,17 +135,27 @@ def _gauss_legendre(n: int):
     return rule
 
 
+# Every phase table (node by frequency, or eigenvalue by node) is formed a
+# block of at most this many entries at a time: 2 MB of float64.
+_PHASE_BLOCK = 1 << 18
+
+
 def time_weight(s, window: Window):
     """W(s) = 1/2 - (1/pi) int_0^{gamma/2} beta(w) sin(ws)/w dw
-    (200-node Gauss-Legendre)."""
+    (200-node Gauss-Legendre), for a block of the times ``s`` at a time;
+    each time's sum is its own row of the product, so the blocks change no
+    bit."""
     x, wq = _gauss_legendre(200)
     half = 0.5 * window.gamma
     nodes = 0.5 * half * (x + 1.0)
     weights = 0.5 * half * wq
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    beta_vals = window.beta(nodes)
-    integ = np.einsum("k,sk->s", weights * beta_vals / nodes,
-                      np.sin(np.outer(s, nodes)))
+    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+    kernel = weights * window.beta(nodes) / nodes
+    integ = np.empty_like(s)
+    rows = _PHASE_BLOCK // nodes.size
+    for lo in range(0, s.size, rows):
+        integ[lo:lo + rows] = np.einsum(
+            "k,sk->s", kernel, np.sin(np.outer(s[lo:lo + rows], nodes)))
     return 0.5 - integ / np.pi
 
 
@@ -175,12 +185,16 @@ def _panel_rule(window: Window, t_max: float, n_panels: int):
 def filter_identity_residual(window: Window, omegas):
     """Max error of the s-quadrature of 2 int W(s) sin(ws) ds vs (1-beta(w))/w.
 
-    The phases ``s_k w`` are turned into their sines in place, so the one
-    nodes-by-frequencies array is the largest temporary."""
-    omegas = np.asarray(omegas, dtype=float)
+    The sines of the phases ``s_k w`` are formed for a block of frequencies
+    at a time, at most ``_PHASE_BLOCK`` entries, and each block is one
+    product with the coefficients."""
+    omegas = np.asarray(omegas, dtype=float).ravel()
     s_pts, coeff = _time_rule(window, np.max(np.abs(omegas)))
-    phase = np.outer(s_pts, omegas)
-    lhs = 2.0 * (coeff @ np.sin(phase, out=phase))
+    lhs = np.empty_like(omegas)
+    cols = max(1, _PHASE_BLOCK // s_pts.size)
+    for lo in range(0, omegas.size, cols):
+        phase = np.outer(s_pts, omegas[lo:lo + cols])
+        lhs[lo:lo + cols] = 2.0 * (coeff @ np.sin(phase, out=phase))
     rhs = window.weight(omegas)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -192,16 +206,20 @@ def time_quadrature_generator(evals, evecs, psi,
     stack (the panels resolve the spread of the whole spectrum).
 
     The weight ``2 Im(Phi diag(c) Phi*)`` is formed in real arithmetic as
-    ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``; the phases are
-    turned into ``sin(E s) o c`` in place, so two phase-sized arrays are the
-    largest temporaries.
+    ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``, summed over
+    blocks of nodes: each block's phases, at most ``_PHASE_BLOCK`` of them,
+    are turned into ``sin(E s) o c`` in place, so two block-sized phase
+    arrays are the largest temporaries.
     """
     s_pts, coeff = _time_rule(window, np.ptp(evals))
-    sin = evals[..., :, None] * s_pts
-    cos = np.cos(sin)
-    np.sin(sin, out=sin)
-    sin *= coeff
-    a = sin @ cos.swapaxes(-1, -2)
+    step = max(1, _PHASE_BLOCK // evals.size)
+    a = 0.0
+    for lo in range(0, s_pts.size, step):
+        sin = evals[..., :, None] * s_pts[lo:lo + step]
+        cos = np.cos(sin)
+        np.sin(sin, out=sin)
+        sin *= coeff[lo:lo + step]
+        a = a + sin @ cos.swapaxes(-1, -2)
     return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
 
 
@@ -228,12 +246,6 @@ def _polar_unitary(u: np.ndarray) -> np.ndarray:
         if size <= 1e-8:
             return u
     raise RuntimeError(f"polar step did not converge (last defect {size:.2e})")
-
-
-def _block_norm(blocks) -> float:
-    """Operator norm of the block-diagonal matrix with the stack ``blocks``:
-    the largest norm of a block."""
-    return max(operator_norm(b) for b in blocks)
 
 
 def _cluster(evals, evecs, dim: int):
@@ -288,7 +300,12 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     a defect outside its radius is a ``RuntimeError``).
 
     The step count doubles, at most eight times, until two consecutive
-    refinements agree to ``ode_tol`` at every checkpoint.  At each
+    refinements agree to ``ode_tol`` at every checkpoint.  The first pair,
+    one and two steps per checkpoint interval, runs in lockstep: both cross
+    one interval before either starts the next, and each generator off the
+    checkpoint grid is dropped once both have read it.  A further refinement
+    integrates only the finer count, against the unitaries kept from the
+    last, and solves its generators off the grid afresh.  At each
     checkpoint the tracked gap of ``H(s)`` is compared with the filter width
     and the transported projector with the spectral one, both read from the
     eigendecomposition that built the generator there, and ``p0``, the
@@ -331,35 +348,45 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
                 ends[key] = (evals, evecs)
         return gen_cache[key]
 
-    def integrate(substeps):
-        n_blocks, side = b0.shape[:2]
-        u = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
-                            (n_blocks, side, side)).copy()
-        out = [u.copy()]
-        for j in range(checkpoints - 1):
-            a, b = grid[j], grid[j + 1]
-            h_step = (b - a) / substeps
-            for k in range(substeps):
-                s = a + k * h_step
-                k1 = gen(s) @ u
-                k2 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
-                k3 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
-                k4 = gen(s + h_step) @ (u + h_step * k3)
-                u = u + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                u = _polar_unitary(u)
-            out.append(u.copy())
-        return out
+    def advance(u, j, substeps):
+        """U at checkpoint j + 1 from U at checkpoint j."""
+        a, b = grid[j], grid[j + 1]
+        h_step = (b - a) / substeps
+        for k in range(substeps):
+            s = a + k * h_step
+            k1 = gen(s) @ u
+            k2 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
+            k3 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
+            k4 = gen(s + h_step) @ (u + h_step * k3)
+            u = u + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            u = _polar_unitary(u)
+        return u
 
-    substeps, prev = 1, integrate(1)
-    err = np.inf
-    for _ in range(8):
+    def drop_off_grid():
+        for key in [key for key in gen_cache if key not in checkpoint_keys]:
+            del gen_cache[key]
+
+    n_blocks, side = b0.shape[:2]
+    u0 = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
+                         (n_blocks, side, side)).copy()
+    coarse, fine, prev, err = u0, u0, [u0], 0.0
+    for j in range(checkpoints - 1):
+        coarse = advance(coarse, j, 1)
+        fine = advance(fine, j, 2)
+        drop_off_grid()
+        prev.append(fine)
+        err = max(err, operator_norm(fine - coarse))
+    substeps = 2
+    while not err <= ode_tol and substeps < 256:
         substeps *= 2
-        cur = integrate(substeps)
-        err = max(_block_norm(c - p) for c, p in zip(cur, prev))
+        u, cur, err = u0, [u0], 0.0
+        for j in range(checkpoints - 1):
+            u = advance(u, j, substeps)
+            drop_off_grid()
+            cur.append(u)
+            err = max(err, operator_norm(u - prev[j + 1]))
         prev = cur
-        if err <= ode_tol:
-            break
-    else:
+    if not err <= ode_tol:
         raise RuntimeError(f"flow ODE failed to reach {ode_tol:.1e} (last {err:.1e})")
 
     gaps, vecs = zip(*(tracked[round(float(s), 15)] for s in grid))
@@ -368,8 +395,8 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
         raise RuntimeError(
             f"tracked gap {gap_floor:.4f} fell below filter width {window.gamma:.4f}")
     p0 = _projector(vecs[0])
-    drift = max(_block_norm(u @ p0 @ u.conj().swapaxes(-1, -2) - _projector(v))
-                for u, v in zip(prev, vecs))
+    drift = max(operator_norm(u @ p0 @ u.conj().swapaxes(-1, -2)
+                              - _projector(v)) for u, v in zip(prev, vecs))
     return FlowResult(window, grid, sectors, b0, bp, prev,
                       [gen(s) for s in grid], gap_floor, drift, err,
                       join_blocks(p0, sectors),
@@ -498,18 +525,18 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
             - b0
         v_tilde = {x: blockdiag(sums[upto][x]) for x in anchors}
         rho = v_true - sum(v_tilde.values())
-        quad_res = _block_norm(rho)
+        quad_res = operator_norm(rho)
         rho_diag = blockdiag(rho)
         rho_cross = rho - rho_diag
         for x in anchors:
             v_tilde[x] = v_tilde[x] + rho_diag / len(anchors)
         edge = min(anchors)
         v_tilde[edge] = v_tilde[edge] + rho_cross
-        max_comm = max(_block_norm(p @ v_tilde[x] - v_tilde[x] @ p)
+        max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
                        for x in anchors)
         return Phi1Decomposition(
             lam, eps_at, {x: join_blocks(v_tilde[x], sectors) for x in anchors},
-            join_blocks(v_true, sectors), quad_res, _block_norm(rho_cross),
+            join_blocks(v_true, sectors), quad_res, operator_norm(rho_cross),
             max_comm, eta.local_dim)
 
     return [decomposition(upto) for upto in uptos]

@@ -54,3 +54,19 @@ def parity_even(m) -> np.ndarray:
     """The even part of ``m`` under the occupancy parity: off-block entries 0."""
     p = parity_matrix(m.shape[0].bit_length() - 1)
     return np.where(p[:, None] == p[None, :], m, 0.0)
+
+
+def even_pair(rng, side: int, complex_: bool):
+    """A parity-even pair on a side 2^n: ``H0`` with one kernel vector per
+    parity block and the rest of its spectrum in [1.5, 3], and a coupling of
+    norm 1."""
+    half = side // 2
+    h0 = np.zeros((side, side), complex if complex_ else float)
+    even = parity_matrix(side.bit_length() - 1) > 0
+    for sector in (np.flatnonzero(even), np.flatnonzero(~even)):
+        q, _ = np.linalg.qr(random_matrix(rng, half, complex_))
+        levels = np.concatenate(([0.0], rng.uniform(1.5, 3.0, half - 1)))
+        h0[np.ix_(sector, sector)] = (q * levels) @ q.conj().T
+    h0 = (h0 + h0.conj().T) / 2.0
+    psi = parity_even(random_hermitian(rng, side, complex_))
+    return h0, psi / np.linalg.norm(psi, 2)

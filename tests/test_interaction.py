@@ -141,6 +141,9 @@ def test_hamiltonian_eigenvalues_of_a_weighted_sum():
     whole = (0.3 * local_hamiltonian(field, lam).matrix
              + local_hamiltonian(ising, lam).matrix)
     np.testing.assert_allclose(evals, np.linalg.eigvalsh(whole), atol=1e-12)
+    # a later part is scaled in its own buffer: the same sum, bit for bit
+    swapped = hamiltonian_eigenvalues(((1.0, ising), (0.3, field)), lam)
+    assert swapped.tobytes() == evals.tobytes()
 
 
 def test_local_hamiltonian_restricts_to_volume():

@@ -404,6 +404,12 @@ def test_parity_blocks_split_and_join_back(k, complex_, seed):
     assert blocks.shape == (2, 2 ** (k - 1), 2 ** (k - 1))
     np.testing.assert_array_equal(blocks[1], m[np.ix_(~even, ~even)])
     np.testing.assert_array_equal(join_blocks(blocks, sectors), m)
+    # a stack is solved and normed as the block-diagonal matrix it stands for
+    assert eigenvalues(blocks).tobytes() == eigenvalues(m).tobytes()
+    assert operator_norm(blocks) == operator_norm(m)
+    product = m @ other                  # parity-even, not Hermitian
+    assert operator_norm(split_blocks(product, sectors)) == pytest.approx(
+        float(np.linalg.norm(product, 2)), rel=1e-12)
 
 
 def test_parity_sectors_keep_one_sector_unless_every_matrix_splits():

@@ -1,5 +1,8 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaplab.interaction import Interaction, Term, local_hamiltonian, \
     random_interaction
@@ -13,6 +16,8 @@ from gaplab.spectra import (FrustrationError, RefinementError,
                             ground_projector, higher_gap_track,
                             resolution_family, sigma_projection,
                             sp0_diameter_scan)
+from gaplab import operator_algebra, spectra
+from oracles import even_pair, random_hermitian, random_matrix
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -93,6 +98,66 @@ def test_gap_curve_respects_cluster_dim():
     splits = gap_curve(h0, psi, [0.0, 0.1], cluster_dim=2)
     assert splits[0].sp0.size == 2
     assert splits[0].gamma == pytest.approx(0.999, abs=1e-12)
+
+
+def _gapped(rng, side, complex_):
+    """A Hermitian matrix with one kernel vector and the rest of its
+    spectrum in [1.5, 3]."""
+    q, _ = np.linalg.qr(random_matrix(rng, side, complex_))
+    levels = np.concatenate(([0.0], rng.uniform(1.5, 3.0, side - 1)))
+    h = (q * levels) @ q.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["equal", "unequal", "spin1"]), st.integers(2, 5),
+       st.booleans(), st.floats(1e-3, 0.2), st.integers(0, 2 ** 32 - 1))
+def test_gap_curve_on_blocks_is_the_dense_oracle_bit_for_bit(kind, n, complex_,
+                                                             eps, seed):
+    """``gap_curve`` splits ``H0`` and ``Psi`` once and solves each coupling
+    block by block: every spectrum is ``eigenvalues(H0 + eps Psi)`` bit for
+    bit, with one parity scan in all, each ``eigvalsh`` on a block, and one
+    solve per coupling when the blocks are equal (a parity-even pair that
+    leaves the last site alone), or on a spin-1 side 3^n, which does not
+    split."""
+    rng = np.random.default_rng(seed)
+    if kind == "spin1":
+        side = 3 ** min(n, 4)
+        h0, psi = _gapped(rng, side, complex_), random_hermitian(rng, side,
+                                                                 complex_)
+        psi /= operator_norm(psi)
+    elif kind == "unequal":
+        side = 2 ** n
+        h0, psi = even_pair(rng, side, complex_)
+    else:
+        side = 2 ** n
+        h0, psi = (np.kron(m, np.eye(2))
+                   for m in even_pair(rng, side // 2, complex_))
+    block = side if kind == "spin1" else side // 2
+    solves_per_coupling = 2 if kind == "unequal" else 1
+    scans, shapes = [], []
+    real_scan, real_solve = operator_algebra.parity_sectors, np.linalg.eigvalsh
+
+    def scan(*mats):
+        scans.append(1)
+        return real_scan(*mats)
+
+    def solve(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_solve(a, *args, **kwargs)
+
+    grid = [0.0, 0.5 * eps, eps]
+    with patch.object(spectra, "parity_sectors", scan), \
+            patch.object(operator_algebra, "parity_sectors", scan), \
+            patch.object(np.linalg, "eigvalsh", solve):
+        splits = gap_curve(h0, psi, grid)
+    assert len(scans) == 1
+    assert set(shapes) == {(block, block)}
+    # |Psi|, the spectrum at 0 and the two nonzero couplings
+    assert len(shapes) == (2 + len(grid) - 1) * solves_per_coupling
+    for sp, e in zip(splits, grid):
+        spectrum = np.concatenate((sp.sp0, sp.sp1))
+        assert spectrum.tobytes() == eigenvalues(h0 + e * psi).tobytes()
 
 
 def test_cluster_projector():
@@ -263,7 +328,7 @@ def test_sp0_scan_matches_a_dense_recomputation():
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
-    couplings, depths = (0.0, 0.02, 0.05), (1, 2, 3)
+    couplings, depths = (0.0, 0.02, 0.05), (0, 1, 2, 3)
     rows = sp0_diameter_scan(eta, pert, lam, couplings, depths)
     assert [(r["eps"], r["depth"]) for r in rows] == \
         [(e, d) for e in couplings for d in depths]
@@ -282,6 +347,38 @@ def test_sp0_scan_matches_a_dense_recomputation():
         assert row["gamma"] == pytest.approx(sp1.min() - sp0.max(), abs=1e-12)
         assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
                                                 abs=1e-12)
+
+
+def test_sp0_scan_assembles_eta_once(monkeypatch):
+    """``eta``'s matrix on its span is assembled once; a perturbed row
+    assembles only its kept terms, on that span, and adds ``eta`` into their
+    buffer.  At depth 0 the kept terms reach the end sites, off ``eta``'s
+    span, and the row is solved by ``hamiltonian_eigenvalues`` instead."""
+    lam = Interval(1, 8)
+    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
+                                             "kappa": 4.0}, seed=7)
+    assert eta.span == Interval(2, 7) and pert.span == lam
+    built, general = [], []
+    real_build = spectra.local_hamiltonian
+    real_general = spectra.hamiltonian_eigenvalues
+
+    def build(phi, where):
+        built.append((list(map(id, phi.terms)) == list(map(id, eta.terms)),
+                      where))
+        return real_build(phi, where)
+
+    def solve_general(parts, where):
+        general.append(parts)
+        return real_general(parts, where)
+
+    monkeypatch.setattr(spectra, "local_hamiltonian", build)
+    monkeypatch.setattr(spectra, "hamiltonian_eigenvalues", solve_general)
+    sp0_diameter_scan(eta, pert, lam, (0.0, 0.02, 0.05), (0, 1, 2))
+    assert built[0] == (True, eta.span)
+    assert len(built) == 1 + 2 * 2
+    assert all(where == eta.span for _, where in built)
+    assert len(general) == 2
 
 
 def test_sp0_scan_at_the_default_length_matches_the_whole_volume():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 from unittest.mock import patch
 
@@ -13,8 +14,7 @@ from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
 from gaplab import spectral_flow
 from gaplab.operator_algebra import (join_blocks, operator_norm,
-                                     parity_matrix, parity_sectors,
-                                     split_blocks)
+                                     parity_sectors, split_blocks)
 from gaplab.spectra import diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   _polar_unitary, _time_rule, decompose_phi1,
@@ -22,7 +22,8 @@ from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import parity_even, random_hermitian, random_matrix, svd_polar
+from oracles import (even_pair, parity_even, random_hermitian, random_matrix,
+                     svd_polar)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -187,6 +188,80 @@ def test_time_rule_is_formed_once_per_panel_count(monkeypatch):
     _panel_rule.cache_clear()
 
 
+def _time_weight_one_shot(s, window):
+    """W(s) with the sines of every time in one table."""
+    x, wq = np.polynomial.legendre.leggauss(200)
+    half = 0.5 * window.gamma
+    nodes = 0.5 * half * (x + 1.0)
+    weights = 0.5 * half * wq
+    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+    integ = np.einsum("k,sk->s", weights * window.beta(nodes) / nodes,
+                      np.sin(np.outer(s, nodes)))
+    return 0.5 - integ / np.pi
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4000), st.floats(0.1, 400.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_time_weight_in_blocks_is_the_one_shot_sum_bit_for_bit(size, t_max,
+                                                                seed):
+    """Each time's sum is its own row, so blocks of times change no bit."""
+    s = np.random.default_rng(seed).uniform(0.0, t_max, size)
+    w = Window(GAMMA)
+    assert time_weight(s, w).tobytes() == _time_weight_one_shot(s, w).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 120), st.floats(0.5, 9.0))
+def test_filter_identity_in_blocks_matches_the_one_shot_product(count, width):
+    """Each block of frequencies is its own product with the coefficients:
+    one block is the one-shot product bit for bit.  Across blocks, BLAS's
+    matrix-vector product rounds a frequency by its place in the product
+    (the few at the tail of a block or of a thread's share take another
+    path).  Two roundings of a dot product of ``n`` terms differ by at most
+    ``2 gamma_n sum|c_k|``, about ``n eps sum|c_k|``; with the factor 2 of
+    the left side that is ``2 n eps sum|c_k|``, allowed here twice over."""
+    w = Window(GAMMA)
+    omegas = np.linspace(0.0, width, count)
+    s_pts, coeff = _time_rule(w, width)
+    lhs = 2.0 * (coeff @ np.sin(np.outer(s_pts, omegas)))
+    one_shot = float(np.max(np.abs(lhs - w.weight(omegas))))
+    got = filter_identity_residual(w, omegas)
+    if count <= spectral_flow._PHASE_BLOCK // s_pts.size:
+        assert got == one_shot
+    else:
+        n = s_pts.size
+        bound = 4.0 * n * np.finfo(float).eps * float(np.sum(np.abs(coeff)))
+        assert abs(got - one_shot) <= bound
+
+
+def _time_quadrature_one_shot(evals, evecs, psi, window):
+    """The time-quadrature generator with every node's phases in one table."""
+    s_pts, coeff = _time_rule(window, np.ptp(evals))
+    phase = evals[..., :, None] * s_pts
+    a = (np.sin(phase) * coeff) @ np.cos(phase).swapaxes(-1, -2)
+    return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 48), st.booleans(), st.floats(0.5, 12.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_time_quadrature_in_node_blocks_matches_the_one_shot_product(
+        side, complex_, width, seed):
+    """Summing ``A`` over blocks of nodes reorders a sum of rounded terms
+    only: the generator agrees with the one-shot product to 1e-15 of its
+    largest entry."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, side, complex_)
+    h *= width / np.ptp(np.linalg.eigvalsh(h))
+    psi = random_hermitian(rng, side, complex_)
+    evals, evecs = diagonalize(h)
+    w = Window(GAMMA)
+    got = time_quadrature_generator(evals, evecs, psi, w)
+    ref = _time_quadrature_one_shot(evals, evecs, psi, w)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 # --- the flow ODE ------------------------------------------------------------------
 
 
@@ -239,22 +314,6 @@ def test_flow_runs_in_the_field_of_its_inputs():
         _assert_transports(flow, h0, psi, 1)
 
 
-def _even_pair(rng, side, complex_):
-    """A parity-even pair on a side 2^n: ``H0`` with one kernel vector per
-    parity block and the rest of its spectrum in [1.5, 3], and a coupling of
-    norm 1."""
-    half = side // 2
-    h0 = np.zeros((side, side), complex if complex_ else float)
-    even = parity_matrix(side.bit_length() - 1) > 0
-    for sector in (np.flatnonzero(even), np.flatnonzero(~even)):
-        q, _ = np.linalg.qr(random_matrix(rng, half, complex_))
-        levels = np.concatenate(([0.0], rng.uniform(1.5, 3.0, half - 1)))
-        h0[np.ix_(sector, sector)] = (q * levels) @ q.conj().T
-    h0 = (h0 + h0.conj().T) / 2.0
-    psi = parity_even(random_hermitian(rng, side, complex_))
-    return h0, psi / np.linalg.norm(psi, 2)
-
-
 def _one_block(*mats):
     """``parity_sectors`` as if no matrix kept parity: one sector."""
     return [np.arange(np.shape(mats[0])[0])]
@@ -304,7 +363,7 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     """The flow of a parity-even pair, run on its two parity blocks, agrees
     with the same flow run on one block holding the whole matrix, and keeps
     the blocks exactly."""
-    h0, psi = _even_pair(np.random.default_rng(seed), 2 ** k, complex_)
+    h0, psi = even_pair(np.random.default_rng(seed), 2 ** k, complex_)
     args = (h0, psi, 0.05, Window(GAMMA))
     blocked = flow_unitaries(*args, checkpoints=5, cluster_dim=2)
     with patch.object(spectral_flow, "parity_sectors", _one_block):
@@ -323,7 +382,7 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
 
 
 def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
-    h0, psi = _even_pair(np.random.default_rng(4), 8, False)
+    h0, psi = even_pair(np.random.default_rng(4), 8, False)
     psi[0, 1] = psi[1, 0] = 0.1          # couples the two parity sectors
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
@@ -474,6 +533,90 @@ def test_real_flow_matches_the_complex_arithmetic_oracle(bundle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
     _assert_transports(flow, bundle["h0"], bundle["hp"],
                        int(round(np.trace(bundle["p0"]))))
+
+
+def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
+    """A tolerance below the Richardson estimate of one against two steps
+    per interval sends the flow on to four steps, which solves only the
+    generators off the checkpoint grid again (seven per interval), and its
+    unitaries agree with the complex-arithmetic oracle run to the same
+    tolerance."""
+    h0, psi = even_pair(np.random.default_rng(0), 4, False)
+    window, tol = Window(GAMMA), 1e-13
+    calls = []
+    original = spectral_flow.eigenbasis_generator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
+    first = flow_unitaries(h0, psi, 0.05, window, checkpoints=3,
+                           cluster_dim=2, ode_tol=1.0)
+    assert first.ode_error > tol and len(calls) == 4 * 2 + 1
+    calls.clear()
+    flow = flow_unitaries(h0, psi, 0.05, window, checkpoints=3,
+                          cluster_dim=2, ode_tol=tol)
+    assert flow.ode_error <= tol
+    assert len(calls) == 4 * 2 + 1 + 7 * 2
+    oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
+    for u, u_ref in zip(flow.unitaries, oracle):
+        assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
+    _assert_transports(flow, h0, psi, 2)
+
+
+def _held_bytes(value):
+    return sum(a.nbytes for a in _arrays(value))
+
+
+def test_default_flow_solves_each_coupling_once_in_little_more_than_its_result(
+        bundle, monkeypatch):
+    """The default 33 checkpoints on the L = 8 chain: the lockstep pair of
+    resolutions solves each of the 129 couplings once, and the traced peak
+    of the flow stays within 1.75 times the bytes its result holds (the
+    generators off the checkpoint grid are dropped as the flow goes)."""
+    calls = []
+    original = spectral_flow.eigenbasis_generator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
+    kdim = int(round(np.trace(bundle["p0"])))
+    tracemalloc.start()
+    try:
+        flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
+                              cluster_dim=kdim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flow.eps_grid) == 33 and len(calls) == 129
+    held = sum(_held_bytes(getattr(flow, f.name)) for f in fields(flow))
+    assert peak <= 1.75 * held
+
+
+def test_generator_and_filter_checks_work_in_small_phase_blocks(bundle):
+    """The cross-checks of ``flow`` on the L = 8 chain (9168 nodes, 256
+    eigenvalues): the time-quadrature generator at both ends and the filter
+    identity on both widths, forming their time rule afresh, peak below
+    8 MiB of traced memory, and the generator agrees with the one-shot
+    product to 1e-15 of its largest entry."""
+    flow, w = bundle["flow"], Window(GAMMA)
+    _panel_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        generators = [time_quadrature_generator(evals, evecs, flow.psi, w)
+                      for evals, evecs in flow.end_spectra]
+        for evals, _ in flow.end_spectra:
+            filter_identity_residual(w, np.linspace(0.0, np.ptp(evals), 401))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+    for k_time, (evals, evecs) in zip(generators, flow.end_spectra):
+        ref = _time_quadrature_one_shot(evals, evecs, flow.psi, w)
+        assert np.max(np.abs(k_time - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_decomposition_reconstructs_exactly(bundle):
