@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
-    f_zero, transform_f_phi
+    f_zero, regroup_decay, transform_f_phi
 from .interaction import Interaction, fermion_to_spin, from_json, \
     hamiltonian_eigenvalues, local_hamiltonian, random_interaction, \
     regroup_intervals, split_edge_bulk, validate_unperturbed
@@ -430,6 +430,16 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     return ctx["flow"]
 
 
+def _stability_lengths(cfg: dict) -> list[int]:
+    """The configured chains the stability pipelines probe: those of
+    diameter above 2 D; a config without one is a config error."""
+    lengths = [n for n in cfg["lengths"] if n - 1 > max(2 * cfg["D"], 1)]
+    if not lengths:
+        raise ConfigError("lengths: no chain exceeds diameter 2 D for the "
+                          "stability pipelines")
+    return lengths
+
+
 def constants_bundle(cfg: dict, ctx: dict) -> dict:
     """Certified constants for the orbital model, reusing the flow fixture."""
     if "constants" in ctx:
@@ -451,13 +461,9 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     c_measured = calibrate_c(phi1_fnorm, fb["flow"].eps, eta_fnorm, psi_fnorm)
     c_used = float(c_user) if c_user is not None else max(c_measured, 1e-12)
 
-    # uniform strengths over the probe volumes, the configured chains of
-    # diameter above 2 D, each built once and kept for the gap sweep
-    volumes = {n: _volume(cfg, n) for n in cfg["lengths"]
-               if n - 1 > max(2 * cfg["D"], 1)}
-    if not volumes:
-        raise ConfigError("lengths: no chain exceeds diameter 2 D for the "
-                          "stability pipelines")
+    # uniform strengths over the probe volumes, each built once and kept
+    # for the gap sweep
+    volumes = {n: _volume(cfg, n) for n in _stability_lengths(cfg)}
     phi_for = {lam: pert for lam, _, _, pert in volumes.values()}
     m_int, m_d, strength_rows = uniform_strengths(phi_for, depth, 1, base)
 
@@ -562,13 +568,14 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
 
     # interval regrouping is exact on every subinterval and norm-decreasing
     base = base_envelope(cfg)
+    regrouped = regroup_decay(base)
     rg_rows = []
     worst_dev, worst_norm = 0.0, -np.inf
     for i in range(20):
         length = 6 + (i % 3)
         lam = _window(length)
         psi = random_interaction(lam, seed=cfg["seeds"][0] + i, n_terms=6,
-                                 max_diameter=2, decay=base)
+                                 max_diameter=2)
         grouped = regroup_intervals(psi)
         dev = 0.0
         for a in range(lam.a, lam.b + 1):
@@ -578,7 +585,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
                 h_after = local_hamiltonian(grouped, sub).matrix
                 dev = max(dev, float(np.max(np.abs(h_before - h_after))))
         norm_before = psi.f_norm(base)
-        norm_after = grouped.f_norm()
+        norm_after = grouped.f_norm(regrouped)
         rg_rows.append((i, length, dev, norm_after, norm_before,
                         "ok" if dev <= 1e-12 and norm_after <= norm_before
                         else "fail"))
@@ -1092,15 +1099,19 @@ PIPELINES = {
 def run(cfg: dict, commands, out_dir) -> list[Report]:
     """Execute the requested pipelines and write their artifacts.
 
-    ``all`` runs every pipeline in order on one shared context.  A pipeline
-    whose numerical step cannot be certified (a ``RuntimeError`` or a
-    ``FrustrationError``) is reported as one failed check carrying the
-    reason, and the remaining pipelines still run.
+    ``all`` runs every pipeline in order on one shared context.  A config
+    the requested stability pipelines cannot probe is rejected before the
+    first pipeline runs.  A pipeline whose numerical step cannot be
+    certified (a ``RuntimeError`` or a ``FrustrationError``) is reported as
+    one failed check carrying the reason, and the remaining pipelines still
+    run.
     """
+    names = [n for c in commands for n in (PIPELINES if c == "all" else [c])]
+    if {"bounds", "gapsweep", "highergaps"} & set(names):
+        _stability_lengths(cfg)
     ctx: dict = {}
     reports: list[Report] = []
-    for name in [n for c in commands
-                 for n in (PIPELINES if c == "all" else [c])]:
+    for name in names:
         try:
             reports.append(PIPELINES[name](cfg, ctx))
         except (RuntimeError, FrustrationError) as exc:

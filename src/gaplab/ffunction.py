@@ -213,18 +213,14 @@ def convolution_constant(spec: FFunctionSpec) -> float:
 # interaction norm
 
 
-def f_norm(phi, spec) -> float:
+def f_norm(pairs, spec) -> float:
     r"""``|Phi|_F = sup_{x,y} (1/F(|x-y|)) sum_{Z containing x,y} |Phi(Z)|``.
 
-    ``phi`` is anything exposing ``term_supports_and_norms()`` yielding
-    ``(Interval, operator_norm)`` pairs, or an iterable of such pairs.  The
+    ``pairs`` yields one ``(Interval, operator_norm)`` pair per term.  The
     supremum runs over all ordered pairs of sites covered by at least one
     term, including ``x == y``.
     """
-    if hasattr(phi, "term_supports_and_norms"):
-        pairs = list(phi.term_supports_and_norms())
-    else:
-        pairs = list(phi)
+    pairs = list(pairs)
     if not pairs:
         return 0.0
     lo = min(s.a for s, _ in pairs)

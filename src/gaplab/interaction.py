@@ -1,11 +1,13 @@
 r"""Interactions: finitely many local terms keyed by intervals or balls.
 
-An interaction stores a *list* of terms; several terms may share one support
-(e.g. the two projector terms of a paired-orbital cell).  Each term carries an
-anchor site — the lattice site nearest its support center, ties resolved to
-the left — or, for ball-keyed terms, the generating center.  Anchors drive
+An interaction is its list of terms, of one kind and local dimension;
+several terms may share one support (e.g. the two projector terms of a
+paired-orbital cell).  Each term carries an anchor site — the lattice site
+nearest its support center, ties resolved to the left — or, for a term
+keyed by a ball, the ball's center, with the ball's radius.  Anchors drive
 the edge/bulk split and the anchored decompositions used by the spectral
-flow.
+flow.  Decay functions are not carried: every norm names the one it is
+taken against (``Interaction.f_norm(spec)``).
 """
 
 from __future__ import annotations
@@ -50,15 +52,11 @@ class Interaction:
     terms: list[Term]
     kind: str = "spin"
     local_dim: int = 2
-    decay: object = None          # FFunctionSpec or DerivedFSpec, optional
-    ball_keyed: bool = False
 
     def __post_init__(self):
         for t in self.terms:
             if t.op.kind != self.kind or t.op.local_dim != self.local_dim:
                 raise ValueError("term kind/local_dim mismatch")
-        if self.ball_keyed and any(t.radius is None for t in self.terms):
-            raise ValueError("ball-keyed interactions need a radius on every term")
 
     @property
     def range(self) -> int:
@@ -76,10 +74,6 @@ class Interaction:
     @property
     def uniform_bound(self) -> float:
         return max((t.op.norm() for t in self.terms), default=0.0)
-
-    def term_supports_and_norms(self):
-        for t in self.terms:
-            yield t.support, t.op.norm()
 
     def anchored(self) -> dict:
         """Terms grouped by anchor site."""
@@ -102,11 +96,10 @@ class Interaction:
         kept = [t for t in self.terms if t.support in lam]
         return replace(self, terms=kept)
 
-    def f_norm(self, spec=None) -> float:
-        spec = spec or self.decay
-        if spec is None:
-            raise ValueError("no decay function available")
-        return ffunction.f_norm(self, spec)
+    def f_norm(self, spec) -> float:
+        """``|Phi|_F`` against the decay function ``spec``."""
+        return ffunction.f_norm(((t.support, t.op.norm()) for t in self.terms),
+                                spec)
 
 
 def local_hamiltonian(phi: Interaction, lam: Interval):
@@ -129,37 +122,22 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
     return LocalOperator(h, lam, lam, phi.kind, d)
 
 
-def hamiltonian_eigenvalues(parts, lam: Interval) -> np.ndarray:
-    """Ascending eigenvalues of ``sum c * local_hamiltonian(phi, lam)``.
+def hamiltonian_eigenvalues(phi: Interaction, lam: Interval) -> np.ndarray:
+    """Ascending eigenvalues of ``local_hamiltonian(phi, lam)``.
 
-    ``parts`` is an interaction, or a sequence of ``(c, phi)`` pairs of one
-    local dimension.  The sum is formed on the span of their terms inside
-    ``lam``, in the buffer of the first part (each later part scaled in its
-    own buffer, unless ``c`` is 1), and solved there by ``eigenvalues``.
-    ``placement`` adds the same terms, in the same order, at the same
-    offsets, so the matrix on ``lam`` is ``1 (x) H_span (x) 1``
+    The terms inside ``lam`` are summed on their span and solved there by
+    ``eigenvalues``.  ``placement`` adds the same terms, in the same order,
+    at the same offsets, so the matrix on ``lam`` is ``1 (x) H_span (x) 1``
     entry for entry: each eigenvalue of the span is repeated
     ``d^(len(lam) - len(span))`` times, and a repeat of a sorted array stays
     sorted.  Without terms the spectrum is all zeros.
     """
-    if isinstance(parts, Interaction):
-        parts = ((1.0, parts),)
-    parts = [(c, phi.restricted(lam)) for c, phi in parts]
-    d = parts[0][1].local_dim
-    spans = [phi.span for _, phi in parts if phi.terms]
-    if not spans:
-        return np.zeros(d ** len(lam))
-    span = Interval(min(s.a for s in spans), max(s.b for s in spans))
-    mats = [(c, local_hamiltonian(phi, span).matrix) for c, phi in parts]
-    m = mats[0][1].astype(np.result_type(*(x for part in mats for x in part)),
-                          copy=False)
-    m *= mats[0][0]
-    for c, h in mats[1:]:
-        if c != 1.0:
-            h = h.astype(m.dtype, copy=False)
-            h *= c
-        m += h
-    return np.repeat(eigenvalues(m), d ** (len(lam) - len(span)))
+    phi = phi.restricted(lam)
+    span = phi.span
+    if span is None:
+        return np.zeros(phi.local_dim ** len(lam))
+    return np.repeat(eigenvalues(local_hamiltonian(phi, span).matrix),
+                     phi.local_dim ** (len(lam) - len(span)))
 
 
 @dataclass
@@ -175,7 +153,6 @@ class VolumeReport:
 class UnperturbedReport:
     rows: list[VolumeReport]
     range: int
-    uniform_bound: float
     gamma0_candidate: float
     passed: bool
 
@@ -190,12 +167,11 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
     range.
     """
     rows = []
-    rng_max, bound_max = 0, 0.0
+    rng_max = 0
     passed = True
     for lam in volumes:
         phi = build(lam)
         rng_max = max(rng_max, phi.range)
-        bound_max = max(bound_max, phi.uniform_bound)
         evals = hamiltonian_eigenvalues(phi, lam)
         scale = max(1.0, float(np.max(np.abs(evals))))
         ground = float(evals[0])
@@ -207,7 +183,7 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         passed = passed and ok
     eligible = [r.min_nonzero for r in rows if r.lam.diameter >= rng_max]
     gamma0 = float(min(eligible)) if eligible else float("inf")
-    return UnperturbedReport(rows, rng_max, bound_max, gamma0, passed)
+    return UnperturbedReport(rows, rng_max, gamma0, passed)
 
 
 @dataclass
@@ -240,9 +216,9 @@ def split_edge_bulk(phi: Interaction, lam: Interval, D: int) -> EdgeBulkSplit:
 def regroup_intervals(psi: Interaction) -> Interaction:
     """Merge all terms sharing a support interval into a single term.
 
-    Local Hamiltonians on every subinterval are unchanged.  When ``psi``
-    carries a base decay function, the regrouped interaction carries the
-    associated regrouped decay function.
+    Local Hamiltonians on every subinterval are unchanged; the regrouped
+    interaction is normed against ``ffunction.regroup_decay`` of the base
+    decay function of ``psi``.
     """
     merged: dict[Interval, np.ndarray] = psi.grouped()
     # a support holding one term holds that term's matrix, and its norm
@@ -255,11 +231,7 @@ def regroup_intervals(psi: Interaction) -> Interaction:
         if alone[supp] is not None:
             op._norm = alone[supp].norm()
         terms.append(Term(op))
-    decay = None
-    if isinstance(psi.decay, ffunction.FFunctionSpec):
-        decay = ffunction.regroup_decay(psi.decay)
-    return Interaction(terms, psi.kind, psi.local_dim, decay=decay,
-                       ball_keyed=False)
+    return Interaction(terms, psi.kind, psi.local_dim)
 
 
 def fermion_to_spin(phi: Interaction) -> Interaction:
@@ -271,12 +243,11 @@ def fermion_to_spin(phi: Interaction) -> Interaction:
         if parity_grade(t.op) != "even":
             raise ParityError(f"term on {t.support} is not even")
         terms.append(Term(jordan_wigner(t.op), anchor=t.anchor, radius=t.radius))
-    return Interaction(terms, "spin", 2, decay=phi.decay,
-                       ball_keyed=phi.ball_keyed)
+    return Interaction(terms, "spin", 2)
 
 
 def random_interaction(lam: Interval, seed: int, n_terms: int = 6,
-                       max_diameter: int = 2, decay=None) -> Interaction:
+                       max_diameter: int = 2) -> Interaction:
     """Seeded random Hermitian spin-1/2 interaction on intervals in ``lam``."""
     rng = np.random.default_rng(seed)
     terms = []
@@ -290,7 +261,7 @@ def random_interaction(lam: Interval, seed: int, n_terms: int = 6,
         m = (m + m.conj().T) / 2.0
         m /= max(1.0, operator_norm(m))
         terms.append(Term(LocalOperator(m, supp, lam, "spin")))
-    return Interaction(terms, "spin", decay=decay)
+    return Interaction(terms, "spin")
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +277,13 @@ def to_json(phi: Interaction) -> str:
                       "anchor": t.anchor, "radius": t.radius,
                       "matrix": flat})
     return json.dumps({"kind": phi.kind, "local_dim": phi.local_dim,
-                       "ball_keyed": phi.ball_keyed, "terms": terms},
+                       "terms": terms},
                       separators=(",", ":"))
 
 
 def from_json(text: str) -> Interaction:
+    """The interaction of ``to_json``; keys beyond ``kind``, ``local_dim``
+    and ``terms`` (older files carry one more flag) are ignored."""
     data = json.loads(text)
     terms = []
     for entry in data["terms"]:
@@ -321,5 +294,4 @@ def from_json(text: str) -> Interaction:
                      dtype=complex).reshape(dim, dim)
         op = LocalOperator(m, supp, supp, data["kind"], data["local_dim"])
         terms.append(Term(op, anchor=entry["anchor"], radius=entry["radius"]))
-    return Interaction(terms, data["kind"], data["local_dim"],
-                       ball_keyed=data["ball_keyed"])
+    return Interaction(terms, data["kind"], data["local_dim"])

@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .lattice import Interval, ball, interior
+from .lattice import Interval, ball
 from .interaction import Interaction, Term
 from .operator_algebra import (
     LocalOperator, mode_annihilator, parity_matrix, spin_matrices,
@@ -133,10 +133,10 @@ def auxiliary_basis(model: OrbitalModel, lam: Interval) -> np.ndarray:
     """Orthonormal completion of the retained orbitals on ``lam``.
 
     Returns an ``(len(lam), n_aux)`` array whose columns complete the kept
-    f/g vectors to an orthonormal basis of the one-particle space.  The
-    completion always fits outside the depth-``3R`` interior and has at most
-    ``6R`` columns; volumes of diameter ``<= N0`` are rejected.  Singular
-    values and interior entries below 1e-12 count as zero.
+    f/g vectors to an orthonormal basis of the one-particle space; volumes
+    of diameter ``<= N0`` are rejected and singular values below 1e-12
+    count as zero.  Its budget (at most ``6R`` columns, none reaching the
+    depth-``3R`` interior) is checked by ``gaplab validate``.
     """
     if lam.diameter <= model.N0:
         raise ValueError(f"volume {lam} too small: diameter <= {model.N0}")
@@ -144,22 +144,11 @@ def auxiliary_basis(model: OrbitalModel, lam: Interval) -> np.ndarray:
     for o in model.f_orbitals + model.g_orbitals:
         if all(s in lam for s in o.sites):
             kept.append(o.vector(lam))
-    n = len(lam)
-    if kept:
-        mat = np.stack(kept)            # (n_orb, n)
-        _, sing, vt = np.linalg.svd(mat, full_matrices=True)
-        rank = int(np.sum(sing > 1e-12))
-        aux = vt[rank:].T               # (n, n_aux)
-    else:
-        aux = np.eye(n)
-    if aux.shape[1] > 6 * model.R:
-        raise ValueError("completion larger than the boundary budget")
-    inner = interior(lam, 3 * model.R)
-    if inner is not None and aux.size:
-        rows = [s - lam.a for s in inner]
-        if np.max(np.abs(aux[rows, :])) > 1e-12:
-            raise ValueError("completion vector reaches the interior")
-    return aux
+    if not kept:
+        return np.eye(len(lam))
+    _, sing, vt = np.linalg.svd(np.stack(kept), full_matrices=True)
+    rank = int(np.sum(sing > 1e-12))
+    return vt[rank:].T                  # (len(lam), n_aux)
 
 
 def kernel_data(model: OrbitalModel, lam: Interval):
@@ -240,4 +229,4 @@ def random_even_perturbation(lam: Interval, max_radius: int, envelope: dict,
             m *= target / nrm
             terms.append(Term(LocalOperator(m, supp, lam, "fermion"),
                               anchor=x, radius=n))
-    return Interaction(terms, "fermion", 2, ball_keyed=True)
+    return Interaction(terms, "fermion", 2)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, hamiltonian_eigenvalues, \
-    local_hamiltonian
+from .interaction import Interaction, local_hamiltonian
 from .operator_algebra import LocalOperator, as_matrix, block_eigenvalues, \
     eigenvalues, embed, kernel_count, kernel_mask, operator_norm, \
     parity_sectors, split_blocks
@@ -228,17 +227,18 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
 
     For each coupling and each depth ``D`` the perturbation keeps only terms
     supported inside ``Int_D``; the splitting of the kernel cluster is
-    reported per coupling and depth, in that order.  Each matrix is solved
-    once, on the span of its terms (``hamiltonian_eigenvalues``): a
-    coupling-zero row, or a depth that keeps no term, reads the spectrum of
-    ``h0``.  ``eta``'s matrix on its span is assembled once and added into
-    the buffer of each perturbation that stays inside that span.
+    reported per coupling and depth, in that order.  A coupling-zero row, or
+    a depth that keeps no term, reads the spectrum of ``h0`` on its span.
+    Every other row forms ``eps h_p + h0`` on the hull of ``h0``'s span and
+    the kept terms, in the buffer of ``h_p``, and solves it there; ``h0`` is
+    assembled once per distinct hull.  As in ``hamiltonian_eigenvalues``,
+    each eigenvalue on the hull is repeated over the free sites of ``lam``.
     """
     eta = eta.restricted(lam)
     span = eta.span or lam
-    h_eta = local_hamiltonian(eta, span).matrix
-    repeat = eta.local_dim ** (len(lam) - len(span))
-    ev0 = np.repeat(eigenvalues(h_eta), repeat)
+    d = eta.local_dim
+    h0 = {span: local_hamiltonian(eta, span).matrix}
+    ev0 = np.repeat(eigenvalues(h0[span]), d ** (len(lam) - len(span)))
     kdim = kernel_count(ev0)
     rows = []
     for eps in couplings:
@@ -249,16 +249,14 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
             evals = ev0
             if kept and eps != 0.0:
                 hp = Interaction(kept, pert.kind, pert.local_dim)
-                if hp.span in span:
-                    # eps hp + h0 on eta's span, formed in the buffer of hp
-                    m = local_hamiltonian(hp, span).matrix
-                    m = m.astype(np.result_type(eps, m, h_eta), copy=False)
-                    m *= eps
-                    m += h_eta
-                    evals = np.repeat(eigenvalues(m), repeat)
-                else:
-                    evals = hamiltonian_eigenvalues(((eps, hp), (1.0, eta)),
-                                                    lam)
+                hull = Interval(min(span.a, hp.span.a), max(span.b, hp.span.b))
+                if hull not in h0:
+                    h0[hull] = local_hamiltonian(eta, hull).matrix
+                m = local_hamiltonian(hp, hull).matrix
+                m = m.astype(np.result_type(eps, m, h0[hull]), copy=False)
+                m *= eps
+                m += h0[hull]
+                evals = np.repeat(eigenvalues(m), d ** (len(lam) - len(hull)))
             sp0, sp1 = evals[:kdim], evals[kdim:]
             rows.append({"depth": int(depth), "eps": float(eps),
                          "sp0_min": float(sp0.min()),

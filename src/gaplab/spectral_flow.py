@@ -420,7 +420,8 @@ class Phi1Decomposition:
 
     @cached_property
     def ball_terms(self) -> Interaction:
-        """Phi^1(b_x(n)) terms, ball-keyed, built when first read."""
+        """Phi^1(b_x(n)) terms, keyed by ball (anchor ``x``, radius ``n``),
+        built when first read."""
         terms = []
         for x, piece in self.anchors.items():
             op = LocalOperator(piece, self.lam, self.lam, kind="spin",
@@ -432,8 +433,7 @@ class Phi1Decomposition:
             for n in range(2, big_r + 1):
                 terms.append(Term(delta_layer(op, self.lam, x, n), anchor=x,
                                   radius=n))
-        return Interaction(terms, kind="spin", local_dim=self.local_dim,
-                           ball_keyed=True)
+        return Interaction(terms, kind="spin", local_dim=self.local_dim)
 
 
 def _simpson_weights(n_points: int, h: float) -> np.ndarray:

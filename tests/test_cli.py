@@ -282,6 +282,50 @@ def test_bounds_runs_with_a_steep_weight(tmp_path):
     assert (out / "constants.json").exists()
 
 
+@pytest.mark.parametrize("command", ["all", "bounds", "gapsweep",
+                                     "highergaps"])
+def test_short_chains_stop_the_stability_pipelines_before_any_runs(
+        tmp_path, monkeypatch, capsys, command):
+    """A config whose chains are all too short for the stability pipelines
+    exits 2 before the first pipeline runs, so no finished work is thrown
+    away; ``validate`` alone still takes it."""
+    called = []
+
+    def record(name):
+        def pipeline(cfg, ctx):
+            called.append(name)
+            return Report(name)
+        return pipeline
+
+    monkeypatch.setattr(cli, "PIPELINES",
+                        {name: record(name) for name in cli.PIPELINES})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lengths": [6]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: lengths: no chain exceeds diameter 2 D" in \
+        capsys.readouterr().err
+    assert called == [] and not out.exists()
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert called == ["validate"]
+
+
+def test_benchmark_workloads_keep_their_artifacts(tmp_path):
+    """Each benchmark workload, run in process at seed 7, writes as many
+    rows per artifact as its reference and fails no check."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    bench = runpy.run_path(str(path))
+    for name, spec in bench["WORKLOADS"].items():
+        out = tmp_path / name
+        cfg = merged_config(bench["config_for"](name, 7, str(out)))
+        run(cfg, [spec["command"]], out)
+        rows = {artifact: bench["artifact_rows"](out / artifact)
+                for artifact in spec["artifacts"]}
+        assert rows == spec["artifacts"], name
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert "[FAIL]" not in summary, name
+
+
 def test_tracer_layers_name_package_functions():
     """Every span the benchmark tracer installs names a gaplab function."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -400,6 +444,22 @@ def test_validate_fails_a_spin_image_that_differs(monkeypatch):
     _, rows = rep.tables["jw.csv"]
     assert len(rows) == 2
     assert all(row[2] <= 1e-10 and row[3] == "fail" for row in rows)
+    assert not rep.passed
+
+
+def test_validate_owns_the_auxiliary_basis_budget(monkeypatch):
+    """``auxiliary_basis`` returns its completion whatever its size; the
+    orbital structure check fails one that exceeds ``6R`` columns and
+    reaches the depth-``3R`` interior."""
+    monkeypatch.setattr(cli, "auxiliary_basis",
+                        lambda model, lam: np.eye(len(lam)))
+    cfg = merged_config({"lengths": [8], "ltqo": {"aklt_lengths": [4]}})
+    rep = cmd_validate(cfg, {})
+    _, rows = rep.tables["validate.csv"]
+    orbital = [row for row in rows if row[0] == "orbital"]
+    assert len(orbital) == 2
+    assert all(row[7] == 8 and row[8] == 1.0 and row[9] == "fail"
+               for row in orbital)
     assert not rep.passed
 
 

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import operator_algebra
-from gaplab.ffunction import FFunctionSpec, WeightSpec
+from gaplab.ffunction import FFunctionSpec, WeightSpec, regroup_decay
 from gaplab.interaction import (Interaction, Term, fermion_to_spin, from_json,
                                 hamiltonian_eigenvalues, local_hamiltonian,
                                 random_interaction, regroup_intervals,
@@ -44,13 +45,6 @@ def test_interaction_rejects_kind_mismatch():
     op = LocalOperator(np.eye(2), Interval(0, 0), Interval(0, 0), kind="fermion")
     with pytest.raises(ValueError):
         Interaction([Term(op)], kind="spin")
-
-
-def test_ball_keyed_requires_radii():
-    op = LocalOperator(np.eye(2), Interval(0, 0), Interval(0, 0))
-    with pytest.raises(ValueError):
-        Interaction([Term(op)], ball_keyed=True)
-    Interaction([Term(op, radius=0)], ball_keyed=True)
 
 
 def test_range_and_uniform_bound():
@@ -131,21 +125,6 @@ def test_hamiltonian_is_its_span_between_identities(dim_core, n_left, n_right,
     assert kernel_count(evals) == kernel_count(oracle)
 
 
-def test_hamiltonian_eigenvalues_of_a_weighted_sum():
-    """``(c, phi)`` parts give the spectrum of ``sum c H_phi`` on the union
-    of their spans, here a field term off the span of the chain."""
-    lam = Interval(0, 5)
-    ising = two_site_ising(Interval(1, 3))
-    field = Interaction([Term(LocalOperator(X, Interval(4, 4), lam))])
-    evals = hamiltonian_eigenvalues(((0.3, field), (1.0, ising)), lam)
-    whole = (0.3 * local_hamiltonian(field, lam).matrix
-             + local_hamiltonian(ising, lam).matrix)
-    np.testing.assert_allclose(evals, np.linalg.eigvalsh(whole), atol=1e-12)
-    # a later part is scaled in its own buffer: the same sum, bit for bit
-    swapped = hamiltonian_eigenvalues(((1.0, ising), (0.3, field)), lam)
-    assert swapped.tobytes() == evals.tobytes()
-
-
 def test_local_hamiltonian_restricts_to_volume():
     lam = Interval(0, 4)
     phi = two_site_ising(lam)
@@ -224,13 +203,14 @@ def test_regroup_merges_by_support():
 
 
 def test_regroup_carries_derived_decay():
+    """Normed against the decay function that regrouping carries from the
+    base, the regrouped interaction is no larger than the original."""
     lam = Interval(0, 3)
-    psi = random_interaction(lam, seed=3, decay=BASE)
+    psi = random_interaction(lam, seed=3)
     grouped = regroup_intervals(psi)
-    assert grouped.decay is not None
-    assert grouped.decay.kind == "regrouped"
-    # the regrouped norm (against its own decay) never exceeds the original
-    assert grouped.f_norm() <= psi.f_norm(BASE) + 1e-12
+    decay = regroup_decay(BASE)
+    assert decay.kind == "regrouped"
+    assert grouped.f_norm(decay) <= psi.f_norm(BASE) + 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -252,8 +232,8 @@ def test_regrouping_keeps_the_norm_of_a_support_with_one_term(monkeypatch):
     original terms' norms are known, the regrouped F-norm solves only the
     merged supports, and every regrouped norm is its matrix's norm."""
     lam = Interval(0, 5)
-    psi = random_interaction(lam, seed=4, n_terms=8, decay=BASE)
-    psi.f_norm()
+    psi = random_interaction(lam, seed=4, n_terms=8)
+    psi.f_norm(BASE)
     counts = Counter(t.support for t in psi.terms)
     merged = sum(1 for n in counts.values() if n > 1)
     assert 0 < merged < len(counts)
@@ -266,7 +246,7 @@ def test_regrouping_keeps_the_norm_of_a_support_with_one_term(monkeypatch):
 
     monkeypatch.setattr(operator_algebra, "operator_norm", counted)
     grouped = regroup_intervals(psi)
-    grouped.f_norm()
+    grouped.f_norm(regroup_decay(BASE))
     assert len(solved) == merged
     for t in grouped.terms:
         assert t.op.norm() == original(t.op.matrix)
@@ -286,14 +266,14 @@ def test_term_norms_are_computed_once(monkeypatch):
     for name in ("eigvalsh", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     lam = Interval(0, 5)
-    phi = random_interaction(lam, seed=4, n_terms=8, decay=BASE)
+    phi = random_interaction(lam, seed=4, n_terms=8)
     solves.clear()
-    first = phi.f_norm()
+    first = phi.f_norm(BASE)
     n_first = len(solves)
     assert n_first >= len(phi.terms)
-    assert phi.f_norm() == first
+    assert phi.f_norm(BASE) == first
     assert phi.uniform_bound == max(t.op.norm() for t in phi.terms)
-    split_edge_bulk(phi, lam, 1).bulk.f_norm()
+    split_edge_bulk(phi, lam, 1).bulk.f_norm(BASE)
     assert len(solves) == n_first
 
 
@@ -364,6 +344,21 @@ def test_json_round_trip():
     h0 = local_hamiltonian(phi, lam).matrix
     h1 = local_hamiltonian(back, lam).matrix
     np.testing.assert_allclose(h0, h1, atol=1e-14)
+
+
+def test_from_json_ignores_the_ball_keyed_key():
+    """Files written with a ``ball_keyed`` key still load: the key is
+    ignored, and the terms keep their anchors and radii."""
+    lam = Interval(0, 3)
+    op = LocalOperator(np.kron(Z, Z), Interval(1, 2), lam)
+    phi = Interaction([Term(op, anchor=1, radius=1)])
+    data = json.loads(to_json(phi))
+    assert "ball_keyed" not in data
+    data["ball_keyed"] = True
+    back = from_json(json.dumps(data))
+    assert [(t.support, t.anchor, t.radius) for t in back.terms] == \
+        [(Interval(1, 2), 1, 1)]
+    assert to_json(back) == to_json(phi)
 
 
 def test_anchored_and_grouped_views():

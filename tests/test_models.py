@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,23 @@ def test_auxiliary_basis_fully_covered_volume_is_empty():
     assert aux.shape == (8, 0)
 
 
+def test_auxiliary_basis_of_a_model_missing_an_interior_pair():
+    """The completion is returned whatever its budget: without the centre
+    pair it has four columns, two of them inside the depth-3R interior, and
+    ``gaplab validate``'s orbital structure check is what fails them."""
+    lam = Interval(1, 10)
+    model = paired_orbital_model(lam)
+    model = replace(model, f_orbitals=model.f_orbitals[:2]
+                    + model.f_orbitals[3:],
+                    g_orbitals=model.g_orbitals[:2] + model.g_orbitals[3:])
+    aux = auxiliary_basis(model, lam)
+    assert aux.shape == (10, 4)
+    np.testing.assert_allclose(aux.T @ aux, np.eye(4), atol=1e-12)
+    rows = [s - lam.a for s in interior(lam, 3 * model.R)]
+    # sites 6 and 7 lie wholly in the completion's span
+    assert np.sum(aux[rows, :] ** 2) == pytest.approx(2.0, abs=1e-12)
+
+
 def test_auxiliary_basis_rejects_tiny_volume():
     lam = Interval(0, 2)
     model = paired_orbital_model(Interval(0, 7))
@@ -171,7 +190,7 @@ def test_random_even_perturbation_norm_envelope():
     lam = Interval(0, 6)
     env = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
     pert = random_even_perturbation(lam, 2, env, seed=7)
-    assert pert.ball_keyed
+    assert {t.radius for t in pert.terms} == {1, 2}
     for t in pert.terms:
         n = t.radius
         expect = np.exp(-0.5 * n) / (1.0 + n) ** 4

@@ -347,38 +347,36 @@ def test_sp0_scan_matches_a_dense_recomputation():
         assert row["gamma"] == pytest.approx(sp1.min() - sp0.max(), abs=1e-12)
         assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
                                                 abs=1e-12)
+        if row["depth"] == 0 and row["eps"] != 0.0:
+            # depth 0 keeps every term, the end sites' included: the row is
+            # the whole-volume H0 + eps Psi, and its cluster splits
+            assert len(kept.terms) == len(pert.terms)
+            assert row["sp0_diam"] > 1e-6
 
 
 def test_sp0_scan_assembles_eta_once(monkeypatch):
-    """``eta``'s matrix on its span is assembled once; a perturbed row
-    assembles only its kept terms, on that span, and adds ``eta`` into their
-    buffer.  At depth 0 the kept terms reach the end sites, off ``eta``'s
-    span, and the row is solved by ``hamiltonian_eigenvalues`` instead."""
+    """``eta``'s matrix is assembled once per distinct hull of its span and
+    a row's kept terms; each perturbed row assembles only its kept terms, on
+    that hull.  At depth 0 the kept terms reach the end sites, off ``eta``'s
+    span, so the hull is the volume; deeper rows stay on ``eta``'s span."""
     lam = Interval(1, 8)
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
     assert eta.span == Interval(2, 7) and pert.span == lam
-    built, general = [], []
+    built = []
     real_build = spectra.local_hamiltonian
-    real_general = spectra.hamiltonian_eigenvalues
 
     def build(phi, where):
         built.append((list(map(id, phi.terms)) == list(map(id, eta.terms)),
                       where))
         return real_build(phi, where)
 
-    def solve_general(parts, where):
-        general.append(parts)
-        return real_general(parts, where)
-
     monkeypatch.setattr(spectra, "local_hamiltonian", build)
-    monkeypatch.setattr(spectra, "hamiltonian_eigenvalues", solve_general)
     sp0_diameter_scan(eta, pert, lam, (0.0, 0.02, 0.05), (0, 1, 2))
-    assert built[0] == (True, eta.span)
-    assert len(built) == 1 + 2 * 2
-    assert all(where == eta.span for _, where in built)
-    assert len(general) == 2
+    assert [where for is_eta, where in built if is_eta] == [eta.span, lam]
+    assert [where for is_eta, where in built if not is_eta] == \
+        [lam, eta.span, eta.span] * 2
 
 
 def test_sp0_scan_at_the_default_length_matches_the_whole_volume():

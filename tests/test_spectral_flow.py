@@ -810,7 +810,7 @@ def _complex_typed(phi):
     """The same terms with their matrices stored as complex."""
     return Interaction([Term(replace(t.op, matrix=t.op.matrix.astype(complex)),
                              t.anchor, t.radius) for t in phi.terms],
-                       phi.kind, phi.local_dim, ball_keyed=phi.ball_keyed)
+                       phi.kind, phi.local_dim)
 
 
 def test_decomposition_of_complex_typed_real_terms(bundle):
