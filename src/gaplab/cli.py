@@ -23,6 +23,7 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, orbital_spectrum, paired_orbital_model, \
     random_even_perturbation, validate_model
 from .operator_algebra import MAX_DENSE_DIM, join_blocks, kernel_count, \
-    operator_norm
+    operator_norm, parity_sectors, split_blocks
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, \
@@ -396,7 +397,15 @@ def _form_bound_checkpoints(n_check: int) -> list[int]:
 
 
 def flow_bundle(cfg: dict, ctx: dict) -> dict:
-    """The shared flow fixture: orbital chain + seeded bulk perturbation."""
+    """The shared flow fixture: orbital chain + seeded bulk perturbation.
+
+    It keeps only what ``flow``, ``bounds`` and ``constants_bundle`` read,
+    as block stacks on the flow's parity sectors: the flow without its
+    per-checkpoint unitaries and generators (its ``end_spectra`` carry the
+    generators at both ends), the decomposition at ``eps``, the form-bound
+    piece of the split at each form-bound coupling, the ball families and
+    the collected pieces with their norms.
+    """
     if "flow" in ctx:
         return ctx["flow"]
     fc = cfg["flow"]
@@ -404,29 +413,29 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     model, eta = _orbital(lam)
     pert = _perturbation(lam, fc["max_radius"], cfg["seeds"][0])
     psi = split_edge_bulk(pert, lam, fc["max_radius"]).bulk
-    h0 = local_hamiltonian(eta, lam)
     kdim, _ = kernel_data(model, lam)
     window = Window(cfg["gamma"], fc["window"])
-    flow = flow_unitaries(h0.matrix, local_hamiltonian(psi, lam).matrix,
+    flow = flow_unitaries(local_hamiltonian(eta, lam).matrix,
+                          local_hamiltonian(psi, lam).matrix,
                           fc["eps"], window, checkpoints=fc["checkpoints"],
                           cluster_dim=kdim, ode_tol=fc["ode_tol"])
-    p0 = flow.p0
-    # the form-bound couplings share one pass over the flow; the last is the
-    # decomposition at eps.  Each is split once, and only the one at eps is
-    # kept whole
-    n_check = len(flow.eps_grid) - 1
-    uptos = _form_bound_checkpoints(n_check)
+    # the form-bound couplings share one pass over the flow, after which
+    # its per-checkpoint stacks are dropped; the last is the decomposition
+    # at eps, the only one kept once split
+    uptos = _form_bound_checkpoints(len(flow.eps_grid) - 1)
     decs = decompose_phi1(flow, eta, psi, lam, uptos)
+    flow = replace(flow, unitaries=None, generators=None)
+    splits = {upto: split_phi1(d, flow.p0) for upto, d in zip(uptos, decs)}
     dec = decs[-1]
-    splits = {upto: split_phi1(d, p0) for upto, d in zip(uptos, decs)}
+    del decs
     # ball resolutions two sites inside, collected pieces where r_x >= 3
-    families = {x: resolution_family(eta, lam, x, p0)
+    families = {x: resolution_family(eta, lam, x, flow.p0, flow.sectors)
                 for x in interior(lam, 2)}
     thetas = {x: theta_assembly(dec, family)
               for x, family in families.items() if family.r_x >= 3}
-    ctx["flow"] = {"lam": lam, "eta": eta, "psi": psi, "h0": h0,
-                   "window": window, "flow": flow, "p0": p0, "dec": dec,
-                   "splits": splits, "families": families, "thetas": thetas}
+    ctx["flow"] = {"lam": lam, "eta": eta, "psi": psi, "window": window,
+                   "flow": flow, "dec": dec, "splits": splits,
+                   "families": families, "thetas": thetas}
     return ctx["flow"]
 
 
@@ -676,7 +685,7 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
 def cmd_flow(cfg: dict, ctx: dict) -> Report:
     rep = Report("flow")
     fb = flow_bundle(cfg, ctx)
-    flow, dec, p0 = fb["flow"], fb["dec"], fb["p0"]
+    flow, dec = fb["flow"], fb["dec"]
     lam, window, families = fb["lam"], fb["window"], fb["families"]
     agreement_budget = 1e-6          # filter against time-quadrature K
     identity_budget = 1e-10          # collected pieces: diagonal identity
@@ -702,9 +711,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     # the generator the flow ran at both ends against the time quadrature
     # on the same decomposition, block by block
     agree_worst = 0.0
-    for s, k_eig, (evals, evecs) in zip(
-            (0.0, flow.eps), (flow.generators[0], flow.generators[-1]),
-            flow.end_spectra):
+    for s, (evals, evecs, k_eig) in zip((0.0, flow.eps), flow.end_spectra):
         k_time = time_quadrature_generator(evals, evecs, flow.psi, window)
         diff = operator_norm(k_eig - k_time)
         agree_worst = max(agree_worst, diff)
@@ -717,7 +724,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     # its generators ran
     resid = max(filter_identity_residual(
         window, np.linspace(0.0, width, 401))
-        for width in {float(np.ptp(evals)) for evals, _ in flow.end_spectra})
+        for width in {float(np.ptp(evals)) for evals, _, _ in flow.end_spectra})
     rep.check("weight reproduced by the time quadrature",
               record("filter_identity_residual", resid, 1e-6),
               f"residual {resid:.2e}")
@@ -744,9 +751,9 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     for x, th in fb["thetas"].items():
         ident_worst = max(ident_worst, th.identity_error)
         annih_worst = max(annih_worst, th.annihilation_error)
-        for n in sorted(th.theta_beta):
-            theta_rows.append((x, n, operator_norm(th.theta_beta[n])))
-        theta_rows.append((x, th.r_x + 1, operator_norm(th.theta_alpha)))
+        for n in sorted(th.beta_norms):
+            theta_rows.append((x, n, th.beta_norms[n]))
+        theta_rows.append((x, th.r_x + 1, th.alpha_norm))
         record(f"theta_identity_x{x}", th.identity_error, identity_budget)
         record(f"theta_annihilation_x{x}", th.annihilation_error,
                annihilation_budget)
@@ -761,13 +768,14 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     # resolution families: completeness, partial sums, annihilation
     res_rows = []
     res_worst = 0.0
-    eye = np.eye(p0.shape[0])
+    eye = np.eye(flow.p0.shape[-1])
     for x, family in families.items():
-        total = operator_norm(sum(family.E) - eye)
+        resolution = family.E
+        total = operator_norm(sum(resolution) - eye)
         res_worst = max(res_worst, total)
         res_rows.append((x, "sum_to_identity", total))
         partial = 0.0
-        for k, e_k in enumerate(family.E[:-2], start=1):
+        for k, e_k in enumerate(resolution[:-2], start=1):
             partial = partial + e_k
             q_k = eye - family.locals[k - 1]
             dev = operator_norm(partial - q_k)
@@ -866,9 +874,11 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     delta_v, beta_v, alpha_v = volume_form_constants(bc, psi_fnorm)
     fb_rows = []
     violations = 0
+    h0 = join_blocks(flow.h0, flow.sectors)
     h0_vecs = join_blocks(flow.end_spectra[0][1], flow.sectors)
     for upto, split in fb["splits"].items():
-        fr = verify_form_bound(fb["h0"].matrix, h0_vecs, split.phi2,
+        fr = verify_form_bound(h0, h0_vecs,
+                               join_blocks(split.phi2, flow.sectors),
                                delta_v, beta_v, float(flow.eps_grid[upto]),
                                n_vectors=1000, seed=cfg["seeds"][0])
         violations += fr.violations
@@ -888,10 +898,9 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     kappa_rows = []
     for x, th in fb["thetas"].items():
         # the alpha part is listed as n = -1 and bounded at n = r_x
-        pieces = [(n, n, th.theta_beta[n]) for n in sorted(th.theta_beta)]
-        for label, n, piece in pieces + [(-1, th.r_x, th.theta_alpha)]:
+        pieces = [(n, n, th.beta_norms[n]) for n in sorted(th.beta_norms)]
+        for label, n, norm in pieces + [(-1, th.r_x, th.alpha_norm)]:
             bound = kappa_bound(bc, n, flow.eps, phi_fnorm=psi_fnorm)
-            norm = operator_norm(piece)
             kappa_rows.append((x, label, norm, bound,
                                "ok" if norm <= bound else "fail"))
     rep.check("collected-piece norms below their certified bounds",
@@ -986,8 +995,10 @@ def sweep_bundle(cfg: dict, ctx: dict) -> dict:
     """The shared gap sweep: ``{length: gap_curve(...)}`` on the sweep grid.
 
     The volumes are those ``constants_bundle`` built; each one's matrices
-    are built and dropped inside the loop, and only the spectrum splits are
-    kept, for ``gapsweep`` and ``highergaps`` alike.
+    are built inside the loop, one at a time: ``H0`` is split on its parity
+    blocks and dropped before ``Psi`` is assembled and split on the same
+    blocks.  Only the spectrum splits are kept, for ``gapsweep`` and
+    ``highergaps`` alike.
     """
     if "sweep" in ctx:
         return ctx["sweep"]
@@ -996,8 +1007,14 @@ def sweep_bundle(cfg: dict, ctx: dict) -> dict:
     sweep = {}
     for length, (lam, model, eta, pert) in cb["volumes"].items():
         kdim, _ = kernel_data(model, lam)
-        sweep[length] = gap_curve(local_hamiltonian(eta, lam).matrix,
-                                  local_hamiltonian(pert, lam).matrix, grid,
+        h0 = local_hamiltonian(eta, lam).matrix
+        sectors = parity_sectors(h0)
+        h0 = split_blocks(h0, sectors)
+        psi = local_hamiltonian(pert, lam).matrix
+        if len(parity_sectors(psi)) < len(sectors):
+            raise RuntimeError(f"the perturbation on {lam} breaks the parity "
+                               "blocks of H0")
+        sweep[length] = gap_curve(h0, split_blocks(psi, sectors), grid,
                                   cluster_dim=kdim)
     ctx["sweep"] = sweep
     return sweep

@@ -71,10 +71,6 @@ class Interaction:
         return Interval(min(t.support.a for t in self.terms),
                         max(t.support.b for t in self.terms))
 
-    @property
-    def uniform_bound(self) -> float:
-        return max((t.op.norm() for t in self.terms), default=0.0)
-
     def anchored(self) -> dict:
         """Terms grouped by anchor site."""
         out: dict[int, list[Term]] = {}

@@ -55,29 +55,24 @@ def operator_norm(m) -> float:
     keeps ``G`` clear of underflow and overflow.  ``G`` keeps the parity
     blocks of ``m``, and ``sigma_max`` keeps a relative accuracy of order
     ``n u``, the order of an SVD's.  A stack (k, b, b) of diagonal blocks,
-    as ``split_blocks`` makes it, stands for its block-diagonal matrix:
-    exactly Hermitian blocks give the largest ``|eigenvalue|`` of the
-    stack, any others the largest norm of a block.
+    as ``split_blocks`` makes it, stands for its block-diagonal matrix and
+    takes the same steps block by block: exactly Hermitian blocks give the
+    largest ``|eigenvalue|`` of the stack, any others the stack of their
+    Gram matrices, which ``eigenvalues`` solves once when its two blocks
+    are equal.
     """
     m = np.asarray(m)
-    if m.ndim == 3 and all(map(_exactly_hermitian, m)):
-        return float(np.max(np.abs(eigenvalues(m))))
-    if m.ndim == 3:
-        return max(map(_matrix_norm, m))
-    return _matrix_norm(m)
-
-
-def _matrix_norm(m: np.ndarray) -> float:
-    """``operator_norm`` of one matrix."""
-    if m.size and _exactly_hermitian(m):
+    hermitian = all(map(_exactly_hermitian, m)) if m.ndim == 3 \
+        else _exactly_hermitian(m)
+    if m.size and hermitian:
         return float(np.max(np.abs(eigenvalues(m))))
     top = float(np.max(np.abs(m), initial=0.0))
     if top == 0.0:
         return 0.0
     scale = np.ldexp(1.0, np.frexp(top)[1])
     a = m / scale
-    a_h = a.conj().T
-    gram = a_h @ a if a.shape[0] >= a.shape[1] else a @ a_h
+    a_h = a.conj().swapaxes(-1, -2)
+    gram = a_h @ a if a.shape[-2] >= a.shape[-1] else a @ a_h
     return float(scale * np.sqrt(max(eigenvalues(gram)[-1], 0.0)))
 
 

@@ -85,15 +85,17 @@ def gap_curve(h0, psi, eps_grid, cluster_dim: int | None = None,
     ``|step| * |psi| < (gamma_left + gamma_right)/2``; failing pairs are
     bisected up to ``max_depth`` halvings.
 
-    ``h0`` and ``psi`` are split once on their shared ``parity_sectors``;
+    ``h0`` and ``psi`` are split once on their shared ``parity_sectors``,
+    unless they come as block stacks (k, b, b) split on one set of sectors;
     ``|psi|`` and the spectrum at coupling zero are read from the blocks, and
     every other coupling solves ``b0 + eps bp`` one block at a time, once
     when both pairs of blocks are equal, so each ``eigvalsh`` sees the block
     ``eigenvalues(h0 + eps psi)`` would solve.
     """
-    m0, mp = as_matrix(h0), as_matrix(psi)
-    sectors = parity_sectors(m0, mp)
-    b0, bp = split_blocks(m0, sectors), split_blocks(mp, sectors)
+    b0, bp = as_matrix(h0), as_matrix(psi)
+    if b0.ndim == 2:
+        sectors = parity_sectors(b0, bp)
+        b0, bp = split_blocks(b0, sectors), split_blocks(bp, sectors)
     psi_norm = operator_norm(bp)
     ev0 = eigenvalues(b0)
     # blocks equal in h0 and in psi are equal at every coupling
@@ -141,23 +143,35 @@ def cluster_projector(h, dim: int) -> np.ndarray:
 
 @dataclass
 class ProjectorFamily:
-    """Kernel projectors of the balls around a site, with the resolution they induce."""
+    """Kernel projectors of the balls around a site, with the resolution they
+    induce, as block stacks on the sectors ``resolution_family`` was given."""
 
     lam: Interval
     x: int
     P: np.ndarray                 # full-volume kernel projector
     locals: list[np.ndarray]      # P_{b(x,1)} .. P_{b(x,r_x)}, embedded
-    E: list[np.ndarray]           # E_1 .. E_{r_x+2}
 
     @property
     def r_x(self) -> int:
         return len(self.locals)
 
+    @property
+    def E(self) -> list[np.ndarray]:
+        """E_1 .. E_{r_x+2}: ``1 - P_{b(x,1)}``, the differences of
+        consecutive ball projectors, ``P_{b(x,r_x)} - P`` and ``P``,
+        formed when read."""
+        eye = np.eye(self.P.shape[-1])
+        chain = [eye, *self.locals, self.P]
+        return [a - b for a, b in zip(chain, chain[1:])] + [self.P]
+
 
 def resolution_family(eta: Interaction, lam: Interval, x: int,
-                      P: np.ndarray) -> ProjectorFamily:
+                      P: np.ndarray, sectors) -> ProjectorFamily:
     """Ball kernel projectors around ``x``, and the resolution they telescope
-    to ``P``, the kernel projector of the whole volume."""
+    to ``P``, the kernel projector of the whole volume as a block stack on
+    ``sectors``.  Each ball projector is embedded in ``lam`` and split on
+    them: it commutes with a parity-even ``eta``, so what lies between the
+    sectors is the rounding its kernel basis leaves, and is dropped."""
     inner = interior(lam, 2)
     if inner is None or x not in inner:
         raise ValueError(f"site {x} not two sites deep inside {lam}")
@@ -167,14 +181,9 @@ def resolution_family(eta: Interaction, lam: Interval, x: int,
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)
         pb = ground_projector(local_hamiltonian(eta.restricted(b), b))
-        locals_.append(embed(LocalOperator(pb, b, lam, "spin", d), lam).matrix)
-    dim = P.shape[0]
-    E = [np.eye(dim) - locals_[0]]
-    for n in range(2, r_x + 1):
-        E.append(locals_[n - 2] - locals_[n - 1])
-    E.append(locals_[r_x - 1] - P)
-    E.append(P)
-    return ProjectorFamily(lam, x, P, locals_, E)
+        locals_.append(split_blocks(
+            embed(LocalOperator(pb, b, lam, "spin", d), lam).matrix, sectors))
+    return ProjectorFamily(lam, x, P, locals_)
 
 
 def sigma_projection(members: list, sigma: dict) -> np.ndarray:
@@ -182,7 +191,7 @@ def sigma_projection(members: list, sigma: dict) -> np.ndarray:
 
     ``members`` holds ``(x, ball, P_embedded)`` triples with pairwise disjoint
     balls; overlapping balls break commutativity of the factors and are
-    rejected.
+    rejected.  The projectors may be matrices or block stacks alike.
     """
     for i, (_, b1, _) in enumerate(members):
         for _, b2, _ in members[i + 1:]:
@@ -190,8 +199,7 @@ def sigma_projection(members: list, sigma: dict) -> np.ndarray:
                 raise ValueError(f"balls {b1} and {b2} overlap; not a partition")
     out = None
     for x, _, p in members:
-        dim = p.shape[0]
-        q = np.eye(dim) - p
+        q = np.eye(p.shape[-1]) - p
         factor = q if sigma[x] else p
         out = factor if out is None else out @ factor
     return out

@@ -29,9 +29,11 @@ side when both keep fermion parity exactly, and one block holding the whole
 matrix otherwise, through the same code.  ``K`` and ``U`` keep the blocks,
 so solves, products, polar steps and norms are taken block by block.  The
 polar step is a Newton-Schulz product and each norm a values-only
-eigensolve (``operator_norm``), so the flow makes no SVD.  The
-stack is the one format of the flow's state, which ``FlowResult`` hands on
-whole but for ``p0``; the anchored decomposition splits only its terms.
+eigensolve (``operator_norm``), so the flow makes no SVD.  The stack is the
+one format of the flow's state and of everything built on it: the anchored
+decomposition, its interior split, the ball resolutions and the collected
+pieces.  Only the ball telescope joins a piece, since a partial trace needs
+the whole matrix.
 
 An equivalent time-averaged form is kept for cross-validation:
 
@@ -269,22 +271,28 @@ def _projector(vecs) -> np.ndarray:
 
 @dataclass
 class FlowResult:
-    """Block stacks ``(k, b, b)`` on ``sectors``, but for the whole ``p0``."""
+    """Block stacks ``(k, b, b)`` on ``sectors``.
+
+    ``unitaries`` and ``generators`` hold one stack per checkpoint, which
+    only ``decompose_phi1`` reads; a holder that has decomposed the flow
+    may drop them (``None``).  The generators at both ends travel with
+    ``end_spectra``.
+    """
 
     window: Window
     eps_grid: np.ndarray                 # checkpoint couplings, uniform, odd count
     sectors: list[np.ndarray]            # parity_sectors(H0, Psi)
     h0: np.ndarray                       # H0, as a block stack
     psi: np.ndarray                      # Psi, as a block stack
-    unitaries: list[np.ndarray]          # U(eps_j)
-    generators: list[np.ndarray]         # K(eps_j) = i D(eps_j), in the
+    unitaries: list[np.ndarray] | None   # U(eps_j)
+    generators: list[np.ndarray] | None  # K(eps_j) = i D(eps_j), in the
                                          # field of H0 and Psi
     gap_floor: float                     # smallest tracked gap met on the grid
     projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
     ode_error: float                     # Richardson estimate from step halving
-    p0: np.ndarray                       # P(0): the tracked cluster of H0, whole
-    end_spectra: tuple                   # (evals, evecs) stacks of H(0) and
-                                         # H(eps), behind generators[0], [-1]
+    p0: np.ndarray                       # P(0): the tracked cluster of H0
+    end_spectra: tuple                   # (evals, evecs, K) stacks of H(0)
+                                         # and H(eps) and their generators
 
     @property
     def eps(self) -> float:
@@ -316,7 +324,7 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     block when either mixes parity): every solve, product, polar step and
     norm is taken block by block (a norm as the largest over blocks), the
     tracked gap and cluster come from the merged block spectra, and the
-    result keeps the stacks; only ``p0`` is joined.
+    result keeps the stacks, ``p0`` too.
     """
     m0, mp = as_matrix(h0), as_matrix(psi)
     if checkpoints % 2 == 0:
@@ -345,7 +353,7 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
             if key in checkpoint_keys:
                 tracked[key] = _cluster(evals, evecs, cluster_dim)
             if key in end_keys:
-                ends[key] = (evals, evecs)
+                ends[key] = (evals, evecs, gen_cache[key])
         return gen_cache[key]
 
     def advance(u, j, substeps):
@@ -398,8 +406,7 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     drift = max(operator_norm(u @ p0 @ u.conj().swapaxes(-1, -2)
                               - _projector(v)) for u, v in zip(prev, vecs))
     return FlowResult(window, grid, sectors, b0, bp, prev,
-                      [gen(s) for s in grid], gap_floor, drift, err,
-                      join_blocks(p0, sectors),
+                      [gen(s) for s in grid], gap_floor, drift, err, p0,
                       tuple(ends[key] for key in end_keys))
 
 
@@ -409,10 +416,14 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
 
 @dataclass
 class Phi1Decomposition:
+    """Anchored pieces of the transported coupling, block stacks on
+    ``sectors`` (those of the flow)."""
+
     lam: Interval
     eps: float
-    anchors: dict                        # x -> block-diagonal v_x (ndarray)
-    v_true: np.ndarray
+    sectors: list[np.ndarray]
+    anchors: dict                        # x -> block-diagonal v_x (stack)
+    v_true: np.ndarray                   # V(eps) (stack)
     quadrature_residual: float           # |V_true - sum_x v_x| before correction
     cross_residual: float                # |P rho Q + Q rho P| routed to the edge
     max_kernel_commutator: float         # max_x |[P, v_x]| over all anchors
@@ -421,11 +432,12 @@ class Phi1Decomposition:
     @cached_property
     def ball_terms(self) -> Interaction:
         """Phi^1(b_x(n)) terms, keyed by ball (anchor ``x``, radius ``n``),
-        built when first read."""
+        built when first read; each piece is joined here, for its partial
+        traces."""
         terms = []
         for x, piece in self.anchors.items():
-            op = LocalOperator(piece, self.lam, self.lam, kind="spin",
-                               local_dim=self.local_dim)
+            op = LocalOperator(join_blocks(piece, self.sectors), self.lam,
+                               self.lam, kind="spin", local_dim=self.local_dim)
             _, big_r = boundary_distances(self.lam, x)
             terms.append(Term(conditional_expectation(op,
                                                       ball(self.lam, x, 1)),
@@ -440,6 +452,12 @@ def _simpson_weights(n_points: int, h: float) -> np.ndarray:
     w = np.ones(n_points)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     return w * (h / 3.0)
+
+
+def _trace(a) -> float:
+    """Real part of the trace of a matrix, or of the block-diagonal matrix
+    a stack stands for."""
+    return float(np.trace(a, axis1=-2, axis2=-1).sum().real)
 
 
 def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
@@ -462,10 +480,12 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     ``uptos`` lists checkpoint indices (even, so the composite rule closes)
     at which the integral stops, default the last; one decomposition per
     index is returned, in that order.  The integrand is evaluated once per
-    checkpoint up to the largest index, and the Simpson sum at each index is
-    kept as it passes.  All of it runs on the flow's block stacks; the
-    anchored terms are split on its sectors (``ValueError`` if they break
-    them), and only ``v_x`` and ``V_true`` are joined.
+    checkpoint up to the largest index, and the decomposition at each index
+    is made from the Simpson sum there as the pass reaches it.  All of it
+    runs on the flow's block stacks: each
+    anchored matrix is split on its sectors as it is assembled
+    (``ValueError`` if it breaks them), and the decompositions keep the
+    stacks.
     """
     last_index = len(flow.eps_grid) - 1
     uptos = [last_index] if uptos is None else [int(u) for u in uptos]
@@ -480,27 +500,52 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     eta_anchored = eta.anchored()
     psi_anchored = psi.anchored()
     anchors = sorted(set(eta_anchored) | set(psi_anchored))
-
-    def anchor_matrix(phi, groups, x):
-        return local_hamiltonian(replace(phi, terms=groups.get(x, [])),
-                                 lam).matrix
-
-    eta_x = {x: anchor_matrix(eta, eta_anchored, x) for x in anchors}
-    psi_x = {x: anchor_matrix(psi, psi_anchored, x) for x in anchors}
     sectors = flow.sectors
-    if len(parity_sectors(*eta_x.values(), *psi_x.values())) < len(sectors):
-        raise ValueError("anchored terms break the parity blocks of the flow")
-    eta_x = {x: split_blocks(m, sectors) for x, m in eta_x.items()}
-    psi_x = {x: split_blocks(m, sectors) for x, m in psi_x.items()}
-    b0, bp, p = flow.h0, flow.psi, split_blocks(flow.p0, sectors)
+
+    def anchor_blocks(phi, groups, x):
+        m = local_hamiltonian(replace(phi, terms=groups.get(x, [])),
+                              lam).matrix
+        if len(parity_sectors(m)) < len(sectors):
+            raise ValueError(
+                "anchored terms break the parity blocks of the flow")
+        return split_blocks(m, sectors)
+
+    eta_x = {x: anchor_blocks(eta, eta_anchored, x) for x in anchors}
+    psi_x = {x: anchor_blocks(psi, psi_anchored, x) for x in anchors}
+    b0, bp, p = flow.h0, flow.psi, flow.p0
     q = np.eye(p.shape[-1]) - p
 
+    def blockdiag(a):
+        return p @ a @ p + q @ a @ q
+
+    def decomposition(upto, u_end, sums):
+        """The decomposition at checkpoint ``upto`` from the Simpson sums
+        there."""
+        eps_at = float(grid[upto])
+        v_true = u_end.conj().swapaxes(-1, -2) @ (b0 + eps_at * bp) @ u_end \
+            - b0
+        v_tilde = {x: blockdiag(sums[x]) for x in anchors}
+        rho = v_true - sum(v_tilde.values())
+        quad_res = operator_norm(rho)
+        rho_diag = blockdiag(rho)
+        rho_cross = rho - rho_diag
+        for x in anchors:
+            v_tilde[x] = v_tilde[x] + rho_diag / len(anchors)
+        edge = min(anchors)
+        v_tilde[edge] = v_tilde[edge] + rho_cross
+        max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
+                       for x in anchors)
+        return Phi1Decomposition(lam, eps_at, sectors, v_tilde, v_true,
+                                 quad_res, operator_norm(rho_cross), max_comm,
+                                 eta.local_dim)
+
     # the Simpson sum up to each requested index: the running sum of the
-    # rule on the whole grid, plus the end-point weight at that index
+    # rule on the whole grid, plus the end-point weight at that index; the
+    # decomposition there is made as the pass reaches it
     weights = _simpson_weights(len(grid), grid[1] - grid[0])
     stops = set(uptos)
     v = dict.fromkeys(anchors, 0.0)
-    sums = {}
+    decs = {}
     for j, (s, u, k_s) in enumerate(zip(grid, flow.unitaries,
                                         flow.generators)):
         u_h = u.conj().swapaxes(-1, -2)
@@ -513,66 +558,42 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
                 closing[x] = v[x] + weights[0] * f
             v[x] = v[x] + weights[j] * f
         if closing:
-            sums[j] = closing
-
-    def blockdiag(a):
-        return p @ a @ p + q @ a @ q
-
-    def decomposition(upto):
-        u_end = flow.unitaries[upto]
-        eps_at = float(grid[upto])
-        v_true = u_end.conj().swapaxes(-1, -2) @ (b0 + eps_at * bp) @ u_end \
-            - b0
-        v_tilde = {x: blockdiag(sums[upto][x]) for x in anchors}
-        rho = v_true - sum(v_tilde.values())
-        quad_res = operator_norm(rho)
-        rho_diag = blockdiag(rho)
-        rho_cross = rho - rho_diag
-        for x in anchors:
-            v_tilde[x] = v_tilde[x] + rho_diag / len(anchors)
-        edge = min(anchors)
-        v_tilde[edge] = v_tilde[edge] + rho_cross
-        max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
-                       for x in anchors)
-        return Phi1Decomposition(
-            lam, eps_at, {x: join_blocks(v_tilde[x], sectors) for x in anchors},
-            join_blocks(v_true, sectors), quad_res, operator_norm(rho_cross),
-            max_comm, eta.local_dim)
-
-    return [decomposition(upto) for upto in uptos]
+            decs[j] = decomposition(j, u, closing)
+    return [decs[upto] for upto in uptos]
 
 
 @dataclass
 class Phi1Split:
-    """Interior/boundary split of the transported coupling."""
+    """What is read of the interior/boundary split of the transported
+    coupling: ``phi2 = Q (phi_tilde - omega) Q`` as a block stack, with
+    ``phi_tilde`` the sum of the interior anchored pieces, and the residual
+    of ``phi2 + phi3 + omega + remainder = V(eps)``, where
+    ``phi3 = P (phi_tilde - omega) P`` and the remainder sums the
+    edge-anchored pieces."""
 
-    phi_tilde: np.ndarray      # sum of interior anchored pieces
-    phi2: np.ndarray           # Q (phi_tilde - omega) Q
-    phi3: np.ndarray           # P (phi_tilde - omega) P
-    remainder: np.ndarray      # edge-anchored pieces
+    phi2: np.ndarray
     omega_value: float
     reconstruction_error: float
 
 
 def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
-    lam = dec.lam
-    inner = interior(lam, 2)
-    dim = dec.v_true.shape[0]
-    phi_tilde = remainder = np.zeros((dim, dim))
+    """Split ``dec`` against the kernel projector ``p_kernel``, a stack on
+    the decomposition's sectors; ``omega = tr(P phi_tilde) / tr P``."""
+    inner = interior(dec.lam, 2)
+    phi_tilde = remainder = np.zeros(dec.v_true.shape)
     for x, vx in dec.anchors.items():
         if inner is not None and x in inner:
             phi_tilde = phi_tilde + vx
         else:
             remainder = remainder + vx
-    rank = np.trace(p_kernel).real
-    omega = float((np.trace(p_kernel @ phi_tilde) / rank).real)
-    q = np.eye(dim) - p_kernel
-    centered = phi_tilde - omega * np.eye(dim)
+    omega = _trace(p_kernel @ phi_tilde) / _trace(p_kernel)
+    eye = np.eye(p_kernel.shape[-1])
+    q = eye - p_kernel
+    centered = phi_tilde - omega * eye
     phi2 = q @ centered @ q
     phi3 = p_kernel @ centered @ p_kernel
-    recon = phi2 + phi3 + omega * np.eye(dim) + remainder - dec.v_true
-    return Phi1Split(phi_tilde, phi2, phi3, remainder, omega,
-                     operator_norm(recon))
+    recon = phi2 + phi3 + omega * eye + remainder - dec.v_true
+    return Phi1Split(phi2, omega, operator_norm(recon))
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +602,15 @@ def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
 
 @dataclass
 class ThetaAssembly:
+    """The collected pieces around ``x``, block stacks on the sectors of the
+    decomposition, and their norms."""
+
     x: int
     r_x: int
     theta_beta: dict            # n -> Theta_beta^x(n, eps), 3 <= n <= r_x
     theta_alpha: np.ndarray
+    beta_norms: dict            # n -> |Theta_beta^x(n, eps)|
+    alpha_norm: float           # |Theta_alpha|
     identity_error: float       # |Q Phi1_x0 Q - sum Theta_beta - Theta_alpha|
     annihilation_error: float   # max_n |P_{b(x,n)} Theta_beta(n)|
 
@@ -608,33 +634,36 @@ def theta_assembly(dec: Phi1Decomposition,
     ``k > floor(r_x/2)`` diagonal pieces and the ``nu(k)``—lands in
     ``Theta_alpha``.  Each ``Theta_beta(n)`` is annihilated by ``P_{b(x,n)}``
     on both sides, which the return value certifies.
+
+    ``family`` holds block stacks on the sectors of ``dec``; each ball term
+    is split on them, so every product and norm is taken block by block.
     """
     lam, x = family.lam, family.x
     r_x = family.r_x
     _, big_r = boundary_distances(lam, x)
-    dim = family.P.shape[0]
     p_full = family.P
-    q_full = np.eye(dim) - p_full
+    shape = p_full.shape
+    eye = np.eye(shape[-1])
+    q_full = eye - p_full
 
-    omega_state = p_full / np.trace(p_full).real
+    omega_state = p_full / _trace(p_full)
 
     balls = {n: family.locals[n - 1] for n in range(1, r_x + 1)}
-    qs = {n: np.eye(dim) - balls[n] for n in range(1, r_x + 1)}
-    e = {n + 1: family.E[n] for n in range(len(family.E))}   # E_1 .. E_{r_x+2}
+    qs = {n: eye - balls[n] for n in range(1, r_x + 1)}
+    e = {n + 1: e_n for n, e_n in enumerate(family.E)}   # E_1 .. E_{r_x+2}
 
-    ball_term = {t.radius: embed(t.op, lam).matrix
+    ball_term = {t.radius: split_blocks(embed(t.op, lam).matrix, dec.sectors)
                  for t in dec.ball_terms.anchored().get(x, [])}
     phi1 = {}
     for k in range(1, big_r + 1):
         m = ball_term.get(k)
         if m is None:
-            m = np.zeros((dim, dim))
-        omega_k = float(np.trace(omega_state @ m).real)
-        phi1[k] = m - omega_k * np.eye(dim)
+            m = np.zeros(shape)
+        phi1[k] = m - _trace(omega_state @ m) * eye
 
     n_x = r_x // 2
-    theta_beta = {n: np.zeros((dim, dim)) for n in range(3, r_x + 1)}
-    theta_alpha = np.zeros((dim, dim))
+    theta_beta = {n: np.zeros(shape) for n in range(3, r_x + 1)}
+    theta_alpha = np.zeros(shape)
 
     for k in range(1, n_x + 1):
         tau = qs[2 * k] @ phi1[k] @ qs[2 * k]
@@ -662,4 +691,6 @@ def theta_assembly(dec: Phi1Decomposition,
     for n, tb in theta_beta.items():
         ann = max(ann, operator_norm(balls[n] @ tb),
                   operator_norm(tb @ balls[n]))
-    return ThetaAssembly(x, r_x, theta_beta, theta_alpha, id_err, ann)
+    return ThetaAssembly(x, r_x, theta_beta, theta_alpha,
+                         {n: operator_norm(tb) for n, tb in theta_beta.items()},
+                         operator_norm(theta_alpha), id_err, ann)

@@ -381,6 +381,10 @@ class FormBoundReport:
                 and self.violations == 0)
 
 
+# the form-bound samples are taken this many columns at a time
+_SAMPLE_COLUMNS = 128
+
+
 def verify_form_bound(h0, h0_vecs, phi2, delta: float, beta: float,
                       eps: float, n_vectors: int = 1000,
                       seed: int = 7) -> FormBoundReport:
@@ -390,21 +394,34 @@ def verify_form_bound(h0, h0_vecs, phi2, delta: float, beta: float,
     seeded sample of unit vectors, together with the eigenvectors of the
     unperturbed Hamiltonian (the columns of ``h0_vecs``), reports margins
     with an additive ``1e-10`` allowance.  Violations are counted, not raised.
+    The real and imaginary parts of the samples are drawn whole, and the
+    vectors are formed and their quadratic forms taken ``_SAMPLE_COLUMNS``
+    at a time.
     """
     h, p2 = as_matrix(h0), as_matrix(phi2)
     dim = h.shape[0]
     envelope = beta * eps * h + delta * eps * np.eye(dim)
     ev_plus = eigenvalues(envelope + p2)
     ev_minus = eigenvalues(envelope - p2)
+    del envelope
 
     rng = np.random.default_rng(seed)
-    vs = rng.standard_normal((dim, n_vectors)) \
-        + 1j * rng.standard_normal((dim, n_vectors))
-    vs /= np.linalg.norm(vs, axis=0)
-    vs = np.concatenate([vs, h0_vecs], axis=1)
-    quad_h = np.einsum("iv,iv->v", vs.conj(), h @ vs).real
-    quad_p = np.einsum("iv,iv->v", vs.conj(), p2 @ vs).real
-    margins = delta * eps + beta * eps * quad_h - np.abs(quad_p)
+    re = rng.standard_normal((dim, n_vectors))
+    im = rng.standard_normal((dim, n_vectors))
+
+    def vectors():
+        for lo in range(0, n_vectors, _SAMPLE_COLUMNS):
+            vs = re[:, lo:lo + _SAMPLE_COLUMNS] \
+                + 1j * im[:, lo:lo + _SAMPLE_COLUMNS]
+            yield vs / np.linalg.norm(vs, axis=0)
+        for lo in range(0, h0_vecs.shape[1], _SAMPLE_COLUMNS):
+            yield h0_vecs[:, lo:lo + _SAMPLE_COLUMNS].astype(complex)
+
+    margins = np.concatenate([
+        delta * eps + beta * eps * np.einsum("iv,iv->v", vs.conj(),
+                                             h @ vs).real
+        - np.abs(np.einsum("iv,iv->v", vs.conj(), p2 @ vs).real)
+        for vs in vectors()])
     return FormBoundReport(eps, delta, beta,
                            float(ev_plus[0]), float(ev_minus[0]),
                            float(margins.min()), int(np.sum(margins < -1e-10)))

@@ -1,10 +1,15 @@
 """Reference operators and predicates that the tests check the package against."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from gaplab.lattice import Interval
-from gaplab.operator_algebra import (LocalOperator, annihilator, operator_norm,
+from gaplab.interaction import local_hamiltonian
+from gaplab.lattice import Interval, ball, boundary_distances, interior
+from gaplab.operator_algebra import (LocalOperator, annihilator, embed,
+                                     join_blocks, operator_norm,
                                      parity_matrix)
+from gaplab.spectra import ground_projector
 
 
 def creator(lam: Interval, x: int) -> LocalOperator:
@@ -70,3 +75,95 @@ def even_pair(rng, side: int, complex_: bool):
     h0 = (h0 + h0.conj().T) / 2.0
     psi = parity_even(random_hermitian(rng, side, complex_))
     return h0, psi / np.linalg.norm(psi, 2)
+
+
+# --- whole-matrix forms of the flow's blocked constructions -------------------
+
+
+def one_block_flow(flow):
+    """The same flow with each of its block stacks joined into one block:
+    ``decompose_phi1`` then runs on whole matrices."""
+    def one(m):
+        return join_blocks(m, flow.sectors)[None]
+
+    return replace(flow, sectors=[np.arange(sum(map(len, flow.sectors)))],
+                   h0=one(flow.h0), psi=one(flow.psi), p0=one(flow.p0),
+                   unitaries=[one(u) for u in flow.unitaries],
+                   generators=[one(k) for k in flow.generators])
+
+
+def split_whole(anchors: dict, v_true, lam: Interval, p_kernel) -> dict:
+    """The interior/boundary split of whole anchored pieces against a whole
+    kernel projector: ``phi_tilde``, ``phi2``, ``phi3``, ``remainder``,
+    ``omega`` and the reconstruction residual."""
+    inner = interior(lam, 2)
+    dim = v_true.shape[0]
+    phi_tilde = remainder = np.zeros((dim, dim))
+    for x, vx in anchors.items():
+        if inner is not None and x in inner:
+            phi_tilde = phi_tilde + vx
+        else:
+            remainder = remainder + vx
+    omega = float((np.trace(p_kernel @ phi_tilde)
+                   / np.trace(p_kernel)).real)
+    q = np.eye(dim) - p_kernel
+    centered = phi_tilde - omega * np.eye(dim)
+    phi2 = q @ centered @ q
+    phi3 = p_kernel @ centered @ p_kernel
+    recon = phi2 + phi3 + omega * np.eye(dim) + remainder - v_true
+    return {"phi_tilde": phi_tilde, "phi2": phi2, "phi3": phi3,
+            "remainder": remainder, "omega": omega,
+            "reconstruction_error": operator_norm(recon)}
+
+
+def resolution_whole(eta, lam: Interval, x: int, p):
+    """The ball kernel projectors around ``x`` embedded whole in ``lam``, and
+    the resolution ``E_1 .. E_{r_x+2}`` they telescope to the whole ``p``."""
+    r_x, _ = boundary_distances(lam, x)
+    locals_ = []
+    for n in range(1, r_x + 1):
+        b = ball(lam, x, n)
+        pb = ground_projector(local_hamiltonian(eta.restricted(b), b))
+        locals_.append(embed(LocalOperator(pb, b, lam, "spin", eta.local_dim),
+                             lam).matrix)
+    eye = np.eye(p.shape[0])
+    e = [eye - locals_[0]]
+    e += [locals_[n - 2] - locals_[n - 1] for n in range(2, r_x + 1)]
+    return locals_, e + [locals_[-1] - p, p]
+
+
+def theta_whole(ball_terms, lam: Interval, x: int, p, locals_, e_list):
+    """``Theta_beta`` and ``Theta_alpha`` around ``x`` from whole matrices:
+    the ball terms of a decomposition, the whole kernel projector ``p`` and
+    the whole family ``locals_``, ``e_list`` of ``resolution_whole``."""
+    r_x = len(locals_)
+    _, big_r = boundary_distances(lam, x)
+    dim = p.shape[0]
+    eye = np.eye(dim)
+    q_full = eye - p
+    omega_state = p / np.trace(p).real
+    qs = {n: eye - locals_[n - 1] for n in range(1, r_x + 1)}
+    e = {n + 1: e_n for n, e_n in enumerate(e_list)}
+    ball_term = {t.radius: embed(t.op, lam).matrix
+                 for t in ball_terms.anchored().get(x, [])}
+    phi1 = {}
+    for k in range(1, big_r + 1):
+        m = ball_term.get(k, np.zeros((dim, dim)))
+        phi1[k] = m - float(np.trace(omega_state @ m).real) * eye
+    theta_beta = {n: np.zeros((dim, dim)) for n in range(3, r_x + 1)}
+    theta_alpha = np.zeros((dim, dim))
+    for k in range(1, r_x // 2 + 1):
+        tau = qs[2 * k] @ phi1[k] @ qs[2 * k]
+        if 2 * k == 2 and r_x < 3:
+            theta_alpha = theta_alpha + tau
+        else:
+            key = 3 if 2 * k == 2 else 2 * k
+            theta_beta[key] = theta_beta[key] + tau
+        for n in range(2 * k + 1, r_x + 1):
+            theta_beta[n] = theta_beta[n] + (e[n] @ phi1[k] @ qs[n - 1]
+                                             + qs[n] @ phi1[k] @ e[n])
+        theta_alpha = theta_alpha + e[r_x + 1] @ phi1[k] @ qs[r_x] \
+            + q_full @ phi1[k] @ e[r_x + 1]
+    for k in range(r_x // 2 + 1, big_r + 1):
+        theta_alpha = theta_alpha + q_full @ phi1[k] @ q_full
+    return theta_beta, theta_alpha

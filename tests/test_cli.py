@@ -414,6 +414,44 @@ def test_flow_checks_solve_no_matrix_again(monkeypatch):
     assert repeats == []
 
 
+def _reachable_arrays(value, seen: set):
+    """Every array buffer reachable from ``value`` through dicts, sequences
+    and object attributes, once each (a view yields its base)."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        base = value.base if isinstance(value.base, np.ndarray) else None
+        if base is None:
+            yield value
+        else:
+            yield from _reachable_arrays(base, seen)
+    elif isinstance(value, dict):
+        for item in [*value, *value.values()]:
+            yield from _reachable_arrays(item, seen)
+    elif isinstance(value, (list, tuple, set)):
+        for item in value:
+            yield from _reachable_arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        yield from _reachable_arrays(vars(value), seen)
+
+
+def test_flow_fixture_keeps_only_what_its_readers_read():
+    """On the default L = 8 chain (side 256) the flow fixture keeps
+    11.7 MiB of arrays; the bound sits just above it, so a fixture that
+    grows again fails here.  The flow's per-checkpoint stacks are dropped,
+    and every array it keeps is at most of side 128, a parity block, but
+    in the ball telescope, whose outermost layers a partial trace leaves
+    whole."""
+    fb = flow_bundle(merged_config(None), {})
+    assert fb["flow"].unitaries is None and fb["flow"].generators is None
+    kept = list(_reachable_arrays(fb, set()))
+    assert sum(a.nbytes for a in kept) <= 12 * 2 ** 20
+    telescope = {id(a) for a in _reachable_arrays(fb["dec"].ball_terms,
+                                                  set())}
+    assert max(a.shape[-1] for a in kept if id(a) not in telescope) == 128
+
+
 def test_cli_import_loads_no_sparse_module():
     """Hamiltonians are assembled dense, so importing the CLI loads no
     part of ``scipy.sparse``."""

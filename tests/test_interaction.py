@@ -47,11 +47,10 @@ def test_interaction_rejects_kind_mismatch():
         Interaction([Term(op)], kind="spin")
 
 
-def test_range_and_uniform_bound():
+def test_range():
     lam = Interval(0, 3)
     phi = two_site_ising(lam)
     assert phi.range == 1
-    assert phi.uniform_bound == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,7 +271,6 @@ def test_term_norms_are_computed_once(monkeypatch):
     n_first = len(solves)
     assert n_first >= len(phi.terms)
     assert phi.f_norm(BASE) == first
-    assert phi.uniform_bound == max(t.op.norm() for t in phi.terms)
     split_edge_bulk(phi, lam, 1).bulk.f_norm(BASE)
     assert len(solves) == n_first
 

@@ -10,7 +10,7 @@ from gaplab.lattice import Interval, ball, interior
 from gaplab.models import orbital_interaction, paired_orbital_model, \
     random_even_perturbation
 from gaplab.operator_algebra import LocalOperator, eigenvalues, \
-    kernel_count, operator_norm
+    kernel_count, operator_norm, parity_sectors, split_blocks
 from gaplab.spectra import (FrustrationError, RefinementError,
                             cluster_projector, diagonalize, gap_curve,
                             ground_projector, higher_gap_track,
@@ -119,7 +119,8 @@ def test_gap_curve_on_blocks_is_the_dense_oracle_bit_for_bit(kind, n, complex_,
     bit, with one parity scan in all, each ``eigvalsh`` on a block, and one
     solve per coupling when the blocks are equal (a parity-even pair that
     leaves the last site alone), or on a spin-1 side 3^n, which does not
-    split."""
+    split.  Fed the pair already split on its sectors, it scans nothing and
+    returns the same splits bit for bit."""
     rng = np.random.default_rng(seed)
     if kind == "spin1":
         side = 3 ** min(n, 4)
@@ -158,6 +159,15 @@ def test_gap_curve_on_blocks_is_the_dense_oracle_bit_for_bit(kind, n, complex_,
     for sp, e in zip(splits, grid):
         spectrum = np.concatenate((sp.sp0, sp.sp1))
         assert spectrum.tobytes() == eigenvalues(h0 + e * psi).tobytes()
+    sectors = real_scan(h0, psi)
+    stacks = split_blocks(h0, sectors), split_blocks(psi, sectors)
+    with patch.object(spectra, "parity_sectors", scan):
+        presplit = gap_curve(*stacks, grid)
+    assert len(scans) == 1
+    for sp, ref in zip(presplit, splits, strict=True):
+        assert sp.eps == ref.eps
+        assert sp.sp0.tobytes() == ref.sp0.tobytes()
+        assert sp.sp1.tobytes() == ref.sp1.tobytes()
 
 
 def test_cluster_projector():
@@ -172,22 +182,29 @@ def test_cluster_projector():
 
 
 def _volume_projector(eta, lam):
-    return ground_projector(local_hamiltonian(eta, lam))
+    """The kernel projector of the volume as a stack on its parity
+    sectors, and the sectors."""
+    h = local_hamiltonian(eta, lam).matrix
+    sectors = parity_sectors(h)
+    return split_blocks(ground_projector(h), sectors), sectors
 
 
 def test_resolution_family_identities():
     lam = Interval(0, 6)
     eta = ising(lam)
-    fam = resolution_family(eta, lam, 3, _volume_projector(eta, lam))
+    p, sectors = _volume_projector(eta, lam)
+    assert len(sectors) == 2
+    fam = resolution_family(eta, lam, 3, p, sectors)
     assert fam.r_x == 3
-    dim = fam.P.shape[0]
+    assert all(m.shape == (2, 64, 64) for m in fam.locals + fam.E)
+    eye = np.broadcast_to(np.eye(64), fam.P.shape)
     total = sum(fam.E)
-    np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
+    np.testing.assert_allclose(total, eye, atol=1e-10)
     # partial sums telescope to 1 - P_{b(x,n)}
     partial = np.zeros_like(fam.P)
     for n, e in enumerate(fam.E[:-2], start=1):
         partial = partial + e
-        np.testing.assert_allclose(partial, np.eye(dim) - fam.locals[n - 1],
+        np.testing.assert_allclose(partial, eye - fam.locals[n - 1],
                                    atol=1e-10)
         # annihilation: P_{b(x,n)} E_n = 0
         assert operator_norm(fam.locals[n - 1] @ e) <= 1e-10
@@ -199,11 +216,11 @@ def test_resolution_family_identities():
 def test_resolution_family_needs_interior_site():
     lam = Interval(0, 6)
     eta = ising(lam)
-    p = _volume_projector(eta, lam)
+    p, sectors = _volume_projector(eta, lam)
     with pytest.raises(ValueError):
-        resolution_family(eta, lam, 0, p)
+        resolution_family(eta, lam, 0, p, sectors)
     with pytest.raises(ValueError):
-        resolution_family(eta, lam, 6, p)
+        resolution_family(eta, lam, 6, p, sectors)
 
 
 def test_resolution_family_solves_only_its_balls(monkeypatch):
@@ -211,7 +228,7 @@ def test_resolution_family_solves_only_its_balls(monkeypatch):
     volume's side, one per ball (the widest is [0, 6] of [0, 7])."""
     lam = Interval(0, 7)
     eta = ising(lam)
-    p = _volume_projector(eta, lam)
+    p, sectors = _volume_projector(eta, lam)
     sides = []
     eigh = np.linalg.eigh
 
@@ -220,9 +237,9 @@ def test_resolution_family_solves_only_its_balls(monkeypatch):
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    fam = resolution_family(eta, lam, 3, p)
+    fam = resolution_family(eta, lam, 3, p, sectors)
     assert fam.P is p
-    assert p.shape[0] not in sides
+    assert 2 ** len(lam) not in sides
     assert len(sides) == fam.r_x
 
 

@@ -22,8 +22,9 @@ from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import (even_pair, parity_even, random_hermitian, random_matrix,
-                     svd_polar)
+from oracles import (even_pair, one_block_flow, parity_even, random_hermitian,
+                     random_matrix, resolution_whole, split_whole, svd_polar,
+                     theta_whole)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -291,7 +292,8 @@ def _assert_transports(flow, h0, psi, cluster_dim):
         u = join_blocks(u, flow.sectors)
         np.testing.assert_allclose(u @ u.conj().T, eye, rtol=0, atol=1e-12)
         vecs = np.linalg.eigh(h0 + s * psi)[1][:, :cluster_dim]
-        np.testing.assert_allclose(u @ flow.p0 @ u.conj().T,
+        np.testing.assert_allclose(u @ join_blocks(flow.p0, flow.sectors)
+                                   @ u.conj().T,
                                    vecs @ vecs.conj().T, rtol=0, atol=1e-8)
 
 
@@ -349,12 +351,12 @@ def test_flow_solves_h0_once(monkeypatch):
                           cluster_dim=1)
     h0_blocks = split_blocks(h0, sectors)
     assert sum(np.array_equal(h, h0_blocks) for h in solved) == 1
-    evals, evecs = flow.end_spectra[0]
+    evals, evecs, _ = flow.end_spectra[0]
     block, col = np.unravel_index(np.argmin(evals), evals.shape)
     v0 = evecs[block][:, [col]]
     p0 = np.zeros_like(evecs)
     p0[block] = v0 @ v0.conj().T
-    np.testing.assert_array_equal(flow.p0, join_blocks(p0, flow.sectors))
+    np.testing.assert_array_equal(flow.p0, p0)
 
 
 @settings(max_examples=12, deadline=None)
@@ -372,7 +374,9 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     pairs = [(join_blocks(a, blocked.sectors), join_blocks(b, whole.sectors))
              for a, b in zip(blocked.unitaries + blocked.generators,
                              whole.unitaries + whole.generators)]
-    for a, b in pairs + [(blocked.p0, whole.p0)]:
+    pairs.append((join_blocks(blocked.p0, blocked.sectors),
+                  join_blocks(whole.p0, whole.sectors)))
+    for a, b in pairs:
         assert a.dtype == b.dtype
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(parity_even(a), a)
@@ -445,7 +449,7 @@ def bundle():
     flow = flow_unitaries(h0.matrix, hp.matrix, 0.02, window,
                           checkpoints=9, cluster_dim=kdim)
     dec, = decompose_phi1(flow, eta, psi, lam)
-    return {"lam": lam, "eta": eta, "psi": psi, "flow": flow,
+    return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
             "p0": flow.p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix}
 
 
@@ -462,9 +466,9 @@ def test_generator_routes_agree_on_the_default_horizon(bundle):
         np.testing.assert_array_equal(mine, ref)
     np.testing.assert_array_equal(flow.psi, split_blocks(hp, sectors))
     w = Window(GAMMA)
-    ends = zip((0.0, flow.eps), (flow.generators[0], flow.generators[-1]),
-               flow.end_spectra)
-    for s, k_flow, (evals, evecs) in ends:
+    assert flow.end_spectra[0][2] is flow.generators[0]
+    assert flow.end_spectra[1][2] is flow.generators[-1]
+    for s, (evals, evecs, k_flow) in zip((0.0, flow.eps), flow.end_spectra):
         h = bundle["h0"] + s * hp
         block_evals, block_evecs = diagonalize(split_blocks(h, sectors))
         np.testing.assert_array_equal(evals, block_evals)
@@ -532,7 +536,7 @@ def test_real_flow_matches_the_complex_arithmetic_oracle(bundle):
     for u, u_ref in zip(flow.unitaries, oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
     _assert_transports(flow, bundle["h0"], bundle["hp"],
-                       int(round(np.trace(bundle["p0"]))))
+                       bundle["kdim"])
 
 
 def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
@@ -565,8 +569,12 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
     _assert_transports(flow, h0, psi, 2)
 
 
-def _held_bytes(value):
-    return sum(a.nbytes for a in _arrays(value))
+def _held_bytes(flow):
+    """Bytes of the distinct arrays the fields of ``flow`` hold (the end
+    generators are also checkpoint generators)."""
+    held = {id(a): a for f in fields(flow) for a in _arrays(getattr(flow,
+                                                                    f.name))}
+    return sum(a.nbytes for a in held.values())
 
 
 def test_default_flow_solves_each_coupling_once_in_little_more_than_its_result(
@@ -583,7 +591,7 @@ def test_default_flow_solves_each_coupling_once_in_little_more_than_its_result(
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
-    kdim = int(round(np.trace(bundle["p0"])))
+    kdim = bundle["kdim"]
     tracemalloc.start()
     try:
         flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
@@ -592,8 +600,7 @@ def test_default_flow_solves_each_coupling_once_in_little_more_than_its_result(
     finally:
         tracemalloc.stop()
     assert len(flow.eps_grid) == 33 and len(calls) == 129
-    held = sum(_held_bytes(getattr(flow, f.name)) for f in fields(flow))
-    assert peak <= 1.75 * held
+    assert peak <= 1.75 * _held_bytes(flow)
 
 
 def test_generator_and_filter_checks_work_in_small_phase_blocks(bundle):
@@ -607,14 +614,14 @@ def test_generator_and_filter_checks_work_in_small_phase_blocks(bundle):
     tracemalloc.start()
     try:
         generators = [time_quadrature_generator(evals, evecs, flow.psi, w)
-                      for evals, evecs in flow.end_spectra]
-        for evals, _ in flow.end_spectra:
+                      for evals, evecs, _ in flow.end_spectra]
+        for evals, _, _ in flow.end_spectra:
             filter_identity_residual(w, np.linspace(0.0, np.ptp(evals), 401))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 20
-    for k_time, (evals, evecs) in zip(generators, flow.end_spectra):
+    for k_time, (evals, evecs, _) in zip(generators, flow.end_spectra):
         ref = _time_quadrature_one_shot(evals, evecs, flow.psi, w)
         assert np.max(np.abs(k_time - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -633,7 +640,7 @@ def test_ball_telescopes_close(bundle):
     grouped = dec.ball_terms.anchored()
     for x, vx in dec.anchors.items():
         total = sum(embed(t.op, lam).matrix for t in grouped[x])
-        assert operator_norm(total - vx) <= 1e-10
+        assert operator_norm(total - join_blocks(vx, dec.sectors)) <= 1e-10
 
 
 def test_upto_argument_is_validated(bundle):
@@ -646,31 +653,28 @@ def test_upto_argument_is_validated(bundle):
                            bundle["lam"], uptos=[4, bad])
 
 
-def _as_one_block(flow):
-    """The same flow with each of its block stacks joined into one block."""
-    def one(m):
-        return join_blocks(m, flow.sectors)[None]
-
-    return replace(flow, sectors=[np.arange(flow.p0.shape[0])],
-                   h0=one(flow.h0), psi=one(flow.psi),
-                   unitaries=[one(u) for u in flow.unitaries],
-                   generators=[one(k) for k in flow.generators])
-
-
 def test_decomposition_on_parity_blocks_matches_one_block(bundle):
-    """On the flow's parity blocks the decomposition agrees with the same
-    decomposition of the same flow held as one block, and the decompositions
-    at several couplings from one pass are those of separate passes, bit for
-    bit."""
+    """On the flow's parity blocks the decomposition keeps block stacks on
+    the flow's sectors, which, joined, agree with the same decomposition of
+    the same flow held as one block of whole matrices, and the
+    decompositions at several couplings from one pass are those of separate
+    passes, bit for bit."""
     flow, lam = bundle["flow"], bundle["lam"]
     terms = (bundle["eta"], bundle["psi"], lam)
     blocked = decompose_phi1(flow, *terms, uptos=[4, 8])
-    whole = decompose_phi1(_as_one_block(flow), *terms, uptos=[4, 8])
+    whole = decompose_phi1(one_block_flow(flow), *terms, uptos=[4, 8])
     for dec, ref in zip(blocked, whole):
         assert dec.eps == ref.eps
-        np.testing.assert_allclose(dec.v_true, ref.v_true, rtol=0, atol=1e-12)
+        assert dec.sectors is flow.sectors and len(ref.sectors) == 1
+        assert dec.v_true.shape == (2, 128, 128)
+        np.testing.assert_allclose(join_blocks(dec.v_true, dec.sectors),
+                                   ref.v_true[0], rtol=0, atol=1e-12)
+        assert dec.anchors.keys() == ref.anchors.keys()
         for x, vx in dec.anchors.items():
-            np.testing.assert_allclose(vx, ref.anchors[x], rtol=0, atol=1e-12)
+            assert vx.shape == (2, 128, 128)
+            vx = join_blocks(vx, dec.sectors)
+            np.testing.assert_allclose(vx, ref.anchors[x][0], rtol=0,
+                                       atol=1e-12)
             np.testing.assert_array_equal(parity_even(vx), vx)
         for name in ("quadrature_residual", "cross_residual",
                      "max_kernel_commutator"):
@@ -700,7 +704,7 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
         return original_norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", norm)
-    kdim = int(round(np.trace(bundle["p0"])))
+    kdim = bundle["kdim"]
     flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
                           checkpoints=9, cluster_dim=kdim)
     decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
@@ -720,19 +724,17 @@ def _arrays(value):
 
 def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
         bundle, monkeypatch):
-    """On the L = 8 chain (side 256) the flow holds no array of side 256 but
-    ``p0``.  Its decomposition assembles no Hamiltonian of the whole volume,
-    only one matrix per anchor and interaction, and tests parity only on
-    those anchored matrices, never on a matrix of the flow."""
+    """On the L = 8 chain (side 256) the flow holds no array of side 256,
+    and neither do its decompositions.  The decomposition assembles no
+    Hamiltonian of the whole volume, only one matrix per anchor and
+    interaction, and tests parity on each of those anchored matrices alone,
+    never on a matrix of the flow."""
     flow, eta, psi = bundle["flow"], bundle["eta"], bundle["psi"]
     held = []
     for field in fields(flow):
         for a in _arrays(getattr(flow, field.name)):
-            if field.name == "p0":
-                assert a.shape == (256, 256)
-            else:
-                assert 256 not in a.shape, field.name
-                held.append(a)
+            assert 256 not in a.shape, field.name
+            held.append(a)
     assembled, tested = [], []
     original_assembly = spectral_flow.local_hamiltonian
     original_sectors = spectral_flow.parity_sectors
@@ -747,12 +749,16 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
 
     monkeypatch.setattr(spectral_flow, "local_hamiltonian", assembly)
     monkeypatch.setattr(spectral_flow, "parity_sectors", sectors)
-    decompose_phi1(flow, eta, psi, bundle["lam"])
+    dec, = decompose_phi1(flow, eta, psi, bundle["lam"])
     anchors = set(eta.anchored()) | set(psi.anchored())
     assert len(assembled) == 2 * len(anchors)
     assert all(len(group) <= 1 for group in assembled)
-    assert len(tested) == 1 and len(tested[0]) == 2 * len(anchors)
-    assert not any(m is a for m in tested[0] for a in held + [flow.p0])
+    assert len(tested) == 2 * len(anchors)
+    assert all(len(mats) == 1 and mats[0].shape == (256, 256)
+               for mats in tested)
+    assert not any(m is a for mats in tested for m in mats for a in held)
+    for a in [dec.v_true, *dec.anchors.values()]:
+        assert a.shape == (2, 128, 128)
 
 
 def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
@@ -795,15 +801,47 @@ def test_ball_telescope_is_built_once_when_read(bundle, monkeypatch):
     assert len(calls) == len(terms.terms) == len(anchors) + layers
 
 
+def _whole_split(dec, p0):
+    """``split_whole`` of a blocked decomposition, its stacks joined."""
+    def whole(m):
+        return join_blocks(m, dec.sectors)
+
+    return split_whole({x: whole(v) for x, v in dec.anchors.items()},
+                       whole(dec.v_true), dec.lam, whole(p0))
+
+
 def test_split_separates_blocks(bundle):
     dec, p0 = bundle["dec"], bundle["p0"]
     split = split_phi1(dec, p0)
+    assert split.phi2.shape == (2, 128, 128)
     assert split.reconstruction_error <= 1e-10
     assert operator_norm(p0 @ split.phi2) <= 1e-12
     assert operator_norm(split.phi2 @ p0) <= 1e-12
-    q = np.eye(p0.shape[0]) - p0
-    assert operator_norm(q @ split.phi3) <= 1e-12
+    p = join_blocks(p0, dec.sectors)
+    q = np.eye(p.shape[0]) - p
+    assert operator_norm(q @ _whole_split(dec, p0)["phi3"]) <= 1e-12
     assert isinstance(split.omega_value, float)
+
+
+def test_blocked_split_matches_the_whole_split(bundle):
+    """The split of the blocked decompositions at two couplings agrees,
+    joined, with the whole-matrix split of the decompositions of the same
+    flow held as one block: ``phi2`` and ``omega`` to 1e-12, and the
+    reconstruction residuals too."""
+    flow, lam, p0 = bundle["flow"], bundle["lam"], bundle["p0"]
+    terms = (bundle["eta"], bundle["psi"], lam)
+    blocked = decompose_phi1(flow, *terms, uptos=[4, 8])
+    whole = decompose_phi1(one_block_flow(flow), *terms, uptos=[4, 8])
+    p = join_blocks(p0, flow.sectors)
+    for dec, ref in zip(blocked, whole):
+        split = split_phi1(dec, p0)
+        oracle = split_whole({x: v[0] for x, v in ref.anchors.items()},
+                             ref.v_true[0], lam, p)
+        np.testing.assert_allclose(join_blocks(split.phi2, flow.sectors),
+                                   oracle["phi2"], rtol=0, atol=1e-12)
+        assert split.omega_value == pytest.approx(oracle["omega"], abs=1e-12)
+        assert split.reconstruction_error == pytest.approx(
+            oracle["reconstruction_error"], abs=1e-12)
 
 
 def _complex_typed(phi):
@@ -831,10 +869,11 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
     assert split.reconstruction_error <= 1e-10
     assert split.omega_value == pytest.approx(split_ref.omega_value,
                                               rel=1e-12)
+    assert np.max(np.abs(split.phi2 - split_ref.phi2)) <= 1e-12
+    whole, whole_ref = _whole_split(dec, p0), _whole_split(ref, p0)
     for name in ("phi_tilde", "phi2", "phi3", "remainder"):
-        assert np.max(np.abs(getattr(split, name)
-                             - getattr(split_ref, name))) <= 1e-12
-    family = resolution_family(eta, lam, 3, p0)
+        assert np.max(np.abs(whole[name] - whole_ref[name])) <= 1e-12
+    family = resolution_family(eta, lam, 3, p0, flow.sectors)
     assembly = theta_assembly(dec, family)
     assert assembly.identity_error <= 1e-10
     assert assembly.annihilation_error <= 1e-10
@@ -842,9 +881,47 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
 
 def test_theta_assembly_identities(bundle):
     lam, eta, dec = bundle["lam"], bundle["eta"], bundle["dec"]
-    family = resolution_family(eta, lam, 3, bundle["p0"])      # r_x = 3
+    family = resolution_family(eta, lam, 3, bundle["p0"],
+                               bundle["flow"].sectors)          # r_x = 3
     assembly = theta_assembly(dec, family)
     assert assembly.r_x == 3
     assert set(assembly.theta_beta) == {3}
     assert assembly.identity_error <= 1e-10
     assert assembly.annihilation_error <= 1e-10
+
+
+@pytest.mark.parametrize("x", [2, 3])
+def test_blocked_resolution_and_assembly_match_the_whole_forms(bundle, x):
+    """Around ``x`` (``r_x`` 2 and 3) the ball projectors, the resolution
+    and the collected pieces, made on the flow's parity blocks, agree,
+    joined, with their whole-matrix forms to 1e-12; the norms the assembly
+    carries are those of its stacks, bit for bit."""
+    lam, eta, dec, flow = (bundle["lam"], bundle["eta"], bundle["dec"],
+                           bundle["flow"])
+    family = resolution_family(eta, lam, x, flow.p0, flow.sectors)
+    p = join_blocks(flow.p0, flow.sectors)
+    locals_, e = resolution_whole(eta, lam, x, p)
+
+    def close(stack, whole):
+        assert stack.shape == (2, 128, 128)
+        np.testing.assert_allclose(join_blocks(stack, flow.sectors), whole,
+                                   rtol=0, atol=1e-12)
+
+    assert family.P is flow.p0
+    assert family.r_x == len(locals_) == x
+    for mine, ref in zip(family.locals, locals_):
+        close(mine, ref)
+    assert len(family.E) == len(e) == x + 2
+    for mine, ref in zip(family.E, e):
+        close(mine, ref)
+    assembly = theta_assembly(dec, family)
+    beta, alpha = theta_whole(dec.ball_terms, lam, x, p, locals_, e)
+    assert assembly.theta_beta.keys() == beta.keys() \
+        == assembly.beta_norms.keys()
+    for n, piece in assembly.theta_beta.items():
+        close(piece, beta[n])
+        assert assembly.beta_norms[n] == operator_norm(piece)
+    close(assembly.theta_alpha, alpha)
+    assert assembly.alpha_norm == operator_norm(assembly.theta_alpha)
+    assert assembly.alpha_norm == pytest.approx(operator_norm(alpha),
+                                                abs=1e-12)
