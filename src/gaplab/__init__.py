@@ -7,7 +7,7 @@ transports spectral projectors along a quasi-adiabatic flow, and assembles
 the certified constants that control the perturbed spectral gap.
 """
 
-from .lattice import Interval, ball, boundary_distances, cutoff, interior
+from .lattice import Interval, ball, boundary_distances, interior
 from .ffunction import (FFunctionSpec, WeightSpec, DerivedFSpec, f_norm,
                         norm_sum, convolution_constant, transform_f_phi,
                         f_zero, regroup_decay)

@@ -450,7 +450,10 @@ def _stability_lengths(cfg: dict) -> list[int]:
 
 
 def constants_bundle(cfg: dict, ctx: dict) -> dict:
-    """Certified constants for the orbital model, reusing the flow fixture."""
+    """Certified constants for the orbital model, reusing the flow fixture.
+
+    A supplied ``constants.C`` below the one the flow measures is not
+    admissible: it raises ``RuntimeError``, so no line is built on it."""
     if "constants" in ctx:
         return ctx["constants"]
     fb = flow_bundle(cfg, ctx)
@@ -468,6 +471,9 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     c_user = cfg["constants"]["C"]
     phi1_fnorm = fb["dec"].ball_terms.f_norm(f_phi)
     c_measured = calibrate_c(phi1_fnorm, fb["flow"].eps, eta_fnorm, psi_fnorm)
+    if c_user is not None and c_user < c_measured:
+        raise RuntimeError(f"supplied flow constant C = {c_user:.6g} is below "
+                           f"the measured {c_measured:.6g}")
     c_used = float(c_user) if c_user is not None else max(c_measured, 1e-12)
 
     # uniform strengths over the probe volumes, each built once and kept

@@ -188,9 +188,6 @@ class EdgeBulkSplit:
     bulk: Interaction
     D: int
 
-    def reconstructs(self, phi: Interaction) -> bool:
-        return len(self.edge.terms) + len(self.bulk.terms) == len(phi.terms)
-
 
 def split_edge_bulk(phi: Interaction, lam: Interval, D: int) -> EdgeBulkSplit:
     """Split into terms anchored inside the depth-D interior and the rest."""

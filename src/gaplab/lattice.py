@@ -1,4 +1,4 @@
-"""Finite intervals of the integer lattice and ball/cutoff geometry."""
+"""Finite intervals of the integer lattice and ball geometry."""
 
 from __future__ import annotations
 
@@ -52,12 +52,6 @@ def ball(lam: Interval, x: int, n: int) -> Interval:
     if n < 0:
         raise ValueError("negative radius")
     return Interval(max(lam.a, x - n), min(lam.b, x + n))
-
-
-def cutoff(lam: Interval, x: int, m: int) -> int:
-    """Radius at which the ball around x saturates the near edge: min(m, r_x)."""
-    r_x, _ = boundary_distances(lam, x)
-    return min(m, r_x)
 
 
 def interior(lam: Interval, d: int):

@@ -65,10 +65,6 @@ class OrbitalModel:
     R: int
     N0: int
 
-    @property
-    def D(self) -> int:
-        return max(self.N0, 3 * self.R)
-
 
 def paired_orbital_model(window: Interval) -> OrbitalModel:
     """The default instance, with every full even pair inside ``window``."""

@@ -9,12 +9,13 @@ before giving up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, local_hamiltonian
+from .interaction import Interaction, Term, hamiltonian_eigenvalues, \
+    local_hamiltonian
 from .operator_algebra import LocalOperator, as_matrix, block_eigenvalues, \
     eigenvalues, embed, kernel_count, kernel_mask, operator_norm, \
     parity_sectors, split_blocks
@@ -235,18 +236,12 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
 
     For each coupling and each depth ``D`` the perturbation keeps only terms
     supported inside ``Int_D``; the splitting of the kernel cluster is
-    reported per coupling and depth, in that order.  A coupling-zero row, or
-    a depth that keeps no term, reads the spectrum of ``h0`` on its span.
-    Every other row forms ``eps h_p + h0`` on the hull of ``h0``'s span and
-    the kept terms, in the buffer of ``h_p``, and solves it there; ``h0`` is
-    assembled once per distinct hull.  As in ``hamiltonian_eigenvalues``,
-    each eigenvalue on the hull is repeated over the free sites of ``lam``.
+    reported per coupling and depth, in that order.  Every spectrum is
+    ``hamiltonian_eigenvalues`` on ``lam``: a coupling-zero row, or a depth
+    that keeps no term, reads that of ``eta``, solved once; every other row
+    solves ``eta`` with the kept terms, each scaled by the coupling, added.
     """
-    eta = eta.restricted(lam)
-    span = eta.span or lam
-    d = eta.local_dim
-    h0 = {span: local_hamiltonian(eta, span).matrix}
-    ev0 = np.repeat(eigenvalues(h0[span]), d ** (len(lam) - len(span)))
+    ev0 = hamiltonian_eigenvalues(eta, lam)
     kdim = kernel_count(ev0)
     rows = []
     for eps in couplings:
@@ -256,15 +251,9 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
                     if inner is not None and t.support in inner]
             evals = ev0
             if kept and eps != 0.0:
-                hp = Interaction(kept, pert.kind, pert.local_dim)
-                hull = Interval(min(span.a, hp.span.a), max(span.b, hp.span.b))
-                if hull not in h0:
-                    h0[hull] = local_hamiltonian(eta, hull).matrix
-                m = local_hamiltonian(hp, hull).matrix
-                m = m.astype(np.result_type(eps, m, h0[hull]), copy=False)
-                m *= eps
-                m += h0[hull]
-                evals = np.repeat(eigenvalues(m), d ** (len(lam) - len(hull)))
+                scaled = [Term(t.op * eps, t.anchor, t.radius) for t in kept]
+                evals = hamiltonian_eigenvalues(
+                    replace(eta, terms=eta.terms + scaled), lam)
             sp0, sp1 = evals[:kdim], evals[kdim:]
             rows.append({"depth": int(depth), "eps": float(eps),
                          "sp0_min": float(sp0.min()),

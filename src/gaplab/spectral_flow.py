@@ -76,13 +76,14 @@ from .spectra import ProjectorFamily, diagonalize
 
 @dataclass(frozen=True)
 class Window:
-    """Even filter profile on [-gamma/2, gamma/2] with beta(0) = 1."""
+    """Even C^7 filter profile ``(1 - u^2)^8``, ``u = 2 omega / gamma``, on
+    [-gamma/2, gamma/2], with beta(0) = 1."""
 
     gamma: float
-    kind: str = "bump"   # bump | cosine
+    kind: str = "bump"   # the only kind
 
     def __post_init__(self):
-        if self.kind not in ("bump", "cosine"):
+        if self.kind != "bump":
             raise ValueError(f"unknown window kind {self.kind!r}")
 
     def beta(self, omega):
@@ -93,10 +94,7 @@ class Window:
         inside = np.abs(u) < 1.0
         vals = np.zeros_like(u)
         u_in = u[inside]
-        if self.kind == "bump":
-            vals[inside] = (1.0 - u_in * u_in) ** 8
-        else:
-            vals[inside] = np.cos(0.5 * np.pi * u_in) ** 2
+        vals[inside] = (1.0 - u_in * u_in) ** 8
         return vals if vals.shape else float(vals)
 
     def weight(self, omega):
@@ -279,7 +277,6 @@ class FlowResult:
     ``end_spectra``.
     """
 
-    window: Window
     eps_grid: np.ndarray                 # checkpoint couplings, uniform, odd count
     sectors: list[np.ndarray]            # parity_sectors(H0, Psi)
     h0: np.ndarray                       # H0, as a block stack
@@ -405,7 +402,7 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     p0 = _projector(vecs[0])
     drift = max(operator_norm(u @ p0 @ u.conj().swapaxes(-1, -2)
                               - _projector(v)) for u, v in zip(prev, vecs))
-    return FlowResult(window, grid, sectors, b0, bp, prev,
+    return FlowResult(grid, sectors, b0, bp, prev,
                       [gen(s) for s in grid], gap_floor, drift, err, p0,
                       tuple(ends[key] for key in end_keys))
 

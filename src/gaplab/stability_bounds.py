@@ -49,7 +49,6 @@ class OmegaProfile:
     """Nonincreasing decay profile for kernel-state indistinguishability.
 
     geometric: amplitude * rate^r           (0 <= rate < 1)
-    power:     amplitude * (1 + r)^-rate    (rate > 4 for the gap theorem)
     step:      amplitude * [r < rate]
     """
 
@@ -58,7 +57,7 @@ class OmegaProfile:
     rate: float
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "power", "step"):
+        if self.kind not in ("geometric", "step"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
@@ -69,8 +68,6 @@ class OmegaProfile:
         r = np.maximum(np.asarray(r, dtype=float), 0.0)
         if self.kind == "geometric":
             out = self.amplitude * self.rate ** r
-        elif self.kind == "power":
-            out = self.amplitude * (1.0 + r) ** (-self.rate)
         else:
             out = np.where(r < self.rate, self.amplitude, 0.0)
         return out if out.ndim else float(out)
@@ -79,8 +76,6 @@ class OmegaProfile:
         amp = math.sqrt(self.amplitude)
         if self.kind == "geometric":
             return OmegaProfile("geometric", amp, math.sqrt(self.rate))
-        if self.kind == "power":
-            return OmegaProfile("power", amp, 0.5 * self.rate)
         return OmegaProfile("step", amp, self.rate)
 
 
@@ -93,14 +88,11 @@ def _omega_tail(omega: OmegaProfile, half: float, shift: float,
         if half * (T + 1 + shift) < omega.rate:
             raise ValueError("truncation does not clear the step profile")
         return 0.0
-    if omega.kind == "geometric":
-        if omega.rate == 0.0:
-            return 0.0
-        q = omega.rate ** half
-        scale = omega.amplitude * omega.rate ** (half * shift)
-        return geometric_tail(q, T, degree=degree, scale=scale)
-    return poly_tail(half, 1.0 + half * shift, omega.rate, T,
-                     degree=degree, scale=omega.amplitude)
+    if omega.rate == 0.0:
+        return 0.0
+    q = omega.rate ** half
+    scale = omega.amplitude * omega.rate ** (half * shift)
+    return geometric_tail(q, T, degree=degree, scale=scale)
 
 
 def _f0_tail(f0, half: float, shift: float, T: int, degree: int) -> float:
@@ -313,19 +305,16 @@ def bound_constants(gamma0: float, c: float, eta_fnorm: float, m_int: float,
 
 
 def stability_threshold(bc: BoundConstants, truncation: int = 2000) -> dict:
-    """The gap-slope constant and coupling thresholds, cross-reported.
+    """The gap-slope constant ``m`` re-summed, to cross-check ``bc.m``.
 
-    ``m`` is the linear combination of the J sums; ``m_grouped`` re-sums the
-    same series with grouped coefficients (equal up to tail certification);
-    ``m_grouped_far`` drops the near offsets of the weighted part.
+    ``bc.m`` is the linear combination of the J sums; ``m_grouped`` re-sums
+    the same series with grouped coefficients (equal up to tail
+    certification); ``m_grouped_far`` drops the near offsets of the weighted
+    part.  The thresholds are ``bc``'s own properties.
     """
     return {
-        "m": bc.m,
         "m_grouped": bc.m_grouped(truncation),
         "m_grouped_far": bc.m_grouped(truncation, min_n=3),
-        "m_total": bc.m_total,
-        "eps_interior": bc.eps_interior,
-        "eps_star": bc.eps_threshold,
     }
 
 

@@ -126,6 +126,8 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"constants": {"F": {"K": 0}}},
      "constants.F: gamma, nu, K must be positive"),
     ({"seeds": [7, 11]}, "seeds: every pipeline reads one seed; got 2"),
+    ({"flow": {"window": "cosine"}},
+     "flow.window: unknown window kind 'cosine'"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -280,6 +282,38 @@ def test_bounds_runs_with_a_steep_weight(tmp_path):
     assert (out / "summary.txt").read_text(encoding="utf-8").startswith(
         "[PASS] bounds: ")
     assert (out / "constants.json").exists()
+
+
+def test_a_supplied_flow_constant_below_the_measured_one_is_refused(
+        tmp_path, capsys):
+    """``constants.C`` below the flow constant the run measures is not
+    admissible: the three pipelines that build on it report one failed
+    "not certified" check each and the run exits 1; above it, every check
+    passes."""
+    small = {"lengths": [8],
+             "flow": {"length": 6, "max_radius": 1, "checkpoints": 5},
+             "ltqo": {"length": 6, "aklt_lengths": [6]},
+             "sp0": {"length": 8}}
+    measured = cli.constants_bundle(merged_config(small), {})["c_measured"]
+    stability = ("bounds", "gapsweep", "highergaps")
+    for c, code in ((0.5 * measured, 1), (2.0 * measured, 0)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**small, "constants": {"C": c}}),
+                       encoding="utf-8")
+        out = tmp_path / f"out-{code}"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == code
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        failed = [line for line in lines if not line.startswith("[PASS]")]
+        if code:
+            assert [line.split(":")[0] for line in failed] == \
+                [f"[FAIL] {name}" for name in stability]
+            assert all(f"not certified  (supplied flow constant C = {c:.6g} "
+                       f"is below the measured {measured:.6g})" in line
+                       for line in failed)
+        else:
+            assert failed == []
+            assert {line.split(":")[0] for line in lines} >= \
+                {f"[PASS] {name}" for name in stability}
 
 
 @pytest.mark.parametrize("command", ["all", "bounds", "gapsweep",

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gaplab.lattice import Interval, ball, boundary_distances, cutoff, interior
+from gaplab.lattice import Interval, ball, boundary_distances, interior
 
 
 intervals = st.integers(-30, 30).flatmap(
@@ -43,16 +43,6 @@ def test_ball_rejects_bad_input():
         ball(lam, 4, -1)
 
 
-def test_cutoff_saturates_near_edge():
-    lam = Interval(0, 9)
-    # deep in the bulk the radius is unconstrained
-    assert cutoff(lam, 5, 3) == 3
-    # near the left edge the effective radius is the edge distance
-    assert cutoff(lam, 1, 5) == 1
-    assert cutoff(lam, 0, 2) == 0
-    assert cutoff(lam, 9, 7) == 0
-
-
 def test_boundary_distances():
     lam = Interval(2, 8)
     near, far = boundary_distances(lam, 3)
@@ -86,14 +76,3 @@ def test_ball_is_monotone_in_radius(lam, data):
     big = ball(lam, x, n + 1)
     assert big.intersection(small) == small
     assert x in small
-
-
-@given(intervals, st.data())
-def test_cutoff_matches_ball_saturation(lam, data):
-    """cutoff(x, m) is the largest effective radius of ball(x, m) toward
-    the nearer edge."""
-    x = data.draw(st.integers(lam.a, lam.b))
-    m = data.draw(st.integers(0, 12))
-    r = cutoff(lam, x, m)
-    assert r == min(m, x - lam.a, lam.b - x)
-    assert r <= m

@@ -18,7 +18,6 @@ def test_paired_model_covers_full_pairs_only():
     model = paired_orbital_model(Interval(0, 7))
     assert len(model.f_orbitals) == 4
     assert model.R == 1 and model.N0 == 2
-    assert model.D == 3
     # offset window drops both half-pairs
     model = paired_orbital_model(Interval(1, 8))
     assert len(model.f_orbitals) == 3

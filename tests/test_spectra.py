@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.interaction import Interaction, Term, local_hamiltonian, \
-    random_interaction
+from gaplab.interaction import Interaction, Term, hamiltonian_eigenvalues, \
+    local_hamiltonian, random_interaction
 from gaplab.lattice import Interval, ball, interior
 from gaplab.models import orbital_interaction, paired_orbital_model, \
     random_even_perturbation
@@ -16,7 +16,7 @@ from gaplab.spectra import (FrustrationError, RefinementError,
                             ground_projector, higher_gap_track,
                             resolution_family, sigma_projection,
                             sp0_diameter_scan)
-from gaplab import operator_algebra, spectra
+from gaplab import interaction, operator_algebra, spectra
 from oracles import even_pair, random_hermitian, random_matrix
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -345,15 +345,18 @@ def test_sp0_scan_matches_a_dense_recomputation():
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
-    couplings, depths = (0.0, 0.02, 0.05), (0, 1, 2, 3)
+    # depth 4 leaves no interior, so it keeps no term
+    couplings, depths = (0.0, 0.02, 0.05), (0, 1, 2, 3, 4)
     rows = sp0_diameter_scan(eta, pert, lam, couplings, depths)
     assert [(r["eps"], r["depth"]) for r in rows] == \
         [(e, d) for e in couplings for d in depths]
     h0 = local_hamiltonian(eta, lam).matrix
     kdim = kernel_count(np.linalg.eigvalsh(h0))
+    ev0 = hamiltonian_eigenvalues(eta, lam)
     for row in rows:
         inner = interior(lam, row["depth"])
-        kept = Interaction([t for t in pert.terms if t.support in inner],
+        kept = Interaction([t for t in pert.terms
+                            if inner is not None and t.support in inner],
                            pert.kind, pert.local_dim)
         evals = np.linalg.eigvalsh(
             h0 + row["eps"] * local_hamiltonian(kept, lam).matrix)
@@ -364,6 +367,14 @@ def test_sp0_scan_matches_a_dense_recomputation():
         assert row["gamma"] == pytest.approx(sp1.min() - sp0.max(), abs=1e-12)
         assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
                                                 abs=1e-12)
+        if row["depth"] == 4:
+            assert inner is None and not kept.terms
+        if row["eps"] == 0.0 or not kept.terms:
+            # the unperturbed rows read the spectrum of eta, bit for bit
+            assert (row["sp0_min"], row["sp0_max"], row["sp1_min"]) == \
+                (ev0[0], ev0[kdim - 1], ev0[kdim])
+            assert row["sp0_diam"] == ev0[kdim - 1] - ev0[0]
+            assert row["gamma"] == ev0[kdim] - ev0[kdim - 1]
         if row["depth"] == 0 and row["eps"] != 0.0:
             # depth 0 keeps every term, the end sites' included: the row is
             # the whole-volume H0 + eps Psi, and its cluster splits
@@ -371,29 +382,46 @@ def test_sp0_scan_matches_a_dense_recomputation():
             assert row["sp0_diam"] > 1e-6
 
 
-def test_sp0_scan_assembles_eta_once(monkeypatch):
-    """``eta``'s matrix is assembled once per distinct hull of its span and
-    a row's kept terms; each perturbed row assembles only its kept terms, on
-    that hull.  At depth 0 the kept terms reach the end sites, off ``eta``'s
-    span, so the hull is the volume; deeper rows stay on ``eta``'s span."""
+def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
+    """Every spectrum is ``hamiltonian_eigenvalues`` of an interaction: that
+    of ``eta`` once, then one per perturbed row, ``eta``'s terms followed by
+    the kept terms scaled by the coupling, assembled on its span, the hull
+    of ``eta``'s span and the kept terms.  At depth 0 the kept terms reach
+    the end sites, off ``eta``'s span, so the hull is the volume; deeper
+    rows stay on ``eta``'s span.  The scan assembles and solves nothing
+    itself."""
     lam = Interval(1, 8)
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
     assert eta.span == Interval(2, 7) and pert.span == lam
     built = []
-    real_build = spectra.local_hamiltonian
+    real_build = interaction.local_hamiltonian
 
     def build(phi, where):
-        built.append((list(map(id, phi.terms)) == list(map(id, eta.terms)),
-                      where))
+        built.append((phi.terms, where))
         return real_build(phi, where)
 
-    monkeypatch.setattr(spectra, "local_hamiltonian", build)
+    def refuse(*args):
+        raise AssertionError("sp0_diameter_scan solved a matrix itself")
+
+    monkeypatch.setattr(interaction, "local_hamiltonian", build)
+    monkeypatch.setattr(spectra, "local_hamiltonian", refuse)
+    monkeypatch.setattr(spectra, "eigenvalues", refuse)
     sp0_diameter_scan(eta, pert, lam, (0.0, 0.02, 0.05), (0, 1, 2))
-    assert [where for is_eta, where in built if is_eta] == [eta.span, lam]
-    assert [where for is_eta, where in built if not is_eta] == \
-        [lam, eta.span, eta.span] * 2
+    assert [where for _, where in built] == \
+        [eta.span] + [lam, eta.span, eta.span] * 2
+    n = len(eta.terms)
+    assert all(a is b for a, b in zip(built[0][0], eta.terms, strict=True))
+    rows = [(eps, depth) for eps in (0.02, 0.05) for depth in (0, 1, 2)]
+    for (terms, _), (eps, depth) in zip(built[1:], rows):
+        assert all(a is b for a, b in zip(terms[:n], eta.terms))
+        kept = [t for t in pert.terms if t.support in interior(lam, depth)]
+        assert len(terms) == n + len(kept)
+        for t, k in zip(terms[n:], kept):
+            assert (t.support, t.anchor, t.radius) == \
+                (k.support, k.anchor, k.radius)
+            assert np.array_equal(t.op.matrix, k.op.matrix * eps)
 
 
 def test_sp0_scan_at_the_default_length_matches_the_whole_volume():

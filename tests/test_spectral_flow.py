@@ -53,37 +53,33 @@ def test_window_is_flat_enough_at_the_edge():
     assert val <= (3.0 * delta) ** 8
 
 
-def _profile_everywhere(kind, omega):
+def _profile_everywhere(omega):
     """The window profile evaluated on every argument, then cut to the window."""
     u = 2.0 * omega / GAMMA
-    vals = (1.0 - u * u) ** 8 if kind == "bump" \
-        else np.cos(0.5 * np.pi * u) ** 2
-    return np.where(np.abs(u) < 1.0, vals, 0.0)
+    return np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 8, 0.0)
 
 
-@pytest.mark.parametrize("kind", ["bump", "cosine"])
-def test_window_beta_is_bit_identical_to_the_full_evaluation(kind):
+def test_window_beta_is_bit_identical_to_the_full_evaluation():
     """Evaluating the profile only inside the window changes no bit."""
-    w = Window(GAMMA, kind)
+    w = Window(GAMMA)
     half = 0.5 * GAMMA
     grid = np.concatenate([np.linspace(-1.3, 1.3, 2601),
                            [0.0, half, -half, np.nextafter(half, 0.0),
                             -np.nextafter(half, 0.0), 5.0, -7.5]])
     square = grid[:60, None] - grid[None, -60:]           # an n x n argument
     for omega in (grid, square):
-        oracle = _profile_everywhere(kind, omega)
+        oracle = _profile_everywhere(omega)
         got = w.beta(omega)
         assert got.dtype == oracle.dtype
         assert got.tobytes() == oracle.tobytes()
-    assert all(w.beta(x) == _profile_everywhere(kind, x) for x in grid[-7:])
+    assert all(w.beta(x) == _profile_everywhere(x) for x in grid[-7:])
 
 
 def test_window_cosine_and_unknown_kind():
-    w = Window(GAMMA, kind="cosine")
-    assert w.beta(0.0) == 1.0
-    assert w.beta(0.5 * GAMMA) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        Window(GAMMA, kind="hann").beta(0.1)
+    # the cosine profile is only C^1, short of the C^7 the flow needs
+    for kind in ("cosine", "hann"):
+        with pytest.raises(ValueError, match=f"unknown window kind '{kind}'"):
+            Window(GAMMA, kind)
 
 
 def test_weight_is_odd_and_exact_outside():

@@ -25,8 +25,6 @@ def test_omega_profile_kinds():
     geo = OmegaProfile("geometric", 2.0, 0.5)
     assert geo(3.0) == pytest.approx(0.25)
     assert geo(-5.0) == geo(0.0) == 2.0          # negative arguments clamp
-    pw = OmegaProfile("power", 1.0, 6.0)
-    assert pw(1.0) == pytest.approx(2.0 ** -6)
     st = OmegaProfile("step", 3.0, 2.0)
     assert st(1.9) == 3.0 and st(2.0) == 0.0
     arr = geo(np.array([0.0, 1.0]))
@@ -36,15 +34,14 @@ def test_omega_profile_kinds():
 def test_omega_profile_sqrt():
     geo = OmegaProfile("geometric", 0.81, 0.25).sqrt()
     assert geo.amplitude == pytest.approx(0.9) and geo.rate == pytest.approx(0.5)
-    pw = OmegaProfile("power", 4.0, 6.0).sqrt()
-    assert pw(7.0) == pytest.approx(np.sqrt(4.0 * 8.0 ** -6))
     st = OmegaProfile("step", 4.0, 2.0).sqrt()
     assert st(0.0) == 2.0 and st.rate == 2.0
 
 
 def test_omega_profile_validation():
-    with pytest.raises(ValueError):
-        OmegaProfile("exp", 1.0, 0.5)
+    for kind in ("exp", "power"):
+        with pytest.raises(ValueError, match="unknown profile kind"):
+            OmegaProfile(kind, 1.0, 0.5)
     with pytest.raises(ValueError):
         OmegaProfile("geometric", -1.0, 0.5)
     with pytest.raises(ValueError):
@@ -166,10 +163,9 @@ def test_grouped_sum_routes(bc):
 
 def test_stability_threshold_report(bc):
     rep = stability_threshold(bc)
-    assert rep["m"] == bc.m and rep["m_total"] == bc.m_total
+    assert rep == {"m_grouped": bc.m_grouped(),
+                   "m_grouped_far": bc.m_grouped(min_n=3)}
     assert rep["m_grouped_far"] <= rep["m_grouped"]
-    assert rep["eps_star"] == bc.eps_threshold
-    assert rep["eps_interior"] == bc.eps_interior
 
 
 def test_kappa_bound_formula(bc):
