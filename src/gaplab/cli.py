@@ -39,7 +39,7 @@ from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, orbital_spectrum, paired_orbital_model, \
     random_even_perturbation, validate_model
 from .operator_algebra import MAX_DENSE_DIM, join_blocks, kernel_count, \
-    operator_norm, parity_sectors, split_blocks
+    operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, \
@@ -1000,11 +1000,9 @@ def _sweep_grid(cfg: dict, bc) -> list[float]:
 def sweep_bundle(cfg: dict, ctx: dict) -> dict:
     """The shared gap sweep: ``{length: gap_curve(...)}`` on the sweep grid.
 
-    The volumes are those ``constants_bundle`` built; each one's matrices
-    are built inside the loop, one at a time: ``H0`` is split on its parity
-    blocks and dropped before ``Psi`` is assembled and split on the same
-    blocks.  Only the spectrum splits are kept, for ``gapsweep`` and
-    ``highergaps`` alike.
+    The volumes are those ``constants_bundle`` built, one ``gap_curve``
+    call on the interactions of each; only the spectrum splits are kept,
+    for ``gapsweep`` and ``highergaps`` alike.
     """
     if "sweep" in ctx:
         return ctx["sweep"]
@@ -1013,15 +1011,7 @@ def sweep_bundle(cfg: dict, ctx: dict) -> dict:
     sweep = {}
     for length, (lam, model, eta, pert) in cb["volumes"].items():
         kdim, _ = kernel_data(model, lam)
-        h0 = local_hamiltonian(eta, lam).matrix
-        sectors = parity_sectors(h0)
-        h0 = split_blocks(h0, sectors)
-        psi = local_hamiltonian(pert, lam).matrix
-        if len(parity_sectors(psi)) < len(sectors):
-            raise RuntimeError(f"the perturbation on {lam} breaks the parity "
-                               "blocks of H0")
-        sweep[length] = gap_curve(h0, split_blocks(psi, sectors), grid,
-                                  cluster_dim=kdim)
+        sweep[length] = gap_curve(eta, pert, lam, grid, cluster_dim=kdim)
     ctx["sweep"] = sweep
     return sweep
 

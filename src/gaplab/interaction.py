@@ -136,6 +136,13 @@ def hamiltonian_eigenvalues(phi: Interaction, lam: Interval) -> np.ndarray:
                      phi.local_dim ** (len(lam) - len(span)))
 
 
+def coupled(eta: Interaction, pert: Interaction, eps: float) -> Interaction:
+    """``eta + eps pert`` as one interaction: ``eta``'s terms followed by
+    ``pert``'s, each scaled by ``eps``, with its anchor and radius."""
+    scaled = [Term(t.op * eps, t.anchor, t.radius) for t in pert.terms]
+    return replace(eta, terms=eta.terms + scaled)
+
+
 @dataclass
 class VolumeReport:
     lam: Interval

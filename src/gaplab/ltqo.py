@@ -49,7 +49,9 @@ class WitnessTensor:
         return (self.D @ a.ravel()).reshape(self.rank, self.rank)
 
     def value(self, a: np.ndarray) -> float:
-        return float(np.linalg.norm(self.centred(a), 2))
+        """Largest ``|eigenvalue|`` of ``centred(a)``, read as the ascent
+        reads it, from ``eigh``."""
+        return float(np.max(np.abs(np.linalg.eigh(self.centred(a))[0])))
 
 
 def witness_tensor(basis: np.ndarray, local_dim: int, vol: Interval,
@@ -92,8 +94,10 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
     ``M(A) - omega(A) 1`` and the extreme-point observable
     ``A = V sign(Lambda) V*`` of the linearized objective, whose gradient is
     ``(conj(u) ⊗ u) D``, stopped once a step gains less than ``1e-8`` in
-    relative terms.  Returns ``(value, A)``; the value is a certified
-    lower bound on the supremum since ``A`` is explicit.
+    relative terms.  Each value is the largest ``|eigenvalue|`` of the
+    ``eigh`` the next step reads ``u`` from.  Returns ``(value, A)``; the
+    value is a certified lower bound on the supremum since ``A`` is
+    explicit.
     """
     rng = np.random.default_rng(seed)
     dx = math.isqrt(wt.D.shape[1])
@@ -110,10 +114,9 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
     for _ in range(restarts):
         a = project(rng.standard_normal((dx, dx))
                     + 1j * rng.standard_normal((dx, dx)))
-        b = wt.centred(a)
-        val = float(np.linalg.norm(b, 2))
+        evals, evecs = np.linalg.eigh(wt.centred(a))
+        val = float(np.max(np.abs(evals)))
         for _ in range(iters):
-            evals, evecs = np.linalg.eigh(b)
             idx = int(np.argmax(np.abs(evals)))
             u, sign = evecs[:, idx], np.sign(evals[idx]) or 1.0
             # A -> sign <u, (M(A) - omega(A) 1) u> linearized as tr(Z A)
@@ -123,13 +126,13 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
                 z = np.where(mask, z, 0.0)
             zev, zvec = np.linalg.eigh(z)
             a_new = project((zvec * np.sign(zev + 1e-300)) @ zvec.conj().T)
-            b_new = wt.centred(a_new)
-            val_new = float(np.linalg.norm(b_new, 2))
+            evals_new, evecs_new = np.linalg.eigh(wt.centred(a_new))
+            val_new = float(np.max(np.abs(evals_new)))
             if val_new - val <= 1e-8 * max(1.0, abs(val)):
                 if val_new > val:
                     a, val = a_new, val_new
                 break
-            a, val, b = a_new, val_new, b_new
+            a, val, evals, evecs = a_new, val_new, evals_new, evecs_new
         if val > best_val:
             best_val, best_a = val, a
     return best_val, best_a

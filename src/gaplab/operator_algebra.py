@@ -58,8 +58,7 @@ def operator_norm(m) -> float:
     as ``split_blocks`` makes it, stands for its block-diagonal matrix and
     takes the same steps block by block: exactly Hermitian blocks give the
     largest ``|eigenvalue|`` of the stack, any others the stack of their
-    Gram matrices, which ``eigenvalues`` solves once when its two blocks
-    are equal.
+    Gram matrices.
     """
     m = np.asarray(m)
     hermitian = all(map(_exactly_hermitian, m)) if m.ndim == 3 \
@@ -248,36 +247,17 @@ def join_blocks(blocks, sectors) -> np.ndarray:
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, split by fermion parity.
-
-    The blocks of ``parity_sectors(m)`` are solved apart by
-    ``block_eigenvalues``, once when the two parity blocks are equal entry
-    for entry (a parity-even operator that leaves an end site alone has two
-    equal blocks); a matrix that does not split is solved whole.  A stack
-    (k, b, b) of diagonal blocks, as ``split_blocks`` makes it, is solved
-    the same way, block by block.
-    """
+    """Ascending eigenvalues of a Hermitian matrix, split by fermion parity:
+    each block of ``parity_sectors(m)`` is solved by ``eigvalsh`` and the
+    spectra are merged.  A stack (k, b, b) of diagonal blocks, as
+    ``split_blocks`` makes it, is solved block by block."""
     m = np.asarray(m)
     if m.ndim == 2:
         sectors = parity_sectors(m)
         if len(sectors) == 1:
             return np.linalg.eigvalsh(m)
         m = split_blocks(m, sectors)
-    return block_eigenvalues(m, len(m) == 2 and np.array_equal(m[0], m[1]))
-
-
-def block_eigenvalues(blocks, equal: bool) -> np.ndarray:
-    """Ascending eigenvalues of the block-diagonal matrix with ``blocks``.
-
-    Each block, one or two, is solved by ``eigvalsh`` as ``blocks`` yields
-    it, so an iterator forms one block at a time.  With ``equal`` the second
-    block is the first entry for entry: it is neither read nor solved, and
-    the first spectrum counts twice.
-    """
-    blocks = iter(blocks)
-    first = np.linalg.eigvalsh(next(blocks))
-    rest = [first] if equal else [np.linalg.eigvalsh(b) for b in blocks]
-    return np.sort(np.concatenate([first, *rest])) if rest else first
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in m]))
 
 
 def parity_grade(op: LocalOperator) -> str:

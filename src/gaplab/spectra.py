@@ -9,16 +9,15 @@ before giving up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, Term, hamiltonian_eigenvalues, \
+from .interaction import Interaction, coupled, hamiltonian_eigenvalues, \
     local_hamiltonian
-from .operator_algebra import LocalOperator, as_matrix, block_eigenvalues, \
-    eigenvalues, embed, kernel_count, kernel_mask, operator_norm, \
-    parity_sectors, split_blocks
+from .operator_algebra import LocalOperator, as_matrix, embed, kernel_count, \
+    kernel_mask, split_blocks
 
 
 class FrustrationError(ValueError):
@@ -76,40 +75,33 @@ class SpectrumSplit:
         return float(self.sp0.max() - self.sp0.min())
 
 
-def gap_curve(h0, psi, eps_grid, cluster_dim: int | None = None,
+def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
+              cluster_dim: int | None = None,
               max_depth: int = 6) -> list[SpectrumSplit]:
-    """Low-cluster/rest split of ``h0 + eps psi`` along a grid of couplings.
+    """Low-cluster/rest split of ``H0 + eps Psi``, the Hamiltonians of
+    ``eta`` and ``pert`` on ``lam``, along a grid of couplings.
 
     The low cluster collects the eigenvalues continuously connected to the
-    kernel of ``h0`` (sorted-index tracking).  Between neighboring grid points
+    kernel of ``H0`` (sorted-index tracking).  Between neighboring grid points
     the cluster identity is certified with the perturbation bound
-    ``|step| * |psi| < (gamma_left + gamma_right)/2``; failing pairs are
+    ``|step| * |Psi| < (gamma_left + gamma_right)/2``; failing pairs are
     bisected up to ``max_depth`` halvings.
 
-    ``h0`` and ``psi`` are split once on their shared ``parity_sectors``,
-    unless they come as block stacks (k, b, b) split on one set of sectors;
-    ``|psi|`` and the spectrum at coupling zero are read from the blocks, and
-    every other coupling solves ``b0 + eps bp`` one block at a time, once
-    when both pairs of blocks are equal, so each ``eigvalsh`` sees the block
-    ``eigenvalues(h0 + eps psi)`` would solve.
+    Every spectrum is ``hamiltonian_eigenvalues`` on ``lam``: coupling zero
+    reads that of ``eta``, solved once, every other coupling that of
+    ``coupled(eta, pert, eps)``, and ``|Psi|`` is the largest ``|lambda|``
+    of ``pert``.
     """
-    b0, bp = as_matrix(h0), as_matrix(psi)
-    if b0.ndim == 2:
-        sectors = parity_sectors(b0, bp)
-        b0, bp = split_blocks(b0, sectors), split_blocks(bp, sectors)
-    psi_norm = operator_norm(bp)
-    ev0 = eigenvalues(b0)
-    # blocks equal in h0 and in psi are equal at every coupling
-    equal = len(b0) == 2 and np.array_equal(b0[0], b0[1]) \
-        and np.array_equal(bp[0], bp[1])
+    psi_norm = float(np.max(np.abs(hamiltonian_eigenvalues(pert, lam))))
+    ev0 = hamiltonian_eigenvalues(eta, lam)
     if cluster_dim is None:
         cluster_dim = kernel_count(ev0)
         if cluster_dim == 0:
             raise FrustrationError("no kernel eigenvalues to track")
 
     def split_at(eps):
-        evals = ev0 if eps == 0.0 else block_eigenvalues(
-            (b + eps * p for b, p in zip(b0, bp)), equal)
+        evals = ev0 if eps == 0.0 else hamiltonian_eigenvalues(
+            coupled(eta, pert, eps), lam)
         return SpectrumSplit(float(eps), evals[:cluster_dim], evals[cluster_dim:])
 
     def certified(left, right):
@@ -239,7 +231,7 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     reported per coupling and depth, in that order.  Every spectrum is
     ``hamiltonian_eigenvalues`` on ``lam``: a coupling-zero row, or a depth
     that keeps no term, reads that of ``eta``, solved once; every other row
-    solves ``eta`` with the kept terms, each scaled by the coupling, added.
+    solves ``coupled(eta, kept, eps)``.
     """
     ev0 = hamiltonian_eigenvalues(eta, lam)
     kdim = kernel_count(ev0)
@@ -247,13 +239,12 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     for eps in couplings:
         for depth in depths:
             inner = interior(lam, depth)
-            kept = [t for t in pert.terms
-                    if inner is not None and t.support in inner]
             evals = ev0
-            if kept and eps != 0.0:
-                scaled = [Term(t.op * eps, t.anchor, t.radius) for t in kept]
-                evals = hamiltonian_eigenvalues(
-                    replace(eta, terms=eta.terms + scaled), lam)
+            if inner is not None and eps != 0.0:
+                kept = pert.restricted(inner)
+                if kept.terms:
+                    evals = hamiltonian_eigenvalues(coupled(eta, kept, eps),
+                                                    lam)
             sp0, sp1 = evals[:kdim], evals[kdim:]
             rows.append({"depth": int(depth), "eps": float(eps),
                          "sp0_min": float(sp0.min()),

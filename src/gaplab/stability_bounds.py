@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffunction import DerivedFSpec, geometric_tail, poly_tail
-from .interaction import Interaction, local_hamiltonian, split_edge_bulk
+from .interaction import Interaction, hamiltonian_eigenvalues, split_edge_bulk
 from .lattice import Interval
-from .operator_algebra import as_matrix, eigenvalues, operator_norm
+from .operator_algebra import as_matrix, eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +184,8 @@ def edge_bulk_strengths(phi: Interaction, lam: Interval, depth: int,
                         fspec) -> VolumeStrengths:
     split = split_edge_bulk(phi, lam, depth)
     interior_fnorm = split.bulk.f_norm(fspec) if split.bulk.terms else 0.0
-    if split.edge.terms:
-        edge_norm = operator_norm(local_hamiltonian(split.edge, lam).matrix)
-    else:
-        edge_norm = 0.0
-    return VolumeStrengths(lam, interior_fnorm, edge_norm)
+    edge_norm = np.max(np.abs(hamiltonian_eigenvalues(split.edge, lam)))
+    return VolumeStrengths(lam, interior_fnorm, float(edge_norm))
 
 
 def uniform_strengths(phi_for: dict, depth: int, rng: int, fspec):

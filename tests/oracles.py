@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from gaplab.interaction import local_hamiltonian
+from gaplab.interaction import Interaction, Term, local_hamiltonian
 from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.operator_algebra import (LocalOperator, annihilator, embed,
                                      join_blocks, operator_norm,
@@ -34,6 +34,14 @@ def kron_placed(m, d: int, n_left: int, n_right: int) -> np.ndarray:
     """1 (x) m (x) 1 as a dense Kronecker product, with ``n_left`` and
     ``n_right`` sites of local dimension ``d`` on either side."""
     return np.kron(np.eye(d ** n_left), np.kron(m, np.eye(d ** n_right)))
+
+
+def one_site(m) -> Interaction:
+    """One spin term holding ``m`` on the site 0, of local dimension
+    ``len(m)``: its Hamiltonian on ``Interval(0, 0)`` is ``m`` itself."""
+    site = Interval(0, 0)
+    return Interaction([Term(LocalOperator(m, site, site, "spin", len(m)))],
+                       "spin", len(m))
 
 
 def random_matrix(rng, dim: int, complex_: bool) -> np.ndarray:

@@ -309,16 +309,11 @@ def test_eigenvalues_match_the_dense_oracle_on_parity_even_input(k, complex_,
                                rtol=0, atol=1e-12 * scale)
 
 
-def test_eigenvalues_split_by_parity_and_solve_equal_blocks_once(monkeypatch):
+def test_eigenvalues_split_by_parity(monkeypatch):
     sides = counting_eigvalsh(monkeypatch)
     rng = np.random.default_rng(3)
     eigenvalues(parity_even(random_hermitian(rng, 16, False)))
     assert sides == [8, 8]
-    # an operator that leaves the last site alone has two equal blocks
-    sides.clear()
-    h = parity_even(random_hermitian(rng, 8, True))
-    eigenvalues(np.kron(h, np.eye(2)))
-    assert sides == [8]
 
 
 @pytest.mark.parametrize("side", [16, 27, 6])

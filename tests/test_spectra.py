@@ -1,14 +1,13 @@
-from unittest.mock import patch
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.interaction import Interaction, Term, hamiltonian_eigenvalues, \
-    local_hamiltonian, random_interaction
+from gaplab.cli import ENVELOPE
+from gaplab.interaction import Interaction, Term, coupled, \
+    hamiltonian_eigenvalues, local_hamiltonian, random_interaction
 from gaplab.lattice import Interval, ball, interior
-from gaplab.models import orbital_interaction, paired_orbital_model, \
-    random_even_perturbation
+from gaplab.models import aklt_interaction, orbital_interaction, \
+    paired_orbital_model, random_even_perturbation
 from gaplab.operator_algebra import LocalOperator, eigenvalues, \
     kernel_count, operator_norm, parity_sectors, split_blocks
 from gaplab.spectra import (FrustrationError, RefinementError,
@@ -16,8 +15,8 @@ from gaplab.spectra import (FrustrationError, RefinementError,
                             ground_projector, higher_gap_track,
                             resolution_family, sigma_projection,
                             sp0_diameter_scan)
-from gaplab import interaction, operator_algebra, spectra
-from oracles import even_pair, random_hermitian, random_matrix
+from gaplab import interaction, spectra
+from oracles import one_site, parity_even, random_hermitian
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -63,12 +62,19 @@ def test_ground_projector_needs_kernel():
 # --- gap curves -------------------------------------------------------------
 
 
+def curve(h0, psi, grid, **kwargs):
+    """``gap_curve`` of the one-site interactions holding ``h0`` and
+    ``psi``: the oracle matrices are the Hamiltonians themselves."""
+    return gap_curve(one_site(h0), one_site(psi), Interval(0, 0), grid,
+                     **kwargs)
+
+
 def test_gap_curve_two_level_oracle():
     """H = diag(0, 1), psi = diag(1, -1): gap(eps) = 1 - 2 eps exactly."""
     h0 = np.diag([0.0, 1.0])
     psi = np.diag([1.0, -1.0])
     grid = [0.0, 0.1, 0.2]
-    splits = gap_curve(h0, psi, grid)
+    splits = curve(h0, psi, grid)
     for sp in splits:
         assert sp.gamma == pytest.approx(1.0 - 2.0 * sp.eps, abs=1e-12)
         assert sp.sp0.size == 1
@@ -78,7 +84,7 @@ def test_gap_curve_tracks_through_shift():
     # uniform shift never closes the tracked gap
     h0 = np.diag([0.0, 0.0, 2.0])
     psi = np.eye(3)
-    splits = gap_curve(h0, psi, np.linspace(0, 1, 5))
+    splits = curve(h0, psi, np.linspace(0, 1, 5))
     for sp in splits:
         assert sp.gamma == pytest.approx(2.0, abs=1e-12)
         assert sp.sp0_diameter == pytest.approx(0.0, abs=1e-12)
@@ -89,85 +95,105 @@ def test_gap_curve_refinement_error_on_closing():
     h0 = np.diag([0.0, 1.0])
     psi = np.diag([1.0, -1.0])
     with pytest.raises(RefinementError):
-        gap_curve(h0, psi, [0.0, 0.5, 1.0], max_depth=3)
+        curve(h0, psi, [0.0, 0.5, 1.0], max_depth=3)
 
 
 def test_gap_curve_respects_cluster_dim():
     h0 = np.diag([0.0, 0.001, 1.0])
     psi = np.zeros((3, 3))
-    splits = gap_curve(h0, psi, [0.0, 0.1], cluster_dim=2)
+    splits = curve(h0, psi, [0.0, 0.1], cluster_dim=2)
     assert splits[0].sp0.size == 2
     assert splits[0].gamma == pytest.approx(0.999, abs=1e-12)
 
 
-def _gapped(rng, side, complex_):
-    """A Hermitian matrix with one kernel vector and the rest of its
-    spectrum in [1.5, 3]."""
-    q, _ = np.linalg.qr(random_matrix(rng, side, complex_))
-    levels = np.concatenate(([0.0], rng.uniform(1.5, 3.0, side - 1)))
-    h = (q * levels) @ q.conj().T
-    return (h + h.conj().T) / 2.0
+def _sweep_case(kind, n, complex_, rng):
+    """``(eta, pert, lam)`` of one sweep: an orbital volume with one even
+    term on the whole volume (it splits by parity), the same volume with a
+    seeded perturbation kept inside ``Int_2`` (its span is smaller than the
+    volume), or an AKLT chain with one random spin-1 bond term (it does not
+    split).  The whole-volume and the bond term have norm 1."""
+    if kind == "aklt":
+        lam = Interval(0, n - 1)
+        bond = Interval(n // 2 - 1, n // 2)
+        m = random_hermitian(rng, 9, complex_)
+        op = LocalOperator(m / operator_norm(m), bond, lam, "spin", 3)
+        return aklt_interaction(lam), Interaction([Term(op)], "spin", 3), lam
+    lam = Interval(1, n + 4)
+    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    if kind == "interior":
+        pert = random_even_perturbation(lam, 2, ENVELOPE,
+                                        int(rng.integers(2 ** 32)))
+        return eta, pert.restricted(interior(lam, 2)), lam
+    m = parity_even(random_hermitian(rng, 2 ** len(lam), complex_))
+    op = LocalOperator(m / operator_norm(m), lam, lam, "fermion")
+    return eta, Interaction([Term(op)], "fermion", 2), lam
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["equal", "unequal", "spin1"]), st.integers(2, 5),
-       st.booleans(), st.floats(1e-3, 0.2), st.integers(0, 2 ** 32 - 1))
-def test_gap_curve_on_blocks_is_the_dense_oracle_bit_for_bit(kind, n, complex_,
-                                                             eps, seed):
-    """``gap_curve`` splits ``H0`` and ``Psi`` once and solves each coupling
-    block by block: every spectrum is ``eigenvalues(H0 + eps Psi)`` bit for
-    bit, with one parity scan in all, each ``eigvalsh`` on a block, and one
-    solve per coupling when the blocks are equal (a parity-even pair that
-    leaves the last site alone), or on a spin-1 side 3^n, which does not
-    split.  Fed the pair already split on its sectors, it scans nothing and
-    returns the same splits bit for bit."""
-    rng = np.random.default_rng(seed)
-    if kind == "spin1":
-        side = 3 ** min(n, 4)
-        h0, psi = _gapped(rng, side, complex_), random_hermitian(rng, side,
-                                                                 complex_)
-        psi /= operator_norm(psi)
-    elif kind == "unequal":
-        side = 2 ** n
-        h0, psi = even_pair(rng, side, complex_)
-    else:
-        side = 2 ** n
-        h0, psi = (np.kron(m, np.eye(2))
-                   for m in even_pair(rng, side // 2, complex_))
-    block = side if kind == "spin1" else side // 2
-    solves_per_coupling = 2 if kind == "unequal" else 1
-    scans, shapes = [], []
-    real_scan, real_solve = operator_algebra.parity_sectors, np.linalg.eigvalsh
-
-    def scan(*mats):
-        scans.append(1)
-        return real_scan(*mats)
-
-    def solve(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real_solve(a, *args, **kwargs)
-
+@given(st.sampled_from(["whole", "interior", "aklt"]), st.integers(3, 5),
+       st.booleans(), st.floats(1e-3, 0.05), st.integers(0, 2 ** 32 - 1))
+def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
+                                                               complex_, eps,
+                                                               seed):
+    """Each split of ``gap_curve`` is ``hamiltonian_eigenvalues`` of
+    ``coupled(eta, pert, eps)`` bit for bit (of ``eta`` at coupling 0), and
+    the dense ``eigvalsh(H0 + eps Psi)`` of the volume to 1e-12 of its
+    scale; ``|Psi|``, the largest ``|lambda|`` of ``pert``, is
+    ``operator_norm`` of its volume Hamiltonian, bit for bit when its span
+    is the volume."""
+    eta, pert, lam = _sweep_case(kind, n, complex_, np.random.default_rng(seed))
+    assert (pert.span == lam) == (kind == "whole")
     grid = [0.0, 0.5 * eps, eps]
-    with patch.object(spectra, "parity_sectors", scan), \
-            patch.object(operator_algebra, "parity_sectors", scan), \
-            patch.object(np.linalg, "eigvalsh", solve):
-        splits = gap_curve(h0, psi, grid)
-    assert len(scans) == 1
-    assert set(shapes) == {(block, block)}
-    # |Psi|, the spectrum at 0 and the two nonzero couplings
-    assert len(shapes) == (2 + len(grid) - 1) * solves_per_coupling
-    for sp, e in zip(splits, grid):
+    splits = gap_curve(eta, pert, lam, grid)
+    h0 = local_hamiltonian(eta, lam).matrix
+    psi = local_hamiltonian(pert, lam).matrix
+    for sp, e in zip(splits, grid, strict=True):
         spectrum = np.concatenate((sp.sp0, sp.sp1))
-        assert spectrum.tobytes() == eigenvalues(h0 + e * psi).tobytes()
-    sectors = real_scan(h0, psi)
-    stacks = split_blocks(h0, sectors), split_blocks(psi, sectors)
-    with patch.object(spectra, "parity_sectors", scan):
-        presplit = gap_curve(*stacks, grid)
-    assert len(scans) == 1
-    for sp, ref in zip(presplit, splits, strict=True):
-        assert sp.eps == ref.eps
-        assert sp.sp0.tobytes() == ref.sp0.tobytes()
-        assert sp.sp1.tobytes() == ref.sp1.tobytes()
+        phi = coupled(eta, pert, e) if e else eta
+        assert spectrum.tobytes() == hamiltonian_eigenvalues(phi,
+                                                             lam).tobytes()
+        dense = np.linalg.eigvalsh(h0 + e * psi)
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        np.testing.assert_allclose(spectrum, dense, rtol=0, atol=1e-12 * scale)
+    psi_norm = float(np.max(np.abs(hamiltonian_eigenvalues(pert, lam))))
+    if kind == "whole":
+        assert psi_norm == operator_norm(psi)
+    assert psi_norm == pytest.approx(operator_norm(psi), rel=1e-12)
+
+
+def test_every_sweep_and_scan_solve_is_hamiltonian_eigenvalues(monkeypatch):
+    """``gap_curve`` and ``sp0_diameter_scan`` solve nothing themselves:
+    every eigensolve runs inside ``hamiltonian_eigenvalues``, and
+    ``gap_curve`` reads ``|Psi|`` from that of ``pert``, then the spectrum
+    of ``eta``, then one coupled interaction per nonzero coupling."""
+    lam = Interval(1, 8)
+    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
+    depth, solves, read = [0], [], []
+    real_read = spectra.hamiltonian_eigenvalues
+
+    def reading(phi, where):
+        read.append(phi)
+        depth[0] += 1
+        try:
+            return real_read(phi, where)
+        finally:
+            depth[0] -= 1
+
+    def solver(real):
+        def solve(*args, **kwargs):
+            solves.append(depth[0])
+            return real(*args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(spectra, "hamiltonian_eigenvalues", reading)
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, solver(getattr(np.linalg, name)))
+    grid = [0.0, 0.01, 0.02]
+    gap_curve(eta, pert, lam, grid)
+    assert read[0] is pert and read[1] is eta and len(read) == len(grid) + 1
+    sp0_diameter_scan(eta, pert, lam, (0.0, 0.02), (0, 1, 2))
+    assert solves and all(solves)
 
 
 def test_cluster_projector():
@@ -282,7 +308,7 @@ def test_higher_gap_track_analytic():
     h0 = np.diag([0.0, 1.0, 2.0, 3.0])
     psi = np.diag([0.0, 1.0, -1.0, 0.0])
     # window between 1 and 2: gamma(eps) = (2 - eps) - (1 + eps)
-    rows = higher_gap_track(gap_curve(h0, psi, [0.0, 0.1, 0.2]),
+    rows = higher_gap_track(curve(h0, psi, [0.0, 0.1, 0.2]),
                             nu=1.0, mu=2.0)
     for eps, g in rows:
         assert g == pytest.approx(1.0 - 2.0 * eps, abs=1e-12)
@@ -292,7 +318,7 @@ def test_higher_gap_track_keeps_rounded_levels_at_the_window_edges():
     # each edge level is degenerate and straddles nu or mu by rounding
     h0 = np.diag([0.0, 1.0 - 1e-15, 1.0 + 1e-15, 2.0 - 1e-15, 2.0 + 1e-15])
     psi = np.diag([0.0, -1.0, 1.0, -1.0, 1.0])
-    rows = higher_gap_track(gap_curve(h0, psi, [0.0, 0.1, 0.2]),
+    rows = higher_gap_track(curve(h0, psi, [0.0, 0.1, 0.2]),
                             nu=1.0, mu=2.0)
     for eps, g in rows:
         assert g == pytest.approx(1.0 - 2.0 * eps, abs=1e-12)
@@ -300,19 +326,19 @@ def test_higher_gap_track_keeps_rounded_levels_at_the_window_edges():
 
 def test_higher_gap_track_window_must_be_populated():
     with pytest.raises(ValueError, match="no spectrum"):
-        higher_gap_track(gap_curve(np.diag([5.0, 6.0]), np.eye(2), [0.0],
-                                   cluster_dim=1), nu=1.0, mu=2.0)
+        higher_gap_track(curve(np.diag([5.0, 6.0]), np.eye(2), [0.0],
+                               cluster_dim=1), nu=1.0, mu=2.0)
 
 
 def test_higher_gap_track_needs_coupling_zero_first():
     with pytest.raises(ValueError, match="coupling zero"):
-        higher_gap_track(gap_curve(np.diag([0.0, 3.0]), np.eye(2), [0.1]),
+        higher_gap_track(curve(np.diag([0.0, 3.0]), np.eye(2), [0.1]),
                          nu=1.0, mu=2.0)
 
 
 def test_higher_gap_identity_perturbation_is_constant():
     h0 = np.diag([0.0, 0.5, 2.0, 2.5])
-    rows = higher_gap_track(gap_curve(h0, np.eye(4), [0.0, 0.3, 0.7]),
+    rows = higher_gap_track(curve(h0, np.eye(4), [0.0, 0.3, 0.7]),
                             nu=0.5, mu=2.0)
     for _, g in rows:
         assert g == pytest.approx(1.5, abs=1e-12)
@@ -407,7 +433,6 @@ def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
 
     monkeypatch.setattr(interaction, "local_hamiltonian", build)
     monkeypatch.setattr(spectra, "local_hamiltonian", refuse)
-    monkeypatch.setattr(spectra, "eigenvalues", refuse)
     sp0_diameter_scan(eta, pert, lam, (0.0, 0.02, 0.05), (0, 1, 2))
     assert [where for _, where in built] == \
         [eta.span] + [lam, eta.span, eta.span] * 2
