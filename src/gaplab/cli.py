@@ -552,11 +552,13 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
                       f"E0 = {evals[0]:.1e}, gap = {gap:.12f}, "
                       f"kernel {kdim}/{kexp}, leak = {leak:.1e}")
             if length <= 10:
-                # both are 1 (x) H_span (x) 1 on lam, with the same span
-                span = eta.span
-                same = np.array_equal(
-                    local_hamiltonian(fermion_to_spin(eta), span).matrix,
-                    local_hamiltonian(eta, span).matrix)
+                # the same supports and matrices, in the same order, place
+                # into the same Hamiltonian entry for entry on every volume
+                spin = fermion_to_spin(eta).terms
+                same = len(spin) == len(eta.terms) and all(
+                    s.support == t.support
+                    and np.array_equal(s.op.matrix, t.op.matrix)
+                    for s, t in zip(spin, eta.terms))
                 dev = float(np.max(np.abs(evals
                                           - orbital_spectrum(model, lam))))
                 jw_rows.append((length, offset, dev,

@@ -8,6 +8,12 @@ keyed by a ball, the ball's center, with the ball's radius.  Anchors drive
 the edge/bulk split and the anchored decompositions used by the spectral
 flow.  Decay functions are not carried: every norm names the one it is
 taken against (``Interaction.f_norm(spec)``).
+
+A volume's values-only spectrum is solved in one place,
+``hamiltonian_eigenvalues``: on the span of its terms, in the blocks of the
+first charge every term conserves (the number or ``S^z``, else the
+parity, else none), each block assembled straight from the terms by
+``charge_blocks``.  No matrix on the whole span is built for it.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import numpy as np
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
-    LocalOperator, ParityError, _check_dense, eigenvalues, jordan_wigner,
-    kernel_count, kernel_mask, operator_norm, parity_grade, placement,
+    LocalOperator, ParityError, _check_dense, basis_charges, eigenvalues,
+    jordan_wigner, kernel_count, kernel_mask, operator_norm, parity_grade,
+    placement,
 )
 
 
@@ -98,6 +105,13 @@ class Interaction:
                                 spec)
 
 
+def _real(terms) -> bool:
+    """Every term matrix is real, or complex with an exactly zero imaginary
+    part: the Hamiltonian is then assembled in float64."""
+    return all(not np.iscomplexobj(t.op.matrix)
+               or np.max(np.abs(t.op.matrix.imag)) == 0.0 for t in terms)
+
+
 def local_hamiltonian(phi: Interaction, lam: Interval):
     """Sum of all terms supported inside ``lam``, as one operator on ``lam``.
 
@@ -108,8 +122,7 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
     dim = d ** len(lam)
     _check_dense(dim)
     terms = [t for t in phi.terms if t.support in lam]
-    real = all(not np.iscomplexobj(t.op.matrix)
-               or np.max(np.abs(t.op.matrix.imag)) == 0.0 for t in terms)
+    real = _real(terms)
     h = np.zeros((dim, dim), np.float64 if real else np.complex128)
     for t in terms:
         view = placement(h, d ** (t.support.a - lam.a),
@@ -118,21 +131,97 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
     return LocalOperator(h, lam, lam, phi.kind, d)
 
 
+def _conserved_modulus(terms, d: int) -> int | None:
+    """The charge every term conserves, as the ``modulus`` of
+    ``basis_charges``: the total charge (None), else its parity (2), else
+    none (1, one sector).  A term conserves a charge when its matrix is
+    exactly zero between basis states of unequal charge."""
+    def conserves(t, modulus):
+        q = basis_charges(len(t.support), d, modulus)
+        return not np.any(t.op.matrix[q[:, None] != q[None, :]])
+
+    for modulus in (None, 2):
+        if all(conserves(t, modulus) for t in terms):
+            return modulus
+    return 1
+
+
+def charge_blocks(phi: Interaction, lam: Interval):
+    """The conserved-charge sectors of ``local_hamiltonian(phi, lam)`` and
+    a generator of its diagonal blocks on them, in the same order; each
+    block is assembled when it is asked for and let go at the next.
+
+    The sectors are the index sets of ``basis_charges`` on ``lam``, in
+    ascending charge, under the first charge every term inside ``lam``
+    conserves (number or ``S^z``, then parity, then none: one sector), so
+    every entry between two sectors is exactly zero.  A term's states of
+    local charge ``c_t`` meet the states of sector ``c`` whose outer sites
+    carry charge ``c - c_t``; each block gets every term's placed entries,
+    in term order, so it equals the matching sub-block of
+    ``local_hamiltonian(phi, lam)`` entry for entry, and no matrix on all
+    of ``lam`` is built.
+    """
+    d = phi.local_dim
+    _check_dense(d ** len(lam))
+    terms = [t for t in phi.terms if t.support in lam]
+    modulus = _conserved_modulus(terms, d)
+    dtype = np.float64 if _real(terms) else np.complex128
+    q = basis_charges(len(lam), d, modulus)
+    sectors = [np.flatnonzero(q == c) for c in np.unique(q)]
+    pos = np.empty_like(q)
+    for idx in sectors:
+        pos[idx] = np.arange(idx.size)
+
+    placed = []         # per term: its local charge groups, its outer states
+    for t in terms:
+        nl, nr = t.support.a - lam.a, lam.b - t.support.b
+        dt, dr = d ** len(t.support), d ** nr
+        m = t.op.matrix.real if dtype == np.float64 else t.op.matrix
+        qt = basis_charges(len(t.support), d, modulus)
+        groups = []
+        for ct in np.unique(qt):
+            g = np.flatnonzero(qt == ct)
+            groups.append((ct, g * dr, m[np.ix_(g, g)]))
+        outer = (basis_charges(nl, d)[:, None]
+                 + basis_charges(nr, d)[None, :]).ravel()
+        if modulus is not None:
+            outer %= modulus
+        base = (np.arange(d ** nl)[:, None] * (dt * dr)
+                + np.arange(dr)[None, :]).ravel()
+        placed.append((groups, {c: base[outer == c]
+                                for c in np.unique(outer)}))
+
+    def blocks():
+        for idx in sectors:
+            c = q[idx[0]]
+            block = np.zeros((idx.size, idx.size), dtype)
+            for groups, outer in placed:
+                for ct, offsets, sub in groups:
+                    rest = c - ct if modulus is None else (c - ct) % modulus
+                    if rest in outer:
+                        p = pos[outer[rest][:, None] + offsets]
+                        block[p[:, :, None], p[:, None, :]] += sub
+            yield block
+            del block
+
+    return sectors, blocks()
+
+
 def hamiltonian_eigenvalues(phi: Interaction, lam: Interval) -> np.ndarray:
     """Ascending eigenvalues of ``local_hamiltonian(phi, lam)``.
 
-    The terms inside ``lam`` are summed on their span and solved there by
-    ``eigenvalues``.  ``placement`` adds the same terms, in the same order,
-    at the same offsets, so the matrix on ``lam`` is ``1 (x) H_span (x) 1``
-    entry for entry: each eigenvalue of the span is repeated
-    ``d^(len(lam) - len(span))`` times, and a repeat of a sorted array stays
-    sorted.  Without terms the spectrum is all zeros.
+    The terms inside ``lam`` are solved on their span, block by block of
+    ``charge_blocks``, by ``eigenvalues``.  ``placement`` adds the same
+    terms, in the same order, at the same offsets, so the matrix on ``lam``
+    is ``1 (x) H_span (x) 1`` entry for entry: each eigenvalue of the span
+    is repeated ``d^(len(lam) - len(span))`` times, and a repeat of a
+    sorted array stays sorted.  Without terms the spectrum is all zeros.
     """
     phi = phi.restricted(lam)
     span = phi.span
     if span is None:
         return np.zeros(phi.local_dim ** len(lam))
-    return np.repeat(eigenvalues(local_hamiltonian(phi, span).matrix),
+    return np.repeat(eigenvalues(charge_blocks(phi, span)[1]),
                      phi.local_dim ** (len(lam) - len(span)))
 
 

@@ -174,19 +174,25 @@ def as_matrix(a) -> np.ndarray:
     return a.matrix if isinstance(a, LocalOperator) else np.asarray(a)
 
 
-def _popcount(n_sites: int) -> np.ndarray:
-    """Occupied sites of every basis state on n_sites (local dimension 2)."""
-    v = np.arange(2 ** n_sites)
-    pop = np.zeros_like(v)
-    while v.any():
-        pop += v & 1
-        v >>= 1
-    return pop
+def basis_charges(n_sites: int, d: int = 2,
+                  modulus: int | None = None) -> np.ndarray:
+    """Charge of every basis state on ``n_sites`` of local dimension ``d``.
+
+    A site's charge is its basis index: the occupation at ``d = 2``, and
+    ``1 - m`` for spin-1.  A state's charge is the sum over its sites (the
+    particle number, or ``S - S^z`` summed), reduced mod ``modulus`` when
+    one is given: modulus 2 is the fermion parity, modulus 1 puts every
+    state in one sector.
+    """
+    q = np.zeros(1, dtype=np.intp)
+    for _ in range(n_sites):
+        q = (q[:, None] + np.arange(d)).ravel()
+    return q if modulus is None else q % modulus
 
 
 def parity_matrix(n_sites: int) -> np.ndarray:
     """Diagonal of (-1)^(number of occupied sites) on n_sites, local dim 2."""
-    return np.where(_popcount(n_sites) % 2 == 0, 1.0, -1.0)
+    return 1.0 - 2.0 * basis_charges(n_sites, 2, 2)
 
 
 def parity_sectors(*mats) -> list[np.ndarray]:
@@ -204,7 +210,7 @@ def parity_sectors(*mats) -> list[np.ndarray]:
     whole = [np.arange(side)]
     if side < 2 or side & (side - 1):
         return whole
-    even = parity_matrix(side.bit_length() - 1) > 0
+    even = basis_charges(side.bit_length() - 1, 2, 2) == 0
     ev, od = np.flatnonzero(even), np.flatnonzero(~even)
     for m in map(np.asarray, mats):
         if m.shape != shape or _couples_parities(m, even, ev, od):
@@ -249,15 +255,21 @@ def join_blocks(blocks, sectors) -> np.ndarray:
 def eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, split by fermion parity:
     each block of ``parity_sectors(m)`` is solved by ``eigvalsh`` and the
-    spectra are merged.  A stack (k, b, b) of diagonal blocks, as
-    ``split_blocks`` makes it, is solved block by block."""
-    m = np.asarray(m)
-    if m.ndim == 2:
+    spectra are merged.  Any other input is a sequence of square diagonal
+    blocks, of one side (a stack (k, b, b), as ``split_blocks`` makes it)
+    or of several (a list or a generator), solved block by block; a block
+    is let go once solved, so a generator keeps one block alive at a time.
+    """
+    if isinstance(m, np.ndarray) and m.ndim == 2:
         sectors = parity_sectors(m)
         if len(sectors) == 1:
             return np.linalg.eigvalsh(m)
         m = split_blocks(m, sectors)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in m]))
+    spectra = []
+    for block in m:
+        spectra.append(np.linalg.eigvalsh(block))
+        del block
+    return np.sort(np.concatenate(spectra))
 
 
 def parity_grade(op: LocalOperator) -> str:

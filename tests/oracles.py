@@ -24,6 +24,13 @@ def number_operator(lam: Interval) -> LocalOperator:
                          "fermion")
 
 
+def digit_sums(n_sites: int, d: int) -> np.ndarray:
+    """The base-``d`` digit sum of every basis index on ``n_sites``: the
+    occupation number at ``d = 2``, the summed ``1 - m`` for spin-1."""
+    return np.sum(np.unravel_index(np.arange(d ** n_sites), (d,) * n_sites),
+                  axis=0)
+
+
 def is_hermitian(op: LocalOperator) -> bool:
     """m = m* to 1e-12 of max(1, |m|)."""
     m = op.matrix

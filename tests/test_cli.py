@@ -1,11 +1,13 @@
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import re
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import gaplab.cli as cli
+from gaplab import interaction
 from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         cmd_flow, cmd_sp0scan, cmd_validate, flow_bundle,
                         load_config, main, merged_config, run, summary_lines,
@@ -383,7 +386,8 @@ def test_values_only_solves_go_through_the_spectral_layer():
     the witness ascent in ``ltqo.py`` keeps its own solves until it is
     rewritten.  ``cli.py`` calls no ``eigenvalues`` itself: every
     values-only solve of a volume's Hamiltonian there goes through
-    ``hamiltonian_eigenvalues`` and so is made on the span of its terms."""
+    ``hamiltonian_eigenvalues``, which hands the charge blocks of the span
+    of its terms to ``eigenvalues`` and assembles no whole matrix."""
     src = Path(__file__).resolve().parents[1] / "src" / "gaplab"
     callers = {p.name for p in src.glob("*.py")
                if "linalg.eigvalsh(" in p.read_text(encoding="utf-8")}
@@ -391,29 +395,55 @@ def test_values_only_solves_go_through_the_spectral_layer():
     cli_text = (src / "cli.py").read_text(encoding="utf-8")
     assert not re.search(r"\beigenvalues\(", cli_text)
     assert "hamiltonian_eigenvalues(" in cli_text
+    body = inspect.getsource(interaction.hamiltonian_eigenvalues) \
+        .split('"""')[-1]
+    assert "eigenvalues(charge_blocks(" in body
+    assert "local_hamiltonian(" not in body
 
 
 def test_sp0scan_solves_each_matrix_once(monkeypatch):
-    solves = []
+    """sp0scan solves three matrices, each once: ``h0`` and the rows of
+    depths 1 and 2, each in the charge blocks of the span [2, 7] of its
+    terms (64 states), never on the volume [1, 8].  Depth 3 keeps no term
+    and every coupling-0 row reads ``h0``.  ``h0`` conserves the particle
+    number (seven blocks, of sides 1 to 20); a perturbed row conserves only
+    the parity (two blocks of 32).  Every assembled block goes to
+    ``eigvalsh`` exactly once (two blocks of ``h0`` may be equal, and are
+    then solved twice, once each); every other solve is a term norm of the
+    perturbation (at most 5 sites: parity blocks of 16)."""
+    def key(m):
+        m = np.ascontiguousarray(m)
+        return m.shape[0], hashlib.blake2b(m.tobytes()).hexdigest()
+
+    spans, assembled, solves = [], [], []
+    real_blocks = interaction.charge_blocks
     original = np.linalg.eigvalsh
 
+    def recorded(phi, lam):
+        sectors, blocks = real_blocks(phi, lam)
+        spans.append((lam, [len(s) for s in sectors]))
+
+        def keyed():
+            for block in blocks:
+                assembled.append(key(block))
+                yield block
+        return sectors, keyed()
+
     def counted(a, *args, **kwargs):
-        m = np.ascontiguousarray(a)
-        solves.append((m.shape[0], hashlib.blake2b(m.tobytes()).hexdigest()))
+        solves.append(key(a))
         return original(a, *args, **kwargs)
 
+    monkeypatch.setattr(interaction, "charge_blocks", recorded)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     cfg = merged_config({"sp0": {"length": 8, "depths": [1, 2, 3]}})
     assert cmd_sp0scan(cfg, {}).passed
-    # h0 and the matrices of depths 1 and 2, each solved on the span [2, 7]
-    # of its terms (64 states), never on the volume [1, 8]: its two parity
-    # blocks of 32 differ, so each matrix takes two block solves and no
-    # block is solved twice.  Depth 3 keeps no term and every coupling-0
-    # row reads h0.  The small solves are the term norms of the
-    # perturbation (at most 5 sites: blocks of 16).
-    blocks = [s for s in solves if s[0] == 32]
-    assert len(blocks) == 6 and len(set(blocks)) == 6
-    assert all(side <= 16 for side, _ in solves if side != 32)
+    span = Interval(2, 7)
+    assert spans == [(span, [1, 6, 15, 20, 15, 6, 1]), (span, [32, 32]),
+                     (span, [32, 32])]
+    assert len(assembled) == 11 and len(set(assembled[7:])) == 4
+    solved = Counter(solves)
+    assert all(solved[k] == n for k, n in Counter(assembled).items())
+    assert all(side <= 16 for side, _ in set(solves) - set(assembled))
 
 
 def test_flow_checks_solve_no_matrix_again(monkeypatch):
@@ -530,6 +560,22 @@ def test_validate_fails_a_spin_image_that_differs(monkeypatch):
     assert len(rows) == 2
     assert all(row[2] <= 1e-10 and row[3] == "fail" for row in rows)
     assert not rep.passed
+
+
+def test_validate_passes_on_the_default_config():
+    """The default ``validate`` passes every check.  Its AKLT rows at 6, 7
+    and 8 sites have a four-dimensional kernel and the gaps of the dense
+    whole-matrix solve (``eigvalsh`` of ``local_hamiltonian``, which the
+    charge blocks matched to 7.7e-14)."""
+    rep = cmd_validate(merged_config(None), {})
+    assert rep.checks and all(ok for _, ok, _ in rep.checks)
+    _, rows = rep.tables["validate.csv"]
+    aklt = {row[1]: row for row in rows if row[0] == "aklt"}
+    gaps = {6: 0.398451231780, 7: 0.386595263982, 8: 0.379349133070}
+    assert sorted(aklt) == sorted(gaps)
+    for length, gap in gaps.items():
+        assert aklt[length][5] == 4 and aklt[length][9] == "ok"
+        assert aklt[length][4] == pytest.approx(gap, rel=0.0, abs=1e-9)
 
 
 def test_validate_owns_the_auxiliary_basis_budget(monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gaplab import operator_algebra
 from gaplab.ffunction import FFunctionSpec, WeightSpec, regroup_decay
-from gaplab.interaction import (Interaction, Term, fermion_to_spin, from_json,
+from gaplab.interaction import (Interaction, Term, charge_blocks,
+                                fermion_to_spin, from_json,
                                 hamiltonian_eigenvalues, local_hamiltonian,
                                 random_interaction, regroup_intervals,
                                 split_edge_bulk, to_json,
@@ -15,8 +16,8 @@ from gaplab.interaction import (Interaction, Term, fermion_to_spin, from_json,
 from gaplab.lattice import Interval, interior
 from gaplab.operator_algebra import LocalOperator, ParityError, annihilator, \
     kernel_count
-from oracles import (creator, is_hermitian, kron_placed, number_operator,
-                     random_matrix)
+from oracles import (creator, digit_sums, is_hermitian, kron_placed,
+                     number_operator, random_hermitian, random_matrix)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -53,13 +54,20 @@ def test_range():
     assert phi.range == 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(2, 6), (3, 4)]), st.integers(0, 4),
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 6), (3, 4)]),
+       st.sampled_from(["number", "parity", "mixed"]), st.integers(0, 4),
        st.integers(0, 2 ** 32 - 1))
-def test_local_hamiltonian_matches_manual_kron(dim_sites, n_random, seed):
+def test_local_hamiltonian_matches_manual_kron(dim_sites, charge, n_random,
+                                               seed):
     """Terms of random supports, real or complex, always with one on the
     left edge site and one on the whole chain, assemble to the sum of their
-    Kronecker placements entry for entry."""
+    Kronecker placements entry for entry.  Terms that conserve the number
+    (or ``S^z``), only its parity, or neither give ``n (d - 1) + 1``, two
+    or one charge blocks, in ascending charge: each block is the matching
+    sub-block of the whole matrix entry for entry, every entry between two
+    sectors is exactly zero, and the blocks' spectrum is the whole
+    matrix's to 1e-12 of its scale."""
     d, n_sites = dim_sites
     lam = Interval(0, n_sites - 1)
     rng = np.random.default_rng(seed)
@@ -67,15 +75,39 @@ def test_local_hamiltonian_matches_manual_kron(dim_sites, n_random, seed):
     for _ in range(n_random):
         a = int(rng.integers(0, n_sites))
         supports.append(Interval(a, int(rng.integers(a, n_sites))))
+    rule = {"number": lambda q: q, "parity": lambda q: q % 2,
+            "mixed": lambda q: 0 * q}[charge]
     terms, oracle = [], np.zeros((d ** n_sites,) * 2)
     for supp in supports:
-        m = random_matrix(rng, d ** len(supp), bool(rng.integers(2)))
+        m = random_hermitian(rng, d ** len(supp), bool(rng.integers(2)))
+        q = rule(digit_sums(len(supp), d))
+        m = np.where(q[:, None] == q[None, :], m, 0.0)
         terms.append(Term(LocalOperator(m, supp, lam, "spin", d)))
         oracle = oracle + kron_placed(m, d, supp.a - lam.a, lam.b - supp.b)
-    h = local_hamiltonian(Interaction(terms, "spin", d), lam)
-    assert h.matrix.dtype == (np.complex128 if np.iscomplexobj(oracle)
-                              else np.float64)
-    assert np.array_equal(h.matrix, oracle)
+    phi = Interaction(terms, "spin", d)
+    h = local_hamiltonian(phi, lam).matrix
+    complex_ = any(np.iscomplexobj(t.op.matrix) and t.op.matrix.imag.any()
+                   for t in terms)
+    assert h.dtype == (np.complex128 if complex_ else np.float64)
+    assert np.array_equal(h, oracle)
+
+    q = rule(digit_sums(n_sites, d))
+    sectors, blocks = charge_blocks(phi, lam)
+    assert [int(q[s[0]]) for s in sectors] == sorted(set(q.tolist()))
+    assert len(sectors) == {"number": n_sites * (d - 1) + 1, "parity": 2,
+                            "mixed": 1}[charge]
+    inside = np.zeros(h.shape, bool)
+    for s, block in zip(sectors, blocks, strict=True):
+        assert np.all(q[s] == q[s[0]])
+        assert block.dtype == h.dtype
+        assert np.array_equal(block, h[np.ix_(s, s)])
+        inside[np.ix_(s, s)] = True
+    assert inside.sum() == sum(len(s) ** 2 for s in sectors)
+    assert not h[~inside].any()
+    evals = hamiltonian_eigenvalues(phi, lam)
+    dense = np.linalg.eigvalsh(h)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(evals - dense)) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)

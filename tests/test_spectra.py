@@ -411,35 +411,41 @@ def test_sp0_scan_matches_a_dense_recomputation():
 def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
     """Every spectrum is ``hamiltonian_eigenvalues`` of an interaction: that
     of ``eta`` once, then one per perturbed row, ``eta``'s terms followed by
-    the kept terms scaled by the coupling, assembled on its span, the hull
-    of ``eta``'s span and the kept terms.  At depth 0 the kept terms reach
-    the end sites, off ``eta``'s span, so the hull is the volume; deeper
-    rows stay on ``eta``'s span.  The scan assembles and solves nothing
-    itself."""
+    the kept terms scaled by the coupling, solved in the charge blocks of
+    its span, the hull of ``eta``'s span and the kept terms.  At depth 0
+    the kept terms reach the end sites, off ``eta``'s span, so the hull is
+    the volume; deeper rows stay on ``eta``'s span.  ``eta`` conserves the
+    particle number and splits into the seven number sectors of its six
+    sites; a perturbed row conserves only the parity.  No whole matrix is
+    assembled, by the scan or by ``hamiltonian_eigenvalues``."""
     lam = Interval(1, 8)
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
     assert eta.span == Interval(2, 7) and pert.span == lam
     built = []
-    real_build = interaction.local_hamiltonian
+    real_blocks = interaction.charge_blocks
 
-    def build(phi, where):
-        built.append((phi.terms, where))
-        return real_build(phi, where)
+    def blocks(phi, where):
+        sectors, gen = real_blocks(phi, where)
+        built.append((phi.terms, where, [len(s) for s in sectors]))
+        return sectors, gen
 
     def refuse(*args):
-        raise AssertionError("sp0_diameter_scan solved a matrix itself")
+        raise AssertionError("a whole matrix was assembled")
 
-    monkeypatch.setattr(interaction, "local_hamiltonian", build)
+    monkeypatch.setattr(interaction, "charge_blocks", blocks)
+    monkeypatch.setattr(interaction, "local_hamiltonian", refuse)
     monkeypatch.setattr(spectra, "local_hamiltonian", refuse)
     sp0_diameter_scan(eta, pert, lam, (0.0, 0.02, 0.05), (0, 1, 2))
-    assert [where for _, where in built] == \
-        [eta.span] + [lam, eta.span, eta.span] * 2
+    number = [1, 6, 15, 20, 15, 6, 1]
+    assert [(where, sides) for _, where, sides in built] == \
+        [(eta.span, number)] + [(lam, [128, 128]), (eta.span, [32, 32]),
+                                (eta.span, [32, 32])] * 2
     n = len(eta.terms)
     assert all(a is b for a, b in zip(built[0][0], eta.terms, strict=True))
     rows = [(eps, depth) for eps in (0.02, 0.05) for depth in (0, 1, 2)]
-    for (terms, _), (eps, depth) in zip(built[1:], rows):
+    for (terms, _, _), (eps, depth) in zip(built[1:], rows):
         assert all(a is b for a, b in zip(terms[:n], eta.terms))
         kept = [t for t in pert.terms if t.support in interior(lam, depth)]
         assert len(terms) == n + len(kept)
