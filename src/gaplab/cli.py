@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
-    f_zero, regroup_decay, transform_f_phi
+    f_norm, f_zero, regroup_decay, transform_f_phi
 from .interaction import Interaction, fermion_to_spin, from_json, \
     hamiltonian_eigenvalues, local_hamiltonian, random_interaction, \
     regroup_intervals, split_edge_bulk, validate_unperturbed
@@ -399,12 +399,14 @@ def _form_bound_checkpoints(n_check: int) -> list[int]:
 def flow_bundle(cfg: dict, ctx: dict) -> dict:
     """The shared flow fixture: orbital chain + seeded bulk perturbation.
 
-    It keeps only what ``flow``, ``bounds`` and ``constants_bundle`` read,
-    as block stacks on the flow's parity sectors: the flow without its
-    per-checkpoint unitaries and generators (its ``end_spectra`` carry the
-    generators at both ends), the decomposition at ``eps``, the form-bound
-    piece of the split at each form-bound coupling, the ball families and
-    the collected pieces with their norms.
+    The anchored decomposition consumes the flow as it goes, so no
+    checkpoint's unitary or generator outlives it.  The fixture keeps only
+    what ``flow``, ``bounds`` and ``constants_bundle`` read, as block stacks
+    on the flow's parity sectors: the flow (its ``end_spectra`` carry the
+    generators at both ends), the residuals of the decomposition at
+    ``eps``, the ``(support, norm)`` pairs of its ball terms, the
+    form-bound piece of the split at each form-bound coupling, the ball
+    families, and the norms and errors of the collected pieces.
     """
     if "flow" in ctx:
         return ctx["flow"]
@@ -415,27 +417,39 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     psi = split_edge_bulk(pert, lam, fc["max_radius"]).bulk
     kdim, _ = kernel_data(model, lam)
     window = Window(cfg["gamma"], fc["window"])
+    # the form-bound couplings share one pass over the flow: each
+    # decomposition is split as the pass reaches it, and only the last,
+    # the decomposition at eps, is kept
+    splits, kept = {}, {}
+
+    def decompose(frame):
+        uptos = _form_bound_checkpoints(len(frame.eps_grid) - 1)
+
+        def close(upto, dec):
+            splits[upto] = split_phi1(dec, frame.p0)
+            if upto == uptos[-1]:
+                kept["dec"] = dec
+        return decompose_phi1(frame, eta, psi, lam, close, uptos)
+
     flow = flow_unitaries(local_hamiltonian(eta, lam).matrix,
                           local_hamiltonian(psi, lam).matrix,
                           fc["eps"], window, checkpoints=fc["checkpoints"],
-                          cluster_dim=kdim, ode_tol=fc["ode_tol"])
-    # the form-bound couplings share one pass over the flow, after which
-    # its per-checkpoint stacks are dropped; the last is the decomposition
-    # at eps, the only one kept once split
-    uptos = _form_bound_checkpoints(len(flow.eps_grid) - 1)
-    decs = decompose_phi1(flow, eta, psi, lam, uptos)
-    flow = replace(flow, unitaries=None, generators=None)
-    splits = {upto: split_phi1(d, flow.p0) for upto, d in zip(uptos, decs)}
-    dec = decs[-1]
-    del decs
+                          cluster_dim=kdim, ode_tol=fc["ode_tol"],
+                          consumer=decompose)
+    dec = kept.pop("dec")
     # ball resolutions two sites inside, collected pieces where r_x >= 3
     families = {x: resolution_family(eta, lam, x, flow.p0, flow.sectors)
                 for x in interior(lam, 2)}
     thetas = {x: theta_assembly(dec, family)
               for x, family in families.items() if family.r_x >= 3}
+    # what the readers read of the decomposition and the collected pieces
+    ball_norms = [(t.support, t.op.norm()) for t in dec.ball_terms.terms]
+    dec = replace(dec, anchors=None, v_true=None)
+    thetas = {x: replace(th, theta_beta=None, theta_alpha=None)
+              for x, th in thetas.items()}
     ctx["flow"] = {"lam": lam, "eta": eta, "psi": psi, "window": window,
-                   "flow": flow, "dec": dec, "splits": splits,
-                   "families": families, "thetas": thetas}
+                   "flow": flow, "dec": dec, "ball_norms": ball_norms,
+                   "splits": splits, "families": families, "thetas": thetas}
     return ctx["flow"]
 
 
@@ -469,7 +483,7 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     omega = _step_profile(cfg)
 
     c_user = cfg["constants"]["C"]
-    phi1_fnorm = fb["dec"].ball_terms.f_norm(f_phi)
+    phi1_fnorm = f_norm(fb["ball_norms"], f_phi)
     c_measured = calibrate_c(phi1_fnorm, fb["flow"].eps, eta_fnorm, psi_fnorm)
     if c_user is not None and c_user < c_measured:
         raise RuntimeError(f"supplied flow constant C = {c_user:.6g} is below "

@@ -145,16 +145,20 @@ def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
 
     The ascent's lower bound for ``ascent = (seed, restarts, iters)``, the
     exact-zero certificate without one.  ``seen`` holds what the caller's
-    run has already computed: kernels by the volume's Hamiltonian, centred
-    maps by that and the region's placement in the volume, ascents by both
-    and their inputs, so each is computed once.
+    run has already computed: kernels by the volume's length and its terms
+    (each as its offset in the volume, its length and its matrix bytes, so
+    translated volumes share one), centred maps by that and the region's
+    placement in the volume, ascents by both and their inputs, so each is
+    computed once.  A volume is assembled only when its kernel is not yet
+    known.
     """
     vol, region = ball(lam, x, n), ball(lam, x, k)
-    h = local_hamiltonian(eta.restricted(vol), vol)
-    volume = h.matrix.tobytes()
+    phi = eta.restricted(vol)
+    volume = (len(vol), tuple((t.support.a - vol.a, len(t.support),
+                               t.op.matrix.tobytes()) for t in phi.terms))
     key = (volume, region.a - vol.a, len(region))
     if volume not in seen:
-        seen[volume] = kernel_basis_dense(h)
+        seen[volume] = kernel_basis_dense(local_hamiltonian(phi, vol))
     if key not in seen:
         seen[key] = witness_tensor(seen[volume], eta.local_dim, vol, region)
     wt = seen[key]

@@ -268,54 +268,60 @@ def _projector(vecs) -> np.ndarray:
 
 
 @dataclass
-class FlowResult:
-    """Block stacks ``(k, b, b)`` on ``sectors``.
-
-    ``unitaries`` and ``generators`` hold one stack per checkpoint, which
-    only ``decompose_phi1`` reads; a holder that has decomposed the flow
-    may drop them (``None``).  The generators at both ends travel with
-    ``end_spectra``.
-    """
+class FlowFrame:
+    """What a flow fixes before it integrates, as block stacks ``(k, b, b)``
+    on ``sectors``."""
 
     eps_grid: np.ndarray                 # checkpoint couplings, uniform, odd count
     sectors: list[np.ndarray]            # parity_sectors(H0, Psi)
     h0: np.ndarray                       # H0, as a block stack
     psi: np.ndarray                      # Psi, as a block stack
-    unitaries: list[np.ndarray] | None   # U(eps_j)
-    generators: list[np.ndarray] | None  # K(eps_j) = i D(eps_j), in the
-                                         # field of H0 and Psi
-    gap_floor: float                     # smallest tracked gap met on the grid
-    projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
-    ode_error: float                     # Richardson estimate from step halving
     p0: np.ndarray                       # P(0): the tracked cluster of H0
-    end_spectra: tuple                   # (evals, evecs, K) stacks of H(0)
-                                         # and H(eps) and their generators
 
     @property
     def eps(self) -> float:
         return float(self.eps_grid[-1])
 
 
+@dataclass
+class FlowResult(FlowFrame):
+    """The frame and what the accepted pass measured.  No checkpoint's
+    ``U`` or ``K`` is kept: the flow's consumer reads each as it is
+    reached.  The generators at both ends travel with ``end_spectra``."""
+
+    gap_floor: float                     # smallest tracked gap met on the grid
+    projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
+    ode_error: float                     # Richardson estimate from step halving
+    end_spectra: tuple                   # (evals, evecs, K) stacks of H(0)
+                                         # and H(eps) and their generators
+
+
 def flow_unitaries(h0, psi, eps: float, window: Window,
                    checkpoints: int = 33, cluster_dim: int | None = None,
-                   ode_tol: float = 1e-8) -> FlowResult:
+                   ode_tol: float = 1e-8, consumer=None) -> FlowResult:
     """Integrate U' = K(s) U to ``eps`` with RK4, re-unitarizing each step
     by the Newton-Schulz polar step of ``_polar_unitary`` (the RK4 step
     leaves ``U`` unitary to rounding, so one step of two products suffices;
     a defect outside its radius is a ``RuntimeError``).
 
-    The step count doubles, at most eight times, until two consecutive
-    refinements agree to ``ode_tol`` at every checkpoint.  The first pair,
-    one and two steps per checkpoint interval, runs in lockstep: both cross
-    one interval before either starts the next, and each generator off the
-    checkpoint grid is dropped once both have read it.  A further refinement
-    integrates only the finer count, against the unitaries kept from the
-    last, and solves its generators off the grid afresh.  At each
+    Each pass runs ``n`` and ``2n`` steps per checkpoint interval in
+    lockstep: both cross one interval before either starts the next, and
+    their difference at the checkpoints is the Richardson estimate.  The
+    first pass has ``n = 1``; ``n`` doubles, at most seven times, until the
+    estimate is within ``ode_tol``.  A pass holds the generators of the
+    interval it crosses and drops them, the checkpoint's too, once the next
+    is crossed, so a later pass solves its generators afresh.  At each
     checkpoint the tracked gap of ``H(s)`` is compared with the filter width
     and the transported projector with the spectral one, both read from the
     eigendecomposition that built the generator there, and ``p0``, the
     cluster projector of ``H_0``, from the one at s = 0.  The unitaries are
     real orthogonal when ``h0`` and ``psi`` are real.
+
+    ``consumer``, if given, is called once with the ``FlowFrame`` and
+    returns the one callable that is handed ``(j, s_j, U(s_j), K(s_j))`` at
+    each checkpoint of each pass, the finer of the pair's ``U``; ``j = 0``
+    starts a pass, so the last pass it sees is the accepted one.  Nothing
+    of a checkpoint is kept past it, but the two ``end_spectra``.
 
     The flow runs on the block stack of ``parity_sectors(h0, psi)`` (one
     block when either mixes parity): every solve, product, polar step and
@@ -367,44 +373,49 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
             u = _polar_unitary(u)
         return u
 
-    def drop_off_grid():
-        for key in [key for key in gen_cache if key not in checkpoint_keys]:
-            del gen_cache[key]
-
     n_blocks, side = b0.shape[:2]
     u0 = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
                          (n_blocks, side, side)).copy()
-    coarse, fine, prev, err = u0, u0, [u0], 0.0
-    for j in range(checkpoints - 1):
-        coarse = advance(coarse, j, 1)
-        fine = advance(fine, j, 2)
-        drop_off_grid()
-        prev.append(fine)
-        err = max(err, operator_norm(fine - coarse))
-    substeps = 2
-    while not err <= ode_tol and substeps < 256:
-        substeps *= 2
-        u, cur, err = u0, [u0], 0.0
-        for j in range(checkpoints - 1):
-            u = advance(u, j, substeps)
-            drop_off_grid()
-            cur.append(u)
-            err = max(err, operator_norm(u - prev[j + 1]))
-        prev = cur
+    frame = FlowFrame(grid, sectors, b0, bp,
+                      _projector(tracked[end_keys[0]][1]))
+    consume = consumer(frame) if consumer is not None else None
+
+    def run_pass(n):
+        """The Richardson estimate, gap floor and drift of the lockstep
+        pair of ``n`` and ``2n`` steps per interval."""
+        coarse = fine = u0
+        err, floor, drift = 0.0, np.inf, 0.0
+        for j, s in enumerate(grid):
+            if j:
+                coarse = advance(coarse, j - 1, n)
+                fine = advance(fine, j - 1, 2 * n)
+                err = max(err, operator_norm(fine - coarse))
+            key = round(float(s), 15)
+            k_s = gen(s)
+            for other in [other for other in gen_cache if other != key]:
+                del gen_cache[other]
+            gap, vecs = tracked.pop(key)
+            floor = min(floor, gap)
+            drift = max(drift, operator_norm(
+                fine @ frame.p0 @ fine.conj().swapaxes(-1, -2)
+                - _projector(vecs)))
+            if consume is not None:
+                consume(j, s, fine, k_s)
+        return err, floor, drift
+
+    n = 1
+    err, gap_floor, drift = run_pass(n)
+    while not err <= ode_tol and 2 * n < 256:
+        n *= 2
+        err, gap_floor, drift = run_pass(n)
     if not err <= ode_tol:
         raise RuntimeError(f"flow ODE failed to reach {ode_tol:.1e} (last {err:.1e})")
-
-    gaps, vecs = zip(*(tracked[round(float(s), 15)] for s in grid))
-    gap_floor = min(gaps)
     if gap_floor < window.gamma:
         raise RuntimeError(
             f"tracked gap {gap_floor:.4f} fell below filter width {window.gamma:.4f}")
-    p0 = _projector(vecs[0])
-    drift = max(operator_norm(u @ p0 @ u.conj().swapaxes(-1, -2)
-                              - _projector(v)) for u, v in zip(prev, vecs))
-    return FlowResult(grid, sectors, b0, bp, prev,
-                      [gen(s) for s in grid], gap_floor, drift, err, p0,
-                      tuple(ends[key] for key in end_keys))
+    return FlowResult(**vars(frame), gap_floor=gap_floor,
+                      projector_drift=drift, ode_error=err,
+                      end_spectra=tuple(ends[key] for key in end_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +425,14 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
 @dataclass
 class Phi1Decomposition:
     """Anchored pieces of the transported coupling, block stacks on
-    ``sectors`` (those of the flow)."""
+    ``sectors`` (those of the flow).  A holder that has split it and read
+    its ball terms may drop ``anchors`` and ``v_true`` (``None``)."""
 
     lam: Interval
     eps: float
     sectors: list[np.ndarray]
-    anchors: dict                        # x -> block-diagonal v_x (stack)
-    v_true: np.ndarray                   # V(eps) (stack)
+    anchors: dict | None                 # x -> block-diagonal v_x (stack)
+    v_true: np.ndarray | None            # V(eps) (stack)
     quadrature_residual: float           # |V_true - sum_x v_x| before correction
     cross_residual: float                # |P rho Q + Q rho P| routed to the edge
     max_kernel_commutator: float         # max_x |[P, v_x]| over all anchors
@@ -457,10 +469,10 @@ def _trace(a) -> float:
     return float(np.trace(a, axis1=-2, axis2=-1).sum().real)
 
 
-def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
-                   lam: Interval,
-                   uptos: list[int] | None = None) -> list[Phi1Decomposition]:
-    """Cut V(eps) into anchored block-diagonal pieces and telescope over balls.
+def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
+                   lam: Interval, close, uptos: list[int] | None = None):
+    """The flow's consumer that cuts V(eps) into anchored block-diagonal
+    pieces, to be telescoped over balls.
 
     ``eta`` and ``psi`` give the flow's ``H_0`` and ``Psi`` on ``lam``.
     Each anchor ``x`` receives ``v_x = int_0^eps U(s)* X_x(s) U(s) ds`` with
@@ -475,12 +487,14 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     increments ``Phi^1(b_x(n))`` (``ball_terms``).
 
     ``uptos`` lists checkpoint indices (even, so the composite rule closes)
-    at which the integral stops, default the last; one decomposition per
-    index is returned, in that order.  The integrand is evaluated once per
-    checkpoint up to the largest index, and the decomposition at each index
-    is made from the Simpson sum there as the pass reaches it.  All of it
-    runs on the flow's block stacks: each
-    anchored matrix is split on its sectors as it is assembled
+    at which the integral stops, default the last.  The returned callable
+    is handed each checkpoint ``(j, s_j, U(s_j), K(s_j))`` of a pass, as
+    ``flow_unitaries`` hands them (``j = 0`` starts the sums afresh), adds
+    its integrand to a running Simpson sum and lets it go.  At each stop it
+    makes the decomposition there from the running sum and the end-point
+    weight, and hands it to ``close(upto, decomposition)``; checkpoints past
+    the last stop are not read.  All of it runs on the flow's block stacks:
+    each anchored matrix is split on its sectors as it is assembled
     (``ValueError`` if it breaks them), and the decompositions keep the
     stacks.
     """
@@ -536,15 +550,17 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
                                  quad_res, operator_norm(rho_cross), max_comm,
                                  eta.local_dim)
 
-    # the Simpson sum up to each requested index: the running sum of the
-    # rule on the whole grid, plus the end-point weight at that index; the
-    # decomposition there is made as the pass reaches it
+    # the Simpson sum up to each stop: the running sum of the rule on the
+    # grid up to the last stop, plus the end-point weight at that stop
     weights = _simpson_weights(len(grid), grid[1] - grid[0])
     stops = set(uptos)
-    v = dict.fromkeys(anchors, 0.0)
-    decs = {}
-    for j, (s, u, k_s) in enumerate(zip(grid, flow.unitaries,
-                                        flow.generators)):
+    v = {}
+
+    def consume(j, s, u, k_s):
+        if j == 0:
+            v.update(dict.fromkeys(anchors, 0.0))
+        if j > last:
+            return
         u_h = u.conj().swapaxes(-1, -2)
         closing = {}
         for x in anchors:
@@ -555,8 +571,9 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
                 closing[x] = v[x] + weights[0] * f
             v[x] = v[x] + weights[j] * f
         if closing:
-            decs[j] = decomposition(j, u, closing)
-    return [decs[upto] for upto in uptos]
+            close(j, decomposition(j, u, closing))
+
+    return consume
 
 
 @dataclass
@@ -600,12 +617,13 @@ def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
 @dataclass
 class ThetaAssembly:
     """The collected pieces around ``x``, block stacks on the sectors of the
-    decomposition, and their norms."""
+    decomposition, and their norms.  A holder that reads only the norms and
+    errors may drop the stacks (``None``)."""
 
     x: int
     r_x: int
-    theta_beta: dict            # n -> Theta_beta^x(n, eps), 3 <= n <= r_x
-    theta_alpha: np.ndarray
+    theta_beta: dict | None     # n -> Theta_beta^x(n, eps), 3 <= n <= r_x
+    theta_alpha: np.ndarray | None
     beta_norms: dict            # n -> |Theta_beta^x(n, eps)|
     alpha_norm: float           # |Theta_alpha|
     identity_error: float       # |Q Phi1_x0 Q - sum Theta_beta - Theta_alpha|

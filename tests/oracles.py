@@ -8,8 +8,9 @@ from gaplab.interaction import Interaction, Term, local_hamiltonian
 from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.operator_algebra import (LocalOperator, annihilator, embed,
                                      join_blocks, operator_norm,
-                                     parity_matrix)
+                                     parity_matrix, split_blocks)
 from gaplab.spectra import ground_projector
+from gaplab.spectral_flow import Phi1Decomposition, decompose_phi1
 
 
 def creator(lam: Interval, x: int) -> LocalOperator:
@@ -92,19 +93,153 @@ def even_pair(rng, side: int, complex_: bool):
     return h0, psi / np.linalg.norm(psi, 2)
 
 
-# --- whole-matrix forms of the flow's blocked constructions -------------------
+# --- the flow's checkpoints through its consumer, and whole-matrix forms ------
 
 
-def one_block_flow(flow):
-    """The same flow with each of its block stacks joined into one block:
-    ``decompose_phi1`` then runs on whole matrices."""
-    def one(m):
-        return join_blocks(m, flow.sectors)[None]
+class Checkpoints:
+    """A flow consumer that collects the frame and every pass it is handed:
+    the ``U`` and ``K`` of each checkpoint, a pass starting at ``j = 0``."""
 
-    return replace(flow, sectors=[np.arange(sum(map(len, flow.sectors)))],
-                   h0=one(flow.h0), psi=one(flow.psi), p0=one(flow.p0),
-                   unitaries=[one(u) for u in flow.unitaries],
-                   generators=[one(k) for k in flow.generators])
+    def __init__(self):
+        self.frame, self.passes = None, []
+
+    def __call__(self, frame):
+        self.frame = frame
+        return self.consume
+
+    def consume(self, j, s, u, k):
+        if j == 0:
+            self.passes.append(([], []))
+        assert s == self.frame.eps_grid[j]
+        us, ks = self.passes[-1]
+        assert len(us) == j
+        us.append(u)
+        ks.append(k)
+
+    @property
+    def us(self):
+        """U at each checkpoint of the last pass, the accepted one."""
+        return self.passes[-1][0]
+
+    @property
+    def ks(self):
+        """K at each checkpoint of the last pass."""
+        return self.passes[-1][1]
+
+
+def tee(*consumers):
+    """One flow consumer that hands the frame and every checkpoint to each
+    of ``consumers``, in order."""
+    def start(frame):
+        calls = [consumer(frame) for consumer in consumers]
+
+        def consume(*checkpoint):
+            for call in calls:
+                call(*checkpoint)
+        return consume
+    return start
+
+
+def one_block(consumer):
+    """``consumer`` fed the same flow with each of its block stacks joined
+    into one block: ``decompose_phi1`` then runs on whole matrices."""
+    def start(frame):
+        def one(m):
+            return join_blocks(m, frame.sectors)[None]
+
+        call = consumer(replace(
+            frame, sectors=[np.arange(sum(map(len, frame.sectors)))],
+            h0=one(frame.h0), psi=one(frame.psi), p0=one(frame.p0)))
+        return lambda j, s, u, k: call(j, s, one(u), one(k))
+    return start
+
+
+def decomposer(eta, psi, lam: Interval, uptos=None):
+    """A flow consumer running ``decompose_phi1``, and the dict it fills,
+    stop -> decomposition (those of a later pass replace an earlier's)."""
+    decs = {}
+    return (lambda frame: decompose_phi1(frame, eta, psi, lam,
+                                         decs.__setitem__, uptos)), decs
+
+
+def replay(checkpoints: Checkpoints, consumer):
+    """Hand the last pass ``checkpoints`` collected to ``consumer``, as the
+    flow handed it."""
+    consume = consumer(checkpoints.frame)
+    grid = checkpoints.frame.eps_grid
+    for j, (u, k) in enumerate(zip(checkpoints.us, checkpoints.ks)):
+        consume(j, grid[j], u, k)
+
+
+def decompose(checkpoints: Checkpoints, eta, psi, lam: Interval,
+              uptos=None) -> list:
+    """The decompositions of a collected pass at ``uptos`` (default the
+    last checkpoint), in that order, made by replaying it."""
+    consumer, decs = decomposer(eta, psi, lam, uptos)
+    replay(checkpoints, consumer)
+    return [decs[u] for u in uptos] if uptos else list(decs.values())
+
+
+def simpson_oracle(frame, us, ks, eta, psi, lam: Interval, uptos) -> list:
+    """``decompose_phi1`` on a whole list of checkpoint unitaries ``us`` and
+    generators ``ks``: the Simpson loop as it ran before the flow handed
+    its checkpoints on, one decomposition per index of ``uptos``."""
+    last = max(uptos)
+    grid = frame.eps_grid[:last + 1]
+    eta_anchored, psi_anchored = eta.anchored(), psi.anchored()
+    anchors = sorted(set(eta_anchored) | set(psi_anchored))
+
+    def anchor_blocks(phi, groups, x):
+        return split_blocks(local_hamiltonian(
+            replace(phi, terms=groups.get(x, [])), lam).matrix,
+            frame.sectors)
+
+    eta_x = {x: anchor_blocks(eta, eta_anchored, x) for x in anchors}
+    psi_x = {x: anchor_blocks(psi, psi_anchored, x) for x in anchors}
+    b0, bp, p = frame.h0, frame.psi, frame.p0
+    q = np.eye(p.shape[-1]) - p
+
+    def blockdiag(a):
+        return p @ a @ p + q @ a @ q
+
+    def decomposition(upto, u_end, sums):
+        eps_at = float(grid[upto])
+        v_true = u_end.conj().swapaxes(-1, -2) @ (b0 + eps_at * bp) @ u_end \
+            - b0
+        v_tilde = {x: blockdiag(sums[x]) for x in anchors}
+        rho = v_true - sum(v_tilde.values())
+        quad_res = operator_norm(rho)
+        rho_diag = blockdiag(rho)
+        rho_cross = rho - rho_diag
+        for x in anchors:
+            v_tilde[x] = v_tilde[x] + rho_diag / len(anchors)
+        edge = min(anchors)
+        v_tilde[edge] = v_tilde[edge] + rho_cross
+        max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
+                       for x in anchors)
+        return Phi1Decomposition(lam, eps_at, frame.sectors, v_tilde, v_true,
+                                 quad_res, operator_norm(rho_cross), max_comm,
+                                 eta.local_dim)
+
+    weights = np.ones(len(grid))
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    weights = weights * ((grid[1] - grid[0]) / 3.0)
+    stops = set(uptos)
+    v = dict.fromkeys(anchors, 0.0)
+    decs = {}
+    for j, (s, u, k_s) in enumerate(zip(grid, us, ks)):
+        u_h = u.conj().swapaxes(-1, -2)
+        closing = {}
+        for x in anchors:
+            h_xs = eta_x[x] + s * psi_x[x]
+            x_term = psi_x[x] - (k_s @ h_xs - h_xs @ k_s)
+            f = u_h @ x_term @ u
+            if j in stops:
+                closing[x] = v[x] + weights[0] * f
+            v[x] = v[x] + weights[j] * f
+        if closing:
+            decs[j] = decomposition(j, u, closing)
+    return [decs[upto] for upto in uptos]
 
 
 def split_whole(anchors: dict, v_true, lam: Interval, p_kernel) -> dict:

@@ -8,7 +8,7 @@ import runpy
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -513,20 +513,35 @@ def _reachable_arrays(value, seen: set):
         yield from _reachable_arrays(vars(value), seen)
 
 
+def _fixture_bytes(fb) -> int:
+    return sum(a.nbytes for a in _reachable_arrays(fb, set()))
+
+
 def test_flow_fixture_keeps_only_what_its_readers_read():
     """On the default L = 8 chain (side 256) the flow fixture keeps
-    11.7 MiB of arrays; the bound sits just above it, so a fixture that
-    grows again fails here.  The flow's per-checkpoint stacks are dropped,
-    and every array it keeps is at most of side 128, a parity block, but
-    in the ball telescope, whose outermost layers a partial trace leaves
-    whole."""
+    5.04 MiB of arrays; the bound sits just above it, so a fixture that
+    grows again fails here.  The flow keeps no checkpoint's unitary or
+    generator, the decomposition neither its pieces nor ``V(eps)`` (only
+    its residuals, and its ball terms as ``(support, norm)`` pairs), the
+    collected pieces only their norms and errors, and every array it keeps
+    is at most of side 128, a parity block."""
     fb = flow_bundle(merged_config(None), {})
-    assert fb["flow"].unitaries is None and fb["flow"].generators is None
+    assert not {"unitaries", "generators"} & {f.name for f in fields(fb["flow"])}
+    assert fb["dec"].anchors is None and fb["dec"].v_true is None
+    assert all(th.theta_beta is None and th.theta_alpha is None
+               for th in fb["thetas"].values())
+    assert all(isinstance(norm, float) for _, norm in fb["ball_norms"])
     kept = list(_reachable_arrays(fb, set()))
-    assert sum(a.nbytes for a in kept) <= 12 * 2 ** 20
-    telescope = {id(a) for a in _reachable_arrays(fb["dec"].ball_terms,
-                                                  set())}
-    assert max(a.shape[-1] for a in kept if id(a) not in telescope) == 128
+    assert sum(a.nbytes for a in kept) <= 5.1 * 2 ** 20
+    assert max(a.shape[-1] for a in kept) == 128
+
+
+def test_flow_fixture_size_does_not_grow_with_the_checkpoints():
+    """The fixture at 9 and at 33 checkpoints keeps the same bytes but for
+    the checkpoint grid itself: nothing of a checkpoint outlives the pass."""
+    sizes = {n: _fixture_bytes(flow_bundle(
+        merged_config({"flow": {"checkpoints": n}}), {})) for n in (9, 33)}
+    assert sizes[33] - sizes[9] == (33 - 9) * 8
 
 
 def test_cli_import_loads_no_sparse_module():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from gaplab.cli import _form_bound_checkpoints
 from gaplab.interaction import (Interaction, Term, local_hamiltonian,
                                 split_edge_bulk)
 from gaplab.lattice import Interval, boundary_distances
@@ -17,14 +18,15 @@ from gaplab.operator_algebra import (join_blocks, operator_norm,
                                      parity_sectors, split_blocks)
 from gaplab.spectra import diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
-                                  _polar_unitary, _time_rule, decompose_phi1,
+                                  _polar_unitary, _time_rule,
                                   eigenbasis_generator,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import (even_pair, one_block_flow, parity_even, random_hermitian,
-                     random_matrix, resolution_whole, split_whole, svd_polar,
-                     theta_whole)
+from oracles import (Checkpoints, decompose, decomposer, even_pair, one_block,
+                     one_site, parity_even, random_hermitian, random_matrix,
+                     replay, resolution_whole, simpson_oracle, split_whole,
+                     svd_polar, tee, theta_whole)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -264,27 +266,31 @@ def test_time_quadrature_in_node_blocks_matches_the_one_shot_product(
 
 def test_flow_two_level_transport():
     h0 = np.diag([0.0, 1.0])
-    flow = flow_unitaries(h0, SX, 0.1, Window(GAMMA), checkpoints=8)
+    cp = Checkpoints()
+    flow = flow_unitaries(h0, SX, 0.1, Window(GAMMA), checkpoints=8,
+                          consumer=cp)
     assert len(flow.eps_grid) % 2 == 1          # even count is bumped
     assert flow.eps == pytest.approx(0.1)
     assert len(flow.sectors) == 1               # sigma^x flips the parity
-    for u in flow.unitaries:
+    assert len(cp.passes) == 1 and len(cp.us) == len(flow.eps_grid)
+    for u in cp.us:
         u = join_blocks(u, flow.sectors)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
     assert flow.projector_drift <= 1e-8
     assert flow.gap_floor == pytest.approx(1.0, abs=1e-12)   # sqrt(1+4s^2) >= 1
     # conjugation preserves the spectrum: V = U* H(eps) U - H0
-    u = join_blocks(flow.unitaries[-1], flow.sectors)
+    u = join_blocks(cp.us[-1], flow.sectors)
     v = u.conj().T @ (h0 + flow.eps * SX) @ u - h0
     np.testing.assert_allclose(np.linalg.eigvalsh(h0 + v),
                                np.linalg.eigvalsh(h0 + 0.1 * SX), atol=1e-10)
 
 
-def _assert_transports(flow, h0, psi, cluster_dim):
-    """Every U(s) is unitary to 1e-12 and carries P(0) to the cluster
-    projector of H(s), solved afresh."""
+def _assert_transports(cp, h0, psi, cluster_dim):
+    """Every U(s) the flow handed on is unitary to 1e-12 and carries P(0)
+    to the cluster projector of H(s), solved afresh."""
     eye = np.eye(h0.shape[0])
-    for s, u in zip(flow.eps_grid, flow.unitaries):
+    flow = cp.frame
+    for s, u in zip(flow.eps_grid, cp.us):
         u = join_blocks(u, flow.sectors)
         np.testing.assert_allclose(u @ u.conj().T, eye, rtol=0, atol=1e-12)
         vecs = np.linalg.eigh(h0 + s * psi)[1][:, :cluster_dim]
@@ -302,14 +308,15 @@ def test_flow_runs_in_the_field_of_its_inputs():
              (h6, _random_pair()[1], 0.01, np.complex128),
              (h6, _random_pair()[1].real, 0.01, np.float64)]
     for h0, psi, eps, dtype in cases:
+        cp = Checkpoints()
         flow = flow_unitaries(h0, psi, eps, Window(GAMMA), checkpoints=5,
-                              cluster_dim=1)
-        assert all(u.dtype == dtype for u in flow.unitaries)
-        assert all(k.dtype == dtype for k in flow.generators)
-        for k in flow.generators:                    # K = iD is anti-Hermitian
+                              cluster_dim=1, consumer=cp)
+        assert all(u.dtype == dtype for u in cp.us)
+        assert all(k.dtype == dtype for k in cp.ks)
+        for k in cp.ks:                              # K = iD is anti-Hermitian
             k = join_blocks(k, flow.sectors)
             np.testing.assert_allclose(k, -k.conj().T, rtol=0, atol=1e-14)
-        _assert_transports(flow, h0, psi, 1)
+        _assert_transports(cp, h0, psi, 1)
 
 
 def _one_block(*mats):
@@ -363,13 +370,16 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     the blocks exactly."""
     h0, psi = even_pair(np.random.default_rng(seed), 2 ** k, complex_)
     args = (h0, psi, 0.05, Window(GAMMA))
-    blocked = flow_unitaries(*args, checkpoints=5, cluster_dim=2)
+    blocked_cp, whole_cp = Checkpoints(), Checkpoints()
+    blocked = flow_unitaries(*args, checkpoints=5, cluster_dim=2,
+                             consumer=blocked_cp)
     with patch.object(spectral_flow, "parity_sectors", _one_block):
-        whole = flow_unitaries(*args, checkpoints=5, cluster_dim=2)
+        whole = flow_unitaries(*args, checkpoints=5, cluster_dim=2,
+                               consumer=whole_cp)
     assert len(blocked.sectors) == 2 and len(whole.sectors) == 1
     pairs = [(join_blocks(a, blocked.sectors), join_blocks(b, whole.sectors))
-             for a, b in zip(blocked.unitaries + blocked.generators,
-                             whole.unitaries + whole.generators)]
+             for a, b in zip(blocked_cp.us + blocked_cp.ks,
+                             whole_cp.us + whole_cp.ks)]
     pairs.append((join_blocks(blocked.p0, blocked.sectors),
                   join_blocks(whole.p0, whole.sectors)))
     for a, b in pairs:
@@ -386,11 +396,12 @@ def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     psi[0, 1] = psi[1, 0] = 0.1          # couples the two parity sectors
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
+    cp = Checkpoints()
     flow = flow_unitaries(h0, psi, 0.05, Window(GAMMA), checkpoints=5,
-                          cluster_dim=2)
+                          cluster_dim=2, consumer=cp)
     assert shapes and set(shapes) == {(1, 8, 8)}
     assert len(flow.sectors) == 1
-    assert join_blocks(flow.unitaries[-1], flow.sectors)[0, 1] != 0.0
+    assert join_blocks(cp.us[-1], flow.sectors)[0, 1] != 0.0
 
 
 def test_flow_rejects_closing_gap():
@@ -442,11 +453,15 @@ def bundle():
     hp = local_hamiltonian(psi, lam)
     kdim, _ = kernel_data(model, lam)
     window = Window(GAMMA)
+    cp = Checkpoints()
+    consumer, decs = decomposer(eta, psi, lam)
     flow = flow_unitaries(h0.matrix, hp.matrix, 0.02, window,
-                          checkpoints=9, cluster_dim=kdim)
-    dec, = decompose_phi1(flow, eta, psi, lam)
+                          checkpoints=9, cluster_dim=kdim,
+                          consumer=tee(cp, consumer))
+    dec, = decs.values()
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
-            "p0": flow.p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix}
+            "p0": flow.p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix,
+            "checkpoints": cp}
 
 
 def test_generator_routes_agree_on_the_default_horizon(bundle):
@@ -462,8 +477,9 @@ def test_generator_routes_agree_on_the_default_horizon(bundle):
         np.testing.assert_array_equal(mine, ref)
     np.testing.assert_array_equal(flow.psi, split_blocks(hp, sectors))
     w = Window(GAMMA)
-    assert flow.end_spectra[0][2] is flow.generators[0]
-    assert flow.end_spectra[1][2] is flow.generators[-1]
+    ks = bundle["checkpoints"].ks
+    assert flow.end_spectra[0][2] is ks[0]
+    assert flow.end_spectra[1][2] is ks[-1]
     for s, (evals, evecs, k_flow) in zip((0.0, flow.eps), flow.end_spectra):
         h = bundle["h0"] + s * hp
         block_evals, block_evecs = diagonalize(split_blocks(h, sectors))
@@ -524,23 +540,22 @@ def _complex_rk4_flow(h0, psi, grid, window, ode_tol=1e-8):
 
 
 def test_real_flow_matches_the_complex_arithmetic_oracle(bundle):
-    flow = bundle["flow"]
-    assert all(u.dtype == np.float64 for u in flow.unitaries)
+    flow, cp = bundle["flow"], bundle["checkpoints"]
+    assert all(u.dtype == np.float64 for u in cp.us)
     oracle = _complex_rk4_flow(bundle["h0"], bundle["hp"], flow.eps_grid,
                                Window(GAMMA))
-    assert len(oracle) == len(flow.unitaries)
-    for u, u_ref in zip(flow.unitaries, oracle):
+    assert len(oracle) == len(cp.us)
+    for u, u_ref in zip(cp.us, oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
-    _assert_transports(flow, bundle["h0"], bundle["hp"],
-                       bundle["kdim"])
+    _assert_transports(cp, bundle["h0"], bundle["hp"], bundle["kdim"])
 
 
 def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
     """A tolerance below the Richardson estimate of one against two steps
-    per interval sends the flow on to four steps, which solves only the
-    generators off the checkpoint grid again (seven per interval), and its
-    unitaries agree with the complex-arithmetic oracle run to the same
-    tolerance."""
+    per interval sends the flow on to a second pass of two against four
+    steps, which solves every generator of its grid again (eight per
+    interval and the one at s = 0), and its unitaries agree with the
+    complex-arithmetic oracle run to the same tolerance."""
     h0, psi = even_pair(np.random.default_rng(0), 4, False)
     window, tol = Window(GAMMA), 1e-13
     calls = []
@@ -555,30 +570,116 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
                            cluster_dim=2, ode_tol=1.0)
     assert first.ode_error > tol and len(calls) == 4 * 2 + 1
     calls.clear()
+    cp = Checkpoints()
     flow = flow_unitaries(h0, psi, 0.05, window, checkpoints=3,
-                          cluster_dim=2, ode_tol=tol)
+                          cluster_dim=2, ode_tol=tol, consumer=cp)
     assert flow.ode_error <= tol
-    assert len(calls) == 4 * 2 + 1 + 7 * 2
+    assert len(calls) == 4 * 2 + 1 + 8 * 2 + 1
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
-    for u, u_ref in zip(flow.unitaries, oracle):
+    for u, u_ref in zip(cp.us, oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
-    _assert_transports(flow, h0, psi, 2)
+    _assert_transports(cp, h0, psi, 2)
 
 
-def _held_bytes(flow):
-    """Bytes of the distinct arrays the fields of ``flow`` hold (the end
-    generators are also checkpoint generators)."""
-    held = {id(a): a for f in fields(flow) for a in _arrays(getattr(flow,
-                                                                    f.name))}
-    return sum(a.nbytes for a in held.values())
+def _assert_same_decomposition(dec, ref):
+    """Two decompositions equal bit for bit."""
+    assert dec.eps == ref.eps and dec.anchors.keys() == ref.anchors.keys()
+    for a, b in [(dec.v_true, ref.v_true),
+                 *((dec.anchors[x], ref.anchors[x]) for x in dec.anchors)]:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    for name in ("quadrature_residual", "cross_residual",
+                 "max_kernel_commutator"):
+        assert getattr(dec, name) == getattr(ref, name)
 
 
-def test_default_flow_solves_each_coupling_once_in_little_more_than_its_result(
+def test_refinement_restarts_the_consumer_and_decomposes_the_accepted_pass():
+    """Each pass hands its checkpoints to the consumer from ``j = 0``: a
+    forced refinement shows the consumer one start per pass, and the
+    decomposition handed on is, bit for bit, the Simpson loop's over the
+    accepted pass's unitaries and generators, not over the first pass's."""
+    h0, psi = even_pair(np.random.default_rng(0), 4, False)
+    eta_i, psi_i, lam = one_site(h0), one_site(psi), Interval(0, 0)
+    cp = Checkpoints()
+    consumer, decs = decomposer(eta_i, psi_i, lam)
+    flow = flow_unitaries(h0, psi, 0.05, Window(GAMMA), checkpoints=3,
+                          cluster_dim=2, ode_tol=1e-13,
+                          consumer=tee(cp, consumer))
+    assert flow.ode_error <= 1e-13
+    assert len(cp.passes) == 2
+    assert all(len(us) == len(ks) == 3 for us, ks in cp.passes)
+    dec, = decs.values()
+    accepted, first = (
+        simpson_oracle(cp.frame, us, ks, eta_i, psi_i, lam, [2])[0]
+        for us, ks in (cp.passes[-1], cp.passes[0]))
+    _assert_same_decomposition(dec, accepted)
+    assert not np.array_equal(dec.v_true, first.v_true)
+
+
+def _complex_hermitian(phi):
+    """Each term ``m`` made complex Hermitian, ``m + i [m, n] / 10`` for
+    the diagonal ``n = diag(0, 1/d, 2/d, ...)``: as parity-even as ``m``."""
+    terms = []
+    for t in phi.terms:
+        m = t.op.matrix
+        n = np.diag(np.arange(len(m)) / len(m))
+        terms.append(Term(replace(t.op, matrix=m + 0.1j * (m @ n - n @ m)),
+                          t.anchor, t.radius))
+    return Interaction(terms, phi.kind, phi.local_dim)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_streamed_decompositions_equal_the_list_oracle_bit_for_bit(
+        bundle, complex_):
+    """The decompositions the consumer makes as each checkpoint is reached
+    equal, bit for bit, those of the Simpson loop over whole lists of the
+    checkpoint unitaries and generators: on the flow's parity blocks and on
+    one block of whole matrices, for a real and a complex Hermitian
+    perturbation, at the checkpoints 4 and 8 and at the default form-bound
+    stops."""
+    lam, eta = bundle["lam"], bundle["eta"]
+    psi = _complex_hermitian(bundle["psi"]) if complex_ else bundle["psi"]
+    stops = [[4, 8], _form_bound_checkpoints(8)]
+    blocked = [decomposer(eta, psi, lam, uptos) for uptos in stops]
+    whole = [decomposer(eta, psi, lam, uptos) for uptos in stops]
+    cp, whole_cp = Checkpoints(), Checkpoints()
+    flow_unitaries(bundle["h0"], local_hamiltonian(psi, lam).matrix, 0.02,
+                   Window(GAMMA), checkpoints=9, cluster_dim=bundle["kdim"],
+                   consumer=tee(cp, one_block(whole_cp),
+                                *(c for c, _ in blocked),
+                                *(one_block(c) for c, _ in whole)))
+    assert stops[1] == [2, 4, 8] and len(cp.passes) == 1
+    assert len(cp.frame.sectors) == 2 and len(whole_cp.frame.sectors) == 1
+    assert cp.us[-1].dtype == (np.complex128 if complex_ else np.float64)
+    for uptos, (_, decs), (_, whole_decs) in zip(stops, blocked, whole):
+        for got, frame, us, ks in ((decs, cp.frame, cp.us, cp.ks),
+                                   (whole_decs, whole_cp.frame, whole_cp.us,
+                                    whole_cp.ks)):
+            oracle = simpson_oracle(frame, us, ks, eta, psi, lam, uptos)
+            assert list(got) == uptos
+            for upto, ref in zip(uptos, oracle):
+                _assert_same_decomposition(got[upto], ref)
+
+
+def _traced_flow(bundle, checkpoints):
+    """The L = 8 flow at ``checkpoints`` and its peak of traced memory."""
+    tracemalloc.start()
+    try:
+        flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
+                              checkpoints=checkpoints,
+                              cluster_dim=bundle["kdim"])
+        return flow, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not_set(
         bundle, monkeypatch):
     """The default 33 checkpoints on the L = 8 chain: the lockstep pair of
-    resolutions solves each of the 129 couplings once, and the traced peak
-    of the flow stays within 1.75 times the bytes its result holds (the
-    generators off the checkpoint grid are dropped as the flow goes)."""
+    resolutions solves each of the 129 couplings once, and no checkpoint's
+    stacks outlive the next interval, so the flow's traced peak is that of
+    9 checkpoints to 1 % (measured: 6.13 MiB at both, 24.5 stacks of
+    256 KiB)."""
     calls = []
     original = spectral_flow.eigenbasis_generator
 
@@ -586,17 +687,12 @@ def test_default_flow_solves_each_coupling_once_in_little_more_than_its_result(
         calls.append(1)
         return original(*args, **kwargs)
 
+    _, peak_9 = _traced_flow(bundle, 9)
     monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
-    kdim = bundle["kdim"]
-    tracemalloc.start()
-    try:
-        flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
-                              cluster_dim=kdim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    flow, peak = _traced_flow(bundle, 33)
     assert len(flow.eps_grid) == 33 and len(calls) == 129
-    assert peak <= 1.75 * _held_bytes(flow)
+    assert peak <= 1.01 * peak_9
+    assert peak <= 26 * flow.h0.nbytes
 
 
 def test_generator_and_filter_checks_work_in_small_phase_blocks(bundle):
@@ -640,13 +736,22 @@ def test_ball_telescopes_close(bundle):
 
 
 def test_upto_argument_is_validated(bundle):
-    dec2, = decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"],
-                           bundle["lam"], uptos=[4])
+    terms = (bundle["checkpoints"], bundle["eta"], bundle["psi"],
+             bundle["lam"])
+    dec2, = decompose(*terms, uptos=[4])
     assert dec2.eps == pytest.approx(bundle["flow"].eps_grid[4])
     for bad in (0, 3, 40):
         with pytest.raises(ValueError):
-            decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"],
-                           bundle["lam"], uptos=[4, bad])
+            decompose(*terms, uptos=[4, bad])
+
+
+def _one_block_decompositions(bundle, uptos):
+    """The decompositions of the bundle's pass at ``uptos``, its stacks
+    joined into one block of whole matrices."""
+    consumer, decs = decomposer(bundle["eta"], bundle["psi"], bundle["lam"],
+                                uptos)
+    replay(bundle["checkpoints"], one_block(consumer))
+    return [decs[upto] for upto in uptos]
 
 
 def test_decomposition_on_parity_blocks_matches_one_block(bundle):
@@ -657,8 +762,8 @@ def test_decomposition_on_parity_blocks_matches_one_block(bundle):
     passes, bit for bit."""
     flow, lam = bundle["flow"], bundle["lam"]
     terms = (bundle["eta"], bundle["psi"], lam)
-    blocked = decompose_phi1(flow, *terms, uptos=[4, 8])
-    whole = decompose_phi1(one_block_flow(flow), *terms, uptos=[4, 8])
+    blocked = decompose(bundle["checkpoints"], *terms, uptos=[4, 8])
+    whole = _one_block_decompositions(bundle, [4, 8])
     for dec, ref in zip(blocked, whole):
         assert dec.eps == ref.eps
         assert dec.sectors is flow.sectors and len(ref.sectors) == 1
@@ -676,7 +781,7 @@ def test_decomposition_on_parity_blocks_matches_one_block(bundle):
                      "max_kernel_commutator"):
             assert getattr(dec, name) == pytest.approx(getattr(ref, name),
                                                        abs=1e-12)
-    alone, = decompose_phi1(flow, *terms, uptos=[4])
+    alone, = decompose(bundle["checkpoints"], *terms, uptos=[4])
     for x, vx in alone.anchors.items():
         np.testing.assert_array_equal(vx, blocked[0].anchors[x])
     np.testing.assert_array_equal(alone.v_true, blocked[0].v_true)
@@ -700,10 +805,11 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
         return original_norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", norm)
-    kdim = bundle["kdim"]
-    flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
-                          checkpoints=9, cluster_dim=kdim)
-    decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
+    consumer, decs = decomposer(bundle["eta"], bundle["psi"], bundle["lam"])
+    flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
+                   checkpoints=9, cluster_dim=bundle["kdim"],
+                   consumer=consumer)
+    assert len(decs) == 1
     assert (2, 128, 128) in shapes
     assert max(shape[-1] for shape in shapes) == 128
     assert svds == []
@@ -745,7 +851,7 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
 
     monkeypatch.setattr(spectral_flow, "local_hamiltonian", assembly)
     monkeypatch.setattr(spectral_flow, "parity_sectors", sectors)
-    dec, = decompose_phi1(flow, eta, psi, bundle["lam"])
+    dec, = decompose(bundle["checkpoints"], eta, psi, bundle["lam"])
     anchors = set(eta.anchored()) | set(psi.anchored())
     assert len(assembled) == 2 * len(anchors)
     assert all(len(group) <= 1 for group in assembled)
@@ -769,7 +875,7 @@ def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
         replace(term, op=replace(term.op, matrix=m), anchor=x)
         for m, x in ((odd, a), (-odd, b))])
     with pytest.raises(ValueError, match="parity blocks"):
-        decompose_phi1(bundle["flow"], bundle["eta"], broken, bundle["lam"])
+        decompose(bundle["checkpoints"], bundle["eta"], broken, bundle["lam"])
 
 
 def test_ball_telescope_is_built_once_when_read(bundle, monkeypatch):
@@ -785,8 +891,8 @@ def test_ball_telescope_is_built_once_when_read(bundle, monkeypatch):
 
         monkeypatch.setattr(spectral_flow, name, counted)
     lam = bundle["lam"]
-    decs = decompose_phi1(bundle["flow"], bundle["eta"], bundle["psi"], lam,
-                          uptos=[4, 8])
+    decs = decompose(bundle["checkpoints"], bundle["eta"], bundle["psi"], lam,
+                     uptos=[4, 8])
     assert calls == []
     terms = decs[1].ball_terms
     anchors = decs[1].anchors
@@ -826,8 +932,8 @@ def test_blocked_split_matches_the_whole_split(bundle):
     reconstruction residuals too."""
     flow, lam, p0 = bundle["flow"], bundle["lam"], bundle["p0"]
     terms = (bundle["eta"], bundle["psi"], lam)
-    blocked = decompose_phi1(flow, *terms, uptos=[4, 8])
-    whole = decompose_phi1(one_block_flow(flow), *terms, uptos=[4, 8])
+    blocked = decompose(bundle["checkpoints"], *terms, uptos=[4, 8])
+    whole = _one_block_decompositions(bundle, [4, 8])
     p = join_blocks(p0, flow.sectors)
     for dec, ref in zip(blocked, whole):
         split = split_phi1(dec, p0)
@@ -856,7 +962,7 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
     eta, psi = _complex_typed(bundle["eta"]), _complex_typed(bundle["psi"])
     assert all(t.op.matrix.dtype == np.complex128 for t in psi.terms)
     assert local_hamiltonian(psi, lam).matrix.dtype == np.float64
-    dec, = decompose_phi1(flow, eta, psi, lam)
+    dec, = decompose(bundle["checkpoints"], eta, psi, lam)
     ref = bundle["dec"]
     np.testing.assert_array_equal(dec.v_true, ref.v_true)
     for x, vx in dec.anchors.items():
