@@ -38,13 +38,12 @@ from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, orbital_spectrum, paired_orbital_model, \
     random_even_perturbation, validate_model
-from .operator_algebra import MAX_DENSE_DIM, join_blocks, kernel_count, \
-    operator_norm
+from .operator_algebra import MAX_DENSE_DIM, kernel_count, operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, \
-    filter_identity_residual, flow_unitaries, split_phi1, theta_assembly, \
-    time_quadrature_generator
+    filter_identity_residual, flow_blocks, flow_unitaries, split_phi1, \
+    theta_assembly, time_quadrature_generator
 from .stability_bounds import OmegaProfile, bound_constants, calibrate_c, \
     higher_gap_bound, higher_gap_threshold, j_constants, \
     kappa_bound, stability_threshold, uniform_strengths, verify_form_bound, \
@@ -400,13 +399,18 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     """The shared flow fixture: orbital chain + seeded bulk perturbation.
 
     The anchored decomposition consumes the flow as it goes, so no
-    checkpoint's unitary or generator outlives it.  The fixture keeps only
-    what ``flow``, ``bounds`` and ``constants_bundle`` read, as block stacks
-    on the flow's parity sectors: the flow (its ``end_spectra`` carry the
-    generators at both ends), the residuals of the decomposition at
-    ``eps``, the ``(support, norm)`` pairs of its ball terms, the
-    form-bound piece of the split at each form-bound coupling, the ball
-    families, and the norms and errors of the collected pieces.
+    checkpoint's unitary or generator outlives it.  The decomposition at
+    ``eps`` is then walked one anchor at a time, in order: the anchor's
+    ball terms are built, their ``(support, norm)`` pairs kept, and, two
+    sites inside, its ball family built, its collected pieces assembled and
+    its ``resolutions.csv`` rows taken; then the anchor's piece and family
+    are let go.  The fixture keeps only what ``flow``, ``bounds`` and
+    ``constants_bundle`` read, as block stacks on the flow's parity
+    sectors: the flow (its ``end_spectra`` carry the generators at both
+    ends), the residuals of the decomposition at ``eps``, the pairs of its
+    ball terms, the form-bound piece of the split at each form-bound
+    coupling, the resolution rows, the ball projectors the sign patterns
+    read, and the norms and errors of the collected pieces.
     """
     if "flow" in ctx:
         return ctx["flow"]
@@ -431,26 +435,54 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
                 kept["dec"] = dec
         return decompose_phi1(frame, eta, psi, lam, close, uptos)
 
-    flow = flow_unitaries(local_hamiltonian(eta, lam).matrix,
-                          local_hamiltonian(psi, lam).matrix,
+    flow = flow_unitaries(*flow_blocks(local_hamiltonian(eta, lam).matrix,
+                                       local_hamiltonian(psi, lam).matrix),
                           fc["eps"], window, checkpoints=fc["checkpoints"],
                           cluster_dim=kdim, ode_tol=fc["ode_tol"],
                           consumer=decompose)
-    dec = kept.pop("dec")
-    # ball resolutions two sites inside, collected pieces where r_x >= 3
-    families = {x: resolution_family(eta, lam, x, flow.p0, flow.sectors)
-                for x in interior(lam, 2)}
-    thetas = {x: theta_assembly(dec, family)
-              for x, family in families.items() if family.r_x >= 3}
-    # what the readers read of the decomposition and the collected pieces
-    ball_norms = [(t.support, t.op.norm()) for t in dec.ball_terms.terms]
-    dec = replace(dec, anchors=None, v_true=None)
-    thetas = {x: replace(th, theta_beta=None, theta_alpha=None)
-              for x, th in thetas.items()}
+    dec = replace(kept.pop("dec"), v_true=None)
+    # one anchor at a time: its ball terms, and two sites inside its ball
+    # family, collected pieces (where r_x >= 3) and resolution rows
+    inner = interior(lam, 2)
+    ball_norms, thetas, resolution_rows = [], {}, []
+    sign_members = {1: [], 3: []}
+    for x in sorted({*dec.anchors, *inner}):
+        terms = dec.ball_terms(x)
+        ball_norms += [(t.support, t.op.norm()) for t in terms]
+        if x in inner:
+            family = resolution_family(eta, lam, x, flow.p0, flow.sectors)
+            if family.r_x >= 3:
+                thetas[x] = replace(theta_assembly(terms, family),
+                                    theta_beta=None, theta_alpha=None)
+            resolution_rows += _resolution_rows(family)
+            for n, members in sign_members.items():
+                if (x - inner.a) % (2 * n + 1) == 0 and family.r_x >= n:
+                    members.append((x, ball(lam, x, n),
+                                    family.locals[n - 1]))
+        dec.anchors.pop(x, None)
     ctx["flow"] = {"lam": lam, "eta": eta, "psi": psi, "window": window,
-                   "flow": flow, "dec": dec, "ball_norms": ball_norms,
-                   "splits": splits, "families": families, "thetas": thetas}
+                   "flow": flow, "dec": replace(dec, anchors=None),
+                   "ball_norms": ball_norms, "splits": splits,
+                   "resolution_rows": resolution_rows,
+                   "sign_members": sign_members, "thetas": thetas}
     return ctx["flow"]
+
+
+def _resolution_rows(family) -> list[tuple]:
+    """The ``resolutions.csv`` rows of one ball family: its resolution's
+    completeness, and the partial-sum and annihilation laws of each of its
+    terms below the last two."""
+    x, resolution = family.x, family.E
+    eye = np.eye(family.P.shape[-1])
+    rows = [(x, "sum_to_identity", operator_norm(sum(resolution) - eye))]
+    partial = 0.0
+    for k, e_k in enumerate(resolution[:-2], start=1):
+        partial = partial + e_k
+        q_k = eye - family.locals[k - 1]
+        rows.append((x, f"partial_sum_{k}", operator_norm(partial - q_k)))
+        rows.append((x, f"annihilation_{k}",
+                     operator_norm(family.locals[k - 1] @ e_k)))
+    return rows
 
 
 def _stability_lengths(cfg: dict) -> list[int]:
@@ -708,7 +740,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     rep = Report("flow")
     fb = flow_bundle(cfg, ctx)
     flow, dec = fb["flow"], fb["dec"]
-    lam, window, families = fb["lam"], fb["window"], fb["families"]
+    lam, window = fb["lam"], fb["window"]
     agreement_budget = 1e-6          # filter against time-quadrature K
     identity_budget = 1e-10          # collected pieces: diagonal identity
     annihilation_budget = 1e-10      # collected pieces: ball annihilation
@@ -788,36 +820,15 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     rep.table("theta.csv", ["x", "n", "theta_norm"], theta_rows)
 
     # resolution families: completeness, partial sums, annihilation
-    res_rows = []
-    res_worst = 0.0
-    eye = np.eye(flow.p0.shape[-1])
-    for x, family in families.items():
-        resolution = family.E
-        total = operator_norm(sum(resolution) - eye)
-        res_worst = max(res_worst, total)
-        res_rows.append((x, "sum_to_identity", total))
-        partial = 0.0
-        for k, e_k in enumerate(resolution[:-2], start=1):
-            partial = partial + e_k
-            q_k = eye - family.locals[k - 1]
-            dev = operator_norm(partial - q_k)
-            res_worst = max(res_worst, dev)
-            res_rows.append((x, f"partial_sum_{k}", dev))
-            dev = operator_norm(family.locals[k - 1] @ e_k)
-            res_worst = max(res_worst, dev)
-            res_rows.append((x, f"annihilation_{k}", dev))
+    res_rows = list(fb["resolution_rows"])
+    res_worst = max(0.0, *(r[-1] for r in res_rows))
     rep.check("spectral resolutions exact", res_worst <= 1e-12,
               f"max residual {res_worst:.2e}")
 
     # sign-pattern projections: completeness and orthogonality
     sig_worst = 0.0
-    inner = interior(lam, 2)
-    for n in (1, 3):
-        members = []
-        for x in inner:
-            if (x - inner.a) % (2 * n + 1) or families[x].r_x < n:
-                continue
-            members.append((x, ball(lam, x, n), families[x].locals[n - 1]))
+    eye = np.eye(flow.p0.shape[-1])
+    for n, members in fb["sign_members"].items():
         if not members:
             continue
         xs = [x for x, _, _ in members]
@@ -828,7 +839,8 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
         for i, s_i in enumerate(ss):
             for s_j in ss[i + 1:]:
                 sig_worst = max(sig_worst, operator_norm(s_i @ s_j))
-        res_rows.append((inner.a, f"sign_patterns_n{n}", sig_worst))
+        res_rows.append((interior(lam, 2).a, f"sign_patterns_n{n}",
+                         sig_worst))
     rep.check("sign-pattern projections resolve the identity",
               sig_worst <= 1e-12, f"max residual {sig_worst:.2e}")
     rep.table("resolutions.csv", ["x", "identity", "residual"], res_rows)
@@ -896,12 +908,10 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     delta_v, beta_v, alpha_v = volume_form_constants(bc, psi_fnorm)
     fb_rows = []
     violations = 0
-    h0 = join_blocks(flow.h0, flow.sectors)
-    h0_vecs = join_blocks(flow.end_spectra[0][1], flow.sectors)
     for upto, split in fb["splits"].items():
-        fr = verify_form_bound(h0, h0_vecs,
-                               join_blocks(split.phi2, flow.sectors),
-                               delta_v, beta_v, float(flow.eps_grid[upto]),
+        fr = verify_form_bound(flow.h0, flow.end_spectra[0][1], split.phi2,
+                               flow.sectors, delta_v, beta_v,
+                               float(flow.eps_grid[upto]),
                                n_vectors=1000, seed=cfg["seeds"][0])
         violations += fr.violations
         fb_rows.append((fr.eps, fr.delta, fr.beta, fr.min_eig_plus,

@@ -141,6 +141,7 @@ class ProjectorFamily:
 
     lam: Interval
     x: int
+    sectors: list[np.ndarray]     # the sectors of every stack
     P: np.ndarray                 # full-volume kernel projector
     locals: list[np.ndarray]      # P_{b(x,1)} .. P_{b(x,r_x)}, embedded
 
@@ -176,7 +177,7 @@ def resolution_family(eta: Interaction, lam: Interval, x: int,
         pb = ground_projector(local_hamiltonian(eta.restricted(b), b))
         locals_.append(split_blocks(
             embed(LocalOperator(pb, b, lam, "spin", d), lam).matrix, sectors))
-    return ProjectorFamily(lam, x, P, locals_)
+    return ProjectorFamily(lam, x, sectors, P, locals_)
 
 
 def sigma_projection(members: list, sigma: dict) -> np.ndarray:

@@ -56,7 +56,7 @@ whose terms nearly commute with the unperturbed kernel projector.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -142,9 +142,10 @@ _PHASE_BLOCK = 1 << 18
 
 def time_weight(s, window: Window):
     """W(s) = 1/2 - (1/pi) int_0^{gamma/2} beta(w) sin(ws)/w dw
-    (200-node Gauss-Legendre), for a block of the times ``s`` at a time;
-    each time's sum is its own row of the product, so the blocks change no
-    bit."""
+    (200-node Gauss-Legendre), for a block of the times ``s`` at a time,
+    its sines taken in place in a table of at most ``_PHASE_BLOCK / 8``
+    entries; each time's sum is its own row of the product, so the blocks
+    change no bit."""
     x, wq = _gauss_legendre(200)
     half = 0.5 * window.gamma
     nodes = 0.5 * half * (x + 1.0)
@@ -152,10 +153,11 @@ def time_weight(s, window: Window):
     s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
     kernel = weights * window.beta(nodes) / nodes
     integ = np.empty_like(s)
-    rows = _PHASE_BLOCK // nodes.size
+    rows = max(1, _PHASE_BLOCK // 8 // nodes.size)
     for lo in range(0, s.size, rows):
-        integ[lo:lo + rows] = np.einsum(
-            "k,sk->s", kernel, np.sin(np.outer(s[lo:lo + rows], nodes)))
+        phase = np.outer(s[lo:lo + rows], nodes)
+        integ[lo:lo + rows] = np.einsum("k,sk->s", kernel,
+                                        np.sin(phase, out=phase))
     return 0.5 - integ / np.pi
 
 
@@ -207,20 +209,25 @@ def time_quadrature_generator(evals, evecs, psi,
 
     The weight ``2 Im(Phi diag(c) Phi*)`` is formed in real arithmetic as
     ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``, summed over
-    blocks of nodes: each block's phases, at most ``_PHASE_BLOCK`` of them,
-    are turned into ``sin(E s) o c`` in place, so two block-sized phase
-    arrays are the largest temporaries.
+    blocks of nodes, one block of a stack at a time: each block of nodes
+    holds at most ``_PHASE_BLOCK`` phases of the whole spectrum, and one
+    block's share of them is turned into ``sin(E s) o c`` in place, so two
+    such phase tables are the largest temporaries.
     """
     s_pts, coeff = _time_rule(window, np.ptp(evals))
     step = max(1, _PHASE_BLOCK // evals.size)
-    a = 0.0
-    for lo in range(0, s_pts.size, step):
-        sin = evals[..., :, None] * s_pts[lo:lo + step]
-        cos = np.cos(sin)
-        np.sin(sin, out=sin)
-        sin *= coeff[lo:lo + step]
-        a = a + sin @ cos.swapaxes(-1, -2)
-    return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+    weight = np.empty(evals.shape + evals.shape[-1:])
+    for block, block_evals in zip(weight.reshape((-1,) + weight.shape[-2:]),
+                                  evals.reshape(-1, evals.shape[-1])):
+        a = 0.0
+        for lo in range(0, s_pts.size, step):
+            sin = block_evals[:, None] * s_pts[lo:lo + step]
+            cos = np.cos(sin)
+            np.sin(sin, out=sin)
+            sin *= coeff[lo:lo + step]
+            a = a + sin @ cos.T
+        np.multiply(2.0, a - a.T, out=block)
+    return _filtered(evals, evecs, psi, weight)
 
 
 def _polar_unitary(u: np.ndarray) -> np.ndarray:
@@ -296,7 +303,16 @@ class FlowResult(FlowFrame):
                                          # and H(eps) and their generators
 
 
-def flow_unitaries(h0, psi, eps: float, window: Window,
+def flow_blocks(h0, psi):
+    """``h0`` and ``psi`` as block stacks on their shared parity sectors
+    (one block when either mixes parity; see ``parity_sectors``), and the
+    sectors: the input of ``flow_unitaries``."""
+    m0, mp = as_matrix(h0), as_matrix(psi)
+    sectors = parity_sectors(m0, mp)
+    return split_blocks(m0, sectors), split_blocks(mp, sectors), sectors
+
+
+def flow_unitaries(b0, bp, sectors, eps: float, window: Window,
                    checkpoints: int = 33, cluster_dim: int | None = None,
                    ode_tol: float = 1e-8, consumer=None) -> FlowResult:
     """Integrate U' = K(s) U to ``eps`` with RK4, re-unitarizing each step
@@ -323,21 +339,19 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
     starts a pass, so the last pass it sees is the accepted one.  Nothing
     of a checkpoint is kept past it, but the two ``end_spectra``.
 
-    The flow runs on the block stack of ``parity_sectors(h0, psi)`` (one
-    block when either mixes parity): every solve, product, polar step and
-    norm is taken block by block (a norm as the largest over blocks), the
-    tracked gap and cluster come from the merged block spectra, and the
-    result keeps the stacks, ``p0`` too.
+    The flow runs on ``H_0`` and ``Psi`` as the block stacks ``b0`` and
+    ``bp`` on ``sectors``, as ``flow_blocks`` makes them, so no whole
+    matrix is held through it: every solve, product, polar step and norm is
+    taken block by block (a norm as the largest over blocks), the tracked
+    gap and cluster come from the merged block spectra, and the result
+    keeps the stacks, ``p0`` too.
     """
-    m0, mp = as_matrix(h0), as_matrix(psi)
     if checkpoints % 2 == 0:
         checkpoints += 1
     grid = np.linspace(0.0, eps, checkpoints)
 
     if cluster_dim is None:
-        cluster_dim = kernel_count(eigenvalues(m0))
-    sectors = parity_sectors(m0, mp)
-    b0, bp = split_blocks(m0, sectors), split_blocks(mp, sectors)
+        cluster_dim = kernel_count(eigenvalues(b0))
 
     # One solve per coupling gives the generator and, at a checkpoint, the
     # tracked gap and each block's cluster eigenvectors; the solves at both
@@ -425,8 +439,9 @@ def flow_unitaries(h0, psi, eps: float, window: Window,
 @dataclass
 class Phi1Decomposition:
     """Anchored pieces of the transported coupling, block stacks on
-    ``sectors`` (those of the flow).  A holder that has split it and read
-    its ball terms may drop ``anchors`` and ``v_true`` (``None``)."""
+    ``sectors`` (those of the flow).  A holder that has split it may drop
+    ``v_true`` (``None``), and each piece of ``anchors`` once it has read
+    that anchor's ball terms."""
 
     lam: Interval
     eps: float
@@ -438,23 +453,20 @@ class Phi1Decomposition:
     max_kernel_commutator: float         # max_x |[P, v_x]| over all anchors
     local_dim: int
 
-    @cached_property
-    def ball_terms(self) -> Interaction:
-        """Phi^1(b_x(n)) terms, keyed by ball (anchor ``x``, radius ``n``),
-        built when first read; each piece is joined here, for its partial
-        traces."""
-        terms = []
-        for x, piece in self.anchors.items():
-            op = LocalOperator(join_blocks(piece, self.sectors), self.lam,
-                               self.lam, kind="spin", local_dim=self.local_dim)
-            _, big_r = boundary_distances(self.lam, x)
-            terms.append(Term(conditional_expectation(op,
-                                                      ball(self.lam, x, 1)),
-                              anchor=x, radius=1))
-            for n in range(2, big_r + 1):
-                terms.append(Term(delta_layer(op, self.lam, x, n), anchor=x,
-                                  radius=n))
-        return Interaction(terms, kind="spin", local_dim=self.local_dim)
+    def ball_terms(self, x: int) -> list[Term]:
+        """The ``Phi^1(b_x(n))`` terms of anchor ``x``, by radius ``n`` from
+        1 to ``R_x``, built on each call (none for a site that anchors no
+        piece); the piece is joined here, for its partial traces."""
+        if x not in self.anchors:
+            return []
+        op = LocalOperator(join_blocks(self.anchors[x], self.sectors),
+                           self.lam, self.lam, kind="spin",
+                           local_dim=self.local_dim)
+        _, big_r = boundary_distances(self.lam, x)
+        return [Term(conditional_expectation(op, ball(self.lam, x, 1)),
+                     anchor=x, radius=1)] \
+            + [Term(delta_layer(op, self.lam, x, n), anchor=x, radius=n)
+               for n in range(2, big_r + 1)]
 
 
 def _simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -484,19 +496,20 @@ def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
     ``V(eps)`` to rounding: its diagonal blocks uniformly over anchors, its
     off-diagonal blocks entirely to the anchor at the left edge, which later
     falls into the boundary remainder.  Every ``v_x`` telescopes into ball
-    increments ``Phi^1(b_x(n))`` (``ball_terms``).
+    increments ``Phi^1(b_x(n))`` (``Phi1Decomposition.ball_terms``).
 
     ``uptos`` lists checkpoint indices (even, so the composite rule closes)
     at which the integral stops, default the last.  The returned callable
     is handed each checkpoint ``(j, s_j, U(s_j), K(s_j))`` of a pass, as
     ``flow_unitaries`` hands them (``j = 0`` starts the sums afresh), adds
     its integrand to a running Simpson sum and lets it go.  At each stop it
-    makes the decomposition there from the running sum and the end-point
-    weight, and hands it to ``close(upto, decomposition)``; checkpoints past
-    the last stop are not read.  All of it runs on the flow's block stacks:
-    each anchored matrix is split on its sectors as it is assembled
-    (``ValueError`` if it breaks them), and the decompositions keep the
-    stacks.
+    makes the decomposition there, each piece formed as its sum closes with
+    the end-point weight (at the last stop the running sum is let go as its
+    piece forms), and hands it to ``close(upto, decomposition)``;
+    checkpoints past the last stop are not read.  All of it runs on the
+    flow's block stacks: each anchored matrix is split on its sectors as it
+    is assembled (``ValueError`` if it breaks them), and the decompositions
+    keep the stacks.
     """
     last_index = len(flow.eps_grid) - 1
     uptos = [last_index] if uptos is None else [int(u) for u in uptos]
@@ -529,21 +542,20 @@ def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
     def blockdiag(a):
         return p @ a @ p + q @ a @ q
 
-    def decomposition(upto, u_end, sums):
-        """The decomposition at checkpoint ``upto`` from the Simpson sums
-        there."""
+    def decomposition(upto, u_end, v_tilde):
+        """The decomposition at checkpoint ``upto`` from the block-diagonal
+        parts ``v_tilde`` of the Simpson sums there, corrected in place."""
         eps_at = float(grid[upto])
         v_true = u_end.conj().swapaxes(-1, -2) @ (b0 + eps_at * bp) @ u_end \
             - b0
-        v_tilde = {x: blockdiag(sums[x]) for x in anchors}
         rho = v_true - sum(v_tilde.values())
         quad_res = operator_norm(rho)
         rho_diag = blockdiag(rho)
         rho_cross = rho - rho_diag
         for x in anchors:
-            v_tilde[x] = v_tilde[x] + rho_diag / len(anchors)
+            v_tilde[x] += rho_diag / len(anchors)
         edge = min(anchors)
-        v_tilde[edge] = v_tilde[edge] + rho_cross
+        v_tilde[edge] += rho_cross
         max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
                        for x in anchors)
         return Phi1Decomposition(lam, eps_at, sectors, v_tilde, v_true,
@@ -562,16 +574,20 @@ def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
         if j > last:
             return
         u_h = u.conj().swapaxes(-1, -2)
-        closing = {}
+        pieces = {}
         for x in anchors:
             h_xs = eta_x[x] + s * psi_x[x]
             x_term = psi_x[x] - (k_s @ h_xs - h_xs @ k_s)
             f = u_h @ x_term @ u
             if j in stops:
-                closing[x] = v[x] + weights[0] * f
-            v[x] = v[x] + weights[j] * f
-        if closing:
-            close(j, decomposition(j, u, closing))
+                # the closing sum goes straight into its piece; at the last
+                # stop the running sum goes with it
+                sums = v.pop(x) if j == last else v[x]
+                pieces[x] = blockdiag(sums + weights[0] * f)
+            if j < last:
+                v[x] = v[x] + weights[j] * f
+        if pieces:
+            close(j, decomposition(j, u, pieces))
 
     return consume
 
@@ -592,21 +608,29 @@ class Phi1Split:
 
 def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
     """Split ``dec`` against the kernel projector ``p_kernel``, a stack on
-    the decomposition's sectors; ``omega = tr(P phi_tilde) / tr P``."""
+    the decomposition's sectors; ``omega = tr(P phi_tilde) / tr P``.  The
+    sums are formed in place, in the order of
+    ``phi2 + phi3 + omega 1 + remainder - V(eps)``."""
     inner = interior(dec.lam, 2)
-    phi_tilde = remainder = np.zeros(dec.v_true.shape)
+    dtype = np.result_type(*dec.anchors.values())
+    phi_tilde = np.zeros(dec.v_true.shape, dtype)
+    remainder = np.zeros(dec.v_true.shape, dtype)
     for x, vx in dec.anchors.items():
         if inner is not None and x in inner:
-            phi_tilde = phi_tilde + vx
+            phi_tilde += vx
         else:
-            remainder = remainder + vx
+            remainder += vx
     omega = _trace(p_kernel @ phi_tilde) / _trace(p_kernel)
     eye = np.eye(p_kernel.shape[-1])
     q = eye - p_kernel
-    centered = phi_tilde - omega * eye
-    phi2 = q @ centered @ q
-    phi3 = p_kernel @ centered @ p_kernel
-    recon = phi2 + phi3 + omega * eye + remainder - dec.v_true
+    phi_tilde -= omega * eye                  # centred
+    phi2 = q @ phi_tilde @ q
+    recon = p_kernel @ phi_tilde @ p_kernel    # phi3
+    del phi_tilde
+    recon += phi2
+    recon += omega * eye
+    recon += remainder
+    recon -= dec.v_true
     return Phi1Split(phi2, omega, operator_norm(recon))
 
 
@@ -630,7 +654,7 @@ class ThetaAssembly:
     annihilation_error: float   # max_n |P_{b(x,n)} Theta_beta(n)|
 
 
-def theta_assembly(dec: Phi1Decomposition,
+def theta_assembly(ball_terms: list[Term],
                    family: ProjectorFamily) -> ThetaAssembly:
     """Regroup ``Q (Phi^1_x)_0 Q`` into ball-localized and boundary parts.
 
@@ -650,8 +674,10 @@ def theta_assembly(dec: Phi1Decomposition,
     ``Theta_alpha``.  Each ``Theta_beta(n)`` is annihilated by ``P_{b(x,n)}``
     on both sides, which the return value certifies.
 
-    ``family`` holds block stacks on the sectors of ``dec``; each ball term
-    is split on them, so every product and norm is taken block by block.
+    ``ball_terms`` are the ``Phi^1(b_x(n))`` of the anchor ``x``, as
+    ``Phi1Decomposition.ball_terms(x)`` makes them.  ``family`` holds block
+    stacks on the sectors of the decomposition; each ball term is split on
+    them, so every product and norm is taken block by block.
     """
     lam, x = family.lam, family.x
     r_x = family.r_x
@@ -667,8 +693,9 @@ def theta_assembly(dec: Phi1Decomposition,
     qs = {n: eye - balls[n] for n in range(1, r_x + 1)}
     e = {n + 1: e_n for n, e_n in enumerate(family.E)}   # E_1 .. E_{r_x+2}
 
-    ball_term = {t.radius: split_blocks(embed(t.op, lam).matrix, dec.sectors)
-                 for t in dec.ball_terms.anchored().get(x, [])}
+    ball_term = {t.radius: split_blocks(embed(t.op, lam).matrix,
+                                        family.sectors)
+                 for t in ball_terms}
     phi1 = {}
     for k in range(1, big_r + 1):
         m = ball_term.get(k)

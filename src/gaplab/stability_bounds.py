@@ -37,7 +37,7 @@ import numpy as np
 from .ffunction import DerivedFSpec, geometric_tail, poly_tail
 from .interaction import Interaction, hamiltonian_eigenvalues, split_edge_bulk
 from .lattice import Interval
-from .operator_algebra import as_matrix, eigenvalues
+from .operator_algebra import eigenvalues, join_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +371,28 @@ class FormBoundReport:
 _SAMPLE_COLUMNS = 128
 
 
-def verify_form_bound(h0, h0_vecs, phi2, delta: float, beta: float,
-                      eps: float, n_vectors: int = 1000,
+def verify_form_bound(h0, h0_vecs, phi2, sectors, delta: float,
+                      beta: float, eps: float, n_vectors: int = 1000,
                       seed: int = 7) -> FormBoundReport:
     """Check ``|<v, Phi2 v>| <= delta eps + beta eps <v, H v>`` exhaustively.
 
-    The two operator inequalities are settled by eigenvalue computation; a
+    ``h0``, its eigenvectors ``h0_vecs`` and ``phi2`` are block stacks on
+    ``sectors`` (see ``operator_algebra.split_blocks``).  The two operator
+    inequalities are settled by eigenvalue computation, block by block; a
     seeded sample of unit vectors, together with the eigenvectors of the
-    unperturbed Hamiltonian (the columns of ``h0_vecs``), reports margins
-    with an additive ``1e-10`` allowance.  Violations are counted, not raised.
-    The real and imaginary parts of the samples are drawn whole, and the
-    vectors are formed and their quadratic forms taken ``_SAMPLE_COLUMNS``
-    at a time.
+    unperturbed Hamiltonian (the columns of ``h0_vecs``, joined), reports
+    margins with an additive ``1e-10`` allowance.  Violations are counted,
+    not raised.  The samples read the joined matrices: their real and
+    imaginary parts are drawn whole, and the vectors are formed and their
+    quadratic forms taken ``_SAMPLE_COLUMNS`` at a time.
     """
-    h, p2 = as_matrix(h0), as_matrix(phi2)
-    dim = h.shape[0]
-    envelope = beta * eps * h + delta * eps * np.eye(dim)
-    ev_plus = eigenvalues(envelope + p2)
-    ev_minus = eigenvalues(envelope - p2)
+    envelope = beta * eps * h0 + delta * eps * np.eye(h0.shape[-1])
+    ev_plus = eigenvalues(envelope + phi2)
+    ev_minus = eigenvalues(envelope - phi2)
     del envelope
+    h, p2 = join_blocks(h0, sectors), join_blocks(phi2, sectors)
+    h0_vecs = join_blocks(h0_vecs, sectors)
+    dim = h.shape[0]
 
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((dim, n_vectors))

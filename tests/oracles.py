@@ -1,16 +1,28 @@
 """Reference operators and predicates that the tests check the package against."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
 from gaplab.interaction import Interaction, Term, local_hamiltonian
 from gaplab.lattice import Interval, ball, boundary_distances, interior
-from gaplab.operator_algebra import (LocalOperator, annihilator, embed,
-                                     join_blocks, operator_norm,
+from gaplab.operator_algebra import (LocalOperator, annihilator,
+                                     conditional_expectation, delta_layer,
+                                     embed, join_blocks, operator_norm,
                                      parity_matrix, split_blocks)
 from gaplab.spectra import ground_projector
 from gaplab.spectral_flow import Phi1Decomposition, decompose_phi1
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran; tracing
+    starts with the call, so that is how far the call raised it."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def creator(lam: Interval, x: int) -> LocalOperator:
@@ -284,8 +296,9 @@ def resolution_whole(eta, lam: Interval, x: int, p):
 
 def theta_whole(ball_terms, lam: Interval, x: int, p, locals_, e_list):
     """``Theta_beta`` and ``Theta_alpha`` around ``x`` from whole matrices:
-    the ball terms of a decomposition, the whole kernel projector ``p`` and
-    the whole family ``locals_``, ``e_list`` of ``resolution_whole``."""
+    the ball terms of anchor ``x`` (any that belong to another anchor are
+    passed over), the whole kernel projector ``p`` and the whole family
+    ``locals_``, ``e_list`` of ``resolution_whole``."""
     r_x = len(locals_)
     _, big_r = boundary_distances(lam, x)
     dim = p.shape[0]
@@ -295,7 +308,7 @@ def theta_whole(ball_terms, lam: Interval, x: int, p, locals_, e_list):
     qs = {n: eye - locals_[n - 1] for n in range(1, r_x + 1)}
     e = {n + 1: e_n for n, e_n in enumerate(e_list)}
     ball_term = {t.radius: embed(t.op, lam).matrix
-                 for t in ball_terms.anchored().get(x, [])}
+                 for t in ball_terms if t.anchor == x}
     phi1 = {}
     for k in range(1, big_r + 1):
         m = ball_term.get(k, np.zeros((dim, dim)))
@@ -317,3 +330,28 @@ def theta_whole(ball_terms, lam: Interval, x: int, p, locals_, e_list):
     for k in range(r_x // 2 + 1, big_r + 1):
         theta_alpha = theta_alpha + q_full @ phi1[k] @ q_full
     return theta_beta, theta_alpha
+
+
+def telescope(dec) -> Interaction:
+    """Every ball term of a decomposition, anchor by anchor in the order of
+    its pieces, from ``Phi1Decomposition.ball_terms``."""
+    return Interaction([t for x in dec.anchors for t in dec.ball_terms(x)],
+                       kind="spin", local_dim=dec.local_dim)
+
+
+def telescope_oracle(dec) -> Interaction:
+    """The whole ball telescope of a decomposition as one interaction, made
+    as it was before the terms were built one anchor at a time: each piece
+    joined, then its conditional expectation on the unit ball and its layers
+    ``2 .. R_x``."""
+    terms = []
+    for x, piece in dec.anchors.items():
+        op = LocalOperator(join_blocks(piece, dec.sectors), dec.lam, dec.lam,
+                           kind="spin", local_dim=dec.local_dim)
+        _, big_r = boundary_distances(dec.lam, x)
+        terms.append(Term(conditional_expectation(op, ball(dec.lam, x, 1)),
+                          anchor=x, radius=1))
+        for n in range(2, big_r + 1):
+            terms.append(Term(delta_layer(op, dec.lam, x, n), anchor=x,
+                              radius=n))
+    return Interaction(terms, kind="spin", local_dim=dec.local_dim)

@@ -32,17 +32,29 @@ def assembled():
 
 
 @pytest.fixture(scope="module")
-def done(assembled):
+def families():
+    """The ball families of the run, by site, which the flow fixture lets
+    go once it has read them."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def done(assembled, families):
     """(cfg, ctx, reports by name, seconds by name) of one in-process run."""
     cfg, ctx = merged_config(None), {}
     reports, seconds = {}, {}
 
-    def assembly(dec, family):
-        assembled[family.x] = cli_assembly(dec, family)
+    def assembly(terms, family):
+        assembled[family.x] = cli_assembly(terms, family)
         return assembled[family.x]
 
-    cli_assembly = cli.theta_assembly
-    with patch.object(cli, "theta_assembly", assembly):
+    def family(eta, lam, x, *args):
+        families[x] = cli_family(eta, lam, x, *args)
+        return families[x]
+
+    cli_assembly, cli_family = cli.theta_assembly, cli.resolution_family
+    with patch.object(cli, "theta_assembly", assembly), \
+            patch.object(cli, "resolution_family", family):
         for name, pipeline in PIPELINES.items():
             start = time.monotonic()
             reports[name] = pipeline(cfg, ctx)
@@ -155,7 +167,7 @@ def test_07_decomposition_identities(done):
         assert set(th.beta_norms) == set(range(3, th.r_x + 1))
 
 
-def test_08_resolution_identities(done, assembled):
+def test_08_resolution_identities(done, assembled, families):
     """Ball resolutions sum to the identity with the partial-sum and
     annihilation laws; sign-pattern projections resolve the identity,
     are orthogonal, and commute with the collected pieces."""
@@ -168,7 +180,7 @@ def test_08_resolution_identities(done, assembled):
 
     # radius-3 patterns commute with the collected pieces they annihilate
     for x in (3, 4):
-        family, theta = fb["families"][x], assembled[x].theta_beta[3]
+        family, theta = families[x], assembled[x].theta_beta[3]
         members = [(x, ball(fb["lam"], x, 3), family.locals[2])]
         for bit in (0, 1):
             s = sigma_projection(members, {x: bit})

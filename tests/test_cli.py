@@ -24,6 +24,7 @@ from gaplab.interaction import to_json
 from gaplab.lattice import Interval
 from gaplab.models import orbital_interaction, paired_orbital_model
 from gaplab.operator_algebra import operator_norm
+from oracles import telescope_oracle, traced_peak
 
 
 # --- configuration ------------------------------------------------------------------
@@ -517,22 +518,38 @@ def _fixture_bytes(fb) -> int:
     return sum(a.nbytes for a in _reachable_arrays(fb, set()))
 
 
-def test_flow_fixture_keeps_only_what_its_readers_read():
+def test_flow_fixture_keeps_only_what_its_readers_read(monkeypatch):
     """On the default L = 8 chain (side 256) the flow fixture keeps
-    5.04 MiB of arrays; the bound sits just above it, so a fixture that
+    3.04 MiB of arrays; the bound sits just above it, so a fixture that
     grows again fails here.  The flow keeps no checkpoint's unitary or
     generator, the decomposition neither its pieces nor ``V(eps)`` (only
-    its residuals, and its ball terms as ``(support, norm)`` pairs), the
-    collected pieces only their norms and errors, and every array it keeps
-    is at most of side 128, a parity block."""
+    its residuals, and its ball terms as ``(support, norm)`` pairs, those of
+    the whole telescope bit for bit and in its order), the collected pieces
+    only their norms and errors, the ball families only their
+    ``resolutions.csv`` rows and the ball projectors the sign patterns read,
+    and every array it keeps is at most of side 128, a parity block."""
+    decs = []
+
+    def split(dec, p0):
+        decs.append(replace(dec, anchors=dict(dec.anchors)))
+        return cli_split(dec, p0)
+
+    cli_split = cli.split_phi1
+    monkeypatch.setattr(cli, "split_phi1", split)
     fb = flow_bundle(merged_config(None), {})
     assert not {"unitaries", "generators"} & {f.name for f in fields(fb["flow"])}
     assert fb["dec"].anchors is None and fb["dec"].v_true is None
     assert all(th.theta_beta is None and th.theta_alpha is None
                for th in fb["thetas"].values())
+    assert "families" not in fb
+    assert fb["ball_norms"] == [(t.support, t.op.norm())
+                                for t in telescope_oracle(decs[-1]).terms]
     assert all(isinstance(norm, float) for _, norm in fb["ball_norms"])
+    assert {n: [x for x, _, _ in members]
+            for n, members in fb["sign_members"].items()} == {1: [2, 5],
+                                                              3: []}
     kept = list(_reachable_arrays(fb, set()))
-    assert sum(a.nbytes for a in kept) <= 5.1 * 2 ** 20
+    assert sum(a.nbytes for a in kept) <= 3.1 * 2 ** 20
     assert max(a.shape[-1] for a in kept) == 128
 
 
@@ -542,6 +559,19 @@ def test_flow_fixture_size_does_not_grow_with_the_checkpoints():
     sizes = {n: _fixture_bytes(flow_bundle(
         merged_config({"flow": {"checkpoints": n}}), {})) for n in (9, 33)}
     assert sizes[33] - sizes[9] == (33 - 9) * 8
+
+
+def test_flow_fixture_walks_its_anchors_in_a_peak_the_checkpoints_do_not_set():
+    """The default flow fixture on the L = 8 chain raises traced memory by
+    at most 5 % above the measured 12.10 MiB (18.15 MiB while the whole ball
+    telescope and every ball family were held at once), and its peaks at 9
+    and 33 checkpoints agree to 1 %: one anchor's ball terms and family are
+    alive at a time, and nothing of a checkpoint outlives the pass."""
+    np.random.default_rng(0)      # numpy.random's one-time import is not traced
+    peaks = {n: traced_peak(lambda n=n: flow_bundle(
+        merged_config({"flow": {"checkpoints": n}}), {}))[1] for n in (9, 33)}
+    assert peaks[33] <= 1.05 * 12.10 * 2 ** 20
+    assert abs(peaks[33] - peaks[9]) <= 0.01 * peaks[9]
 
 
 def test_cli_import_loads_no_sparse_module():

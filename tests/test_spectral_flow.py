@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import fields, replace
 from unittest.mock import patch
 
@@ -20,13 +19,15 @@ from gaplab.spectra import diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   _polar_unitary, _time_rule,
                                   eigenbasis_generator,
-                                  filter_identity_residual, flow_unitaries,
+                                  filter_identity_residual, flow_blocks,
+                                  flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
 from oracles import (Checkpoints, decompose, decomposer, even_pair, one_block,
                      one_site, parity_even, random_hermitian, random_matrix,
                      replay, resolution_whole, simpson_oracle, split_whole,
-                     svd_polar, tee, theta_whole)
+                     svd_polar, tee, telescope, telescope_oracle,
+                     theta_whole, traced_peak)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -267,8 +268,8 @@ def test_time_quadrature_in_node_blocks_matches_the_one_shot_product(
 def test_flow_two_level_transport():
     h0 = np.diag([0.0, 1.0])
     cp = Checkpoints()
-    flow = flow_unitaries(h0, SX, 0.1, Window(GAMMA), checkpoints=8,
-                          consumer=cp)
+    flow = flow_unitaries(*flow_blocks(h0, SX), 0.1, Window(GAMMA),
+                          checkpoints=8, consumer=cp)
     assert len(flow.eps_grid) % 2 == 1          # even count is bumped
     assert flow.eps == pytest.approx(0.1)
     assert len(flow.sectors) == 1               # sigma^x flips the parity
@@ -309,8 +310,8 @@ def test_flow_runs_in_the_field_of_its_inputs():
              (h6, _random_pair()[1].real, 0.01, np.float64)]
     for h0, psi, eps, dtype in cases:
         cp = Checkpoints()
-        flow = flow_unitaries(h0, psi, eps, Window(GAMMA), checkpoints=5,
-                              cluster_dim=1, consumer=cp)
+        flow = flow_unitaries(*flow_blocks(h0, psi), eps, Window(GAMMA),
+                              checkpoints=5, cluster_dim=1, consumer=cp)
         assert all(u.dtype == dtype for u in cp.us)
         assert all(k.dtype == dtype for k in cp.ks)
         for k in cp.ks:                              # K = iD is anti-Hermitian
@@ -350,8 +351,8 @@ def test_flow_solves_h0_once(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    flow = flow_unitaries(h0, psi, 0.01, Window(GAMMA), checkpoints=5,
-                          cluster_dim=1)
+    flow = flow_unitaries(*flow_blocks(h0, psi), 0.01, Window(GAMMA),
+                          checkpoints=5, cluster_dim=1)
     h0_blocks = split_blocks(h0, sectors)
     assert sum(np.array_equal(h, h0_blocks) for h in solved) == 1
     evals, evecs, _ = flow.end_spectra[0]
@@ -369,13 +370,13 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     with the same flow run on one block holding the whole matrix, and keeps
     the blocks exactly."""
     h0, psi = even_pair(np.random.default_rng(seed), 2 ** k, complex_)
-    args = (h0, psi, 0.05, Window(GAMMA))
+    args = (0.05, Window(GAMMA))
     blocked_cp, whole_cp = Checkpoints(), Checkpoints()
-    blocked = flow_unitaries(*args, checkpoints=5, cluster_dim=2,
-                             consumer=blocked_cp)
+    blocked = flow_unitaries(*flow_blocks(h0, psi), *args, checkpoints=5,
+                             cluster_dim=2, consumer=blocked_cp)
     with patch.object(spectral_flow, "parity_sectors", _one_block):
-        whole = flow_unitaries(*args, checkpoints=5, cluster_dim=2,
-                               consumer=whole_cp)
+        whole = flow_unitaries(*flow_blocks(h0, psi), *args, checkpoints=5,
+                               cluster_dim=2, consumer=whole_cp)
     assert len(blocked.sectors) == 2 and len(whole.sectors) == 1
     pairs = [(join_blocks(a, blocked.sectors), join_blocks(b, whole.sectors))
              for a, b in zip(blocked_cp.us + blocked_cp.ks,
@@ -397,8 +398,8 @@ def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
     cp = Checkpoints()
-    flow = flow_unitaries(h0, psi, 0.05, Window(GAMMA), checkpoints=5,
-                          cluster_dim=2, consumer=cp)
+    flow = flow_unitaries(*flow_blocks(h0, psi), 0.05, Window(GAMMA),
+                          checkpoints=5, cluster_dim=2, consumer=cp)
     assert shapes and set(shapes) == {(1, 8, 8)}
     assert len(flow.sectors) == 1
     assert join_blocks(cp.us[-1], flow.sectors)[0, 1] != 0.0
@@ -408,7 +409,8 @@ def test_flow_rejects_closing_gap():
     h0 = np.diag([0.0, 1.0])
     psi = np.diag([1.0, -1.0])          # gap 1 - 2s collapses under the filter
     with pytest.raises(RuntimeError):
-        flow_unitaries(h0, psi, 0.45, Window(GAMMA), checkpoints=9)
+        flow_unitaries(*flow_blocks(h0, psi), 0.45, Window(GAMMA),
+                       checkpoints=9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,13 +457,13 @@ def bundle():
     window = Window(GAMMA)
     cp = Checkpoints()
     consumer, decs = decomposer(eta, psi, lam)
-    flow = flow_unitaries(h0.matrix, hp.matrix, 0.02, window,
-                          checkpoints=9, cluster_dim=kdim,
-                          consumer=tee(cp, consumer))
+    blocks = flow_blocks(h0.matrix, hp.matrix)
+    flow = flow_unitaries(*blocks, 0.02, window, checkpoints=9,
+                          cluster_dim=kdim, consumer=tee(cp, consumer))
     dec, = decs.values()
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
             "p0": flow.p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix,
-            "checkpoints": cp}
+            "blocks": blocks, "checkpoints": cp}
 
 
 def test_generator_routes_agree_on_the_default_horizon(bundle):
@@ -566,13 +568,14 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
-    first = flow_unitaries(h0, psi, 0.05, window, checkpoints=3,
-                           cluster_dim=2, ode_tol=1.0)
+    first = flow_unitaries(*flow_blocks(h0, psi), 0.05, window,
+                           checkpoints=3, cluster_dim=2, ode_tol=1.0)
     assert first.ode_error > tol and len(calls) == 4 * 2 + 1
     calls.clear()
     cp = Checkpoints()
-    flow = flow_unitaries(h0, psi, 0.05, window, checkpoints=3,
-                          cluster_dim=2, ode_tol=tol, consumer=cp)
+    flow = flow_unitaries(*flow_blocks(h0, psi), 0.05, window,
+                          checkpoints=3, cluster_dim=2, ode_tol=tol,
+                          consumer=cp)
     assert flow.ode_error <= tol
     assert len(calls) == 4 * 2 + 1 + 8 * 2 + 1
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
@@ -602,8 +605,8 @@ def test_refinement_restarts_the_consumer_and_decomposes_the_accepted_pass():
     eta_i, psi_i, lam = one_site(h0), one_site(psi), Interval(0, 0)
     cp = Checkpoints()
     consumer, decs = decomposer(eta_i, psi_i, lam)
-    flow = flow_unitaries(h0, psi, 0.05, Window(GAMMA), checkpoints=3,
-                          cluster_dim=2, ode_tol=1e-13,
+    flow = flow_unitaries(*flow_blocks(h0, psi), 0.05, Window(GAMMA),
+                          checkpoints=3, cluster_dim=2, ode_tol=1e-13,
                           consumer=tee(cp, consumer))
     assert flow.ode_error <= 1e-13
     assert len(cp.passes) == 2
@@ -643,8 +646,10 @@ def test_streamed_decompositions_equal_the_list_oracle_bit_for_bit(
     blocked = [decomposer(eta, psi, lam, uptos) for uptos in stops]
     whole = [decomposer(eta, psi, lam, uptos) for uptos in stops]
     cp, whole_cp = Checkpoints(), Checkpoints()
-    flow_unitaries(bundle["h0"], local_hamiltonian(psi, lam).matrix, 0.02,
-                   Window(GAMMA), checkpoints=9, cluster_dim=bundle["kdim"],
+    flow_unitaries(*flow_blocks(bundle["h0"],
+                                local_hamiltonian(psi, lam).matrix),
+                   0.02, Window(GAMMA), checkpoints=9,
+                   cluster_dim=bundle["kdim"],
                    consumer=tee(cp, one_block(whole_cp),
                                 *(c for c, _ in blocked),
                                 *(one_block(c) for c, _ in whole)))
@@ -663,14 +668,9 @@ def test_streamed_decompositions_equal_the_list_oracle_bit_for_bit(
 
 def _traced_flow(bundle, checkpoints):
     """The L = 8 flow at ``checkpoints`` and its peak of traced memory."""
-    tracemalloc.start()
-    try:
-        flow = flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
-                              checkpoints=checkpoints,
-                              cluster_dim=bundle["kdim"])
-        return flow, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: flow_unitaries(
+        *bundle["blocks"], 0.02, Window(GAMMA), checkpoints=checkpoints,
+        cluster_dim=bundle["kdim"]))
 
 
 def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not_set(
@@ -695,27 +695,56 @@ def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not
     assert peak <= 26 * flow.h0.nbytes
 
 
-def test_generator_and_filter_checks_work_in_small_phase_blocks(bundle):
+def _time_quadrature_stacked(evals, evecs, psi, window):
+    """The time-quadrature generator with each block of nodes' phase table
+    formed for the whole stack at once."""
+    s_pts, coeff = _time_rule(window, np.ptp(evals))
+    step = max(1, spectral_flow._PHASE_BLOCK // evals.size)
+    a = 0.0
+    for lo in range(0, s_pts.size, step):
+        sin = evals[..., :, None] * s_pts[lo:lo + step]
+        cos = np.cos(sin)
+        np.sin(sin, out=sin)
+        sin *= coeff[lo:lo + step]
+        a = a + sin @ cos.swapaxes(-1, -2)
+    return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+
+
+def test_generator_and_filter_checks_work_in_small_phase_blocks(
+        bundle, monkeypatch):
     """The cross-checks of ``flow`` on the L = 8 chain (9168 nodes, 256
-    eigenvalues): the time-quadrature generator at both ends and the filter
-    identity on both widths, forming their time rule afresh, peak below
-    8 MiB of traced memory, and the generator agrees with the one-shot
-    product to 1e-15 of its largest entry."""
+    eigenvalues in two blocks): the time-quadrature generator at both ends
+    and the filter identity on both widths, forming their time rule afresh,
+    peak within 5 % above the measured 4.70 MiB of traced memory (6.77 MiB
+    with a phase table for the whole stack and the old time rule's rows;
+    the filter identity's table of 2 MiB now sets the peak).  The
+    generator, formed one block at a time, is the whole stack's product bit
+    for bit and agrees with the one-shot product to 1e-15 of its largest
+    entry; the time rule's weights are those of row blocks eight times as
+    large, bit for bit."""
     flow, w = bundle["flow"], Window(GAMMA)
     _panel_rule.cache_clear()
-    tracemalloc.start()
-    try:
+
+    def checks():
         generators = [time_quadrature_generator(evals, evecs, flow.psi, w)
                       for evals, evecs, _ in flow.end_spectra]
         for evals, _, _ in flow.end_spectra:
             filter_identity_residual(w, np.linspace(0.0, np.ptp(evals), 401))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+        return generators
+
+    generators, peak = traced_peak(checks)
+    assert peak <= 1.05 * 4.70 * 2 ** 20
     for k_time, (evals, evecs, _) in zip(generators, flow.end_spectra):
+        assert np.array_equal(
+            k_time, _time_quadrature_stacked(evals, evecs, flow.psi, w))
         ref = _time_quadrature_one_shot(evals, evecs, flow.psi, w)
         assert np.max(np.abs(k_time - ref)) <= 1e-15 * np.max(np.abs(ref))
+    s_pts = _time_rule(w, np.ptp(flow.end_spectra[0][0]))[0]
+    small = time_weight(s_pts, w)
+    monkeypatch.setattr(spectral_flow, "_PHASE_BLOCK",
+                        8 * spectral_flow._PHASE_BLOCK)
+    assert np.array_equal(small, time_weight(s_pts, w))
+    _panel_rule.cache_clear()
 
 
 def test_decomposition_reconstructs_exactly(bundle):
@@ -729,7 +758,7 @@ def test_decomposition_reconstructs_exactly(bundle):
 def test_ball_telescopes_close(bundle):
     from gaplab.operator_algebra import embed
     dec, lam = bundle["dec"], bundle["lam"]
-    grouped = dec.ball_terms.anchored()
+    grouped = telescope(dec).anchored()
     for x, vx in dec.anchors.items():
         total = sum(embed(t.op, lam).matrix for t in grouped[x])
         assert operator_norm(total - join_blocks(vx, dec.sectors)) <= 1e-10
@@ -806,7 +835,7 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
 
     monkeypatch.setattr(np.linalg, "norm", norm)
     consumer, decs = decomposer(bundle["eta"], bundle["psi"], bundle["lam"])
-    flow_unitaries(bundle["h0"], bundle["hp"], 0.02, Window(GAMMA),
+    flow_unitaries(*bundle["blocks"], 0.02, Window(GAMMA),
                    checkpoints=9, cluster_dim=bundle["kdim"],
                    consumer=consumer)
     assert len(decs) == 1
@@ -878,10 +907,11 @@ def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
         decompose(bundle["checkpoints"], bundle["eta"], broken, bundle["lam"])
 
 
-def test_ball_telescope_is_built_once_when_read(bundle, monkeypatch):
-    """The decompositions of one pass build no ball telescope; reading one's
-    ``ball_terms`` builds its own, once: one conditional expectation and
-    ``R_x - 1`` layers per anchor."""
+def test_ball_terms_are_built_per_anchor_when_asked(bundle, monkeypatch):
+    """The decompositions of one pass build no ball telescope; asking for
+    an anchor's ball terms builds that anchor's alone: one conditional
+    expectation and ``R_x - 1`` layers, by radius 1 .. ``R_x``.  A site
+    that anchors no piece has none."""
     calls = []
     for name in ("conditional_expectation", "delta_layer"):
         def counted(*args, _name=name,
@@ -894,13 +924,31 @@ def test_ball_telescope_is_built_once_when_read(bundle, monkeypatch):
     decs = decompose(bundle["checkpoints"], bundle["eta"], bundle["psi"], lam,
                      uptos=[4, 8])
     assert calls == []
-    terms = decs[1].ball_terms
-    anchors = decs[1].anchors
-    layers = sum(boundary_distances(lam, x)[1] - 1 for x in anchors)
-    assert calls.count("conditional_expectation") == len(anchors)
-    assert calls.count("delta_layer") == layers
-    assert decs[1].ball_terms is terms
-    assert len(calls) == len(terms.terms) == len(anchors) + layers
+    for x in decs[1].anchors:
+        big_r = boundary_distances(lam, x)[1]
+        terms = decs[1].ball_terms(x)
+        assert [(t.anchor, t.radius) for t in terms] \
+            == [(x, n) for n in range(1, big_r + 1)]
+        assert calls == ["conditional_expectation"] \
+            + ["delta_layer"] * (big_r - 1)
+        calls.clear()
+    assert decs[1].ball_terms(lam.b + 1) == []
+
+
+def test_ball_terms_per_anchor_give_the_whole_telescopes_norms_bit_for_bit(
+        bundle):
+    """The per-anchor ball terms, anchor by anchor, are the terms of the
+    whole telescope built at once, in its order, and their ``(support,
+    norm)`` pairs are its pairs bit for bit: their order sets the summation
+    of ``f_norm``."""
+    dec = bundle["dec"]
+    mine, ref = telescope(dec).terms, telescope_oracle(dec).terms
+    assert [(t.support, t.anchor, t.radius) for t in mine] \
+        == [(t.support, t.anchor, t.radius) for t in ref]
+    for a, b in zip(mine, ref):
+        np.testing.assert_array_equal(a.op.matrix, b.op.matrix)
+    assert [(t.support, t.op.norm()) for t in mine] \
+        == [(t.support, t.op.norm()) for t in ref]
 
 
 def _whole_split(dec, p0):
@@ -976,7 +1024,7 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
     for name in ("phi_tilde", "phi2", "phi3", "remainder"):
         assert np.max(np.abs(whole[name] - whole_ref[name])) <= 1e-12
     family = resolution_family(eta, lam, 3, p0, flow.sectors)
-    assembly = theta_assembly(dec, family)
+    assembly = theta_assembly(dec.ball_terms(3), family)
     assert assembly.identity_error <= 1e-10
     assert assembly.annihilation_error <= 1e-10
 
@@ -985,7 +1033,7 @@ def test_theta_assembly_identities(bundle):
     lam, eta, dec = bundle["lam"], bundle["eta"], bundle["dec"]
     family = resolution_family(eta, lam, 3, bundle["p0"],
                                bundle["flow"].sectors)          # r_x = 3
-    assembly = theta_assembly(dec, family)
+    assembly = theta_assembly(dec.ball_terms(3), family)
     assert assembly.r_x == 3
     assert set(assembly.theta_beta) == {3}
     assert assembly.identity_error <= 1e-10
@@ -1016,8 +1064,8 @@ def test_blocked_resolution_and_assembly_match_the_whole_forms(bundle, x):
     assert len(family.E) == len(e) == x + 2
     for mine, ref in zip(family.E, e):
         close(mine, ref)
-    assembly = theta_assembly(dec, family)
-    beta, alpha = theta_whole(dec.ball_terms, lam, x, p, locals_, e)
+    assembly = theta_assembly(dec.ball_terms(x), family)
+    beta, alpha = theta_whole(telescope(dec).terms, lam, x, p, locals_, e)
     assert assembly.theta_beta.keys() == beta.keys() \
         == assembly.beta_norms.keys()
     for n, piece in assembly.theta_beta.items():

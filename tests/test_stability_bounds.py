@@ -4,6 +4,7 @@ import pytest
 from gaplab.ffunction import FFunctionSpec, WeightSpec, f_zero
 from gaplab.lattice import Interval
 from gaplab.models import random_even_perturbation
+from gaplab.operator_algebra import join_blocks, parity_sectors, split_blocks
 from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      bound_constants, calibrate_c,
                                      edge_bulk_strengths,
@@ -12,6 +13,7 @@ from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      kappa_bound, stability_threshold,
                                      uniform_strengths, verify_form_bound,
                                      volume_form_constants)
+from oracles import even_pair
 
 BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
                      weight=WeightSpec(K=0.5, s=1.0))
@@ -208,17 +210,23 @@ def test_form_constants_use_volume_norm(bc):
 # --- direct form-bound verification -------------------------------------------------
 
 
+def _one_block(h, vecs, phi2):
+    """``h``, ``vecs`` and ``phi2`` as stacks of one block, and that one
+    sector: the first arguments of ``verify_form_bound``."""
+    return h[None], vecs[None], phi2[None], [np.arange(len(h))]
+
+
 def test_form_bound_diagonal_oracle():
     h = np.diag([0.0, 1.0, 2.0])
     phi2 = np.diag([0.05, 0.2, 0.3])
     vecs = np.linalg.eigh(h)[1]
-    rep = verify_form_bound(h, vecs, phi2, delta=1.0, beta=1.0, eps=0.1,
-                            n_vectors=200)
+    rep = verify_form_bound(*_one_block(h, vecs, phi2), delta=1.0, beta=1.0,
+                            eps=0.1, n_vectors=200)
     assert rep.holds and rep.violations == 0
     assert rep.min_eig_plus >= -1e-10 and rep.min_eig_minus >= -1e-10
 
-    bad = verify_form_bound(h, vecs, np.diag([0.5, 0.0, 0.0]), delta=1.0,
-                            beta=1.0, eps=0.1, n_vectors=200)
+    bad = verify_form_bound(*_one_block(h, vecs, np.diag([0.5, 0.0, 0.0])),
+                            delta=1.0, beta=1.0, eps=0.1, n_vectors=200)
     assert not bad.holds
     assert bad.violations >= 1                   # the ground eigenvector fails
     assert bad.min_eig_minus == pytest.approx(-0.4, abs=1e-12)
@@ -230,8 +238,9 @@ def test_form_bound_margin_dominates_eigenvalues():
     h = a @ a.T                                   # nonnegative
     b = rng.standard_normal((8, 8))
     phi2 = 0.01 * (b + b.T)
-    rep = verify_form_bound(h, np.linalg.eigh(h)[1], phi2, delta=0.5,
-                            beta=0.2, eps=0.05, n_vectors=500, seed=11)
+    rep = verify_form_bound(*_one_block(h, np.linalg.eigh(h)[1], phi2),
+                            delta=0.5, beta=0.2, eps=0.05, n_vectors=500,
+                            seed=11)
     assert rep.sampled_margin >= min(rep.min_eig_plus, rep.min_eig_minus) - 1e-12
 
 
@@ -244,8 +253,8 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
     b = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     for phi2 in (0.05 * (b + b.conj().T), 0.05 * (b + b.conj().T).real):
         delta, beta, eps, seed = 0.5, 0.3, 0.4, 13
-        rep = verify_form_bound(h, np.linalg.eigh(h)[1], phi2, delta, beta,
-                                eps, n_vectors=300, seed=seed)
+        rep = verify_form_bound(*_one_block(h, np.linalg.eigh(h)[1], phi2),
+                                delta, beta, eps, n_vectors=300, seed=seed)
         gen =np.random.default_rng(seed)
         vs = gen.standard_normal((32, 300)) + 1j * gen.standard_normal((32, 300))
         vs /= np.linalg.norm(vs, axis=0)
@@ -259,6 +268,29 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
         assert 0 < rep.violations < 332              # some, not all, fail
 
 
+def test_form_bound_on_parity_blocks_matches_one_block():
+    """On the two parity blocks of an even pair the eigenvalue checks run
+    block by block and agree with the one-block solve to 1e-12; the samples
+    read the same joined matrices, so their margins are the same bit for
+    bit."""
+    h, phi2 = even_pair(np.random.default_rng(2), 16, False)
+    sectors = parity_sectors(h, phi2)
+    assert len(sectors) == 2
+    vecs = np.linalg.eigh(split_blocks(h, sectors))[1]
+    args = (0.3, 0.2, 0.5)
+    blocked = verify_form_bound(split_blocks(h, sectors), vecs,
+                                split_blocks(phi2, sectors), sectors, *args,
+                                n_vectors=300)
+    whole = verify_form_bound(*_one_block(h, join_blocks(vecs, sectors),
+                                          phi2), *args, n_vectors=300)
+    assert blocked.min_eig_plus == pytest.approx(whole.min_eig_plus,
+                                                 abs=1e-12)
+    assert blocked.min_eig_minus == pytest.approx(whole.min_eig_minus,
+                                                  abs=1e-12)
+    assert blocked.sampled_margin == whole.sampled_margin
+    assert blocked.violations == whole.violations
+
+
 def test_form_bound_solves_no_eigenvectors(monkeypatch):
     """The eigenvectors of H0 come in as an argument; nothing re-solves
     them."""
@@ -269,8 +301,8 @@ def test_form_bound_solves_no_eigenvectors(monkeypatch):
         raise AssertionError("verify_form_bound called eigh")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    rep = verify_form_bound(h, vecs, np.diag([0.05, 0.2, 0.3]), delta=1.0,
-                            beta=1.0, eps=0.1, n_vectors=200)
+    rep = verify_form_bound(*_one_block(h, vecs, np.diag([0.05, 0.2, 0.3])),
+                            delta=1.0, beta=1.0, eps=0.1, n_vectors=200)
     assert rep.holds
 
 
