@@ -26,7 +26,7 @@ from .spectra import (FrustrationError, RefinementError, diagonalize,
                       higher_gap_track, sp0_diameter_scan)
 from .ltqo import (ltqo_witness, witness_tensor, exact_zero_certificate,
                    ascent_lower_bound)
-from .spectral_flow import (Window, flow_blocks, flow_unitaries,
+from .spectral_flow import (Window, flow_unitaries,
                             eigenbasis_generator,
                             time_quadrature_generator, decompose_phi1,
                             split_phi1, theta_assembly,

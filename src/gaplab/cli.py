@@ -42,7 +42,7 @@ from .operator_algebra import MAX_DENSE_DIM, kernel_count, operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, \
-    filter_identity_residual, flow_blocks, flow_unitaries, split_phi1, \
+    filter_identity_residual, flow_unitaries, split_phi1, \
     theta_assembly, time_quadrature_generator
 from .stability_bounds import OmegaProfile, bound_constants, calibrate_c, \
     higher_gap_bound, higher_gap_threshold, j_constants, \
@@ -150,6 +150,8 @@ def merged_config(user: dict | None) -> dict:
                           f"{len(cfg['seeds'])}, run once per seed")
         if cfg["gamma"] <= 0:
             errors.append("gamma: the tracking floor must be positive")
+        if cfg["higher"]["mu"] <= cfg["higher"]["nu"]:
+            errors.append("higher: need mu above nu for a window")
         model = cfg["model"]
         if model != "orbital" and not model.startswith("file:"):
             errors.append(f"model: unknown model spec {model!r}")
@@ -435,11 +437,9 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
                 kept["dec"] = dec
         return decompose_phi1(frame, eta, psi, lam, close, uptos)
 
-    flow = flow_unitaries(*flow_blocks(local_hamiltonian(eta, lam).matrix,
-                                       local_hamiltonian(psi, lam).matrix),
-                          fc["eps"], window, checkpoints=fc["checkpoints"],
-                          cluster_dim=kdim, ode_tol=fc["ode_tol"],
-                          consumer=decompose)
+    flow = flow_unitaries(eta, psi, lam, fc["eps"], window,
+                          checkpoints=fc["checkpoints"], cluster_dim=kdim,
+                          ode_tol=fc["ode_tol"], consumer=decompose)
     dec = replace(kept.pop("dec"), v_true=None)
     # one anchor at a time: its ball terms, and two sites inside its ball
     # family, collected pieces (where r_x >= 3) and resolution rows
@@ -450,7 +450,7 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
         terms = dec.ball_terms(x)
         ball_norms += [(t.support, t.op.norm()) for t in terms]
         if x in inner:
-            family = resolution_family(eta, lam, x, flow.p0, flow.sectors)
+            family = resolution_family(eta, lam, x, flow.p0, flow.modulus)
             if family.r_x >= 3:
                 thetas[x] = replace(theta_assembly(terms, family),
                                     theta_beta=None, theta_alpha=None)
@@ -1083,7 +1083,13 @@ def cmd_highergaps(cfg: dict, ctx: dict) -> Report:
     rows = []
     all_open, all_dominated = True, True
     for length, splits in sweep_bundle(cfg, ctx).items():
-        for eps, measured in higher_gap_track(splits, hc["nu"], hc["mu"]):
+        try:
+            track = higher_gap_track(splits, hc["nu"], hc["mu"])
+        except ValueError as exc:
+            rep.check(f"window has spectrum on both sides at length {length}",
+                      False, str(exc))
+            continue
+        for eps, measured in track:
             bound = float(higher_gap_bound(bc, gamma_win, hc["top"], eps))
             status = _against_line(measured, bound)
             all_dominated = all_dominated and status != "fail"

@@ -26,9 +26,9 @@ import numpy as np
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
-    LocalOperator, ParityError, _check_dense, basis_charges, eigenvalues,
-    jordan_wigner, kernel_count, kernel_mask, operator_norm, parity_grade,
-    placement,
+    LocalOperator, ParityError, _check_dense, basis_charges, charge_sectors,
+    conserved_modulus, eigenvalues, jordan_wigner, kernel_count, kernel_mask,
+    operator_norm, parity_grade, placement,
 )
 
 
@@ -131,43 +131,31 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
     return LocalOperator(h, lam, lam, phi.kind, d)
 
 
-def _conserved_modulus(terms, d: int) -> int | None:
-    """The charge every term conserves, as the ``modulus`` of
-    ``basis_charges``: the total charge (None), else its parity (2), else
-    none (1, one sector).  A term conserves a charge when its matrix is
-    exactly zero between basis states of unequal charge."""
-    def conserves(t, modulus):
-        q = basis_charges(len(t.support), d, modulus)
-        return not np.any(t.op.matrix[q[:, None] != q[None, :]])
-
-    for modulus in (None, 2):
-        if all(conserves(t, modulus) for t in terms):
-            return modulus
-    return 1
-
-
-def charge_blocks(phi: Interaction, lam: Interval):
-    """The conserved-charge sectors of ``local_hamiltonian(phi, lam)`` and
-    a generator of its diagonal blocks on them, in the same order; each
+def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
+    """The charge sectors of ``local_hamiltonian(phi, lam)`` and a
+    generator of its diagonal blocks on them, in the same order; each
     block is assembled when it is asked for and let go at the next.
 
-    The sectors are the index sets of ``basis_charges`` on ``lam``, in
-    ascending charge, under the first charge every term inside ``lam``
-    conserves (number or ``S^z``, then parity, then none: one sector), so
-    every entry between two sectors is exactly zero.  A term's states of
-    local charge ``c_t`` meet the states of sector ``c`` whose outer sites
-    carry charge ``c - c_t``; each block gets every term's placed entries,
-    in term order, so it equals the matching sub-block of
+    The sectors are ``charge_sectors`` on ``lam`` under ``modulus``, by
+    default the first charge every term inside ``lam`` conserves
+    (``conserved_modulus``: number or ``S^z``, then parity, then none: one
+    sector), so every entry between two sectors is exactly zero.  A term's
+    states of local charge ``c_t`` meet the states of sector ``c`` whose
+    outer sites carry charge ``c - c_t``; each block gets every term's
+    placed entries, in term order, so it equals the matching sub-block of
     ``local_hamiltonian(phi, lam)`` entry for entry, and no matrix on all
-    of ``lam`` is built.
+    of ``lam`` is built.  A caller may fix ``modulus`` instead: a term's
+    entries between unequal local charges (a ball projector's rounding)
+    are then not read, which drops only what lies between the sectors.
     """
     d = phi.local_dim
     _check_dense(d ** len(lam))
     terms = [t for t in phi.terms if t.support in lam]
-    modulus = _conserved_modulus(terms, d)
+    if modulus == "conserved":
+        modulus = conserved_modulus([t.op for t in terms])
     dtype = np.float64 if _real(terms) else np.complex128
     q = basis_charges(len(lam), d, modulus)
-    sectors = [np.flatnonzero(q == c) for c in np.unique(q)]
+    sectors = charge_sectors(len(lam), d, modulus)
     pos = np.empty_like(q)
     for idx in sectors:
         pos[idx] = np.arange(idx.size)
@@ -205,6 +193,12 @@ def charge_blocks(phi: Interaction, lam: Interval):
             del block
 
     return sectors, blocks()
+
+
+def charge_stack(phi: Interaction, lam: Interval, modulus) -> np.ndarray:
+    """The blocks of ``charge_blocks(phi, lam, modulus)`` as one stack
+    (k, b, b), for sectors of one size (modulus 1, or 2 at ``d = 2``)."""
+    return np.stack(tuple(charge_blocks(phi, lam, modulus)[1]))
 
 
 def hamiltonian_eigenvalues(phi: Interaction, lam: Interval) -> np.ndarray:

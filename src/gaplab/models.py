@@ -32,7 +32,6 @@ from .lattice import Interval, ball
 from .interaction import Interaction, Term
 from .operator_algebra import (
     LocalOperator, mode_annihilator, parity_matrix, spin_matrices,
-    operator_norm,
 )
 
 
@@ -220,9 +219,8 @@ def random_even_perturbation(lam: Interval, max_radius: int, envelope: dict,
             m = (m + m.T) / 2.0
             p = parity_matrix(len(supp))
             m = (m + p[:, None] * m * p[None, :]) / 2.0
-            nrm = operator_norm(m)
             target = A * np.exp(-K * n ** s) / (1.0 + n) ** kappa
-            m *= target / nrm
+            m *= target / LocalOperator(m, supp, lam, "fermion").norm()
             terms.append(Term(LocalOperator(m, supp, lam, "fermion"),
                               anchor=x, radius=n))
     return Interaction(terms, "fermion", 2)

@@ -45,34 +45,37 @@ def spin_matrices(d: int):
     return sx, sy, sz
 
 
-def operator_norm(m) -> float:
+def operator_norm(m, sectors=None) -> float:
     """Largest singular value, from one values-only ``eigenvalues`` solve.
 
     An exactly Hermitian matrix gives its largest ``|eigenvalue|``.  Any
     other matrix gives ``sqrt(lambda_max(G))`` of its Gram matrix
-    ``G = a^H a`` (or ``a a^H``, the smaller side), formed from
+    ``G = a^H a`` (or ``a a^H``, the smaller side), formed whole from
     ``a = m / 2^k`` with ``2^k`` near ``max|m|``: the scaling is exact and
-    keeps ``G`` clear of underflow and overflow.  ``G`` keeps the parity
-    blocks of ``m``, and ``sigma_max`` keeps a relative accuracy of order
-    ``n u``, the order of an SVD's.  A stack (k, b, b) of diagonal blocks,
-    as ``split_blocks`` makes it, stands for its block-diagonal matrix and
-    takes the same steps block by block: exactly Hermitian blocks give the
-    largest ``|eigenvalue|`` of the stack, any others the stack of their
-    Gram matrices.
+    keeps ``G`` clear of underflow and overflow, and ``sigma_max`` keeps a
+    relative accuracy of order ``n u``, the order of an SVD's.  ``sectors``
+    (of a charge ``m`` conserves, as ``charge_sectors`` gives them) split
+    the matrix solved, ``m`` or ``G``, which keeps the zeros of ``m``, into
+    its diagonal blocks.  A stack (k, b, b) of diagonal blocks stands for
+    its block-diagonal matrix and takes the same steps block by block.
     """
     m = np.asarray(m)
-    hermitian = all(map(_exactly_hermitian, m)) if m.ndim == 3 \
-        else _exactly_hermitian(m)
-    if m.size and hermitian:
-        return float(np.max(np.abs(eigenvalues(m))))
-    top = float(np.max(np.abs(m), initial=0.0))
-    if top == 0.0:
-        return 0.0
-    scale = np.ldexp(1.0, np.frexp(top)[1])
-    a = m / scale
-    a_h = a.conj().swapaxes(-1, -2)
-    gram = a_h @ a if a.shape[-2] >= a.shape[-1] else a @ a_h
-    return float(scale * np.sqrt(max(eigenvalues(gram)[-1], 0.0)))
+    hermitian = m.size and (all(map(_exactly_hermitian, m)) if m.ndim == 3
+                            else _exactly_hermitian(m))
+    if not hermitian:
+        top = float(np.max(np.abs(m), initial=0.0))
+        if top == 0.0:
+            return 0.0
+        scale = np.ldexp(1.0, np.frexp(top)[1])
+        a = m / scale
+        a_h = a.conj().swapaxes(-1, -2)
+        m = a_h @ a if a.shape[-2] >= a.shape[-1] else a @ a_h
+    blocks = m if sectors is None or len(sectors) == 1 \
+        else (m[np.ix_(idx, idx)] for idx in sectors)
+    evals = eigenvalues(blocks)
+    if hermitian:
+        return float(np.max(np.abs(evals)))
+    return float(scale * np.sqrt(max(evals[-1], 0.0)))
 
 
 def _exactly_hermitian(m: np.ndarray) -> bool:
@@ -144,8 +147,10 @@ class LocalOperator:
         return self.matrix.shape[0]
 
     def norm(self) -> float:
+        """The norm on the sectors of ``conserved_modulus([self])``."""
         if self._norm is None:
-            self._norm = operator_norm(self.matrix)
+            self._norm = operator_norm(self.matrix, charge_sectors(
+                len(self.support), self.local_dim, conserved_modulus([self])))
         return self._norm
 
     def dagger(self):
@@ -195,55 +200,32 @@ def parity_matrix(n_sites: int) -> np.ndarray:
     return 1.0 - 2.0 * basis_charges(n_sites, 2, 2)
 
 
-def parity_sectors(*mats) -> list[np.ndarray]:
-    """Index sets of the exact fermion-parity blocks shared by ``mats``.
-
-    When every matrix is square with one side 2^n, n >= 1, and has exactly
-    zero entries between the even and the odd occupancy sectors of
-    ``parity_matrix(n)``, the two sectors, even first: each matrix then
-    equals its block-diagonal part entry for entry.  Otherwise one sector
-    holding every index.  Every Hamiltonian of the orbital chain splits; the
-    spin-1 chain (side 3^n) and inputs that mix parities do not.
-    """
-    shape = np.shape(mats[0])
-    side = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
-    whole = [np.arange(side)]
-    if side < 2 or side & (side - 1):
-        return whole
-    even = basis_charges(side.bit_length() - 1, 2, 2) == 0
-    ev, od = np.flatnonzero(even), np.flatnonzero(~even)
-    for m in map(np.asarray, mats):
-        if m.shape != shape or _couples_parities(m, even, ev, od):
-            return whole
-    return [ev, od]
+def charge_sectors(n_sites: int, d: int, modulus) -> list[np.ndarray]:
+    """Index sets of the charge sectors of ``basis_charges(n_sites, d,
+    modulus)``, in ascending charge."""
+    q = basis_charges(n_sites, d, modulus)
+    return [np.flatnonzero(q == c) for c in np.unique(q)]
 
 
-def _couples_parities(m: np.ndarray, even, ev, od) -> bool:
-    """Some entry of ``m`` between the even and the odd sector is nonzero;
-    tested 64 rows at a time, so neither off-parity quarter is built (at
-    side 4096 a slab's copies stay under 1 MB, small enough to leave the
-    peak memory of a solve where it was)."""
-    for lo in range(0, len(even), 64):
-        rows, is_even = m[lo:lo + 64], even[lo:lo + 64]
-        if rows[is_even].take(od, axis=1).any() \
-                or rows[~is_even].take(ev, axis=1).any():
-            return True
-    return False
+def conserved_modulus(ops, moduli=(None, 2)) -> int | None:
+    """The first of ``moduli`` (``basis_charges`` moduli: by default the
+    number, then the parity) whose charge every ``LocalOperator`` of ``ops``
+    conserves, else 1: one sector.  An operator conserves a charge when its
+    matrix is exactly zero between unequal charges (read 64 rows at a time)."""
+    def conserves(op, modulus):
+        q = basis_charges(len(op.support), op.local_dim, modulus)
+        return not any(op.matrix[lo:lo + 64][q[lo:lo + 64, None] != q].any()
+                       for lo in range(0, q.size, 64))
 
-
-def split_blocks(m, sectors) -> np.ndarray:
-    """The diagonal blocks of ``m`` on ``sectors`` (see ``parity_sectors``)
-    as a stack of shape (k, b, b); one sector gives a view of ``m``."""
-    m = np.asarray(m)
-    if len(sectors) == 1:
-        return m[None]
-    idx = np.asarray(sectors)
-    return m[idx[:, :, None], idx[:, None, :]]
+    for modulus in moduli:
+        if all(conserves(op, modulus) for op in ops):
+            return modulus
+    return 1
 
 
 def join_blocks(blocks, sectors) -> np.ndarray:
-    """The block-diagonal matrix with the stack ``blocks`` on ``sectors``;
-    the inverse of ``split_blocks``."""
+    """The block-diagonal matrix with the stack ``blocks`` of equal sides
+    on ``sectors``; one sector gives its block itself."""
     if len(sectors) == 1:
         return blocks[0]
     idx = np.asarray(sectors)
@@ -253,18 +235,14 @@ def join_blocks(blocks, sectors) -> np.ndarray:
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, split by fermion parity:
-    each block of ``parity_sectors(m)`` is solved by ``eigvalsh`` and the
-    spectra are merged.  Any other input is a sequence of square diagonal
-    blocks, of one side (a stack (k, b, b), as ``split_blocks`` makes it)
-    or of several (a list or a generator), solved block by block; a block
-    is let go once solved, so a generator keeps one block alive at a time.
+    """Ascending eigenvalues of a Hermitian matrix, solved whole by
+    ``eigvalsh``.  Any other input is a sequence of square diagonal blocks,
+    of one side (a stack (k, b, b)) or of several (a list or a generator),
+    solved block by block, and the spectra are merged; a block is let go
+    once solved, so a generator keeps one block alive at a time.
     """
     if isinstance(m, np.ndarray) and m.ndim == 2:
-        sectors = parity_sectors(m)
-        if len(sectors) == 1:
-            return np.linalg.eigvalsh(m)
-        m = split_blocks(m, sectors)
+        return np.linalg.eigvalsh(m)
     spectra = []
     for block in m:
         spectra.append(np.linalg.eigvalsh(block))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, coupled, hamiltonian_eigenvalues, \
-    local_hamiltonian
-from .operator_algebra import LocalOperator, as_matrix, embed, kernel_count, \
-    kernel_mask, split_blocks
+from .interaction import Interaction, Term, charge_stack, coupled, \
+    hamiltonian_eigenvalues, local_hamiltonian
+from .operator_algebra import LocalOperator, as_matrix, kernel_count, \
+    kernel_mask
 
 
 class FrustrationError(ValueError):
@@ -33,8 +33,8 @@ def diagonalize(h):
 
     The residual ``max|H V - V Lambda|`` must stay within
     ``1e-10 max(1, max|lambda|)``.  A stack of blocks (k, b, b), as
-    ``operator_algebra.split_blocks`` makes it, is solved block by block
-    and certified as the block-diagonal matrix it stands for.
+    ``interaction.charge_stack`` makes it, is solved block by block and
+    certified as the block-diagonal matrix it stands for.
     """
     m = as_matrix(h)
     evals, evecs = np.linalg.eigh(m)
@@ -137,11 +137,11 @@ def cluster_projector(h, dim: int) -> np.ndarray:
 @dataclass
 class ProjectorFamily:
     """Kernel projectors of the balls around a site, with the resolution they
-    induce, as block stacks on the sectors ``resolution_family`` was given."""
+    induce, as block stacks on the charge sectors of ``modulus``."""
 
     lam: Interval
     x: int
-    sectors: list[np.ndarray]     # the sectors of every stack
+    modulus: int | None           # the charge_blocks modulus of every stack
     P: np.ndarray                 # full-volume kernel projector
     locals: list[np.ndarray]      # P_{b(x,1)} .. P_{b(x,r_x)}, embedded
 
@@ -160,12 +160,13 @@ class ProjectorFamily:
 
 
 def resolution_family(eta: Interaction, lam: Interval, x: int,
-                      P: np.ndarray, sectors) -> ProjectorFamily:
+                      P: np.ndarray, modulus) -> ProjectorFamily:
     """Ball kernel projectors around ``x``, and the resolution they telescope
     to ``P``, the kernel projector of the whole volume as a block stack on
-    ``sectors``.  Each ball projector is embedded in ``lam`` and split on
-    them: it commutes with a parity-even ``eta``, so what lies between the
-    sectors is the rounding its kernel basis leaves, and is dropped."""
+    the charge sectors of ``modulus``.  Each ball projector is placed in
+    ``lam`` straight into those blocks by ``charge_stack``: it commutes
+    with an ``eta`` that conserves the charge, so what lies between the
+    sectors is the rounding its kernel basis leaves, and is not read."""
     inner = interior(lam, 2)
     if inner is None or x not in inner:
         raise ValueError(f"site {x} not two sites deep inside {lam}")
@@ -175,9 +176,10 @@ def resolution_family(eta: Interaction, lam: Interval, x: int,
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)
         pb = ground_projector(local_hamiltonian(eta.restricted(b), b))
-        locals_.append(split_blocks(
-            embed(LocalOperator(pb, b, lam, "spin", d), lam).matrix, sectors))
-    return ProjectorFamily(lam, x, sectors, P, locals_)
+        term = Term(LocalOperator(pb, b, lam, "spin", d))
+        locals_.append(charge_stack(Interaction([term], "spin", d), lam,
+                                    modulus))
+    return ProjectorFamily(lam, x, modulus, P, locals_)
 
 
 def sigma_projection(members: list, sigma: dict) -> np.ndarray:
@@ -217,7 +219,8 @@ def higher_gap_track(splits: list[SpectrumSplit], nu: float, mu: float):
     lo = np.where((ev0 <= nu) | kernel_mask(ev0 - nu))[0]
     hi = np.where((ev0 >= mu) | kernel_mask(ev0 - mu))[0]
     if lo.size == 0 or hi.size == 0:
-        raise ValueError("no spectrum on one side of the window")
+        side = f"below nu = {nu}" if lo.size == 0 else f"above mu = {mu}"
+        raise ValueError(f"no spectrum at or {side} at coupling zero")
     i_lo, i_hi = int(lo.max()), int(hi.min())
     return [(sp.eps, float(evals[i_hi] - evals[i_lo]))
             for sp, evals in zip(splits, spectra)]
@@ -246,12 +249,11 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
                 if kept.terms:
                     evals = hamiltonian_eigenvalues(coupled(eta, kept, eps),
                                                     lam)
-            sp0, sp1 = evals[:kdim], evals[kdim:]
-            rows.append({"depth": int(depth), "eps": float(eps),
-                         "sp0_min": float(sp0.min()),
-                         "sp0_max": float(sp0.max()),
-                         "sp0_diam": float(sp0.max() - sp0.min()),
-                         "sp1_min": float(sp1.min()) if sp1.size else np.inf,
-                         "gamma": (float(sp1.min() - sp0.max())
-                                   if sp1.size else np.inf)})
+            sp = SpectrumSplit(float(eps), evals[:kdim], evals[kdim:])
+            sp1_min = float(sp.sp1.min()) if sp.sp1.size else np.inf
+            rows.append({"depth": int(depth), "eps": sp.eps,
+                         "sp0_min": float(sp.sp0.min()),
+                         "sp0_max": float(sp.sp0.max()),
+                         "sp0_diam": sp.sp0_diameter, "sp1_min": sp1_min,
+                         "gamma": sp.gamma})
     return rows

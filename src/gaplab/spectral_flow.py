@@ -23,17 +23,18 @@ orthogonal, so the flow, its polar steps and the anchored decomposition run
 in real arithmetic; complex Hermitian inputs run the same code in complex
 arithmetic.
 
-The flow runs on the exact parity blocks of ``H_0`` and ``Psi``: the stack
-``(k, b, b)`` of ``operator_algebra.parity_sectors``, two blocks of half the
-side when both keep fermion parity exactly, and one block holding the whole
-matrix otherwise, through the same code.  ``K`` and ``U`` keep the blocks,
-so solves, products, polar steps and norms are taken block by block.  The
-polar step is a Newton-Schulz product and each norm a values-only
-eigensolve (``operator_norm``), so the flow makes no SVD.  The stack is the
-one format of the flow's state and of everything built on it: the anchored
-decomposition, its interior split, the ball resolutions and the collected
-pieces.  Only the ball telescope joins a piece, since a partial trace needs
-the whole matrix.
+The flow runs on the parity blocks of ``H_0`` and ``Psi``, the stack
+``(k, b, b)`` that ``interaction.charge_stack`` assembles from the terms:
+two blocks of half the side when every term keeps the fermion parity at
+local dimension 2, one block holding the whole matrix otherwise.  ``K`` and
+``U`` keep the blocks, so solves, products, polar steps and norms are taken
+block by block.  The polar step is a Newton-Schulz product and each norm a
+values-only eigensolve (``operator_norm``), so the flow makes no SVD.  The
+stack is the one format of the flow's state and of everything built on it:
+the anchored decomposition, its interior split, the ball resolutions and
+the collected pieces, each assembled by ``charge_stack`` at the flow's
+modulus.  Only the ball telescope joins a piece, since a partial trace
+needs the whole matrix.
 
 An equivalent time-averaged form is kept for cross-validation:
 
@@ -62,11 +63,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, Term, local_hamiltonian
-from .operator_algebra import (LocalOperator, as_matrix,
-                               conditional_expectation, delta_layer,
-                               eigenvalues, embed, join_blocks, kernel_count,
-                               operator_norm, parity_sectors, split_blocks)
+from .interaction import Interaction, Term, charge_stack
+from .operator_algebra import (LocalOperator, as_matrix, charge_sectors,
+                               conditional_expectation, conserved_modulus,
+                               delta_layer, eigenvalues, join_blocks,
+                               kernel_count, operator_norm)
 from .spectra import ProjectorFamily, diagonalize
 
 
@@ -277,10 +278,12 @@ def _projector(vecs) -> np.ndarray:
 @dataclass
 class FlowFrame:
     """What a flow fixes before it integrates, as block stacks ``(k, b, b)``
-    on ``sectors``."""
+    on ``sectors``, the ``charge_sectors`` of the volume at ``modulus``: 2,
+    the parity sectors, even first, or 1, one sector."""
 
     eps_grid: np.ndarray                 # checkpoint couplings, uniform, odd count
-    sectors: list[np.ndarray]            # parity_sectors(H0, Psi)
+    sectors: list[np.ndarray]            # the index sets of the blocks
+    modulus: int                         # their charge_blocks modulus
     h0: np.ndarray                       # H0, as a block stack
     psi: np.ndarray                      # Psi, as a block stack
     p0: np.ndarray                       # P(0): the tracked cluster of H0
@@ -303,18 +306,10 @@ class FlowResult(FlowFrame):
                                          # and H(eps) and their generators
 
 
-def flow_blocks(h0, psi):
-    """``h0`` and ``psi`` as block stacks on their shared parity sectors
-    (one block when either mixes parity; see ``parity_sectors``), and the
-    sectors: the input of ``flow_unitaries``."""
-    m0, mp = as_matrix(h0), as_matrix(psi)
-    sectors = parity_sectors(m0, mp)
-    return split_blocks(m0, sectors), split_blocks(mp, sectors), sectors
-
-
-def flow_unitaries(b0, bp, sectors, eps: float, window: Window,
-                   checkpoints: int = 33, cluster_dim: int | None = None,
-                   ode_tol: float = 1e-8, consumer=None) -> FlowResult:
+def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
+                   eps: float, window: Window, checkpoints: int = 33,
+                   cluster_dim: int | None = None, ode_tol: float = 1e-8,
+                   consumer=None) -> FlowResult:
     """Integrate U' = K(s) U to ``eps`` with RK4, re-unitarizing each step
     by the Newton-Schulz polar step of ``_polar_unitary`` (the RK4 step
     leaves ``U`` unitary to rounding, so one step of two products suffices;
@@ -331,7 +326,7 @@ def flow_unitaries(b0, bp, sectors, eps: float, window: Window,
     and the transported projector with the spectral one, both read from the
     eigendecomposition that built the generator there, and ``p0``, the
     cluster projector of ``H_0``, from the one at s = 0.  The unitaries are
-    real orthogonal when ``h0`` and ``psi`` are real.
+    real orthogonal when ``H_0`` and ``Psi`` are real.
 
     ``consumer``, if given, is called once with the ``FlowFrame`` and
     returns the one callable that is handed ``(j, s_j, U(s_j), K(s_j))`` at
@@ -339,13 +334,18 @@ def flow_unitaries(b0, bp, sectors, eps: float, window: Window,
     starts a pass, so the last pass it sees is the accepted one.  Nothing
     of a checkpoint is kept past it, but the two ``end_spectra``.
 
-    The flow runs on ``H_0`` and ``Psi`` as the block stacks ``b0`` and
-    ``bp`` on ``sectors``, as ``flow_blocks`` makes them, so no whole
-    matrix is held through it: every solve, product, polar step and norm is
-    taken block by block (a norm as the largest over blocks), the tracked
-    gap and cluster come from the merged block spectra, and the result
-    keeps the stacks, ``p0`` too.
+    ``H_0`` and ``Psi``, of ``eta`` and ``psi`` on ``lam``, are the
+    ``charge_stack`` of each at the modulus the frame records: 2 (two
+    parity blocks) when every term of both keeps the parity at ``d = 2``,
+    else 1 (one block).  No whole matrix is built: every solve, product,
+    polar step and norm is taken block by block, the tracked gap and
+    cluster come from the merged block spectra, and the result keeps the
+    stacks, ``p0`` too.
     """
+    d = eta.local_dim
+    ops = [t.op for t in eta.terms + psi.terms]
+    modulus = 2 if d == 2 and conserved_modulus(ops, (2,)) == 2 else 1
+    b0, bp = charge_stack(eta, lam, modulus), charge_stack(psi, lam, modulus)
     if checkpoints % 2 == 0:
         checkpoints += 1
     grid = np.linspace(0.0, eps, checkpoints)
@@ -390,8 +390,8 @@ def flow_unitaries(b0, bp, sectors, eps: float, window: Window,
     n_blocks, side = b0.shape[:2]
     u0 = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
                          (n_blocks, side, side)).copy()
-    frame = FlowFrame(grid, sectors, b0, bp,
-                      _projector(tracked[end_keys[0]][1]))
+    frame = FlowFrame(grid, charge_sectors(len(lam), d, modulus), modulus,
+                      b0, bp, _projector(tracked[end_keys[0]][1]))
     consume = consumer(frame) if consumer is not None else None
 
     def run_pass(n):
@@ -507,9 +507,9 @@ def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
     the end-point weight (at the last stop the running sum is let go as its
     piece forms), and hands it to ``close(upto, decomposition)``;
     checkpoints past the last stop are not read.  All of it runs on the
-    flow's block stacks: each anchored matrix is split on its sectors as it
-    is assembled (``ValueError`` if it breaks them), and the decompositions
-    keep the stacks.
+    flow's block stacks: each anchor's terms are assembled by
+    ``charge_stack`` at the flow's modulus (``ValueError`` if they do not
+    conserve that charge), and the decompositions keep the stacks.
     """
     last_index = len(flow.eps_grid) - 1
     uptos = [last_index] if uptos is None else [int(u) for u in uptos]
@@ -527,12 +527,12 @@ def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
     sectors = flow.sectors
 
     def anchor_blocks(phi, groups, x):
-        m = local_hamiltonian(replace(phi, terms=groups.get(x, [])),
-                              lam).matrix
-        if len(parity_sectors(m)) < len(sectors):
+        terms = groups.get(x, [])
+        if conserved_modulus([t.op for t in terms],
+                             (flow.modulus,)) != flow.modulus:
             raise ValueError(
                 "anchored terms break the parity blocks of the flow")
-        return split_blocks(m, sectors)
+        return charge_stack(replace(phi, terms=terms), lam, flow.modulus)
 
     eta_x = {x: anchor_blocks(eta, eta_anchored, x) for x in anchors}
     psi_x = {x: anchor_blocks(psi, psi_anchored, x) for x in anchors}
@@ -676,8 +676,9 @@ def theta_assembly(ball_terms: list[Term],
 
     ``ball_terms`` are the ``Phi^1(b_x(n))`` of the anchor ``x``, as
     ``Phi1Decomposition.ball_terms(x)`` makes them.  ``family`` holds block
-    stacks on the sectors of the decomposition; each ball term is split on
-    them, so every product and norm is taken block by block.
+    stacks at the modulus of the decomposition; each ball term is placed
+    straight into those blocks by ``charge_stack``, so every product and
+    norm is taken block by block.
     """
     lam, x = family.lam, family.x
     r_x = family.r_x
@@ -693,9 +694,9 @@ def theta_assembly(ball_terms: list[Term],
     qs = {n: eye - balls[n] for n in range(1, r_x + 1)}
     e = {n + 1: e_n for n, e_n in enumerate(family.E)}   # E_1 .. E_{r_x+2}
 
-    ball_term = {t.radius: split_blocks(embed(t.op, lam).matrix,
-                                        family.sectors)
-                 for t in ball_terms}
+    ball_term = {t.radius: charge_stack(
+        Interaction([t], t.op.kind, t.op.local_dim), lam, family.modulus)
+        for t in ball_terms}
     phi1 = {}
     for k in range(1, big_r + 1):
         m = ball_term.get(k)

@@ -377,7 +377,7 @@ def verify_form_bound(h0, h0_vecs, phi2, sectors, delta: float,
     """Check ``|<v, Phi2 v>| <= delta eps + beta eps <v, H v>`` exhaustively.
 
     ``h0``, its eigenvectors ``h0_vecs`` and ``phi2`` are block stacks on
-    ``sectors`` (see ``operator_algebra.split_blocks``).  The two operator
+    ``sectors`` (see ``spectral_flow.FlowFrame``).  The two operator
     inequalities are settled by eigenvalue computation, block by block; a
     seeded sample of unit vectors, together with the eigenvectors of the
     unperturbed Hamiltonian (the columns of ``h0_vecs``, joined), reports

@@ -8,9 +8,9 @@ import numpy as np
 from gaplab.interaction import Interaction, Term, local_hamiltonian
 from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.operator_algebra import (LocalOperator, annihilator,
-                                     conditional_expectation, delta_layer,
-                                     embed, join_blocks, operator_norm,
-                                     parity_matrix, split_blocks)
+                                     basis_charges, conditional_expectation,
+                                     delta_layer, embed, join_blocks,
+                                     operator_norm, parity_matrix)
 from gaplab.spectra import ground_projector
 from gaplab.spectral_flow import Phi1Decomposition, decompose_phi1
 
@@ -62,6 +62,62 @@ def one_site(m) -> Interaction:
     site = Interval(0, 0)
     return Interaction([Term(LocalOperator(m, site, site, "spin", len(m)))],
                        "spin", len(m))
+
+
+def on_chain(m):
+    """One spin term holding ``m`` on the chain it fills, and the chain:
+    sites of local dimension 2 when its side is ``2^n``, n >= 1, else one
+    site of local dimension ``len(m)``.  Its Hamiltonian there is ``m``."""
+    n = len(m).bit_length() - 1
+    if len(m) == 2 ** n and n >= 1:
+        lam, d = Interval(0, n - 1), 2
+    else:
+        lam, d = Interval(0, 0), len(m)
+    return Interaction([Term(LocalOperator(m, lam, lam, "spin", d))],
+                       "spin", d), lam
+
+
+def flow_pair(h0, psi):
+    """``H0`` and ``Psi`` given as matrices, as the interactions and volume
+    ``flow_unitaries`` takes (see ``on_chain``)."""
+    (eta, lam), (pert, _) = on_chain(h0), on_chain(psi)
+    return eta, pert, lam
+
+
+# --- the whole-then-split route, the reference of the charge blocks ------------
+
+
+def parity_sectors(*mats) -> list[np.ndarray]:
+    """The parity sectors read off whole matrices: the two index sets of
+    ``parity_matrix``, even first, when every matrix is square of one side
+    ``2^n``, n >= 1, with exact zeros between them, else one sector holding
+    every index.  It is the scan that decided a whole matrix's blocks before
+    the charge rule read them from the terms."""
+    side = np.shape(mats[0])[0]
+    whole = [np.arange(side)]
+    if side < 2 or side & (side - 1):
+        return whole
+    even = basis_charges(side.bit_length() - 1, 2, 2) == 0
+    ev, od = np.flatnonzero(even), np.flatnonzero(~even)
+    for m in map(np.asarray, mats):
+        if m.shape != (side, side) or m[np.ix_(ev, od)].any() \
+                or m[np.ix_(od, ev)].any():
+            return whole
+    return [ev, od]
+
+
+def split_blocks(m, sectors) -> np.ndarray:
+    """The diagonal blocks of the whole matrix ``m`` on ``sectors``, as a
+    stack when they are of one side and as a list otherwise."""
+    blocks = [np.asarray(m)[np.ix_(idx, idx)] for idx in sectors]
+    return np.stack(blocks) if len({len(i) for i in sectors}) == 1 else blocks
+
+
+def norm_oracle(m) -> float:
+    """The norm as ``operator_norm`` took it when the sectors of the matrix
+    it solves came from ``parity_sectors`` of the whole matrix (the Gram
+    matrix keeps the zeros of ``m``)."""
+    return operator_norm(m, parity_sectors(m))
 
 
 def random_matrix(rng, dim: int, complex_: bool) -> np.ndarray:
@@ -161,7 +217,8 @@ def one_block(consumer):
 
         call = consumer(replace(
             frame, sectors=[np.arange(sum(map(len, frame.sectors)))],
-            h0=one(frame.h0), psi=one(frame.psi), p0=one(frame.p0)))
+            modulus=1, h0=one(frame.h0), psi=one(frame.psi),
+            p0=one(frame.p0)))
         return lambda j, s, u, k: call(j, s, one(u), one(k))
     return start
 

@@ -23,8 +23,9 @@ from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
 from gaplab.interaction import to_json
 from gaplab.lattice import Interval
 from gaplab.models import orbital_interaction, paired_orbital_model
-from gaplab.operator_algebra import operator_norm
-from oracles import telescope_oracle, traced_peak
+from gaplab.operator_algebra import LocalOperator, conserved_modulus, \
+    operator_norm
+from oracles import norm_oracle, telescope_oracle, traced_peak
 
 
 # --- configuration ------------------------------------------------------------------
@@ -133,6 +134,8 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"seeds": [7, 11]}, "seeds: every pipeline reads one seed; got 2"),
     ({"flow": {"window": "cosine"}},
      "flow.window: unknown window kind 'cosine'"),
+    ({"higher": {"mu": 1.0}}, "higher: need mu above nu"),
+    ({"higher": {"nu": 3.0}}, "higher: need mu above nu"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -272,6 +275,28 @@ def test_main_reports_an_uncertified_step_as_a_failed_check(tmp_path,
     assert "[FAIL] flow: not certified  (tracked gap" in stdout
     assert (out / "summary.txt").read_text(encoding="utf-8") == \
         stdout.splitlines()[0] + "\n"
+
+
+def test_an_empty_side_of_the_higher_window_is_one_failed_check(tmp_path,
+                                                                capsys):
+    """A window with no eigenvalue at or above ``mu`` at coupling 0 is one
+    failed check naming the volume, not a traceback: the other checks still
+    run, the artifacts are written and the run exits 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "lengths": [8], "higher": {"mu": 50.0},
+        "flow": {"length": 6, "max_radius": 1, "checkpoints": 5}}),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["highergaps", "--config", str(cfg), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("[FAIL] highergaps: window has spectrum on both "
+                        "sides at length 8  (no spectrum at or above "
+                        "mu = 50.0 at coupling zero)")
+    assert sum(line.startswith("[FAIL]") for line in lines) == 1
+    assert (out / "summary.txt").exists()
+    assert (out / "highergaps.csv").read_text(encoding="utf-8") == \
+        "length,eps,gamma_window,gamma_bound,status\n"
 
 
 def test_bounds_runs_with_a_steep_weight(tmp_path):
@@ -551,6 +576,34 @@ def test_flow_fixture_keeps_only_what_its_readers_read(monkeypatch):
     kept = list(_reachable_arrays(fb, set()))
     assert sum(a.nbytes for a in kept) <= 3.1 * 2 ** 20
     assert max(a.shape[-1] for a in kept) == 128
+
+
+def test_every_term_norm_of_the_flow_fixture_is_the_parity_scans_bit_for_bit(
+        monkeypatch):
+    """Every term norm the default flow fixture takes (those that normalise
+    the perturbation, the ball terms'), and those of the terms of ``eta``
+    and of the perturbation, split on the sectors of the charge each term
+    keeps, equal bit for bit the norms split on the parity sectors scanned
+    from the whole matrix, as they were taken before: the orbital terms'
+    number blocks included, and the ball terms' Gram matrices, formed
+    whole before they are split."""
+    taken = []                  # (a copy of the matrix, its charge, norm)
+    original = LocalOperator.norm
+
+    def norm(op):
+        if op._norm is None:
+            taken.append((op.matrix.copy(), conserved_modulus([op]),
+                          original(op)))
+        return original(op)
+
+    monkeypatch.setattr(LocalOperator, "norm", norm)
+    fb = flow_bundle(merged_config(None), {})
+    for t in fb["eta"].terms + fb["psi"].terms:
+        t.op.norm()
+    assert len(taken) >= len(fb["ball_norms"]) + len(fb["eta"].terms) \
+        + 2 * len(fb["psi"].terms)
+    assert {modulus for _, modulus, _ in taken} == {None, 2}
+    assert all(value == norm_oracle(m) for m, _, value in taken)
 
 
 def test_flow_fixture_size_does_not_grow_with_the_checkpoints():

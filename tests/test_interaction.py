@@ -15,9 +15,10 @@ from gaplab.interaction import (Interaction, Term, charge_blocks,
                                 validate_unperturbed)
 from gaplab.lattice import Interval, interior
 from gaplab.operator_algebra import LocalOperator, ParityError, annihilator, \
-    kernel_count
+    embed, kernel_count
 from oracles import (creator, digit_sums, is_hermitian, kron_placed,
-                     number_operator, random_hermitian, random_matrix)
+                     number_operator, random_hermitian, random_matrix,
+                     split_blocks)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -108,6 +109,48 @@ def test_local_hamiltonian_matches_manual_kron(dim_sites, charge, n_random,
     dense = np.linalg.eigvalsh(h)
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(evals - dense)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 5), (3, 3)]), st.sampled_from([None, 2, 1]),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_fixed_modulus_blocks_are_the_whole_matrix_split_on_its_sectors(
+        dim_sites, modulus, n_terms, seed):
+    """``charge_blocks`` at a fixed modulus, on terms real or complex that
+    keep the number (or ``S^z``), only its parity, or nothing, and on terms
+    whose entries between their charges are rounding-size (1e-17 of the
+    others): each block equals, entry for entry, the sector's sub-block of
+    the whole matrix split on the sectors of the digit sums, the route the
+    blocks replace (``local_hamiltonian``, and ``embed`` for one term).  So
+    whatever lies between the sectors is not read."""
+    d, max_sites = dim_sites
+    rng = np.random.default_rng(seed)
+    lam = Interval(0, int(rng.integers(1, max_sites + 1)) - 1)
+    terms = []
+    for _ in range(n_terms):
+        a = int(rng.integers(lam.a, lam.b + 1))
+        supp = Interval(a, int(rng.integers(a, lam.b + 1)))
+        m = random_hermitian(rng, d ** len(supp), bool(rng.integers(2)))
+        k = digit_sums(len(supp), d)
+        q = [k, k % 2, 0 * k, k][int(rng.integers(4))]
+        cross = 1e-17 * m if rng.integers(2) else 0.0
+        m = np.where(q[:, None] == q[None, :], m, cross)
+        terms.append(Term(LocalOperator(m, supp, lam, "spin", d)))
+    phi = Interaction(terms, "spin", d)
+    digits = digit_sums(len(lam), d)
+    q = digits if modulus is None else digits % modulus
+    expected = [np.flatnonzero(q == c) for c in np.unique(q)]
+    sectors, blocks = charge_blocks(phi, lam, modulus)
+    wholes = [local_hamiltonian(phi, lam).matrix]
+    if n_terms == 1:
+        wholes.append(embed(terms[0].op, lam).matrix)
+    splits = [split_blocks(whole, expected) for whole in wholes]
+    for i, block in enumerate(blocks):
+        np.testing.assert_array_equal(sectors[i], expected[i])
+        assert block.dtype == wholes[0].dtype
+        for split in splits:
+            assert np.array_equal(block, split[i])
+    assert i + 1 == len(expected) == len(sectors)
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,9 +314,9 @@ def test_regrouping_keeps_the_norm_of_a_support_with_one_term(monkeypatch):
     solved = []
     original = operator_algebra.operator_norm
 
-    def counted(m):
+    def counted(m, sectors=None):
         solved.append(m.shape)
-        return original(m)
+        return original(m, sectors)
 
     monkeypatch.setattr(operator_algebra, "operator_norm", counted)
     grouped = regroup_intervals(psi)

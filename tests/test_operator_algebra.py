@@ -4,15 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from gaplab.lattice import Interval
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
-                                     conditional_expectation, delta_layer,
+                                     charge_sectors, conditional_expectation,
+                                     conserved_modulus, delta_layer,
                                      eigenvalues, embed, join_blocks,
                                      jordan_wigner, mode_annihilator,
-                                     operator_norm, parity_grade,
-                                     parity_matrix, parity_sectors,
-                                     partial_trace, spin_matrices,
-                                     split_blocks)
-from oracles import (creator, kron_placed, number_operator, parity_even,
-                     random_hermitian, random_matrix)
+                                     operator_norm,
+                                     parity_grade, parity_matrix,
+                                     partial_trace, spin_matrices)
+from oracles import (creator, digit_sums, kron_placed, number_operator,
+                     parity_even, random_hermitian, random_matrix,
+                     split_blocks)
 
 
 def kron(*ms):
@@ -309,13 +310,6 @@ def test_eigenvalues_match_the_dense_oracle_on_parity_even_input(k, complex_,
                                rtol=0, atol=1e-12 * scale)
 
 
-def test_eigenvalues_split_by_parity(monkeypatch):
-    sides = counting_eigvalsh(monkeypatch)
-    rng = np.random.default_rng(3)
-    eigenvalues(parity_even(random_hermitian(rng, 16, False)))
-    assert sides == [8, 8]
-
-
 @pytest.mark.parametrize("side", [16, 27, 6])
 def test_eigenvalues_without_the_split_return_the_oracle_exactly(side,
                                                                  monkeypatch):
@@ -375,23 +369,31 @@ def test_operator_norm_matches_the_svd_norm(rows, cols, complex_, kind,
     if kind == "even":
         rows = cols = 2 ** (rows % 6 + 1)
     m = random_matrix(rng, max(rows, cols), complex_)[:rows, :cols]
+    sectors = None
     if kind == "even":
         m = parity_even(m)
-        assert len(parity_sectors(m)) == 2
+        sectors = charge_sectors(rows.bit_length() - 1, 2, 2)
     elif kind == "zero":
         m = np.zeros_like(m)
     m = m * 2.0 ** exponent
-    assert operator_norm(m) == pytest.approx(float(np.linalg.norm(m, 2)),
-                                             rel=1e-12, abs=0.0)
+    for split in (None, sectors):
+        assert operator_norm(m, split) == pytest.approx(
+            float(np.linalg.norm(m, 2)), rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_parity_blocks_split_and_join_back(k, complex_, seed):
+    """Parity-even terms keep the parity; its two sectors, even first, split
+    a term into a stack that joins back to it and that is solved and normed
+    as the block-diagonal matrix it stands for."""
+    lam = Interval(0, k - 1)
     rng = np.random.default_rng(seed)
     m = parity_even(random_hermitian(rng, 2 ** k, complex_))
     other = parity_even(random_hermitian(rng, 2 ** k, complex_))
-    sectors = parity_sectors(m, other)
+    ops = [LocalOperator(a, lam, lam, "spin", 2) for a in (m, other)]
+    assert conserved_modulus(ops, moduli=(2,)) == 2
+    sectors = charge_sectors(k, 2, 2)
     even = parity_matrix(k) > 0
     assert len(sectors) == 2
     assert even[sectors[0]].all() and not even[sectors[1]].any()
@@ -399,28 +401,115 @@ def test_parity_blocks_split_and_join_back(k, complex_, seed):
     assert blocks.shape == (2, 2 ** (k - 1), 2 ** (k - 1))
     np.testing.assert_array_equal(blocks[1], m[np.ix_(~even, ~even)])
     np.testing.assert_array_equal(join_blocks(blocks, sectors), m)
-    # a stack is solved and normed as the block-diagonal matrix it stands for
-    assert eigenvalues(blocks).tobytes() == eigenvalues(m).tobytes()
-    assert operator_norm(blocks) == operator_norm(m)
+    evals = eigenvalues(blocks)
+    dense = np.linalg.eigvalsh(m)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(evals - dense)) <= 1e-12 * scale
+    assert operator_norm(blocks) == operator_norm(m, sectors)
     product = m @ other                  # parity-even, not Hermitian
-    assert operator_norm(split_blocks(product, sectors)) == pytest.approx(
-        float(np.linalg.norm(product, 2)), rel=1e-12)
+    svd = float(np.linalg.norm(product, 2))
+    for norm in (operator_norm(split_blocks(product, sectors)),
+                 operator_norm(product, sectors)):
+        assert norm == pytest.approx(svd, rel=1e-12)
 
 
 def test_parity_sectors_keep_one_sector_unless_every_matrix_splits():
+    """One entry between the parity sectors, in any one of the terms, or a
+    term that keeps no charge, leaves the terms one sector holding every
+    index; the split on it is the matrix itself."""
     rng = np.random.default_rng(8)
+    lam = Interval(0, 3)
     even = parity_even(random_hermitian(rng, 16, True))
     mixed = even.copy()
     mixed[1, 0] = mixed[0, 1] = 0.5          # one entry between the sectors
-    cases = [(mixed,), (even, mixed), (even, np.eye(8)),
-             (random_hermitian(rng, 27, False),),
-             (random_hermitian(rng, 6, False),)]
-    for mats in cases:
-        sectors = parity_sectors(*mats)
-        side = mats[0].shape[0]
+
+    def op(matrix, d=2):
+        sites = round(np.log(matrix.shape[0]) / np.log(d))
+        return LocalOperator(matrix, Interval(0, sites - 1), lam, "spin", d)
+
+    assert conserved_modulus([op(even)], moduli=(2,)) == 2
+    cases = [(op(mixed),), (op(even), op(mixed)),
+             (op(random_hermitian(rng, 27, False), 3),),
+             (op(random_hermitian(rng, 6, False), 6),)]
+    for ops in cases:
+        assert conserved_modulus(ops, moduli=(2,)) == 1
+        first = ops[0]
+        sectors = charge_sectors(len(first.support), first.local_dim, 1)
+        side = first.dim
         assert len(sectors) == 1
         np.testing.assert_array_equal(sectors[0], np.arange(side))
-        blocks = split_blocks(mats[0], sectors)
+        blocks = split_blocks(first.matrix, sectors)
         assert blocks.shape == (1, side, side)
-        assert np.shares_memory(blocks, mats[0])
-        np.testing.assert_array_equal(join_blocks(blocks, sectors), mats[0])
+        np.testing.assert_array_equal(join_blocks(blocks, sectors),
+                                      first.matrix)
+        assert operator_norm(first.matrix, sectors) == \
+            operator_norm(first.matrix)
+
+
+@pytest.mark.parametrize("d, n_sites", [(2, 3), (3, 2)])
+def test_conserved_modulus_is_the_first_charge_every_operator_keeps(d,
+                                                                    n_sites):
+    """Operators that keep the number (or ``S^z``), only its parity, or
+    neither: the first modulus of ``moduli`` that every one of them keeps,
+    else 1.  A single entry between two charges breaks the charge."""
+    lam = Interval(0, n_sites - 1)
+    rng = np.random.default_rng(d)
+    q = digit_sums(n_sites, d)
+    m = random_hermitian(rng, d ** n_sites, False)
+    number, parity = (np.where(k[:, None] == k[None, :], m, 0.0)
+                      for k in (q, q % 2))
+
+    def op(matrix):
+        return LocalOperator(matrix, lam, lam, "spin", d)
+
+    assert conserved_modulus([op(number)]) is None
+    assert conserved_modulus([op(number), op(parity)]) == 2
+    assert conserved_modulus([op(number), op(m)]) == 1
+    assert conserved_modulus([op(number)], moduli=(2,)) == 2
+    assert conserved_modulus([op(parity)], moduli=(None,)) == 1
+    assert conserved_modulus([]) is None
+    broken = parity.copy()
+    i, j = np.argwhere(q[:, None] % 2 != q[None, :] % 2)[0]
+    broken[i, j] = broken[j, i] = 1e-300
+    assert conserved_modulus([op(broken)]) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 4), (3, 2)]), st.booleans(),
+       st.sampled_from(["number", "parity", "mixed"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_local_operator_norm_solves_the_sectors_of_its_charge(
+        dim_sites, complex_, charge, hermitian, seed):
+    """A term's norm is ``operator_norm`` split on the sectors of the first
+    charge its matrix keeps: each sector's block of the matrix, or of its
+    Gram matrix formed whole, is solved by itself, and the norm is the
+    SVD's to 1e-12."""
+    d, n_sites = dim_sites
+    lam = Interval(0, n_sites - 1)
+    rng = np.random.default_rng(seed)
+    q = {"number": lambda k: k, "parity": lambda k: k % 2,
+         "mixed": lambda k: 0 * k}[charge](digit_sums(n_sites, d))
+    m = random_hermitian(rng, d ** n_sites, complex_) if hermitian \
+        else random_matrix(rng, d ** n_sites, complex_)
+    m = np.where(q[:, None] == q[None, :], m, 0.0)
+    op = LocalOperator(m, lam, lam, "spin", d)
+    modulus = {"number": None, "parity": 2, "mixed": 1}[charge]
+    assert conserved_modulus([op]) == modulus
+    sectors = charge_sectors(n_sites, d, modulus)
+    a = m / np.ldexp(1.0, np.frexp(np.max(np.abs(m)))[1])
+    solved = m if hermitian else a.conj().T @ a
+    solves = []
+    original = np.linalg.eigvalsh
+
+    def counted(block, *args, **kwargs):
+        solves.append(np.array(block))
+        return original(block, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", counted)
+        norm = op.norm()
+    assert len(solves) == len(sectors)
+    for block, idx in zip(solves, sectors):
+        np.testing.assert_array_equal(block, solved[np.ix_(idx, idx)])
+    assert norm == operator_norm(m, sectors)
+    assert norm == pytest.approx(float(np.linalg.norm(m, 2)), rel=1e-12)

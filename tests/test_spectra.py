@@ -8,15 +8,15 @@ from gaplab.interaction import Interaction, Term, coupled, \
 from gaplab.lattice import Interval, ball, interior
 from gaplab.models import aklt_interaction, orbital_interaction, \
     paired_orbital_model, random_even_perturbation
-from gaplab.operator_algebra import LocalOperator, eigenvalues, \
-    kernel_count, operator_norm, parity_sectors, split_blocks
+from gaplab.operator_algebra import LocalOperator, charge_sectors, \
+    eigenvalues, kernel_count, operator_norm
 from gaplab.spectra import (FrustrationError, RefinementError,
                             cluster_projector, diagonalize, gap_curve,
                             ground_projector, higher_gap_track,
                             resolution_family, sigma_projection,
                             sp0_diameter_scan)
 from gaplab import interaction, spectra
-from oracles import one_site, parity_even, random_hermitian
+from oracles import one_site, parity_even, random_hermitian, split_blocks
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -139,8 +139,8 @@ def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
     ``coupled(eta, pert, eps)`` bit for bit (of ``eta`` at coupling 0), and
     the dense ``eigvalsh(H0 + eps Psi)`` of the volume to 1e-12 of its
     scale; ``|Psi|``, the largest ``|lambda|`` of ``pert``, is
-    ``operator_norm`` of its volume Hamiltonian, bit for bit when its span
-    is the volume."""
+    ``operator_norm`` of its volume Hamiltonian, bit for bit on its parity
+    sectors when its span is the volume."""
     eta, pert, lam = _sweep_case(kind, n, complex_, np.random.default_rng(seed))
     assert (pert.span == lam) == (kind == "whole")
     grid = [0.0, 0.5 * eps, eps]
@@ -157,7 +157,7 @@ def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
         np.testing.assert_allclose(spectrum, dense, rtol=0, atol=1e-12 * scale)
     psi_norm = float(np.max(np.abs(hamiltonian_eigenvalues(pert, lam))))
     if kind == "whole":
-        assert psi_norm == operator_norm(psi)
+        assert psi_norm == operator_norm(psi, charge_sectors(len(lam), 2, 2))
     assert psi_norm == pytest.approx(operator_norm(psi), rel=1e-12)
 
 
@@ -209,18 +209,17 @@ def test_cluster_projector():
 
 def _volume_projector(eta, lam):
     """The kernel projector of the volume as a stack on its parity
-    sectors, and the sectors."""
+    sectors, and their modulus, 2."""
     h = local_hamiltonian(eta, lam).matrix
-    sectors = parity_sectors(h)
-    return split_blocks(ground_projector(h), sectors), sectors
+    sectors = charge_sectors(len(lam), 2, 2)
+    return split_blocks(ground_projector(h), sectors), 2
 
 
 def test_resolution_family_identities():
     lam = Interval(0, 6)
     eta = ising(lam)
-    p, sectors = _volume_projector(eta, lam)
-    assert len(sectors) == 2
-    fam = resolution_family(eta, lam, 3, p, sectors)
+    p, modulus = _volume_projector(eta, lam)
+    fam = resolution_family(eta, lam, 3, p, modulus)
     assert fam.r_x == 3
     assert all(m.shape == (2, 64, 64) for m in fam.locals + fam.E)
     eye = np.broadcast_to(np.eye(64), fam.P.shape)
@@ -242,11 +241,11 @@ def test_resolution_family_identities():
 def test_resolution_family_needs_interior_site():
     lam = Interval(0, 6)
     eta = ising(lam)
-    p, sectors = _volume_projector(eta, lam)
+    p, modulus = _volume_projector(eta, lam)
     with pytest.raises(ValueError):
-        resolution_family(eta, lam, 0, p, sectors)
+        resolution_family(eta, lam, 0, p, modulus)
     with pytest.raises(ValueError):
-        resolution_family(eta, lam, 6, p, sectors)
+        resolution_family(eta, lam, 6, p, modulus)
 
 
 def test_resolution_family_solves_only_its_balls(monkeypatch):
@@ -254,7 +253,7 @@ def test_resolution_family_solves_only_its_balls(monkeypatch):
     volume's side, one per ball (the widest is [0, 6] of [0, 7])."""
     lam = Interval(0, 7)
     eta = ising(lam)
-    p, sectors = _volume_projector(eta, lam)
+    p, modulus = _volume_projector(eta, lam)
     sides = []
     eigh = np.linalg.eigh
 
@@ -263,7 +262,7 @@ def test_resolution_family_solves_only_its_balls(monkeypatch):
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    fam = resolution_family(eta, lam, 3, p, sectors)
+    fam = resolution_family(eta, lam, 3, p, modulus)
     assert fam.P is p
     assert 2 ** len(lam) not in sides
     assert len(sides) == fam.r_x
@@ -328,6 +327,9 @@ def test_higher_gap_track_window_must_be_populated():
     with pytest.raises(ValueError, match="no spectrum"):
         higher_gap_track(curve(np.diag([5.0, 6.0]), np.eye(2), [0.0],
                                cluster_dim=1), nu=1.0, mu=2.0)
+    with pytest.raises(ValueError, match="no spectrum at or above mu = 9.0"):
+        higher_gap_track(curve(np.diag([0.0, 6.0]), np.eye(2), [0.0],
+                               cluster_dim=1), nu=1.0, mu=9.0)
 
 
 def test_higher_gap_track_needs_coupling_zero_first():
@@ -467,7 +469,8 @@ def test_sp0_scan_at_the_default_length_matches_the_whole_volume():
                                              "kappa": 4.0}, seed=7)
     rows = sp0_diameter_scan(eta, pert, lam, (0.02,), (2, 3, 4, 5))
     h0 = local_hamiltonian(eta, lam).matrix
-    kdim = kernel_count(eigenvalues(h0))
+    sectors = charge_sectors(len(lam), 2, 2)
+    kdim = kernel_count(eigenvalues(split_blocks(h0, sectors)))
     assert kdim == 4
     for row in rows:
         inner = interior(lam, row["depth"])
@@ -476,7 +479,7 @@ def test_sp0_scan_at_the_default_length_matches_the_whole_volume():
         m = local_hamiltonian(kept, lam).matrix
         m *= row["eps"]
         m += h0
-        evals = eigenvalues(m)
+        evals = eigenvalues(split_blocks(m, sectors))
         del m
         sp0, sp1 = evals[:kdim], evals[kdim:]
         tol = 1e-12 * max(1.0, float(np.max(np.abs(evals))))

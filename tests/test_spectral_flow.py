@@ -12,21 +12,20 @@ from gaplab.interaction import (Interaction, Term, local_hamiltonian,
 from gaplab.lattice import Interval, boundary_distances
 from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
-from gaplab import spectral_flow
-from gaplab.operator_algebra import (join_blocks, operator_norm,
-                                     parity_sectors, split_blocks)
+from gaplab import interaction, operator_algebra, spectra, spectral_flow
+from gaplab.operator_algebra import charge_sectors, join_blocks, operator_norm
 from gaplab.spectra import diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   _polar_unitary, _time_rule,
                                   eigenbasis_generator,
-                                  filter_identity_residual, flow_blocks,
-                                  flow_unitaries,
+                                  filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import (Checkpoints, decompose, decomposer, even_pair, one_block,
-                     one_site, parity_even, random_hermitian, random_matrix,
-                     replay, resolution_whole, simpson_oracle, split_whole,
-                     svd_polar, tee, telescope, telescope_oracle,
+from oracles import (Checkpoints, decompose, decomposer, even_pair,
+                     flow_pair, one_block, parity_even, parity_sectors,
+                     random_hermitian, random_matrix, replay,
+                     resolution_whole, simpson_oracle, split_blocks,
+                     split_whole, svd_polar, tee, telescope, telescope_oracle,
                      theta_whole, traced_peak)
 
 GAMMA = 0.8
@@ -268,7 +267,7 @@ def test_time_quadrature_in_node_blocks_matches_the_one_shot_product(
 def test_flow_two_level_transport():
     h0 = np.diag([0.0, 1.0])
     cp = Checkpoints()
-    flow = flow_unitaries(*flow_blocks(h0, SX), 0.1, Window(GAMMA),
+    flow = flow_unitaries(*flow_pair(h0, SX), 0.1, Window(GAMMA),
                           checkpoints=8, consumer=cp)
     assert len(flow.eps_grid) % 2 == 1          # even count is bumped
     assert flow.eps == pytest.approx(0.1)
@@ -310,7 +309,7 @@ def test_flow_runs_in_the_field_of_its_inputs():
              (h6, _random_pair()[1].real, 0.01, np.float64)]
     for h0, psi, eps, dtype in cases:
         cp = Checkpoints()
-        flow = flow_unitaries(*flow_blocks(h0, psi), eps, Window(GAMMA),
+        flow = flow_unitaries(*flow_pair(h0, psi), eps, Window(GAMMA),
                               checkpoints=5, cluster_dim=1, consumer=cp)
         assert all(u.dtype == dtype for u in cp.us)
         assert all(k.dtype == dtype for k in cp.ks)
@@ -320,9 +319,9 @@ def test_flow_runs_in_the_field_of_its_inputs():
         _assert_transports(cp, h0, psi, 1)
 
 
-def _one_block(*mats):
-    """``parity_sectors`` as if no matrix kept parity: one sector."""
-    return [np.arange(np.shape(mats[0])[0])]
+def _keeps_nothing(ops, moduli=(None, 2)):
+    """``conserved_modulus`` as if no term kept a charge: one sector."""
+    return 1
 
 
 def _counting(monkeypatch, name, record):
@@ -341,8 +340,7 @@ def test_flow_solves_h0_once(monkeypatch):
     decomposition."""
     h0 = np.diag([0.0, 1.0, 1.2, 1.5])
     psi = parity_even(_random_pair()[1][:4, :4])
-    sectors = parity_sectors(h0, psi)
-    assert len(sectors) == 2
+    sectors = charge_sectors(2, 2, 2)
     solved = []
     original = np.linalg.eigh
 
@@ -351,7 +349,7 @@ def test_flow_solves_h0_once(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    flow = flow_unitaries(*flow_blocks(h0, psi), 0.01, Window(GAMMA),
+    flow = flow_unitaries(*flow_pair(h0, psi), 0.01, Window(GAMMA),
                           checkpoints=5, cluster_dim=1)
     h0_blocks = split_blocks(h0, sectors)
     assert sum(np.array_equal(h, h0_blocks) for h in solved) == 1
@@ -367,16 +365,18 @@ def test_flow_solves_h0_once(monkeypatch):
 @given(st.integers(2, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     """The flow of a parity-even pair, run on its two parity blocks, agrees
-    with the same flow run on one block holding the whole matrix, and keeps
-    the blocks exactly."""
+    with the same flow run on one block holding the whole matrix (the
+    flow's charge rule made to find no charge kept), and keeps the blocks
+    exactly."""
     h0, psi = even_pair(np.random.default_rng(seed), 2 ** k, complex_)
     args = (0.05, Window(GAMMA))
     blocked_cp, whole_cp = Checkpoints(), Checkpoints()
-    blocked = flow_unitaries(*flow_blocks(h0, psi), *args, checkpoints=5,
+    blocked = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
                              cluster_dim=2, consumer=blocked_cp)
-    with patch.object(spectral_flow, "parity_sectors", _one_block):
-        whole = flow_unitaries(*flow_blocks(h0, psi), *args, checkpoints=5,
+    with patch.object(spectral_flow, "conserved_modulus", _keeps_nothing):
+        whole = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
                                cluster_dim=2, consumer=whole_cp)
+    assert (blocked.modulus, whole.modulus) == (2, 1)
     assert len(blocked.sectors) == 2 and len(whole.sectors) == 1
     pairs = [(join_blocks(a, blocked.sectors), join_blocks(b, whole.sectors))
              for a, b in zip(blocked_cp.us + blocked_cp.ks,
@@ -398,7 +398,7 @@ def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
     cp = Checkpoints()
-    flow = flow_unitaries(*flow_blocks(h0, psi), 0.05, Window(GAMMA),
+    flow = flow_unitaries(*flow_pair(h0, psi), 0.05, Window(GAMMA),
                           checkpoints=5, cluster_dim=2, consumer=cp)
     assert shapes and set(shapes) == {(1, 8, 8)}
     assert len(flow.sectors) == 1
@@ -409,7 +409,7 @@ def test_flow_rejects_closing_gap():
     h0 = np.diag([0.0, 1.0])
     psi = np.diag([1.0, -1.0])          # gap 1 - 2s collapses under the filter
     with pytest.raises(RuntimeError):
-        flow_unitaries(*flow_blocks(h0, psi), 0.45, Window(GAMMA),
+        flow_unitaries(*flow_pair(h0, psi), 0.45, Window(GAMMA),
                        checkpoints=9)
 
 
@@ -451,26 +451,24 @@ def bundle():
                                     {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0},
                                     seed=7)
     psi = split_edge_bulk(pert, lam, 1).bulk
-    h0 = local_hamiltonian(eta, lam)
-    hp = local_hamiltonian(psi, lam)
     kdim, _ = kernel_data(model, lam)
     window = Window(GAMMA)
     cp = Checkpoints()
     consumer, decs = decomposer(eta, psi, lam)
-    blocks = flow_blocks(h0.matrix, hp.matrix)
-    flow = flow_unitaries(*blocks, 0.02, window, checkpoints=9,
+    flow = flow_unitaries(eta, psi, lam, 0.02, window, checkpoints=9,
                           cluster_dim=kdim, consumer=tee(cp, consumer))
     dec, = decs.values()
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
-            "p0": flow.p0, "dec": dec, "h0": h0.matrix, "hp": hp.matrix,
-            "blocks": blocks, "checkpoints": cp}
+            "p0": flow.p0, "dec": dec,
+            "h0": local_hamiltonian(eta, lam).matrix,
+            "hp": local_hamiltonian(psi, lam).matrix, "checkpoints": cp}
 
 
 def test_generator_routes_agree_on_the_default_horizon(bundle):
     """On the chain (spectral width 8) the time quadrature, at the one
     horizon it has, reproduces the generator the flow ran to 1e-10, on the
     decompositions the flow kept at both ends: the solves of the two parity
-    blocks."""
+    blocks, the sectors the scan of the whole matrices finds."""
     flow, hp = bundle["flow"], bundle["hp"]
     assert np.ptp(np.linalg.eigvalsh(bundle["h0"])) == pytest.approx(8.0)
     sectors = parity_sectors(bundle["h0"], hp)
@@ -568,12 +566,12 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
-    first = flow_unitaries(*flow_blocks(h0, psi), 0.05, window,
+    first = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
                            checkpoints=3, cluster_dim=2, ode_tol=1.0)
     assert first.ode_error > tol and len(calls) == 4 * 2 + 1
     calls.clear()
     cp = Checkpoints()
-    flow = flow_unitaries(*flow_blocks(h0, psi), 0.05, window,
+    flow = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
                           checkpoints=3, cluster_dim=2, ode_tol=tol,
                           consumer=cp)
     assert flow.ode_error <= tol
@@ -602,10 +600,10 @@ def test_refinement_restarts_the_consumer_and_decomposes_the_accepted_pass():
     decomposition handed on is, bit for bit, the Simpson loop's over the
     accepted pass's unitaries and generators, not over the first pass's."""
     h0, psi = even_pair(np.random.default_rng(0), 4, False)
-    eta_i, psi_i, lam = one_site(h0), one_site(psi), Interval(0, 0)
+    eta_i, psi_i, lam = flow_pair(h0, psi)
     cp = Checkpoints()
     consumer, decs = decomposer(eta_i, psi_i, lam)
-    flow = flow_unitaries(*flow_blocks(h0, psi), 0.05, Window(GAMMA),
+    flow = flow_unitaries(eta_i, psi_i, lam, 0.05, Window(GAMMA),
                           checkpoints=3, cluster_dim=2, ode_tol=1e-13,
                           consumer=tee(cp, consumer))
     assert flow.ode_error <= 1e-13
@@ -646,9 +644,7 @@ def test_streamed_decompositions_equal_the_list_oracle_bit_for_bit(
     blocked = [decomposer(eta, psi, lam, uptos) for uptos in stops]
     whole = [decomposer(eta, psi, lam, uptos) for uptos in stops]
     cp, whole_cp = Checkpoints(), Checkpoints()
-    flow_unitaries(*flow_blocks(bundle["h0"],
-                                local_hamiltonian(psi, lam).matrix),
-                   0.02, Window(GAMMA), checkpoints=9,
+    flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
                    cluster_dim=bundle["kdim"],
                    consumer=tee(cp, one_block(whole_cp),
                                 *(c for c, _ in blocked),
@@ -669,8 +665,8 @@ def test_streamed_decompositions_equal_the_list_oracle_bit_for_bit(
 def _traced_flow(bundle, checkpoints):
     """The L = 8 flow at ``checkpoints`` and its peak of traced memory."""
     return traced_peak(lambda: flow_unitaries(
-        *bundle["blocks"], 0.02, Window(GAMMA), checkpoints=checkpoints,
-        cluster_dim=bundle["kdim"]))
+        bundle["eta"], bundle["psi"], bundle["lam"], 0.02, Window(GAMMA),
+        checkpoints=checkpoints, cluster_dim=bundle["kdim"]))
 
 
 def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not_set(
@@ -835,8 +831,8 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
 
     monkeypatch.setattr(np.linalg, "norm", norm)
     consumer, decs = decomposer(bundle["eta"], bundle["psi"], bundle["lam"])
-    flow_unitaries(*bundle["blocks"], 0.02, Window(GAMMA),
-                   checkpoints=9, cluster_dim=bundle["kdim"],
+    flow_unitaries(bundle["eta"], bundle["psi"], bundle["lam"], 0.02,
+                   Window(GAMMA), checkpoints=9, cluster_dim=bundle["kdim"],
                    consumer=consumer)
     assert len(decs) == 1
     assert (2, 128, 128) in shapes
@@ -856,40 +852,79 @@ def _arrays(value):
 def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
         bundle, monkeypatch):
     """On the L = 8 chain (side 256) the flow holds no array of side 256,
-    and neither do its decompositions.  The decomposition assembles no
-    Hamiltonian of the whole volume, only one matrix per anchor and
-    interaction, and tests parity on each of those anchored matrices alone,
-    never on a matrix of the flow."""
+    and neither do its decompositions.  The decomposition assembles one
+    stack per anchor and interaction, at the flow's modulus, and reads the
+    parity of each anchor's terms alone, never of a matrix of the flow."""
     flow, eta, psi = bundle["flow"], bundle["eta"], bundle["psi"]
-    held = []
     for field in fields(flow):
         for a in _arrays(getattr(flow, field.name)):
             assert 256 not in a.shape, field.name
-            held.append(a)
-    assembled, tested = [], []
-    original_assembly = spectral_flow.local_hamiltonian
-    original_sectors = spectral_flow.parity_sectors
+    stacked, tested = [], []
+    original_stack = spectral_flow.charge_stack
+    original_modulus = spectral_flow.conserved_modulus
 
-    def assembly(phi, lam):
-        assembled.append({t.anchor for t in phi.terms})
-        return original_assembly(phi, lam)
+    def stack(phi, lam, modulus):
+        stacked.append(({t.anchor for t in phi.terms}, modulus))
+        return original_stack(phi, lam, modulus)
 
-    def sectors(*mats):
-        tested.append(mats)
-        return original_sectors(*mats)
+    def conserved(ops, moduli=(None, 2)):
+        tested.append((ops, moduli))
+        return original_modulus(ops, moduli)
 
-    monkeypatch.setattr(spectral_flow, "local_hamiltonian", assembly)
-    monkeypatch.setattr(spectral_flow, "parity_sectors", sectors)
+    monkeypatch.setattr(spectral_flow, "charge_stack", stack)
+    monkeypatch.setattr(spectral_flow, "conserved_modulus", conserved)
     dec, = decompose(bundle["checkpoints"], eta, psi, bundle["lam"])
     anchors = set(eta.anchored()) | set(psi.anchored())
-    assert len(assembled) == 2 * len(anchors)
-    assert all(len(group) <= 1 for group in assembled)
-    assert len(tested) == 2 * len(anchors)
-    assert all(len(mats) == 1 and mats[0].shape == (256, 256)
-               for mats in tested)
-    assert not any(m is a for mats in tested for m in mats for a in held)
+    assert len(stacked) == len(tested) == 2 * len(anchors)
+    assert all(len(group) <= 1 and modulus == flow.modulus == 2
+               for group, modulus in stacked)
+    terms = [t.op for t in eta.terms + psi.terms]
+    assert all(moduli == (2,) and all(any(op is t for t in terms)
+                                      for op in ops)
+               for ops, moduli in tested)
     for a in [dec.v_true, *dec.anchors.values()]:
         assert a.shape == (2, 128, 128)
+
+
+def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
+                                                              monkeypatch):
+    """``flow_unitaries``, ``decompose_phi1``, ``resolution_family`` and
+    ``theta_assembly`` call neither ``local_hamiltonian`` nor ``embed`` on
+    the flow's volume: every stack on it (``H0``, ``Psi``, the anchored
+    terms, the ball projectors and the ball terms) is assembled straight
+    into its parity blocks by ``charge_stack``.  Only the Hamiltonians of
+    the balls are assembled whole, for their kernel projectors."""
+    lam, eta, psi = bundle["lam"], bundle["eta"], bundle["psi"]
+    ball_terms = {x: bundle["dec"].ball_terms(x) for x in (2, 3, 4, 5)}
+    called = []
+
+    def recorded(name, original):
+        def wrapper(what, where, *args):
+            called.append((name, where))
+            return original(what, where, *args)
+        return wrapper
+
+    for module in (interaction, operator_algebra, spectra, spectral_flow):
+        for name in ("local_hamiltonian", "embed", "charge_stack"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recorded(name, getattr(module, name)))
+    consumer, _ = decomposer(eta, psi, lam)
+    flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
+                          cluster_dim=bundle["kdim"], consumer=consumer)
+    for x, terms in ball_terms.items():
+        theta_assembly(terms, resolution_family(eta, lam, x, flow.p0,
+                                                flow.modulus))
+    volumes = {name: [where for n, where in called if n == name]
+               for name in ("local_hamiltonian", "embed", "charge_stack")}
+    assert volumes["embed"] == []
+    assert volumes["local_hamiltonian"] \
+        and lam not in volumes["local_hamiltonian"]
+    anchors = set(eta.anchored()) | set(psi.anchored())
+    n_stacks = 2 + 2 * len(anchors) + sum(
+        boundary_distances(lam, x)[0] + len(terms)
+        for x, terms in ball_terms.items())
+    assert volumes["charge_stack"] == [lam] * n_stacks
 
 
 def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
@@ -1023,7 +1058,7 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
     whole, whole_ref = _whole_split(dec, p0), _whole_split(ref, p0)
     for name in ("phi_tilde", "phi2", "phi3", "remainder"):
         assert np.max(np.abs(whole[name] - whole_ref[name])) <= 1e-12
-    family = resolution_family(eta, lam, 3, p0, flow.sectors)
+    family = resolution_family(eta, lam, 3, p0, flow.modulus)
     assembly = theta_assembly(dec.ball_terms(3), family)
     assert assembly.identity_error <= 1e-10
     assert assembly.annihilation_error <= 1e-10
@@ -1032,7 +1067,7 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
 def test_theta_assembly_identities(bundle):
     lam, eta, dec = bundle["lam"], bundle["eta"], bundle["dec"]
     family = resolution_family(eta, lam, 3, bundle["p0"],
-                               bundle["flow"].sectors)          # r_x = 3
+                               bundle["flow"].modulus)          # r_x = 3
     assembly = theta_assembly(dec.ball_terms(3), family)
     assert assembly.r_x == 3
     assert set(assembly.theta_beta) == {3}
@@ -1048,7 +1083,7 @@ def test_blocked_resolution_and_assembly_match_the_whole_forms(bundle, x):
     carries are those of its stacks, bit for bit."""
     lam, eta, dec, flow = (bundle["lam"], bundle["eta"], bundle["dec"],
                            bundle["flow"])
-    family = resolution_family(eta, lam, x, flow.p0, flow.sectors)
+    family = resolution_family(eta, lam, x, flow.p0, flow.modulus)
     p = join_blocks(flow.p0, flow.sectors)
     locals_, e = resolution_whole(eta, lam, x, p)
 

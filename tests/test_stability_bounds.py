@@ -4,7 +4,7 @@ import pytest
 from gaplab.ffunction import FFunctionSpec, WeightSpec, f_zero
 from gaplab.lattice import Interval
 from gaplab.models import random_even_perturbation
-from gaplab.operator_algebra import join_blocks, parity_sectors, split_blocks
+from gaplab.operator_algebra import charge_sectors, join_blocks
 from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      bound_constants, calibrate_c,
                                      edge_bulk_strengths,
@@ -13,7 +13,7 @@ from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      kappa_bound, stability_threshold,
                                      uniform_strengths, verify_form_bound,
                                      volume_form_constants)
-from oracles import even_pair
+from oracles import even_pair, split_blocks
 
 BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
                      weight=WeightSpec(K=0.5, s=1.0))
@@ -274,8 +274,7 @@ def test_form_bound_on_parity_blocks_matches_one_block():
     read the same joined matrices, so their margins are the same bit for
     bit."""
     h, phi2 = even_pair(np.random.default_rng(2), 16, False)
-    sectors = parity_sectors(h, phi2)
-    assert len(sectors) == 2
+    sectors = charge_sectors(4, 2, 2)
     vecs = np.linalg.eigh(split_blocks(h, sectors))[1]
     args = (0.3, 0.2, 0.5)
     blocked = verify_form_bound(split_blocks(h, sectors), vecs,
