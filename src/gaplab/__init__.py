@@ -12,9 +12,8 @@ from .ffunction import (FFunctionSpec, WeightSpec, DerivedFSpec, f_norm,
                         norm_sum, convolution_constant, transform_f_phi,
                         f_zero, regroup_decay)
 from .operator_algebra import (LocalOperator, ParityError, embed,
-                               eigenvalues, operator_norm, parity_grade,
-                               spin_matrices, conditional_expectation,
-                               delta_layer, jordan_wigner, partial_trace)
+                               eigenvalues, operator_norm, spin_matrices,
+                               conditional_expectation, delta_layer)
 from .interaction import (Term, Interaction, local_hamiltonian,
                           hamiltonian_eigenvalues,
                           validate_unperturbed, split_edge_bulk,

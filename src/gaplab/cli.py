@@ -32,7 +32,8 @@ from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
     f_norm, f_zero, regroup_decay, transform_f_phi
 from .interaction import Interaction, fermion_to_spin, from_json, \
     hamiltonian_eigenvalues, local_hamiltonian, random_interaction, \
-    regroup_intervals, split_edge_bulk, validate_unperturbed
+    regroup_intervals, split_edge_bulk, validate_unperturbed, \
+    zero_ground_energy
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
@@ -230,16 +231,16 @@ def _short_chains(cfg: dict) -> list[str]:
 
 
 def _config_objects(cfg: dict) -> list[str]:
-    """Build what the pipelines build from config alone, and turn each
-    constructor's ``ValueError`` into a config line: the filter window, the
-    base envelope with its transform and ``f_zero``, and the J sums of the
-    step profile at the truncation.  The transform is taken at filter width
-    and velocity 1, the sums at flow constant 1: these only scale them."""
+    """Check the filter window's kind, build what the pipelines build from
+    config alone, and turn each constructor's ``ValueError`` into a config
+    line: the base envelope with its transform and ``f_zero``, and the J
+    sums of the step profile at the truncation.  The transform is taken at
+    filter width and velocity 1, the sums at flow constant 1: these only
+    scale them."""
     errors = []
-    try:
-        Window(cfg["gamma"], cfg["flow"]["window"])
-    except ValueError as exc:
-        errors.append(f"flow.window: {exc}")
+    if cfg["flow"]["window"] != "bump":
+        errors.append("flow.window: unknown window kind "
+                      f"{cfg['flow']['window']!r}")
     try:
         base = base_envelope(cfg)
         _transformed(base, 1.0, 1.0)
@@ -422,7 +423,7 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     pert = _perturbation(lam, fc["max_radius"], cfg["seeds"][0])
     psi = split_edge_bulk(pert, lam, fc["max_radius"]).bulk
     kdim, _ = kernel_data(model, lam)
-    window = Window(cfg["gamma"], fc["window"])
+    window = Window(cfg["gamma"])
     # the form-bound couplings share one pass over the flow: each
     # decomposition is split as the pass reaches it, and only the last,
     # the decomposition at eps, is kept
@@ -588,7 +589,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
                 leak = float(np.max(np.abs(aux[idx, :]))) if aux.size else 0.0
             else:
                 leak = 0.0
-            ok = (abs(evals[0]) <= 1e-10 and abs(gap - 1.0) <= 1e-9
+            ok = (zero_ground_energy(evals) and abs(gap - 1.0) <= 1e-9
                   and kdim == kexp and len(free) <= 6 * model.R
                   and aux.shape[1] <= 6 * model.R and leak <= 1e-12)
             rows.append(("orbital", length, offset, float(evals[0]), gap,
@@ -617,7 +618,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
         evals = hamiltonian_eigenvalues(eta, lam)
         kdim = kernel_count(evals)
         gap = float(evals[kdim] - evals[kdim - 1])
-        ok = abs(evals[0]) <= 1e-10 and kdim == 4
+        ok = zero_ground_energy(evals) and kdim == 4
         rows.append(("aklt", length, 0, float(evals[0]), gap, kdim, 4, -1,
                      0.0, "ok" if ok else "fail"))
         rep.check(f"aklt structure on {lam}", ok,
@@ -948,7 +949,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
             "model": "orbital",
             "gamma0": cb["gamma0"],
             "filter_width": fb["window"].gamma,
-            "window_kind": fb["window"].kind,
+            "window_kind": cfg["flow"]["window"],
             "depth": cfg["D"],
             "envelope": cfg["constants"]["F"],
             "omega_profile": {"kind": cb["omega"].kind,

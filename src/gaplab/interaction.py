@@ -26,9 +26,9 @@ import numpy as np
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
-    LocalOperator, ParityError, _check_dense, basis_charges, charge_sectors,
-    conserved_modulus, eigenvalues, jordan_wigner, kernel_count, kernel_mask,
-    operator_norm, parity_grade, placement,
+    LocalOperator, _check_dense, basis_charges, charge_sectors,
+    conserved_modulus, eigenvalues, kernel_count, kernel_mask,
+    operator_norm, placement,
 )
 
 
@@ -226,6 +226,12 @@ def coupled(eta: Interaction, pert: Interaction, eps: float) -> Interaction:
     return replace(eta, terms=eta.terms + scaled)
 
 
+def zero_ground_energy(evals) -> bool:
+    """The ground-energy-zero test of an ascending spectrum,
+    ``|E_0| <= 1e-10 max(1, max|lambda|)``."""
+    return bool(abs(evals[0]) <= 1e-10 * max(1.0, float(np.max(np.abs(evals)))))
+
+
 @dataclass
 class VolumeReport:
     lam: Interval
@@ -246,11 +252,10 @@ class UnperturbedReport:
 def validate_unperturbed(build, volumes) -> UnperturbedReport:
     """Frustration-freeness report for a model over probe volumes.
 
-    ``build(lam)`` returns the interaction on ``lam``.  A model failing the
-    ground-energy-zero test (``|E_0| <= 1e-10 max(1, max|lambda|)``) is
-    reported, not raised.  The gap candidate is the smallest eigenvalue above
-    the kernel scale over the probes whose diameter reaches the interaction
-    range.
+    ``build(lam)`` returns the interaction on ``lam``.  A model failing
+    ``zero_ground_energy`` is reported, not raised.  The gap candidate is the
+    smallest eigenvalue above the kernel scale over the probes whose
+    diameter reaches the interaction range.
     """
     rows = []
     rng_max = 0
@@ -259,12 +264,11 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         phi = build(lam)
         rng_max = max(rng_max, phi.range)
         evals = hamiltonian_eigenvalues(phi, lam)
-        scale = max(1.0, float(np.max(np.abs(evals))))
         ground = float(evals[0])
         kdim = kernel_count(evals)
         nonzero = evals[~kernel_mask(evals)]
         min_nonzero = float(nonzero[0]) if nonzero.size else np.inf
-        ok = abs(ground) <= 1e-10 * scale and kdim >= 1
+        ok = zero_ground_energy(evals) and kdim >= 1
         rows.append(VolumeReport(lam, ground, min_nonzero, kdim, ok))
         passed = passed and ok
     eligible = [r.min_nonzero for r in rows if r.lam.diameter >= rng_max]
@@ -318,15 +322,14 @@ def regroup_intervals(psi: Interaction) -> Interaction:
 
 
 def fermion_to_spin(phi: Interaction) -> Interaction:
-    """Termwise relabeling of an even fermionic interaction; norms unchanged."""
+    """Termwise relabeling of a fermionic interaction as spin: every term is
+    even, so its image keeps a copy of its matrix, its support and its norm."""
     if phi.kind != "fermion":
         raise ValueError("expected a fermionic interaction")
-    terms = []
-    for t in phi.terms:
-        if parity_grade(t.op) != "even":
-            raise ParityError(f"term on {t.support} is not even")
-        terms.append(Term(jordan_wigner(t.op), anchor=t.anchor, radius=t.radius))
-    return Interaction(terms, "spin", 2)
+    return Interaction([Term(LocalOperator(t.op.matrix.copy(), t.support,
+                                           t.op.ambient),
+                             anchor=t.anchor, radius=t.radius)
+                        for t in phi.terms], "spin", 2)
 
 
 def random_interaction(lam: Interval, seed: int, n_terms: int = 6,

@@ -2,13 +2,13 @@ r"""Local operators on finite spin and fermion chains.
 
 Matrices are stored in the site-lexicographic product basis: the leftmost site
 of the support is the most significant digit.  For fermions the single-site
-basis is (empty, occupied) and creation/annihilation matrices carry the usual
-occupancy-string signs, i.e. ``a(x)`` on a chain is the string-dressed
-lowering matrix ``Z^(x-a) (x) s^- (x) 1``.  Under the identification
-"occupied = up" an even fermionic operator supported on an interval has the
-same matrix as its spin image, so the algebra map between the two pictures is
-a relabeling for even operators while odd operators pick up the string and a
-support stretching to the left chain edge.
+basis is (empty, occupied).  A fermionic operator is even by construction:
+its matrix is exactly zero between basis states of unlike parity.  Under the
+identification "occupied = up" it then has the same matrix as its spin image,
+so the map between the two pictures is a relabeling.  The odd ``a(x)`` has no
+fermionic operator here; ``annihilator`` gives its spin image on a chain, the
+string-dressed lowering matrix ``Z^(x-a) (x) s^- (x) 1``, whose even products
+are fermionic operators.
 
 Dense matrices are refused above ``MAX_DENSE_DIM`` (14 sites at local
 dimension 2, 9 sites at local dimension 3).
@@ -29,7 +29,7 @@ LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 class ParityError(ValueError):
-    """Raised when an operation requires a definite (even) fermion parity."""
+    """Raised when a fermionic operator is not even."""
 
 
 def spin_matrices(d: int):
@@ -114,7 +114,10 @@ class LocalOperator:
     """A matrix acting on the sites of ``support`` inside the chain ``ambient``.
 
     The matrix is never changed in place once the operator is made (every
-    operation returns a new operator), so its norm is computed once.
+    operation returns a new operator), so its norm is computed once.  A
+    fermionic operator must be even, ``conserved_modulus([op], (2,)) == 2``,
+    or it is refused with ``ParityError``; every new operator, from ``+``,
+    ``*`` or ``replace`` too, is checked.
     """
 
     matrix: np.ndarray
@@ -122,7 +125,6 @@ class LocalOperator:
     ambient: Interval
     kind: str = "spin"
     local_dim: int = 2
-    string_attached: bool = False
     _norm: float | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -141,6 +143,9 @@ class LocalOperator:
         if self.matrix.shape != (want, want):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match "
                              f"support {self.support} at local dimension {self.local_dim}")
+        if self.kind == "fermion" and conserved_modulus([self], (2,)) != 2:
+            raise ParityError(f"fermionic operator on {self.support} is not "
+                              "even: entries between unlike parities")
 
     @property
     def dim(self):
@@ -250,28 +255,11 @@ def eigenvalues(m) -> np.ndarray:
     return np.sort(np.concatenate(spectra))
 
 
-def parity_grade(op: LocalOperator) -> str:
-    """Grade of a local-dimension-2 operator under the occupancy parity:
-    even/odd/mixed, to 1e-12 relative to its largest entry."""
-    if op.local_dim != 2:
-        raise ValueError("parity grading needs local dimension 2")
-    p = parity_matrix(len(op.support))
-    conj = p[:, None] * op.matrix * p[None, :]
-    scale = max(1.0, float(np.max(np.abs(op.matrix))))
-    if np.max(np.abs(conj - op.matrix)) <= 1e-12 * scale:
-        return "even"
-    if np.max(np.abs(conj + op.matrix)) <= 1e-12 * scale:
-        return "odd"
-    return "mixed"
-
-
 def embed(op: LocalOperator, target: Interval) -> LocalOperator:
     """Extend by identity onto ``target``, written into the ``placement``
-    view of a zeroed matrix; odd/mixed fermion parts are refused."""
+    view of a zeroed matrix."""
     if op.support not in target or target not in op.ambient:
         raise ValueError("target must contain the support and sit inside the ambient")
-    if op.kind == "fermion" and parity_grade(op) != "even":
-        raise ParityError("only even fermionic operators embed without a string")
     d = op.local_dim
     _check_dense(d ** len(target))
     m = np.zeros((d ** len(target),) * 2, np.result_type(op.matrix, float))
@@ -281,18 +269,20 @@ def embed(op: LocalOperator, target: Interval) -> LocalOperator:
 
 
 def annihilator(lam: Interval, x: int) -> LocalOperator:
-    """String-dressed mode annihilator at site x on the chain lam."""
+    """The spin image of the odd fermionic ``a(x)`` on the chain ``lam``:
+    the lowering matrix at ``x`` dressed by the parity string to its left."""
     if x not in lam:
         raise ValueError(f"site {x} outside {lam}")
     _check_dense(2 ** len(lam))
     m = np.zeros((2 ** len(lam),) * 2, complex)
     string = parity_matrix(x - lam.a)[:, None, None, None]
     placement(m, 2 ** (x - lam.a), 2 ** (lam.b - x))[...] = string * LOWER
-    return LocalOperator(m, lam, lam, "fermion")
+    return LocalOperator(m, lam, lam)
 
 
 def mode_annihilator(lam: Interval, coeffs: dict) -> LocalOperator:
-    """Annihilator of the mode sum_x coeffs[x] e_x (an orbital)."""
+    """Spin image of the annihilator of the mode sum_x coeffs[x] e_x (an
+    orbital)."""
     out = None
     for x, cx in coeffs.items():
         term = annihilator(lam, x) * np.conj(cx)
@@ -308,42 +298,29 @@ def placement(h: np.ndarray, dl: int, dr: int) -> np.ndarray:
 
     For a C-contiguous ``h`` the view writes into ``h``: ``v[...] = M``
     places ``M`` between the two identities and ``v += M`` adds it, without
-    forming the placed matrix.  Its adjoint is ``partial_trace``, which sums
-    the view over ``a`` and ``b``.
+    forming the placed matrix.  Its adjoint is ``conditional_expectation``,
+    which sums the view over ``a`` and ``b``.
     """
     dt = h.shape[0] // (dl * dr)
     return np.einsum("aibajb->abij", h.reshape(dl, dt, dr, dl, dt, dr))
 
 
-def partial_trace(op: LocalOperator, keep: Interval) -> LocalOperator:
+def conditional_expectation(op: LocalOperator, keep: Interval) -> LocalOperator:
     r"""Normalized partial trace onto the sites of ``keep``.
 
     Averages out the complement with the normalized trace, so the identity
     maps to the identity and the map is a conditional expectation onto the
     observables of ``keep``.  It sums the ``placement`` view of the matrix
-    over the complement, so it is the adjoint of placing.  Requires the spin
-    kind (for fermions, take the even part through the chain-algebra
-    relabeling first).
+    over the complement, so it is the adjoint of placing.  An even
+    fermionic operator has the matrix of its spin image, so one trace serves
+    both kinds.
     """
-    if op.kind != "spin":
-        raise ValueError("partial_trace acts on spin-kind operators")
     if keep not in op.support:
         raise ValueError(f"keep {keep} not inside support {op.support}")
     d = op.local_dim
     dl, dr = d ** (keep.a - op.support.a), d ** (op.support.b - keep.b)
     out = np.einsum("abij->ij", placement(op.matrix, dl, dr)) / (dl * dr)
     return LocalOperator(out, keep, op.ambient, op.kind, d)
-
-
-def conditional_expectation(op: LocalOperator, keep: Interval) -> LocalOperator:
-    """Partial trace for spin operators, extended to even fermionic ones."""
-    if op.kind == "fermion":
-        if parity_grade(op) != "even":
-            raise ParityError("conditional expectation needs an even operator")
-        spin_view = replace(op, kind="spin")
-        out = partial_trace(spin_view, keep)
-        return replace(out, kind="fermion")
-    return partial_trace(op, keep)
 
 
 def delta_layer(op: LocalOperator, lam: Interval, x: int, n: int) -> LocalOperator:
@@ -365,33 +342,4 @@ def delta_layer(op: LocalOperator, lam: Interval, x: int, n: int) -> LocalOperat
     lo = conditional_expectation(op, bprev)
     if bn == bprev:  # ball saturated: layer vanishes identically
         return replace(hi, matrix=np.zeros_like(hi.matrix))
-    lo_e = embed(lo, bn) if lo.kind == "spin" else \
-        replace(embed(replace(lo, kind="spin"), bn), kind="fermion")
-    return hi - lo_e
-
-
-def jordan_wigner(op: LocalOperator) -> LocalOperator:
-    r"""Image of a fermionic operator in the spin picture.
-
-    Even operators keep their matrix and support.  Operators with an odd part
-    keep the matrix *of the chain embedding*, which attaches the sign string:
-    the image is supported on ``[ambient.a, support.b]`` and flagged.
-    """
-    if op.kind != "fermion":
-        raise ValueError("jordan_wigner maps fermionic operators")
-    grade = parity_grade(op)
-    if grade == "even":
-        return LocalOperator(op.matrix.copy(), op.support, op.ambient, "spin")
-    # split into even and odd parts; the odd part is dressed by the string
-    p = parity_matrix(len(op.support))
-    conj = p[:, None] * op.matrix * p[None, :]
-    even_part = (op.matrix + conj) / 2.0
-    odd_part = (op.matrix - conj) / 2.0
-    stretched = Interval(op.ambient.a, op.support.b)
-    nl = op.support.a - stretched.a
-    _check_dense(2 ** len(stretched))
-    m = np.zeros((2 ** len(stretched),) * 2, complex)
-    string = parity_matrix(nl)[:, None, None, None]
-    placement(m, 2 ** nl, 1)[...] = even_part + string * odd_part
-    return LocalOperator(m, stretched, op.ambient, "spin",
-                         string_attached=True)
+    return hi - embed(lo, bn)

@@ -81,11 +81,6 @@ class Window:
     [-gamma/2, gamma/2], with beta(0) = 1."""
 
     gamma: float
-    kind: str = "bump"   # the only kind
-
-    def __post_init__(self):
-        if self.kind != "bump":
-            raise ValueError(f"unknown window kind {self.kind!r}")
 
     def beta(self, omega):
         """The profile, evaluated only on the arguments inside the window

@@ -26,7 +26,7 @@ def traced_peak(fn):
 
 
 def creator(lam: Interval, x: int) -> LocalOperator:
-    """a*(x): the adjoint of the string-dressed annihilator."""
+    """The spin image of a*(x): the adjoint of ``annihilator``."""
     return annihilator(lam, x).dagger()
 
 

@@ -20,7 +20,7 @@ from gaplab import cli
 from gaplab.cli import PIPELINES, _orbital, _window, merged_config
 from gaplab.interaction import fermion_to_spin
 from gaplab.lattice import ball
-from gaplab.operator_algebra import operator_norm, parity_grade
+from gaplab.operator_algebra import conserved_modulus, operator_norm
 from gaplab.spectra import sigma_projection
 
 
@@ -125,9 +125,10 @@ def test_04_fermion_spin_spectral_equivalence(done):
         == 2 * len(short)
     for lam in [_window(n, offset) for n in short for offset in (0, 1)]:
         _, eta = _orbital(lam)
-        assert all(parity_grade(t.op) == "even" for t in eta.terms)
+        assert conserved_modulus([t.op for t in eta.terms], (2,)) == 2
         spin = fermion_to_spin(eta)
-        assert all(not t.op.string_attached for t in spin.terms)
+        assert [t.support for t in spin.terms] \
+            == [t.support for t in eta.terms]
 
 
 def test_05_regrouping_exactness(done):

@@ -240,7 +240,16 @@ def test_main_rejects_unloadable_model_file(tmp_path, capsys):
     bad_json.write_text("{not json", encoding="utf-8")
     no_terms = tmp_path / "no_terms.json"
     no_terms.write_text(json.dumps({"kind": "spin"}), encoding="utf-8")
-    for model in (tmp_path / "missing.json", bad_json, no_terms):
+    # a fermionic model with one odd term (a hopping term of the spin
+    # picture, X on a site) is refused as it loads
+    lam = Interval(0, 3)
+    data = json.loads(to_json(orbital_interaction(paired_orbital_model(lam),
+                                                  lam)))
+    data["terms"].append({"support": [1, 1], "anchor": 1, "radius": None,
+                          "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]})
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps(data), encoding="utf-8")
+    for model in (tmp_path / "missing.json", bad_json, no_terms, odd):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": f"file:{model}"}),
                        encoding="utf-8")
@@ -248,6 +257,8 @@ def test_main_rejects_unloadable_model_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: model: cannot load")
         assert err.count("\n") == 1
+    assert "ParityError: fermionic operator on Interval(a=1, b=1) is not even" \
+        in err
 
 
 def test_main_validates_a_model_file(tmp_path, capsys):

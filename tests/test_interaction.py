@@ -14,8 +14,8 @@ from gaplab.interaction import (Interaction, Term, charge_blocks,
                                 split_edge_bulk, to_json,
                                 validate_unperturbed)
 from gaplab.lattice import Interval, interior
-from gaplab.operator_algebra import LocalOperator, ParityError, annihilator, \
-    embed, kernel_count
+from gaplab.operator_algebra import LocalOperator, annihilator, embed, \
+    kernel_count
 from oracles import (creator, digit_sums, is_hermitian, kron_placed,
                      number_operator, random_hermitian, random_matrix,
                      split_blocks)
@@ -369,14 +369,6 @@ def test_fermion_to_spin_preserves_norms_and_spectra():
     ev_f = np.linalg.eigvalsh(local_hamiltonian(phi, lam).matrix)
     ev_s = np.linalg.eigvalsh(local_hamiltonian(spin, lam).matrix)
     np.testing.assert_allclose(ev_f, ev_s, atol=1e-12)
-
-
-def test_fermion_to_spin_rejects_odd_terms():
-    lam = Interval(0, 1)
-    odd = Term(annihilator(lam, 0))
-    phi = Interaction([odd], kind="fermion")
-    with pytest.raises(ParityError):
-        fermion_to_spin(phi)
 
 
 # --- seeded generation and serialization ----------------------------------------

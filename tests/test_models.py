@@ -9,8 +9,8 @@ from gaplab.models import (aklt_interaction, auxiliary_basis, kernel_data,
                            orbital_interaction, orbital_spectrum,
                            pair_spin2_projector, paired_orbital_model,
                            random_even_perturbation, validate_model)
-from gaplab.operator_algebra import eigenvalues, operator_norm, \
-    parity_grade, spin_matrices
+from gaplab.operator_algebra import conserved_modulus, eigenvalues, \
+    operator_norm, spin_matrices
 from oracles import is_hermitian
 
 
@@ -78,8 +78,8 @@ def test_orbital_terms_are_even_commuting_projectors():
     eta = orbital_interaction(model, lam)
     assert eta.kind == "fermion"
     mats = [t.op.matrix for t in eta.terms]
+    assert conserved_modulus([t.op for t in eta.terms], (2,)) == 2
     for t in eta.terms:
-        assert parity_grade(t.op) == "even"
         m = t.op.matrix
         np.testing.assert_allclose(m @ m, m, atol=1e-12)
     for i, a in enumerate(mats):
@@ -194,7 +194,7 @@ def test_random_even_perturbation_norm_envelope():
         n = t.radius
         expect = np.exp(-0.5 * n) / (1.0 + n) ** 4
         assert t.op.norm() == pytest.approx(expect, rel=1e-10)
-        assert parity_grade(t.op) == "even"
+        assert conserved_modulus([t.op], (2,)) == 2
         assert is_hermitian(t.op)
         assert not np.iscomplexobj(t.op.matrix) or \
             np.max(np.abs(t.op.matrix.imag)) == 0.0

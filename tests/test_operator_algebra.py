@@ -1,16 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab.lattice import Interval
+from gaplab.interaction import Interaction, Term, fermion_to_spin
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
                                      charge_sectors, conditional_expectation,
                                      conserved_modulus, delta_layer,
                                      eigenvalues, embed, join_blocks,
-                                     jordan_wigner, mode_annihilator,
-                                     operator_norm,
-                                     parity_grade, parity_matrix,
-                                     partial_trace, spin_matrices)
+                                     mode_annihilator, operator_norm,
+                                     parity_matrix, spin_matrices)
 from oracles import (creator, digit_sums, kron_placed, number_operator,
                      parity_even, random_hermitian, random_matrix,
                      split_blocks)
@@ -87,18 +88,36 @@ def test_embed_matches_kron_oracle(dim_sites, complex_, seed):
     assert big.support == target
 
 
-def test_embed_refuses_odd_fermion():
-    a = annihilator(Interval(0, 1), 0)
-    # restrict to the site itself: plain lowering operator, odd parity
-    odd = LocalOperator(np.array([[0, 1], [0, 0]], dtype=complex),
-                        Interval(0, 0), Interval(0, 1), kind="fermion")
+@pytest.mark.parametrize("entry", [1e-17, 1.0, 2e-3j, 1e-17 + 1e-17j])
+def test_fermionic_operators_with_one_odd_entry_are_refused(entry):
+    """Evenness is exact: a single entry between unlike parities, however
+    small, real or complex, is refused, on the site and inside a larger
+    even operator."""
+    lam = Interval(0, 1)
+    with pytest.raises(ParityError, match="not even"):
+        LocalOperator(np.array([[0, entry], [0, 0]]), Interval(0, 0), lam,
+                      "fermion")
+    m = number_operator(lam).matrix.copy()
+    m[0, 2] = entry
+    with pytest.raises(ParityError, match="not even"):
+        LocalOperator(m, lam, lam, "fermion")
+    # the same matrix is a spin operator
+    LocalOperator(m, lam, lam)
+
+
+def test_even_operators_stay_fermionic_under_every_operation():
+    """``+``, ``-``, ``*``, ``dagger`` and ``replace`` of even operators
+    are checked again and accepted; ``replace`` with an odd matrix is not."""
+    lam = Interval(0, 2)
+    num = number_operator(lam)
+    hop = creator(lam, 0).matrix @ annihilator(lam, 2).matrix
+    hop = LocalOperator(hop + hop.conj().T, lam, lam, "fermion")
+    for op in (num + hop, num - hop, 2.5 * hop, hop * (1 - 1j), hop.dagger(),
+               replace(num, matrix=num.matrix @ hop.matrix)):
+        assert op.kind == "fermion"
+        assert conserved_modulus([op], (2,)) == 2
     with pytest.raises(ParityError):
-        embed(odd, Interval(0, 1))
-    # but the quadratic a*a embeds fine
-    n0 = creator(Interval(0, 1), 0).matrix @ a.matrix
-    even = LocalOperator(n0, Interval(0, 1), Interval(0, 1), kind="fermion")
-    assert parity_grade(even) == "even"
-    embed(even, Interval(0, 1))
+        replace(num, matrix=annihilator(lam, 1).matrix)
 
 
 def test_parity_matrix_popcount():
@@ -107,27 +126,6 @@ def test_parity_matrix_popcount():
     assert p[5] == 1.0
     assert p[1] == -1.0 and p[7] == -1.0
     assert p[0] == 1.0
-
-
-def test_parity_grade_classification():
-    lam = Interval(0, 1)
-    a0 = annihilator(lam, 0)
-    assert parity_grade(a0) == "odd"
-    num = number_operator(lam)
-    assert parity_grade(num) == "even"
-    mix = LocalOperator(a0.matrix + num.matrix, lam, lam, kind="fermion")
-    assert parity_grade(mix) == "mixed"
-    # past norm 1 the tolerance is 1e-12 of the largest entry: 40 on the
-    # even block of 00 and 11 (norm 80), an odd part of 3e-11 is seen
-    block = np.zeros((4, 4), dtype=complex)
-    block[np.ix_([0, 3], [0, 3])] = 40.0
-    big = LocalOperator(block, lam, lam, kind="fermion")
-    assert big.norm() == pytest.approx(80.0)
-    assert parity_grade(big) == "even"
-    assert parity_grade(LocalOperator(40.0 * a0.matrix, lam, lam,
-                                      kind="fermion")) == "odd"
-    tilted = LocalOperator(block + 3e-11 * a0.matrix, lam, lam, kind="fermion")
-    assert parity_grade(tilted) == "mixed"
 
 
 # --- canonical anticommutation -----------------------------------------------
@@ -180,12 +178,12 @@ def test_partial_trace_is_trace_preserving_projection():
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     op = LocalOperator(m, lam, lam)
     keep = Interval(1, 1)
-    red = partial_trace(op, keep)
+    red = conditional_expectation(op, keep)
     assert red.support == keep
     # normalized trace preserved
     assert np.trace(red.matrix) * 4 == pytest.approx(np.trace(m), abs=1e-12)
     # projection: applying twice fixes the result
-    again = partial_trace(embed(red, lam), keep)
+    again = conditional_expectation(embed(red, lam), keep)
     np.testing.assert_allclose(again.matrix, red.matrix, atol=1e-13)
 
 
@@ -196,7 +194,7 @@ def test_partial_trace_twirl_oracle():
     lam = Interval(0, 1)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     op = LocalOperator(m, lam, lam)
-    red = partial_trace(op, Interval(0, 0))
+    red = conditional_expectation(op, Interval(0, 0))
     blocks = m.reshape(2, 2, 2, 2)
     expect = (blocks[:, 0, :, 0] + blocks[:, 1, :, 1]) / 2.0
     np.testing.assert_allclose(red.matrix, expect, atol=1e-14)
@@ -209,9 +207,29 @@ def test_conditional_expectation_even_fermion():
     # N reduces to n_0 + n_1 + <n_2> = n_0 + n_1 + 1/2
     expect = number_operator(Interval(0, 1)).matrix + 0.5 * np.eye(4)
     np.testing.assert_allclose(red.matrix, expect, atol=1e-14)
-    odd = annihilator(lam, 0)
-    with pytest.raises(ParityError):
-        conditional_expectation(odd, Interval(0, 1))
+    assert red.kind == "fermion"
+
+
+@pytest.mark.parametrize("keep", [Interval(0, 0), Interval(1, 2),
+                                  Interval(2, 3)])
+def test_conditional_expectation_of_an_even_fermion_is_its_spin_images(keep):
+    """One trace for both kinds: an even fermionic operator and its spin
+    image reduce to the same matrix, bit for bit."""
+    lam = Interval(0, 3)
+    rng = np.random.default_rng(2)
+    m = random_matrix(rng, 16, True)
+    p = parity_matrix(4)
+    op = LocalOperator((m + p[:, None] * m * p[None, :]) / 2, lam, lam,
+                       "fermion")
+    spin, = fermion_to_spin(Interaction([Term(op)], "fermion")).terms
+    fermion_red = conditional_expectation(op, keep)
+    spin_red = conditional_expectation(spin.op, keep)
+    assert (fermion_red.kind, spin_red.kind) == ("fermion", "spin")
+    assert fermion_red.matrix.tobytes() == spin_red.matrix.tobytes()
+    layer = delta_layer(op, lam, 1, 2)
+    assert layer.kind == "fermion"
+    assert layer.matrix.tobytes() == delta_layer(spin.op, lam, 1, 2) \
+        .matrix.tobytes()
 
 
 def test_delta_layers_telescope():
@@ -254,34 +272,27 @@ def test_delta_layer_saturation(x_shift, n):
 
 
 def test_jordan_wigner_even_is_relabeling():
-    lam = Interval(1, 3)
-    num = number_operator(lam)
-    image = jordan_wigner(num)
-    assert image.kind == "spin"
-    assert image.support == num.support
-    np.testing.assert_allclose(image.matrix, num.matrix, atol=1e-15)
-
-
-def test_jordan_wigner_odd_attaches_string():
-    amb = Interval(0, 2)
-    # odd single-site operator at site 2 with ambient reaching site 0
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)
-    odd = LocalOperator(lower, Interval(2, 2), amb, kind="fermion")
-    image = jordan_wigner(odd)
-    assert image.string_attached
-    assert image.support == Interval(0, 2)
-    np.testing.assert_allclose(image.matrix, kron(Z, Z, lower), atol=1e-15)
+    """``fermion_to_spin`` keeps each term's support, anchor and matrix, a
+    copy of it."""
+    num = number_operator(Interval(1, 3))
+    image, = fermion_to_spin(Interaction([Term(num, anchor=3)],
+                                         "fermion")).terms
+    assert image.op.kind == "spin"
+    assert (image.support, image.anchor) == (num.support, 3)
+    assert image.op.matrix.tobytes() == num.matrix.tobytes()
+    assert not np.shares_memory(image.op.matrix, num.matrix)
 
 
 def test_jordan_wigner_respects_products():
-    """The chain-embedded matrices of a*(x) a(y) agree with the product of
-    spin images (the map is an algebra isomorphism on the chain)."""
+    """The product of the spin images of a*(x) and a(y) is an even
+    fermionic operator, the chain's hopping term, and its spin image is
+    that product (the map is an algebra isomorphism on the chain)."""
     lam = Interval(0, 2)
+    assert annihilator(lam, 2).kind == "spin"
     lhs = creator(lam, 0).matrix @ annihilator(lam, 2).matrix
     hop = LocalOperator(lhs, lam, lam, kind="fermion")
-    assert parity_grade(hop) == "even"
-    image = jordan_wigner(hop)
-    np.testing.assert_allclose(image.matrix, lhs, atol=1e-15)
+    image, = fermion_to_spin(Interaction([Term(hop)], "fermion")).terms
+    np.testing.assert_array_equal(image.op.matrix, lhs)
 
 
 # --- the values-only spectral layer --------------------------------------------------

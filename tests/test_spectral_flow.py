@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gaplab.cli import _form_bound_checkpoints
-from gaplab.interaction import (Interaction, Term, local_hamiltonian,
-                                split_edge_bulk)
+from gaplab.interaction import (Interaction, Term, fermion_to_spin,
+                                local_hamiltonian, split_edge_bulk)
 from gaplab.lattice import Interval, boundary_distances
 from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
@@ -75,13 +75,6 @@ def test_window_beta_is_bit_identical_to_the_full_evaluation():
         assert got.dtype == oracle.dtype
         assert got.tobytes() == oracle.tobytes()
     assert all(w.beta(x) == _profile_everywhere(x) for x in grid[-7:])
-
-
-def test_window_cosine_and_unknown_kind():
-    # the cosine profile is only C^1, short of the C^7 the flow needs
-    for kind in ("cosine", "hann"):
-        with pytest.raises(ValueError, match=f"unknown window kind '{kind}'"):
-            Window(GAMMA, kind)
 
 
 def test_weight_is_odd_and_exact_outside():
@@ -930,8 +923,9 @@ def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
 def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
         bundle):
     """An odd term and its negative at two anchors leave Psi as it was, but
-    each anchored sum breaks the parity blocks the flow ran on."""
-    psi = bundle["psi"]
+    each anchored sum breaks the parity blocks the flow ran on.  No
+    fermionic term is odd, so Psi and the pair are taken as spin terms."""
+    psi = fermion_to_spin(bundle["psi"])
     term = psi.terms[0]
     odd = np.kron(SX, np.eye(term.op.matrix.shape[0] // 2))
     a, b = sorted(psi.anchored())[:2]
