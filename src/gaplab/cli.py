@@ -393,17 +393,18 @@ def _volume(cfg: dict, length: int):
 def _form_bound_checkpoints(n_check: int) -> list[int]:
     """Checkpoint indices of the couplings at which the form bound is
     checked: a quarter, half and all of the flow's ``n_check`` steps, each
-    kept when it is even and nonzero (so Simpson panels close)."""
+    kept when it is nonzero."""
     uptos = (int(round(frac * n_check)) for frac in (0.25, 0.5, 1.0))
-    return [upto for upto in uptos if upto and upto % 2 == 0]
+    return [upto for upto in uptos if upto]
 
 
 def flow_bundle(cfg: dict, ctx: dict) -> dict:
     """The shared flow fixture: orbital chain + seeded bulk perturbation.
 
-    The anchored decomposition consumes the flow as it goes, so no
-    checkpoint's unitary or generator outlives it.  The decomposition at
-    ``eps`` is then walked one anchor at a time, in order: the anchor's
+    The flow keeps its unitary at the form-bound couplings alone, and the
+    anchored decomposition at each is read off it and split; only the last,
+    at ``eps``, is kept, and the unitaries are let go.  The decomposition
+    at ``eps`` is then walked one anchor at a time, in order: the anchor's
     ball terms are built, their ``(support, norm)`` pairs kept, and, two
     sites inside, its ball family built, its collected pieces assembled and
     its ``resolutions.csv`` rows taken; then the anchor's piece and family
@@ -424,24 +425,17 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     psi = split_edge_bulk(pert, lam, fc["max_radius"]).bulk
     kdim, _ = kernel_data(model, lam)
     window = Window(cfg["gamma"])
-    # the form-bound couplings share one pass over the flow: each
-    # decomposition is split as the pass reaches it, and only the last,
-    # the decomposition at eps, is kept
-    splits, kept = {}, {}
-
-    def decompose(frame):
-        uptos = _form_bound_checkpoints(len(frame.eps_grid) - 1)
-
-        def close(upto, dec):
-            splits[upto] = split_phi1(dec, frame.p0)
-            if upto == uptos[-1]:
-                kept["dec"] = dec
-        return decompose_phi1(frame, eta, psi, lam, close, uptos)
-
+    uptos = _form_bound_checkpoints(fc["checkpoints"] - 1)
     flow = flow_unitaries(eta, psi, lam, fc["eps"], window,
                           checkpoints=fc["checkpoints"], cluster_dim=kdim,
-                          ode_tol=fc["ode_tol"], consumer=decompose)
-    dec = replace(kept.pop("dec"), v_true=None)
+                          ode_tol=fc["ode_tol"], keep=uptos)
+    splits = {}
+    for upto in uptos:
+        dec = decompose_phi1(flow, eta, psi, lam, upto)
+        splits[upto] = split_phi1(dec, flow.p0)
+        if upto != uptos[-1]:
+            del dec                 # let it go before the next is made
+    flow, dec = replace(flow, unitaries={}), replace(dec, v_true=None)
     # one anchor at a time: its ball terms, and two sites inside its ball
     # family, collected pieces (where r_x >= 3) and resolution rows
     inner = interior(lam, 2)
@@ -789,7 +783,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
               record("max_kernel_commutator", dec.max_kernel_commutator,
                      1e-6),
               f"max commutator {dec.max_kernel_commutator:.2e}")
-    record("quadrature_residual", dec.quadrature_residual, 1e-6)
+    record("anchor_sum_residual", dec.anchor_sum_residual, 1e-6)
     record("cross_block_residual", dec.cross_residual, 1e-6)
 
     # interior/boundary split reconstructs the transported coupling

@@ -51,7 +51,13 @@ matrix or of each block of a stack.
 
 The transported coupling ``V(s) = U* H(s) U - H_0`` is then cut into anchored,
 block-diagonal pieces and telescoped over balls, producing an interaction
-whose terms nearly commute with the unperturbed kernel projector.
+whose terms nearly commute with the unperturbed kernel projector.  With
+``h_x(r) = eta_x + r psi_x`` the terms anchored at ``x``, the piece
+``int_0^s U* (psi_x - [K, h_x]) U dr`` of the integral form is exactly
+``U(s)* h_x(s) U(s) - h_x(0)``, because ``U' = K U`` and ``K* = -K`` make
+the integrand ``d/dr U* h_x U``; so the pieces are read off the unitary the
+flow keeps at each coupling asked for, and nothing is integrated along the
+flow but ``U`` itself.
 """
 
 from __future__ import annotations
@@ -271,40 +277,37 @@ def _projector(vecs) -> np.ndarray:
 
 
 @dataclass
-class FlowFrame:
-    """What a flow fixes before it integrates, as block stacks ``(k, b, b)``
-    on ``sectors``, the ``charge_sectors`` of the volume at ``modulus``: 2,
-    the parity sectors, even first, or 1, one sector."""
+class FlowResult:
+    """What the flow fixed and what its accepted pass measured, as block
+    stacks ``(k, b, b)`` on ``sectors``, the ``charge_sectors`` of the
+    volume at ``modulus``: 2, the parity sectors, even first, or 1, one
+    sector.  ``unitaries`` holds the accepted pass's ``U(s_j)`` at the
+    checkpoint indices ``j`` the caller asked for; no other checkpoint's
+    ``U`` and no checkpoint's ``K`` is kept, but the generators at both
+    ends, which travel with ``end_spectra``."""
 
-    eps_grid: np.ndarray                 # checkpoint couplings, uniform, odd count
+    eps_grid: np.ndarray                 # checkpoint couplings, uniform
     sectors: list[np.ndarray]            # the index sets of the blocks
     modulus: int                         # their charge_blocks modulus
     h0: np.ndarray                       # H0, as a block stack
     psi: np.ndarray                      # Psi, as a block stack
     p0: np.ndarray                       # P(0): the tracked cluster of H0
-
-    @property
-    def eps(self) -> float:
-        return float(self.eps_grid[-1])
-
-
-@dataclass
-class FlowResult(FlowFrame):
-    """The frame and what the accepted pass measured.  No checkpoint's
-    ``U`` or ``K`` is kept: the flow's consumer reads each as it is
-    reached.  The generators at both ends travel with ``end_spectra``."""
-
+    unitaries: dict                      # j -> U(s_j) (stack), kept indices
     gap_floor: float                     # smallest tracked gap met on the grid
     projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
     ode_error: float                     # Richardson estimate from step halving
     end_spectra: tuple                   # (evals, evecs, K) stacks of H(0)
                                          # and H(eps) and their generators
 
+    @property
+    def eps(self) -> float:
+        return float(self.eps_grid[-1])
+
 
 def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
                    eps: float, window: Window, checkpoints: int = 33,
                    cluster_dim: int | None = None, ode_tol: float = 1e-8,
-                   consumer=None) -> FlowResult:
+                   keep=()) -> FlowResult:
     """Integrate U' = K(s) U to ``eps`` with RK4, re-unitarizing each step
     by the Newton-Schulz polar step of ``_polar_unitary`` (the RK4 step
     leaves ``U`` unitary to rounding, so one step of two products suffices;
@@ -323,27 +326,27 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     cluster projector of ``H_0``, from the one at s = 0.  The unitaries are
     real orthogonal when ``H_0`` and ``Psi`` are real.
 
-    ``consumer``, if given, is called once with the ``FlowFrame`` and
-    returns the one callable that is handed ``(j, s_j, U(s_j), K(s_j))`` at
-    each checkpoint of each pass, the finer of the pair's ``U``; ``j = 0``
-    starts a pass, so the last pass it sees is the accepted one.  Nothing
-    of a checkpoint is kept past it, but the two ``end_spectra``.
+    ``keep`` names the checkpoint indices (of the grid of ``checkpoints``
+    points) whose ``U`` the result hands on, the finer of the pair's, from
+    the accepted pass; no other checkpoint outlives the pass that reached
+    it, but the two ``end_spectra``.
 
     ``H_0`` and ``Psi``, of ``eta`` and ``psi`` on ``lam``, are the
-    ``charge_stack`` of each at the modulus the frame records: 2 (two
+    ``charge_stack`` of each at the modulus the result records: 2 (two
     parity blocks) when every term of both keeps the parity at ``d = 2``,
     else 1 (one block).  No whole matrix is built: every solve, product,
     polar step and norm is taken block by block, the tracked gap and
     cluster come from the merged block spectra, and the result keeps the
-    stacks, ``p0`` too.
+    stacks, ``p0`` and the kept unitaries too.
     """
     d = eta.local_dim
     ops = [t.op for t in eta.terms + psi.terms]
     modulus = 2 if d == 2 and conserved_modulus(ops, (2,)) == 2 else 1
     b0, bp = charge_stack(eta, lam, modulus), charge_stack(psi, lam, modulus)
-    if checkpoints % 2 == 0:
-        checkpoints += 1
     grid = np.linspace(0.0, eps, checkpoints)
+    keep = set(keep)
+    if not keep <= set(range(checkpoints)):
+        raise ValueError("keep: not a checkpoint index")
 
     if cluster_dim is None:
         cluster_dim = kernel_count(eigenvalues(b0))
@@ -385,44 +388,42 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     n_blocks, side = b0.shape[:2]
     u0 = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
                          (n_blocks, side, side)).copy()
-    frame = FlowFrame(grid, charge_sectors(len(lam), d, modulus), modulus,
-                      b0, bp, _projector(tracked[end_keys[0]][1]))
-    consume = consumer(frame) if consumer is not None else None
+    p0 = _projector(tracked[end_keys[0]][1])
 
     def run_pass(n):
-        """The Richardson estimate, gap floor and drift of the lockstep
-        pair of ``n`` and ``2n`` steps per interval."""
+        """The Richardson estimate, gap floor, drift and kept unitaries of
+        the lockstep pair of ``n`` and ``2n`` steps per interval."""
         coarse = fine = u0
-        err, floor, drift = 0.0, np.inf, 0.0
+        err, floor, drift, kept = 0.0, np.inf, 0.0, {}
         for j, s in enumerate(grid):
             if j:
                 coarse = advance(coarse, j - 1, n)
                 fine = advance(fine, j - 1, 2 * n)
                 err = max(err, operator_norm(fine - coarse))
             key = round(float(s), 15)
-            k_s = gen(s)
+            gen(s)
             for other in [other for other in gen_cache if other != key]:
                 del gen_cache[other]
             gap, vecs = tracked.pop(key)
             floor = min(floor, gap)
             drift = max(drift, operator_norm(
-                fine @ frame.p0 @ fine.conj().swapaxes(-1, -2)
-                - _projector(vecs)))
-            if consume is not None:
-                consume(j, s, fine, k_s)
-        return err, floor, drift
+                fine @ p0 @ fine.conj().swapaxes(-1, -2) - _projector(vecs)))
+            if j in keep:
+                kept[j] = fine
+        return err, floor, drift, kept
 
     n = 1
-    err, gap_floor, drift = run_pass(n)
+    err, gap_floor, drift, kept = run_pass(n)
     while not err <= ode_tol and 2 * n < 256:
         n *= 2
-        err, gap_floor, drift = run_pass(n)
+        err, gap_floor, drift, kept = run_pass(n)
     if not err <= ode_tol:
         raise RuntimeError(f"flow ODE failed to reach {ode_tol:.1e} (last {err:.1e})")
     if gap_floor < window.gamma:
         raise RuntimeError(
             f"tracked gap {gap_floor:.4f} fell below filter width {window.gamma:.4f}")
-    return FlowResult(**vars(frame), gap_floor=gap_floor,
+    return FlowResult(grid, charge_sectors(len(lam), d, modulus), modulus,
+                      b0, bp, p0, kept, gap_floor=gap_floor,
                       projector_drift=drift, ode_error=err,
                       end_spectra=tuple(ends[key] for key in end_keys))
 
@@ -442,8 +443,8 @@ class Phi1Decomposition:
     eps: float
     sectors: list[np.ndarray]
     anchors: dict | None                 # x -> block-diagonal v_x (stack)
-    v_true: np.ndarray | None            # V(eps) (stack)
-    quadrature_residual: float           # |V_true - sum_x v_x| before correction
+    v_true: np.ndarray | None            # V(s) (stack)
+    anchor_sum_residual: float           # |V(s) - sum_x v_x| before correction
     cross_residual: float                # |P rho Q + Q rho P| routed to the edge
     max_kernel_commutator: float         # max_x |[P, v_x]| over all anchors
     local_dim: int
@@ -464,62 +465,54 @@ class Phi1Decomposition:
                for n in range(2, big_r + 1)]
 
 
-def _simpson_weights(n_points: int, h: float) -> np.ndarray:
-    w = np.ones(n_points)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    return w * (h / 3.0)
-
-
 def _trace(a) -> float:
     """Real part of the trace of a matrix, or of the block-diagonal matrix
     a stack stands for."""
     return float(np.trace(a, axis1=-2, axis2=-1).sum().real)
 
 
-def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
-                   lam: Interval, close, uptos: list[int] | None = None):
-    """The flow's consumer that cuts V(eps) into anchored block-diagonal
-    pieces, to be telescoped over balls.
+def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
+                   lam: Interval, upto: int | None = None) -> Phi1Decomposition:
+    """Cut the transported coupling ``V(s) = U(s)* H(s) U(s) - H_0`` at the
+    checkpoint ``upto`` (default the last, ``s = eps``) into anchored
+    block-diagonal pieces, to be telescoped over balls.
 
-    ``eta`` and ``psi`` give the flow's ``H_0`` and ``Psi`` on ``lam``.
-    Each anchor ``x`` receives ``v_x = int_0^eps U(s)* X_x(s) U(s) ds`` with
-    ``X_x(s) = psi_x - [K(s), eta_x + s psi_x]`` (terms grouped by anchor),
-    evaluated by composite Simpson on the checkpoint grid, in the field of
-    the flow and the anchored terms.  Off-diagonal blocks relative to the
-    kernel projector ``flow.p0`` are removed; the exact remainder
-    ``V_true - sum_x v_x`` is re-distributed so that the sum reconstructs
-    ``V(eps)`` to rounding: its diagonal blocks uniformly over anchors, its
-    off-diagonal blocks entirely to the anchor at the left edge, which later
-    falls into the boundary remainder.  Every ``v_x`` telescopes into ball
-    increments ``Phi^1(b_x(n))`` (``Phi1Decomposition.ball_terms``).
+    ``eta`` and ``psi`` give the flow's ``H_0`` and ``Psi`` on ``lam``, and
+    ``U(s)`` is the unitary the flow kept at ``upto`` (``ValueError`` if it
+    kept none there).  With the terms grouped by anchor and
+    ``h_x(r) = eta_x + r psi_x``, the anchor's piece of the integral form
+    ``int_0^s U* (psi_x - [K, h_x(r)]) U dr`` (Bachmann, Michalakis,
+    Nachtergaele and Sims, CMP 309, 835, 2012) is read off its end point:
+    since ``U' = K U`` and ``K* = -K`` the integrand is
+    ``d/dr U* h_x(r) U``, so
 
-    ``uptos`` lists checkpoint indices (even, so the composite rule closes)
-    at which the integral stops, default the last.  The returned callable
-    is handed each checkpoint ``(j, s_j, U(s_j), K(s_j))`` of a pass, as
-    ``flow_unitaries`` hands them (``j = 0`` starts the sums afresh), adds
-    its integrand to a running Simpson sum and lets it go.  At each stop it
-    makes the decomposition there, each piece formed as its sum closes with
-    the end-point weight (at the last stop the running sum is let go as its
-    piece forms), and hands it to ``close(upto, decomposition)``;
-    checkpoints past the last stop are not read.  All of it runs on the
-    flow's block stacks: each anchor's terms are assembled by
-    ``charge_stack`` at the flow's modulus (``ValueError`` if they do not
-    conserve that charge), and the decompositions keep the stacks.
+        v_x = U(s)* h_x(s) U(s) - h_x(0),
+
+    and no integral along the flow is taken.  Off-diagonal blocks relative
+    to the kernel projector ``flow.p0`` are removed; the exact remainder
+    ``V(s) - sum_x v_x`` is re-distributed so that the sum reconstructs
+    ``V(s)`` to rounding: its diagonal blocks uniformly over anchors, its
+    off-diagonal blocks entirely to the anchor at the left edge, which
+    later falls into the boundary remainder.  Every ``v_x`` telescopes into
+    ball increments ``Phi^1(b_x(n))`` (``Phi1Decomposition.ball_terms``).
+
+    All of it runs on the flow's block stacks, in the field of the flow and
+    the anchored terms: each anchor's terms are assembled by
+    ``charge_stack`` at the flow's modulus, one anchor at a time
+    (``ValueError`` if they do not conserve that charge), and the
+    decomposition keeps the stacks.
     """
-    last_index = len(flow.eps_grid) - 1
-    uptos = [last_index] if uptos is None else [int(u) for u in uptos]
-    for upto in uptos:
-        if not 0 < upto <= last_index:
-            raise ValueError("upto must be a checkpoint index")
-        if upto % 2:
-            raise ValueError("upto must be even so Simpson panels close")
-    last = max(uptos)
-    grid = flow.eps_grid[:last + 1]
+    upto = len(flow.eps_grid) - 1 if upto is None else upto
+    if upto not in flow.unitaries:
+        raise ValueError("upto must be a checkpoint index whose U the flow kept")
+    s = float(flow.eps_grid[upto])
+    u = flow.unitaries[upto]
+    u_h = u.conj().swapaxes(-1, -2)
+    b0, p = flow.h0, flow.p0
+    q = np.eye(p.shape[-1]) - p
 
-    eta_anchored = eta.anchored()
-    psi_anchored = psi.anchored()
-    anchors = sorted(set(eta_anchored) | set(psi_anchored))
-    sectors = flow.sectors
+    def blockdiag(a):
+        return p @ a @ p + q @ a @ q
 
     def anchor_blocks(phi, groups, x):
         terms = groups.get(x, [])
@@ -529,62 +522,26 @@ def decompose_phi1(flow: FlowFrame, eta: Interaction, psi: Interaction,
                 "anchored terms break the parity blocks of the flow")
         return charge_stack(replace(phi, terms=terms), lam, flow.modulus)
 
-    eta_x = {x: anchor_blocks(eta, eta_anchored, x) for x in anchors}
-    psi_x = {x: anchor_blocks(psi, psi_anchored, x) for x in anchors}
-    b0, bp, p = flow.h0, flow.psi, flow.p0
-    q = np.eye(p.shape[-1]) - p
-
-    def blockdiag(a):
-        return p @ a @ p + q @ a @ q
-
-    def decomposition(upto, u_end, v_tilde):
-        """The decomposition at checkpoint ``upto`` from the block-diagonal
-        parts ``v_tilde`` of the Simpson sums there, corrected in place."""
-        eps_at = float(grid[upto])
-        v_true = u_end.conj().swapaxes(-1, -2) @ (b0 + eps_at * bp) @ u_end \
-            - b0
-        rho = v_true - sum(v_tilde.values())
-        quad_res = operator_norm(rho)
-        rho_diag = blockdiag(rho)
-        rho_cross = rho - rho_diag
-        for x in anchors:
-            v_tilde[x] += rho_diag / len(anchors)
-        edge = min(anchors)
-        v_tilde[edge] += rho_cross
-        max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
-                       for x in anchors)
-        return Phi1Decomposition(lam, eps_at, sectors, v_tilde, v_true,
-                                 quad_res, operator_norm(rho_cross), max_comm,
-                                 eta.local_dim)
-
-    # the Simpson sum up to each stop: the running sum of the rule on the
-    # grid up to the last stop, plus the end-point weight at that stop
-    weights = _simpson_weights(len(grid), grid[1] - grid[0])
-    stops = set(uptos)
-    v = {}
-
-    def consume(j, s, u, k_s):
-        if j == 0:
-            v.update(dict.fromkeys(anchors, 0.0))
-        if j > last:
-            return
-        u_h = u.conj().swapaxes(-1, -2)
-        pieces = {}
-        for x in anchors:
-            h_xs = eta_x[x] + s * psi_x[x]
-            x_term = psi_x[x] - (k_s @ h_xs - h_xs @ k_s)
-            f = u_h @ x_term @ u
-            if j in stops:
-                # the closing sum goes straight into its piece; at the last
-                # stop the running sum goes with it
-                sums = v.pop(x) if j == last else v[x]
-                pieces[x] = blockdiag(sums + weights[0] * f)
-            if j < last:
-                v[x] = v[x] + weights[j] * f
-        if pieces:
-            close(j, decomposition(j, u, pieces))
-
-    return consume
+    eta_anchored, psi_anchored = eta.anchored(), psi.anchored()
+    anchors = sorted(set(eta_anchored) | set(psi_anchored))
+    pieces = {}
+    for x in anchors:
+        eta_x = anchor_blocks(eta, eta_anchored, x)
+        h_xs = eta_x + s * anchor_blocks(psi, psi_anchored, x)
+        pieces[x] = blockdiag(u_h @ h_xs @ u - eta_x)
+    v_true = u_h @ (b0 + s * flow.psi) @ u - b0
+    rho = v_true - sum(pieces.values())
+    sum_res = operator_norm(rho)
+    rho_diag = blockdiag(rho)
+    rho_cross = rho - rho_diag
+    for x in anchors:
+        pieces[x] += rho_diag / len(anchors)
+    pieces[min(anchors)] += rho_cross
+    max_comm = max(operator_norm(p @ pieces[x] - pieces[x] @ p)
+                   for x in anchors)
+    return Phi1Decomposition(lam, s, flow.sectors, pieces, v_true, sum_res,
+                             operator_norm(rho_cross), max_comm,
+                             eta.local_dim)
 
 
 @dataclass
@@ -673,7 +630,9 @@ def theta_assembly(ball_terms: list[Term],
     ``Phi1Decomposition.ball_terms(x)`` makes them.  ``family`` holds block
     stacks at the modulus of the decomposition; each ball term is placed
     straight into those blocks by ``charge_stack``, so every product and
-    norm is taken block by block.
+    norm is taken block by block.  Each ``Phi^1_k`` and ``Q_n`` is formed
+    when it is used, and ``Phi^1_k`` summed into the total as it goes, so
+    one ball term's stack is alive at a time.
     """
     lam, x = family.lam, family.x
     r_x = family.r_x
@@ -682,29 +641,34 @@ def theta_assembly(ball_terms: list[Term],
     shape = p_full.shape
     eye = np.eye(shape[-1])
     q_full = eye - p_full
-
     omega_state = p_full / _trace(p_full)
+    by_radius = {t.radius: t for t in ball_terms}
 
-    balls = {n: family.locals[n - 1] for n in range(1, r_x + 1)}
-    qs = {n: eye - balls[n] for n in range(1, r_x + 1)}
-    e = {n + 1: e_n for n, e_n in enumerate(family.E)}   # E_1 .. E_{r_x+2}
+    def e(n):
+        return family.E[n - 1]                      # E_1 .. E_{r_x+2}
 
-    ball_term = {t.radius: charge_stack(
-        Interaction([t], t.op.kind, t.op.local_dim), lam, family.modulus)
-        for t in ball_terms}
-    phi1 = {}
-    for k in range(1, big_r + 1):
-        m = ball_term.get(k)
-        if m is None:
-            m = np.zeros(shape)
-        phi1[k] = m - _trace(omega_state @ m) * eye
+    def q(n):
+        return eye - family.locals[n - 1]           # Q_n, formed when used
+
+    def phi1(k):
+        term = by_radius.get(k)
+        m = np.zeros(shape) if term is None else charge_stack(
+            Interaction([term], term.op.kind, term.op.local_dim), lam,
+            family.modulus)
+        return m - _trace(omega_state @ m) * eye
 
     n_x = r_x // 2
     theta_beta = {n: np.zeros(shape) for n in range(3, r_x + 1)}
     theta_alpha = np.zeros(shape)
-
-    for k in range(1, n_x + 1):
-        tau = qs[2 * k] @ phi1[k] @ qs[2 * k]
+    total = 0
+    for k in range(1, big_r + 1):
+        phi = phi1(k)
+        total = total + phi
+        if k > n_x:
+            theta_alpha = theta_alpha + q_full @ phi @ q_full
+            continue
+        q_2k = q(2 * k)
+        tau = q_2k @ phi @ q_2k
         if 2 * k == 2:
             if r_x >= 3:
                 theta_beta[3] = theta_beta[3] + tau
@@ -713,22 +677,19 @@ def theta_assembly(ball_terms: list[Term],
         else:
             theta_beta[2 * k] = theta_beta[2 * k] + tau
         for n in range(2 * k + 1, r_x + 1):
-            theta_beta[n] = theta_beta[n] + (e[n] @ phi1[k] @ qs[n - 1]
-                                             + qs[n] @ phi1[k] @ e[n])
-        nu = e[r_x + 1] @ phi1[k] @ qs[r_x] + q_full @ phi1[k] @ e[r_x + 1]
+            theta_beta[n] = theta_beta[n] + (e(n) @ phi @ q(n - 1)
+                                             + q(n) @ phi @ e(n))
+        nu = e(r_x + 1) @ phi @ q(r_x) + q_full @ phi @ e(r_x + 1)
         theta_alpha = theta_alpha + nu
-    for k in range(n_x + 1, big_r + 1):
-        theta_alpha = theta_alpha + q_full @ phi1[k] @ q_full
 
-    total = sum(phi1.values())
     lhs = q_full @ total @ q_full
     rhs = sum(theta_beta.values()) + theta_alpha if theta_beta else theta_alpha
     id_err = operator_norm(lhs - rhs)
 
     ann = 0.0
     for n, tb in theta_beta.items():
-        ann = max(ann, operator_norm(balls[n] @ tb),
-                  operator_norm(tb @ balls[n]))
+        ann = max(ann, operator_norm(family.locals[n - 1] @ tb),
+                  operator_norm(tb @ family.locals[n - 1]))
     return ThetaAssembly(x, r_x, theta_beta, theta_alpha,
                          {n: operator_norm(tb) for n, tb in theta_beta.items()},
                          operator_norm(theta_alpha), id_err, ann)

@@ -37,7 +37,7 @@ import numpy as np
 from .ffunction import DerivedFSpec, geometric_tail, poly_tail
 from .interaction import Interaction, hamiltonian_eigenvalues, split_edge_bulk
 from .lattice import Interval
-from .operator_algebra import eigenvalues, join_blocks
+from .operator_algebra import eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -377,43 +377,48 @@ def verify_form_bound(h0, h0_vecs, phi2, sectors, delta: float,
     """Check ``|<v, Phi2 v>| <= delta eps + beta eps <v, H v>`` exhaustively.
 
     ``h0``, its eigenvectors ``h0_vecs`` and ``phi2`` are block stacks on
-    ``sectors`` (see ``spectral_flow.FlowFrame``).  The two operator
+    ``sectors`` (see ``spectral_flow.FlowResult``).  The two operator
     inequalities are settled by eigenvalue computation, block by block; a
     seeded sample of unit vectors, together with the eigenvectors of the
-    unperturbed Hamiltonian (the columns of ``h0_vecs``, joined), reports
-    margins with an additive ``1e-10`` allowance.  Violations are counted,
-    not raised.  The samples read the joined matrices: their real and
-    imaginary parts are drawn whole, and the vectors are formed and their
-    quadratic forms taken ``_SAMPLE_COLUMNS`` at a time.
+    unperturbed Hamiltonian (the columns of each block of ``h0_vecs``),
+    reports margins with an additive ``1e-10`` allowance.  Violations are
+    counted, not raised.  The samples are drawn ``_SAMPLE_COLUMNS`` at a
+    time, each block's real and imaginary parts together, in block order,
+    and both quadratic forms of a vector are summed over its parts on the
+    sectors, block by block, so no matrix is joined.
     """
     envelope = beta * eps * h0 + delta * eps * np.eye(h0.shape[-1])
     ev_plus = eigenvalues(envelope + phi2)
     ev_minus = eigenvalues(envelope - phi2)
     del envelope
-    h, p2 = join_blocks(h0, sectors), join_blocks(phi2, sectors)
-    h0_vecs = join_blocks(h0_vecs, sectors)
-    dim = h.shape[0]
 
+    def margins(blocks, parts):
+        """The margins of the vectors whose part on ``sectors[k]`` is
+        ``parts[i]`` for ``k = blocks[i]``, and zero elsewhere."""
+        quad_h = quad_p = 0.0
+        for k, v in zip(blocks, parts):
+            quad_h = quad_h + np.einsum("iv,iv->v", v.conj(), h0[k] @ v).real
+            quad_p = quad_p + np.einsum("iv,iv->v", v.conj(),
+                                        phi2[k] @ v).real
+        return delta * eps + beta * eps * quad_h - np.abs(quad_p)
+
+    dim = sum(map(len, sectors))
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((dim, n_vectors))
-    im = rng.standard_normal((dim, n_vectors))
-
-    def vectors():
-        for lo in range(0, n_vectors, _SAMPLE_COLUMNS):
-            vs = re[:, lo:lo + _SAMPLE_COLUMNS] \
-                + 1j * im[:, lo:lo + _SAMPLE_COLUMNS]
-            yield vs / np.linalg.norm(vs, axis=0)
-        for lo in range(0, h0_vecs.shape[1], _SAMPLE_COLUMNS):
-            yield h0_vecs[:, lo:lo + _SAMPLE_COLUMNS].astype(complex)
-
-    margins = np.concatenate([
-        delta * eps + beta * eps * np.einsum("iv,iv->v", vs.conj(),
-                                             h @ vs).real
-        - np.abs(np.einsum("iv,iv->v", vs.conj(), p2 @ vs).real)
-        for vs in vectors()])
+    found = []
+    for lo in range(0, n_vectors, _SAMPLE_COLUMNS):
+        re, im = rng.standard_normal(
+            (2, dim, min(_SAMPLE_COLUMNS, n_vectors - lo)))
+        vs = re + 1j * im
+        vs /= np.linalg.norm(vs, axis=0)
+        found.append(margins(range(len(sectors)),
+                             [vs[idx] for idx in sectors]))
+    for k, vecs in enumerate(h0_vecs):
+        for lo in range(0, vecs.shape[1], _SAMPLE_COLUMNS):
+            found.append(margins([k], [vecs[:, lo:lo + _SAMPLE_COLUMNS]]))
+    found = np.concatenate(found)
     return FormBoundReport(eps, delta, beta,
                            float(ev_plus[0]), float(ev_minus[0]),
-                           float(margins.min()), int(np.sum(margins < -1e-10)))
+                           float(found.min()), int(np.sum(found < -1e-10)))
 
 
 def volume_form_constants(bc: BoundConstants, phi_int_fnorm: float):

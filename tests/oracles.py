@@ -11,8 +11,8 @@ from gaplab.operator_algebra import (LocalOperator, annihilator,
                                      basis_charges, conditional_expectation,
                                      delta_layer, embed, join_blocks,
                                      operator_norm, parity_matrix)
-from gaplab.spectra import ground_projector
-from gaplab.spectral_flow import Phi1Decomposition, decompose_phi1
+from gaplab.spectra import diagonalize, ground_projector
+from gaplab.spectral_flow import Phi1Decomposition, eigenbasis_generator
 
 
 def traced_peak(fn):
@@ -161,111 +161,29 @@ def even_pair(rng, side: int, complex_: bool):
     return h0, psi / np.linalg.norm(psi, 2)
 
 
-# --- the flow's checkpoints through its consumer, and whole-matrix forms ------
+# --- the anchored pieces as an integral along the flow, and whole-matrix forms --
 
 
-class Checkpoints:
-    """A flow consumer that collects the frame and every pass it is handed:
-    the ``U`` and ``K`` of each checkpoint, a pass starting at ``j = 0``."""
-
-    def __init__(self):
-        self.frame, self.passes = None, []
-
-    def __call__(self, frame):
-        self.frame = frame
-        return self.consume
-
-    def consume(self, j, s, u, k):
-        if j == 0:
-            self.passes.append(([], []))
-        assert s == self.frame.eps_grid[j]
-        us, ks = self.passes[-1]
-        assert len(us) == j
-        us.append(u)
-        ks.append(k)
-
-    @property
-    def us(self):
-        """U at each checkpoint of the last pass, the accepted one."""
-        return self.passes[-1][0]
-
-    @property
-    def ks(self):
-        """K at each checkpoint of the last pass."""
-        return self.passes[-1][1]
-
-
-def tee(*consumers):
-    """One flow consumer that hands the frame and every checkpoint to each
-    of ``consumers``, in order."""
-    def start(frame):
-        calls = [consumer(frame) for consumer in consumers]
-
-        def consume(*checkpoint):
-            for call in calls:
-                call(*checkpoint)
-        return consume
-    return start
-
-
-def one_block(consumer):
-    """``consumer`` fed the same flow with each of its block stacks joined
-    into one block: ``decompose_phi1`` then runs on whole matrices."""
-    def start(frame):
-        def one(m):
-            return join_blocks(m, frame.sectors)[None]
-
-        call = consumer(replace(
-            frame, sectors=[np.arange(sum(map(len, frame.sectors)))],
-            modulus=1, h0=one(frame.h0), psi=one(frame.psi),
-            p0=one(frame.p0)))
-        return lambda j, s, u, k: call(j, s, one(u), one(k))
-    return start
-
-
-def decomposer(eta, psi, lam: Interval, uptos=None):
-    """A flow consumer running ``decompose_phi1``, and the dict it fills,
-    stop -> decomposition (those of a later pass replace an earlier's)."""
-    decs = {}
-    return (lambda frame: decompose_phi1(frame, eta, psi, lam,
-                                         decs.__setitem__, uptos)), decs
-
-
-def replay(checkpoints: Checkpoints, consumer):
-    """Hand the last pass ``checkpoints`` collected to ``consumer``, as the
-    flow handed it."""
-    consume = consumer(checkpoints.frame)
-    grid = checkpoints.frame.eps_grid
-    for j, (u, k) in enumerate(zip(checkpoints.us, checkpoints.ks)):
-        consume(j, grid[j], u, k)
-
-
-def decompose(checkpoints: Checkpoints, eta, psi, lam: Interval,
-              uptos=None) -> list:
-    """The decompositions of a collected pass at ``uptos`` (default the
-    last checkpoint), in that order, made by replaying it."""
-    consumer, decs = decomposer(eta, psi, lam, uptos)
-    replay(checkpoints, consumer)
-    return [decs[u] for u in uptos] if uptos else list(decs.values())
-
-
-def simpson_oracle(frame, us, ks, eta, psi, lam: Interval, uptos) -> list:
-    """``decompose_phi1`` on a whole list of checkpoint unitaries ``us`` and
-    generators ``ks``: the Simpson loop as it ran before the flow handed
-    its checkpoints on, one decomposition per index of ``uptos``."""
+def simpson_oracle(flow, eta, psi, lam: Interval, uptos, window) -> list:
+    """The anchored decompositions at each index of ``uptos`` (even) as
+    ``decompose_phi1`` made them when it integrated along the flow: each
+    piece ``int_0^s U* (psi_x - [K, eta_x + r psi_x]) U dr`` by composite
+    Simpson on the checkpoint grid, from the unitaries ``flow`` kept at
+    every checkpoint up to the last stop and the generators solved afresh
+    there, as the flow solves them."""
     last = max(uptos)
-    grid = frame.eps_grid[:last + 1]
+    grid = flow.eps_grid[:last + 1]
     eta_anchored, psi_anchored = eta.anchored(), psi.anchored()
     anchors = sorted(set(eta_anchored) | set(psi_anchored))
 
     def anchor_blocks(phi, groups, x):
         return split_blocks(local_hamiltonian(
             replace(phi, terms=groups.get(x, [])), lam).matrix,
-            frame.sectors)
+            flow.sectors)
 
     eta_x = {x: anchor_blocks(eta, eta_anchored, x) for x in anchors}
     psi_x = {x: anchor_blocks(psi, psi_anchored, x) for x in anchors}
-    b0, bp, p = frame.h0, frame.psi, frame.p0
+    b0, bp, p = flow.h0, flow.psi, flow.p0
     q = np.eye(p.shape[-1]) - p
 
     def blockdiag(a):
@@ -286,7 +204,7 @@ def simpson_oracle(frame, us, ks, eta, psi, lam: Interval, uptos) -> list:
         v_tilde[edge] = v_tilde[edge] + rho_cross
         max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
                        for x in anchors)
-        return Phi1Decomposition(lam, eps_at, frame.sectors, v_tilde, v_true,
+        return Phi1Decomposition(lam, eps_at, flow.sectors, v_tilde, v_true,
                                  quad_res, operator_norm(rho_cross), max_comm,
                                  eta.local_dim)
 
@@ -296,7 +214,9 @@ def simpson_oracle(frame, us, ks, eta, psi, lam: Interval, uptos) -> list:
     stops = set(uptos)
     v = dict.fromkeys(anchors, 0.0)
     decs = {}
-    for j, (s, u, k_s) in enumerate(zip(grid, us, ks)):
+    for j, s in enumerate(grid):
+        u = flow.unitaries[j]
+        k_s = eigenbasis_generator(*diagonalize(b0 + s * bp), bp, window)
         u_h = u.conj().swapaxes(-1, -2)
         closing = {}
         for x in anchors:

@@ -17,16 +17,14 @@ from gaplab.operator_algebra import charge_sectors, join_blocks, operator_norm
 from gaplab.spectra import diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   _polar_unitary, _time_rule,
-                                  eigenbasis_generator,
+                                  decompose_phi1, eigenbasis_generator,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import (Checkpoints, decompose, decomposer, even_pair,
-                     flow_pair, one_block, parity_even, parity_sectors,
-                     random_hermitian, random_matrix, replay,
-                     resolution_whole, simpson_oracle, split_blocks,
-                     split_whole, svd_polar, tee, telescope, telescope_oracle,
-                     theta_whole, traced_peak)
+from oracles import (even_pair, flow_pair, parity_even, parity_sectors,
+                     random_hermitian, random_matrix, resolution_whole,
+                     simpson_oracle, split_blocks, split_whole, svd_polar,
+                     telescope, telescope_oracle, theta_whole, traced_peak)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -259,31 +257,30 @@ def test_time_quadrature_in_node_blocks_matches_the_one_shot_product(
 
 def test_flow_two_level_transport():
     h0 = np.diag([0.0, 1.0])
-    cp = Checkpoints()
     flow = flow_unitaries(*flow_pair(h0, SX), 0.1, Window(GAMMA),
-                          checkpoints=8, consumer=cp)
-    assert len(flow.eps_grid) % 2 == 1          # even count is bumped
+                          checkpoints=8, keep=range(8))
+    assert len(flow.eps_grid) == 8              # an even count is kept
     assert flow.eps == pytest.approx(0.1)
     assert len(flow.sectors) == 1               # sigma^x flips the parity
-    assert len(cp.passes) == 1 and len(cp.us) == len(flow.eps_grid)
-    for u in cp.us:
+    assert list(flow.unitaries) == list(range(8))
+    for u in flow.unitaries.values():
         u = join_blocks(u, flow.sectors)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
     assert flow.projector_drift <= 1e-8
     assert flow.gap_floor == pytest.approx(1.0, abs=1e-12)   # sqrt(1+4s^2) >= 1
     # conjugation preserves the spectrum: V = U* H(eps) U - H0
-    u = join_blocks(cp.us[-1], flow.sectors)
+    u = join_blocks(flow.unitaries[7], flow.sectors)
     v = u.conj().T @ (h0 + flow.eps * SX) @ u - h0
     np.testing.assert_allclose(np.linalg.eigvalsh(h0 + v),
                                np.linalg.eigvalsh(h0 + 0.1 * SX), atol=1e-10)
 
 
-def _assert_transports(cp, h0, psi, cluster_dim):
-    """Every U(s) the flow handed on is unitary to 1e-12 and carries P(0)
-    to the cluster projector of H(s), solved afresh."""
+def _assert_transports(flow, h0, psi, cluster_dim):
+    """Every U(s) the flow kept is unitary to 1e-12 and carries P(0) to the
+    cluster projector of H(s), solved afresh."""
     eye = np.eye(h0.shape[0])
-    flow = cp.frame
-    for s, u in zip(flow.eps_grid, cp.us):
+    for j, u in flow.unitaries.items():
+        s = flow.eps_grid[j]
         u = join_blocks(u, flow.sectors)
         np.testing.assert_allclose(u @ u.conj().T, eye, rtol=0, atol=1e-12)
         vecs = np.linalg.eigh(h0 + s * psi)[1][:, :cluster_dim]
@@ -294,22 +291,23 @@ def _assert_transports(cp, h0, psi, cluster_dim):
 
 def test_flow_runs_in_the_field_of_its_inputs():
     """A real symmetric pair flows with real U and K; a complex Hermitian
-    pair, with the same code, in complex arithmetic."""
+    pair, with the same code, in complex arithmetic (``K`` read at both
+    ends, where the flow keeps it)."""
     h6 = np.diag([0.0, 1.0, 1.2, 1.5, 2.0, 3.0])
     cases = [(np.diag([0.0, 1.0]), SX, 0.1, np.float64),
              (np.diag([0.0, 1.0]), SY, 0.1, np.complex128),
              (h6, _random_pair()[1], 0.01, np.complex128),
              (h6, _random_pair()[1].real, 0.01, np.float64)]
     for h0, psi, eps, dtype in cases:
-        cp = Checkpoints()
         flow = flow_unitaries(*flow_pair(h0, psi), eps, Window(GAMMA),
-                              checkpoints=5, cluster_dim=1, consumer=cp)
-        assert all(u.dtype == dtype for u in cp.us)
-        assert all(k.dtype == dtype for k in cp.ks)
-        for k in cp.ks:                              # K = iD is anti-Hermitian
+                              checkpoints=5, cluster_dim=1, keep=range(5))
+        assert all(u.dtype == dtype for u in flow.unitaries.values())
+        ks = [k for _, _, k in flow.end_spectra]
+        assert all(k.dtype == dtype for k in ks)
+        for k in ks:                                 # K = iD is anti-Hermitian
             k = join_blocks(k, flow.sectors)
             np.testing.assert_allclose(k, -k.conj().T, rtol=0, atol=1e-14)
-        _assert_transports(cp, h0, psi, 1)
+        _assert_transports(flow, h0, psi, 1)
 
 
 def _keeps_nothing(ops, moduli=(None, 2)):
@@ -363,17 +361,19 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     exactly."""
     h0, psi = even_pair(np.random.default_rng(seed), 2 ** k, complex_)
     args = (0.05, Window(GAMMA))
-    blocked_cp, whole_cp = Checkpoints(), Checkpoints()
     blocked = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
-                             cluster_dim=2, consumer=blocked_cp)
+                             cluster_dim=2, keep=range(5))
     with patch.object(spectral_flow, "conserved_modulus", _keeps_nothing):
         whole = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
-                               cluster_dim=2, consumer=whole_cp)
+                               cluster_dim=2, keep=range(5))
     assert (blocked.modulus, whole.modulus) == (2, 1)
     assert len(blocked.sectors) == 2 and len(whole.sectors) == 1
+
+    def kept(flow):
+        return [*flow.unitaries.values(), *(k for _, _, k in flow.end_spectra)]
+
     pairs = [(join_blocks(a, blocked.sectors), join_blocks(b, whole.sectors))
-             for a, b in zip(blocked_cp.us + blocked_cp.ks,
-                             whole_cp.us + whole_cp.ks)]
+             for a, b in zip(kept(blocked), kept(whole))]
     pairs.append((join_blocks(blocked.p0, blocked.sectors),
                   join_blocks(whole.p0, whole.sectors)))
     for a, b in pairs:
@@ -390,12 +390,11 @@ def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     psi[0, 1] = psi[1, 0] = 0.1          # couples the two parity sectors
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
-    cp = Checkpoints()
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, Window(GAMMA),
-                          checkpoints=5, cluster_dim=2, consumer=cp)
+                          checkpoints=5, cluster_dim=2, keep=[4])
     assert shapes and set(shapes) == {(1, 8, 8)}
     assert len(flow.sectors) == 1
-    assert join_blocks(cp.us[-1], flow.sectors)[0, 1] != 0.0
+    assert join_blocks(flow.unitaries[4], flow.sectors)[0, 1] != 0.0
 
 
 def test_flow_rejects_closing_gap():
@@ -445,16 +444,12 @@ def bundle():
                                     seed=7)
     psi = split_edge_bulk(pert, lam, 1).bulk
     kdim, _ = kernel_data(model, lam)
-    window = Window(GAMMA)
-    cp = Checkpoints()
-    consumer, decs = decomposer(eta, psi, lam)
-    flow = flow_unitaries(eta, psi, lam, 0.02, window, checkpoints=9,
-                          cluster_dim=kdim, consumer=tee(cp, consumer))
-    dec, = decs.values()
+    flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
+                          cluster_dim=kdim, keep=range(9))
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
-            "p0": flow.p0, "dec": dec,
+            "p0": flow.p0, "dec": decompose_phi1(flow, eta, psi, lam),
             "h0": local_hamiltonian(eta, lam).matrix,
-            "hp": local_hamiltonian(psi, lam).matrix, "checkpoints": cp}
+            "hp": local_hamiltonian(psi, lam).matrix}
 
 
 def test_generator_routes_agree_on_the_default_horizon(bundle):
@@ -470,9 +465,6 @@ def test_generator_routes_agree_on_the_default_horizon(bundle):
         np.testing.assert_array_equal(mine, ref)
     np.testing.assert_array_equal(flow.psi, split_blocks(hp, sectors))
     w = Window(GAMMA)
-    ks = bundle["checkpoints"].ks
-    assert flow.end_spectra[0][2] is ks[0]
-    assert flow.end_spectra[1][2] is ks[-1]
     for s, (evals, evecs, k_flow) in zip((0.0, flow.eps), flow.end_spectra):
         h = bundle["h0"] + s * hp
         block_evals, block_evecs = diagonalize(split_blocks(h, sectors))
@@ -533,14 +525,14 @@ def _complex_rk4_flow(h0, psi, grid, window, ode_tol=1e-8):
 
 
 def test_real_flow_matches_the_complex_arithmetic_oracle(bundle):
-    flow, cp = bundle["flow"], bundle["checkpoints"]
-    assert all(u.dtype == np.float64 for u in cp.us)
+    flow = bundle["flow"]
+    assert all(u.dtype == np.float64 for u in flow.unitaries.values())
     oracle = _complex_rk4_flow(bundle["h0"], bundle["hp"], flow.eps_grid,
                                Window(GAMMA))
-    assert len(oracle) == len(cp.us)
-    for u, u_ref in zip(cp.us, oracle):
+    assert len(oracle) == len(flow.unitaries)
+    for u, u_ref in zip(flow.unitaries.values(), oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
-    _assert_transports(cp, bundle["h0"], bundle["hp"], bundle["kdim"])
+    _assert_transports(flow, bundle["h0"], bundle["hp"], bundle["kdim"])
 
 
 def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
@@ -563,51 +555,54 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
                            checkpoints=3, cluster_dim=2, ode_tol=1.0)
     assert first.ode_error > tol and len(calls) == 4 * 2 + 1
     calls.clear()
-    cp = Checkpoints()
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
                           checkpoints=3, cluster_dim=2, ode_tol=tol,
-                          consumer=cp)
+                          keep=range(3))
     assert flow.ode_error <= tol
     assert len(calls) == 4 * 2 + 1 + 8 * 2 + 1
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
-    for u, u_ref in zip(cp.us, oracle):
+    for u, u_ref in zip(flow.unitaries.values(), oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
-    _assert_transports(cp, h0, psi, 2)
+    _assert_transports(flow, h0, psi, 2)
 
 
-def _assert_same_decomposition(dec, ref):
-    """Two decompositions equal bit for bit."""
-    assert dec.eps == ref.eps and dec.anchors.keys() == ref.anchors.keys()
-    for a, b in [(dec.v_true, ref.v_true),
-                 *((dec.anchors[x], ref.anchors[x]) for x in dec.anchors)]:
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
-    for name in ("quadrature_residual", "cross_residual",
-                 "max_kernel_commutator"):
-        assert getattr(dec, name) == getattr(ref, name)
-
-
-def test_refinement_restarts_the_consumer_and_decomposes_the_accepted_pass():
-    """Each pass hands its checkpoints to the consumer from ``j = 0``: a
-    forced refinement shows the consumer one start per pass, and the
-    decomposition handed on is, bit for bit, the Simpson loop's over the
-    accepted pass's unitaries and generators, not over the first pass's."""
+def test_refined_flow_decomposes_the_accepted_pass(monkeypatch):
+    """A tolerance below the first pass's Richardson estimate sends the flow
+    on to a second pass, which solves every generator again, and the flow
+    keeps that pass's ``U``: the decomposition is read off the accepted
+    pass's unitary, which agrees with the complex-arithmetic oracle run to
+    the same tolerance, and not off the first pass's, which a flow that
+    stops after one pass keeps."""
     h0, psi = even_pair(np.random.default_rng(0), 4, False)
     eta_i, psi_i, lam = flow_pair(h0, psi)
-    cp = Checkpoints()
-    consumer, decs = decomposer(eta_i, psi_i, lam)
-    flow = flow_unitaries(eta_i, psi_i, lam, 0.05, Window(GAMMA),
-                          checkpoints=3, cluster_dim=2, ode_tol=1e-13,
-                          consumer=tee(cp, consumer))
-    assert flow.ode_error <= 1e-13
-    assert len(cp.passes) == 2
-    assert all(len(us) == len(ks) == 3 for us, ks in cp.passes)
-    dec, = decs.values()
-    accepted, first = (
-        simpson_oracle(cp.frame, us, ks, eta_i, psi_i, lam, [2])[0]
-        for us, ks in (cp.passes[-1], cp.passes[0]))
-    _assert_same_decomposition(dec, accepted)
-    assert not np.array_equal(dec.v_true, first.v_true)
+    window, tol = Window(GAMMA), 1e-13
+    calls = []
+    original = spectral_flow.eigenbasis_generator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
+    args = (eta_i, psi_i, lam, 0.05, window)
+    first = flow_unitaries(*args, checkpoints=3, cluster_dim=2, ode_tol=1.0,
+                           keep=[2])
+    calls.clear()
+    flow = flow_unitaries(*args, checkpoints=3, cluster_dim=2, ode_tol=tol,
+                          keep=[2])
+    assert len(calls) == 4 * 2 + 1 + 8 * 2 + 1          # two passes
+    assert list(flow.unitaries) == [2]
+    u = flow.unitaries[2]
+    assert not np.array_equal(u, first.unitaries[2])
+    oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
+    assert np.max(np.abs(join_blocks(u, flow.sectors) - oracle[2])) <= 1e-12
+    dec = decompose_phi1(flow, eta_i, psi_i, lam)
+    np.testing.assert_array_equal(
+        dec.v_true,
+        u.conj().swapaxes(-1, -2) @ (flow.h0 + flow.eps * flow.psi) @ u
+        - flow.h0)
+    assert not np.array_equal(
+        dec.v_true, decompose_phi1(first, eta_i, psi_i, lam).v_true)
 
 
 def _complex_hermitian(phi):
@@ -622,37 +617,49 @@ def _complex_hermitian(phi):
     return Interaction(terms, phi.kind, phi.local_dim)
 
 
+@pytest.mark.parametrize("one_block", [False, True])
 @pytest.mark.parametrize("complex_", [False, True])
-def test_streamed_decompositions_equal_the_list_oracle_bit_for_bit(
-        bundle, complex_):
-    """The decompositions the consumer makes as each checkpoint is reached
-    equal, bit for bit, those of the Simpson loop over whole lists of the
-    checkpoint unitaries and generators: on the flow's parity blocks and on
-    one block of whole matrices, for a real and a complex Hermitian
-    perturbation, at the checkpoints 4 and 8 and at the default form-bound
-    stops."""
+def test_end_point_pieces_equal_the_simpson_oracle(bundle, complex_,
+                                                   one_block):
+    """The anchored pieces read off the end point, ``U(s)* h_x(s) U(s) -
+    h_x(0)``, equal those of composite Simpson along the flow (the integral
+    they stand for, as the decomposition took it before) to 1e-12 of their
+    scale, at the checkpoints 4 and 8 and at the default form-bound stops:
+    for a real and a complex Hermitian perturbation, on the flow's parity
+    blocks and on one block (the flow's charge rule made to find no charge
+    kept).  At each stop the pieces sum to ``V(s)`` to rounding, before
+    their correction and after it.  The scale is the largest entry of the
+    anchored terms: both routes round at the size of ``U* h_x U`` before it
+    cancels down to the piece, of size ``s`` (measured: the routes differ
+    by at most 1.4e-15, the sums by at most 5.7e-15, at a scale of 1)."""
     lam, eta = bundle["lam"], bundle["eta"]
     psi = _complex_hermitian(bundle["psi"]) if complex_ else bundle["psi"]
+    window = Window(GAMMA)
+    with patch.object(spectral_flow, "conserved_modulus",
+                      _keeps_nothing if one_block
+                      else spectral_flow.conserved_modulus):
+        flow = flow_unitaries(eta, psi, lam, 0.02, window, checkpoints=9,
+                              cluster_dim=bundle["kdim"], keep=range(9))
+    assert flow.modulus == (1 if one_block else 2)
+    assert flow.unitaries[8].dtype == (np.complex128 if complex_
+                                       else np.float64)
     stops = [[4, 8], _form_bound_checkpoints(8)]
-    blocked = [decomposer(eta, psi, lam, uptos) for uptos in stops]
-    whole = [decomposer(eta, psi, lam, uptos) for uptos in stops]
-    cp, whole_cp = Checkpoints(), Checkpoints()
-    flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
-                   cluster_dim=bundle["kdim"],
-                   consumer=tee(cp, one_block(whole_cp),
-                                *(c for c, _ in blocked),
-                                *(one_block(c) for c, _ in whole)))
-    assert stops[1] == [2, 4, 8] and len(cp.passes) == 1
-    assert len(cp.frame.sectors) == 2 and len(whole_cp.frame.sectors) == 1
-    assert cp.us[-1].dtype == (np.complex128 if complex_ else np.float64)
-    for uptos, (_, decs), (_, whole_decs) in zip(stops, blocked, whole):
-        for got, frame, us, ks in ((decs, cp.frame, cp.us, cp.ks),
-                                   (whole_decs, whole_cp.frame, whole_cp.us,
-                                    whole_cp.ks)):
-            oracle = simpson_oracle(frame, us, ks, eta, psi, lam, uptos)
-            assert list(got) == uptos
-            for upto, ref in zip(uptos, oracle):
-                _assert_same_decomposition(got[upto], ref)
+    assert stops[1] == [2, 4, 8]
+    scale = max(np.max(np.abs(t.op.matrix)) for t in eta.terms + psi.terms)
+    for uptos in stops:
+        oracle = simpson_oracle(flow, eta, psi, lam, uptos, window)
+        for upto, ref in zip(uptos, oracle):
+            dec = decompose_phi1(flow, eta, psi, lam, upto)
+            assert dec.eps == ref.eps == flow.eps_grid[upto]
+            assert dec.anchors.keys() == ref.anchors.keys()
+            np.testing.assert_array_equal(dec.v_true, ref.v_true)
+            for x, vx in dec.anchors.items():
+                assert vx.dtype == ref.anchors[x].dtype
+                assert vx.shape == flow.h0.shape
+                assert np.max(np.abs(vx - ref.anchors[x])) <= 1e-12 * scale
+            assert dec.anchor_sum_residual <= 1e-13 * scale
+            assert operator_norm(sum(dec.anchors.values())
+                                 - dec.v_true) <= 1e-13 * scale
 
 
 def _traced_flow(bundle, checkpoints):
@@ -740,7 +747,7 @@ def test_decomposition_reconstructs_exactly(bundle):
     dec = bundle["dec"]
     total = sum(dec.anchors.values())
     assert operator_norm(total - dec.v_true) <= 1e-12
-    assert dec.quadrature_residual <= 1e-8
+    assert dec.anchor_sum_residual <= 1e-8
     assert dec.max_kernel_commutator <= 1e-6
 
 
@@ -754,34 +761,45 @@ def test_ball_telescopes_close(bundle):
 
 
 def test_upto_argument_is_validated(bundle):
-    terms = (bundle["checkpoints"], bundle["eta"], bundle["psi"],
-             bundle["lam"])
-    dec2, = decompose(*terms, uptos=[4])
-    assert dec2.eps == pytest.approx(bundle["flow"].eps_grid[4])
+    """A decomposition is made at a checkpoint whose ``U`` the flow kept,
+    and a flow keeps only checkpoints of its grid."""
+    flow = bundle["flow"]
+    kept = replace(flow, unitaries={j: flow.unitaries[j] for j in (4, 8)})
+    terms = (bundle["eta"], bundle["psi"], bundle["lam"])
+    dec4 = decompose_phi1(kept, *terms, 4)
+    assert dec4.eps == flow.eps_grid[4]
     for bad in (0, 3, 40):
-        with pytest.raises(ValueError):
-            decompose(*terms, uptos=[4, bad])
+        with pytest.raises(ValueError, match="the flow kept"):
+            decompose_phi1(kept, *terms, bad)
+    with pytest.raises(ValueError, match="not a checkpoint index"):
+        flow_unitaries(*flow_pair(np.diag([0.0, 1.0]), SX), 0.1,
+                       Window(GAMMA), checkpoints=3, keep=[3])
 
 
-def _one_block_decompositions(bundle, uptos):
-    """The decompositions of the bundle's pass at ``uptos``, its stacks
-    joined into one block of whole matrices."""
-    consumer, decs = decomposer(bundle["eta"], bundle["psi"], bundle["lam"],
-                                uptos)
-    replay(bundle["checkpoints"], one_block(consumer))
-    return [decs[upto] for upto in uptos]
+def _decompositions(bundle, uptos, one_block=False):
+    """The decompositions of the bundle's flow at ``uptos``; with
+    ``one_block``, of the same flow with its stacks joined into one block
+    of whole matrices."""
+    flow = bundle["flow"]
+    if one_block:
+        def one(m):
+            return join_blocks(m, flow.sectors)[None]
+
+        flow = replace(flow, sectors=[np.arange(flow.h0.shape[-1] * 2)],
+                       modulus=1, h0=one(flow.h0), psi=one(flow.psi),
+                       p0=one(flow.p0),
+                       unitaries={j: one(u) for j, u in flow.unitaries.items()})
+    return [decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"],
+                           upto) for upto in uptos]
 
 
 def test_decomposition_on_parity_blocks_matches_one_block(bundle):
     """On the flow's parity blocks the decomposition keeps block stacks on
     the flow's sectors, which, joined, agree with the same decomposition of
-    the same flow held as one block of whole matrices, and the
-    decompositions at several couplings from one pass are those of separate
-    passes, bit for bit."""
-    flow, lam = bundle["flow"], bundle["lam"]
-    terms = (bundle["eta"], bundle["psi"], lam)
-    blocked = decompose(bundle["checkpoints"], *terms, uptos=[4, 8])
-    whole = _one_block_decompositions(bundle, [4, 8])
+    the same flow held as one block of whole matrices."""
+    flow = bundle["flow"]
+    blocked = _decompositions(bundle, [4, 8])
+    whole = _decompositions(bundle, [4, 8], one_block=True)
     for dec, ref in zip(blocked, whole):
         assert dec.eps == ref.eps
         assert dec.sectors is flow.sectors and len(ref.sectors) == 1
@@ -795,14 +813,10 @@ def test_decomposition_on_parity_blocks_matches_one_block(bundle):
             np.testing.assert_allclose(vx, ref.anchors[x][0], rtol=0,
                                        atol=1e-12)
             np.testing.assert_array_equal(parity_even(vx), vx)
-        for name in ("quadrature_residual", "cross_residual",
+        for name in ("anchor_sum_residual", "cross_residual",
                      "max_kernel_commutator"):
             assert getattr(dec, name) == pytest.approx(getattr(ref, name),
                                                        abs=1e-12)
-    alone, = decompose(bundle["checkpoints"], *terms, uptos=[4])
-    for x, vx in alone.anchors.items():
-        np.testing.assert_array_equal(vx, blocked[0].anchors[x])
-    np.testing.assert_array_equal(alone.v_true, blocked[0].v_true)
 
 
 def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
@@ -823,22 +837,22 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
         return original_norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", norm)
-    consumer, decs = decomposer(bundle["eta"], bundle["psi"], bundle["lam"])
-    flow_unitaries(bundle["eta"], bundle["psi"], bundle["lam"], 0.02,
-                   Window(GAMMA), checkpoints=9, cluster_dim=bundle["kdim"],
-                   consumer=consumer)
-    assert len(decs) == 1
+    flow = flow_unitaries(bundle["eta"], bundle["psi"], bundle["lam"], 0.02,
+                          Window(GAMMA), checkpoints=9,
+                          cluster_dim=bundle["kdim"], keep=[8])
+    decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
     assert (2, 128, 128) in shapes
     assert max(shape[-1] for shape in shapes) == 128
     assert svds == []
 
 
 def _arrays(value):
-    """Every array in ``value``, a list or tuple of them, or an array."""
+    """Every array in ``value``: an array, or a list, tuple or dict of
+    them."""
     if isinstance(value, np.ndarray):
         yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
+    elif isinstance(value, (list, tuple, dict)):
+        for item in (value.values() if isinstance(value, dict) else value):
             yield from _arrays(item)
 
 
@@ -849,6 +863,7 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
     stack per anchor and interaction, at the flow's modulus, and reads the
     parity of each anchor's terms alone, never of a matrix of the flow."""
     flow, eta, psi = bundle["flow"], bundle["eta"], bundle["psi"]
+    assert len(flow.unitaries) == 9
     for field in fields(flow):
         for a in _arrays(getattr(flow, field.name)):
             assert 256 not in a.shape, field.name
@@ -866,7 +881,7 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
 
     monkeypatch.setattr(spectral_flow, "charge_stack", stack)
     monkeypatch.setattr(spectral_flow, "conserved_modulus", conserved)
-    dec, = decompose(bundle["checkpoints"], eta, psi, bundle["lam"])
+    dec = decompose_phi1(flow, eta, psi, bundle["lam"])
     anchors = set(eta.anchored()) | set(psi.anchored())
     assert len(stacked) == len(tested) == 2 * len(anchors)
     assert all(len(group) <= 1 and modulus == flow.modulus == 2
@@ -902,9 +917,9 @@ def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     recorded(name, getattr(module, name)))
-    consumer, _ = decomposer(eta, psi, lam)
     flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
-                          cluster_dim=bundle["kdim"], consumer=consumer)
+                          cluster_dim=bundle["kdim"], keep=[8])
+    decompose_phi1(flow, eta, psi, lam)
     for x, terms in ball_terms.items():
         theta_assembly(terms, resolution_family(eta, lam, x, flow.p0,
                                                 flow.modulus))
@@ -933,7 +948,7 @@ def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
         replace(term, op=replace(term.op, matrix=m), anchor=x)
         for m, x in ((odd, a), (-odd, b))])
     with pytest.raises(ValueError, match="parity blocks"):
-        decompose(bundle["checkpoints"], bundle["eta"], broken, bundle["lam"])
+        decompose_phi1(bundle["flow"], bundle["eta"], broken, bundle["lam"])
 
 
 def test_ball_terms_are_built_per_anchor_when_asked(bundle, monkeypatch):
@@ -950,8 +965,7 @@ def test_ball_terms_are_built_per_anchor_when_asked(bundle, monkeypatch):
 
         monkeypatch.setattr(spectral_flow, name, counted)
     lam = bundle["lam"]
-    decs = decompose(bundle["checkpoints"], bundle["eta"], bundle["psi"], lam,
-                     uptos=[4, 8])
+    decs = _decompositions(bundle, [4, 8])
     assert calls == []
     for x in decs[1].anchors:
         big_r = boundary_distances(lam, x)[1]
@@ -1008,9 +1022,8 @@ def test_blocked_split_matches_the_whole_split(bundle):
     flow held as one block: ``phi2`` and ``omega`` to 1e-12, and the
     reconstruction residuals too."""
     flow, lam, p0 = bundle["flow"], bundle["lam"], bundle["p0"]
-    terms = (bundle["eta"], bundle["psi"], lam)
-    blocked = decompose(bundle["checkpoints"], *terms, uptos=[4, 8])
-    whole = _one_block_decompositions(bundle, [4, 8])
+    blocked = _decompositions(bundle, [4, 8])
+    whole = _decompositions(bundle, [4, 8], one_block=True)
     p = join_blocks(p0, flow.sectors)
     for dec, ref in zip(blocked, whole):
         split = split_phi1(dec, p0)
@@ -1039,7 +1052,7 @@ def test_decomposition_of_complex_typed_real_terms(bundle):
     eta, psi = _complex_typed(bundle["eta"]), _complex_typed(bundle["psi"])
     assert all(t.op.matrix.dtype == np.complex128 for t in psi.terms)
     assert local_hamiltonian(psi, lam).matrix.dtype == np.float64
-    dec, = decompose(bundle["checkpoints"], eta, psi, lam)
+    dec = decompose_phi1(flow, eta, psi, lam)
     ref = bundle["dec"]
     np.testing.assert_array_equal(dec.v_true, ref.v_true)
     for x, vx in dec.anchors.items():

@@ -246,7 +246,9 @@ def test_form_bound_margin_dominates_eigenvalues():
 
 def test_form_bound_margins_match_the_triple_einsum_oracle():
     """The sampled forms, taken as BLAS products, give the margins of the
-    direct sum ``sum_ij conj(v_i) m_ij v_j`` to 1e-12."""
+    direct sum ``sum_ij conj(v_i) m_ij v_j`` to 1e-12, the samples drawn
+    128 columns at a time, each block's real and imaginary parts
+    together."""
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32))
     h = a @ a.T / 32.0
@@ -255,8 +257,10 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
         delta, beta, eps, seed = 0.5, 0.3, 0.4, 13
         rep = verify_form_bound(*_one_block(h, np.linalg.eigh(h)[1], phi2),
                                 delta, beta, eps, n_vectors=300, seed=seed)
-        gen =np.random.default_rng(seed)
-        vs = gen.standard_normal((32, 300)) + 1j * gen.standard_normal((32, 300))
+        gen = np.random.default_rng(seed)
+        vs = np.concatenate([re + 1j * im for re, im in (
+            gen.standard_normal((2, 32, cols)) for cols in (128, 128, 44))],
+            axis=1)
         vs /= np.linalg.norm(vs, axis=0)
         vs = np.concatenate([vs, np.linalg.eigh(h)[1].astype(complex)], axis=1)
         quad_h = np.real(np.einsum("iv,ij,jv->v", vs.conj(), h, vs))
@@ -271,8 +275,8 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
 def test_form_bound_on_parity_blocks_matches_one_block():
     """On the two parity blocks of an even pair the eigenvalue checks run
     block by block and agree with the one-block solve to 1e-12; the samples
-    read the same joined matrices, so their margins are the same bit for
-    bit."""
+    are the same vectors, whose forms are summed over the two sectors, so
+    their margins agree to 1e-12 and the violations are the same."""
     h, phi2 = even_pair(np.random.default_rng(2), 16, False)
     sectors = charge_sectors(4, 2, 2)
     vecs = np.linalg.eigh(split_blocks(h, sectors))[1]
@@ -286,7 +290,8 @@ def test_form_bound_on_parity_blocks_matches_one_block():
                                                  abs=1e-12)
     assert blocked.min_eig_minus == pytest.approx(whole.min_eig_minus,
                                                   abs=1e-12)
-    assert blocked.sampled_margin == whole.sampled_margin
+    assert blocked.sampled_margin == pytest.approx(whole.sampled_margin,
+                                                   abs=1e-12)
     assert blocked.violations == whole.violations
 
 
