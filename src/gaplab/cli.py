@@ -1140,13 +1140,18 @@ def run(cfg: dict, commands, out_dir) -> list[Report]:
     """Execute the requested pipelines and write their artifacts.
 
     ``all`` runs every pipeline in order on one shared context.  A config
-    the requested stability pipelines cannot probe is rejected before the
-    first pipeline runs.  A pipeline whose numerical step cannot be
+    the requested pipelines cannot run (a ``file:`` model reaches only
+    ``validate``) or the stability pipelines cannot probe is rejected
+    before the first pipeline runs.  A pipeline whose numerical step cannot be
     certified (a ``RuntimeError`` or a ``FrustrationError``) is reported as
     one failed check carrying the reason, and the remaining pipelines still
     run.
     """
     names = [n for c in commands for n in (PIPELINES if c == "all" else [c])]
+    unsupported = [n for n in names if n != "validate"]
+    if cfg["model"].startswith("file:") and unsupported:
+        raise ConfigError(f"{', '.join(unsupported)}: only validate runs the "
+                          f"model {cfg['model']}")
     if {"bounds", "gapsweep", "highergaps"} & set(names):
         _stability_lengths(cfg)
     ctx: dict = {}

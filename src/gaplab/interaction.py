@@ -26,7 +26,7 @@ import numpy as np
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
-    LocalOperator, _check_dense, basis_charges, charge_sectors,
+    LocalOperator, _check_dense, charge_sectors,
     conserved_modulus, eigenvalues, kernel_count, kernel_mask,
     operator_norm, placement,
 )
@@ -154,9 +154,8 @@ def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
     if modulus == "conserved":
         modulus = conserved_modulus([t.op for t in terms])
     dtype = np.float64 if _real(terms) else np.complex128
-    q = basis_charges(len(lam), d, modulus)
     sectors = charge_sectors(len(lam), d, modulus)
-    pos = np.empty_like(q)
+    pos = np.empty(d ** len(lam), np.intp)
     for idx in sectors:
         pos[idx] = np.arange(idx.size)
 
@@ -165,23 +164,16 @@ def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
         nl, nr = t.support.a - lam.a, lam.b - t.support.b
         dt, dr = d ** len(t.support), d ** nr
         m = t.op.matrix.real if dtype == np.float64 else t.op.matrix
-        qt = basis_charges(len(t.support), d, modulus)
-        groups = []
-        for ct in np.unique(qt):
-            g = np.flatnonzero(qt == ct)
-            groups.append((ct, g * dr, m[np.ix_(g, g)]))
-        outer = (basis_charges(nl, d)[:, None]
-                 + basis_charges(nr, d)[None, :]).ravel()
-        if modulus is not None:
-            outer %= modulus
+        groups = [(ct, g * dr, m[np.ix_(g, g)]) for ct, g in enumerate(
+            charge_sectors(len(t.support), d, modulus))]
+        # the outer states' charges are those of nl + nr sites, in order
         base = (np.arange(d ** nl)[:, None] * (dt * dr)
                 + np.arange(dr)[None, :]).ravel()
-        placed.append((groups, {c: base[outer == c]
-                                for c in np.unique(outer)}))
+        placed.append((groups, {c: base[idx] for c, idx in enumerate(
+            charge_sectors(nl + nr, d, modulus))}))
 
     def blocks():
-        for idx in sectors:
-            c = q[idx[0]]
+        for c, idx in enumerate(sectors):
             block = np.zeros((idx.size, idx.size), dtype)
             for groups, outer in placed:
                 for ct, offsets, sub in groups:

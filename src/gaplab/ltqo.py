@@ -94,10 +94,12 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
     ``M(A) - omega(A) 1`` and the extreme-point observable
     ``A = V sign(Lambda) V*`` of the linearized objective, whose gradient is
     ``(conj(u) ⊗ u) D``, stopped once a step gains less than ``1e-8`` in
-    relative terms.  Each value is the largest ``|eigenvalue|`` of the
-    ``eigh`` the next step reads ``u`` from.  Returns ``(value, A)``; the
-    value is a certified lower bound on the supremum since ``A`` is
-    explicit.
+    relative terms.  That sign matrix is taken as it is: Hermitian with
+    eigenvalues ±1, and even when ``even_only`` masks the objective (the
+    mask zeroes its rounding); only each random start is normalised.  Each
+    value is the largest ``|eigenvalue|`` of the ``eigh`` the next step
+    reads ``u`` from.  Returns ``(value, A)``; the value is a certified
+    lower bound on the supremum since ``A`` is explicit.
     """
     rng = np.random.default_rng(seed)
     dx = math.isqrt(wt.D.shape[1])
@@ -125,7 +127,9 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
             if mask is not None:
                 z = np.where(mask, z, 0.0)
             zev, zvec = np.linalg.eigh(z)
-            a_new = project((zvec * np.sign(zev + 1e-300)) @ zvec.conj().T)
+            a_new = (zvec * np.sign(zev + 1e-300)) @ zvec.conj().T
+            if mask is not None:
+                a_new = np.where(mask, a_new, 0.0)
             evals_new, evecs_new = np.linalg.eigh(wt.centred(a_new))
             val_new = float(np.max(np.abs(evals_new)))
             if val_new - val <= 1e-8 * max(1.0, abs(val)):

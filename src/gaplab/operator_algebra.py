@@ -207,9 +207,10 @@ def parity_matrix(n_sites: int) -> np.ndarray:
 
 def charge_sectors(n_sites: int, d: int, modulus) -> list[np.ndarray]:
     """Index sets of the charge sectors of ``basis_charges(n_sites, d,
-    modulus)``, in ascending charge."""
-    q = basis_charges(n_sites, d, modulus)
-    return [np.flatnonzero(q == c) for c in np.unique(q)]
+    modulus)``: its charges are ``0 .. n_sites (d - 1)``, or their residues,
+    so the sector at position ``c`` is that of charge ``c``."""
+    q, top = basis_charges(n_sites, d, modulus), n_sites * (d - 1) + 1
+    return [np.flatnonzero(q == c) for c in range(min(top, modulus or top))]
 
 
 def conserved_modulus(ops, moduli=(None, 2)) -> int | None:

@@ -89,10 +89,11 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
 
     Every spectrum is ``hamiltonian_eigenvalues`` on ``lam``: coupling zero
     reads that of ``eta``, solved once, every other coupling that of
-    ``coupled(eta, pert, eps)``, and ``|Psi|`` is the largest ``|lambda|``
-    of ``pert``.
+    ``coupled(eta, pert, eps)``.  ``|Psi|`` is bounded by the sum of the
+    norms of ``pert``'s terms on ``lam`` (the triangle inequality), with no
+    solve: a larger constant only makes the bound stricter.
     """
-    psi_norm = float(np.max(np.abs(hamiltonian_eigenvalues(pert, lam))))
+    psi_norm = sum(t.op.norm() for t in pert.terms if t.support in lam)
     ev0 = hamiltonian_eigenvalues(eta, lam)
     if cluster_dim is None:
         cluster_dim = kernel_count(ev0)

@@ -274,6 +274,34 @@ def test_main_validates_a_model_file(tmp_path, capsys):
     assert capsys.readouterr().out.count("[PASS] validate: custom") == 2
 
 
+@pytest.mark.parametrize("command", ["ltqo", "flow", "bounds", "gapsweep",
+                                     "highergaps", "sp0scan", "all"])
+def test_a_model_file_is_refused_by_every_pipeline_but_validate(
+        tmp_path, monkeypatch, capsys, command):
+    """Only ``validate`` reads a ``file:`` model; any other pipeline would
+    run the orbital chain in its place, so the run exits 2 before the first
+    pipeline, with one line naming the pipelines and the model, and writes
+    no artifact."""
+    called = []
+    monkeypatch.setattr(cli, "PIPELINES", {
+        name: lambda cfg, ctx, name=name: called.append(name)
+        for name in cli.PIPELINES})
+    lam = Interval(0, 5)
+    model = tmp_path / "orbital.json"
+    model.write_text(to_json(orbital_interaction(paired_orbital_model(lam),
+                                                 lam)), encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": f"file:{model}"}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    names = [n for n in cli.PIPELINES if n != "validate"] \
+        if command == "all" else [command]
+    assert capsys.readouterr().err == (
+        f"config error: {', '.join(names)}: only validate runs the model "
+        f"file:{model}\n")
+    assert called == [] and not out.exists()
+
+
 def test_main_reports_an_uncertified_step_as_a_failed_check(tmp_path,
                                                              capsys):
     # a filter width above the tracked gap stops the flow before any check
@@ -653,6 +681,24 @@ def test_cli_import_loads_no_sparse_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_import_no_masked_arrays():
+    """No pipeline reaches ``np.unique``, which imports ``numpy.ma`` on its
+    first call: neither an ``sp0scan`` run nor an ``all`` run at the
+    ``all-L10`` benchmark's sizes loads it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, tempfile; from gaplab.cli import merged_config, run\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    run(merged_config({}), ['sp0scan'], tmp + '/sp0')\n"
+            "    print('numpy.ma' in sys.modules)\n"
+            "    run(merged_config({'lengths': [8, 10], 'sp0': {'length': 10},"
+            " 'ltqo': {'aklt_lengths': [6]}}), ['all'], tmp + '/all')\n"
+            "    print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_validate_fails_a_spin_image_that_differs(monkeypatch):

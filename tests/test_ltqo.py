@@ -11,7 +11,7 @@ from gaplab.ltqo import (ascent_lower_bound, exact_zero_certificate,
 from gaplab.models import aklt_interaction
 from gaplab.operator_algebra import LocalOperator, embed, operator_norm
 from gaplab.spectra import ground_projector, kernel_basis_dense
-from oracles import parity_even, random_hermitian
+from oracles import parity_even, projected_ascent, random_hermitian
 
 
 def _volume(model: str):
@@ -82,6 +82,57 @@ def test_ascent_returns_its_observable(model, monkeypatch):
     assert np.allclose(a, a.conj().T)
     assert operator_norm(a) <= 1.0 + 1e-12
     assert wt.value(a) == value
+
+
+@pytest.mark.parametrize("model, even_only", [("aklt", False),
+                                              ("orbital", False),
+                                              ("orbital", True)])
+def test_ascent_matches_the_walk_that_projects_every_step(model, even_only):
+    """Taking each step's sign matrix as it is, not projected again onto the
+    unit ball, moves the witness values by rounding only; the observable
+    returned is Hermitian, of norm at most 1, and exactly even under
+    ``even_only``."""
+    eta, vol, region = _volume(model)
+    wt = _tensor(eta, vol, region)
+    for seed in (0, 3):
+        value, a = ascent_lower_bound(wt, seed=seed, restarts=4, iters=150,
+                                      even_only=even_only)
+        ref, _ = projected_ascent(wt, seed=seed, restarts=4, iters=150,
+                                  even_only=even_only)
+        assert value == pytest.approx(ref, rel=1e-12)
+        assert np.max(np.abs(a - a.conj().T)) <= 1e-12
+        assert operator_norm(a) <= 1.0 + 1e-12
+        if even_only:
+            assert np.array_equal(a, parity_even(a))
+
+
+@pytest.mark.parametrize("model", ["aklt", "orbital"])
+def test_ascent_normalises_only_its_starts(model, monkeypatch):
+    """One ascent makes one ``eigvalsh``, of side ``dx``, per restart (the
+    random start's norm) and none per step; each step makes two ``eigh``
+    calls, one of the ``dx``-sided objective and one of the centred map."""
+    eta, vol, region = _volume(model)
+    wt = _tensor(eta, vol, region)
+    dx = eta.local_dim ** len(region)
+    calls = {"eigvalsh": [], "eigh": []}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def solve(m, *args, **kwargs):
+            calls[name].append(m.shape[-1])
+            return real(m, *args, **kwargs)
+        return solve
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    ascent_lower_bound(wt, seed=3, restarts=3, iters=20,
+                       even_only=model == "orbital")
+    steps = calls["eigh"].count(dx)
+    assert wt.rank != dx and steps > 0
+    assert calls["eigvalsh"] == [dx] * 3
+    assert calls["eigh"].count(wt.rank) == 3 + steps
+    assert len(calls["eigh"]) == 3 + 2 * steps
 
 
 def test_each_witness_is_computed_once_per_run(monkeypatch):

@@ -163,12 +163,15 @@ def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
 
 def test_every_sweep_and_scan_solve_is_hamiltonian_eigenvalues(monkeypatch):
     """``gap_curve`` and ``sp0_diameter_scan`` solve nothing themselves:
-    every eigensolve runs inside ``hamiltonian_eigenvalues``, and
-    ``gap_curve`` reads ``|Psi|`` from that of ``pert``, then the spectrum
-    of ``eta``, then one coupled interaction per nonzero coupling."""
+    every spectrum is a ``hamiltonian_eigenvalues`` read, that of ``eta``
+    and then one coupled interaction per nonzero coupling, and no solve is
+    made for ``|Psi|``, which is bounded by ``pert``'s term norms (cached
+    on its operators)."""
     lam = Interval(1, 8)
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
+    for t in pert.terms:
+        t.op.norm()
     depth, solves, read = [0], [], []
     real_read = spectra.hamiltonian_eigenvalues
 
@@ -191,7 +194,8 @@ def test_every_sweep_and_scan_solve_is_hamiltonian_eigenvalues(monkeypatch):
         monkeypatch.setattr(np.linalg, name, solver(getattr(np.linalg, name)))
     grid = [0.0, 0.01, 0.02]
     gap_curve(eta, pert, lam, grid)
-    assert read[0] is pert and read[1] is eta and len(read) == len(grid) + 1
+    assert read[0] is eta and len(read) == len(grid)
+    assert all(phi is not pert for phi in read) and solves and all(solves)
     sp0_diameter_scan(eta, pert, lam, (0.0, 0.02), (0, 1, 2))
     assert solves and all(solves)
 
