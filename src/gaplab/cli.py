@@ -660,6 +660,16 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
 
 
 def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
+    """Order witnesses: certified zeros on the paired-orbital chain, ascent
+    lower bounds on the spin-1 chain.
+
+    Every orbital row ``(x, n, k)`` has ``k < min(n, r_near)``, so its region
+    ``b(x, k)`` lies strictly inside the volume ``b(x, n)`` and misses the
+    volume's end sites, the only sites not covered by a full pair.  On every
+    other site the kernel of the commuting pair projectors is one fixed state
+    per pair, so ``P A P = omega(A) P`` for every even ``A``: the certificate
+    is exact on both sides of the cut-off.
+    """
     rep = Report("ltqo")
     lc = cfg["ltqo"]
     depth = cfg["D"]
@@ -667,11 +677,11 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
     seen: dict = {}     # each kernel, centred map and ascent once per call
     rows = []
 
-    # paired-orbital chain: even-sector witnesses, exact zeros beyond depth
+    # paired-orbital chain: certified zeros over the even columns
     lam = _window(lc["length"], 1)
     _, eta = _orbital(lam)
-    worst = {"zero": 0.0, "ascent": 0.0}
-    holds = {"zero": True, "ascent": True}
+    budget = 1e-11
+    values = {"beyond": [], "inside": []}
     centre = (lam.a + lam.b) // 2
     for x in (centre, centre + 1):
         r_near, _ = boundary_distances(lam, x)
@@ -679,27 +689,18 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
             z = min(n, r_near)
             for k in range(0, z):
                 sep = z - k
-                if sep >= depth:
-                    value = ltqo_witness(eta, lam, x, n, k, seen,
-                                         even_only=True)
-                    kindtag, bound = "zero", 1e-11
-                    ok = value <= bound
-                else:
-                    value = ltqo_witness(eta, lam, x, n, k, seen,
-                                         even_only=True, ascent=ascent)
-                    kindtag, bound = "ascent", 2.0
-                    ok = value <= bound + 1e-9
-                worst[kindtag] = max(worst[kindtag], value)
-                holds[kindtag] = holds[kindtag] and ok
-                rows.append(("orbital", x, n, k, sep, kindtag, value, bound,
+                value = ltqo_witness(eta, lam, x, n, k, seen)
+                ok = value <= budget
+                values["beyond" if sep >= depth else "inside"].append(value)
+                rows.append(("orbital", x, n, k, sep, "zero", value, budget,
                              "ok" if ok else "fail"))
                 if not ok:
                     rep.check(f"orbital witness (x={x}, n={n}, k={k})", False,
-                              f"value {value:.3e} over budget {bound:.1e}")
-    rep.check("orbital witnesses vanish beyond the cut-off", holds["zero"],
-              f"max zero deviation {worst['zero']:.2e}")
-    rep.check("orbital witnesses below amplitude inside the cut-off",
-              holds["ascent"], f"max lower bound {worst['ascent']:.3f}")
+                              f"value {value:.3e} over budget {budget:.1e}")
+    for side, found in values.items():
+        peak = max(found, default=0.0)
+        rep.check(f"orbital witnesses vanish {side} the cut-off",
+                  peak <= budget, f"max zero deviation {peak:.2e}")
 
     # spin-1 chain: geometric decay of the witness lower bounds
     geo_ok = True
@@ -913,7 +914,8 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
                         fr.min_eig_minus, fr.sampled_margin, fr.violations,
                         "ok" if fr.holds else "fail"))
         rep.check(f"form bound holds at coupling {_cell(fr.eps)}", fr.holds,
-                  f"worst margin {fr.sampled_margin:.3e}, "
+                  f"eigenvalue margin "
+                  f"{min(fr.min_eig_plus, fr.min_eig_minus):.3e}, "
                   f"{fr.violations} violations")
     rep.table("formbound.csv",
               ["eps", "delta", "beta", "min_eig_plus", "min_eig_minus",

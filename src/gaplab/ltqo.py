@@ -18,9 +18,10 @@ takes ``vec A`` to ``vec(M(A) - omega(A) 1)`` with ``M(A)`` the m-by-m
 kernel block of ``P A P``, so ``w(A)`` is the 2-norm of one matrix-vector
 product and no operator on the full volume is ever formed.
 
-The supremum over ``|A| <= 1`` is approached from below by alternating
-ascent over Hermitian sign matrices; a matching upper transfer is available
-whenever the exact-zero certificate holds (then ``w = 0`` for every ``A``).
+On a spin chain the supremum over ``|A| <= 1`` is approached from below
+by alternating ascent over Hermitian sign matrices.  On a fermionic chain
+every operator is even, and the exact-zero certificate reads the even
+columns of ``D``: when it holds, ``w = 0`` for every ``A``.
 """
 
 from __future__ import annotations
@@ -71,43 +72,37 @@ def witness_tensor(basis: np.ndarray, local_dim: int, vol: Interval,
     return WitnessTensor(d, m, region)
 
 
-def _parity_mask(n_sites: int) -> np.ndarray:
-    p = parity_matrix(n_sites)
-    return (p[:, None] == p[None, :])
-
-
 def exact_zero_certificate(wt: WitnessTensor, even_only: bool = False) -> float:
     """``max|D|``; 0 means w(A) = 0 for all A.
 
     With ``even_only`` only the columns of parity-preserving matrix entries
     are read, certifying the witness for even observables.
     """
-    cols = _parity_mask(len(wt.region)).ravel() if even_only else slice(None)
+    cols = slice(None)
+    if even_only:
+        p = parity_matrix(len(wt.region))
+        cols = (p[:, None] == p[None, :]).ravel()
     return float(np.max(np.abs(wt.D[:, cols])))
 
 
 def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
-                       iters: int = 200, even_only: bool = False):
+                       iters: int = 200):
     """Best witness value found over unit-norm Hermitian observables.
 
     Alternating ascent between the top eigenvector ``u`` of
     ``M(A) - omega(A) 1`` and the extreme-point observable
     ``A = V sign(Lambda) V*`` of the linearized objective, whose gradient is
     ``(conj(u) ⊗ u) D``, stopped once a step gains less than ``1e-8`` in
-    relative terms.  That sign matrix is taken as it is: Hermitian with
-    eigenvalues ±1, and even when ``even_only`` masks the objective (the
-    mask zeroes its rounding); only each random start is normalised.  Each
-    value is the largest ``|eigenvalue|`` of the ``eigh`` the next step
-    reads ``u`` from.  Returns ``(value, A)``; the value is a certified
-    lower bound on the supremum since ``A`` is explicit.
+    relative terms.  That sign matrix is taken as it is, Hermitian with
+    eigenvalues ±1; only each random start is normalised.  Each value is
+    the largest ``|eigenvalue|`` of the ``eigh`` the next step reads ``u``
+    from.  Returns ``(value, A)``; the value is a certified lower bound on
+    the supremum since ``A`` is explicit.
     """
     rng = np.random.default_rng(seed)
     dx = math.isqrt(wt.D.shape[1])
-    mask = _parity_mask(len(wt.region)) if even_only else None
 
     def project(a):
-        if mask is not None:
-            a = np.where(mask, a, 0.0)
         a = 0.5 * (a + a.conj().T)
         nrm = float(np.max(np.abs(np.linalg.eigvalsh(a))))
         return a / nrm if nrm > 0 else a
@@ -124,12 +119,8 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
             # A -> sign <u, (M(A) - omega(A) 1) u> linearized as tr(Z A)
             z = sign * (np.outer(u.conj(), u).ravel() @ wt.D).reshape(dx, dx).T
             z = 0.5 * (z + z.conj().T)
-            if mask is not None:
-                z = np.where(mask, z, 0.0)
             zev, zvec = np.linalg.eigh(z)
             a_new = (zvec * np.sign(zev + 1e-300)) @ zvec.conj().T
-            if mask is not None:
-                a_new = np.where(mask, a_new, 0.0)
             evals_new, evecs_new = np.linalg.eigh(wt.centred(a_new))
             val_new = float(np.max(np.abs(evals_new)))
             if val_new - val <= 1e-8 * max(1.0, abs(val)):
@@ -143,19 +134,23 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
 
 
 def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
-                 seen: dict, even_only: bool = False,
-                 ascent: tuple | None = None) -> float:
+                 seen: dict, ascent: tuple | None = None) -> float:
     """Witness for the ball pair ``b(x, k) inside b(x, n)`` within ``lam``.
 
     The ascent's lower bound for ``ascent = (seed, restarts, iters)``, the
-    exact-zero certificate without one.  ``seen`` holds what the caller's
-    run has already computed: kernels by the volume's length and its terms
-    (each as its offset in the volume, its length and its matrix bytes, so
-    translated volumes share one), centred maps by that and the region's
-    placement in the volume, ascents by both and their inputs, so each is
-    computed once.  A volume is assembled only when its kernel is not yet
-    known.
+    exact-zero certificate without one; the certificate reads the even
+    columns alone when ``eta`` is fermionic, as every fermionic operator is
+    even, and a fermionic ascent is refused.  ``seen`` holds what the
+    caller's run has already computed: kernels by the volume's length and
+    its terms (each as its offset in the volume, its length and its matrix
+    bytes, so translated volumes share one), centred maps by that and the
+    region's placement in the volume, ascents by that key and their inputs,
+    so each is computed once.  A volume is assembled only when its kernel is
+    not yet known.
     """
+    fermion = eta.kind == "fermion"
+    if ascent is not None and fermion:
+        raise ValueError("a fermionic witness is certified, not ascended")
     vol, region = ball(lam, x, n), ball(lam, x, k)
     phi = eta.restricted(vol)
     volume = (len(vol), tuple((t.support.a - vol.a, len(t.support),
@@ -167,8 +162,7 @@ def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
         seen[key] = witness_tensor(seen[volume], eta.local_dim, vol, region)
     wt = seen[key]
     if ascent is None:
-        return exact_zero_certificate(wt, even_only=even_only)
-    if (key, even_only, ascent) not in seen:
-        seen[key, even_only, ascent] = ascent_lower_bound(
-            wt, *ascent, even_only=even_only)[0]
-    return seen[key, even_only, ascent]
+        return exact_zero_certificate(wt, even_only=fermion)
+    if (key, ascent) not in seen:
+        seen[key, ascent] = ascent_lower_bound(wt, *ascent)[0]
+    return seen[key, ascent]

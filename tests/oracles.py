@@ -334,20 +334,15 @@ def telescope_oracle(dec) -> Interaction:
     return Interaction(terms, kind="spin", local_dim=dec.local_dim)
 
 
-def projected_ascent(wt, seed: int = 0, restarts: int = 20, iters: int = 200,
-                     even_only: bool = False):
+def projected_ascent(wt, seed: int = 0, restarts: int = 20, iters: int = 200):
     """The walk of ``ltqo.ascent_lower_bound`` with every step's sign matrix
-    projected again onto the unit ball (mask, symmetrise, divide by its
+    projected again onto the unit ball (symmetrise, divide by its
     ``eigvalsh`` norm), as well as each start: the two walks differ by
     rounding only, since a sign matrix already has norm 1."""
     rng = np.random.default_rng(seed)
     dx = int(round(np.sqrt(wt.D.shape[1])))
-    p = parity_matrix(len(wt.region))
-    mask = p[:, None] == p[None, :] if even_only else None
 
     def project(a):
-        if mask is not None:
-            a = np.where(mask, a, 0.0)
         a = 0.5 * (a + a.conj().T)
         nrm = float(np.max(np.abs(np.linalg.eigvalsh(a))))
         return a / nrm if nrm > 0 else a
@@ -363,8 +358,6 @@ def projected_ascent(wt, seed: int = 0, restarts: int = 20, iters: int = 200,
             u, sign = evecs[:, idx], np.sign(evals[idx]) or 1.0
             z = sign * (np.outer(u.conj(), u).ravel() @ wt.D).reshape(dx, dx).T
             z = 0.5 * (z + z.conj().T)
-            if mask is not None:
-                z = np.where(mask, z, 0.0)
             zev, zvec = np.linalg.eigh(z)
             a_new = project((zvec * np.sign(zev + 1e-300)) @ zvec.conj().T)
             evals_new, evecs_new = np.linalg.eigh(wt.centred(a_new))

@@ -92,15 +92,16 @@ def test_01_orbital_model_structure(done):
 
 
 def test_02_parity_ltqo_step(done):
-    """Even-sector witnesses on the paired-orbital chain: certified zeros at
-    separation >= D, lower bounds <= 2 below D."""
-    _, _, reports, _ = done
+    """Even-sector witnesses on the paired-orbital chain: certified zeros on
+    both sides of the cut-off D."""
+    cfg, _, reports, _ = done
     rep = reports["ltqo"]
     passed(rep, "orbital witnesses vanish beyond the cut-off")
-    passed(rep, "orbital witnesses below amplitude inside the cut-off")
-    kinds = {r["kind"] for r in rows(rep, "ltqo.csv")
-             if r["model"] == "orbital"}
-    assert kinds == {"zero", "ascent"}   # both regimes actually probed
+    passed(rep, "orbital witnesses vanish inside the cut-off")
+    orbital = [r for r in rows(rep, "ltqo.csv") if r["model"] == "orbital"]
+    assert {r["kind"] for r in orbital} == {"zero"}
+    seps = {int(r["separation"]) for r in orbital}
+    assert min(seps) < cfg["D"] <= max(seps)   # both sides probed
 
 
 def test_03_aklt_ltqo_decay(done):

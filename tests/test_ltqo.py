@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import ltqo
+from gaplab import cli, ltqo
 from gaplab.cli import _orbital, _window, cmd_ltqo, merged_config
-from gaplab.interaction import local_hamiltonian
+from gaplab.interaction import Interaction, local_hamiltonian
 from gaplab.lattice import Interval, ball
 from gaplab.ltqo import (ascent_lower_bound, exact_zero_certificate,
-                         witness_tensor)
+                         ltqo_witness, witness_tensor)
 from gaplab.models import aklt_interaction
 from gaplab.operator_algebra import LocalOperator, embed, operator_norm
 from gaplab.spectra import ground_projector, kernel_basis_dense
@@ -52,20 +54,54 @@ def test_value_matches_the_dense_witness(volume, seed, complex_):
 
 
 def test_zero_certificate_bounds_even_witnesses():
-    """An orbital zero row (separation >= D): the even-entry certificate is
-    at rounding level, and so is w(A) for every even A."""
+    """Orbital rows at separation 3 (>= D) and at 2 and 1 (inside the
+    cut-off): the even-entry certificate is at rounding level, and so is
+    w(A) for every even A."""
     lam = _window(8, 1)
     eta = _orbital(lam)[1]
     x = (lam.a + lam.b) // 2
-    wt = _tensor(eta, ball(lam, x, 3), ball(lam, x, 0))
-    assert exact_zero_certificate(wt, even_only=True) <= 1e-11
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = parity_even(random_hermitian(rng, 2, True))
-        assert wt.value(a / operator_norm(a)) <= 1e-11
+    for k in (0, 1, 2):
+        region = ball(lam, x, k)
+        wt = _tensor(eta, ball(lam, x, 3), region)
+        assert exact_zero_certificate(wt, even_only=True) <= 1e-11
+        for _ in range(10):
+            a = parity_even(random_hermitian(rng, 2 ** len(region), True))
+            assert wt.value(a / operator_norm(a)) <= 1e-11
 
 
-@pytest.mark.parametrize("model", ["aklt", "orbital"])
+def test_orbital_checks_fail_on_a_broken_chain(monkeypatch):
+    """Without the empty-``f`` projector of the pair {4, 5} on [1, 8], the
+    kernel is no longer one fixed state on that pair: every orbital row
+    reads a witness far over budget, and both orbital checks fail."""
+    real = cli._orbital
+
+    def broken(lam):
+        model, eta = real(lam)
+        drop = next(t for t in eta.terms if t.support == Interval(4, 5))
+        return model, Interaction([t for t in eta.terms if t is not drop],
+                                  eta.kind, eta.local_dim)
+
+    monkeypatch.setattr(cli, "_orbital", broken)
+    rep = cmd_ltqo(merged_config({"ltqo": {"aklt_lengths": [5]}}), {})
+    verdicts = {label: ok for label, ok, _ in rep.checks}
+    for side in ("beyond", "inside"):
+        assert verdicts[f"orbital witnesses vanish {side} the cut-off"] \
+            is False
+    _, rows = rep.tables["ltqo.csv"]
+    assert all(row[6] > 0.1 and row[8] == "fail" for row in rows
+               if row[0] == "orbital")
+
+
+def test_fermionic_ascent_is_refused():
+    """An ascent on a fermionic interaction is refused: its witnesses are
+    read from the exact-zero certificate."""
+    eta, vol, _ = _volume("orbital")
+    with pytest.raises(ValueError):
+        ltqo_witness(eta, vol, 4, 2, 0, {}, ascent=(0, 1, 1))
+
+
+@pytest.mark.parametrize("model", ["aklt"])
 def test_ascent_returns_its_observable(model, monkeypatch):
     """The ascent's observable has norm at most 1 and attains its value;
     each value is read from an ``eigh``, so the ascent calls no SVD."""
@@ -76,37 +112,29 @@ def test_ascent_returns_its_observable(model, monkeypatch):
                         lambda *args, **kwargs: svds.append(args))
     monkeypatch.setattr(np.linalg, "norm",
                         lambda *args, **kwargs: svds.append(args))
-    value, a = ascent_lower_bound(wt, seed=3, restarts=2, iters=20,
-                                  even_only=model == "orbital")
+    value, a = ascent_lower_bound(wt, seed=3, restarts=2, iters=20)
     assert svds == []
     assert np.allclose(a, a.conj().T)
     assert operator_norm(a) <= 1.0 + 1e-12
     assert wt.value(a) == value
 
 
-@pytest.mark.parametrize("model, even_only", [("aklt", False),
-                                              ("orbital", False),
-                                              ("orbital", True)])
-def test_ascent_matches_the_walk_that_projects_every_step(model, even_only):
+@pytest.mark.parametrize("model", ["aklt"])
+def test_ascent_matches_the_walk_that_projects_every_step(model):
     """Taking each step's sign matrix as it is, not projected again onto the
     unit ball, moves the witness values by rounding only; the observable
-    returned is Hermitian, of norm at most 1, and exactly even under
-    ``even_only``."""
+    returned is Hermitian and of norm at most 1."""
     eta, vol, region = _volume(model)
     wt = _tensor(eta, vol, region)
     for seed in (0, 3):
-        value, a = ascent_lower_bound(wt, seed=seed, restarts=4, iters=150,
-                                      even_only=even_only)
-        ref, _ = projected_ascent(wt, seed=seed, restarts=4, iters=150,
-                                  even_only=even_only)
+        value, a = ascent_lower_bound(wt, seed=seed, restarts=4, iters=150)
+        ref, _ = projected_ascent(wt, seed=seed, restarts=4, iters=150)
         assert value == pytest.approx(ref, rel=1e-12)
         assert np.max(np.abs(a - a.conj().T)) <= 1e-12
         assert operator_norm(a) <= 1.0 + 1e-12
-        if even_only:
-            assert np.array_equal(a, parity_even(a))
 
 
-@pytest.mark.parametrize("model", ["aklt", "orbital"])
+@pytest.mark.parametrize("model", ["aklt"])
 def test_ascent_normalises_only_its_starts(model, monkeypatch):
     """One ascent makes one ``eigvalsh``, of side ``dx``, per restart (the
     random start's norm) and none per step; each step makes two ``eigh``
@@ -126,8 +154,7 @@ def test_ascent_normalises_only_its_starts(model, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
-    ascent_lower_bound(wt, seed=3, restarts=3, iters=20,
-                       even_only=model == "orbital")
+    ascent_lower_bound(wt, seed=3, restarts=3, iters=20)
     steps = calls["eigh"].count(dx)
     assert wt.rank != dx and steps > 0
     assert calls["eigvalsh"] == [dx] * 3
@@ -137,9 +164,10 @@ def test_ascent_normalises_only_its_starts(model, monkeypatch):
 
 def test_each_witness_is_computed_once_per_run(monkeypatch):
     """One ``cmd_ltqo`` call solves each distinct volume kernel once and runs
-    each distinct ascent once; the 6-site AKLT chain's rows are its 5-site
-    rows again, and the orbital zero rows run no ascent."""
-    kernels, ascents = [], []
+    each distinct ascent once, on spin-1 sites alone; the 6-site AKLT
+    chain's rows are its 5-site rows again, and every orbital row is a
+    certified zero."""
+    kernels, ascents, regions = [], [], []
 
     def kernel(h):
         kernels.append(h.matrix.tobytes())
@@ -147,6 +175,7 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
 
     def ascent(wt, *args, **kwargs):
         ascents.append((wt.D.tobytes(), args, tuple(kwargs.items())))
+        regions.append((math.isqrt(wt.D.shape[1]), wt.region))
         return ascent_lower_bound(wt, *args, **kwargs)
 
     monkeypatch.setattr(ltqo, "kernel_basis_dense", kernel)
@@ -159,5 +188,7 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
     kinds = [row[5] for row in rows if row[0] == "orbital"]
     values = {m: [row[6] for row in rows if row[0] == m]
               for m in ("aklt5", "aklt6")}
-    assert len(ascents) == kinds.count("ascent") + len(values["aklt5"])
+    assert set(kinds) == {"zero"}
+    assert len(ascents) == len(values["aklt5"])
+    assert all(dx == 3 ** len(region) for dx, region in regions)
     assert values["aklt6"] == values["aklt5"] and len(values["aklt5"]) == 2
