@@ -144,9 +144,8 @@ def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
     outer sites carry charge ``c - c_t``; each block gets every term's
     placed entries, in term order, so it equals the matching sub-block of
     ``local_hamiltonian(phi, lam)`` entry for entry, and no matrix on all
-    of ``lam`` is built.  A caller may fix ``modulus`` instead: a term's
-    entries between unequal local charges (a ball projector's rounding)
-    are then not read, which drops only what lies between the sectors.
+    of ``lam`` is built.  A caller may fix ``modulus`` instead; a term's
+    entries between unequal local charges are then not read.
     """
     d = phi.local_dim
     _check_dense(d ** len(lam))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Interval, ball
-from .interaction import Interaction, local_hamiltonian
+from .interaction import Interaction
 from .operator_algebra import parity_matrix
 from .spectra import kernel_basis_dense
 
@@ -145,8 +145,7 @@ def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
     its terms (each as its offset in the volume, its length and its matrix
     bytes, so translated volumes share one), centred maps by that and the
     region's placement in the volume, ascents by that key and their inputs,
-    so each is computed once.  A volume is assembled only when its kernel is
-    not yet known.
+    so each is computed once; a kernel is solved in its charge blocks.
     """
     fermion = eta.kind == "fermion"
     if ascent is not None and fermion:
@@ -157,7 +156,7 @@ def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
                                t.op.matrix.tobytes()) for t in phi.terms))
     key = (volume, region.a - vol.a, len(region))
     if volume not in seen:
-        seen[volume] = kernel_basis_dense(local_hamiltonian(phi, vol))
+        seen[volume] = kernel_basis_dense(phi, vol)
     if key not in seen:
         seen[key] = witness_tensor(seen[volume], eta.local_dim, vol, region)
     wt = seen[key]

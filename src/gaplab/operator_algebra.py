@@ -179,11 +179,6 @@ class LocalOperator:
     __rmul__ = __mul__
 
 
-def as_matrix(a) -> np.ndarray:
-    """The matrix of a LocalOperator, or ``a`` itself as an array."""
-    return a.matrix if isinstance(a, LocalOperator) else np.asarray(a)
-
-
 def basis_charges(n_sites: int, d: int = 2,
                   modulus: int | None = None) -> np.ndarray:
     """Charge of every basis state on ``n_sites`` of local dimension ``d``.

@@ -1,23 +1,23 @@
 r"""Spectral utilities: kernels, gap curves, resolutions of the identity.
 
-Eigenvalue curves of Hermitian families are tracked by sorted index; cluster
-identification between neighboring grid points is certified with the
-eigenvalue perturbation bound ``|lambda_i(A) - lambda_i(B)| <= |A - B|``.
-When the certificate fails the grid is bisected up to a configured depth
-before giving up.
+Every kernel is solved in its volume's charge blocks, never whole
+(``kernel_basis_dense``).  Eigenvalue curves of Hermitian families are
+tracked by sorted index; cluster identification between neighboring grid
+points is certified with the eigenvalue perturbation bound
+``|lambda_i(A) - lambda_i(B)| <= |A - B|``.  When the certificate fails the
+grid is bisected up to a configured depth before giving up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, Term, charge_stack, coupled, \
-    hamiltonian_eigenvalues, local_hamiltonian
-from .operator_algebra import LocalOperator, as_matrix, kernel_count, \
-    kernel_mask
+from .interaction import Interaction, Term, charge_blocks, charge_stack, \
+    coupled, hamiltonian_eigenvalues
+from .operator_algebra import LocalOperator, kernel_count, kernel_mask
 
 
 class FrustrationError(ValueError):
@@ -36,27 +36,36 @@ def diagonalize(h):
     ``interaction.charge_stack`` makes it, is solved block by block and
     certified as the block-diagonal matrix it stands for.
     """
-    m = as_matrix(h)
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = np.linalg.eigh(h)
     scale = max(1.0, float(np.max(np.abs(evals))))
-    resid = np.max(np.abs(m @ evecs - evecs * evals[..., None, :]))
+    resid = np.max(np.abs(h @ evecs - evecs * evals[..., None, :]))
     if resid > 1e-10 * scale:
         raise RuntimeError(f"eigensolver residual {resid:.3e} above tolerance")
     return evals, evecs
 
 
-def kernel_basis_dense(h) -> np.ndarray:
-    """Orthonormal eigenvectors of the kernel-scale eigenvalues."""
-    evals, evecs = diagonalize(h)
-    mask = kernel_mask(evals)
+def kernel_basis_dense(phi: Interaction, lam: Interval) -> np.ndarray:
+    """Orthonormal kernel vectors of ``local_hamiltonian(phi, lam)``.
+
+    Each block of ``charge_blocks(phi, lam)`` is solved by ``diagonalize``.
+    The kernel cut is ``kernel_mask`` on the merged spectrum, at the scale
+    of the whole matrix and not of each block, and each block's kernel
+    columns are lifted into ``lam``'s basis by its sector's index set.
+    """
+    sectors, blocks = charge_blocks(phi, lam)
+    solved = [diagonalize(block) for block in blocks]
+    mask = kernel_mask(np.concatenate([evals for evals, _ in solved]))
     if not np.any(mask):
         raise FrustrationError("no eigenvalue at the kernel scale")
-    return evecs[:, mask]
+    edges = np.cumsum([0] + [idx.size for idx in sectors])
+    kept = [np.pad(v[:, mask[a:b]], ((a, mask.size - b), (0, 0)))
+            for (_, v), a, b in zip(solved, edges, edges[1:])]
+    return np.hstack(kept)[np.argsort(np.concatenate(sectors))]
 
 
-def ground_projector(h) -> np.ndarray:
-    """Projector onto the kernel-scale eigenvalues of a frustration-free operator."""
-    v = kernel_basis_dense(h)
+def ground_projector(phi: Interaction, lam: Interval) -> np.ndarray:
+    """``v v*`` of ``kernel_basis_dense(phi, lam)``: zero between sectors."""
+    v = kernel_basis_dense(phi, lam)
     return v @ v.conj().T
 
 
@@ -164,21 +173,19 @@ def resolution_family(eta: Interaction, lam: Interval, x: int,
                       P: np.ndarray, modulus) -> ProjectorFamily:
     """Ball kernel projectors around ``x``, and the resolution they telescope
     to ``P``, the kernel projector of the whole volume as a block stack on
-    the charge sectors of ``modulus``.  Each ball projector is placed in
-    ``lam`` straight into those blocks by ``charge_stack``: it commutes
-    with an ``eta`` that conserves the charge, so what lies between the
-    sectors is the rounding its kernel basis leaves, and is not read."""
+    the charge sectors of ``modulus``.  Each ball projector,
+    ``ground_projector(eta, b)``, is an operator of ``eta``'s kind, placed
+    in ``lam`` straight into those blocks by ``charge_stack``."""
     inner = interior(lam, 2)
     if inner is None or x not in inner:
         raise ValueError(f"site {x} not two sites deep inside {lam}")
     r_x, _ = boundary_distances(lam, x)
-    d = eta.local_dim
     locals_ = []
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)
-        pb = ground_projector(local_hamiltonian(eta.restricted(b), b))
-        term = Term(LocalOperator(pb, b, lam, "spin", d))
-        locals_.append(charge_stack(Interaction([term], "spin", d), lam,
+        op = LocalOperator(ground_projector(eta, b), b, lam, eta.kind,
+                           eta.local_dim)
+        locals_.append(charge_stack(replace(eta, terms=[Term(op)]), lam,
                                     modulus))
     return ProjectorFamily(lam, x, modulus, P, locals_)
 

@@ -70,7 +70,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, charge_stack
-from .operator_algebra import (LocalOperator, as_matrix, charge_sectors,
+from .operator_algebra import (LocalOperator, charge_sectors,
                                conditional_expectation, conserved_modulus,
                                delta_layer, eigenvalues, join_blocks,
                                kernel_count, operator_norm)
@@ -122,7 +122,7 @@ def _filtered(evals, evecs, psi, weight) -> np.ndarray:
     """-sum_ij weight_ij Psi_ij |i><j|: the real weight keeps the field of
     ``evecs`` and ``psi``."""
     evecs_h = evecs.conj().swapaxes(-1, -2)
-    psi_eig = evecs_h @ as_matrix(psi) @ evecs
+    psi_eig = evecs_h @ psi @ evecs
     psi_eig *= weight
     return -(evecs @ psi_eig @ evecs_h)
 

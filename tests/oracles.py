@@ -10,8 +10,9 @@ from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.operator_algebra import (LocalOperator, annihilator,
                                      basis_charges, conditional_expectation,
                                      delta_layer, embed, join_blocks,
-                                     operator_norm, parity_matrix)
-from gaplab.spectra import diagonalize, ground_projector
+                                     kernel_mask, operator_norm,
+                                     parity_matrix)
+from gaplab.spectra import diagonalize
 from gaplab.spectral_flow import Phi1Decomposition, eigenbasis_generator
 
 
@@ -75,6 +76,15 @@ def on_chain(m):
         lam, d = Interval(0, 0), len(m)
     return Interaction([Term(LocalOperator(m, lam, lam, "spin", d))],
                        "spin", d), lam
+
+
+def dense_kernel_projector(phi: Interaction, lam: Interval) -> np.ndarray:
+    """The kernel projector of ``eigh`` on the whole matrix
+    ``local_hamiltonian(phi, lam)``, cut by ``kernel_mask`` on its
+    spectrum: the reference of the charge-block kernel solves."""
+    evals, evecs = np.linalg.eigh(local_hamiltonian(phi, lam).matrix)
+    v = evecs[:, kernel_mask(evals)]
+    return v @ v.conj().T
 
 
 def flow_pair(h0, psi):
@@ -262,7 +272,7 @@ def resolution_whole(eta, lam: Interval, x: int, p):
     locals_ = []
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)
-        pb = ground_projector(local_hamiltonian(eta.restricted(b), b))
+        pb = dense_kernel_projector(eta, b)
         locals_.append(embed(LocalOperator(pb, b, lam, "spin", eta.local_dim),
                              lam).matrix)
     eye = np.eye(p.shape[0])

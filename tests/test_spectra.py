@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,15 +10,17 @@ from gaplab.interaction import Interaction, Term, coupled, \
 from gaplab.lattice import Interval, ball, interior
 from gaplab.models import aklt_interaction, orbital_interaction, \
     paired_orbital_model, random_even_perturbation
-from gaplab.operator_algebra import LocalOperator, charge_sectors, \
-    eigenvalues, kernel_count, operator_norm
+from gaplab.operator_algebra import LocalOperator, basis_charges, \
+    charge_sectors, conserved_modulus, eigenvalues, kernel_count, \
+    operator_norm
 from gaplab.spectra import (FrustrationError, RefinementError,
                             cluster_projector, diagonalize, gap_curve,
                             ground_projector, higher_gap_track,
-                            resolution_family, sigma_projection,
-                            sp0_diameter_scan)
+                            kernel_basis_dense, resolution_family,
+                            sigma_projection, sp0_diameter_scan)
 from gaplab import interaction, spectra
-from oracles import one_site, parity_even, random_hermitian, split_blocks
+from oracles import dense_kernel_projector, on_chain, one_site, \
+    parity_even, random_hermitian, split_blocks
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -49,14 +53,90 @@ def test_diagonalize_solves_and_certifies_a_block_stack():
 
 def test_ground_projector_rank():
     lam = Interval(0, 3)
-    p = ground_projector(local_hamiltonian(ising(lam), lam))
+    p = ground_projector(ising(lam), lam)
     assert np.trace(p).real == pytest.approx(2.0, abs=1e-9)
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
 
 
 def test_ground_projector_needs_kernel():
     with pytest.raises(FrustrationError):
-        ground_projector(np.diag([1.0, 2.0]))
+        ground_projector(*on_chain(np.diag([1.0, 2.0])))
+
+
+def _frustration_free(lam, seed):
+    """``random_interaction(lam, seed)`` with each term ``m`` made
+    ``q m^2 q``, ``q`` the complement of a seeded complex product state on
+    its support: that state lies in the kernel, and the terms conserve no
+    charge (one sector)."""
+    phi = random_interaction(lam, seed)
+    rng = np.random.default_rng(seed)
+    site = rng.standard_normal((len(lam), 2)) \
+        + 1j * rng.standard_normal((len(lam), 2))
+    site /= np.linalg.norm(site, axis=1, keepdims=True)
+    terms = []
+    for t in phi.terms:
+        state = np.ones(1, complex)
+        for x in t.support:
+            state = np.kron(state, site[x - lam.a])
+        q = np.eye(state.size) - np.outer(state, state.conj())
+        m = t.op.matrix
+        terms.append(replace(t, op=replace(t.op, matrix=q @ m @ m @ q)))
+    return replace(phi, terms=terms)
+
+
+def _kernel_case(model, n, at, seed):
+    """``(phi, lam, modulus)``: ``n`` sites at offset ``at`` of the orbital
+    chain on [1, 8] (number blocks), of the AKLT chain on [0, 5] (``S^z``
+    blocks), or of a frustration-free random chain on [0, 5] (one sector,
+    complex), with the charge its terms inside ``lam`` conserve."""
+    if model == "orbital":
+        chain = Interval(1, 8)
+        phi = orbital_interaction(paired_orbital_model(chain), chain)
+    else:
+        chain = Interval(0, 5)
+        phi = aklt_interaction(chain) if model == "aklt" \
+            else _frustration_free(chain, seed)
+    n = min(n, len(chain))
+    a = chain.a + at % (len(chain) - n + 1)
+    lam = Interval(a, a + n - 1)
+    return phi, lam, conserved_modulus([t.op for t in phi.terms
+                                        if t.support in lam])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["orbital", "aklt", "random"]), st.integers(1, 8),
+       st.integers(0, 7), st.integers(0, 2 ** 32 - 1))
+def test_kernel_basis_matches_the_dense_oracle(model, n, at, seed):
+    """The charge-block kernel basis has orthonormal columns, and its
+    projector equals the kernel projector of ``eigh`` on the whole matrix
+    to 1e-12 and is exactly zero between the sectors of the charge the
+    terms conserve."""
+    phi, lam, modulus = _kernel_case(model, n, at, seed)
+    if model != "random":
+        assert modulus is None
+    elif any(t.support in lam for t in phi.terms):
+        assert modulus == 1
+    v = kernel_basis_dense(phi, lam)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), rtol=0,
+                               atol=1e-12)
+    p = ground_projector(phi, lam)
+    np.testing.assert_allclose(p, dense_kernel_projector(phi, lam), rtol=0,
+                               atol=1e-12)
+    q = basis_charges(len(lam), phi.local_dim, modulus)
+    assert not p[q[:, None] != q].any()
+
+
+def test_kernel_cut_is_taken_on_the_merged_spectrum():
+    """``diag(5e-9, 10)`` splits into two number blocks.  At the whole
+    matrix's scale, 10, the cut is 1e-8 and ``5e-9`` is kernel, as the
+    dense oracle finds; at its own block's scale, 1, it would not be."""
+    phi, lam = on_chain(np.diag([5e-9, 10.0]))
+    v = kernel_basis_dense(phi, lam)
+    assert v.shape == (2, 1)
+    p = ground_projector(phi, lam)
+    np.testing.assert_allclose(p, np.diag([1.0, 0.0]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p, dense_kernel_projector(phi, lam), rtol=0,
+                               atol=1e-12)
 
 
 # --- gap curves -------------------------------------------------------------
@@ -214,9 +294,8 @@ def test_cluster_projector():
 def _volume_projector(eta, lam):
     """The kernel projector of the volume as a stack on its parity
     sectors, and their modulus, 2."""
-    h = local_hamiltonian(eta, lam).matrix
     sectors = charge_sectors(len(lam), 2, 2)
-    return split_blocks(ground_projector(h), sectors), 2
+    return split_blocks(ground_projector(eta, lam), sectors), 2
 
 
 def test_resolution_family_identities():
@@ -254,7 +333,8 @@ def test_resolution_family_needs_interior_site():
 
 def test_resolution_family_solves_only_its_balls(monkeypatch):
     """The volume's kernel projector is the caller's: no eigensolve of the
-    volume's side, one per ball (the widest is [0, 6] of [0, 7])."""
+    volume's side, and every ``eigh`` is one number block of one ball, in
+    order (the widest ball is [0, 6] of [0, 7])."""
     lam = Interval(0, 7)
     eta = ising(lam)
     p, modulus = _volume_projector(eta, lam)
@@ -268,8 +348,11 @@ def test_resolution_family_solves_only_its_balls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     fam = resolution_family(eta, lam, 3, p, modulus)
     assert fam.P is p
+    balls = [ball(lam, 3, n) for n in range(1, fam.r_x + 1)]
+    assert sides == [idx.size for b in balls
+                     for idx in charge_sectors(len(b), 2, None)]
     assert 2 ** len(lam) not in sides
-    assert len(sides) == fam.r_x
+    assert max(sides) < 2 ** len(balls[-1])
 
 
 def test_sigma_projection_partition_of_identity():
@@ -278,7 +361,7 @@ def test_sigma_projection_partition_of_identity():
     members = []
     for x in (2, 6):
         b = ball(lam, x, 1)
-        p = ground_projector(local_hamiltonian(eta.restricted(b), b))
+        p = ground_projector(eta, b)
         nl, nr = b.a - lam.a, lam.b - b.b
         p_full = np.kron(np.eye(2 ** nl), np.kron(p, np.eye(2 ** nr)))
         members.append((x, b, p_full))
@@ -296,7 +379,7 @@ def test_sigma_projection_rejects_overlap():
     members = []
     for x in (1, 2):
         b = ball(lam, x, 1)
-        p = ground_projector(local_hamiltonian(eta.restricted(b), b))
+        p = ground_projector(eta, b)
         nl, nr = b.a - lam.a, lam.b - b.b
         members.append((x, b, np.kron(np.eye(2 ** nl),
                                       np.kron(p, np.eye(2 ** nr)))))
@@ -442,7 +525,6 @@ def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
 
     monkeypatch.setattr(interaction, "charge_blocks", blocks)
     monkeypatch.setattr(interaction, "local_hamiltonian", refuse)
-    monkeypatch.setattr(spectra, "local_hamiltonian", refuse)
     sp0_diameter_scan(eta, pert, lam, (0.0, 0.02, 0.05), (0, 1, 2))
     number = [1, 6, 15, 20, 15, 6, 1]
     assert [(where, sides) for _, where, sides in built] == \

@@ -897,11 +897,11 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
 def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
                                                               monkeypatch):
     """``flow_unitaries``, ``decompose_phi1``, ``resolution_family`` and
-    ``theta_assembly`` call neither ``local_hamiltonian`` nor ``embed`` on
-    the flow's volume: every stack on it (``H0``, ``Psi``, the anchored
+    ``theta_assembly`` call neither ``local_hamiltonian`` nor ``embed``:
+    every stack on the flow's volume (``H0``, ``Psi``, the anchored
     terms, the ball projectors and the ball terms) is assembled straight
-    into its parity blocks by ``charge_stack``.  Only the Hamiltonians of
-    the balls are assembled whole, for their kernel projectors."""
+    into its parity blocks by ``charge_stack``, and the balls' kernels are
+    solved in their charge blocks, so no Hamiltonian is assembled whole."""
     lam, eta, psi = bundle["lam"], bundle["eta"], bundle["psi"]
     ball_terms = {x: bundle["dec"].ball_terms(x) for x in (2, 3, 4, 5)}
     called = []
@@ -926,8 +926,7 @@ def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
     volumes = {name: [where for n, where in called if n == name]
                for name in ("local_hamiltonian", "embed", "charge_stack")}
     assert volumes["embed"] == []
-    assert volumes["local_hamiltonian"] \
-        and lam not in volumes["local_hamiltonian"]
+    assert volumes["local_hamiltonian"] == []
     anchors = set(eta.anchored()) | set(psi.anchored())
     n_stacks = 2 + 2 * len(anchors) + sum(
         boundary_distances(lam, x)[0] + len(terms)
