@@ -149,6 +149,9 @@ def merged_config(user: dict | None) -> dict:
         elif len(cfg["seeds"]) > 1:
             errors.append(f"seeds: every pipeline reads one seed; got "
                           f"{len(cfg['seeds'])}, run once per seed")
+        elif cfg["seeds"][0] < 0:
+            errors.append(f"seeds: a seed must be non-negative; got "
+                          f"{cfg['seeds'][0]}")
         if cfg["gamma"] <= 0:
             errors.append("gamma: the tracking floor must be positive")
         if cfg["higher"]["mu"] <= cfg["higher"]["nu"]:
@@ -255,19 +258,22 @@ def _config_objects(cfg: dict) -> list[str]:
     return errors
 
 
-def load_config(path: Path | None) -> dict:
-    if path is None:
-        return merged_config(None)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    try:
-        user = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be an object")
+def load_config(path: Path | None, seed: int | None = None) -> dict:
+    """The config of ``path`` (or the defaults), ``seed`` as its seeds."""
+    user = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+        try:
+            user = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigError("config root must be an object")
+    if seed is not None:
+        user["seeds"] = [seed]
     cfg = merged_config(user)
     if cfg["model"].startswith("file:"):
         _model_file(cfg)
@@ -383,11 +389,11 @@ def _perturbation(lam: Interval, max_radius: int, seed: int) -> Interaction:
 
 
 def _volume(cfg: dict, length: int):
-    """Orbital chain on ``[1, length]`` with its seeded perturbation."""
+    """``(lam, eta, pert)``: orbital chain on ``[1, length]``, perturbed."""
     lam = _window(length, 1)
-    model, eta = _orbital(lam)
+    _, eta = _orbital(lam)
     pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
-    return lam, model, eta, pert
+    return lam, eta, pert
 
 
 def _form_bound_checkpoints(n_check: int) -> list[int]:
@@ -420,14 +426,13 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
         return ctx["flow"]
     fc = cfg["flow"]
     lam = _window(fc["length"])
-    model, eta = _orbital(lam)
+    _, eta = _orbital(lam)
     pert = _perturbation(lam, fc["max_radius"], cfg["seeds"][0])
     psi = split_edge_bulk(pert, lam, fc["max_radius"]).bulk
-    kdim, _ = kernel_data(model, lam)
     window = Window(cfg["gamma"])
     uptos = _form_bound_checkpoints(fc["checkpoints"] - 1)
     flow = flow_unitaries(eta, psi, lam, fc["eps"], window,
-                          checkpoints=fc["checkpoints"], cluster_dim=kdim,
+                          checkpoints=fc["checkpoints"],
                           ode_tol=fc["ode_tol"], keep=uptos)
     splits = {}
     for upto in uptos:
@@ -500,7 +505,6 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     fb = flow_bundle(cfg, ctx)
     base = base_envelope(cfg)
     depth = cfg["D"]
-    trunc = cfg["constants"]["truncation"]
 
     eta_fnorm = fb["eta"].f_norm(base)
     psi_fnorm = fb["psi"].f_norm(base)
@@ -520,15 +524,15 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     # uniform strengths over the probe volumes, each built once and kept
     # for the gap sweep
     volumes = {n: _volume(cfg, n) for n in _stability_lengths(cfg)}
-    phi_for = {lam: pert for lam, _, _, pert in volumes.values()}
-    m_int, m_d, strength_rows = uniform_strengths(phi_for, depth, 1, base)
+    phi_for = {lam: pert for lam, _, pert in volumes.values()}
+    m_int, m_d, strength_rows = uniform_strengths(phi_for, depth, base)
 
     report = validate_unperturbed(lambda lam: _orbital(lam)[1],
                                   [_window(6), _window(8, 1)])
     gamma0 = report.gamma0_candidate
 
     bc = bound_constants(gamma0, c_used, eta_fnorm, m_int, m_d, omega, f0,
-                         truncation=trunc)
+                         truncation=cfg["constants"]["truncation"])
     ctx["constants"] = {
         "bc": bc, "base": base, "f_phi": f_phi, "f0": f0, "omega": omega,
         "eta_fnorm": eta_fnorm, "psi_fnorm": psi_fnorm, "nu": nu,
@@ -884,7 +888,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     bc = cb["bc"]
     flow = fb["flow"]
 
-    thresholds = stability_threshold(bc, cfg["constants"]["truncation"])
+    thresholds = stability_threshold(bc)
 
     # the two arrangements of m agree up to the certified tails
     tail_slack = sum(bc.j.tails) * bc.strengths * 5.0 + 1e-9 * bc.m
@@ -956,7 +960,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
                              "max_radius": cfg["flow"]["max_radius"],
                              "seed": cfg["seeds"][0]},
             "volumes": sorted(len(r.lam) for r in cb["strength_rows"]),
-            "truncation": cfg["constants"]["truncation"],
+            "truncation": bc.truncation,
         },
         "flow_constant": {
             "value": cb["c_used"],
@@ -1031,12 +1035,9 @@ def sweep_bundle(cfg: dict, ctx: dict) -> dict:
         return ctx["sweep"]
     cb = constants_bundle(cfg, ctx)
     grid = _sweep_grid(cfg, cb["bc"])
-    sweep = {}
-    for length, (lam, model, eta, pert) in cb["volumes"].items():
-        kdim, _ = kernel_data(model, lam)
-        sweep[length] = gap_curve(eta, pert, lam, grid, cluster_dim=kdim)
-    ctx["sweep"] = sweep
-    return sweep
+    ctx["sweep"] = {length: gap_curve(eta, pert, lam, grid)
+                    for length, (lam, eta, pert) in cb["volumes"].items()}
+    return ctx["sweep"]
 
 
 def _against_line(measured: float, bound: float) -> str:
@@ -1108,7 +1109,7 @@ def cmd_highergaps(cfg: dict, ctx: dict) -> Report:
 def cmd_sp0scan(cfg: dict, ctx: dict) -> Report:
     rep = Report("sp0scan")
     sc = cfg["sp0"]
-    lam, _, eta, pert = _volume(cfg, sc["length"])
+    lam, eta, pert = _volume(cfg, sc["length"])
     rows = [("orbital", sc["length"], r["depth"], r["eps"], r["gamma"],
              r["sp0_min"], r["sp0_max"], r["sp0_diam"], r["sp1_min"])
             for r in sp0_diameter_scan(eta, pert, lam, (0.0, sc["eps"]),
@@ -1144,10 +1145,10 @@ def run(cfg: dict, commands, out_dir) -> list[Report]:
     ``all`` runs every pipeline in order on one shared context.  A config
     the requested pipelines cannot run (a ``file:`` model reaches only
     ``validate``) or the stability pipelines cannot probe is rejected
-    before the first pipeline runs.  A pipeline whose numerical step cannot be
-    certified (a ``RuntimeError`` or a ``FrustrationError``) is reported as
-    one failed check carrying the reason, and the remaining pipelines still
-    run.
+    before the first pipeline runs; so is an output directory that cannot
+    be made then.  A pipeline whose numerical step cannot be certified (a
+    ``RuntimeError`` or a ``FrustrationError``) is reported as one failed
+    check carrying the reason, and the remaining pipelines still run.
     """
     names = [n for c in commands for n in (PIPELINES if c == "all" else [c])]
     unsupported = [n for n in names if n != "validate"]
@@ -1156,6 +1157,11 @@ def run(cfg: dict, commands, out_dir) -> list[Report]:
                           f"model {cfg['model']}")
     if {"bounds", "gapsweep", "highergaps"} & set(names):
         _stability_lengths(cfg)
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"outputs.directory: cannot make {out_dir}: "
+                          f"{exc}") from None
     ctx: dict = {}
     reports: list[Report] = []
     for name in names:
@@ -1196,9 +1202,7 @@ def main(argv=None) -> int:
         print("gaplab: a command is required", file=sys.stderr)
         return 2
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seeds"] = [args.seed]
+        cfg = load_config(args.config, args.seed)
         out_dir = args.out or Path(cfg["outputs"]["directory"])
         reports = run(cfg, [args.command], out_dir)
     except ConfigError as exc:

@@ -139,19 +139,23 @@ def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
     The sectors are ``charge_sectors`` on ``lam`` under ``modulus``, by
     default the first charge every term inside ``lam`` conserves
     (``conserved_modulus``: number or ``S^z``, then parity, then none: one
-    sector), so every entry between two sectors is exactly zero.  A term's
-    states of local charge ``c_t`` meet the states of sector ``c`` whose
-    outer sites carry charge ``c - c_t``; each block gets every term's
-    placed entries, in term order, so it equals the matching sub-block of
-    ``local_hamiltonian(phi, lam)`` entry for entry, and no matrix on all
-    of ``lam`` is built.  A caller may fix ``modulus`` instead; a term's
-    entries between unequal local charges are then not read.
+    sector).  A caller may fix ``modulus``, which the terms inside ``lam``
+    must conserve (``conserved_modulus``), else ``ValueError``: every entry
+    between two sectors is exactly zero.  A term's states of local charge
+    ``c_t`` meet the states of sector ``c`` whose outer sites carry charge
+    ``c - c_t``; each block gets every term's placed entries, in term order,
+    so it equals the matching sub-block of ``local_hamiltonian(phi, lam)``
+    entry for entry, and no matrix on all of ``lam`` is built.
     """
     d = phi.local_dim
     _check_dense(d ** len(lam))
     terms = [t for t in phi.terms if t.support in lam]
+    ops = [t.op for t in terms]
     if modulus == "conserved":
-        modulus = conserved_modulus([t.op for t in terms])
+        modulus = conserved_modulus(ops)
+    elif conserved_modulus(ops, (modulus,)) != modulus:
+        raise ValueError(f"terms inside {lam} break the charge sectors at "
+                         f"modulus {modulus}")
     dtype = np.float64 if _real(terms) else np.complex128
     sectors = charge_sectors(len(lam), d, modulus)
     pos = np.empty(d ** len(lam), np.intp)
@@ -187,8 +191,8 @@ def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
 
 
 def charge_stack(phi: Interaction, lam: Interval, modulus) -> np.ndarray:
-    """The blocks of ``charge_blocks(phi, lam, modulus)`` as one stack
-    (k, b, b), for sectors of one size (modulus 1, or 2 at ``d = 2``)."""
+    """The blocks of ``charge_blocks(phi, lam, modulus)``, which refuses terms
+    that break ``modulus``, as one stack (k, b, b) of sectors of one size."""
     return np.stack(tuple(charge_blocks(phi, lam, modulus)[1]))
 
 

@@ -203,12 +203,10 @@ def random_even_perturbation(lam: Interval, max_radius: int, envelope: dict,
 
     Every ball ``b(x, n)``, ``x in lam``, ``1 <= n <= max_radius``, carries a
     real symmetric even term of operator norm exactly
-    ``A exp(-K n^s) / (1+n)^kappa``.
+    ``A exp(-K n^s) / (1+n)^kappa``, each constant read from ``envelope``
+    (a missing one is a ``KeyError``).
     """
-    A = float(envelope.get("A", 1.0))
-    K = float(envelope.get("K", 0.5))
-    s = float(envelope.get("s", 1.0))
-    kappa = float(envelope.get("kappa", 4.0))
+    A, K, s, kappa = (float(envelope[k]) for k in ("A", "K", "s", "kappa"))
     rng = np.random.default_rng(seed)
     terms = []
     for x in lam:

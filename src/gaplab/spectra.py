@@ -147,11 +147,11 @@ def cluster_projector(h, dim: int) -> np.ndarray:
 @dataclass
 class ProjectorFamily:
     """Kernel projectors of the balls around a site, with the resolution they
-    induce, as block stacks on the charge sectors of ``modulus``."""
+    induce, as block stacks on the charge sectors of the flow's ``modulus``."""
 
     lam: Interval
     x: int
-    modulus: int | None           # the charge_blocks modulus of every stack
+    modulus: int                  # the charge_blocks modulus of every stack
     P: np.ndarray                 # full-volume kernel projector
     locals: list[np.ndarray]      # P_{b(x,1)} .. P_{b(x,r_x)}, embedded
 
@@ -170,7 +170,7 @@ class ProjectorFamily:
 
 
 def resolution_family(eta: Interaction, lam: Interval, x: int,
-                      P: np.ndarray, modulus) -> ProjectorFamily:
+                      P: np.ndarray, modulus: int) -> ProjectorFamily:
     """Ball kernel projectors around ``x``, and the resolution they telescope
     to ``P``, the kernel projector of the whole volume as a block stack on
     the charge sectors of ``modulus``.  Each ball projector,

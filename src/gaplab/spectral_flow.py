@@ -72,9 +72,9 @@ from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, charge_stack
 from .operator_algebra import (LocalOperator, charge_sectors,
                                conditional_expectation, conserved_modulus,
-                               delta_layer, eigenvalues, join_blocks,
-                               kernel_count, operator_norm)
-from .spectra import ProjectorFamily, diagonalize
+                               delta_layer, join_blocks, kernel_count,
+                               operator_norm)
+from .spectra import FrustrationError, ProjectorFamily, diagonalize
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,9 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     checkpoint the tracked gap of ``H(s)`` is compared with the filter width
     and the transported projector with the spectral one, both read from the
     eigendecomposition that built the generator there, and ``p0``, the
-    cluster projector of ``H_0``, from the one at s = 0.  The unitaries are
+    cluster projector of ``H_0``, from the one at s = 0, whose kernel count
+    is the cluster size unless ``cluster_dim`` is given (``FrustrationError``
+    if it is 0), so ``H_0`` is solved once.  The unitaries are
     real orthogonal when ``H_0`` and ``Psi`` are real.
 
     ``keep`` names the checkpoint indices (of the grid of ``checkpoints``
@@ -348,12 +350,9 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     if not keep <= set(range(checkpoints)):
         raise ValueError("keep: not a checkpoint index")
 
-    if cluster_dim is None:
-        cluster_dim = kernel_count(eigenvalues(b0))
-
     # One solve per coupling gives the generator and, at a checkpoint, the
     # tracked gap and each block's cluster eigenvectors; the solves at both
-    # ends are kept.
+    # ends are kept.  The first solve, at s = 0, fixes a default cluster.
     checkpoint_keys = {round(float(s), 15) for s in grid}
     end_keys = (round(float(grid[0]), 15), round(float(grid[-1]), 15))
     gen_cache: dict[float, np.ndarray] = {}
@@ -361,9 +360,14 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     ends: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def gen(s):
+        nonlocal cluster_dim
         key = round(float(s), 15)
         if key not in gen_cache:
             evals, evecs = diagonalize(b0 + s * bp)
+            if cluster_dim is None:
+                cluster_dim = kernel_count(evals)
+                if cluster_dim == 0:
+                    raise FrustrationError("no kernel eigenvalues to track")
             gen_cache[key] = eigenbasis_generator(evals, evecs, bp, window)
             if key in checkpoint_keys:
                 tracked[key] = _cluster(evals, evecs, cluster_dim)
@@ -498,8 +502,8 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
 
     All of it runs on the flow's block stacks, in the field of the flow and
     the anchored terms: each anchor's terms are assembled by
-    ``charge_stack`` at the flow's modulus, one anchor at a time
-    (``ValueError`` if they do not conserve that charge), and the
+    ``charge_stack`` at the flow's modulus, one anchor at a time (which
+    refuses terms that break that charge with ``ValueError``), and the
     decomposition keeps the stacks.
     """
     upto = len(flow.eps_grid) - 1 if upto is None else upto
@@ -515,12 +519,8 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
         return p @ a @ p + q @ a @ q
 
     def anchor_blocks(phi, groups, x):
-        terms = groups.get(x, [])
-        if conserved_modulus([t.op for t in terms],
-                             (flow.modulus,)) != flow.modulus:
-            raise ValueError(
-                "anchored terms break the parity blocks of the flow")
-        return charge_stack(replace(phi, terms=terms), lam, flow.modulus)
+        return charge_stack(replace(phi, terms=groups.get(x, [])), lam,
+                            flow.modulus)
 
     eta_anchored, psi_anchored = eta.anchored(), psi.anchored()
     anchors = sorted(set(eta_anchored) | set(psi_anchored))

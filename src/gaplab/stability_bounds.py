@@ -188,22 +188,20 @@ def edge_bulk_strengths(phi: Interaction, lam: Interval, depth: int,
     return VolumeStrengths(lam, interior_fnorm, float(edge_norm))
 
 
-def uniform_strengths(phi_for: dict, depth: int, rng: int, fspec):
+def uniform_strengths(phi_for: dict, depth: int, fspec):
     """Sup of interior F-norms and edge norms over a family of volumes.
 
-    ``phi_for`` maps each volume to its perturbation; only volumes with
-    diameter above ``max(2 depth, rng)`` enter the suprema.
+    ``phi_for`` maps each volume to its perturbation, and each enters the
+    suprema (the caller picks them); an empty family is a ``ValueError``.
     """
+    if not phi_for:
+        raise ValueError("no volume to take the uniform strengths over")
     m_int, m_d, rows = 0.0, 0.0, []
     for lam, phi in phi_for.items():
-        if lam.diameter <= max(2 * depth, rng):
-            continue
         vs = edge_bulk_strengths(phi, lam, depth, fspec)
         rows.append(vs)
         m_int = max(m_int, vs.interior_fnorm)
         m_d = max(m_d, vs.edge_norm)
-    if not rows:
-        raise ValueError("no volume exceeds the diameter threshold")
     return m_int, m_d, rows
 
 
@@ -221,6 +219,7 @@ class BoundConstants:
     j: JConstants
     omega: OmegaProfile = None
     f0: DerivedFSpec = None
+    truncation: int = 2000      # the partial sums' length, for every series
 
     @property
     def strengths(self) -> float:
@@ -267,17 +266,17 @@ class BoundConstants:
                  + 4.0 * self.c * self.strengths)
         return abs(self.m - recon) / max(1.0, self.m)
 
-    def m_grouped(self, truncation: int = 2000, min_n: int = 0) -> float:
+    def m_grouped(self, min_n: int = 0) -> float:
         """The same constant summed with grouped coefficients ``20C(3|n|+2)``.
 
         With ``min_n = 0`` the grouped series runs over the whole lattice of
         offsets and is algebraically equal to ``3 J_1 + 2 J_2``; the value must
-        match ``m`` to tail accuracy, and the two routes differ only in how
-        the tails are certified.  ``min_n = 3`` keeps only the far offsets of
-        the weighted part — a strictly smaller constant whose gap from the
-        full sum is the dropped ``|n| <= 2`` terms.
+        match ``m`` to tail accuracy (both cut at ``truncation``), and the two
+        routes differ only in how the tails are certified.  ``min_n = 3``
+        keeps only the far offsets of the weighted part — a strictly smaller
+        constant whose gap from the full sum is the dropped ``|n| <= 2`` terms.
         """
-        T = int(truncation)
+        T = int(self.truncation)
         sq = self.omega.sqrt()
         n = np.arange(max(min_n, 1), T + 1, dtype=float)
         bracket = _bracket(sq, self.f0, n)
@@ -298,20 +297,20 @@ def bound_constants(gamma0: float, c: float, eta_fnorm: float, m_int: float,
                     truncation: int = 2000) -> BoundConstants:
     j = j_constants(c, omega, f0, truncation=truncation)
     return BoundConstants(gamma0, c, eta_fnorm, m_int, m_d, j,
-                          omega=omega, f0=f0)
+                          omega=omega, f0=f0, truncation=truncation)
 
 
-def stability_threshold(bc: BoundConstants, truncation: int = 2000) -> dict:
+def stability_threshold(bc: BoundConstants) -> dict:
     """The gap-slope constant ``m`` re-summed, to cross-check ``bc.m``.
 
     ``bc.m`` is the linear combination of the J sums; ``m_grouped`` re-sums
-    the same series with grouped coefficients (equal up to tail
-    certification); ``m_grouped_far`` drops the near offsets of the weighted
-    part.  The thresholds are ``bc``'s own properties.
+    the same series, to ``bc.truncation``, with grouped coefficients (equal
+    up to tail certification); ``m_grouped_far`` drops the near offsets of
+    the weighted part.  The thresholds are ``bc``'s own properties.
     """
     return {
-        "m_grouped": bc.m_grouped(truncation),
-        "m_grouped_far": bc.m_grouped(truncation, min_n=3),
+        "m_grouped": bc.m_grouped(),
+        "m_grouped_far": bc.m_grouped(min_n=3),
     }
 
 
@@ -363,10 +362,12 @@ class FormBoundReport:
 
     @property
     def holds(self) -> bool:
-        return (min(self.min_eig_plus, self.min_eig_minus) >= -1e-10
+        return (min(self.min_eig_plus, self.min_eig_minus) >= -_ALLOWANCE
                 and self.violations == 0)
 
 
+# the additive allowance of every form-bound margin, eigenvalue or sampled
+_ALLOWANCE = 1e-10
 # the form-bound samples are taken this many columns at a time
 _SAMPLE_COLUMNS = 128
 
@@ -381,7 +382,7 @@ def verify_form_bound(h0, h0_vecs, phi2, sectors, delta: float,
     inequalities are settled by eigenvalue computation, block by block; a
     seeded sample of unit vectors, together with the eigenvectors of the
     unperturbed Hamiltonian (the columns of each block of ``h0_vecs``),
-    reports margins with an additive ``1e-10`` allowance.  Violations are
+    reports margins with the additive ``_ALLOWANCE``.  Violations are
     counted, not raised.  The samples are drawn ``_SAMPLE_COLUMNS`` at a
     time, each block's real and imaginary parts together, in block order,
     and both quadratic forms of a vector are summed over its parts on the
@@ -416,9 +417,9 @@ def verify_form_bound(h0, h0_vecs, phi2, sectors, delta: float,
         for lo in range(0, vecs.shape[1], _SAMPLE_COLUMNS):
             found.append(margins([k], [vecs[:, lo:lo + _SAMPLE_COLUMNS]]))
     found = np.concatenate(found)
-    return FormBoundReport(eps, delta, beta,
-                           float(ev_plus[0]), float(ev_minus[0]),
-                           float(found.min()), int(np.sum(found < -1e-10)))
+    return FormBoundReport(eps, delta, beta, float(ev_plus[0]),
+                           float(ev_minus[0]), float(found.min()),
+                           int(np.sum(found < -_ALLOWANCE)))
 
 
 def volume_form_constants(bc: BoundConstants, phi_int_fnorm: float):

@@ -22,9 +22,11 @@ from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         write_artifacts)
 from gaplab.interaction import to_json
 from gaplab.lattice import Interval
-from gaplab.models import orbital_interaction, paired_orbital_model
+from gaplab.models import kernel_data, orbital_interaction, \
+    paired_orbital_model
 from gaplab.operator_algebra import LocalOperator, conserved_modulus, \
     operator_norm
+from gaplab.spectra import gap_curve
 from oracles import norm_oracle, telescope_oracle, traced_peak
 
 
@@ -411,6 +413,106 @@ def test_short_chains_stop_the_stability_pipelines_before_any_runs(
     assert called == [] and not out.exists()
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
     assert called == ["validate"]
+
+
+def _recording_pipelines(monkeypatch) -> list:
+    """Replace every pipeline by one that records its name; the list."""
+    called = []
+    monkeypatch.setattr(cli, "PIPELINES", {
+        name: lambda cfg, ctx, name=name: called.append(name) or Report(name)
+        for name in cli.PIPELINES})
+    return called
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_a_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                           route):
+    """A negative seed, from the config's seed list or from ``--seed``,
+    exits 2 with one line, before any pipeline runs or any directory is
+    made."""
+    called = _recording_pipelines(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [-1]} if route == "config" else {}),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["sp0scan", "--config", str(cfg), "--out", str(out)]
+    if route == "flag":
+        argv += ["--seed", "-3"]
+    assert main(argv) == 2
+    seed = -1 if route == "config" else -3
+    assert capsys.readouterr().err == (
+        f"config error: seeds: a seed must be non-negative; got {seed}\n")
+    assert called == [] and not out.exists()
+
+
+@pytest.mark.parametrize("route", ["out", "config"])
+def test_an_output_directory_that_cannot_be_made_is_a_config_error(
+        tmp_path, monkeypatch, capsys, route):
+    """An output directory under a regular file, from ``--out`` or from
+    ``outputs.directory``, exits 2 with one line naming it, before any
+    pipeline runs."""
+    called = _recording_pipelines(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "out"
+    cfg = tmp_path / "cfg.json"
+    argv = ["sp0scan", "--config", str(cfg)]
+    if route == "out":
+        cfg.write_text("{}", encoding="utf-8")
+        argv += ["--out", str(out)]
+    else:
+        cfg.write_text(json.dumps({"outputs": {"directory": str(out)}}),
+                       encoding="utf-8")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: outputs.directory: cannot make "
+                          f"{out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert called == []
+
+
+# the config patch of the benchmark's ``all-L10`` workload
+ALL_L10 = {"lengths": [8, 10], "ltqo": {"aklt_lengths": [6]},
+           "sp0": {"length": 10}}
+
+
+def test_the_stability_pipelines_need_no_closed_form(tmp_path, monkeypatch):
+    """With the orbital chain's closed forms (the kernel dimension, the
+    spectrum and the auxiliary basis) made to raise, every pipeline but
+    ``validate``, whose certificate they are, runs on the ``all-L10``
+    workload's config and passes every check."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form was read")
+
+    for name in ("kernel_data", "orbital_spectrum", "auxiliary_basis"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = merged_config(ALL_L10)
+    names = [name for name in cli.PIPELINES if name != "validate"]
+    reports = run(cfg, names, tmp_path / "out")
+    assert [rep.name for rep in reports] == names
+    assert all(rep.checks and rep.passed for rep in reports)
+
+
+def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
+    """On every volume of the ``all-L10`` workload the gap curve without a
+    cluster size, which counts the kernel of the coupling-zero spectrum it
+    solves, equals bit for bit the one given the closed-form kernel
+    dimension."""
+    cfg = merged_config(ALL_L10)
+    grid = np.linspace(0.0, 0.05, 11)
+    lengths = cli._stability_lengths(cfg)
+    assert lengths == [8, 10]
+    for length in lengths:
+        lam, eta, pert = cli._volume(cfg, length)
+        kdim, _ = kernel_data(paired_orbital_model(lam), lam)
+        read = gap_curve(eta, pert, lam, grid)
+        given = gap_curve(eta, pert, lam, grid, cluster_dim=kdim)
+        assert len(read) == len(given) == len(grid)
+        for a, b in zip(read, given):
+            assert a.eps == b.eps
+            assert a.sp0.size == kdim
+            assert np.array_equal(a.sp0, b.sp0)
+            assert np.array_equal(a.sp1, b.sp1)
 
 
 def test_benchmark_workloads_keep_their_artifacts(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -119,14 +120,17 @@ def test_fixed_modulus_blocks_are_the_whole_matrix_split_on_its_sectors(
     """``charge_blocks`` at a fixed modulus, on terms real or complex that
     keep the number (or ``S^z``), only its parity, or nothing, and on terms
     whose entries between their charges are rounding-size (1e-17 of the
-    others): each block equals, entry for entry, the sector's sub-block of
-    the whole matrix split on the sectors of the digit sums, the route the
-    blocks replace (``local_hamiltonian``, and ``embed`` for one term).  So
-    whatever lies between the sectors is not read."""
+    others).  When every term conserves the modulus, each block equals,
+    entry for entry, the sector's sub-block of the whole matrix split on
+    the sectors of the digit sums, the route the blocks replace
+    (``local_hamiltonian``, and ``embed`` for one term).  When a term has
+    an entry between unequal charges under the modulus, however small, the
+    blocks are refused with a ``ValueError`` naming the volume and the
+    modulus."""
     d, max_sites = dim_sites
     rng = np.random.default_rng(seed)
     lam = Interval(0, int(rng.integers(1, max_sites + 1)) - 1)
-    terms = []
+    terms, keeps = [], True
     for _ in range(n_terms):
         a = int(rng.integers(lam.a, lam.b + 1))
         supp = Interval(a, int(rng.integers(a, lam.b + 1)))
@@ -136,7 +140,18 @@ def test_fixed_modulus_blocks_are_the_whole_matrix_split_on_its_sectors(
         cross = 1e-17 * m if rng.integers(2) else 0.0
         m = np.where(q[:, None] == q[None, :], m, cross)
         terms.append(Term(LocalOperator(m, supp, lam, "spin", d)))
+        # the entries drawn nonzero: within the charges of q, and every
+        # other one when the cross entries are
+        drawn = (q[:, None] == q[None, :]) | bool(np.any(cross))
+        c = k if modulus is None else k % modulus
+        keeps = keeps and not np.any(drawn & (c[:, None] != c[None, :]))
     phi = Interaction(terms, "spin", d)
+    if not keeps:
+        with pytest.raises(ValueError, match=re.escape(
+                f"terms inside {lam} break the charge sectors at modulus "
+                f"{modulus}")):
+            charge_blocks(phi, lam, modulus)
+        return
     digits = digit_sums(len(lam), d)
     q = digits if modulus is None else digits % modulus
     expected = [np.flatnonzero(q == c) for c in np.unique(q)]
@@ -151,6 +166,27 @@ def test_fixed_modulus_blocks_are_the_whole_matrix_split_on_its_sectors(
         for split in splits:
             assert np.array_equal(block, split[i])
     assert i + 1 == len(expected) == len(sectors)
+
+
+@pytest.mark.parametrize("cross", [1e-17, 0.0])
+def test_a_fixed_modulus_refuses_a_term_that_breaks_it_by_rounding(cross):
+    """A number-conserving two-site term with rounding-size entries between
+    its charges is refused at the number and at the parity, and still
+    placed in one sector; without them it is placed at every modulus."""
+    lam = Interval(0, 1)
+    m = np.diag([0.0, 1.0, 1.0, 2.0])
+    m[1, 2] = m[2, 1] = 0.5                 # keeps the number
+    m[0, 1] = m[1, 0] = cross               # changes it by one
+    phi = Interaction([Term(LocalOperator(m, lam, lam, "spin"))], "spin")
+    for modulus in (None, 2):
+        if cross:
+            with pytest.raises(ValueError, match=f"modulus {modulus}"):
+                charge_blocks(phi, lam, modulus)
+        else:
+            assert len(charge_blocks(phi, lam, modulus)[0]) == \
+                {None: 3, 2: 2}[modulus]
+    (block,) = charge_blocks(phi, lam, 1)[1]
+    assert np.array_equal(block, m)
 
 
 @settings(max_examples=40, deadline=None)

@@ -200,6 +200,14 @@ def test_random_even_perturbation_norm_envelope():
             np.max(np.abs(t.op.matrix.imag)) == 0.0
 
 
+def test_random_even_perturbation_reads_every_constant_of_its_envelope():
+    """The envelope is read as given: one without ``kappa`` is refused,
+    not completed with a default."""
+    env = {"A": 1.0, "K": 0.5, "s": 1.0}
+    with pytest.raises(KeyError, match="kappa"):
+        random_even_perturbation(Interval(0, 4), 1, env, seed=7)
+
+
 def test_random_even_perturbation_deterministic():
     lam = Interval(0, 4)
     env = {"A": 2.0, "K": 0.25, "s": 1.0, "kappa": 3.0}

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from unittest.mock import patch
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from gaplab.cli import _form_bound_checkpoints
+from gaplab.cli import ENVELOPE, _form_bound_checkpoints
 from gaplab.interaction import (Interaction, Term, fermion_to_spin,
                                 local_hamiltonian, split_edge_bulk)
 from gaplab.lattice import Interval, boundary_distances
@@ -14,7 +15,7 @@ from gaplab.models import (kernel_data, orbital_interaction,
                            paired_orbital_model, random_even_perturbation)
 from gaplab import interaction, operator_algebra, spectra, spectral_flow
 from gaplab.operator_algebra import charge_sectors, join_blocks, operator_norm
-from gaplab.spectra import diagonalize, resolution_family
+from gaplab.spectra import FrustrationError, diagonalize, resolution_family
 from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   _polar_unitary, _time_rule,
                                   decompose_phi1, eigenbasis_generator,
@@ -403,6 +404,55 @@ def test_flow_rejects_closing_gap():
     with pytest.raises(RuntimeError):
         flow_unitaries(*flow_pair(h0, psi), 0.45, Window(GAMMA),
                        checkpoints=9)
+
+
+def _same_bits(a, b) -> bool:
+    """``a`` and ``b`` equal bit for bit: arrays, numbers, or dicts, lists
+    and tuples of them."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def test_flow_reads_its_cluster_off_the_solve_at_coupling_zero(monkeypatch):
+    """On the default flow volume (8 sites, perturbation radius 2, 33
+    checkpoints, the form-bound couplings kept) the flow without a cluster
+    size tracks the kernel of ``H0`` read off its own solve at s = 0: the
+    result equals, bit for bit, the flow given the closed-form kernel
+    dimension, and it makes the same ``eigh`` and ``eigvalsh`` calls, no
+    more."""
+    lam = Interval(0, 7)
+    model = paired_orbital_model(lam)
+    eta = orbital_interaction(model, lam)
+    pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
+    psi = split_edge_bulk(pert, lam, 2).bulk
+    args = (eta, psi, lam, 0.02, Window(GAMMA))
+    kwargs = {"checkpoints": 33, "keep": _form_bound_checkpoints(32)}
+    results, solves = [], []
+    for extra in ({"cluster_dim": kernel_data(model, lam)[0]}, {}):
+        shapes = []
+        with monkeypatch.context() as patched:
+            for name in ("eigh", "eigvalsh"):
+                _counting(patched, name, shapes)
+            results.append(flow_unitaries(*args, **kwargs, **extra))
+        solves.append(shapes)
+    given, read = results
+    for field in fields(given):
+        assert _same_bits(getattr(given, field.name),
+                          getattr(read, field.name)), field.name
+    assert solves[1] == solves[0]
+
+
+def test_flow_without_a_kernel_to_track_is_refused():
+    """``H0 = diag(1, 2)`` has no kernel: without a cluster size the flow
+    has nothing to track."""
+    with pytest.raises(FrustrationError, match="no kernel"):
+        flow_unitaries(*flow_pair(np.diag([1.0, 2.0]), SX), 0.1,
+                       Window(GAMMA), checkpoints=5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -860,8 +910,10 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
         bundle, monkeypatch):
     """On the L = 8 chain (side 256) the flow holds no array of side 256,
     and neither do its decompositions.  The decomposition assembles one
-    stack per anchor and interaction, at the flow's modulus, and reads the
-    parity of each anchor's terms alone, never of a matrix of the flow."""
+    stack per anchor and interaction, at the flow's modulus, and the
+    parity of each anchor's terms alone is read, once per stack, by the
+    check ``charge_blocks`` makes of a given modulus, never of a matrix of
+    the flow."""
     flow, eta, psi = bundle["flow"], bundle["eta"], bundle["psi"]
     assert len(flow.unitaries) == 9
     for field in fields(flow):
@@ -869,10 +921,11 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
             assert 256 not in a.shape, field.name
     stacked, tested = [], []
     original_stack = spectral_flow.charge_stack
-    original_modulus = spectral_flow.conserved_modulus
+    original_modulus = interaction.conserved_modulus
 
     def stack(phi, lam, modulus):
-        stacked.append(({t.anchor for t in phi.terms}, modulus))
+        stacked.append(([t.op for t in phi.terms],
+                        {t.anchor for t in phi.terms}, modulus))
         return original_stack(phi, lam, modulus)
 
     def conserved(ops, moduli=(None, 2)):
@@ -880,16 +933,16 @@ def test_flow_hands_on_block_stacks_and_the_decomposition_reads_them(
         return original_modulus(ops, moduli)
 
     monkeypatch.setattr(spectral_flow, "charge_stack", stack)
-    monkeypatch.setattr(spectral_flow, "conserved_modulus", conserved)
+    monkeypatch.setattr(interaction, "conserved_modulus", conserved)
     dec = decompose_phi1(flow, eta, psi, bundle["lam"])
     anchors = set(eta.anchored()) | set(psi.anchored())
     assert len(stacked) == len(tested) == 2 * len(anchors)
     assert all(len(group) <= 1 and modulus == flow.modulus == 2
-               for group, modulus in stacked)
-    terms = [t.op for t in eta.terms + psi.terms]
-    assert all(moduli == (2,) and all(any(op is t for t in terms)
-                                      for op in ops)
-               for ops, moduli in tested)
+               for _, group, modulus in stacked)
+    for (stacked_ops, _, _), (ops, moduli) in zip(stacked, tested):
+        assert moduli == (flow.modulus,)
+        assert len(ops) == len(stacked_ops)
+        assert all(op is own for op, own in zip(ops, stacked_ops))
     for a in [dec.v_true, *dec.anchors.values()]:
         assert a.shape == (2, 128, 128)
 
@@ -937,8 +990,9 @@ def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
 def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
         bundle):
     """An odd term and its negative at two anchors leave Psi as it was, but
-    each anchored sum breaks the parity blocks the flow ran on.  No
-    fermionic term is odd, so Psi and the pair are taken as spin terms."""
+    each anchored sum breaks the parity blocks the flow ran on, and
+    ``charge_stack`` refuses to place it there.  No fermionic term is odd,
+    so Psi and the pair are taken as spin terms."""
     psi = fermion_to_spin(bundle["psi"])
     term = psi.terms[0]
     odd = np.kron(SX, np.eye(term.op.matrix.shape[0] // 2))
@@ -946,7 +1000,9 @@ def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
     broken = replace(psi, terms=psi.terms + [
         replace(term, op=replace(term.op, matrix=m), anchor=x)
         for m, x in ((odd, a), (-odd, b))])
-    with pytest.raises(ValueError, match="parity blocks"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"terms inside {bundle['lam']} break the charge sectors at "
+            f"modulus {bundle['flow'].modulus}")):
         decompose_phi1(bundle["flow"], bundle["eta"], broken, bundle["lam"])
 
 

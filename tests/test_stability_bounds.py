@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,15 @@ def test_stability_threshold_report(bc):
     assert rep == {"m_grouped": bc.m_grouped(),
                    "m_grouped_far": bc.m_grouped(min_n=3)}
     assert rep["m_grouped_far"] <= rep["m_grouped"]
+    # the re-summation runs to the truncation the constants carry: one
+    # that stops inside a step profile's plateau is refused
+    step = bound_constants(gamma0=1.0, c=0.01, eta_fnorm=2.0, m_int=0.5,
+                           m_d=0.1, omega=OmegaProfile("step", 2.0, 10.0),
+                           f0=None)
+    assert bc.truncation == step.truncation == 2000
+    stability_threshold(step)
+    with pytest.raises(ValueError, match="truncation does not clear"):
+        stability_threshold(replace(step, truncation=5))
 
 
 def test_kappa_bound_formula(bc):
@@ -324,14 +335,17 @@ def test_edge_bulk_strengths_split():
 
 
 def test_uniform_strengths_suprema_and_threshold():
-    volumes = [Interval(0, 5), Interval(0, 7)]
+    """The suprema run over every volume given, one of diameter 2 D too:
+    the diameter threshold is the caller's (``cli._stability_lengths``).
+    Only an empty family is refused."""
+    volumes = [Interval(0, 5), Interval(0, 7), Interval(0, 2)]
     phi_for = {lam: random_even_perturbation(lam, 1, ENV, seed=3)
                for lam in volumes}
-    m_int, m_d, rows = uniform_strengths(phi_for, 1, 1, BASE)
-    assert len(rows) == 2
-    assert m_int == pytest.approx(max(r.interior_fnorm for r in rows))
-    assert m_d == pytest.approx(max(r.edge_norm for r in rows))
-    small = {Interval(0, 2): random_even_perturbation(Interval(0, 2), 1,
-                                                      ENV, seed=3)}
-    with pytest.raises(ValueError):
-        uniform_strengths(small, 1, 1, BASE)
+    m_int, m_d, rows = uniform_strengths(phi_for, 1, BASE)
+    assert [r.lam for r in rows] == volumes
+    for r in rows:
+        assert r == edge_bulk_strengths(phi_for[r.lam], r.lam, 1, BASE)
+    assert m_int == max(r.interior_fnorm for r in rows)
+    assert m_d == max(r.edge_norm for r in rows)
+    with pytest.raises(ValueError, match="no volume"):
+        uniform_strengths({}, 1, BASE)
