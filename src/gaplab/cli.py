@@ -236,10 +236,11 @@ def _short_chains(cfg: dict) -> list[str]:
 def _config_objects(cfg: dict) -> list[str]:
     """Check the filter window's kind, build what the pipelines build from
     config alone, and turn each constructor's ``ValueError`` into a config
-    line: the base envelope with its transform and ``f_zero``, and the J
-    sums of the step profile at the truncation.  The transform is taken at
-    filter width and velocity 1, the sums at flow constant 1: these only
-    scale them."""
+    line: the base envelope with its transform, ``f_zero`` and its
+    regrouped decay (a weight whose regrouping tail cannot be certified is
+    refused there), and the J sums of the step profile at the truncation.
+    The transform is taken at filter width and velocity 1, the sums at flow
+    constant 1: these only scale them."""
     errors = []
     if cfg["flow"]["window"] != "bump":
         errors.append("flow.window: unknown window kind "
@@ -248,6 +249,7 @@ def _config_objects(cfg: dict) -> list[str]:
         base = base_envelope(cfg)
         _transformed(base, 1.0, 1.0)
         f0 = f_zero(base, R=1)
+        regroup_decay(base)
     except ValueError as exc:
         return errors + [f"constants.F: {exc}"]
     try:
@@ -324,8 +326,10 @@ def _cell(value) -> str:
 
 
 def write_artifacts(reports: list[Report], out_dir: Path, formats) -> Path:
+    """Write every report's tables (``csv``), its ledger (``json``) and the
+    summary into the existing directory ``out_dir``; a file that cannot be
+    written raises its ``OSError``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for rep in reports:
         if "csv" in formats:
             for filename, (header, rows) in rep.tables.items():
@@ -525,20 +529,16 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     # for the gap sweep
     volumes = {n: _volume(cfg, n) for n in _stability_lengths(cfg)}
     phi_for = {lam: pert for lam, _, pert in volumes.values()}
-    m_int, m_d, strength_rows = uniform_strengths(phi_for, depth, base)
+    m_int, m_d = uniform_strengths(phi_for, depth, base)
 
-    report = validate_unperturbed(lambda lam: _orbital(lam)[1],
-                                  [_window(6), _window(8, 1)])
-    gamma0 = report.gamma0_candidate
+    gamma0 = validate_unperturbed(lambda lam: _orbital(lam)[1],
+                                  [_window(6), _window(8, 1)]).gamma0_candidate
 
     bc = bound_constants(gamma0, c_used, eta_fnorm, m_int, m_d, omega, f0,
                          truncation=cfg["constants"]["truncation"])
     ctx["constants"] = {
-        "bc": bc, "base": base, "f_phi": f_phi, "f0": f0, "omega": omega,
-        "eta_fnorm": eta_fnorm, "psi_fnorm": psi_fnorm, "nu": nu,
-        "c_user": c_user, "c_measured": c_measured, "c_used": c_used,
-        "phi1_fnorm": phi1_fnorm, "m_int": m_int, "m_d": m_d,
-        "strength_rows": strength_rows, "gamma0": gamma0,
+        "bc": bc, "psi_fnorm": psi_fnorm, "nu": nu, "c_user": c_user,
+        "c_measured": c_measured, "phi1_fnorm": phi1_fnorm,
         "volumes": volumes,
     }
     return ctx["constants"]
@@ -714,11 +714,8 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
         x = (lam.a + lam.b) // 2
         r_near, _ = boundary_distances(lam, x)
         for n in range(2, r_near + 1):
-            z = min(n, r_near)
-            for k in range(0, z):
-                sep = z - k
-                if sep < 1:
-                    continue
+            for k in range(0, n):
+                sep = n - k
                 value = ltqo_witness(eta, lam, x, n, k, seen, ascent=ascent)
                 bound = 1.5 * (1.0 / 3.0) ** sep
                 ok = value <= bound
@@ -947,23 +944,23 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     ledger = {
         "inputs": {
             "model": "orbital",
-            "gamma0": cb["gamma0"],
+            "gamma0": bc.gamma0,
             "filter_width": fb["window"].gamma,
             "window_kind": cfg["flow"]["window"],
             "depth": cfg["D"],
             "envelope": cfg["constants"]["F"],
-            "omega_profile": {"kind": cb["omega"].kind,
-                              "amplitude": cb["omega"].amplitude,
-                              "cutoff": cb["omega"].rate},
+            "omega_profile": {"kind": bc.omega.kind,
+                              "amplitude": bc.omega.amplitude,
+                              "cutoff": bc.omega.rate},
             "flow_fixture": {"length": cfg["flow"]["length"],
                              "eps": cfg["flow"]["eps"],
                              "max_radius": cfg["flow"]["max_radius"],
                              "seed": cfg["seeds"][0]},
-            "volumes": sorted(len(r.lam) for r in cb["strength_rows"]),
+            "volumes": sorted(cb["volumes"]),
             "truncation": bc.truncation,
         },
         "flow_constant": {
-            "value": cb["c_used"],
+            "value": bc.c,
             "measured": cb["c_measured"],
             "supplied": cb["c_user"],
             "provenance": ("supplied" if cb["c_user"] is not None
@@ -971,11 +968,11 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
             "formula": _FORMULAS["C"],
         },
         "strengths": {
-            "eta_fnorm": cb["eta_fnorm"],
+            "eta_fnorm": bc.eta_fnorm,
             "psi_fnorm": cb["psi_fnorm"],
             "phi1_fnorm": cb["phi1_fnorm"],
-            "M_int": cb["m_int"],
-            "M_D": cb["m_d"],
+            "M_int": bc.m_int,
+            "M_D": bc.m_d,
             "velocity": cb["nu"],
         },
         "constants": {
@@ -1146,9 +1143,11 @@ def run(cfg: dict, commands, out_dir) -> list[Report]:
     the requested pipelines cannot run (a ``file:`` model reaches only
     ``validate``) or the stability pipelines cannot probe is rejected
     before the first pipeline runs; so is an output directory that cannot
-    be made then.  A pipeline whose numerical step cannot be certified (a
-    ``RuntimeError`` or a ``FrustrationError``) is reported as one failed
-    check carrying the reason, and the remaining pipelines still run.
+    be made then, and an artifact that cannot be written at the end is a
+    ``ConfigError`` naming it.  A pipeline whose numerical step cannot be
+    certified (a ``RuntimeError`` or a ``FrustrationError``) is reported as
+    one failed check carrying the reason, and the remaining pipelines still
+    run.
     """
     names = [n for c in commands for n in (PIPELINES if c == "all" else [c])]
     unsupported = [n for n in names if n != "validate"]
@@ -1171,7 +1170,11 @@ def run(cfg: dict, commands, out_dir) -> list[Report]:
             rep = Report(name)
             rep.check("not certified", False, str(exc))
             reports.append(rep)
-    write_artifacts(reports, out_dir, cfg["outputs"]["formats"])
+    try:
+        write_artifacts(reports, out_dir, cfg["outputs"]["formats"])
+    except OSError as exc:
+        raise ConfigError(f"outputs.directory: cannot write an artifact: "
+                          f"{exc}") from None
     return reports
 
 

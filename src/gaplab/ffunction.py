@@ -38,7 +38,6 @@ __all__ = [
     "WeightSpec",
     "FFunctionSpec",
     "DerivedFSpec",
-    "NormSum",
     "evaluate",
     "log_evaluate",
     "norm_sum",
@@ -162,20 +161,9 @@ def geometric_tail(q, T, degree=0, scale=1.0):
     raise ValueError("only degrees 0 and 1 are implemented")
 
 
-@dataclass(frozen=True)
-class NormSum:
-    """A certified series bound: value = partial + tail."""
-
-    partial: float
-    tail: float
-
-    @property
-    def value(self):
-        return self.partial + self.tail
-
-
-def norm_sum(spec: FFunctionSpec, truncation: int = 2000) -> NormSum:
-    """Certified upper bound for the lattice norm ``sum_{x in Z} F(|x|)``.
+def norm_sum(spec: FFunctionSpec, truncation: int = 2000) -> float:
+    """Certified upper bound for the lattice norm ``sum_{x in Z} F(|x|)``:
+    the partial sum to ``truncation`` plus a tail bound.
 
     The weight factor on the tail is frozen at its value at the truncation
     point (weights are nondecreasing), leaving a polynomial series with an
@@ -190,7 +178,7 @@ def norm_sum(spec: FFunctionSpec, truncation: int = 2000) -> NormSum:
     wfac = math.exp(-float(spec.weight(T + 1)))
     tail = 2.0 * poly_tail(spec.c, 1.0, spec.kappa, T, degree=0,
                            scale=spec.L * wfac)
-    return NormSum(partial, tail)
+    return partial + tail
 
 
 def convolution_constant(spec: FFunctionSpec) -> float:
@@ -206,7 +194,7 @@ def convolution_constant(spec: FFunctionSpec) -> float:
     F_bare(|d-z|))``, whose sum over ``z`` is ``2^{kappa+1} |F_bare|`` at
     every ``d``.
     """
-    return 2.0 ** (spec.kappa + 1.0) * norm_sum(spec.bare()).value
+    return 2.0 ** (spec.kappa + 1.0) * norm_sum(spec.bare())
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +260,6 @@ class DerivedFSpec:
     nu: float = 1.0
     K_filter: float = 0.25
     C_phi: float = 0.0
-    C_phi_tail: float = 0.0
 
     def shift_argument(self, r):
         """The rescaled radius used by the shifted/transformed kinds."""
@@ -324,8 +311,10 @@ def regroup_decay(base: FFunctionSpec, truncation: int = 2000) -> DerivedFSpec:
     r"""Decay function carried by regrouping an interaction into intervals.
 
     ``G(r) = exp(-h(r)/2) C_phi / (1+c r)^kappa`` with
-    ``C_phi = L sum_{n>=1} n exp(-h(n)/2)``; a certified tail bound is stored
-    alongside.  A weightless base has divergent ``C_phi`` and is rejected.
+    ``C_phi = L sum_{n>=1} n exp(-h(n)/2)``, certified by a tail bound past
+    ``truncation``.  A weightless base has divergent ``C_phi`` and is
+    rejected, and so is a stretched weight whose summand ``n e^{-h(n)/2}`` is
+    not yet decreasing at ``truncation`` (``K s T^s <= 2``).
     """
     w = base.weight
     if w.is_zero:
@@ -347,4 +336,4 @@ def regroup_decay(base: FFunctionSpec, truncation: int = 2000) -> DerivedFSpec:
         a = 2.0 / s
         tail = base.L * gammaincc(a, lam * T ** s) * gamma_fn(a) / (s * lam ** a)
         tail *= 1.0 + 1e-12  # guard the special-function rounding
-    return DerivedFSpec("regrouped", base, C_phi=partial + tail, C_phi_tail=tail)
+    return DerivedFSpec("regrouped", base, C_phi=partial + tail)

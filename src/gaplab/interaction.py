@@ -128,7 +128,7 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
         view = placement(h, d ** (t.support.a - lam.a),
                          d ** (lam.b - t.support.b))
         view += t.op.matrix.real if real else t.op.matrix
-    return LocalOperator(h, lam, lam, phi.kind, d)
+    return LocalOperator(h, lam, phi.kind, d)
 
 
 def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
@@ -239,22 +239,20 @@ class VolumeReport:
 @dataclass
 class UnperturbedReport:
     rows: list[VolumeReport]
-    range: int
     gamma0_candidate: float
-    passed: bool
 
 
 def validate_unperturbed(build, volumes) -> UnperturbedReport:
     """Frustration-freeness report for a model over probe volumes.
 
-    ``build(lam)`` returns the interaction on ``lam``.  A model failing
-    ``zero_ground_energy`` is reported, not raised.  The gap candidate is the
-    smallest eigenvalue above the kernel scale over the probes whose
-    diameter reaches the interaction range.
+    ``build(lam)`` returns the interaction on ``lam``.  A volume failing
+    ``zero_ground_energy``, or with no kernel, is reported in its row's
+    ``frustration_free``, not raised.  The gap candidate is the smallest
+    eigenvalue above the kernel scale over the probes whose diameter reaches
+    the largest interaction range among the probes.
     """
     rows = []
     rng_max = 0
-    passed = True
     for lam in volumes:
         phi = build(lam)
         rng_max = max(rng_max, phi.range)
@@ -265,17 +263,15 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         min_nonzero = float(nonzero[0]) if nonzero.size else np.inf
         ok = zero_ground_energy(evals) and kdim >= 1
         rows.append(VolumeReport(lam, ground, min_nonzero, kdim, ok))
-        passed = passed and ok
     eligible = [r.min_nonzero for r in rows if r.lam.diameter >= rng_max]
     gamma0 = float(min(eligible)) if eligible else float("inf")
-    return UnperturbedReport(rows, rng_max, gamma0, passed)
+    return UnperturbedReport(rows, gamma0)
 
 
 @dataclass
 class EdgeBulkSplit:
     edge: Interaction
     bulk: Interaction
-    D: int
 
 
 def split_edge_bulk(phi: Interaction, lam: Interval, D: int) -> EdgeBulkSplit:
@@ -292,7 +288,7 @@ def split_edge_bulk(phi: Interaction, lam: Interval, D: int) -> EdgeBulkSplit:
         else:
             edge_terms.append(t)
     return EdgeBulkSplit(replace(phi, terms=edge_terms),
-                         replace(phi, terms=bulk_terms), D)
+                         replace(phi, terms=bulk_terms))
 
 
 def regroup_intervals(psi: Interaction) -> Interaction:
@@ -309,7 +305,7 @@ def regroup_intervals(psi: Interaction) -> Interaction:
         alone[t.support] = None if t.support in alone else t.op
     terms = []
     for supp, m in sorted(merged.items()):
-        op = LocalOperator(m, supp, supp, psi.kind, psi.local_dim)
+        op = LocalOperator(m, supp, psi.kind, psi.local_dim)
         if alone[supp] is not None:
             op._norm = alone[supp].norm()
         terms.append(Term(op))
@@ -321,8 +317,7 @@ def fermion_to_spin(phi: Interaction) -> Interaction:
     even, so its image keeps a copy of its matrix, its support and its norm."""
     if phi.kind != "fermion":
         raise ValueError("expected a fermionic interaction")
-    return Interaction([Term(LocalOperator(t.op.matrix.copy(), t.support,
-                                           t.op.ambient),
+    return Interaction([Term(LocalOperator(t.op.matrix.copy(), t.support),
                              anchor=t.anchor, radius=t.radius)
                         for t in phi.terms], "spin", 2)
 
@@ -341,7 +336,7 @@ def random_interaction(lam: Interval, seed: int, n_terms: int = 6,
             + 1j * rng.standard_normal((dim, dim))
         m = (m + m.conj().T) / 2.0
         m /= max(1.0, operator_norm(m))
-        terms.append(Term(LocalOperator(m, supp, lam, "spin")))
+        terms.append(Term(LocalOperator(m, supp, "spin")))
     return Interaction(terms, "spin")
 
 
@@ -373,6 +368,6 @@ def from_json(text: str) -> Interaction:
         dim = data["local_dim"] ** len(supp)
         m = np.array([complex(re, im) for re, im in entry["matrix"]],
                      dtype=complex).reshape(dim, dim)
-        op = LocalOperator(m, supp, supp, data["kind"], data["local_dim"])
+        op = LocalOperator(m, supp, data["kind"], data["local_dim"])
         terms.append(Term(op, anchor=entry["anchor"], radius=entry["radius"]))
     return Interaction(terms, data["kind"], data["local_dim"])

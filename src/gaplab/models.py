@@ -119,7 +119,7 @@ def orbital_interaction(model: OrbitalModel, lam: Interval) -> Interaction:
         empty_f = af.matrix @ af.matrix.conj().T   # projector onto f unoccupied
         occ_g = ag.matrix.conj().T @ ag.matrix     # projector onto g occupied
         for m in (empty_f, occ_g):
-            terms.append(Term(LocalOperator(m.real, supp, lam, "fermion"),
+            terms.append(Term(LocalOperator(m.real, supp, "fermion"),
                               anchor=anchor))
     return Interaction(terms, "fermion", 2)
 
@@ -188,7 +188,7 @@ def aklt_interaction(lam: Interval) -> Interaction:
     terms = []
     for x in range(lam.a, lam.b):
         supp = Interval(x, x + 1)
-        terms.append(Term(LocalOperator(p2.real, supp, lam, "spin", 3),
+        terms.append(Term(LocalOperator(p2.real, supp, "spin", 3),
                           anchor=x))
     return Interaction(terms, "spin", 3)
 
@@ -218,7 +218,7 @@ def random_even_perturbation(lam: Interval, max_radius: int, envelope: dict,
             p = parity_matrix(len(supp))
             m = (m + p[:, None] * m * p[None, :]) / 2.0
             target = A * np.exp(-K * n ** s) / (1.0 + n) ** kappa
-            m *= target / LocalOperator(m, supp, lam, "fermion").norm()
-            terms.append(Term(LocalOperator(m, supp, lam, "fermion"),
+            m *= target / LocalOperator(m, supp, "fermion").norm()
+            terms.append(Term(LocalOperator(m, supp, "fermion"),
                               anchor=x, radius=n))
     return Interaction(terms, "fermion", 2)

@@ -111,7 +111,8 @@ def _check_dense(dim):
 
 @dataclass
 class LocalOperator:
-    """A matrix acting on the sites of ``support`` inside the chain ``ambient``.
+    """A matrix acting on the sites of ``support``, of ``kind`` ("spin" or
+    "fermion") and local dimension ``local_dim``.
 
     The matrix is never changed in place once the operator is made (every
     operation returns a new operator), so its norm is computed once.  A
@@ -122,7 +123,6 @@ class LocalOperator:
 
     matrix: np.ndarray
     support: Interval
-    ambient: Interval
     kind: str = "spin"
     local_dim: int = 2
     _norm: float | None = field(default=None, init=False, repr=False,
@@ -133,8 +133,6 @@ class LocalOperator:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind == "fermion" and self.local_dim != 2:
             raise ValueError("fermion chains have local dimension 2")
-        if self.support not in self.ambient:
-            raise ValueError(f"support {self.support} outside ambient {self.ambient}")
         m = np.asarray(self.matrix)
         if not np.issubdtype(m.dtype, np.floating) and not np.issubdtype(m.dtype, np.complexfloating):
             m = m.astype(complex)
@@ -146,10 +144,6 @@ class LocalOperator:
         if self.kind == "fermion" and conserved_modulus([self], (2,)) != 2:
             raise ParityError(f"fermionic operator on {self.support} is not "
                               "even: entries between unlike parities")
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
     def norm(self) -> float:
         """The norm on the sectors of ``conserved_modulus([self])``."""
@@ -252,16 +246,16 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def embed(op: LocalOperator, target: Interval) -> LocalOperator:
-    """Extend by identity onto ``target``, written into the ``placement``
-    view of a zeroed matrix."""
-    if op.support not in target or target not in op.ambient:
-        raise ValueError("target must contain the support and sit inside the ambient")
+    """Extend by identity onto ``target``, which must contain the support,
+    written into the ``placement`` view of a zeroed matrix."""
+    if op.support not in target:
+        raise ValueError(f"target {target} does not contain the support {op.support}")
     d = op.local_dim
     _check_dense(d ** len(target))
     m = np.zeros((d ** len(target),) * 2, np.result_type(op.matrix, float))
     placement(m, d ** (op.support.a - target.a),
               d ** (target.b - op.support.b))[...] = op.matrix
-    return LocalOperator(m, target, op.ambient, op.kind, d)
+    return LocalOperator(m, target, op.kind, d)
 
 
 def annihilator(lam: Interval, x: int) -> LocalOperator:
@@ -273,7 +267,7 @@ def annihilator(lam: Interval, x: int) -> LocalOperator:
     m = np.zeros((2 ** len(lam),) * 2, complex)
     string = parity_matrix(x - lam.a)[:, None, None, None]
     placement(m, 2 ** (x - lam.a), 2 ** (lam.b - x))[...] = string * LOWER
-    return LocalOperator(m, lam, lam)
+    return LocalOperator(m, lam)
 
 
 def mode_annihilator(lam: Interval, coeffs: dict) -> LocalOperator:
@@ -316,7 +310,7 @@ def conditional_expectation(op: LocalOperator, keep: Interval) -> LocalOperator:
     d = op.local_dim
     dl, dr = d ** (keep.a - op.support.a), d ** (op.support.b - keep.b)
     out = np.einsum("abij->ij", placement(op.matrix, dl, dr)) / (dl * dr)
-    return LocalOperator(out, keep, op.ambient, op.kind, d)
+    return LocalOperator(out, keep, op.kind, d)
 
 
 def delta_layer(op: LocalOperator, lam: Interval, x: int, n: int) -> LocalOperator:

@@ -183,8 +183,7 @@ def resolution_family(eta: Interaction, lam: Interval, x: int,
     locals_ = []
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)
-        op = LocalOperator(ground_projector(eta, b), b, lam, eta.kind,
-                           eta.local_dim)
+        op = LocalOperator(ground_projector(eta, b), b, eta.kind, eta.local_dim)
         locals_.append(charge_stack(replace(eta, terms=[Term(op)]), lam,
                                     modulus))
     return ProjectorFamily(lam, x, modulus, P, locals_)

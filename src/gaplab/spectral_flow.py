@@ -114,11 +114,11 @@ class Window:
 def eigenbasis_generator(evals, evecs, psi, window: Window) -> np.ndarray:
     """K = i D = -sum_ij wtilde(E_i - E_j) Psi_ij |i><j| from the
     decomposition ``(evals, evecs)`` of H, or of each block of a stack."""
-    return _filtered(evals, evecs, psi,
+    return _filtered(evecs, psi,
                      window.weight(evals[..., :, None] - evals[..., None, :]))
 
 
-def _filtered(evals, evecs, psi, weight) -> np.ndarray:
+def _filtered(evecs, psi, weight) -> np.ndarray:
     """-sum_ij weight_ij Psi_ij |i><j|: the real weight keeps the field of
     ``evecs`` and ``psi``."""
     evecs_h = evecs.conj().swapaxes(-1, -2)
@@ -229,7 +229,7 @@ def time_quadrature_generator(evals, evecs, psi,
             sin *= coeff[lo:lo + step]
             a = a + sin @ cos.T
         np.multiply(2.0, a - a.T, out=block)
-    return _filtered(evals, evecs, psi, weight)
+    return _filtered(evecs, psi, weight)
 
 
 def _polar_unitary(u: np.ndarray) -> np.ndarray:
@@ -444,7 +444,6 @@ class Phi1Decomposition:
     that anchor's ball terms."""
 
     lam: Interval
-    eps: float
     sectors: list[np.ndarray]
     anchors: dict | None                 # x -> block-diagonal v_x (stack)
     v_true: np.ndarray | None            # V(s) (stack)
@@ -460,8 +459,7 @@ class Phi1Decomposition:
         if x not in self.anchors:
             return []
         op = LocalOperator(join_blocks(self.anchors[x], self.sectors),
-                           self.lam, self.lam, kind="spin",
-                           local_dim=self.local_dim)
+                           self.lam, kind="spin", local_dim=self.local_dim)
         _, big_r = boundary_distances(self.lam, x)
         return [Term(conditional_expectation(op, ball(self.lam, x, 1)),
                      anchor=x, radius=1)] \
@@ -539,7 +537,7 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     pieces[min(anchors)] += rho_cross
     max_comm = max(operator_norm(p @ pieces[x] - pieces[x] @ p)
                    for x in anchors)
-    return Phi1Decomposition(lam, s, flow.sectors, pieces, v_true, sum_res,
+    return Phi1Decomposition(lam, flow.sectors, pieces, v_true, sum_res,
                              operator_norm(rho_cross), max_comm,
                              eta.local_dim)
 
@@ -592,11 +590,10 @@ def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
 
 @dataclass
 class ThetaAssembly:
-    """The collected pieces around ``x``, block stacks on the sectors of the
-    decomposition, and their norms.  A holder that reads only the norms and
-    errors may drop the stacks (``None``)."""
+    """The collected pieces around the family's site, block stacks on the
+    sectors of the decomposition, and their norms.  A holder that reads only
+    the norms and errors may drop the stacks (``None``)."""
 
-    x: int
     r_x: int
     theta_beta: dict | None     # n -> Theta_beta^x(n, eps), 3 <= n <= r_x
     theta_alpha: np.ndarray | None
@@ -690,6 +687,6 @@ def theta_assembly(ball_terms: list[Term],
     for n, tb in theta_beta.items():
         ann = max(ann, operator_norm(family.locals[n - 1] @ tb),
                   operator_norm(tb @ family.locals[n - 1]))
-    return ThetaAssembly(x, r_x, theta_beta, theta_alpha,
+    return ThetaAssembly(r_x, theta_beta, theta_alpha,
                          {n: operator_norm(tb) for n, tb in theta_beta.items()},
                          operator_norm(theta_alpha), id_err, ann)

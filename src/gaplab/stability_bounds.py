@@ -173,36 +173,32 @@ def j_constants(c: float, omega: OmegaProfile, f0,
 # volume strengths
 
 
-@dataclass(frozen=True)
-class VolumeStrengths:
-    lam: Interval
-    interior_fnorm: float       # F-norm of the deep-bulk part
-    edge_norm: float            # operator norm of the boundary remainder
-
-
 def edge_bulk_strengths(phi: Interaction, lam: Interval, depth: int,
-                        fspec) -> VolumeStrengths:
+                        fspec) -> tuple[float, float]:
+    """``(interior F-norm, edge norm)`` of ``phi`` on ``lam``: the F-norm of
+    its terms anchored ``depth`` deep (zero without any) and the operator
+    norm of the rest, the boundary remainder."""
     split = split_edge_bulk(phi, lam, depth)
     interior_fnorm = split.bulk.f_norm(fspec) if split.bulk.terms else 0.0
     edge_norm = np.max(np.abs(hamiltonian_eigenvalues(split.edge, lam)))
-    return VolumeStrengths(lam, interior_fnorm, float(edge_norm))
+    return interior_fnorm, float(edge_norm)
 
 
-def uniform_strengths(phi_for: dict, depth: int, fspec):
-    """Sup of interior F-norms and edge norms over a family of volumes.
+def uniform_strengths(phi_for: dict, depth: int, fspec) -> tuple[float, float]:
+    """``(M_Int, M_D)``: the sup of ``edge_bulk_strengths``' interior
+    F-norms and of its edge norms over a family of volumes.
 
     ``phi_for`` maps each volume to its perturbation, and each enters the
     suprema (the caller picks them); an empty family is a ``ValueError``.
     """
     if not phi_for:
         raise ValueError("no volume to take the uniform strengths over")
-    m_int, m_d, rows = 0.0, 0.0, []
+    m_int = m_d = 0.0
     for lam, phi in phi_for.items():
-        vs = edge_bulk_strengths(phi, lam, depth, fspec)
-        rows.append(vs)
-        m_int = max(m_int, vs.interior_fnorm)
-        m_d = max(m_d, vs.edge_norm)
-    return m_int, m_d, rows
+        interior_fnorm, edge_norm = edge_bulk_strengths(phi, lam, depth, fspec)
+        m_int = max(m_int, interior_fnorm)
+        m_d = max(m_d, edge_norm)
+    return m_int, m_d
 
 
 # ---------------------------------------------------------------------------

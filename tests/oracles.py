@@ -34,7 +34,7 @@ def creator(lam: Interval, x: int) -> LocalOperator:
 def number_operator(lam: Interval) -> LocalOperator:
     """Total occupancy N = sum_x a*(x) a(x): the diagonal popcount matrix."""
     pop = [bin(i).count("1") for i in range(2 ** len(lam))]
-    return LocalOperator(np.diag(np.array(pop, dtype=complex)), lam, lam,
+    return LocalOperator(np.diag(np.array(pop, dtype=complex)), lam,
                          "fermion")
 
 
@@ -61,7 +61,7 @@ def one_site(m) -> Interaction:
     """One spin term holding ``m`` on the site 0, of local dimension
     ``len(m)``: its Hamiltonian on ``Interval(0, 0)`` is ``m`` itself."""
     site = Interval(0, 0)
-    return Interaction([Term(LocalOperator(m, site, site, "spin", len(m)))],
+    return Interaction([Term(LocalOperator(m, site, "spin", len(m)))],
                        "spin", len(m))
 
 
@@ -74,7 +74,7 @@ def on_chain(m):
         lam, d = Interval(0, n - 1), 2
     else:
         lam, d = Interval(0, 0), len(m)
-    return Interaction([Term(LocalOperator(m, lam, lam, "spin", d))],
+    return Interaction([Term(LocalOperator(m, lam, "spin", d))],
                        "spin", d), lam
 
 
@@ -214,7 +214,7 @@ def simpson_oracle(flow, eta, psi, lam: Interval, uptos, window) -> list:
         v_tilde[edge] = v_tilde[edge] + rho_cross
         max_comm = max(operator_norm(p @ v_tilde[x] - v_tilde[x] @ p)
                        for x in anchors)
-        return Phi1Decomposition(lam, eps_at, flow.sectors, v_tilde, v_true,
+        return Phi1Decomposition(lam, flow.sectors, v_tilde, v_true,
                                  quad_res, operator_norm(rho_cross), max_comm,
                                  eta.local_dim)
 
@@ -273,7 +273,7 @@ def resolution_whole(eta, lam: Interval, x: int, p):
     for n in range(1, r_x + 1):
         b = ball(lam, x, n)
         pb = dense_kernel_projector(eta, b)
-        locals_.append(embed(LocalOperator(pb, b, lam, "spin", eta.local_dim),
+        locals_.append(embed(LocalOperator(pb, b, "spin", eta.local_dim),
                              lam).matrix)
     eye = np.eye(p.shape[0])
     e = [eye - locals_[0]]
@@ -333,7 +333,7 @@ def telescope_oracle(dec) -> Interaction:
     ``2 .. R_x``."""
     terms = []
     for x, piece in dec.anchors.items():
-        op = LocalOperator(join_blocks(piece, dec.sectors), dec.lam, dec.lam,
+        op = LocalOperator(join_blocks(piece, dec.sectors), dec.lam,
                            kind="spin", local_dim=dec.local_dim)
         _, big_r = boundary_distances(dec.lam, x)
         terms.append(Term(conditional_expectation(op, ball(dec.lam, x, 1)),

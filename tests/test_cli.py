@@ -194,6 +194,8 @@ def test_write_artifacts_formats(tmp_path):
               [(1, 0.25, True), (2, 1.0 / 3.0, False)])
     rep.ledger = {"b": 2, "a": {"nested": 0.5}}
 
+    for sub in ("both", "csv"):
+        (tmp_path / sub).mkdir()
     both = write_artifacts([rep], tmp_path / "both", ("csv", "json"))
     assert (both / "demo.csv").read_text(encoding="utf-8") == (
         "x,value,flag\n1,0.25,true\n2,0.3333333333333333,false\n")
@@ -469,6 +471,56 @@ def test_an_output_directory_that_cannot_be_made_is_a_config_error(
                           f"{out}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert called == []
+
+
+def test_an_artifact_that_cannot_be_written_is_a_config_error(tmp_path,
+                                                              capsys):
+    """A directory standing where an artifact goes exits 2, once the
+    pipelines have run, with one line naming the file."""
+    out = tmp_path / "out"
+    (out / "sp0scan.csv").mkdir(parents=True)
+    assert main(["sp0scan", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: outputs.directory: cannot write an "
+                          "artifact: ")
+    assert str(out / "sp0scan.csv") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# a chain short enough for a quick ``validate``, at a given weight exponent
+def _weight_config(tmp_path, s):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"constants": {"F": {"s": s}}, "lengths": [6],
+                               "ltqo": {"aklt_lengths": [6]}}),
+                   encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["validate", "all"])
+def test_a_weight_whose_regrouping_tail_cannot_be_certified_is_refused(
+        tmp_path, monkeypatch, capsys, command):
+    """A stretched weight too flat for the regrouping tail at the
+    truncation (``s = 0.1`` at ``K = 0.5``) exits 2 with one
+    ``constants.F`` line, before any pipeline runs or any artifact is
+    written."""
+    called = _recording_pipelines(monkeypatch)
+    out = tmp_path / "out"
+    argv = [command, "--config", _weight_config(tmp_path, 0.1), "--out",
+            str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: constants.F: truncation too small to certify the "
+        "prefactor tail\n")
+    assert called == [] and not out.exists()
+
+
+def test_a_weight_whose_regrouping_tail_is_certified_validates(tmp_path):
+    """At ``s = 0.5`` the regrouping tail is certified and ``validate``
+    passes."""
+    out = tmp_path / "out"
+    assert main(["validate", "--config", _weight_config(tmp_path, 0.5),
+                 "--out", str(out)]) == 0
+    assert "[FAIL]" not in (out / "summary.txt").read_text(encoding="utf-8")
 
 
 # the config patch of the benchmark's ``all-L10`` workload

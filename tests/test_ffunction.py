@@ -73,11 +73,11 @@ def test_norm_sum_certifies_lattice_norm():
     ns = norm_sum(BASE, truncation=60)
     x = np.arange(-5000, 5001)
     direct = float(np.sum(evaluate(BASE, np.abs(x))))
-    assert direct <= ns.value
-    assert ns.value == pytest.approx(direct, rel=1e-6)
+    assert direct <= ns
+    assert ns == pytest.approx(direct, rel=1e-6)
     # tighter truncation only grows the certified tail, never the total below
     loose = norm_sum(BASE, truncation=10)
-    assert loose.value >= direct
+    assert loose >= direct
 
 
 def test_convolution_constant_dominates_riemann_oracle():
@@ -92,7 +92,7 @@ def test_convolution_constant_dominates_riemann_oracle():
         worst = max(worst, float(np.dot(fz, fdz)) / float(evaluate(BASE, d)))
     assert worst <= cf
     # it is the closed-form cap of the bare envelope
-    assert cf == 2.0 ** (BASE.kappa + 1.0) * norm_sum(BASE.bare()).value
+    assert cf == 2.0 ** (BASE.kappa + 1.0) * norm_sum(BASE.bare())
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,7 +106,7 @@ def test_convolution_constant_is_the_cap_and_dominates_the_sum(kappa, c, L,
     underflows where F(d) does."""
     spec = FFunctionSpec(L=L, c=c, kappa=kappa, weight=WeightSpec(K=K, s=s))
     cf = convolution_constant(spec)
-    assert cf == 2.0 ** (kappa + 1.0) * norm_sum(spec.bare()).value
+    assert cf == 2.0 ** (kappa + 1.0) * norm_sum(spec.bare())
     z = np.arange(-400, 401)
     d = np.arange(0, 161)[:, None]
     logs = (log_evaluate(spec, np.abs(z)) + log_evaluate(spec, np.abs(d - z))
@@ -203,7 +203,29 @@ def test_regroup_decay_prefactor_closed_form():
     got = regroup_decay(spec, truncation=200)
     q = math.exp(-0.5)
     assert got.C_phi == pytest.approx(q / (1 - q) ** 2, rel=1e-10)
-    assert got.C_phi_tail >= 0.0
+
+
+@pytest.mark.parametrize("s,truncation", [(0.5, 8000), (0.8, 300)])
+def test_regroup_decay_stretched_tail_is_certified(s, truncation):
+    """A stretched weight takes the ``gammaincc`` tail: ``C_phi`` is at least
+    ``L sum_n n e^{-h(n)/2}`` summed until its terms underflow, and within
+    1e-9 of it relative.  The truncations leave a tail the partial sum
+    alone misses by far more than that."""
+    spec = FFunctionSpec(L=1.5, weight=WeightSpec(K=0.5, s=s))
+    brute, lo = 0.0, 1
+    while True:
+        n = np.arange(lo, lo + 10 ** 6, dtype=float)
+        terms = n * np.exp(-0.5 * spec.weight(n))
+        brute += float(np.sum(terms))
+        if terms[-1] == 0.0:
+            break
+        lo += 10 ** 6
+    brute *= spec.L
+    head = np.arange(1, truncation + 1.0)
+    head = spec.L * float(np.sum(head * np.exp(-0.5 * spec.weight(head))))
+    assert brute - head > 1e-9 * brute
+    c_phi = regroup_decay(spec, truncation=truncation).C_phi
+    assert brute <= c_phi <= brute * (1.0 + 1e-9)
 
 
 def test_regroup_decay_rejects_bounded_weight():

@@ -33,19 +33,19 @@ def two_site_ising(lam):
     for x in range(lam.a, lam.b):
         supp = Interval(x, x + 1)
         m = (np.eye(4) - np.kron(Z, Z)) / 2.0
-        terms.append(Term(LocalOperator(m, supp, lam)))
+        terms.append(Term(LocalOperator(m, supp)))
     return Interaction(terms)
 
 
 def test_term_default_anchor_is_center():
-    op = LocalOperator(np.eye(8), Interval(2, 4), Interval(0, 6))
+    op = LocalOperator(np.eye(8), Interval(2, 4))
     assert Term(op).anchor == 3
-    op2 = LocalOperator(np.eye(4), Interval(2, 3), Interval(0, 6))
+    op2 = LocalOperator(np.eye(4), Interval(2, 3))
     assert Term(op2).anchor == 2  # ties go left
 
 
 def test_interaction_rejects_kind_mismatch():
-    op = LocalOperator(np.eye(2), Interval(0, 0), Interval(0, 0), kind="fermion")
+    op = LocalOperator(np.eye(2), Interval(0, 0), kind="fermion")
     with pytest.raises(ValueError):
         Interaction([Term(op)], kind="spin")
 
@@ -84,7 +84,7 @@ def test_local_hamiltonian_matches_manual_kron(dim_sites, charge, n_random,
         m = random_hermitian(rng, d ** len(supp), bool(rng.integers(2)))
         q = rule(digit_sums(len(supp), d))
         m = np.where(q[:, None] == q[None, :], m, 0.0)
-        terms.append(Term(LocalOperator(m, supp, lam, "spin", d)))
+        terms.append(Term(LocalOperator(m, supp, "spin", d)))
         oracle = oracle + kron_placed(m, d, supp.a - lam.a, lam.b - supp.b)
     phi = Interaction(terms, "spin", d)
     h = local_hamiltonian(phi, lam).matrix
@@ -139,7 +139,7 @@ def test_fixed_modulus_blocks_are_the_whole_matrix_split_on_its_sectors(
         q = [k, k % 2, 0 * k, k][int(rng.integers(4))]
         cross = 1e-17 * m if rng.integers(2) else 0.0
         m = np.where(q[:, None] == q[None, :], m, cross)
-        terms.append(Term(LocalOperator(m, supp, lam, "spin", d)))
+        terms.append(Term(LocalOperator(m, supp, "spin", d)))
         # the entries drawn nonzero: within the charges of q, and every
         # other one when the cross entries are
         drawn = (q[:, None] == q[None, :]) | bool(np.any(cross))
@@ -177,7 +177,7 @@ def test_a_fixed_modulus_refuses_a_term_that_breaks_it_by_rounding(cross):
     m = np.diag([0.0, 1.0, 1.0, 2.0])
     m[1, 2] = m[2, 1] = 0.5                 # keeps the number
     m[0, 1] = m[1, 0] = cross               # changes it by one
-    phi = Interaction([Term(LocalOperator(m, lam, lam, "spin"))], "spin")
+    phi = Interaction([Term(LocalOperator(m, lam, "spin"))], "spin")
     for modulus in (None, 2):
         if cross:
             with pytest.raises(ValueError, match=f"modulus {modulus}"):
@@ -218,7 +218,7 @@ def test_hamiltonian_is_its_span_between_identities(dim_core, n_left, n_right,
         q, _ = np.linalg.qr(random_matrix(rng, dim, bool(rng.integers(2))))
         v = q[:, :int(rng.integers(1, dim))]
         p = v @ v.conj().T
-        terms.append(Term(LocalOperator((p + p.conj().T) / 2.0, supp, lam,
+        terms.append(Term(LocalOperator((p + p.conj().T) / 2.0, supp,
                                         "spin", d)))
     phi = Interaction(terms, "spin", d)
     whole = local_hamiltonian(phi, lam).matrix
@@ -253,10 +253,9 @@ def test_local_hamiltonian_keeps_real_dtype():
 def test_validate_unperturbed_on_classical_chain():
     report = validate_unperturbed(two_site_ising,
                                   [Interval(0, 3), Interval(0, 4)])
-    assert report.passed
-    assert report.range == 1
     # doubly degenerate classical ground space, gap exactly 1
     for row in report.rows:
+        assert row.frustration_free
         assert row.kernel_dim == 2
         assert row.ground_energy == pytest.approx(0.0, abs=1e-12)
     assert report.gamma0_candidate == pytest.approx(1.0, abs=1e-12)
@@ -265,14 +264,14 @@ def test_validate_unperturbed_on_classical_chain():
 def test_validate_unperturbed_flags_frustration():
     def frustrated(lam):
         terms = [Term(LocalOperator((np.eye(4) - np.kron(Z, Z)) / 2.0,
-                                    Interval(x, x + 1), lam))
+                                    Interval(x, x + 1)))
                  for x in range(lam.a, lam.b)]
         # a field term shifting the ground energy away from zero
-        terms.append(Term(LocalOperator(X + 2 * np.eye(2), Interval(lam.a, lam.a), lam)))
+        terms.append(Term(LocalOperator(X + 2 * np.eye(2), Interval(lam.a, lam.a))))
         return Interaction(terms)
 
     report = validate_unperturbed(frustrated, [Interval(0, 2)])
-    assert not report.passed
+    assert not report.rows[0].frustration_free
 
 
 def test_split_edge_bulk_partition():
@@ -302,9 +301,9 @@ def test_split_edge_bulk_depth_swallows_everything():
 
 def test_regroup_merges_by_support():
     lam = Interval(0, 2)
-    op1 = LocalOperator(np.kron(X, X), Interval(0, 1), lam)
-    op2 = LocalOperator(np.kron(Z, Z), Interval(0, 1), lam)
-    op3 = LocalOperator(X, Interval(2, 2), lam)
+    op1 = LocalOperator(np.kron(X, X), Interval(0, 1))
+    op2 = LocalOperator(np.kron(Z, Z), Interval(0, 1))
+    op3 = LocalOperator(X, Interval(2, 2))
     psi = Interaction([Term(op1), Term(op2), Term(op3)])
     grouped = regroup_intervals(psi)
     assert len(grouped.terms) == 2
@@ -396,7 +395,7 @@ def test_fermion_to_spin_preserves_norms_and_spectra():
         pair = Interval(x, x + 1)
         hop = (creator(pair, x).matrix @ annihilator(pair, x + 1).matrix)
         hop = hop + hop.conj().T
-        terms.append(Term(LocalOperator(hop, pair, lam, kind="fermion")))
+        terms.append(Term(LocalOperator(hop, pair, kind="fermion")))
     phi = Interaction(terms, kind="fermion")
     spin = fermion_to_spin(phi)
     assert spin.kind == "spin"
@@ -451,7 +450,7 @@ def test_from_json_ignores_the_ball_keyed_key():
     """Files written with a ``ball_keyed`` key still load: the key is
     ignored, and the terms keep their anchors and radii."""
     lam = Interval(0, 3)
-    op = LocalOperator(np.kron(Z, Z), Interval(1, 2), lam)
+    op = LocalOperator(np.kron(Z, Z), Interval(1, 2))
     phi = Interaction([Term(op, anchor=1, radius=1)])
     data = json.loads(to_json(phi))
     assert "ball_keyed" not in data

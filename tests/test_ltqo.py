@@ -47,7 +47,7 @@ def test_value_matches_the_dense_witness(volume, seed, complex_):
     eta, vol, region, wt, p = volume
     a = random_hermitian(np.random.default_rng(seed),
                          eta.local_dim ** len(region), complex_)
-    full = embed(LocalOperator(a, region, vol, "spin", eta.local_dim),
+    full = embed(LocalOperator(a, region, "spin", eta.local_dim),
                  vol).matrix
     omega = np.trace(p @ full) / np.trace(p)
     dense = operator_norm(p @ full @ p - omega * p)

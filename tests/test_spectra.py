@@ -27,7 +27,7 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def ising(lam):
     terms = [Term(LocalOperator((np.eye(4) - np.kron(Z, Z)) / 2.0,
-                                Interval(x, x + 1), lam))
+                                Interval(x, x + 1)))
              for x in range(lam.a, lam.b)]
     return Interaction(terms)
 
@@ -196,7 +196,7 @@ def _sweep_case(kind, n, complex_, rng):
         lam = Interval(0, n - 1)
         bond = Interval(n // 2 - 1, n // 2)
         m = random_hermitian(rng, 9, complex_)
-        op = LocalOperator(m / operator_norm(m), bond, lam, "spin", 3)
+        op = LocalOperator(m / operator_norm(m), bond, "spin", 3)
         return aklt_interaction(lam), Interaction([Term(op)], "spin", 3), lam
     lam = Interval(1, n + 4)
     eta = orbital_interaction(paired_orbital_model(lam), lam)
@@ -205,7 +205,7 @@ def _sweep_case(kind, n, complex_, rng):
                                         int(rng.integers(2 ** 32)))
         return eta, pert.restricted(interior(lam, 2)), lam
     m = parity_even(random_hermitian(rng, 2 ** len(lam), complex_))
-    op = LocalOperator(m / operator_norm(m), lam, lam, "fermion")
+    op = LocalOperator(m / operator_norm(m), lam, "fermion")
     return eta, Interaction([Term(op)], "fermion", 2), lam
 
 

@@ -22,7 +22,8 @@ from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import (even_pair, flow_pair, parity_even, parity_sectors,
+from oracles import (dense_kernel_projector, even_pair, flow_pair,
+                     parity_even, parity_sectors,
                      random_hermitian, random_matrix, resolution_whole,
                      simpson_oracle, split_blocks, split_whole, svd_polar,
                      telescope, telescope_oracle, theta_whole, traced_peak)
@@ -147,7 +148,7 @@ def test_phase_product_weight_matches_direct_sine_sum():
         direct += 2.0 * np.einsum(
             "s,sij->ij", coeff[chunk],
             np.sin(s_pts[chunk, None, None] * omega[None, :, :]))
-    np.testing.assert_allclose(_filtered(evals, evecs, psi, direct),
+    np.testing.assert_allclose(_filtered(evecs, psi, direct),
                                time_quadrature_generator(evals, evecs, psi, w),
                                rtol=0.0, atol=1e-13)
 
@@ -231,7 +232,7 @@ def _time_quadrature_one_shot(evals, evecs, psi, window):
     s_pts, coeff = _time_rule(window, np.ptp(evals))
     phase = evals[..., :, None] * s_pts
     a = (np.sin(phase) * coeff) @ np.cos(phase).swapaxes(-1, -2)
-    return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+    return _filtered(evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -700,7 +701,6 @@ def test_end_point_pieces_equal_the_simpson_oracle(bundle, complex_,
         oracle = simpson_oracle(flow, eta, psi, lam, uptos, window)
         for upto, ref in zip(uptos, oracle):
             dec = decompose_phi1(flow, eta, psi, lam, upto)
-            assert dec.eps == ref.eps == flow.eps_grid[upto]
             assert dec.anchors.keys() == ref.anchors.keys()
             np.testing.assert_array_equal(dec.v_true, ref.v_true)
             for x, vx in dec.anchors.items():
@@ -753,7 +753,7 @@ def _time_quadrature_stacked(evals, evecs, psi, window):
         np.sin(sin, out=sin)
         sin *= coeff[lo:lo + step]
         a = a + sin @ cos.swapaxes(-1, -2)
-    return _filtered(evals, evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+    return _filtered(evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
 
 
 def test_generator_and_filter_checks_work_in_small_phase_blocks(
@@ -817,7 +817,8 @@ def test_upto_argument_is_validated(bundle):
     kept = replace(flow, unitaries={j: flow.unitaries[j] for j in (4, 8)})
     terms = (bundle["eta"], bundle["psi"], bundle["lam"])
     dec4 = decompose_phi1(kept, *terms, 4)
-    assert dec4.eps == flow.eps_grid[4]
+    np.testing.assert_array_equal(
+        dec4.v_true, decompose_phi1(flow, *terms, 4).v_true)
     for bad in (0, 3, 40):
         with pytest.raises(ValueError, match="the flow kept"):
             decompose_phi1(kept, *terms, bad)
@@ -851,7 +852,6 @@ def test_decomposition_on_parity_blocks_matches_one_block(bundle):
     blocked = _decompositions(bundle, [4, 8])
     whole = _decompositions(bundle, [4, 8], one_block=True)
     for dec, ref in zip(blocked, whole):
-        assert dec.eps == ref.eps
         assert dec.sectors is flow.sectors and len(ref.sectors) == 1
         assert dec.v_true.shape == (2, 128, 128)
         np.testing.assert_allclose(join_blocks(dec.v_true, dec.sectors),
@@ -1172,3 +1172,34 @@ def test_blocked_resolution_and_assembly_match_the_whole_forms(bundle, x):
     assert assembly.alpha_norm == operator_norm(assembly.theta_alpha)
     assert assembly.alpha_norm == pytest.approx(operator_norm(alpha),
                                                 abs=1e-12)
+
+
+def test_assembly_collects_the_even_radius_diagonal_piece():
+    """Around a site with ``r_x = 4`` (``x = 4`` on ``[0, 9]``: 10 sites,
+    two more than the flow fixture's chain has), the diagonal piece ``tau(4)`` of ``k = 2`` lands in ``Theta_beta(4)``.  For
+    a seeded even Hermitian anchor piece and the orbital chain's ball
+    family on the parity blocks, the collected pieces agree, joined, with
+    ``theta_whole`` to 1e-12, and both identities hold to 1e-10."""
+    lam, x = Interval(0, 9), 4
+    assert boundary_distances(lam, x)[0] == 4
+    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    sectors = charge_sectors(len(lam), 2, 2)
+    p = dense_kernel_projector(eta, lam)
+    piece = parity_even(random_hermitian(np.random.default_rng(11),
+                                         2 ** len(lam), False))
+    dec = spectral_flow.Phi1Decomposition(
+        lam, sectors, {x: split_blocks(piece, sectors)}, None, 0.0, 0.0,
+        0.0, 2)
+    terms = dec.ball_terms(x)
+    family = resolution_family(eta, lam, x, split_blocks(p, sectors), 2)
+    assembly = theta_assembly(terms, family)
+    assert assembly.r_x == 4 and set(assembly.theta_beta) == {3, 4}
+    assert assembly.identity_error <= 1e-10
+    assert assembly.annihilation_error <= 1e-10
+    locals_, e = resolution_whole(eta, lam, x, p)
+    beta, alpha = theta_whole(terms, lam, x, p, locals_, e)
+    for n, piece_n in assembly.theta_beta.items():
+        np.testing.assert_allclose(join_blocks(piece_n, sectors), beta[n],
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(join_blocks(assembly.theta_alpha, sectors),
+                               alpha, rtol=0, atol=1e-12)

@@ -327,11 +327,10 @@ def test_form_bound_solves_no_eigenvectors(monkeypatch):
 def test_edge_bulk_strengths_split():
     lam = Interval(0, 5)
     pert = random_even_perturbation(lam, 1, ENV, seed=3)
-    vs = edge_bulk_strengths(pert, lam, 1, BASE)
-    assert vs.lam == lam
-    assert vs.interior_fnorm > 0.0
-    assert vs.edge_norm > 0.0
-    assert vs.interior_fnorm <= pert.f_norm(BASE)
+    interior_fnorm, edge_norm = edge_bulk_strengths(pert, lam, 1, BASE)
+    assert interior_fnorm > 0.0
+    assert edge_norm > 0.0
+    assert interior_fnorm <= pert.f_norm(BASE)
 
 
 def test_uniform_strengths_suprema_and_threshold():
@@ -341,11 +340,10 @@ def test_uniform_strengths_suprema_and_threshold():
     volumes = [Interval(0, 5), Interval(0, 7), Interval(0, 2)]
     phi_for = {lam: random_even_perturbation(lam, 1, ENV, seed=3)
                for lam in volumes}
-    m_int, m_d, rows = uniform_strengths(phi_for, 1, BASE)
-    assert [r.lam for r in rows] == volumes
-    for r in rows:
-        assert r == edge_bulk_strengths(phi_for[r.lam], r.lam, 1, BASE)
-    assert m_int == max(r.interior_fnorm for r in rows)
-    assert m_d == max(r.edge_norm for r in rows)
+    rows = [edge_bulk_strengths(phi, lam, 1, BASE)
+            for lam, phi in phi_for.items()]
+    assert uniform_strengths(phi_for, 1, BASE) == tuple(map(max, zip(*rows)))
+    for (lam, phi), row in zip(phi_for.items(), rows):
+        assert uniform_strengths({lam: phi}, 1, BASE) == row
     with pytest.raises(ValueError, match="no volume"):
         uniform_strengths({}, 1, BASE)
