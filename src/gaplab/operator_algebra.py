@@ -17,6 +17,7 @@ dimension 2, 9 sites at local dimension 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -173,9 +174,11 @@ class LocalOperator:
     __rmul__ = __mul__
 
 
+@cache
 def basis_charges(n_sites: int, d: int = 2,
                   modulus: int | None = None) -> np.ndarray:
-    """Charge of every basis state on ``n_sites`` of local dimension ``d``.
+    """Charge of every basis state on ``n_sites`` of local dimension ``d``,
+    read-only, formed once per process for each argument list.
 
     A site's charge is its basis index: the occupation at ``d = 2``, and
     ``1 - m`` for spin-1.  A state's charge is the sum over its sites (the
@@ -186,7 +189,10 @@ def basis_charges(n_sites: int, d: int = 2,
     q = np.zeros(1, dtype=np.intp)
     for _ in range(n_sites):
         q = (q[:, None] + np.arange(d)).ravel()
-    return q if modulus is None else q % modulus
+    if modulus is not None:
+        q %= modulus
+    q.flags.writeable = False
+    return q
 
 
 def parity_matrix(n_sites: int) -> np.ndarray:
@@ -197,9 +203,19 @@ def parity_matrix(n_sites: int) -> np.ndarray:
 def charge_sectors(n_sites: int, d: int, modulus) -> list[np.ndarray]:
     """Index sets of the charge sectors of ``basis_charges(n_sites, d,
     modulus)``: its charges are ``0 .. n_sites (d - 1)``, or their residues,
-    so the sector at position ``c`` is that of charge ``c``."""
+    so the sector at position ``c`` is that of charge ``c``.  The list is
+    the caller's; its read-only index sets are formed once per process."""
+    return list(_charge_sectors(n_sites, d, modulus))
+
+
+@cache
+def _charge_sectors(n_sites: int, d: int, modulus) -> tuple[np.ndarray, ...]:
     q, top = basis_charges(n_sites, d, modulus), n_sites * (d - 1) + 1
-    return [np.flatnonzero(q == c) for c in range(min(top, modulus or top))]
+    sectors = tuple(np.flatnonzero(q == c)
+                    for c in range(min(top, modulus or top)))
+    for idx in sectors:
+        idx.flags.writeable = False
+    return sectors
 
 
 def conserved_modulus(ops, moduli=(None, 2)) -> int | None:

@@ -71,9 +71,8 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, charge_stack
 from .operator_algebra import (LocalOperator, charge_sectors,
-                               conditional_expectation, conserved_modulus,
-                               delta_layer, join_blocks, kernel_count,
-                               operator_norm)
+                               conditional_expectation, delta_layer,
+                               join_blocks, kernel_count, operator_norm)
 from .spectra import FrustrationError, ProjectorFamily, diagonalize
 
 
@@ -295,7 +294,8 @@ class FlowResult:
     unitaries: dict                      # j -> U(s_j) (stack), kept indices
     gap_floor: float                     # smallest tracked gap met on the grid
     projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
-    ode_error: float                     # Richardson estimate from step halving
+    ode_error: float                     # Richardson estimate: the largest
+                                         # fine - coarse where both land
     end_spectra: tuple                   # (evals, evecs, K) stacks of H(0)
                                          # and H(eps) and their generators
 
@@ -313,38 +313,51 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     leaves ``U`` unitary to rounding, so one step of two products suffices;
     a defect outside its radius is a ``RuntimeError``).
 
-    Each pass runs ``n`` and ``2n`` steps per checkpoint interval in
-    lockstep: both cross one interval before either starts the next, and
-    their difference at the checkpoints is the Richardson estimate.  The
-    first pass has ``n = 1``; ``n`` doubles, at most seven times, until the
-    estimate is within ``ode_tol``.  A pass holds the generators of the
-    interval it crosses and drops them, the checkpoint's too, once the next
-    is crossed, so a later pass solves its generators afresh.  At each
-    checkpoint the tracked gap of ``H(s)`` is compared with the filter width
-    and the transported projector with the spectral one, both read from the
-    eigendecomposition that built the generator there, and ``p0``, the
-    cluster projector of ``H_0``, from the one at s = 0, whose kernel count
-    is the cluster size unless ``cluster_dim`` is given (``FrustrationError``
-    if it is 0), so ``H_0`` is solved once.  The unitaries are
-    real orthogonal when ``H_0`` and ``Psi`` are real.
+    Each pass runs a fine chain and a coarse chain of steps twice as long
+    in lockstep: both cross one span before either starts the next, and
+    their largest difference where both land is the Richardson estimate
+    (step doubling; Hairer, Norsett and Wanner, Solving ODEs I, II.4).
+    With an even count of checkpoint intervals the first pass pairs one
+    step per interval with one across two, a span of two intervals,
+    compared at every even checkpoint, the end included; with an odd
+    count, whose end a step across two intervals cannot reach, it pairs
+    one with two steps per interval.  Each later pass pairs ``n`` with
+    ``2n`` steps per interval, ``n`` doubling, until the estimate is within
+    ``ode_tol`` or the fine chain takes 256 steps per interval.  The fine
+    chain lands on every checkpoint and is the one read there.  A pass
+    holds the generators of the span it crosses and drops them, those at
+    the span's start too, once both chains have crossed it, so a later pass
+    solves its generators afresh.  At each checkpoint the tracked gap of
+    ``H(s)`` is compared with the filter width and the transported
+    projector with the spectral one, both read from the eigendecomposition
+    that built the generator there, and ``p0``, the cluster projector of
+    ``H_0``, from the one at s = 0, whose kernel count is the cluster size
+    unless ``cluster_dim`` is given (``FrustrationError`` if it is 0), so
+    ``H_0`` is solved once.  The unitaries are real orthogonal when ``H_0``
+    and ``Psi`` are real.
 
     ``keep`` names the checkpoint indices (of the grid of ``checkpoints``
-    points) whose ``U`` the result hands on, the finer of the pair's, from
-    the accepted pass; no other checkpoint outlives the pass that reached
-    it, but the two ``end_spectra``.
+    points) whose ``U`` the result hands on, the fine chain's, from the
+    accepted pass; no other checkpoint outlives the pass that reached it,
+    but the two ``end_spectra``.
 
     ``H_0`` and ``Psi``, of ``eta`` and ``psi`` on ``lam``, are the
     ``charge_stack`` of each at the modulus the result records: 2 (two
-    parity blocks) when every term of both keeps the parity at ``d = 2``,
-    else 1 (one block).  No whole matrix is built: every solve, product,
-    polar step and norm is taken block by block, the tracked gap and
-    cluster come from the merged block spectra, and the result keeps the
-    stacks, ``p0`` and the kept unitaries too.
+    parity blocks) when every term of both inside ``lam`` keeps the parity
+    at ``d = 2``, read by the check ``charge_stack`` makes of a given
+    modulus, else 1 (one block).  No whole matrix is built: every solve,
+    product, polar step and norm is taken block by block, the tracked gap
+    and cluster come from the merged block spectra, and the result keeps
+    the stacks, ``p0`` and the kept unitaries too.
     """
     d = eta.local_dim
-    ops = [t.op for t in eta.terms + psi.terms]
-    modulus = 2 if d == 2 and conserved_modulus(ops, (2,)) == 2 else 1
-    b0, bp = charge_stack(eta, lam, modulus), charge_stack(psi, lam, modulus)
+    modulus = 2 if d == 2 else 1
+    try:
+        b0, bp = (charge_stack(eta, lam, modulus),
+                  charge_stack(psi, lam, modulus))
+    except ValueError:                       # a term mixes the parity
+        modulus = 1
+        b0, bp = charge_stack(eta, lam, 1), charge_stack(psi, lam, 1)
     grid = np.linspace(0.0, eps, checkpoints)
     keep = set(keep)
     if not keep <= set(range(checkpoints)):
@@ -375,12 +388,12 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
                 ends[key] = (evals, evecs, gen_cache[key])
         return gen_cache[key]
 
-    def advance(u, j, substeps):
-        """U at checkpoint j + 1 from U at checkpoint j."""
-        a, b = grid[j], grid[j + 1]
+    def advance(u, j, k, substeps):
+        """U at checkpoint k from U at checkpoint j."""
+        a, b = grid[j], grid[k]
         h_step = (b - a) / substeps
-        for k in range(substeps):
-            s = a + k * h_step
+        for i in range(substeps):
+            s = a + i * h_step
             k1 = gen(s) @ u
             k2 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
             k3 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
@@ -394,20 +407,25 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
                          (n_blocks, side, side)).copy()
     p0 = _projector(tracked[end_keys[0]][1])
 
-    def run_pass(n):
+    def run_pass(steps):
         """The Richardson estimate, gap floor, drift and kept unitaries of
-        the lockstep pair of ``n`` and ``2n`` steps per interval."""
+        the lockstep pair whose fine chain takes ``steps`` steps per
+        interval and whose coarse chain steps twice as long: across two
+        intervals when ``steps`` is 1."""
+        span = 2 if steps == 1 else 1
         coarse = fine = u0
         err, floor, drift, kept = 0.0, np.inf, 0.0, {}
         for j, s in enumerate(grid):
             if j:
-                coarse = advance(coarse, j - 1, n)
-                fine = advance(fine, j - 1, 2 * n)
-                err = max(err, operator_norm(fine - coarse))
+                fine = advance(fine, j - 1, j, steps)
+                if j % span == 0:
+                    coarse = advance(coarse, j - span, j, steps * span // 2)
+                    err = max(err, operator_norm(fine - coarse))
             key = round(float(s), 15)
             gen(s)
-            for other in [other for other in gen_cache if other != key]:
-                del gen_cache[other]
+            if j % span == 0:        # both chains have passed every node
+                for other in [other for other in gen_cache if other != key]:
+                    del gen_cache[other]
             gap, vecs = tracked.pop(key)
             floor = min(floor, gap)
             drift = max(drift, operator_norm(
@@ -416,11 +434,13 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
                 kept[j] = fine
         return err, floor, drift, kept
 
-    n = 1
-    err, gap_floor, drift, kept = run_pass(n)
-    while not err <= ode_tol and 2 * n < 256:
-        n *= 2
-        err, gap_floor, drift, kept = run_pass(n)
+    # A coarse step across two intervals lands on the end only when their
+    # count is even; otherwise the first pair is 1 against 2 steps.
+    steps = 1 if (checkpoints - 1) % 2 == 0 else 2
+    err, gap_floor, drift, kept = run_pass(steps)
+    while not err <= ode_tol and steps < 256:
+        steps *= 2
+        err, gap_floor, drift, kept = run_pass(steps)
     if not err <= ode_tol:
         raise RuntimeError(f"flow ODE failed to reach {ode_tol:.1e} (last {err:.1e})")
     if gap_floor < window.gamma:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gaplab.lattice import Interval
 from gaplab.interaction import Interaction, Term, fermion_to_spin
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
-                                     charge_sectors, conditional_expectation,
+                                     basis_charges, charge_sectors,
+                                     conditional_expectation,
                                      conserved_modulus, delta_layer,
                                      eigenvalues, embed, join_blocks,
                                      mode_annihilator, operator_norm,
@@ -526,3 +527,26 @@ def test_local_operator_norm_solves_the_sectors_of_its_charge(
         np.testing.assert_array_equal(block, solved[np.ix_(idx, idx)])
     assert norm == operator_norm(m, sectors)
     assert norm == pytest.approx(float(np.linalg.norm(m, 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_sites, d, modulus",
+                         [(4, 2, None), (4, 2, 2), (3, 3, None), (3, 3, 1)])
+def test_charge_tables_are_formed_once_and_shared_read_only(n_sites, d,
+                                                            modulus):
+    """``basis_charges`` hands every caller the one read-only table of its
+    arguments, equal to the digit sums (mod ``modulus``); ``charge_sectors``
+    hands each caller a list of its own, holding the one set of read-only
+    index sets, so no caller can change what the next one reads."""
+    q = basis_charges(n_sites, d, modulus)
+    expected = digit_sums(n_sites, d)
+    np.testing.assert_array_equal(
+        q, expected if modulus is None else expected % modulus)
+    assert basis_charges(n_sites, d, modulus) is q
+    first, second = (charge_sectors(n_sites, d, modulus) for _ in range(2))
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    for table in [q, *first]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    first.clear()
+    assert len(charge_sectors(n_sites, d, modulus)) == len(second) > 0

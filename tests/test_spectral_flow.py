@@ -365,7 +365,7 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     args = (0.05, Window(GAMMA))
     blocked = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
                              cluster_dim=2, keep=range(5))
-    with patch.object(spectral_flow, "conserved_modulus", _keeps_nothing):
+    with patch.object(interaction, "conserved_modulus", _keeps_nothing):
         whole = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
                                cluster_dim=2, keep=range(5))
     assert (blocked.modulus, whole.modulus) == (2, 1)
@@ -586,14 +586,9 @@ def test_real_flow_matches_the_complex_arithmetic_oracle(bundle):
     _assert_transports(flow, bundle["h0"], bundle["hp"], bundle["kdim"])
 
 
-def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
-    """A tolerance below the Richardson estimate of one against two steps
-    per interval sends the flow on to a second pass of two against four
-    steps, which solves every generator of its grid again (eight per
-    interval and the one at s = 0), and its unitaries agree with the
-    complex-arithmetic oracle run to the same tolerance."""
-    h0, psi = even_pair(np.random.default_rng(0), 4, False)
-    window, tol = Window(GAMMA), 1e-13
+def _counted_generators(monkeypatch) -> list:
+    """The list to which each ``eigenbasis_generator`` call of the flow
+    appends, from now on."""
     calls = []
     original = spectral_flow.eigenbasis_generator
 
@@ -602,15 +597,28 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
+    return calls
+
+
+def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
+    """A tolerance below the Richardson estimate of the first pair (one
+    step per interval against one across two) sends the flow on to the
+    passes of one against two and two against four steps per interval,
+    each of which solves every generator of its grid again (four, then
+    eight, per interval and the one at s = 0), and its unitaries agree
+    with the complex-arithmetic oracle run to the same tolerance."""
+    h0, psi = even_pair(np.random.default_rng(0), 4, False)
+    window, tol = Window(GAMMA), 1e-13
+    calls = _counted_generators(monkeypatch)
     first = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
                            checkpoints=3, cluster_dim=2, ode_tol=1.0)
-    assert first.ode_error > tol and len(calls) == 4 * 2 + 1
+    assert first.ode_error > tol and len(calls) == 2 * 2 + 1
     calls.clear()
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
                           checkpoints=3, cluster_dim=2, ode_tol=tol,
                           keep=range(3))
     assert flow.ode_error <= tol
-    assert len(calls) == 4 * 2 + 1 + 8 * 2 + 1
+    assert len(calls) == 2 * 2 + 1 + 4 * 2 + 1 + 8 * 2 + 1
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
     for u, u_ref in zip(flow.unitaries.values(), oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
@@ -619,29 +627,22 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
 
 def test_refined_flow_decomposes_the_accepted_pass(monkeypatch):
     """A tolerance below the first pass's Richardson estimate sends the flow
-    on to a second pass, which solves every generator again, and the flow
-    keeps that pass's ``U``: the decomposition is read off the accepted
+    on to later passes, which solve every generator again, and the flow
+    keeps the last pass's ``U``: the decomposition is read off the accepted
     pass's unitary, which agrees with the complex-arithmetic oracle run to
     the same tolerance, and not off the first pass's, which a flow that
     stops after one pass keeps."""
     h0, psi = even_pair(np.random.default_rng(0), 4, False)
     eta_i, psi_i, lam = flow_pair(h0, psi)
     window, tol = Window(GAMMA), 1e-13
-    calls = []
-    original = spectral_flow.eigenbasis_generator
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
+    calls = _counted_generators(monkeypatch)
     args = (eta_i, psi_i, lam, 0.05, window)
     first = flow_unitaries(*args, checkpoints=3, cluster_dim=2, ode_tol=1.0,
                            keep=[2])
     calls.clear()
     flow = flow_unitaries(*args, checkpoints=3, cluster_dim=2, ode_tol=tol,
                           keep=[2])
-    assert len(calls) == 4 * 2 + 1 + 8 * 2 + 1          # two passes
+    assert len(calls) == 2 * 2 + 1 + 4 * 2 + 1 + 8 * 2 + 1    # three passes
     assert list(flow.unitaries) == [2]
     u = flow.unitaries[2]
     assert not np.array_equal(u, first.unitaries[2])
@@ -654,6 +655,33 @@ def test_refined_flow_decomposes_the_accepted_pass(monkeypatch):
         - flow.h0)
     assert not np.array_equal(
         dec.v_true, decompose_phi1(first, eta_i, psi_i, lam).v_true)
+
+
+@pytest.mark.parametrize("checkpoints", [5, 4])
+def test_first_pass_pairs_one_step_per_interval_with_one_per_two(
+        checkpoints, monkeypatch):
+    """With ``M`` checkpoint intervals, the first pass of an even ``M``
+    pairs one RK4 step per interval with one across two intervals and
+    solves ``2M + 1`` generators; an odd ``M``, whose end a step across two
+    intervals cannot land on, starts at one against two steps per interval,
+    ``4M + 1`` solves.  The accepted unitaries lie within the reported
+    Richardson estimate of the complex-arithmetic oracle run to 1e-14 at
+    every checkpoint, odd ones included, and the estimate exceeds the worst
+    true error tenfold (measured: 1.31e-10 against 8.7e-12 at ``M = 4``,
+    2.59e-11 against 1.7e-12 at ``M = 3``, a ratio of 15 at both)."""
+    h0, psi = even_pair(np.random.default_rng(1), 4, False)
+    window, intervals = Window(GAMMA), checkpoints - 1
+    calls = _counted_generators(monkeypatch)
+    flow = flow_unitaries(*flow_pair(h0, psi), 0.1, window,
+                          checkpoints=checkpoints, cluster_dim=2,
+                          keep=range(checkpoints))
+    assert len(calls) == (2 if intervals % 2 == 0 else 4) * intervals + 1
+    assert flow.ode_error >= 1e-12
+    oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=1e-14)
+    errors = [np.linalg.norm(join_blocks(u, flow.sectors) - u_ref, 2)
+              for u, u_ref in zip(flow.unitaries.values(), oracle)]
+    assert len(errors) == checkpoints
+    assert 10 * max(errors) <= flow.ode_error
 
 
 def _complex_hermitian(phi):
@@ -686,9 +714,9 @@ def test_end_point_pieces_equal_the_simpson_oracle(bundle, complex_,
     lam, eta = bundle["lam"], bundle["eta"]
     psi = _complex_hermitian(bundle["psi"]) if complex_ else bundle["psi"]
     window = Window(GAMMA)
-    with patch.object(spectral_flow, "conserved_modulus",
+    with patch.object(interaction, "conserved_modulus",
                       _keeps_nothing if one_block
-                      else spectral_flow.conserved_modulus):
+                      else interaction.conserved_modulus):
         flow = flow_unitaries(eta, psi, lam, 0.02, window, checkpoints=9,
                               cluster_dim=bundle["kdim"], keep=range(9))
     assert flow.modulus == (1 if one_block else 2)
@@ -722,21 +750,14 @@ def _traced_flow(bundle, checkpoints):
 def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not_set(
         bundle, monkeypatch):
     """The default 33 checkpoints on the L = 8 chain: the lockstep pair of
-    resolutions solves each of the 129 couplings once, and no checkpoint's
-    stacks outlive the next interval, so the flow's traced peak is that of
-    9 checkpoints to 1 % (measured: 6.13 MiB at both, 24.5 stacks of
-    256 KiB)."""
-    calls = []
-    original = spectral_flow.eigenbasis_generator
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
+    resolutions solves each of the 65 couplings once, and no generator
+    outlives the span of two intervals that the first pass's coarse step
+    crosses, so the flow's traced peak is that of 9 checkpoints to 1 %
+    (measured: 5.65 MiB at both, 22.6 stacks of 256 KiB)."""
     _, peak_9 = _traced_flow(bundle, 9)
-    monkeypatch.setattr(spectral_flow, "eigenbasis_generator", counted)
+    calls = _counted_generators(monkeypatch)
     flow, peak = _traced_flow(bundle, 33)
-    assert len(flow.eps_grid) == 33 and len(calls) == 129
+    assert len(flow.eps_grid) == 33 and len(calls) == 65
     assert peak <= 1.01 * peak_9
     assert peak <= 26 * flow.h0.nbytes
 

@@ -1,0 +1,52 @@
+import json
+import runpy
+from pathlib import Path
+
+SAME_ARTIFACTS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "tools" / "same_artifacts.py"))
+
+
+def _write(directory: Path, files: dict):
+    directory.mkdir()
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def test_same_artifacts_lists_every_moved_cell_key_and_line(tmp_path):
+    """Two hand-made artifact directories: each moved CSV cell with its row
+    and column and the file's largest relative and absolute move, each
+    moved key of ``constants.json``, each changed line of ``summary.txt``;
+    a file only one side wrote is named, a CSV whose rows differ in number
+    is reported as such, and files equal byte for byte are not listed.  Two
+    spellings of zero move by 0, and a changed line that begins like a diff
+    header is still listed."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    constants = {"C": {"phi": 2.0, "list": [1, 2]}, "kind": "orbital"}
+    _write(parent, {
+        "flow.csv": "j,eps,drift,status\n0,0.0,1e-16,ok\n1,0,2e-16,ok\n",
+        "rows.csv": "a\n1\n",
+        "same.csv": "a,b\n1,2\n",
+        "constants.json": json.dumps(constants),
+        "summary.txt": "[PASS] one\n[PASS] two\n",
+        "old.csv": "a\n"})
+    constants["C"]["list"][1] = 3.0
+    _write(change, {
+        "flow.csv": "j,eps,drift,status\n0,0.0,1.5e-16,ok\n1,0.0,2e-16,no\n",
+        "rows.csv": "a\n1\n2\n",
+        "same.csv": "a,b\n1,2\n",
+        "constants.json": json.dumps(constants),
+        "summary.txt": "[PASS] one\n[FAIL] two\n--- three\n",
+        "new.csv": "a\n"})
+    assert SAME_ARTIFACTS["differing"](parent, change) == {
+        "constants.json": ["C.list.1: 2 -> 3.0",
+                           "largest move: 3.33e-01 relative, "
+                           "1.00e+00 absolute"],
+        "flow.csv": ["row 1 [0] drift: 1e-16 -> 1.5e-16",
+                     "row 2 [1] eps: 0 -> 0.0",
+                     "row 2 [1] status: ok -> no",
+                     "largest move: 3.33e-01 relative, 5.00e-17 absolute"],
+        "new.csv": ["only in change"],
+        "old.csv": ["only in parent"],
+        "rows.csv": ["columns or rows differ: 1 rows in parent, 2 in change"],
+        "summary.txt": ["-[PASS] two", "+[FAIL] two", "+--- three"]}
+    assert SAME_ARTIFACTS["differing"](parent, parent) == {}

@@ -8,14 +8,21 @@ on the default config, and on the ``all-L10`` benchmark workload's config
 (read from this repository's ``perfbench/workloads.py``) at seeds 7 and 11.
 The runs go one process at a time, since two BLAS processes on a small
 machine slow each other.  Every file that differs between the trees, or that
-only one of them wrote, is printed; the exit code is 0 when there is none
-and 1 otherwise.
+only one of them wrote, is printed with what moved in it: each moved cell of
+a CSV (its row, counted from the first data row, that row's first cell in
+the parent, its column, parent -> change) and the file's largest relative
+and absolute move, each moved key of a JSON file, each changed line of a
+text file.  The exit code is 0 when no file differs and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import difflib
+import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -52,11 +59,91 @@ def run_tree(tree: Path, config: Path | None, out: Path) -> int:
     return done.returncode
 
 
-def differing(a: Path, b: Path) -> list[str]:
-    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
-    return [name for name in names
-            if not ((a / name).is_file() and (b / name).is_file()
-                    and (a / name).read_bytes() == (b / name).read_bytes())]
+def _move(x: str, y: str):
+    """The relative and absolute move from ``x`` to ``y``, or ``None`` when
+    either is not a finite number."""
+    try:
+        a, b = float(x), float(y)
+    except ValueError:
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    scale = max(abs(a), abs(b))
+    return (abs(a - b) / scale if scale else 0.0), abs(a - b)
+
+
+def _cells(pairs) -> list[str]:
+    """A line per moved cell of ``pairs`` (label, parent, change), then the
+    largest relative and absolute move among the numbers."""
+    lines, worst = [], None
+    for label, x, y in pairs:
+        if x != y:
+            lines.append(f"{label}: {x} -> {y}")
+            move = _move(x, y)
+            if move is not None:
+                worst = move if worst is None else tuple(map(max, worst, move))
+    if worst is not None:
+        lines.append(f"largest move: {worst[0]:.2e} relative, "
+                     f"{worst[1]:.2e} absolute")
+    return lines
+
+
+def _csv_moves(a: str, b: str) -> list[str]:
+    rows_a = list(csv.reader(io.StringIO(a)))
+    rows_b = list(csv.reader(io.StringIO(b)))
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b) or any(
+            len(ra) != len(rb) for ra, rb in zip(rows_a, rows_b)):
+        return [f"columns or rows differ: {len(rows_a) - 1} rows in parent, "
+                f"{len(rows_b) - 1} in change"]
+    return _cells((f"row {i} [{ra[0]}] {col}", x, y)
+                  for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), 1)
+                  for col, x, y in zip(rows_a[0], ra, rb))
+
+
+def _leaves(value, prefix=""):
+    """Dotted key -> leaf value of a JSON document."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        out = {}
+        for key, item in items:
+            out.update(_leaves(item, f"{prefix}.{key}" if prefix else str(key)))
+        return out
+    return {prefix: value}
+
+
+def _json_moves(a: str, b: str) -> list[str]:
+    leaves_a, leaves_b = _leaves(json.loads(a)), _leaves(json.loads(b))
+    return _cells((key, json.dumps(leaves_a.get(key)),
+                   json.dumps(leaves_b.get(key)))
+                  for key in sorted(leaves_a.keys() | leaves_b.keys()))
+
+
+def _line_moves(a: str, b: str) -> list[str]:
+    diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(),
+                                     lineterm="", n=0))
+    return [line for line in diff[2:] if not line.startswith("@@")]
+
+
+READERS = {".csv": _csv_moves, ".json": _json_moves, ".txt": _line_moves}
+
+
+def differing(a: Path, b: Path) -> dict[str, list[str]]:
+    """Each file that differs between the artifact directories ``a``
+    (parent) and ``b`` (change), or that only one holds, with the lines
+    saying what moved in it."""
+    out = {}
+    for name in sorted({p.name for p in a.iterdir()}
+                       | {p.name for p in b.iterdir()}):
+        in_a, in_b = (a / name).is_file(), (b / name).is_file()
+        if not (in_a and in_b):
+            out[name] = [f"only in {'parent' if in_a else 'change'}"]
+            continue
+        bytes_a, bytes_b = (a / name).read_bytes(), (b / name).read_bytes()
+        if bytes_a != bytes_b:
+            reader = READERS.get(Path(name).suffix)
+            out[name] = [] if reader is None else reader(
+                bytes_a.decode("utf-8"), bytes_b.decode("utf-8"))
+    return out
 
 
 def verdicts(out: Path) -> str:
@@ -89,8 +176,10 @@ def main(argv=None) -> int:
             print(f"{name}: {verdicts(outs[0])} (parent), "
                   f"{verdicts(outs[1])} (change), "
                   f"{len(diff)} differing file(s)")
-            for filename in diff:
+            for filename, lines in diff.items():
                 print(f"  differs: {filename}")
+                for line in lines:
+                    print(f"    {line}")
     return 0 if same else 1
 
 
