@@ -440,9 +440,11 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
                           ode_tol=fc["ode_tol"], keep=uptos)
     splits = {}
     for upto in uptos:
-        dec = decompose_phi1(flow, eta, psi, lam, upto)
-        splits[upto] = split_phi1(dec, flow.p0)
-        if upto != uptos[-1]:
+        # the norms are read at eps alone: before it, only phi2
+        at_eps = upto == uptos[-1]
+        dec = decompose_phi1(flow, eta, psi, lam, upto, norms=at_eps)
+        splits[upto] = split_phi1(dec, flow.p0, norms=at_eps)
+        if not at_eps:
             del dec                 # let it go before the next is made
     flow, dec = replace(flow, unitaries={}), replace(dec, v_true=None)
     # one anchor at a time: its ball terms, and two sites inside its ball

@@ -47,7 +47,18 @@ Both routes are one eigenbasis formula with a weight on ``E_i - E_j``:
 ``wtilde``, or ``2 Im(Phi diag(c) Phi*)`` from the Heisenberg phases
 ``Phi_ik = exp(i E_i s_k)`` and ``c_k = W(s_k)`` times the node weight,
 formed in real arithmetic.  Both take a decomposition already made, of a
-matrix or of each block of a stack.
+matrix or of each block of a stack.  The rule is held as panels x offsets:
+eight Gauss-Legendre nodes ``s = m_p + delta_q`` on each panel, with the
+panels' midpoints ``m_p`` and the offsets ``delta_q`` shared by all panels,
+so a phase ``E s`` comes by angle addition from ``E m_p`` and
+``E delta_q``, and only those take a sine and a cosine.
+
+Along the flow the transported projector ``U P(0) U*`` is compared with
+the spectral one ``P(s)`` at each checkpoint through their frames alone:
+for orthogonal projectors ``|P - Q| = max(|(1 - P) Q|, |(1 - Q) P|)``
+(Kato, Perturbation Theory for Linear Operators, I.6.8), and with ``V0``
+and ``V`` the orthonormal cluster eigenvectors and ``W = U V0`` the two
+terms are ``|W - V (V* W)|`` and ``|V - W (W* V)|``.
 
 The transported coupling ``V(s) = U* H(s) U - H_0`` is then cut into anchored,
 block-diagonal pieces and telescoped over balls, producing an interaction
@@ -136,8 +147,9 @@ def _gauss_legendre(n: int):
     return rule
 
 
-# Every phase table (node by frequency, or eigenvalue by node) is formed a
-# block of at most this many entries at a time: 2 MB of float64.
+# Every phase table (time by Legendre node, frequency by panel, or
+# eigenvalue by panel) is formed a block of at most an eighth of this many
+# entries at a time: 256 KB of float64.
 _PHASE_BLOCK = 1 << 18
 
 
@@ -163,9 +175,9 @@ def time_weight(s, window: Window):
 
 
 def _time_rule(window: Window, wmax: float):
-    """Nodes ``s_k`` and coefficients ``c_k = w_k W(s_k)`` on [0, 120 / gamma]:
-    eight Gauss-Legendre nodes per panel, at least six panels per period of
-    the fastest frequency ``wmax`` (never fewer than 40)."""
+    """The rule on [0, 120 / gamma] as ``_panel_rule`` gives it: eight
+    Gauss-Legendre nodes per panel, at least six panels per period of the
+    fastest frequency ``wmax`` (never fewer than 40)."""
     t_max = 120.0 / window.gamma
     wmax = max(float(wmax), window.gamma)
     return _panel_rule(window, t_max,
@@ -174,30 +186,47 @@ def _time_rule(window: Window, wmax: float):
 
 @cache
 def _panel_rule(window: Window, t_max: float, n_panels: int):
-    """The rule on ``n_panels`` panels, read-only, formed once."""
+    """The rule on ``n_panels`` panels of one half-width
+    ``h = t_max / (2 n_panels)`` as panels x offsets, read-only, formed
+    once: the midpoints ``m_p = (2p + 1) h``, the offsets ``delta_q = h x_q``
+    of the eight Gauss-Legendre nodes ``x_q``, and the coefficients
+    ``c_pq = h w_q W(m_p + delta_q)``, of shape (n_panels, 8).  The node
+    ``s = m_p + delta_q`` is never formed but here, for ``W``."""
     x, wq = _gauss_legendre(8)
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    s_pts = (mids[:, None] + halfw[:, None] * x[None, :]).ravel()
-    coeff = (halfw[:, None] * wq[None, :]).ravel() * time_weight(s_pts, window)
-    for a in (s_pts, coeff):
+    half = t_max / (2 * n_panels)
+    mids = (2 * np.arange(n_panels) + 1) * half
+    offsets = half * x
+    coeff = (half * wq) * time_weight(mids[:, None] + offsets,
+                                      window).reshape(n_panels, x.size)
+    for a in (mids, offsets, coeff):
         a.flags.writeable = False
-    return s_pts, coeff
+    return mids, offsets, coeff
 
 
 def filter_identity_residual(window: Window, omegas):
     """Max error of the s-quadrature of 2 int W(s) sin(ws) ds vs (1-beta(w))/w.
 
-    The sines of the phases ``s_k w`` are formed for a block of frequencies
-    at a time, at most ``_PHASE_BLOCK`` entries, and each block is one
-    product with the coefficients."""
+    With the rule as panels x offsets, ``sin(w (m + delta))`` is split by
+    angle addition, so the left side is
+
+        2 sum_q [cos(w delta_q) (sin(w m) c)_q + sin(w delta_q) (cos(w m) c)_q]
+
+    and only the panels' phases ``w m_p`` take a sine and a cosine.  They
+    are formed for a block of frequencies at a time, a table of at most
+    ``_PHASE_BLOCK / 8`` entries, and each block is its own two products
+    with the coefficients."""
     omegas = np.asarray(omegas, dtype=float).ravel()
-    s_pts, coeff = _time_rule(window, np.max(np.abs(omegas)))
+    mids, offsets, coeff = _time_rule(window, np.max(np.abs(omegas)))
     lhs = np.empty_like(omegas)
-    cols = max(1, _PHASE_BLOCK // s_pts.size)
+    cols = max(1, _PHASE_BLOCK // 8 // mids.size)
     for lo in range(0, omegas.size, cols):
-        phase = np.outer(s_pts, omegas[lo:lo + cols])
-        lhs[lo:lo + cols] = 2.0 * (coeff @ np.sin(phase, out=phase))
+        sin = np.outer(omegas[lo:lo + cols], mids)
+        cos = np.cos(sin)
+        np.sin(sin, out=sin)
+        shift = np.outer(omegas[lo:lo + cols], offsets)
+        lhs[lo:lo + cols] = 2.0 * np.sum(np.cos(shift) * (sin @ coeff)
+                                         + np.sin(shift) * (cos @ coeff),
+                                         axis=1)
     rhs = window.weight(omegas)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -209,24 +238,36 @@ def time_quadrature_generator(evals, evecs, psi,
     stack (the panels resolve the spread of the whole spectrum).
 
     The weight ``2 Im(Phi diag(c) Phi*)`` is formed in real arithmetic as
-    ``2 (A - A^T)`` with ``A = (sin(E s) o c) cos(E s)^T``, summed over
-    blocks of nodes, one block of a stack at a time: each block of nodes
-    holds at most ``_PHASE_BLOCK`` phases of the whole spectrum, and one
-    block's share of them is turned into ``sin(E s) o c`` in place, so two
-    such phase tables are the largest temporaries.
+    ``2 (A - A^T)`` with ``A = sum_q (x_q o c_q) y_q^T``, one block of a
+    stack at a time.  The phases of node ``m_p + delta_q`` come by angle
+    addition from those of the panels and the offsets, by row scaling:
+
+        x_q = sin(E m) o cos(E delta_q) + cos(E m) o sin(E delta_q),
+        y_q = cos(E m) o cos(E delta_q) - sin(E m) o sin(E delta_q),
+
+    so the products are those of the node rule, but only ``E m`` and
+    ``E delta`` take a sine and a cosine.  ``A`` is summed over blocks of
+    panels, each table (eigenvalue by panel) at most ``_PHASE_BLOCK / 8``
+    entries.
     """
-    s_pts, coeff = _time_rule(window, np.ptp(evals))
-    step = max(1, _PHASE_BLOCK // evals.size)
-    weight = np.empty(evals.shape + evals.shape[-1:])
-    for block, block_evals in zip(weight.reshape((-1,) + weight.shape[-2:]),
-                                  evals.reshape(-1, evals.shape[-1])):
+    mids, offsets, coeff = _time_rule(window, np.ptp(evals))
+    n = evals.shape[-1]
+    step = max(1, _PHASE_BLOCK // 8 // n)
+    weight = np.empty(evals.shape + (n,))
+    for block, block_evals in zip(weight.reshape(-1, n, n),
+                                  evals.reshape(-1, n)):
+        shift = np.outer(block_evals, offsets)
+        cos_d, sin_d = np.cos(shift), np.sin(shift)
         a = 0.0
-        for lo in range(0, s_pts.size, step):
-            sin = block_evals[:, None] * s_pts[lo:lo + step]
+        for lo in range(0, mids.size, step):
+            sin = np.outer(block_evals, mids[lo:lo + step])
             cos = np.cos(sin)
             np.sin(sin, out=sin)
-            sin *= coeff[lo:lo + step]
-            a = a + sin @ cos.T
+            for q in range(offsets.size):
+                x = sin * cos_d[:, q, None] + cos * sin_d[:, q, None]
+                y = cos * cos_d[:, q, None] - sin * sin_d[:, q, None]
+                x *= coeff[lo:lo + step, q]
+                a = a + x @ y.T
         np.multiply(2.0, a - a.T, out=block)
     return _filtered(evecs, psi, weight)
 
@@ -271,6 +312,22 @@ def _projector(vecs) -> np.ndarray:
     return np.stack([v @ v.conj().T for v in vecs])
 
 
+def _frame_drift(u, frames0, frames) -> float:
+    """``|U P0 U* - P|`` of a block stack from the cluster frames alone:
+    ``P0`` and ``P`` project onto each block's orthonormal columns
+    ``frames0`` and ``frames``, of any ranks, empty ones too.  For
+    orthogonal projectors ``|P - Q| = max(|(1 - P) Q|, |(1 - Q) P|)``
+    (Kato, Perturbation Theory for Linear Operators, I.6.8), so with
+    ``W = U V0`` each block's is ``max(|W - V (V* W)|, |V - W (W* V)|)``,
+    the norms of two matrices of the frames' width."""
+    drift = 0.0
+    for u_b, v0, v in zip(u, frames0, frames):
+        w = u_b @ v0
+        drift = max(drift, operator_norm(w - v @ (v.conj().T @ w)),
+                    operator_norm(v - w @ (w.conj().T @ v)))
+    return drift
+
+
 # ---------------------------------------------------------------------------
 # the flow ODE
 
@@ -293,7 +350,8 @@ class FlowResult:
     p0: np.ndarray                       # P(0): the tracked cluster of H0
     unitaries: dict                      # j -> U(s_j) (stack), kept indices
     gap_floor: float                     # smallest tracked gap met on the grid
-    projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|
+    projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|,
+                                         # from the cluster frames
     ode_error: float                     # Richardson estimate: the largest
                                          # fine - coarse where both land
     end_spectra: tuple                   # (evals, evecs, K) stacks of H(0)
@@ -333,8 +391,9 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     that built the generator there, and ``p0``, the cluster projector of
     ``H_0``, from the one at s = 0, whose kernel count is the cluster size
     unless ``cluster_dim`` is given (``FrustrationError`` if it is 0), so
-    ``H_0`` is solved once.  The unitaries are real orthogonal when ``H_0``
-    and ``Psi`` are real.
+    ``H_0`` is solved once.  The drift is read from the cluster frames
+    (``_frame_drift``): no projector but ``p0`` is formed.  The unitaries
+    are real orthogonal when ``H_0`` and ``Psi`` are real.
 
     ``keep`` names the checkpoint indices (of the grid of ``checkpoints``
     points) whose ``U`` the result hands on, the fine chain's, from the
@@ -405,7 +464,8 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     n_blocks, side = b0.shape[:2]
     u0 = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
                          (n_blocks, side, side)).copy()
-    p0 = _projector(tracked[end_keys[0]][1])
+    frames0 = tracked[end_keys[0]][1]
+    p0 = _projector(frames0)
 
     def run_pass(steps):
         """The Richardson estimate, gap floor, drift and kept unitaries of
@@ -428,8 +488,7 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
                     del gen_cache[other]
             gap, vecs = tracked.pop(key)
             floor = min(floor, gap)
-            drift = max(drift, operator_norm(
-                fine @ p0 @ fine.conj().swapaxes(-1, -2) - _projector(vecs)))
+            drift = max(drift, _frame_drift(fine, frames0, vecs))
             if j in keep:
                 kept[j] = fine
         return err, floor, drift, kept
@@ -461,15 +520,17 @@ class Phi1Decomposition:
     """Anchored pieces of the transported coupling, block stacks on
     ``sectors`` (those of the flow).  A holder that has split it may drop
     ``v_true`` (``None``), and each piece of ``anchors`` once it has read
-    that anchor's ball terms."""
+    that anchor's ball terms.  The three residual norms are ``None`` when
+    the decomposition was made without them (``decompose_phi1`` with
+    ``norms=False``): a norm not taken is absent, never 0."""
 
     lam: Interval
     sectors: list[np.ndarray]
     anchors: dict | None                 # x -> block-diagonal v_x (stack)
     v_true: np.ndarray | None            # V(s) (stack)
-    anchor_sum_residual: float           # |V(s) - sum_x v_x| before correction
-    cross_residual: float                # |P rho Q + Q rho P| routed to the edge
-    max_kernel_commutator: float         # max_x |[P, v_x]| over all anchors
+    anchor_sum_residual: float | None    # |V(s) - sum_x v_x| before correction
+    cross_residual: float | None         # |P rho Q + Q rho P|, to the edge
+    max_kernel_commutator: float | None  # max_x |[P, v_x]| over all anchors
     local_dim: int
 
     def ball_terms(self, x: int) -> list[Term]:
@@ -494,7 +555,8 @@ def _trace(a) -> float:
 
 
 def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
-                   lam: Interval, upto: int | None = None) -> Phi1Decomposition:
+                   lam: Interval, upto: int | None = None,
+                   norms: bool = True) -> Phi1Decomposition:
     """Cut the transported coupling ``V(s) = U(s)* H(s) U(s) - H_0`` at the
     checkpoint ``upto`` (default the last, ``s = eps``) into anchored
     block-diagonal pieces, to be telescoped over balls.
@@ -517,6 +579,8 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
     off-diagonal blocks entirely to the anchor at the left edge, which
     later falls into the boundary remainder.  Every ``v_x`` telescopes into
     ball increments ``Phi^1(b_x(n))`` (``Phi1Decomposition.ball_terms``).
+    With ``norms=False`` the pieces are the same and none of the three
+    residual norms is taken; they read ``None``.
 
     All of it runs on the flow's block stacks, in the field of the flow and
     the anchored terms: each anchor's terms are assembled by
@@ -549,17 +613,19 @@ def decompose_phi1(flow: FlowResult, eta: Interaction, psi: Interaction,
         pieces[x] = blockdiag(u_h @ h_xs @ u - eta_x)
     v_true = u_h @ (b0 + s * flow.psi) @ u - b0
     rho = v_true - sum(pieces.values())
-    sum_res = operator_norm(rho)
     rho_diag = blockdiag(rho)
     rho_cross = rho - rho_diag
+    sum_res = cross_res = max_comm = None
+    if norms:
+        sum_res, cross_res = operator_norm(rho), operator_norm(rho_cross)
     for x in anchors:
         pieces[x] += rho_diag / len(anchors)
     pieces[min(anchors)] += rho_cross
-    max_comm = max(operator_norm(p @ pieces[x] - pieces[x] @ p)
-                   for x in anchors)
+    if norms:
+        max_comm = max(operator_norm(p @ pieces[x] - pieces[x] @ p)
+                       for x in anchors)
     return Phi1Decomposition(lam, flow.sectors, pieces, v_true, sum_res,
-                             operator_norm(rho_cross), max_comm,
-                             eta.local_dim)
+                             cross_res, max_comm, eta.local_dim)
 
 
 @dataclass
@@ -569,18 +635,21 @@ class Phi1Split:
     ``phi_tilde`` the sum of the interior anchored pieces, and the residual
     of ``phi2 + phi3 + omega + remainder = V(eps)``, where
     ``phi3 = P (phi_tilde - omega) P`` and the remainder sums the
-    edge-anchored pieces."""
+    edge-anchored pieces; ``None`` when the split was made without norms
+    (``split_phi1`` with ``norms=False``), which forms no ``phi3``."""
 
     phi2: np.ndarray
     omega_value: float
-    reconstruction_error: float
+    reconstruction_error: float | None
 
 
-def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
+def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray,
+               norms: bool = True) -> Phi1Split:
     """Split ``dec`` against the kernel projector ``p_kernel``, a stack on
     the decomposition's sectors; ``omega = tr(P phi_tilde) / tr P``.  The
     sums are formed in place, in the order of
-    ``phi2 + phi3 + omega 1 + remainder - V(eps)``."""
+    ``phi2 + phi3 + omega 1 + remainder - V(eps)``; with ``norms=False``
+    only ``phi2`` and ``omega`` are formed."""
     inner = interior(dec.lam, 2)
     dtype = np.result_type(*dec.anchors.values())
     phi_tilde = np.zeros(dec.v_true.shape, dtype)
@@ -595,6 +664,8 @@ def split_phi1(dec: Phi1Decomposition, p_kernel: np.ndarray) -> Phi1Split:
     q = eye - p_kernel
     phi_tilde -= omega * eye                  # centred
     phi2 = q @ phi_tilde @ q
+    if not norms:
+        return Phi1Split(phi2, omega, None)
     recon = p_kernel @ phi_tilde @ p_kernel    # phi3
     del phi_tilde
     recon += phi2

@@ -13,7 +13,9 @@ from gaplab.operator_algebra import (LocalOperator, annihilator,
                                      kernel_mask, operator_norm,
                                      parity_matrix)
 from gaplab.spectra import diagonalize
-from gaplab.spectral_flow import Phi1Decomposition, eigenbasis_generator
+from gaplab import spectral_flow
+from gaplab.spectral_flow import (Phi1Decomposition, _filtered, _time_rule,
+                                  eigenbasis_generator)
 
 
 def traced_peak(fn):
@@ -24,6 +26,114 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# --- the time rule and its two checks ----------------------------------------------
+
+
+def time_weight_one_shot(s, window):
+    """W(s) with the sines of every time in one table."""
+    x, wq = np.polynomial.legendre.leggauss(200)
+    half = 0.5 * window.gamma
+    nodes = 0.5 * half * (x + 1.0)
+    weights = 0.5 * half * wq
+    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+    integ = np.einsum("k,sk->s", weights * window.beta(nodes) / nodes,
+                      np.sin(np.outer(s, nodes)))
+    return 0.5 - integ / np.pi
+
+
+def rule_nodes(window, wmax):
+    """The time rule node by node: each node ``m_p + delta_q`` formed as a
+    sum, panel by panel, and its coefficient ``c_pq``."""
+    mids, offsets, coeff = _time_rule(window, wmax)
+    return (mids[:, None] + offsets).ravel(), coeff.ravel()
+
+
+def filter_identity_one_shot(window, omegas) -> float:
+    """``filter_identity_residual``'s panels x offsets sum with every
+    frequency's panel phases in one table."""
+    omegas = np.asarray(omegas, dtype=float).ravel()
+    mids, offsets, coeff = _time_rule(window, np.max(np.abs(omegas)))
+    sin = np.outer(omegas, mids)
+    cos = np.cos(sin)
+    np.sin(sin, out=sin)
+    shift = np.outer(omegas, offsets)
+    lhs = 2.0 * np.sum(np.cos(shift) * (sin @ coeff)
+                       + np.sin(shift) * (cos @ coeff), axis=1)
+    return float(np.max(np.abs(lhs - window.weight(omegas))))
+
+
+def filter_identity_nodes(window, omegas) -> float:
+    """The filter identity's residual node by node: ``2 sum_k c_k sin(w s_k)``
+    on the nodes of ``rule_nodes``, in one table."""
+    omegas = np.asarray(omegas, dtype=float).ravel()
+    nodes, coeff = rule_nodes(window, np.max(np.abs(omegas)))
+    lhs = 2.0 * (coeff @ np.sin(np.outer(nodes, omegas)))
+    return float(np.max(np.abs(lhs - window.weight(omegas))))
+
+
+def _offset_tables(sin, cos, cos_d, sin_d, q):
+    """``sin(E (m + delta_q))`` and ``cos(E (m + delta_q))`` by angle
+    addition, rows scaled by the offset's phases."""
+    return (sin * cos_d[..., q, None] + cos * sin_d[..., q, None],
+            cos * cos_d[..., q, None] - sin * sin_d[..., q, None])
+
+
+def time_quadrature_one_shot(evals, evecs, psi, window):
+    """The time-quadrature generator's panels x offsets products with every
+    panel's phases in one table."""
+    mids, offsets, coeff = _time_rule(window, np.ptp(evals))
+    shift = evals[..., :, None] * offsets
+    cos_d, sin_d = np.cos(shift), np.sin(shift)
+    phase = evals[..., :, None] * mids
+    sin, cos = np.sin(phase), np.cos(phase)
+    a = 0.0
+    for q in range(offsets.size):
+        x, y = _offset_tables(sin, cos, cos_d, sin_d, q)
+        a = a + (x * coeff[:, q]) @ y.swapaxes(-1, -2)
+    return _filtered(evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+
+
+def time_quadrature_stacked(evals, evecs, psi, window):
+    """The time-quadrature generator with each block of panels' tables
+    formed for the whole stack at once."""
+    mids, offsets, coeff = _time_rule(window, np.ptp(evals))
+    step = max(1, spectral_flow._PHASE_BLOCK // 8 // evals.shape[-1])
+    shift = evals[..., :, None] * offsets
+    cos_d, sin_d = np.cos(shift), np.sin(shift)
+    a = 0.0
+    for lo in range(0, mids.size, step):
+        sin = evals[..., :, None] * mids[lo:lo + step]
+        cos = np.cos(sin)
+        np.sin(sin, out=sin)
+        for q in range(offsets.size):
+            x, y = _offset_tables(sin, cos, cos_d, sin_d, q)
+            x *= coeff[lo:lo + step, q]
+            a = a + x @ y.swapaxes(-1, -2)
+    return _filtered(evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+
+
+def time_quadrature_nodes(evals, evecs, psi, window):
+    """The time-quadrature generator node by node: the phases ``E s`` of
+    each node of ``rule_nodes``, 1024 nodes at a time."""
+    nodes, coeff = rule_nodes(window, np.ptp(evals))
+    a = 0.0
+    for lo in range(0, nodes.size, 1024):
+        phase = evals[..., :, None] * nodes[lo:lo + 1024]
+        a = a + (np.sin(phase) * coeff[lo:lo + 1024]) \
+            @ np.cos(phase).swapaxes(-1, -2)
+    return _filtered(evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
+
+
+def dense_drift(u, frames0, frames) -> float:
+    """``|U P0 U* - P|`` of a block stack ``u`` with the projectors onto
+    each block's frame formed whole, by LAPACK's SVD."""
+    def projectors(vecs):
+        return np.stack([v @ v.conj().T for v in vecs])
+    diff = u @ projectors(frames0) @ u.conj().swapaxes(-1, -2) \
+        - projectors(frames)
+    return float(max(np.linalg.norm(d, 2) for d in diff))
 
 
 def creator(lam: Interval, x: int) -> LocalOperator:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import gaplab.cli as cli
-from gaplab import interaction
+from gaplab import interaction, spectral_flow
 from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         cmd_flow, cmd_sp0scan, cmd_validate, flow_bundle,
                         load_config, main, merged_config, run, summary_lines,
@@ -748,9 +748,9 @@ def test_flow_fixture_keeps_only_what_its_readers_read(monkeypatch):
     and every array it keeps is at most of side 128, a parity block."""
     decs = []
 
-    def split(dec, p0):
+    def split(dec, p0, **kwargs):
         decs.append(replace(dec, anchors=dict(dec.anchors)))
-        return cli_split(dec, p0)
+        return cli_split(dec, p0, **kwargs)
 
     cli_split = cli.split_phi1
     monkeypatch.setattr(cli, "split_phi1", split)
@@ -770,6 +770,52 @@ def test_flow_fixture_keeps_only_what_its_readers_read(monkeypatch):
     kept = list(_reachable_arrays(fb, set()))
     assert sum(a.nbytes for a in kept) <= 3.1 * 2 ** 20
     assert max(a.shape[-1] for a in kept) == 128
+
+
+def test_flow_fixture_takes_no_norm_of_the_couplings_before_eps(monkeypatch):
+    """The default fixture decomposes and splits the transported coupling
+    at checkpoints 8, 16 and 32 of 33.  ``bounds`` reads only ``phi2``
+    before ``eps`` and ``flow`` the residuals at ``eps`` alone, so at 8 and
+    16 neither takes an ``operator_norm`` and their residuals read ``None``;
+    their pieces, ``phi2`` and ``omega`` are those of a decomposition and
+    split that take their norms, bit for bit."""
+    taken, calls = [0], []          # (norms taken, args, result) per call
+
+    def norm(m, *args, **kwargs):
+        taken[0] += 1
+        return operator_norm(m, *args, **kwargs)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            before = taken[0]
+            out = fn(*args, **kwargs)
+            calls.append((taken[0] - before, args, out))
+            return out
+        return wrapper
+
+    decompose, split = cli.decompose_phi1, cli.split_phi1
+    monkeypatch.setattr(spectral_flow, "operator_norm", norm)
+    monkeypatch.setattr(cli, "decompose_phi1", counted(decompose))
+    monkeypatch.setattr(cli, "split_phi1", counted(split))
+    fb = flow_bundle(merged_config(None), {})
+    # a decomposition and its split at each form-bound checkpoint, in turn
+    assert [args[4] for _, args, _ in calls[::2]] == [8, 16, 32]
+    assert [n for n, _, _ in calls[:4]] == [0] * 4
+    assert calls[4][0] > 0 and calls[5][0] > 0
+    for (_, args, dec), (_, _, got) in zip(calls[0:4:2], calls[1:4:2]):
+        assert (dec.anchor_sum_residual, dec.cross_residual,
+                dec.max_kernel_commutator, got.reconstruction_error) \
+            == (None,) * 4
+        full = decompose(*args)
+        assert all(np.array_equal(dec.anchors[x], v)
+                   for x, v in full.anchors.items())
+        ref = split(full, fb["flow"].p0)
+        assert np.array_equal(got.phi2, ref.phi2)
+        assert got.omega_value == ref.omega_value
+    assert isinstance(fb["splits"][32].reconstruction_error, float)
+    assert all(isinstance(getattr(fb["dec"], name), float)
+               for name in ("anchor_sum_residual", "cross_residual",
+                            "max_kernel_commutator"))
 
 
 def test_every_term_norm_of_the_flow_fixture_is_the_parity_scans_bit_for_bit(

@@ -16,17 +16,21 @@ from gaplab.models import (kernel_data, orbital_interaction,
 from gaplab import interaction, operator_algebra, spectra, spectral_flow
 from gaplab.operator_algebra import charge_sectors, join_blocks, operator_norm
 from gaplab.spectra import FrustrationError, diagonalize, resolution_family
-from gaplab.spectral_flow import (Window, _filtered, _panel_rule,
-                                  _polar_unitary, _time_rule,
+from gaplab.spectral_flow import (Window, _filtered, _frame_drift,
+                                  _panel_rule, _polar_unitary, _time_rule,
                                   decompose_phi1, eigenbasis_generator,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator, time_weight)
-from oracles import (dense_kernel_projector, even_pair, flow_pair,
-                     parity_even, parity_sectors,
+from oracles import (dense_drift, dense_kernel_projector, even_pair,
+                     filter_identity_nodes, filter_identity_one_shot,
+                     flow_pair, parity_even, parity_sectors,
                      random_hermitian, random_matrix, resolution_whole,
-                     simpson_oracle, split_blocks, split_whole, svd_polar,
-                     telescope, telescope_oracle, theta_whole, traced_peak)
+                     rule_nodes, simpson_oracle, split_blocks, split_whole,
+                     svd_polar, telescope, telescope_oracle, theta_whole,
+                     time_quadrature_nodes, time_quadrature_one_shot,
+                     time_quadrature_stacked, time_weight_one_shot,
+                     traced_peak)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -136,11 +140,12 @@ def test_generator_routes_agree_on_random_pair():
 
 
 def test_phase_product_weight_matches_direct_sine_sum():
-    """2 Im(Phi diag(c) Phi*) is the sum 2 sum_s c_s sin((E_i - E_j) s)."""
+    """2 Im(Phi diag(c) Phi*) is the sum 2 sum_s c_s sin((E_i - E_j) s)
+    over the nodes ``s = m_p + delta_q`` of the rule."""
     h, psi = _random_pair()
     w = Window(GAMMA)
     evals, evecs = diagonalize(h)
-    s_pts, coeff = _time_rule(w, np.ptp(evals))
+    s_pts, coeff = rule_nodes(w, np.ptp(evals))
     omega = evals[:, None] - evals[None, :]
     direct = np.zeros_like(omega)
     for lo in range(0, s_pts.size, 256):       # the sine tensor, chunked
@@ -155,8 +160,8 @@ def test_phase_product_weight_matches_direct_sine_sum():
 
 def test_time_rule_is_formed_once_per_panel_count(monkeypatch):
     """Both generator routes and the filter identity read one read-only rule
-    ``(s_k, w_k W(s_k))`` per window and panel count: W is evaluated once
-    for spectra of the same width."""
+    ``(m_p, delta_q, h w_q W(m_p + delta_q))`` per window and panel count:
+    W is evaluated once for spectra of the same width, on every node."""
     h, psi = _random_pair()
     w = Window(GAMMA)
     evals, evecs = diagonalize(h)
@@ -172,24 +177,12 @@ def test_time_rule_is_formed_once_per_panel_count(monkeypatch):
     first = time_quadrature_generator(evals, evecs, psi, w)
     second = time_quadrature_generator(evals, evecs, psi, w)
     np.testing.assert_array_equal(first, second)
-    assert len(calls) == 1
-    s_pts, coeff = _time_rule(w, np.ptp(evals))
-    assert not s_pts.flags.writeable and not coeff.flags.writeable
+    mids, offsets, coeff = _time_rule(w, np.ptp(evals))
+    assert calls == [coeff.size] and coeff.shape == (mids.size, offsets.size)
+    assert not any(a.flags.writeable for a in (mids, offsets, coeff))
     filter_identity_residual(w, np.linspace(0.0, np.ptp(evals), 11))
     assert len(calls) == 1
     _panel_rule.cache_clear()
-
-
-def _time_weight_one_shot(s, window):
-    """W(s) with the sines of every time in one table."""
-    x, wq = np.polynomial.legendre.leggauss(200)
-    half = 0.5 * window.gamma
-    nodes = 0.5 * half * (x + 1.0)
-    weights = 0.5 * half * wq
-    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
-    integ = np.einsum("k,sk->s", weights * window.beta(nodes) / nodes,
-                      np.sin(np.outer(s, nodes)))
-    return 0.5 - integ / np.pi
 
 
 @settings(max_examples=20, deadline=None)
@@ -200,39 +193,31 @@ def test_time_weight_in_blocks_is_the_one_shot_sum_bit_for_bit(size, t_max,
     """Each time's sum is its own row, so blocks of times change no bit."""
     s = np.random.default_rng(seed).uniform(0.0, t_max, size)
     w = Window(GAMMA)
-    assert time_weight(s, w).tobytes() == _time_weight_one_shot(s, w).tobytes()
+    assert time_weight(s, w).tobytes() == time_weight_one_shot(s, w).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 120), st.floats(0.5, 9.0))
 def test_filter_identity_in_blocks_matches_the_one_shot_product(count, width):
-    """Each block of frequencies is its own product with the coefficients:
-    one block is the one-shot product bit for bit.  Across blocks, BLAS's
-    matrix-vector product rounds a frequency by its place in the product
-    (the few at the tail of a block or of a thread's share take another
-    path).  Two roundings of a dot product of ``n`` terms differ by at most
-    ``2 gamma_n sum|c_k|``, about ``n eps sum|c_k|``; with the factor 2 of
-    the left side that is ``2 n eps sum|c_k|``, allowed here twice over."""
+    """Each block of frequencies is its own two products with the
+    coefficients: one block is the panels x offsets sum with every
+    frequency in one table, bit for bit.  Across blocks, BLAS's products
+    round a frequency by its place in the product (the few at the tail of a
+    block or of a thread's share take another path).  Two roundings of a
+    dot product of ``n`` terms differ by at most ``2 gamma_n sum|c_k|``,
+    about ``n eps sum|c_k|``; with the factor 2 of the left side that is
+    ``2 n eps sum|c_k|``, allowed here twice over, ``n`` the node count."""
     w = Window(GAMMA)
     omegas = np.linspace(0.0, width, count)
-    s_pts, coeff = _time_rule(w, width)
-    lhs = 2.0 * (coeff @ np.sin(np.outer(s_pts, omegas)))
-    one_shot = float(np.max(np.abs(lhs - w.weight(omegas))))
+    mids, _, coeff = _time_rule(w, width)
+    one_shot = filter_identity_one_shot(w, omegas)
     got = filter_identity_residual(w, omegas)
-    if count <= spectral_flow._PHASE_BLOCK // s_pts.size:
+    if count <= spectral_flow._PHASE_BLOCK // 8 // mids.size:
         assert got == one_shot
     else:
-        n = s_pts.size
+        n = coeff.size
         bound = 4.0 * n * np.finfo(float).eps * float(np.sum(np.abs(coeff)))
         assert abs(got - one_shot) <= bound
-
-
-def _time_quadrature_one_shot(evals, evecs, psi, window):
-    """The time-quadrature generator with every node's phases in one table."""
-    s_pts, coeff = _time_rule(window, np.ptp(evals))
-    phase = evals[..., :, None] * s_pts
-    a = (np.sin(phase) * coeff) @ np.cos(phase).swapaxes(-1, -2)
-    return _filtered(evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -240,9 +225,9 @@ def _time_quadrature_one_shot(evals, evecs, psi, window):
        st.integers(0, 2 ** 32 - 1))
 def test_time_quadrature_in_node_blocks_matches_the_one_shot_product(
         side, complex_, width, seed):
-    """Summing ``A`` over blocks of nodes reorders a sum of rounded terms
-    only: the generator agrees with the one-shot product to 1e-15 of its
-    largest entry."""
+    """Summing ``A`` over blocks of panels reorders a sum of rounded terms
+    only: the generator agrees with the panels x offsets product with
+    every panel in one table to 1e-15 of its largest entry."""
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, side, complex_)
     h *= width / np.ptp(np.linalg.eigvalsh(h))
@@ -250,8 +235,94 @@ def test_time_quadrature_in_node_blocks_matches_the_one_shot_product(
     evals, evecs = diagonalize(h)
     w = Window(GAMMA)
     got = time_quadrature_generator(evals, evecs, psi, w)
-    ref = _time_quadrature_one_shot(evals, evecs, psi, w)
+    ref = time_quadrature_one_shot(evals, evecs, psi, w)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 48), st.integers(1, 3), st.booleans(),
+       st.floats(0.5, 12.0), st.integers(0, 2 ** 32 - 1))
+def test_angle_addition_matches_the_node_rule(side, blocks, complex_, width,
+                                              seed):
+    """Both checks built by angle addition from the panels' and the
+    offsets' phases agree with the node-by-node oracle on the same nodes
+    ``m_p + delta_q``: the generator of a random block stack to 1e-14 of
+    its largest entry (measured: at most 2.6e-15), and the filter identity
+    on random frequencies within the bound of two roundings of its dot
+    products, ``4 n eps sum|c_k|`` (``n`` the node count), which also holds
+    the rounding of the phases ``w s``, at most ``w t_max eps`` each, since
+    the rule has ``n > 32 t_max w / (2 pi)`` nodes."""
+    rng = np.random.default_rng(seed)
+    h = np.stack([random_hermitian(rng, side, complex_)
+                  for _ in range(blocks)])
+    h *= width / np.ptp(np.linalg.eigvalsh(h))
+    psi = np.stack([random_hermitian(rng, side, complex_)
+                    for _ in range(blocks)])
+    evals, evecs = diagonalize(h)
+    w = Window(GAMMA)
+    got = time_quadrature_generator(evals, evecs, psi, w)
+    ref = time_quadrature_nodes(evals, evecs, psi, w)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    omegas = rng.uniform(0.0, width, int(rng.integers(1, 402)))
+    coeff = _time_rule(w, np.max(omegas))[2]
+    bound = 4.0 * coeff.size * np.finfo(float).eps \
+        * float(np.sum(np.abs(coeff)))
+    assert abs(filter_identity_residual(w, omegas)
+               - filter_identity_nodes(w, omegas)) <= bound
+
+
+def _frame(rng, side, rank, complex_):
+    """``rank`` orthonormal columns of a random unitary of side ``side``."""
+    return np.linalg.qr(random_matrix(rng, side, complex_))[0][:, :rank]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 10), st.booleans(),
+       st.sampled_from(["random", "near", "wider", "narrower"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_frame_drift_matches_the_dense_projector_difference(
+        blocks, side, complex_, layout, seed):
+    """The drift read from the cluster frames is ``|U P0 U* - P|`` with the
+    projectors formed whole, to 1e-13, on block stacks whose frames have
+    per-block ranks from 0 (empty) to the side: unrelated frames, frames
+    near the transported ones (a drift of order 1e-6), and frames holding
+    the transported ones or held in them, where one of the two terms of
+    ``max(|(1 - P) Q|, |(1 - Q) P|)`` is zero and the other 1."""
+    rng = np.random.default_rng(seed)
+    u = np.stack([_frame(rng, side, side, complex_) for _ in range(blocks)])
+    frames0 = [_frame(rng, side, int(rng.integers(0, side + 1)), complex_)
+               for _ in range(blocks)]
+    moved = [u_b @ v for u_b, v in zip(u, frames0)]
+
+    def columns(count):
+        return random_matrix(rng, side, complex_)[:, :count]
+
+    if layout == "random":
+        frames = [_frame(rng, side, int(rng.integers(0, side + 1)), complex_)
+                  for _ in range(blocks)]
+    elif layout == "near":
+        frames = [np.linalg.qr(w + 1e-6 * columns(w.shape[1]))[0]
+                  for w in moved]
+    elif layout == "wider":
+        frames = [np.linalg.qr(np.hstack(
+            [w, columns(int(rng.integers(0, side - w.shape[1] + 1)))]))[0]
+            for w in moved]
+    else:
+        frames = [w @ _frame(rng, w.shape[1],
+                             int(rng.integers(0, w.shape[1] + 1)), complex_)
+                  for w in moved]
+    got = _frame_drift(u, frames0, frames)
+    assert got == pytest.approx(dense_drift(u, frames0, frames), abs=1e-13)
+
+
+def test_frame_drift_of_empty_and_unequal_frames():
+    """Empty frames on both sides have no drift; frames of unequal ranks
+    are a drift of 1, whichever side is wider."""
+    u = np.stack([np.eye(4), np.eye(4)])
+    empty, one = np.zeros((4, 0)), np.eye(4)[:, :1]
+    assert _frame_drift(u, [empty, empty], [empty, empty]) == 0.0
+    assert _frame_drift(u, [empty, one], [empty, np.eye(4)[:, :2]]) == 1.0
+    assert _frame_drift(u, [one, one], [empty, one]) == 1.0
 
 
 # --- the flow ODE ------------------------------------------------------------------
@@ -762,33 +833,18 @@ def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not
     assert peak <= 26 * flow.h0.nbytes
 
 
-def _time_quadrature_stacked(evals, evecs, psi, window):
-    """The time-quadrature generator with each block of nodes' phase table
-    formed for the whole stack at once."""
-    s_pts, coeff = _time_rule(window, np.ptp(evals))
-    step = max(1, spectral_flow._PHASE_BLOCK // evals.size)
-    a = 0.0
-    for lo in range(0, s_pts.size, step):
-        sin = evals[..., :, None] * s_pts[lo:lo + step]
-        cos = np.cos(sin)
-        np.sin(sin, out=sin)
-        sin *= coeff[lo:lo + step]
-        a = a + sin @ cos.swapaxes(-1, -2)
-    return _filtered(evecs, psi, 2.0 * (a - a.swapaxes(-1, -2)))
-
-
 def test_generator_and_filter_checks_work_in_small_phase_blocks(
         bundle, monkeypatch):
-    """The cross-checks of ``flow`` on the L = 8 chain (9168 nodes, 256
-    eigenvalues in two blocks): the time-quadrature generator at both ends
-    and the filter identity on both widths, forming their time rule afresh,
-    peak within 5 % above the measured 4.70 MiB of traced memory (6.77 MiB
-    with a phase table for the whole stack and the old time rule's rows;
-    the filter identity's table of 2 MiB now sets the peak).  The
-    generator, formed one block at a time, is the whole stack's product bit
-    for bit and agrees with the one-shot product to 1e-15 of its largest
-    entry; the time rule's weights are those of row blocks eight times as
-    large, bit for bit."""
+    """The cross-checks of ``flow`` on the L = 8 chain (1146 panels of 8
+    nodes, 256 eigenvalues in two blocks): the time-quadrature generator at
+    both ends and the filter identity on both widths, forming their time
+    rule afresh, peak within 5 % above the measured 2.30 MiB of traced
+    memory (4.70 MiB with the node rule's 2 MiB filter-identity tables,
+    6.77 MiB with a phase table for the whole stack and the old time
+    rule's rows).  The generator, formed one block at a time, is the whole
+    stack's product bit for bit and agrees with the one-shot product to
+    1e-15 of its largest entry; the time rule's weights are those of row
+    blocks eight times as large, bit for bit."""
     flow, w = bundle["flow"], Window(GAMMA)
     _panel_rule.cache_clear()
 
@@ -800,13 +856,13 @@ def test_generator_and_filter_checks_work_in_small_phase_blocks(
         return generators
 
     generators, peak = traced_peak(checks)
-    assert peak <= 1.05 * 4.70 * 2 ** 20
+    assert peak <= 1.05 * 2.30 * 2 ** 20
     for k_time, (evals, evecs, _) in zip(generators, flow.end_spectra):
         assert np.array_equal(
-            k_time, _time_quadrature_stacked(evals, evecs, flow.psi, w))
-        ref = _time_quadrature_one_shot(evals, evecs, flow.psi, w)
+            k_time, time_quadrature_stacked(evals, evecs, flow.psi, w))
+        ref = time_quadrature_one_shot(evals, evecs, flow.psi, w)
         assert np.max(np.abs(k_time - ref)) <= 1e-15 * np.max(np.abs(ref))
-    s_pts = _time_rule(w, np.ptp(flow.end_spectra[0][0]))[0]
+    s_pts = rule_nodes(w, np.ptp(flow.end_spectra[0][0]))[0]
     small = time_weight(s_pts, w)
     monkeypatch.setattr(spectral_flow, "_PHASE_BLOCK",
                         8 * spectral_flow._PHASE_BLOCK)

@@ -2,12 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaplab.ffunction import FFunctionSpec, WeightSpec, f_zero
+from gaplab.interaction import (Interaction, hamiltonian_eigenvalues,
+                                local_hamiltonian, split_edge_bulk)
 from gaplab.lattice import Interval
 from gaplab.models import random_even_perturbation
 from gaplab.operator_algebra import charge_sectors, join_blocks
 from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
+                                     _support_clusters,
                                      bound_constants, calibrate_c,
                                      edge_bulk_strengths,
                                      higher_gap_bound, higher_gap_threshold,
@@ -331,6 +335,41 @@ def test_edge_bulk_strengths_split():
     assert interior_fnorm > 0.0
     assert edge_norm > 0.0
     assert interior_fnorm <= pert.f_norm(BASE)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(6, 10), st.integers(1, 3), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_edge_norm_from_support_clusters_is_the_dense_norm(n_sites, depth,
+                                                           max_radius, seed):
+    """The edge norm summed over the remainder's groups of overlapping
+    supports is ``max|lambda|`` of the whole remainder solved dense, to
+    1e-13, on random even perturbations of 6-10 sites; where the remainder
+    is one group it is the whole remainder's spectrum bit for bit."""
+    lam = Interval(1, n_sites)
+    pert = random_even_perturbation(lam, max_radius, ENV, seed=seed)
+    edge = split_edge_bulk(pert, lam, depth).edge
+    _, edge_norm = edge_bulk_strengths(pert, lam, depth, BASE)
+    dense = np.linalg.eigvalsh(local_hamiltonian(edge, lam).matrix)
+    assert edge_norm == pytest.approx(np.max(np.abs(dense)), abs=1e-13)
+    if len(_support_clusters(edge.terms)) == 1:
+        assert edge_norm == float(np.max(np.abs(
+            hamiltonian_eigenvalues(edge, lam))))
+
+
+@pytest.mark.parametrize("n_sites, spans", [
+    (8, [Interval(1, 8)]), (9, [Interval(1, 9)]),
+    (10, [Interval(1, 5), Interval(6, 10)])])
+def test_edge_remainder_splits_where_its_ends_do_not_meet(n_sites, spans):
+    """At depth 3 and radius 2 the two ends' terms reach ``[1, 5]`` and
+    ``[n - 4, n]``: one group at 8 sites, one at 9, where the ends share
+    site 5, two at 10, each group keeping the terms' order."""
+    lam = Interval(1, n_sites)
+    edge = split_edge_bulk(random_even_perturbation(lam, 2, ENV, seed=7),
+                           lam, 3).edge
+    clusters = _support_clusters(edge.terms)
+    assert [Interaction(group, "fermion").span for group in clusters] == spans
+    assert [t for group in clusters for t in group] == edge.terms
 
 
 def test_uniform_strengths_suprema_and_threshold():
