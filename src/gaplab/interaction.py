@@ -221,6 +221,70 @@ def coupled(eta: Interaction, pert: Interaction, eps: float) -> Interaction:
     return replace(eta, terms=eta.terms + scaled)
 
 
+def _nonzeros(blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Flat int32 indices and values of the nonzero entries of each block,
+    taken as the generator hands the blocks over, so one is alive at a
+    time."""
+    out = []
+    for block in blocks:
+        flat = block.reshape(-1)
+        idx = np.flatnonzero(flat)
+        out.append((idx.astype(np.int32), flat[idx]))
+        del block, flat
+    return out
+
+
+@dataclass
+class CoupledBlocks:
+    """The family ``coupled(eta, pert, eps)`` on a volume, planned once:
+    the side of each charge sector of the span of the terms, and in it the
+    nonzero entries of ``H0``'s block and of ``Psi``'s block, kept apart."""
+
+    sides: list[int]
+    h0: list[tuple[np.ndarray, np.ndarray]]
+    psi: list[tuple[np.ndarray, np.ndarray]]
+    dtype: type
+    repeat: int
+
+    def eigenvalues(self, eps: float) -> np.ndarray:
+        """Ascending eigenvalues of ``H0 + eps Psi`` on the volume: each
+        sector's entries scattered into one zeroed block, solved by
+        ``eigenvalues`` and let go before the next, and the merged spectrum
+        of the span repeated as ``hamiltonian_eigenvalues`` repeats it."""
+        def blocks():
+            for side, (hi, hv), (pi, pv) in zip(self.sides, self.h0, self.psi):
+                block = np.zeros((side, side), self.dtype)
+                flat = block.reshape(-1)
+                flat[hi] = hv
+                flat[pi] += eps * pv
+                del flat
+                yield block
+                del block
+        return np.repeat(eigenvalues(blocks()), self.repeat)
+
+
+def coupled_blocks(eta: Interaction, pert: Interaction,
+                   lam: Interval) -> CoupledBlocks:
+    """The block plan whose ``eigenvalues(eps)`` is
+    ``hamiltonian_eigenvalues(coupled(eta, pert, eps), lam)`` up to
+    rounding, for every ``eps``: the terms of both inside ``lam`` on the
+    span they hold, in the sectors of the charge they conserve together
+    (``conserved_modulus``, found once), each block of ``H0`` and then each
+    of ``Psi`` assembled by ``charge_blocks`` and let go once its nonzero
+    entries are read.  ``H0 + eps Psi`` sums the two blocks where
+    ``coupled`` adds ``eps`` times each term of ``Psi`` in turn, so the
+    entries differ by rounding."""
+    eta, pert = eta.restricted(lam), pert.restricted(lam)
+    span = replace(eta, terms=eta.terms + pert.terms).span
+    modulus = conserved_modulus([t.op for t in eta.terms + pert.terms])
+    sectors, h0 = charge_blocks(eta, span, modulus)
+    h0 = _nonzeros(h0)
+    psi = _nonzeros(charge_blocks(pert, span, modulus)[1])
+    dtype = np.float64 if _real(eta.terms + pert.terms) else np.complex128
+    return CoupledBlocks([idx.size for idx in sectors], h0, psi, dtype,
+                         eta.local_dim ** (len(lam) - len(span)))
+
+
 def zero_ground_energy(evals) -> bool:
     """The ground-energy-zero test of an ascending spectrum,
     ``|E_0| <= 1e-10 max(1, max|lambda|)``."""

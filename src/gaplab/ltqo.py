@@ -18,10 +18,20 @@ takes ``vec A`` to ``vec(M(A) - omega(A) 1)`` with ``M(A)`` the m-by-m
 kernel block of ``P A P``, so ``w(A)`` is the 2-norm of one matrix-vector
 product and no operator on the full volume is ever formed.
 
-On a spin chain the supremum over ``|A| <= 1`` is approached from below
-by alternating ascent over Hermitian sign matrices.  On a fermionic chain
-every operator is even, and the exact-zero certificate reads the even
-columns of ``D``: when it holds, ``w = 0`` for every ``A``.
+Both ends of the supremum over ``|A| <= 1`` are read off ``D``'s slices
+in one pass (``witness_bracket``).  With ``D_ab`` the ``d_X``-by-``d_X``
+slice at kernel indices ``(a, b)``, the entry ``X(A)_ab`` of
+``X(A) = M(A) - omega(A) 1`` is ``tr(D_ab^T A)``.  The upper end is
+``|N|_2`` with ``N_ab = |D_ab|_1``, the trace norm: ``|X_ab| <= N_ab |A|``
+and ``|X|_2 <= | |X| |_2 <= |N|_2``.  The lower end is the largest ``w(A)``
+over ``2 m^2`` explicit observables of norm 1, for each ``(a, b)`` and each
+phase in ``{1, i}`` the sign matrix of the Hermitian part of
+``phase D_ab^T``, which makes ``Re(phase X_ab)`` as large as one
+observable can.  On a fermionic chain every operator is even, so both ends
+read the even columns of ``D`` alone, and the exact-zero certificate reads
+them too: when it holds, ``w = 0`` for every ``A``.  The alternating ascent
+(``ascent_lower_bound``) is kept as the reference the one-pass lower end
+is tested against.
 """
 
 from __future__ import annotations
@@ -72,17 +82,65 @@ def witness_tensor(basis: np.ndarray, local_dim: int, vol: Interval,
     return WitnessTensor(d, m, region)
 
 
+def _even_columns(wt: WitnessTensor) -> np.ndarray:
+    """The columns of ``D`` at parity-preserving matrix entries."""
+    p = parity_matrix(len(wt.region))
+    return (p[:, None] == p[None, :]).ravel()
+
+
 def exact_zero_certificate(wt: WitnessTensor, even_only: bool = False) -> float:
     """``max|D|``; 0 means w(A) = 0 for all A.
 
     With ``even_only`` only the columns of parity-preserving matrix entries
     are read, certifying the witness for even observables.
     """
-    cols = slice(None)
-    if even_only:
-        p = parity_matrix(len(wt.region))
-        cols = (p[:, None] == p[None, :]).ravel()
+    cols = _even_columns(wt) if even_only else slice(None)
     return float(np.max(np.abs(wt.D[:, cols])))
+
+
+def _slices(wt: WitnessTensor, even_only: bool) -> np.ndarray:
+    """The slices ``D_ab``, ``(m², d_X, d_X)``; with ``even_only`` their odd
+    entries are zeroed, since an even observable never reads them."""
+    dx = math.isqrt(wt.D.shape[1])
+    d = np.where(_even_columns(wt), wt.D, 0.0) if even_only else wt.D
+    return d.reshape(-1, dx, dx)
+
+
+def witness_upper(wt: WitnessTensor, even_only: bool = False) -> float:
+    """``|N|_2`` of the trace norms ``N_ab = |D_ab|_1``: ``w(A) <= |A|
+    |N|_2`` for every observable (every even one with ``even_only``)."""
+    trace_norms = np.linalg.svd(_slices(wt, even_only),
+                                compute_uv=False).sum(axis=-1)
+    return float(np.linalg.norm(trace_norms.reshape(wt.rank, wt.rank), 2))
+
+
+def witness_bracket(wt: WitnessTensor, even_only: bool = False):
+    """``(lower, upper, A)``: the supremum of ``w`` over observables of norm
+    at most 1 (even ones with ``even_only``) lies in ``[lower, upper]``, and
+    ``lower`` is ``wt.value(A)`` of the explicit Hermitian ``A``.
+
+    ``upper`` is ``witness_upper``; ``lower`` the largest ``value`` over the
+    sign matrices of the Hermitian parts of ``D_ab^T`` and ``i D_ab^T``,
+    whose eigenvalues are all ``+1`` or ``-1``.  With ``even_only`` the
+    slices' odd entries are zeroed first, and so are each sign matrix's:
+    its even part reads the same entry, since the slice is even, and has
+    norm at most 1, as the pinching onto the parity blocks is a
+    contraction (``eigh`` mixes the blocks where eigenvalues meet).
+    """
+    slices = _slices(wt, even_only)
+    even = _even_columns(wt).reshape(slices.shape[1:]) if even_only else True
+    lower, best = -np.inf, None
+    for z in slices.swapaxes(-1, -2):
+        for phase in (1.0, 1j):
+            herm = phase * z
+            herm = 0.5 * (herm + herm.conj().T)
+            zev, zvec = np.linalg.eigh(herm)
+            a = np.where(even, (zvec * np.where(zev < 0.0, -1.0, 1.0))
+                         @ zvec.conj().T, 0.0)
+            value = wt.value(a)
+            if value > lower:
+                lower, best = value, a
+    return lower, witness_upper(wt, even_only), best
 
 
 def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
@@ -134,34 +192,33 @@ def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
 
 
 def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
-                 seen: dict, ascent: tuple | None = None) -> float:
-    """Witness for the ball pair ``b(x, k) inside b(x, n)`` within ``lam``.
+                 seen: dict) -> tuple[float, float]:
+    """Witness for the ball pair ``b(x, k) inside b(x, n)`` within ``lam``,
+    as ``(value, upper)``.
 
-    The ascent's lower bound for ``ascent = (seed, restarts, iters)``, the
-    exact-zero certificate without one; the certificate reads the even
-    columns alone when ``eta`` is fermionic, as every fermionic operator is
-    even, and a fermionic ascent is refused.  ``seen`` holds what the
-    caller's run has already computed: kernels by the volume's length and
-    its terms (each as its offset in the volume, its length and its matrix
-    bytes, so translated volumes share one), centred maps by that and the
-    region's placement in the volume, ascents by that key and their inputs,
+    ``upper`` is ``witness_upper``.  ``value`` is ``witness_bracket``'s
+    one-pass lower end on a spin chain, and the exact-zero certificate on a
+    fermionic one, where no lower end is formed; there both read the even
+    columns alone, as every fermionic operator is even.  ``seen`` holds
+    what the caller's run has already computed: kernels by the volume's
+    length and its terms (each as its offset in the volume, its length and
+    its matrix bytes, so translated volumes share one), and by that and the
+    region's placement in the volume the witness read off its centred map,
     so each is computed once; a kernel is solved in its charge blocks.
     """
     fermion = eta.kind == "fermion"
-    if ascent is not None and fermion:
-        raise ValueError("a fermionic witness is certified, not ascended")
     vol, region = ball(lam, x, n), ball(lam, x, k)
     phi = eta.restricted(vol)
     volume = (len(vol), tuple((t.support.a - vol.a, len(t.support),
                                t.op.matrix.tobytes()) for t in phi.terms))
     key = (volume, region.a - vol.a, len(region))
-    if volume not in seen:
-        seen[volume] = kernel_basis_dense(phi, vol)
     if key not in seen:
-        seen[key] = witness_tensor(seen[volume], eta.local_dim, vol, region)
-    wt = seen[key]
-    if ascent is None:
-        return exact_zero_certificate(wt, even_only=fermion)
-    if (key, ascent) not in seen:
-        seen[key, ascent] = ascent_lower_bound(wt, *ascent)[0]
-    return seen[key, ascent]
+        if volume not in seen:
+            seen[volume] = kernel_basis_dense(phi, vol)
+        wt = witness_tensor(seen[volume], eta.local_dim, vol, region)
+        if fermion:
+            seen[key] = (exact_zero_certificate(wt, even_only=True),
+                         witness_upper(wt, even_only=True))
+        else:
+            seen[key] = witness_bracket(wt)[:2]
+    return seen[key]

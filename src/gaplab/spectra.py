@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, charge_blocks, charge_stack, \
-    coupled, hamiltonian_eigenvalues
+    coupled, coupled_blocks, hamiltonian_eigenvalues
 from .operator_algebra import LocalOperator, kernel_count, kernel_mask
 
 
@@ -96,11 +96,15 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
     ``|step| * |Psi| < (gamma_left + gamma_right)/2``; failing pairs are
     bisected up to ``max_depth`` halvings.
 
-    Every spectrum is ``hamiltonian_eigenvalues`` on ``lam``: coupling zero
-    reads that of ``eta``, solved once, every other coupling that of
-    ``coupled(eta, pert, eps)``.  ``|Psi|`` is bounded by the sum of the
-    norms of ``pert``'s terms on ``lam`` (the triangle inequality), with no
-    solve: a larger constant only makes the bound stricter.
+    Coupling zero reads ``hamiltonian_eigenvalues(eta, lam)``, solved once.
+    Every other coupling, bisection midpoints included, reads one block plan
+    of the family, ``coupled_blocks(eta, pert, lam)``, built once per call
+    when the grid holds a nonzero coupling: it scatters ``H0 + eps Psi``
+    into one zeroed block per charge sector and solves it, so its spectra
+    are those of ``coupled(eta, pert, eps)`` up to rounding.  ``|Psi|`` is
+    bounded by the sum of the norms of ``pert``'s terms on ``lam`` (the
+    triangle inequality), with no solve: a larger constant only makes the
+    bound stricter.
     """
     psi_norm = sum(t.op.norm() for t in pert.terms if t.support in lam)
     ev0 = hamiltonian_eigenvalues(eta, lam)
@@ -108,10 +112,10 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
         cluster_dim = kernel_count(ev0)
         if cluster_dim == 0:
             raise FrustrationError("no kernel eigenvalues to track")
+    plan = coupled_blocks(eta, pert, lam) if any(eps_grid) else None
 
     def split_at(eps):
-        evals = ev0 if eps == 0.0 else hamiltonian_eigenvalues(
-            coupled(eta, pert, eps), lam)
+        evals = ev0 if eps == 0.0 else plan.eigenvalues(eps)
         return SpectrumSplit(float(eps), evals[:cluster_dim], evals[cluster_dim:])
 
     def certified(left, right):

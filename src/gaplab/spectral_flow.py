@@ -51,7 +51,8 @@ matrix or of each block of a stack.  The rule is held as panels x offsets:
 eight Gauss-Legendre nodes ``s = m_p + delta_q`` on each panel, with the
 panels' midpoints ``m_p`` and the offsets ``delta_q`` shared by all panels,
 so a phase ``E s`` comes by angle addition from ``E m_p`` and
-``E delta_q``, and only those take a sine and a cosine.
+``E delta_q``, and only those take a sine and a cosine; so do the phases of
+``W``'s own integral, at each node.
 
 Along the flow the transported projector ``U P(0) U*`` is compared with
 the spectral one ``P(s)`` at each checkpoint through their frames alone:
@@ -153,24 +154,35 @@ def _gauss_legendre(n: int):
 _PHASE_BLOCK = 1 << 18
 
 
-def time_weight(s, window: Window):
-    """W(s) = 1/2 - (1/pi) int_0^{gamma/2} beta(w) sin(ws)/w dw
-    (200-node Gauss-Legendre), for a block of the times ``s`` at a time,
-    its sines taken in place in a table of at most ``_PHASE_BLOCK / 8``
-    entries; each time's sum is its own row of the product, so the blocks
-    change no bit."""
+def _panel_weights(mids, offsets, window: Window) -> np.ndarray:
+    """W(m_p + delta_q) = 1/2 - (1/pi) sum_k kappa_k sin(nu_k (m_p + delta_q))
+    on the 200-node Gauss-Legendre rule ``nu_k, kappa_k`` of
+    ``int_0^{gamma/2} beta(w) sin(ws)/w dw``, of shape (panels, offsets),
+    by angle addition:
+
+        W = 1/2 - (1/pi) [(sin(m nu) o kappa) cos(delta nu)^T
+                          + (cos(m nu) o kappa) sin(delta nu)^T],
+
+    so only the phases ``m_p nu_k`` and ``delta_q nu_k`` take a sine and a
+    cosine.  The panels' tables are formed a block of rows at a time, at
+    most ``_PHASE_BLOCK / 8`` entries, and each row is summed on its own
+    (``einsum``), so the blocks change no bit."""
     x, wq = _gauss_legendre(200)
     half = 0.5 * window.gamma
     nodes = 0.5 * half * (x + 1.0)
-    weights = 0.5 * half * wq
-    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
-    kernel = weights * window.beta(nodes) / nodes
-    integ = np.empty_like(s)
+    kernel = 0.5 * half * wq * window.beta(nodes) / nodes
+    shift = np.outer(offsets, nodes)
+    cos_d, sin_d = np.cos(shift), np.sin(shift)
+    integ = np.empty((mids.size, offsets.size))
     rows = max(1, _PHASE_BLOCK // 8 // nodes.size)
-    for lo in range(0, s.size, rows):
-        phase = np.outer(s[lo:lo + rows], nodes)
-        integ[lo:lo + rows] = np.einsum("k,sk->s", kernel,
-                                        np.sin(phase, out=phase))
+    for lo in range(0, mids.size, rows):
+        sin = np.outer(mids[lo:lo + rows], nodes)
+        cos = np.cos(sin)
+        np.sin(sin, out=sin)
+        sin *= kernel
+        cos *= kernel
+        integ[lo:lo + rows] = np.einsum("pk,qk->pq", sin, cos_d) \
+            + np.einsum("pk,qk->pq", cos, sin_d)
     return 0.5 - integ / np.pi
 
 
@@ -190,14 +202,14 @@ def _panel_rule(window: Window, t_max: float, n_panels: int):
     ``h = t_max / (2 n_panels)`` as panels x offsets, read-only, formed
     once: the midpoints ``m_p = (2p + 1) h``, the offsets ``delta_q = h x_q``
     of the eight Gauss-Legendre nodes ``x_q``, and the coefficients
-    ``c_pq = h w_q W(m_p + delta_q)``, of shape (n_panels, 8).  The node
-    ``s = m_p + delta_q`` is never formed but here, for ``W``."""
+    ``c_pq = h w_q W(m_p + delta_q)``, of shape (n_panels, 8), with ``W``
+    by angle addition (``_panel_weights``): no node ``s = m_p + delta_q``
+    is formed."""
     x, wq = _gauss_legendre(8)
     half = t_max / (2 * n_panels)
     mids = (2 * np.arange(n_panels) + 1) * half
     offsets = half * x
-    coeff = (half * wq) * time_weight(mids[:, None] + offsets,
-                                      window).reshape(n_panels, x.size)
+    coeff = (half * wq) * _panel_weights(mids, offsets, window)
     for a in (mids, offsets, coeff):
         a.flags.writeable = False
     return mids, offsets, coeff

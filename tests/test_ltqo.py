@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaplab import cli, ltqo
 from gaplab.cli import _orbital, _window, cmd_ltqo, merged_config
 from gaplab.interaction import Interaction
 from gaplab.lattice import Interval, ball
 from gaplab.ltqo import (ascent_lower_bound, exact_zero_certificate,
-                         ltqo_witness, witness_tensor)
+                         ltqo_witness, witness_bracket, witness_tensor,
+                         witness_upper)
 from gaplab.models import aklt_interaction
 from gaplab.operator_algebra import LocalOperator, embed, operator_norm
 from gaplab.spectra import ground_projector, kernel_basis_dense
 from oracles import parity_even, projected_ascent, random_hermitian, \
-    traced_peak
+    random_matrix, traced_peak
 
 
 def _volume(model: str):
@@ -94,12 +95,135 @@ def test_orbital_checks_fail_on_a_broken_chain(monkeypatch):
                if row[0] == "orbital")
 
 
-def test_fermionic_ascent_is_refused():
-    """An ascent on a fermionic interaction is refused: its witnesses are
-    read from the exact-zero certificate."""
+def test_fermionic_rows_read_the_certificate_and_an_even_upper_end(
+        monkeypatch):
+    """A fermionic witness reads the exact-zero certificate over the even
+    columns and the upper end over the even columns alone, and forms no
+    lower end: filling the odd columns of the centred map moves neither,
+    but moves the upper end read over every column."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fermionic row formed a lower end")
+
+    monkeypatch.setattr(ltqo, "witness_bracket", refuse)
     eta, vol, _ = _volume("orbital")
-    with pytest.raises(ValueError):
-        ltqo_witness(eta, vol, 4, 2, 0, {}, ascent=(0, 1, 1))
+    x, n, k = 4, 2, 1
+    value, upper = ltqo_witness(eta, vol, x, n, k, {})
+    wt = _tensor(eta, ball(vol, x, n), ball(vol, x, k))
+    assert value == exact_zero_certificate(wt, even_only=True)
+    assert upper == witness_upper(wt, even_only=True) <= 1e-11
+    dx = 2 ** len(wt.region)
+    odd = parity_even(np.ones((dx, dx))).ravel() == 0
+    wt.D[:, odd] = 1.0
+    assert exact_zero_certificate(wt, even_only=True) == value
+    assert witness_upper(wt, even_only=True) == upper
+    assert witness_upper(wt) > 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["spin2", "spin3", "fermion"]), st.integers(2, 5),
+       st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+# a slice whose Hermitian part has eigenvalues meeting across the parities
+@example("fermion", 3, 2, False, 23830276)
+def test_bracket_holds_every_witness_on_random_kernels(kind, sites, rank,
+                                                       complex_, seed):
+    """On a random orthonormal kernel of ``rank`` columns and a random
+    region of the volume, the bracket's lower end is ``value`` of its own
+    observable, which is Hermitian, of norm at most 1 and even on a
+    fermionic chain, and it is at least
+    each entry's reach, the trace norm of the Hermitian part of
+    ``phase D_ab^T`` for each phase in ``{1, i}``; ``w(A)`` lies below the
+    upper end for random ``A`` of norm 1 (even on a fermionic chain), and
+    so does the lower end."""
+    rng = np.random.default_rng(seed)
+    d = 3 if kind == "spin3" else 2
+    sites = min(sites, 4) if d == 3 else sites
+    vol = Interval(0, sites - 1)
+    a = int(rng.integers(0, sites))
+    region = Interval(a, int(rng.integers(a, min(a + 2, sites - 1) + 1)))
+    basis = np.linalg.qr(random_matrix(rng, d ** sites, complex_))[0]
+    wt = witness_tensor(basis[:, :rank], d, vol, region)
+    even = kind == "fermion"
+    lower, upper, obs = witness_bracket(wt, even_only=even)
+    assert lower == wt.value(obs)
+    assert np.array_equal(obs, obs.conj().T) or \
+        np.max(np.abs(obs - obs.conj().T)) <= 1e-14
+    assert operator_norm(obs) <= 1.0 + 1e-14
+    if even:
+        assert np.array_equal(parity_even(obs), obs)
+    slack = 1e-14 * max(1.0, upper)
+    assert lower <= upper + slack
+    # the sign matrix of Re(phase X_ab) makes that entry the trace norm of
+    # the Hermitian part of phase D_ab^T, and w(A) >= |X_ab|
+    dx = d ** len(region)
+    slices = wt.D.reshape(-1, dx, dx)
+    if even:
+        slices = slices * (parity_even(np.ones((dx, dx))) != 0)
+    entry = max(float(np.sum(np.abs(np.linalg.eigvalsh(h + h.conj().T)))) / 2
+                for z in slices for h in (z.T, 1j * z.T))
+    assert lower >= entry - slack
+    for _ in range(5):
+        obs = random_hermitian(rng, d ** len(region), complex_)
+        if even:
+            obs = parity_even(obs)
+        assert wt.value(obs / operator_norm(obs)) <= upper + slack
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j, np.exp(0.3j)])
+def test_bracket_is_tight_on_one_entry(phase):
+    """A centred map of rank 2 with one entry ``x = tr(D_01^T A)``, where
+    ``D_01 = phase S`` for a real symmetric ``S`` with eigenvalues of both
+    signs, and its adjoint ``D_10 = conj(phase) S``: ``X(A)`` has
+    eigenvalues ``±|x|``, so the supremum is ``|S|_1``, and both ends read
+    it, whichever of the two phases reaches it (at ``phase = i`` the sign
+    matrix of the real part reaches only ``|tr S|``)."""
+    rng = np.random.default_rng(5)
+    s = random_hermitian(rng, 4, False)
+    reach = float(np.sum(np.abs(np.linalg.eigvalsh(s))))
+    assert abs(np.trace(s)) < 0.9 * reach
+    zero = np.zeros(16)
+    d = np.stack([zero, phase * s.ravel(), np.conj(phase) * s.ravel(), zero])
+    wt = ltqo.WitnessTensor(d.astype(complex), 2, Interval(0, 1))
+    lower, upper, _ = witness_bracket(wt)
+    assert lower == pytest.approx(reach, rel=1e-14)
+    assert upper == pytest.approx(reach, rel=1e-14)
+
+
+def _aklt_rows(cfg):
+    """``(length, x, n, k, value)`` of every AKLT row of ``cmd_ltqo``."""
+    _, rows = cmd_ltqo(cfg, {}).tables["ltqo.csv"]
+    return [(int(m[4:]), x, n, k, value)
+            for m, x, n, k, _, _, value, *_ in rows if m.startswith("aklt")]
+
+
+# the ascent's value on the (n = 3, k = 2) row at the default restarts,
+# iterations and seed, as ``ltqo.csv`` recorded it before the one-pass
+# bracket; that ascent takes about 21 s
+_ASCENT_3_2 = 0.39010064683705487
+
+
+@pytest.mark.parametrize("patch", [{"lengths": [8, 10], "ltqo":
+                                    {"aklt_lengths": [6]}}, {}],
+                         ids=["all-L10", "default"])
+def test_one_pass_lower_end_is_at_least_the_ascent(patch):
+    """On every AKLT row of the ``all-L10`` workload and of the default
+    config, the one-pass lower end is at least the ascent's value at the
+    default restarts, iterations and seed, less ``1e-15 max(1, value)``;
+    the (n = 3, k = 2) row is compared with its recorded ascent value."""
+    cfg = merged_config(patch)
+    lc = cfg["ltqo"]
+    ascents = {}
+    for length, x, n, k, value in _aklt_rows(cfg):
+        if (n, k) == (3, 2):
+            ascent = _ASCENT_3_2
+        else:
+            if (n, k) not in ascents:
+                lam = _window(length)
+                eta = aklt_interaction(lam)
+                wt = _tensor(eta, ball(lam, x, n), ball(lam, x, k))
+                ascents[n, k] = ascent_lower_bound(
+                    wt, cfg["seeds"][0], lc["restarts"], lc["iters"])[0]
+            ascent = ascents[n, k]
+        assert value >= ascent - 1e-15 * max(1.0, ascent)
 
 
 @pytest.mark.parametrize("model", ["aklt"])
@@ -164,11 +288,12 @@ def test_ascent_normalises_only_its_starts(model, monkeypatch):
 
 
 def test_each_witness_is_computed_once_per_run(monkeypatch):
-    """One ``cmd_ltqo`` call solves each distinct volume kernel once and runs
-    each distinct ascent once, on spin-1 sites alone; the 6-site AKLT
-    chain's rows are its 5-site rows again, and every orbital row is a
-    certified zero."""
-    kernels, ascents, regions = [], [], []
+    """One ``cmd_ltqo`` call solves each distinct volume kernel once and
+    reads each distinct witness once: a bracket on spin-1 sites for each
+    AKLT row, an upper end over the even columns for each orbital row; no
+    ascent runs.  The 6-site AKLT chain's rows are its 5-site rows again,
+    and every orbital row is a certified zero."""
+    kernels, brackets, uppers = [], [], []
 
     def kernel(phi, vol):
         kernels.append((len(vol), tuple(
@@ -176,25 +301,40 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
             for t in phi.terms if t.support in vol)))
         return kernel_basis_dense(phi, vol)
 
-    def ascent(wt, *args, **kwargs):
-        ascents.append((wt.D.tobytes(), args, tuple(kwargs.items())))
-        regions.append((math.isqrt(wt.D.shape[1]), wt.region))
-        return ascent_lower_bound(wt, *args, **kwargs)
+    def bracket(wt, even_only=False):
+        brackets.append((wt.D.tobytes(), even_only,
+                         math.isqrt(wt.D.shape[1]), wt.region))
+        return witness_bracket(wt, even_only)
+
+    def upper(wt, even_only=False):
+        uppers.append((wt.D.tobytes(), even_only))
+        return witness_upper(wt, even_only)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ascent ran")
 
     monkeypatch.setattr(ltqo, "kernel_basis_dense", kernel)
-    monkeypatch.setattr(ltqo, "ascent_lower_bound", ascent)
+    monkeypatch.setattr(ltqo, "witness_bracket", bracket)
+    monkeypatch.setattr(ltqo, "witness_upper", upper)
+    monkeypatch.setattr(ltqo, "ascent_lower_bound", refuse)
     rep = cmd_ltqo(merged_config({"ltqo": {"aklt_lengths": [5, 6]}}), {})
     assert rep.passed
     assert len(set(kernels)) == len(kernels) == 6
-    assert len(set(ascents)) == len(ascents)
+    assert len(set(brackets)) == len(brackets)
+    assert len(set(uppers)) == len(uppers)
     _, rows = rep.tables["ltqo.csv"]
-    kinds = [row[5] for row in rows if row[0] == "orbital"]
+    kinds = {m: {row[5] for row in rows if row[0] == m}
+             for m in ("orbital", "aklt5", "aklt6")}
     values = {m: [row[6] for row in rows if row[0] == m]
               for m in ("aklt5", "aklt6")}
-    assert set(kinds) == {"zero"}
-    assert len(ascents) == len(values["aklt5"])
-    assert all(dx == 3 ** len(region) for dx, region in regions)
+    assert kinds == {"orbital": {"zero"}, "aklt5": {"bracket"},
+                     "aklt6": {"bracket"}}
+    assert len(brackets) == len(values["aklt5"])
+    assert all(not even and dx == 3 ** len(region)
+               for _, even, dx, region in brackets)
+    assert sum(even for _, even in uppers) == len(uppers) - len(brackets)
     assert values["aklt6"] == values["aklt5"] and len(values["aklt5"]) == 2
+    assert all(row[9] >= row[6] for row in rows)
 
 
 def test_aklt_kernel_is_solved_without_the_whole_matrix():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -187,15 +188,27 @@ def test_gap_curve_respects_cluster_dim():
 
 
 def _sweep_case(kind, n, complex_, rng):
-    """``(eta, pert, lam)`` of one sweep: an orbital volume with one even
-    term on the whole volume (it splits by parity), the same volume with a
-    seeded perturbation kept inside ``Int_2`` (its span is smaller than the
-    volume), or an AKLT chain with one random spin-1 bond term (it does not
-    split).  The whole-volume and the bond term have norm 1."""
-    if kind == "aklt":
+    """``(eta, pert, lam)`` of one sweep, each case with the charge its
+    terms keep together:
+
+    - ``whole``: an orbital volume with one even term on the whole volume
+      (the parity);
+    - ``interior``: the same volume with a seeded perturbation kept inside
+      ``Int_2`` (the parity; the span is smaller than the volume, so every
+      eigenvalue repeats);
+    - ``number``: the orbital volume with a number-keeping term on three
+      sites (the number);
+    - ``aklt``: an AKLT chain with one random spin-1 bond term (none);
+    - ``aklt_sz``: the same with an ``S^z``-keeping bond term (``S^z``).
+
+    The whole-volume, three-site and bond terms have norm 1."""
+    if kind.startswith("aklt"):
         lam = Interval(0, n - 1)
         bond = Interval(n // 2 - 1, n // 2)
         m = random_hermitian(rng, 9, complex_)
+        if kind == "aklt_sz":
+            q = basis_charges(2, 3)
+            m = np.where(q[:, None] == q[None, :], m, 0.0)
         op = LocalOperator(m / operator_norm(m), bond, "spin", 3)
         return aklt_interaction(lam), Interaction([Term(op)], "spin", 3), lam
     lam = Interval(1, n + 4)
@@ -204,34 +217,76 @@ def _sweep_case(kind, n, complex_, rng):
         pert = random_even_perturbation(lam, 2, ENVELOPE,
                                         int(rng.integers(2 ** 32)))
         return eta, pert.restricted(interior(lam, 2)), lam
+    if kind == "number":
+        q = basis_charges(3, 2)
+        m = random_hermitian(rng, 8, complex_)
+        m = np.where(q[:, None] == q[None, :], m, 0.0)
+        op = LocalOperator(m / operator_norm(m), Interval(3, 5), "fermion")
+        return eta, Interaction([Term(op)], "fermion", 2), lam
     m = parity_even(random_hermitian(rng, 2 ** len(lam), complex_))
     op = LocalOperator(m / operator_norm(m), lam, "fermion")
     return eta, Interaction([Term(op)], "fermion", 2), lam
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["whole", "interior", "aklt"]), st.integers(3, 5),
-       st.booleans(), st.floats(1e-3, 0.05), st.integers(0, 2 ** 32 - 1))
+_KEPT = {"whole": 2, "interior": 2, "number": None, "aklt": 1,
+         "aklt_sz": None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_KEPT)), st.integers(3, 5), st.booleans(),
+       st.floats(1e-3, 0.05), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
                                                                complex_, eps,
-                                                               seed):
-    """Each split of ``gap_curve`` is ``hamiltonian_eigenvalues`` of
-    ``coupled(eta, pert, eps)`` bit for bit (of ``eta`` at coupling 0), and
-    the dense ``eigvalsh(H0 + eps Psi)`` of the volume to 1e-12 of its
-    scale; ``|Psi|``, the largest ``|lambda|`` of ``pert``, is
-    ``operator_norm`` of its volume Hamiltonian, bit for bit on its parity
-    sectors when its span is the volume."""
+                                                               bisect, seed):
+    """Each split of ``gap_curve`` at coupling 0 is
+    ``hamiltonian_eigenvalues(eta)`` bit for bit; every spectrum its block
+    plan solves, bisection midpoints included, is that of
+    ``coupled(eta, pert, eps)`` to ``1e-13 max(1, |lambda|)`` eigenvalue by
+    eigenvalue, and the dense ``eigvalsh(H0 + eps Psi)`` of the volume to
+    1e-12 of its scale.  With ``bisect`` the perturbation also holds one of
+    its terms scaled to norm ``2 / eps`` and to norm ``-2 / eps``: they
+    cancel, but the term norms that bound ``|Psi|`` grow by ``4 / eps``, so
+    the step ``eps / 2`` must be bisected beside any gap of at most 1.
+    ``|Psi|``, the largest ``|lambda|`` of ``pert``, is ``operator_norm`` of
+    its volume Hamiltonian, bit for bit on its parity sectors when its span
+    is the volume."""
     eta, pert, lam = _sweep_case(kind, n, complex_, np.random.default_rng(seed))
+    if bisect:
+        t = pert.terms[0]
+        big = 2.0 / (eps * t.op.norm())
+        pert = replace(pert, terms=pert.terms + [
+            Term(t.op * big, t.anchor, t.radius),
+            Term(t.op * -big, t.anchor, t.radius)])
+    ops = [t.op for t in eta.terms + pert.terms if t.support in lam]
+    assert conserved_modulus(ops) == _KEPT[kind]
     assert (pert.span == lam) == (kind == "whole")
     grid = [0.0, 0.5 * eps, eps]
-    splits = gap_curve(eta, pert, lam, grid)
+    solved = []
+    real_solve = interaction.CoupledBlocks.eigenvalues
+
+    def recorded(plan, e):
+        solved.append((e, real_solve(plan, e)))
+        return solved[-1][1]
+
+    with patch.object(interaction.CoupledBlocks, "eigenvalues", recorded):
+        splits = gap_curve(eta, pert, lam, grid)
+    assert len({e for e, _ in solved} - set(grid)) > 0 if bisect \
+        else [e for e, _ in solved] == grid[1:]
+    for e, spectrum in solved:
+        ref = hamiltonian_eigenvalues(coupled(eta, pert, e), lam)
+        assert spectrum.shape == ref.shape
+        assert np.all(np.abs(spectrum - ref)
+                      <= 1e-13 * np.maximum(1.0, np.abs(ref)))
     h0 = local_hamiltonian(eta, lam).matrix
     psi = local_hamiltonian(pert, lam).matrix
     for sp, e in zip(splits, grid, strict=True):
         spectrum = np.concatenate((sp.sp0, sp.sp1))
-        phi = coupled(eta, pert, e) if e else eta
-        assert spectrum.tobytes() == hamiltonian_eigenvalues(phi,
-                                                             lam).tobytes()
+        if e == 0.0:
+            assert spectrum.tobytes() == \
+                hamiltonian_eigenvalues(eta, lam).tobytes()
+        else:
+            assert any(f == e and np.array_equal(spectrum, got)
+                       for f, got in solved)
         dense = np.linalg.eigvalsh(h0 + e * psi)
         scale = max(1.0, float(np.max(np.abs(dense))))
         np.testing.assert_allclose(spectrum, dense, rtol=0, atol=1e-12 * scale)
@@ -241,27 +296,32 @@ def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
     assert psi_norm == pytest.approx(operator_norm(psi), rel=1e-12)
 
 
-def test_every_sweep_and_scan_solve_is_hamiltonian_eigenvalues(monkeypatch):
-    """``gap_curve`` and ``sp0_diameter_scan`` solve nothing themselves:
-    every spectrum is a ``hamiltonian_eigenvalues`` read, that of ``eta``
-    and then one coupled interaction per nonzero coupling, and no solve is
-    made for ``|Psi|``, which is bounded by ``pert``'s term norms (cached
-    on its operators)."""
+def test_sweep_solves_come_from_one_plan_and_scan_solves_from_hamiltonian_eigenvalues(
+        monkeypatch):
+    """``gap_curve`` and ``sp0_diameter_scan`` solve nothing themselves.
+    The sweep reads ``hamiltonian_eigenvalues`` of ``eta`` once, for
+    coupling 0, and every other coupling from its one block plan, with no
+    ``coupled`` interaction; the scan reads ``hamiltonian_eigenvalues`` for
+    every spectrum.  No solve is made for ``|Psi|``, which is bounded by
+    ``pert``'s term norms (cached on its operators)."""
     lam = Interval(1, 8)
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
     for t in pert.terms:
         t.op.norm()
-    depth, solves, read = [0], [], []
+    depth, solves, read, planned = [0], [], [], []
     real_read = spectra.hamiltonian_eigenvalues
+    real_plan = interaction.CoupledBlocks.eigenvalues
 
-    def reading(phi, where):
-        read.append(phi)
-        depth[0] += 1
-        try:
-            return real_read(phi, where)
-        finally:
-            depth[0] -= 1
+    def inside(log, fn):
+        def wrapped(first, arg):
+            log.append((first, arg))
+            depth[0] += 1
+            try:
+                return fn(first, arg)
+            finally:
+                depth[0] -= 1
+        return wrapped
 
     def solver(real):
         def solve(*args, **kwargs):
@@ -269,15 +329,70 @@ def test_every_sweep_and_scan_solve_is_hamiltonian_eigenvalues(monkeypatch):
             return real(*args, **kwargs)
         return solve
 
-    monkeypatch.setattr(spectra, "hamiltonian_eigenvalues", reading)
+    def refuse(*args):
+        raise AssertionError("the sweep built a coupled interaction")
+
+    monkeypatch.setattr(spectra, "hamiltonian_eigenvalues",
+                        inside(read, real_read))
+    monkeypatch.setattr(interaction.CoupledBlocks, "eigenvalues",
+                        inside(planned, real_plan))
+    monkeypatch.setattr(spectra, "coupled", refuse)
     for name in ("eigvalsh", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, solver(getattr(np.linalg, name)))
     grid = [0.0, 0.01, 0.02]
     gap_curve(eta, pert, lam, grid)
-    assert read[0] is eta and len(read) == len(grid)
-    assert all(phi is not pert for phi in read) and solves and all(solves)
-    sp0_diameter_scan(eta, pert, lam, (0.0, 0.02), (0, 1, 2))
+    assert read == [(eta, lam)]
+    assert [eps for _, eps in planned] == grid[1:]
     assert solves and all(solves)
+    monkeypatch.setattr(spectra, "coupled", interaction.coupled)
+    read.clear()
+    solves.clear()
+    sp0_diameter_scan(eta, pert, lam, (0.0, 0.02), (0, 1, 2))
+    assert len(read) == 4 and read[0] == (eta, lam)
+    assert solves and all(solves)
+
+
+def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
+        monkeypatch):
+    """One ``gap_curve`` call asks ``charge_blocks`` for ``eta``'s blocks at
+    coupling 0 and for the plan's two families once, and finds the charge
+    modulus as often, however many couplings its grid holds: 2, 6 or 12
+    points, the two-point grid's one step bisected (one term, at norm 10
+    and at norm -10, adds 20 to the term norms beside a gap of 1)."""
+    lam = Interval(1, 8)
+    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
+    t = pert.terms[0]
+    big = 10.0 / t.op.norm()
+    pert = replace(pert, terms=pert.terms + [
+        Term(t.op * big, t.anchor, t.radius),
+        Term(t.op * -big, t.anchor, t.radius)])
+    calls = {"charge_blocks": [], "conserved_modulus": [], "solves": []}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name].append(args[1] if name == "charge_blocks" else None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(interaction, "charge_blocks")
+    counted(interaction, "conserved_modulus")
+    real_solve = interaction.CoupledBlocks.eigenvalues
+    monkeypatch.setattr(interaction.CoupledBlocks, "eigenvalues",
+                        lambda plan, e: calls["solves"].append(e)
+                        or real_solve(plan, e))
+    counts = []
+    for size in (2, 6, 12):
+        for log in calls.values():
+            log.clear()
+        gap_curve(eta, pert, lam, np.linspace(0.0, 0.05, size))
+        counts.append((len(calls["charge_blocks"]),
+                       len(calls["conserved_modulus"]),
+                       len(calls["solves"]) - (size - 1)))
+    assert counts[0][2] > 0
+    assert counts[0][0] == 3 and len({c[:2] for c in counts}) == 1
 
 
 def test_cluster_projector():

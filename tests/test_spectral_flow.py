@@ -21,7 +21,7 @@ from gaplab.spectral_flow import (Window, _filtered, _frame_drift,
                                   decompose_phi1, eigenbasis_generator,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
-                                  time_quadrature_generator, time_weight)
+                                  time_quadrature_generator)
 from oracles import (dense_drift, dense_kernel_projector, even_pair,
                      filter_identity_nodes, filter_identity_one_shot,
                      flow_pair, parity_even, parity_sectors,
@@ -29,8 +29,8 @@ from oracles import (dense_drift, dense_kernel_projector, even_pair,
                      rule_nodes, simpson_oracle, split_blocks, split_whole,
                      svd_polar, telescope, telescope_oracle, theta_whole,
                      time_quadrature_nodes, time_quadrature_one_shot,
-                     time_quadrature_stacked, time_weight_one_shot,
-                     traced_peak)
+                     time_quadrature_stacked, time_weight,
+                     time_weight_one_shot, traced_peak)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -161,28 +161,54 @@ def test_phase_product_weight_matches_direct_sine_sum():
 def test_time_rule_is_formed_once_per_panel_count(monkeypatch):
     """Both generator routes and the filter identity read one read-only rule
     ``(m_p, delta_q, h w_q W(m_p + delta_q))`` per window and panel count:
-    W is evaluated once for spectra of the same width, on every node."""
+    W is evaluated once for spectra of the same width, on every panel and
+    every offset."""
     h, psi = _random_pair()
     w = Window(GAMMA)
     evals, evecs = diagonalize(h)
     calls = []
-    original = spectral_flow.time_weight
+    original = spectral_flow._panel_weights
 
-    def counted(s, window):
-        calls.append(np.size(s))
-        return original(s, window)
+    def counted(mids, offsets, window):
+        calls.append((mids.size, offsets.size))
+        return original(mids, offsets, window)
 
-    monkeypatch.setattr(spectral_flow, "time_weight", counted)
+    monkeypatch.setattr(spectral_flow, "_panel_weights", counted)
     _panel_rule.cache_clear()
     first = time_quadrature_generator(evals, evecs, psi, w)
     second = time_quadrature_generator(evals, evecs, psi, w)
     np.testing.assert_array_equal(first, second)
     mids, offsets, coeff = _time_rule(w, np.ptp(evals))
-    assert calls == [coeff.size] and coeff.shape == (mids.size, offsets.size)
+    assert calls == [coeff.shape] and coeff.shape == (mids.size, offsets.size)
     assert not any(a.flags.writeable for a in (mids, offsets, coeff))
     filter_identity_residual(w, np.linspace(0.0, np.ptp(evals), 11))
     assert len(calls) == 1
     _panel_rule.cache_clear()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.1, 4.0), st.integers(1, 3000), st.floats(1.0, 400.0))
+def test_panel_weights_by_angle_addition_match_the_node_rule(gamma, n_panels,
+                                                             t_max):
+    """W on the panels x offsets by angle addition is the node-by-node W,
+    one sine per node and frequency, to within the rounding of two dot
+    products of 200 terms and of the phases ``nu s``:
+    ``|W_add - W_node| <= 8 eps (1 + nu_max t_max) sum_k |kappa_k| / pi``
+    (measured: at most 1.5e-15)."""
+    w = Window(gamma)
+    x, wq = spectral_flow._gauss_legendre(8)
+    half = t_max / (2 * n_panels)
+    mids = (2 * np.arange(n_panels) + 1) * half
+    offsets = half * x
+    got = spectral_flow._panel_weights(mids, offsets, w)
+    ref = time_weight((mids[:, None] + offsets).ravel(), w)
+    nodes = 0.25 * gamma * (spectral_flow._gauss_legendre(200)[0] + 1.0)
+    kappa = 0.25 * gamma * spectral_flow._gauss_legendre(200)[1] \
+        * w.beta(nodes) / nodes
+    bound = 8 * np.finfo(float).eps * (1.0 + nodes.max() * t_max) \
+        * float(np.sum(np.abs(kappa))) / np.pi
+    assert got.shape == (n_panels, 8)
+    assert np.max(np.abs(got.ravel() - ref)) <= bound
 
 
 @settings(max_examples=20, deadline=None)
@@ -862,11 +888,12 @@ def test_generator_and_filter_checks_work_in_small_phase_blocks(
             k_time, time_quadrature_stacked(evals, evecs, flow.psi, w))
         ref = time_quadrature_one_shot(evals, evecs, flow.psi, w)
         assert np.max(np.abs(k_time - ref)) <= 1e-15 * np.max(np.abs(ref))
-    s_pts = rule_nodes(w, np.ptp(flow.end_spectra[0][0]))[0]
-    small = time_weight(s_pts, w)
+    small = _time_rule(w, np.ptp(flow.end_spectra[0][0]))[2]
+    _panel_rule.cache_clear()
     monkeypatch.setattr(spectral_flow, "_PHASE_BLOCK",
                         8 * spectral_flow._PHASE_BLOCK)
-    assert np.array_equal(small, time_weight(s_pts, w))
+    assert np.array_equal(small, _time_rule(w, np.ptp(
+        flow.end_spectra[0][0]))[2])
     _panel_rule.cache_clear()
 
 

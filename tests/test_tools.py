@@ -50,3 +50,24 @@ def test_same_artifacts_lists_every_moved_cell_key_and_line(tmp_path):
         "rows.csv": ["columns or rows differ: 1 rows in parent, 2 in change"],
         "summary.txt": ["-[PASS] two", "+[FAIL] two", "+--- three"]}
     assert SAME_ARTIFACTS["differing"](parent, parent) == {}
+
+
+def test_same_artifacts_matches_csv_columns_by_name(tmp_path):
+    """A CSV that gains a column, loses one and moves another keeps its
+    rows: the columns only one side holds are named, and the moved cells
+    of the shared columns are listed under their names, wherever each
+    side puts them, with the largest move among them."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, {"ltqo.csv": "model,kind,value,old,status\n"
+                                "aklt6,ascent,0.4,1,ok\n"
+                                "aklt6,ascent,0.2,2,ok\n"})
+    _write(change, {"ltqo.csv": "model,value,kind,status,upper\n"
+                                "aklt6,0.5,bracket,ok,1.2\n"
+                                "aklt6,0.2,bracket,ok,0.3\n"})
+    assert SAME_ARTIFACTS["differing"](parent, change) == {
+        "ltqo.csv": ["column only in parent: old",
+                     "column only in change: upper",
+                     "row 1 [aklt6] kind: ascent -> bracket",
+                     "row 1 [aklt6] value: 0.4 -> 0.5",
+                     "row 2 [aklt6] kind: ascent -> bracket",
+                     "largest move: 2.00e-01 relative, 1.00e-01 absolute"]}

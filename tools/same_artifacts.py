@@ -8,11 +8,13 @@ on the default config, and on the ``all-L10`` benchmark workload's config
 (read from this repository's ``perfbench/workloads.py``) at seeds 7 and 11.
 The runs go one process at a time, since two BLAS processes on a small
 machine slow each other.  Every file that differs between the trees, or that
-only one of them wrote, is printed with what moved in it: each moved cell of
-a CSV (its row, counted from the first data row, that row's first cell in
-the parent, its column, parent -> change) and the file's largest relative
-and absolute move, each moved key of a JSON file, each changed line of a
-text file.  The exit code is 0 when no file differs and 1 otherwise.
+only one of them wrote, is printed with what moved in it: each column of a
+CSV that only one side holds, each moved cell of the columns both hold,
+matched by name (its row, counted from the first data row, that row's first
+cell in the parent, its column, parent -> change), and the file's largest
+relative and absolute move, each moved key of a JSON file, each changed
+line of a text file.  The exit code is 0 when no file differs and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -89,15 +91,25 @@ def _cells(pairs) -> list[str]:
 
 
 def _csv_moves(a: str, b: str) -> list[str]:
+    """Columns are matched by name: a column only one side holds is named,
+    and the cells of the shared columns are compared row by row."""
     rows_a = list(csv.reader(io.StringIO(a)))
     rows_b = list(csv.reader(io.StringIO(b)))
-    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b) or any(
-            len(ra) != len(rb) for ra, rb in zip(rows_a, rows_b)):
+    head_a, head_b = (rows_a or [[]])[0], (rows_b or [[]])[0]
+    if len(rows_a) != len(rows_b) or any(
+            len(ra) != len(head_a) for ra in rows_a) or any(
+            len(rb) != len(head_b) for rb in rows_b):
         return [f"columns or rows differ: {len(rows_a) - 1} rows in parent, "
                 f"{len(rows_b) - 1} in change"]
-    return _cells((f"row {i} [{ra[0]}] {col}", x, y)
-                  for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), 1)
-                  for col, x, y in zip(rows_a[0], ra, rb))
+    lines = [f"column only in {side}: {col}"
+             for side, head, other in (("parent", head_a, head_b),
+                                       ("change", head_b, head_a))
+             for col in head if col not in other]
+    where = {col: i for i, col in enumerate(head_b)}
+    return lines + _cells(
+        (f"row {i} [{ra[0]}] {col}", x, rb[where[col]])
+        for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), 1)
+        for col, x in zip(head_a, ra) if col in where)
 
 
 def _leaves(value, prefix=""):
