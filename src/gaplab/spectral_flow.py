@@ -309,6 +309,16 @@ def _polar_unitary(u: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"polar step did not converge (last defect {size:.2e})")
 
 
+def _hermite_midpoint(start, end, h: float) -> np.ndarray:
+    """``U`` halfway across a step of length ``h`` whose ends are the
+    pairs ``(U, K U)`` ``start`` and ``end``, read off their cubic Hermite
+    interpolant, ``(U_a + U_b) / 2 + (h / 8) (K_a U_a - K_b U_b)`` (dense
+    output; Hairer, Norsett and Wanner, Solving ODEs I, II.6), and made
+    unitary by the polar step."""
+    (u_a, du_a), (u_b, du_b) = start, end
+    return _polar_unitary(0.5 * (u_a + u_b) + (h / 8.0) * (du_a - du_b))
+
+
 def _cluster(evals, evecs, dim: int):
     """The gap above the ``dim`` lowest eigenvalues of a block stack's
     merged spectrum, and each block's share of their eigenvectors."""
@@ -365,7 +375,9 @@ class FlowResult:
     projector_drift: float               # max |U P(0) U* - P_cluster(eps_j)|,
                                          # from the cluster frames
     ode_error: float                     # Richardson estimate: the largest
-                                         # fine - coarse where both land
+                                         # kept - partner chain where they
+                                         # are compared, a partner read off
+                                         # its Hermite interpolant included
     end_spectra: tuple                   # (evals, evecs, K) stacks of H(0)
                                          # and H(eps) and their generators
 
@@ -383,21 +395,32 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     leaves ``U`` unitary to rounding, so one step of two products suffices;
     a defect outside its radius is a ``RuntimeError``).
 
-    Each pass runs a fine chain and a coarse chain of steps twice as long
+    Each pass runs a kept chain and a partner chain of steps twice as long
     in lockstep: both cross one span before either starts the next, and
-    their largest difference where both land is the Richardson estimate
-    (step doubling; Hairer, Norsett and Wanner, Solving ODEs I, II.4).
-    With an even count of checkpoint intervals the first pass pairs one
-    step per interval with one across two, a span of two intervals,
-    compared at every even checkpoint, the end included; with an odd
-    count, whose end a step across two intervals cannot reach, it pairs
-    one with two steps per interval.  Each later pass pairs ``n`` with
-    ``2n`` steps per interval, ``n`` doubling, until the estimate is within
-    ``ode_tol`` or the fine chain takes 256 steps per interval.  The fine
-    chain lands on every checkpoint and is the one read there.  A pass
-    holds the generators of the span it crosses and drops them, those at
-    the span's start too, once both chains have crossed it, so a later pass
-    solves its generators afresh.  At each checkpoint the tracked gap of
+    their largest difference where they are compared is the Richardson
+    estimate (step doubling; Hairer, Norsett and Wanner, Solving ODEs I,
+    II.4).  The first pass is the coarsest pair whose partner lands on the
+    end.  When 4 divides the count ``M`` of checkpoint intervals it pairs
+    steps across two intervals with steps across four, a span of four
+    intervals, so every stage of both chains falls on a checkpoint and the
+    pass solves the ``M + 1`` checkpoint generators and no other.  The kept
+    chain reads each odd checkpoint off the cubic Hermite interpolant of
+    its two neighbouring landings and their ``K U``, the ``k1`` of the next
+    step (dense output; ibid., II.6), and the chains are compared at every
+    even checkpoint, the partner read off its own interpolant at ``2 (mod
+    4)``, so the estimate covers the readout too.  When only 2 divides
+    ``M`` the first pass pairs one step per interval with one across two,
+    compared at every even checkpoint (``2M + 1`` solves); with an odd
+    ``M``, whose end a step across two intervals cannot reach, it pairs one
+    with two steps per interval (``4M + 1``).  Each later pass pairs ``n``
+    with ``2n`` steps per interval, ``n`` doubling from 1, until the
+    estimate is within ``ode_tol`` or the kept chain takes 256 steps per
+    interval; from ``n = 1`` the kept chain lands on every checkpoint.  A
+    pass holds the generators of the span it crosses and drops them, those
+    at the span's start too, once both chains have crossed it (a node of
+    the first pass that only the kept chain reads, as soon as it has), so a
+    later pass forms its generators afresh, at the two ends from the
+    decompositions kept there.  At each checkpoint the tracked gap of
     ``H(s)`` is compared with the filter width and the transported
     projector with the spectral one, both read from the eigendecomposition
     that built the generator there, and ``p0``, the cluster projector of
@@ -408,7 +431,7 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     are real orthogonal when ``H_0`` and ``Psi`` are real.
 
     ``keep`` names the checkpoint indices (of the grid of ``checkpoints``
-    points) whose ``U`` the result hands on, the fine chain's, from the
+    points) whose ``U`` the result hands on, the kept chain's, from the
     accepted pass; no other checkpoint outlives the pass that reached it,
     but the two ``end_spectra``.
 
@@ -436,9 +459,11 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
 
     # One solve per coupling gives the generator and, at a checkpoint, the
     # tracked gap and each block's cluster eigenvectors; the solves at both
-    # ends are kept.  The first solve, at s = 0, fixes a default cluster.
-    checkpoint_keys = {round(float(s), 15) for s in grid}
-    end_keys = (round(float(grid[0]), 15), round(float(grid[-1]), 15))
+    # ends are kept, and a later pass forms its generators there from them,
+    # so no end is solved twice.  The first solve, at s = 0, fixes a
+    # default cluster.
+    keys = [round(float(s), 15) for s in grid]
+    end_keys = (keys[0], keys[-1])
     gen_cache: dict[float, np.ndarray] = {}
     tracked: dict[float, tuple[float, list]] = {}
     ends: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -447,71 +472,101 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
         nonlocal cluster_dim
         key = round(float(s), 15)
         if key not in gen_cache:
-            evals, evecs = diagonalize(b0 + s * bp)
+            evals, evecs = (ends[key][:2] if key in ends
+                            else diagonalize(b0 + s * bp))
             if cluster_dim is None:
                 cluster_dim = kernel_count(evals)
                 if cluster_dim == 0:
                     raise FrustrationError("no kernel eigenvalues to track")
             gen_cache[key] = eigenbasis_generator(evals, evecs, bp, window)
-            if key in checkpoint_keys:
+            if key in keys:
                 tracked[key] = _cluster(evals, evecs, cluster_dim)
             if key in end_keys:
                 ends[key] = (evals, evecs, gen_cache[key])
         return gen_cache[key]
 
-    def advance(u, j, k, substeps):
-        """U at checkpoint k from U at checkpoint j."""
+    def drop_all_but(key):
+        for other in [other for other in gen_cache if other != key]:
+            del gen_cache[other]
+
+    def advance(chain, j, k, substeps):
+        """``(U, K U)`` at checkpoint k from those at checkpoint j; the
+        ``K U`` a step starts from is its ``k1``."""
+        u, du = chain
         a, b = grid[j], grid[k]
         h_step = (b - a) / substeps
         for i in range(substeps):
             s = a + i * h_step
-            k1 = gen(s) @ u
-            k2 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k1)
+            k2 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * du)
             k3 = gen(s + 0.5 * h_step) @ (u + 0.5 * h_step * k2)
             k4 = gen(s + h_step) @ (u + h_step * k3)
-            u = u + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            u = u + (h_step / 6.0) * (du + 2 * k2 + 2 * k3 + k4)
             u = _polar_unitary(u)
-        return u
+            du = gen(s + h_step) @ u
+        return u, du
 
     n_blocks, side = b0.shape[:2]
     u0 = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
                          (n_blocks, side, side)).copy()
-    frames0 = tracked[end_keys[0]][1]
+    frames0 = tracked[keys[0]][1]
     p0 = _projector(frames0)
 
-    def run_pass(steps):
+    def run_pass(land, substeps):
         """The Richardson estimate, gap floor, drift and kept unitaries of
-        the lockstep pair whose fine chain takes ``steps`` steps per
-        interval and whose coarse chain steps twice as long: across two
-        intervals when ``steps`` is 1."""
-        span = 2 if steps == 1 else 1
-        coarse = fine = u0
+        the lockstep pair whose kept chain lands every ``land`` intervals
+        (2 or 1) after ``substeps`` steps and whose partner steps twice as
+        long: across ``2 land`` intervals when ``substeps`` is 1.  With
+        ``land`` 2 the kept chain reads the checkpoint between its landings
+        and the partner the one between its own off their Hermite
+        interpolants, and the two are compared at every landing of the
+        kept chain."""
+        span = 2 * land if substeps == 1 else land
+        drop_all_but(keys[0])      # a refused pass's end is formed afresh
+        chain = partner = (u0, gen(grid[0]) @ u0)
         err, floor, drift, kept = 0.0, np.inf, 0.0, {}
-        for j, s in enumerate(grid):
-            if j:
-                fine = advance(fine, j - 1, j, steps)
-                if j % span == 0:
-                    coarse = advance(coarse, j - span, j, steps * span // 2)
-                    err = max(err, operator_norm(fine - coarse))
-            key = round(float(s), 15)
-            gen(s)
-            if j % span == 0:        # both chains have passed every node
-                for other in [other for other in gen_cache if other != key]:
-                    del gen_cache[other]
-            gap, vecs = tracked.pop(key)
+
+        def visit(j, u):
+            nonlocal floor, drift
+            gen(grid[j])
+            gap, vecs = tracked.pop(keys[j])
             floor = min(floor, gap)
-            drift = max(drift, _frame_drift(fine, frames0, vecs))
+            drift = max(drift, _frame_drift(u, frames0, vecs))
             if j in keep:
-                kept[j] = fine
+                kept[j] = u
+
+        visit(0, u0)
+        for start in range(0, checkpoints - 1, span):
+            end, landed = start + span, {}
+            for a in range(start, end, land):
+                landing = advance(chain, a, a + land, substeps)
+                if land == 2:       # a node the partner steps over
+                    visit(a + 1, _hermite_midpoint(chain, landing,
+                                                   grid[a + 2] - grid[a]))
+                    del gen_cache[keys[a + 1]]
+                chain = landing
+                visit(a + land, chain[0])
+                landed[a + land] = chain[0]
+            landing = advance(partner, start, end, max(1, substeps // 2))
+            err = max(err, operator_norm(landed[end] - landing[0]))
+            if land == 2:
+                err = max(err, operator_norm(
+                    landed[start + 2] - _hermite_midpoint(
+                        partner, landing, grid[end] - grid[start])))
+            partner = landing
+            drop_all_but(keys[end])   # both chains have crossed the span
         return err, floor, drift, kept
 
-    # A coarse step across two intervals lands on the end only when their
-    # count is even; otherwise the first pair is 1 against 2 steps.
-    steps = 1 if (checkpoints - 1) % 2 == 0 else 2
-    err, gap_floor, drift, kept = run_pass(steps)
-    while not err <= ode_tol and steps < 256:
-        steps *= 2
-        err, gap_floor, drift, kept = run_pass(steps)
+    # The first pass is the coarsest pair whose partner lands on the end:
+    # steps across two intervals against four when 4 divides the interval
+    # count, one per interval against one across two when 2 does, else one
+    # against two per interval.  Each refusal halves both steps.
+    intervals = checkpoints - 1
+    land, substeps = ((2, 1) if intervals % 4 == 0
+                      else (1, 1) if intervals % 2 == 0 else (1, 2))
+    err, gap_floor, drift, kept = run_pass(land, substeps)
+    while not err <= ode_tol and substeps < 256:
+        land, substeps = (1, 1) if land == 2 else (1, 2 * substeps)
+        err, gap_floor, drift, kept = run_pass(land, substeps)
     if not err <= ode_tol:
         raise RuntimeError(f"flow ODE failed to reach {ode_tol:.1e} (last {err:.1e})")
     if gap_floor < window.gamma:

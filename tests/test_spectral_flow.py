@@ -699,11 +699,12 @@ def _counted_generators(monkeypatch) -> list:
 
 def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
     """A tolerance below the Richardson estimate of the first pair (one
-    step per interval against one across two) sends the flow on to the
-    passes of one against two and two against four steps per interval,
-    each of which solves every generator of its grid again (four, then
-    eight, per interval and the one at s = 0), and its unitaries agree
-    with the complex-arithmetic oracle run to the same tolerance."""
+    step per interval against one across two, as two intervals have) sends
+    the flow on to the passes of one against two and two against four
+    steps per interval, each of which forms every generator of its grid
+    again (four, then eight, per interval and the one at s = 0), solving
+    all but the two ends, whose decompositions are kept, and its unitaries
+    agree with the complex-arithmetic oracle run to the same tolerance."""
     h0, psi = even_pair(np.random.default_rng(0), 4, False)
     window, tol = Window(GAMMA), 1e-13
     calls = _counted_generators(monkeypatch)
@@ -711,11 +712,14 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
                            checkpoints=3, cluster_dim=2, ode_tol=1.0)
     assert first.ode_error > tol and len(calls) == 2 * 2 + 1
     calls.clear()
+    shapes = []
+    _counting(monkeypatch, "eigh", shapes)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
                           checkpoints=3, cluster_dim=2, ode_tol=tol,
                           keep=range(3))
     assert flow.ode_error <= tol
     assert len(calls) == 2 * 2 + 1 + 4 * 2 + 1 + 8 * 2 + 1
+    assert len(shapes) == len(calls) - 2 * 2       # each end solved once
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
     for u, u_ref in zip(flow.unitaries.values(), oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
@@ -724,7 +728,7 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
 
 def test_refined_flow_decomposes_the_accepted_pass(monkeypatch):
     """A tolerance below the first pass's Richardson estimate sends the flow
-    on to later passes, which solve every generator again, and the flow
+    on to later passes, which form every generator again, and the flow
     keeps the last pass's ``U``: the decomposition is read off the accepted
     pass's unitary, which agrees with the complex-arithmetic oracle run to
     the same tolerance, and not off the first pass's, which a flow that
@@ -754,25 +758,35 @@ def test_refined_flow_decomposes_the_accepted_pass(monkeypatch):
         dec.v_true, decompose_phi1(first, eta_i, psi_i, lam).v_true)
 
 
-@pytest.mark.parametrize("checkpoints", [5, 4])
-def test_first_pass_pairs_one_step_per_interval_with_one_per_two(
-        checkpoints, monkeypatch):
-    """With ``M`` checkpoint intervals, the first pass of an even ``M``
-    pairs one RK4 step per interval with one across two intervals and
-    solves ``2M + 1`` generators; an odd ``M``, whose end a step across two
-    intervals cannot land on, starts at one against two steps per interval,
-    ``4M + 1`` solves.  The accepted unitaries lie within the reported
-    Richardson estimate of the complex-arithmetic oracle run to 1e-14 at
-    every checkpoint, odd ones included, and the estimate exceeds the worst
-    true error tenfold (measured: 1.31e-10 against 8.7e-12 at ``M = 4``,
-    2.59e-11 against 1.7e-12 at ``M = 3``, a ratio of 15 at both)."""
+@pytest.mark.parametrize("checkpoints, generators, solves",
+                         [(9, 9, 9), (17, 17, 17), (5, 5 + 9, 5 + 7),
+                          (3, 5, 5), (4, 13, 13)],
+                         ids=["9", "17", "5", "3", "4"])
+def test_each_first_rung_solves_its_nodes_within_the_oracle_estimate(
+        checkpoints, generators, solves, monkeypatch):
+    """The first pass is the coarsest pair whose partner lands on the end.
+    With ``M`` checkpoint intervals and 4 dividing ``M`` it pairs steps
+    across two intervals with steps across four and forms the ``M + 1``
+    checkpoint generators and no other (9 and 17 checkpoints); at 5 the
+    estimate of that pair is refused, and the pass of one step per
+    interval against one across two forms ``2M + 1`` more, solving all but
+    the two ends, whose decompositions are kept.  With ``M = 2 (mod 4)``
+    the first pass is that pair, ``2M + 1`` solves, and with an odd ``M``,
+    whose end a step across two intervals cannot land on, one against two
+    steps per interval, ``4M + 1``.  The accepted unitaries, the ones read
+    off the Hermite interpolant between landings too, lie within the
+    reported Richardson estimate of the complex-arithmetic oracle run to
+    1e-14 at every checkpoint, and the estimate exceeds the worst true
+    error tenfold (measured ratios: 15.6 at 9 checkpoints, 15.8 at 17, 15.0
+    at 5, 3 and 4)."""
     h0, psi = even_pair(np.random.default_rng(1), 4, False)
-    window, intervals = Window(GAMMA), checkpoints - 1
-    calls = _counted_generators(monkeypatch)
+    window = Window(GAMMA)
+    calls, shapes = _counted_generators(monkeypatch), []
+    _counting(monkeypatch, "eigh", shapes)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.1, window,
                           checkpoints=checkpoints, cluster_dim=2,
                           keep=range(checkpoints))
-    assert len(calls) == (2 if intervals % 2 == 0 else 4) * intervals + 1
+    assert (len(calls), len(shapes)) == (generators, solves)
     assert flow.ode_error >= 1e-12
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=1e-14)
     errors = [np.linalg.norm(join_blocks(u, flow.sectors) - u_ref, 2)
@@ -847,14 +861,15 @@ def _traced_flow(bundle, checkpoints):
 def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not_set(
         bundle, monkeypatch):
     """The default 33 checkpoints on the L = 8 chain: the lockstep pair of
-    resolutions solves each of the 65 couplings once, and no generator
-    outlives the span of two intervals that the first pass's coarse step
-    crosses, so the flow's traced peak is that of 9 checkpoints to 1 %
-    (measured: 5.65 MiB at both, 22.6 stacks of 256 KiB)."""
+    steps across two and four intervals solves each of the 33 checkpoint
+    couplings once and no other, and no generator outlives the span of
+    four intervals that the partner's step crosses, so the flow's traced
+    peak is that of 9 checkpoints to 1 % (measured: 5.65 MiB at both, 22.6
+    stacks of 256 KiB)."""
     _, peak_9 = _traced_flow(bundle, 9)
     calls = _counted_generators(monkeypatch)
     flow, peak = _traced_flow(bundle, 33)
-    assert len(flow.eps_grid) == 33 and len(calls) == 65
+    assert len(flow.eps_grid) == 33 and len(calls) == 33
     assert peak <= 1.01 * peak_9
     assert peak <= 26 * flow.h0.nbytes
 

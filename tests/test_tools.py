@@ -71,3 +71,18 @@ def test_same_artifacts_matches_csv_columns_by_name(tmp_path):
                      "row 1 [aklt6] value: 0.4 -> 0.5",
                      "row 2 [aklt6] kind: ascent -> bracket",
                      "largest move: 2.00e-01 relative, 1.00e-01 absolute"]}
+
+
+def test_same_artifacts_reports_a_run_that_writes_nothing(tmp_path, capsys):
+    """A tree whose ``gaplab.cli`` exits 1 before writing an artifact stops
+    the comparison with one line, the run, the tree, the exit code and the
+    last line of its stderr, and exit code 1, not a traceback."""
+    tree = tmp_path / "tree"
+    (tree / "src" / "gaplab").mkdir(parents=True)
+    (tree / "src" / "gaplab" / "__init__.py").write_text("", encoding="utf-8")
+    (tree / "src" / "gaplab" / "cli.py").write_text(
+        "import sys\nsys.exit('no pipeline here')\n", encoding="utf-8")
+    assert SAME_ARTIFACTS["main"]([str(tree), str(tree)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"default: parent tree {tree} wrote no artifacts (exit 1): "
+        "no pipeline here"]

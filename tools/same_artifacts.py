@@ -14,7 +14,9 @@ matched by name (its row, counted from the first data row, that row's first
 cell in the parent, its column, parent -> change), and the file's largest
 relative and absolute move, each moved key of a JSON file, each changed
 line of a text file.  The exit code is 0 when no file differs and 1
-otherwise.
+otherwise; a run that refuses its config, or writes no ``summary.txt``,
+stops the comparison with one line (the run, the tree, the exit code and
+the last line of its stderr) and exit code 1.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def runs(work: Path) -> dict:
     return out
 
 
-def run_tree(tree: Path, config: Path | None, out: Path) -> int:
+def run_tree(tree: Path, config: Path | None, out: Path) -> tuple[int, str]:
+    """The exit code of ``gaplab all`` from ``tree`` and the last line it
+    wrote to stderr."""
     argv = [sys.executable, "-m", "gaplab.cli", "all", "--out", str(out)]
     if config is not None:
         argv += ["--config", str(config)]
@@ -58,7 +62,7 @@ def run_tree(tree: Path, config: Path | None, out: Path) -> int:
                           text=True)
     if done.returncode == 2:
         sys.stderr.write(done.stderr)
-    return done.returncode
+    return done.returncode, (done.stderr.strip().splitlines() or [""])[-1]
 
 
 def _move(x: str, y: str):
@@ -178,9 +182,13 @@ def main(argv=None) -> int:
             for tag, tree in (("parent", args.parent), ("change", args.change)):
                 out = work / name / tag
                 out.parent.mkdir(exist_ok=True)
-                code = run_tree(tree, config, out)
+                code, last = run_tree(tree, config, out)
                 if code == 2:
                     print(f"{name}: {tag} refused its config")
+                    return 1
+                if not (out / "summary.txt").is_file():
+                    print(f"{name}: {tag} tree {tree} wrote no artifacts "
+                          f"(exit {code}): {last}")
                     return 1
                 outs.append(out)
             diff = differing(*outs)
