@@ -363,16 +363,13 @@ def regroup_intervals(psi: Interaction) -> Interaction:
     decay function of ``psi``.
     """
     merged: dict[Interval, np.ndarray] = psi.grouped()
-    # a support holding one term holds that term's matrix, and its norm
+    # a support holding one term keeps that term's operator, and its norm
     alone = {}
     for t in psi.terms:
         alone[t.support] = None if t.support in alone else t.op
-    terms = []
-    for supp, m in sorted(merged.items()):
-        op = LocalOperator(m, supp, psi.kind, psi.local_dim)
-        if alone[supp] is not None:
-            op._norm = alone[supp].norm()
-        terms.append(Term(op))
+    terms = [Term(LocalOperator(m, supp, psi.kind, psi.local_dim)
+                  if alone[supp] is None else alone[supp])
+             for supp, m in sorted(merged.items())]
     return Interaction(terms, psi.kind, psi.local_dim)
 
 

@@ -138,14 +138,19 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
     return out
 
 
-def cluster_projector(h, dim: int) -> np.ndarray:
-    """Projector onto the ``dim`` lowest eigenvectors."""
-    evals, evecs = diagonalize(h)
-    gap = evals[dim] - evals[dim - 1] if dim < len(evals) else np.inf
-    if gap <= 0:
-        raise RefinementError("cluster boundary is degenerate")
-    v = evecs[:, :dim]
-    return v @ v.conj().T
+def cluster_projector(evals, evecs, dim: int):
+    """The low cluster of a block stack from its decomposition
+    ``(evals, evecs)``, as ``diagonalize`` gives it: the gap above the
+    ``dim`` lowest eigenvalues of the merged spectrum, and each block's
+    orthonormal frame of them, its first columns (a copy, possibly empty).
+    A tie at the boundary goes to the earlier block (a stable sort) and
+    reads a zero gap, which the caller refuses.  The projector onto the
+    cluster is the stack of ``v v*`` of the frames."""
+    merged = np.sort(evals, axis=None)
+    lowest = np.argsort(evals, axis=None, kind="stable")[:dim]
+    counts = np.bincount(lowest // evals.shape[-1], minlength=len(evals))
+    return (float(merged[dim] - merged[dim - 1]),
+            [v[:, :c].copy() for v, c in zip(evecs, counts)])
 
 
 @dataclass
@@ -246,10 +251,13 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     reported per coupling and depth, in that order.  Every spectrum is
     ``hamiltonian_eigenvalues`` on ``lam``: a coupling-zero row, or a depth
     that keeps no term, reads that of ``eta``, solved once; every other row
-    solves ``coupled(eta, kept, eps)``.
+    solves ``coupled(eta, kept, eps)``.  An ``eta`` with no kernel has no
+    cluster to split (``FrustrationError``).
     """
     ev0 = hamiltonian_eigenvalues(eta, lam)
     kdim = kernel_count(ev0)
+    if kdim == 0:
+        raise FrustrationError("no kernel eigenvalues to track")
     rows = []
     for eps in couplings:
         for depth in depths:

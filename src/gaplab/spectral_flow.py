@@ -85,7 +85,8 @@ from .interaction import Interaction, Term, charge_stack
 from .operator_algebra import (LocalOperator, charge_sectors,
                                conditional_expectation, delta_layer,
                                join_blocks, kernel_count, operator_norm)
-from .spectra import FrustrationError, ProjectorFamily, diagonalize
+from .spectra import (FrustrationError, ProjectorFamily, cluster_projector,
+                      diagonalize)
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +320,6 @@ def _hermite_midpoint(start, end, h: float) -> np.ndarray:
     return _polar_unitary(0.5 * (u_a + u_b) + (h / 8.0) * (du_a - du_b))
 
 
-def _cluster(evals, evecs, dim: int):
-    """The gap above the ``dim`` lowest eigenvalues of a block stack's
-    merged spectrum, and each block's share of their eigenvectors."""
-    merged = np.sort(evals, axis=None)
-    lowest = np.argsort(evals, axis=None, kind="stable")[:dim]
-    counts = np.bincount(lowest // evals.shape[-1], minlength=len(evals))
-    return (float(merged[dim] - merged[dim - 1]),
-            [v[:, :c].copy() for v, c in zip(evecs, counts)])
-
-
-def _projector(vecs) -> np.ndarray:
-    """The block stack of projectors onto each block's vectors."""
-    return np.stack([v @ v.conj().T for v in vecs])
-
-
 def _frame_drift(u, frames0, frames) -> float:
     """``|U P0 U* - P|`` of a block stack from the cluster frames alone:
     ``P0`` and ``P`` project onto each block's orthonormal columns
@@ -362,7 +348,10 @@ class FlowResult:
     sector.  ``unitaries`` holds the accepted pass's ``U(s_j)`` at the
     checkpoint indices ``j`` the caller asked for; no other checkpoint's
     ``U`` and no checkpoint's ``K`` is kept, but the generators at both
-    ends, which travel with ``end_spectra``."""
+    ends, which travel with ``end_spectra``.  The tracked cluster at each
+    checkpoint, the gap above it and its frames, is
+    ``spectra.cluster_projector``'s, so ``p0``, ``gap_floor`` and
+    ``projector_drift`` all read the one cluster rule."""
 
     eps_grid: np.ndarray                 # checkpoint couplings, uniform
     sectors: list[np.ndarray]            # the index sets of the blocks
@@ -422,11 +411,12 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     later pass forms its generators afresh, at the two ends from the
     decompositions kept there.  At each checkpoint the tracked gap of
     ``H(s)`` is compared with the filter width and the transported
-    projector with the spectral one, both read from the eigendecomposition
-    that built the generator there, and ``p0``, the cluster projector of
-    ``H_0``, from the one at s = 0, whose kernel count is the cluster size
-    unless ``cluster_dim`` is given (``FrustrationError`` if it is 0), so
-    ``H_0`` is solved once.  The drift is read from the cluster frames
+    projector with the spectral one: ``spectra.cluster_projector`` reads
+    the gap and the cluster frames off the eigendecomposition that built
+    the generator there, and ``p0``, the cluster projector of ``H_0``, off
+    the one at s = 0, whose kernel count is the cluster size unless
+    ``cluster_dim`` is given (``FrustrationError`` if it is 0), so ``H_0``
+    is solved once.  The drift is read from the cluster frames
     (``_frame_drift``): no projector but ``p0`` is formed.  The unitaries
     are real orthogonal when ``H_0`` and ``Psi`` are real.
 
@@ -480,7 +470,7 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
                     raise FrustrationError("no kernel eigenvalues to track")
             gen_cache[key] = eigenbasis_generator(evals, evecs, bp, window)
             if key in keys:
-                tracked[key] = _cluster(evals, evecs, cluster_dim)
+                tracked[key] = cluster_projector(evals, evecs, cluster_dim)
             if key in end_keys:
                 ends[key] = (evals, evecs, gen_cache[key])
         return gen_cache[key]
@@ -509,7 +499,7 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     u0 = np.broadcast_to(np.eye(side, dtype=gen(grid[0]).dtype),
                          (n_blocks, side, side)).copy()
     frames0 = tracked[keys[0]][1]
-    p0 = _projector(frames0)
+    p0 = np.stack([v @ v.conj().T for v in frames0])
 
     def run_pass(land, substeps):
         """The Richardson estimate, gap floor, drift and kept unitaries of

@@ -361,6 +361,20 @@ def test_regrouping_keeps_the_norm_of_a_support_with_one_term(monkeypatch):
         assert t.op.norm() == original(t.op.matrix)
 
 
+def test_regrouping_keeps_the_operator_of_a_support_with_one_term():
+    """A support that holds one term keeps that term's operator object, so
+    its matrix and its norm, once known, are the original's; a merged
+    support holds a new operator."""
+    lam = Interval(0, 5)
+    psi = random_interaction(lam, seed=4, n_terms=8)
+    counts = Counter(t.support for t in psi.terms)
+    ops = {t.support: t.op for t in psi.terms}
+    grouped = regroup_intervals(psi)
+    assert {t.support for t in grouped.terms} == set(counts)
+    for t in grouped.terms:
+        assert (t.op is ops[t.support]) == (counts[t.support] == 1)
+
+
 def test_term_norms_are_computed_once(monkeypatch):
     """Each term's norm is solved on the first use and kept by the term:
     a second F-norm, the uniform bound and a split view solve nothing."""

@@ -12,8 +12,8 @@ from gaplab.lattice import Interval, ball, interior
 from gaplab.models import aklt_interaction, orbital_interaction, \
     paired_orbital_model, random_even_perturbation
 from gaplab.operator_algebra import LocalOperator, basis_charges, \
-    charge_sectors, conserved_modulus, eigenvalues, kernel_count, \
-    operator_norm
+    charge_sectors, conserved_modulus, eigenvalues, join_blocks, \
+    kernel_count, operator_norm
 from gaplab.spectra import (FrustrationError, RefinementError,
                             cluster_projector, diagonalize, gap_curve,
                             ground_projector, higher_gap_track,
@@ -396,11 +396,48 @@ def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
 
 
 def test_cluster_projector():
-    h = np.diag([0.0, 0.1, 5.0])
-    p = cluster_projector(h, 2)
-    np.testing.assert_allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    with pytest.raises(RefinementError):
-        cluster_projector(np.diag([0.0, 0.0, 1.0]), 1)  # degenerate boundary
+    """The cluster is cut on the merged spectrum of a block stack: the gap
+    above its ``dim`` lowest values, and each block's share of their
+    eigenvectors, a copy, possibly empty.  Ties go to the earlier block, so
+    a degenerate boundary reads a zero gap."""
+    evals, evecs = diagonalize(np.stack([np.diag([0.0, 5.0, 7.0]),
+                                         np.diag([0.1, 3.0, 6.0])]))
+    gap, frames = cluster_projector(evals, evecs, 3)
+    assert gap == pytest.approx(2.0)
+    assert [v.shape for v in frames] == [(3, 1), (3, 2)]
+    assert not any(np.shares_memory(v, evecs) for v in frames)
+    np.testing.assert_allclose(
+        np.stack([v @ v.conj().T for v in frames]),
+        np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])]),
+        atol=1e-12)
+    evals, evecs = diagonalize(np.stack([np.diag([0.0, 1.0]),
+                                         np.diag([0.0, 2.0])]))
+    gap, frames = cluster_projector(evals, evecs, 1)
+    assert gap == 0.0 and [v.shape[1] for v in frames] == [1, 0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_cluster_projector_matches_the_whole_matrix(blocks, side, complex_,
+                                                    seed):
+    """On a random stack the gap is that of the block-diagonal matrix the
+    stack stands for, and, where the gap is open, the frames span its
+    ``dim`` lowest eigenvectors: both solves leave residuals near
+    ``eps |H|``, so the projectors differ by about ``eps |H| / gap``
+    (Davis-Kahan), under 1e-11 for a gap above 1e-3."""
+    rng = np.random.default_rng(seed)
+    h = np.stack([random_hermitian(rng, side, complex_)
+                  for _ in range(blocks)])
+    sectors = list(np.arange(blocks * side).reshape(blocks, side))
+    dim = int(rng.integers(1, blocks * side))
+    gap, frames = cluster_projector(*diagonalize(h), dim)
+    ref_evals, ref_evecs = np.linalg.eigh(join_blocks(h, sectors))
+    assert abs(gap - (ref_evals[dim] - ref_evals[dim - 1])) <= 1e-12
+    if gap > 1e-3:
+        p = join_blocks(np.stack([v @ v.conj().T for v in frames]), sectors)
+        v = ref_evecs[:, :dim]
+        np.testing.assert_allclose(p, v @ v.conj().T, atol=1e-9)
 
 
 # --- resolution families ------------------------------------------------------
@@ -559,6 +596,18 @@ def test_sp0_scan_trivial_cases():
     rows = sp0_diameter_scan(eta, pert, lam, [0.0], [1, 2])
     assert all(r["sp0_diam"] == r["sp0_max"] - r["sp0_min"] for r in rows)
     assert rows[0] == {**rows[1], "depth": 1}
+
+
+def test_sp0_scan_without_a_kernel_is_refused():
+    """An ``H0`` with no kernel has no cluster to split: the scan refuses
+    it as ``gap_curve`` does, and never reads an empty cluster."""
+    lam = Interval(0, 5)
+    eta = random_interaction(lam, seed=1)
+    pert = random_interaction(lam, seed=2, n_terms=4, max_diameter=1)
+    for scan in (lambda: gap_curve(eta, pert, lam, [0.0, 0.1]),
+                 lambda: sp0_diameter_scan(eta, pert, lam, [0.1], [1])):
+        with pytest.raises(FrustrationError, match="no kernel"):
+            scan()
 
 
 def test_sp0_scan_reports_gamma():
