@@ -466,6 +466,7 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
                     members.append((x, ball(lam, x, n),
                                     family.locals[n - 1]))
         dec.anchors.pop(x, None)
+        terms = family = None       # let go before the next anchor's
     ctx["flow"] = {"lam": lam, "eta": eta, "psi": psi, "window": window,
                    "flow": flow, "dec": replace(dec, anchors=None),
                    "ball_norms": ball_norms, "splits": splits,
@@ -477,18 +478,18 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
 def _resolution_rows(family) -> list[tuple]:
     """The ``resolutions.csv`` rows of one ball family: its resolution's
     completeness, and the partial-sum and annihilation laws of each of its
-    terms below the last two."""
-    x, resolution = family.x, family.E
-    eye = np.eye(family.P.shape[-1])
-    rows = [(x, "sum_to_identity", operator_norm(sum(resolution) - eye))]
-    partial = 0.0
-    for k, e_k in enumerate(resolution[:-2], start=1):
+    terms below the last two, each term formed once and summed as it goes."""
+    x, eye = family.x, np.eye(family.P.shape[-1])
+    partial, rows = 0.0, []
+    for k in range(1, family.r_x + 3):
+        e_k = family.e(k)
         partial = partial + e_k
-        q_k = eye - family.locals[k - 1]
-        rows.append((x, f"partial_sum_{k}", operator_norm(partial - q_k)))
-        rows.append((x, f"annihilation_{k}",
-                     operator_norm(family.locals[k - 1] @ e_k)))
-    return rows
+        if k <= family.r_x:
+            rows += [(x, f"partial_sum_{k}",
+                      operator_norm(partial - family.q(k))),
+                     (x, f"annihilation_{k}",
+                      operator_norm(family.locals[k - 1] @ e_k))]
+    return [(x, "sum_to_identity", operator_norm(partial - eye))] + rows
 
 
 def _stability_lengths(cfg: dict) -> list[int]:

@@ -12,8 +12,8 @@ taken against (``Interaction.f_norm(spec)``).
 A volume's values-only spectrum is solved in one place,
 ``hamiltonian_eigenvalues``: on the span of its terms, in the blocks of the
 first charge every term conserves (the number or ``S^z``, else the
-parity, else none), each block assembled straight from the terms by
-``charge_blocks``.  No matrix on the whole span is built for it.
+parity, else none), each added from the one placement rule that
+``coupled_blocks`` also reads.  No matrix on the whole span is built for it.
 """
 
 from __future__ import annotations
@@ -131,29 +131,18 @@ def local_hamiltonian(phi: Interaction, lam: Interval):
     return LocalOperator(h, lam, phi.kind, d)
 
 
-def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
-    """The charge sectors of ``local_hamiltonian(phi, lam)`` and a
-    generator of its diagonal blocks on them, in the same order; each
-    block is assembled when it is asked for and let go at the next.
-
-    The sectors are ``charge_sectors`` on ``lam`` under ``modulus``, by
-    default the first charge every term inside ``lam`` conserves
-    (``conserved_modulus``: number or ``S^z``, then parity, then none: one
-    sector).  A caller may fix ``modulus``, which the terms inside ``lam``
-    must conserve (``conserved_modulus``), else ``ValueError``: every entry
-    between two sectors is exactly zero.  A term's states of local charge
-    ``c_t`` meet the states of sector ``c`` whose outer sites carry charge
-    ``c - c_t``; each block gets every term's placed entries, in term order,
-    so it equals the matching sub-block of ``local_hamiltonian(phi, lam)``
-    entry for entry, and no matrix on all of ``lam`` is built.
-    """
+def _sector_entries(phi: Interaction, lam: Interval, modulus):
+    """The one placement rule: the sectors of ``charge_blocks``, their
+    field, and per sector the entries of the terms inside ``lam`` in term
+    order, a term's charge group at a time: its block ``sub`` and rows
+    ``p``, one per outer state, ``sub[i, j]`` at ``(p[o, i], p[o, j])``, no
+    position twice; local charge ``c_t`` meets outer charge ``c - c_t``."""
     d = phi.local_dim
     _check_dense(d ** len(lam))
     terms = [t for t in phi.terms if t.support in lam]
-    ops = [t.op for t in terms]
     if modulus == "conserved":
-        modulus = conserved_modulus(ops)
-    elif conserved_modulus(ops, (modulus,)) != modulus:
+        modulus = conserved_modulus([t.op for t in terms])
+    elif conserved_modulus([t.op for t in terms], (modulus,)) != modulus:
         raise ValueError(f"terms inside {lam} break the charge sectors at "
                          f"modulus {modulus}")
     dtype = np.float64 if _real(terms) else np.complex128
@@ -162,28 +151,43 @@ def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
     for idx in sectors:
         pos[idx] = np.arange(idx.size)
 
-    placed = []         # per term: its local charge groups, its outer states
+    placed = []         # per charge group of a term: c_t, outer states, block
     for t in terms:
         nl, nr = t.support.a - lam.a, lam.b - t.support.b
         dt, dr = d ** len(t.support), d ** nr
         m = t.op.matrix.real if dtype == np.float64 else t.op.matrix
-        groups = [(ct, g * dr, m[np.ix_(g, g)]) for ct, g in enumerate(
-            charge_sectors(len(t.support), d, modulus))]
         # the outer states' charges are those of nl + nr sites, in order
         base = (np.arange(d ** nl)[:, None] * (dt * dr)
                 + np.arange(dr)[None, :]).ravel()
-        placed.append((groups, {c: base[idx] for c, idx in enumerate(
-            charge_sectors(nl + nr, d, modulus))}))
+        outer = {c: base[idx] for c, idx in enumerate(
+            charge_sectors(nl + nr, d, modulus))}
+        placed += [(ct, outer, g * dr, m[np.ix_(g, g)]) for ct, g in
+                   enumerate(charge_sectors(len(t.support), d, modulus))]
+
+    def groups(c):
+        for ct, outer, offsets, sub in placed:
+            rest = c - ct if modulus is None else (c - ct) % modulus
+            if rest in outer:
+                yield pos[outer[rest][:, None] + offsets], sub
+
+    return sectors, dtype, (groups(c) for c in range(len(sectors)))
+
+
+def charge_blocks(phi: Interaction, lam: Interval, modulus="conserved"):
+    """The charge sectors of ``local_hamiltonian(phi, lam)`` and a
+    generator of its diagonal blocks on them, each added from its sector's
+    ``_sector_entries`` into a zeroed block when asked for and let go at the
+    next: the matching sub-block of the whole matrix, entry for entry, with
+    no matrix on all of ``lam`` built.  The sectors are those of
+    ``modulus``, by default the first charge the terms inside ``lam``
+    conserve (``conserved_modulus``); one they break is a ``ValueError``."""
+    sectors, dtype, placed = _sector_entries(phi, lam, modulus)
 
     def blocks():
-        for c, idx in enumerate(sectors):
+        for idx, groups in zip(sectors, placed):
             block = np.zeros((idx.size, idx.size), dtype)
-            for groups, outer in placed:
-                for ct, offsets, sub in groups:
-                    rest = c - ct if modulus is None else (c - ct) % modulus
-                    if rest in outer:
-                        p = pos[outer[rest][:, None] + offsets]
-                        block[p[:, :, None], p[:, None, :]] += sub
+            for p, sub in groups:
+                block[p[:, :, None], p[:, None, :]] += sub
             yield block
             del block
 
@@ -221,19 +225,6 @@ def coupled(eta: Interaction, pert: Interaction, eps: float) -> Interaction:
     return replace(eta, terms=eta.terms + scaled)
 
 
-def _nonzeros(blocks) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat int32 indices and values of the nonzero entries of each block,
-    taken as the generator hands the blocks over, so one is alive at a
-    time."""
-    out = []
-    for block in blocks:
-        flat = block.reshape(-1)
-        idx = np.flatnonzero(flat)
-        out.append((idx.astype(np.int32), flat[idx]))
-        del block, flat
-    return out
-
-
 @dataclass
 class CoupledBlocks:
     """The family ``coupled(eta, pert, eps)`` on a volume, planned once:
@@ -243,7 +234,6 @@ class CoupledBlocks:
     sides: list[int]
     h0: list[tuple[np.ndarray, np.ndarray]]
     psi: list[tuple[np.ndarray, np.ndarray]]
-    dtype: type
     repeat: int
 
     def eigenvalues(self, eps: float) -> np.ndarray:
@@ -253,35 +243,45 @@ class CoupledBlocks:
         of the span repeated as ``hamiltonian_eigenvalues`` repeats it."""
         def blocks():
             for side, (hi, hv), (pi, pv) in zip(self.sides, self.h0, self.psi):
-                block = np.zeros((side, side), self.dtype)
-                flat = block.reshape(-1)
-                flat[hi] = hv
-                flat[pi] += eps * pv
-                del flat
-                yield block
+                block = np.zeros(side * side, np.result_type(hv, pv))
+                block[hi] = hv
+                block[pi] += eps * pv
+                yield block.reshape(side, side)
                 del block
         return np.repeat(eigenvalues(blocks()), self.repeat)
 
 
 def coupled_blocks(eta: Interaction, pert: Interaction,
                    lam: Interval) -> CoupledBlocks:
-    """The block plan whose ``eigenvalues(eps)`` is
-    ``hamiltonian_eigenvalues(coupled(eta, pert, eps), lam)`` up to
-    rounding, for every ``eps``: the terms of both inside ``lam`` on the
-    span they hold, in the sectors of the charge they conserve together
-    (``conserved_modulus``, found once), each block of ``H0`` and then each
-    of ``Psi`` assembled by ``charge_blocks`` and let go once its nonzero
-    entries are read.  ``H0 + eps Psi`` sums the two blocks where
-    ``coupled`` adds ``eps`` times each term of ``Psi`` in turn, so the
-    entries differ by rounding."""
+    """The block plan whose ``eigenvalues(eps)`` is, for every ``eps``,
+    ``hamiltonian_eigenvalues(coupled(eta, pert, eps), lam)`` up to the
+    rounding of summing ``Psi`` before scaling it: on the span of the terms
+    of both inside ``lam``, in the sectors of the charge they conserve
+    together (found once), the entries of ``H0`` and of ``Psi``
+    (``_sector_entries`` at int32 positions) summed per position in term
+    order, as ``charge_blocks`` adds them, with no block formed."""
     eta, pert = eta.restricted(lam), pert.restricted(lam)
     span = replace(eta, terms=eta.terms + pert.terms).span
     modulus = conserved_modulus([t.op for t in eta.terms + pert.terms])
-    sectors, h0 = charge_blocks(eta, span, modulus)
-    h0 = _nonzeros(h0)
-    psi = _nonzeros(charge_blocks(pert, span, modulus)[1])
-    dtype = np.float64 if _real(eta.terms + pert.terms) else np.complex128
-    return CoupledBlocks([idx.size for idx in sectors], h0, psi, dtype,
+
+    def summed(sectors, dtype, placed):
+        for idx, groups in zip(sectors, placed):
+            at, values = [np.empty(0, np.int32)], [np.empty(0, dtype)]
+            for p, sub in groups:
+                p = p.astype(np.int32)
+                at.append(p[:, :, None] * idx.size + p[:, None, :])
+                values.append(np.broadcast_to(sub, at[-1].shape))
+            at, where = np.unique(np.concatenate(at, axis=None),
+                                  return_inverse=True)
+            sums = np.zeros(at.size, dtype)
+            np.add.at(sums, where, np.concatenate(values, axis=None))
+            del where, values
+            yield at[sums != 0], sums[sums != 0]
+
+    sectors, dtype, placed = _sector_entries(eta, span, modulus)
+    h0 = list(summed(sectors, dtype, placed))
+    psi = list(summed(*_sector_entries(pert, span, modulus)))
+    return CoupledBlocks([idx.size for idx in sectors], h0, psi,
                          eta.local_dim ** (len(lam) - len(span)))
 
 

@@ -141,16 +141,16 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
 def cluster_projector(evals, evecs, dim: int):
     """The low cluster of a block stack from its decomposition
     ``(evals, evecs)``, as ``diagonalize`` gives it: the gap above the
-    ``dim`` lowest eigenvalues of the merged spectrum, and each block's
-    orthonormal frame of them, its first columns (a copy, possibly empty).
-    A tie at the boundary goes to the earlier block (a stable sort) and
-    reads a zero gap, which the caller refuses.  The projector onto the
-    cluster is the stack of ``v v*`` of the frames."""
+    ``dim`` lowest eigenvalues of the merged spectrum (``inf`` above all of
+    them), and each block's orthonormal frame of them, its first columns (a
+    copy, possibly empty).  A tie at the boundary goes to the earlier block
+    (a stable sort) and reads a zero gap, which the caller refuses.  The
+    projector onto the cluster is the stack of ``v v*`` of the frames."""
     merged = np.sort(evals, axis=None)
     lowest = np.argsort(evals, axis=None, kind="stable")[:dim]
     counts = np.bincount(lowest // evals.shape[-1], minlength=len(evals))
-    return (float(merged[dim] - merged[dim - 1]),
-            [v[:, :c].copy() for v, c in zip(evecs, counts)])
+    gap = merged[dim] - merged[dim - 1] if dim < merged.size else np.inf
+    return float(gap), [v[:, :c].copy() for v, c in zip(evecs, counts)]
 
 
 @dataclass
@@ -168,14 +168,22 @@ class ProjectorFamily:
     def r_x(self) -> int:
         return len(self.locals)
 
+    def e(self, n: int) -> np.ndarray:
+        """E_n, formed when read: the difference of members n - 1 and n of
+        ``1, P_{b(x,1)} .. P_{b(x,r_x)}, P``, and ``P`` at n = r_x + 2."""
+        if n == self.r_x + 2:
+            return self.P
+        upper = np.eye(self.P.shape[-1]) if n == 1 else self.locals[n - 2]
+        return upper - (self.locals[n - 1] if n <= self.r_x else self.P)
+
+    def q(self, n: int) -> np.ndarray:
+        """Q_n = 1 - P_{b(x,n)}, 1 <= n <= r_x, formed when read."""
+        return np.eye(self.P.shape[-1]) - self.locals[n - 1]
+
     @property
     def E(self) -> list[np.ndarray]:
-        """E_1 .. E_{r_x+2}: ``1 - P_{b(x,1)}``, the differences of
-        consecutive ball projectors, ``P_{b(x,r_x)} - P`` and ``P``,
-        formed when read."""
-        eye = np.eye(self.P.shape[-1])
-        chain = [eye, *self.locals, self.P]
-        return [a - b for a, b in zip(chain, chain[1:])] + [self.P]
+        """E_1 .. E_{r_x+2}, each formed by ``e``."""
+        return [self.e(n) for n in range(1, self.r_x + 3)]
 
 
 def resolution_family(eta: Interaction, lam: Interval, x: int,

@@ -775,12 +775,11 @@ def theta_assembly(ball_terms: list[Term],
     ``Phi1Decomposition.ball_terms(x)`` makes them.  ``family`` holds block
     stacks at the modulus of the decomposition; each ball term is placed
     straight into those blocks by ``charge_stack``, so every product and
-    norm is taken block by block.  Each ``Phi^1_k`` and ``Q_n`` is formed
-    when it is used, and ``Phi^1_k`` summed into the total as it goes, so
-    one ball term's stack is alive at a time.
+    norm is taken block by block.  Each ``Phi^1_k``, ``E_n`` and ``Q_n`` is
+    formed when it is used, and every sum is taken in place, so one ball
+    term's stack is alive at a time.
     """
-    lam, x = family.lam, family.x
-    r_x = family.r_x
+    lam, x, r_x = family.lam, family.x, family.r_x
     _, big_r = boundary_distances(lam, x)
     p_full = family.P
     shape = p_full.shape
@@ -788,12 +787,7 @@ def theta_assembly(ball_terms: list[Term],
     q_full = eye - p_full
     omega_state = p_full / _trace(p_full)
     by_radius = {t.radius: t for t in ball_terms}
-
-    def e(n):
-        return family.E[n - 1]                      # E_1 .. E_{r_x+2}
-
-    def q(n):
-        return eye - family.locals[n - 1]           # Q_n, formed when used
+    e, q = family.e, family.q
 
     def phi1(k):
         term = by_radius.get(k)
@@ -802,30 +796,25 @@ def theta_assembly(ball_terms: list[Term],
             family.modulus)
         return m - _trace(omega_state @ m) * eye
 
-    n_x = r_x // 2
-    theta_beta = {n: np.zeros(shape) for n in range(3, r_x + 1)}
-    theta_alpha = np.zeros(shape)
-    total = 0
+    dtype = np.result_type(p_full, *(t.op.matrix for t in ball_terms))
+    theta_beta = {n: np.zeros(shape, dtype) for n in range(3, r_x + 1)}
+    theta_alpha = np.zeros(shape, dtype)
+    total = np.zeros(shape, dtype)
     for k in range(1, big_r + 1):
         phi = phi1(k)
-        total = total + phi
-        if k > n_x:
-            theta_alpha = theta_alpha + q_full @ phi @ q_full
+        total += phi
+        if k > r_x // 2:
+            theta_alpha += q_full @ phi @ q_full
             continue
         q_2k = q(2 * k)
-        tau = q_2k @ phi @ q_2k
-        if 2 * k == 2:
-            if r_x >= 3:
-                theta_beta[3] = theta_beta[3] + tau
-            else:
-                theta_alpha = theta_alpha + tau
-        else:
-            theta_beta[2 * k] = theta_beta[2 * k] + tau
+        # tau(2) joins Theta_beta(3), or Theta_alpha when r_x = 2
+        into = theta_beta.get(max(2 * k, 3), theta_alpha)
+        into += q_2k @ phi @ q_2k
         for n in range(2 * k + 1, r_x + 1):
-            theta_beta[n] = theta_beta[n] + (e(n) @ phi @ q(n - 1)
-                                             + q(n) @ phi @ e(n))
-        nu = e(r_x + 1) @ phi @ q(r_x) + q_full @ phi @ e(r_x + 1)
-        theta_alpha = theta_alpha + nu
+            e_n = e(n)
+            theta_beta[n] += e_n @ phi @ q(n - 1) + q(n) @ phi @ e_n
+        e_n = e(r_x + 1)
+        theta_alpha += e_n @ phi @ q(r_x) + q_full @ phi @ e_n
 
     lhs = q_full @ total @ q_full
     rhs = sum(theta_beta.values()) + theta_alpha if theta_beta else theta_alpha

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaplab import operator_algebra
 from gaplab.ffunction import FFunctionSpec, WeightSpec, regroup_decay
 from gaplab.interaction import (Interaction, Term, charge_blocks,
-                                fermion_to_spin, from_json,
+                                coupled_blocks, fermion_to_spin, from_json,
                                 hamiltonian_eigenvalues, local_hamiltonian,
                                 random_interaction, regroup_intervals,
                                 split_edge_bulk, to_json,
@@ -187,6 +187,56 @@ def test_a_fixed_modulus_refuses_a_term_that_breaks_it_by_rounding(cross):
                 {None: 3, 2: 2}[modulus]
     (block,) = charge_blocks(phi, lam, 1)[1]
     assert np.array_equal(block, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 5), (3, 3)]), st.sampled_from([None, 2, 1]),
+       st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_coupled_blocks_hold_the_nonzeros_of_the_dense_blocks(
+        dim_sites, modulus, n_eta, n_pert, cancel, seed):
+    """The block plan of ``eta`` and ``pert``, terms real or complex that
+    keep the number (or ``S^z``), only its parity, or nothing, holds for
+    each sector exactly the flat nonzero positions, int32 and ascending,
+    and the values of the dense ``charge_blocks`` blocks of ``eta`` and of
+    ``pert`` on their span, at the charge they conserve together, bit for
+    bit: the entries are summed per position in term order, as the dense
+    block adds them, and exact zeros are dropped.  With ``cancel``,
+    ``pert`` ends with its first term negated, so entries that only those
+    two terms reach sum to exactly zero."""
+    d, max_sites = dim_sites
+    rng = np.random.default_rng(seed)
+    lam = Interval(0, int(rng.integers(1, max_sites + 1)) - 1)
+
+    def drawn(n_terms):
+        terms = []
+        for _ in range(n_terms):
+            a = int(rng.integers(lam.a, lam.b + 1))
+            supp = Interval(a, int(rng.integers(a, lam.b + 1)))
+            m = random_hermitian(rng, d ** len(supp), bool(rng.integers(2)))
+            k = digit_sums(len(supp), d)
+            q = k if modulus is None else k % modulus
+            m = np.where(q[:, None] == q[None, :], m, 0.0)
+            terms.append(Term(LocalOperator(m, supp, "spin", d)))
+        return Interaction(terms, "spin", d)
+
+    eta, pert = drawn(n_eta), drawn(n_pert)
+    if cancel:
+        pert.terms.append(Term(pert.terms[0].op * -1.0))
+    plan = coupled_blocks(eta, pert, lam)
+    both = eta.terms + pert.terms
+    span = Interaction(both, "spin", d).span
+    found = operator_algebra.conserved_modulus([t.op for t in both])
+    assert plan.repeat == d ** (len(lam) - len(span))
+    for phi, entries in ((eta, plan.h0), (pert, plan.psi)):
+        sectors, blocks = charge_blocks(phi, span, found)
+        assert plan.sides == [len(s) for s in sectors]
+        for block, (at, values) in zip(blocks, entries, strict=True):
+            flat = block.reshape(-1)
+            nonzero = np.flatnonzero(flat)
+            assert at.dtype == np.int32 and values.dtype == block.dtype
+            assert np.array_equal(at, nonzero)
+            assert values.tobytes() == flat[nonzero].tobytes()
 
 
 @settings(max_examples=40, deadline=None)

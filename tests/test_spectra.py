@@ -354,11 +354,13 @@ def test_sweep_solves_come_from_one_plan_and_scan_solves_from_hamiltonian_eigenv
 
 def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
         monkeypatch):
-    """One ``gap_curve`` call asks ``charge_blocks`` for ``eta``'s blocks at
-    coupling 0 and for the plan's two families once, and finds the charge
-    modulus as often, however many couplings its grid holds: 2, 6 or 12
-    points, the two-point grid's one step bisected (one term, at norm 10
-    and at norm -10, adds 20 to the term norms beside a gap of 1)."""
+    """One ``gap_curve`` call asks the entry rule
+    (``interaction._sector_entries``, which ``charge_blocks`` adds up) for
+    ``eta``'s entries at coupling 0 and for the plan's two families once,
+    and finds the charge modulus as often, however many couplings its grid
+    holds: 2, 6 or 12 points, the two-point grid's one step bisected (one
+    term, at norm 10 and at norm -10, adds 20 to the term norms beside a
+    gap of 1)."""
     lam = Interval(1, 8)
     eta = orbital_interaction(paired_orbital_model(lam), lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
@@ -367,17 +369,17 @@ def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
     pert = replace(pert, terms=pert.terms + [
         Term(t.op * big, t.anchor, t.radius),
         Term(t.op * -big, t.anchor, t.radius)])
-    calls = {"charge_blocks": [], "conserved_modulus": [], "solves": []}
+    calls = {"_sector_entries": [], "conserved_modulus": [], "solves": []}
 
     def counted(module, name):
         real = getattr(module, name)
 
         def wrapped(*args, **kwargs):
-            calls[name].append(args[1] if name == "charge_blocks" else None)
+            calls[name].append(args[1] if name == "_sector_entries" else None)
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
 
-    counted(interaction, "charge_blocks")
+    counted(interaction, "_sector_entries")
     counted(interaction, "conserved_modulus")
     real_solve = interaction.CoupledBlocks.eigenvalues
     monkeypatch.setattr(interaction.CoupledBlocks, "eigenvalues",
@@ -388,7 +390,7 @@ def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
         for log in calls.values():
             log.clear()
         gap_curve(eta, pert, lam, np.linspace(0.0, 0.05, size))
-        counts.append((len(calls["charge_blocks"]),
+        counts.append((len(calls["_sector_entries"]),
                        len(calls["conserved_modulus"]),
                        len(calls["solves"]) - (size - 1)))
     assert counts[0][2] > 0
@@ -471,6 +473,28 @@ def test_resolution_family_identities():
     # nesting makes every E_n a projector here
     for e in fam.E:
         np.testing.assert_allclose(e @ e, e, atol=1e-9)
+
+
+def test_resolution_terms_are_formed_one_at_a_time():
+    """Around every site two deep (``r_x`` 2 and 3), ``e(n)`` is the
+    difference of consecutive members of ``1, P_{b(x,1)}, ..,
+    P_{b(x,r_x)}, P``, and ``P`` itself at ``n = r_x + 2``, and ``q(n)`` is
+    ``1 - P_{b(x,n)}``, bit for bit; ``E`` lists the ``e(n)``."""
+    lam = Interval(0, 6)
+    eta = ising(lam)
+    p, modulus = _volume_projector(eta, lam)
+    for x in range(2, 5):
+        fam = resolution_family(eta, lam, x, p, modulus)
+        eye = np.eye(64)
+        chain = [eye, *fam.locals, fam.P]
+        whole = [a - b for a, b in zip(chain, chain[1:])] + [fam.P]
+        assert len(fam.E) == len(whole) == fam.r_x + 2
+        for n, ref in enumerate(whole, start=1):
+            assert fam.e(n).tobytes() == ref.tobytes()
+            assert fam.E[n - 1].tobytes() == ref.tobytes()
+        assert fam.e(fam.r_x + 2) is fam.P
+        for n in range(1, fam.r_x + 1):
+            assert fam.q(n).tobytes() == (eye - fam.locals[n - 1]).tobytes()
 
 
 def test_resolution_family_needs_interior_site():

@@ -590,6 +590,21 @@ def test_flow_without_a_kernel_to_track_is_refused():
                        Window(GAMMA), checkpoints=5)
 
 
+def test_flow_whose_cluster_is_the_whole_spectrum_reads_an_infinite_gap():
+    """``H0 = 0`` is all kernel: the tracked cluster is the whole spectrum
+    at every checkpoint, with nothing above it, so the gap reads ``inf``
+    (as ``SpectrumSplit.gamma`` reads an empty rest), ``P(0)`` is the
+    identity and the projector does not drift."""
+    flow = flow_unitaries(*flow_pair(np.zeros((2, 2)), SX), 0.1,
+                         Window(0.8), checkpoints=5)
+    assert flow.gap_floor == np.inf
+    assert np.array_equal(flow.p0, np.eye(2)[None])
+    assert flow.projector_drift <= 1e-15
+    evals, evecs = diagonalize(np.zeros((1, 2, 2)))
+    gap, frames = spectra.cluster_projector(evals, evecs, 2)
+    assert gap == np.inf and [v.shape for v in frames] == [(2, 2)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 16), st.booleans(),
        st.floats(0.0, 0.045), st.integers(0, 2 ** 32 - 1))

@@ -73,10 +73,14 @@ def test_same_artifacts_matches_csv_columns_by_name(tmp_path):
                      "largest move: 2.00e-01 relative, 1.00e-01 absolute"]}
 
 
-def test_same_artifacts_reports_a_run_that_writes_nothing(tmp_path, capsys):
+def test_same_artifacts_reports_a_run_that_writes_nothing(tmp_path, capsys,
+                                                         monkeypatch):
     """A tree whose ``gaplab.cli`` exits 1 before writing an artifact stops
     the comparison with one line, the run, the tree, the exit code and the
-    last line of its stderr, and exit code 1, not a traceback."""
+    last line of its stderr, and exit code 1, not a traceback.  It follows
+    the first line, which says the BLAS thread variables are unset."""
+    for name in SAME_ARTIFACTS["THREAD_VARS"]:
+        monkeypatch.delenv(name, raising=False)
     tree = tmp_path / "tree"
     (tree / "src" / "gaplab").mkdir(parents=True)
     (tree / "src" / "gaplab" / "__init__.py").write_text("", encoding="utf-8")
@@ -84,5 +88,17 @@ def test_same_artifacts_reports_a_run_that_writes_nothing(tmp_path, capsys):
         "import sys\nsys.exit('no pipeline here')\n", encoding="utf-8")
     assert SAME_ARTIFACTS["main"]([str(tree), str(tree)]) == 1
     assert capsys.readouterr().out.splitlines() == [
+        "BLAS threads: unset",
         f"default: parent tree {tree} wrote no artifacts (exit 1): "
         "no pipeline here"]
+
+
+def test_same_artifacts_names_the_blas_threads_it_ran_under(monkeypatch):
+    """The first line names each BLAS thread variable that is set, in a
+    fixed order, with its value."""
+    for name in SAME_ARTIFACTS["THREAD_VARS"]:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert SAME_ARTIFACTS["threads_line"]() == \
+        "BLAS threads: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=2"

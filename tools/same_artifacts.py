@@ -13,10 +13,12 @@ CSV that only one side holds, each moved cell of the columns both hold,
 matched by name (its row, counted from the first data row, that row's first
 cell in the parent, its column, parent -> change), and the file's largest
 relative and absolute move, each moved key of a JSON file, each changed
-line of a text file.  The exit code is 0 when no file differs and 1
-otherwise; a run that refuses its config, or writes no ``summary.txt``,
-stops the comparison with one line (the run, the tree, the exit code and
-the last line of its stderr) and exit code 1.
+line of a text file.  The first line names the BLAS thread variables the
+runs inherit, or says they are unset: rounding, and so "0 differing
+files", holds at one thread count.  The exit code is 0 when no file
+differs and 1 otherwise; a run that refuses its config, or writes no
+``summary.txt``, stops the comparison with one line (the run, the tree,
+the exit code and the last line of its stderr) and exit code 1.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "GOTO_NUM_THREADS")
+
+
+def threads_line() -> str:
+    """The BLAS thread variables of this process, which every run inherits."""
+    held = [f"{k}={os.environ[k]}" for k in THREAD_VARS if k in os.environ]
+    return "BLAS threads: " + (", ".join(held) or "unset")
 
 
 def runs(work: Path) -> dict:
@@ -174,6 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
+    print(threads_line())
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
