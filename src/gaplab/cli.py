@@ -557,6 +557,8 @@ _VALIDATE_HEADER = ["model", "length", "offset", "ground_energy", "gap",
 
 
 def cmd_validate(cfg: dict, ctx: dict) -> Report:
+    """Model structure, one ``validate.csv`` row per volume; every row's
+    ``gap`` is the step above its kernel, ``E_k - E_{k-1}``."""
     rep = Report("validate")
     rows = []
 
@@ -565,7 +567,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
         report = validate_unperturbed(_model_file(cfg).restricted, volumes)
         for r in report.rows:
             rows.append(("custom", len(r.lam), r.lam.a, r.ground_energy,
-                         r.min_nonzero, r.kernel_dim, -1, -1, 0.0,
+                         r.gap, r.kernel_dim, -1, -1, 0.0,
                          "ok" if r.frustration_free else "fail"))
             rep.check(f"custom ground energy on {r.lam}", r.frustration_free,
                       f"E0 = {r.ground_energy:.2e}")

@@ -295,7 +295,7 @@ def zero_ground_energy(evals) -> bool:
 class VolumeReport:
     lam: Interval
     ground_energy: float
-    min_nonzero: float
+    gap: float              # E_k - E_{k-1} above the k kernel eigenvalues
     kernel_dim: int
     frustration_free: bool
 
@@ -311,11 +311,14 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
 
     ``build(lam)`` returns the interaction on ``lam``.  A volume failing
     ``zero_ground_energy``, or with no kernel, is reported in its row's
-    ``frustration_free``, not raised.  The gap candidate is the smallest
-    eigenvalue above the kernel scale over the probes whose diameter reaches
-    the largest interaction range among the probes.
+    ``frustration_free``, not raised.  Each row's ``gap`` is the step above
+    its ``k`` kernel eigenvalues, ``E_k - E_{k-1}`` of the sorted spectrum:
+    ``nan`` with no kernel, ``inf`` when the kernel is the whole spectrum.
+    The gap candidate is the smallest eigenvalue above the kernel scale over
+    the probes whose diameter reaches the largest interaction range among
+    the probes.
     """
-    rows = []
+    rows, lowest = [], []
     rng_max = 0
     for lam in volumes:
         phi = build(lam)
@@ -324,10 +327,12 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         ground = float(evals[0])
         kdim = kernel_count(evals)
         nonzero = evals[~kernel_mask(evals)]
-        min_nonzero = float(nonzero[0]) if nonzero.size else np.inf
+        lowest.append(float(nonzero[0]) if nonzero.size else np.inf)
+        gap = (np.nan if kdim == 0 else np.inf if kdim == evals.size
+               else float(evals[kdim] - evals[kdim - 1]))
         ok = zero_ground_energy(evals) and kdim >= 1
-        rows.append(VolumeReport(lam, ground, min_nonzero, kdim, ok))
-    eligible = [r.min_nonzero for r in rows if r.lam.diameter >= rng_max]
+        rows.append(VolumeReport(lam, ground, gap, kdim, ok))
+    eligible = [m for r, m in zip(rows, lowest) if r.lam.diameter >= rng_max]
     gamma0 = float(min(eligible)) if eligible else float("inf")
     return UnperturbedReport(rows, gamma0)
 

@@ -27,11 +27,12 @@ and ``|X|_2 <= | |X| |_2 <= |N|_2``.  The lower end is the largest ``w(A)``
 over ``2 m^2`` explicit observables of norm 1, for each ``(a, b)`` and each
 phase in ``{1, i}`` the sign matrix of the Hermitian part of
 ``phase D_ab^T``, which makes ``Re(phase X_ab)`` as large as one
-observable can.  On a fermionic chain every operator is even, so both ends
-read the even columns of ``D`` alone, and the exact-zero certificate reads
-them too: when it holds, ``w = 0`` for every ``A``.  The alternating ascent
-(``ascent_lower_bound``) is kept as the reference the one-pass lower end
-is tested against.
+observable can.  On a fermionic chain every operator is even, so
+``ltqo_witness`` zeroes the odd columns of ``D`` where it builds the map,
+and the exact-zero certificate and the upper end read what is left: when
+the certificate holds, ``w = 0`` for every even ``A``.  The alternating
+ascent (``ascent_lower_bound``) is kept as the reference the one-pass
+lower end is tested against.
 """
 
 from __future__ import annotations
@@ -82,65 +83,46 @@ def witness_tensor(basis: np.ndarray, local_dim: int, vol: Interval,
     return WitnessTensor(d, m, region)
 
 
-def _even_columns(wt: WitnessTensor) -> np.ndarray:
-    """The columns of ``D`` at parity-preserving matrix entries."""
-    p = parity_matrix(len(wt.region))
-    return (p[:, None] == p[None, :]).ravel()
+def exact_zero_certificate(wt: WitnessTensor) -> float:
+    """``max|D|``; 0 means w(A) = 0 for every ``A`` the map reads (every
+    even one on a fermionic chain, whose odd columns ``ltqo_witness``
+    zeroes)."""
+    return float(np.max(np.abs(wt.D)))
 
 
-def exact_zero_certificate(wt: WitnessTensor, even_only: bool = False) -> float:
-    """``max|D|``; 0 means w(A) = 0 for all A.
-
-    With ``even_only`` only the columns of parity-preserving matrix entries
-    are read, certifying the witness for even observables.
-    """
-    cols = _even_columns(wt) if even_only else slice(None)
-    return float(np.max(np.abs(wt.D[:, cols])))
-
-
-def _slices(wt: WitnessTensor, even_only: bool) -> np.ndarray:
-    """The slices ``D_ab``, ``(m², d_X, d_X)``; with ``even_only`` their odd
-    entries are zeroed, since an even observable never reads them."""
+def _slices(wt: WitnessTensor) -> np.ndarray:
+    """The slices ``D_ab``, ``(m², d_X, d_X)``."""
     dx = math.isqrt(wt.D.shape[1])
-    d = np.where(_even_columns(wt), wt.D, 0.0) if even_only else wt.D
-    return d.reshape(-1, dx, dx)
+    return wt.D.reshape(-1, dx, dx)
 
 
-def witness_upper(wt: WitnessTensor, even_only: bool = False) -> float:
+def witness_upper(wt: WitnessTensor) -> float:
     """``|N|_2`` of the trace norms ``N_ab = |D_ab|_1``: ``w(A) <= |A|
-    |N|_2`` for every observable (every even one with ``even_only``)."""
-    trace_norms = np.linalg.svd(_slices(wt, even_only),
-                                compute_uv=False).sum(axis=-1)
+    |N|_2`` for every observable the map reads."""
+    trace_norms = np.linalg.svd(_slices(wt), compute_uv=False).sum(axis=-1)
     return float(np.linalg.norm(trace_norms.reshape(wt.rank, wt.rank), 2))
 
 
-def witness_bracket(wt: WitnessTensor, even_only: bool = False):
+def witness_bracket(wt: WitnessTensor):
     """``(lower, upper, A)``: the supremum of ``w`` over observables of norm
-    at most 1 (even ones with ``even_only``) lies in ``[lower, upper]``, and
-    ``lower`` is ``wt.value(A)`` of the explicit Hermitian ``A``.
+    at most 1 lies in ``[lower, upper]``, and ``lower`` is ``wt.value(A)``
+    of the explicit Hermitian ``A``.
 
     ``upper`` is ``witness_upper``; ``lower`` the largest ``value`` over the
     sign matrices of the Hermitian parts of ``D_ab^T`` and ``i D_ab^T``,
-    whose eigenvalues are all ``+1`` or ``-1``.  With ``even_only`` the
-    slices' odd entries are zeroed first, and so are each sign matrix's:
-    its even part reads the same entry, since the slice is even, and has
-    norm at most 1, as the pinching onto the parity blocks is a
-    contraction (``eigh`` mixes the blocks where eigenvalues meet).
+    whose eigenvalues are all ``+1`` or ``-1``.
     """
-    slices = _slices(wt, even_only)
-    even = _even_columns(wt).reshape(slices.shape[1:]) if even_only else True
     lower, best = -np.inf, None
-    for z in slices.swapaxes(-1, -2):
+    for z in _slices(wt).swapaxes(-1, -2):
         for phase in (1.0, 1j):
             herm = phase * z
             herm = 0.5 * (herm + herm.conj().T)
             zev, zvec = np.linalg.eigh(herm)
-            a = np.where(even, (zvec * np.where(zev < 0.0, -1.0, 1.0))
-                         @ zvec.conj().T, 0.0)
+            a = (zvec * np.where(zev < 0.0, -1.0, 1.0)) @ zvec.conj().T
             value = wt.value(a)
             if value > lower:
                 lower, best = value, a
-    return lower, witness_upper(wt, even_only), best
+    return lower, witness_upper(wt), best
 
 
 def ascent_lower_bound(wt: WitnessTensor, seed: int = 0, restarts: int = 20,
@@ -198,15 +180,16 @@ def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
 
     ``upper`` is ``witness_upper``.  ``value`` is ``witness_bracket``'s
     one-pass lower end on a spin chain, and the exact-zero certificate on a
-    fermionic one, where no lower end is formed; there both read the even
-    columns alone, as every fermionic operator is even.  ``seen`` holds
-    what the caller's run has already computed: kernels by the volume's
-    length and its terms (each as its offset in the volume, its length and
-    its matrix bytes, so translated volumes share one), and by that and the
-    region's placement in the volume the witness read off its centred map,
-    so each is computed once; a kernel is solved in its charge blocks.
+    fermionic one, where no lower end is formed.  Every fermionic operator
+    is even, so a fermionic map's odd columns are zeroed here, once, where
+    the map is built, and both ends read the even columns alone.  ``seen``
+    holds what the caller's run has already computed: kernels by the
+    volume's length and its terms (each as its offset in the volume, its
+    length and its matrix bytes, so translated volumes share one), and by
+    that and the region's placement in the volume the witness read off its
+    centred map, so each is computed once; a kernel is solved in its charge
+    blocks.
     """
-    fermion = eta.kind == "fermion"
     vol, region = ball(lam, x, n), ball(lam, x, k)
     phi = eta.restricted(vol)
     volume = (len(vol), tuple((t.support.a - vol.a, len(t.support),
@@ -216,9 +199,10 @@ def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
         if volume not in seen:
             seen[volume] = kernel_basis_dense(phi, vol)
         wt = witness_tensor(seen[volume], eta.local_dim, vol, region)
-        if fermion:
-            seen[key] = (exact_zero_certificate(wt, even_only=True),
-                         witness_upper(wt, even_only=True))
+        if eta.kind == "fermion":
+            p = parity_matrix(len(region))
+            wt.D[:, (p[:, None] != p[None, :]).ravel()] = 0.0
+            seen[key] = exact_zero_certificate(wt), witness_upper(wt)
         else:
             seen[key] = witness_bracket(wt)[:2]
     return seen[key]

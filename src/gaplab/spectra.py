@@ -5,7 +5,8 @@ Every kernel is solved in its volume's charge blocks, never whole
 tracked by sorted index; cluster identification between neighboring grid
 points is certified with the eigenvalue perturbation bound
 ``|lambda_i(A) - lambda_i(B)| <= |A - B|``.  When the certificate fails the
-grid is bisected up to a configured depth before giving up.
+grid is bisected up to ``MAX_DEPTH`` times before giving up.  The tracked
+cluster is always the kernel of ``H0`` (``kernel_cluster``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,22 @@ class FrustrationError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """Eigenvalue clusters could not be tracked at the configured resolution."""
+    """Eigenvalue clusters could not be tracked within ``MAX_DEPTH``
+    bisections."""
+
+
+# halvings of a grid step before ``gap_curve`` gives up certifying it
+MAX_DEPTH = 6
+
+
+def kernel_cluster(evals) -> int:
+    """The size of the tracked low cluster of a spectrum, its kernel count;
+    a spectrum with no kernel has no cluster to track (``FrustrationError``).
+    Every reader of a kernel or of the cluster it seeds decides it here."""
+    dim = kernel_count(evals)
+    if dim == 0:
+        raise FrustrationError("no kernel eigenvalues to track")
+    return dim
 
 
 def diagonalize(h):
@@ -50,13 +66,14 @@ def kernel_basis_dense(phi: Interaction, lam: Interval) -> np.ndarray:
     Each block of ``charge_blocks(phi, lam)`` is solved by ``diagonalize``.
     The kernel cut is ``kernel_mask`` on the merged spectrum, at the scale
     of the whole matrix and not of each block, and each block's kernel
-    columns are lifted into ``lam``'s basis by its sector's index set.
+    columns are lifted into ``lam``'s basis by its sector's index set.  An
+    empty kernel is refused by ``kernel_cluster``.
     """
     sectors, blocks = charge_blocks(phi, lam)
     solved = [diagonalize(block) for block in blocks]
-    mask = kernel_mask(np.concatenate([evals for evals, _ in solved]))
-    if not np.any(mask):
-        raise FrustrationError("no eigenvalue at the kernel scale")
+    merged = np.concatenate([evals for evals, _ in solved])
+    kernel_cluster(merged)
+    mask = kernel_mask(merged)
     edges = np.cumsum([0] + [idx.size for idx in sectors])
     kept = [np.pad(v[:, mask[a:b]], ((a, mask.size - b), (0, 0)))
             for (_, v), a, b in zip(solved, edges, edges[1:])]
@@ -84,17 +101,17 @@ class SpectrumSplit:
         return float(self.sp0.max() - self.sp0.min())
 
 
-def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
-              cluster_dim: int | None = None,
-              max_depth: int = 6) -> list[SpectrumSplit]:
+def gap_curve(eta: Interaction, pert: Interaction, lam: Interval,
+              eps_grid) -> list[SpectrumSplit]:
     """Low-cluster/rest split of ``H0 + eps Psi``, the Hamiltonians of
     ``eta`` and ``pert`` on ``lam``, along a grid of couplings.
 
     The low cluster collects the eigenvalues continuously connected to the
-    kernel of ``H0`` (sorted-index tracking).  Between neighboring grid points
-    the cluster identity is certified with the perturbation bound
+    kernel of ``H0`` (sorted-index tracking), as many as ``kernel_cluster``
+    counts on the spectrum of ``H0``.  Between neighboring grid points the
+    cluster identity is certified with the perturbation bound
     ``|step| * |Psi| < (gamma_left + gamma_right)/2``; failing pairs are
-    bisected up to ``max_depth`` halvings.
+    bisected up to ``MAX_DEPTH`` halvings (``RefinementError`` past them).
 
     Coupling zero reads ``hamiltonian_eigenvalues(eta, lam)``, solved once.
     Every other coupling, bisection midpoints included, reads one block plan
@@ -108,10 +125,7 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
     """
     psi_norm = sum(t.op.norm() for t in pert.terms if t.support in lam)
     ev0 = hamiltonian_eigenvalues(eta, lam)
-    if cluster_dim is None:
-        cluster_dim = kernel_count(ev0)
-        if cluster_dim == 0:
-            raise FrustrationError("no kernel eigenvalues to track")
+    cluster_dim = kernel_cluster(ev0)
     plan = coupled_blocks(eta, pert, lam) if any(eps_grid) else None
 
     def split_at(eps):
@@ -129,7 +143,7 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval, eps_grid,
             left, right, depth = stack.pop()
             if certified(left, right):
                 continue
-            if depth >= max_depth:
+            if depth >= MAX_DEPTH:
                 raise RefinementError(
                     f"cannot certify cluster tracking on [{left.eps}, {right.eps}]")
             mid = split_at(0.5 * (left.eps + right.eps))
@@ -179,11 +193,6 @@ class ProjectorFamily:
     def q(self, n: int) -> np.ndarray:
         """Q_n = 1 - P_{b(x,n)}, 1 <= n <= r_x, formed when read."""
         return np.eye(self.P.shape[-1]) - self.locals[n - 1]
-
-    @property
-    def E(self) -> list[np.ndarray]:
-        """E_1 .. E_{r_x+2}, each formed by ``e``."""
-        return [self.e(n) for n in range(1, self.r_x + 3)]
 
 
 def resolution_family(eta: Interaction, lam: Interval, x: int,
@@ -259,13 +268,11 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     reported per coupling and depth, in that order.  Every spectrum is
     ``hamiltonian_eigenvalues`` on ``lam``: a coupling-zero row, or a depth
     that keeps no term, reads that of ``eta``, solved once; every other row
-    solves ``coupled(eta, kept, eps)``.  An ``eta`` with no kernel has no
-    cluster to split (``FrustrationError``).
+    solves ``coupled(eta, kept, eps)``.  The cluster is the kernel of
+    ``eta`` (``kernel_cluster``, which refuses an empty one).
     """
     ev0 = hamiltonian_eigenvalues(eta, lam)
-    kdim = kernel_count(ev0)
-    if kdim == 0:
-        raise FrustrationError("no kernel eigenvalues to track")
+    kdim = kernel_cluster(ev0)
     rows = []
     for eps in couplings:
         for depth in depths:

@@ -84,9 +84,9 @@ from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, charge_stack
 from .operator_algebra import (LocalOperator, charge_sectors,
                                conditional_expectation, delta_layer,
-                               join_blocks, kernel_count, operator_norm)
-from .spectra import (FrustrationError, ProjectorFamily, cluster_projector,
-                      diagonalize)
+                               join_blocks, operator_norm)
+from .spectra import (ProjectorFamily, cluster_projector, diagonalize,
+                      kernel_cluster)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +377,7 @@ class FlowResult:
 
 def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
                    eps: float, window: Window, checkpoints: int = 33,
-                   cluster_dim: int | None = None, ode_tol: float = 1e-8,
-                   keep=()) -> FlowResult:
+                   ode_tol: float = 1e-8, keep=()) -> FlowResult:
     """Integrate U' = K(s) U to ``eps`` with RK4, re-unitarizing each step
     by the Newton-Schulz polar step of ``_polar_unitary`` (the RK4 step
     leaves ``U`` unitary to rounding, so one step of two products suffices;
@@ -414,9 +413,9 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     projector with the spectral one: ``spectra.cluster_projector`` reads
     the gap and the cluster frames off the eigendecomposition that built
     the generator there, and ``p0``, the cluster projector of ``H_0``, off
-    the one at s = 0, whose kernel count is the cluster size unless
-    ``cluster_dim`` is given (``FrustrationError`` if it is 0), so ``H_0``
-    is solved once.  The drift is read from the cluster frames
+    the one at s = 0, whose kernel is the cluster
+    (``spectra.kernel_cluster``, which refuses an empty one), so ``H_0`` is
+    solved once.  The drift is read from the cluster frames
     (``_frame_drift``): no projector but ``p0`` is formed.  The unitaries
     are real orthogonal when ``H_0`` and ``Psi`` are real.
 
@@ -450,13 +449,14 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     # One solve per coupling gives the generator and, at a checkpoint, the
     # tracked gap and each block's cluster eigenvectors; the solves at both
     # ends are kept, and a later pass forms its generators there from them,
-    # so no end is solved twice.  The first solve, at s = 0, fixes a
-    # default cluster.
+    # so no end is solved twice.  The first solve, at s = 0, fixes the
+    # cluster size.
     keys = [round(float(s), 15) for s in grid]
     end_keys = (keys[0], keys[-1])
     gen_cache: dict[float, np.ndarray] = {}
     tracked: dict[float, tuple[float, list]] = {}
     ends: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    cluster_dim = None
 
     def gen(s):
         nonlocal cluster_dim
@@ -465,9 +465,7 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
             evals, evecs = (ends[key][:2] if key in ends
                             else diagonalize(b0 + s * bp))
             if cluster_dim is None:
-                cluster_dim = kernel_count(evals)
-                if cluster_dim == 0:
-                    raise FrustrationError("no kernel eigenvalues to track")
+                cluster_dim = kernel_cluster(evals)
             gen_cache[key] = eigenbasis_generator(evals, evecs, bp, window)
             if key in keys:
                 tracked[key] = cluster_projector(evals, evecs, cluster_dim)

@@ -511,3 +511,27 @@ def projected_ascent(wt, seed: int = 0, restarts: int = 20, iters: int = 200):
         if val > best_val:
             best_val, best_a = val, a
     return best_val, best_a
+
+
+# --- the fermionic witness read over the even columns of the whole map ----------
+
+
+def _even_columns(wt) -> np.ndarray:
+    """The columns of the centred map ``D`` at parity-preserving entries."""
+    p = parity_matrix(len(wt.region))
+    return (p[:, None] == p[None, :]).ravel()
+
+
+def even_certificate(wt) -> float:
+    """The exact-zero certificate for even observables: ``max|D|`` over the
+    even columns of a map whose odd columns are left as they are."""
+    return float(np.max(np.abs(wt.D[:, _even_columns(wt)])))
+
+
+def even_upper(wt) -> float:
+    """The upper end for even observables: ``|N|_2`` of the trace norms of
+    the slices ``D_ab`` with their odd entries zeroed, as a new array."""
+    dx = int(round(np.sqrt(wt.D.shape[1])))
+    slices = np.where(_even_columns(wt), wt.D, 0.0).reshape(-1, dx, dx)
+    trace_norms = np.linalg.svd(slices, compute_uv=False).sum(axis=-1)
+    return float(np.linalg.norm(trace_norms.reshape(wt.rank, wt.rank), 2))

@@ -20,7 +20,7 @@ from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         cmd_flow, cmd_sp0scan, cmd_validate, flow_bundle,
                         load_config, main, merged_config, run, summary_lines,
                         write_artifacts)
-from gaplab.interaction import to_json
+from gaplab.interaction import random_interaction, to_json
 from gaplab.lattice import Interval
 from gaplab.models import kernel_data, orbital_interaction, \
     paired_orbital_model
@@ -276,6 +276,36 @@ def test_main_validates_a_model_file(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.count("[PASS] validate: custom") == 2
+
+
+def test_a_model_files_gap_is_the_step_above_its_kernel(tmp_path):
+    """A ``file:`` model's ``validate.csv`` rows read the gap above the
+    kernel, ``E_k - E_{k-1}``, as the orbital rows do: the orbital chain on
+    [0, 5] saved to a file reads the orbital row's gap, and a model with no
+    kernel reads ``nan``, not its ground energy, and fails."""
+    lam = Interval(0, 5)
+    orbital = tmp_path / "orbital.json"
+    orbital.write_text(to_json(orbital_interaction(paired_orbital_model(lam),
+                                                   lam)), encoding="utf-8")
+    frustrated = tmp_path / "random.json"
+    frustrated.write_text(to_json(random_interaction(Interval(0, 11), seed=3,
+                                                     n_terms=8)),
+                          encoding="utf-8")
+
+    def validate(patch):
+        rep = cmd_validate(merged_config(patch), {})
+        return rep, rep.tables["validate.csv"][1]
+
+    _, rows = validate({"lengths": [6], "ltqo": {"aklt_lengths": [4]}})
+    (ref,) = [row for row in rows if row[:3] == ("orbital", 6, 0)]
+    rep, (row,) = validate({"model": f"file:{orbital}", "lengths": [6]})
+    assert rep.passed and row[5] == ref[5] == 1
+    assert row[4] == pytest.approx(ref[4], rel=0, abs=1e-14)
+    rep, rows = validate({"model": f"file:{frustrated}", "lengths": [6, 8]})
+    assert not rep.passed and len(rows) == 2
+    for _, _, _, ground, gap, kdim, *_, status in rows:
+        assert ground < -1.0 and kdim == 0 and status == "fail"
+        assert np.isnan(gap)
 
 
 @pytest.mark.parametrize("command", ["ltqo", "flow", "bounds", "gapsweep",
@@ -546,10 +576,9 @@ def test_the_stability_pipelines_need_no_closed_form(tmp_path, monkeypatch):
 
 
 def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
-    """On every volume of the ``all-L10`` workload the gap curve without a
-    cluster size, which counts the kernel of the coupling-zero spectrum it
-    solves, equals bit for bit the one given the closed-form kernel
-    dimension."""
+    """On every volume of the ``all-L10`` workload the gap curve, which
+    counts the kernel of the coupling-zero spectrum it solves, tracks a
+    cluster of the closed-form kernel dimension at every coupling."""
     cfg = merged_config(ALL_L10)
     grid = np.linspace(0.0, 0.05, 11)
     lengths = cli._stability_lengths(cfg)
@@ -558,13 +587,8 @@ def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
         lam, eta, pert = cli._volume(cfg, length)
         kdim, _ = kernel_data(paired_orbital_model(lam), lam)
         read = gap_curve(eta, pert, lam, grid)
-        given = gap_curve(eta, pert, lam, grid, cluster_dim=kdim)
-        assert len(read) == len(given) == len(grid)
-        for a, b in zip(read, given):
-            assert a.eps == b.eps
-            assert a.sp0.size == kdim
-            assert np.array_equal(a.sp0, b.sp0)
-            assert np.array_equal(a.sp1, b.sp1)
+        assert [sp.eps for sp in read] == list(grid)
+        assert all(sp.sp0.size == kdim for sp in read)
 
 
 def test_benchmark_workloads_keep_their_artifacts(tmp_path):

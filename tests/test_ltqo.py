@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaplab import cli, ltqo
 from gaplab.cli import _orbital, _window, cmd_ltqo, merged_config
 from gaplab.interaction import Interaction
 from gaplab.lattice import Interval, ball
-from gaplab.ltqo import (ascent_lower_bound, exact_zero_certificate,
-                         ltqo_witness, witness_bracket, witness_tensor,
-                         witness_upper)
+from gaplab.ltqo import (ascent_lower_bound, ltqo_witness, witness_bracket,
+                         witness_tensor, witness_upper)
 from gaplab.models import aklt_interaction
-from gaplab.operator_algebra import LocalOperator, embed, operator_norm
+from gaplab.operator_algebra import LocalOperator, embed, operator_norm, \
+    parity_matrix
 from gaplab.spectra import ground_projector, kernel_basis_dense
-from oracles import parity_even, projected_ascent, random_hermitian, \
-    random_matrix, traced_peak
+from oracles import even_certificate, even_upper, parity_even, \
+    projected_ascent, random_hermitian, random_matrix, traced_peak
 
 
 def _volume(model: str):
@@ -66,7 +66,7 @@ def test_zero_certificate_bounds_even_witnesses():
     for k in (0, 1, 2):
         region = ball(lam, x, k)
         wt = _tensor(eta, ball(lam, x, 3), region)
-        assert exact_zero_certificate(wt, even_only=True) <= 1e-11
+        assert even_certificate(wt) <= 1e-11
         for _ in range(10):
             a = parity_even(random_hermitian(rng, 2 ** len(region), True))
             assert wt.value(a / operator_norm(a)) <= 1e-11
@@ -97,10 +97,10 @@ def test_orbital_checks_fail_on_a_broken_chain(monkeypatch):
 
 def test_fermionic_rows_read_the_certificate_and_an_even_upper_end(
         monkeypatch):
-    """A fermionic witness reads the exact-zero certificate over the even
-    columns and the upper end over the even columns alone, and forms no
-    lower end: filling the odd columns of the centred map moves neither,
-    but moves the upper end read over every column."""
+    """A fermionic witness reads the exact-zero certificate and the upper
+    end over the even columns alone, and forms no lower end: filling the
+    odd columns of the centred map it builds moves neither, but moves the
+    upper end read over every column."""
     def refuse(*args, **kwargs):
         raise AssertionError("a fermionic row formed a lower end")
 
@@ -109,62 +109,103 @@ def test_fermionic_rows_read_the_certificate_and_an_even_upper_end(
     x, n, k = 4, 2, 1
     value, upper = ltqo_witness(eta, vol, x, n, k, {})
     wt = _tensor(eta, ball(vol, x, n), ball(vol, x, k))
-    assert value == exact_zero_certificate(wt, even_only=True)
-    assert upper == witness_upper(wt, even_only=True) <= 1e-11
+    assert value == even_certificate(wt)
+    assert upper == even_upper(wt) <= 1e-11
     dx = 2 ** len(wt.region)
     odd = parity_even(np.ones((dx, dx))).ravel() == 0
     wt.D[:, odd] = 1.0
-    assert exact_zero_certificate(wt, even_only=True) == value
-    assert witness_upper(wt, even_only=True) == upper
     assert witness_upper(wt) > 1.0
+    monkeypatch.setattr(ltqo, "witness_tensor", lambda *args: wt)
+    assert ltqo_witness(eta, vol, x, n, k, {}) == (value, upper)
+
+
+def _even_reads_match(eta, lam, x, n, k, basis):
+    """``ltqo_witness`` of a fermionic row, bit for bit the oracle reads
+    over the even columns of the whole map of ``basis``."""
+    wt = witness_tensor(basis, 2, ball(lam, x, n), ball(lam, x, k))
+    return ltqo_witness(eta, lam, x, n, k, {}) == (even_certificate(wt),
+                                                   even_upper(wt))
+
+
+def test_fermionic_rows_match_the_even_column_reads(monkeypatch):
+    """On every orbital row of the default ``ltqo`` grid, the witness read
+    off the map whose odd columns were zeroed where it was built equals,
+    bit for bit, the certificate over the even columns of the whole map
+    and the upper end over its even-zeroed slices."""
+    rows = []
+
+    def checked(eta, lam, x, n, k, seen):
+        if eta.kind == "fermion":
+            vol = ball(lam, x, n)
+            basis = kernel_basis_dense(eta.restricted(vol), vol)
+            assert _even_reads_match(eta, lam, x, n, k, basis)
+            rows.append((x, n, k))
+        return ltqo_witness(eta, lam, x, n, k, seen)
+
+    monkeypatch.setattr(cli, "ltqo_witness", checked)
+    _, table = cmd_ltqo(merged_config({}), {}).tables["ltqo.csv"]
+    assert rows == [tuple(row[1:4]) for row in table if row[0] == "orbital"]
+    assert len(rows) > 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_fermionic_rows_match_the_even_column_reads_on_random_kernels(
+        sites, rank, complex_, seed):
+    """On a random orthonormal kernel of ``rank`` columns, each even or
+    odd, on ``sites`` fermionic sites, and a random ball inside them, the
+    witness equals the even-column reads bit for bit."""
+    rng = np.random.default_rng(seed)
+    lam = Interval(0, sites - 1)
+    even, half = parity_matrix(sites) > 0, 2 ** (sites - 1)
+    n_even = int(rng.integers(max(0, rank - half), min(rank, half) + 1))
+    basis = np.zeros((2 ** sites, rank), complex if complex_ else float)
+    for rows, cols in ((even, slice(0, n_even)), (~even, slice(n_even, rank))):
+        q = np.linalg.qr(random_matrix(rng, half, complex_))[0]
+        basis[rows, cols] = q[:, :cols.stop - cols.start]
+    x = int(rng.integers(0, sites))
+    k = int(rng.integers(0, 2))
+    eta = Interaction([], "fermion", 2)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(ltqo, "kernel_basis_dense", lambda phi, vol: basis)
+        assert _even_reads_match(eta, lam, x, sites, k, basis)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["spin2", "spin3", "fermion"]), st.integers(2, 5),
-       st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
-# a slice whose Hermitian part has eigenvalues meeting across the parities
-@example("fermion", 3, 2, False, 23830276)
-def test_bracket_holds_every_witness_on_random_kernels(kind, sites, rank,
+@given(st.sampled_from([2, 3]), st.integers(2, 5), st.integers(1, 4),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_bracket_holds_every_witness_on_random_kernels(d, sites, rank,
                                                        complex_, seed):
     """On a random orthonormal kernel of ``rank`` columns and a random
     region of the volume, the bracket's lower end is ``value`` of its own
-    observable, which is Hermitian, of norm at most 1 and even on a
-    fermionic chain, and it is at least
-    each entry's reach, the trace norm of the Hermitian part of
+    observable, which is Hermitian and of norm at most 1, and it is at
+    least each entry's reach, the trace norm of the Hermitian part of
     ``phase D_ab^T`` for each phase in ``{1, i}``; ``w(A)`` lies below the
-    upper end for random ``A`` of norm 1 (even on a fermionic chain), and
-    so does the lower end."""
+    upper end for random ``A`` of norm 1, and so does the lower end."""
     rng = np.random.default_rng(seed)
-    d = 3 if kind == "spin3" else 2
     sites = min(sites, 4) if d == 3 else sites
     vol = Interval(0, sites - 1)
     a = int(rng.integers(0, sites))
     region = Interval(a, int(rng.integers(a, min(a + 2, sites - 1) + 1)))
     basis = np.linalg.qr(random_matrix(rng, d ** sites, complex_))[0]
     wt = witness_tensor(basis[:, :rank], d, vol, region)
-    even = kind == "fermion"
-    lower, upper, obs = witness_bracket(wt, even_only=even)
+    lower, upper, obs = witness_bracket(wt)
     assert lower == wt.value(obs)
     assert np.array_equal(obs, obs.conj().T) or \
         np.max(np.abs(obs - obs.conj().T)) <= 1e-14
     assert operator_norm(obs) <= 1.0 + 1e-14
-    if even:
-        assert np.array_equal(parity_even(obs), obs)
     slack = 1e-14 * max(1.0, upper)
     assert lower <= upper + slack
     # the sign matrix of Re(phase X_ab) makes that entry the trace norm of
     # the Hermitian part of phase D_ab^T, and w(A) >= |X_ab|
     dx = d ** len(region)
     slices = wt.D.reshape(-1, dx, dx)
-    if even:
-        slices = slices * (parity_even(np.ones((dx, dx))) != 0)
     entry = max(float(np.sum(np.abs(np.linalg.eigvalsh(h + h.conj().T)))) / 2
                 for z in slices for h in (z.T, 1j * z.T))
     assert lower >= entry - slack
     for _ in range(5):
         obs = random_hermitian(rng, d ** len(region), complex_)
-        if even:
-            obs = parity_even(obs)
         assert wt.value(obs / operator_norm(obs)) <= upper + slack
 
 
@@ -290,9 +331,9 @@ def test_ascent_normalises_only_its_starts(model, monkeypatch):
 def test_each_witness_is_computed_once_per_run(monkeypatch):
     """One ``cmd_ltqo`` call solves each distinct volume kernel once and
     reads each distinct witness once: a bracket on spin-1 sites for each
-    AKLT row, an upper end over the even columns for each orbital row; no
-    ascent runs.  The 6-site AKLT chain's rows are its 5-site rows again,
-    and every orbital row is a certified zero."""
+    AKLT row, an upper end of a map with zeroed odd columns for each
+    orbital row; no ascent runs.  The 6-site AKLT chain's rows are its
+    5-site rows again, and every orbital row is a certified zero."""
     kernels, brackets, uppers = [], [], []
 
     def kernel(phi, vol):
@@ -301,14 +342,17 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
             for t in phi.terms if t.support in vol)))
         return kernel_basis_dense(phi, vol)
 
-    def bracket(wt, even_only=False):
-        brackets.append((wt.D.tobytes(), even_only,
-                         math.isqrt(wt.D.shape[1]), wt.region))
-        return witness_bracket(wt, even_only)
+    def bracket(wt):
+        brackets.append((wt.D.tobytes(), math.isqrt(wt.D.shape[1]),
+                         wt.region))
+        return witness_bracket(wt)
 
-    def upper(wt, even_only=False):
-        uppers.append((wt.D.tobytes(), even_only))
-        return witness_upper(wt, even_only)
+    def upper(wt):
+        p = parity_matrix(len(wt.region))
+        zeroed = math.isqrt(wt.D.shape[1]) == p.size and not np.any(
+            wt.D[:, (p[:, None] != p[None, :]).ravel()])
+        uppers.append((wt.D.tobytes(), zeroed))
+        return witness_upper(wt)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an ascent ran")
@@ -330,9 +374,8 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
     assert kinds == {"orbital": {"zero"}, "aklt5": {"bracket"},
                      "aklt6": {"bracket"}}
     assert len(brackets) == len(values["aklt5"])
-    assert all(not even and dx == 3 ** len(region)
-               for _, even, dx, region in brackets)
-    assert sum(even for _, even in uppers) == len(uppers) - len(brackets)
+    assert all(dx == 3 ** len(region) for _, dx, region in brackets)
+    assert sum(zeroed for _, zeroed in uppers) == len(uppers) - len(brackets)
     assert values["aklt6"] == values["aklt5"] and len(values["aklt5"]) == 2
     assert all(row[9] >= row[6] for row in rows)
 

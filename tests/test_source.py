@@ -50,3 +50,79 @@ def test_every_top_level_definition_is_read_somewhere():
         f"nothing reads {sorted(unread - set(UNREAD))}"
     assert not set(UNREAD) - unread, \
         f"now read, so no longer exempt: {sorted(set(UNREAD) - unread)}"
+
+
+# Keyword parameters with a default that no call in the package passes,
+# each with the reason the default stays.
+UNPASSED = {
+    "cli.main.argv": "the command line, read from sys.argv when main runs "
+                     "as the gaplab script",
+    "ffunction.norm_sum.truncation": "the tail tests vary it",
+    "ffunction.regroup_decay.truncation": "the tail tests vary it",
+    **{f"ltqo.ascent_lower_bound.{name}": "the ascent is the tests' "
+       "reference, run only from them" for name in ("seed", "restarts",
+                                                    "iters")},
+}
+
+
+def _defaults(tree, prefix, method=False):
+    """``(qualname, function name, parameter, positional index)`` of every
+    parameter with a default of every function in ``tree``, methods and
+    nested functions too; a method's index counts its arguments after
+    ``self`` (the package has no static method), and a keyword-only
+    parameter's is ``None``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found += _defaults(node, f"{prefix}{node.name}.", method=True)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args, name = node.args, f"{prefix}{node.name}"
+            pos = args.posonlyargs + args.args
+            first = len(pos) - len(args.defaults)
+            found += [(f"{name}.{arg.arg}", node.name, arg.arg, i - method)
+                      for i, arg in enumerate(pos) if i >= first]
+            found += [(f"{name}.{arg.arg}", node.name, arg.arg, None)
+                      for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+            found += _defaults(node, f"{name}.")
+        else:
+            found += _defaults(node, prefix, method)
+    return found
+
+
+def _passes(call, param, index) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, by position at
+    ``index``, or through a ``*`` or ``**`` splat."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_default_is_passed_somewhere():
+    """Every parameter with a default, of every function and method of the
+    package, is passed by some call inside the package (to a function of
+    that name), by keyword or by position, or is listed in ``UNPASSED``
+    with its reason; a listed one that gains a caller leaves the list.  A
+    default only the tests change is an option no run of the program
+    sets."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unpassed = {qualname
+                for module, tree in trees.items()
+                for qualname, name, param, index in _defaults(tree,
+                                                              f"{module}.")
+                if not any(_passes(call, param, index)
+                           for call in calls.get(name, []))}
+    assert not unpassed - set(UNPASSED), \
+        f"no call passes {sorted(unpassed - set(UNPASSED))}"
+    assert not set(UNPASSED) - unpassed, \
+        f"now passed, so no longer exempt: {sorted(set(UNPASSED) - unpassed)}"

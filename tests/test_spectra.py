@@ -19,6 +19,7 @@ from gaplab.spectra import (FrustrationError, RefinementError,
                             ground_projector, higher_gap_track,
                             kernel_basis_dense, resolution_family,
                             sigma_projection, sp0_diameter_scan)
+from gaplab.spectral_flow import Window, flow_unitaries
 from gaplab import interaction, spectra
 from oracles import dense_kernel_projector, on_chain, one_site, \
     parity_even, random_hermitian, split_blocks
@@ -173,18 +174,11 @@ def test_gap_curve_tracks_through_shift():
 
 def test_gap_curve_refinement_error_on_closing():
     # the perturbation closes the gap inside the sweep: tracking must refuse
+    # within the fixed number of bisections
     h0 = np.diag([0.0, 1.0])
     psi = np.diag([1.0, -1.0])
     with pytest.raises(RefinementError):
-        curve(h0, psi, [0.0, 0.5, 1.0], max_depth=3)
-
-
-def test_gap_curve_respects_cluster_dim():
-    h0 = np.diag([0.0, 0.001, 1.0])
-    psi = np.zeros((3, 3))
-    splits = curve(h0, psi, [0.0, 0.1], cluster_dim=2)
-    assert splits[0].sp0.size == 2
-    assert splits[0].gamma == pytest.approx(0.999, abs=1e-12)
+        curve(h0, psi, [0.0, 0.5, 1.0])
 
 
 def _sweep_case(kind, n, complex_, rng):
@@ -458,20 +452,21 @@ def test_resolution_family_identities():
     p, modulus = _volume_projector(eta, lam)
     fam = resolution_family(eta, lam, 3, p, modulus)
     assert fam.r_x == 3
-    assert all(m.shape == (2, 64, 64) for m in fam.locals + fam.E)
+    es = [fam.e(n) for n in range(1, fam.r_x + 3)]
+    assert all(m.shape == (2, 64, 64) for m in fam.locals + es)
     eye = np.broadcast_to(np.eye(64), fam.P.shape)
-    total = sum(fam.E)
+    total = sum(es)
     np.testing.assert_allclose(total, eye, atol=1e-10)
     # partial sums telescope to 1 - P_{b(x,n)}
     partial = np.zeros_like(fam.P)
-    for n, e in enumerate(fam.E[:-2], start=1):
+    for n, e in enumerate(es[:-2], start=1):
         partial = partial + e
         np.testing.assert_allclose(partial, eye - fam.locals[n - 1],
                                    atol=1e-10)
         # annihilation: P_{b(x,n)} E_n = 0
         assert operator_norm(fam.locals[n - 1] @ e) <= 1e-10
     # nesting makes every E_n a projector here
-    for e in fam.E:
+    for e in es:
         np.testing.assert_allclose(e @ e, e, atol=1e-9)
 
 
@@ -479,7 +474,7 @@ def test_resolution_terms_are_formed_one_at_a_time():
     """Around every site two deep (``r_x`` 2 and 3), ``e(n)`` is the
     difference of consecutive members of ``1, P_{b(x,1)}, ..,
     P_{b(x,r_x)}, P``, and ``P`` itself at ``n = r_x + 2``, and ``q(n)`` is
-    ``1 - P_{b(x,n)}``, bit for bit; ``E`` lists the ``e(n)``."""
+    ``1 - P_{b(x,n)}``, bit for bit."""
     lam = Interval(0, 6)
     eta = ising(lam)
     p, modulus = _volume_projector(eta, lam)
@@ -488,10 +483,9 @@ def test_resolution_terms_are_formed_one_at_a_time():
         eye = np.eye(64)
         chain = [eye, *fam.locals, fam.P]
         whole = [a - b for a, b in zip(chain, chain[1:])] + [fam.P]
-        assert len(fam.E) == len(whole) == fam.r_x + 2
+        assert len(whole) == fam.r_x + 2
         for n, ref in enumerate(whole, start=1):
             assert fam.e(n).tobytes() == ref.tobytes()
-            assert fam.E[n - 1].tobytes() == ref.tobytes()
         assert fam.e(fam.r_x + 2) is fam.P
         for n in range(1, fam.r_x + 1):
             assert fam.q(n).tobytes() == (eye - fam.locals[n - 1]).tobytes()
@@ -587,12 +581,12 @@ def test_higher_gap_track_keeps_rounded_levels_at_the_window_edges():
 
 
 def test_higher_gap_track_window_must_be_populated():
-    with pytest.raises(ValueError, match="no spectrum"):
-        higher_gap_track(curve(np.diag([5.0, 6.0]), np.eye(2), [0.0],
-                               cluster_dim=1), nu=1.0, mu=2.0)
+    with pytest.raises(ValueError, match="no spectrum at or below nu = -1.0"):
+        higher_gap_track(curve(np.diag([0.0, 6.0]), np.eye(2), [0.0]),
+                         nu=-1.0, mu=2.0)
     with pytest.raises(ValueError, match="no spectrum at or above mu = 9.0"):
-        higher_gap_track(curve(np.diag([0.0, 6.0]), np.eye(2), [0.0],
-                               cluster_dim=1), nu=1.0, mu=9.0)
+        higher_gap_track(curve(np.diag([0.0, 6.0]), np.eye(2), [0.0]),
+                         nu=1.0, mu=9.0)
 
 
 def test_higher_gap_track_needs_coupling_zero_first():
@@ -622,16 +616,23 @@ def test_sp0_scan_trivial_cases():
     assert rows[0] == {**rows[1], "depth": 1}
 
 
-def test_sp0_scan_without_a_kernel_is_refused():
-    """An ``H0`` with no kernel has no cluster to split: the scan refuses
-    it as ``gap_curve`` does, and never reads an empty cluster."""
+def test_every_kernel_reader_refuses_an_empty_kernel_alike():
+    """An ``H0`` with no kernel has no cluster to track: the four readers
+    of its kernel, ``kernel_basis_dense``, ``gap_curve``,
+    ``sp0_diameter_scan`` and ``flow_unitaries``, refuse it with one
+    message, ``kernel_cluster``'s, and never read an empty cluster."""
     lam = Interval(0, 5)
     eta = random_interaction(lam, seed=1)
     pert = random_interaction(lam, seed=2, n_terms=4, max_diameter=1)
-    for scan in (lambda: gap_curve(eta, pert, lam, [0.0, 0.1]),
-                 lambda: sp0_diameter_scan(eta, pert, lam, [0.1], [1])):
-        with pytest.raises(FrustrationError, match="no kernel"):
-            scan()
+    assert kernel_count(hamiltonian_eigenvalues(eta, lam)) == 0
+    for read in (lambda: kernel_basis_dense(eta, lam),
+                 lambda: gap_curve(eta, pert, lam, [0.0, 0.1]),
+                 lambda: sp0_diameter_scan(eta, pert, lam, [0.1], [1]),
+                 lambda: flow_unitaries(eta, pert, lam, 0.1, Window(0.8),
+                                        checkpoints=5)):
+        with pytest.raises(FrustrationError) as refused:
+            read()
+        assert str(refused.value) == "no kernel eigenvalues to track"
 
 
 def test_sp0_scan_reports_gamma():

@@ -436,7 +436,7 @@ def test_flow_runs_in_the_field_of_its_inputs():
              (h6, _random_pair()[1].real, 0.01, np.float64)]
     for h0, psi, eps, dtype in cases:
         flow = flow_unitaries(*flow_pair(h0, psi), eps, Window(GAMMA),
-                              checkpoints=5, cluster_dim=1, keep=range(5))
+                              checkpoints=5, keep=range(5))
         assert all(u.dtype == dtype for u in flow.unitaries.values())
         ks = [k for _, _, k in flow.end_spectra]
         assert all(k.dtype == dtype for k in ks)
@@ -477,7 +477,7 @@ def test_flow_solves_h0_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.01, Window(GAMMA),
-                          checkpoints=5, cluster_dim=1)
+                          checkpoints=5)
     h0_blocks = split_blocks(h0, sectors)
     assert sum(np.array_equal(h, h0_blocks) for h in solved) == 1
     evals, evecs, _ = flow.end_spectra[0]
@@ -498,10 +498,10 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     h0, psi = even_pair(np.random.default_rng(seed), 2 ** k, complex_)
     args = (0.05, Window(GAMMA))
     blocked = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
-                             cluster_dim=2, keep=range(5))
+                             keep=range(5))
     with patch.object(interaction, "conserved_modulus", _keeps_nothing):
         whole = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
-                               cluster_dim=2, keep=range(5))
+                               keep=range(5))
     assert (blocked.modulus, whole.modulus) == (2, 1)
     assert len(blocked.sectors) == 2 and len(whole.sectors) == 1
 
@@ -527,7 +527,7 @@ def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, Window(GAMMA),
-                          checkpoints=5, cluster_dim=2, keep=[4])
+                          checkpoints=5, keep=[4])
     assert shapes and set(shapes) == {(1, 8, 8)}
     assert len(flow.sectors) == 1
     assert join_blocks(flow.unitaries[4], flow.sectors)[0, 1] != 0.0
@@ -541,45 +541,23 @@ def test_flow_rejects_closing_gap():
                        checkpoints=9)
 
 
-def _same_bits(a, b) -> bool:
-    """``a`` and ``b`` equal bit for bit: arrays, numbers, or dicts, lists
-    and tuples of them."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(map(_same_bits, a, b))
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b)
-    return a == b
-
-
 def test_flow_reads_its_cluster_off_the_solve_at_coupling_zero(monkeypatch):
     """On the default flow volume (8 sites, perturbation radius 2, 33
-    checkpoints, the form-bound couplings kept) the flow without a cluster
-    size tracks the kernel of ``H0`` read off its own solve at s = 0: the
-    result equals, bit for bit, the flow given the closed-form kernel
-    dimension, and it makes the same ``eigh`` and ``eigvalsh`` calls, no
-    more."""
+    checkpoints) the flow tracks the kernel of ``H0`` read off its own
+    solve at s = 0: ``P(0)`` has the closed-form kernel dimension as its
+    rank, and counting it takes no solve: one ``eigh`` of the stack of
+    parity blocks per checkpoint coupling, and no other."""
     lam = Interval(0, 7)
     model = paired_orbital_model(lam)
     eta = orbital_interaction(model, lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
     psi = split_edge_bulk(pert, lam, 2).bulk
-    args = (eta, psi, lam, 0.02, Window(GAMMA))
-    kwargs = {"checkpoints": 33, "keep": _form_bound_checkpoints(32)}
-    results, solves = [], []
-    for extra in ({"cluster_dim": kernel_data(model, lam)[0]}, {}):
-        shapes = []
-        with monkeypatch.context() as patched:
-            for name in ("eigh", "eigvalsh"):
-                _counting(patched, name, shapes)
-            results.append(flow_unitaries(*args, **kwargs, **extra))
-        solves.append(shapes)
-    given, read = results
-    for field in fields(given):
-        assert _same_bits(getattr(given, field.name),
-                          getattr(read, field.name)), field.name
-    assert solves[1] == solves[0]
+    shapes = []
+    _counting(monkeypatch, "eigh", shapes)
+    flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA))
+    assert shapes == [(2, 128, 128)] * 33
+    rank = np.trace(flow.p0, axis1=-2, axis2=-1).sum()
+    assert rank == pytest.approx(kernel_data(model, lam)[0], abs=1e-12)
 
 
 def test_flow_without_a_kernel_to_track_is_refused():
@@ -645,7 +623,7 @@ def bundle():
     psi = split_edge_bulk(pert, lam, 1).bulk
     kdim, _ = kernel_data(model, lam)
     flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
-                          cluster_dim=kdim, keep=range(9))
+                          keep=range(9))
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
             "p0": flow.p0, "dec": decompose_phi1(flow, eta, psi, lam),
             "h0": local_hamiltonian(eta, lam).matrix,
@@ -761,13 +739,13 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
     window, tol = Window(GAMMA), 1e-13
     calls = _counted_generators(monkeypatch)
     first = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
-                           checkpoints=3, cluster_dim=2, ode_tol=1.0)
+                           checkpoints=3, ode_tol=1.0)
     assert first.ode_error > tol and len(calls) == 2 * 2 + 1
     calls.clear()
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
-                          checkpoints=3, cluster_dim=2, ode_tol=tol,
+                          checkpoints=3, ode_tol=tol,
                           keep=range(3))
     assert flow.ode_error <= tol
     assert len(calls) == 2 * 2 + 1 + 4 * 2 + 1 + 8 * 2 + 1
@@ -790,10 +768,10 @@ def test_refined_flow_decomposes_the_accepted_pass(monkeypatch):
     window, tol = Window(GAMMA), 1e-13
     calls = _counted_generators(monkeypatch)
     args = (eta_i, psi_i, lam, 0.05, window)
-    first = flow_unitaries(*args, checkpoints=3, cluster_dim=2, ode_tol=1.0,
+    first = flow_unitaries(*args, checkpoints=3, ode_tol=1.0,
                            keep=[2])
     calls.clear()
-    flow = flow_unitaries(*args, checkpoints=3, cluster_dim=2, ode_tol=tol,
+    flow = flow_unitaries(*args, checkpoints=3, ode_tol=tol,
                           keep=[2])
     assert len(calls) == 2 * 2 + 1 + 4 * 2 + 1 + 8 * 2 + 1    # three passes
     assert list(flow.unitaries) == [2]
@@ -836,7 +814,7 @@ def test_each_first_rung_solves_its_nodes_within_the_oracle_estimate(
     calls, shapes = _counted_generators(monkeypatch), []
     _counting(monkeypatch, "eigh", shapes)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.1, window,
-                          checkpoints=checkpoints, cluster_dim=2,
+                          checkpoints=checkpoints,
                           keep=range(checkpoints))
     assert (len(calls), len(shapes)) == (generators, solves)
     assert flow.ode_error >= 1e-12
@@ -881,7 +859,7 @@ def test_end_point_pieces_equal_the_simpson_oracle(bundle, complex_,
                       _keeps_nothing if one_block
                       else interaction.conserved_modulus):
         flow = flow_unitaries(eta, psi, lam, 0.02, window, checkpoints=9,
-                              cluster_dim=bundle["kdim"], keep=range(9))
+                              keep=range(9))
     assert flow.modulus == (1 if one_block else 2)
     assert flow.unitaries[8].dtype == (np.complex128 if complex_
                                        else np.float64)
@@ -907,7 +885,7 @@ def _traced_flow(bundle, checkpoints):
     """The L = 8 flow at ``checkpoints`` and its peak of traced memory."""
     return traced_peak(lambda: flow_unitaries(
         bundle["eta"], bundle["psi"], bundle["lam"], 0.02, Window(GAMMA),
-        checkpoints=checkpoints, cluster_dim=bundle["kdim"]))
+        checkpoints=checkpoints))
 
 
 def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not_set(
@@ -1066,7 +1044,7 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
     monkeypatch.setattr(np.linalg, "norm", norm)
     flow = flow_unitaries(bundle["eta"], bundle["psi"], bundle["lam"], 0.02,
                           Window(GAMMA), checkpoints=9,
-                          cluster_dim=bundle["kdim"], keep=[8])
+                          keep=[8])
     decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
     assert (2, 128, 128) in shapes
     assert max(shape[-1] for shape in shapes) == 128
@@ -1148,7 +1126,7 @@ def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
                 monkeypatch.setattr(module, name,
                                     recorded(name, getattr(module, name)))
     flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
-                          cluster_dim=bundle["kdim"], keep=[8])
+                          keep=[8])
     decompose_phi1(flow, eta, psi, lam)
     for x, terms in ball_terms.items():
         theta_assembly(terms, resolution_family(eta, lam, x, flow.p0,
@@ -1335,9 +1313,9 @@ def test_blocked_resolution_and_assembly_match_the_whole_forms(bundle, x):
     assert family.r_x == len(locals_) == x
     for mine, ref in zip(family.locals, locals_):
         close(mine, ref)
-    assert len(family.E) == len(e) == x + 2
-    for mine, ref in zip(family.E, e):
-        close(mine, ref)
+    assert len(e) == x + 2
+    for n, ref in enumerate(e, start=1):
+        close(family.e(n), ref)
     assembly = theta_assembly(dec.ball_terms(x), family)
     beta, alpha = theta_whole(telescope(dec).terms, lam, x, p, locals_, e)
     assert assembly.theta_beta.keys() == beta.keys() \
