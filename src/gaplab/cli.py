@@ -31,9 +31,9 @@ import numpy as np
 from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
     f_norm, f_zero, regroup_decay, transform_f_phi
 from .interaction import Interaction, fermion_to_spin, from_json, \
-    hamiltonian_eigenvalues, local_hamiltonian, random_interaction, \
-    regroup_intervals, split_edge_bulk, validate_unperturbed, \
-    zero_ground_energy
+    hamiltonian_eigenvalues, kernel_gap, local_hamiltonian, \
+    random_interaction, regroup_intervals, split_edge_bulk, \
+    validate_unperturbed, zero_ground_energy
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
@@ -236,25 +236,28 @@ def _short_chains(cfg: dict) -> list[str]:
 def _config_objects(cfg: dict) -> list[str]:
     """Check the filter window's kind, build what the pipelines build from
     config alone, and turn each constructor's ``ValueError`` into a config
-    line: the base envelope with its transform, ``f_zero`` and its
-    regrouped decay (a weight whose regrouping tail cannot be certified is
-    refused there), and the J sums of the step profile at the truncation.
-    The transform is taken at filter width and velocity 1, the sums at flow
-    constant 1: these only scale them."""
+    line: the base envelope with its transform and ``f_zero`` on
+    ``constants.F``, then every certified series at the one truncation on
+    ``constants.truncation``: the J sums of the step profile, the lattice
+    norm under ``C_F`` and the regrouped decay (a weight whose regrouping
+    tail cannot be certified there is refused).  The transform is taken at
+    filter width and velocity 1, the J sums at flow constant 1: these only
+    scale them."""
     errors = []
     if cfg["flow"]["window"] != "bump":
         errors.append("flow.window: unknown window kind "
                       f"{cfg['flow']['window']!r}")
     try:
         base = base_envelope(cfg)
-        _transformed(base, 1.0, 1.0)
+        transform_f_phi(base, 1.0, 1.0, R=1)
         f0 = f_zero(base, R=1)
-        regroup_decay(base)
     except ValueError as exc:
         return errors + [f"constants.F: {exc}"]
+    truncation = cfg["constants"]["truncation"]
     try:
-        j_constants(1.0, _step_profile(cfg), f0,
-                    cfg["constants"]["truncation"])
+        j_constants(1.0, _step_profile(cfg), f0, truncation)
+        convolution_constant(base, truncation)
+        regroup_decay(base, truncation)
     except ValueError as exc:
         errors.append(f"constants.truncation: {exc}")
     return errors
@@ -378,14 +381,9 @@ def base_envelope(cfg: dict) -> FFunctionSpec:
     return FFunctionSpec(L=f["L"], c=f["c"], kappa=f["kappa"], weight=weight)
 
 
-def _transformed(base: FFunctionSpec, gamma: float, nu: float):
-    """The fast-decay transform of ``base`` that weighs the flow's terms."""
-    return transform_f_phi(base, gamma=gamma, nu=nu, K=base.weight.K, R=1)
-
-
 def _step_profile(cfg: dict) -> OmegaProfile:
     """The indistinguishability profile: amplitude 2 below the depth D."""
-    return OmegaProfile("step", 2.0, float(cfg["D"]))
+    return OmegaProfile(2.0, float(cfg["D"]))
 
 
 def _perturbation(lam: Interval, max_radius: int, seed: int) -> Interaction:
@@ -512,11 +510,12 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     fb = flow_bundle(cfg, ctx)
     base = base_envelope(cfg)
     depth = cfg["D"]
+    truncation = cfg["constants"]["truncation"]
 
     eta_fnorm = fb["eta"].f_norm(base)
     psi_fnorm = fb["psi"].f_norm(base)
-    nu = 2.0 * convolution_constant(base) * psi_fnorm
-    f_phi = _transformed(base, fb["window"].gamma, nu)
+    nu = 2.0 * convolution_constant(base, truncation) * psi_fnorm
+    f_phi = transform_f_phi(base, fb["window"].gamma, nu, R=1)
     f0 = f_zero(base, R=1)
     omega = _step_profile(cfg)
 
@@ -538,7 +537,7 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
                                   [_window(6), _window(8, 1)]).gamma0_candidate
 
     bc = bound_constants(gamma0, c_used, eta_fnorm, m_int, m_d, omega, f0,
-                         truncation=cfg["constants"]["truncation"])
+                         truncation)
     ctx["constants"] = {
         "bc": bc, "psi_fnorm": psi_fnorm, "nu": nu, "c_user": c_user,
         "c_measured": c_measured, "phi1_fnorm": phi1_fnorm,
@@ -558,7 +557,7 @@ _VALIDATE_HEADER = ["model", "length", "offset", "ground_energy", "gap",
 
 def cmd_validate(cfg: dict, ctx: dict) -> Report:
     """Model structure, one ``validate.csv`` row per volume; every row's
-    ``gap`` is the step above its kernel, ``E_k - E_{k-1}``."""
+    ``gap`` is the step above its kernel, ``interaction.kernel_gap``."""
     rep = Report("validate")
     rows = []
 
@@ -583,7 +582,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
             model, eta = _orbital(lam)
             evals = hamiltonian_eigenvalues(eta, lam)
             kdim = kernel_count(evals)
-            gap = float(evals[kdim] - evals[kdim - 1])
+            gap = kernel_gap(evals, kdim)
             kexp, free = kernel_data(model, lam)
             aux = auxiliary_basis(model, lam)
             deep = interior(lam, 3 * model.R)
@@ -620,7 +619,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
         eta = aklt_interaction(lam)
         evals = hamiltonian_eigenvalues(eta, lam)
         kdim = kernel_count(evals)
-        gap = float(evals[kdim] - evals[kdim - 1])
+        gap = kernel_gap(evals, kdim)
         ok = zero_ground_energy(evals) and kdim == 4
         rows.append(("aklt", length, 0, float(evals[0]), gap, kdim, 4, -1,
                      0.0, "ok" if ok else "fail"))
@@ -635,7 +634,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
 
     # interval regrouping is exact on every subinterval and norm-decreasing
     base = base_envelope(cfg)
-    regrouped = regroup_decay(base)
+    regrouped = regroup_decay(base, cfg["constants"]["truncation"])
     rg_rows = []
     worst_dev, worst_norm = 0.0, -np.inf
     for i in range(20):
@@ -914,7 +913,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
         fr = verify_form_bound(flow.h0, flow.end_spectra[0][1], split.phi2,
                                flow.sectors, delta_v, beta_v,
                                float(flow.eps_grid[upto]),
-                               n_vectors=1000, seed=cfg["seeds"][0])
+                               seed=cfg["seeds"][0])
         violations += fr.violations
         fb_rows.append((fr.eps, fr.delta, fr.beta, fr.min_eig_plus,
                         fr.min_eig_minus, fr.sampled_margin, fr.violations,
@@ -954,9 +953,9 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
             "window_kind": cfg["flow"]["window"],
             "depth": cfg["D"],
             "envelope": cfg["constants"]["F"],
-            "omega_profile": {"kind": bc.omega.kind,
+            "omega_profile": {"kind": "step",
                               "amplitude": bc.omega.amplitude,
-                              "cutoff": bc.omega.rate},
+                              "cutoff": bc.omega.cutoff},
             "flow_fixture": {"length": cfg["flow"]["length"],
                              "eps": cfg["flow"]["eps"],
                              "max_radius": cfg["flow"]["max_radius"],

@@ -161,7 +161,7 @@ def geometric_tail(q, T, degree=0, scale=1.0):
     raise ValueError("only degrees 0 and 1 are implemented")
 
 
-def norm_sum(spec: FFunctionSpec, truncation: int = 2000) -> float:
+def norm_sum(spec: FFunctionSpec, truncation: int) -> float:
     """Certified upper bound for the lattice norm ``sum_{x in Z} F(|x|)``:
     the partial sum to ``truncation`` plus a tail bound.
 
@@ -181,11 +181,12 @@ def norm_sum(spec: FFunctionSpec, truncation: int = 2000) -> float:
     return partial + tail
 
 
-def convolution_constant(spec: FFunctionSpec) -> float:
+def convolution_constant(spec: FFunctionSpec, truncation: int) -> float:
     r"""Certified upper bound for ``C_F = sup_d sum_z F(|z|) F(|d-z|) / F(d)``:
     the closed-form cap ``2^{kappa+1} |F_bare|``, with ``|F_bare|`` the
-    lattice norm of the unweighted envelope (Nachtergaele, Sims and Young,
-    J. Math. Phys. 60, 061101, 2019).
+    lattice norm of the unweighted envelope certified by ``norm_sum`` at
+    ``truncation`` (Nachtergaele, Sims and Young, J. Math. Phys. 60,
+    061101, 2019).
 
     The weight drops out: ``h`` is nondecreasing and subadditive, so
     ``h(d) <= h(|z|) + h(|d-z|)``.  The larger of ``|z|`` and ``|d-z|`` is at
@@ -194,7 +195,7 @@ def convolution_constant(spec: FFunctionSpec) -> float:
     F_bare(|d-z|))``, whose sum over ``z`` is ``2^{kappa+1} |F_bare|`` at
     every ``d``.
     """
-    return 2.0 ** (spec.kappa + 1.0) * norm_sum(spec.bare())
+    return 2.0 ** (spec.kappa + 1.0) * norm_sum(spec.bare(), truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,8 @@ class DerivedFSpec:
 
     kind
         ``"transformed"`` — fast-decay dressing of the base envelope with the
-        filter-dependent weight; plateau value below ``18 R + 27``.
+        filter-dependent weight, the filter's ``K`` that of the base weight;
+        plateau value below ``18 R + 27``.
         ``"shifted"`` — bare envelope at the rescaled argument
         ``r/18 - R - 3/2`` (the transformed function with its weight factor
         bounded by one).
@@ -258,7 +260,6 @@ class DerivedFSpec:
     R: int = 0
     gamma: float = 1.0
     nu: float = 1.0
-    K_filter: float = 0.25
     C_phi: float = 0.0
 
     def shift_argument(self, r):
@@ -267,9 +268,10 @@ class DerivedFSpec:
 
     def _dressed(self, r):
         base = self.base
-        k0 = min(self.K_filter, 2.0 / 7.0)
-        arg = self.K_filter * self.gamma * base.weight(r) / (2.0 * self.nu)
-        expo = (k0 / self.K_filter) * slow_growth(arg, base.kappa)
+        K = base.weight.K
+        k0 = min(K, 2.0 / 7.0)
+        arg = K * self.gamma * base.weight(r) / (2.0 * self.nu)
+        expo = (k0 / K) * slow_growth(arg, base.kappa)
         return np.exp(-expo) * evaluate(base.bare(), r)
 
     def __call__(self, r):
@@ -285,19 +287,19 @@ class DerivedFSpec:
 
 
 def transform_f_phi(base: FFunctionSpec, gamma: float, nu: float,
-                    K: float, R: int) -> DerivedFSpec:
-    """Fast-decay transform of ``base`` for a filter with parameters (K, gamma).
+                    R: int) -> DerivedFSpec:
+    """Fast-decay transform of ``base`` for a filter of width ``gamma``.
 
-    The filter's stretching exponent is that of the base weight.  ``nu`` is
-    the propagation velocity of the dressed dynamics and ``R`` the
-    interaction range entering the argument rescaling.
+    The filter's ``K`` and stretching exponent are those of the base
+    weight, so a weightless base (``K = 0``) is refused.  ``nu`` is the
+    propagation velocity of the dressed dynamics and ``R`` the interaction
+    range entering the argument rescaling.
     """
-    if min(gamma, nu, K) <= 0:
+    if min(gamma, nu, base.weight.K) <= 0:
         raise ValueError("gamma, nu, K must be positive")
     if R < 0:
         raise ValueError("R must be nonnegative")
-    return DerivedFSpec("transformed", base, R=R, gamma=gamma, nu=nu,
-                        K_filter=K)
+    return DerivedFSpec("transformed", base, R=R, gamma=gamma, nu=nu)
 
 
 def f_zero(base: FFunctionSpec, R: int) -> DerivedFSpec:
@@ -307,7 +309,7 @@ def f_zero(base: FFunctionSpec, R: int) -> DerivedFSpec:
     return DerivedFSpec("shifted", base, R=R)
 
 
-def regroup_decay(base: FFunctionSpec, truncation: int = 2000) -> DerivedFSpec:
+def regroup_decay(base: FFunctionSpec, truncation: int) -> DerivedFSpec:
     r"""Decay function carried by regrouping an interaction into intervals.
 
     ``G(r) = exp(-h(r)/2) C_phi / (1+c r)^kappa`` with

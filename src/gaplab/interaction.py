@@ -291,11 +291,22 @@ def zero_ground_energy(evals) -> bool:
     return bool(abs(evals[0]) <= 1e-10 * max(1.0, float(np.max(np.abs(evals)))))
 
 
+def kernel_gap(evals, kdim: int) -> float:
+    """The step above the ``kdim`` kernel eigenvalues of an ascending
+    spectrum, ``E_k - E_{k-1}``: ``nan`` with no kernel, ``inf`` when the
+    kernel is the whole spectrum."""
+    if kdim == 0:
+        return np.nan
+    if kdim == len(evals):
+        return np.inf
+    return float(evals[kdim] - evals[kdim - 1])
+
+
 @dataclass
 class VolumeReport:
     lam: Interval
     ground_energy: float
-    gap: float              # E_k - E_{k-1} above the k kernel eigenvalues
+    gap: float              # kernel_gap of the volume's spectrum
     kernel_dim: int
     frustration_free: bool
 
@@ -312,8 +323,7 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
     ``build(lam)`` returns the interaction on ``lam``.  A volume failing
     ``zero_ground_energy``, or with no kernel, is reported in its row's
     ``frustration_free``, not raised.  Each row's ``gap`` is the step above
-    its ``k`` kernel eigenvalues, ``E_k - E_{k-1}`` of the sorted spectrum:
-    ``nan`` with no kernel, ``inf`` when the kernel is the whole spectrum.
+    its ``k`` kernel eigenvalues, ``kernel_gap``.
     The gap candidate is the smallest eigenvalue above the kernel scale over
     the probes whose diameter reaches the largest interaction range among
     the probes.
@@ -328,10 +338,9 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         kdim = kernel_count(evals)
         nonzero = evals[~kernel_mask(evals)]
         lowest.append(float(nonzero[0]) if nonzero.size else np.inf)
-        gap = (np.nan if kdim == 0 else np.inf if kdim == evals.size
-               else float(evals[kdim] - evals[kdim - 1]))
         ok = zero_ground_energy(evals) and kdim >= 1
-        rows.append(VolumeReport(lam, ground, gap, kdim, ok))
+        rows.append(VolumeReport(lam, ground, kernel_gap(evals, kdim), kdim,
+                                 ok))
     eligible = [m for r, m in zip(rows, lowest) if r.lam.diameter >= rng_max]
     gamma0 = float(min(eligible)) if eligible else float("inf")
     return UnperturbedReport(rows, gamma0)

@@ -376,8 +376,8 @@ class FlowResult:
 
 
 def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
-                   eps: float, window: Window, checkpoints: int = 33,
-                   ode_tol: float = 1e-8, keep=()) -> FlowResult:
+                   eps: float, window: Window, checkpoints: int,
+                   ode_tol: float, keep=()) -> FlowResult:
     """Integrate U' = K(s) U to ``eps`` with RK4, re-unitarizing each step
     by the Newton-Schulz polar step of ``_polar_unitary`` (the RK4 step
     leaves ``U`` unitary to rounding, so one step of two products suffices;

@@ -1,10 +1,11 @@
 r"""Certified constants controlling the perturbed ground-state gap.
 
-Every series here is evaluated as an exact partial sum plus a closed-form
-tail bound (geometric or integral), so each reported constant is a true
-upper bound for its series.  The chain of quantities, for a frustration-free
-interaction ``eta`` with gap floor ``gamma_0``, an indistinguishability
-profile ``Omega``, the polynomial envelope ``F_0`` of the flow decay, and a
+Every series here is evaluated as an exact partial sum to one truncation
+plus a closed-form tail bound, so each reported constant is a true upper
+bound for its series.  The chain of quantities, for a frustration-free
+interaction ``eta`` with gap floor ``gamma_0``, the step indistinguishability
+profile ``Omega`` (amplitude below a depth, zero from it on), the shifted
+polynomial envelope ``F_0`` of the flow decay (``ffunction.f_zero``), and a
 flow constant ``C``:
 
     kappa(n, eps) = 20 C eps (|eta|_F + |Phi_Int|_F)
@@ -23,8 +24,9 @@ and the thresholds
     eps(gamma_0)   = min{1, gamma_0 / (m + 2 M_D)}
     gap(eps)      >= gamma_0 - (m + 2 M_D) eps.
 
-Negative profile arguments clamp to zero (the profiles are nonincreasing,
-so clamping only enlarges the sums).
+The step's tail past a truncation that clears its depth is zero, and
+``F_0``'s is an exact integral.  Negative profile arguments clamp to zero
+(the profiles are nonincreasing, so clamping only enlarges the sums).
 """
 
 from __future__ import annotations
@@ -34,94 +36,68 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ffunction import DerivedFSpec, geometric_tail, poly_tail
+from .ffunction import DerivedFSpec, poly_tail
 from .interaction import Interaction, hamiltonian_eigenvalues, split_edge_bulk
 from .lattice import Interval
 from .operator_algebra import eigenvalues
 
 
 # ---------------------------------------------------------------------------
-# indistinguishability profiles
+# the indistinguishability profile and the envelope's tails
 
 
 @dataclass(frozen=True)
 class OmegaProfile:
-    """Nonincreasing decay profile for kernel-state indistinguishability.
+    """Step profile of kernel-state indistinguishability,
+    ``amplitude * [r < cutoff]``."""
 
-    geometric: amplitude * rate^r           (0 <= rate < 1)
-    step:      amplitude * [r < rate]
-    """
-
-    kind: str
     amplitude: float
-    rate: float
+    cutoff: float
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "step"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
-        if self.kind == "geometric" and not 0.0 <= self.rate < 1.0:
-            raise ValueError("geometric rate must lie in [0, 1)")
 
     def __call__(self, r):
         r = np.maximum(np.asarray(r, dtype=float), 0.0)
-        if self.kind == "geometric":
-            out = self.amplitude * self.rate ** r
-        else:
-            out = np.where(r < self.rate, self.amplitude, 0.0)
+        out = np.where(r < self.cutoff, self.amplitude, 0.0)
         return out if out.ndim else float(out)
 
     def sqrt(self) -> "OmegaProfile":
-        amp = math.sqrt(self.amplitude)
-        if self.kind == "geometric":
-            return OmegaProfile("geometric", amp, math.sqrt(self.rate))
-        return OmegaProfile("step", amp, self.rate)
+        return OmegaProfile(math.sqrt(self.amplitude), self.cutoff)
 
 
-def _omega_tail(omega: OmegaProfile, half: float, shift: float,
-                T: int, degree: int) -> float:
-    """Certified ``sum_{n > T} n^degree omega(half (n + shift))``."""
-    if omega.amplitude == 0.0:
-        return 0.0
-    if omega.kind == "step":
-        if half * (T + 1 + shift) < omega.rate:
-            raise ValueError("truncation does not clear the step profile")
-        return 0.0
-    if omega.rate == 0.0:
-        return 0.0
-    q = omega.rate ** half
-    scale = omega.amplitude * omega.rate ** (half * shift)
-    return geometric_tail(q, T, degree=degree, scale=scale)
+def _omega_tail(omega: OmegaProfile, shift: float, T: int) -> float:
+    """Certified ``sum_{n > T} n^d omega((n + shift) / 2)`` for every
+    degree ``d``: zero, once the first term past ``T`` clears the step."""
+    if 0.5 * (T + 1 + shift) < omega.cutoff:
+        raise ValueError("truncation does not clear the step profile")
+    return 0.0
 
 
-def _f0_tail(f0, half: float, shift: float, T: int, degree: int) -> float:
-    """Certified ``sum_{n > T} n^degree F_0(half (n + shift))``.
+def _f0_tail(f0: DerivedFSpec, shift: float, T: int, degree: int) -> float:
+    """Certified ``sum_{n > T} n^degree F_0((n + shift) / 2)``.
 
     Beyond the plateau ``F_0(r) = L (1 + c (r/18 - R - 3/2))^-kappa`` exactly,
-    an affine-argument polynomial with an exact integral tail.  ``None``
-    stands for the identically-zero envelope.
+    an affine-argument polynomial with an exact integral tail.
     """
-    if f0 is None:
-        return 0.0
     if f0.kind != "shifted":
         raise ValueError("tail formula applies to the shifted envelope")
     base = f0.base
-    b = base.c * half / 18.0
-    a = 1.0 + base.c * (half * shift / 18.0 - f0.R - 1.5)
+    b = base.c * 0.5 / 18.0
+    a = 1.0 + base.c * (0.5 * shift / 18.0 - f0.R - 1.5)
     return poly_tail(b, a, base.kappa, T, degree=degree, scale=base.L)
 
 
-def _f0_values(f0, r):
-    if f0 is None:
-        r = np.asarray(r, dtype=float)
-        return np.zeros_like(r) if r.ndim else 0.0
-    return f0(r)
-
-
-def _bracket(sq: OmegaProfile, f0, n):
+def _bracket(sq: OmegaProfile, f0: DerivedFSpec, n):
     """``sqrt(Omega)((n-1)/2) + F_0((n-3)/2)``, given ``sq = Omega.sqrt()``."""
-    return sq(0.5 * (n - 1)) + _f0_values(f0, 0.5 * (n - 3))
+    return sq(0.5 * (n - 1)) + f0(0.5 * (n - 3))
+
+
+def _bracket_tail(sq: OmegaProfile, f0: DerivedFSpec, T: int,
+                  degree: int) -> float:
+    """Certified ``sum_{n > T} n^degree`` of ``_bracket``."""
+    return _omega_tail(sq, -1.0, T) + _f0_tail(f0, -3.0, T, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +112,11 @@ class JConstants:
     tails: tuple
 
 
-def j_constants(c: float, omega: OmegaProfile, f0,
-                truncation: int = 2000) -> JConstants:
-    """The three summed constants, each a certified upper bound.
-
-    ``f0`` may be ``None`` for an identically-zero envelope.  Profiles whose
-    tails are not summable at the required order raise through the tail
-    bounds.
+def j_constants(c: float, omega: OmegaProfile, f0: DerivedFSpec,
+                truncation: int) -> JConstants:
+    """The three summed constants, each a partial sum to ``truncation``
+    plus its certified tail; a truncation that does not clear the step, or
+    before ``F_0``'s envelope is monotone, raises through the tail bounds.
     """
     if c <= 0:
         raise ValueError("the flow constant must be positive")
@@ -151,20 +125,18 @@ def j_constants(c: float, omega: OmegaProfile, f0,
     sq = omega.sqrt()
 
     bracket = _bracket(sq, f0, n)
-    t1 = (_omega_tail(sq, 0.5, -1.0, T, 1) + _f0_tail(f0, 0.5, -3.0, T, 1))
+    t1 = _bracket_tail(sq, f0, T, 1)
     j1 = 40.0 * c * (float(np.sum(n * bracket)) + t1)
 
-    zero_term = sq(0.0) + _f0_values(f0, 0.0)   # n = 0, arguments clamp to 0
-    t2 = (_omega_tail(sq, 0.5, -1.0, T, 0) + _f0_tail(f0, 0.5, -3.0, T, 0))
+    zero_term = sq(0.0) + f0(0.0)   # n = 0, arguments clamp to 0
+    t2 = _bracket_tail(sq, f0, T, 0)
     j2 = 20.0 * c * (zero_term + 2.0 * (float(np.sum(bracket)) + t2))
 
     z = np.arange(1, T + 1, dtype=float)
-    body3 = omega(0.5 * z) + 2.0 * _f0_values(f0, np.floor(0.5 * z))
+    body3 = omega(0.5 * z) + 2.0 * f0(np.floor(0.5 * z))
     # floor(z/2) >= (z-1)/2 and F_0 is nonincreasing
-    t3 = (_omega_tail(omega, 0.5, 0.0, T, 0)
-          + 2.0 * _f0_tail(f0, 0.5, -1.0, T, 0))
-    j3 = ((omega(0.0) + 2.0 * _f0_values(f0, 0.0))
-          + 2.0 * (float(np.sum(body3)) + t3))
+    t3 = _omega_tail(omega, 0.0, T) + 2.0 * _f0_tail(f0, -1.0, T, 0)
+    j3 = (omega(0.0) + 2.0 * f0(0.0)) + 2.0 * (float(np.sum(body3)) + t3)
 
     return JConstants(j1, j2, j3, (40.0 * c * t1, 40.0 * c * t2, 2.0 * t3))
 
@@ -189,8 +161,8 @@ def _support_clusters(terms) -> list[list]:
 def edge_bulk_strengths(phi: Interaction, lam: Interval, depth: int,
                         fspec) -> tuple[float, float]:
     """``(interior F-norm, edge norm)`` of ``phi`` on ``lam``: the F-norm of
-    its terms anchored ``depth`` deep (zero without any) and the operator
-    norm of the rest, the boundary remainder.
+    its terms anchored ``depth`` deep (zero without any, as ``f_norm`` of
+    no term) and the operator norm of the rest, the boundary remainder.
 
     The remainder's terms fall into groups of overlapping supports
     (``_support_clusters``); groups on disjoint supports act on disjoint
@@ -202,7 +174,7 @@ def edge_bulk_strengths(phi: Interaction, lam: Interval, depth: int,
     of the whole remainder.  One group is the whole remainder's spectrum,
     bit for bit."""
     split = split_edge_bulk(phi, lam, depth)
-    interior_fnorm = split.bulk.f_norm(fspec) if split.bulk.terms else 0.0
+    interior_fnorm = split.bulk.f_norm(fspec)
     lowest = highest = 0.0
     for group in _support_clusters(split.edge.terms):
         spectrum = hamiltonian_eigenvalues(replace(split.edge, terms=group),
@@ -241,9 +213,9 @@ class BoundConstants:
     m_int: float
     m_d: float
     j: JConstants
-    omega: OmegaProfile = None
-    f0: DerivedFSpec = None
-    truncation: int = 2000      # the partial sums' length, for every series
+    omega: OmegaProfile
+    f0: DerivedFSpec
+    truncation: int             # the partial sums' length, for every series
 
     @property
     def strengths(self) -> float:
@@ -305,23 +277,23 @@ class BoundConstants:
         n = np.arange(max(min_n, 1), T + 1, dtype=float)
         bracket = _bracket(sq, self.f0, n)
         partial = float(np.sum((3.0 * n + 2.0) * bracket))
-        t_deg1 = (_omega_tail(sq, 0.5, -1.0, T, 1)
-                  + _f0_tail(self.f0, 0.5, -3.0, T, 1))
-        t_deg0 = (_omega_tail(sq, 0.5, -1.0, T, 0)
-                  + _f0_tail(self.f0, 0.5, -3.0, T, 0))
+        t_deg1 = _bracket_tail(sq, self.f0, T, 1)
+        t_deg0 = _bracket_tail(sq, self.f0, T, 0)
         weighted = 40.0 * self.c * (partial + 3.0 * t_deg1 + 2.0 * t_deg0)
         if min_n == 0:
             # the n = 0 term appears once: 20 C (3*0 + 2) = 40 C
-            weighted += 40.0 * self.c * (sq(0.0) + _f0_values(self.f0, 0.0))
+            weighted += 40.0 * self.c * (sq(0.0) + self.f0(0.0))
         return (weighted + self.c * (self.j.j3 + 8.0)) * self.strengths
 
 
 def bound_constants(gamma0: float, c: float, eta_fnorm: float, m_int: float,
-                    m_d: float, omega: OmegaProfile, f0,
-                    truncation: int = 2000) -> BoundConstants:
-    j = j_constants(c, omega, f0, truncation=truncation)
-    return BoundConstants(gamma0, c, eta_fnorm, m_int, m_d, j,
-                          omega=omega, f0=f0, truncation=truncation)
+                    m_d: float, omega: OmegaProfile, f0: DerivedFSpec,
+                    truncation: int) -> BoundConstants:
+    """The assembled constants, their J sums cut at ``truncation``, which
+    the constants carry for ``m_grouped``'s re-summation."""
+    j = j_constants(c, omega, f0, truncation)
+    return BoundConstants(gamma0, c, eta_fnorm, m_int, m_d, j, omega, f0,
+                          truncation)
 
 
 def stability_threshold(bc: BoundConstants) -> dict:
@@ -339,9 +311,9 @@ def stability_threshold(bc: BoundConstants) -> dict:
 
 
 def kappa_bound(bc: BoundConstants, n: int, eps: float,
-                phi_fnorm: float | None = None) -> float:
-    """kappa(n, eps), with the volume's own interior F-norm if supplied."""
-    s = bc.eta_fnorm + (phi_fnorm if phi_fnorm is not None else bc.m_int)
+                phi_fnorm: float) -> float:
+    """kappa(n, eps), with the volume's own interior F-norm ``phi_fnorm``."""
+    s = bc.eta_fnorm + phi_fnorm
     return 20.0 * bc.c * eps * s * _bracket(bc.omega.sqrt(), bc.f0, n)
 
 
@@ -392,25 +364,27 @@ class FormBoundReport:
 
 # the additive allowance of every form-bound margin, eigenvalue or sampled
 _ALLOWANCE = 1e-10
-# the form-bound samples are taken this many columns at a time
+# the form bound is sampled on this many random unit vectors, drawn this
+# many columns at a time
+_SAMPLE_VECTORS = 1000
 _SAMPLE_COLUMNS = 128
 
 
 def verify_form_bound(h0, h0_vecs, phi2, sectors, delta: float,
-                      beta: float, eps: float, n_vectors: int = 1000,
-                      seed: int = 7) -> FormBoundReport:
+                      beta: float, eps: float, seed: int) -> FormBoundReport:
     """Check ``|<v, Phi2 v>| <= delta eps + beta eps <v, H v>`` exhaustively.
 
     ``h0``, its eigenvectors ``h0_vecs`` and ``phi2`` are block stacks on
     ``sectors`` (see ``spectral_flow.FlowResult``).  The two operator
     inequalities are settled by eigenvalue computation, block by block; a
-    seeded sample of unit vectors, together with the eigenvectors of the
-    unperturbed Hamiltonian (the columns of each block of ``h0_vecs``),
-    reports margins with the additive ``_ALLOWANCE``.  Violations are
-    counted, not raised.  The samples are drawn ``_SAMPLE_COLUMNS`` at a
-    time, each block's real and imaginary parts together, in block order,
-    and both quadratic forms of a vector are summed over its parts on the
-    sectors, block by block, so no matrix is joined.
+    sample of ``_SAMPLE_VECTORS`` unit vectors drawn from ``seed``, together
+    with the eigenvectors of the unperturbed Hamiltonian (the columns of
+    each block of ``h0_vecs``), reports margins with the additive
+    ``_ALLOWANCE``.  Violations are counted, not raised.  The samples are
+    drawn ``_SAMPLE_COLUMNS`` at a time, each block's real and imaginary
+    parts together, in block order, and both quadratic forms of a vector
+    are summed over its parts on the sectors, block by block, so no matrix
+    is joined.
     """
     envelope = beta * eps * h0 + delta * eps * np.eye(h0.shape[-1])
     ev_plus = eigenvalues(envelope + phi2)
@@ -430,9 +404,9 @@ def verify_form_bound(h0, h0_vecs, phi2, sectors, delta: float,
     dim = sum(map(len, sectors))
     rng = np.random.default_rng(seed)
     found = []
-    for lo in range(0, n_vectors, _SAMPLE_COLUMNS):
+    for lo in range(0, _SAMPLE_VECTORS, _SAMPLE_COLUMNS):
         re, im = rng.standard_normal(
-            (2, dim, min(_SAMPLE_COLUMNS, n_vectors - lo)))
+            (2, dim, min(_SAMPLE_COLUMNS, _SAMPLE_VECTORS - lo)))
         vs = re + 1j * im
         vs /= np.linalg.norm(vs, axis=0)
         found.append(margins(range(len(sectors)),

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from gaplab.cli import DEFAULTS
 from gaplab.interaction import Interaction, Term, local_hamiltonian
 from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.operator_algebra import (LocalOperator, annihilator,
@@ -16,6 +17,13 @@ from gaplab.spectra import diagonalize
 from gaplab import spectral_flow
 from gaplab.spectral_flow import (Phi1Decomposition, _filtered, _time_rule,
                                   eigenbasis_generator)
+
+
+# the config's values of the parameters the package takes from it alone
+TRUNCATION = DEFAULTS["constants"]["truncation"]
+CHECKPOINTS = DEFAULTS["flow"]["checkpoints"]
+ODE_TOL = DEFAULTS["flow"]["ode_tol"]
+SEED = DEFAULTS["seeds"][0]
 
 
 def traced_peak(fn):

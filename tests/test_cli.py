@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import gaplab.cli as cli
-from gaplab import interaction, spectral_flow
+from gaplab import ffunction, interaction, spectral_flow, stability_bounds
 from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         cmd_flow, cmd_sp0scan, cmd_validate, flow_bundle,
                         load_config, main, merged_config, run, summary_lines,
                         write_artifacts)
-from gaplab.interaction import random_interaction, to_json
+from gaplab.interaction import Term, random_interaction, to_json
 from gaplab.lattice import Interval
 from gaplab.models import kernel_data, orbital_interaction, \
     paired_orbital_model
@@ -372,6 +372,41 @@ def test_an_empty_side_of_the_higher_window_is_one_failed_check(tmp_path,
         "length,eps,gamma_window,gamma_bound,status\n"
 
 
+def test_the_configured_truncation_reaches_every_series(tmp_path,
+                                                        monkeypatch):
+    """At a truncation other than the default, every certified series, the
+    lattice norm under ``C_F``, the regrouped decay and the J sums, is cut
+    there, in the config check and in the pipelines alike, and the ledger
+    names it."""
+    received = {"norm_sum": [], "regroup_decay": [], "j_constants": []}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            bound.apply_defaults()
+            received[name].append(bound.arguments["truncation"])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(ffunction, "norm_sum")
+    spy(cli, "regroup_decay")
+    spy(cli, "j_constants")
+    spy(stability_bounds, "j_constants")
+    cfg = merged_config({
+        "lengths": [8], "ltqo": {"aklt_lengths": [4]},
+        "constants": {"truncation": 500},
+        "flow": {"length": 6, "max_radius": 1, "checkpoints": 5}})
+    reports = run(cfg, ["validate", "bounds"], tmp_path)
+    assert all(rep.passed for rep in reports)
+    for name, truncations in received.items():
+        assert truncations and set(truncations) == {500}, name
+    ledger = json.loads((tmp_path / "constants.json").read_text(
+        encoding="utf-8"))
+    assert ledger["inputs"]["truncation"] == 500
+
+
 def test_bounds_runs_with_a_steep_weight(tmp_path):
     """A weight whose decay function underflows within the lattice sums
     (``K = 2``) still yields the constants, their checks and artifacts."""
@@ -531,16 +566,16 @@ def test_a_weight_whose_regrouping_tail_cannot_be_certified_is_refused(
         tmp_path, monkeypatch, capsys, command):
     """A stretched weight too flat for the regrouping tail at the
     truncation (``s = 0.1`` at ``K = 0.5``) exits 2 with one
-    ``constants.F`` line, before any pipeline runs or any artifact is
-    written."""
+    ``constants.truncation`` line, the series that refuses the truncation,
+    before any pipeline runs or any artifact is written."""
     called = _recording_pipelines(monkeypatch)
     out = tmp_path / "out"
     argv = [command, "--config", _weight_config(tmp_path, 0.1), "--out",
             str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "config error: constants.F: truncation too small to certify the "
-        "prefactor tail\n")
+        "config error: constants.truncation: truncation too small to "
+        "certify the prefactor tail\n")
     assert called == [] and not out.exists()
 
 
@@ -944,6 +979,35 @@ def test_validate_fails_a_spin_image_that_differs(monkeypatch):
     _, rows = rep.tables["jw.csv"]
     assert len(rows) == 2
     assert all(row[2] <= 1e-10 and row[3] == "fail" for row in rows)
+    assert not rep.passed
+
+
+def test_validate_reads_no_gap_off_an_empty_kernel(monkeypatch):
+    """An orbital or spin-1 volume whose Hamiltonian has no kernel (here a
+    one-site term ``0.5 * 1`` added) reads ``gap`` ``nan``, as a ``file:``
+    model's row does, not the difference of its highest and lowest
+    eigenvalues, and its row fails."""
+    def lifted(phi, lam):
+        shift = LocalOperator(0.5 * np.eye(phi.local_dim),
+                              Interval(lam.a, lam.a), phi.kind,
+                              phi.local_dim)
+        return replace(phi, terms=phi.terms + [Term(shift)])
+
+    orbital, aklt = cli._orbital, cli.aklt_interaction
+
+    def lifted_orbital(lam):
+        model, eta = orbital(lam)
+        return model, lifted(eta, lam)
+
+    monkeypatch.setattr(cli, "_orbital", lifted_orbital)
+    monkeypatch.setattr(cli, "aklt_interaction",
+                        lambda lam: lifted(aklt(lam), lam))
+    cfg = merged_config({"lengths": [6], "ltqo": {"aklt_lengths": [4]}})
+    rep = cmd_validate(cfg, {})
+    _, rows = rep.tables["validate.csv"]
+    assert [row[0] for row in rows] == ["orbital", "orbital", "aklt"]
+    for row in rows:
+        assert row[5] == 0 and np.isnan(row[4]) and row[9] == "fail"
     assert not rep.passed
 
 

@@ -9,6 +9,7 @@ from gaplab.ffunction import (FFunctionSpec, WeightSpec, convolution_constant,
                               log_evaluate, norm_sum, poly_tail, regroup_decay,
                               slow_growth, transform_f_phi)
 from gaplab.lattice import Interval
+from oracles import TRUNCATION
 
 
 BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
@@ -70,20 +71,20 @@ def test_poly_tail_rejects_divergent():
 
 
 def test_norm_sum_certifies_lattice_norm():
-    ns = norm_sum(BASE, truncation=60)
+    ns = norm_sum(BASE, 60)
     x = np.arange(-5000, 5001)
     direct = float(np.sum(evaluate(BASE, np.abs(x))))
     assert direct <= ns
     assert ns == pytest.approx(direct, rel=1e-6)
     # tighter truncation only grows the certified tail, never the total below
-    loose = norm_sum(BASE, truncation=10)
+    loose = norm_sum(BASE, 10)
     assert loose >= direct
 
 
 def test_convolution_constant_dominates_riemann_oracle():
     """Direct evaluation of sup_d sum_z F(|z|)F(|d-z|)/F(d) on a finite probe
     window must stay below the certified constant."""
-    cf = convolution_constant(BASE)
+    cf = convolution_constant(BASE, TRUNCATION)
     z = np.arange(-800, 801)
     fz = evaluate(BASE, np.abs(z))
     worst = 0.0
@@ -92,7 +93,7 @@ def test_convolution_constant_dominates_riemann_oracle():
         worst = max(worst, float(np.dot(fz, fdz)) / float(evaluate(BASE, d)))
     assert worst <= cf
     # it is the closed-form cap of the bare envelope
-    assert cf == 2.0 ** (BASE.kappa + 1.0) * norm_sum(BASE.bare())
+    assert cf == 2.0 ** (BASE.kappa + 1.0) * norm_sum(BASE.bare(), TRUNCATION)
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,8 +106,8 @@ def test_convolution_constant_is_the_cap_and_dominates_the_sum(kappa, c, L,
     and bounds the convolution sums, taken in log space so that no factor
     underflows where F(d) does."""
     spec = FFunctionSpec(L=L, c=c, kappa=kappa, weight=WeightSpec(K=K, s=s))
-    cf = convolution_constant(spec)
-    assert cf == 2.0 ** (kappa + 1.0) * norm_sum(spec.bare())
+    cf = convolution_constant(spec, TRUNCATION)
+    assert cf == 2.0 ** (kappa + 1.0) * norm_sum(spec.bare(), TRUNCATION)
     z = np.arange(-400, 401)
     d = np.arange(0, 161)[:, None]
     logs = (log_evaluate(spec, np.abs(z)) + log_evaluate(spec, np.abs(d - z))
@@ -162,16 +163,18 @@ def test_slow_growth_profile():
 
 
 def test_transform_validates_its_parameters():
-    for bad in ({"gamma": 0.0}, {"nu": -1.0}, {"K": 0.0}, {"R": -1}):
+    """The filter's ``K`` is the base weight's: a weightless base is
+    refused with the nonpositive width, velocity and range."""
+    for base, bad in ((BASE, {"gamma": 0.0}), (BASE, {"nu": -1.0}),
+                      (BASE.bare(), {}), (BASE, {"R": -1})):
         with pytest.raises(ValueError):
-            transform_f_phi(BASE, **{"gamma": 0.8, "nu": 1.0, "K": 0.25,
-                                     "R": 1, **bad})
-    spec = transform_f_phi(BASE, gamma=0.8, nu=1.0, K=0.25, R=1)
+            transform_f_phi(base, **{"gamma": 0.8, "nu": 1.0, "R": 1, **bad})
+    spec = transform_f_phi(BASE, gamma=0.8, nu=1.0, R=1)
     assert spec.kind == "transformed"
 
 
 def test_transform_plateau_and_decay():
-    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, K=0.25, R=1)
+    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, R=1)
     # constant on the rescaled-argument plateau r/18 - R - 3/2 <= 0
     plateau = 18 * (1 + 1.5)
     vals = spec(np.array([0.0, 10.0, plateau]))
@@ -192,7 +195,7 @@ def test_f_zero_is_the_bare_envelope_shifted():
         f0(r), evaluate(BASE.bare(), np.maximum(r / 18.0 - 2.5, 0.0)),
         rtol=1e-14)
     # the transformed function never exceeds its polynomial envelope
-    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, K=0.25, R=1)
+    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, R=1)
     r = np.linspace(0, 500, 251)
     assert np.all(spec(r) <= f0(r) * (1 + 1e-12))
 
@@ -200,7 +203,7 @@ def test_f_zero_is_the_bare_envelope_shifted():
 def test_regroup_decay_prefactor_closed_form():
     # identity weight: C_phi = L sum n e^{-n/2} = L e^{-1/2} / (1-e^{-1/2})^2
     spec = FFunctionSpec(weight=WeightSpec())
-    got = regroup_decay(spec, truncation=200)
+    got = regroup_decay(spec, 200)
     q = math.exp(-0.5)
     assert got.C_phi == pytest.approx(q / (1 - q) ** 2, rel=1e-10)
 
@@ -224,17 +227,18 @@ def test_regroup_decay_stretched_tail_is_certified(s, truncation):
     head = np.arange(1, truncation + 1.0)
     head = spec.L * float(np.sum(head * np.exp(-0.5 * spec.weight(head))))
     assert brute - head > 1e-9 * brute
-    c_phi = regroup_decay(spec, truncation=truncation).C_phi
+    c_phi = regroup_decay(spec, truncation).C_phi
     assert brute <= c_phi <= brute * (1.0 + 1e-9)
 
 
 def test_regroup_decay_rejects_bounded_weight():
     with pytest.raises(ValueError):
-        regroup_decay(FFunctionSpec(weight=WeightSpec(K=0.0, s=1.0)))
+        regroup_decay(FFunctionSpec(weight=WeightSpec(K=0.0, s=1.0)),
+                      TRUNCATION)
 
 
 def test_regroup_decay_evaluates():
-    g = regroup_decay(BASE)
+    g = regroup_decay(BASE, TRUNCATION)
     r = np.array([0.0, 3.0])
     expect = np.exp(-0.5 * 0.5 * r) * g.C_phi / (1.0 + r) ** 4
     np.testing.assert_allclose(g(r), expect, rtol=1e-13)

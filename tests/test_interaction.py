@@ -17,9 +17,9 @@ from gaplab.interaction import (Interaction, Term, charge_blocks,
 from gaplab.lattice import Interval, interior
 from gaplab.operator_algebra import LocalOperator, annihilator, embed, \
     kernel_count
-from oracles import (creator, digit_sums, is_hermitian, kron_placed,
-                     number_operator, random_hermitian, random_matrix,
-                     split_blocks)
+from oracles import (TRUNCATION, creator, digit_sums, is_hermitian,
+                     kron_placed, number_operator, random_hermitian,
+                     random_matrix, split_blocks)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -367,7 +367,7 @@ def test_regroup_carries_derived_decay():
     lam = Interval(0, 3)
     psi = random_interaction(lam, seed=3)
     grouped = regroup_intervals(psi)
-    decay = regroup_decay(BASE)
+    decay = regroup_decay(BASE, TRUNCATION)
     assert decay.kind == "regrouped"
     assert grouped.f_norm(decay) <= psi.f_norm(BASE) + 1e-12
 
@@ -405,7 +405,7 @@ def test_regrouping_keeps_the_norm_of_a_support_with_one_term(monkeypatch):
 
     monkeypatch.setattr(operator_algebra, "operator_norm", counted)
     grouped = regroup_intervals(psi)
-    grouped.f_norm(regroup_decay(BASE))
+    grouped.f_norm(regroup_decay(BASE, TRUNCATION))
     assert len(solved) == merged
     for t in grouped.terms:
         assert t.op.norm() == original(t.op.matrix)

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from gaplab.cli import DEFAULTS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaplab"
 
 # Top-level definitions that no module of the package reads, each with the
@@ -57,8 +59,6 @@ def test_every_top_level_definition_is_read_somewhere():
 UNPASSED = {
     "cli.main.argv": "the command line, read from sys.argv when main runs "
                      "as the gaplab script",
-    "ffunction.norm_sum.truncation": "the tail tests vary it",
-    "ffunction.regroup_decay.truncation": "the tail tests vary it",
     **{f"ltqo.ascent_lower_bound.{name}": "the ascent is the tests' "
        "reference, run only from them" for name in ("seed", "restarts",
                                                     "iters")},
@@ -126,3 +126,40 @@ def test_every_default_is_passed_somewhere():
         f"no call passes {sorted(unpassed - set(UNPASSED))}"
     assert not set(UNPASSED) - unpassed, \
         f"now passed, so no longer exempt: {sorted(set(UNPASSED) - unpassed)}"
+
+
+# Parameters named after a config key that keep a default, each with the
+# reason it stays.
+CONFIG_DEFAULTS = {
+    "cli.load_config.seed": "None means no --seed was given",
+    **{f"ltqo.ascent_lower_bound.{name}": "the ascent is the tests' "
+       "reference, run only from them" for name in ("seed", "restarts",
+                                                    "iters")},
+}
+
+
+def _config_keys(tree: dict) -> set:
+    """Every key of the config tree ``tree``, at every depth."""
+    keys = set(tree)
+    for value in tree.values():
+        if isinstance(value, dict):
+            keys |= _config_keys(value)
+    return keys
+
+
+def test_no_parameter_named_after_a_config_key_has_a_default():
+    """A parameter named after a ``DEFAULTS`` key, or ``seed``, has no
+    default, or is listed in ``CONFIG_DEFAULTS`` with its reason: the
+    config sets its value once, and every caller passes it, so no second
+    default can drift from the config's."""
+    names = _config_keys(DEFAULTS) | {"seed"}
+    found = {qualname
+             for path in sorted(SRC.glob("*.py"))
+             for qualname, _, param, _ in _defaults(
+                 ast.parse(path.read_text(encoding="utf-8")),
+                 f"{path.stem}.")
+             if param in names}
+    assert not found - set(CONFIG_DEFAULTS), \
+        f"defaults repeat the config: {sorted(found - set(CONFIG_DEFAULTS))}"
+    assert not set(CONFIG_DEFAULTS) - found, \
+        f"no longer defaulted: {sorted(set(CONFIG_DEFAULTS) - found)}"

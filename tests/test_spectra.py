@@ -21,7 +21,7 @@ from gaplab.spectra import (FrustrationError, RefinementError,
                             sigma_projection, sp0_diameter_scan)
 from gaplab.spectral_flow import Window, flow_unitaries
 from gaplab import interaction, spectra
-from oracles import dense_kernel_projector, on_chain, one_site, \
+from oracles import ODE_TOL, dense_kernel_projector, on_chain, one_site, \
     parity_even, random_hermitian, split_blocks
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -629,7 +629,7 @@ def test_every_kernel_reader_refuses_an_empty_kernel_alike():
                  lambda: gap_curve(eta, pert, lam, [0.0, 0.1]),
                  lambda: sp0_diameter_scan(eta, pert, lam, [0.1], [1]),
                  lambda: flow_unitaries(eta, pert, lam, 0.1, Window(0.8),
-                                        checkpoints=5)):
+                                        checkpoints=5, ode_tol=ODE_TOL)):
         with pytest.raises(FrustrationError) as refused:
             read()
         assert str(refused.value) == "no kernel eigenvalues to track"

@@ -22,7 +22,8 @@ from gaplab.spectral_flow import (Window, _filtered, _frame_drift,
                                   filter_identity_residual, flow_unitaries,
                                   split_phi1, theta_assembly,
                                   time_quadrature_generator)
-from oracles import (dense_drift, dense_kernel_projector, even_pair,
+from oracles import (CHECKPOINTS, ODE_TOL, dense_drift,
+                     dense_kernel_projector, even_pair,
                      filter_identity_nodes, filter_identity_one_shot,
                      flow_pair, parity_even, parity_sectors,
                      random_hermitian, random_matrix, resolution_whole,
@@ -394,7 +395,7 @@ def test_frame_drift_of_empty_and_unequal_frames():
 def test_flow_two_level_transport():
     h0 = np.diag([0.0, 1.0])
     flow = flow_unitaries(*flow_pair(h0, SX), 0.1, Window(GAMMA),
-                          checkpoints=8, keep=range(8))
+                          checkpoints=8, ode_tol=ODE_TOL, keep=range(8))
     assert len(flow.eps_grid) == 8              # an even count is kept
     assert flow.eps == pytest.approx(0.1)
     assert len(flow.sectors) == 1               # sigma^x flips the parity
@@ -436,7 +437,7 @@ def test_flow_runs_in_the_field_of_its_inputs():
              (h6, _random_pair()[1].real, 0.01, np.float64)]
     for h0, psi, eps, dtype in cases:
         flow = flow_unitaries(*flow_pair(h0, psi), eps, Window(GAMMA),
-                              checkpoints=5, keep=range(5))
+                              checkpoints=5, ode_tol=ODE_TOL, keep=range(5))
         assert all(u.dtype == dtype for u in flow.unitaries.values())
         ks = [k for _, _, k in flow.end_spectra]
         assert all(k.dtype == dtype for k in ks)
@@ -477,7 +478,7 @@ def test_flow_solves_h0_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.01, Window(GAMMA),
-                          checkpoints=5)
+                          checkpoints=5, ode_tol=ODE_TOL)
     h0_blocks = split_blocks(h0, sectors)
     assert sum(np.array_equal(h, h0_blocks) for h in solved) == 1
     evals, evecs, _ = flow.end_spectra[0]
@@ -498,10 +499,10 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     h0, psi = even_pair(np.random.default_rng(seed), 2 ** k, complex_)
     args = (0.05, Window(GAMMA))
     blocked = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
-                             keep=range(5))
+                             ode_tol=ODE_TOL, keep=range(5))
     with patch.object(interaction, "conserved_modulus", _keeps_nothing):
         whole = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
-                               keep=range(5))
+                               ode_tol=ODE_TOL, keep=range(5))
     assert (blocked.modulus, whole.modulus) == (2, 1)
     assert len(blocked.sectors) == 2 and len(whole.sectors) == 1
 
@@ -527,7 +528,7 @@ def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, Window(GAMMA),
-                          checkpoints=5, keep=[4])
+                          checkpoints=5, ode_tol=ODE_TOL, keep=[4])
     assert shapes and set(shapes) == {(1, 8, 8)}
     assert len(flow.sectors) == 1
     assert join_blocks(flow.unitaries[4], flow.sectors)[0, 1] != 0.0
@@ -538,7 +539,7 @@ def test_flow_rejects_closing_gap():
     psi = np.diag([1.0, -1.0])          # gap 1 - 2s collapses under the filter
     with pytest.raises(RuntimeError):
         flow_unitaries(*flow_pair(h0, psi), 0.45, Window(GAMMA),
-                       checkpoints=9)
+                       checkpoints=9, ode_tol=ODE_TOL)
 
 
 def test_flow_reads_its_cluster_off_the_solve_at_coupling_zero(monkeypatch):
@@ -554,7 +555,8 @@ def test_flow_reads_its_cluster_off_the_solve_at_coupling_zero(monkeypatch):
     psi = split_edge_bulk(pert, lam, 2).bulk
     shapes = []
     _counting(monkeypatch, "eigh", shapes)
-    flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA))
+    flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), CHECKPOINTS,
+                          ODE_TOL)
     assert shapes == [(2, 128, 128)] * 33
     rank = np.trace(flow.p0, axis1=-2, axis2=-1).sum()
     assert rank == pytest.approx(kernel_data(model, lam)[0], abs=1e-12)
@@ -565,7 +567,7 @@ def test_flow_without_a_kernel_to_track_is_refused():
     has nothing to track."""
     with pytest.raises(FrustrationError, match="no kernel"):
         flow_unitaries(*flow_pair(np.diag([1.0, 2.0]), SX), 0.1,
-                       Window(GAMMA), checkpoints=5)
+                       Window(GAMMA), checkpoints=5, ode_tol=ODE_TOL)
 
 
 def test_flow_whose_cluster_is_the_whole_spectrum_reads_an_infinite_gap():
@@ -574,7 +576,7 @@ def test_flow_whose_cluster_is_the_whole_spectrum_reads_an_infinite_gap():
     (as ``SpectrumSplit.gamma`` reads an empty rest), ``P(0)`` is the
     identity and the projector does not drift."""
     flow = flow_unitaries(*flow_pair(np.zeros((2, 2)), SX), 0.1,
-                         Window(0.8), checkpoints=5)
+                         Window(0.8), checkpoints=5, ode_tol=ODE_TOL)
     assert flow.gap_floor == np.inf
     assert np.array_equal(flow.p0, np.eye(2)[None])
     assert flow.projector_drift <= 1e-15
@@ -623,7 +625,7 @@ def bundle():
     psi = split_edge_bulk(pert, lam, 1).bulk
     kdim, _ = kernel_data(model, lam)
     flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
-                          keep=range(9))
+                          ode_tol=ODE_TOL, keep=range(9))
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
             "p0": flow.p0, "dec": decompose_phi1(flow, eta, psi, lam),
             "h0": local_hamiltonian(eta, lam).matrix,
@@ -814,7 +816,7 @@ def test_each_first_rung_solves_its_nodes_within_the_oracle_estimate(
     calls, shapes = _counted_generators(monkeypatch), []
     _counting(monkeypatch, "eigh", shapes)
     flow = flow_unitaries(*flow_pair(h0, psi), 0.1, window,
-                          checkpoints=checkpoints,
+                          checkpoints=checkpoints, ode_tol=ODE_TOL,
                           keep=range(checkpoints))
     assert (len(calls), len(shapes)) == (generators, solves)
     assert flow.ode_error >= 1e-12
@@ -859,7 +861,7 @@ def test_end_point_pieces_equal_the_simpson_oracle(bundle, complex_,
                       _keeps_nothing if one_block
                       else interaction.conserved_modulus):
         flow = flow_unitaries(eta, psi, lam, 0.02, window, checkpoints=9,
-                              keep=range(9))
+                              ode_tol=ODE_TOL, keep=range(9))
     assert flow.modulus == (1 if one_block else 2)
     assert flow.unitaries[8].dtype == (np.complex128 if complex_
                                        else np.float64)
@@ -885,7 +887,7 @@ def _traced_flow(bundle, checkpoints):
     """The L = 8 flow at ``checkpoints`` and its peak of traced memory."""
     return traced_peak(lambda: flow_unitaries(
         bundle["eta"], bundle["psi"], bundle["lam"], 0.02, Window(GAMMA),
-        checkpoints=checkpoints))
+        checkpoints=checkpoints, ode_tol=ODE_TOL))
 
 
 def test_default_flow_solves_each_coupling_once_in_a_peak_the_checkpoints_do_not_set(
@@ -979,7 +981,7 @@ def test_upto_argument_is_validated(bundle):
             decompose_phi1(kept, *terms, bad)
     with pytest.raises(ValueError, match="not a checkpoint index"):
         flow_unitaries(*flow_pair(np.diag([0.0, 1.0]), SX), 0.1,
-                       Window(GAMMA), checkpoints=3, keep=[3])
+                       Window(GAMMA), checkpoints=3, ode_tol=ODE_TOL, keep=[3])
 
 
 def _decompositions(bundle, uptos, one_block=False):
@@ -1043,7 +1045,7 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
 
     monkeypatch.setattr(np.linalg, "norm", norm)
     flow = flow_unitaries(bundle["eta"], bundle["psi"], bundle["lam"], 0.02,
-                          Window(GAMMA), checkpoints=9,
+                          Window(GAMMA), checkpoints=9, ode_tol=ODE_TOL,
                           keep=[8])
     decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
     assert (2, 128, 128) in shapes
@@ -1126,7 +1128,7 @@ def test_flow_and_its_readers_assemble_nothing_on_the_volume(bundle,
                 monkeypatch.setattr(module, name,
                                     recorded(name, getattr(module, name)))
     flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
-                          keep=[8])
+                          ode_tol=ODE_TOL, keep=[8])
     decompose_phi1(flow, eta, psi, lam)
     for x, terms in ball_terms.items():
         theta_assembly(terms, resolution_family(eta, lam, x, flow.p0,

@@ -10,8 +10,8 @@ from gaplab.interaction import (Interaction, hamiltonian_eigenvalues,
 from gaplab.lattice import Interval
 from gaplab.models import random_even_perturbation
 from gaplab.operator_algebra import charge_sectors, join_blocks
-from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
-                                     _support_clusters,
+from gaplab.stability_bounds import (OmegaProfile, _SAMPLE_COLUMNS,
+                                     _SAMPLE_VECTORS, _support_clusters,
                                      bound_constants, calibrate_c,
                                      edge_bulk_strengths,
                                      higher_gap_bound, higher_gap_threshold,
@@ -19,41 +19,37 @@ from gaplab.stability_bounds import (BoundConstants, OmegaProfile,
                                      kappa_bound, stability_threshold,
                                      uniform_strengths, verify_form_bound,
                                      volume_form_constants)
-from oracles import even_pair, split_blocks
+from oracles import SEED, TRUNCATION, even_pair, split_blocks
 
 BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
                      weight=WeightSpec(K=0.5, s=1.0))
 ENV = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
 
 
-# --- profiles ---------------------------------------------------------------------
+# --- the profile --------------------------------------------------------------------
+
+
+F0 = f_zero(BASE, 1)
+STEP = OmegaProfile(2.0, 3.0)
 
 
 def test_omega_profile_kinds():
-    geo = OmegaProfile("geometric", 2.0, 0.5)
-    assert geo(3.0) == pytest.approx(0.25)
-    assert geo(-5.0) == geo(0.0) == 2.0          # negative arguments clamp
-    st = OmegaProfile("step", 3.0, 2.0)
+    """The one profile is a step: its amplitude below the cut-off, zero
+    from it on, negative arguments clamped to zero."""
+    st = OmegaProfile(3.0, 2.0)
     assert st(1.9) == 3.0 and st(2.0) == 0.0
-    arr = geo(np.array([0.0, 1.0]))
-    np.testing.assert_allclose(arr, [2.0, 1.0])
+    assert st(-5.0) == st(0.0) == 3.0
+    np.testing.assert_allclose(st(np.array([0.0, 1.0, 2.0])), [3.0, 3.0, 0.0])
 
 
 def test_omega_profile_sqrt():
-    geo = OmegaProfile("geometric", 0.81, 0.25).sqrt()
-    assert geo.amplitude == pytest.approx(0.9) and geo.rate == pytest.approx(0.5)
-    st = OmegaProfile("step", 4.0, 2.0).sqrt()
-    assert st(0.0) == 2.0 and st.rate == 2.0
+    st = OmegaProfile(4.0, 2.0).sqrt()
+    assert st(0.0) == 2.0 and st.cutoff == 2.0
 
 
 def test_omega_profile_validation():
-    for kind in ("exp", "power"):
-        with pytest.raises(ValueError, match="unknown profile kind"):
-            OmegaProfile(kind, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        OmegaProfile("geometric", -1.0, 0.5)
-    with pytest.raises(ValueError):
-        OmegaProfile("geometric", 1.0, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        OmegaProfile(-1.0, 3.0)
 
 
 # --- the J series against brute-force oracles ---------------------------------------
@@ -62,38 +58,31 @@ def test_omega_profile_validation():
 def brute_j(c, omega, f0, nmax=500):
     sq = omega.sqrt()
 
-    def f0v(r):
-        return f0(max(r, 0.0)) if f0 is not None else 0.0
-
     def bracket(n):
-        return sq(max(0.5 * (n - 1), 0.0)) + f0v(0.5 * (n - 3))
+        return sq(max(0.5 * (n - 1), 0.0)) + f0(max(0.5 * (n - 3), 0.0))
 
     j1 = 40.0 * c * sum(n * bracket(n) for n in range(1, nmax))
     j2 = 20.0 * c * (bracket(0) + 2.0 * sum(bracket(n) for n in range(1, nmax)))
-    j3 = (omega(0.0) + 2.0 * f0v(0.0)
-          + 2.0 * sum(omega(0.5 * z) + 2.0 * f0v(np.floor(0.5 * z))
+    j3 = (omega(0.0) + 2.0 * f0(0.0)
+          + 2.0 * sum(omega(0.5 * z) + 2.0 * f0(np.floor(0.5 * z))
                       for z in range(1, nmax)))
     return j1, j2, j3
 
 
-def test_j_constants_match_geometric_oracle():
-    omega = OmegaProfile("geometric", 0.81, 0.25)
-    j = j_constants(2.0, omega, None)
-    b1, b2, b3 = brute_j(2.0, omega, None)
-    # geometric tails at truncation 2000 are below rounding
-    assert j.j1 == pytest.approx(b1, rel=1e-12)
-    assert j.j2 == pytest.approx(b2, rel=1e-12)
-    assert j.j3 == pytest.approx(b3, rel=1e-12)
+def test_j_constants_match_the_brute_oracle():
+    """Past their certified tails, the J sums are the brute sums of the
+    step and the shifted envelope to the truncation, to 1e-12."""
+    j = j_constants(2.0, STEP, F0, TRUNCATION)
+    brute = brute_j(2.0, STEP, F0, nmax=TRUNCATION + 1)
+    for value, tail, want in zip((j.j1, j.j2, j.j3), j.tails, brute):
+        assert tail > 0.0
+        assert value - tail == pytest.approx(want, rel=1e-12)
 
 
 def test_j_constants_certify_shifted_envelope():
-    f0 = f_zero(BASE, 1)
-    j_course = j_constants(1.0, OmegaProfile("geometric", 0.0, 0.0), f0,
-                           truncation=200)
-    j_fine = j_constants(1.0, OmegaProfile("geometric", 0.0, 0.0), f0,
-                         truncation=2000)
-    b1, b2, b3 = brute_j(1.0, OmegaProfile("geometric", 0.0, 0.0), f0,
-                         nmax=60000)
+    j_course = j_constants(1.0, STEP, F0, 200)
+    j_fine = j_constants(1.0, STEP, F0, TRUNCATION)
+    b1, b2, b3 = brute_j(1.0, STEP, F0, nmax=60000)
     # every certified value is an upper bound; finer truncation tightens it
     for certified, coarse, brute in zip(
             (j_fine.j1, j_fine.j2, j_fine.j3),
@@ -103,26 +92,22 @@ def test_j_constants_certify_shifted_envelope():
 
 
 def test_j_scaling_in_flow_constant():
-    omega = OmegaProfile("geometric", 0.5, 0.3)
-    j1 = j_constants(1.0, omega, None)
-    j2 = j_constants(2.0, omega, None)
+    j1 = j_constants(1.0, STEP, F0, TRUNCATION)
+    j2 = j_constants(2.0, STEP, F0, TRUNCATION)
     assert j2.j1 == pytest.approx(2.0 * j1.j1)
     assert j2.j2 == pytest.approx(2.0 * j1.j2)
     assert j2.j3 == pytest.approx(j1.j3)         # no flow constant in J_3
     with pytest.raises(ValueError):
-        j_constants(0.0, omega, None)
-
-
-def test_j_zero_envelopes_give_zero():
-    j = j_constants(3.0, OmegaProfile("geometric", 0.0, 0.0), None)
-    assert (j.j1, j.j2, j.j3) == (0.0, 0.0, 0.0)
+        j_constants(0.0, STEP, F0, TRUNCATION)
 
 
 def test_step_profile_needs_clearing_truncation():
-    omega = OmegaProfile("step", 1.0, 10.0)
-    with pytest.raises(ValueError):
-        j_constants(1.0, omega, None, truncation=5)
-    j = j_constants(1.0, omega, None, truncation=50)
+    """The square root's step ends at ``n = 2 cutoff + 1``: a truncation
+    one short of it is refused, and from it on the step's tail is zero."""
+    omega = OmegaProfile(1.0, 100.0)
+    with pytest.raises(ValueError, match="does not clear the step"):
+        j_constants(1.0, omega, F0, 199)
+    j = j_constants(1.0, omega, F0, 200)
     assert j.j1 > 0
 
 
@@ -131,9 +116,8 @@ def test_step_profile_needs_clearing_truncation():
 
 @pytest.fixture(scope="module")
 def bc():
-    omega = OmegaProfile("geometric", 0.81, 0.25)
     return bound_constants(gamma0=1.0, c=0.01, eta_fnorm=2.0, m_int=0.5,
-                           m_d=0.1, omega=omega, f0=None)
+                           m_d=0.1, omega=STEP, f0=F0, truncation=TRUNCATION)
 
 
 def test_constants_algebra(bc):
@@ -164,7 +148,11 @@ def test_grouped_sum_routes(bc):
     assert far <= grouped
     # the gap is exactly the dropped |n| <= 2 terms of the weighted part
     sq = bc.omega.sqrt()
-    dropped = (sq(0.0) + 5.0 * sq(0.0) + 8.0 * sq(0.5)) \
+
+    def bracket(n):
+        return sq(max(0.5 * (n - 1), 0.0)) + bc.f0(0.5 * (n - 3))
+
+    dropped = (bracket(0) + 5.0 * bracket(1) + 8.0 * bracket(2)) \
         * 40.0 * bc.c * bc.strengths
     assert grouped - far == pytest.approx(dropped, rel=1e-10)
 
@@ -175,24 +163,20 @@ def test_stability_threshold_report(bc):
                    "m_grouped_far": bc.m_grouped(min_n=3)}
     assert rep["m_grouped_far"] <= rep["m_grouped"]
     # the re-summation runs to the truncation the constants carry: one
-    # that stops inside a step profile's plateau is refused
-    step = bound_constants(gamma0=1.0, c=0.01, eta_fnorm=2.0, m_int=0.5,
-                           m_d=0.1, omega=OmegaProfile("step", 2.0, 10.0),
-                           f0=None)
-    assert bc.truncation == step.truncation == 2000
-    stability_threshold(step)
+    # that stops inside the step is refused
+    assert bc.truncation == TRUNCATION
     with pytest.raises(ValueError, match="truncation does not clear"):
-        stability_threshold(replace(step, truncation=5))
+        stability_threshold(replace(bc, truncation=5))
 
 
 def test_kappa_bound_formula(bc):
     sq = bc.omega.sqrt()
-    for n, eps in ((1, 0.01), (4, 0.02)):
+    for n, eps in ((1, 0.01), (4, 0.02), (12, 0.02)):
         want = 20.0 * bc.c * eps * (bc.eta_fnorm + bc.m_int) \
-            * sq(max(0.5 * (n - 1), 0.0))
-        assert kappa_bound(bc, n, eps) == pytest.approx(want)
+            * (sq(max(0.5 * (n - 1), 0.0)) + bc.f0(0.5 * (n - 3)))
+        assert kappa_bound(bc, n, eps, bc.m_int) == pytest.approx(want)
     assert kappa_bound(bc, 3, 0.01, phi_fnorm=0.0) == pytest.approx(
-        kappa_bound(bc, 3, 0.01) * bc.eta_fnorm / bc.strengths)
+        kappa_bound(bc, 3, 0.01, bc.m_int) * bc.eta_fnorm / bc.strengths)
 
 
 def test_higher_gap_formulas(bc):
@@ -236,12 +220,12 @@ def test_form_bound_diagonal_oracle():
     phi2 = np.diag([0.05, 0.2, 0.3])
     vecs = np.linalg.eigh(h)[1]
     rep = verify_form_bound(*_one_block(h, vecs, phi2), delta=1.0, beta=1.0,
-                            eps=0.1, n_vectors=200)
+                            eps=0.1, seed=SEED)
     assert rep.holds and rep.violations == 0
     assert rep.min_eig_plus >= -1e-10 and rep.min_eig_minus >= -1e-10
 
     bad = verify_form_bound(*_one_block(h, vecs, np.diag([0.5, 0.0, 0.0])),
-                            delta=1.0, beta=1.0, eps=0.1, n_vectors=200)
+                            delta=1.0, beta=1.0, eps=0.1, seed=SEED)
     assert not bad.holds
     assert bad.violations >= 1                   # the ground eigenvector fails
     assert bad.min_eig_minus == pytest.approx(-0.4, abs=1e-12)
@@ -254,15 +238,14 @@ def test_form_bound_margin_dominates_eigenvalues():
     b = rng.standard_normal((8, 8))
     phi2 = 0.01 * (b + b.T)
     rep = verify_form_bound(*_one_block(h, np.linalg.eigh(h)[1], phi2),
-                            delta=0.5, beta=0.2, eps=0.05, n_vectors=500,
-                            seed=11)
+                            delta=0.5, beta=0.2, eps=0.05, seed=11)
     assert rep.sampled_margin >= min(rep.min_eig_plus, rep.min_eig_minus) - 1e-12
 
 
 def test_form_bound_margins_match_the_triple_einsum_oracle():
     """The sampled forms, taken as BLAS products, give the margins of the
     direct sum ``sum_ij conj(v_i) m_ij v_j`` to 1e-12, the samples drawn
-    128 columns at a time, each block's real and imaginary parts
+    ``_SAMPLE_COLUMNS`` at a time, each block's real and imaginary parts
     together."""
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32))
@@ -271,11 +254,12 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
     for phi2 in (0.05 * (b + b.conj().T), 0.05 * (b + b.conj().T).real):
         delta, beta, eps, seed = 0.5, 0.3, 0.4, 13
         rep = verify_form_bound(*_one_block(h, np.linalg.eigh(h)[1], phi2),
-                                delta, beta, eps, n_vectors=300, seed=seed)
+                                delta, beta, eps, seed=seed)
         gen = np.random.default_rng(seed)
         vs = np.concatenate([re + 1j * im for re, im in (
-            gen.standard_normal((2, 32, cols)) for cols in (128, 128, 44))],
-            axis=1)
+            gen.standard_normal(
+                (2, 32, min(_SAMPLE_COLUMNS, _SAMPLE_VECTORS - lo)))
+            for lo in range(0, _SAMPLE_VECTORS, _SAMPLE_COLUMNS))], axis=1)
         vs /= np.linalg.norm(vs, axis=0)
         vs = np.concatenate([vs, np.linalg.eigh(h)[1].astype(complex)], axis=1)
         quad_h = np.real(np.einsum("iv,ij,jv->v", vs.conj(), h, vs))
@@ -284,7 +268,7 @@ def test_form_bound_margins_match_the_triple_einsum_oracle():
         assert rep.sampled_margin == pytest.approx(margins.min(), rel=0,
                                                    abs=1e-12)
         assert rep.violations == int(np.sum(margins < -1e-10))
-        assert 0 < rep.violations < 332              # some, not all, fail
+        assert 0 < rep.violations < _SAMPLE_VECTORS + 32   # some, not all
 
 
 def test_form_bound_on_parity_blocks_matches_one_block():
@@ -298,9 +282,9 @@ def test_form_bound_on_parity_blocks_matches_one_block():
     args = (0.3, 0.2, 0.5)
     blocked = verify_form_bound(split_blocks(h, sectors), vecs,
                                 split_blocks(phi2, sectors), sectors, *args,
-                                n_vectors=300)
+                                seed=SEED)
     whole = verify_form_bound(*_one_block(h, join_blocks(vecs, sectors),
-                                          phi2), *args, n_vectors=300)
+                                          phi2), *args, seed=SEED)
     assert blocked.min_eig_plus == pytest.approx(whole.min_eig_plus,
                                                  abs=1e-12)
     assert blocked.min_eig_minus == pytest.approx(whole.min_eig_minus,
@@ -321,7 +305,7 @@ def test_form_bound_solves_no_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     rep = verify_form_bound(*_one_block(h, vecs, np.diag([0.05, 0.2, 0.3])),
-                            delta=1.0, beta=1.0, eps=0.1, n_vectors=200)
+                            delta=1.0, beta=1.0, eps=0.1, seed=SEED)
     assert rep.holds
 
 
