@@ -8,12 +8,12 @@ relative form bound), ``gapsweep`` / ``highergaps`` (measured gaps against
 the certified lower bounds), ``sp0scan`` (low-cluster diameter versus
 interior depth) and ``all``.
 
-Identical config and seeds give byte-identical CSV files: floats are
-printed with ``repr`` (shortest round-trip decimal), rows follow fixed
-orders, and nothing time- or host-dependent is written.  Exit codes:
-0 all requested checks passed, 1 at least one failed, 2 config error.  A
-numerical step that cannot be certified (a refinement, gap, ODE or
-eigensolver failure) is a failed check, ``[FAIL] <pipeline>: not
+Identical config and seeds, at one BLAS thread count, give byte-identical
+CSV files: floats are printed with ``repr`` (shortest round-trip decimal),
+rows follow fixed orders, and nothing time- or host-dependent is written.
+Exit codes: 0 all requested checks passed, 1 at least one failed, 2 config
+error.  A numerical step that cannot be certified (a refinement, gap, ODE
+or eigensolver failure) is a failed check, ``[FAIL] <pipeline>: not
 certified`` with the reason, so it exits 1 with the artifacts written.
 """
 
@@ -55,6 +55,10 @@ COMMANDS = ("validate", "ltqo", "flow", "bounds", "gapsweep", "highergaps",
 
 # term-norm envelope of the seeded perturbations: A exp(-K n^s) / (1+n)^kappa
 ENVELOPE = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
+
+# the largest constants.truncation: each series is summed as a dense array
+# of its terms, about 85 MB per million
+MAX_TRUNCATION = 10 ** 6
 
 DEFAULTS = {
     "model": "orbital",          # orbital | file:<interaction.json>
@@ -106,9 +110,6 @@ def _check_tree(value, default, path, errors):
         elif default:
             for i, item in enumerate(value):
                 _check_tree(item, default[0], f"{path}[{i}]", errors)
-    elif isinstance(default, bool):
-        if not isinstance(value, bool):
-            errors.append(f"{label}: expected true/false")
     elif isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             errors.append(f"{label}: expected an integer")
@@ -238,7 +239,8 @@ def _config_objects(cfg: dict) -> list[str]:
     config alone, and turn each constructor's ``ValueError`` into a config
     line: the base envelope with its transform and ``f_zero`` on
     ``constants.F``, then every certified series at the one truncation on
-    ``constants.truncation``: the J sums of the step profile, the lattice
+    ``constants.truncation``, which is refused above ``MAX_TRUNCATION``
+    before any is summed: the J sums of the step profile, the lattice
     norm under ``C_F`` and the regrouped decay (a weight whose regrouping
     tail cannot be certified there is refused).  The transform is taken at
     filter width and velocity 1, the J sums at flow constant 1: these only
@@ -254,6 +256,9 @@ def _config_objects(cfg: dict) -> list[str]:
     except ValueError as exc:
         return errors + [f"constants.F: {exc}"]
     truncation = cfg["constants"]["truncation"]
+    if truncation > MAX_TRUNCATION:
+        return errors + [f"constants.truncation: at most {MAX_TRUNCATION} "
+                         f"terms; got {truncation}"]
     try:
         j_constants(1.0, _step_profile(cfg), f0, truncation)
         convolution_constant(base, truncation)
@@ -319,8 +324,6 @@ class Report:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -386,15 +389,12 @@ def _step_profile(cfg: dict) -> OmegaProfile:
     return OmegaProfile(2.0, float(cfg["D"]))
 
 
-def _perturbation(lam: Interval, max_radius: int, seed: int) -> Interaction:
-    return random_even_perturbation(lam, max_radius, ENVELOPE, seed)
-
-
-def _volume(cfg: dict, length: int):
-    """``(lam, eta, pert)``: orbital chain on ``[1, length]``, perturbed."""
-    lam = _window(length, 1)
+def _volume(cfg: dict, lam: Interval):
+    """``(lam, eta, pert)``: the orbital chain on ``lam`` and its seeded
+    perturbation of radius ``flow.max_radius``."""
     _, eta = _orbital(lam)
-    pert = _perturbation(lam, cfg["flow"]["max_radius"], cfg["seeds"][0])
+    pert = random_even_perturbation(lam, cfg["flow"]["max_radius"], ENVELOPE,
+                                    cfg["seeds"][0])
     return lam, eta, pert
 
 
@@ -427,9 +427,7 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     if "flow" in ctx:
         return ctx["flow"]
     fc = cfg["flow"]
-    lam = _window(fc["length"])
-    _, eta = _orbital(lam)
-    pert = _perturbation(lam, fc["max_radius"], cfg["seeds"][0])
+    lam, eta, pert = _volume(cfg, _window(fc["length"]))
     psi = split_edge_bulk(pert, lam, fc["max_radius"]).bulk
     window = Window(cfg["gamma"])
     uptos = _form_bound_checkpoints(fc["checkpoints"] - 1)
@@ -529,7 +527,8 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
 
     # uniform strengths over the probe volumes, each built once and kept
     # for the gap sweep
-    volumes = {n: _volume(cfg, n) for n in _stability_lengths(cfg)}
+    volumes = {n: _volume(cfg, _window(n, 1))
+               for n in _stability_lengths(cfg)}
     phi_for = {lam: pert for lam, _, pert in volumes.values()}
     m_int, m_d = uniform_strengths(phi_for, depth, base)
 
@@ -1110,7 +1109,7 @@ def cmd_highergaps(cfg: dict, ctx: dict) -> Report:
 def cmd_sp0scan(cfg: dict, ctx: dict) -> Report:
     rep = Report("sp0scan")
     sc = cfg["sp0"]
-    lam, eta, pert = _volume(cfg, sc["length"])
+    lam, eta, pert = _volume(cfg, _window(sc["length"], 1))
     rows = [("orbital", sc["length"], r["depth"], r["eps"], r["gamma"],
              r["sp0_min"], r["sp0_max"], r["sp0_diam"], r["sp1_min"])
             for r in sp0_diameter_scan(eta, pert, lam, (0.0, sc["eps"]),

@@ -146,19 +146,12 @@ def poly_tail(B, A, gamma, T, degree=0, scale=1.0):
     return scale * val
 
 
-def geometric_tail(q, T, degree=0, scale=1.0):
-    """Exact ``scale * sum_{n > T} n^degree q^n`` for ``0 <= q < 1``."""
+def geometric_tail(q, T, scale=1.0):
+    """Exact ``scale * sum_{n > T} n q^n`` for ``0 <= q < 1``:
+    ``q^{T+1} ((T+1) - T q) / (1-q)^2``."""
     if not 0.0 <= q < 1.0:
         raise ValueError("geometric ratio must lie in [0, 1)")
-    if q == 0.0:
-        return 0.0
-    head = q ** (T + 1)
-    if degree == 0:
-        return scale * head / (1.0 - q)
-    if degree == 1:
-        # sum_{n>T} n q^n = q^{T+1} ((T+1) - T q) / (1-q)^2
-        return scale * head * ((T + 1) - T * q) / (1.0 - q) ** 2
-    raise ValueError("only degrees 0 and 1 are implemented")
+    return scale * q ** (T + 1) * ((T + 1) - T * q) / (1.0 - q) ** 2
 
 
 def norm_sum(spec: FFunctionSpec, truncation: int) -> float:
@@ -329,7 +322,7 @@ def regroup_decay(base: FFunctionSpec, truncation: int) -> DerivedFSpec:
     partial = float(base.L * np.sum(n * np.exp(-0.5 * w(n))))
     lam, s = 0.5 * w.K, w.s
     if s == 1.0:
-        tail = geometric_tail(math.exp(-lam), T, degree=1, scale=base.L)
+        tail = geometric_tail(math.exp(-lam), T, scale=base.L)
     else:
         # integrand u e^{-lam u^s} must already be decreasing at T
         if T ** s <= 1.0 / (lam * s):

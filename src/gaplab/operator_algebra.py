@@ -153,9 +153,6 @@ class LocalOperator:
                 len(self.support), self.local_dim, conserved_modulus([self])))
         return self._norm
 
-    def dagger(self):
-        return replace(self, matrix=self.matrix.conj().T.copy())
-
     def __add__(self, other):
         if not isinstance(other, LocalOperator):
             return NotImplemented

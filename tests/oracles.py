@@ -167,7 +167,8 @@ def dense_drift(u, frames0, frames) -> float:
 
 def creator(lam: Interval, x: int) -> LocalOperator:
     """The spin image of a*(x): the adjoint of ``annihilator``."""
-    return annihilator(lam, x).dagger()
+    a = annihilator(lam, x)
+    return replace(a, matrix=a.matrix.conj().T)
 
 
 def number_operator(lam: Interval) -> LocalOperator:

@@ -170,7 +170,6 @@ def test_load_config_paths(tmp_path):
 
 
 def test_cell_formatting():
-    assert _cell(True) == "true" and _cell(np.bool_(False)) == "false"
     assert _cell(0.1) == "0.1"
     assert _cell(np.float64(1.0 / 3.0)) == repr(1.0 / 3.0)
     assert _cell(np.int64(5)) == "5" and _cell(7) == "7"
@@ -190,15 +189,15 @@ def test_report_and_summary():
 def test_write_artifacts_formats(tmp_path):
     rep = Report("demo")
     rep.check("ok", True)
-    rep.table("demo.csv", ["x", "value", "flag"],
-              [(1, 0.25, True), (2, 1.0 / 3.0, False)])
+    rep.table("demo.csv", ["x", "value", "status"],
+              [(1, 0.25, "pass"), (2, 1.0 / 3.0, "fail")])
     rep.ledger = {"b": 2, "a": {"nested": 0.5}}
 
     for sub in ("both", "csv"):
         (tmp_path / sub).mkdir()
     both = write_artifacts([rep], tmp_path / "both", ("csv", "json"))
     assert (both / "demo.csv").read_text(encoding="utf-8") == (
-        "x,value,flag\n1,0.25,true\n2,0.3333333333333333,false\n")
+        "x,value,status\n1,0.25,pass\n2,0.3333333333333333,fail\n")
     ledger = json.loads((both / "constants.json").read_text(encoding="utf-8"))
     assert ledger == {"a": {"nested": 0.5}, "b": 2}
     assert (both / "summary.txt").read_text(encoding="utf-8") == \
@@ -405,6 +404,33 @@ def test_the_configured_truncation_reaches_every_series(tmp_path,
     ledger = json.loads((tmp_path / "constants.json").read_text(
         encoding="utf-8"))
     assert ledger["inputs"]["truncation"] == 500
+
+
+def test_a_truncation_past_the_cap_is_refused_before_any_series(
+        tmp_path, monkeypatch, capsys):
+    """A ``constants.truncation`` one past 10^6 exits 2 with one
+    ``constants.truncation`` line before any series is summed, any pipeline
+    runs or any artifact is written; at the cap itself the series are
+    summed.  The series are spies that raise if called, so nothing of the
+    size of the truncation is allocated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    for module, name in ((cli, "j_constants"), (ffunction, "norm_sum"),
+                         (cli, "regroup_decay")):
+        monkeypatch.setattr(module, name, refuse)
+    called = _recording_pipelines(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"constants": {"truncation": 10 ** 6 + 1}}),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: constants.truncation: at most 1000000 terms; "
+        "got 1000001\n")
+    assert called == [] and not out.exists()
+    with pytest.raises(AssertionError, match="a series was summed"):
+        merged_config({"constants": {"truncation": 10 ** 6}})
 
 
 def test_bounds_runs_with_a_steep_weight(tmp_path):
@@ -619,7 +645,7 @@ def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
     lengths = cli._stability_lengths(cfg)
     assert lengths == [8, 10]
     for length in lengths:
-        lam, eta, pert = cli._volume(cfg, length)
+        lam, eta, pert = cli._volume(cfg, cli._window(length, 1))
         kdim, _ = kernel_data(paired_orbital_model(lam), lam)
         read = gap_curve(eta, pert, lam, grid)
         assert [sp.eps for sp in read] == list(grid)

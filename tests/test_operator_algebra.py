@@ -109,13 +109,15 @@ def test_fermionic_operators_with_one_odd_entry_are_refused(entry):
 
 
 def test_even_operators_stay_fermionic_under_every_operation():
-    """``+``, ``-``, ``*``, ``dagger`` and ``replace`` of even operators
-    are checked again and accepted; ``replace`` with an odd matrix is not."""
+    """``+``, ``-``, ``*`` and ``replace`` of even operators, the adjoint
+    among them, are checked again and accepted; ``replace`` with an odd
+    matrix is not."""
     lam = Interval(0, 2)
     num = number_operator(lam)
     hop = creator(lam, 0).matrix @ annihilator(lam, 2).matrix
     hop = LocalOperator(hop + hop.conj().T, lam, "fermion")
-    for op in (num + hop, num - hop, 2.5 * hop, hop * (1 - 1j), hop.dagger(),
+    for op in (num + hop, num - hop, 2.5 * hop, hop * (1 - 1j),
+               replace(hop, matrix=hop.matrix.conj().T),
                replace(num, matrix=num.matrix @ hop.matrix)):
         assert op.kind == "fermion"
         assert conserved_modulus([op], (2,)) == 2
@@ -168,7 +170,8 @@ def test_mode_annihilator_linear_combination():
               + annihilator(lam, 1).matrix * np.conj(coeffs[1]))
     np.testing.assert_allclose(mode.matrix, manual, atol=1e-15)
     # normalized orbital -> {b, b*} = 1
-    anti = mode.matrix @ mode.dagger().matrix + mode.dagger().matrix @ mode.matrix
+    adjoint = mode.matrix.conj().T
+    anti = mode.matrix @ adjoint + adjoint @ mode.matrix
     np.testing.assert_allclose(anti, np.eye(4), atol=1e-14)
 
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself, read as syntax trees."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from gaplab.cli import DEFAULTS
@@ -18,16 +19,17 @@ UNREAD = {
 }
 
 
-def _read_names(node) -> set:
-    """Every name ``node`` reads: as a name, an attribute or an import."""
-    names = set()
+def _reads(node) -> list:
+    """Every name ``node`` reads, once per read: as a name, an attribute
+    or an import."""
+    names = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            names.append(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names.append(sub.attr)
         elif isinstance(sub, ast.alias):
-            names.add(sub.name)
+            names.append(sub.name)
     return names
 
 
@@ -41,7 +43,7 @@ def test_every_top_level_definition_is_read_somewhere():
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            statements.append((stmt, _read_names(stmt)))
+            statements.append((stmt, set(_reads(stmt))))
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defined.append((f"{path.stem}.{stmt.name}", stmt))
@@ -52,6 +54,35 @@ def test_every_top_level_definition_is_read_somewhere():
         f"nothing reads {sorted(unread - set(UNREAD))}"
     assert not set(UNREAD) - unread, \
         f"now read, so no longer exempt: {sorted(set(UNREAD) - unread)}"
+
+
+# Methods that no statement of the package reads, each with the reason it
+# stays.
+UNREAD_METHODS = {}
+
+
+def test_every_method_is_read_somewhere():
+    """Every method of every class of the package, dunders aside, is read
+    by some statement of the package outside its own definition (as a
+    name or an attribute), or is listed in ``UNREAD_METHODS`` with its
+    reason; a listed one that gains a reader leaves the list.  A method
+    only the tests call is code no run of the program reaches."""
+    reads, methods = Counter(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(_reads(tree))
+        methods += [(f"{path.stem}.{cls.name}.{node.name}", node)
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and not node.name.startswith("__")]
+    unread = {qualname for qualname, node in methods
+              if reads[node.name] == _reads(node).count(node.name)}
+    listed = set(UNREAD_METHODS)
+    assert not unread - listed, f"nothing reads {sorted(unread - listed)}"
+    assert not listed - unread, \
+        f"now read, so no longer exempt: {sorted(listed - unread)}"
 
 
 # Keyword parameters with a default that no call in the package passes,
