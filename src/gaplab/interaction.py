@@ -12,7 +12,7 @@ taken against (``Interaction.f_norm(spec)``).
 A volume's values-only spectrum is solved in one place,
 ``hamiltonian_eigenvalues``: on the span of its terms, in the blocks of the
 first charge every term conserves (the number or ``S^z``, else the
-parity, else none), each added from the one placement rule that
+parity, else none), each added by ``charge_blocks``, whose blocks
 ``coupled_blocks`` also reads.  No matrix on the whole span is built for it.
 """
 
@@ -257,30 +257,22 @@ def coupled_blocks(eta: Interaction, pert: Interaction,
     ``hamiltonian_eigenvalues(coupled(eta, pert, eps), lam)`` up to the
     rounding of summing ``Psi`` before scaling it: on the span of the terms
     of both inside ``lam``, in the sectors of the charge they conserve
-    together (found once), the entries of ``H0`` and of ``Psi``
-    (``_sector_entries`` at int32 positions) summed per position in term
-    order, as ``charge_blocks`` adds them, with no block formed."""
+    together (found once), the nonzeros of each ``charge_blocks`` block of
+    ``H0`` and of ``Psi``, at int32 flat positions, one block at a time."""
     eta, pert = eta.restricted(lam), pert.restricted(lam)
     span = replace(eta, terms=eta.terms + pert.terms).span
     modulus = conserved_modulus([t.op for t in eta.terms + pert.terms])
 
-    def summed(sectors, dtype, placed):
-        for idx, groups in zip(sectors, placed):
-            at, values = [np.empty(0, np.int32)], [np.empty(0, dtype)]
-            for p, sub in groups:
-                p = p.astype(np.int32)
-                at.append(p[:, :, None] * idx.size + p[:, None, :])
-                values.append(np.broadcast_to(sub, at[-1].shape))
-            at, where = np.unique(np.concatenate(at, axis=None),
-                                  return_inverse=True)
-            sums = np.zeros(at.size, dtype)
-            np.add.at(sums, where, np.concatenate(values, axis=None))
-            del where, values
-            yield at[sums != 0], sums[sums != 0]
+    def nonzeros(blocks):
+        for block in blocks:
+            flat = block.reshape(-1)
+            at = np.flatnonzero(flat).astype(np.int32)
+            yield at, flat[at]
+            del block, flat, at
 
-    sectors, dtype, placed = _sector_entries(eta, span, modulus)
-    h0 = list(summed(sectors, dtype, placed))
-    psi = list(summed(*_sector_entries(pert, span, modulus)))
+    sectors, blocks = charge_blocks(eta, span, modulus)
+    h0 = list(nonzeros(blocks))
+    psi = list(nonzeros(charge_blocks(pert, span, modulus)[1]))
     return CoupledBlocks([idx.size for idx in sectors], h0, psi,
                          eta.local_dim ** (len(lam) - len(span)))
 

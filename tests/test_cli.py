@@ -970,9 +970,8 @@ def test_cli_import_loads_no_sparse_module():
 
 def test_runs_import_no_masked_arrays():
     """No run imports ``numpy.ma``, which ``np.unique`` loads on its first
-    call unless it is asked for the inverse (the block plan's one call
-    is): neither an ``sp0scan`` run nor an ``all`` run at the ``all-L10``
-    benchmark's sizes loads it."""
+    call unless it is asked for the inverse: neither an ``sp0scan`` run nor
+    an ``all`` run at the ``all-L10`` benchmark's sizes loads it."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, tempfile; from gaplab.cli import merged_config, run\n"
             "with tempfile.TemporaryDirectory() as tmp:\n"

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,12 +202,12 @@ def test_coupled_blocks_hold_the_nonzeros_of_the_dense_blocks(
     """The block plan of ``eta`` and ``pert``, terms real or complex that
     keep the number (or ``S^z``), only its parity, or nothing, holds for
     each sector exactly the flat nonzero positions, int32 and ascending,
-    and the values of the dense ``charge_blocks`` blocks of ``eta`` and of
-    ``pert`` on their span, at the charge they conserve together, bit for
-    bit: the entries are summed per position in term order, as the dense
-    block adds them, and exact zeros are dropped.  With ``cancel``,
-    ``pert`` ends with its first term negated, so entries that only those
-    two terms reach sum to exactly zero."""
+    and the values of the sector's sub-block of ``local_hamiltonian`` of
+    ``eta`` and of ``pert`` on their span, at the charge they conserve
+    together, bit for bit: the entries are summed per position in term
+    order, and exact zeros are dropped.  With ``cancel``, ``pert`` ends
+    with its first term negated, so entries that only those two terms
+    reach sum to exactly zero."""
     d, max_sites = dim_sites
     rng = np.random.default_rng(seed)
     lam = Interval(0, int(rng.integers(1, max_sites + 1)) - 1)
@@ -227,16 +231,52 @@ def test_coupled_blocks_hold_the_nonzeros_of_the_dense_blocks(
     both = eta.terms + pert.terms
     span = Interaction(both, "spin", d).span
     found = operator_algebra.conserved_modulus([t.op for t in both])
+    digits = digit_sums(len(span), d)
+    q = digits if found is None else digits % found
+    sectors = [np.flatnonzero(q == c) for c in np.unique(q)]
     assert plan.repeat == d ** (len(lam) - len(span))
+    assert plan.sides == [len(s) for s in sectors]
     for phi, entries in ((eta, plan.h0), (pert, plan.psi)):
-        sectors, blocks = charge_blocks(phi, span, found)
-        assert plan.sides == [len(s) for s in sectors]
-        for block, (at, values) in zip(blocks, entries, strict=True):
-            flat = block.reshape(-1)
+        whole = local_hamiltonian(phi, span).matrix
+        for idx, (at, values) in zip(sectors, entries, strict=True):
+            flat = whole[np.ix_(idx, idx)].reshape(-1)
             nonzero = np.flatnonzero(flat)
-            assert at.dtype == np.int32 and values.dtype == block.dtype
+            assert at.dtype == np.int32 and values.dtype == whole.dtype
             assert np.array_equal(at, nonzero)
             assert values.tobytes() == flat[nonzero].tobytes()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the resident size from /proc/self/status")
+def test_building_the_default_l12_plan_holds_no_more_than_twice_its_bytes():
+    """Building the block plan of the default L = 12 volume raises the
+    resident size by at most twice the bytes its entries hold, in a fresh
+    process where one 30 MiB array has been freed first (a free that
+    raises the allocator's mmap threshold, as the pipelines before the
+    sweep do in a default run): the scratch of the build is given back,
+    so the sweep's solves do not sit on top of it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import numpy as np\n"
+        "from gaplab.cli import _volume, _window, merged_config\n"
+        "from gaplab.interaction import coupled_blocks\n"
+        "def rss():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in f\n"
+        "                    if line.startswith('VmRSS:'))\n"
+        "lam, eta, pert = _volume(merged_config({}), _window(12, 1))\n"
+        "scratch = np.ones(30 * 2 ** 20 // 8)\n"
+        "del scratch\n"
+        "before = rss()\n"
+        "plan = coupled_blocks(eta, pert, lam)\n"
+        "rise = rss() - before\n"
+        "print(rise, sum(at.nbytes + values.nbytes\n"
+        "                for at, values in plan.h0 + plan.psi))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    rise, held = map(int, out.stdout.split())
+    assert rise <= 2 * held, (rise, held)
 
 
 @settings(max_examples=40, deadline=None)

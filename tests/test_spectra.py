@@ -348,9 +348,8 @@ def test_sweep_solves_come_from_one_plan_and_scan_solves_from_hamiltonian_eigenv
 
 def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
         monkeypatch):
-    """One ``gap_curve`` call asks the entry rule
-    (``interaction._sector_entries``, which ``charge_blocks`` adds up) for
-    ``eta``'s entries at coupling 0 and for the plan's two families once,
+    """One ``gap_curve`` call asks ``interaction.charge_blocks`` for
+    ``eta``'s blocks at coupling 0 and for the plan's two families once,
     and finds the charge modulus as often, however many couplings its grid
     holds: 2, 6 or 12 points, the two-point grid's one step bisected (one
     term, at norm 10 and at norm -10, adds 20 to the term norms beside a
@@ -363,17 +362,17 @@ def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
     pert = replace(pert, terms=pert.terms + [
         Term(t.op * big, t.anchor, t.radius),
         Term(t.op * -big, t.anchor, t.radius)])
-    calls = {"_sector_entries": [], "conserved_modulus": [], "solves": []}
+    calls = {"charge_blocks": [], "conserved_modulus": [], "solves": []}
 
     def counted(module, name):
         real = getattr(module, name)
 
         def wrapped(*args, **kwargs):
-            calls[name].append(args[1] if name == "_sector_entries" else None)
+            calls[name].append(args[1] if name == "charge_blocks" else None)
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
 
-    counted(interaction, "_sector_entries")
+    counted(interaction, "charge_blocks")
     counted(interaction, "conserved_modulus")
     real_solve = interaction.CoupledBlocks.eigenvalues
     monkeypatch.setattr(interaction.CoupledBlocks, "eigenvalues",
@@ -384,7 +383,7 @@ def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
         for log in calls.values():
             log.clear()
         gap_curve(eta, pert, lam, np.linspace(0.0, 0.05, size))
-        counts.append((len(calls["_sector_entries"]),
+        counts.append((len(calls["charge_blocks"]),
                        len(calls["conserved_modulus"]),
                        len(calls["solves"]) - (size - 1)))
     assert counts[0][2] > 0

@@ -1,9 +1,13 @@
 import json
+import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-SAME_ARTIFACTS = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "tools" / "same_artifacts.py"))
+SCRIPT = str(Path(__file__).resolve().parents[1] / "tools" /
+             "same_artifacts.py")
+SAME_ARTIFACTS = runpy.run_path(SCRIPT)
 
 
 def _write(directory: Path, files: dict):
@@ -102,3 +106,44 @@ def test_same_artifacts_names_the_blas_threads_it_ran_under(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert SAME_ARTIFACTS["threads_line"]() == \
         "BLAS threads: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=2"
+
+
+def test_same_artifacts_prints_each_runs_own_peak(tmp_path):
+    """Each run's summary line gives each tree's own peak resident size:
+    the parent tree's ``gaplab.cli`` holds a 64 MiB array and the change
+    tree's 16 MiB, and the change's peak, read after the parent's, is
+    below it by the 48 MiB between them, which a maximum over every child
+    would not show.  Both write the same ``summary.txt``, so the exit code
+    is 0 and no file differs.  The tool runs in a fresh process, since a
+    child's peak starts at its parent's (Linux carries it across
+    ``exec``)."""
+    cli = ("import sys\n"
+           "from pathlib import Path\n"
+           "import numpy as np\n"
+           "held = np.ones({mib} * 2 ** 20 // 8)\n"
+           "out = Path(sys.argv[sys.argv.index('--out') + 1])\n"
+           "out.mkdir()\n"
+           "(out / 'summary.txt').write_text('[PASS] held\\n')\n")
+    trees = []
+    for tag, mib in (("parent", 64), ("change", 16)):
+        tree = tmp_path / tag
+        (tree / "src" / "gaplab").mkdir(parents=True)
+        (tree / "src" / "gaplab" / "__init__.py").write_text(
+            "", encoding="utf-8")
+        (tree / "src" / "gaplab" / "cli.py").write_text(
+            cli.format(mib=mib), encoding="utf-8")
+        trees.append(str(tree))
+    done = subprocess.run([sys.executable, SCRIPT, *trees],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()[1:]
+    assert [line.split(":")[0] for line in lines] == [
+        "default", "all-L10-seed7", "all-L10-seed11"]
+    for line in lines:
+        found = re.fullmatch(
+            r"[\w-]+: 1 \[PASS\], 0 \[FAIL\] \(parent, peak ([\d.]+) MB\), "
+            r"1 \[PASS\], 0 \[FAIL\] \(change, peak ([\d.]+) MB\), "
+            r"0 differing file\(s\)", line)
+        assert found, line
+        parent, change = map(float, found.groups())
+        assert parent >= 64 and 44 <= parent - change <= 52, line

@@ -13,7 +13,9 @@ CSV that only one side holds, each moved cell of the columns both hold,
 matched by name (its row, counted from the first data row, that row's first
 cell in the parent, its column, parent -> change), and the file's largest
 relative and absolute move, each moved key of a JSON file, each changed
-line of a text file.  The first line names the BLAS thread variables the
+line of a text file.  Each run's summary line gives, for each tree, its
+verdict counts and its peak resident size in MB, read from that process's
+own ``ru_maxrss``.  The first line names the BLAS thread variables the
 runs inherit, or says they are unset: rounding, and so "0 differing
 files", holds at one thread count.  The exit code is 0 when no file
 differs and 1 otherwise; a run that refuses its config, or writes no
@@ -60,19 +62,28 @@ def runs(work: Path) -> dict:
     return out
 
 
-def run_tree(tree: Path, config: Path | None, out: Path) -> tuple[int, str]:
-    """The exit code of ``gaplab all`` from ``tree`` and the last line it
-    wrote to stderr."""
+def run_tree(tree: Path, config: Path | None,
+             out: Path) -> tuple[int, str, float]:
+    """The exit code of ``gaplab all`` from ``tree``, the last line it
+    wrote to stderr and its peak resident size in MB.  The peak is the
+    child's own ``ru_maxrss``, from ``wait4``: ``RUSAGE_CHILDREN`` is the
+    largest over every child so far, so it cannot tell one run from
+    another.  Linux carries this process's own peak (about 18 MB) into the
+    child's at ``exec``, so no run reads below it."""
     argv = [sys.executable, "-m", "gaplab.cli", "all", "--out", str(out)]
     if config is not None:
         argv += ["--config", str(config)]
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-    done = subprocess.run(argv, cwd=out.parent, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True)
-    if done.returncode == 2:
-        sys.stderr.write(done.stderr)
-    return done.returncode, (done.stderr.strip().splitlines() or [""])[-1]
+    with subprocess.Popen(argv, cwd=out.parent, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode == 2:
+        sys.stderr.write(stderr)
+    return (proc.returncode, (stderr.strip().splitlines() or [""])[-1],
+            usage.ru_maxrss / 1024)
 
 
 def _move(x: str, y: str):
@@ -189,11 +200,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, config in runs(work).items():
-            outs = []
+            outs, sides = [], []
             for tag, tree in (("parent", args.parent), ("change", args.change)):
                 out = work / name / tag
                 out.parent.mkdir(exist_ok=True)
-                code, last = run_tree(tree, config, out)
+                code, last, peak = run_tree(tree, config, out)
                 if code == 2:
                     print(f"{name}: {tag} refused its config")
                     return 1
@@ -202,10 +213,10 @@ def main(argv=None) -> int:
                           f"(exit {code}): {last}")
                     return 1
                 outs.append(out)
+                sides.append(f"{verdicts(out)} ({tag}, peak {peak:.1f} MB)")
             diff = differing(*outs)
             same = same and not diff
-            print(f"{name}: {verdicts(outs[0])} (parent), "
-                  f"{verdicts(outs[1])} (change), "
+            print(f"{name}: {', '.join(sides)}, "
                   f"{len(diff)} differing file(s)")
             for filename, lines in diff.items():
                 print(f"  differs: {filename}")
