@@ -31,15 +31,14 @@ import numpy as np
 from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
     f_norm, f_zero, regroup_decay, transform_f_phi
 from .interaction import Interaction, fermion_to_spin, from_json, \
-    hamiltonian_eigenvalues, kernel_gap, local_hamiltonian, \
-    random_interaction, regroup_intervals, split_edge_bulk, \
-    validate_unperturbed, zero_ground_energy
+    local_hamiltonian, random_interaction, regroup_intervals, \
+    split_edge_bulk, validate_unperturbed
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
     orbital_interaction, orbital_spectrum, paired_orbital_model, \
     random_even_perturbation, validate_model
-from .operator_algebra import MAX_DENSE_DIM, kernel_count, operator_norm
+from .operator_algebra import MAX_DENSE_DIM, operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
 from .spectral_flow import Window, decompose_phi1, \
@@ -555,8 +554,10 @@ _VALIDATE_HEADER = ["model", "length", "offset", "ground_energy", "gap",
 
 
 def cmd_validate(cfg: dict, ctx: dict) -> Report:
-    """Model structure, one ``validate.csv`` row per volume; every row's
-    ``gap`` is the step above its kernel, ``interaction.kernel_gap``."""
+    """Model structure, one ``validate.csv`` row per volume.  Every volume,
+    of a ``file:`` model, the orbital chain or the spin-1 chain, is read
+    through ``interaction.validate_unperturbed``: its spectrum, ground
+    energy, kernel and ``gap``, the step above its kernel."""
     rep = Report("validate")
     rows = []
 
@@ -574,56 +575,52 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
 
     # orbital chain on both window alignments; to 10 sites, the spin image
     # must equal the fermionic matrix and its spectrum the closed form
+    volumes = [_window(length, offset) for length in cfg["lengths"]
+               for offset in (0, 1)]
+    chains = {lam: _orbital(lam) for lam in volumes}
+    report = validate_unperturbed(lambda lam: chains[lam][1], volumes)
     jw_rows = []
-    for length in cfg["lengths"]:
-        for offset in (0, 1):
-            lam = _window(length, offset)
-            model, eta = _orbital(lam)
-            evals = hamiltonian_eigenvalues(eta, lam)
-            kdim = kernel_count(evals)
-            gap = kernel_gap(evals, kdim)
-            kexp, free = kernel_data(model, lam)
-            aux = auxiliary_basis(model, lam)
-            deep = interior(lam, 3 * model.R)
-            if deep is not None:
-                idx = [i for i, s in enumerate(lam) if s in deep]
-                leak = float(np.max(np.abs(aux[idx, :]))) if aux.size else 0.0
-            else:
-                leak = 0.0
-            ok = (zero_ground_energy(evals) and abs(gap - 1.0) <= 1e-9
-                  and kdim == kexp and len(free) <= 6 * model.R
-                  and aux.shape[1] <= 6 * model.R and leak <= 1e-12)
-            rows.append(("orbital", length, offset, float(evals[0]), gap,
-                         kdim, kexp, aux.shape[1], leak,
-                         "ok" if ok else "fail"))
-            rep.check(f"orbital structure on {lam}", ok,
-                      f"E0 = {evals[0]:.1e}, gap = {gap:.12f}, "
-                      f"kernel {kdim}/{kexp}, leak = {leak:.1e}")
-            if length <= 10:
-                # the same supports and matrices, in the same order, place
-                # into the same Hamiltonian entry for entry on every volume
-                spin = fermion_to_spin(eta).terms
-                same = len(spin) == len(eta.terms) and all(
-                    s.support == t.support
-                    and np.array_equal(s.op.matrix, t.op.matrix)
-                    for s, t in zip(spin, eta.terms))
-                dev = float(np.max(np.abs(evals
-                                          - orbital_spectrum(model, lam))))
-                jw_rows.append((length, offset, dev,
-                                "ok" if same and dev <= 1e-10 else "fail"))
+    for r in report.rows:
+        lam, (model, eta) = r.lam, chains[r.lam]
+        kexp, free = kernel_data(model, lam)
+        aux = auxiliary_basis(model, lam)
+        deep = interior(lam, 3 * model.R)
+        if deep is not None:
+            idx = [i for i, s in enumerate(lam) if s in deep]
+            leak = float(np.max(np.abs(aux[idx, :]))) if aux.size else 0.0
+        else:
+            leak = 0.0
+        ok = (r.frustration_free and abs(r.gap - 1.0) <= 1e-9
+              and r.kernel_dim == kexp and len(free) <= 6 * model.R
+              and aux.shape[1] <= 6 * model.R and leak <= 1e-12)
+        rows.append(("orbital", len(lam), lam.a, r.ground_energy, r.gap,
+                     r.kernel_dim, kexp, aux.shape[1], leak,
+                     "ok" if ok else "fail"))
+        rep.check(f"orbital structure on {lam}", ok,
+                  f"E0 = {r.ground_energy:.1e}, gap = {r.gap:.12f}, "
+                  f"kernel {r.kernel_dim}/{kexp}, leak = {leak:.1e}")
+        if len(lam) <= 10:
+            # the same supports and matrices, in the same order, place
+            # into the same Hamiltonian entry for entry on every volume
+            spin = fermion_to_spin(eta).terms
+            same = len(spin) == len(eta.terms) and all(
+                s.support == t.support
+                and np.array_equal(s.op.matrix, t.op.matrix)
+                for s, t in zip(spin, eta.terms))
+            dev = float(np.max(np.abs(r.evals
+                                      - orbital_spectrum(model, lam))))
+            jw_rows.append((len(lam), lam.a, dev,
+                            "ok" if same and dev <= 1e-10 else "fail"))
 
     # spin-1 projector chain
-    for length in cfg["ltqo"]["aklt_lengths"]:
-        lam = _window(length)
-        eta = aklt_interaction(lam)
-        evals = hamiltonian_eigenvalues(eta, lam)
-        kdim = kernel_count(evals)
-        gap = kernel_gap(evals, kdim)
-        ok = zero_ground_energy(evals) and kdim == 4
-        rows.append(("aklt", length, 0, float(evals[0]), gap, kdim, 4, -1,
-                     0.0, "ok" if ok else "fail"))
-        rep.check(f"aklt structure on {lam}", ok,
-                  f"E0 = {evals[0]:.1e}, kernel {kdim}/4, gap = {gap:.6f}")
+    volumes = [_window(n) for n in cfg["ltqo"]["aklt_lengths"]]
+    for r in validate_unperturbed(aklt_interaction, volumes).rows:
+        ok = r.frustration_free and r.kernel_dim == 4
+        rows.append(("aklt", len(r.lam), 0, r.ground_energy, r.gap,
+                     r.kernel_dim, 4, -1, 0.0, "ok" if ok else "fail"))
+        rep.check(f"aklt structure on {r.lam}", ok,
+                  f"E0 = {r.ground_energy:.1e}, kernel {r.kernel_dim}/4, "
+                  f"gap = {r.gap:.6f}")
     rep.table("validate.csv", _VALIDATE_HEADER, rows)
     for length, offset, dev, status in jw_rows:
         rep.check(f"fermion/spin spectra on {_window(length, offset)}",
@@ -1040,11 +1037,19 @@ def sweep_bundle(cfg: dict, ctx: dict) -> dict:
     return ctx["sweep"]
 
 
-def _against_line(measured: float, bound: float) -> str:
-    """Status of a measured gap against a certified line (1e-9 slack)."""
+def _against_line(eps: float, measured: float, bound: float):
+    """The one rule for a measured gap at coupling ``eps`` against a
+    certified line: ``(status, dominated, opened)``.  The gap is open where
+    it is positive or the coupling is 0, and ``closed`` otherwise (a NaN
+    gap too).  An open gap reads ``vacuous`` where the bound is not
+    positive, else ``dominates`` or ``fail`` with a 1e-9 slack; it is
+    dominated unless that line status is ``fail``, closed or not."""
     if bound <= 0.0:
-        return "vacuous"
-    return "dominates" if measured >= bound - 1e-9 else "fail"
+        line = "vacuous"
+    else:
+        line = "dominates" if measured >= bound - 1e-9 else "fail"
+    opened = measured > 0.0 or eps == 0.0
+    return (line if opened else "closed"), line != "fail", opened
 
 
 def cmd_gapsweep(cfg: dict, ctx: dict) -> Report:
@@ -1055,15 +1060,11 @@ def cmd_gapsweep(cfg: dict, ctx: dict) -> Report:
     for length, splits in sweep_bundle(cfg, ctx).items():
         for sp in splits:
             bound = float(bc.gap_lower_bound(sp.eps))
-            measured = sp.gamma
-            status = _against_line(measured, bound)
-            all_dominated = all_dominated and status != "fail"
-            open_gap = measured > 0.0 or sp.eps == 0.0
-            all_open = all_open and open_gap
-            if not open_gap:
-                status = "closed"
-            rows.append((length, sp.eps, measured, bound,
-                         float(sp.sp0_diameter), status))
+            status, dominated, opened = _against_line(sp.eps, sp.gamma, bound)
+            all_dominated = all_dominated and dominated
+            all_open = all_open and opened
+            rows.append((length, sp.eps, sp.gamma, bound, sp.sp0_diameter,
+                         status))
     rep.table("gapsweep.csv",
               ["length", "eps", "gamma_measured", "gamma_bound",
                "sp0_diameter", "status"], rows)
@@ -1089,11 +1090,9 @@ def cmd_highergaps(cfg: dict, ctx: dict) -> Report:
             continue
         for eps, measured in track:
             bound = float(higher_gap_bound(bc, gamma_win, hc["top"], eps))
-            status = _against_line(measured, bound)
-            all_dominated = all_dominated and status != "fail"
-            if measured <= 0.0 and eps > 0.0:
-                status = "closed"
-                all_open = False
+            status, dominated, opened = _against_line(eps, measured, bound)
+            all_dominated = all_dominated and dominated
+            all_open = all_open and opened
             rows.append((length, eps, measured, bound, status))
     rep.table("highergaps.csv",
               ["length", "eps", "gamma_window", "gamma_bound", "status"],

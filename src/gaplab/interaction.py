@@ -277,16 +277,12 @@ def coupled_blocks(eta: Interaction, pert: Interaction,
                          eta.local_dim ** (len(lam) - len(span)))
 
 
-def zero_ground_energy(evals) -> bool:
-    """The ground-energy-zero test of an ascending spectrum,
-    ``|E_0| <= 1e-10 max(1, max|lambda|)``."""
-    return bool(abs(evals[0]) <= 1e-10 * max(1.0, float(np.max(np.abs(evals)))))
-
-
 def kernel_gap(evals, kdim: int) -> float:
     """The step above the ``kdim`` kernel eigenvalues of an ascending
     spectrum, ``E_k - E_{k-1}``: ``nan`` with no kernel, ``inf`` when the
-    kernel is the whole spectrum."""
+    kernel is the whole spectrum.  The one rule for the gap above a
+    cluster: ``SpectrumSplit.gamma``, ``cluster_projector`` and
+    ``validate_unperturbed`` read it."""
     if kdim == 0:
         return np.nan
     if kdim == len(evals):
@@ -297,6 +293,7 @@ def kernel_gap(evals, kdim: int) -> float:
 @dataclass
 class VolumeReport:
     lam: Interval
+    evals: np.ndarray       # the ascending spectrum of the volume
     ground_energy: float
     gap: float              # kernel_gap of the volume's spectrum
     kernel_dim: int
@@ -312,10 +309,12 @@ class UnperturbedReport:
 def validate_unperturbed(build, volumes) -> UnperturbedReport:
     """Frustration-freeness report for a model over probe volumes.
 
-    ``build(lam)`` returns the interaction on ``lam``.  A volume failing
-    ``zero_ground_energy``, or with no kernel, is reported in its row's
-    ``frustration_free``, not raised.  Each row's ``gap`` is the step above
-    its ``k`` kernel eigenvalues, ``kernel_gap``.
+    ``build(lam)`` returns the interaction on ``lam``, and each row holds
+    its ``hamiltonian_eigenvalues``.  A volume is frustration-free when its
+    ground energy is zero at the kernel scale, ``|E_0| <= 1e-10 max(1,
+    max|lambda|)``, and it has a kernel; one that is not is reported in its
+    row's ``frustration_free``, not raised.  Each row's ``gap`` is the step
+    above its ``k`` kernel eigenvalues, ``kernel_gap``.
     The gap candidate is the smallest eigenvalue above the kernel scale over
     the probes whose diameter reaches the largest interaction range among
     the probes.
@@ -330,9 +329,10 @@ def validate_unperturbed(build, volumes) -> UnperturbedReport:
         kdim = kernel_count(evals)
         nonzero = evals[~kernel_mask(evals)]
         lowest.append(float(nonzero[0]) if nonzero.size else np.inf)
-        ok = zero_ground_energy(evals) and kdim >= 1
-        rows.append(VolumeReport(lam, ground, kernel_gap(evals, kdim), kdim,
-                                 ok))
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        ok = abs(ground) <= 1e-10 * scale and kdim >= 1
+        rows.append(VolumeReport(lam, evals, ground, kernel_gap(evals, kdim),
+                                 kdim, ok))
     eligible = [m for r, m in zip(rows, lowest) if r.lam.diameter >= rng_max]
     gamma0 = float(min(eligible)) if eligible else float("inf")
     return UnperturbedReport(rows, gamma0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, charge_blocks, charge_stack, \
-    coupled, coupled_blocks, hamiltonian_eigenvalues
+    coupled, coupled_blocks, hamiltonian_eigenvalues, kernel_gap
 from .operator_algebra import LocalOperator, kernel_count, kernel_mask
 
 
@@ -88,17 +88,21 @@ def ground_projector(phi: Interaction, lam: Interval) -> np.ndarray:
 
 @dataclass
 class SpectrumSplit:
+    """An ascending spectrum ``evals`` at coupling ``eps`` and the size
+    ``k`` of its low cluster: ``sp0`` is ``evals[:k]`` and ``sp1`` the
+    rest.  The gap above the cluster is ``interaction.kernel_gap``."""
+
     eps: float
-    sp0: np.ndarray
-    sp1: np.ndarray
+    evals: np.ndarray
+    k: int
 
     @property
     def gamma(self) -> float:
-        return float(self.sp1.min() - self.sp0.max()) if self.sp1.size else np.inf
+        return kernel_gap(self.evals, self.k)
 
     @property
     def sp0_diameter(self) -> float:
-        return float(self.sp0.max() - self.sp0.min())
+        return float(self.evals[self.k - 1] - self.evals[0])
 
 
 def gap_curve(eta: Interaction, pert: Interaction, lam: Interval,
@@ -130,7 +134,7 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval,
 
     def split_at(eps):
         evals = ev0 if eps == 0.0 else plan.eigenvalues(eps)
-        return SpectrumSplit(float(eps), evals[:cluster_dim], evals[cluster_dim:])
+        return SpectrumSplit(float(eps), evals, cluster_dim)
 
     def certified(left, right):
         drift = abs(right.eps - left.eps) * psi_norm
@@ -155,16 +159,17 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval,
 def cluster_projector(evals, evecs, dim: int):
     """The low cluster of a block stack from its decomposition
     ``(evals, evecs)``, as ``diagonalize`` gives it: the gap above the
-    ``dim`` lowest eigenvalues of the merged spectrum (``inf`` above all of
-    them), and each block's orthonormal frame of them, its first columns (a
-    copy, possibly empty).  A tie at the boundary goes to the earlier block
-    (a stable sort) and reads a zero gap, which the caller refuses.  The
-    projector onto the cluster is the stack of ``v v*`` of the frames."""
+    ``dim`` lowest eigenvalues, ``kernel_gap`` of the merged spectrum
+    (``inf`` above all of them), and each block's orthonormal frame of
+    them, its first columns (a copy, possibly empty).  A tie at the
+    boundary goes to the earlier block (a stable sort) and reads a zero
+    gap, which the caller refuses.  The projector onto the cluster is the
+    stack of ``v v*`` of the frames."""
     merged = np.sort(evals, axis=None)
     lowest = np.argsort(evals, axis=None, kind="stable")[:dim]
     counts = np.bincount(lowest // evals.shape[-1], minlength=len(evals))
-    gap = merged[dim] - merged[dim - 1] if dim < merged.size else np.inf
-    return float(gap), [v[:, :c].copy() for v, c in zip(evecs, counts)]
+    return kernel_gap(merged, dim), [v[:, :c].copy()
+                                     for v, c in zip(evecs, counts)]
 
 
 @dataclass
@@ -238,8 +243,9 @@ def higher_gap_track(splits: list[SpectrumSplit], nu: float, mu: float):
     """Gap between the eigenvalue groups below ``nu`` and above ``mu``.
 
     ``splits`` is a ``gap_curve`` sweep whose first split sits at coupling
-    zero; each full spectrum is ``sp0`` followed by ``sp1``.  Groups are
-    fixed at coupling zero and followed by sorted index:
+    zero; each full spectrum is ``sp0`` followed by ``sp1``, its
+    ``evals``.  Groups are fixed at coupling zero and followed by sorted
+    index:
     ``gamma(nu, mu, eps) = min{lam_i(eps): lam_i(0) >= mu}
     - max{lam_i(eps): lam_i(0) <= nu}``.  An eigenvalue within the
     kernel-scale cut of ``nu`` or ``mu`` (see ``kernel_mask``) sits on it, so
@@ -247,16 +253,14 @@ def higher_gap_track(splits: list[SpectrumSplit], nu: float, mu: float):
     """
     if splits[0].eps != 0.0:
         raise ValueError("the sweep must start at coupling zero")
-    spectra = [np.concatenate((sp.sp0, sp.sp1)) for sp in splits]
-    ev0 = spectra[0]
+    ev0 = splits[0].evals
     lo = np.where((ev0 <= nu) | kernel_mask(ev0 - nu))[0]
     hi = np.where((ev0 >= mu) | kernel_mask(ev0 - mu))[0]
     if lo.size == 0 or hi.size == 0:
         side = f"below nu = {nu}" if lo.size == 0 else f"above mu = {mu}"
         raise ValueError(f"no spectrum at or {side} at coupling zero")
     i_lo, i_hi = int(lo.max()), int(hi.min())
-    return [(sp.eps, float(evals[i_hi] - evals[i_lo]))
-            for sp, evals in zip(splits, spectra)]
+    return [(sp.eps, float(sp.evals[i_hi] - sp.evals[i_lo])) for sp in splits]
 
 
 def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
@@ -283,11 +287,11 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
                 if kept.terms:
                     evals = hamiltonian_eigenvalues(coupled(eta, kept, eps),
                                                     lam)
-            sp = SpectrumSplit(float(eps), evals[:kdim], evals[kdim:])
-            sp1_min = float(sp.sp1.min()) if sp.sp1.size else np.inf
+            sp = SpectrumSplit(float(eps), evals, kdim)
+            sp1_min = float(evals[kdim]) if kdim < evals.size else np.inf
             rows.append({"depth": int(depth), "eps": sp.eps,
-                         "sp0_min": float(sp.sp0.min()),
-                         "sp0_max": float(sp.sp0.max()),
+                         "sp0_min": float(evals[0]),
+                         "sp0_max": float(evals[kdim - 1]),
                          "sp0_diam": sp.sp0_diameter, "sp1_min": sp1_min,
                          "gamma": sp.gamma})
     return rows

@@ -83,8 +83,8 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import Interval, ball, boundary_distances, interior
 from .interaction import Interaction, Term, charge_stack
 from .operator_algebra import (LocalOperator, charge_sectors,
-                               conditional_expectation, delta_layer,
-                               join_blocks, operator_norm)
+                               conditional_expectation, conserved_modulus,
+                               delta_layer, join_blocks, operator_norm)
 from .spectra import (ProjectorFamily, cluster_projector, diagonalize,
                       kernel_cluster)
 
@@ -427,20 +427,16 @@ def flow_unitaries(eta: Interaction, psi: Interaction, lam: Interval,
     ``H_0`` and ``Psi``, of ``eta`` and ``psi`` on ``lam``, are the
     ``charge_stack`` of each at the modulus the result records: 2 (two
     parity blocks) when every term of both inside ``lam`` keeps the parity
-    at ``d = 2``, read by the check ``charge_stack`` makes of a given
-    modulus, else 1 (one block).  No whole matrix is built: every solve,
+    at ``d = 2``, as ``conserved_modulus`` decides it for the terms of both
+    together, else 1 (one block).  No whole matrix is built: every solve,
     product, polar step and norm is taken block by block, the tracked gap
     and cluster come from the merged block spectra, and the result keeps
     the stacks, ``p0`` and the kept unitaries too.
     """
     d = eta.local_dim
-    modulus = 2 if d == 2 else 1
-    try:
-        b0, bp = (charge_stack(eta, lam, modulus),
-                  charge_stack(psi, lam, modulus))
-    except ValueError:                       # a term mixes the parity
-        modulus = 1
-        b0, bp = charge_stack(eta, lam, 1), charge_stack(psi, lam, 1)
+    ops = [t.op for t in eta.terms + psi.terms if t.support in lam]
+    modulus = conserved_modulus(ops, (2,)) if d == 2 else 1
+    b0, bp = charge_stack(eta, lam, modulus), charge_stack(psi, lam, modulus)
     grid = np.linspace(0.0, eps, checkpoints)
     keep = set(keep)
     if not keep <= set(range(checkpoints)):

@@ -36,6 +36,19 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def recorded(monkeypatch, name) -> list:
+    """Wrap ``np.linalg.<name>`` for the rest of the test: each call appends
+    a copy of its first argument to the returned list, then solves it."""
+    calls, original = [], getattr(np.linalg, name)
+
+    def record(a, *args, **kwargs):
+        calls.append(np.array(a, copy=True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
 # --- the time rule and its two checks ----------------------------------------------
 
 
@@ -57,18 +70,6 @@ def time_weight(s, window):
         phase = np.outer(s[lo:lo + rows], nodes)
         integ[lo:lo + rows] = np.einsum("k,sk->s", kernel,
                                         np.sin(phase, out=phase))
-    return 0.5 - integ / np.pi
-
-
-def time_weight_one_shot(s, window):
-    """W(s) with the sines of every time in one table."""
-    x, wq = np.polynomial.legendre.leggauss(200)
-    half = 0.5 * window.gamma
-    nodes = 0.5 * half * (x + 1.0)
-    weights = 0.5 * half * wq
-    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
-    integ = np.einsum("k,sk->s", weights * window.beta(nodes) / nodes,
-                      np.sin(np.outer(s, nodes)))
     return 0.5 - integ / np.pi
 
 

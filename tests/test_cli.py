@@ -636,6 +636,31 @@ def test_the_stability_pipelines_need_no_closed_form(tmp_path, monkeypatch):
     assert all(rep.checks and rep.passed for rep in reports)
 
 
+@pytest.mark.parametrize("eps, measured, bound, expected", [
+    # a gap at or below 0 at a nonzero coupling is closed, whatever its line
+    (0.02, -0.1, 0.5, ("closed", False, False)),
+    (0.02, 0.0, -0.3, ("closed", True, False)),
+    # coupling 0 is open at any gap
+    (0.0, -0.1, 0.5, ("fail", False, True)),
+    (0.0, 0.0, 0.0, ("vacuous", True, True)),
+    # a bound at or below 0 is vacuous
+    (0.02, 0.3, 0.0, ("vacuous", True, True)),
+    (0.02, 0.3, -0.2, ("vacuous", True, True)),
+    # the 1e-9 slack, from inside and from outside
+    (0.02, 0.5, 0.5, ("dominates", True, True)),
+    (0.02, 0.5 - 0.9e-9, 0.5, ("dominates", True, True)),
+    (0.02, 0.5 - 1.1e-9, 0.5, ("fail", False, True)),
+    # a NaN gap is closed, and dominates no line that bites
+    (0.02, np.nan, 0.5, ("closed", False, False)),
+    (0.02, np.nan, -0.5, ("closed", True, False)),
+])
+def test_a_gap_against_its_line_reads_one_status(eps, measured, bound,
+                                                 expected):
+    """``_against_line`` is the one open/closed and line rule of both
+    ``gapsweep`` and ``highergaps``: ``(status, dominated, opened)``."""
+    assert cli._against_line(eps, measured, bound) == expected
+
+
 def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
     """On every volume of the ``all-L10`` workload the gap curve, which
     counts the kernel of the coupling-zero spectrum it solves, tracks a
@@ -649,7 +674,7 @@ def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
         kdim, _ = kernel_data(paired_orbital_model(lam), lam)
         read = gap_curve(eta, pert, lam, grid)
         assert [sp.eps for sp in read] == list(grid)
-        assert all(sp.sp0.size == kdim for sp in read)
+        assert all(sp.k == kdim for sp in read)
 
 
 def test_benchmark_workloads_keep_their_artifacts(tmp_path):
@@ -688,17 +713,23 @@ def test_benchmark_workloads_merge_as_configs(tmp_path):
 def test_values_only_solves_go_through_the_spectral_layer():
     """Only ``operator_algebra.eigenvalues`` calls ``np.linalg.eigvalsh``;
     the witness ascent in ``ltqo.py`` keeps its own solves until it is
-    rewritten.  ``cli.py`` calls no ``eigenvalues`` itself: every
-    values-only solve of a volume's Hamiltonian there goes through
-    ``hamiltonian_eigenvalues``, which hands the charge blocks of the span
-    of its terms to ``eigenvalues`` and assembles no whole matrix."""
+    rewritten.  ``cli.py`` calls neither ``eigenvalues`` nor
+    ``hamiltonian_eigenvalues`` itself: every volume spectrum there comes
+    through ``validate_unperturbed``, whose ``hamiltonian_eigenvalues``
+    hands the charge blocks of the span of its terms to ``eigenvalues`` and
+    assembles no whole matrix."""
     src = Path(__file__).resolve().parents[1] / "src" / "gaplab"
     callers = {p.name for p in src.glob("*.py")
                if "linalg.eigvalsh(" in p.read_text(encoding="utf-8")}
     assert callers <= {"operator_algebra.py", "ltqo.py"}
     cli_text = (src / "cli.py").read_text(encoding="utf-8")
-    assert not re.search(r"\beigenvalues\(", cli_text)
-    assert "hamiltonian_eigenvalues(" in cli_text
+    assert not re.search(r"eigenvalues\(", cli_text)
+    # the file, orbital and spin-1 volumes of validate
+    assert inspect.getsource(cli.cmd_validate).count(
+        "validate_unperturbed(") == 3
+    body = inspect.getsource(interaction.validate_unperturbed) \
+        .split('"""')[-1]
+    assert "hamiltonian_eigenvalues(phi, lam)" in body
     body = inspect.getsource(interaction.hamiltonian_eigenvalues) \
         .split('"""')[-1]
     assert "eigenvalues(charge_blocks(" in body

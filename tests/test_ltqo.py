@@ -15,7 +15,7 @@ from gaplab.operator_algebra import LocalOperator, embed, operator_norm, \
     parity_matrix
 from gaplab.spectra import ground_projector, kernel_basis_dense
 from oracles import even_certificate, even_upper, parity_even, \
-    projected_ascent, random_hermitian, random_matrix, traced_peak
+    projected_ascent, random_hermitian, random_matrix, recorded, traced_peak
 
 
 def _volume(model: str):
@@ -308,19 +308,11 @@ def test_ascent_normalises_only_its_starts(model, monkeypatch):
     eta, vol, region = _volume(model)
     wt = _tensor(eta, vol, region)
     dx = eta.local_dim ** len(region)
-    calls = {"eigvalsh": [], "eigh": []}
-
-    def counted(name):
-        real = getattr(np.linalg, name)
-
-        def solve(m, *args, **kwargs):
-            calls[name].append(m.shape[-1])
-            return real(m, *args, **kwargs)
-        return solve
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    solved = {name: recorded(monkeypatch, name)
+              for name in ("eigvalsh", "eigh")}
     ascent_lower_bound(wt, seed=3, restarts=3, iters=20)
+    calls = {name: [a.shape[-1] for a in arrays]
+             for name, arrays in solved.items()}
     steps = calls["eigh"].count(dx)
     assert wt.rank != dx and steps > 0
     assert calls["eigvalsh"] == [dx] * 3

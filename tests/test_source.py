@@ -85,6 +85,41 @@ def test_every_method_is_read_somewhere():
         f"now read, so no longer exempt: {sorted(listed - unread)}"
 
 
+# Annotated class fields that no statement of the package reads, each with
+# the reason it stays.
+UNREAD_FIELDS = {
+    "ltqo.WitnessTensor.region": "the tests key witnesses by it and read "
+                                 "its parities",
+    **{f"spectral_flow.ThetaAssembly.{name}": "the tests compare the "
+       "collected pieces with oracles.theta_whole; flow_bundle drops them"
+       for name in ("theta_beta", "theta_alpha")},
+}
+
+
+def test_every_field_is_read_somewhere():
+    """Every annotated field of every class of the package is read as an
+    attribute by some statement of the package, or is listed in
+    ``UNREAD_FIELDS`` with its reason; a listed one that gains a reader
+    leaves the list.  A field nothing reads is a value every run computes
+    and throws away."""
+    reads, fields = Counter(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load))
+        fields += [(f"{path.stem}.{cls.name}.{stmt.target.id}",
+                    stmt.target.id)
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                   and isinstance(stmt.target, ast.Name)]
+    unread = {qualname for qualname, name in fields if not reads[name]}
+    listed = set(UNREAD_FIELDS)
+    assert not unread - listed, f"nothing reads {sorted(unread - listed)}"
+    assert not listed - unread, \
+        f"now read, so no longer exempt: {sorted(listed - unread)}"
+
+
 # Keyword parameters with a default that no call in the package passes,
 # each with the reason the default stays.
 UNPASSED = {

@@ -22,7 +22,7 @@ from gaplab.spectra import (FrustrationError, RefinementError,
 from gaplab.spectral_flow import Window, flow_unitaries
 from gaplab import interaction, spectra
 from oracles import ODE_TOL, dense_kernel_projector, on_chain, one_site, \
-    parity_even, random_hermitian, split_blocks
+    parity_even, random_hermitian, recorded, split_blocks
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -159,7 +159,7 @@ def test_gap_curve_two_level_oracle():
     splits = curve(h0, psi, grid)
     for sp in splits:
         assert sp.gamma == pytest.approx(1.0 - 2.0 * sp.eps, abs=1e-12)
-        assert sp.sp0.size == 1
+        assert sp.k == 1
 
 
 def test_gap_curve_tracks_through_shift():
@@ -258,11 +258,11 @@ def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
     solved = []
     real_solve = interaction.CoupledBlocks.eigenvalues
 
-    def recorded(plan, e):
+    def recording(plan, e):
         solved.append((e, real_solve(plan, e)))
         return solved[-1][1]
 
-    with patch.object(interaction.CoupledBlocks, "eigenvalues", recorded):
+    with patch.object(interaction.CoupledBlocks, "eigenvalues", recording):
         splits = gap_curve(eta, pert, lam, grid)
     assert len({e for e, _ in solved} - set(grid)) > 0 if bisect \
         else [e for e, _ in solved] == grid[1:]
@@ -274,7 +274,7 @@ def test_gap_curve_is_the_span_rule_on_the_coupled_interaction(kind, n,
     h0 = local_hamiltonian(eta, lam).matrix
     psi = local_hamiltonian(pert, lam).matrix
     for sp, e in zip(splits, grid, strict=True):
-        spectrum = np.concatenate((sp.sp0, sp.sp1))
+        spectrum = sp.evals
         if e == 0.0:
             assert spectrum.tobytes() == \
                 hamiltonian_eigenvalues(eta, lam).tobytes()
@@ -507,15 +507,9 @@ def test_resolution_family_solves_only_its_balls(monkeypatch):
     lam = Interval(0, 7)
     eta = ising(lam)
     p, modulus = _volume_projector(eta, lam)
-    sides = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(m, *args, **kwargs):
-        sides.append(m.shape[0])
-        return eigh(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    solved = recorded(monkeypatch, "eigh")
     fam = resolution_family(eta, lam, 3, p, modulus)
+    sides = [a.shape[0] for a in solved]
     assert fam.P is p
     balls = [ball(lam, 3, n) for n in range(1, fam.r_x + 1)]
     assert sides == [idx.size for b in balls

@@ -30,8 +30,8 @@ from oracles import (CHECKPOINTS, ODE_TOL, dense_drift,
                      rule_nodes, simpson_oracle, split_blocks, split_whole,
                      svd_polar, telescope, telescope_oracle, theta_whole,
                      time_quadrature_nodes, time_quadrature_one_shot,
-                     time_quadrature_stacked, time_weight,
-                     time_weight_one_shot, traced_peak)
+                     recorded, time_quadrature_stacked, time_weight,
+                     traced_peak)
 
 GAMMA = 0.8
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -210,17 +210,6 @@ def test_panel_weights_by_angle_addition_match_the_node_rule(gamma, n_panels,
         * float(np.sum(np.abs(kappa))) / np.pi
     assert got.shape == (n_panels, 8)
     assert np.max(np.abs(got.ravel() - ref)) <= bound
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 4000), st.floats(0.1, 400.0),
-       st.integers(0, 2 ** 32 - 1))
-def test_time_weight_in_blocks_is_the_one_shot_sum_bit_for_bit(size, t_max,
-                                                                seed):
-    """Each time's sum is its own row, so blocks of times change no bit."""
-    s = np.random.default_rng(seed).uniform(0.0, t_max, size)
-    w = Window(GAMMA)
-    assert time_weight(s, w).tobytes() == time_weight_one_shot(s, w).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -452,16 +441,6 @@ def _keeps_nothing(ops, moduli=(None, 2)):
     return 1
 
 
-def _counting(monkeypatch, name, record):
-    original = getattr(np.linalg, name)
-
-    def counted(a, *args, **kwargs):
-        record.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counted)
-
-
 def test_flow_solves_h0_once(monkeypatch):
     """H(0) is diagonalized once, as its stack of parity blocks, for the
     generator at s = 0; the cluster projector p0 is read from that
@@ -469,14 +448,7 @@ def test_flow_solves_h0_once(monkeypatch):
     h0 = np.diag([0.0, 1.0, 1.2, 1.5])
     psi = parity_even(_random_pair()[1][:4, :4])
     sectors = charge_sectors(2, 2, 2)
-    solved = []
-    original = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        solved.append(np.array(a, copy=True))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    solved = recorded(monkeypatch, "eigh")
     flow = flow_unitaries(*flow_pair(h0, psi), 0.01, Window(GAMMA),
                           checkpoints=5, ode_tol=ODE_TOL)
     h0_blocks = split_blocks(h0, sectors)
@@ -500,7 +472,7 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
     args = (0.05, Window(GAMMA))
     blocked = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
                              ode_tol=ODE_TOL, keep=range(5))
-    with patch.object(interaction, "conserved_modulus", _keeps_nothing):
+    with patch.object(spectral_flow, "conserved_modulus", _keeps_nothing):
         whole = flow_unitaries(*flow_pair(h0, psi), *args, checkpoints=5,
                                ode_tol=ODE_TOL, keep=range(5))
     assert (blocked.modulus, whole.modulus) == (2, 1)
@@ -525,11 +497,10 @@ def test_flow_on_parity_blocks_matches_the_one_block_flow(k, complex_, seed):
 def test_flow_of_a_parity_mixing_pair_runs_as_one_block(monkeypatch):
     h0, psi = even_pair(np.random.default_rng(4), 8, False)
     psi[0, 1] = psi[1, 0] = 0.1          # couples the two parity sectors
-    shapes = []
-    _counting(monkeypatch, "eigh", shapes)
+    solved = recorded(monkeypatch, "eigh")
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, Window(GAMMA),
                           checkpoints=5, ode_tol=ODE_TOL, keep=[4])
-    assert shapes and set(shapes) == {(1, 8, 8)}
+    assert solved and {a.shape for a in solved} == {(1, 8, 8)}
     assert len(flow.sectors) == 1
     assert join_blocks(flow.unitaries[4], flow.sectors)[0, 1] != 0.0
 
@@ -553,11 +524,10 @@ def test_flow_reads_its_cluster_off_the_solve_at_coupling_zero(monkeypatch):
     eta = orbital_interaction(model, lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
     psi = split_edge_bulk(pert, lam, 2).bulk
-    shapes = []
-    _counting(monkeypatch, "eigh", shapes)
+    solved = recorded(monkeypatch, "eigh")
     flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), CHECKPOINTS,
                           ODE_TOL)
-    assert shapes == [(2, 128, 128)] * 33
+    assert [a.shape for a in solved] == [(2, 128, 128)] * 33
     rank = np.trace(flow.p0, axis1=-2, axis2=-1).sum()
     assert rank == pytest.approx(kernel_data(model, lam)[0], abs=1e-12)
 
@@ -744,14 +714,13 @@ def test_flow_refinement_past_the_first_pair_matches_the_oracle(monkeypatch):
                            checkpoints=3, ode_tol=1.0)
     assert first.ode_error > tol and len(calls) == 2 * 2 + 1
     calls.clear()
-    shapes = []
-    _counting(monkeypatch, "eigh", shapes)
+    solved = recorded(monkeypatch, "eigh")
     flow = flow_unitaries(*flow_pair(h0, psi), 0.05, window,
                           checkpoints=3, ode_tol=tol,
                           keep=range(3))
     assert flow.ode_error <= tol
     assert len(calls) == 2 * 2 + 1 + 4 * 2 + 1 + 8 * 2 + 1
-    assert len(shapes) == len(calls) - 2 * 2       # each end solved once
+    assert len(solved) == len(calls) - 2 * 2       # each end solved once
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=tol)
     for u, u_ref in zip(flow.unitaries.values(), oracle):
         assert np.max(np.abs(join_blocks(u, flow.sectors) - u_ref)) <= 1e-12
@@ -813,12 +782,12 @@ def test_each_first_rung_solves_its_nodes_within_the_oracle_estimate(
     at 5, 3 and 4)."""
     h0, psi = even_pair(np.random.default_rng(1), 4, False)
     window = Window(GAMMA)
-    calls, shapes = _counted_generators(monkeypatch), []
-    _counting(monkeypatch, "eigh", shapes)
+    calls = _counted_generators(monkeypatch)
+    solved = recorded(monkeypatch, "eigh")
     flow = flow_unitaries(*flow_pair(h0, psi), 0.1, window,
                           checkpoints=checkpoints, ode_tol=ODE_TOL,
                           keep=range(checkpoints))
-    assert (len(calls), len(shapes)) == (generators, solves)
+    assert (len(calls), len(solved)) == (generators, solves)
     assert flow.ode_error >= 1e-12
     oracle = _complex_rk4_flow(h0, psi, flow.eps_grid, window, ode_tol=1e-14)
     errors = [np.linalg.norm(join_blocks(u, flow.sectors) - u_ref, 2)
@@ -857,9 +826,9 @@ def test_end_point_pieces_equal_the_simpson_oracle(bundle, complex_,
     lam, eta = bundle["lam"], bundle["eta"]
     psi = _complex_hermitian(bundle["psi"]) if complex_ else bundle["psi"]
     window = Window(GAMMA)
-    with patch.object(interaction, "conserved_modulus",
+    with patch.object(spectral_flow, "conserved_modulus",
                       _keeps_nothing if one_block
-                      else interaction.conserved_modulus):
+                      else spectral_flow.conserved_modulus):
         flow = flow_unitaries(eta, psi, lam, 0.02, window, checkpoints=9,
                               ode_tol=ODE_TOL, keep=range(9))
     assert flow.modulus == (1 if one_block else 2)
@@ -1032,10 +1001,8 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
     decomposition is taken on a parity block of side 128, and neither calls
     an SVD or a matrix 2-norm (a values-only SVD): the polar steps are
     Newton-Schulz products and every norm is an eigensolve."""
-    shapes, svds = [], []
-    for name in ("eigh", "eigvalsh"):
-        _counting(monkeypatch, name, shapes)
-    _counting(monkeypatch, "svd", svds)
+    solved = [recorded(monkeypatch, name) for name in ("eigh", "eigvalsh")]
+    svds = recorded(monkeypatch, "svd")
     original_norm = np.linalg.norm
 
     def norm(x, ord=None, *args, **kwargs):
@@ -1048,6 +1015,7 @@ def test_flow_and_decomposition_solve_no_matrix_of_the_chains_side(
                           Window(GAMMA), checkpoints=9, ode_tol=ODE_TOL,
                           keep=[8])
     decompose_phi1(flow, bundle["eta"], bundle["psi"], bundle["lam"])
+    shapes = [a.shape for calls in solved for a in calls]
     assert (2, 128, 128) in shapes
     assert max(shape[-1] for shape in shapes) == 128
     assert svds == []
