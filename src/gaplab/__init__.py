@@ -8,9 +8,9 @@ the certified constants that control the perturbed spectral gap.
 """
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .ffunction import (FFunctionSpec, WeightSpec, DerivedFSpec, f_norm,
-                        norm_sum, convolution_constant, transform_f_phi,
-                        f_zero, regroup_decay)
+from .ffunction import (FFunctionSpec, WeightSpec, ShiftedEnvelope,
+                        DressedDecay, RegroupedDecay, f_norm, norm_sum,
+                        convolution_constant, regroup_decay)
 from .operator_algebra import (LocalOperator, ParityError, embed,
                                eigenvalues, operator_norm, spin_matrices,
                                conditional_expectation, delta_layer)

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ffunction import FFunctionSpec, WeightSpec, convolution_constant, \
-    f_norm, f_zero, regroup_decay, transform_f_phi
+from .ffunction import DressedDecay, FFunctionSpec, ShiftedEnvelope, \
+    WeightSpec, convolution_constant, f_norm, regroup_decay
 from .interaction import Interaction, fermion_to_spin, from_json, \
     local_hamiltonian, random_interaction, regroup_intervals, \
     split_edge_bulk, validate_unperturbed
@@ -44,8 +44,8 @@ from .spectra import FrustrationError, gap_curve, higher_gap_track, \
 from .spectral_flow import Window, decompose_phi1, \
     filter_identity_residual, flow_unitaries, split_phi1, \
     theta_assembly, time_quadrature_generator
-from .stability_bounds import OmegaProfile, bound_constants, calibrate_c, \
-    higher_gap_bound, higher_gap_threshold, j_constants, \
+from .stability_bounds import FORMULAS, OmegaProfile, bound_constants, \
+    calibrate_c, higher_gap_bound, higher_gap_threshold, j_constants, \
     kappa_bound, stability_threshold, uniform_strengths, verify_form_bound, \
     volume_form_constants
 
@@ -236,22 +236,22 @@ def _short_chains(cfg: dict) -> list[str]:
 def _config_objects(cfg: dict) -> list[str]:
     """Check the filter window's kind, build what the pipelines build from
     config alone, and turn each constructor's ``ValueError`` into a config
-    line: the base envelope with its transform and ``f_zero`` on
-    ``constants.F``, then every certified series at the one truncation on
-    ``constants.truncation``, which is refused above ``MAX_TRUNCATION``
-    before any is summed: the J sums of the step profile, the lattice
-    norm under ``C_F`` and the regrouped decay (a weight whose regrouping
-    tail cannot be certified there is refused).  The transform is taken at
-    filter width and velocity 1, the J sums at flow constant 1: these only
-    scale them."""
+    line: the base envelope with its shifted envelope ``F_0`` and dressed
+    decay ``F_phi`` on ``constants.F``, then every certified series at the
+    one truncation on ``constants.truncation``, which is refused above
+    ``MAX_TRUNCATION`` before any is summed: the J sums of the step profile
+    and ``F_0``, the lattice norm under ``C_F`` and the regrouped decay (a
+    weight whose regrouping tail cannot be certified there is refused).
+    ``F_phi`` is taken at filter width and velocity 1, the J sums at flow
+    constant 1: these only scale them."""
     errors = []
     if cfg["flow"]["window"] != "bump":
         errors.append("flow.window: unknown window kind "
                       f"{cfg['flow']['window']!r}")
     try:
         base = base_envelope(cfg)
-        transform_f_phi(base, 1.0, 1.0, R=1)
-        f0 = f_zero(base, R=1)
+        f0 = ShiftedEnvelope(base, R=1)
+        DressedDecay(f0, 1.0, 1.0)
     except ValueError as exc:
         return errors + [f"constants.F: {exc}"]
     truncation = cfg["constants"]["truncation"]
@@ -512,8 +512,8 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     eta_fnorm = fb["eta"].f_norm(base)
     psi_fnorm = fb["psi"].f_norm(base)
     nu = 2.0 * convolution_constant(base, truncation) * psi_fnorm
-    f_phi = transform_f_phi(base, fb["window"].gamma, nu, R=1)
-    f0 = f_zero(base, R=1)
+    f0 = ShiftedEnvelope(base, R=1)
+    f_phi = DressedDecay(f0, fb["window"].gamma, nu)
     omega = _step_profile(cfg)
 
     c_user = cfg["constants"]["C"]
@@ -846,38 +846,6 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     return rep
 
 
-_FORMULAS = {
-    "J1": "J1 = 40 C sum_{n>=1} n [sqrt(Omega((n-1)/2)) + F0((n-3)/2)]"
-          " + certified tail",
-    "J2": "J2 = 20 C [sqrt(Omega(0)) + F0(0)]"
-          " + 40 C sum_{n>=1} [sqrt(Omega((n-1)/2)) + F0((n-3)/2)]"
-          " + certified tail",
-    "J3": "J3 = Omega(0) + 2 F0(0)"
-          " + 2 sum_{z>=1} [Omega(z/2) + 2 F0(floor(z/2))] + certified tail",
-    "delta": "delta = J2 (|eta|_F + M_Int)",
-    "beta": "beta = (3/gamma0) J1 (|eta|_F + M_Int)",
-    "alpha": "alpha = C (|eta|_F + M_Int)(J3 + 4) + delta",
-    "p": "p = (3/gamma0) J1 (|eta|_F + M_Int)",
-    "q": "q = (|eta|_F + M_Int) [C (J3 + 4) + J2]",
-    "m": "m = (3 J1 + 2 J2 + C (J3 + 8)) (|eta|_F + M_Int)",
-    "m_grouped": "m = [40 C sum_{n>=0} (3n + 2)"
-                 " [sqrt(Omega((n-1)/2)) + F0((n-3)/2)] + C (J3 + 8)]"
-                 " (|eta|_F + M_Int), grouped summation",
-    "m_grouped_far": "same grouped series restricted to offsets n >= 3",
-    "m_fermion": "m' = m + 2 M_D",
-    "eps_interior": "eps_Int = min{1, gamma0 / m}",
-    "eps_star": "eps* = min{1, gamma0 / (m + 2 M_D)}",
-    "eps_star_fermion": "eps*' = min{1, gamma0 / m'}",
-    "gap_bound": "gap(eps) >= gamma0 - (m + 2 M_D) eps",
-    "higher_gap_bound": "gap(nu, mu, eps) >= (1 - p eps)(mu - nu)"
-                        " - 2 (q + p T + M_D) eps",
-    "kappa": "kappa(n, eps) = 20 C eps (|eta|_F + |Phi_Int|_F)"
-             " [sqrt(Omega((n-1)/2)) + F0((n-3)/2)]",
-    "C": "smallest admissible flow constant:"
-         " |Phi1(eps)|_{F_phi} <= C eps (|eta|_F + |Psi|_F)",
-}
-
-
 def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     rep = Report("bounds")
     fb = flow_bundle(cfg, ctx)
@@ -939,7 +907,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
               kappa_rows)
 
     def entry(key, value):
-        return {"value": float(value), "formula": _FORMULAS[key]}
+        return {"value": float(value), "formula": FORMULAS[key]}
 
     ledger = {
         "inputs": {
@@ -965,7 +933,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
             "supplied": cb["c_user"],
             "provenance": ("supplied" if cb["c_user"] is not None
                            else "calibrated"),
-            "formula": _FORMULAS["C"],
+            "formula": FORMULAS["C"],
         },
         "strengths": {
             "eta_fnorm": bc.eta_fnorm,
@@ -995,9 +963,9 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
         },
         "tails": {"J1": bc.j.tails[0], "J2": bc.j.tails[1],
                   "J3": bc.j.tails[2]},
-        "bounds": {"gap": _FORMULAS["gap_bound"],
-                   "higher_gap": _FORMULAS["higher_gap_bound"],
-                   "kappa": _FORMULAS["kappa"]},
+        "bounds": {"gap": FORMULAS["gap_bound"],
+                   "higher_gap": FORMULAS["higher_gap_bound"],
+                   "kappa": FORMULAS["kappa"]},
         "vacuity": {
             "gap_bound_positive_below": bc.eps_threshold,
             "note": "for couplings above eps_star the certified bound is"

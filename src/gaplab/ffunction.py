@@ -17,9 +17,11 @@ The module provides
 - a certified upper bound for the lattice norm ``sum_x F(x)`` and the
   closed-form cap on the convolution constant ``C_F``,
 - the interaction norm ``|Phi|_F`` (supremum over ordered site pairs),
-- derived decay functions: the fast-decay transform used for dressed
-  interactions, its polynomial envelope, and the decay function carried by
-  interval regrouping.
+- three derived decay functions, one type each: ``ShiftedEnvelope``
+  (``F_0``, the bare envelope at a rescaled argument, with its certified
+  tail), ``DressedDecay`` (``F_phi``, the fast-decay transform used for
+  dressed interactions, at ``F_0``'s argument) and ``RegroupedDecay``
+  (``G``, carried by interval regrouping, built by ``regroup_decay``).
 
 All tail estimates are one-sided upper bounds built from exact antiderivatives
 of monotone envelopes, so every reported sum is a certified upper bound on the
@@ -32,24 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-__all__ = [
-    "WeightSpec",
-    "FFunctionSpec",
-    "DerivedFSpec",
-    "evaluate",
-    "log_evaluate",
-    "norm_sum",
-    "convolution_constant",
-    "f_norm",
-    "slow_growth",
-    "transform_f_phi",
-    "f_zero",
-    "regroup_decay",
-    "poly_tail",
-    "geometric_tail",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -234,75 +218,85 @@ def slow_growth(r, kappa):
 
 
 @dataclass(frozen=True)
-class DerivedFSpec:
-    """A decay function derived from a base spec.
+class ShiftedEnvelope:
+    """``F_0``: the bare base envelope at the rescaled argument
+    ``r/18 - R - 3/2``, constant on the plateau below ``18 R + 27``.
+    ``R`` is the interaction range.  Beyond the plateau ``F_0`` is an
+    affine-argument power law, so its sums carry an exact integral tail."""
 
-    kind
-        ``"transformed"`` — fast-decay dressing of the base envelope with the
-        filter-dependent weight, the filter's ``K`` that of the base weight;
-        plateau value below ``18 R + 27``.
-        ``"shifted"`` — bare envelope at the rescaled argument
-        ``r/18 - R - 3/2`` (the transformed function with its weight factor
-        bounded by one).
-        ``"regrouped"`` — decay carried by interval regrouping,
-        ``exp(-h(r)/2) C_phi / (1 + c r)^kappa``.
-    """
-
-    kind: str
     base: FFunctionSpec
-    R: int = 0
-    gamma: float = 1.0
-    nu: float = 1.0
-    C_phi: float = 0.0
+    R: int
+
+    # the rescaling r / SCALE - R - OFFSET, read by evaluation and tail alike
+    SCALE = 18.0
+    OFFSET = 1.5
+
+    def __post_init__(self):
+        if self.R < 0:
+            raise ValueError("R must be nonnegative")
 
     def shift_argument(self, r):
-        """The rescaled radius used by the shifted/transformed kinds."""
-        return np.maximum(np.asarray(r, dtype=float) / 18.0 - self.R - 1.5, 0.0)
+        """The rescaled radius, clamped to the plateau at zero."""
+        return np.maximum(np.asarray(r, dtype=float) / self.SCALE - self.R
+                          - self.OFFSET, 0.0)
 
-    def _dressed(self, r):
+    def __call__(self, r):
+        return evaluate(self.base.bare(), self.shift_argument(r))
+
+    def tail(self, shift: float, T: int, degree: int) -> float:
+        """Certified ``sum_{n > T} n^degree F_0((n + shift) / 2)``: past
+        the plateau ``F_0((n + shift)/2) = L (a + b n)^-kappa`` with the
+        rescaling's own ``a`` and ``b``."""
         base = self.base
+        b = base.c * 0.5 / self.SCALE
+        a = 1.0 + base.c * (0.5 * shift / self.SCALE - self.R - self.OFFSET)
+        return poly_tail(b, a, base.kappa, T, degree=degree, scale=base.L)
+
+
+@dataclass(frozen=True)
+class DressedDecay:
+    """``F_phi``: the fast-decay dressing of ``envelope``'s base at
+    ``envelope``'s rescaled argument, for a filter of width ``gamma``.
+
+    The filter's ``K`` and stretching exponent are those of the base
+    weight, so a weightless base (``K = 0``) is refused.  ``nu`` is the
+    propagation velocity of the dressed dynamics.  The weight factor is at
+    most one, so ``F_phi <= F_0 = envelope``.
+    """
+
+    envelope: ShiftedEnvelope
+    gamma: float
+    nu: float
+
+    def __post_init__(self):
+        if min(self.gamma, self.nu, self.envelope.base.weight.K) <= 0:
+            raise ValueError("gamma, nu, K must be positive")
+
+    def __call__(self, r):
+        r = self.envelope.shift_argument(r)
+        base = self.envelope.base
         K = base.weight.K
         k0 = min(K, 2.0 / 7.0)
         arg = K * self.gamma * base.weight(r) / (2.0 * self.nu)
         expo = (k0 / K) * slow_growth(arg, base.kappa)
         return np.exp(-expo) * evaluate(base.bare(), r)
 
+
+@dataclass(frozen=True)
+class RegroupedDecay:
+    """``G(r) = exp(-h(r)/2) C_phi / (1 + c r)^kappa``: the decay carried by
+    interval regrouping, built by ``regroup_decay``."""
+
+    base: FFunctionSpec
+    C_phi: float
+
     def __call__(self, r):
         r = np.maximum(np.asarray(r, dtype=float), 0.0)
-        if self.kind == "transformed":
-            return self._dressed(self.shift_argument(r))
-        if self.kind == "shifted":
-            return evaluate(self.base.bare(), self.shift_argument(r))
-        if self.kind == "regrouped":
-            w = self.base.weight(r)
-            return np.exp(-0.5 * w) * self.C_phi / (1.0 + self.base.c * r) ** self.base.kappa
-        raise ValueError(f"unknown derived kind {self.kind!r}")
+        w = self.base.weight(r)
+        return np.exp(-0.5 * w) * self.C_phi / (1.0 + self.base.c * r) ** self.base.kappa
 
 
-def transform_f_phi(base: FFunctionSpec, gamma: float, nu: float,
-                    R: int) -> DerivedFSpec:
-    """Fast-decay transform of ``base`` for a filter of width ``gamma``.
-
-    The filter's ``K`` and stretching exponent are those of the base
-    weight, so a weightless base (``K = 0``) is refused.  ``nu`` is the
-    propagation velocity of the dressed dynamics and ``R`` the interaction
-    range entering the argument rescaling.
-    """
-    if min(gamma, nu, base.weight.K) <= 0:
-        raise ValueError("gamma, nu, K must be positive")
-    if R < 0:
-        raise ValueError("R must be nonnegative")
-    return DerivedFSpec("transformed", base, R=R, gamma=gamma, nu=nu)
-
-
-def f_zero(base: FFunctionSpec, R: int) -> DerivedFSpec:
-    """Polynomial envelope of the transformed function (weight factor dropped)."""
-    if R < 0:
-        raise ValueError("R must be nonnegative")
-    return DerivedFSpec("shifted", base, R=R)
-
-
-def regroup_decay(base: FFunctionSpec, truncation: int) -> DerivedFSpec:
+def regroup_decay(base: FFunctionSpec, truncation: int) -> RegroupedDecay:
     r"""Decay function carried by regrouping an interaction into intervals.
 
     ``G(r) = exp(-h(r)/2) C_phi / (1+c r)^kappa`` with
@@ -331,4 +325,4 @@ def regroup_decay(base: FFunctionSpec, truncation: int) -> DerivedFSpec:
         a = 2.0 / s
         tail = base.L * gammaincc(a, lam * T ** s) * gamma_fn(a) / (s * lam ** a)
         tail *= 1.0 + 1e-12  # guard the special-function rounding
-    return DerivedFSpec("regrouped", base, C_phi=partial + tail)
+    return RegroupedDecay(base, partial + tail)

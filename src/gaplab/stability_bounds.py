@@ -5,8 +5,8 @@ plus a closed-form tail bound, so each reported constant is a true upper
 bound for its series.  The chain of quantities, for a frustration-free
 interaction ``eta`` with gap floor ``gamma_0``, the step indistinguishability
 profile ``Omega`` (amplitude below a depth, zero from it on), the shifted
-polynomial envelope ``F_0`` of the flow decay (``ffunction.f_zero``), and a
-flow constant ``C``:
+polynomial envelope ``F_0`` of the flow decay (``ffunction.ShiftedEnvelope``),
+and a flow constant ``C``:
 
     kappa(n, eps) = 20 C eps (|eta|_F + |Phi_Int|_F)
                         [Omega((n-1)/2)^{1/2} + F_0((n-3)/2)]
@@ -24,9 +24,11 @@ and the thresholds
     eps(gamma_0)   = min{1, gamma_0 / (m + 2 M_D)}
     gap(eps)      >= gamma_0 - (m + 2 M_D) eps.
 
-The step's tail past a truncation that clears its depth is zero, and
-``F_0``'s is an exact integral.  Negative profile arguments clamp to zero
-(the profiles are nonincreasing, so clamping only enlarges the sums).
+Each profile certifies its own tail: the step's past a truncation that
+clears its depth is zero (``OmegaProfile.tail``), and ``F_0``'s is an exact
+integral (``ShiftedEnvelope.tail``).  Negative profile arguments clamp to
+zero (the profiles are nonincreasing, so clamping only enlarges the sums).
+``FORMULAS`` holds the ledger's text of each constant.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ffunction import DerivedFSpec, poly_tail
+from .ffunction import ShiftedEnvelope
 from .interaction import Interaction, hamiltonian_eigenvalues, split_edge_bulk
 from .lattice import Interval
 from .operator_algebra import eigenvalues
 
 
 # ---------------------------------------------------------------------------
-# the indistinguishability profile and the envelope's tails
+# the indistinguishability profile
 
 
 @dataclass(frozen=True)
@@ -66,38 +68,23 @@ class OmegaProfile:
     def sqrt(self) -> "OmegaProfile":
         return OmegaProfile(math.sqrt(self.amplitude), self.cutoff)
 
-
-def _omega_tail(omega: OmegaProfile, shift: float, T: int) -> float:
-    """Certified ``sum_{n > T} n^d omega((n + shift) / 2)`` for every
-    degree ``d``: zero, once the first term past ``T`` clears the step."""
-    if 0.5 * (T + 1 + shift) < omega.cutoff:
-        raise ValueError("truncation does not clear the step profile")
-    return 0.0
-
-
-def _f0_tail(f0: DerivedFSpec, shift: float, T: int, degree: int) -> float:
-    """Certified ``sum_{n > T} n^degree F_0((n + shift) / 2)``.
-
-    Beyond the plateau ``F_0(r) = L (1 + c (r/18 - R - 3/2))^-kappa`` exactly,
-    an affine-argument polynomial with an exact integral tail.
-    """
-    if f0.kind != "shifted":
-        raise ValueError("tail formula applies to the shifted envelope")
-    base = f0.base
-    b = base.c * 0.5 / 18.0
-    a = 1.0 + base.c * (0.5 * shift / 18.0 - f0.R - 1.5)
-    return poly_tail(b, a, base.kappa, T, degree=degree, scale=base.L)
+    def tail(self, shift: float, T: int) -> float:
+        """Certified ``sum_{n > T} n^d Omega((n + shift) / 2)`` for every
+        degree ``d``: zero, once the first term past ``T`` clears the step."""
+        if 0.5 * (T + 1 + shift) < self.cutoff:
+            raise ValueError("truncation does not clear the step profile")
+        return 0.0
 
 
-def _bracket(sq: OmegaProfile, f0: DerivedFSpec, n):
+def _bracket(sq: OmegaProfile, f0: ShiftedEnvelope, n):
     """``sqrt(Omega)((n-1)/2) + F_0((n-3)/2)``, given ``sq = Omega.sqrt()``."""
     return sq(0.5 * (n - 1)) + f0(0.5 * (n - 3))
 
 
-def _bracket_tail(sq: OmegaProfile, f0: DerivedFSpec, T: int,
+def _bracket_tail(sq: OmegaProfile, f0: ShiftedEnvelope, T: int,
                   degree: int) -> float:
     """Certified ``sum_{n > T} n^degree`` of ``_bracket``."""
-    return _omega_tail(sq, -1.0, T) + _f0_tail(f0, -3.0, T, degree)
+    return sq.tail(-1.0, T) + f0.tail(-3.0, T, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +99,7 @@ class JConstants:
     tails: tuple
 
 
-def j_constants(c: float, omega: OmegaProfile, f0: DerivedFSpec,
+def j_constants(c: float, omega: OmegaProfile, f0: ShiftedEnvelope,
                 truncation: int) -> JConstants:
     """The three summed constants, each a partial sum to ``truncation``
     plus its certified tail; a truncation that does not clear the step, or
@@ -135,7 +122,7 @@ def j_constants(c: float, omega: OmegaProfile, f0: DerivedFSpec,
     z = np.arange(1, T + 1, dtype=float)
     body3 = omega(0.5 * z) + 2.0 * f0(np.floor(0.5 * z))
     # floor(z/2) >= (z-1)/2 and F_0 is nonincreasing
-    t3 = _omega_tail(omega, 0.0, T) + 2.0 * _f0_tail(f0, -1.0, T, 0)
+    t3 = omega.tail(0.0, T) + 2.0 * f0.tail(-1.0, T, 0)
     j3 = (omega(0.0) + 2.0 * f0(0.0)) + 2.0 * (float(np.sum(body3)) + t3)
 
     return JConstants(j1, j2, j3, (40.0 * c * t1, 40.0 * c * t2, 2.0 * t3))
@@ -214,7 +201,7 @@ class BoundConstants:
     m_d: float
     j: JConstants
     omega: OmegaProfile
-    f0: DerivedFSpec
+    f0: ShiftedEnvelope
     truncation: int             # the partial sums' length, for every series
 
     @property
@@ -287,7 +274,7 @@ class BoundConstants:
 
 
 def bound_constants(gamma0: float, c: float, eta_fnorm: float, m_int: float,
-                    m_d: float, omega: OmegaProfile, f0: DerivedFSpec,
+                    m_d: float, omega: OmegaProfile, f0: ShiftedEnvelope,
                     truncation: int) -> BoundConstants:
     """The assembled constants, their J sums cut at ``truncation``, which
     the constants carry for ``m_grouped``'s re-summation."""
@@ -340,6 +327,39 @@ def calibrate_c(phi1_fnorm: float, eps: float, eta_fnorm: float,
     if eps <= 0:
         raise ValueError("calibration needs a positive coupling")
     return phi1_fnorm / (eps * (eta_fnorm + psi_fnorm))
+
+
+# the formula text ``constants.json`` gives each constant above, by its key
+FORMULAS = {
+    "J1": "J1 = 40 C sum_{n>=1} n [sqrt(Omega((n-1)/2)) + F0((n-3)/2)]"
+          " + certified tail",
+    "J2": "J2 = 20 C [sqrt(Omega(0)) + F0(0)]"
+          " + 40 C sum_{n>=1} [sqrt(Omega((n-1)/2)) + F0((n-3)/2)]"
+          " + certified tail",
+    "J3": "J3 = Omega(0) + 2 F0(0)"
+          " + 2 sum_{z>=1} [Omega(z/2) + 2 F0(floor(z/2))] + certified tail",
+    "delta": "delta = J2 (|eta|_F + M_Int)",
+    "beta": "beta = (3/gamma0) J1 (|eta|_F + M_Int)",
+    "alpha": "alpha = C (|eta|_F + M_Int)(J3 + 4) + delta",
+    "p": "p = (3/gamma0) J1 (|eta|_F + M_Int)",
+    "q": "q = (|eta|_F + M_Int) [C (J3 + 4) + J2]",
+    "m": "m = (3 J1 + 2 J2 + C (J3 + 8)) (|eta|_F + M_Int)",
+    "m_grouped": "m = [40 C sum_{n>=0} (3n + 2)"
+                 " [sqrt(Omega((n-1)/2)) + F0((n-3)/2)] + C (J3 + 8)]"
+                 " (|eta|_F + M_Int), grouped summation",
+    "m_grouped_far": "same grouped series restricted to offsets n >= 3",
+    "m_fermion": "m' = m + 2 M_D",
+    "eps_interior": "eps_Int = min{1, gamma0 / m}",
+    "eps_star": "eps* = min{1, gamma0 / (m + 2 M_D)}",
+    "eps_star_fermion": "eps*' = min{1, gamma0 / m'}",
+    "gap_bound": "gap(eps) >= gamma0 - (m + 2 M_D) eps",
+    "higher_gap_bound": "gap(nu, mu, eps) >= (1 - p eps)(mu - nu)"
+                        " - 2 (q + p T + M_D) eps",
+    "kappa": "kappa(n, eps) = 20 C eps (|eta|_F + |Phi_Int|_F)"
+             " [sqrt(Omega((n-1)/2)) + F0((n-3)/2)]",
+    "C": "smallest admissible flow constant:"
+         " |Phi1(eps)|_{F_phi} <= C eps (|eta|_F + |Psi|_F)",
+}
 
 
 # ---------------------------------------------------------------------------

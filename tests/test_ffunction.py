@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.ffunction import (FFunctionSpec, WeightSpec, convolution_constant,
-                              evaluate, f_norm, f_zero, geometric_tail,
-                              log_evaluate, norm_sum, poly_tail, regroup_decay,
-                              slow_growth, transform_f_phi)
+from gaplab.cli import DEFAULTS, base_envelope
+from gaplab.ffunction import (DressedDecay, FFunctionSpec, ShiftedEnvelope,
+                              WeightSpec, convolution_constant, evaluate,
+                              f_norm, geometric_tail, log_evaluate, norm_sum,
+                              poly_tail, regroup_decay, slow_growth)
 from gaplab.lattice import Interval
 from oracles import TRUNCATION
 
@@ -164,17 +165,28 @@ def test_slow_growth_profile():
 
 def test_transform_validates_its_parameters():
     """The filter's ``K`` is the base weight's: a weightless base is
-    refused with the nonpositive width, velocity and range."""
-    for base, bad in ((BASE, {"gamma": 0.0}), (BASE, {"nu": -1.0}),
-                      (BASE.bare(), {}), (BASE, {"R": -1})):
+    refused with the nonpositive width and velocity, and a negative range
+    by the shifted envelope it is dressed at."""
+    for base, R, bad in ((BASE, 1, {"gamma": 0.0}), (BASE, 1, {"nu": -1.0}),
+                         (BASE.bare(), 1, {}), (BASE, -1, {})):
         with pytest.raises(ValueError):
-            transform_f_phi(base, **{"gamma": 0.8, "nu": 1.0, "R": 1, **bad})
-    spec = transform_f_phi(BASE, gamma=0.8, nu=1.0, R=1)
-    assert spec.kind == "transformed"
+            DressedDecay(ShiftedEnvelope(base, R),
+                         **{"gamma": 0.8, "nu": 1.0, **bad})
+    DressedDecay(ShiftedEnvelope(BASE, 1), gamma=0.8, nu=1.0)
+
+
+def test_each_envelope_refuses_bad_parameters_when_built_directly():
+    """Each type checks its own parameters as it is built, with the lines
+    ``constants.F`` reports: no factory stands between a caller and
+    them."""
+    with pytest.raises(ValueError, match="gamma, nu, K must be positive"):
+        DressedDecay(ShiftedEnvelope(BASE.bare(), 1), 0.8, 1.0)
+    with pytest.raises(ValueError, match="R must be nonnegative"):
+        ShiftedEnvelope(BASE, -1)
 
 
 def test_transform_plateau_and_decay():
-    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, R=1)
+    spec = DressedDecay(ShiftedEnvelope(BASE, 1), gamma=0.8, nu=2.0)
     # constant on the rescaled-argument plateau r/18 - R - 3/2 <= 0
     plateau = 18 * (1 + 1.5)
     vals = spec(np.array([0.0, 10.0, plateau]))
@@ -184,20 +196,43 @@ def test_transform_plateau_and_decay():
     r = np.array([200.0, 400.0, 800.0])
     v = spec(r)
     assert v[0] > v[1] > v[2] > 0
-    bare_at = evaluate(BASE.bare(), spec.shift_argument(r))
+    bare_at = evaluate(BASE.bare(), spec.envelope.shift_argument(r))
     assert np.all(v <= bare_at + 1e-15)
 
 
 def test_f_zero_is_the_bare_envelope_shifted():
-    f0 = f_zero(BASE, R=1)
-    r = np.array([0.0, 50.0, 100.0])
+    f0 = ShiftedEnvelope(BASE, R=1)
+    r = np.array([-5.0, 0.0, 50.0, 100.0])
     np.testing.assert_allclose(
         f0(r), evaluate(BASE.bare(), np.maximum(r / 18.0 - 2.5, 0.0)),
         rtol=1e-14)
     # the transformed function never exceeds its polynomial envelope
-    spec = transform_f_phi(BASE, gamma=0.8, nu=2.0, R=1)
+    spec = DressedDecay(f0, gamma=0.8, nu=2.0)
     r = np.linspace(0, 500, 251)
     assert np.all(spec(r) <= f0(r) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("T", [200, 2000])
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("shift", [-3.0, -1.0])
+def test_f_zero_tail_brackets_its_remainder(shift, degree, T):
+    """At the default ``constants.F``, ``F_0``'s tail bounds the remainder
+    ``sum_{n > T} n^degree F_0((n + shift)/2)``, summed through ``F_0``
+    itself, by at most its first term: the integral of a decreasing
+    summand past ``T`` lies between its sums over ``n > T`` and ``n >= T``.
+    So the tail's rescaling is the evaluation's.  The remainder is summed
+    over ``cut`` terms; those past them add under ``(T / cut)^2 < 1e-5`` of
+    it, and the bracket's width is over ``1e-4`` of it."""
+    f0 = ShiftedEnvelope(base_envelope(DEFAULTS), R=1)
+    cut, chunk = 2 * 10 ** 6, 2 * 10 ** 5
+    remainder = 0.0
+    for lo in range(T + 1, T + cut + 1, chunk):
+        n = np.arange(lo, lo + chunk, dtype=float)
+        remainder += float(np.sum(n ** degree * f0(0.5 * (n + shift))))
+    first = T ** degree * float(f0(0.5 * (T + shift)))
+    assert first > 1e-4 * remainder
+    tail = f0.tail(shift, T, degree)
+    assert remainder <= tail <= remainder + first
 
 
 def test_regroup_decay_prefactor_closed_form():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import operator_algebra
-from gaplab.ffunction import FFunctionSpec, WeightSpec, regroup_decay
+from gaplab.ffunction import (FFunctionSpec, RegroupedDecay, WeightSpec,
+                              regroup_decay)
 from gaplab.interaction import (Interaction, Term, charge_blocks,
                                 coupled_blocks, fermion_to_spin, from_json,
                                 hamiltonian_eigenvalues, local_hamiltonian,
@@ -408,7 +409,7 @@ def test_regroup_carries_derived_decay():
     psi = random_interaction(lam, seed=3)
     grouped = regroup_intervals(psi)
     decay = regroup_decay(BASE, TRUNCATION)
-    assert decay.kind == "regrouped"
+    assert isinstance(decay, RegroupedDecay)
     assert grouped.f_norm(decay) <= psi.f_norm(BASE) + 1e-12
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.ffunction import FFunctionSpec, WeightSpec, f_zero
+from gaplab.ffunction import FFunctionSpec, ShiftedEnvelope, WeightSpec
 from gaplab.interaction import (Interaction, hamiltonian_eigenvalues,
                                 local_hamiltonian, split_edge_bulk)
 from gaplab.lattice import Interval
@@ -29,7 +29,7 @@ ENV = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
 # --- the profile --------------------------------------------------------------------
 
 
-F0 = f_zero(BASE, 1)
+F0 = ShiftedEnvelope(BASE, 1)
 STEP = OmegaProfile(2.0, 3.0)
 
 
