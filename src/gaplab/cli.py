@@ -49,9 +49,6 @@ from .stability_bounds import FORMULAS, OmegaProfile, bound_constants, \
     kappa_bound, stability_threshold, uniform_strengths, verify_form_bound, \
     volume_form_constants
 
-COMMANDS = ("validate", "ltqo", "flow", "bounds", "gapsweep", "highergaps",
-            "sp0scan", "all")
-
 # term-norm envelope of the seeded perturbations: A exp(-K n^s) / (1+n)^kappa
 ENVELOPE = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
 
@@ -63,7 +60,7 @@ DEFAULTS = {
     "model": "orbital",          # orbital | file:<interaction.json>
     "lengths": [6, 8, 10, 12],
     "D": 3,                      # interior depth / profile cut-off
-    "eps_grid": {"start": 0.0, "stop": 0.05, "steps": 11},
+    "eps_grid": {"stop": 0.05, "steps": 11},   # couplings from 0 to stop
     "gamma": 0.8,                # filter width and gap-tracking floor
     "seeds": [7],
     "constants": {
@@ -72,9 +69,8 @@ DEFAULTS = {
         "truncation": 2000,
     },
     "flow": {"length": 8, "max_radius": 2, "eps": 0.02, "checkpoints": 33,
-             "window": "bump", "ode_tol": 1e-8},
-    "ltqo": {"length": 8, "aklt_lengths": [6, 7, 8], "restarts": 6,
-             "iters": 150},
+             "ode_tol": 1e-8},
+    "ltqo": {"length": 8, "aklt_lengths": [6, 7, 8]},
     "sp0": {"length": 12, "eps": 0.02, "depths": [2, 3, 4, 5]},
     "higher": {"nu": 1.0, "mu": 2.0, "top": 2.0},
     "outputs": {"directory": "results", "formats": ["csv", "json"]},
@@ -136,8 +132,6 @@ def merged_config(user: dict | None) -> dict:
     _check_tree(cfg, DEFAULTS, "", errors)
     if not errors:
         grid = cfg["eps_grid"]
-        if grid["start"] != 0.0:
-            errors.append("eps_grid.start: sweeps must start at coupling 0")
         if grid["stop"] <= 0 or grid["steps"] < 2:
             errors.append("eps_grid: need stop > 0 and steps >= 2")
         if cfg["D"] < 1:
@@ -179,9 +173,6 @@ def merged_config(user: dict | None) -> dict:
         for field in ("eps", "ode_tol"):
             if cfg["flow"][field] <= 0:
                 errors.append(f"flow.{field}: must be positive")
-        for field in ("restarts", "iters"):
-            if cfg["ltqo"][field] < 1:
-                errors.append(f"ltqo.{field}: need at least 1")
         sp0 = cfg["sp0"]
         if not sp0["depths"]:
             errors.append("sp0.depths: need at least one depth")
@@ -234,37 +225,33 @@ def _short_chains(cfg: dict) -> list[str]:
 
 
 def _config_objects(cfg: dict) -> list[str]:
-    """Check the filter window's kind, build what the pipelines build from
-    config alone, and turn each constructor's ``ValueError`` into a config
-    line: the base envelope with its shifted envelope ``F_0`` and dressed
-    decay ``F_phi`` on ``constants.F``, then every certified series at the
-    one truncation on ``constants.truncation``, which is refused above
-    ``MAX_TRUNCATION`` before any is summed: the J sums of the step profile
-    and ``F_0``, the lattice norm under ``C_F`` and the regrouped decay (a
-    weight whose regrouping tail cannot be certified there is refused).
-    ``F_phi`` is taken at filter width and velocity 1, the J sums at flow
-    constant 1: these only scale them."""
-    errors = []
-    if cfg["flow"]["window"] != "bump":
-        errors.append("flow.window: unknown window kind "
-                      f"{cfg['flow']['window']!r}")
+    """Build what the pipelines build from config alone, and turn each
+    constructor's ``ValueError`` into a config line: the base envelope with
+    its shifted envelope ``F_0`` and dressed decay ``F_phi`` on
+    ``constants.F``, then every certified series at the one truncation on
+    ``constants.truncation``, which is refused above ``MAX_TRUNCATION``
+    before any is summed: the J sums of the step profile and ``F_0``, the
+    lattice norm under ``C_F`` and the regrouped decay (a weight whose
+    regrouping tail cannot be certified there is refused).  ``F_phi`` is
+    taken at filter width and velocity 1, the J sums at flow constant 1:
+    these only scale them."""
     try:
         base = base_envelope(cfg)
         f0 = ShiftedEnvelope(base, R=1)
         DressedDecay(f0, 1.0, 1.0)
     except ValueError as exc:
-        return errors + [f"constants.F: {exc}"]
+        return [f"constants.F: {exc}"]
     truncation = cfg["constants"]["truncation"]
     if truncation > MAX_TRUNCATION:
-        return errors + [f"constants.truncation: at most {MAX_TRUNCATION} "
-                         f"terms; got {truncation}"]
+        return [f"constants.truncation: at most {MAX_TRUNCATION} terms; "
+                f"got {truncation}"]
     try:
         j_constants(1.0, _step_profile(cfg), f0, truncation)
         convolution_constant(base, truncation)
         regroup_decay(base, truncation)
     except ValueError as exc:
-        errors.append(f"constants.truncation: {exc}")
-    return errors
+        return [f"constants.truncation: {exc}"]
+    return []
 
 
 def load_config(path: Path | None, seed: int | None = None) -> dict:
@@ -914,7 +901,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
             "model": "orbital",
             "gamma0": bc.gamma0,
             "filter_width": fb["window"].gamma,
-            "window_kind": cfg["flow"]["window"],
+            "window_kind": "bump",
             "depth": cfg["D"],
             "envelope": cfg["constants"]["F"],
             "omega_profile": {"kind": "step",
@@ -980,8 +967,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
 
 def _sweep_grid(cfg: dict, bc) -> list[float]:
     grid_cfg = cfg["eps_grid"]
-    grid = list(np.linspace(grid_cfg["start"], grid_cfg["stop"],
-                            grid_cfg["steps"]))
+    grid = list(np.linspace(0.0, grid_cfg["stop"], grid_cfg["steps"]))
     eps_star = bc.eps_threshold
     for extra in (0.5 * eps_star, 0.9 * eps_star):
         if 0.0 < extra <= grid_cfg["stop"]:
@@ -1104,6 +1090,7 @@ PIPELINES = {
     "highergaps": cmd_highergaps,
     "sp0scan": cmd_sp0scan,
 }
+COMMANDS = [*PIPELINES, "all"]
 
 
 def run(cfg: dict, commands, out_dir) -> list[Report]:

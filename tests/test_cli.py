@@ -40,6 +40,18 @@ def test_defaults_round_trip():
     assert DEFAULTS["lengths"] == [6, 8, 10, 12]    # no aliasing
 
 
+def test_readme_defaults_block_is_the_config_defaults():
+    """README's ``json`` block parses to ``DEFAULTS`` exactly, every number
+    of the same type, so the defaults it documents are the ones a run
+    merges a config over."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```json\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    assert json.dumps(json.loads(blocks[0]), sort_keys=True) == \
+        json.dumps(DEFAULTS, sort_keys=True)
+
+
 def test_deep_merge_preserves_siblings():
     cfg = merged_config({"flow": {"eps": 0.01}})
     assert cfg["flow"]["eps"] == 0.01
@@ -65,27 +77,26 @@ def test_type_errors_are_reported():
                        "constants": {"truncation": 2000.5},
                        "flow": {"length": 8.0, "max_radius": 2.0,
                                 "checkpoints": 33.0},
-                       "ltqo": {"length": 8.0, "aklt_lengths": [6.0],
-                                "restarts": 6.0, "iters": 1.5e2},
+                       "ltqo": {"length": 8.0, "aklt_lengths": [6.0]},
                        "sp0": {"length": 12.0, "depths": [2.5]}})
     lines = str(err.value).splitlines()
-    assert len(lines) == 14
+    assert len(lines) == 12
     assert all(line.endswith(": expected an integer") for line in lines)
 
 
 def test_structural_errors_short_circuit_semantic_ones():
     try:
-        merged_config({"eps_grid": {"start": 5.0, "bogus": 1}})
+        merged_config({"eps_grid": {"stop": 0.0, "bogus": 1}})
     except ConfigError as exc:
         msg = str(exc)
         assert "bogus: unknown field" in msg
-        assert "coupling 0" not in msg       # semantic pass never ran
+        assert "stop > 0" not in msg         # semantic pass never ran
     else:
         pytest.fail("expected a ConfigError")
 
 
 @pytest.mark.parametrize("patch,fragment", [
-    ({"eps_grid": {"start": 0.01}}, "start at coupling 0"),
+    ({"eps_grid": {"start": 0.0}}, "eps_grid.start: unknown field"),
     ({"eps_grid": {"steps": 1}}, "steps >= 2"),
     ({"eps_grid": {"stop": 0.0}}, "stop > 0"),
     ({"D": 0}, "interior depth"),
@@ -106,13 +117,12 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"sp0": {"length": 15}}, "sp0.length: .* exceed the dense limit"),
     ({"flow": {"eps": 0.0}}, "flow.eps: must be positive"),
     ({"flow": {"ode_tol": 0.0}}, "flow.ode_tol: must be positive"),
-    ({"ltqo": {"restarts": 0}}, "ltqo.restarts: need at least 1"),
-    ({"ltqo": {"iters": 0}}, "ltqo.iters: need at least 1"),
+    ({"ltqo": {"restarts": 6}}, "ltqo.restarts: unknown field"),
+    ({"ltqo": {"iters": 150}}, "ltqo.iters: unknown field"),
     ({"sp0": {"depths": []}}, "sp0.depths: need at least one depth"),
     ({"sp0": {"depths": [2, -1]}}, "sp0.depths: depths must be non-negative"),
     ({"sp0": {"eps": 0.0}}, "sp0.eps: must be positive"),
-    ({"flow": {"window": "triangle"}},
-     "flow.window: unknown window kind 'triangle'"),
+    ({"flow": {"window": "bump"}}, "flow.window: unknown field"),
     ({"constants": {"F": {"kappa": 2}}}, "constants.F: kappa must exceed 2"),
     ({"constants": {"F": {"s": 2}}}, r"constants.F: .* s in \(0, 1\]"),
     ({"constants": {"F": {"K": -1}}}, "constants.F: .* needs K >= 0"),
@@ -134,8 +144,7 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"constants": {"F": {"K": 0}}},
      "constants.F: gamma, nu, K must be positive"),
     ({"seeds": [7, 11]}, "seeds: every pipeline reads one seed; got 2"),
-    ({"flow": {"window": "cosine"}},
-     "flow.window: unknown window kind 'cosine'"),
+    ({"flow": {"window": "cosine"}}, "flow.window: unknown field"),
     ({"higher": {"mu": 1.0}}, "higher: need mu above nu"),
     ({"higher": {"nu": 3.0}}, "higher: need mu above nu"),
 ])
