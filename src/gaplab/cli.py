@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import models
 from .ffunction import DressedDecay, FFunctionSpec, ShiftedEnvelope, \
     WeightSpec, convolution_constant, f_norm, regroup_decay
 from .interaction import Interaction, fermion_to_spin, from_json, \
@@ -36,8 +37,8 @@ from .interaction import Interaction, fermion_to_spin, from_json, \
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
-    orbital_interaction, orbital_spectrum, paired_orbital_model, \
-    random_even_perturbation, validate_model
+    orbital_interaction, orbital_pairs, orbital_spectrum, \
+    random_even_perturbation
 from .operator_algebra import MAX_DENSE_DIM, operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
@@ -55,6 +56,15 @@ ENVELOPE = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
 # the largest constants.truncation: each series is summed as a dense array
 # of its terms, about 85 MB per million
 MAX_TRUNCATION = 10 ** 6
+
+# the largest eps_grid.steps: each sweep point keeps one full spectrum per
+# length, 32 KB at 12 sites, so the sweep at the cap keeps 32 MB per length
+MAX_SWEEP_STEPS = 10 ** 3
+
+# the largest flow.checkpoints: each checkpoint is one generator solve, about
+# 5 ms at the default 8 sites on one BLAS thread of a Xeon core, and the
+# first pass takes one to four solves per checkpoint: 1-4 minutes at the cap
+MAX_CHECKPOINTS = 10 ** 4
 
 DEFAULTS = {
     "model": "orbital",          # orbital | file:<interaction.json>
@@ -134,6 +144,9 @@ def merged_config(user: dict | None) -> dict:
         grid = cfg["eps_grid"]
         if grid["stop"] <= 0 or grid["steps"] < 2:
             errors.append("eps_grid: need stop > 0 and steps >= 2")
+        if grid["steps"] > MAX_SWEEP_STEPS:
+            errors.append(f"eps_grid.steps: at most {MAX_SWEEP_STEPS} "
+                          f"couplings; got {grid['steps']}")
         if cfg["D"] < 1:
             errors.append("D: interior depth must be at least 1")
         if not cfg["lengths"] or any(n < 2 for n in cfg["lengths"]):
@@ -168,8 +181,12 @@ def merged_config(user: dict | None) -> dict:
                                  or not isinstance(cval, (int, float))
                                  or cval <= 0):
             errors.append("constants.C: must be a positive number or null")
-        if cfg["flow"]["checkpoints"] < 3:
+        checkpoints = cfg["flow"]["checkpoints"]
+        if checkpoints < 3:
             errors.append("flow.checkpoints: need at least 3 grid points")
+        if checkpoints > MAX_CHECKPOINTS:
+            errors.append(f"flow.checkpoints: at most {MAX_CHECKPOINTS} grid "
+                          f"points; got {checkpoints}")
         for field in ("eps", "ode_tol"):
             if cfg["flow"][field] <= 0:
                 errors.append(f"flow.{field}: must be positive")
@@ -194,14 +211,10 @@ def merged_config(user: dict | None) -> dict:
 def _short_chains(cfg: dict) -> list[str]:
     """Config lines for chains shorter than the geometry their pipelines
     need: the orbital structure check an auxiliary basis (a diameter above
-    the model's ``N0``), the flow's resolutions an interior two sites deep,
-    the orbital chains on ``[1, L]`` a full pair, the spin-1 chain a bond."""
+    ``models.N0``), the flow's resolutions an interior two sites deep, the
+    orbital chains on ``[1, L]`` a full pair, the spin-1 chain a bond."""
     def has_pair(n):
-        return bool(paired_orbital_model(_window(n, 1)).f_orbitals)
-
-    def has_basis(n):
-        lam = _window(n)
-        return lam.diameter > paired_orbital_model(lam).N0
+        return bool(orbital_pairs(_window(n, 1)))
 
     rules = [("flow.length", [cfg["flow"]["length"]],
               lambda n: interior(_window(n), 2) is not None,
@@ -213,7 +226,8 @@ def _short_chains(cfg: dict) -> list[str]:
              ("ltqo.aklt_lengths", cfg["ltqo"]["aklt_lengths"],
               lambda n: _window(n).diameter >= 1, "a bond")]
     if cfg["model"] == "orbital":
-        rules.append(("lengths", cfg["lengths"], has_basis,
+        rules.append(("lengths", cfg["lengths"],
+                      lambda n: _window(n).diameter > models.N0,
                       "a diameter above N0 for the auxiliary basis"))
     errors = []
     for field, sizes, fits, need in rules:
@@ -358,12 +372,6 @@ def _window(length: int, offset: int = 0) -> Interval:
     return Interval(offset, offset + length - 1)
 
 
-def _orbital(lam: Interval):
-    model = paired_orbital_model(lam)
-    validate_model(model, lam)
-    return model, orbital_interaction(model, lam)
-
-
 def base_envelope(cfg: dict) -> FFunctionSpec:
     f = cfg["constants"]["F"]
     weight = WeightSpec(K=f["K"], s=f["s"])
@@ -378,7 +386,7 @@ def _step_profile(cfg: dict) -> OmegaProfile:
 def _volume(cfg: dict, lam: Interval):
     """``(lam, eta, pert)``: the orbital chain on ``lam`` and its seeded
     perturbation of radius ``flow.max_radius``."""
-    _, eta = _orbital(lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, cfg["flow"]["max_radius"], ENVELOPE,
                                     cfg["seeds"][0])
     return lam, eta, pert
@@ -518,7 +526,7 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     phi_for = {lam: pert for lam, _, pert in volumes.values()}
     m_int, m_d = uniform_strengths(phi_for, depth, base)
 
-    gamma0 = validate_unperturbed(lambda lam: _orbital(lam)[1],
+    gamma0 = validate_unperturbed(orbital_interaction,
                                   [_window(6), _window(8, 1)]).gamma0_candidate
 
     bc = bound_constants(gamma0, c_used, eta_fnorm, m_int, m_d, omega, f0,
@@ -564,22 +572,22 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
     # must equal the fermionic matrix and its spectrum the closed form
     volumes = [_window(length, offset) for length in cfg["lengths"]
                for offset in (0, 1)]
-    chains = {lam: _orbital(lam) for lam in volumes}
-    report = validate_unperturbed(lambda lam: chains[lam][1], volumes)
+    chains = {lam: orbital_interaction(lam) for lam in volumes}
+    report = validate_unperturbed(chains.__getitem__, volumes)
     jw_rows = []
     for r in report.rows:
-        lam, (model, eta) = r.lam, chains[r.lam]
-        kexp, free = kernel_data(model, lam)
-        aux = auxiliary_basis(model, lam)
-        deep = interior(lam, 3 * model.R)
+        lam, eta = r.lam, chains[r.lam]
+        kexp, free = kernel_data(lam)
+        aux = auxiliary_basis(lam)
+        deep = interior(lam, 3 * models.R)
         if deep is not None:
             idx = [i for i, s in enumerate(lam) if s in deep]
             leak = float(np.max(np.abs(aux[idx, :]))) if aux.size else 0.0
         else:
             leak = 0.0
         ok = (r.frustration_free and abs(r.gap - 1.0) <= 1e-9
-              and r.kernel_dim == kexp and len(free) <= 6 * model.R
-              and aux.shape[1] <= 6 * model.R and leak <= 1e-12)
+              and r.kernel_dim == kexp and len(free) <= 6 * models.R
+              and aux.shape[1] <= 6 * models.R and leak <= 1e-12)
         rows.append(("orbital", len(lam), lam.a, r.ground_energy, r.gap,
                      r.kernel_dim, kexp, aux.shape[1], leak,
                      "ok" if ok else "fail"))
@@ -595,7 +603,7 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
                 and np.array_equal(s.op.matrix, t.op.matrix)
                 for s, t in zip(spin, eta.terms))
             dev = float(np.max(np.abs(r.evals
-                                      - orbital_spectrum(model, lam))))
+                                      - orbital_spectrum(lam))))
             jw_rows.append((len(lam), lam.a, dev,
                             "ok" if same and dev <= 1e-10 else "fail"))
 
@@ -670,7 +678,7 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
 
     # paired-orbital chain: certified zeros over the even columns
     lam = _window(lc["length"], 1)
-    _, eta = _orbital(lam)
+    eta = orbital_interaction(lam)
     budget = 1e-11
     values = {"beyond": [], "inside": []}
     centre = (lam.a + lam.b) // 2

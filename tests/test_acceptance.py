@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from gaplab import cli
-from gaplab.cli import PIPELINES, _orbital, _window, merged_config
+from gaplab.cli import PIPELINES, _window, merged_config
 from gaplab.interaction import fermion_to_spin
 from gaplab.lattice import ball
+from gaplab.models import orbital_interaction
 from gaplab.operator_algebra import conserved_modulus, operator_norm
 from gaplab.spectra import sigma_projection
 
@@ -125,7 +126,7 @@ def test_04_fermion_spin_spectral_equivalence(done):
     assert passed(reports["validate"], "fermion/spin spectra on ") \
         == 2 * len(short)
     for lam in [_window(n, offset) for n in short for offset in (0, 1)]:
-        _, eta = _orbital(lam)
+        eta = orbital_interaction(lam)
         assert conserved_modulus([t.op for t in eta.terms], (2,)) == 2
         spin = fermion_to_spin(eta)
         assert [t.support for t in spin.terms] \

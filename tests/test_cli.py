@@ -22,8 +22,7 @@ from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         write_artifacts)
 from gaplab.interaction import Term, random_interaction, to_json
 from gaplab.lattice import Interval
-from gaplab.models import kernel_data, orbital_interaction, \
-    paired_orbital_model
+from gaplab.models import kernel_data, orbital_interaction
 from gaplab.operator_algebra import LocalOperator, conserved_modulus, \
     operator_norm
 from gaplab.spectra import gap_curve
@@ -147,6 +146,10 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"flow": {"window": "cosine"}}, "flow.window: unknown field"),
     ({"higher": {"mu": 1.0}}, "higher: need mu above nu"),
     ({"higher": {"nu": 3.0}}, "higher: need mu above nu"),
+    ({"eps_grid": {"steps": 10 ** 12}},
+     "eps_grid.steps: at most 1000 couplings; got 1000000000000"),
+    ({"flow": {"checkpoints": 10 ** 12}},
+     "flow.checkpoints: at most 10000 grid points; got 1000000000000"),
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -255,8 +258,7 @@ def test_main_rejects_unloadable_model_file(tmp_path, capsys):
     # a fermionic model with one odd term (a hopping term of the spin
     # picture, X on a site) is refused as it loads
     lam = Interval(0, 3)
-    data = json.loads(to_json(orbital_interaction(paired_orbital_model(lam),
-                                                  lam)))
+    data = json.loads(to_json(orbital_interaction(lam)))
     data["terms"].append({"support": [1, 1], "anchor": 1, "radius": None,
                           "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]})
     odd = tmp_path / "odd.json"
@@ -276,8 +278,7 @@ def test_main_rejects_unloadable_model_file(tmp_path, capsys):
 def test_main_validates_a_model_file(tmp_path, capsys):
     lam = Interval(0, 5)
     model = tmp_path / "orbital.json"
-    model.write_text(to_json(orbital_interaction(paired_orbital_model(lam),
-                                                 lam)), encoding="utf-8")
+    model.write_text(to_json(orbital_interaction(lam)), encoding="utf-8")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": f"file:{model}", "lengths": [4, 6]}),
                    encoding="utf-8")
@@ -293,8 +294,7 @@ def test_a_model_files_gap_is_the_step_above_its_kernel(tmp_path):
     kernel reads ``nan``, not its ground energy, and fails."""
     lam = Interval(0, 5)
     orbital = tmp_path / "orbital.json"
-    orbital.write_text(to_json(orbital_interaction(paired_orbital_model(lam),
-                                                   lam)), encoding="utf-8")
+    orbital.write_text(to_json(orbital_interaction(lam)), encoding="utf-8")
     frustrated = tmp_path / "random.json"
     frustrated.write_text(to_json(random_interaction(Interval(0, 11), seed=3,
                                                      n_terms=8)),
@@ -330,8 +330,7 @@ def test_a_model_file_is_refused_by_every_pipeline_but_validate(
         for name in cli.PIPELINES})
     lam = Interval(0, 5)
     model = tmp_path / "orbital.json"
-    model.write_text(to_json(orbital_interaction(paired_orbital_model(lam),
-                                                 lam)), encoding="utf-8")
+    model.write_text(to_json(orbital_interaction(lam)), encoding="utf-8")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": f"file:{model}"}), encoding="utf-8")
     out = tmp_path / "out"
@@ -680,7 +679,7 @@ def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
     assert lengths == [8, 10]
     for length in lengths:
         lam, eta, pert = cli._volume(cfg, cli._window(length, 1))
-        kdim, _ = kernel_data(paired_orbital_model(lam), lam)
+        kdim, _ = kernel_data(lam)
         read = gap_curve(eta, pert, lam, grid)
         assert [sp.eps for sp in read] == list(grid)
         assert all(sp.k == kdim for sp in read)
@@ -1058,15 +1057,10 @@ def test_validate_reads_no_gap_off_an_empty_kernel(monkeypatch):
                               phi.local_dim)
         return replace(phi, terms=phi.terms + [Term(shift)])
 
-    orbital, aklt = cli._orbital, cli.aklt_interaction
-
-    def lifted_orbital(lam):
-        model, eta = orbital(lam)
-        return model, lifted(eta, lam)
-
-    monkeypatch.setattr(cli, "_orbital", lifted_orbital)
-    monkeypatch.setattr(cli, "aklt_interaction",
-                        lambda lam: lifted(aklt(lam), lam))
+    for name in ("orbital_interaction", "aklt_interaction"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda lam, build=build: lifted(build(lam), lam))
     cfg = merged_config({"lengths": [6], "ltqo": {"aklt_lengths": [4]}})
     rep = cmd_validate(cfg, {})
     _, rows = rep.tables["validate.csv"]
@@ -1097,7 +1091,7 @@ def test_validate_owns_the_auxiliary_basis_budget(monkeypatch):
     orbital structure check fails one that exceeds ``6R`` columns and
     reaches the depth-``3R`` interior."""
     monkeypatch.setattr(cli, "auxiliary_basis",
-                        lambda model, lam: np.eye(len(lam)))
+                        lambda lam: np.eye(len(lam)))
     cfg = merged_config({"lengths": [8], "ltqo": {"aklt_lengths": [4]}})
     rep = cmd_validate(cfg, {})
     _, rows = rep.tables["validate.csv"]

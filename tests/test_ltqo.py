@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import cli, ltqo
-from gaplab.cli import _orbital, _window, cmd_ltqo, merged_config
+from gaplab.cli import _window, cmd_ltqo, merged_config
 from gaplab.interaction import Interaction
 from gaplab.lattice import Interval, ball
 from gaplab.ltqo import (ascent_lower_bound, ltqo_witness, witness_bracket,
                          witness_tensor, witness_upper)
-from gaplab.models import aklt_interaction
+from gaplab.models import aklt_interaction, orbital_interaction
 from gaplab.operator_algebra import LocalOperator, embed, operator_norm, \
     parity_matrix
 from gaplab.spectra import ground_projector, kernel_basis_dense
@@ -25,7 +25,7 @@ def _volume(model: str):
         vol = Interval(0, 4)
         return aklt_interaction(vol), vol, Interval(1, 3)
     vol = _window(6, 1)
-    return _orbital(vol)[1], vol, Interval(3, 5)
+    return orbital_interaction(vol), vol, Interval(3, 5)
 
 
 def _tensor(eta, vol, region):
@@ -60,7 +60,7 @@ def test_zero_certificate_bounds_even_witnesses():
     cut-off): the even-entry certificate is at rounding level, and so is
     w(A) for every even A."""
     lam = _window(8, 1)
-    eta = _orbital(lam)[1]
+    eta = orbital_interaction(lam)
     x = (lam.a + lam.b) // 2
     rng = np.random.default_rng(0)
     for k in (0, 1, 2):
@@ -76,15 +76,13 @@ def test_orbital_checks_fail_on_a_broken_chain(monkeypatch):
     """Without the empty-``f`` projector of the pair {4, 5} on [1, 8], the
     kernel is no longer one fixed state on that pair: every orbital row
     reads a witness far over budget, and both orbital checks fail."""
-    real = cli._orbital
-
     def broken(lam):
-        model, eta = real(lam)
+        eta = orbital_interaction(lam)
         drop = next(t for t in eta.terms if t.support == Interval(4, 5))
-        return model, Interaction([t for t in eta.terms if t is not drop],
-                                  eta.kind, eta.local_dim)
+        return Interaction([t for t in eta.terms if t is not drop],
+                           eta.kind, eta.local_dim)
 
-    monkeypatch.setattr(cli, "_orbital", broken)
+    monkeypatch.setattr(cli, "orbital_interaction", broken)
     rep = cmd_ltqo(merged_config({"ltqo": {"aklt_lengths": [5]}}), {})
     verdicts = {label: ok for label, ok, _ in rep.checks}
     for side in ("beyond", "inside"):

@@ -1,58 +1,47 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gaplab import models
 from gaplab.interaction import local_hamiltonian
 from gaplab.lattice import Interval, interior
 from gaplab.models import (aklt_interaction, auxiliary_basis, kernel_data,
-                           orbital_interaction, orbital_spectrum,
-                           pair_spin2_projector, paired_orbital_model,
-                           random_even_perturbation, validate_model)
+                           orbital_interaction, orbital_pairs,
+                           orbital_spectrum, pair_spin2_projector,
+                           random_even_perturbation)
 from gaplab.operator_algebra import conserved_modulus, eigenvalues, \
     operator_norm, spin_matrices
 from oracles import is_hermitian
 
 
-def test_paired_model_covers_full_pairs_only():
-    model = paired_orbital_model(Interval(0, 7))
-    assert len(model.f_orbitals) == 4
-    assert model.R == 1 and model.N0 == 2
-    # offset window drops both half-pairs
-    model = paired_orbital_model(Interval(1, 8))
-    assert len(model.f_orbitals) == 3
-    centers = [o.center for o in model.f_orbitals]
-    assert centers == [2.5, 4.5, 6.5]
-
-
-def test_validate_model_accepts_default():
-    window = Interval(0, 9)
-    model = paired_orbital_model(window)
-    assert validate_model(model, window)
-
-
-def test_validate_model_rejects_non_orthonormal():
-    window = Interval(0, 3)
-    model = paired_orbital_model(window)
-    broken = type(model)(model.f_orbitals, model.f_orbitals, model.R, model.N0)
-    with pytest.raises(ValueError):
-        validate_model(broken, window)
+@settings(max_examples=40, deadline=None)
+@given(offset=st.integers(0, 5), length=st.integers(2, 14))
+def test_the_pair_rule_covers_full_even_pairs_only(offset, length):
+    """``orbital_pairs`` is every disjoint even-aligned pair inside the
+    window, left to right; only the end sites it leaves uncovered are free
+    in ``kernel_data``; and ``orbital_spectrum`` counts every state."""
+    lam = Interval(offset, offset + length - 1)
+    pairs = orbital_pairs(lam)
+    assert pairs == [(s, s + 1) for s in lam if s % 2 == 0 and s + 1 in lam]
+    covered = [s for pair in pairs for s in pair]
+    assert len(set(covered)) == len(covered)
+    kdim, free = kernel_data(lam)
+    ends = [s for s, uncovered in ((lam.a, lam.a % 2 == 1),
+                                   (lam.b, lam.b % 2 == 0)) if uncovered]
+    assert free == ends and kdim == 2 ** len(free)
+    _, counts = np.unique(orbital_spectrum(lam), return_counts=True)
+    assert counts.sum() == 2 ** len(lam)
 
 
 def test_kernel_data_counts_free_sites():
-    model = paired_orbital_model(Interval(0, 7))
-    kdim, free = kernel_data(model, Interval(0, 7))
-    assert (kdim, free) == (1, [])
-    model = paired_orbital_model(Interval(1, 8))
-    kdim, free = kernel_data(model, Interval(1, 8))
-    assert kdim == 4 and free == [1, 8]
+    assert kernel_data(Interval(0, 7)) == (1, [])
+    assert kernel_data(Interval(1, 8)) == (4, [1, 8])
 
 
 def test_orbital_hamiltonian_spectrum_is_integer():
     """The number of violated mode constraints: eigenvalues are 0, 1, 2, ..."""
     lam = Interval(0, 5)
-    model = paired_orbital_model(lam)
-    h = local_hamiltonian(orbital_interaction(model, lam), lam)
+    h = local_hamiltonian(orbital_interaction(lam), lam)
     evals = np.linalg.eigvalsh(h.matrix)
     np.testing.assert_allclose(evals, np.round(evals), atol=1e-10)
     assert evals[0] == pytest.approx(0.0, abs=1e-12)
@@ -64,18 +53,15 @@ def test_orbital_hamiltonian_spectrum_is_integer():
 def test_orbital_spectrum_closed_form(length, offset):
     """Level e has multiplicity C(2p, e) 2^|free| for p pairs inside lam."""
     lam = Interval(offset, offset + length - 1)
-    model = paired_orbital_model(lam)
-    h = local_hamiltonian(orbital_interaction(model, lam), lam)
-    closed = orbital_spectrum(model, lam)
+    h = local_hamiltonian(orbital_interaction(lam), lam)
+    closed = orbital_spectrum(lam)
     assert closed.shape == (2 ** length,)
     np.testing.assert_allclose(eigenvalues(h.matrix), closed, rtol=0.0,
                                atol=1e-12)
 
 
 def test_orbital_terms_are_even_commuting_projectors():
-    lam = Interval(0, 3)
-    model = paired_orbital_model(lam)
-    eta = orbital_interaction(model, lam)
+    eta = orbital_interaction(Interval(0, 3))
     assert eta.kind == "fermion"
     mats = [t.op.matrix for t in eta.terms]
     assert conserved_modulus([t.op for t in eta.terms], (2,)) == 2
@@ -90,50 +76,29 @@ def test_orbital_terms_are_even_commuting_projectors():
 
 def test_auxiliary_basis_budget_and_support():
     lam = Interval(1, 10)
-    model = paired_orbital_model(lam)
-    aux = auxiliary_basis(model, lam)
+    aux = auxiliary_basis(lam)
     assert aux.shape == (10, 2)           # two uncovered edge sites
-    assert aux.shape[1] <= 6 * model.R
-    # orthonormal and orthogonal to every kept orbital
+    assert aux.shape[1] <= 6 * models.R
+    # orthonormal and orthogonal to the f and g modes of every pair
     np.testing.assert_allclose(aux.T @ aux, np.eye(aux.shape[1]), atol=1e-12)
-    for o in model.f_orbitals + model.g_orbitals:
-        v = o.vector(lam)
-        np.testing.assert_allclose(aux.T @ v, 0.0, atol=1e-12)
+    for lo, hi in orbital_pairs(lam):
+        for sign in (1.0, -1.0):
+            v = np.zeros(len(lam))
+            v[[lo - lam.a, hi - lam.a]] = 1.0, sign
+            np.testing.assert_allclose(aux.T @ v, 0.0, atol=1e-12)
     # supported outside the depth-3R interior
-    inner = interior(lam, 3 * model.R)
+    inner = interior(lam, 3 * models.R)
     rows = [s - lam.a for s in inner]
     assert np.max(np.abs(aux[rows, :])) <= 1e-12
 
 
 def test_auxiliary_basis_fully_covered_volume_is_empty():
-    lam = Interval(0, 7)
-    model = paired_orbital_model(lam)
-    aux = auxiliary_basis(model, lam)
-    assert aux.shape == (8, 0)
-
-
-def test_auxiliary_basis_of_a_model_missing_an_interior_pair():
-    """The completion is returned whatever its budget: without the centre
-    pair it has four columns, two of them inside the depth-3R interior, and
-    ``gaplab validate``'s orbital structure check is what fails them."""
-    lam = Interval(1, 10)
-    model = paired_orbital_model(lam)
-    model = replace(model, f_orbitals=model.f_orbitals[:2]
-                    + model.f_orbitals[3:],
-                    g_orbitals=model.g_orbitals[:2] + model.g_orbitals[3:])
-    aux = auxiliary_basis(model, lam)
-    assert aux.shape == (10, 4)
-    np.testing.assert_allclose(aux.T @ aux, np.eye(4), atol=1e-12)
-    rows = [s - lam.a for s in interior(lam, 3 * model.R)]
-    # sites 6 and 7 lie wholly in the completion's span
-    assert np.sum(aux[rows, :] ** 2) == pytest.approx(2.0, abs=1e-12)
+    assert auxiliary_basis(Interval(0, 7)).shape == (8, 0)
 
 
 def test_auxiliary_basis_rejects_tiny_volume():
-    lam = Interval(0, 2)
-    model = paired_orbital_model(Interval(0, 7))
     with pytest.raises(ValueError):
-        auxiliary_basis(model, lam)
+        auxiliary_basis(Interval(0, 2))
 
 
 # --- spin-1 chain ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from gaplab.interaction import Interaction, Term, coupled, \
     hamiltonian_eigenvalues, local_hamiltonian, random_interaction
 from gaplab.lattice import Interval, ball, interior
 from gaplab.models import aklt_interaction, orbital_interaction, \
-    paired_orbital_model, random_even_perturbation
+    random_even_perturbation
 from gaplab.operator_algebra import LocalOperator, basis_charges, \
     charge_sectors, conserved_modulus, eigenvalues, join_blocks, \
     kernel_count, operator_norm
@@ -93,7 +93,7 @@ def _kernel_case(model, n, at, seed):
     complex), with the charge its terms inside ``lam`` conserve."""
     if model == "orbital":
         chain = Interval(1, 8)
-        phi = orbital_interaction(paired_orbital_model(chain), chain)
+        phi = orbital_interaction(chain)
     else:
         chain = Interval(0, 5)
         phi = aklt_interaction(chain) if model == "aklt" \
@@ -206,7 +206,7 @@ def _sweep_case(kind, n, complex_, rng):
         op = LocalOperator(m / operator_norm(m), bond, "spin", 3)
         return aklt_interaction(lam), Interaction([Term(op)], "spin", 3), lam
     lam = Interval(1, n + 4)
-    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    eta = orbital_interaction(lam)
     if kind == "interior":
         pert = random_even_perturbation(lam, 2, ENVELOPE,
                                         int(rng.integers(2 ** 32)))
@@ -299,7 +299,7 @@ def test_sweep_solves_come_from_one_plan_and_scan_solves_from_hamiltonian_eigenv
     every spectrum.  No solve is made for ``|Psi|``, which is bounded by
     ``pert``'s term norms (cached on its operators)."""
     lam = Interval(1, 8)
-    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
     for t in pert.terms:
         t.op.norm()
@@ -355,7 +355,7 @@ def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
     term, at norm 10 and at norm -10, adds 20 to the term norms beside a
     gap of 1)."""
     lam = Interval(1, 8)
-    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
     t = pert.terms[0]
     big = 10.0 / t.op.norm()
@@ -639,7 +639,7 @@ def test_sp0_scan_reports_gamma():
 
 def test_sp0_scan_matches_a_dense_recomputation():
     lam = Interval(1, 8)
-    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
     # depth 4 leaves no interior, so it keeps no term
@@ -690,7 +690,7 @@ def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
     sites; a perturbed row conserves only the parity.  No whole matrix is
     assembled, by the scan or by ``hamiltonian_eigenvalues``."""
     lam = Interval(1, 8)
-    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
     assert eta.span == Interval(2, 7) and pert.span == lam
@@ -732,7 +732,7 @@ def test_sp0_scan_at_the_default_length_matches_the_whole_volume():
     eigenvalue repeated over the two free end sites, so its diameter is
     exactly zero, and the whole-volume diameter is rounding."""
     lam = Interval(1, 12)
-    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
                                              "kappa": 4.0}, seed=7)
     rows = sp0_diameter_scan(eta, pert, lam, (0.02,), (2, 3, 4, 5))

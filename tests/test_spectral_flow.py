@@ -12,7 +12,7 @@ from gaplab.interaction import (Interaction, Term, fermion_to_spin,
                                 local_hamiltonian, split_edge_bulk)
 from gaplab.lattice import Interval, boundary_distances
 from gaplab.models import (kernel_data, orbital_interaction,
-                           paired_orbital_model, random_even_perturbation)
+                           random_even_perturbation)
 from gaplab import interaction, operator_algebra, spectra, spectral_flow
 from gaplab.operator_algebra import charge_sectors, join_blocks, operator_norm
 from gaplab.spectra import FrustrationError, diagonalize, resolution_family
@@ -520,8 +520,7 @@ def test_flow_reads_its_cluster_off_the_solve_at_coupling_zero(monkeypatch):
     rank, and counting it takes no solve: one ``eigh`` of the stack of
     parity blocks per checkpoint coupling, and no other."""
     lam = Interval(0, 7)
-    model = paired_orbital_model(lam)
-    eta = orbital_interaction(model, lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
     psi = split_edge_bulk(pert, lam, 2).bulk
     solved = recorded(monkeypatch, "eigh")
@@ -529,7 +528,7 @@ def test_flow_reads_its_cluster_off_the_solve_at_coupling_zero(monkeypatch):
                           ODE_TOL)
     assert [a.shape for a in solved] == [(2, 128, 128)] * 33
     rank = np.trace(flow.p0, axis1=-2, axis2=-1).sum()
-    assert rank == pytest.approx(kernel_data(model, lam)[0], abs=1e-12)
+    assert rank == pytest.approx(kernel_data(lam)[0], abs=1e-12)
 
 
 def test_flow_without_a_kernel_to_track_is_refused():
@@ -587,13 +586,12 @@ def test_polar_step_refuses_a_defect_outside_its_radius():
 @pytest.fixture(scope="module")
 def bundle():
     lam = Interval(0, 7)
-    model = paired_orbital_model(lam)
-    eta = orbital_interaction(model, lam)
+    eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 1,
                                     {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0},
                                     seed=7)
     psi = split_edge_bulk(pert, lam, 1).bulk
-    kdim, _ = kernel_data(model, lam)
+    kdim, _ = kernel_data(lam)
     flow = flow_unitaries(eta, psi, lam, 0.02, Window(GAMMA), checkpoints=9,
                           ode_tol=ODE_TOL, keep=range(9))
     return {"lam": lam, "eta": eta, "psi": psi, "flow": flow, "kdim": kdim,
@@ -1307,7 +1305,7 @@ def test_assembly_collects_the_even_radius_diagonal_piece():
     ``theta_whole`` to 1e-12, and both identities hold to 1e-10."""
     lam, x = Interval(0, 9), 4
     assert boundary_distances(lam, x)[0] == 4
-    eta = orbital_interaction(paired_orbital_model(lam), lam)
+    eta = orbital_interaction(lam)
     sectors = charge_sectors(len(lam), 2, 2)
     p = dense_kernel_projector(eta, lam)
     piece = parity_even(random_hermitian(np.random.default_rng(11),
