@@ -10,10 +10,14 @@ flow.  Decay functions are not carried: every norm names the one it is
 taken against (``Interaction.f_norm(spec)``).
 
 A volume's values-only spectrum is solved in one place,
-``hamiltonian_eigenvalues``: on the span of its terms, in the blocks of the
-first charge every term conserves (the number or ``S^z``, else the
-parity, else none), each added by ``charge_blocks``, whose blocks
-``coupled_blocks`` also reads.  No matrix on the whole span is built for it.
+``hamiltonian_eigenvalues``: its terms fall into groups of overlapping
+supports (``_support_clusters``), which act on disjoint tensor factors, so
+the spectrum is the sorted sums of one eigenvalue of each group's.  Each
+group is solved on its own span, in the blocks of the first charge every
+term of it conserves (the number or ``S^z``, else the parity, else none),
+each added by ``charge_blocks``, whose blocks ``coupled_blocks`` also
+reads; a group equal to an earlier one up to translation reuses its
+spectrum.  No matrix on the whole span is built for it.
 """
 
 from __future__ import annotations
@@ -200,22 +204,57 @@ def charge_stack(phi: Interaction, lam: Interval, modulus) -> np.ndarray:
     return np.stack(tuple(charge_blocks(phi, lam, modulus)[1]))
 
 
+def _support_clusters(terms) -> list[list]:
+    """The terms in maximal groups whose supports chain by overlap (share a
+    site), left to right, each group keeping the terms' order."""
+    spans = []
+    for a, b in sorted((t.support.a, t.support.b) for t in terms):
+        if spans and a <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], b)
+        else:
+            spans.append([a, b])
+    return [[t for t in terms if a <= t.support.a and t.support.b <= b]
+            for a, b in spans]
+
+
 def hamiltonian_eigenvalues(phi: Interaction, lam: Interval) -> np.ndarray:
     """Ascending eigenvalues of ``local_hamiltonian(phi, lam)``.
 
-    The terms inside ``lam`` are solved on their span, block by block of
-    ``charge_blocks``, by ``eigenvalues``.  ``placement`` adds the same
-    terms, in the same order, at the same offsets, so the matrix on ``lam``
-    is ``1 (x) H_span (x) 1`` entry for entry: each eigenvalue of the span
-    is repeated ``d^(len(lam) - len(span))`` times, and a repeat of a
-    sorted array stays sorted.  Without terms the spectrum is all zeros.
+    The terms inside ``lam`` fall into groups of overlapping supports
+    (``_support_clusters``).  Each group is solved on its own span, block by
+    block of ``charge_blocks``, by ``eigenvalues``; a group whose terms
+    equal an earlier group's up to translation (the same relative supports
+    and matrices, in the same order) reads that group's spectrum.  Groups
+    act on disjoint factors and commute, so the spectrum on the union of
+    their spans is every sum of one eigenvalue of each group's: the groups'
+    spectra are merged left to right as sorted pairwise sums.
+    ``placement`` adds the same terms, in the same order, at the same
+    offsets, so the matrix on ``lam`` is that sum tensored with the
+    identity on the uncovered sites: each eigenvalue is repeated
+    ``d^(uncovered sites)`` times, and a repeat of a sorted array stays
+    sorted.  One group is solved exactly as its span alone, and without
+    terms the spectrum is all zeros.  A volume past ``MAX_DENSE_DIM``
+    states is refused before any sum is formed.
     """
+    d = phi.local_dim
+    _check_dense(d ** len(lam))
     phi = phi.restricted(lam)
-    span = phi.span
-    if span is None:
-        return np.zeros(phi.local_dim ** len(lam))
-    return np.repeat(eigenvalues(charge_blocks(phi, span)[1]),
-                     phi.local_dim ** (len(lam) - len(span)))
+    solved: dict[tuple, np.ndarray] = {}
+    spectrum, covered = None, 0
+    for group in _support_clusters(phi.terms):
+        part = replace(phi, terms=group)
+        span = part.span
+        key = tuple((t.support.a - span.a, t.support.b - span.a,
+                     t.op.matrix.dtype.str, t.op.matrix.tobytes())
+                    for t in group)
+        if key not in solved:
+            solved[key] = eigenvalues(charge_blocks(part, span)[1])
+        spectrum = solved[key] if spectrum is None else np.sort(
+            np.add.outer(spectrum, solved[key]), axis=None)
+        covered += len(span)
+    if spectrum is None:
+        return np.zeros(d ** len(lam))
+    return np.repeat(spectrum, d ** (len(lam) - covered))
 
 
 def coupled(eta: Interaction, pert: Interaction, eps: float) -> Interaction:

@@ -117,7 +117,9 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval,
     ``|step| * |Psi| < (gamma_left + gamma_right)/2``; failing pairs are
     bisected up to ``MAX_DEPTH`` halvings (``RefinementError`` past them).
 
-    Coupling zero reads ``hamiltonian_eigenvalues(eta, lam)``, solved once.
+    Coupling zero reads ``hamiltonian_eigenvalues(eta, lam)``, solved once,
+    each group of ``eta``'s overlapping supports on its own span (the
+    paired-orbital chain's equal pairs as one pair).
     Every other coupling, bisection midpoints included, reads one block plan
     of the family, ``coupled_blocks(eta, pert, lam)``, built once per call
     when the grid holds a nonzero coupling: it scatters ``H0 + eps Psi``
@@ -272,8 +274,11 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
     reported per coupling and depth, in that order.  Every spectrum is
     ``hamiltonian_eigenvalues`` on ``lam``: a coupling-zero row, or a depth
     that keeps no term, reads that of ``eta``, solved once; every other row
-    solves ``coupled(eta, kept, eps)``.  The cluster is the kernel of
-    ``eta`` (``kernel_cluster``, which refuses an empty one).
+    solves ``coupled(eta, kept, eps)``.  Each solve splits its terms into
+    groups of overlapping supports, so ``eta``'s terms that the kept ones
+    do not reach are solved apart from them, and a deeper row's group is
+    smaller.  The cluster is the kernel of ``eta`` (``kernel_cluster``,
+    which refuses an empty one).
     """
     ev0 = hamiltonian_eigenvalues(eta, lam)
     kdim = kernel_cluster(ev0)

@@ -34,7 +34,7 @@ zero (the profiles are nonincreasing, so clamping only enlarges the sums).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,43 +132,23 @@ def j_constants(c: float, omega: OmegaProfile, f0: ShiftedEnvelope,
 # volume strengths
 
 
-def _support_clusters(terms) -> list[list]:
-    """The terms in maximal groups whose supports chain by overlap (share a
-    site), left to right, each group keeping the terms' order."""
-    spans = []
-    for a, b in sorted((t.support.a, t.support.b) for t in terms):
-        if spans and a <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], b)
-        else:
-            spans.append([a, b])
-    return [[t for t in terms if a <= t.support.a and t.support.b <= b]
-            for a, b in spans]
-
-
 def edge_bulk_strengths(phi: Interaction, lam: Interval, depth: int,
                         fspec) -> tuple[float, float]:
     """``(interior F-norm, edge norm)`` of ``phi`` on ``lam``: the F-norm of
     its terms anchored ``depth`` deep (zero without any, as ``f_norm`` of
-    no term) and the operator norm of the rest, the boundary remainder.
+    no term) and the operator norm of the rest, the boundary remainder,
+    ``max(|lambda_min|, |lambda_max|)`` of its ``hamiltonian_eigenvalues``.
 
-    The remainder's terms fall into groups of overlapping supports
-    (``_support_clusters``); groups on disjoint supports act on disjoint
-    factors and commute, so the remainder's spectrum is the sums of one
-    eigenvalue of each group's, and its norm is
-    ``max(|sum lambda_min|, |sum lambda_max|)``.  Each group is solved on
-    its own span: at ten sites the two ends' groups, on ``[1, 5]`` and
-    ``[6, 10]``, take two solves of side 32 in place of the parity blocks
-    of the whole remainder.  One group is the whole remainder's spectrum,
-    bit for bit."""
+    That solve splits the remainder into its groups of overlapping supports
+    and solves each on its own span: at ten sites the two ends' groups, on
+    ``[1, 5]`` and ``[6, 10]``, take two solves of side 32 in place of the
+    parity blocks of the whole remainder.  Rounding is monotone, so the
+    ends of its sorted sums are the rounded sums of the groups' ends, left
+    to right."""
     split = split_edge_bulk(phi, lam, depth)
     interior_fnorm = split.bulk.f_norm(fspec)
-    lowest = highest = 0.0
-    for group in _support_clusters(split.edge.terms):
-        spectrum = hamiltonian_eigenvalues(replace(split.edge, terms=group),
-                                           lam)
-        lowest += spectrum[0]
-        highest += spectrum[-1]
-    return interior_fnorm, float(max(abs(lowest), abs(highest)))
+    spectrum = hamiltonian_eigenvalues(split.edge, lam)
+    return interior_fnorm, float(max(abs(spectrum[0]), abs(spectrum[-1])))
 
 
 def uniform_strengths(phi_for: dict, depth: int, fspec) -> tuple[float, float]:

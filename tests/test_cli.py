@@ -745,13 +745,14 @@ def test_values_only_solves_go_through_the_spectral_layer():
 
 
 def test_sp0scan_solves_each_matrix_once(monkeypatch):
-    """sp0scan solves three matrices, each once: ``h0`` and the rows of
-    depths 1 and 2, each in the charge blocks of the span [2, 7] of its
-    terms (64 states), never on the volume [1, 8].  Depth 3 keeps no term
-    and every coupling-0 row reads ``h0``.  ``h0`` conserves the particle
-    number (seven blocks, of sides 1 to 20); a perturbed row conserves only
+    """sp0scan solves three matrices, each once, never on the volume
+    [1, 8]: ``h0``, whose three equal pairs are solved as one pair [2, 3]
+    (four states), and the rows of depths 1 and 2, each one group on the
+    span [2, 7] of its terms (64 states).  Depth 3 keeps no term and every
+    coupling-0 row reads ``h0``.  The pair conserves the particle number
+    (three blocks, of sides 1, 2 and 1); a perturbed row conserves only
     the parity (two blocks of 32).  Every assembled block goes to
-    ``eigvalsh`` exactly once (two blocks of ``h0`` may be equal, and are
+    ``eigvalsh`` exactly once (two blocks of the pair may be equal, and are
     then solved twice, once each); every other solve is a term norm of the
     perturbation (at most 5 sites: parity blocks of 16)."""
     def key(m):
@@ -781,9 +782,9 @@ def test_sp0scan_solves_each_matrix_once(monkeypatch):
     cfg = merged_config({"sp0": {"length": 8, "depths": [1, 2, 3]}})
     assert cmd_sp0scan(cfg, {}).passed
     span = Interval(2, 7)
-    assert spans == [(span, [1, 6, 15, 20, 15, 6, 1]), (span, [32, 32]),
+    assert spans == [(Interval(2, 3), [1, 2, 1]), (span, [32, 32]),
                      (span, [32, 32])]
-    assert len(assembled) == 11 and len(set(assembled[7:])) == 4
+    assert len(assembled) == 7 and len(set(assembled[3:])) == 4
     solved = Counter(solves)
     assert all(solved[k] == n for k, n in Counter(assembled).items())
     assert all(side <= 16 for side, _ in set(solves) - set(assembled))

@@ -10,19 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import operator_algebra
+from gaplab import interaction, operator_algebra
 from gaplab.ffunction import (FFunctionSpec, RegroupedDecay, WeightSpec,
                               regroup_decay)
-from gaplab.interaction import (Interaction, Term, charge_blocks,
-                                coupled_blocks, fermion_to_spin, from_json,
+from gaplab.interaction import (Interaction, Term, _support_clusters,
+                                charge_blocks, coupled_blocks,
+                                fermion_to_spin, from_json,
                                 hamiltonian_eigenvalues, local_hamiltonian,
                                 random_interaction, regroup_intervals,
                                 split_edge_bulk, to_json,
                                 validate_unperturbed)
 from gaplab.lattice import Interval, interior
+from gaplab.models import orbital_interaction, random_even_perturbation
 from gaplab.operator_algebra import LocalOperator, annihilator, embed, \
-    kernel_count
-from oracles import (TRUNCATION, creator, digit_sums, is_hermitian,
+    eigenvalues, kernel_count
+from oracles import (SEED, TRUNCATION, creator, digit_sums, is_hermitian,
                      kron_placed, number_operator, random_hermitian,
                      random_matrix, split_blocks)
 
@@ -324,6 +326,160 @@ def test_hamiltonian_is_its_span_between_identities(dim_core, n_left, n_right,
     scale = max(1.0, float(np.max(np.abs(oracle))))
     assert np.max(np.abs(evals - oracle)) <= 1e-12 * scale
     assert kernel_count(evals) == kernel_count(oracle)
+
+
+def _laid_out_chain(rng, d: int, n_sites: int, charge: str) -> Interaction:
+    """Terms on ``[0, n_sites - 1]``, laid out left to right in stretches:
+    a free site, a translate of the last fresh group, or a fresh group of
+    1-3 sites holding 1-3 terms, real or complex, keeping the number (or
+    ``S^z``), only its parity, or neither.  Stretches touch without
+    overlapping, and a fresh group's terms may leave gaps inside it."""
+    rule = {"number": lambda q: q, "parity": lambda q: q % 2,
+            "mixed": lambda q: 0 * q}[charge]
+    terms, motif, width, a = [], [], 0, 0
+    while a < n_sites:
+        kind = int(rng.integers(3))
+        if kind == 0:
+            a += 1
+            continue
+        if kind == 2 or not motif or a + width > n_sites:
+            width = int(rng.integers(1, min(3, n_sites - a) + 1))
+            motif = []
+            for _ in range(int(rng.integers(1, 4))):
+                lo = int(rng.integers(0, width))
+                hi = int(rng.integers(lo, width))
+                m = random_hermitian(rng, d ** (hi - lo + 1),
+                                     bool(rng.integers(2)))
+                q = rule(digit_sums(hi - lo + 1, d))
+                motif.append((lo, hi, np.where(q[:, None] == q[None, :],
+                                               m, 0.0)))
+        terms += [Term(LocalOperator(m, Interval(a + lo, a + hi), "spin", d))
+                  for lo, hi, m in motif]
+        a += width
+    return Interaction(terms, "spin", d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 8), (3, 5)]),
+       st.sampled_from(["number", "parity", "mixed"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_grouped_spectrum_is_the_dense_spectrum(dim_sites, charge, seed):
+    """``hamiltonian_eigenvalues`` on chains of 1-8 sites (1-5 at ``d = 3``)
+    whose terms fall into groups with gaps between them, touching groups,
+    translated groups and free sites at the ends and in the middle, is the
+    dense spectrum of ``local_hamiltonian``.  Each group alone, on its own
+    span, is ``eigenvalues`` of its ``charge_blocks`` bit for bit.
+
+    The tolerance is derived, to first order in the unit roundoff ``u``.
+    With ``S`` the sum of the terms' Frobenius norms (``|H| <= S`` and
+    ``|H_g| <= S`` for every group ``g``), ``N = d^n`` the volume's states,
+    ``T`` terms and ``G`` groups:
+
+    * a solve of side ``n <= N`` returns the eigenvalues of a matrix within
+      ``n^2 u |H|`` of its input: its Householder tridiagonalization
+      applies ``n`` reflections of side ``n``, each backward stable, the
+      order of the normwise bound in Higham, *Accuracy and Stability of
+      Numerical Algorithms*, ch. 19, with its constant taken as 1.  By Weyl
+      each eigenvalue then moves by at most ``N^2 u S``: once for the dense
+      solve, and once for the groups' solves, whose sides are at most
+      ``N`` and whose norms sum to at most ``S``;
+    * an assembled entry sums at most ``T`` term entries, an error matrix
+      of norm at most ``(T - 1) u S``, on each side;
+    * a grouped eigenvalue sums ``G`` group eigenvalues left to right,
+      ``(G - 1) u S``.
+
+    Shifting every member of a multiset by at most ``delta`` moves its
+    sorted order by at most ``delta``, so the two ascending spectra agree
+    to ``u S (2 N^2 + 2 T + G)``."""
+    d, max_sites = dim_sites
+    rng = np.random.default_rng(seed)
+    n_sites = int(rng.integers(1, max_sites + 1))
+    lam = Interval(0, n_sites - 1)
+    phi = _laid_out_chain(rng, d, n_sites, charge)
+    groups = _support_clusters(phi.terms)
+    dense = np.linalg.eigvalsh(local_hamiltonian(phi, lam).matrix)
+    u = np.finfo(float).eps / 2.0
+    s = sum(float(np.linalg.norm(t.op.matrix)) for t in phi.terms)
+    n_states = d ** n_sites
+    tol = u * s * (2 * n_states ** 2 + 2 * len(phi.terms) + len(groups))
+    assert np.max(np.abs(hamiltonian_eigenvalues(phi, lam) - dense)) <= tol
+    for group in groups:
+        part = Interaction(group, "spin", d)
+        assert hamiltonian_eigenvalues(part, part.span).tobytes() == \
+            eigenvalues(charge_blocks(part, part.span)[1]).tobytes()
+
+
+def test_translated_groups_are_solved_once(monkeypatch):
+    """The paired-orbital chain on twelve sites is five equal pairs and two
+    free end sites: one pair is solved, in its number blocks ``[1, 2, 1]``,
+    and its spectrum read five times."""
+    lam = Interval(1, 12)
+    calls = []
+    real_blocks = interaction.charge_blocks
+
+    def blocks(phi, where):
+        sectors, gen = real_blocks(phi, where)
+        calls.append((where, [len(s) for s in sectors]))
+        return sectors, gen
+
+    monkeypatch.setattr(interaction, "charge_blocks", blocks)
+    evals = hamiltonian_eigenvalues(orbital_interaction(lam), lam)
+    assert calls == [(Interval(2, 3), [1, 2, 1])]
+    assert evals.size == 2 ** 12 and np.all(np.diff(evals) >= 0)
+
+
+def test_groups_equal_but_for_where_a_term_sits_are_solved_apart(
+        monkeypatch):
+    """Two groups with the same matrices in the same order, a one-site term
+    on the left site of its pair in one and on the right site in the
+    other, are not translates: both are solved, and the spectrum is the
+    dense one to 1e-12 of its scale."""
+    rng = np.random.default_rng(SEED)
+    field = random_hermitian(rng, 2, False)
+    bond = random_hermitian(rng, 4, True)
+    phi = Interaction([Term(LocalOperator(field, Interval(0, 0))),
+                       Term(LocalOperator(bond, Interval(0, 1))),
+                       Term(LocalOperator(field, Interval(4, 4))),
+                       Term(LocalOperator(bond, Interval(3, 4)))])
+    lam = Interval(0, 4)
+    solved = []
+    real_blocks = interaction.charge_blocks
+    monkeypatch.setattr(interaction, "charge_blocks", lambda phi, where:
+                        solved.append(where) or real_blocks(phi, where))
+    evals = hamiltonian_eigenvalues(phi, lam)
+    assert solved == [Interval(0, 1), Interval(3, 4)]
+    dense = np.linalg.eigvalsh(local_hamiltonian(phi, lam).matrix)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(evals - dense)) <= 1e-12 * scale
+
+
+def test_a_volume_past_the_dense_limit_is_refused_before_any_solve(
+        monkeypatch):
+    """Two pairs on four sites inside a 20-site volume: ``2^20`` values,
+    past ``MAX_DENSE_DIM``, though each group's span is two sites."""
+    def refuse(*args):
+        raise AssertionError("a group was solved")
+
+    monkeypatch.setattr(interaction, "charge_blocks", refuse)
+    with pytest.raises(ValueError, match="dense dimension 1048576"):
+        hamiltonian_eigenvalues(orbital_interaction(Interval(2, 5)),
+                                Interval(1, 20))
+
+
+@pytest.mark.parametrize("n_sites, spans", [
+    (8, [Interval(1, 8)]), (9, [Interval(1, 9)]),
+    (10, [Interval(1, 5), Interval(6, 10)])])
+def test_edge_remainder_splits_where_its_ends_do_not_meet(n_sites, spans):
+    """At depth 3 and radius 2 the two ends' terms reach ``[1, 5]`` and
+    ``[n - 4, n]``: one group at 8 sites, one at 9, where the ends share
+    site 5, two at 10, each group keeping the terms' order."""
+    lam = Interval(1, n_sites)
+    env = {"A": 1.0, "K": 0.5, "s": 1.0, "kappa": 4.0}
+    edge = split_edge_bulk(random_even_perturbation(lam, 2, env, seed=7),
+                           lam, 3).edge
+    clusters = _support_clusters(edge.terms)
+    assert [Interaction(group, "fermion").span for group in clusters] == spans
+    assert [t for group in clusters for t in group] == edge.terms
 
 
 def test_local_hamiltonian_restricts_to_volume():

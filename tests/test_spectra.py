@@ -349,11 +349,12 @@ def test_sweep_solves_come_from_one_plan_and_scan_solves_from_hamiltonian_eigenv
 def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
         monkeypatch):
     """One ``gap_curve`` call asks ``interaction.charge_blocks`` for
-    ``eta``'s blocks at coupling 0 and for the plan's two families once,
-    and finds the charge modulus as often, however many couplings its grid
-    holds: 2, 6 or 12 points, the two-point grid's one step bisected (one
-    term, at norm 10 and at norm -10, adds 20 to the term norms beside a
-    gap of 1)."""
+    ``eta``'s blocks at coupling 0, those of its first pair on ``[2, 3]``
+    (its three pairs are equal up to translation), and for the plan's two
+    families on the volume once, and finds the charge modulus as often,
+    however many couplings its grid holds: 2, 6 or 12 points, the
+    two-point grid's one step bisected (one term, at norm 10 and at norm
+    -10, adds 20 to the term norms beside a gap of 1)."""
     lam = Interval(1, 8)
     eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, ENVELOPE, seed=7)
@@ -383,6 +384,7 @@ def test_gap_curve_makes_as_many_charge_blocks_calls_for_any_grid(
         for log in calls.values():
             log.clear()
         gap_curve(eta, pert, lam, np.linspace(0.0, 0.05, size))
+        assert calls["charge_blocks"] == [Interval(2, 3), lam, lam]
         counts.append((len(calls["charge_blocks"]),
                        len(calls["conserved_modulus"]),
                        len(calls["solves"]) - (size - 1)))
@@ -682,13 +684,15 @@ def test_sp0_scan_matches_a_dense_recomputation():
 def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
     """Every spectrum is ``hamiltonian_eigenvalues`` of an interaction: that
     of ``eta`` once, then one per perturbed row, ``eta``'s terms followed by
-    the kept terms scaled by the coupling, solved in the charge blocks of
-    its span, the hull of ``eta``'s span and the kept terms.  At depth 0
-    the kept terms reach the end sites, off ``eta``'s span, so the hull is
-    the volume; deeper rows stay on ``eta``'s span.  ``eta`` conserves the
-    particle number and splits into the seven number sectors of its six
-    sites; a perturbed row conserves only the parity.  No whole matrix is
-    assembled, by the scan or by ``hamiltonian_eigenvalues``."""
+    the kept terms scaled by the coupling, each solved in the charge blocks
+    of the span of its groups of overlapping supports.  ``eta``'s three
+    pairs are equal up to translation, so its one solve is the first pair's
+    two terms on ``[2, 3]``, in its three number sectors.  A perturbed
+    row's kept terms join every pair into one group, the hull of ``eta``'s
+    span and the kept terms: at depth 0 they reach the end sites, off
+    ``eta``'s span, so the hull is the volume; deeper rows stay on
+    ``eta``'s span.  A perturbed row conserves only the parity.  No whole
+    matrix is assembled, by the scan or by ``hamiltonian_eigenvalues``."""
     lam = Interval(1, 8)
     eta = orbital_interaction(lam)
     pert = random_even_perturbation(lam, 2, {"A": 1.0, "K": 0.5, "s": 1.0,
@@ -708,12 +712,13 @@ def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
     monkeypatch.setattr(interaction, "charge_blocks", blocks)
     monkeypatch.setattr(interaction, "local_hamiltonian", refuse)
     sp0_diameter_scan(eta, pert, lam, (0.0, 0.02, 0.05), (0, 1, 2))
-    number = [1, 6, 15, 20, 15, 6, 1]
     assert [(where, sides) for _, where, sides in built] == \
-        [(eta.span, number)] + [(lam, [128, 128]), (eta.span, [32, 32]),
-                                (eta.span, [32, 32])] * 2
+        [(Interval(2, 3), [1, 2, 1])] + [(lam, [128, 128]),
+                                         (eta.span, [32, 32]),
+                                         (eta.span, [32, 32])] * 2
     n = len(eta.terms)
-    assert all(a is b for a, b in zip(built[0][0], eta.terms, strict=True))
+    assert all(a is b for a, b in zip(built[0][0], eta.terms[:2],
+                                      strict=True))
     rows = [(eps, depth) for eps in (0.02, 0.05) for depth in (0, 1, 2)]
     for (terms, _, _), (eps, depth) in zip(built[1:], rows):
         assert all(a is b for a, b in zip(terms[:n], eta.terms))

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab.ffunction import FFunctionSpec, ShiftedEnvelope, WeightSpec
-from gaplab.interaction import (Interaction, hamiltonian_eigenvalues,
+from gaplab.interaction import (_support_clusters, hamiltonian_eigenvalues,
                                 local_hamiltonian, split_edge_bulk)
 from gaplab.lattice import Interval
 from gaplab.models import random_even_perturbation
 from gaplab.operator_algebra import charge_sectors, join_blocks
 from gaplab.stability_bounds import (OmegaProfile, _SAMPLE_COLUMNS,
-                                     _SAMPLE_VECTORS, _support_clusters,
+                                     _SAMPLE_VECTORS,
                                      bound_constants, calibrate_c,
                                      edge_bulk_strengths,
                                      higher_gap_bound, higher_gap_threshold,
@@ -339,21 +339,6 @@ def test_edge_norm_from_support_clusters_is_the_dense_norm(n_sites, depth,
     if len(_support_clusters(edge.terms)) == 1:
         assert edge_norm == float(np.max(np.abs(
             hamiltonian_eigenvalues(edge, lam))))
-
-
-@pytest.mark.parametrize("n_sites, spans", [
-    (8, [Interval(1, 8)]), (9, [Interval(1, 9)]),
-    (10, [Interval(1, 5), Interval(6, 10)])])
-def test_edge_remainder_splits_where_its_ends_do_not_meet(n_sites, spans):
-    """At depth 3 and radius 2 the two ends' terms reach ``[1, 5]`` and
-    ``[n - 4, n]``: one group at 8 sites, one at 9, where the ends share
-    site 5, two at 10, each group keeping the terms' order."""
-    lam = Interval(1, n_sites)
-    edge = split_edge_bulk(random_even_perturbation(lam, 2, ENV, seed=7),
-                           lam, 3).edge
-    clusters = _support_clusters(edge.terms)
-    assert [Interaction(group, "fermion").span for group in clusters] == spans
-    assert [t for group in clusters for t in group] == edge.terms
 
 
 def test_uniform_strengths_suprema_and_threshold():
