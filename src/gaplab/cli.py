@@ -32,8 +32,8 @@ from . import models
 from .ffunction import DressedDecay, FFunctionSpec, ShiftedEnvelope, \
     WeightSpec, convolution_constant, f_norm, regroup_decay
 from .interaction import Interaction, fermion_to_spin, from_json, \
-    local_hamiltonian, random_interaction, regroup_intervals, \
-    split_edge_bulk, validate_unperturbed
+    gamma0_candidate, local_hamiltonian, random_interaction, \
+    regroup_intervals, split_edge_bulk, validate_unperturbed
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
 from .models import aklt_interaction, auxiliary_basis, kernel_data, \
@@ -172,10 +172,7 @@ def merged_config(user: dict | None) -> dict:
                 ("ltqo.length", [cfg["ltqo"]["length"]], 2),
                 ("ltqo.aklt_lengths", cfg["ltqo"]["aklt_lengths"], 3),
                 ("sp0.length", [cfg["sp0"]["length"]], 2)):
-            big = [n for n in sizes if d ** min(n, 64) > MAX_DENSE_DIM]
-            if big:
-                errors.append(f"{field}: chains of {big} sites exceed the "
-                              f"dense limit of {MAX_DENSE_DIM} states")
+            errors += _past_dense_limit(field, sizes, d)
         cval = cfg["constants"]["C"]
         if cval is not None and (isinstance(cval, bool)
                                  or not isinstance(cval, (int, float))
@@ -206,6 +203,14 @@ def merged_config(user: dict | None) -> dict:
     if errors:
         raise ConfigError("\n".join(errors))
     return cfg
+
+
+def _past_dense_limit(field: str, sizes, d: int) -> list[str]:
+    """The config line for the chains of ``sizes`` past ``MAX_DENSE_DIM``
+    states at local dimension ``d``, if there are any."""
+    big = [n for n in sizes if d ** min(n, 64) > MAX_DENSE_DIM]
+    return [f"{field}: chains of {big} sites exceed the dense limit of "
+            f"{MAX_DENSE_DIM} states"] if big else []
 
 
 def _short_chains(cfg: dict) -> list[str]:
@@ -291,13 +296,17 @@ def load_config(path: Path | None, seed: int | None = None) -> dict:
 
 
 def _model_file(cfg: dict) -> Interaction:
-    """The interaction of a ``file:<interaction.json>`` model spec."""
+    """The interaction of a ``file:<interaction.json>`` model spec, whose
+    ``lengths`` are admitted at its own local dimension."""
     path = Path(cfg["model"][len("file:"):])
     try:
-        return from_json(path.read_text(encoding="utf-8"))
+        phi = from_json(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"model: cannot load {path}: "
                           f"{type(exc).__name__}: {exc}") from None
+    if big := _past_dense_limit("lengths", cfg["lengths"], phi.local_dim):
+        raise ConfigError(big[0])
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +535,8 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
     phi_for = {lam: pert for lam, _, pert in volumes.values()}
     m_int, m_d = uniform_strengths(phi_for, depth, base)
 
-    gamma0 = validate_unperturbed(orbital_interaction,
-                                  [_window(6), _window(8, 1)]).gamma0_candidate
+    gamma0 = gamma0_candidate(orbital_interaction,
+                              [_window(6), _window(8, 1)])
 
     bc = bound_constants(gamma0, c_used, eta_fnorm, m_int, m_d, omega, f0,
                          truncation)
@@ -551,20 +560,21 @@ _VALIDATE_HEADER = ["model", "length", "offset", "ground_energy", "gap",
 def cmd_validate(cfg: dict, ctx: dict) -> Report:
     """Model structure, one ``validate.csv`` row per volume.  Every volume,
     of a ``file:`` model, the orbital chain or the spin-1 chain, is read
-    through ``interaction.validate_unperturbed``: its spectrum, ground
-    energy, kernel and ``gap``, the step above its kernel."""
+    through ``interaction.validate_unperturbed``, as one ``SpectrumSplit``:
+    its spectrum, its ground energy ``evals[0]``, its kernel ``k`` and
+    ``gamma``, the step above its kernel."""
     rep = Report("validate")
     rows = []
 
     if cfg["model"].startswith("file:"):
         volumes = [_window(n) for n in cfg["lengths"]]
-        report = validate_unperturbed(_model_file(cfg).restricted, volumes)
-        for r in report.rows:
-            rows.append(("custom", len(r.lam), r.lam.a, r.ground_energy,
-                         r.gap, r.kernel_dim, -1, -1, 0.0,
-                         "ok" if r.frustration_free else "fail"))
-            rep.check(f"custom ground energy on {r.lam}", r.frustration_free,
-                      f"E0 = {r.ground_energy:.2e}")
+        splits = validate_unperturbed(_model_file(cfg).restricted, volumes)
+        for lam, sp in zip(volumes, splits):
+            rows.append(("custom", len(lam), lam.a, sp.evals[0], sp.gamma,
+                         sp.k, -1, -1, 0.0,
+                         "ok" if sp.frustration_free else "fail"))
+            rep.check(f"custom ground energy on {lam}", sp.frustration_free,
+                      f"E0 = {sp.evals[0]:.2e}")
         rep.table("validate.csv", _VALIDATE_HEADER, rows)
         return rep
 
@@ -573,10 +583,10 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
     volumes = [_window(length, offset) for length in cfg["lengths"]
                for offset in (0, 1)]
     chains = {lam: orbital_interaction(lam) for lam in volumes}
-    report = validate_unperturbed(chains.__getitem__, volumes)
+    splits = validate_unperturbed(chains.__getitem__, volumes)
     jw_rows = []
-    for r in report.rows:
-        lam, eta = r.lam, chains[r.lam]
+    for lam, sp in zip(volumes, splits):
+        eta = chains[lam]
         kexp, free = kernel_data(lam)
         aux = auxiliary_basis(lam)
         deep = interior(lam, 3 * models.R)
@@ -585,15 +595,15 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
             leak = float(np.max(np.abs(aux[idx, :]))) if aux.size else 0.0
         else:
             leak = 0.0
-        ok = (r.frustration_free and abs(r.gap - 1.0) <= 1e-9
-              and r.kernel_dim == kexp and len(free) <= 6 * models.R
+        ok = (sp.frustration_free and abs(sp.gamma - 1.0) <= 1e-9
+              and sp.k == kexp and len(free) <= 6 * models.R
               and aux.shape[1] <= 6 * models.R and leak <= 1e-12)
-        rows.append(("orbital", len(lam), lam.a, r.ground_energy, r.gap,
-                     r.kernel_dim, kexp, aux.shape[1], leak,
+        rows.append(("orbital", len(lam), lam.a, sp.evals[0], sp.gamma,
+                     sp.k, kexp, aux.shape[1], leak,
                      "ok" if ok else "fail"))
         rep.check(f"orbital structure on {lam}", ok,
-                  f"E0 = {r.ground_energy:.1e}, gap = {r.gap:.12f}, "
-                  f"kernel {r.kernel_dim}/{kexp}, leak = {leak:.1e}")
+                  f"E0 = {sp.evals[0]:.1e}, gap = {sp.gamma:.12f}, "
+                  f"kernel {sp.k}/{kexp}, leak = {leak:.1e}")
         if len(lam) <= 10:
             # the same supports and matrices, in the same order, place
             # into the same Hamiltonian entry for entry on every volume
@@ -602,20 +612,20 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
                 s.support == t.support
                 and np.array_equal(s.op.matrix, t.op.matrix)
                 for s, t in zip(spin, eta.terms))
-            dev = float(np.max(np.abs(r.evals
-                                      - orbital_spectrum(lam))))
+            dev = float(np.max(np.abs(sp.evals - orbital_spectrum(lam))))
             jw_rows.append((len(lam), lam.a, dev,
                             "ok" if same and dev <= 1e-10 else "fail"))
 
     # spin-1 projector chain
     volumes = [_window(n) for n in cfg["ltqo"]["aklt_lengths"]]
-    for r in validate_unperturbed(aklt_interaction, volumes).rows:
-        ok = r.frustration_free and r.kernel_dim == 4
-        rows.append(("aklt", len(r.lam), 0, r.ground_energy, r.gap,
-                     r.kernel_dim, 4, -1, 0.0, "ok" if ok else "fail"))
-        rep.check(f"aklt structure on {r.lam}", ok,
-                  f"E0 = {r.ground_energy:.1e}, kernel {r.kernel_dim}/4, "
-                  f"gap = {r.gap:.6f}")
+    splits = validate_unperturbed(aklt_interaction, volumes)
+    for lam, sp in zip(volumes, splits):
+        ok = sp.frustration_free and sp.k == 4
+        rows.append(("aklt", len(lam), 0, sp.evals[0], sp.gamma, sp.k, 4,
+                     -1, 0.0, "ok" if ok else "fail"))
+        rep.check(f"aklt structure on {lam}", ok,
+                  f"E0 = {sp.evals[0]:.1e}, kernel {sp.k}/4, "
+                  f"gap = {sp.gamma:.6f}")
     rep.table("validate.csv", _VALIDATE_HEADER, rows)
     for length, offset, dev, status in jw_rows:
         rep.check(f"fermion/spin spectra on {_window(length, offset)}",
@@ -1071,21 +1081,21 @@ def cmd_sp0scan(cfg: dict, ctx: dict) -> Report:
     rep = Report("sp0scan")
     sc = cfg["sp0"]
     lam, eta, pert = _volume(cfg, _window(sc["length"], 1))
-    rows = [("orbital", sc["length"], r["depth"], r["eps"], r["gamma"],
-             r["sp0_min"], r["sp0_max"], r["sp0_diam"], r["sp1_min"])
-            for r in sp0_diameter_scan(eta, pert, lam, (0.0, sc["eps"]),
-                                       sc["depths"])]
+    scan = sp0_diameter_scan(eta, pert, lam, (0.0, sc["eps"]), sc["depths"])
     rep.table("sp0scan.csv",
               ["model", "length", "D", "eps", "gamma", "sp0_min", "sp0_max",
-               "sp0_diam", "sp1_min"], rows)
-    at_eps = sorted((r[2], r[7]) for r in rows if r[3] != 0.0)
-    diams = [d for _, d in at_eps]
+               "sp0_diam", "sp1_min"],
+              [("orbital", sc["length"], depth, sp.eps, sp.gamma, sp.evals[0],
+                sp.evals[sp.k - 1], sp.sp0_diameter,
+                np.min(sp.evals[sp.k:], initial=np.inf))
+               for depth, sp in scan])
+    diams = [d for _, d in sorted((depth, sp.sp0_diameter)
+                                  for depth, sp in scan if sp.eps != 0.0)]
     monotone = all(b <= a + 1e-8 for a, b in zip(diams, diams[1:]))
     rep.check("low-cluster diameter non-increasing in the interior depth",
               monotone, "diameters " + ", ".join(f"{d:.3e}" for d in diams))
-    at_zero = [r[7] for r in rows if r[3] == 0.0]
     rep.check("low-cluster diameter vanishes at coupling zero",
-              all(d == 0.0 for d in at_zero))
+              all(sp.sp0_diameter == 0.0 for _, sp in scan if sp.eps == 0.0))
     return rep
 
 

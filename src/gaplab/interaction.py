@@ -16,8 +16,10 @@ the spectrum is the sorted sums of one eigenvalue of each group's.  Each
 group is solved on its own span, in the blocks of the first charge every
 term of it conserves (the number or ``S^z``, else the parity, else none),
 each added by ``charge_blocks``, whose blocks ``coupled_blocks`` also
-reads; a group equal to an earlier one up to translation reuses its
-spectrum.  No matrix on the whole span is built for it.
+reads on the whole volume; a group equal to an earlier one up to
+translation (``Interaction.translation_key``) reuses its spectrum.  No
+matrix on the whole span is built for it.  A solved volume is read one
+way, as a ``SpectrumSplit``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .lattice import Interval, interior
 from . import ffunction
 from .operator_algebra import (
-    LocalOperator, _check_dense, charge_sectors,
+    LocalOperator, _check_dense, _exactly_hermitian, charge_sectors,
     conserved_modulus, eigenvalues, kernel_count, kernel_mask,
     operator_norm, placement,
 )
@@ -107,6 +109,14 @@ class Interaction:
         """``|Phi|_F`` against the decay function ``spec``."""
         return ffunction.f_norm(((t.support, t.op.norm()) for t in self.terms),
                                 spec)
+
+    def translation_key(self, origin: int) -> tuple:
+        """The terms seen from site ``origin``, in order: the relative
+        support, the matrix's dtype and its bytes; equal keys (of one kind
+        and local dimension) mean the same term matrices up to translation."""
+        return tuple((t.support.a - origin, t.support.b - origin,
+                      t.op.matrix.dtype.str, t.op.matrix.tobytes())
+                     for t in self.terms)
 
 
 def _real(terms) -> bool:
@@ -223,8 +233,9 @@ def hamiltonian_eigenvalues(phi: Interaction, lam: Interval) -> np.ndarray:
     The terms inside ``lam`` fall into groups of overlapping supports
     (``_support_clusters``).  Each group is solved on its own span, block by
     block of ``charge_blocks``, by ``eigenvalues``; a group whose terms
-    equal an earlier group's up to translation (the same relative supports
-    and matrices, in the same order) reads that group's spectrum.  Groups
+    equal an earlier group's up to translation (the same
+    ``translation_key`` from its span's left end) reads that group's
+    spectrum.  Groups
     act on disjoint factors and commute, so the spectrum on the union of
     their spans is every sum of one eigenvalue of each group's: the groups'
     spectra are merged left to right as sorted pairwise sums.
@@ -244,9 +255,7 @@ def hamiltonian_eigenvalues(phi: Interaction, lam: Interval) -> np.ndarray:
     for group in _support_clusters(phi.terms):
         part = replace(phi, terms=group)
         span = part.span
-        key = tuple((t.support.a - span.a, t.support.b - span.a,
-                     t.op.matrix.dtype.str, t.op.matrix.tobytes())
-                    for t in group)
+        key = part.translation_key(span.a)
         if key not in solved:
             solved[key] = eigenvalues(charge_blocks(part, span)[1])
         spectrum = solved[key] if spectrum is None else np.sort(
@@ -267,19 +276,17 @@ def coupled(eta: Interaction, pert: Interaction, eps: float) -> Interaction:
 @dataclass
 class CoupledBlocks:
     """The family ``coupled(eta, pert, eps)`` on a volume, planned once:
-    the side of each charge sector of the span of the terms, and in it the
-    nonzero entries of ``H0``'s block and of ``Psi``'s block, kept apart."""
+    the side of each charge sector of the volume, and in it the nonzero
+    entries of ``H0``'s block and of ``Psi``'s block, kept apart."""
 
     sides: list[int]
     h0: list[tuple[np.ndarray, np.ndarray]]
     psi: list[tuple[np.ndarray, np.ndarray]]
-    repeat: int
 
     def eigenvalues(self, eps: float) -> np.ndarray:
         """Ascending eigenvalues of ``H0 + eps Psi`` on the volume: each
         sector's entries scattered into one zeroed block, solved by
-        ``eigenvalues`` and let go before the next, and the merged spectrum
-        of the span repeated as ``hamiltonian_eigenvalues`` repeats it."""
+        ``eigenvalues`` and let go before the next."""
         def blocks():
             for side, (hi, hv), (pi, pv) in zip(self.sides, self.h0, self.psi):
                 block = np.zeros(side * side, np.result_type(hv, pv))
@@ -287,20 +294,20 @@ class CoupledBlocks:
                 block[pi] += eps * pv
                 yield block.reshape(side, side)
                 del block
-        return np.repeat(eigenvalues(blocks()), self.repeat)
+        return eigenvalues(blocks())
 
 
 def coupled_blocks(eta: Interaction, pert: Interaction,
                    lam: Interval) -> CoupledBlocks:
     """The block plan whose ``eigenvalues(eps)`` is, for every ``eps``,
     ``hamiltonian_eigenvalues(coupled(eta, pert, eps), lam)`` up to the
-    rounding of summing ``Psi`` before scaling it: on the span of the terms
-    of both inside ``lam``, in the sectors of the charge they conserve
+    rounding of summing ``Psi`` before scaling it: on ``lam`` itself, in
+    the sectors of the charge the terms of both inside it conserve
     together (found once), the nonzeros of each ``charge_blocks`` block of
-    ``H0`` and of ``Psi``, at int32 flat positions, one block at a time."""
-    eta, pert = eta.restricted(lam), pert.restricted(lam)
-    span = replace(eta, terms=eta.terms + pert.terms).span
-    modulus = conserved_modulus([t.op for t in eta.terms + pert.terms])
+    ``H0`` and of ``Psi``, at int32 flat positions, one block at a time;
+    a volume past ``MAX_DENSE_DIM`` states is refused before any block."""
+    modulus = conserved_modulus([t.op for t in eta.terms + pert.terms
+                                 if t.support in lam])
 
     def nonzeros(blocks):
         for block in blocks:
@@ -309,19 +316,17 @@ def coupled_blocks(eta: Interaction, pert: Interaction,
             yield at, flat[at]
             del block, flat, at
 
-    sectors, blocks = charge_blocks(eta, span, modulus)
+    sectors, blocks = charge_blocks(eta, lam, modulus)
     h0 = list(nonzeros(blocks))
-    psi = list(nonzeros(charge_blocks(pert, span, modulus)[1]))
-    return CoupledBlocks([idx.size for idx in sectors], h0, psi,
-                         eta.local_dim ** (len(lam) - len(span)))
+    psi = list(nonzeros(charge_blocks(pert, lam, modulus)[1]))
+    return CoupledBlocks([idx.size for idx in sectors], h0, psi)
 
 
 def kernel_gap(evals, kdim: int) -> float:
     """The step above the ``kdim`` kernel eigenvalues of an ascending
     spectrum, ``E_k - E_{k-1}``: ``nan`` with no kernel, ``inf`` when the
     kernel is the whole spectrum.  The one rule for the gap above a
-    cluster: ``SpectrumSplit.gamma``, ``cluster_projector`` and
-    ``validate_unperturbed`` read it."""
+    cluster, which ``SpectrumSplit.gamma`` and ``cluster_projector`` read."""
     if kdim == 0:
         return np.nan
     if kdim == len(evals):
@@ -330,51 +335,52 @@ def kernel_gap(evals, kdim: int) -> float:
 
 
 @dataclass
-class VolumeReport:
-    lam: Interval
-    evals: np.ndarray       # the ascending spectrum of the volume
-    ground_energy: float
-    gap: float              # kernel_gap of the volume's spectrum
-    kernel_dim: int
-    frustration_free: bool
+class SpectrumSplit:
+    """One solved volume, the record its every reader reads: an ascending
+    spectrum ``evals`` at coupling ``eps`` and the size ``k`` of its low
+    cluster, ``sp0 = evals[:k]``, below ``sp1``, the rest."""
+
+    eps: float
+    evals: np.ndarray
+    k: int
+
+    @property
+    def gamma(self) -> float:
+        return kernel_gap(self.evals, self.k)
+
+    @property
+    def sp0_diameter(self) -> float:
+        return float(self.evals[self.k - 1] - self.evals[0])
+
+    @property
+    def frustration_free(self) -> bool:
+        """The ground energy is zero at the kernel scale, ``|E_0| <= 1e-10
+        max(1, max|lambda|)``, and the cluster is not empty."""
+        scale = max(1.0, float(np.max(np.abs(self.evals))))
+        return abs(float(self.evals[0])) <= 1e-10 * scale and self.k >= 1
 
 
-@dataclass
-class UnperturbedReport:
-    rows: list[VolumeReport]
-    gamma0_candidate: float
+def validate_unperturbed(build, volumes) -> list[SpectrumSplit]:
+    """One split per volume at coupling 0: the ``hamiltonian_eigenvalues``
+    of ``build(lam)``, the interaction on ``lam``, with its kernel
+    (``kernel_count``) as the cluster.  A volume that is not
+    frustration-free is reported by ``frustration_free``, not raised."""
+    spectra = (hamiltonian_eigenvalues(build(lam), lam) for lam in volumes)
+    return [SpectrumSplit(0.0, evals, kernel_count(evals))
+            for evals in spectra]
 
 
-def validate_unperturbed(build, volumes) -> UnperturbedReport:
-    """Frustration-freeness report for a model over probe volumes.
-
-    ``build(lam)`` returns the interaction on ``lam``, and each row holds
-    its ``hamiltonian_eigenvalues``.  A volume is frustration-free when its
-    ground energy is zero at the kernel scale, ``|E_0| <= 1e-10 max(1,
-    max|lambda|)``, and it has a kernel; one that is not is reported in its
-    row's ``frustration_free``, not raised.  Each row's ``gap`` is the step
-    above its ``k`` kernel eigenvalues, ``kernel_gap``.
-    The gap candidate is the smallest eigenvalue above the kernel scale over
-    the probes whose diameter reaches the largest interaction range among
-    the probes.
-    """
-    rows, lowest = [], []
-    rng_max = 0
-    for lam in volumes:
-        phi = build(lam)
-        rng_max = max(rng_max, phi.range)
-        evals = hamiltonian_eigenvalues(phi, lam)
-        ground = float(evals[0])
-        kdim = kernel_count(evals)
-        nonzero = evals[~kernel_mask(evals)]
-        lowest.append(float(nonzero[0]) if nonzero.size else np.inf)
-        scale = max(1.0, float(np.max(np.abs(evals))))
-        ok = abs(ground) <= 1e-10 * scale and kdim >= 1
-        rows.append(VolumeReport(lam, evals, ground, kernel_gap(evals, kdim),
-                                 kdim, ok))
-    eligible = [m for r, m in zip(rows, lowest) if r.lam.diameter >= rng_max]
-    gamma0 = float(min(eligible)) if eligible else float("inf")
-    return UnperturbedReport(rows, gamma0)
+def gamma0_candidate(build, volumes) -> float:
+    """The unperturbed gap the constants are built on: the smallest
+    eigenvalue above the kernel scale (``kernel_mask``) over the probe
+    volumes whose diameter reaches the largest range of the interactions
+    ``build(lam)`` gives on them, ``inf`` when none has one."""
+    chains = [(lam, build(lam)) for lam in volumes]
+    reach = max((phi.range for _, phi in chains), default=0)
+    spectra = (hamiltonian_eigenvalues(phi, lam) for lam, phi in chains
+               if lam.diameter >= reach)
+    return float(min((np.min(ev[~kernel_mask(ev)], initial=np.inf)
+                      for ev in spectra), default=np.inf))
 
 
 @dataclass
@@ -465,7 +471,9 @@ def to_json(phi: Interaction) -> str:
 
 def from_json(text: str) -> Interaction:
     """The interaction of ``to_json``; keys beyond ``kind``, ``local_dim``
-    and ``terms`` (older files carry one more flag) are ignored."""
+    and ``terms`` (older files carry one more flag) are ignored.  A term
+    whose matrix is not exactly Hermitian is a ``ValueError`` naming its
+    support."""
     data = json.loads(text)
     terms = []
     for entry in data["terms"]:
@@ -474,6 +482,8 @@ def from_json(text: str) -> Interaction:
         dim = data["local_dim"] ** len(supp)
         m = np.array([complex(re, im) for re, im in entry["matrix"]],
                      dtype=complex).reshape(dim, dim)
+        if not _exactly_hermitian(m):
+            raise ValueError(f"term on {supp} is not Hermitian")
         op = LocalOperator(m, supp, data["kind"], data["local_dim"])
         terms.append(Term(op, anchor=entry["anchor"], radius=entry["radius"]))
     return Interaction(terms, data["kind"], data["local_dim"])

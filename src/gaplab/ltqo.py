@@ -184,16 +184,14 @@ def ltqo_witness(eta: Interaction, lam: Interval, x: int, n: int, k: int,
     is even, so a fermionic map's odd columns are zeroed here, once, where
     the map is built, and both ends read the even columns alone.  ``seen``
     holds what the caller's run has already computed: kernels by the
-    volume's length and its terms (each as its offset in the volume, its
-    length and its matrix bytes, so translated volumes share one), and by
-    that and the region's placement in the volume the witness read off its
-    centred map, so each is computed once; a kernel is solved in its charge
-    blocks.
+    volume's length and the ``translation_key`` of its terms from its left
+    end (so translated volumes share one), and by that and the region's
+    placement in the volume the witness read off its centred map, so each
+    is computed once; a kernel is solved in its charge blocks.
     """
     vol, region = ball(lam, x, n), ball(lam, x, k)
     phi = eta.restricted(vol)
-    volume = (len(vol), tuple((t.support.a - vol.a, len(t.support),
-                               t.op.matrix.tobytes()) for t in phi.terms))
+    volume = (len(vol), phi.translation_key(vol.a))
     key = (volume, region.a - vol.a, len(region))
     if key not in seen:
         if volume not in seen:

@@ -1,12 +1,13 @@
 r"""Spectral utilities: kernels, gap curves, resolutions of the identity.
 
-Every kernel is solved in its volume's charge blocks, never whole
-(``kernel_basis_dense``).  Eigenvalue curves of Hermitian families are
-tracked by sorted index; cluster identification between neighboring grid
-points is certified with the eigenvalue perturbation bound
-``|lambda_i(A) - lambda_i(B)| <= |A - B|``.  When the certificate fails the
-grid is bisected up to ``MAX_DEPTH`` times before giving up.  The tracked
-cluster is always the kernel of ``H0`` (``kernel_cluster``).
+Every kernel is solved in its volume's charge blocks, never whole, and its
+frames are taken by ``cluster_projector`` (``kernel_basis_dense``).
+Eigenvalue curves of Hermitian families are tracked by sorted index;
+cluster identification between neighboring grid points is certified with
+the eigenvalue perturbation bound ``|lambda_i(A) - lambda_i(B)| <= |A -
+B|``.  When the certificate fails the grid is bisected up to ``MAX_DEPTH``
+times before giving up.  The tracked cluster is always the kernel of
+``H0`` (``kernel_cluster``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import Interval, ball, boundary_distances, interior
-from .interaction import Interaction, Term, charge_blocks, charge_stack, \
-    coupled, coupled_blocks, hamiltonian_eigenvalues, kernel_gap
+from .interaction import Interaction, SpectrumSplit, Term, charge_blocks, \
+    charge_stack, coupled, coupled_blocks, hamiltonian_eigenvalues, \
+    kernel_gap
 from .operator_algebra import LocalOperator, kernel_count, kernel_mask
 
 
@@ -64,19 +66,18 @@ def kernel_basis_dense(phi: Interaction, lam: Interval) -> np.ndarray:
     """Orthonormal kernel vectors of ``local_hamiltonian(phi, lam)``.
 
     Each block of ``charge_blocks(phi, lam)`` is solved by ``diagonalize``.
-    The kernel cut is ``kernel_mask`` on the merged spectrum, at the scale
-    of the whole matrix and not of each block, and each block's kernel
-    columns are lifted into ``lam``'s basis by its sector's index set.  An
-    empty kernel is refused by ``kernel_cluster``.
+    The kernel is the lowest ``kernel_cluster`` of the merged spectrum (at
+    the whole matrix's scale, not each block's; an empty one is refused),
+    and each block's ``cluster_projector`` frame of it is lifted into
+    ``lam``'s basis by its sector's index set.
     """
     sectors, blocks = charge_blocks(phi, lam)
-    solved = [diagonalize(block) for block in blocks]
-    merged = np.concatenate([evals for evals, _ in solved])
-    kernel_cluster(merged)
-    mask = kernel_mask(merged)
+    evals, evecs = zip(*(diagonalize(block) for block in blocks))
+    _, frames = cluster_projector(evals, evecs,
+                                  kernel_cluster(np.concatenate(evals)))
     edges = np.cumsum([0] + [idx.size for idx in sectors])
-    kept = [np.pad(v[:, mask[a:b]], ((a, mask.size - b), (0, 0)))
-            for (_, v), a, b in zip(solved, edges, edges[1:])]
+    kept = [np.pad(v, ((a, edges[-1] - b), (0, 0)))
+            for v, a, b in zip(frames, edges, edges[1:])]
     return np.hstack(kept)[np.argsort(np.concatenate(sectors))]
 
 
@@ -84,25 +85,6 @@ def ground_projector(phi: Interaction, lam: Interval) -> np.ndarray:
     """``v v*`` of ``kernel_basis_dense(phi, lam)``: zero between sectors."""
     v = kernel_basis_dense(phi, lam)
     return v @ v.conj().T
-
-
-@dataclass
-class SpectrumSplit:
-    """An ascending spectrum ``evals`` at coupling ``eps`` and the size
-    ``k`` of its low cluster: ``sp0`` is ``evals[:k]`` and ``sp1`` the
-    rest.  The gap above the cluster is ``interaction.kernel_gap``."""
-
-    eps: float
-    evals: np.ndarray
-    k: int
-
-    @property
-    def gamma(self) -> float:
-        return kernel_gap(self.evals, self.k)
-
-    @property
-    def sp0_diameter(self) -> float:
-        return float(self.evals[self.k - 1] - self.evals[0])
 
 
 def gap_curve(eta: Interaction, pert: Interaction, lam: Interval,
@@ -159,19 +141,21 @@ def gap_curve(eta: Interaction, pert: Interaction, lam: Interval,
 
 
 def cluster_projector(evals, evecs, dim: int):
-    """The low cluster of a block stack from its decomposition
-    ``(evals, evecs)``, as ``diagonalize`` gives it: the gap above the
-    ``dim`` lowest eigenvalues, ``kernel_gap`` of the merged spectrum
-    (``inf`` above all of them), and each block's orthonormal frame of
-    them, its first columns (a copy, possibly empty).  A tie at the
-    boundary goes to the earlier block (a stable sort) and reads a zero
+    """The low cluster of blocks of any sides from their decompositions
+    ``(evals, evecs)``, one pair per block as ``diagonalize`` gives it: the
+    gap above the ``dim`` lowest eigenvalues, ``kernel_gap`` of the merged
+    spectrum (``inf`` above all of them), and each block's orthonormal
+    frame of them, its first columns (a copy, possibly empty).  A tie at
+    the boundary goes to the earlier block (a stable sort) and reads a zero
     gap, which the caller refuses.  The projector onto the cluster is the
     stack of ``v v*`` of the frames."""
-    merged = np.sort(evals, axis=None)
-    lowest = np.argsort(evals, axis=None, kind="stable")[:dim]
-    counts = np.bincount(lowest // evals.shape[-1], minlength=len(evals))
-    return kernel_gap(merged, dim), [v[:, :c].copy()
-                                     for v, c in zip(evecs, counts)]
+    merged = np.concatenate(evals)
+    lowest = np.argsort(merged, kind="stable")[:dim]
+    ends = np.cumsum([len(e) for e in evals])
+    counts = np.bincount(np.searchsorted(ends, lowest, side="right"),
+                         minlength=len(ends))
+    return kernel_gap(np.sort(merged), dim), [v[:, :c].copy()
+                                              for v, c in zip(evecs, counts)]
 
 
 @dataclass
@@ -266,19 +250,19 @@ def higher_gap_track(splits: list[SpectrumSplit], nu: float, mu: float):
 
 
 def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
-                      couplings, depths) -> list[dict]:
+                      couplings, depths) -> list[tuple[int, SpectrumSplit]]:
     """Low-cluster diameter as the perturbation retreats into the interior.
 
-    For each coupling and each depth ``D`` the perturbation keeps only terms
-    supported inside ``Int_D``; the splitting of the kernel cluster is
-    reported per coupling and depth, in that order.  Every spectrum is
-    ``hamiltonian_eigenvalues`` on ``lam``: a coupling-zero row, or a depth
-    that keeps no term, reads that of ``eta``, solved once; every other row
-    solves ``coupled(eta, kept, eps)``.  Each solve splits its terms into
-    groups of overlapping supports, so ``eta``'s terms that the kept ones
-    do not reach are solved apart from them, and a deeper row's group is
-    smaller.  The cluster is the kernel of ``eta`` (``kernel_cluster``,
-    which refuses an empty one).
+    For each coupling and each depth ``D``, in that order, the perturbation
+    keeps only terms supported inside ``Int_D``, and the pair ``(D,
+    SpectrumSplit)`` reports the splitting of the kernel cluster.  Every
+    spectrum is ``hamiltonian_eigenvalues`` on ``lam``: a coupling-zero
+    row, or a depth that keeps no term, reads that of ``eta``, solved once;
+    every other row solves ``coupled(eta, kept, eps)``.  Each solve splits
+    its terms into groups of overlapping supports, so ``eta``'s terms that
+    the kept ones do not reach are solved apart from them, and a deeper
+    row's group is smaller.  The cluster is the kernel of ``eta``
+    (``kernel_cluster``, which refuses an empty one).
     """
     ev0 = hamiltonian_eigenvalues(eta, lam)
     kdim = kernel_cluster(ev0)
@@ -292,11 +276,5 @@ def sp0_diameter_scan(eta: Interaction, pert: Interaction, lam: Interval,
                 if kept.terms:
                     evals = hamiltonian_eigenvalues(coupled(eta, kept, eps),
                                                     lam)
-            sp = SpectrumSplit(float(eps), evals, kdim)
-            sp1_min = float(evals[kdim]) if kdim < evals.size else np.inf
-            rows.append({"depth": int(depth), "eps": sp.eps,
-                         "sp0_min": float(evals[0]),
-                         "sp0_max": float(evals[kdim - 1]),
-                         "sp0_diam": sp.sp0_diameter, "sp1_min": sp1_min,
-                         "gamma": sp.gamma})
+            rows.append((int(depth), SpectrumSplit(float(eps), evals, kdim)))
     return rows

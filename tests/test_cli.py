@@ -22,7 +22,7 @@ from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         write_artifacts)
 from gaplab.interaction import Term, random_interaction, to_json
 from gaplab.lattice import Interval
-from gaplab.models import kernel_data, orbital_interaction
+from gaplab.models import aklt_interaction, kernel_data, orbital_interaction
 from gaplab.operator_algebra import LocalOperator, conserved_modulus, \
     operator_norm
 from gaplab.spectra import gap_curve
@@ -263,7 +263,16 @@ def test_main_rejects_unloadable_model_file(tmp_path, capsys):
                           "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]})
     odd = tmp_path / "odd.json"
     odd.write_text(json.dumps(data), encoding="utf-8")
-    for model in (tmp_path / "missing.json", bad_json, no_terms, odd):
+    # a spin model with 5|00><11| on every bond of [0, 7]: its lower
+    # triangle, all that a Hermitian solver reads, is zero
+    flip = [[0, 0]] * 16
+    flip[3] = [5, 0]
+    skew = tmp_path / "skew.json"
+    skew.write_text(json.dumps({"kind": "spin", "local_dim": 2, "terms": [
+        {"support": [x, x + 1], "anchor": x, "radius": None, "matrix": flip}
+        for x in range(7)]}), encoding="utf-8")
+    errs = []
+    for model in (tmp_path / "missing.json", bad_json, no_terms, skew, odd):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": f"file:{model}"}),
                        encoding="utf-8")
@@ -271,8 +280,33 @@ def test_main_rejects_unloadable_model_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: model: cannot load")
         assert err.count("\n") == 1
+        errs.append(err)
+    assert "ValueError: term on Interval(a=0, b=1) is not Hermitian" \
+        in errs[-2]
     assert "ParityError: fermionic operator on Interval(a=1, b=1) is not even" \
-        in err
+        in errs[-1]
+
+
+def test_a_model_file_is_admitted_at_its_own_local_dimension(tmp_path,
+                                                             capsys):
+    """A ``file:`` model's ``lengths`` are checked against the dense limit
+    at the model's local dimension: the spin-1 chain at 10 sites (59,049
+    states) is one config line, exit 2, from ``main`` and from
+    ``cmd_validate`` alike, and no solve starts."""
+    model = tmp_path / "aklt.json"
+    model.write_text(to_json(aklt_interaction(Interval(0, 11))),
+                     encoding="utf-8")
+    user = {"model": f"file:{model}", "lengths": [6, 10]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(user), encoding="utf-8")
+    line = "lengths: chains of [10] sites exceed the dense limit of 19683 " \
+        "states"
+    assert main(["validate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    with pytest.raises(ConfigError) as refused:
+        cmd_validate(merged_config(user), {})
+    assert str(refused.value) == line
 
 
 def test_main_validates_a_model_file(tmp_path, capsys):
@@ -723,9 +757,9 @@ def test_values_only_solves_go_through_the_spectral_layer():
     the witness ascent in ``ltqo.py`` keeps its own solves until it is
     rewritten.  ``cli.py`` calls neither ``eigenvalues`` nor
     ``hamiltonian_eigenvalues`` itself: every volume spectrum there comes
-    through ``validate_unperturbed``, whose ``hamiltonian_eigenvalues``
-    hands the charge blocks of the span of its terms to ``eigenvalues`` and
-    assembles no whole matrix."""
+    through ``validate_unperturbed`` or ``gamma0_candidate``, whose
+    ``hamiltonian_eigenvalues`` hands the charge blocks of the span of its
+    terms to ``eigenvalues`` and assembles no whole matrix."""
     src = Path(__file__).resolve().parents[1] / "src" / "gaplab"
     callers = {p.name for p in src.glob("*.py")
                if "linalg.eigvalsh(" in p.read_text(encoding="utf-8")}
@@ -735,9 +769,12 @@ def test_values_only_solves_go_through_the_spectral_layer():
     # the file, orbital and spin-1 volumes of validate
     assert inspect.getsource(cli.cmd_validate).count(
         "validate_unperturbed(") == 3
-    body = inspect.getsource(interaction.validate_unperturbed) \
-        .split('"""')[-1]
-    assert "hamiltonian_eigenvalues(phi, lam)" in body
+    assert "gamma0_candidate(" in inspect.getsource(cli.constants_bundle)
+    for reader in (interaction.validate_unperturbed,
+                   interaction.gamma0_candidate):
+        body = inspect.getsource(reader).split('"""')[-1]
+        assert re.search(r"hamiltonian_eigenvalues\((phi|build\(lam\)), lam\)",
+                         body)
     body = inspect.getsource(interaction.hamiltonian_eigenvalues) \
         .split('"""')[-1]
     assert "eigenvalues(charge_blocks(" in body

@@ -15,7 +15,7 @@ from gaplab.ffunction import (FFunctionSpec, RegroupedDecay, WeightSpec,
                               regroup_decay)
 from gaplab.interaction import (Interaction, Term, _support_clusters,
                                 charge_blocks, coupled_blocks,
-                                fermion_to_spin, from_json,
+                                fermion_to_spin, from_json, gamma0_candidate,
                                 hamiltonian_eigenvalues, local_hamiltonian,
                                 random_interaction, regroup_intervals,
                                 split_edge_bulk, to_json,
@@ -206,7 +206,7 @@ def test_coupled_blocks_hold_the_nonzeros_of_the_dense_blocks(
     keep the number (or ``S^z``), only its parity, or nothing, holds for
     each sector exactly the flat nonzero positions, int32 and ascending,
     and the values of the sector's sub-block of ``local_hamiltonian`` of
-    ``eta`` and of ``pert`` on their span, at the charge they conserve
+    ``eta`` and of ``pert`` on the volume, at the charge they conserve
     together, bit for bit: the entries are summed per position in term
     order, and exact zeros are dropped.  With ``cancel``, ``pert`` ends
     with its first term negated, so entries that only those two terms
@@ -231,16 +231,14 @@ def test_coupled_blocks_hold_the_nonzeros_of_the_dense_blocks(
     if cancel:
         pert.terms.append(Term(pert.terms[0].op * -1.0))
     plan = coupled_blocks(eta, pert, lam)
-    both = eta.terms + pert.terms
-    span = Interaction(both, "spin", d).span
-    found = operator_algebra.conserved_modulus([t.op for t in both])
-    digits = digit_sums(len(span), d)
+    found = operator_algebra.conserved_modulus(
+        [t.op for t in eta.terms + pert.terms])
+    digits = digit_sums(len(lam), d)
     q = digits if found is None else digits % found
     sectors = [np.flatnonzero(q == c) for c in np.unique(q)]
-    assert plan.repeat == d ** (len(lam) - len(span))
     assert plan.sides == [len(s) for s in sectors]
     for phi, entries in ((eta, plan.h0), (pert, plan.psi)):
-        whole = local_hamiltonian(phi, span).matrix
+        whole = local_hamiltonian(phi, lam).matrix
         for idx, (at, values) in zip(sectors, entries, strict=True):
             flat = whole[np.ix_(idx, idx)].reshape(-1)
             nonzero = np.flatnonzero(flat)
@@ -498,14 +496,15 @@ def test_local_hamiltonian_keeps_real_dtype():
 
 
 def test_validate_unperturbed_on_classical_chain():
-    report = validate_unperturbed(two_site_ising,
-                                  [Interval(0, 3), Interval(0, 4)])
+    volumes = [Interval(0, 3), Interval(0, 4)]
+    splits = validate_unperturbed(two_site_ising, volumes)
     # doubly degenerate classical ground space, gap exactly 1
-    for row in report.rows:
-        assert row.frustration_free
-        assert row.kernel_dim == 2
-        assert row.ground_energy == pytest.approx(0.0, abs=1e-12)
-    assert report.gamma0_candidate == pytest.approx(1.0, abs=1e-12)
+    for sp in splits:
+        assert sp.frustration_free
+        assert sp.k == 2
+        assert sp.evals[0] == pytest.approx(0.0, abs=1e-12)
+    assert gamma0_candidate(two_site_ising, volumes) == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_validate_unperturbed_flags_frustration():
@@ -517,8 +516,33 @@ def test_validate_unperturbed_flags_frustration():
         terms.append(Term(LocalOperator(X + 2 * np.eye(2), Interval(lam.a, lam.a))))
         return Interaction(terms)
 
-    report = validate_unperturbed(frustrated, [Interval(0, 2)])
-    assert not report.rows[0].frustration_free
+    splits = validate_unperturbed(frustrated, [Interval(0, 2)])
+    assert not splits[0].frustration_free
+
+
+def test_the_block_plan_refuses_a_volume_past_the_dense_limit(monkeypatch):
+    """The plan is built on the volume itself, so a volume past
+    ``MAX_DENSE_DIM`` states is refused before any block is built, however
+    short the span of the terms."""
+    def refuse(*args):
+        raise AssertionError("a charge sector was built")
+
+    monkeypatch.setattr(interaction, "charge_sectors", refuse)
+    eta = orbital_interaction(Interval(2, 5))
+    with pytest.raises(ValueError, match="dense dimension 1048576 exceeds"):
+        coupled_blocks(eta, eta, Interval(1, 20))
+
+
+def test_translated_interactions_share_one_translation_key():
+    """The key of an interaction seen from a site is its relative supports,
+    dtypes and matrix bytes: a translate seen from the translated site has
+    the same key, and seen from another site it does not."""
+    lam = Interval(0, 3)
+    phi = random_interaction(lam, seed=5, n_terms=4)
+    moved = Interaction([Term(LocalOperator(t.op.matrix, Interval(
+        t.support.a + 3, t.support.b + 3))) for t in phi.terms])
+    assert phi.translation_key(1) == moved.translation_key(4)
+    assert phi.translation_key(1) != moved.translation_key(1)
 
 
 def test_split_edge_bulk_partition():

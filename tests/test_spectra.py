@@ -437,6 +437,43 @@ def test_cluster_projector_matches_the_whole_matrix(blocks, side, complex_,
         np.testing.assert_allclose(p, v @ v.conj().T, atol=1e-9)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_cluster_projector_reads_blocks_of_unequal_sides(sides, complex_,
+                                                         seed):
+    """Blocks of any sides are cut on their merged spectrum as a stack is:
+    the gap is that of the block-diagonal matrix, each frame has its
+    block's side and as many columns as the block holds of the ``dim``
+    lowest merged eigenvalues, and, where the gap is open, the frames span
+    the whole matrix's ``dim`` lowest eigenvectors (Davis-Kahan, as
+    above)."""
+    rng = np.random.default_rng(seed)
+    blocks = [random_hermitian(rng, side, complex_) for side in sides]
+    evals, evecs = zip(*(diagonalize(h) for h in blocks))
+    whole = np.zeros((sum(sides), sum(sides)), np.result_type(*blocks))
+    edges = np.cumsum([0] + sides)
+    for h, a, b in zip(blocks, edges, edges[1:]):
+        whole[a:b, a:b] = h
+    dim = int(rng.integers(1, sum(sides) + 1))
+    gap, frames = cluster_projector(evals, evecs, dim)
+    ref_evals, ref_evecs = np.linalg.eigh(whole)
+    lowest = np.argsort(np.concatenate(evals), kind="stable")[:dim]
+    assert [v.shape for v in frames] == [
+        (b - a, int(np.sum((lowest >= a) & (lowest < b))))
+        for a, b in zip(edges, edges[1:])]
+    if dim == sum(sides):
+        assert gap == np.inf
+        return
+    assert abs(gap - (ref_evals[dim] - ref_evals[dim - 1])) <= 1e-12
+    if gap > 1e-3:
+        p = np.zeros_like(whole)
+        for v, a, b in zip(frames, edges, edges[1:]):
+            p[a:b, a:b] = v @ v.conj().T
+        v = ref_evecs[:, :dim]
+        np.testing.assert_allclose(p, v @ v.conj().T, atol=1e-9)
+
+
 # --- resolution families ------------------------------------------------------
 
 
@@ -603,12 +640,15 @@ def test_sp0_scan_trivial_cases():
     eta = ising(lam)
     pert = random_interaction(lam, seed=1, n_terms=4, max_diameter=1)
     # depth swallowing the volume: perturbation drops out entirely
-    rows = sp0_diameter_scan(eta, pert, lam, [0.1], [6])
-    assert rows[0]["sp0_diam"] == pytest.approx(0.0, abs=1e-12)
+    (_, sp), = sp0_diameter_scan(eta, pert, lam, [0.1], [6])
+    assert sp.sp0_diameter == pytest.approx(0.0, abs=1e-12)
     # eps = 0: every depth reads the spectrum of h0 and its measured diameter
     rows = sp0_diameter_scan(eta, pert, lam, [0.0], [1, 2])
-    assert all(r["sp0_diam"] == r["sp0_max"] - r["sp0_min"] for r in rows)
-    assert rows[0] == {**rows[1], "depth": 1}
+    assert all(sp.sp0_diameter == sp.evals[sp.k - 1] - sp.evals[0]
+               for _, sp in rows)
+    (d1, a), (d2, b) = rows
+    assert (d1, d2) == (1, 2) and (a.eps, a.k) == (b.eps, b.k)
+    assert a.evals is b.evals
 
 
 def test_every_kernel_reader_refuses_an_empty_kernel_alike():
@@ -634,9 +674,9 @@ def test_sp0_scan_reports_gamma():
     lam = Interval(0, 5)
     eta = ising(lam)
     pert = random_interaction(lam, seed=2, n_terms=4, max_diameter=1)
-    rows = sp0_diameter_scan(eta, pert, lam, [0.05], [1])
-    assert rows[0]["gamma"] > 0.5
-    assert rows[0]["sp1_min"] >= rows[0]["sp0_max"]
+    (_, sp), = sp0_diameter_scan(eta, pert, lam, [0.05], [1])
+    assert sp.gamma > 0.5
+    assert sp.evals[sp.k] >= sp.evals[sp.k - 1]
 
 
 def test_sp0_scan_matches_a_dense_recomputation():
@@ -647,38 +687,39 @@ def test_sp0_scan_matches_a_dense_recomputation():
     # depth 4 leaves no interior, so it keeps no term
     couplings, depths = (0.0, 0.02, 0.05), (0, 1, 2, 3, 4)
     rows = sp0_diameter_scan(eta, pert, lam, couplings, depths)
-    assert [(r["eps"], r["depth"]) for r in rows] == \
+    assert [(sp.eps, depth) for depth, sp in rows] == \
         [(e, d) for e in couplings for d in depths]
     h0 = local_hamiltonian(eta, lam).matrix
     kdim = kernel_count(np.linalg.eigvalsh(h0))
     ev0 = hamiltonian_eigenvalues(eta, lam)
-    for row in rows:
-        inner = interior(lam, row["depth"])
+    for depth, sp in rows:
+        inner = interior(lam, depth)
         kept = Interaction([t for t in pert.terms
                             if inner is not None and t.support in inner],
                            pert.kind, pert.local_dim)
         evals = np.linalg.eigvalsh(
-            h0 + row["eps"] * local_hamiltonian(kept, lam).matrix)
+            h0 + sp.eps * local_hamiltonian(kept, lam).matrix)
         sp0, sp1 = evals[:kdim], evals[kdim:]
-        assert row["sp0_min"] == pytest.approx(sp0.min(), abs=1e-12)
-        assert row["sp0_max"] == pytest.approx(sp0.max(), abs=1e-12)
-        assert row["sp1_min"] == pytest.approx(sp1.min(), abs=1e-12)
-        assert row["gamma"] == pytest.approx(sp1.min() - sp0.max(), abs=1e-12)
-        assert row["sp0_diam"] == pytest.approx(sp0.max() - sp0.min(),
+        assert sp.k == kdim
+        assert sp.evals[0] == pytest.approx(sp0.min(), abs=1e-12)
+        assert sp.evals[kdim - 1] == pytest.approx(sp0.max(), abs=1e-12)
+        assert sp.evals[kdim] == pytest.approx(sp1.min(), abs=1e-12)
+        assert sp.gamma == pytest.approx(sp1.min() - sp0.max(), abs=1e-12)
+        assert sp.sp0_diameter == pytest.approx(sp0.max() - sp0.min(),
                                                 abs=1e-12)
-        if row["depth"] == 4:
+        if depth == 4:
             assert inner is None and not kept.terms
-        if row["eps"] == 0.0 or not kept.terms:
+        if sp.eps == 0.0 or not kept.terms:
             # the unperturbed rows read the spectrum of eta, bit for bit
-            assert (row["sp0_min"], row["sp0_max"], row["sp1_min"]) == \
+            assert (sp.evals[0], sp.evals[kdim - 1], sp.evals[kdim]) == \
                 (ev0[0], ev0[kdim - 1], ev0[kdim])
-            assert row["sp0_diam"] == ev0[kdim - 1] - ev0[0]
-            assert row["gamma"] == ev0[kdim] - ev0[kdim - 1]
-        if row["depth"] == 0 and row["eps"] != 0.0:
+            assert sp.sp0_diameter == ev0[kdim - 1] - ev0[0]
+            assert sp.gamma == ev0[kdim] - ev0[kdim - 1]
+        if depth == 0 and sp.eps != 0.0:
             # depth 0 keeps every term, the end sites' included: the row is
             # the whole-volume H0 + eps Psi, and its cluster splits
             assert len(kept.terms) == len(pert.terms)
-            assert row["sp0_diam"] > 1e-6
+            assert sp.sp0_diameter > 1e-6
 
 
 def test_sp0_scan_solves_each_row_on_its_hull(monkeypatch):
@@ -745,19 +786,19 @@ def test_sp0_scan_at_the_default_length_matches_the_whole_volume():
     sectors = charge_sectors(len(lam), 2, 2)
     kdim = kernel_count(eigenvalues(split_blocks(h0, sectors)))
     assert kdim == 4
-    for row in rows:
-        inner = interior(lam, row["depth"])
+    for depth, sp in rows:
+        inner = interior(lam, depth)
         kept = Interaction([t for t in pert.terms if t.support in inner],
                            pert.kind, pert.local_dim)
         m = local_hamiltonian(kept, lam).matrix
-        m *= row["eps"]
+        m *= sp.eps
         m += h0
         evals = eigenvalues(split_blocks(m, sectors))
         del m
         sp0, sp1 = evals[:kdim], evals[kdim:]
         tol = 1e-12 * max(1.0, float(np.max(np.abs(evals))))
-        assert row["sp0_min"] == pytest.approx(sp0.min(), abs=tol)
-        assert row["sp0_max"] == pytest.approx(sp0.max(), abs=tol)
-        assert row["sp1_min"] == pytest.approx(sp1.min(), abs=tol)
-        assert row["sp0_diam"] == 0.0
+        assert sp.evals[0] == pytest.approx(sp0.min(), abs=tol)
+        assert sp.evals[kdim - 1] == pytest.approx(sp0.max(), abs=tol)
+        assert sp.evals[kdim] == pytest.approx(sp1.min(), abs=tol)
+        assert sp.sp0_diameter == 0.0
         assert sp0.max() - sp0.min() <= tol
