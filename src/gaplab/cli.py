@@ -1,6 +1,7 @@
 """Config-driven experiment runner emitting deterministic CSV/JSON artifacts.
 
-Subcommands cover the pipeline stages: ``validate`` (frustration-free
+Subcommands cover the pipeline stages of the config's model, a
+``models.Model`` resolved once per run: ``validate`` (frustration-free
 structure, fermion/spin spectral agreement, interval regrouping), ``ltqo``
 (indistinguishability witnesses), ``flow`` (projector transport and the
 anchored decomposition identities), ``bounds`` (certified constants and the
@@ -31,14 +32,13 @@ import numpy as np
 from . import models
 from .ffunction import DressedDecay, FFunctionSpec, ShiftedEnvelope, \
     WeightSpec, convolution_constant, f_norm, regroup_decay
-from .interaction import Interaction, fermion_to_spin, from_json, \
-    gamma0_candidate, local_hamiltonian, random_interaction, \
-    regroup_intervals, split_edge_bulk, validate_unperturbed
+from .interaction import fermion_to_spin, gamma0_candidate, \
+    local_hamiltonian, random_interaction, regroup_intervals, \
+    split_edge_bulk, validate_unperturbed
 from .lattice import Interval, ball, boundary_distances, interior
 from .ltqo import ltqo_witness
-from .models import aklt_interaction, auxiliary_basis, kernel_data, \
-    orbital_interaction, orbital_pairs, orbital_spectrum, \
-    random_even_perturbation
+from .models import auxiliary_basis, kernel_data, orbital_pairs, \
+    orbital_spectrum, random_even_perturbation
 from .operator_algebra import MAX_DENSE_DIM, operator_norm
 from .spectra import FrustrationError, gap_curve, higher_gap_track, \
     resolution_family, sigma_projection, sp0_diameter_scan
@@ -101,30 +101,23 @@ def _check_tree(value, default, path, errors):
         if not isinstance(value, dict):
             errors.append(f"{label}: expected a table")
             return
-        for key in value:
-            if key not in default:
-                errors.append(f"{label}.{key}: unknown field"
-                              if path else f"{key}: unknown field")
+        paths = {key: f"{path}.{key}" if path else key for key in value}
+        errors += [f"{paths[key]}: unknown field" for key in value
+                   if key not in default]
         for key, sub in default.items():
             if key in value:
-                sub_path = f"{path}.{key}" if path else key
-                _check_tree(value[key], sub, sub_path, errors)
+                _check_tree(value[key], sub, paths[key], errors)
     elif isinstance(default, list):
         if not isinstance(value, list):
             errors.append(f"{label}: expected a list")
         elif default:
             for i, item in enumerate(value):
                 _check_tree(item, default[0], f"{path}[{i}]", errors)
-    elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{label}: expected an integer")
-    elif isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{label}: expected a number")
-    elif isinstance(default, str):
-        if not isinstance(value, str):
-            errors.append(f"{label}: expected a string")
-    # a None default places no constraint (optional field)
+    elif default is not None:       # a None default places no constraint
+        accepted, name = {int: (int, "an integer"), str: (str, "a string"),
+                          float: ((int, float), "a number")}[type(default)]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            errors.append(f"{label}: expected {name}")
 
 
 def merged_config(user: dict | None) -> dict:
@@ -163,16 +156,11 @@ def merged_config(user: dict | None) -> dict:
             errors.append("gamma: the tracking floor must be positive")
         if cfg["higher"]["mu"] <= cfg["higher"]["nu"]:
             errors.append("higher: need mu above nu for a window")
-        model = cfg["model"]
-        if model != "orbital" and not model.startswith("file:"):
-            errors.append(f"model: unknown model spec {model!r}")
-        for field, sizes, d in (
-                ("lengths", cfg["lengths"], 2),
-                ("flow.length", [cfg["flow"]["length"]], 2),
-                ("ltqo.length", [cfg["ltqo"]["length"]], 2),
-                ("ltqo.aklt_lengths", cfg["ltqo"]["aklt_lengths"], 3),
-                ("sp0.length", [cfg["sp0"]["length"]], 2)):
-            errors += _past_dense_limit(field, sizes, d)
+        try:        # a file: model's lengths are admitted as it is read
+            model = models.model_for(cfg["model"], read=False)
+        except ValueError as exc:
+            errors.append(f"model: {exc}")
+            model = None
         cval = cfg["constants"]["C"]
         if cval is not None and (isinstance(cval, bool)
                                  or not isinstance(cval, (int, float))
@@ -199,45 +187,41 @@ def merged_config(user: dict | None) -> dict:
             errors.append(f"outputs.formats: unsupported {bad}")
         if cfg["flow"]["max_radius"] < 0:
             errors.append("flow.max_radius: must be non-negative")
-        errors += _short_chains(cfg) + _config_objects(cfg)
+        errors += _chain_lines(cfg, model) + _config_objects(cfg)
     if errors:
         raise ConfigError("\n".join(errors))
     return cfg
 
 
-def _past_dense_limit(field: str, sizes, d: int) -> list[str]:
-    """The config line for the chains of ``sizes`` past ``MAX_DENSE_DIM``
-    states at local dimension ``d``, if there are any."""
-    big = [n for n in sizes if d ** min(n, 64) > MAX_DENSE_DIM]
-    return [f"{field}: chains of {big} sites exceed the dense limit of "
-            f"{MAX_DENSE_DIM} states"] if big else []
-
-
-def _short_chains(cfg: dict) -> list[str]:
-    """Config lines for chains shorter than the geometry their pipelines
-    need: the orbital structure check an auxiliary basis (a diameter above
-    ``models.N0``), the flow's resolutions an interior two sites deep, the
-    orbital chains on ``[1, L]`` a full pair, the spin-1 chain a bond."""
+def _chain_lines(cfg: dict, model: models.Model | None) -> list[str]:
+    """Config lines for the chains a run cannot read: past ``MAX_DENSE_DIM``
+    states at their model's local dimension, or too short for what their
+    pipeline needs (the flow's resolutions an interior two sites deep, the
+    orbital chains on ``[1, L]`` a full pair, the spin-1 chain a bond);
+    ``lengths`` are read against ``model``, unless it is ``None``."""
     def has_pair(n):
         return bool(orbital_pairs(_window(n, 1)))
 
-    rules = [("flow.length", [cfg["flow"]["length"]],
+    aklt = models.AKLT
+    rules = [("flow.length", [cfg["flow"]["length"]], 2,
               lambda n: interior(_window(n), 2) is not None,
               "an interior two sites deep"),
-             ("ltqo.length", [cfg["ltqo"]["length"]], has_pair,
+             ("ltqo.length", [cfg["ltqo"]["length"]], 2, has_pair,
               "a full orbital pair"),
-             ("sp0.length", [cfg["sp0"]["length"]], has_pair,
+             ("sp0.length", [cfg["sp0"]["length"]], 2, has_pair,
               "a full orbital pair"),
              ("ltqo.aklt_lengths", cfg["ltqo"]["aklt_lengths"],
-              lambda n: _window(n).diameter >= 1, "a bond")]
-    if cfg["model"] == "orbital":
-        rules.append(("lengths", cfg["lengths"],
-                      lambda n: _window(n).diameter > models.N0,
-                      "a diameter above N0 for the auxiliary basis"))
+              aklt.local_dim, lambda n: n >= aklt.shortest, "a bond")]
+    if model is not None:
+        rules.append(("lengths", cfg["lengths"], model.local_dim,
+                      lambda n: n >= model.shortest,
+                      f"{model.shortest} sites for the {model.name} chain"))
     errors = []
-    for field, sizes, fits, need in rules:
-        short = [n for n in sizes if n < 1 or not fits(n)]
-        if short:
+    for field, sizes, d, fits, need in rules:
+        if big := [n for n in sizes if d ** min(n, 64) > MAX_DENSE_DIM]:
+            errors.append(f"{field}: chains of {big} sites exceed the dense "
+                          f"limit of {MAX_DENSE_DIM} states")
+        if short := [n for n in sizes if n < 1 or not fits(n)]:
             errors.append(f"{field}: chains of {short} sites are too short: "
                           f"need {need}")
     return errors
@@ -289,24 +273,21 @@ def load_config(path: Path | None, seed: int | None = None) -> dict:
             raise ConfigError("config root must be an object")
     if seed is not None:
         user["seeds"] = [seed]
-    cfg = merged_config(user)
-    if cfg["model"].startswith("file:"):
-        _model_file(cfg)
-    return cfg
+    return merged_config(user)
 
 
-def _model_file(cfg: dict) -> Interaction:
-    """The interaction of a ``file:<interaction.json>`` model spec, whose
-    ``lengths`` are admitted at its own local dimension."""
-    path = Path(cfg["model"][len("file:"):])
-    try:
-        phi = from_json(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"model: cannot load {path}: "
-                          f"{type(exc).__name__}: {exc}") from None
-    if big := _past_dense_limit("lengths", cfg["lengths"], phi.local_dim):
-        raise ConfigError(big[0])
-    return phi
+def _model(cfg: dict, ctx: dict) -> models.Model:
+    """The run's model, resolved once per run into ``ctx``: a ``file:``
+    model is read here, once, and admitted by ``_chain_lines``."""
+    if "model" not in ctx:
+        try:
+            model = models.model_for(cfg["model"])
+        except ValueError as exc:
+            raise ConfigError(f"model: {exc}") from None
+        if lines := _chain_lines(cfg, model):
+            raise ConfigError("\n".join(lines))
+        ctx["model"] = model
+    return ctx["model"]
 
 
 # ---------------------------------------------------------------------------
@@ -346,31 +327,23 @@ def write_artifacts(reports: list[Report], out_dir: Path, formats) -> Path:
     written raises its ``OSError``."""
     out_dir = Path(out_dir)
     for rep in reports:
-        if "csv" in formats:
-            for filename, (header, rows) in rep.tables.items():
-                with open(out_dir / filename, "w", encoding="utf-8",
-                          newline="") as fh:
-                    fh.write(",".join(header) + "\n")
-                    for row in rows:
-                        fh.write(",".join(_cell(v) for v in row) + "\n")
+        for filename, (header, rows) in rep.tables.items():
+            if "csv" in formats:
+                (out_dir / filename).write_text("".join(
+                    ",".join(map(_cell, row)) + "\n"
+                    for row in [header, *rows]), encoding="utf-8", newline="")
         if "json" in formats and rep.ledger is not None:
-            with open(out_dir / "constants.json", "w", encoding="utf-8") as fh:
-                json.dump(rep.ledger, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    lines = summary_lines(reports)
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
+            (out_dir / "constants.json").write_text(json.dumps(
+                rep.ledger, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / "summary.txt").write_text(
+        "\n".join(summary_lines(reports)) + "\n", encoding="utf-8")
     return out_dir
 
 
 def summary_lines(reports: list[Report]) -> list[str]:
-    lines = []
-    for rep in reports:
-        for label, ok, detail in rep.checks:
-            tag = "PASS" if ok else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            lines.append(f"[{tag}] {rep.name}: {label}{suffix}")
-    return lines
+    return [f"[{'PASS' if ok else 'FAIL'}] {rep.name}: {label}"
+            + (f"  ({detail})" if detail else "")
+            for rep in reports for label, ok, detail in rep.checks]
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +365,15 @@ def _step_profile(cfg: dict) -> OmegaProfile:
     return OmegaProfile(2.0, float(cfg["D"]))
 
 
-def _volume(cfg: dict, lam: Interval):
-    """``(lam, eta, pert)``: the orbital chain on ``lam`` and its seeded
-    perturbation of radius ``flow.max_radius``."""
-    eta = orbital_interaction(lam)
-    pert = random_even_perturbation(lam, cfg["flow"]["max_radius"], ENVELOPE,
-                                    cfg["seeds"][0])
-    return lam, eta, pert
+def _volume(cfg: dict, ctx: dict, lam: Interval):
+    """``(lam, eta, pert)``: the run's model on ``lam`` and its seeded
+    perturbation of radius ``flow.max_radius``, built once per run."""
+    built = ctx.setdefault("volumes", {})
+    if lam not in built:
+        built[lam] = (lam, _model(cfg, ctx).interaction(lam),
+                      random_even_perturbation(lam, cfg["flow"]["max_radius"],
+                                               ENVELOPE, cfg["seeds"][0]))
+    return built[lam]
 
 
 def _form_bound_checkpoints(n_check: int) -> list[int]:
@@ -430,7 +405,7 @@ def flow_bundle(cfg: dict, ctx: dict) -> dict:
     if "flow" in ctx:
         return ctx["flow"]
     fc = cfg["flow"]
-    lam, eta, pert = _volume(cfg, _window(fc["length"]))
+    lam, eta, pert = _volume(cfg, ctx, _window(fc["length"]))
     psi = split_edge_bulk(pert, lam, fc["max_radius"]).bulk
     window = Window(cfg["gamma"])
     uptos = _form_bound_checkpoints(fc["checkpoints"] - 1)
@@ -528,14 +503,13 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
                            f"the measured {c_measured:.6g}")
     c_used = float(c_user) if c_user is not None else max(c_measured, 1e-12)
 
-    # uniform strengths over the probe volumes, each built once and kept
-    # for the gap sweep
-    volumes = {n: _volume(cfg, _window(n, 1))
+    # uniform strengths over the probe volumes, kept for the gap sweep
+    volumes = {n: _volume(cfg, ctx, _window(n, 1))
                for n in _stability_lengths(cfg)}
     phi_for = {lam: pert for lam, _, pert in volumes.values()}
     m_int, m_d = uniform_strengths(phi_for, depth, base)
 
-    gamma0 = gamma0_candidate(orbital_interaction,
+    gamma0 = gamma0_candidate(_model(cfg, ctx).interaction,
                               [_window(6), _window(8, 1)])
 
     bc = bound_constants(gamma0, c_used, eta_fnorm, m_int, m_d, omega, f0,
@@ -552,81 +526,56 @@ def constants_bundle(cfg: dict, ctx: dict) -> dict:
 # pipelines
 
 
-_VALIDATE_HEADER = ["model", "length", "offset", "ground_energy", "gap",
-                    "kernel_dim", "kernel_expected", "aux_dim",
-                    "aux_interior_leak", "status"]
-
-
 def cmd_validate(cfg: dict, ctx: dict) -> Report:
-    """Model structure, one ``validate.csv`` row per volume.  Every volume,
-    of a ``file:`` model, the orbital chain or the spin-1 chain, is read
-    through ``interaction.validate_unperturbed``, as one ``SpectrumSplit``:
-    its spectrum, its ground energy ``evals[0]``, its kernel ``k`` and
-    ``gamma``, the step above its kernel."""
+    """Model structure, one ``validate.csv`` row per volume of the run's
+    model on ``lengths`` and, where it runs ``ltqo``, of the spin-1 chain on
+    ``ltqo.aklt_lengths``: one ``validate_unperturbed`` split each, held to
+    the model's kernel dimension where known.  A certified model is read on
+    both pair alignments and held to its closed forms (gap 1, the auxiliary
+    basis's budget, ``orbital_spectrum``); its run alone checks the spin
+    image (``jw.csv``) and interval regrouping."""
     rep = Report("validate")
-    rows = []
-
-    if cfg["model"].startswith("file:"):
-        volumes = [_window(n) for n in cfg["lengths"]]
-        splits = validate_unperturbed(_model_file(cfg).restricted, volumes)
+    model = _model(cfg, ctx)
+    chains = [(model, cfg["lengths"])]
+    if "ltqo" in model.pipelines:
+        chains.append((models.AKLT, cfg["ltqo"]["aklt_lengths"]))
+    rows, jw_rows = [], []
+    for chain, lengths in chains:
+        volumes = [_window(n, offset) for n in lengths
+                   for offset in range(1 + chain.certified)]
+        built = {lam: chain.interaction(lam) for lam in volumes}
+        splits = validate_unperturbed(built.__getitem__, volumes)
         for lam, sp in zip(volumes, splits):
-            rows.append(("custom", len(lam), lam.a, sp.evals[0], sp.gamma,
-                         sp.k, -1, -1, 0.0,
-                         "ok" if sp.frustration_free else "fail"))
-            rep.check(f"custom ground energy on {lam}", sp.frustration_free,
-                      f"E0 = {sp.evals[0]:.2e}")
-        rep.table("validate.csv", _VALIDATE_HEADER, rows)
+            kexp = chain.kernel(lam) if chain.kernel else -1
+            ok = sp.frustration_free and kexp in (-1, sp.k)
+            aux_dim, leak = -1, 0.0
+            detail = f"E0 = {sp.evals[0]:.1e}, kernel {sp.k}/{kexp}, " \
+                     f"gap = {sp.gamma:.6f}"
+            if chain.certified:
+                aux = auxiliary_basis(lam)
+                aux_dim, deep = aux.shape[1], interior(lam, 3 * models.R)
+                idx = [i for i, s in enumerate(lam) if deep and s in deep]
+                leak = float(np.max(np.abs(aux[idx]), initial=0.0))
+                ok = (ok and abs(sp.gamma - 1.0) <= 1e-9
+                      and len(kernel_data(lam)[1]) <= 6 * models.R
+                      and aux_dim <= 6 * models.R and leak <= 1e-12)
+                detail = f"E0 = {sp.evals[0]:.1e}, gap = {sp.gamma:.12f}, " \
+                         f"kernel {sp.k}/{kexp}, leak = {leak:.1e}"
+                if len(lam) <= 10:      # the spin image has its terms
+                    eta, closed = built[lam], orbital_spectrum(lam)
+                    same = fermion_to_spin(eta).translation_key(0) \
+                        == eta.translation_key(0)
+                    dev = float(np.max(np.abs(sp.evals - closed)))
+                    jw_rows.append((len(lam), lam.a, dev,
+                                    "ok" if same and dev <= 1e-10 else "fail"))
+            rows.append((chain.name, len(lam), lam.a, sp.evals[0], sp.gamma,
+                         sp.k, kexp, aux_dim, leak, "ok" if ok else "fail"))
+            rep.check(f"{chain.name} structure on {lam}", ok, detail)
+    rep.table("validate.csv", ["model", "length", "offset", "ground_energy",
+                               "gap", "kernel_dim", "kernel_expected",
+                               "aux_dim", "aux_interior_leak", "status"], rows)
+    if not model.certified:
         return rep
-
-    # orbital chain on both window alignments; to 10 sites, the spin image
-    # must equal the fermionic matrix and its spectrum the closed form
-    volumes = [_window(length, offset) for length in cfg["lengths"]
-               for offset in (0, 1)]
-    chains = {lam: orbital_interaction(lam) for lam in volumes}
-    splits = validate_unperturbed(chains.__getitem__, volumes)
-    jw_rows = []
-    for lam, sp in zip(volumes, splits):
-        eta = chains[lam]
-        kexp, free = kernel_data(lam)
-        aux = auxiliary_basis(lam)
-        deep = interior(lam, 3 * models.R)
-        if deep is not None:
-            idx = [i for i, s in enumerate(lam) if s in deep]
-            leak = float(np.max(np.abs(aux[idx, :]))) if aux.size else 0.0
-        else:
-            leak = 0.0
-        ok = (sp.frustration_free and abs(sp.gamma - 1.0) <= 1e-9
-              and sp.k == kexp and len(free) <= 6 * models.R
-              and aux.shape[1] <= 6 * models.R and leak <= 1e-12)
-        rows.append(("orbital", len(lam), lam.a, sp.evals[0], sp.gamma,
-                     sp.k, kexp, aux.shape[1], leak,
-                     "ok" if ok else "fail"))
-        rep.check(f"orbital structure on {lam}", ok,
-                  f"E0 = {sp.evals[0]:.1e}, gap = {sp.gamma:.12f}, "
-                  f"kernel {sp.k}/{kexp}, leak = {leak:.1e}")
-        if len(lam) <= 10:
-            # the same supports and matrices, in the same order, place
-            # into the same Hamiltonian entry for entry on every volume
-            spin = fermion_to_spin(eta).terms
-            same = len(spin) == len(eta.terms) and all(
-                s.support == t.support
-                and np.array_equal(s.op.matrix, t.op.matrix)
-                for s, t in zip(spin, eta.terms))
-            dev = float(np.max(np.abs(sp.evals - orbital_spectrum(lam))))
-            jw_rows.append((len(lam), lam.a, dev,
-                            "ok" if same and dev <= 1e-10 else "fail"))
-
-    # spin-1 projector chain
-    volumes = [_window(n) for n in cfg["ltqo"]["aklt_lengths"]]
-    splits = validate_unperturbed(aklt_interaction, volumes)
-    for lam, sp in zip(volumes, splits):
-        ok = sp.frustration_free and sp.k == 4
-        rows.append(("aklt", len(lam), 0, sp.evals[0], sp.gamma, sp.k, 4,
-                     -1, 0.0, "ok" if ok else "fail"))
-        rep.check(f"aklt structure on {lam}", ok,
-                  f"E0 = {sp.evals[0]:.1e}, kernel {sp.k}/4, "
-                  f"gap = {sp.gamma:.6f}")
-    rep.table("validate.csv", _VALIDATE_HEADER, rows)
     for length, offset, dev, status in jw_rows:
         rep.check(f"fermion/spin spectra on {_window(length, offset)}",
                   status == "ok", f"max deviation {dev:.2e}")
@@ -637,27 +586,20 @@ def cmd_validate(cfg: dict, ctx: dict) -> Report:
     base = base_envelope(cfg)
     regrouped = regroup_decay(base, cfg["constants"]["truncation"])
     rg_rows = []
-    worst_dev, worst_norm = 0.0, -np.inf
     for i in range(20):
-        length = 6 + (i % 3)
-        lam = _window(length)
+        lam = _window(6 + i % 3)
         psi = random_interaction(lam, seed=cfg["seeds"][0] + i, n_terms=6,
                                  max_diameter=2)
         grouped = regroup_intervals(psi)
-        dev = 0.0
-        for a in range(lam.a, lam.b + 1):
-            for b in range(a, lam.b + 1):
-                sub = Interval(a, b)
-                h_before = local_hamiltonian(psi, sub).matrix
-                h_after = local_hamiltonian(grouped, sub).matrix
-                dev = max(dev, float(np.max(np.abs(h_before - h_after))))
-        norm_before = psi.f_norm(base)
-        norm_after = grouped.f_norm(regrouped)
-        rg_rows.append((i, length, dev, norm_after, norm_before,
-                        "ok" if dev <= 1e-12 and norm_after <= norm_before
-                        else "fail"))
-        worst_dev = max(worst_dev, dev)
-        worst_norm = max(worst_norm, norm_after - norm_before)
+        subs = [Interval(a, b) for a in lam for b in range(a, lam.b + 1)]
+        dev = max(float(np.max(np.abs(local_hamiltonian(psi, s).matrix
+                                      - local_hamiltonian(grouped, s).matrix)))
+                  for s in subs)
+        before, after = psi.f_norm(base), grouped.f_norm(regrouped)
+        rg_rows.append((i, len(lam), dev, after, before,
+                        "ok" if dev <= 1e-12 and after <= before else "fail"))
+    worst_dev = max(row[2] for row in rg_rows)
+    worst_norm = max(row[3] - row[4] for row in rg_rows)
     rep.table("regroup.csv",
               ["trial", "length", "max_subinterval_deviation",
                "regrouped_norm", "original_norm", "status"], rg_rows)
@@ -681,14 +623,14 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
     bracket's lower end, ``value``, against the geometric budget.
     """
     rep = Report("ltqo")
-    lc = cfg["ltqo"]
-    depth = cfg["D"]
+    lc, depth = cfg["ltqo"], cfg["D"]
     seen: dict = {}     # each kernel and witness once per call
     rows = []
 
     # paired-orbital chain: certified zeros over the even columns
+    model, aklt = _model(cfg, ctx), models.AKLT
     lam = _window(lc["length"], 1)
-    eta = orbital_interaction(lam)
+    eta = model.interaction(lam)
     budget = 1e-11
     values = {"beyond": [], "inside": []}
     centre = (lam.a + lam.b) // 2
@@ -701,7 +643,7 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
                 value, upper = ltqo_witness(eta, lam, x, n, k, seen)
                 ok = value <= budget
                 values["beyond" if sep >= depth else "inside"].append(value)
-                rows.append(("orbital", x, n, k, sep, "zero", value, budget,
+                rows.append((model.name, x, n, k, sep, "zero", value, budget,
                              "ok" if ok else "fail", upper))
                 if not ok:
                     rep.check(f"orbital witness (x={x}, n={n}, k={k})", False,
@@ -715,7 +657,7 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
     geo_ok = True
     for length in lc["aklt_lengths"]:
         lam = _window(length)
-        eta = aklt_interaction(lam)
+        eta = aklt.interaction(lam)
         x = (lam.a + lam.b) // 2
         r_near, _ = boundary_distances(lam, x)
         for n in range(2, r_near + 1):
@@ -725,7 +667,7 @@ def cmd_ltqo(cfg: dict, ctx: dict) -> Report:
                 bound = 1.5 * (1.0 / 3.0) ** sep
                 ok = value <= bound
                 geo_ok = geo_ok and ok
-                rows.append((f"aklt{length}", x, n, k, sep, "bracket",
+                rows.append((f"{aklt.name}{length}", x, n, k, sep, "bracket",
                              value, bound, "ok" if ok else "fail", upper))
                 if not ok:
                     rep.check(
@@ -807,8 +749,7 @@ def cmd_flow(cfg: dict, ctx: dict) -> Report:
     for x, th in fb["thetas"].items():
         ident_worst = max(ident_worst, th.identity_error)
         annih_worst = max(annih_worst, th.annihilation_error)
-        for n in sorted(th.beta_norms):
-            theta_rows.append((x, n, th.beta_norms[n]))
+        theta_rows += [(x, n, th.beta_norms[n]) for n in sorted(th.beta_norms)]
         theta_rows.append((x, th.r_x + 1, th.alpha_norm))
         record(f"theta_identity_x{x}", th.identity_error, identity_budget)
         record(f"theta_annihilation_x{x}", th.annihilation_error,
@@ -855,8 +796,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     rep = Report("bounds")
     fb = flow_bundle(cfg, ctx)
     cb = constants_bundle(cfg, ctx)
-    bc = cb["bc"]
-    flow = fb["flow"]
+    bc, flow = cb["bc"], fb["flow"]
 
     thresholds = stability_threshold(bc)
 
@@ -876,8 +816,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
     # relative form bound for the diagonal interior piece
     psi_fnorm = cb["psi_fnorm"]
     delta_v, beta_v, alpha_v = volume_form_constants(bc, psi_fnorm)
-    fb_rows = []
-    violations = 0
+    fb_rows, violations = [], 0
     for upto, split in fb["splits"].items():
         fr = verify_form_bound(flow.h0, flow.end_spectra[0][1], split.phi2,
                                flow.sectors, delta_v, beta_v,
@@ -916,7 +855,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
 
     ledger = {
         "inputs": {
-            "model": "orbital",
+            "model": _model(cfg, ctx).name,
             "gamma0": bc.gamma0,
             "filter_width": fb["window"].gamma,
             "window_kind": "bump",
@@ -966,8 +905,7 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
             "eps_star": entry("eps_star", bc.eps_threshold),
             "eps_star_fermion": entry("eps_star_fermion", bc.eps_threshold),
         },
-        "tails": {"J1": bc.j.tails[0], "J2": bc.j.tails[1],
-                  "J3": bc.j.tails[2]},
+        "tails": dict(zip(("J1", "J2", "J3"), bc.j.tails)),
         "bounds": {"gap": FORMULAS["gap_bound"],
                    "higher_gap": FORMULAS["higher_gap_bound"],
                    "kappa": FORMULAS["kappa"]},
@@ -984,13 +922,10 @@ def cmd_bounds(cfg: dict, ctx: dict) -> Report:
 
 
 def _sweep_grid(cfg: dict, bc) -> list[float]:
-    grid_cfg = cfg["eps_grid"]
-    grid = list(np.linspace(0.0, grid_cfg["stop"], grid_cfg["steps"]))
-    eps_star = bc.eps_threshold
-    for extra in (0.5 * eps_star, 0.9 * eps_star):
-        if 0.0 < extra <= grid_cfg["stop"]:
-            grid.append(extra)
-    return sorted(set(float(e) for e in grid))
+    stop, steps = cfg["eps_grid"]["stop"], cfg["eps_grid"]["steps"]
+    extra = [e for e in (0.5 * bc.eps_threshold, 0.9 * bc.eps_threshold)
+             if 0.0 < e <= stop]
+    return sorted({float(e) for e in [*np.linspace(0.0, stop, steps), *extra]})
 
 
 def sweep_bundle(cfg: dict, ctx: dict) -> dict:
@@ -1080,13 +1015,13 @@ def cmd_highergaps(cfg: dict, ctx: dict) -> Report:
 def cmd_sp0scan(cfg: dict, ctx: dict) -> Report:
     rep = Report("sp0scan")
     sc = cfg["sp0"]
-    lam, eta, pert = _volume(cfg, _window(sc["length"], 1))
+    lam, eta, pert = _volume(cfg, ctx, _window(sc["length"], 1))
     scan = sp0_diameter_scan(eta, pert, lam, (0.0, sc["eps"]), sc["depths"])
     rep.table("sp0scan.csv",
               ["model", "length", "D", "eps", "gamma", "sp0_min", "sp0_max",
                "sp0_diam", "sp1_min"],
-              [("orbital", sc["length"], depth, sp.eps, sp.gamma, sp.evals[0],
-                sp.evals[sp.k - 1], sp.sp0_diameter,
+              [(_model(cfg, ctx).name, sc["length"], depth, sp.eps, sp.gamma,
+                sp.evals[0], sp.evals[sp.k - 1], sp.sp0_diameter,
                 np.min(sp.evals[sp.k:], initial=np.inf))
                for depth, sp in scan])
     diams = [d for _, d in sorted((depth, sp.sp0_diameter)
@@ -1114,29 +1049,37 @@ COMMANDS = [*PIPELINES, "all"]
 def run(cfg: dict, commands, out_dir) -> list[Report]:
     """Execute the requested pipelines and write their artifacts.
 
-    ``all`` runs every pipeline in order on one shared context.  A config
-    the requested pipelines cannot run (a ``file:`` model reaches only
-    ``validate``) or the stability pipelines cannot probe is rejected
-    before the first pipeline runs; so is an output directory that cannot
-    be made then, and an artifact that cannot be written at the end is a
-    ``ConfigError`` naming it.  A pipeline whose numerical step cannot be
-    certified (a ``RuntimeError`` or a ``FrustrationError``) is reported as
-    one failed check carrying the reason, and the remaining pipelines still
-    run.
+    ``all`` runs every pipeline in order on one shared context, whose model
+    is resolved first.  A config the requested pipelines cannot run (one
+    the model does not accept: a ``file:`` model reaches only ``validate``)
+    or the stability pipelines cannot probe (no chain above diameter 2 D,
+    or no bulk perturbation in the flow chain at ``flow.max_radius``) is
+    rejected before the first pipeline runs; so is an output directory
+    that cannot be made then, and an artifact that cannot be written at the
+    end is a ``ConfigError`` naming it.  A pipeline whose numerical step
+    cannot be certified (a ``RuntimeError`` or a ``FrustrationError``) is
+    reported as one failed check carrying the reason, and the remaining
+    pipelines still run.
     """
     names = [n for c in commands for n in (PIPELINES if c == "all" else [c])]
-    unsupported = [n for n in names if n != "validate"]
-    if cfg["model"].startswith("file:") and unsupported:
-        raise ConfigError(f"{', '.join(unsupported)}: only validate runs the "
-                          f"model {cfg['model']}")
+    ctx: dict = {}
+    model = _model(cfg, ctx)
+    if refused := [n for n in names if n not in model.pipelines]:
+        raise ConfigError(f"{', '.join(refused)}: only "
+                          f"{', '.join(model.pipelines)} runs the model "
+                          f"{cfg['model']}")
     if {"bounds", "gapsweep", "highergaps"} & set(names):
         _stability_lengths(cfg)
+        length, radius = cfg["flow"]["length"], cfg["flow"]["max_radius"]
+        if radius < 1 or interior(_window(length), radius) is None:
+            raise ConfigError(f"flow.max_radius: the stability pipelines need "
+                              f"a bulk perturbation, and the {length}-site "
+                              f"flow chain has none at radius {radius}")
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"outputs.directory: cannot make {out_dir}: "
                           f"{exc}") from None
-    ctx: dict = {}
     reports: list[Report] = []
     for name in names:
         try:

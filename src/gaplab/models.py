@@ -19,16 +19,24 @@ chain is ``2^(#uncovered end sites)``.
 The spin-1 chain uses the projector onto total spin 2 of neighboring sites;
 its open-chain kernel is four-dimensional and correlations decay with ratio
 1/3.
+
+A run reads one ``Model``, resolved from the config's ``model`` by
+``model_for``: ``ORBITAL``, or a ``file:`` interaction read once, which only
+``validate`` accepts.  ``AKLT`` is the spin-1 chain read beside the orbital
+one.  Both look their builder up in this module as they are called.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .lattice import Interval, ball
-from .interaction import Interaction, Term
+from .interaction import Interaction, Term, from_json
 from .operator_algebra import (
     LocalOperator, mode_annihilator, parity_matrix, spin_matrices,
 )
@@ -158,3 +166,52 @@ def random_even_perturbation(lam: Interval, max_radius: int, envelope: dict,
             terms.append(Term(LocalOperator(m, supp, "fermion"),
                               anchor=x, radius=n))
     return Interaction(terms, "fermion", 2)
+
+
+# ---------------------------------------------------------------------------
+# the models a run reads
+
+
+@dataclass(frozen=True)
+class Model:
+    """A chain a run reads, of ``kind`` fermion or spin: ``interaction(lam)``
+    builds it on ``shortest`` sites or more for the ``pipelines`` that accept
+    it, with ``kernel(lam)`` kernel states where known.  ``validate`` holds a
+    ``certified`` model to the orbital chain's closed forms."""
+    name: str
+    kind: str
+    local_dim: int
+    interaction: Callable[[Interval], Interaction]
+    shortest: int = 2
+    pipelines: tuple[str, ...] = ("validate",)
+    kernel: Callable[[Interval], int] | None = None
+    certified: bool = False
+
+
+# each builder is looked up as it is called, so a rebinding of the module's
+# attribute (a tracer's, a test's) reaches the model
+ORBITAL = Model("orbital", "fermion", 2, lambda lam: orbital_interaction(lam),
+                N0 + 2, ("validate", "ltqo", "flow", "bounds", "gapsweep",
+                         "highergaps", "sp0scan"),
+                lambda lam: kernel_data(lam)[0], certified=True)
+AKLT = Model("aklt", "spin", 3, lambda lam: aklt_interaction(lam), 2,
+             ("validate", "ltqo"), lambda lam: 4)
+
+
+def model_for(spec: str, read: bool = True) -> Model | None:
+    """The model of a config's ``model`` value: ``orbital``, or
+    ``file:<path>``, the interaction ``interaction.to_json`` wrote there,
+    read unless ``read`` is false (then ``None``).  Any other value, or a
+    file that does not load as an interaction, is a ``ValueError``."""
+    if spec == "orbital":
+        return ORBITAL
+    if not spec.startswith("file:"):
+        raise ValueError(f"unknown model spec {spec!r}")
+    if not read:
+        return None
+    path = Path(spec[len("file:"):])
+    try:
+        phi = from_json(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot load {path}: {type(exc).__name__}: {exc}")
+    return Model("custom", phi.kind, phi.local_dim, phi.restricted)

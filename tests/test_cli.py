@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import gaplab.cli as cli
-from gaplab import ffunction, interaction, spectral_flow, stability_bounds
+from gaplab import ffunction, interaction, models, spectral_flow, \
+    stability_bounds
 from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
                         cmd_flow, cmd_sp0scan, cmd_validate, flow_bundle,
                         load_config, main, merged_config, run, summary_lines,
@@ -135,7 +136,8 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"flow": {"length": 3}}, r"flow.length: chains of \[3\] sites are too"),
     ({"flow": {"length": 4}}, r"flow.length: chains of \[4\] sites are too"),
     ({"lengths": [2]}, r"lengths: chains of \[2\] sites are too short"),
-    ({"lengths": [3]}, r"lengths: chains of \[3\] sites are too short"),
+    ({"lengths": [3]}, r"lengths: chains of \[3\] sites are too short: "
+                       "need 4 sites for the orbital chain"),
     ({"sp0": {"length": 2}}, r"sp0.length: chains of \[2\] sites are too"),
     ({"ltqo": {"length": 2}}, r"ltqo.length: chains of \[2\] sites are too"),
     ({"ltqo": {"aklt_lengths": [1]}},
@@ -319,6 +321,29 @@ def test_main_validates_a_model_file(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.count("[PASS] validate: custom") == 2
+
+
+def test_a_model_file_is_read_once_per_run(tmp_path, monkeypatch, capsys):
+    """``main`` parses a ``file:`` model once: its admission at its own
+    local dimension and ``validate`` read the one interaction."""
+    real, parsed = interaction.from_json, []
+
+    def counted(text):
+        parsed.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaplab") and vars(module).get("from_json") is real:
+            monkeypatch.setattr(module, "from_json", counted)
+    model = tmp_path / "orbital.json"
+    model.write_text(to_json(orbital_interaction(Interval(0, 5))),
+                     encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": f"file:{model}", "lengths": [4, 6]}),
+                   encoding="utf-8")
+    assert main(["validate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(parsed) == 1
 
 
 def test_a_model_files_gap_is_the_step_above_its_kernel(tmp_path):
@@ -559,6 +584,43 @@ def _recording_pipelines(monkeypatch) -> list:
     return called
 
 
+@pytest.mark.parametrize("command", ["bounds", "gapsweep", "highergaps",
+                                     "all"])
+@pytest.mark.parametrize("radius", [0, 3])
+def test_a_flow_chain_without_a_bulk_perturbation_stops_the_stability_runs(
+        tmp_path, monkeypatch, capsys, command, radius):
+    """At ``flow.max_radius`` 0 the seeded perturbation has no term, and at
+    3 no site of the 6-site flow chain lies that deep: either way its bulk
+    is empty, so the velocity is 0 and ``F_phi`` cannot be built.  A run of
+    a stability pipeline exits 2 before the first pipeline, with one line
+    naming ``flow.max_radius``, and writes no artifact."""
+    called = _recording_pipelines(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lengths": [8], "flow": {
+        "max_radius": radius, "length": 6, "checkpoints": 5}}),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: flow.max_radius: the stability pipelines need a bulk "
+        f"perturbation, and the 6-site flow chain has none at radius "
+        f"{radius}\n")
+    assert called == [] and not out.exists()
+
+
+def test_the_flow_runs_on_a_chain_without_a_perturbation(tmp_path, capsys):
+    """``flow`` alone reads no velocity, so it still runs at
+    ``flow.max_radius`` 0, where the stability pipelines are refused, and
+    passes every check."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lengths": [8], "flow": {
+        "max_radius": 0, "length": 6, "checkpoints": 5}}), encoding="utf-8")
+    assert main(["flow", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert lines and all(line.startswith("[PASS] flow:") for line in lines)
+
+
 @pytest.mark.parametrize("route", ["config", "flag"])
 def test_a_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
                                            route):
@@ -712,7 +774,7 @@ def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
     lengths = cli._stability_lengths(cfg)
     assert lengths == [8, 10]
     for length in lengths:
-        lam, eta, pert = cli._volume(cfg, cli._window(length, 1))
+        lam, eta, pert = cli._volume(cfg, {}, cli._window(length, 1))
         kdim, _ = kernel_data(lam)
         read = gap_curve(eta, pert, lam, grid)
         assert [sp.eps for sp in read] == list(grid)
@@ -735,13 +797,40 @@ def test_benchmark_workloads_keep_their_artifacts(tmp_path):
         assert "[FAIL]" not in summary, name
 
 
-def test_tracer_layers_name_package_functions():
-    """Every span the benchmark tracer installs names a gaplab function."""
+def test_tracer_layers_name_package_functions(tmp_path):
+    """Every span the benchmark tracer installs names a gaplab function.
+    Installed in process, the tracer sees a small ``validate`` and ``ltqo``
+    call both model builders and ``cmd_validate``: a model that captured
+    its builder at import would call it past the span the tracer rebinds.
+    Every binding the tracer replaced is put back afterwards."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    for modname, names in runpy.run_path(str(path))["LAYERS"].items():
+    tracer_module = runpy.run_path(str(path))
+    for modname, names in tracer_module["LAYERS"].items():
         module = importlib.import_module(f"gaplab.{modname}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{modname}.{name}"
+    modules = [np.linalg] + [module for name, module in sys.modules.items()
+                             if name.startswith("gaplab")]
+    saved = [(module, dict(vars(module))) for module in modules]
+    pipelines = dict(cli.PIPELINES)
+    tracer = tracer_module["Tracer"]()
+    try:
+        tracer.install()
+        cfg = merged_config({"lengths": [6], "ltqo": {
+            "length": 6, "aklt_lengths": [4]}})
+        reports = run(cfg, ["validate", "ltqo"], tmp_path)
+    finally:
+        for module, attrs in saved:
+            for attr, value in attrs.items():
+                if vars(module)[attr] is not value:
+                    setattr(module, attr, value)
+        cli.PIPELINES.update(pipelines)
+    assert all(rep.passed for rep in reports)
+    calls = tracer.metrics(0.0)
+    for span in ("models.orbital_interaction", "models.aklt_interaction",
+                 "cli.cmd_validate"):
+        assert calls[f"{span}.calls"] > 0, span
+    assert cli.PIPELINES == pipelines and np.linalg.eigh is saved[0][1]["eigh"]
 
 
 def test_benchmark_workloads_merge_as_configs(tmp_path):
@@ -766,9 +855,9 @@ def test_values_only_solves_go_through_the_spectral_layer():
     assert callers <= {"operator_algebra.py", "ltqo.py"}
     cli_text = (src / "cli.py").read_text(encoding="utf-8")
     assert not re.search(r"eigenvalues\(", cli_text)
-    # the file, orbital and spin-1 volumes of validate
+    # one call reads every volume of validate, of each of its models
     assert inspect.getsource(cli.cmd_validate).count(
-        "validate_unperturbed(") == 3
+        "validate_unperturbed(") == 1
     assert "gamma0_candidate(" in inspect.getsource(cli.constants_bundle)
     for reader in (interaction.validate_unperturbed,
                    interaction.gamma0_candidate):
@@ -1096,8 +1185,8 @@ def test_validate_reads_no_gap_off_an_empty_kernel(monkeypatch):
         return replace(phi, terms=phi.terms + [Term(shift)])
 
     for name in ("orbital_interaction", "aklt_interaction"):
-        build = getattr(cli, name)
-        monkeypatch.setattr(cli, name,
+        build = getattr(models, name)
+        monkeypatch.setattr(models, name,
                             lambda lam, build=build: lifted(build(lam), lam))
     cfg = merged_config({"lengths": [6], "ltqo": {"aklt_lengths": [4]}})
     rep = cmd_validate(cfg, {})

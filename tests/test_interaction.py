@@ -265,7 +265,7 @@ def test_building_the_default_l12_plan_holds_no_more_than_twice_its_bytes():
         "    with open('/proc/self/status') as f:\n"
         "        return next(int(line.split()[1]) * 1024 for line in f\n"
         "                    if line.startswith('VmRSS:'))\n"
-        "lam, eta, pert = _volume(merged_config({}), _window(12, 1))\n"
+        "lam, eta, pert = _volume(merged_config({}), {}, _window(12, 1))\n"
         "scratch = np.ones(30 * 2 ** 20 // 8)\n"
         "del scratch\n"
         "before = rss()\n"

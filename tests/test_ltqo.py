@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import cli, ltqo
+from gaplab import cli, ltqo, models
 from gaplab.cli import _window, cmd_ltqo, merged_config
 from gaplab.interaction import Interaction
 from gaplab.lattice import Interval, ball
@@ -82,7 +82,7 @@ def test_orbital_checks_fail_on_a_broken_chain(monkeypatch):
         return Interaction([t for t in eta.terms if t is not drop],
                            eta.kind, eta.local_dim)
 
-    monkeypatch.setattr(cli, "orbital_interaction", broken)
+    monkeypatch.setattr(models, "orbital_interaction", broken)
     rep = cmd_ltqo(merged_config({"ltqo": {"aklt_lengths": [5]}}), {})
     verdicts = {label: ok for label, ok, _ in rep.checks}
     for side in ("beyond", "inside"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import models
-from gaplab.interaction import local_hamiltonian
+from gaplab.interaction import local_hamiltonian, to_json
 from gaplab.lattice import Interval, interior
 from gaplab.models import (aklt_interaction, auxiliary_basis, kernel_data,
                            orbital_interaction, orbital_pairs,
@@ -192,3 +192,46 @@ def test_random_even_perturbation_ball_keys():
     from gaplab.lattice import ball
     for t in pert.terms:
         assert t.support == ball(lam, t.anchor, t.radius)
+
+
+def test_a_config_model_value_resolves_to_one_model(tmp_path):
+    """``model_for`` names the orbital chain, reads a ``file:`` model (or,
+    with ``read`` false, leaves it to be read by the run) and refuses any
+    other value, or a file that does not load."""
+    assert models.model_for("orbital") is models.ORBITAL
+    assert models.model_for("file:missing.json", read=False) is None
+    with pytest.raises(ValueError, match="unknown model spec 'aklt'"):
+        models.model_for("aklt")
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ValueError, match=f"cannot load {missing}: "
+                                         "FileNotFoundError"):
+        models.model_for(f"file:{missing}")
+    path = tmp_path / "aklt.json"
+    path.write_text(to_json(aklt_interaction(Interval(0, 6))),
+                    encoding="utf-8")
+    custom = models.model_for(f"file:{path}")
+    assert (custom.name, custom.kind, custom.local_dim, custom.shortest,
+            custom.pipelines, custom.kernel, custom.certified) == \
+        ("custom", "spin", 3, 2, ("validate",), None, False)
+    assert (models.ORBITAL.kind, models.ORBITAL.local_dim) == ("fermion", 2)
+    assert (models.AKLT.kind, models.AKLT.local_dim) == ("spin", 3)
+    lam = Interval(1, 4)
+    read, built = custom.interaction(lam), aklt_interaction(lam)
+    assert [t.support for t in read.terms] == [t.support for t in built.terms]
+    assert all(np.array_equal(r.op.matrix, b.op.matrix)
+               for r, b in zip(read.terms, built.terms))
+
+
+def test_the_reference_models_read_their_builders_as_they_are_called(
+        monkeypatch):
+    """``ORBITAL`` and ``AKLT`` build through the module's current
+    ``orbital_interaction`` and ``aklt_interaction``, so a rebinding (a
+    tracer's span, a test's stand-in) reaches them; their kernel dimensions
+    are the closed form's and four."""
+    lam = Interval(0, 6)
+    assert models.ORBITAL.kernel(lam) == kernel_data(lam)[0]
+    assert models.AKLT.kernel(lam) == 4
+    for name, model in (("orbital_interaction", models.ORBITAL),
+                        ("aklt_interaction", models.AKLT)):
+        monkeypatch.setattr(models, name, lambda lam, name=name: name)
+        assert model.interaction(lam) == name
