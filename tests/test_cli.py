@@ -136,8 +136,7 @@ def test_structural_errors_short_circuit_semantic_ones():
     ({"flow": {"length": 3}}, r"flow.length: chains of \[3\] sites are too"),
     ({"flow": {"length": 4}}, r"flow.length: chains of \[4\] sites are too"),
     ({"lengths": [2]}, r"lengths: chains of \[2\] sites are too short"),
-    ({"lengths": [3]}, r"lengths: chains of \[3\] sites are too short: "
-                       "need 4 sites for the orbital chain"),
+    ({"lengths": [3]}, r"lengths: chains of \[3\] sites are too short"),
     ({"sp0": {"length": 2}}, r"sp0.length: chains of \[2\] sites are too"),
     ({"ltqo": {"length": 2}}, r"ltqo.length: chains of \[2\] sites are too"),
     ({"ltqo": {"aklt_lengths": [1]}},
@@ -156,6 +155,15 @@ def test_structural_errors_short_circuit_semantic_ones():
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
         merged_config(patch)
+
+
+def test_a_short_chain_names_the_sites_the_model_needs():
+    """The orbital model admits lengths at its own local dimension, and the
+    refusal names the sites its chain needs."""
+    with pytest.raises(ConfigError,
+                       match=r"lengths: chains of \[3\] sites are too short: "
+                             "need 4 sites for the orbital chain"):
+        merged_config({"lengths": [3]})
 
 
 def test_model_file_spec_and_explicit_c_pass():
