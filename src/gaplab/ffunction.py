@@ -31,7 +31,7 @@ true series value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +43,11 @@ import numpy as np
 @dataclass(frozen=True)
 class WeightSpec:
     """Stretched weight ``h(r) = K r^s`` of a decay function, ``K >= 0`` and
-    ``0 < s <= 1``; the default ``K = s = 1`` is ``h(r) = r``.  Every such
-    weight is subadditive, since ``(a + b)^s <= a^s + b^s``."""
+    ``0 < s <= 1``, both read from ``constants.F``.  Every such weight is
+    subadditive, since ``(a + b)^s <= a^s + b^s``."""
 
-    K: float = 1.0
-    s: float = 1.0
+    K: float
+    s: float
 
     def __post_init__(self):
         if self.K < 0:
@@ -70,12 +70,12 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class FFunctionSpec:
-    """Base decay function ``F(r) = exp(-h(r)) L / (1 + c r)^kappa``."""
+    """Decay ``F(r) = exp(-h(r)) L / (1 + c r)^kappa`` of ``constants.F``."""
 
-    L: float = 1.0
-    c: float = 1.0
-    kappa: float = 4.0
-    weight: WeightSpec = field(default_factory=WeightSpec)
+    L: float
+    c: float
+    kappa: float
+    weight: WeightSpec
 
     def __post_init__(self):
         if self.L <= 0 or self.c <= 0:
@@ -206,15 +206,15 @@ def f_norm(pairs, spec) -> float:
 
 
 def slow_growth(r, kappa):
-    """The capped growth profile: constant below ``e^kappa``, then r/(log r)^kappa."""
+    """The capped growth profile of an array ``r``: constant below
+    ``e^kappa``, then r/(log r)^kappa."""
     r = np.asarray(r, dtype=float)
     cap = (math.e / kappa) ** kappa
     out = np.full_like(r, cap)
     big = r > math.exp(kappa)
-    if np.any(big):
-        rb = r[big]
-        out[big] = rb / np.log(rb) ** kappa
-    return out if out.ndim else float(out)
+    rb = r[big]
+    out[big] = rb / np.log(rb) ** kappa
+    return out
 
 
 @dataclass(frozen=True)

@@ -77,10 +77,8 @@ class Interaction:
         return max((t.support.diameter for t in self.terms), default=0)
 
     @property
-    def span(self) -> Interval | None:
-        """Smallest interval holding every term support; None without terms."""
-        if not self.terms:
-            return None
+    def span(self) -> Interval:
+        """Smallest interval holding every support of a nonempty interaction."""
         return Interval(min(t.support.a for t in self.terms),
                         max(t.support.b for t in self.terms))
 

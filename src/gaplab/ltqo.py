@@ -50,11 +50,11 @@ from .spectra import kernel_basis_dense
 
 @dataclass
 class WitnessTensor:
-    """The centred map ``D`` of the kernel on a subregion, ``(m², d_X²)``."""
+    """The centred map ``D`` of a kernel of rank ``m`` on a subregion,
+    ``(m², d_X²)``; the caller keys it by the subregion."""
 
     D: np.ndarray
     rank: int
-    region: Interval
 
     def centred(self, a: np.ndarray) -> np.ndarray:
         """``M(A) - omega(A) 1`` for an observable ``A`` on the region."""
@@ -80,7 +80,7 @@ def witness_tensor(basis: np.ndarray, local_dim: int, vol: Interval,
     dev = k - np.einsum("ab,ij->aibj", np.eye(m), omega)
     # complex, as the observables are: a real D would be cast on every product
     d = dev.transpose(0, 2, 1, 3).reshape(m * m, dx * dx).astype(complex)
-    return WitnessTensor(d, m, region)
+    return WitnessTensor(d, m)
 
 
 def exact_zero_certificate(wt: WitnessTensor) -> float:

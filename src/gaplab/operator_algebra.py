@@ -8,7 +8,8 @@ identification "occupied = up" it then has the same matrix as its spin image,
 so the map between the two pictures is a relabeling.  The odd ``a(x)`` has no
 fermionic operator here; ``annihilator`` gives its spin image on a chain, the
 string-dressed lowering matrix ``Z^(x-a) (x) s^- (x) 1``, whose even products
-are fermionic operators.
+are fermionic operators.  A ball telescope takes one
+``conditional_expectation`` per ball and ``delta_layer`` of consecutive ones.
 
 Dense matrices are refused above ``MAX_DENSE_DIM`` (14 sites at local
 dimension 2, 9 sites at local dimension 3).
@@ -134,10 +135,7 @@ class LocalOperator:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind == "fermion" and self.local_dim != 2:
             raise ValueError("fermion chains have local dimension 2")
-        m = np.asarray(self.matrix)
-        if not np.issubdtype(m.dtype, np.floating) and not np.issubdtype(m.dtype, np.complexfloating):
-            m = m.astype(complex)
-        self.matrix = m
+        self.matrix = np.asarray(self.matrix)
         want = self.local_dim ** len(self.support)
         if self.matrix.shape != (want, want):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match "
@@ -233,9 +231,7 @@ def conserved_modulus(ops, moduli=(None, 2)) -> int | None:
 
 def join_blocks(blocks, sectors) -> np.ndarray:
     """The block-diagonal matrix with the stack ``blocks`` of equal sides
-    on ``sectors``; one sector gives its block itself."""
-    if len(sectors) == 1:
-        return blocks[0]
+    on ``sectors``, scattered into a zeroed matrix."""
     idx = np.asarray(sectors)
     out = np.zeros((idx.size, idx.size), blocks.dtype)
     out[idx[:, :, None], idx[:, None, :]] = blocks
@@ -326,23 +322,12 @@ def conditional_expectation(op: LocalOperator, keep: Interval) -> LocalOperator:
     return LocalOperator(out, keep, op.kind, d)
 
 
-def delta_layer(op: LocalOperator, lam: Interval, x: int, n: int) -> LocalOperator:
-    r"""Layer ``n`` of the ball decomposition of ``op`` around ``x``.
+def delta_layer(hi: LocalOperator, lo: LocalOperator) -> LocalOperator:
+    r"""One increment of a ball telescope, ``hi - lo`` on ``hi``'s support.
 
-    Layer 0 is the conditional expectation onto the radius-0 ball; layer
-    ``n >= 1`` is the difference of the expectations onto the radius-``n``
-    and radius-``n-1`` balls.  The layers telescope back to ``op`` and vanish
-    once the smaller ball already contains the support of ``op``.
+    ``hi`` and ``lo`` are the conditional expectations of one operator onto
+    a ball and onto the ball one radius smaller; ``lo`` is extended by the
+    identity onto ``hi``'s support.  The increments telescope back to the
+    operator, and one vanishes once the smaller ball holds its support.
     """
-    from .lattice import ball
-    if op.support != lam:
-        op = embed(op, lam)
-    bn = ball(lam, x, n)
-    if n == 0:
-        return conditional_expectation(op, bn)
-    bprev = ball(lam, x, n - 1)
-    hi = conditional_expectation(op, bn)
-    lo = conditional_expectation(op, bprev)
-    if bn == bprev:  # ball saturated: layer vanishes identically
-        return replace(hi, matrix=np.zeros_like(hi.matrix))
-    return hi - embed(lo, bn)
+    return hi - embed(lo, hi.support)

@@ -96,7 +96,7 @@ from .spectra import (ProjectorFamily, cluster_projector, diagonalize,
 @dataclass(frozen=True)
 class Window:
     """Even C^7 filter profile ``(1 - u^2)^8``, ``u = 2 omega / gamma``, on
-    [-gamma/2, gamma/2], with beta(0) = 1."""
+    [-gamma/2, gamma/2], with beta(0) = 1; arrays in, arrays out."""
 
     gamma: float
 
@@ -109,14 +109,13 @@ class Window:
         vals = np.zeros_like(u)
         u_in = u[inside]
         vals[inside] = (1.0 - u_in * u_in) ** 8
-        return vals if vals.shape else float(vals)
+        return vals
 
     def weight(self, omega):
         """wtilde(omega) = (1 - beta(omega)) / omega, with wtilde(0) = 0."""
         omega = np.asarray(omega, dtype=float)
         safe = np.where(omega == 0.0, 1.0, omega)
-        vals = np.where(omega == 0.0, 0.0, (1.0 - self.beta(omega)) / safe)
-        return vals if vals.shape else float(vals)
+        return np.where(omega == 0.0, 0.0, (1.0 - self.beta(omega)) / safe)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +586,21 @@ class Phi1Decomposition:
     def ball_terms(self, x: int) -> list[Term]:
         """The ``Phi^1(b_x(n))`` terms of anchor ``x``, by radius ``n`` from
         1 to ``R_x``, built on each call (none for a site that anchors no
-        piece); the piece is joined here, for its partial traces."""
+        piece); the piece is joined here, for its partial traces.  Each
+        ball's conditional expectation is taken once, and term ``n > 1`` is
+        ``delta_layer`` of ball ``n``'s and ball ``n-1``'s."""
         if x not in self.anchors:
             return []
         op = LocalOperator(join_blocks(self.anchors[x], self.sectors),
                            self.lam, kind="spin", local_dim=self.local_dim)
         _, big_r = boundary_distances(self.lam, x)
-        return [Term(conditional_expectation(op, ball(self.lam, x, 1)),
-                     anchor=x, radius=1)] \
-            + [Term(delta_layer(op, self.lam, x, n), anchor=x, radius=n)
-               for n in range(2, big_r + 1)]
+        lo = conditional_expectation(op, ball(self.lam, x, 1))
+        terms = [Term(lo, anchor=x, radius=1)]
+        for n in range(2, big_r + 1):
+            hi = conditional_expectation(op, ball(self.lam, x, n))
+            terms.append(Term(delta_layer(hi, lo), anchor=x, radius=n))
+            lo = hi
+        return terms
 
 
 def _trace(a) -> float:

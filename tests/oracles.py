@@ -1,5 +1,6 @@
 """Reference operators and predicates that the tests check the package against."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -10,9 +11,8 @@ from gaplab.interaction import Interaction, Term, local_hamiltonian
 from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.operator_algebra import (LocalOperator, annihilator,
                                      basis_charges, conditional_expectation,
-                                     delta_layer, embed, join_blocks,
-                                     kernel_mask, operator_norm,
-                                     parity_matrix)
+                                     embed, join_blocks, kernel_mask,
+                                     operator_norm, parity_matrix)
 from gaplab.spectra import diagonalize
 from gaplab import spectral_flow
 from gaplab.spectral_flow import (Phi1Decomposition, _filtered, _time_rule,
@@ -471,7 +471,8 @@ def telescope_oracle(dec) -> Interaction:
     """The whole ball telescope of a decomposition as one interaction, made
     as it was before the terms were built one anchor at a time: each piece
     joined, then its conditional expectation on the unit ball and its layers
-    ``2 .. R_x``."""
+    ``2 .. R_x``, each from two expectations taken afresh, the larger ball's
+    less the smaller's extended by the identity."""
     terms = []
     for x, piece in dec.anchors.items():
         op = LocalOperator(join_blocks(piece, dec.sectors), dec.lam,
@@ -480,7 +481,9 @@ def telescope_oracle(dec) -> Interaction:
         terms.append(Term(conditional_expectation(op, ball(dec.lam, x, 1)),
                           anchor=x, radius=1))
         for n in range(2, big_r + 1):
-            terms.append(Term(delta_layer(op, dec.lam, x, n), anchor=x,
+            hi = conditional_expectation(op, ball(dec.lam, x, n))
+            lo = conditional_expectation(op, ball(dec.lam, x, n - 1))
+            terms.append(Term(hi - embed(lo, hi.support), anchor=x,
                               radius=n))
     return Interaction(terms, kind="spin", local_dim=dec.local_dim)
 
@@ -527,8 +530,9 @@ def projected_ascent(wt, seed: int = 0, restarts: int = 20, iters: int = 200):
 
 
 def _even_columns(wt) -> np.ndarray:
-    """The columns of the centred map ``D`` at parity-preserving entries."""
-    p = parity_matrix(len(wt.region))
+    """The columns of the centred map ``D`` at parity-preserving entries,
+    of a fermionic map, whose side ``2^k`` gives its ``k`` sites."""
+    p = parity_matrix(math.isqrt(wt.D.shape[1]).bit_length() - 1)
     return (p[:, None] == p[None, :]).ravel()
 
 

@@ -531,7 +531,7 @@ def test_a_supplied_flow_constant_below_the_measured_one_is_refused(
     passes."""
     small = {"lengths": [8],
              "flow": {"length": 6, "max_radius": 1, "checkpoints": 5},
-             "ltqo": {"length": 6, "aklt_lengths": [6]},
+             "ltqo": {"length": 7, "aklt_lengths": [6]},
              "sp0": {"length": 8}}
     measured = cli.constants_bundle(merged_config(small), {})["c_measured"]
     stability = ("bounds", "gapsweep", "highergaps")
@@ -825,7 +825,7 @@ def test_tracer_layers_name_package_functions(tmp_path):
     try:
         tracer.install()
         cfg = merged_config({"lengths": [6], "ltqo": {
-            "length": 6, "aklt_lengths": [4]}})
+            "length": 7, "aklt_lengths": [5]}})
         reports = run(cfg, ["validate", "ltqo"], tmp_path)
     finally:
         for module, attrs in saved:

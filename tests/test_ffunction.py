@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        FFunctionSpec(L=0.0)
+        replace(BASE, L=0.0)
     with pytest.raises(ValueError):
-        FFunctionSpec(c=-1.0)
+        replace(BASE, c=-1.0)
     with pytest.raises(ValueError):
-        FFunctionSpec(kappa=2.0)
+        replace(BASE, kappa=2.0)
 
 
 def test_evaluate_matches_formula():
@@ -237,7 +238,7 @@ def test_f_zero_tail_brackets_its_remainder(shift, degree, T):
 
 def test_regroup_decay_prefactor_closed_form():
     # identity weight: C_phi = L sum n e^{-n/2} = L e^{-1/2} / (1-e^{-1/2})^2
-    spec = FFunctionSpec(weight=WeightSpec())
+    spec = replace(BASE, weight=WeightSpec(K=1.0, s=1.0))
     got = regroup_decay(spec, 200)
     q = math.exp(-0.5)
     assert got.C_phi == pytest.approx(q / (1 - q) ** 2, rel=1e-10)
@@ -249,7 +250,7 @@ def test_regroup_decay_stretched_tail_is_certified(s, truncation):
     ``L sum_n n e^{-h(n)/2}`` summed until its terms underflow, and within
     1e-9 of it relative.  The truncations leave a tail the partial sum
     alone misses by far more than that."""
-    spec = FFunctionSpec(L=1.5, weight=WeightSpec(K=0.5, s=s))
+    spec = replace(BASE, L=1.5, weight=WeightSpec(K=0.5, s=s))
     brute, lo = 0.0, 1
     while True:
         n = np.arange(lo, lo + 10 ** 6, dtype=float)
@@ -268,7 +269,7 @@ def test_regroup_decay_stretched_tail_is_certified(s, truncation):
 
 def test_regroup_decay_rejects_bounded_weight():
     with pytest.raises(ValueError):
-        regroup_decay(FFunctionSpec(weight=WeightSpec(K=0.0, s=1.0)),
+        regroup_decay(replace(BASE, weight=WeightSpec(K=0.0, s=1.0)),
                       TRUNCATION)
 
 
@@ -287,10 +288,10 @@ def test_weight_spec_validation():
     with pytest.raises(ValueError):
         WeightSpec(K=1.0, s=1.5)
     assert WeightSpec(K=0.0, s=1.0).is_zero
-    assert not WeightSpec().is_zero
+    assert not WeightSpec(K=1.0, s=1.0).is_zero
 
 
-def test_default_weight_is_the_identity_weight():
+def test_the_unit_weight_is_the_identity_weight():
     r = np.arange(5000.0)
     for x in (r, r + 0.37):
-        assert np.array_equal(WeightSpec()(x), x)
+        assert np.array_equal(WeightSpec(K=1.0, s=1.0)(x), x)

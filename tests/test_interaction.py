@@ -31,7 +31,8 @@ from oracles import (SEED, TRUNCATION, creator, digit_sums, is_hermitian,
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-BASE = FFunctionSpec(weight=WeightSpec(K=0.5, s=1.0))
+BASE = FFunctionSpec(L=1.0, c=1.0, kappa=4.0,
+                     weight=WeightSpec(K=0.5, s=1.0))
 
 
 def two_site_ising(lam):
@@ -318,7 +319,7 @@ def test_hamiltonian_is_its_span_between_identities(dim_core, n_left, n_right,
         assert np.array_equal(whole, kron_placed(
             local_hamiltonian(phi, core).matrix, d, n_left, n_right))
     else:
-        assert phi.span is None and not whole.any()
+        assert not whole.any()
     evals = hamiltonian_eigenvalues(phi, lam)
     oracle = np.linalg.eigvalsh(whole)
     scale = max(1.0, float(np.max(np.abs(oracle))))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import cli, ltqo, models
-from gaplab.cli import _window, cmd_ltqo, merged_config
+from gaplab.cli import _window, cmd_ltqo, main, merged_config
 from gaplab.interaction import Interaction
 from gaplab.lattice import Interval, ball
 from gaplab.ltqo import (ascent_lower_bound, ltqo_witness, witness_bracket,
@@ -109,7 +110,7 @@ def test_fermionic_rows_read_the_certificate_and_an_even_upper_end(
     wt = _tensor(eta, ball(vol, x, n), ball(vol, x, k))
     assert value == even_certificate(wt)
     assert upper == even_upper(wt) <= 1e-11
-    dx = 2 ** len(wt.region)
+    dx = math.isqrt(wt.D.shape[1])
     odd = parity_even(np.ones((dx, dx))).ravel() == 0
     wt.D[:, odd] = 1.0
     assert witness_upper(wt) > 1.0
@@ -221,7 +222,7 @@ def test_bracket_is_tight_on_one_entry(phase):
     assert abs(np.trace(s)) < 0.9 * reach
     zero = np.zeros(16)
     d = np.stack([zero, phase * s.ravel(), np.conj(phase) * s.ravel(), zero])
-    wt = ltqo.WitnessTensor(d.astype(complex), 2, Interval(0, 1))
+    wt = ltqo.WitnessTensor(d.astype(complex), 2)
     lower, upper, _ = witness_bracket(wt)
     assert lower == pytest.approx(reach, rel=1e-14)
     assert upper == pytest.approx(reach, rel=1e-14)
@@ -327,7 +328,7 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
     AKLT row, an upper end of a map with zeroed odd columns for each
     orbital row; no ascent runs.  The 6-site AKLT chain's rows are its
     5-site rows again, and every orbital row is a certified zero."""
-    kernels, brackets, uppers = [], [], []
+    kernels, brackets, uppers, tensors = [], [], [], []
 
     def kernel(phi, vol):
         kernels.append((len(vol), tuple(
@@ -335,13 +336,21 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
             for t in phi.terms if t.support in vol)))
         return kernel_basis_dense(phi, vol)
 
+    def tensor(basis, local_dim, vol, region):
+        tensors.append((witness_tensor(basis, local_dim, vol, region),
+                        region))
+        return tensors[-1][0]
+
+    def region_of(wt):
+        return next(region for made, region in tensors if made is wt)
+
     def bracket(wt):
         brackets.append((wt.D.tobytes(), math.isqrt(wt.D.shape[1]),
-                         wt.region))
+                         region_of(wt)))
         return witness_bracket(wt)
 
     def upper(wt):
-        p = parity_matrix(len(wt.region))
+        p = parity_matrix(len(region_of(wt)))
         zeroed = math.isqrt(wt.D.shape[1]) == p.size and not np.any(
             wt.D[:, (p[:, None] != p[None, :]).ravel()])
         uppers.append((wt.D.tobytes(), zeroed))
@@ -351,6 +360,7 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
         raise AssertionError("an ascent ran")
 
     monkeypatch.setattr(ltqo, "kernel_basis_dense", kernel)
+    monkeypatch.setattr(ltqo, "witness_tensor", tensor)
     monkeypatch.setattr(ltqo, "witness_bracket", bracket)
     monkeypatch.setattr(ltqo, "witness_upper", upper)
     monkeypatch.setattr(ltqo, "ascent_lower_bound", refuse)
@@ -371,6 +381,32 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
     assert sum(zeroed for _, zeroed in uppers) == len(uppers) - len(brackets)
     assert values["aklt6"] == values["aklt5"] and len(values["aklt5"]) == 2
     assert all(row[9] >= row[6] for row in rows)
+
+
+@pytest.mark.parametrize("patch, label", [
+    ({"ltqo": {"aklt_lengths": []}}, "aklt witness lower bounds decay "
+                                     "geometrically"),
+    ({"ltqo": {"aklt_lengths": [2, 3]}}, "aklt witness lower bounds decay "
+                                         "geometrically"),
+    ({"ltqo": {"aklt_lengths": [4]}}, "aklt witness lower bounds decay "
+                                      "geometrically"),
+    ({"ltqo": {"length": 6}}, "orbital witnesses vanish beyond the cut-off"),
+    ({"D": 1}, "orbital witnesses vanish inside the cut-off")])
+def test_a_witness_verdict_over_no_row_fails(patch, label, tmp_path, capsys):
+    """A verdict with no witness row under it fails with the detail ``no
+    witness row`` and the run exits 1, without a traceback: a spin-1 chain
+    of at most 4 sites has no AKLT row, the 6-site orbital chain none at
+    separation ``D = 3``, and ``D = 1`` leaves no orbital row inside the
+    cut-off.  Every other verdict passes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(patch), encoding="utf-8")
+    assert main(["ltqo", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert [line for line in out.out.splitlines()
+            if not line.startswith(("[PASS]", "artifacts written"))] \
+        == [f"[FAIL] ltqo: {label}  (no witness row)"]
+    assert out.err == ""
 
 
 def test_aklt_kernel_is_solved_without_the_whole_matrix():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.lattice import Interval
+from gaplab.lattice import Interval, ball
 from gaplab.interaction import Interaction, Term, fermion_to_spin
 from gaplab.operator_algebra import (LocalOperator, ParityError, annihilator,
                                      basis_charges, charge_sectors,
@@ -232,10 +232,16 @@ def test_conditional_expectation_of_an_even_fermion_is_its_spin_images(keep):
     spin_red = conditional_expectation(spin.op, keep)
     assert (fermion_red.kind, spin_red.kind) == ("fermion", "spin")
     assert fermion_red.matrix.tobytes() == spin_red.matrix.tobytes()
-    layer = delta_layer(op, lam, 1, 2)
-    assert layer.kind == "fermion"
-    assert layer.matrix.tobytes() == delta_layer(spin.op, lam, 1, 2) \
-        .matrix.tobytes()
+    layers = [_layer(a, lam, 1, 2) for a in (op, spin.op)]
+    assert layers[0].kind == "fermion"
+    assert layers[0].matrix.tobytes() == layers[1].matrix.tobytes()
+
+
+def _layer(op, lam, x, n):
+    """Layer ``n >= 1`` of ``op``'s ball telescope around ``x`` in ``lam``,
+    from the expectations onto the radius-``n`` and radius-``n-1`` balls."""
+    return delta_layer(conditional_expectation(op, ball(lam, x, n)),
+                       conditional_expectation(op, ball(lam, x, n - 1)))
 
 
 def test_delta_layers_telescope():
@@ -244,33 +250,32 @@ def test_delta_layers_telescope():
     m = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     op = LocalOperator(m, lam)
     x = 2
-    total = None
-    for n in range(0, 6):
-        layer = delta_layer(op, lam, x, n)
-        layer_embedded = embed(layer, lam).matrix
-        total = layer_embedded if total is None else total + layer_embedded
+    total = embed(conditional_expectation(op, ball(lam, x, 0)), lam).matrix
+    for n in range(1, 6):
+        layer = _layer(op, lam, x, n)
+        assert layer.support == ball(lam, x, n)
+        total = total + embed(layer, lam).matrix
     np.testing.assert_allclose(total, m, atol=1e-12)
 
 
 def test_delta_layer_vanishes_beyond_support():
     lam = Interval(0, 4)
-    op = LocalOperator(X, Interval(2, 2))
+    op = embed(LocalOperator(X, Interval(2, 2)), lam)
     # radius-1 ball already contains the support: higher layers are zero
-    layer = delta_layer(op, lam, 2, 2)
+    layer = _layer(op, lam, 2, 2)
     assert operator_norm(layer.matrix) <= 1e-14
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 4))
+@given(st.integers(0, 3), st.integers(1, 4))
 def test_delta_layer_saturation(x_shift, n):
     lam = Interval(0, 3)
     rng = np.random.default_rng(7)
     m = rng.standard_normal((16, 16))
     op = LocalOperator(m, lam)
-    layer = delta_layer(op, lam, lam.a + x_shift, n)
+    layer = _layer(op, lam, lam.a + x_shift, n)
     # saturated ball (same as previous radius) must give the zero layer
-    from gaplab.lattice import ball
-    if n >= 1 and ball(lam, lam.a + x_shift, n) == ball(lam, lam.a + x_shift, n - 1):
+    if ball(lam, lam.a + x_shift, n) == ball(lam, lam.a + x_shift, n - 1):
         assert operator_norm(layer.matrix) == 0.0
 
 

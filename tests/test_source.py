@@ -102,12 +102,9 @@ def test_every_method_is_read_somewhere():
 # Annotated class fields that no statement of the package reads, each with
 # the reason it stays.
 UNREAD_FIELDS = {
-    "ltqo.WitnessTensor.region": "the tests key witnesses by it and read "
-                                 "its parities",
-    **{f"spectral_flow.ThetaAssembly.{name}": "the tests compare the "
-       "collected pieces with oracles.theta_whole; flow_bundle drops them"
-       for name in ("theta_beta", "theta_alpha")},
-}
+    f"spectral_flow.ThetaAssembly.{name}": "the tests compare the collected "
+    "pieces with oracles.theta_whole; flow_bundle drops them"
+    for name in ("theta_beta", "theta_alpha")}
 
 
 def test_every_field_is_read_somewhere():
@@ -226,18 +223,28 @@ def _config_keys(tree: dict) -> set:
     return keys
 
 
+def _field_defaults(tree, prefix) -> list:
+    """``(qualname, field)`` of every annotated class field of ``tree``
+    that has a default, in classes at any depth."""
+    return [(f"{prefix}{cls.name}.{stmt.target.id}", stmt.target.id)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name) and stmt.value is not None]
+
+
 def test_no_parameter_named_after_a_config_key_has_a_default():
-    """A parameter named after a ``DEFAULTS`` key, or ``seed``, has no
-    default, or is listed in ``CONFIG_DEFAULTS`` with its reason: the
-    config sets its value once, and every caller passes it, so no second
-    default can drift from the config's."""
+    """A parameter or an annotated class field named after a ``DEFAULTS``
+    key, or ``seed``, has no default, or is listed in ``CONFIG_DEFAULTS``
+    with its reason: the config sets its value once, and every caller
+    passes it, so no second default can drift from the config's."""
     names = _config_keys(DEFAULTS) | {"seed"}
-    found = {qualname
-             for path in sorted(SRC.glob("*.py"))
-             for qualname, _, param, _ in _defaults(
-                 ast.parse(path.read_text(encoding="utf-8")),
-                 f"{path.stem}.")
-             if param in names}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {qualname for qualname, _, param, _ in _defaults(
+            tree, f"{path.stem}.") if param in names}
+        found |= {qualname for qualname, name in _field_defaults(
+            tree, f"{path.stem}.") if name in names}
     assert not found - set(CONFIG_DEFAULTS), \
         f"defaults repeat the config: {sorted(found - set(CONFIG_DEFAULTS))}"
     assert not set(CONFIG_DEFAULTS) - found, \

@@ -1132,8 +1132,9 @@ def test_decomposition_rejects_terms_that_break_the_flows_parity_blocks(
 def test_ball_terms_are_built_per_anchor_when_asked(bundle, monkeypatch):
     """The decompositions of one pass build no ball telescope; asking for
     an anchor's ball terms builds that anchor's alone: one conditional
-    expectation and ``R_x - 1`` layers, by radius 1 .. ``R_x``.  A site
-    that anchors no piece has none."""
+    expectation per ball ``b_x(1) .. b_x(R_x)``, each ball's after the
+    layer below it, and ``R_x - 1`` layers, by radius 1 .. ``R_x``.  A
+    site that anchors no piece has none."""
     calls = []
     for name in ("conditional_expectation", "delta_layer"):
         def counted(*args, _name=name,
@@ -1151,7 +1152,7 @@ def test_ball_terms_are_built_per_anchor_when_asked(bundle, monkeypatch):
         assert [(t.anchor, t.radius) for t in terms] \
             == [(x, n) for n in range(1, big_r + 1)]
         assert calls == ["conditional_expectation"] \
-            + ["delta_layer"] * (big_r - 1)
+            + ["conditional_expectation", "delta_layer"] * (big_r - 1)
         calls.clear()
     assert decs[1].ball_terms(lam.b + 1) == []
 
