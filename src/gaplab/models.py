@@ -23,7 +23,8 @@ its open-chain kernel is four-dimensional and correlations decay with ratio
 A run reads one ``Model``, resolved from the config's ``model`` by
 ``model_for``: ``ORBITAL``, or a ``file:`` interaction read once, which only
 ``validate`` accepts.  ``AKLT`` is the spin-1 chain read beside the orbital
-one.  Both look their builder up in this module as they are called.
+one.  Both look their builder up in this module as they are called, and
+``ORBITAL`` carries the orbital chain's closed forms as its certificate.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Interval, ball
-from .interaction import Interaction, Term, from_json
+from .lattice import Interval, ball, interior
+from .interaction import Interaction, Term, fermion_to_spin, from_json
 from .operator_algebra import (
     LocalOperator, mode_annihilator, parity_matrix, spin_matrices,
 )
@@ -113,6 +114,29 @@ def orbital_spectrum(lam: Interval) -> np.ndarray:
                      [comb(modes, e) * kdim for e in range(modes + 1)])
 
 
+def orbital_certificate(lam: Interval, eta: Interaction, sp):
+    """``(holds, aux_dim, leak, image)``: ``sp``, the spectrum of ``eta`` on
+    ``lam``, against the orbital chain's closed forms.  ``holds`` reads gap
+    1 and the auxiliary basis's budget (at most ``6R`` uncovered sites and
+    columns, ``leak`` their largest entry on the depth-``3R`` interior, at
+    most 1e-12).  Up to 10 sites ``image`` is ``(deviation from
+    orbital_spectrum, whether it is at most 1e-10 and the spin image keeps
+    the terms)``, else ``None``."""
+    aux = auxiliary_basis(lam)
+    deep = interior(lam, 3 * R) or ()
+    leak = float(np.max(np.abs(aux[[s - lam.a for s in deep]]), initial=0.0))
+    holds = (abs(sp.gamma - 1.0) <= 1e-9
+             and len(kernel_data(lam)[1]) <= 6 * R
+             and aux.shape[1] <= 6 * R and leak <= 1e-12)
+    image = None
+    if len(lam) <= 10:
+        dev = float(np.max(np.abs(sp.evals - orbital_spectrum(lam))))
+        same = fermion_to_spin(eta).translation_key(0) \
+            == eta.translation_key(0)
+        image = (dev, same and dev <= 1e-10)
+    return holds, aux.shape[1], leak, image
+
+
 # ---------------------------------------------------------------------------
 # spin-1 pair projector chain
 
@@ -176,8 +200,8 @@ def random_even_perturbation(lam: Interval, max_radius: int, envelope: dict,
 class Model:
     """A chain a run reads, of ``kind`` fermion or spin: ``interaction(lam)``
     builds it on ``shortest`` sites or more for the ``pipelines`` that accept
-    it, with ``kernel(lam)`` kernel states where known.  ``validate`` holds a
-    ``certified`` model to the orbital chain's closed forms."""
+    it, with ``kernel(lam)`` kernel states where known.  ``validate`` holds
+    a model with a ``certificate`` (as ``orbital_certificate``) to it."""
     name: str
     kind: str
     local_dim: int
@@ -185,7 +209,7 @@ class Model:
     shortest: int = 2
     pipelines: tuple[str, ...] = ("validate",)
     kernel: Callable[[Interval], int] | None = None
-    certified: bool = False
+    certificate: Callable | None = None
 
 
 # each builder is looked up as it is called, so a rebinding of the module's
@@ -193,22 +217,20 @@ class Model:
 ORBITAL = Model("orbital", "fermion", 2, lambda lam: orbital_interaction(lam),
                 N0 + 2, ("validate", "ltqo", "flow", "bounds", "gapsweep",
                          "highergaps", "sp0scan"),
-                lambda lam: kernel_data(lam)[0], certified=True)
+                lambda lam: kernel_data(lam)[0], orbital_certificate)
 AKLT = Model("aklt", "spin", 3, lambda lam: aklt_interaction(lam), 2,
              ("validate", "ltqo"), lambda lam: 4)
 
 
-def model_for(spec: str, read: bool = True) -> Model | None:
+def model_for(spec: str) -> Model:
     """The model of a config's ``model`` value: ``orbital``, or
     ``file:<path>``, the interaction ``interaction.to_json`` wrote there,
-    read unless ``read`` is false (then ``None``).  Any other value, or a
-    file that does not load as an interaction, is a ``ValueError``."""
+    read here.  Any other value, or a file that does not load as an
+    interaction, is a ``ValueError``."""
     if spec == "orbital":
         return ORBITAL
     if not spec.startswith("file:"):
         raise ValueError(f"unknown model spec {spec!r}")
-    if not read:
-        return None
     path = Path(spec[len("file:"):])
     try:
         phi = from_json(path.read_text(encoding="utf-8"))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from gaplab.cli import DEFAULTS
+from gaplab.config import DEFAULTS
 from gaplab.interaction import Interaction, Term, local_hamiltonian
 from gaplab.lattice import Interval, ball, boundary_distances, interior
 from gaplab.operator_algebra import (LocalOperator, annihilator,

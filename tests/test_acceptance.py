@@ -16,8 +16,9 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from gaplab import cli
-from gaplab.cli import PIPELINES, _window, merged_config
+from gaplab import pipelines
+from gaplab.config import _window, merged_config
+from gaplab.pipelines import PIPELINES
 from gaplab.interaction import fermion_to_spin
 from gaplab.lattice import ball
 from gaplab.models import orbital_interaction
@@ -53,9 +54,10 @@ def done(assembled, families):
         families[x] = cli_family(eta, lam, x, *args)
         return families[x]
 
-    cli_assembly, cli_family = cli.theta_assembly, cli.resolution_family
-    with patch.object(cli, "theta_assembly", assembly), \
-            patch.object(cli, "resolution_family", family):
+    cli_assembly, cli_family = pipelines.theta_assembly, \
+        pipelines.resolution_family
+    with patch.object(pipelines, "theta_assembly", assembly), \
+            patch.object(pipelines, "resolution_family", family):
         for name, pipeline in PIPELINES.items():
             start = time.monotonic()
             reports[name] = pipeline(cfg, ctx)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import inspect
@@ -15,12 +16,14 @@ import numpy as np
 import pytest
 
 import gaplab.cli as cli
-from gaplab import ffunction, interaction, models, spectral_flow, \
-    stability_bounds
-from gaplab.cli import (DEFAULTS, ConfigError, Report, _cell, build_parser,
-                        cmd_flow, cmd_sp0scan, cmd_validate, flow_bundle,
-                        load_config, main, merged_config, run, summary_lines,
-                        write_artifacts)
+from gaplab import artifacts, config, ffunction, interaction, models, \
+    pipelines, spectral_flow, stability_bounds
+from gaplab.artifacts import Report, _cell, summary_lines, write_artifacts
+from gaplab.cli import build_parser, main
+from gaplab.config import DEFAULTS, ConfigError, admit, load_config, \
+    merged_config
+from gaplab.pipelines import PIPELINES, cmd_flow, cmd_sp0scan, cmd_validate, \
+    flow_bundle, run
 from gaplab.interaction import Term, random_interaction, to_json
 from gaplab.lattice import Interval
 from gaplab.models import aklt_interaction, kernel_data, orbital_interaction
@@ -154,7 +157,7 @@ def test_structural_errors_short_circuit_semantic_ones():
 ])
 def test_semantic_validation(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        merged_config(patch)
+        admit(merged_config(patch), PIPELINES)
 
 
 def test_a_short_chain_names_the_sites_the_model_needs():
@@ -163,7 +166,7 @@ def test_a_short_chain_names_the_sites_the_model_needs():
     with pytest.raises(ConfigError,
                        match=r"lengths: chains of \[3\] sites are too short: "
                              "need 4 sites for the orbital chain"):
-        merged_config({"lengths": [3]})
+        admit(merged_config({"lengths": [3]}), ["validate"])
 
 
 def test_model_file_spec_and_explicit_c_pass():
@@ -392,9 +395,9 @@ def test_a_model_file_is_refused_by_every_pipeline_but_validate(
     pipeline, with one line naming the pipelines and the model, and writes
     no artifact."""
     called = []
-    monkeypatch.setattr(cli, "PIPELINES", {
+    monkeypatch.setattr(pipelines, "PIPELINES", {
         name: lambda cfg, ctx, name=name: called.append(name)
-        for name in cli.PIPELINES})
+        for name in PIPELINES})
     lam = Interval(0, 5)
     model = tmp_path / "orbital.json"
     model.write_text(to_json(orbital_interaction(lam)), encoding="utf-8")
@@ -402,7 +405,7 @@ def test_a_model_file_is_refused_by_every_pipeline_but_validate(
     cfg.write_text(json.dumps({"model": f"file:{model}"}), encoding="utf-8")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    names = [n for n in cli.PIPELINES if n != "validate"] \
+    names = [n for n in PIPELINES if n != "validate"] \
         if command == "all" else [command]
     assert capsys.readouterr().err == (
         f"config error: {', '.join(names)}: only validate runs the model "
@@ -465,8 +468,9 @@ def test_the_configured_truncation_reaches_every_series(tmp_path,
         monkeypatch.setattr(module, name, recorded)
 
     spy(ffunction, "norm_sum")
-    spy(cli, "regroup_decay")
-    spy(cli, "j_constants")
+    spy(config, "regroup_decay")
+    spy(pipelines, "regroup_decay")
+    spy(config, "j_constants")
     spy(stability_bounds, "j_constants")
     cfg = merged_config({
         "lengths": [8], "ltqo": {"aklt_lengths": [4]},
@@ -491,8 +495,8 @@ def test_a_truncation_past_the_cap_is_refused_before_any_series(
     def refuse(*args, **kwargs):
         raise AssertionError("a series was summed")
 
-    for module, name in ((cli, "j_constants"), (ffunction, "norm_sum"),
-                         (cli, "regroup_decay")):
+    for module, name in ((config, "j_constants"), (ffunction, "norm_sum"),
+                         (config, "regroup_decay")):
         monkeypatch.setattr(module, name, refuse)
     called = _recording_pipelines(monkeypatch)
     cfg = tmp_path / "cfg.json"
@@ -533,7 +537,8 @@ def test_a_supplied_flow_constant_below_the_measured_one_is_refused(
              "flow": {"length": 6, "max_radius": 1, "checkpoints": 5},
              "ltqo": {"length": 7, "aklt_lengths": [6]},
              "sp0": {"length": 8}}
-    measured = cli.constants_bundle(merged_config(small), {})["c_measured"]
+    measured = pipelines.constants_bundle(merged_config(small),
+                                          {})["c_measured"]
     stability = ("bounds", "gapsweep", "highergaps")
     for c, code in ((0.5 * measured, 1), (2.0 * measured, 0)):
         cfg = tmp_path / "cfg.json"
@@ -570,8 +575,8 @@ def test_short_chains_stop_the_stability_pipelines_before_any_runs(
             return Report(name)
         return pipeline
 
-    monkeypatch.setattr(cli, "PIPELINES",
-                        {name: record(name) for name in cli.PIPELINES})
+    monkeypatch.setattr(pipelines, "PIPELINES",
+                        {name: record(name) for name in PIPELINES})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lengths": [6]}), encoding="utf-8")
     out = tmp_path / "out"
@@ -586,10 +591,124 @@ def test_short_chains_stop_the_stability_pipelines_before_any_runs(
 def _recording_pipelines(monkeypatch) -> list:
     """Replace every pipeline by one that records its name; the list."""
     called = []
-    monkeypatch.setattr(cli, "PIPELINES", {
+    monkeypatch.setattr(pipelines, "PIPELINES", {
         name: lambda cfg, ctx, name=name: called.append(name) or Report(name)
-        for name in cli.PIPELINES})
+        for name in PIPELINES})
     return called
+
+
+# each refusal ``admit`` makes: a command, a config patch ("{model}" is a
+# model file of the orbital chain) and the config lines of its refusal
+REFUSALS = {
+    "unknown-model": ("all", {"model": "ising"},
+                      ["model: unknown model spec 'ising'"]),
+    "unreadable-model": ("validate", {"model": "file:{missing}"},
+                         ["model: cannot load {missing}: FileNotFoundError: "
+                          "[Errno 2] No such file or directory: "
+                          "'{missing}'"]),
+    "dense-limit": ("validate", {"lengths": [14, 15]},
+                    ["lengths: chains of [15] sites exceed the dense limit "
+                     "of 19683 states"]),
+    "short-chains": ("sp0scan", {"flow": {"length": 4},
+                                 "sp0": {"length": 2},
+                                 "ltqo": {"aklt_lengths": [1, 6]}},
+                     ["flow.length: chains of [4] sites are too short: need "
+                      "an interior two sites deep",
+                      "sp0.length: chains of [2] sites are too short: need a "
+                      "full orbital pair",
+                      "ltqo.aklt_lengths: chains of [1] sites are too short: "
+                      "need a bond"]),
+    "model-pipelines": ("ltqo", {"model": "file:{model}"},
+                        ["ltqo: only validate runs the model file:{model}"]),
+    "ltqo-inside": ("ltqo", {"D": 1},
+                    ["D: ltqo reads no orbital witness inside the cut-off "
+                     "D = 1: need D >= 2"]),
+    "ltqo-beyond": ("all", {"ltqo": {"length": 6}},
+                    ["ltqo.length: 6 sites read no orbital witness beyond "
+                     "the cut-off D = 3: need 7 sites"]),
+    "ltqo-aklt": ("ltqo", {"ltqo": {"aklt_lengths": [4]}},
+                  ["ltqo.aklt_lengths: chains of [4] sites read no aklt "
+                   "witness: need one of 5 sites"]),
+    "stability-lengths": ("gapsweep", {"lengths": [6]},
+                          ["lengths: no chain exceeds diameter 2 D for the "
+                           "stability pipelines"]),
+    "bulk-radius": ("bounds", {"flow": {"max_radius": 0}},
+                    ["flow.max_radius: the stability pipelines need a bulk "
+                     "perturbation, and the 8-site flow chain has none at "
+                     "radius 0"]),
+    "three-keys": ("all", {"D": 1, "ltqo": {"aklt_lengths": [4]},
+                           "flow": {"max_radius": 0}},
+                   ["D: ltqo reads no orbital witness inside the cut-off "
+                    "D = 1: need D >= 2",
+                    "ltqo.aklt_lengths: chains of [4] sites read no aklt "
+                    "witness: need one of 5 sites",
+                    "flow.max_radius: the stability pipelines need a bulk "
+                    "perturbation, and the 8-site flow chain has none at "
+                    "radius 0"]),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_a_refused_run_enters_no_pipeline(tmp_path, monkeypatch, capsys,
+                                          refusal):
+    """Each refusal ``admit`` makes stops ``main`` with exit 2 and one
+    stderr line per refused key, before any pipeline is called or the
+    output directory is made."""
+    command, patch, lines = REFUSALS[refusal]
+    model = tmp_path / "orbital.json"
+    model.write_text(to_json(orbital_interaction(Interval(0, 5))),
+                     encoding="utf-8")
+    names = {"model": model, "missing": tmp_path / "missing.json"}
+    patch = json.loads(json.dumps(patch).replace("{model}", str(model))
+                       .replace("{missing}", str(names["missing"])))
+    lines = [line.format(**names) for line in lines]
+    called = _recording_pipelines(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(patch), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: " + "\n".join(lines) + "\n"
+    assert called == [] and not out.exists()
+
+
+def test_a_run_is_admitted_once(tmp_path, monkeypatch):
+    """``run`` admits its config once, and every pipeline of ``all`` reads
+    the model that admission resolved."""
+    calls = []
+
+    def counted(cfg, names):
+        calls.append(list(names))
+        return config.admit(cfg, names)
+
+    monkeypatch.setattr(pipelines, "admit", counted)
+    called = _recording_pipelines(monkeypatch)
+    run(merged_config(None), ["all"], tmp_path / "out")
+    assert calls == [list(PIPELINES)] and called == list(PIPELINES)
+
+
+def test_the_cli_holds_what_the_benchmark_reads():
+    """``gaplab.cli`` defines ``build_parser`` and ``main`` alone, and
+    holds every name the benchmark harness reads from it: ``load_config``,
+    ``run``, ``PIPELINES`` and each function the tracer wraps under
+    ``cli``.  Each is the object its defining module holds, in
+    ``config``, ``artifacts`` or ``pipelines``, and ``cli.PIPELINES`` is
+    the dict ``run`` reads, so a span the tracer installs through ``cli``
+    is the one a run calls."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    layers = runpy.run_path(str(path))["LAYERS"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert {type(node) for node in tree.body} <= {
+        ast.Expr, ast.Import, ast.ImportFrom, ast.FunctionDef, ast.If}
+    assert [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)] == ["build_parser", "main"]
+    assert cli.main.__module__ == "gaplab.cli"
+    assert cli.PIPELINES is pipelines.PIPELINES
+    for name in ["load_config", "run", *layers["cli"]]:
+        obj = getattr(cli, name)
+        home = sys.modules[obj.__module__]
+        assert home in (config, artifacts, pipelines), name
+        assert getattr(home, name) is obj, name
 
 
 @pytest.mark.parametrize("command", ["bounds", "gapsweep", "highergaps",
@@ -740,9 +859,9 @@ def test_the_stability_pipelines_need_no_closed_form(tmp_path, monkeypatch):
         raise AssertionError("a closed form was read")
 
     for name in ("kernel_data", "orbital_spectrum", "auxiliary_basis"):
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(models, name, refuse)
     cfg = merged_config(ALL_L10)
-    names = [name for name in cli.PIPELINES if name != "validate"]
+    names = [name for name in PIPELINES if name != "validate"]
     reports = run(cfg, names, tmp_path / "out")
     assert [rep.name for rep in reports] == names
     assert all(rep.checks and rep.passed for rep in reports)
@@ -770,7 +889,7 @@ def test_a_gap_against_its_line_reads_one_status(eps, measured, bound,
                                                  expected):
     """``_against_line`` is the one open/closed and line rule of both
     ``gapsweep`` and ``highergaps``: ``(status, dominated, opened)``."""
-    assert cli._against_line(eps, measured, bound) == expected
+    assert pipelines._against_line(eps, measured, bound) == expected
 
 
 def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
@@ -779,10 +898,10 @@ def test_gap_curves_read_their_cluster_off_the_spectra_they_solve():
     cluster of the closed-form kernel dimension at every coupling."""
     cfg = merged_config(ALL_L10)
     grid = np.linspace(0.0, 0.05, 11)
-    lengths = cli._stability_lengths(cfg)
+    lengths = config._stability_lengths(cfg)
     assert lengths == [8, 10]
     for length in lengths:
-        lam, eta, pert = cli._volume(cfg, {}, cli._window(length, 1))
+        lam, eta, pert = pipelines._volume(cfg, {}, config._window(length, 1))
         kdim, _ = kernel_data(lam)
         read = gap_curve(eta, pert, lam, grid)
         assert [sp.eps for sp in read] == list(grid)
@@ -820,7 +939,7 @@ def test_tracer_layers_name_package_functions(tmp_path):
     modules = [np.linalg] + [module for name, module in sys.modules.items()
                              if name.startswith("gaplab")]
     saved = [(module, dict(vars(module))) for module in modules]
-    pipelines = dict(cli.PIPELINES)
+    saved_pipelines = dict(PIPELINES)
     tracer = tracer_module["Tracer"]()
     try:
         tracer.install()
@@ -832,27 +951,32 @@ def test_tracer_layers_name_package_functions(tmp_path):
             for attr, value in attrs.items():
                 if vars(module)[attr] is not value:
                     setattr(module, attr, value)
-        cli.PIPELINES.update(pipelines)
+        PIPELINES.update(saved_pipelines)
     assert all(rep.passed for rep in reports)
     calls = tracer.metrics(0.0)
     for span in ("models.orbital_interaction", "models.aklt_interaction",
                  "cli.cmd_validate"):
         assert calls[f"{span}.calls"] > 0, span
-    assert cli.PIPELINES == pipelines and np.linalg.eigh is saved[0][1]["eigh"]
+    assert PIPELINES == saved_pipelines \
+        and np.linalg.eigh is saved[0][1]["eigh"]
 
 
 def test_benchmark_workloads_merge_as_configs(tmp_path):
-    """Every benchmark workload's config passes the config rules."""
+    """Every benchmark workload's config passes the config rules and the
+    admission of its command, as the defaults pass that of ``all``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     bench = runpy.run_path(str(path))
-    for name in bench["WORKLOADS"]:
-        merged_config(bench["config_for"](name, 7, str(tmp_path)))
+    for name, spec in bench["WORKLOADS"].items():
+        cfg = merged_config(bench["config_for"](name, 7, str(tmp_path)))
+        admit(cfg, PIPELINES if spec["command"] == "all"
+              else [spec["command"]])
+    admit(merged_config(None), PIPELINES)
 
 
 def test_values_only_solves_go_through_the_spectral_layer():
     """Only ``operator_algebra.eigenvalues`` calls ``np.linalg.eigvalsh``;
     the witness ascent in ``ltqo.py`` keeps its own solves until it is
-    rewritten.  ``cli.py`` calls neither ``eigenvalues`` nor
+    rewritten.  ``pipelines.py`` calls neither ``eigenvalues`` nor
     ``hamiltonian_eigenvalues`` itself: every volume spectrum there comes
     through ``validate_unperturbed`` or ``gamma0_candidate``, whose
     ``hamiltonian_eigenvalues`` hands the charge blocks of the span of its
@@ -861,12 +985,13 @@ def test_values_only_solves_go_through_the_spectral_layer():
     callers = {p.name for p in src.glob("*.py")
                if "linalg.eigvalsh(" in p.read_text(encoding="utf-8")}
     assert callers <= {"operator_algebra.py", "ltqo.py"}
-    cli_text = (src / "cli.py").read_text(encoding="utf-8")
-    assert not re.search(r"eigenvalues\(", cli_text)
+    run_text = (src / "pipelines.py").read_text(encoding="utf-8")
+    assert not re.search(r"eigenvalues\(", run_text)
     # one call reads every volume of validate, of each of its models
-    assert inspect.getsource(cli.cmd_validate).count(
+    assert inspect.getsource(cmd_validate).count(
         "validate_unperturbed(") == 1
-    assert "gamma0_candidate(" in inspect.getsource(cli.constants_bundle)
+    assert "gamma0_candidate(" in inspect.getsource(
+        pipelines.constants_bundle)
     for reader in (interaction.validate_unperturbed,
                    interaction.gamma0_candidate):
         body = inspect.getsource(reader).split('"""')[-1]
@@ -959,7 +1084,7 @@ def test_flow_checks_solve_no_matrix_again(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, hashed(getattr(np.linalg, name)))
-    monkeypatch.setattr(cli, "operator_norm", norm)
+    monkeypatch.setattr(pipelines, "operator_norm", norm)
     cfg = merged_config({"lengths": [8], "ltqo": {"aklt_lengths": [6]}})
     ctx = {}
     assert cmd_validate(cfg, ctx).passed
@@ -1011,8 +1136,8 @@ def test_flow_fixture_keeps_only_what_its_readers_read(monkeypatch):
         decs.append(replace(dec, anchors=dict(dec.anchors)))
         return cli_split(dec, p0, **kwargs)
 
-    cli_split = cli.split_phi1
-    monkeypatch.setattr(cli, "split_phi1", split)
+    cli_split = pipelines.split_phi1
+    monkeypatch.setattr(pipelines, "split_phi1", split)
     fb = flow_bundle(merged_config(None), {})
     assert fb["flow"].unitaries == {}
     assert "generators" not in {f.name for f in fields(fb["flow"])}
@@ -1052,10 +1177,10 @@ def test_flow_fixture_takes_no_norm_of_the_couplings_before_eps(monkeypatch):
             return out
         return wrapper
 
-    decompose, split = cli.decompose_phi1, cli.split_phi1
+    decompose, split = pipelines.decompose_phi1, pipelines.split_phi1
     monkeypatch.setattr(spectral_flow, "operator_norm", norm)
-    monkeypatch.setattr(cli, "decompose_phi1", counted(decompose))
-    monkeypatch.setattr(cli, "split_phi1", counted(split))
+    monkeypatch.setattr(pipelines, "decompose_phi1", counted(decompose))
+    monkeypatch.setattr(pipelines, "split_phi1", counted(split))
     fb = flow_bundle(merged_config(None), {})
     # a decomposition and its split at each form-bound checkpoint, in turn
     assert [args[4] for _, args, _ in calls[::2]] == [8, 16, 32]
@@ -1147,7 +1272,8 @@ def test_runs_import_no_masked_arrays():
     call unless it is asked for the inverse: neither an ``sp0scan`` run nor
     an ``all`` run at the ``all-L10`` benchmark's sizes loads it."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, tempfile; from gaplab.cli import merged_config, run\n"
+    code = ("import sys, tempfile; from gaplab.cli import run\n"
+            "from gaplab.config import merged_config\n"
             "with tempfile.TemporaryDirectory() as tmp:\n"
             "    run(merged_config({}), ['sp0scan'], tmp + '/sp0')\n"
             "    print('numpy.ma' in sys.modules)\n"
@@ -1164,7 +1290,7 @@ def test_validate_fails_a_spin_image_that_differs(monkeypatch):
     """The fermion/spin rows compare the spin image's matrix with the
     fermionic one entry for entry: a relative change of 1e-14 in one term,
     far below the spectral tolerance, fails every row."""
-    original = cli.fermion_to_spin
+    original = models.fermion_to_spin
 
     def perturbed(phi):
         spin = original(phi)
@@ -1172,7 +1298,7 @@ def test_validate_fails_a_spin_image_that_differs(monkeypatch):
         op = replace(first.op, matrix=first.op.matrix * (1.0 + 1e-14))
         return replace(spin, terms=[replace(first, op=op)] + spin.terms[1:])
 
-    monkeypatch.setattr(cli, "fermion_to_spin", perturbed)
+    monkeypatch.setattr(models, "fermion_to_spin", perturbed)
     cfg = merged_config({"lengths": [6], "ltqo": {"aklt_lengths": [4]}})
     rep = cmd_validate(cfg, {})
     _, rows = rep.tables["jw.csv"]
@@ -1225,7 +1351,7 @@ def test_validate_owns_the_auxiliary_basis_budget(monkeypatch):
     """``auxiliary_basis`` returns its completion whatever its size; the
     orbital structure check fails one that exceeds ``6R`` columns and
     reaches the depth-``3R`` interior."""
-    monkeypatch.setattr(cli, "auxiliary_basis",
+    monkeypatch.setattr(models, "auxiliary_basis",
                         lambda lam: np.eye(len(lam)))
     cfg = merged_config({"lengths": [8], "ltqo": {"aklt_lengths": [4]}})
     rep = cmd_validate(cfg, {})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.cli import DEFAULTS, base_envelope
+from gaplab.config import DEFAULTS, base_envelope
 from gaplab.ffunction import (DressedDecay, FFunctionSpec, ShiftedEnvelope,
                               WeightSpec, convolution_constant, evaluate,
                               f_norm, geometric_tail, log_evaluate, norm_sum,

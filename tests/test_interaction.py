@@ -260,7 +260,8 @@ def test_building_the_default_l12_plan_holds_no_more_than_twice_its_bytes():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import numpy as np\n"
-        "from gaplab.cli import _volume, _window, merged_config\n"
+        "from gaplab.config import _window, merged_config\n"
+        "from gaplab.pipelines import _volume\n"
         "from gaplab.interaction import coupled_blocks\n"
         "def rss():\n"
         "    with open('/proc/self/status') as f:\n"

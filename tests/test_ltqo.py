@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import cli, ltqo, models
-from gaplab.cli import _window, cmd_ltqo, main, merged_config
+from gaplab import ltqo, models, pipelines
+from gaplab.cli import main
+from gaplab.config import ConfigError, _window, admit, merged_config
+from gaplab.pipelines import cmd_ltqo
 from gaplab.interaction import Interaction
 from gaplab.lattice import Interval, ball
 from gaplab.ltqo import (ascent_lower_bound, ltqo_witness, witness_bracket,
@@ -141,7 +143,7 @@ def test_fermionic_rows_match_the_even_column_reads(monkeypatch):
             rows.append((x, n, k))
         return ltqo_witness(eta, lam, x, n, k, seen)
 
-    monkeypatch.setattr(cli, "ltqo_witness", checked)
+    monkeypatch.setattr(pipelines, "ltqo_witness", checked)
     _, table = cmd_ltqo(merged_config({}), {}).tables["ltqo.csv"]
     assert rows == [tuple(row[1:4]) for row in table if row[0] == "orbital"]
     assert len(rows) > 10
@@ -383,6 +385,20 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
     assert all(row[9] >= row[6] for row in rows)
 
 
+# the config line that refuses each config with a verdict over no row
+NO_ROW_LINES = {
+    '{"ltqo": {"aklt_lengths": []}}': "ltqo.aklt_lengths: chains of [] "
+    "sites read no aklt witness: need one of 5 sites",
+    '{"ltqo": {"aklt_lengths": [2, 3]}}': "ltqo.aklt_lengths: chains of "
+    "[2, 3] sites read no aklt witness: need one of 5 sites",
+    '{"ltqo": {"aklt_lengths": [4]}}': "ltqo.aklt_lengths: chains of [4] "
+    "sites read no aklt witness: need one of 5 sites",
+    '{"ltqo": {"length": 6}}': "ltqo.length: 6 sites read no orbital "
+    "witness beyond the cut-off D = 3: need 7 sites",
+    '{"D": 1}': "D: ltqo reads no orbital witness inside the cut-off D = 1: "
+    "need D >= 2"}
+
+
 @pytest.mark.parametrize("patch, label", [
     ({"ltqo": {"aklt_lengths": []}}, "aklt witness lower bounds decay "
                                      "geometrically"),
@@ -394,19 +410,47 @@ def test_each_witness_is_computed_once_per_run(monkeypatch):
     ({"D": 1}, "orbital witnesses vanish inside the cut-off")])
 def test_a_witness_verdict_over_no_row_fails(patch, label, tmp_path, capsys):
     """A verdict with no witness row under it fails with the detail ``no
-    witness row`` and the run exits 1, without a traceback: a spin-1 chain
-    of at most 4 sites has no AKLT row, the 6-site orbital chain none at
+    witness row`` when ``cmd_ltqo`` is called directly: a spin-1 chain of
+    at most 4 sites has no AKLT row, the 6-site orbital chain none at
     separation ``D = 3``, and ``D = 1`` leaves no orbital row inside the
-    cut-off.  Every other verdict passes."""
+    cut-off.  Every other verdict passes.  A run admits no such config:
+    ``main`` exits 2 with one config line naming the key, before any
+    pipeline or artifact."""
+    rep = cmd_ltqo(merged_config(patch), {})
+    assert [(name, detail) for name, ok, detail in rep.checks if not ok] \
+        == [(label, "no witness row")]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(patch), encoding="utf-8")
-    assert main(["ltqo", "--config", str(cfg),
-                 "--out", str(tmp_path / "out")]) == 1
-    out = capsys.readouterr()
-    assert [line for line in out.out.splitlines()
-            if not line.startswith(("[PASS]", "artifacts written"))] \
-        == [f"[FAIL] ltqo: {label}  (no witness row)"]
-    assert out.err == ""
+    out = tmp_path / "out"
+    assert main(["ltqo", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {NO_ROW_LINES[json.dumps(patch)]}\n"
+    assert not out.exists()
+
+
+def test_the_ltqo_admission_rule_matches_the_witness_rows(monkeypatch):
+    """Over ``ltqo.length`` 3-10, ``D`` 1-4 and the spin-1 chain lists
+    ``[]``, ``[2, 3]``, ``[4]`` and ``[5]``, ``admit`` accepts an ``ltqo``
+    run exactly when ``cmd_ltqo``, called directly, reads at least one
+    witness row under every verdict.  The rows depend on the loops alone,
+    so each witness is a stand-in zero."""
+    monkeypatch.setattr(pipelines, "ltqo_witness",
+                        lambda *args: (0.0, 0.0))
+    for length in range(3, 11):
+        for depth in range(1, 5):
+            for aklt in ([], [2, 3], [4], [5]):
+                cfg = merged_config({"D": depth, "ltqo": {
+                    "length": length, "aklt_lengths": aklt}})
+                rep = cmd_ltqo(cfg, {})
+                rows = all(detail != "no witness row"
+                           for _, _, detail in rep.checks)
+                try:
+                    admit(cfg, ["ltqo"])
+                except ConfigError:
+                    admitted = False
+                else:
+                    admitted = True
+                assert admitted == rows, (length, depth, aklt)
 
 
 def test_aklt_kernel_is_solved_without_the_whole_matrix():

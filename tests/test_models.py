@@ -195,11 +195,9 @@ def test_random_even_perturbation_ball_keys():
 
 
 def test_a_config_model_value_resolves_to_one_model(tmp_path):
-    """``model_for`` names the orbital chain, reads a ``file:`` model (or,
-    with ``read`` false, leaves it to be read by the run) and refuses any
-    other value, or a file that does not load."""
+    """``model_for`` names the orbital chain, reads a ``file:`` model and
+    refuses any other value, or a file that does not load."""
     assert models.model_for("orbital") is models.ORBITAL
-    assert models.model_for("file:missing.json", read=False) is None
     with pytest.raises(ValueError, match="unknown model spec 'aklt'"):
         models.model_for("aklt")
     missing = tmp_path / "missing.json"
@@ -211,8 +209,8 @@ def test_a_config_model_value_resolves_to_one_model(tmp_path):
                     encoding="utf-8")
     custom = models.model_for(f"file:{path}")
     assert (custom.name, custom.kind, custom.local_dim, custom.shortest,
-            custom.pipelines, custom.kernel, custom.certified) == \
-        ("custom", "spin", 3, 2, ("validate",), None, False)
+            custom.pipelines, custom.kernel, custom.certificate) == \
+        ("custom", "spin", 3, 2, ("validate",), None, None)
     assert (models.ORBITAL.kind, models.ORBITAL.local_dim) == ("fermion", 2)
     assert (models.AKLT.kind, models.AKLT.local_dim) == ("spin", 3)
     lam = Interval(1, 4)

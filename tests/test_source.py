@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from gaplab.cli import DEFAULTS
+from gaplab.config import DEFAULTS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaplab"
 
@@ -208,7 +208,7 @@ def test_every_default_is_passed_somewhere():
 # Parameters named after a config key that keep a default, each with the
 # reason it stays.
 CONFIG_DEFAULTS = {
-    "cli.load_config.seed": "None means no --seed was given",
+    "config.load_config.seed": "None means no --seed was given",
     "ltqo.ascent_lower_bound.seed": "the ascent is the tests' reference, "
                                     "run only from them",
 }
@@ -249,3 +249,15 @@ def test_no_parameter_named_after_a_config_key_has_a_default():
         f"defaults repeat the config: {sorted(found - set(CONFIG_DEFAULTS))}"
     assert not set(CONFIG_DEFAULTS) - found, \
         f"no longer defaulted: {sorted(set(CONFIG_DEFAULTS) - found)}"
+
+
+def test_only_models_calls_the_orbital_closed_forms():
+    """The orbital chain's closed forms are read through its ``Model``, its
+    kernel and its certificate: no module but ``models.py`` calls
+    ``auxiliary_basis``, ``kernel_data`` or ``orbital_spectrum``."""
+    closed = {"auxiliary_basis", "kernel_data", "orbital_spectrum"}
+    for path in sorted(SRC.glob("*.py")):
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(ast.parse(path.read_text(
+                      encoding="utf-8"))) if isinstance(node, ast.Call)}
+        assert path.name == "models.py" or not called & closed, path.name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.cli import ENVELOPE
+from gaplab.pipelines import ENVELOPE
 from gaplab.interaction import Interaction, Term, coupled, \
     hamiltonian_eigenvalues, local_hamiltonian, random_interaction
 from gaplab.lattice import Interval, ball, interior

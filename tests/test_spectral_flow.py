@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from gaplab.cli import ENVELOPE, _form_bound_checkpoints
+from gaplab.pipelines import ENVELOPE, _form_bound_checkpoints
 from gaplab.interaction import (Interaction, Term, fermion_to_spin,
                                 local_hamiltonian, split_edge_bulk)
 from gaplab.lattice import Interval, boundary_distances

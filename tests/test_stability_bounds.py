@@ -343,7 +343,7 @@ def test_edge_norm_from_support_clusters_is_the_dense_norm(n_sites, depth,
 
 def test_uniform_strengths_suprema_and_threshold():
     """The suprema run over every volume given, one of diameter 2 D too:
-    the diameter threshold is the caller's (``cli._stability_lengths``).
+    the diameter threshold is the caller's (``config._stability_lengths``).
     Only an empty family is refused."""
     volumes = [Interval(0, 5), Interval(0, 7), Interval(0, 2)]
     phi_for = {lam: random_even_perturbation(lam, 1, ENV, seed=3)
